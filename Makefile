@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare popcornmc popcornmc-parallel soak soak-overload soak-failover test bench trace-demo
+.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare profile popcornmc popcornmc-parallel soak soak-overload soak-failover test bench trace-demo
 
 verify: build vet escapes test popcornmc soak popcornmc-parallel trace-demo
 
@@ -45,10 +45,20 @@ escapes-baseline:
 # Perf regression gate: regenerate a fresh full-scale snapshot and compare
 # per-experiment gen_ns against the last checked-in snapshot (>10% and
 # >10ms worse fails). Override BENCH_BASE when re-anchoring.
-BENCH_BASE ?= BENCH_9.json
+BENCH_BASE ?= BENCH_13.json
 bench-compare:
 	$(GO) run ./cmd/benchtable -scale full -json /tmp/bench_current.json > /dev/null
 	$(GO) run ./cmd/benchtable -compare $(BENCH_BASE) /tmp/bench_current.json
+
+# Host profiles on tap: run one experiment at full scale under the CPU and
+# allocation profilers and print the hottest functions. The .pprof files stay
+# in PROFILE_DIR for `go tool pprof` (-list, -peek, -http).
+EXP ?= F5b
+PROFILE_DIR ?= /tmp/popcorn-profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) run ./cmd/benchtable -exp $(EXP) -scale full -cpuprofile $(PROFILE_DIR)/$(EXP).cpu.pprof -memprofile $(PROFILE_DIR)/$(EXP).mem.pprof > /dev/null
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(EXP).cpu.pprof
 
 # Schedule exploration with the coherence sanitizer attached; see DESIGN.md §7.
 # The -faults sweeps layer the fault plan (drop/dup/delay everywhere, kernel

@@ -6,12 +6,17 @@
 // Usage:
 //
 //	benchtable [-scale quick|full] [-exp all|T1,F4,...] [-list] [-trace] [-traceout DIR] [-json FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //	benchtable -compare OLD.json NEW.json
 //
 // With -json FILE, a machine-readable snapshot of every selected experiment
 // — id, title, host generation nanoseconds, and the structured table/series
 // data — is written to FILE; checked in per PR as BENCH_<n>.json, it gives
 // the perf trajectory a diffable history.
+//
+// With -cpuprofile/-memprofile, host CPU and allocation profiles of the
+// selected experiments are written for `go tool pprof`; `make profile
+// EXP=F5b` wraps this for one experiment.
 //
 // With -compare, two such snapshots are diffed as a regression gate: an
 // experiment whose gen_ns grew more than 10% over the old snapshot (and by
@@ -39,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -73,6 +79,7 @@ func main() {
 	jsonOut := flag.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
 	compareFlag := flag.Bool("compare", false, "compare two -json snapshots (OLD NEW) and fail on gen_ns regressions")
 	engineFlag := flag.String("engine", "serial", "simulation engine the experiments boot: serial or parallel (identical virtual-time results either way)")
+	profile := prof.Register()
 	flag.Parse()
 
 	switch *engineFlag {
@@ -124,6 +131,11 @@ func main() {
 		}
 	}
 
+	stopProfile, err := profile.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
+		os.Exit(2)
+	}
 	failed := 0
 	snapshot := jsonSnapshot{Scale: *scaleFlag, Experiments: []jsonExperiment{}}
 	for _, exp := range selected {
@@ -168,6 +180,10 @@ func main() {
 				failed++
 			}
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
+		failed++
 	}
 	if *jsonOut != "" {
 		if err := writeSnapshot(*jsonOut, &snapshot); err != nil {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/multikernel"
 	"repro/internal/osi"
+	"repro/internal/prof"
 	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -34,7 +35,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (runErr error) {
 	osFlag := flag.String("os", "popcorn", "OS flavour: popcorn, smp, multikernel")
 	wlFlag := flag.String("workload", "mmapstorm", "workload: threadbomb, mmapstorm, mmapstorm-shared, faultsweep, futexchain, futexchain-shared, npb-is, npb-cg, npb-ft, npb-ep, npb-mg, kvstore, migrate")
 	threads := flag.Int("threads", 16, "worker thread/domain count")
@@ -48,7 +49,18 @@ func run() error {
 	traceN := flag.Int("trace", 0, "record and print the last N inter-kernel messages (popcorn only)")
 	snapshot := flag.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
 	compare := flag.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
+	profile := prof.Register()
 	flag.Parse()
+
+	stopProfile, err := profile.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProfile(); runErr == nil {
+			runErr = err
+		}
+	}()
 
 	topo := hw.Topology{Cores: *cores, NUMANodes: *nodes}
 
@@ -58,7 +70,6 @@ func run() error {
 
 	var (
 		res  workload.Result
-		err  error
 		reg  *stats.Registry
 		stop func()
 	)

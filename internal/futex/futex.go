@@ -148,6 +148,12 @@ func NewService(e sim.Engine, fabric *msg.Fabric, node msg.NodeID, homeCore int,
 // sync so the race detector treats accesses to it as acquire/release pairs.
 func (s *Service) AttachChecker(c *sanitize.Checker) { s.checker = c }
 
+// futexWaitLabel renders the deadlock-report label of a parked waiter, from
+// the operands Wait recorded with SetWaitLabel.
+func futexWaitLabel(gid, addr, _ uint64) string {
+	return fmt.Sprintf("g%d@%#x", vm.GID(gid), addr)
+}
+
 // Wait blocks p until a Wake on (gid, addr), provided the word still holds
 // expect when the home kernel examines it; otherwise ErrWouldBlock.
 func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) error {
@@ -197,7 +203,7 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 		return ErrWouldBlock
 	}
 	if !lw.woken {
-		p.SetWaitInfo("futex", fmt.Sprintf("g%d@%#x", gid, uint64(addr)), nil)
+		p.SetWaitLabel("futex", futexWaitLabel, uint64(gid), uint64(addr), 0)
 		lw.parked = true
 		p.Suspend()
 		lw.parked = false

@@ -97,18 +97,18 @@ func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 // TestSendDeliverSteadyStateAllocs pins the reliable fabric's send→deliver
 // path at a fixed small constant per message. The remaining allocations are
 // the modeled per-message work: the handler process the dispatcher spawns
-// (goroutine, Proc record, resume channel, registry inserts). Everything
-// else — events, wire entries, ring slots, span names — is recycled.
+// (Proc record, its dispatch closure, the tracking wrapper and handler
+// closures — the carrier it runs on is pooled). Everything else — events,
+// wire entries, ring slots, span names — is recycled.
 func TestSendDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	got := allocsPerMessage(t, f, e)
-	// Handler-proc spawn costs ~8 allocations per message on go1.x; the
-	// bound is the contract that nothing per-message beyond the spawn
-	// creeps back in (it was ~3x this before pooling).
-	if got > 12 {
-		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 12", got)
+	// Measured 4.4; the bound is the contract that nothing per-message
+	// beyond the handler spawn creeps back in.
+	if got > 5.4 {
+		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 5.4", got)
 	}
 }
 
@@ -122,8 +122,48 @@ func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	f := testFabric(t, e)
 	f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
 	got := allocsPerMessage(t, f, e)
-	if got > 16 {
-		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 16", got)
+	// Measured 5.4.
+	if got > 6.4 {
+		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 6.4", got)
+	}
+}
+
+// TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached:
+// request message, call record, reply message and the handler spawn, and
+// nothing for diagnostics nobody asked for — Call must not box msg.send trace
+// arguments for a detached tracer, nor format a deadlock-report label per
+// wait. Seq (past 255 after the warm-up) and Size are chosen so that boxing
+// them allocates; the runtime boxes smaller integers for free.
+func TestCallSteadyStateAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	// One round trip per tick: the tick is far longer than a 4 KiB RPC.
+	const tick = 100 * time.Microsecond
+	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
+		return &Message{Size: 64}
+	})
+	e.SpawnDaemon("caller", func(p *sim.Proc) {
+		ep := f.Endpoint(0)
+		for {
+			if _, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 4096}); err != nil {
+				panic(err)
+			}
+			p.Sleep(tick)
+		}
+	})
+	if err := e.RunFor(300 * tick); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	const perRun = 8
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.RunFor(perRun * tick); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	// Measured 8.1; boxing the two trace arguments alone reads 9.9.
+	if got := allocs / perRun; got > 9.1 {
+		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 9.1", got)
 	}
 }
 

@@ -81,7 +81,9 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 		"wait-for graph:",
 		`"k0-resource" held by`,
 		`"k1-resource" held by`,
-		"rpc-reply",
+		// The label is recorded as operands and rendered for the report.
+		`rpc-reply "user from k1 seq=`,
+		`rpc-reply "user from k0 seq=`,
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)

@@ -308,7 +308,9 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	defer delete(ep.pending, m.Seq)
 	ep.f.metrics.Counter("msg.sent").Inc()
 	ep.f.metrics.Counter("msg.rpc").Inc()
-	ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc", m.Type, m.To, m.Seq, m.Size)
+	if ep.f.tracer != nil {
+		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc", m.Type, m.To, m.Seq, m.Size)
+	}
 	if o := ep.f.observer; o != nil {
 		o.MsgSent(p, m)
 	}
@@ -338,7 +340,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		return reply, err
 	}
 	if !c.done {
-		p.SetWaitInfo("rpc-reply", fmt.Sprintf("%v from k%d seq=%d", m.Type, m.To, m.Seq), nil)
+		p.SetWaitLabel("rpc-reply", rpcWaitLabel, uint64(m.Type), uint64(m.To), m.Seq)
 		p.Suspend()
 	}
 	if !c.done {
@@ -354,6 +356,12 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	ep.f.metrics.Histogram("msg.rpc.rtt").Observe(rtt)
 	ep.grayObserve(m.To, rtt)
 	return c.reply, nil
+}
+
+// rpcWaitLabel renders the deadlock-report label of a caller parked for a
+// reply, from the operands Call recorded with SetWaitLabel.
+func rpcWaitLabel(typ, to, seq uint64) string {
+	return fmt.Sprintf("%v from k%d seq=%d", Type(typ), NodeID(to), seq)
 }
 
 // creditWait is the RPC credit-wait bound (zero when the flow plane is
@@ -385,7 +393,7 @@ func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Tim
 			c.timedOut = true
 			p.Resume()
 		})
-		p.SetWaitInfo("rpc-reply", fmt.Sprintf("%v from k%d seq=%d", m.Type, m.To, m.Seq), nil)
+		p.SetWaitLabel("rpc-reply", rpcWaitLabel, uint64(m.Type), uint64(m.To), m.Seq)
 		p.Suspend()
 		h.Cancel()
 		if c.done {
@@ -660,7 +668,9 @@ func (ep *Endpoint) dedup(p *sim.Proc, m *Message) bool {
 		return true
 	}
 	ep.f.countLink("msg.fault.replayed", ep.node, m.From)
-	ep.f.traceEvent("msg.send", ep.node, "%v to k%d seq=%d cached-reply resend", de.reply.Type, de.reply.To, de.reply.Seq)
+	if ep.f.tracer != nil {
+		ep.f.traceEvent("msg.send", ep.node, "%v to k%d seq=%d cached-reply resend", de.reply.Type, de.reply.To, de.reply.Seq)
+	}
 	rm := *de.reply
 	entry := ep.f.reserve(&rm)
 	p.Sleep(ep.f.sendCost(&rm))

@@ -380,7 +380,7 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 			p.Resume()
 		})
 	}
-	p.SetWaitInfo("flow-credit", fmt.Sprintf("%v to k%d", m.Type, m.To), nil)
+	p.SetWaitLabel("flow-credit", creditWaitLabel, uint64(m.Type), uint64(m.To), 0)
 	p.Suspend()
 	if wait > 0 {
 		h.Cancel()
@@ -394,6 +394,12 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 		return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "credits"}
 	}
 	return nil
+}
+
+// creditWaitLabel renders the deadlock-report label of a sender parked for a
+// link credit, from the operands recorded with SetWaitLabel.
+func creditWaitLabel(typ, to, _ uint64) string {
+	return fmt.Sprintf("%v to k%d", Type(typ), NodeID(to))
 }
 
 // flowAdmit is the send-side gate for one outbound message: control-lane

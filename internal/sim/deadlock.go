@@ -29,6 +29,24 @@ func (p *Proc) SetWaitInfo(kind, resource string, holder *Proc) {
 	p.waitKind = kind
 	p.waitRes = resource
 	p.waitHolder = holder
+	p.waitRender = nil
+}
+
+// SetWaitLabel is SetWaitInfo for hot-path waits: it records the resource
+// label's operands, and render (a plain function, so that recording allocates
+// nothing) formats them only if WaitingOn or a deadlock report asks.
+func (p *Proc) SetWaitLabel(kind string, render func(a, b, c uint64) string, a, b, c uint64) {
+	p.waitKind, p.waitHolder = kind, nil
+	p.waitRender = render
+	p.waitArgs = [3]uint64{a, b, c}
+}
+
+// waitResource returns the recorded wait's resource label, rendered on demand.
+func (p *Proc) waitResource() string {
+	if p.waitRender != nil {
+		return p.waitRender(p.waitArgs[0], p.waitArgs[1], p.waitArgs[2])
+	}
+	return p.waitRes
 }
 
 // WaitingOn returns the recorded wait information, if the process is
@@ -37,11 +55,11 @@ func (p *Proc) WaitingOn() (WaitInfo, bool) {
 	if p.waitKind == "" {
 		return WaitInfo{}, false
 	}
-	return WaitInfo{Kind: p.waitKind, Resource: p.waitRes, Holder: p.waitHolder}, true
+	return WaitInfo{Kind: p.waitKind, Resource: p.waitResource(), Holder: p.waitHolder}, true
 }
 
 func (p *Proc) clearWaitInfo() {
-	p.waitKind, p.waitRes, p.waitHolder = "", "", nil
+	p.waitKind, p.waitRes, p.waitHolder, p.waitRender = "", "", nil, nil
 }
 
 // ProcWait is one blocked process in a deadlock report.
@@ -54,7 +72,7 @@ type ProcWait struct {
 	// resource, when known (0/"" otherwise).
 	HolderPID  int64
 	HolderName string // see HolderPID
-	Daemon     bool // whether the blocked process was spawned with SpawnDaemon
+	Daemon     bool   // whether the blocked process was spawned with SpawnDaemon
 }
 
 // DeadlockError is returned by Run when blocked processes remain but the
@@ -112,7 +130,7 @@ func (e *core) buildDeadlockError() *DeadlockError {
 		if p.daemon && p.waitKind != "mutex" && p.waitKind != "rwmutex" {
 			continue
 		}
-		w := ProcWait{PID: p.id, Name: p.name, Kind: p.waitKind, Resource: p.waitRes, Daemon: p.daemon}
+		w := ProcWait{PID: p.id, Name: p.name, Kind: p.waitKind, Resource: p.waitResource(), Daemon: p.daemon}
 		if h := p.waitHolder; h != nil {
 			w.HolderPID = h.id
 			w.HolderName = h.name

@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulator with
-// cooperative, goroutine-backed processes.
+// cooperative processes hosted on pooled runtime coroutines.
 //
 // The engine advances a virtual clock by draining a time-ordered event heap.
 // Exactly one simulated process runs at any instant: a process executes real
@@ -8,6 +8,12 @@
 // engine, which dispatches the next event. Ties in the event heap are broken
 // by insertion sequence, so a given seed and program order always produce an
 // identical schedule and identical virtual-time measurements.
+//
+// A process body runs on a carrier: an iter.Pull coroutine the engine
+// switches into and the body switches out of directly, with no channel and
+// no trip through the Go scheduler's run queue. A finished body's carrier
+// waits on an engine-owned idle list for the next Spawn, so a short-lived
+// process costs a record and a closure, not a goroutine; Close stops them all.
 //
 // The package is the hardware/time substrate for the replicated-kernel OS
 // reproduction: kernels, message rings, schedulers, and workloads are all

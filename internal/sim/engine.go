@@ -31,9 +31,9 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats t as a duration since the engine epoch (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// ErrKilled is the panic value used to unwind a process goroutine when the
-// engine shuts down. User code never observes it: the spawn wrapper recovers
-// it before the goroutine exits.
+// ErrKilled is the panic value used to unwind a process body when the
+// engine shuts down. User code never observes it: the carrier recovers it
+// before taking its next tenant.
 var ErrKilled = errors.New("sim: process killed by engine shutdown")
 
 // ErrDeadlock is returned by Run when processes remain blocked but no events
@@ -100,6 +100,10 @@ type core struct {
 	// nothing. A plain slice keeps recycling deterministic — sync.Pool
 	// would let wall-clock GC timing decide which objects survive.
 	free []*event
+
+	// idle holds the carriers whose tenant finished; Spawn reuses them LIFO.
+	// Like free it is touched only in serial or commit context (DESIGN.md §15).
+	idle []*carrier
 
 	// invariants are the registered model checks; invInterval > 0 enables
 	// the periodic sweep, nextInvCheck is its high-water mark.
@@ -188,7 +192,7 @@ type Engine interface {
 	RunUntil(t Time) error
 	// RunFor processes events for d of virtual time from the current clock.
 	RunFor(d time.Duration) error
-	// Close terminates all live process goroutines.
+	// Close terminates all live processes and stops their carriers.
 	Close()
 	// BlockedProcs returns the names of non-daemon processes that are alive
 	// but blocked, in PID order.
@@ -587,7 +591,7 @@ func (c *core) blockedCount() int {
 
 // procsByID returns the live process table in ascending PID order. Every
 // loop whose side effects are order-visible (collecting names, building
-// error reports, tearing goroutines down) iterates through this instead of
+// error reports, tearing processes down) iterates through this instead of
 // ranging the map directly, so runs stay bit-identical.
 func (c *core) procsByID() []*Proc {
 	out := make([]*Proc, 0, len(c.procs))
@@ -611,8 +615,8 @@ func (v *view) BlockedProcs() []string {
 	return names
 }
 
-// Close terminates all live process goroutines. The engine cannot be used
-// afterwards. It is safe to call multiple times.
+// Close terminates all live processes and stops every carrier, so no goroutine
+// outlives it. The engine cannot be used afterwards. Calling it again is safe.
 func (v *view) Close() {
 	c := v.c
 	if c.closed {
@@ -624,11 +628,14 @@ func (v *view) Close() {
 			continue
 		}
 		p.killed = true
-		// Resume the goroutine; its blocking primitive panics with
-		// ErrKilled, which the spawn wrapper swallows.
-		p.resume <- struct{}{}
-		<-p.parked
+		// Switch into the process; its blocking primitive panics with
+		// ErrKilled, which the carrier swallows before going idle.
+		p.k.next()
 	}
+	for _, k := range c.idle {
+		k.stop()
+	}
+	c.idle = nil
 }
 
 // fail records the first failure. It only ever runs in serial context:

@@ -60,8 +60,9 @@ type effect struct {
 	// waker attributes the wake for the process observer, mirroring the
 	// serial engine's e.current at the equivalent call.
 	waker *Proc
-	// finish is a process whose goroutine returned during the lane phase;
-	// its proc-table removal and observer notification happen at commit.
+	// finish is a process whose body returned during the lane phase; its
+	// proc-table removal, observer notification and its carrier's return to
+	// the idle list happen at commit.
 	finish *Proc
 	// fail is a process failure (panic) recorded during the lane phase;
 	// committing it in canonical order makes the "first failure wins" rule
@@ -332,8 +333,7 @@ func (l *parallelLoop) commit(r *parRun) error {
 				ef.wake.wake()
 				c.current = prev
 			case ef.finish != nil:
-				delete(c.procs, ef.finish.id)
-				c.observeFinished(ef.finish)
+				c.finish(ef.finish)
 			case ef.fail != nil:
 				c.fail(ef.fail)
 			}

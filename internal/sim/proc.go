@@ -2,21 +2,23 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// engine. A Proc may only call blocking primitives (Sleep, Suspend, channel
-// and mutex operations) from its own goroutine while it is the running
-// process. A Proc spawned through a lane view is lane-affine: its dispatch
-// events carry the lane tag, and under the parallel engine it runs in the
-// lane phase, subject to the parallel dispatch contract (DESIGN.md §15).
+// Proc is a simulated process: a sequential body that runs cooperatively
+// under the engine on a carrier, a pooled host coroutine. A Proc may only
+// call blocking primitives (Sleep, Suspend, channel and mutex operations)
+// from its own body while it is the running process. A Proc spawned through
+// a lane view is lane-affine: its dispatch events carry the lane tag, and
+// under the parallel engine it runs in the lane phase, subject to the
+// parallel dispatch contract (DESIGN.md §15).
 type Proc struct {
-	v        *view
-	id       int64
-	name     string
-	resume   chan struct{}
-	parked   chan struct{}
+	v    *view
+	id   int64
+	name string
+	// k is the carrier this process runs on, from Spawn until it finishes.
+	k        *carrier
 	finished bool
 	killed   bool
 	// daemon processes (message dispatchers, service loops) are expected to
@@ -30,6 +32,10 @@ type Proc struct {
 	waitKind   string
 	waitRes    string
 	waitHolder *Proc
+	// waitRender/waitArgs are a label recorded lazily by SetWaitLabel;
+	// waitRender is nil when waitRes already holds the text.
+	waitRender func(a, b, c uint64) string
+	waitArgs   [3]uint64
 	// span is the causal-tracing span this process currently executes
 	// under (an opaque span ID owned by internal/trace; zero = none). It
 	// is plain data the tracer threads through blocking protocol code —
@@ -39,6 +45,21 @@ type Proc struct {
 	// created once at spawn so Sleep/wake/Yield schedule it without
 	// allocating a fresh closure per call.
 	dispatchFn func()
+}
+
+// carrier is a host execution context for process bodies: a runtime
+// coroutine (iter.Pull) the engine switches into with next and the body
+// switches out of with yield, directly, with no run queue or channel in
+// between. Carriers outlive their tenants, like the paper's pool of dummy
+// threads: when a body returns, the carrier parks on the engine's idle list
+// and the next Spawn reuses it, so a short-lived process starts no goroutine.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// p and fn are the current tenant and its body; nil while idle.
+	p  *Proc
+	fn func(p *Proc)
 }
 
 // Spawn starts fn as a new simulated process. The process begins running at
@@ -61,58 +82,81 @@ func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: Spawn(%q) from a parallel lane event; schedule a merge event to spawn", name))
 	}
 	c.nextPID++
-	p := &Proc{
-		v:      v,
-		id:     c.nextPID,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		daemon: daemon,
-	}
+	p := &Proc{v: v, id: c.nextPID, name: name, daemon: daemon}
 	p.dispatchFn = func() { c.dispatch(p) }
+	// Never reached from a lane phase (above): the idle list pops serially.
+	if n := len(c.idle); n > 0 {
+		p.k, c.idle[n-1] = c.idle[n-1], nil
+		c.idle = c.idle[:n-1]
+	} else {
+		p.k = &carrier{}
+		p.k.next, p.k.stop = iter.Pull(p.k.loop)
+	}
+	p.k.p, p.k.fn = p, fn
 	c.procs[p.id] = p
 	c.observeStarted(p)
-	//popcornvet:allow simtime cooperative procs are implemented as parked goroutines; the engine serialises all hand-offs
-	go func() {
-		<-p.resume
-		defer func() {
-			p.finished = true
-			r := recover()
-			var failure error
-			if r != nil {
-				if err, ok := r.(error); ok && err == ErrKilled {
-					// Engine shutdown: exit quietly.
-				} else {
-					//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
-					failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			if s := c.laneSlotActive(p.v.lane); s != nil {
-				// Lane-phase teardown: the proc-table delete, observer call,
-				// and failure record are engine effects; they commit at the
-				// barrier in canonical order, which keeps "first failure
-				// wins" deterministic across lanes.
-				s.deferFinish(p)
-				if failure != nil {
-					s.deferFail(failure)
-				}
-			} else {
-				delete(c.procs, p.id)
-				c.observeFinished(p)
-				if failure != nil {
-					c.fail(failure)
-				}
-			}
-			p.parked <- struct{}{}
-		}()
-		if p.killed {
-			// Engine closed before the process ever ran.
-			return
-		}
-		fn(p)
-	}()
 	v.Schedule(0, p.dispatchFn)
 	return p
+}
+
+// loop is the carrier's coroutine body: run the assigned tenant, park idle,
+// repeat until Close stops the carrier.
+func (k *carrier) loop(yield func(struct{}) bool) {
+	k.yield = yield
+	for ok := true; ok; ok = yield(struct{}{}) {
+		k.run()
+	}
+}
+
+// run executes the current tenant's body and its teardown, leaving the
+// carrier ready for the next tenant.
+func (k *carrier) run() {
+	p, fn := k.p, k.fn
+	c := p.v.c
+	defer func() {
+		p.finished = true
+		k.p, k.fn = nil, nil
+		r := recover()
+		var failure error
+		if r != nil {
+			if err, ok := r.(error); ok && err == ErrKilled {
+				// Engine shutdown: exit quietly.
+			} else {
+				//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
+				failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			}
+		}
+		if s := c.laneSlotActive(p.v.lane); s != nil {
+			// Lane-phase teardown: the proc-table delete, observer call,
+			// idle-list push and failure record are engine effects; they
+			// commit at the barrier in canonical order, which keeps "first
+			// failure wins" deterministic across lanes.
+			s.deferFinish(p)
+			if failure != nil {
+				s.deferFail(failure)
+			}
+		} else {
+			c.finish(p)
+			if failure != nil {
+				c.fail(failure)
+			}
+		}
+	}()
+	if p.killed {
+		// Killed, or the engine closed, before the process ever ran.
+		return
+	}
+	fn(p)
+}
+
+// finish retires a finished process in serial or commit context: it leaves
+// the proc table, the observer hears of it, and its carrier goes idle.
+func (c *core) finish(p *Proc) {
+	delete(c.procs, p.id)
+	c.observeFinished(p)
+	//popcornvet:bounded idle carriers: one per finished process not yet reused, so peak live procs cap it
+	c.idle = append(c.idle, p.k)
+	p.k = nil
 }
 
 // dispatch hands the CPU to p until it parks or finishes. Under the
@@ -124,28 +168,21 @@ func (c *core) dispatch(p *Proc) {
 	if p.finished {
 		return
 	}
+	current := &c.current
 	if s := c.laneSlotActive(p.v.lane); s != nil {
-		prev := s.current
-		s.current = p
-		p.waking = false
-		p.resume <- struct{}{}
-		<-p.parked
-		s.current = prev
-		return
+		current = &s.current
 	}
-	prev := c.current
-	c.current = p
+	prev := *current
+	*current = p
 	p.waking = false
-	p.resume <- struct{}{}
-	<-p.parked
-	c.current = prev
+	p.k.next()
+	*current = prev
 }
 
 // park returns control from the running process to the engine and blocks
 // until the process is dispatched again.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	p.k.yield(struct{}{})
 	p.clearWaitInfo()
 	if p.killed {
 		panic(error(ErrKilled))
@@ -254,8 +291,8 @@ func (p *Proc) Finished() bool { return p.finished }
 
 // Kill terminates the process: the next time it would run (or immediately,
 // if it is the running process) its blocking primitive panics with
-// ErrKilled, which unwinds the goroutine through its defers and which the
-// spawn wrapper swallows. Killing a finished or already-killed process is a
+// ErrKilled, which unwinds the body through its defers and which its
+// carrier swallows. Killing a finished or already-killed process is a
 // no-op. The fault injector uses Kill to model a kernel crash: the dead
 // kernel's processes halt wherever they stand, but their defers still
 // release engine-level resources (waitgroup counts, tracked registries) so
