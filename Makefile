@@ -45,7 +45,7 @@ escapes-baseline:
 # Perf regression gate: regenerate a fresh full-scale snapshot and compare
 # per-experiment gen_ns against the last checked-in snapshot (>10% and
 # >10ms worse fails). Override BENCH_BASE when re-anchoring.
-BENCH_BASE ?= BENCH_13.json
+BENCH_BASE ?= BENCH_14.json
 bench-compare:
 	$(GO) run ./cmd/benchtable -scale full -json /tmp/bench_current.json > /dev/null
 	$(GO) run ./cmd/benchtable -compare $(BENCH_BASE) /tmp/bench_current.json

@@ -10,8 +10,8 @@ import (
 
 // handlerExempt lists message types a booted kernel is NOT required to
 // handle, each with the reason. Everything else in the enum must have a
-// registered handler on every kernel: an unhandled type is a latent
-// dispatcher panic the first time a remote kernel sends it.
+// registered handler on every kernel: an unhandled type fails the run the
+// first time a remote kernel sends it.
 var handlerExempt = map[msg.Type]string{
 	msg.TypeInvalid:     "zero value, never sent",
 	msg.TypePing:        "control traffic owned by tests and the T1 benchmark, which register it themselves",

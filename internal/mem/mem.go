@@ -71,9 +71,14 @@ func (p Prot) String() string {
 // Frames are identified globally so a frame's home NUMA node can always be
 // recovered, but each allocator only manages its own contiguous range.
 type FrameAllocator struct {
-	node      int // NUMA node the partition lives on
-	start     FrameID
-	count     int
+	node  int // NUMA node the partition lives on
+	start FrameID
+	count int
+	// next is the watermark: frames [start+next, start+count) have never
+	// been handed out and exist only as this number. free stacks the frames
+	// returned since, reused LIFO ahead of the watermark — the order a
+	// pre-filled descending stack would give, without materialising it.
+	next      int
 	free      []FrameID
 	allocated map[FrameID]struct{}
 }
@@ -91,12 +96,7 @@ func NewFrameAllocator(node int, start FrameID, count int) (*FrameAllocator, err
 		node:      node,
 		start:     start,
 		count:     count,
-		free:      make([]FrameID, 0, count),
 		allocated: make(map[FrameID]struct{}),
-	}
-	// Fill the freelist in descending order so Alloc pops ascending IDs.
-	for i := count - 1; i >= 0; i-- {
-		a.free = append(a.free, start+FrameID(i))
 	}
 	return a, nil
 }
@@ -106,11 +106,16 @@ func (a *FrameAllocator) Node() int { return a.node }
 
 // Alloc returns a free frame or an error when the partition is exhausted.
 func (a *FrameAllocator) Alloc() (FrameID, error) {
-	if len(a.free) == 0 {
+	var f FrameID
+	if n := len(a.free); n > 0 {
+		f = a.free[n-1]
+		a.free = a.free[:n-1]
+	} else if a.next < a.count {
+		f = a.start + FrameID(a.next)
+		a.next++
+	} else {
 		return NoFrame, fmt.Errorf("mem: partition [%d,%d) on node %d out of frames", a.start, a.start+FrameID(a.count), a.node)
 	}
-	f := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
 	a.allocated[f] = struct{}{}
 	return f, nil
 }
@@ -134,18 +139,16 @@ func (a *FrameAllocator) Free(f FrameID) error {
 // frames' previous contents are gone with the crash, so there is nothing to
 // free individually.
 func (a *FrameAllocator) Reset() {
+	a.next = 0
 	a.free = a.free[:0]
 	a.allocated = make(map[FrameID]struct{})
-	for i := a.count - 1; i >= 0; i-- {
-		a.free = append(a.free, a.start+FrameID(i))
-	}
 }
 
 // InUse returns the number of allocated frames.
 func (a *FrameAllocator) InUse() int { return len(a.allocated) }
 
 // Available returns the number of free frames.
-func (a *FrameAllocator) Available() int { return len(a.free) }
+func (a *FrameAllocator) Available() int { return len(a.free) + a.count - a.next }
 
 // PTE is one page-table entry.
 type PTE struct {

@@ -81,6 +81,89 @@ func TestFrameAllocatorBasics(t *testing.T) {
 	}
 }
 
+// TestFrameAllocatorSequence pins the order frames are handed out in: first
+// use ascending from the partition start, reuse last-freed-first ahead of any
+// never-used frame, and a clean ascending restart after Reset. The expected
+// IDs are what the original allocator (a stack pre-filled with every frame,
+// descending) produced for this script; the page-placement half of every
+// table depends on them.
+func TestFrameAllocatorSequence(t *testing.T) {
+	const start, count = 100, 6
+	a, err := NewFrameAllocator(0, start, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		alloc = iota
+		free
+		reset
+		exhausted
+		badFree
+	)
+	script := []struct {
+		op    int
+		frame FrameID // alloc: the expected ID; free/badFree: the argument
+		err   string  // exhausted/badFree: the exact error text
+	}{
+		{op: alloc, frame: 100},
+		{op: alloc, frame: 101},
+		{op: alloc, frame: 102},
+		{op: free, frame: 101},
+		{op: free, frame: 100},
+		{op: alloc, frame: 100},
+		{op: alloc, frame: 101},
+		{op: alloc, frame: 103},
+		{op: free, frame: 102},
+		{op: badFree, frame: 102, err: "mem: double free of frame 102"},
+		{op: badFree, frame: 104, err: "mem: double free of frame 104"}, // in range, never allocated
+		{op: alloc, frame: 102},
+		{op: alloc, frame: 104},
+		{op: alloc, frame: 105},
+		{op: exhausted, err: "mem: partition [100,106) on node 0 out of frames"},
+		{op: badFree, frame: 99, err: "mem: frame 99 not in partition [100,106)"},
+		{op: badFree, frame: 106, err: "mem: frame 106 not in partition [100,106)"},
+		{op: free, frame: 103},
+		{op: free, frame: 100},
+		{op: alloc, frame: 100},
+		{op: alloc, frame: 103},
+		{op: exhausted, err: "mem: partition [100,106) on node 0 out of frames"},
+		{op: reset},
+		{op: alloc, frame: 100},
+		{op: alloc, frame: 101},
+		{op: free, frame: 100},
+		{op: reset}, // forgets the freed frame too
+		{op: alloc, frame: 100},
+		{op: alloc, frame: 101},
+		{op: alloc, frame: 102},
+	}
+	for i, st := range script {
+		switch st.op {
+		case alloc:
+			if f, err := a.Alloc(); err != nil || f != st.frame {
+				t.Fatalf("step %d: Alloc = %d, %v; want %d", i, f, err, st.frame)
+			}
+		case free:
+			if err := a.Free(st.frame); err != nil {
+				t.Fatalf("step %d: Free(%d): %v", i, st.frame, err)
+			}
+		case reset:
+			a.Reset()
+		case exhausted:
+			if f, err := a.Alloc(); f != NoFrame || err == nil || err.Error() != st.err {
+				t.Fatalf("step %d: Alloc = %d, %v; want NoFrame, %q", i, f, err, st.err)
+			}
+		case badFree:
+			if err := a.Free(st.frame); err == nil || err.Error() != st.err {
+				t.Fatalf("step %d: Free(%d) = %v; want %q", i, st.frame, err, st.err)
+			}
+		}
+		// core/snapshot.go prints both halves of this sum.
+		if a.InUse()+a.Available() != count {
+			t.Fatalf("step %d: InUse %d + Available %d != %d", i, a.InUse(), a.Available(), count)
+		}
+	}
+}
+
 func TestFrameAllocatorRejectsBadFrees(t *testing.T) {
 	a, _ := NewFrameAllocator(0, 10, 4)
 	if err := a.Free(9); err == nil {

@@ -96,19 +96,20 @@ func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 
 // TestSendDeliverSteadyStateAllocs pins the reliable fabric's send→deliver
 // path at a fixed small constant per message. The remaining allocations are
-// the modeled per-message work: the handler process the dispatcher spawns
-// (Proc record, its dispatch closure, the tracking wrapper and handler
-// closures — the carrier it runs on is pooled). Everything else — events,
-// wire entries, ring slots, span names — is recycled.
+// the modeled per-message work: the handler process the receive pump spawns
+// (Proc record, its dispatch closure and its body closure — the carrier it
+// runs on is pooled). Everything else — events, the pump's pre-bound
+// callbacks, wire entries, ring slots, span names — is recycled.
 func TestSendDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	got := allocsPerMessage(t, f, e)
-	// Measured 4.4; the bound is the contract that nothing per-message
-	// beyond the handler spawn creeps back in.
-	if got > 5.4 {
-		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 5.4", got)
+	// Measured 2.6 (three per message, seven messages per eight-tick window);
+	// the bound is the contract that nothing per-message beyond the handler
+	// spawn creeps back in — one more allocation per message reads 3.5.
+	if got > 3.1 {
+		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 3.1", got)
 	}
 }
 
@@ -122,9 +123,9 @@ func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	f := testFabric(t, e)
 	f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
 	got := allocsPerMessage(t, f, e)
-	// Measured 5.4.
-	if got > 6.4 {
-		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 6.4", got)
+	// Measured 3.5.
+	if got > 4.0 {
+		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 4.0", got)
 	}
 }
 
@@ -161,9 +162,9 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 	})
-	// Measured 8.1; boxing the two trace arguments alone reads 9.9.
-	if got := allocs / perRun; got > 9.1 {
-		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 9.1", got)
+	// Measured 5.4; boxing the two trace arguments alone adds 1.8.
+	if got := allocs / perRun; got > 5.9 {
+		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 5.9", got)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // TestCyclicRPCDeadlockReport builds the distributed inversion the runtime
 // detector exists for: a proc on each of two kernels takes a local lock and
 // then Calls the other kernel, whose handler needs that kernel's lock. Both
-// dispatchers wedge on locks whose holders are parked on RPC replies that
-// can never be produced. The run must terminate by itself (the engine sees
+// handler processes wedge on locks whose holders are parked on RPC replies
+// that can never be produced. The run must terminate by itself (the engine sees
 // quiescence-with-blocked-procs — no wall-clock timeout is involved in the
 // detection) and name every stuck party in the wait-for graph. The
 // wall-clock guard only protects the test suite if the detector regresses.
@@ -74,7 +74,7 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 			t.Errorf("%s wait = %+v, want rpc-reply", name, w)
 		}
 	}
-	// Both dispatcher daemons must surface as stuck on the user locks, with
+	// Both handler processes must surface as stuck on the user locks, with
 	// the holders attributed.
 	report := err.Error()
 	for _, want := range []string{
@@ -90,6 +90,6 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 		}
 	}
 	if len(de.Waits) < 4 {
-		t.Errorf("report has %d entries, want the 2 callers plus 2 stuck dispatchers:\n%s", len(de.Waits), report)
+		t.Errorf("report has %d entries, want the 2 callers plus 2 stuck handlers:\n%s", len(de.Waits), report)
 	}
 }

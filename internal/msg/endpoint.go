@@ -9,38 +9,38 @@ import (
 )
 
 // Endpoint is one kernel's attachment to the fabric: an inbound queue
-// drained by a dispatcher process (the kernel's message work queue), a
-// handler table, and the RPC wait table.
+// drained by the receive pump (the kernel's message work queue), a handler
+// table, and the RPC wait table.
 type Endpoint struct {
 	f    *Fabric
 	node NodeID
 	// eng is this kernel's lane view of the engine (sim.Engine.Lane keyed by
 	// the node ID): events and processes created through it carry the
 	// kernel-affinity tag the parallel engine dispatches concurrently.
-	// Kernel-local compute schedules through eng; the dispatcher and
+	// Kernel-local compute schedules through eng; the receive pump and
 	// everything that touches the fabric's shared wire state stay on the
 	// root engine (the merge plane, DESIGN.md §15).
 	eng sim.Engine
 
-	// queue[qhead:] is the inbound backlog; the dispatcher advances qhead
+	// queue[qhead:] is the inbound backlog; the pump advances qhead
 	// instead of reslicing and resets both once drained, so the backing
 	// array is reused across bursts. With the flow plane attached it holds
 	// only bulk traffic, whose depth the sender-side credits bound.
 	queue []*Message
 	qhead int
 	// ctrlq[chead:] is the priority control lane (flow plane only): replies,
-	// rejoin handshakes, and invalidations are dispatched ahead of the bulk
+	// rejoin handshakes, and invalidations are received ahead of the bulk
 	// queue so control traffic is never starved behind data. Same
 	// head-compaction discipline as queue.
-	ctrlq    []*Message
-	chead    int
-	hasWork  *sim.Cond
+	ctrlq []*Message
+	chead int
+	// pump drains the two queues for the current incarnation.
+	pump     *pump
 	handlers map[Type]Handler
-	// handlerNames holds the dispatcher's per-type handler process names,
-	// formatted once at registration instead of per message.
+	// handlerNames holds the per-type handler process names, formatted once
+	// at registration instead of per message.
 	handlerNames map[Type]string
 	pending      map[uint64]*call
-	dispatcher   *sim.Proc
 
 	// procs tracks every process this endpoint spawned (handlers, multicast
 	// workers, failure detection) so a kernel crash can halt all of them.
@@ -113,13 +113,12 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 		f:            f,
 		node:         node,
 		eng:          f.e.Lane(int(node)),
-		hasWork:      sim.NewCond(),
 		handlers:     make(map[Type]Handler),
 		handlerNames: make(map[Type]string),
 		pending:      make(map[uint64]*call),
 		procs:        make(map[int64]*sim.Proc),
 	}
-	ep.dispatcher = f.e.SpawnDaemon(fmt.Sprintf("msg-dispatch-%d", node), ep.dispatch)
+	ep.pump = newPump(ep)
 	return ep
 }
 
@@ -223,7 +222,7 @@ func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
 	_ = ep.flowAdmit(p, m, -1, false)
 	ep.prepare(m)
 	ep.beginWireSpan(p, m)
-	ep.f.metrics.Counter("msg.sent").Inc()
+	ep.f.counter(&ep.f.hot.sent, "msg.sent").Inc()
 	// The nil check lives at the call site, not just inside traceEvent: the
 	// variadic ...any arguments box before the callee can decline them, so
 	// a detached tracer must skip the call entirely to stay allocation-free.
@@ -306,8 +305,8 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	c := &call{waiter: p, to: m.To, dstInc: m.DstInc}
 	ep.pending[m.Seq] = c
 	defer delete(ep.pending, m.Seq)
-	ep.f.metrics.Counter("msg.sent").Inc()
-	ep.f.metrics.Counter("msg.rpc").Inc()
+	ep.f.counter(&ep.f.hot.sent, "msg.sent").Inc()
+	ep.f.counter(&ep.f.hot.rpc, "msg.rpc").Inc()
 	if ep.f.tracer != nil {
 		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc", m.Type, m.To, m.Seq, m.Size)
 	}
@@ -353,7 +352,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		ep.breakerResult(m.To, false)
 	}
 	rtt := p.Now().Sub(start)
-	ep.f.metrics.Histogram("msg.rpc.rtt").Observe(rtt)
+	ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(rtt)
 	ep.grayObserve(m.To, rtt)
 	return c.reply, nil
 }
@@ -442,7 +441,7 @@ func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Tim
 	if c.failed {
 		return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
 	}
-	ep.f.metrics.Histogram("msg.rpc.rtt").Observe(p.Now().Sub(start))
+	ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(p.Now().Sub(start))
 	return c.reply, nil
 }
 
@@ -530,7 +529,7 @@ func (f *Fabric) deliver(m *Message) {
 	if f.tracer != nil {
 		f.traceEvent("msg.deliver", m.To, "%v from k%d seq=%d size=%d reply=%v", m.Type, m.From, m.Seq, m.Size, m.IsReply)
 	}
-	f.metrics.Counter("msg.delivered").Inc()
+	f.counter(&f.hot.delivered, "msg.delivered").Inc()
 	if f.flow != nil {
 		m.enqAt = f.e.Now()
 		if controlLane(m) {
@@ -542,10 +541,10 @@ func (f *Fabric) deliver(m *Message) {
 			//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 			dst.ctrlq = append(dst.ctrlq, m)
 			cdepth := uint64(len(dst.ctrlq) - dst.chead)
-			if g := f.metrics.Counter("msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
+			if g := f.counter(&f.hot.ctrlDepth, "msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
 				g.Add(cdepth - g.Value())
 			}
-			dst.hasWork.Signal()
+			dst.pump.kick()
 			return
 		}
 	}
@@ -553,108 +552,161 @@ func (f *Fabric) deliver(m *Message) {
 	//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 	dst.queue = append(dst.queue, m)
 	depth := uint64(len(dst.queue) - dst.qhead)
-	if g := f.metrics.Counter("msg.queue.maxdepth"); depth > g.Value() {
+	if g := f.counter(&f.hot.queueDepth, "msg.queue.maxdepth"); depth > g.Value() {
 		g.Add(depth - g.Value())
 	}
-	dst.hasWork.Signal()
+	dst.pump.kick()
 }
 
-// dispatch is the endpoint's message work queue: it drains the inbound
-// queues in FIFO order — the control lane strictly ahead of bulk, so
-// replies, rejoin handshakes and invalidations are never starved behind
-// data — charges receive cost, and runs each handler in its own process so
-// handlers may block without stalling delivery. Dequeuing a bulk message is
-// the credit-return point: the credit tracks queue occupancy, so freeing it
-// here keeps the bulk backlog bounded by the senders' credit accounts.
+// pump is one incarnation of an endpoint's message work queue, run as a
+// chain of global-lane events instead of a parked process: the pending event
+// is the whole wait state, and what its completion needs rides here. A crash
+// stops the pump and a heal starts a new one, so an event the dead
+// incarnation left in flight fires against the old pump and does nothing.
+type pump struct {
+	ep *Endpoint
+	// idle: the queues were empty and no event is pending, so the next
+	// delivery must schedule one.
+	idle, stopped bool
+	// m is the message whose receive cost is being charged; resend is a
+	// cached reply reserved on the wire and waiting out its send cost.
+	m      *Message
+	resend *wireEntry
+	stepFn func() // step, bound once so scheduling it allocates nothing
+}
+
+// newPump starts ep's pump with one event; deliveries that land before it
+// fires see a pump that is not idle and leave it be.
+func newPump(ep *Endpoint) *pump {
+	pu := &pump{ep: ep}
+	pu.stepFn = pu.step
+	ep.f.e.Schedule(0, pu.stepFn)
+	return pu
+}
+
+// kick is delivery's "there is work" signal.
+func (pu *pump) kick() {
+	if pu.idle {
+		pu.idle = false
+		pu.ep.f.e.Schedule(0, pu.stepFn)
+	}
+}
+
+// stop halts the pump at a kernel crash. An idle pump still spends one
+// event, as the parked daemon it replaced did to unwind: dropping it would
+// shift every later seq and, under tie-shuffle, the engine's RNG stream.
+func (pu *pump) stop() {
+	pu.kick()
+	pu.stopped = true
+}
+
+// step is the pump's one event. It finishes what the previous step started
+// — nothing (a wake), a receive, or a cached-reply resend — then starts
+// receiving the next message, the control lane strictly ahead of bulk so
+// control traffic is never starved behind data, or goes idle. Dequeuing a
+// bulk message returns its credit: credits track queue occupancy, which
+// keeps the bulk backlog bounded by the senders' credit accounts.
 //
 //popcornvet:hotpath
-func (ep *Endpoint) dispatch(p *sim.Proc) {
-	for {
-		for ep.qhead >= len(ep.queue) && ep.chead >= len(ep.ctrlq) {
-			ep.hasWork.Wait(p)
-		}
-		var m *Message
-		if ep.chead < len(ep.ctrlq) {
-			m = ep.ctrlq[ep.chead]
-			ep.ctrlq[ep.chead] = nil
-			ep.chead++
-			if ep.chead == len(ep.ctrlq) {
-				ep.ctrlq = ep.ctrlq[:0]
-				ep.chead = 0
-			}
-			ep.f.metrics.Histogram("msg.flow.ctrlwait").Observe(p.Now().Sub(m.enqAt))
-		} else {
-			m = ep.queue[ep.qhead]
-			ep.queue[ep.qhead] = nil
-			ep.qhead++
-			if ep.qhead == len(ep.queue) {
-				ep.queue = ep.queue[:0]
-				ep.qhead = 0
-			}
-			if ep.f.flow != nil {
-				ep.f.metrics.Histogram("msg.flow.bulkwait").Observe(p.Now().Sub(m.enqAt))
-				ep.f.flowRelease(m)
-			}
-		}
-		p.Sleep(ep.f.recvCost(m))
-		if m.IsReply {
-			ep.completeCall(m)
-			continue
-		}
-		if ep.seen != nil && ep.dedup(p, m) {
-			continue
-		}
-		h, ok := ep.handlers[m.Type]
-		if !ok {
-			//popcornvet:allow hotalloc fatal misuse path; the panic ends the run
-			panic(fmt.Sprintf("msg: node %d has no handler for %v", ep.node, m.Type))
-		}
-		mm := m
-		//popcornvet:allow hotalloc one handler process per message is the modeled work-queue semantics
-		ep.spawnTracked(ep.handlerNames[m.Type], func(hp *sim.Proc) {
-			if o := ep.f.observer; o != nil {
-				o.MsgDelivered(hp, mm)
-			}
-			if col := ep.f.collector; col != nil {
-				// The handler span nests under the *sender's* operation span
-				// (carried in the message) — that link is what stitches the
-				// tree across the kernel boundary. It covers the handler body
-				// and, for RPCs, committing the reply to the wire.
-				hs := col.BeginUnder(hp, handleSpanNames[mm.Type], int(ep.node), trace.SpanID(mm.SpanParent))
-				defer hs.End()
-			}
-			reply := h(hp, mm)
-			var de *dedupEntry
-			if ep.seen != nil {
-				de = ep.seen[dedupKey{from: mm.From, seq: mm.Seq}]
-			}
-			if reply == nil {
-				if de != nil {
-					de.done = true
-				}
-				return
-			}
-			reply.Type = mm.Type
-			reply.To = mm.From
-			reply.Seq = mm.Seq
-			reply.IsReply = true
-			ep.Send(hp, reply)
-			if de != nil {
-				de.done = true
-				de.reply = reply
-			}
-		})
+func (pu *pump) step() {
+	if pu.stopped {
+		return
 	}
+	ep, f := pu.ep, pu.ep.f
+	if entry := pu.resend; entry != nil {
+		pu.resend = nil
+		f.commit(entry)
+	} else if m := pu.m; m != nil {
+		pu.m = nil
+		switch {
+		case m.IsReply:
+			ep.completeCall(m)
+		case ep.seen != nil && ep.dedup(m):
+			if pu.resend != nil {
+				return // the resend's own step picks the queue up again
+			}
+		default:
+			ep.spawnHandler(m)
+		}
+	}
+	switch {
+	case ep.chead < len(ep.ctrlq):
+		pu.m = ep.ctrlq[ep.chead]
+		ep.ctrlq[ep.chead] = nil
+		ep.chead++
+		if ep.chead == len(ep.ctrlq) {
+			ep.ctrlq = ep.ctrlq[:0]
+			ep.chead = 0
+		}
+		f.histogram(&f.hot.ctrlWait, "msg.flow.ctrlwait").Observe(f.e.Now().Sub(pu.m.enqAt))
+	case ep.qhead < len(ep.queue):
+		pu.m = ep.queue[ep.qhead]
+		ep.queue[ep.qhead] = nil
+		ep.qhead++
+		if ep.qhead == len(ep.queue) {
+			ep.queue = ep.queue[:0]
+			ep.qhead = 0
+		}
+		if f.flow != nil {
+			f.histogram(&f.hot.bulkWait, "msg.flow.bulkwait").Observe(f.e.Now().Sub(pu.m.enqAt))
+			f.flowRelease(pu.m)
+		}
+	default:
+		pu.idle = true
+		return
+	}
+	f.e.Schedule(f.recvCost(pu.m), pu.stepFn)
+}
+
+// spawnHandler runs m's handler in a process of its own, so it may block
+// without stalling delivery; the one body closure does spawnTracked's
+// bookkeeping itself. A type nobody registered for fails the run.
+//
+//popcornvet:allow hotalloc one handler process per message is the modeled work-queue semantics
+func (ep *Endpoint) spawnHandler(m *Message) {
+	h, ok := ep.handlers[m.Type]
+	if !ok {
+		//popcornvet:allow hotalloc fatal misuse path; the failure ends the run
+		ep.f.e.Fail(fmt.Errorf("msg: node %d has no handler for %v", ep.node, m.Type))
+		return
+	}
+	pr := ep.f.e.Spawn(ep.handlerNames[m.Type], func(hp *sim.Proc) {
+		defer delete(ep.procs, hp.ID())
+		if o := ep.f.observer; o != nil {
+			o.MsgDelivered(hp, m)
+		}
+		if col := ep.f.collector; col != nil {
+			// The handler span nests under the *sender's* operation span
+			// (carried in the message) — that link is what stitches the
+			// tree across the kernel boundary. It covers the handler body
+			// and, for RPCs, committing the reply to the wire.
+			hs := col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
+			defer hs.End()
+		}
+		reply := h(hp, m)
+		if reply != nil {
+			reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
+			ep.Send(hp, reply)
+		}
+		// Fault plane only (seen is nil otherwise): later duplicates of an
+		// RPC are answered from the cached reply.
+		if de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]; de != nil {
+			de.done, de.reply = true, reply
+		}
+	})
+	ep.procs[pr.ID()] = pr
 }
 
 // dedup enforces at-most-once request delivery under duplication and
 // retransmission. The first arrival of a (from, seq) is recorded and
 // handled normally; a duplicate while the handler is still running is
 // suppressed; a duplicate of a completed RPC re-sends the cached reply —
-// the retransmission means the caller never saw it. The resend reuses the
-// original reply's identity and skips MsgSent, so the sanitizer joins the
-// caller against the handler's original clock, not a phantom second reply.
-func (ep *Endpoint) dedup(p *sim.Proc, m *Message) bool {
+// the retransmission means the caller never saw it — reserved on the wire
+// here, committed by the pump's next step a send cost later. The resend
+// reuses the original reply's identity and skips MsgSent, so the sanitizer
+// joins the caller against the handler's original clock, not a phantom
+// second reply.
+func (ep *Endpoint) dedup(m *Message) bool {
 	k := dedupKey{from: m.From, seq: m.Seq}
 	de, dup := ep.seen[k]
 	if !dup {
@@ -672,9 +724,8 @@ func (ep *Endpoint) dedup(p *sim.Proc, m *Message) bool {
 		ep.f.traceEvent("msg.send", ep.node, "%v to k%d seq=%d cached-reply resend", de.reply.Type, de.reply.To, de.reply.Seq)
 	}
 	rm := *de.reply
-	entry := ep.f.reserve(&rm)
-	p.Sleep(ep.f.sendCost(&rm))
-	ep.f.commit(entry)
+	ep.pump.resend = ep.f.reserve(&rm)
+	ep.f.e.Schedule(ep.f.sendCost(&rm), ep.pump.stepFn)
 	return true
 }
 

@@ -367,10 +367,10 @@ func (f *Fabric) dropMsg(m *Message) {
 }
 
 // crashNode kills kernel n: its endpoint goes dark, queued and in-flight
-// messages vanish, and every process it hosts (dispatcher, handlers,
-// heartbeats, multicast workers) halts. Runs in engine context — fabric
-// fault-plane code, serialised with delivery. It fires once per injected
-// crash, so it may allocate freely.
+// messages vanish, its receive pump stops, and every process it hosts
+// (handlers, heartbeats, multicast workers) halts. Runs in engine context —
+// fabric fault-plane code, serialised with delivery. It fires once per
+// injected crash, so it may allocate freely.
 //
 //popcornvet:allow kernlocal fault-plane kill switch; engine-context, serialised with delivery
 //popcornvet:coldpath
@@ -393,7 +393,7 @@ func (f *Fabric) crashNode(n NodeID) {
 			delete(f.wires, k)
 		}
 	}
-	ep.dispatcher.Kill()
+	ep.pump.stop()
 	ids := make([]int64, 0, len(ep.procs))
 	for id := range ep.procs {
 		ids = append(ids, id)
@@ -452,15 +452,12 @@ func (f *Fabric) healNode(n NodeID) {
 	f.metrics.Counter("msg.fault.heal").Inc()
 	f.traceEvent("msg.heal", n, "kernel %d rebooted, incarnation %d", n, f.incarnation[n])
 	// Fresh transport state. The inbound queue, wait table, and dedup table
-	// belonged to the previous incarnation; the work-queue condition is
-	// replaced because the killed dispatcher may still sit in its waiter
-	// list, where it would silently consume a wakeup meant for its
-	// replacement.
+	// belonged to the previous incarnation, and so did the stopped pump: an
+	// event of its still in flight fires against that pump, not the new one.
 	ep.queue, ep.qhead = nil, 0
 	ep.ctrlq, ep.chead = nil, 0
 	ep.pending = make(map[uint64]*call)
 	ep.seen = make(map[dedupKey]*dedupEntry)
-	ep.hasWork = sim.NewCond()
 	ep.suspects = make(map[NodeID]bool)
 	if f.flow != nil {
 		// The reboot forgets the dead incarnation's flow verdicts: breaker
@@ -490,7 +487,7 @@ func (f *Fabric) healNode(n NodeID) {
 	for peer := range f.endpoints {
 		ep.lastHeard[NodeID(peer)] = now
 	}
-	ep.dispatcher = f.e.SpawnDaemon(fmt.Sprintf("msg-dispatch-%d", ep.node), ep.dispatch)
+	ep.pump = newPump(ep)
 	// Tell the sanitizer (mirroring crashNode) that this kernel is live
 	// again, so grants to the fresh incarnation are tracked normally.
 	if ck, ok := f.observer.(interface{ NodeHealed(NodeID) }); ok {

@@ -76,7 +76,7 @@ func (h PeerHealth) String() string {
 type FlowConfig struct {
 	// CreditsPerLink bounds how many bulk (non-control) messages one kernel
 	// may have queued toward one peer: a sender must hold a credit per
-	// message, returned when the receiver's dispatcher dequeues it. The
+	// message, returned when the receiver's pump dequeues it. The
 	// receive queue's bulk depth is therefore bounded by CreditsPerLink times
 	// the number of inbound links.
 	CreditsPerLink int
@@ -430,7 +430,7 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 
 // flowRelease returns the credit m holds (if any) to its account, waking the
 // first blocked sender. It is called at every point a queued or in-flight
-// message reaches the end of its life: dispatcher dequeue, fault-plane
+// message reaches the end of its life: receive-pump dequeue, fault-plane
 // drops, fencing, and crash wipes. Clearing the flag makes release
 // idempotent — retransmitted copies share the Message and must not
 // double-release.

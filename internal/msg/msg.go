@@ -3,8 +3,10 @@
 // and communicate exclusively over shared-memory message rings with
 // IPI-based notification; this package models that transport: typed
 // messages, slot-granular fragmentation costs, per-pair FIFO delivery, a
-// per-kernel dispatcher (the kernel's message work queue), and a
-// request/response (RPC) convention on top.
+// per-kernel receive pump (the kernel's message work queue: a chain of
+// engine events that charges receive cost and starts one handler process
+// per request, holding no process of its own), and a request/response (RPC)
+// convention on top.
 package msg
 
 import (
@@ -239,10 +241,10 @@ type Message struct {
 	// flowCredit marks a message holding one of its link's flow-control
 	// credits (flow plane only; always false when detached). The credit is
 	// returned — and the flag cleared, making release idempotent across
-	// retransmitted copies — at the message's end of life: dispatcher
+	// retransmitted copies — at the message's end of life: receive-pump
 	// dequeue, fault-plane drop, fence, or crash wipe.
 	flowCredit bool
-	// enqAt is when the message entered its destination's dispatch queue
+	// enqAt is when the message entered its destination's inbound queue
 	// (flow plane only), feeding the per-lane queue-wait histograms that the
 	// control-lane starvation assertions read.
 	enqAt sim.Time
@@ -312,6 +314,12 @@ type Fabric struct {
 	nodeCore []int
 	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
 	metrics *stats.Registry
+	// hot caches the handles of the per-message metrics, each filled on
+	// first use so a run registers exactly the names it always did.
+	hot struct {
+		sent, rpc, delivered, queueDepth, ctrlDepth *stats.Counter
+		rtt, ctrlWait, bulkWait                     *stats.Histogram
+	}
 	nextSeq uint64
 	// wires holds the per-directed-pair rings. Slot order is reserved when
 	// a send begins and deliveries respect it, so messages between one
@@ -595,6 +603,22 @@ func (f *Fabric) Endpoint(n NodeID) *Endpoint {
 
 // Metrics returns the registry the fabric records into.
 func (f *Fabric) Metrics() *stats.Registry { return f.metrics }
+
+// counter and histogram return the hot-path metric cached in *slot,
+// registering it under name on first use.
+func (f *Fabric) counter(slot **stats.Counter, name string) *stats.Counter {
+	if *slot == nil {
+		*slot = f.metrics.Counter(name)
+	}
+	return *slot
+}
+
+func (f *Fabric) histogram(slot **stats.Histogram, name string) *stats.Histogram {
+	if *slot == nil {
+		*slot = f.metrics.Histogram(name)
+	}
+	return *slot
+}
 
 // sendCost is the sender-side cost of pushing m onto the destination ring.
 func (f *Fabric) sendCost(m *Message) time.Duration {

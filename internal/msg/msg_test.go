@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -235,6 +236,10 @@ func TestBlockingHandlerDoesNotStallDelivery(t *testing.T) {
 	}
 }
 
+// TestUnhandledTypePanicsEngine: a message nobody registered for ends Run
+// with an error naming the kernel and the type. The receive pump runs in
+// engine callbacks, so this must come back as Run's error — a panic escaping
+// the engine loop would take the test binary down instead.
 func TestUnhandledTypePanicsEngine(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -242,8 +247,15 @@ func TestUnhandledTypePanicsEngine(t *testing.T) {
 	e.Spawn("sender", func(p *sim.Proc) {
 		f.Endpoint(0).Send(p, &Message{Type: TypeSignal, To: 1, Size: 8})
 	})
-	if err := e.Run(); err == nil {
+	err := e.Run()
+	if err == nil {
 		t.Fatal("missing handler did not fail the run")
+	}
+	if want := "node 1 has no handler for " + TypeSignal.String(); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run = %q, want it to contain %q", err, want)
+	}
+	if e.Err() == nil {
+		t.Error("engine did not record the failure")
 	}
 }
 

@@ -161,8 +161,13 @@ type Engine interface {
 	// SetEventLimit makes Run stop with ErrEventLimit after n events have
 	// been processed over the engine's lifetime (0 disables the limit).
 	SetEventLimit(n uint64)
-	// Err returns the first failure (process panic) recorded by the engine.
+	// Err returns the first failure (process panic or Fail) recorded by the
+	// engine.
 	Err() error
+	// Fail records err as the run's failure, as a process panic would: Run
+	// returns it once the current event completes. Engine callbacks, which
+	// have no process to panic in, report a fatal model error through it.
+	Fail(err error)
 	// EventsProcessed returns how many events the engine has dispatched.
 	EventsProcessed() uint64
 	// Schedule arranges for fn to run at time now+d, tagged with this
@@ -317,8 +322,20 @@ func (v *view) TieShuffle() bool { return v.c.shuffle }
 // shrinking binary-searches this bound for the shortest failing prefix.
 func (v *view) SetEventLimit(n uint64) { v.c.limit = n }
 
-// Err returns the first failure (process panic) recorded by the engine.
+// Err returns the first failure (process panic or Fail) recorded by the
+// engine.
 func (v *view) Err() error { return v.c.failure }
+
+// Fail records err as the run's failure, as a process panic would: Run
+// returns it once the current event completes; the first failure wins. From
+// a parallel lane event it defers to the commit step like any other effect.
+func (v *view) Fail(err error) {
+	if s := v.c.laneSlotActive(v.lane); s != nil {
+		s.deferFail(err)
+		return
+	}
+	v.c.fail(err)
+}
 
 // EventsProcessed returns how many events the engine has dispatched — a
 // measure of simulation work, useful for harness footers and regression

@@ -194,6 +194,37 @@ func TestProcPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestFailFromCallbackEndsRun: an engine callback has no process to panic
+// in; Fail is its way to end the run with an error. The first failure wins,
+// nothing scheduled behind it runs, and it works the same from a lane view
+// (where the parallel engine commits it at the batch barrier).
+func TestFailFromCallbackEndsRun(t *testing.T) {
+	for _, lane := range []int{GlobalLane, 0} {
+		e := NewEngine()
+		v := e
+		if lane != GlobalLane {
+			v = e.Lane(lane)
+		}
+		first, second := errors.New("first"), errors.New("second")
+		ranAfter := false
+		v.Schedule(time.Microsecond, func() {
+			v.Fail(first)
+			v.Fail(second)
+		})
+		v.Schedule(2*time.Microsecond, func() { ranAfter = true })
+		if err := e.Run(); err != first {
+			t.Errorf("lane %d: Run = %v, want the first failure", lane, err)
+		}
+		if e.Err() != first {
+			t.Errorf("lane %d: Err = %v, want the first failure", lane, e.Err())
+		}
+		if ranAfter {
+			t.Errorf("lane %d: an event after the failure still ran", lane)
+		}
+		e.Close()
+	}
+}
+
 func TestCloseUnwindsBlockedProcs(t *testing.T) {
 	e := NewEngine()
 	cleaned := false

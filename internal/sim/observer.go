@@ -6,7 +6,7 @@ package sim
 // synchronously on the engine loop; they must not block.
 //
 // waker/parent may be nil when the edge originates in an engine callback
-// (a timer, a dispatcher) rather than a running process.
+// (a timer, a fabric receive pump) rather than a running process.
 type ProcObserver interface {
 	// ProcStarted fires when parent spawns child, before child first runs.
 	ProcStarted(parent, child *Proc)

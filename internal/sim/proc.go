@@ -21,7 +21,7 @@ type Proc struct {
 	k        *carrier
 	finished bool
 	killed   bool
-	// daemon processes (message dispatchers, service loops) are expected to
+	// daemon processes (service loops) are expected to
 	// block forever and do not count toward deadlock detection.
 	daemon bool
 	// waking guards against double-wakeups: a proc that is already
@@ -71,7 +71,10 @@ func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnDaemon starts fn as a daemon process: a service loop that is expected
 // to remain blocked when the simulation quiesces, and therefore does not
-// trigger deadlock detection in Run.
+// trigger deadlock detection in Run. A component that only ever waits for
+// its next request is cheaper as a chain of Schedule callbacks, which is how
+// the fabric's receive pump runs; no production code spawns a daemon today,
+// but the differential engine suite and the allocation guards drive them.
 func (v *view) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return v.spawn(name, true, fn)
 }

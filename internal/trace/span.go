@@ -162,8 +162,8 @@ func (c *Collector) Begin(p *sim.Proc, name string, node int) Scope {
 
 // BeginUnder is Begin with an explicit parent, for spans whose causal
 // parent lives on another kernel: a message handler nests under the
-// *sender's* operation span (carried in the message), not under the
-// dispatcher that spawned it.
+// *sender's* operation span (carried in the message), not under whatever
+// spawned it on the receiving kernel.
 //
 //popcornvet:hotpath
 func (c *Collector) BeginUnder(p *sim.Proc, name string, node int, parent SpanID) Scope {

@@ -99,7 +99,7 @@ func (MsgProto) Check(t *Tree) []Finding {
 				Pos:  pos,
 				Rule: "msgproto",
 				Message: d.name + " has no Handle registration anywhere: receiving it would " +
-					"panic the dispatcher",
+					"fail the run",
 			})
 		}
 		if !sent[d.name] {
