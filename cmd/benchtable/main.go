@@ -18,11 +18,11 @@
 // selected experiments are written for `go tool pprof`; `make profile
 // EXP=F5b` wraps this for one experiment.
 //
-// With -compare, two such snapshots are diffed as a regression gate: an
-// experiment whose gen_ns grew more than 10% over the old snapshot (and by
-// more than an absolute noise floor of 10ms, so sub-millisecond experiments
-// cannot trip on scheduler jitter) fails the run with exit 1. CI runs it as
-// `make bench-compare` against the previous PR's checked-in snapshot.
+// With -compare, two such snapshots are diffed as a behaviour gate: an
+// experiment present in both whose `data` bytes differ fails the run with
+// exit 1. gen_ns is printed old -> new as information only (host time is
+// popbench's job, see benchmark/README.md). CI runs it as `make
+// bench-compare` against the last checked-in snapshot.
 //
 // With -trace, experiments that support causal tracing (T1, T2, F2) run with
 // a span collector attached and print a critical-path attribution table per
@@ -33,11 +33,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,11 +56,13 @@ type jsonExperiment struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
 	// GenNS is wall-clock nanoseconds spent generating the experiment on
-	// the host — the ns/op trajectory ROADMAP item 5 tracks per PR.
+	// the host: one unrepeated reading, recorded as a trajectory, judged by
+	// nothing.
 	GenNS int64 `json:"gen_ns"`
 	// Data is the experiment's output: a stats.Table or stats.Series in its
-	// tagged JSON form, or a plain string for outputs without one.
-	Data any `json:"data"`
+	// tagged JSON form, or a plain string for outputs without one. It stays
+	// raw so -compare can tell two snapshots' tables apart byte for byte.
+	Data json.RawMessage `json:"data"`
 }
 
 // jsonSnapshot is the -json output document.
@@ -69,40 +71,38 @@ type jsonSnapshot struct {
 	Experiments []jsonExperiment `json:"experiments"`
 }
 
-func main() {
-	scaleFlag := flag.String("scale", "full", "experiment scale: quick or full")
-	expFlag := flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
-	listFlag := flag.Bool("list", false, "list available experiments and exit")
-	csvDir := flag.String("csv", "", "also write each experiment as CSV into this directory")
-	traceFlag := flag.Bool("trace", false, "attach the causal tracer and print critical-path attribution tables")
-	traceDir := flag.String("traceout", "", "with -trace, write Chrome trace_event JSON per experiment into this directory")
-	jsonOut := flag.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
-	compareFlag := flag.Bool("compare", false, "compare two -json snapshots (OLD NEW) and fail on gen_ns regressions")
-	engineFlag := flag.String("engine", "serial", "simulation engine the experiments boot: serial or parallel (identical virtual-time results either way)")
-	profile := prof.Register()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 
-	switch *engineFlag {
-	case "serial", "parallel":
-		bench.EngineKind = *engineFlag
-	default:
-		fmt.Fprintf(os.Stderr, "benchtable: unknown engine %q (want serial or parallel)\n", *engineFlag)
-		os.Exit(2)
+// run is the command behind main: it parses args, writes the tables or the
+// comparison to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("benchtable", flag.ContinueOnError)
+	scaleFlag := fs.String("scale", "full", "experiment scale: quick or full")
+	expFlag := fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
+	listFlag := fs.Bool("list", false, "list available experiments and exit")
+	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
+	traceFlag := fs.Bool("trace", false, "attach the causal tracer and print critical-path attribution tables")
+	traceDir := fs.String("traceout", "", "with -trace, write Chrome trace_event JSON per experiment into this directory")
+	jsonOut := fs.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
+	compareFlag := fs.Bool("compare", false, "compare two -json snapshots (OLD NEW) and fail when an experiment's data differs")
+	profile := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	if *compareFlag {
-		if flag.NArg() != 2 {
+		if fs.NArg() != 2 {
 			fmt.Fprintf(os.Stderr, "benchtable: -compare needs exactly two snapshot files (old new)\n")
-			os.Exit(2)
+			return 2
 		}
-		os.Exit(compareSnapshots(flag.Arg(0), flag.Arg(1)))
+		return compareSnapshots(stdout, fs.Arg(0), fs.Arg(1))
 	}
 
 	if *listFlag {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var scale bench.Scale
@@ -113,7 +113,7 @@ func main() {
 		scale = bench.Full
 	default:
 		fmt.Fprintf(os.Stderr, "benchtable: unknown scale %q (want quick or full)\n", *scaleFlag)
-		os.Exit(2)
+		return 2
 	}
 
 	var selected []bench.Experiment
@@ -125,7 +125,7 @@ func main() {
 			exp, ok := bench.Find(id)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "benchtable: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, exp)
 		}
@@ -134,7 +134,7 @@ func main() {
 	stopProfile, err := profile.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	failed := 0
 	snapshot := jsonSnapshot{Scale: *scaleFlag, Experiments: []jsonExperiment{}}
@@ -157,19 +157,24 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		if *jsonOut != "" {
-			je := jsonExperiment{ID: exp.ID, Title: exp.Title, GenNS: elapsed.Nanoseconds()}
-			if m, ok := out.(json.Marshaler); ok {
-				je.Data = m
-			} else {
-				je.Data = out.String()
+			var data any = out
+			if _, ok := out.(json.Marshaler); !ok {
+				data = out.String()
 			}
-			snapshot.Experiments = append(snapshot.Experiments, je)
+			raw, err := json.Marshal(data)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "benchtable: json for %s: %v\n", exp.ID, err)
+				failed++
+			} else {
+				snapshot.Experiments = append(snapshot.Experiments,
+					jsonExperiment{ID: exp.ID, Title: exp.Title, GenNS: elapsed.Nanoseconds(), Data: raw})
+			}
 		}
-		fmt.Printf("### %s — %s (generated in %v)\n\n%s\n", exp.ID, exp.Title, elapsed.Round(time.Millisecond), out)
+		fmt.Fprintf(stdout, "### %s — %s (generated in %v)\n\n%s\n", exp.ID, exp.Title, elapsed.Round(time.Millisecond), out)
 		if *traceFlag {
 			if col == nil {
-				fmt.Printf("(no traced variant for %s)\n\n", exp.ID)
-			} else if err := printAttribution(exp.ID, col, *traceDir); err != nil {
+				fmt.Fprintf(stdout, "(no traced variant for %s)\n\n", exp.ID)
+			} else if err := printAttribution(stdout, exp.ID, col, *traceDir); err != nil {
 				fmt.Fprintf(os.Stderr, "benchtable: trace for %s: %v\n", exp.ID, err)
 				failed++
 			}
@@ -192,21 +197,17 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// Regression thresholds for -compare: both must be exceeded to fail, so a
-// real slowdown (relative) on a measurable experiment (absolute) is what
-// trips the gate, not wall-clock jitter on a 2ms run.
-const (
-	regressRatio = 1.10
-	regressFloor = 10 * time.Millisecond
-)
-
-// compareSnapshots diffs two -json snapshots by experiment ID and returns
-// the process exit code: 1 when any experiment regressed, else 0.
-func compareSnapshots(oldPath, newPath string) int {
+// compareSnapshots diffs two -json snapshots by experiment ID, writes one
+// line per experiment to w and returns the process exit code: 1 when any
+// experiment present in both has different data bytes, 2 when the snapshots
+// are unreadable or not comparable, else 0. An experiment present on one
+// side only is a note, not a failure.
+func compareSnapshots(w io.Writer, oldPath, newPath string) int {
 	oldSnap, err := readSnapshot(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtable: %v\n", err)
@@ -226,40 +227,49 @@ func compareSnapshots(oldPath, newPath string) int {
 	for _, e := range oldSnap.Experiments {
 		oldByID[e.ID] = e
 	}
-	regressed := 0
+	changed, shared := 0, 0
 	seen := make(map[string]bool, len(newSnap.Experiments))
 	for _, e := range newSnap.Experiments {
 		seen[e.ID] = true
 		base, ok := oldByID[e.ID]
 		if !ok {
-			fmt.Printf("%-4s %12s -> %12v  (new experiment, no baseline)\n",
+			fmt.Fprintf(w, "%-4s %12s -> %12v  (new experiment, no baseline)\n",
 				e.ID, "-", time.Duration(e.GenNS).Round(time.Millisecond))
 			continue
 		}
-		delta := float64(e.GenNS)/float64(base.GenNS) - 1
-		verdict := "ok"
-		if float64(e.GenNS) > float64(base.GenNS)*regressRatio && e.GenNS-base.GenNS > int64(regressFloor) {
-			verdict = "REGRESSED"
-			regressed++
+		shared++
+		verdict := "data equal"
+		if !bytes.Equal(compactJSON(base.Data), compactJSON(e.Data)) {
+			verdict = "DATA CHANGED"
+			changed++
 		}
-		fmt.Printf("%-4s %12v -> %12v  %+6.1f%%  %s\n",
+		fmt.Fprintf(w, "%-4s %12v -> %12v  %s\n",
 			e.ID,
 			time.Duration(base.GenNS).Round(time.Millisecond),
 			time.Duration(e.GenNS).Round(time.Millisecond),
-			delta*100, verdict)
+			verdict)
 	}
 	for _, e := range oldSnap.Experiments {
 		if !seen[e.ID] {
-			fmt.Printf("%-4s dropped from the new snapshot\n", e.ID)
+			fmt.Fprintf(w, "%-4s dropped from the new snapshot\n", e.ID)
 		}
 	}
-	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchtable: %d experiment(s) regressed >%d%% (and >%v absolute) vs %s\n",
-			regressed, int(math.Round((regressRatio-1)*100)), regressFloor, oldPath)
+	if changed > 0 {
+		fmt.Fprintf(os.Stderr, "benchtable: %d of %d shared experiment(s) changed their data vs %s\n", changed, shared, oldPath)
 		return 1
 	}
-	fmt.Printf("benchtable: no experiment regressed >%d%% vs %s\n", int(math.Round((regressRatio-1)*100)), oldPath)
+	fmt.Fprintf(w, "benchtable: all %d shared experiments have data byte-equal to %s (gen_ns is informational)\n", shared, oldPath)
 	return 0
+}
+
+// compactJSON strips the indentation a snapshot file was written with, so
+// two data blocks compare by content. Malformed input compares as itself.
+func compactJSON(raw json.RawMessage) []byte {
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, raw); err != nil {
+		return raw
+	}
+	return buf.Bytes()
 }
 
 // readSnapshot loads one -json snapshot file.
@@ -290,15 +300,15 @@ func writeSnapshot(path string, snap *jsonSnapshot) error {
 // printAttribution prints one critical-path table per root operation kind in
 // the collector, and optionally writes the full span set as Chrome
 // trace_event JSON.
-func printAttribution(id string, col *trace.Collector, traceDir string) error {
+func printAttribution(w io.Writer, id string, col *trace.Collector, traceDir string) error {
 	for _, root := range col.RootNames() {
 		att := col.CriticalPath(root)
 		if att.Count == 0 || att.Total == 0 {
 			continue
 		}
-		fmt.Printf("%s\n", att.Table())
+		fmt.Fprintf(w, "%s\n", att.Table())
 	}
-	fmt.Printf("(%d spans traced)\n\n", col.Len())
+	fmt.Fprintf(w, "(%d spans traced)\n\n", col.Len())
 	if traceDir == "" {
 		return nil
 	}

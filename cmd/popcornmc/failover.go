@@ -141,7 +141,7 @@ func failoverOne(seed int64) failoverOutcome {
 	}
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = 4
-	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true, Engine: engineKind})
+	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
 	if err != nil {
 		out.err = err
 		return out

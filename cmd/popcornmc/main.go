@@ -72,11 +72,9 @@ func run() error {
 	overload := flag.Bool("overload", false, "with -soak: run the overload soak instead — 10x offered load, a slow-link window and a crash-heal cycle against the flow-control plane")
 	failover := flag.Bool("failover", false, "with -soak: run the failover soak instead — the origin kernel dies mid-replication-stream with the failover plane on, asserting zero reclaimed pages and zero orphaned exits")
 	traceN := flag.Int("trace", 512, "trace buffer capacity behind violation reports")
-	engine := flag.String("engine", "serial", "simulation engine: serial or parallel (byte-identical runs either way)")
 	noShrink := flag.Bool("noshrink", false, "report the failing seed without minimising it")
 	verbose := flag.Bool("v", false, "print a line per seed")
 	flag.Parse()
-	engineKind = *engine
 
 	if *soak {
 		if *overload {
@@ -271,11 +269,6 @@ func isDegradation(err error) bool {
 	return false
 }
 
-// engineKind is the -engine flag: which sim engine every boot in this run
-// uses. Runs are byte-identical across engines; -engine=parallel exists to
-// soak the concurrent dispatcher against the same workloads.
-var engineKind string
-
 // bootFor builds the machine shape each workload stresses: contention uses
 // the full 8-kernel cluster, migration and futex the 2-kernel testbed.
 func bootFor(wl string, seed int64) (*core.OS, error) {
@@ -288,9 +281,9 @@ func bootFor(wl string, seed int64) (*core.OS, error) {
 		}
 		cc := kernel.DefaultClusterConfig(machine)
 		cc.Kernels = 8
-		return core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true, Engine: engineKind})
+		return core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
 	case "migration", "futex":
-		return core.Boot(core.Config{Topology: hw.Topology{Cores: 16, NUMANodes: 2}, Seed: seed, TieShuffle: true, Engine: engineKind})
+		return core.Boot(core.Config{Topology: hw.Topology{Cores: 16, NUMANodes: 2}, Seed: seed, TieShuffle: true})
 	}
 	return nil, fmt.Errorf("unknown workload %q", wl)
 }

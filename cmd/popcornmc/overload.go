@@ -122,7 +122,7 @@ func overloadOne(seed int64) overloadOutcome {
 	}
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = ovKernels
-	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true, Engine: engineKind})
+	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
 	if err != nil {
 		out.err = err
 		return out

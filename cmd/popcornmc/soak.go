@@ -146,7 +146,7 @@ func soakOne(seed int64) soakOutcome {
 	}
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = 4
-	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true, Engine: engineKind})
+	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
 	if err != nil {
 		out.err = err
 		return out

@@ -49,7 +49,7 @@ func run() (runErr error) {
 	traceN := flag.Int("trace", 0, "record and print the last N inter-kernel messages (popcorn only)")
 	snapshot := flag.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
 	compare := flag.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
-	profile := prof.Register()
+	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	stopProfile, err := profile.Start()

@@ -11,6 +11,6 @@
 // (workload) and the evaluation harness (bench).
 //
 // Start with examples/quickstart, then cmd/popcornsim for single runs and
-// cmd/benchtable to regenerate every table and figure. The benchmarks in
-// bench_test.go wrap the same experiments for `go test -bench`.
+// cmd/benchtable to regenerate every table and figure; benchmark/ times the
+// same experiments on the host clock.
 package repro

@@ -99,7 +99,7 @@ func AblationSlotSize(s Scale) (*stats.Series, error) {
 }
 
 func onePingCfg(size, slotBytes int) (time.Duration, error) {
-	e := newEngine(sim.WithSeed(1))
+	e := sim.NewEngine(sim.WithSeed(1))
 	defer e.Close()
 	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package bench regenerates every table and figure of the (reconstructed)
 // evaluation: each exported function runs the corresponding experiment on
 // freshly booted simulated machines and returns the rows/series the paper
-// reports. cmd/benchtable prints them; bench_test.go wraps them as Go
-// benchmarks. All quantities are virtual time, deterministic for a given
-// scale factor.
+// reports. cmd/benchtable prints them. All quantities are virtual time,
+// deterministic for a given scale factor.
 package bench
 
 import (
@@ -46,7 +45,7 @@ func bootPopcorn(topo hw.Topology, kernels int) (*core.OS, error) {
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = kernels
 	cc.FramesPerKernel = 1 << 16
-	return core.Boot(core.Config{Topology: topo, Cluster: &cc, Engine: EngineKind})
+	return core.Boot(core.Config{Topology: topo, Cluster: &cc})
 }
 
 func bootSMP(topo hw.Topology) (*smp.OS, error) {
@@ -54,7 +53,7 @@ func bootSMP(topo hw.Topology) (*smp.OS, error) {
 }
 
 func bootMK(topo hw.Topology, kernels int) (*multikernel.OS, error) {
-	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16, Engine: EngineKind})
+	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16})
 }
 
 // threadCounts returns the sweep of thread counts for scalability figures.

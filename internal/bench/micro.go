@@ -64,7 +64,7 @@ func t1Run(s Scale, col *trace.Collector) (*stats.Series, error) {
 }
 
 func onePing(size int, crossNode bool, col *trace.Collector) (time.Duration, error) {
-	e := newEngine(sim.WithSeed(1))
+	e := sim.NewEngine(sim.WithSeed(1))
 	defer e.Close()
 	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
 	if err != nil {

@@ -66,7 +66,7 @@ func oneOverloadCell(mult int, flow bool) (*overloadCell, error) {
 	)
 	// The remote drain cost of one 16 KiB message sets the saturation point;
 	// the generator offers mult messages per drain.
-	e := newEngine(sim.WithSeed(1))
+	e := sim.NewEngine(sim.WithSeed(1))
 	defer e.Close()
 	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
 	if err != nil {

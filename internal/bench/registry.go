@@ -42,7 +42,6 @@ func Experiments() []Experiment {
 		{ID: "T2", Title: "Thread migration latency breakdown", Run: wrapT(T2MigrationBreakdown), RunTraced: T2MigrationBreakdownTraced},
 		{ID: "T3", Title: "Remote vs local thread creation", Run: wrapT(T3ThreadCreate)},
 		{ID: "T4", Title: "Uncontended syscall overhead", Run: wrapT(T4SyscallOverhead)},
-		{ID: "T5", Title: "Engine dispatch scaling (serial vs parallel)", Run: wrapT(T5EngineScaling)},
 		{ID: "F1", Title: "Thread-creation scalability", Run: wrapT(F1ThreadBomb)},
 		{ID: "F2", Title: "Page-fault service latency", Run: wrapT(F2PageFault), RunTraced: F2PageFaultTraced},
 		{ID: "F3", Title: "VMA-operation propagation", Run: wrapT(F3VMAPropagation)},

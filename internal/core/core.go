@@ -58,11 +58,6 @@ type Config struct {
 	TieShuffle bool
 	// Placement selects the AnyKernel spawn policy.
 	Placement PlacementPolicy
-	// Engine picks the simulation engine implementation: "serial" (default)
-	// or "parallel" (concurrent same-timestamp dispatch with byte-identical
-	// replay; see DESIGN.md §15). Any workload is replay-identical under
-	// both.
-	Engine string
 }
 
 // OS is a booted replicated-kernel operating system.
@@ -70,10 +65,8 @@ type OS struct {
 	e       sim.Engine
 	machine *hw.Machine
 	cluster *kernel.Cluster
-	// metrics is the machine-wide registry; counters are commutative
-	// increments, so the parallel engine shards it per kernel and merges
-	// at pause points.
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	// metrics is the machine-wide registry every kernel's services count
+	// into.
 	metrics   *stats.Registry
 	placement PlacementPolicy
 	// rr is the round-robin cursor for automatic thread placement.
@@ -120,10 +113,7 @@ func Boot(cfg Config) (*OS, error) {
 	if cfg.TieShuffle {
 		opts = append(opts, sim.WithTieShuffle())
 	}
-	e, err := sim.NewEngineNamed(cfg.Engine, opts...)
-	if err != nil {
-		return nil, err
-	}
+	e := sim.NewEngine(opts...)
 	clusterCfg := kernel.DefaultClusterConfig(machine)
 	if cfg.Cluster != nil {
 		clusterCfg = *cfg.Cluster
@@ -340,8 +330,7 @@ func (o *OS) Close() { o.e.Close() }
 
 // pickKernel resolves a placement hint to a kernel index. The least-loaded
 // scan reads every kernel's queue depth directly — a placement heuristic
-// that tolerates stale values, so the parallel engine can keep it as a
-// racy-read advisory or downgrade it to gossiped load reports.
+// that tolerates stale values, standing in for gossiped load reports.
 //
 //popcornvet:allow kernlocal load scan is an advisory heuristic; stale reads only skew placement, never correctness
 func (o *OS) pickKernel(hint int) (int, error) {
@@ -387,9 +376,7 @@ func (o *OS) StartProcess(p *sim.Proc) (osi.Process, error) {
 // StartProcessOn creates the process with its origin on a specific kernel.
 // The syscall trap executes in the calling thread's context and enters the
 // chosen kernel's threadgroup service directly — the simulated equivalent
-// of trapping into the kernel you run on. Syscall-running procs dispatch
-// on the global lane, which the parallel engine serialises (DESIGN.md §15),
-// so the direct entry stays race-free.
+// of trapping into the kernel you run on.
 //
 //popcornvet:allow kernlocal syscall trap into the origin kernel the calling thread runs on; local by construction
 func (o *OS) StartProcessOn(p *sim.Proc, k int) (*Process, error) {
@@ -430,11 +417,10 @@ func (pr *Process) SpawnRecoverable(p *sim.Proc, kernelHint int, fn osi.ThreadFu
 // placement runs the distributed creation protocol over msg from there. The
 // direct Kernels[...] dereferences resolve the origin (the caller's own
 // kernel) and mirror the recoverable flag onto the hosting kernel's task
-// struct — a teleport that stays correct under the parallel engine because
-// thread procs dispatch in the serialised global-lane phase (DESIGN.md §15);
-// only lane-tagged events run concurrently.
+// struct — a teleport, made by an untagged workload thread proc in the
+// same event as the creation protocol's last step.
 //
-//popcornvet:allow kernlocal origin-side syscall trap; the flag mirror is written from global-lane dispatch, serialised with the creation protocol (DESIGN.md §15)
+//popcornvet:allow kernlocal origin-side syscall trap; the flag mirror is a teleport written in the same event as the creation protocol's last step
 func (pr *Process) spawnThread(p *sim.Proc, kernelHint int, fn osi.ThreadFunc, recoverable bool) error {
 	k, err := pr.os.pickKernel(kernelHint)
 	if err != nil {

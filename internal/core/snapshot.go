@@ -8,10 +8,9 @@ import (
 // Snapshot renders the OS's current state — per-kernel scheduler load,
 // memory usage, lock contention and message counters — as a human-readable
 // report, the reproduction's stand-in for /proc. Harnesses call it between
-// runs or at quiescence; under the parallel engine it runs at a pause
-// point, where visiting every kernel's state is safe by definition.
+// runs or at quiescence, from outside any kernel's event path.
 //
-//popcornvet:allow kernlocal diagnostic whole-machine report taken at quiescence or a pause point
+//popcornvet:allow kernlocal diagnostic whole-machine report taken at quiescence, outside any event path
 func (o *OS) Snapshot() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "popcorn: %d kernels on %d cores / %d NUMA nodes, virtual time %v\n",

@@ -71,10 +71,8 @@ type Service struct {
 	node     msg.NodeID
 	ep       *msg.Endpoint
 	resolver Resolver
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
-	metrics *stats.Registry
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
-	checker *sanitize.Checker
+	metrics  *stats.Registry
+	checker  *sanitize.Checker
 	// homeCore is the representative core used to charge value-check
 	// accesses performed by the home-side handler.
 	homeCore int

@@ -31,11 +31,9 @@ type Kernel struct {
 	Futex   *futex.Service
 	Metrics *stats.Registry
 	// Lane is this kernel's affinity view of the engine: events and
-	// processes created through it carry the kernel tag the parallel engine
-	// dispatches concurrently. All of this kernel's services are built over
-	// it, so their engine interactions are kernel-tagged end to end; work
-	// that touches the fabric or another kernel must go through a merge
-	// event instead (DESIGN.md §15).
+	// processes created through it carry the kernel tag. All of this
+	// kernel's services are built over it, so their engine interactions are
+	// kernel-tagged end to end.
 	Lane sim.Engine
 }
 
@@ -176,9 +174,8 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 			return nil, err
 		}
 		// Every service of kernel k is built over k's lane view, so the
-		// engine work they create is kernel-tagged. The tag is inert under
-		// the serial engine; under the parallel engine it is what lets
-		// same-instant work on different kernels dispatch concurrently.
+		// engine work they create is kernel-tagged. Dispatch ignores the tag;
+		// it states which kernel's state an event touches.
 		lane := e.Lane(k)
 		sch, err := sched.New(lane, machine, cores, metrics)
 		if err != nil {

@@ -16,10 +16,9 @@ type Endpoint struct {
 	node NodeID
 	// eng is this kernel's lane view of the engine (sim.Engine.Lane keyed by
 	// the node ID): events and processes created through it carry the
-	// kernel-affinity tag the parallel engine dispatches concurrently.
-	// Kernel-local compute schedules through eng; the receive pump and
-	// everything that touches the fabric's shared wire state stay on the
-	// root engine (the merge plane, DESIGN.md §15).
+	// kernel-affinity tag. Kernel-local compute schedules through eng; the
+	// receive pump and everything that touches the fabric's shared wire
+	// state stay untagged, on the root engine.
 	eng sim.Engine
 
 	// queue[qhead:] is the inbound backlog; the pump advances qhead
@@ -126,11 +125,9 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 func (ep *Endpoint) Node() NodeID { return ep.node }
 
 // Engine returns this kernel's lane view of the engine. Work scheduled or
-// spawned through it carries the kernel-affinity tag: under the parallel
-// engine, same-instant events on distinct kernels execute concurrently,
-// subject to the parallel dispatch contract (DESIGN.md §15) — lane work
-// must stay kernel-local and must not enter the fabric except through a
-// merge event.
+// spawned through it carries the kernel-affinity tag, so it must stay
+// kernel-local; anything that touches the fabric or another kernel belongs
+// on the root engine.
 func (ep *Endpoint) Engine() sim.Engine { return ep.eng }
 
 // Collector returns the span collector attached to the endpoint's fabric
@@ -473,10 +470,9 @@ func (ep *Endpoint) prepare(m *Message) {
 // zombie heartbeat cannot feed the failure detector — then every surviving
 // delivery refreshes the detector's clock, and heartbeats are consumed here
 // without ever touching the queue, tracer, or observer. This IS the
-// fabric's serialised delivery step — the one place allowed to touch a
-// peer's queue, and the parallel engine's merge point.
+// fabric's delivery step — the one place allowed to touch a peer's queue.
 //
-//popcornvet:allow kernlocal the serialised delivery step itself; runs in the parallel engine's merge phase
+//popcornvet:allow kernlocal the fabric's delivery step itself: the message arriving at its destination's queue
 //popcornvet:hotpath
 func (f *Fabric) deliver(m *Message) {
 	dst := f.endpoints[m.To]

@@ -332,10 +332,10 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 // the caller's timeout loop owns their recovery. Everything else (replies,
 // fire-and-forget notifications) gets bounded link-layer redelivery, the
 // ring's ack/retry, so a single drop cannot wedge a protocol that has no
-// caller-side retry. Runs inside the fabric's serialised fault plane, the
-// same engine-context step as delivery.
+// caller-side retry. Runs inside the fabric's fault plane, the same
+// engine-context step as delivery.
 //
-//popcornvet:allow kernlocal link-layer fault handling inside the fabric's serialised delivery step
+//popcornvet:allow kernlocal link-layer fault handling inside the fabric's delivery step, the medium between kernels
 func (f *Fabric) dropMsg(m *Message) {
 	f.traceEvent("msg.drop", m.From, "%v to k%d seq=%d attempt=%d", m.Type, m.To, m.Seq, m.attempts)
 	if m.Type == TypeHeartbeat {
@@ -369,10 +369,10 @@ func (f *Fabric) dropMsg(m *Message) {
 // crashNode kills kernel n: its endpoint goes dark, queued and in-flight
 // messages vanish, its receive pump stops, and every process it hosts
 // (handlers, heartbeats, multicast workers) halts. Runs in engine context —
-// fabric fault-plane code, serialised with delivery. It fires once per
-// injected crash, so it may allocate freely.
+// fabric fault-plane code. It fires once per injected crash, so it may
+// allocate freely.
 //
-//popcornvet:allow kernlocal fault-plane kill switch; engine-context, serialised with delivery
+//popcornvet:allow kernlocal fault-plane kill switch: the injector acting as the hardware, not one kernel reaching into another
 //popcornvet:coldpath
 func (f *Fabric) crashNode(n NodeID) {
 	ep := f.endpoints[int(n)]
@@ -438,9 +438,9 @@ func (f *Fabric) crashNode(n NodeID) {
 // healNode reboots crashed kernel n: the kernel returns empty — every
 // pre-crash structure is gone — under a bumped incarnation, reattaches to
 // the fabric, and runs the rejoin handshake with the survivors. Runs in
-// engine context — fabric fault-plane code, serialised with delivery.
+// engine context — fabric fault-plane code.
 //
-//popcornvet:allow kernlocal fault-plane reboot; engine-context, serialised with delivery
+//popcornvet:allow kernlocal fault-plane reboot: the injector acting as the hardware, not one kernel reaching into another
 func (f *Fabric) healNode(n NodeID) {
 	ep := f.endpoints[int(n)]
 	if !ep.dead {
@@ -611,10 +611,9 @@ func (f *Fabric) partitionClosed(a, b NodeID) {
 }
 
 // resetSilence refreshes one kernel's failure detector after a partition
-// closes. Fault-plane code: runs in engine context, serialised with
-// delivery.
+// closes. Fault-plane code: runs in engine context.
 //
-//popcornvet:allow kernlocal fault-plane detector reset; engine-context, serialised with delivery
+//popcornvet:allow kernlocal fault-plane detector reset when the injector closes a partition; no kernel's handler path
 func (f *Fabric) resetSilence(at, peer NodeID, now sim.Time) {
 	ep := f.endpoints[at]
 	if ep.dead || ep.declaredDead[peer] {

@@ -295,7 +295,7 @@ func (lk *flowLink) tryTakeCredit() bool {
 
 // grantCredit hands one freed credit to the first live waiter, or banks it
 // (clamped at the configured limit, so fault-plane resets that refill an
-// account cannot overflow it). Runs at the serialised release points.
+// account cannot overflow it).
 func (fl *flowState) grantCredit(lk *flowLink) {
 	for lk.whead < len(lk.waiters) {
 		w := lk.waiters[lk.whead]
@@ -450,7 +450,7 @@ func (f *Fabric) flowRelease(m *Message) {
 // destroyed the occupancy the credits were tracking. Waiters are granted —
 // their sends will be eaten at the dead-link check, which releases the
 // credit again — so no process stays wedged on a dead peer's account.
-// Fault-plane code: runs in engine context, serialised with delivery.
+// Fault-plane code: runs in engine context.
 func (f *Fabric) resetFlowLinks(n NodeID) {
 	fl := f.flow
 	if fl == nil {

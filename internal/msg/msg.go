@@ -312,8 +312,7 @@ type Fabric struct {
 	// nodeCore maps each kernel to a representative core, used for
 	// NUMA-aware IPI and transfer costs.
 	nodeCore []int
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
-	metrics *stats.Registry
+	metrics  *stats.Registry
 	// hot caches the handles of the per-message metrics, each filled on
 	// first use so a run registers exactly the names it always did.
 	hot struct {
@@ -327,12 +326,10 @@ type Fabric struct {
 	// head-of-line blocks later small ones, as on a real ring).
 	wires map[wireKey]*wire
 	// tracer, when attached, records send/deliver events.
-	//popcornvet:allow kernlocal trace records are written at the serialised delivery step the engine orders
 	tracer *trace.Buffer
 	// collector, when attached, records causal spans for every non-heartbeat
 	// message (wire transit, RPC round, handler execution); nil means one
 	// pointer check per message and not a single allocation.
-	//popcornvet:allow kernlocal spans are recorded at the serialised delivery step the engine orders
 	collector *trace.Collector
 	// observer, when attached, sees the happens-before edges messages carry.
 	observer Observer

@@ -31,20 +31,13 @@ type Config struct {
 	Kernels int
 	// FramesPerKernel sizes each kernel's memory partition.
 	FramesPerKernel int
-	// Engine picks the simulation engine implementation: "serial" (default)
-	// or "parallel" (concurrent same-timestamp dispatch with byte-identical
-	// replay; see DESIGN.md §15). Both engines produce identical runs for
-	// the same seed and workload.
-	Engine string
 }
 
 // OS is the booted multikernel.
 type OS struct {
 	e       sim.Engine
 	machine *hw.Machine
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
 	metrics *stats.Registry
-	//popcornvet:allow kernlocal the inter-kernel medium itself; domains only Send/Call through their own endpoint
 	fabric  *msg.Fabric
 	nodes   []*node
 	nextDom int64
@@ -76,10 +69,7 @@ func Boot(cfg Config) (*OS, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	e, err := sim.NewEngineNamed(cfg.Engine, sim.WithSeed(seed))
-	if err != nil {
-		return nil, err
-	}
+	e := sim.NewEngine(sim.WithSeed(seed))
 	os, err := BootOn(e, machine, cfg.Kernels, cfg.FramesPerKernel)
 	if err != nil {
 		e.Close()

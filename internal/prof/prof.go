@@ -17,11 +17,11 @@ type Flags struct {
 	cpu, mem *string
 }
 
-// Register adds -cpuprofile and -memprofile to the default flag set.
-func Register() *Flags {
+// Register adds -cpuprofile and -memprofile to fs.
+func Register(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		cpu: flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)"),
-		mem: flag.String("memprofile", "", "write a host allocation profile of the run to this file (go tool pprof -sample_index=alloc_space)"),
+		cpu: fs.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)"),
+		mem: fs.String("memprofile", "", "write a host allocation profile of the run to this file (go tool pprof -sample_index=alloc_space)"),
 	}
 }
 

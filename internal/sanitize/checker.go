@@ -63,7 +63,6 @@ type msgKey struct {
 type Config struct {
 	// Trace, when set, receives san.* protocol events and is mined for the
 	// page history attached to violations.
-	//popcornvet:allow kernlocal the checker is the cross-kernel observer by design; it runs in the serialised global-lane phase (DESIGN.md §15)
 	Trace *trace.Buffer
 	// FailFast makes coherence violations panic in the offending proc
 	// (unwound by the engine into a run failure) instead of only being

@@ -28,7 +28,6 @@ type Scheduler struct {
 	machine *hw.Machine
 	coreIDs []int
 	quantum time.Duration
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
 	metrics *stats.Registry
 
 	free    []int // free global core IDs, LIFO for cache warmth

@@ -32,33 +32,30 @@ func runOne(t *testing.T, e Engine, name string) *carrier {
 }
 
 // TestCarriersBoundGoroutinesByPeakLiveProcs runs 10 000 spawn→finish cycles,
-// eight processes live at a time, through the root view and through a lane
-// view (whose finishes commit at the parallel engine's barrier): the host
-// must hold no more goroutines than the peak number of live processes, and
-// Close must hand every one of them back.
+// eight processes live at a time: the host must hold no more goroutines than
+// the peak number of live processes, and Close must hand every one of them
+// back.
 func TestCarriersBoundGoroutinesByPeakLiveProcs(t *testing.T) {
 	const peak, cycles = 8, 10000
 	base := runtime.NumGoroutine()
 	e := NewEngine()
-	for _, v := range []Engine{e, e.Lane(1)} {
-		ran := 0
-		for ran < cycles {
-			for i := 0; i < peak; i++ {
-				v.Spawn("w", func(p *Proc) {
-					p.Sleep(time.Microsecond)
-					ran++
-				})
-			}
-			if err := e.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+	ran := 0
+	for ran < cycles {
+		for i := 0; i < peak; i++ {
+			e.Spawn("w", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				ran++
+			})
 		}
-		if got := runtime.NumGoroutine() - base; got > peak {
-			t.Fatalf("lane %d: %d goroutines held after %d cycles with %d live at a time", v.LaneID(), got, ran, peak)
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
-		if got := len(e.base().idle); got != peak {
-			t.Fatalf("lane %d: %d idle carriers, want %d", v.LaneID(), got, peak)
-		}
+	}
+	if got := runtime.NumGoroutine() - base; got > peak {
+		t.Fatalf("%d goroutines held after %d cycles with %d live at a time", got, ran, peak)
+	}
+	if got := len(e.base().idle); got != peak {
+		t.Fatalf("%d idle carriers, want %d", got, peak)
 	}
 	e.Close()
 	// Not != 0: a goroutine of an earlier test may still have been exiting

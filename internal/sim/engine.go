@@ -3,18 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 )
-
-// envEngineKind is the POPCORN_ENGINE environment override, read once at
-// startup. Setting POPCORN_ENGINE=parallel makes NewEngine build the
-// parallel engine, which is how CI drives the whole existing test corpus
-// through the concurrent dispatcher without touching any call site.
-// Explicitly named constructors (NewEngineNamed with "serial" or
-// "parallel", NewParallelEngine) ignore it.
-var envEngineKind = os.Getenv("POPCORN_ENGINE")
 
 // Time is a point in virtual time, in nanoseconds since engine start.
 type Time int64
@@ -45,8 +36,8 @@ var ErrDeadlock = errors.New("sim: deadlock: blocked processes with no pending e
 // bounded prefix of a run.
 var ErrEventLimit = errors.New("sim: event limit reached")
 
-// GlobalLane is the lane value of untagged events: they execute in the
-// engine's serialised merge step, never concurrently with anything.
+// GlobalLane is the lane value of untagged events and processes: work that
+// belongs to no single kernel (the fabric, syscall veneers, observers).
 const GlobalLane = -1
 
 // maxLanes bounds the lane ID space. Lanes are kernel IDs, so this is far
@@ -63,9 +54,9 @@ type event struct {
 	// concurrent events while each seed stays fully deterministic.
 	prio uint64
 	fn   func()
-	// lane is the kernel-affinity tag (GlobalLane when untagged). The serial
-	// engine ignores it; the parallel engine runs same-instant events on
-	// distinct lanes concurrently and serialises everything else.
+	// lane is the kernel-affinity tag (GlobalLane when untagged). Dispatch
+	// ignores it: it records which kernel's state the event touches, the
+	// independence relation schedule exploration can prune on.
 	lane int
 	// canceled events stay in the heap but are skipped on pop.
 	canceled bool
@@ -76,10 +67,9 @@ type event struct {
 	gen uint64
 }
 
-// core is the engine state shared by the serial and parallel
-// implementations of Engine. Lane views and engines are thin facades over
-// one core; all invariants (deterministic seq assignment, free-list
-// recycling, proc table bookkeeping) live here.
+// core is the engine state. The root engine and its lane views are thin
+// facades over one core; all invariants (deterministic seq assignment,
+// free-list recycling, proc table bookkeeping) live here.
 type core struct {
 	now       Time
 	seq       uint64
@@ -102,7 +92,6 @@ type core struct {
 	free []*event
 
 	// idle holds the carriers whose tenant finished; Spawn reuses them LIFO.
-	// Like free it is touched only in serial or commit context (DESIGN.md §15).
 	idle []*carrier
 
 	// invariants are the registered model checks; invInterval > 0 enables
@@ -111,47 +100,25 @@ type core struct {
 	invInterval  time.Duration
 	nextInvCheck Time
 
-	// root is the engine facade (serial or parallel); lanes caches the lane
-	// views handed out by Lane so affinity comparisons are stable.
-	root  *view
+	// lanes caches the lane views handed out by Lane so affinity comparisons
+	// are stable.
 	lanes []*view
-	// loop is the dispatch strategy: the serial engine's in-order loop or
-	// the parallel engine's gather/exec/commit loop.
-	loop runner
-	// par is non-nil exactly while a parallel batch is executing; lane
-	// views consult it to defer engine effects into the batch's buffers.
-	par *parRun
-	// workers caps how many lane groups execute concurrently (parallel
-	// engine only).
-	workers int
-	// isParallel records which implementation this core backs.
-	isParallel bool
 }
 
-// runner is the dispatch-loop strategy behind an Engine: the serial
-// implementation drains the heap in canonical order on one goroutine, the
-// parallel implementation executes same-instant lane runs concurrently.
-type runner interface {
-	drive(until Time, bounded bool) error
-}
-
-// Engine is a deterministic discrete-event simulation engine. It is an
-// interface with two implementations — NewEngine's serial engine and
-// NewParallelEngine's concurrent same-timestamp engine — that produce
-// byte-identical runs for the same seed and workload. Lane views obtained
-// from Lane also satisfy Engine; they tag scheduled work with a kernel
-// affinity the parallel engine exploits.
+// Engine is a deterministic discrete-event simulation engine: one goroutine
+// drains the event heap in (time, prio, seq) order, so a run is a pure
+// function of (seed, workload). NewEngine returns the root engine; the lane
+// views obtained from Lane also satisfy Engine and tag the work scheduled
+// through them with a kernel affinity.
 //
 // All Engine methods must be called either from outside Run (to set up the
-// simulation) or from within a running process; except where the parallel
-// dispatch contract (DESIGN.md §15) says otherwise, the engine is not safe
-// for concurrent use from arbitrary goroutines.
+// simulation) or from within a running process or event callback; the engine
+// is not safe for concurrent use from arbitrary goroutines.
 type Engine interface {
 	// Now returns the current virtual time.
 	Now() Time
-	// Rand returns this view's deterministic random source: the engine
-	// stream for the root engine, a lane-derived stream for lane views (so
-	// lane events never race on the shared generator).
+	// Rand returns the engine's deterministic random source (lane views
+	// share the engine stream).
 	Rand() *RNG
 	// Seed returns the seed the engine's random source was created with.
 	Seed() int64
@@ -174,21 +141,10 @@ type Engine interface {
 	// view's lane. It returns a handle that can cancel the callback before
 	// it fires.
 	Schedule(d time.Duration, fn func()) EventHandle
-	// ScheduleMerge arranges for fn to run at time now+d as an untagged
-	// merge event, regardless of this view's lane. It is how lane work
-	// reaches shared state: a lane event that must touch the fabric,
-	// another kernel, or any cross-kernel plane schedules the touch as a
-	// merge event, which the engine serialises with all other merge work.
-	ScheduleMerge(d time.Duration, fn func()) EventHandle
 	// Spawn starts fn as a new simulated process bound to this view's lane.
 	Spawn(name string, fn func(p *Proc)) *Proc
 	// SpawnDaemon starts fn as a daemon process bound to this view's lane.
 	SpawnDaemon(name string, fn func(p *Proc)) *Proc
-	// Wake schedules p to resume at the current virtual time. From a lane
-	// event it is the only legal way to wake a process on another lane: the
-	// wake is deferred into the batch's effect buffer and committed in
-	// canonical order at the barrier.
-	Wake(p *Proc)
 	// Run drains the event heap, advancing virtual time, until no events
 	// remain or a process panics.
 	Run() error
@@ -212,14 +168,10 @@ type Engine interface {
 	// NewTimer returns a Timer that fires on its channel after d.
 	NewTimer(d time.Duration) *Timer
 	// Lane returns the affinity view for lane id (a kernel ID). Events and
-	// processes created through the view carry the tag; under the parallel
-	// engine, same-instant events on distinct lanes execute concurrently.
+	// processes created through the view carry the tag.
 	Lane(id int) Engine
 	// LaneID returns this view's lane, or GlobalLane for the root engine.
 	LaneID() int
-	// Parallel reports whether this engine dispatches lane runs
-	// concurrently (NewParallelEngine) rather than serially.
-	Parallel() bool
 
 	// base seals the interface to this package and hands facade methods
 	// the shared core.
@@ -232,16 +184,7 @@ type Engine interface {
 type view struct {
 	c    *core
 	lane int
-	// rng is the lane-derived random stream (nil for the root view, which
-	// uses the core's stream). Per-lane streams keep Rand usable from
-	// concurrent lane events without racing on the shared generator.
-	rng *RNG
 }
-
-// serialEngine is the classic engine: one goroutine drains the heap in
-// (time, prio, seq) order. It is the reference implementation the parallel
-// engine must match byte-for-byte.
-type serialEngine struct{ *view }
 
 // Option configures an Engine.
 type Option func(*core)
@@ -259,14 +202,8 @@ func WithTieShuffle() Option {
 	return func(c *core) { c.shuffle = true }
 }
 
-// WithWorkers caps how many lane groups the parallel engine executes
-// concurrently (default: one per lane in the batch). The serial engine
-// ignores it. Worker count never affects results, only wall-clock speed.
-func WithWorkers(n int) Option {
-	return func(c *core) { c.workers = n }
-}
-
-func newCore(opts ...Option) *core {
+// NewEngine returns a new engine with virtual time zero.
+func NewEngine(opts ...Option) Engine {
 	c := &core{
 		rng:   NewRNG(1),
 		procs: make(map[int64]*Proc),
@@ -274,41 +211,15 @@ func newCore(opts ...Option) *core {
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.root = &view{c: c, lane: GlobalLane}
-	return c
-}
-
-// NewEngine returns a new engine with virtual time zero — the serial
-// engine, unless the POPCORN_ENGINE=parallel environment override is set
-// (both produce identical runs; see Engine).
-func NewEngine(opts ...Option) Engine {
-	if envEngineKind == "parallel" {
-		return NewParallelEngine(opts...)
-	}
-	return newSerialEngine(opts...)
-}
-
-// newSerialEngine builds the serial engine unconditionally.
-func newSerialEngine(opts ...Option) Engine {
-	c := newCore(opts...)
-	e := &serialEngine{view: c.root}
-	c.loop = (*serialLoop)(c)
-	return e
+	return &view{c: c, lane: GlobalLane}
 }
 
 // Now returns the current virtual time.
 func (v *view) Now() Time { return v.c.now }
 
-// Rand returns this view's deterministic random source. The root engine
-// returns the engine stream; a lane view returns its own lane-derived
-// stream, so lane events may draw concurrently without racing. It must only
-// be used from simulation processes or between Run calls.
-func (v *view) Rand() *RNG {
-	if v.rng != nil {
-		return v.rng
-	}
-	return v.c.rng
-}
+// Rand returns the engine's deterministic random source. It must only be
+// used from simulation processes or between Run calls.
+func (v *view) Rand() *RNG { return v.c.rng }
 
 // Seed returns the seed the engine's random source was created with.
 func (v *view) Seed() int64 { return v.c.rng.Seed() }
@@ -327,15 +238,8 @@ func (v *view) SetEventLimit(n uint64) { v.c.limit = n }
 func (v *view) Err() error { return v.c.failure }
 
 // Fail records err as the run's failure, as a process panic would: Run
-// returns it once the current event completes; the first failure wins. From
-// a parallel lane event it defers to the commit step like any other effect.
-func (v *view) Fail(err error) {
-	if s := v.c.laneSlotActive(v.lane); s != nil {
-		s.deferFail(err)
-		return
-	}
-	v.c.fail(err)
-}
+// returns it once the current event completes; the first failure wins.
+func (v *view) Fail(err error) { v.c.fail(err) }
 
 // EventsProcessed returns how many events the engine has dispatched — a
 // measure of simulation work, useful for harness footers and regression
@@ -344,10 +248,6 @@ func (v *view) EventsProcessed() uint64 { return v.c.processed }
 
 // LaneID returns this view's lane, or GlobalLane for the root engine.
 func (v *view) LaneID() int { return v.lane }
-
-// Parallel reports whether the engine behind this view dispatches lane
-// runs concurrently.
-func (v *view) Parallel() bool { return v.c.isParallel }
 
 func (v *view) base() *core { return v.c }
 
@@ -363,29 +263,16 @@ func (v *view) Lane(id int) Engine {
 		c.lanes = append(c.lanes, nil)
 	}
 	if c.lanes[id] == nil {
-		c.lanes[id] = &view{c: c, lane: id, rng: NewRNG(laneSeed(c.rng.Seed(), id))}
+		c.lanes[id] = &view{c: c, lane: id}
 	}
 	return c.lanes[id]
-}
-
-// laneSeed derives a per-lane RNG seed from the engine seed. The mix keeps
-// lane streams distinct from each other and from the engine stream while
-// remaining a pure function of (seed, lane) — replay-identical on both
-// engines.
-func laneSeed(seed int64, lane int) int64 {
-	x := uint64(seed) ^ (0x9e3779b97f4a7c15 * (uint64(lane) + 1))
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	return int64(x)
 }
 
 // Schedule arranges for fn to run at time now+d on the engine loop, tagged
 // with this view's lane. It returns a handle that can cancel the callback
 // before it fires. fn runs in engine context: it must not block on
 // simulator primitives, but it may spawn processes, wake waiters, and
-// schedule further events. From within a parallel lane event the schedule
-// is deferred: it enters the heap at the batch barrier, in canonical batch
-// order, exactly where the serial engine would have placed it.
+// schedule further events.
 //
 //popcornvet:hotpath
 func (v *view) Schedule(d time.Duration, fn func()) EventHandle {
@@ -393,9 +280,6 @@ func (v *view) Schedule(d time.Duration, fn func()) EventHandle {
 		d = 0
 	}
 	c := v.c
-	if s := c.laneSlotActive(v.lane); s != nil {
-		return s.deferSchedule(c.now.Add(d), fn, v.lane)
-	}
 	ev := c.allocEvent()
 	ev.at = c.now.Add(d)
 	ev.seq = c.nextSeq()
@@ -408,38 +292,6 @@ func (v *view) Schedule(d time.Duration, fn func()) EventHandle {
 	}
 	c.heap.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
-}
-
-// ScheduleMerge arranges for fn to run at time now+d as an untagged merge
-// event, regardless of this view's lane. From within a parallel lane event
-// the schedule is deferred and committed in canonical batch order, exactly
-// where the serial engine would have placed it — so "hop to the merge" is
-// replay-identical on both engines. It is the one legal way for lane work
-// to reach the fabric or another kernel's state (DESIGN.md §15).
-//
-//popcornvet:hotpath
-func (v *view) ScheduleMerge(d time.Duration, fn func()) EventHandle {
-	if d < 0 {
-		d = 0
-	}
-	c := v.c
-	if s := c.laneSlotActive(v.lane); s != nil {
-		return s.deferSchedule(c.now.Add(d), fn, GlobalLane)
-	}
-	return c.root.Schedule(d, fn)
-}
-
-// push enters a deferred event into the heap, assigning its seq and
-// tie-priority at commit time — the same order the serial engine would have
-// assigned them during execution.
-func (c *core) pushDeferred(ev *event) {
-	ev.seq = c.nextSeq()
-	if c.shuffle {
-		ev.prio = c.rng.Uint64()
-	} else {
-		ev.prio = ev.seq
-	}
-	c.heap.push(ev)
 }
 
 // allocEvent takes an event object off the free list, or allocates one on a
@@ -482,8 +334,7 @@ type EventHandle struct {
 }
 
 // Cancel prevents the callback from firing. It reports whether the callback
-// had not yet fired (and is now guaranteed not to). Lane events may only
-// cancel handles they created on their own lane (DESIGN.md §15).
+// had not yet fired (and is now guaranteed not to).
 func (h EventHandle) Cancel() bool {
 	if h.ev == nil || h.ev.gen != h.gen || h.ev.canceled || h.ev.fn == nil {
 		return false
@@ -501,14 +352,14 @@ func (c *core) nextSeq() uint64 {
 // or a process panics. It returns ErrDeadlock if blocked processes remain
 // while the heap is empty, and the panic error if a process failed.
 func (v *view) Run() error {
-	return v.c.loop.drive(0, false)
+	return v.c.drive(0, false)
 }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
 // t. Events after t remain queued. Unlike Run, processes left blocked at t
 // are not a deadlock: more work may be scheduled before the next RunUntil.
 func (v *view) RunUntil(t Time) error {
-	err := v.c.loop.drive(t, true)
+	err := v.c.drive(t, true)
 	if err != nil && !errors.Is(err, ErrDeadlock) {
 		return err
 	}
@@ -521,17 +372,12 @@ func (v *view) RunUntil(t Time) error {
 // RunFor processes events for d of virtual time from the current clock.
 func (v *view) RunFor(d time.Duration) error { return v.RunUntil(v.c.now.Add(d)) }
 
-// serialLoop is the serial engine's runner: the classic one-event-at-a-time
-// dispatch loop.
-type serialLoop core
-
-// drive is the serial dispatch loop. With bounded set, it stops once the
-// next event lies beyond until; the bound is a plain value rather than a
-// predicate closure so repeated RunUntil calls stay allocation-free. The
-// per-event work happens in stepSerial, which carries the hot-path root;
-// the loop shell itself allocates only on the misuse/fatal paths.
-func (l *serialLoop) drive(until Time, bounded bool) error {
-	c := (*core)(l)
+// drive is the dispatch loop. With bounded set, it stops once the next event
+// lies beyond until; the bound is a plain value rather than a predicate
+// closure so repeated RunUntil calls stay allocation-free. The per-event work
+// happens in step, which carries the hot-path root; the loop shell itself
+// allocates only on the misuse/fatal paths.
+func (c *core) drive(until Time, bounded bool) error {
 	if c.closed {
 		return errors.New("sim: engine is closed")
 	}
@@ -539,20 +385,18 @@ func (l *serialLoop) drive(until Time, bounded bool) error {
 		if c.limit > 0 && c.processed >= c.limit {
 			return ErrEventLimit
 		}
-		if err, stop := c.stepSerial(); stop {
+		if err, stop := c.step(); stop {
 			return err
 		}
 	}
 	return c.quiesce()
 }
 
-// stepSerial pops and dispatches exactly one event, in canonical order,
-// with the serial engine's interleaving of invariant sweeps. Both engines
-// funnel their serialised dispatch through it so the merge-phase semantics
-// cannot drift.
+// step pops and dispatches exactly one event, in canonical order, followed by
+// the periodic invariant sweep when one is due.
 //
 //popcornvet:hotpath
-func (c *core) stepSerial() (error, bool) {
+func (c *core) step() (error, bool) {
 	ev := c.heap.pop()
 	if ev.canceled {
 		c.recycle(ev)
@@ -580,9 +424,9 @@ func (c *core) stepSerial() (error, bool) {
 	return nil, false
 }
 
-// quiesce runs the end-of-heap checks shared by both engines: the model
-// should be consistent whenever no work is in flight, and non-daemon
-// processes still blocked with no pending events are a deadlock.
+// quiesce runs the end-of-heap checks: the model should be consistent
+// whenever no work is in flight, and non-daemon processes still blocked with
+// no pending events are a deadlock.
 func (c *core) quiesce() error {
 	if c.heap.len() == 0 {
 		c.checkInvariants()
@@ -655,10 +499,7 @@ func (v *view) Close() {
 	c.idle = nil
 }
 
-// fail records the first failure. It only ever runs in serial context:
-// lane-phase failures are deferred as effects and committed in canonical
-// batch order, so the "first" failure is deterministic even when several
-// lanes fail in one batch.
+// fail records the first failure.
 func (c *core) fail(err error) {
 	if c.failure == nil {
 		c.failure = err

@@ -195,33 +195,26 @@ func TestProcPanicPropagates(t *testing.T) {
 }
 
 // TestFailFromCallbackEndsRun: an engine callback has no process to panic
-// in; Fail is its way to end the run with an error. The first failure wins,
-// nothing scheduled behind it runs, and it works the same from a lane view
-// (where the parallel engine commits it at the batch barrier).
+// in; Fail is its way to end the run with an error. The first failure wins
+// and nothing scheduled behind it runs.
 func TestFailFromCallbackEndsRun(t *testing.T) {
-	for _, lane := range []int{GlobalLane, 0} {
-		e := NewEngine()
-		v := e
-		if lane != GlobalLane {
-			v = e.Lane(lane)
-		}
-		first, second := errors.New("first"), errors.New("second")
-		ranAfter := false
-		v.Schedule(time.Microsecond, func() {
-			v.Fail(first)
-			v.Fail(second)
-		})
-		v.Schedule(2*time.Microsecond, func() { ranAfter = true })
-		if err := e.Run(); err != first {
-			t.Errorf("lane %d: Run = %v, want the first failure", lane, err)
-		}
-		if e.Err() != first {
-			t.Errorf("lane %d: Err = %v, want the first failure", lane, e.Err())
-		}
-		if ranAfter {
-			t.Errorf("lane %d: an event after the failure still ran", lane)
-		}
-		e.Close()
+	e := NewEngine()
+	defer e.Close()
+	first, second := errors.New("first"), errors.New("second")
+	ranAfter := false
+	e.Schedule(time.Microsecond, func() {
+		e.Fail(first)
+		e.Fail(second)
+	})
+	e.Schedule(2*time.Microsecond, func() { ranAfter = true })
+	if err := e.Run(); err != first {
+		t.Errorf("Run = %v, want the first failure", err)
+	}
+	if e.Err() != first {
+		t.Errorf("Err = %v, want the first failure", e.Err())
+	}
+	if ranAfter {
+		t.Error("an event after the failure still ran")
 	}
 }
 
@@ -345,5 +338,29 @@ func TestEventsProcessedCounts(t *testing.T) {
 	// One scheduled callback + spawn dispatch + sleep wake = at least 3.
 	if got := e.EventsProcessed(); got < 3 {
 		t.Fatalf("EventsProcessed = %d, want >= 3", got)
+	}
+}
+
+// TestLaneViewsCachedAndTagged pins the Lane contract: views are cached,
+// carry their lane ID, and share the engine's clock, seed and random stream.
+func TestLaneViewsCachedAndTagged(t *testing.T) {
+	e := NewEngine(WithSeed(9))
+	defer e.Close()
+	l3 := e.Lane(3)
+	if e.Lane(3) != l3 {
+		t.Fatal("Lane(3) not cached")
+	}
+	if l3.LaneID() != 3 || e.LaneID() != GlobalLane {
+		t.Fatalf("lane IDs wrong: %d, %d", l3.LaneID(), e.LaneID())
+	}
+	if l3.Seed() != e.Seed() || l3.Now() != e.Now() || l3.Rand() != e.Rand() {
+		t.Fatal("lane view does not share engine seed/clock/random stream")
+	}
+	p := l3.Spawn("w", func(p *Proc) {})
+	if p.Lane() != 3 {
+		t.Fatalf("proc lane = %d, want 3", p.Lane())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,9 +10,7 @@ import (
 // under the engine on a carrier, a pooled host coroutine. A Proc may only
 // call blocking primitives (Sleep, Suspend, channel and mutex operations)
 // from its own body while it is the running process. A Proc spawned through
-// a lane view is lane-affine: its dispatch events carry the lane tag, and
-// under the parallel engine it runs in the lane phase, subject to the
-// parallel dispatch contract (DESIGN.md §15).
+// a lane view is lane-affine: its dispatch events carry the lane tag.
 type Proc struct {
 	v    *view
 	id   int64
@@ -74,20 +72,16 @@ func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
 // trigger deadlock detection in Run. A component that only ever waits for
 // its next request is cheaper as a chain of Schedule callbacks, which is how
 // the fabric's receive pump runs; no production code spawns a daemon today,
-// but the differential engine suite and the allocation guards drive them.
+// but the engine tests and the allocation guards drive them.
 func (v *view) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return v.spawn(name, true, fn)
 }
 
 func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	c := v.c
-	if c.par != nil && c.laneSlotActive(v.lane) != nil {
-		panic(fmt.Sprintf("sim: Spawn(%q) from a parallel lane event; schedule a merge event to spawn", name))
-	}
 	c.nextPID++
 	p := &Proc{v: v, id: c.nextPID, name: name, daemon: daemon}
 	p.dispatchFn = func() { c.dispatch(p) }
-	// Never reached from a lane phase (above): the idle list pops serially.
 	if n := len(c.idle); n > 0 {
 		p.k, c.idle[n-1] = c.idle[n-1], nil
 		c.idle = c.idle[:n-1]
@@ -119,29 +113,19 @@ func (k *carrier) run() {
 	defer func() {
 		p.finished = true
 		k.p, k.fn = nil, nil
-		r := recover()
-		var failure error
-		if r != nil {
+		// The process leaves the proc table, the observer hears of it, and
+		// the carrier goes idle.
+		delete(c.procs, p.id)
+		c.observeFinished(p)
+		//popcornvet:bounded idle carriers: one per finished process not yet reused, so peak live procs cap it
+		c.idle = append(c.idle, k)
+		p.k = nil
+		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && err == ErrKilled {
 				// Engine shutdown: exit quietly.
 			} else {
 				//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
-				failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			}
-		}
-		if s := c.laneSlotActive(p.v.lane); s != nil {
-			// Lane-phase teardown: the proc-table delete, observer call,
-			// idle-list push and failure record are engine effects; they
-			// commit at the barrier in canonical order, which keeps "first
-			// failure wins" deterministic across lanes.
-			s.deferFinish(p)
-			if failure != nil {
-				s.deferFail(failure)
-			}
-		} else {
-			c.finish(p)
-			if failure != nil {
-				c.fail(failure)
+				c.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
 	}()
@@ -152,34 +136,18 @@ func (k *carrier) run() {
 	fn(p)
 }
 
-// finish retires a finished process in serial or commit context: it leaves
-// the proc table, the observer hears of it, and its carrier goes idle.
-func (c *core) finish(p *Proc) {
-	delete(c.procs, p.id)
-	c.observeFinished(p)
-	//popcornvet:bounded idle carriers: one per finished process not yet reused, so peak live procs cap it
-	c.idle = append(c.idle, p.k)
-	p.k = nil
-}
-
-// dispatch hands the CPU to p until it parks or finishes. Under the
-// parallel engine, a lane proc's dispatch runs on its lane's worker with
-// slot-local current tracking; the serial path is unchanged.
+// dispatch hands the CPU to p until it parks or finishes.
 //
 //popcornvet:hotpath
 func (c *core) dispatch(p *Proc) {
 	if p.finished {
 		return
 	}
-	current := &c.current
-	if s := c.laneSlotActive(p.v.lane); s != nil {
-		current = &s.current
-	}
-	prev := *current
-	*current = p
+	prev := c.current
+	c.current = p
 	p.waking = false
 	p.k.next()
-	*current = prev
+	c.current = prev
 }
 
 // park returns control from the running process to the engine and blocks
@@ -193,39 +161,16 @@ func (p *Proc) park() {
 }
 
 // wake schedules p to resume at the current virtual time. It is idempotent
-// while a wake is pending. During a parallel lane phase the wake defers to
-// the commit step; this path is only correct when the caller runs on p's
-// own lane — cross-lane wakes go through Engine.Wake on the caller's view.
+// while a wake is pending.
 //
 //popcornvet:hotpath
 func (p *Proc) wake() {
 	if p.waking || p.finished {
 		return
 	}
-	c := p.v.c
-	if s := c.laneSlotActive(p.v.lane); s != nil {
-		// Deferred wholesale: the commit step re-runs this wake (including
-		// the idempotence check) in canonical order, so duplicate deferred
-		// wakes collapse exactly as duplicate serial wakes do.
-		s.deferWake(p, s.current)
-		return
-	}
 	p.waking = true
-	c.observeWoken(p)
+	p.v.c.observeWoken(p)
 	p.v.Schedule(0, p.dispatchFn)
-}
-
-// Wake schedules p to resume at the current virtual time, from any lane.
-// From a lane event it is the one legal way to wake a process on another
-// lane (or an untagged process): the wake is deferred into the caller's
-// effect buffer and committed in canonical order at the batch barrier. In
-// serial context it is p.Resume.
-func (v *view) Wake(p *Proc) {
-	if s := v.c.laneSlotActive(v.lane); s != nil {
-		s.deferWake(p, s.current)
-		return
-	}
-	p.wake()
 }
 
 // Engine returns the engine view this process was spawned through: the
@@ -284,9 +229,7 @@ func (p *Proc) Suspend() {
 }
 
 // Resume wakes a process parked in Suspend. Waking a process that is not
-// suspended (or already scheduled to wake) is a no-op. From a parallel
-// lane event, Resume is only legal toward a process on the caller's own
-// lane — use Engine.Wake on the caller's view for anything else.
+// suspended (or already scheduled to wake) is a no-op.
 func (p *Proc) Resume() { p.wake() }
 
 // Finished reports whether the process function has returned.

@@ -53,7 +53,6 @@ type Config struct {
 type OS struct {
 	e       sim.Engine
 	machine *hw.Machine
-	//popcornvet:allow kernlocal the SMP baseline is a single kernel; there is no cross-kernel sharing to shard
 	metrics *stats.Registry
 	sched   *sched.Scheduler
 	// Global shared kernel state.

@@ -106,12 +106,9 @@ type Service struct {
 	machine *hw.Machine
 	node    msg.NodeID
 	ep      *msg.Endpoint
-	//popcornvet:allow kernlocal read-mostly origin-routing and successor tables; handler paths only read them, and promotions mutate them in the serialised handover step
-	fabric *msg.Fabric
-	vmsvc  *vm.Service
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	fabric  *msg.Fabric
+	vmsvc   *vm.Service
 	metrics *stats.Registry
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
 	checker *sanitize.Checker
 	cfg     Config
 

@@ -8,9 +8,8 @@ import (
 
 // DetOrder flags nondeterministic ordering in event-visible code: the bug
 // class where a run's *result* is right but its event or trace order
-// differs between processes or runs, which breaks byte-identical replay —
-// the property the parallel engine's deterministic merge depends on. In
-// every function reachable from a handler root (reach.go) of a kernel-side
+// differs between processes or runs, which breaks byte-identical replay.
+// In every function reachable from a handler root (reach.go) of a kernel-side
 // package, plus the whole export surface of the trace package, it reports:
 //
 //   - `range` over a map whose iteration order escapes: Go randomizes map

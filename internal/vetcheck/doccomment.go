@@ -15,9 +15,8 @@ import (
 type DocComment struct{}
 
 // docPackages are the packages held to the every-exported-decl standard.
-// sim and core joined with the engine-interface split: the Engine API is
-// the hottest surface in the tree and the parallel dispatch contract
-// (DESIGN.md §15) lives partly in its doc comments.
+// sim and core are held to it too: the Engine API is the hottest surface in
+// the tree and its contract lives in its doc comments.
 var docPackages = map[string]bool{
 	"msg":         true,
 	"vm":          true,

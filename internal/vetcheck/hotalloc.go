@@ -16,7 +16,7 @@ import (
 // is a hot root: it runs once per simulated event or per message, so a
 // single allocation in it multiplies by the event count and turns the
 // benchmark tables into GC benchmarks. The analyzer closes each root over
-// package-local calls (the same name-based reachability the parallel-safety
+// package-local calls (the same name-based reachability the kernel-locality
 // analyzers use, reach.go) and flags every heap-allocating construct it can
 // see syntactically in the reachable bodies:
 //

@@ -1,18 +1,16 @@
 package vetcheck
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 )
 
-// KernLocal enforces the replicated-kernel locality contract the parallel
-// event engine will rely on (DESIGN.md §11): code executing on one kernel's
-// event path must not read or write another kernel's mutable state except
-// by sending messages through its own endpoint. Three access shapes break
-// that promise and are flagged in every function reachable from a handler
-// root (reach.go):
+// KernLocal enforces the replicated-kernel locality contract (DESIGN.md
+// §11): kernels share nothing, so code executing on one kernel's event path
+// must not read or write another kernel's mutable state except by sending
+// messages through its own endpoint. Two access shapes break that promise
+// and are flagged in every function reachable from a handler root
+// (reach.go):
 //
 //  1. obtaining a peer endpoint — a `.Endpoint(n)` call or an
 //     `.endpoints[i]` index. A kernel's sanctioned exit is Send/Call on the
@@ -22,32 +20,15 @@ import (
 //     or a `.Kernel(i)` call. Dereferencing a *Kernel that is not the
 //     executing thread's own handle means one event touches two kernels'
 //     state.
-//  3. holding cross-kernel shared infrastructure — a struct field whose
-//     type is one of the machine-wide singletons (sanitize.Checker,
-//     trace.Collector, trace.Buffer, stats.Registry, msg.Fabric) that is
-//     referenced from handler-reachable code. These are reported once, at
-//     the field declaration: each must carry an allow-directive stating why
-//     concurrent handler access will be safe (or become safe) under the
-//     parallel engine.
 //
-// The serial engine makes all of these benign today; the analyzer exists so
-// every such site is either removed or carries a written justification the
-// parallel-engine refactor can audit.
+// Either shape would run correctly on the simulator — one engine runs every
+// event — but it would model a shared-memory shortcut the paper's kernels do
+// not have, and it would make the lane tag on the event a lie. Every such
+// site is either removed or carries a written justification.
 type KernLocal struct{}
 
 // Name implements Analyzer.
 func (KernLocal) Name() string { return "kernlocal" }
-
-// sharedInfraTypes are the machine-wide mutable singletons: one instance is
-// shared by every kernel, so any handler-reachable field of these types is
-// cross-kernel state by construction.
-var sharedInfraTypes = map[string]bool{
-	"sanitize.Checker": true,
-	"trace.Collector":  true,
-	"trace.Buffer":     true,
-	"stats.Registry":   true,
-	"msg.Fabric":       true,
-}
 
 // Check implements Analyzer.
 func (KernLocal) Check(t *Tree) []Finding {
@@ -58,27 +39,21 @@ func (KernLocal) Check(t *Tree) []Finding {
 			continue
 		}
 		roots := handlerRoots(pkg, rootOpts{exported: true})
-		bodies := ci.reachableBodies(pkg, roots)
-		usedSelectors := make(map[string]bool)
-		for _, rb := range bodies {
-			out = append(out, checkLocality(t, rb.body, usedSelectors)...)
+		for _, rb := range ci.reachableBodies(pkg, roots) {
+			out = append(out, checkLocality(t, rb.body)...)
 		}
-		out = append(out, checkInfraFields(t, pkg, usedSelectors)...)
 	}
 	return out
 }
 
-// checkLocality flags foreign-handle accesses in one reachable body and
-// records every selector name it sees (for the shared-infra field pass).
-func checkLocality(t *Tree, body ast.Node, usedSelectors map[string]bool) []Finding {
+// checkLocality flags foreign-handle accesses in one reachable body.
+func checkLocality(t *Tree, body ast.Node) []Finding {
 	var out []Finding
 	flag := func(pos token.Pos, msg string) {
 		out = append(out, Finding{Pos: t.Fset.Position(pos), Rule: "kernlocal", Message: msg})
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch node := n.(type) {
-		case *ast.SelectorExpr:
-			usedSelectors[node.Sel.Name] = true
 		case *ast.CallExpr:
 			sel, ok := node.Fun.(*ast.SelectorExpr)
 			if !ok {
@@ -89,24 +64,24 @@ func checkLocality(t *Tree, body ast.Node, usedSelectors map[string]bool) []Find
 				if len(node.Args) == 1 {
 					flag(node.Pos(), "handler path obtains a kernel endpoint by node ID; "+
 						"cross-kernel interaction must go through this kernel's own cached endpoint "+
-						"(Send/Call), not a peer's — the parallel engine runs peers concurrently")
+						"(Send/Call), not a peer's — kernels interact only by messages")
 				}
 			case "Kernel":
 				if len(node.Args) == 1 {
 					flag(node.Pos(), "handler path dereferences the cluster table (.Kernel(n)); "+
-						"touching a foreign *Kernel's state from an event handler races under the "+
-						"parallel engine — route the operation through msg instead")
+						"an event handler touching a foreign *Kernel's state breaks the shared-nothing "+
+						"contract — route the operation through msg instead")
 				}
 			}
 		case *ast.IndexExpr:
 			switch name := finalSelectorName(node.X); name {
 			case "Kernels":
 				flag(node.Pos(), "handler path indexes the cluster table (.Kernels[i]); "+
-					"touching a foreign *Kernel's state from an event handler races under the "+
-					"parallel engine — route the operation through msg instead")
+					"an event handler touching a foreign *Kernel's state breaks the shared-nothing "+
+					"contract — route the operation through msg instead")
 			case "endpoints":
 				flag(node.Pos(), "handler path indexes the endpoint table directly; "+
-					"only the fabric's serialised delivery step may touch a peer's queue")
+					"only the fabric's delivery step may touch a peer's queue")
 			}
 		case *ast.RangeStmt:
 			if finalSelectorName(node.X) == "Kernels" {
@@ -118,85 +93,6 @@ func checkLocality(t *Tree, body ast.Node, usedSelectors map[string]bool) []Find
 		return true
 	})
 	return out
-}
-
-// checkInfraFields reports each struct field of a shared-infrastructure
-// type whose name is referenced from handler-reachable code, once, at the
-// declaration.
-func checkInfraFields(t *Tree, pkg *Package, usedSelectors map[string]bool) []Finding {
-	var out []Finding
-	for _, file := range pkg.Files {
-		if file.Test {
-			continue
-		}
-		for _, decl := range file.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					infra := infraTypeOf(field.Type)
-					if infra == "" {
-						continue
-					}
-					for _, name := range field.Names {
-						if !usedSelectors[name.Name] {
-							continue
-						}
-						out = append(out, Finding{
-							Pos:  t.Fset.Position(name.Pos()),
-							Rule: "kernlocal",
-							Message: fmt.Sprintf("field %s.%s holds cross-kernel shared infrastructure (%s) "+
-								"reached from handler paths; annotate why concurrent handler access is "+
-								"(or will be made) safe under the parallel engine, or make it per-kernel",
-								ts.Name.Name, name.Name, infra),
-						})
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		return out[i].Pos.Line < out[j].Pos.Line
-	})
-	return out
-}
-
-// infraTypeOf returns the qualified shared-infrastructure type a field type
-// expression names (dereferencing pointers), or "".
-func infraTypeOf(e ast.Expr) string {
-	for {
-		if st, ok := e.(*ast.StarExpr); ok {
-			e = st.X
-			continue
-		}
-		break
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	pkgID, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	q := pkgID.Name + "." + sel.Sel.Name
-	if sharedInfraTypes[q] {
-		return q
-	}
-	return ""
 }
 
 // finalSelectorName returns the last selector component of an expression

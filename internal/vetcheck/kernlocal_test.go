@@ -3,8 +3,9 @@ package vetcheck
 import "testing"
 
 // Positive: a registered handler grabbing a peer endpoint, an
-// interface-asserted method indexing the cluster table, a spawn callback
-// ranging over it, and a handler-reachable shared-infrastructure field.
+// interface-asserted method indexing the cluster table and a spawn callback
+// ranging over it. Holding machine-wide infrastructure (the fabric, the
+// checker) in a field is not a finding.
 func TestKernLocalPositives(t *testing.T) {
 	got := findingsFor(t, map[string]string{
 		"internal/vm/svc.go": `package vm
@@ -62,8 +63,6 @@ func (e *eng) Schedule(d int, fn func())   {}
 	wantRules(t, got,
 		"handler path indexes the cluster table",
 		"ranges over the cluster table",
-		"cross-kernel shared infrastructure (msg.Fabric)",
-		"cross-kernel shared infrastructure (sanitize.Checker)",
 		"obtains a kernel endpoint by node ID",
 	)
 }
@@ -114,44 +113,6 @@ func Probe(c *cluster) int {
 	}, KernLocal{})
 	if len(got) != 0 {
 		t.Fatalf("non-kernel-side packages must be exempt, got:\n%s", renderFindings(got))
-	}
-}
-
-// Negative: a shared-infrastructure field nobody reaches from handler
-// paths needs no annotation; an allow-directive on the field suppresses
-// the finding when it is reached.
-func TestKernLocalInfraFieldScoping(t *testing.T) {
-	got := findingsFor(t, map[string]string{
-		"internal/vm/svc.go": `package vm
-
-import (
-	"repro/internal/msg"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
-)
-
-type Service struct {
-	ep *msg.Endpoint
-	// metrics counters are bumped from every handler.
-	//popcornvet:allow kernlocal counters become per-kernel shards before the parallel engine
-	metrics *stats.Registry
-	// unused from handler paths: no annotation required.
-	buf *trace.Buffer
-}
-
-func (s *Service) register() {
-	s.ep.Handle(msg.TypePing, s.handlePing)
-}
-
-func (s *Service) handlePing(p *sim.Proc, m *msg.Message) *msg.Message {
-	s.metrics.Counter("x").Inc()
-	return nil
-}
-`,
-	}, KernLocal{})
-	if len(got) != 0 {
-		t.Fatalf("annotated/unreached infra fields must pass, got:\n%s", renderFindings(got))
 	}
 }
 

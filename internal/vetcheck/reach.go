@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural substrate shared by the parallel-safety
+// This file is the interprocedural substrate shared by the kernel-locality
 // analyzers (kernlocal, detorder, sharedmut) and lockorder: a per-package
 // function index, entry-point ("handler root") discovery, and a
 // reachable-set closure. Resolution is package-local and name-based —
@@ -19,7 +19,7 @@ import (
 // edge that reaches it cannot be seen.
 
 // kernelSide reports whether a package holds kernel-side state the
-// parallel-safety analyzers police: every sim-managed package plus core,
+// kernel-locality analyzers police: every sim-managed package plus core,
 // the SSI veneer whose syscall surface executes on whichever kernel hosts
 // the calling thread.
 func kernelSide(pkgName string) bool {

@@ -8,13 +8,13 @@ import (
 )
 
 // SharedMut inventories package-level mutable state reachable from handler
-// paths in kernel-side packages. Under the serial engine a package-level
-// var touched by two kernels' handlers is merely ugly; under the parallel
-// engine it is a data race and — worse — a covert channel that breaks the
-// share-nothing model the replicated-kernel design promises. Every such
-// var must be either moved into per-kernel (or per-handler) state or carry
-// an allow-directive on its declaration stating why concurrent access is
-// sync-safe (e.g. written once at init and read-only thereafter).
+// paths in kernel-side packages. A package-level var touched by two
+// kernels' handlers is one instance shared by every kernel: a covert
+// channel that breaks the share-nothing model the replicated-kernel design
+// promises. Every such var must be either moved into per-kernel (or
+// per-handler) state or carry an allow-directive on its declaration stating
+// why sharing it is harmless (e.g. written once at init and read-only
+// thereafter).
 //
 // Exempt without annotation:
 //   - consts (immutable by construction);
@@ -70,9 +70,9 @@ func (SharedMut) Check(t *Tree) []Finding {
 							Pos:  t.Fset.Position(name.Pos()),
 							Rule: "sharedmut",
 							Message: fmt.Sprintf("package-level mutable var %s is referenced from "+
-								"handler-reachable code; it is one instance shared by every kernel, so "+
-								"concurrent handlers race on it under the parallel engine — move it into "+
-								"per-kernel state or annotate why access is sync-safe", name.Name),
+								"handler-reachable code; it is one instance shared by every kernel, a "+
+								"channel between kernels that is not a message — move it into "+
+								"per-kernel state or annotate why sharing it is harmless", name.Name),
 						})
 					}
 				}

@@ -132,7 +132,7 @@ func TestDirectiveKnowsEveryShippedAnalyzer(t *testing.T) {
 	}
 	for _, name := range []string{"kernlocal", "detorder", "sharedmut"} {
 		if !known[name] {
-			t.Errorf("knownRules() is missing the parallel-safety analyzer %q", name)
+			t.Errorf("knownRules() is missing the kernel-locality analyzer %q", name)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestManagedSet(t *testing.T) {
 }
 
 // TestShippedTreeIsClean is the repo's own gate: the analyzers — including
-// the parallel-safety suite (kernlocal, detorder, sharedmut) — must pass
+// the kernel-locality suite (kernlocal, detorder, sharedmut) — must pass
 // over the real source tree, so a regression fails `go test` even when
 // nobody runs the CLI.
 func TestShippedTreeIsClean(t *testing.T) {

@@ -145,12 +145,10 @@ type Service struct {
 
 	e       sim.Engine
 	machine *hw.Machine
-	//popcornvet:allow kernlocal read-mostly origin-routing and successor tables; handler paths only read them, and promotions mutate them in the serialised handover step
-	fabric *msg.Fabric
-	node   msg.NodeID
-	ep     *msg.Endpoint
-	frames FrameSource
-	//popcornvet:allow kernlocal commutative counters; updated only from global-lane dispatch, which the parallel engine serialises (DESIGN.md §15)
+	fabric  *msg.Fabric
+	node    msg.NodeID
+	ep      *msg.Endpoint
+	frames  FrameSource
 	metrics *stats.Registry
 	spaces  map[GID]*Space
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
@@ -170,7 +168,6 @@ type Service struct {
 
 	// checker, when attached, shadows every grant, revoke and access this
 	// kernel performs; nil costs one comparison per hook.
-	//popcornvet:allow kernlocal the cross-kernel invariant observer by design; runs in the serialised global-lane phase (DESIGN.md §15)
 	checker *sanitize.Checker
 	// injectSkipRevoke deliberately breaks the protocol for sanitizer
 	// tests: invalidations destined for skipRevokeTarget are silently
