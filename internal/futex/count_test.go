@@ -1,0 +1,91 @@
+package futex_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/kernel"
+	"repro/internal/mem"
+	"repro/internal/osi"
+	"repro/internal/sim"
+)
+
+// TestRemotePairEventAndHandoffCounts records what one remote FutexWait and
+// the FutexWake that releases it cost the engine, on the two-kernel machine
+// popbench's futex.remote_pair rig boots: 38 events — unchanged since the
+// pump went in — of which 12 switch into a process (33 before a send in
+// flight became an event and a next-in-line Sleep stopped parking). A PR that
+// changes the schedule on purpose moves these numbers and says so.
+func TestRemotePairEventAndHandoffCounts(t *testing.T) {
+	const warm, pairs = 50, 200
+	const wantEvents, wantHandoffs = 38, 12
+	topo := hw.Topology{Cores: 16, NUMANodes: 2}
+	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := kernel.DefaultClusterConfig(machine)
+	cc.Kernels = 2
+	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	e := o.Engine()
+	var events, handoffs uint64
+	e.Spawn("driver", func(p *sim.Proc) {
+		pr, err := o.StartProcessOn(p, 0)
+		must(err)
+		ready := sim.NewWaitGroup()
+		ready.Add(1)
+		var word mem.Addr
+		must(pr.Spawn(p, 0, func(th osi.Thread) {
+			defer ready.Done()
+			word, err = th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
+			must(err)
+			must(th.Store(word, 0))
+		}))
+		ready.Wait(p)
+		must(pr.Spawn(p, 1, func(th osi.Thread) {
+			for i := 0; i < warm+pairs; i++ {
+				must(th.FutexWait(word, 0))
+			}
+		}))
+		must(pr.Spawn(p, 0, func(th osi.Thread) {
+			// The waker retries until the waiter is queued, as a lock holder
+			// that found the queue empty would; retries are part of the pair.
+			wake := func(n int) {
+				for i := 0; i < n; i++ {
+					for {
+						woken, err := th.FutexWake(word, 1)
+						must(err)
+						if woken == 1 {
+							break
+						}
+						th.Compute(200 * time.Nanosecond)
+					}
+				}
+			}
+			wake(warm)
+			events, handoffs = e.EventsProcessed(), e.Handoffs()
+			wake(pairs)
+			events, handoffs = e.EventsProcessed()-events, e.Handoffs()-handoffs
+		}))
+		pr.Wait(p)
+		must(pr.Close(p))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if events != wantEvents*pairs || handoffs != wantHandoffs*pairs {
+		t.Fatalf("%d remote pairs: %d events, %d hand-offs; want %d and %d (%d and %d per pair)",
+			pairs, events, handoffs, wantEvents*pairs, wantHandoffs*pairs, wantEvents, wantHandoffs)
+	}
+}

@@ -97,19 +97,20 @@ func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 // TestSendDeliverSteadyStateAllocs pins the reliable fabric's send→deliver
 // path at a fixed small constant per message. The remaining allocations are
 // the modeled per-message work: the handler process the receive pump spawns
-// (Proc record, its dispatch closure and its body closure — the carrier it
-// runs on is pooled). Everything else — events, the pump's pre-bound
-// callbacks, wire entries, ring slots, span names — is recycled.
+// (Proc record and body closure — the carrier it runs on is pooled and its
+// dispatch events carry the process, not a closure). Everything else —
+// events, the pump's pre-bound callbacks, wire entries, ring slots, span
+// names — is recycled.
 func TestSendDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	got := allocsPerMessage(t, f, e)
-	// Measured 2.6 (three per message, seven messages per eight-tick window);
+	// Measured 1.8 (two per message, seven messages per eight-tick window);
 	// the bound is the contract that nothing per-message beyond the handler
-	// spawn creeps back in — one more allocation per message reads 3.5.
-	if got > 3.1 {
-		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 3.1", got)
+	// spawn creeps back in — one more allocation per message reads 2.6.
+	if got > 2.3 {
+		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 2.3", got)
 	}
 }
 
@@ -123,15 +124,16 @@ func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	f := testFabric(t, e)
 	f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
 	got := allocsPerMessage(t, f, e)
-	// Measured 3.5.
-	if got > 4.0 {
-		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 4.0", got)
+	// Measured 2.6.
+	if got > 3.1 {
+		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 3.1", got)
 	}
 }
 
 // TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached:
-// request message, call record, reply message and the handler spawn, and
-// nothing for diagnostics nobody asked for — Call must not box msg.send trace
+// request message, reply message and the handler spawn (the call record and
+// the reply's continuation are pooled), and nothing for diagnostics nobody
+// asked for — Call must not box msg.send trace
 // arguments for a detached tracer, nor format a deadlock-report label per
 // wait. Seq (past 255 after the warm-up) and Size are chosen so that boxing
 // them allocates; the runtime boxes smaller integers for free.
@@ -162,9 +164,10 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 	})
-	// Measured 5.4; boxing the two trace arguments alone adds 1.8.
-	if got := allocs / perRun; got > 5.9 {
-		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 5.9", got)
+	// Measured 3.6 (four per call, seven calls per eight-tick window); boxing
+	// the two trace arguments alone adds 1.8.
+	if got := allocs / perRun; got > 4.1 {
+		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 4.1", got)
 	}
 }
 
@@ -184,10 +187,7 @@ func TestWireRingReusesCapacity(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	w := f.wires[wireKey{from: 0, to: 1}]
-	if w == nil {
-		t.Fatal("no wire for the pair")
-	}
+	w := f.wires[f.pair(0, 1)]
 	if w.head != 0 || len(w.entries) != 0 {
 		t.Fatalf("drained wire not compacted: head=%d len=%d", w.head, len(w.entries))
 	}

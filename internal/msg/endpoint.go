@@ -35,10 +35,10 @@ type Endpoint struct {
 	chead int
 	// pump drains the two queues for the current incarnation.
 	pump     *pump
-	handlers map[Type]Handler
+	handlers [numTypes]Handler
 	// handlerNames holds the per-type handler process names, formatted once
 	// at registration instead of per message.
-	handlerNames map[Type]string
+	handlerNames [numTypes]string
 	pending      map[uint64]*call
 
 	// procs tracks every process this endpoint spawned (handlers, multicast
@@ -75,20 +75,106 @@ type Endpoint struct {
 	flowPeers map[NodeID]*flowPeer
 }
 
+// call is one RPC in flight and the request's continuation: while the caller
+// is parked it carries what each completion needs (the wire entry of the copy
+// in its send window, the reply timeout to arm once that copy commits). Pooled
+// on Fabric.callFree, sentFn/timerFn bound once. A rejoin handshake fails calls
+// whose m.DstInc is an older callee incarnation: fenced, never to be answered.
 type call struct {
-	waiter *sim.Proc
-	to     NodeID
-	// dstInc is the callee incarnation the request was stamped with; a
-	// rejoin handshake fails calls still waiting on an older incarnation
-	// (their requests are fenced at the rejoined kernel, so no reply can
-	// ever come).
-	dstInc uint64
-	reply  *Message
-	done   bool
-	// failed is set (with a Resume) when the failure detector declares the
-	// callee dead; timedOut is the reply-timeout timer's wake marker.
-	failed   bool
-	timedOut bool
+	ep              *Endpoint
+	waiter          *sim.Proc
+	m, reply        *Message
+	entry           *wireEntry
+	timeout         time.Duration // this attempt's reply timeout (fault mode)
+	sendEv, timerEv sim.EventHandle
+	// sent: the latest copy has committed. done/failed: the outcome (a reply;
+	// a dead-peer or stale-call verdict). timedOut: the timeout's wake marker.
+	sent, done, failed, timedOut bool
+	sentFn, timerFn              func()
+}
+
+// newCall takes a call off the pool and enters it in the wait table; endCall,
+// deferred by Call, undoes both.
+//
+//popcornvet:hotpath
+func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
+	f := ep.f
+	var c *call
+	if n := len(f.callFree); n > 0 {
+		c, f.callFree[n-1] = f.callFree[n-1], nil
+		f.callFree = f.callFree[:n-1]
+	} else {
+		//popcornvet:allow hotalloc pool cold miss (the object and its two bound callbacks); steady state recycles
+		c = &call{}
+		c.sentFn, c.timerFn = c.onSent, c.onTimeout
+	}
+	c.ep, c.waiter, c.m, c.timeout = ep, p, m, f.fcfg.RPCTimeout
+	ep.pending[m.Seq] = c
+	return c
+}
+
+// endCall runs on every exit path of Call, kill-unwind included. Cancelling
+// the pending events (a fired one's handle is stale and cancels nothing) lets
+// the object be reused, and a sender killed inside the send window never commit.
+//
+//popcornvet:hotpath
+func (ep *Endpoint) endCall(c *call) {
+	c.sendEv.Cancel()
+	c.timerEv.Cancel()
+	delete(ep.pending, c.m.Seq)
+	*c = call{sentFn: c.sentFn, timerFn: c.timerFn}
+	//popcornvet:bounded free list: grows only when a call ends, so peak in-flight calls cap it
+	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
+	ep.f.callFree = append(ep.f.callFree, c)
+}
+
+// transmit is the one place an RPC request — first copy or retransmission —
+// goes on the wire. The caller has nothing to do until the reply, so the send
+// window is an engine event (onSent), not a sleep of the caller's process.
+//
+//popcornvet:hotpath
+func (c *call) transmit() {
+	f := c.ep.f
+	c.sent = false
+	c.entry = f.reserve(c.m)
+	c.sendEv = f.e.Schedule(f.sendCost(c.m), c.sentFn)
+}
+
+// onSent ends the send window: commit, then arm the reply timeout (fault
+// mode) — or, if the outcome was decided inside the window (a reply to an
+// earlier copy, a verdict), resume the caller now, when one that slept out
+// the send cost itself would have seen it.
+//
+//popcornvet:hotpath
+func (c *call) onSent() {
+	f := c.ep.f
+	c.sent = true
+	f.commit(c.entry)
+	if !c.done && c.ep.declaredDead[c.m.To] {
+		c.failed = true // the verdict on the peer is read here and nowhere else
+	}
+	switch {
+	case c.done || c.failed:
+		c.waiter.Resume()
+	case f.plan != nil:
+		c.timerEv = f.e.Schedule(c.timeout, c.timerFn)
+	}
+}
+
+// onTimeout is the reply timeout: wake the caller to retransmit.
+func (c *call) onTimeout() {
+	if !c.done && !c.failed && !c.timedOut {
+		c.timedOut = true
+		c.waiter.Resume()
+	}
+}
+
+// wake resumes the caller on an outcome — unless the latest copy is still in
+// its send window: onSent does then, so no caller runs before the commit.
+func (c *call) wake() {
+	if c.sent {
+		c.waiter.Resume()
+	}
 }
 
 // dedupKey identifies a request for at-most-once delivery: the fabric-wide
@@ -109,13 +195,11 @@ type dedupEntry struct {
 
 func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 	ep := &Endpoint{
-		f:            f,
-		node:         node,
-		eng:          f.e.Lane(int(node)),
-		handlers:     make(map[Type]Handler),
-		handlerNames: make(map[Type]string),
-		pending:      make(map[uint64]*call),
-		procs:        make(map[int64]*sim.Proc),
+		f:       f,
+		node:    node,
+		eng:     f.e.Lane(int(node)),
+		pending: make(map[uint64]*call),
+		procs:   make(map[int64]*sim.Proc),
 	}
 	ep.pump = newPump(ep)
 	return ep
@@ -146,7 +230,7 @@ func (ep *Endpoint) Ordered() bool { return !ep.f.FaultsEnabled() }
 // the same type panics: handler wiring is static kernel configuration, and a
 // silent overwrite would hide a wiring bug.
 func (ep *Endpoint) Handle(t Type, h Handler) {
-	if _, dup := ep.handlers[t]; dup {
+	if ep.handlers[t] != nil {
 		panic(fmt.Sprintf("msg: duplicate handler for %v on node %d", t, ep.node))
 	}
 	ep.handlers[t] = h
@@ -156,8 +240,7 @@ func (ep *Endpoint) Handle(t Type, h Handler) {
 // Handles reports whether a handler is registered for t. Exhaustiveness
 // tests use it to prove every protocol message type is wired.
 func (ep *Endpoint) Handles(t Type) bool {
-	_, ok := ep.handlers[t]
-	return ok
+	return t > TypeInvalid && t < numTypes && ep.handlers[t] != nil
 }
 
 // Suspects reports whether this kernel's failure detector is currently
@@ -203,7 +286,8 @@ func (ep *Endpoint) beginWireSpan(p *sim.Proc, m *Message) {
 }
 
 // Send transmits m asynchronously (fire-and-forget): the caller is charged
-// only the sender-side ring cost. m.From is set to this endpoint's node.
+// only the sender-side ring cost, slept out here because, unlike an RPC
+// caller, it runs again straight afterwards. m.From is set to this node.
 //
 // With the flow plane attached, bulk (non-control) sends must hold a link
 // credit and block — without bound — until one frees: fire-and-forget
@@ -214,6 +298,14 @@ func (ep *Endpoint) beginWireSpan(p *sim.Proc, m *Message) {
 //
 //popcornvet:hotpath
 func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
+	entry := ep.stage(p, m)
+	p.Sleep(ep.f.sendCost(m))
+	ep.f.commit(entry)
+}
+
+// stage is a one-way send up to its ring-slot reservation; whoever calls it
+// owes the send cost and then the commit.
+func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
 	// wait<0 blocks forever and shed=false never refuses, so the error
 	// return is structurally nil here.
 	_ = ep.flowAdmit(p, m, -1, false)
@@ -229,9 +321,7 @@ func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
 	if o := ep.f.observer; o != nil {
 		o.MsgSent(p, m)
 	}
-	entry := ep.f.reserve(m)
-	p.Sleep(ep.f.sendCost(m))
-	ep.f.commit(entry)
+	return ep.f.reserve(m)
 }
 
 // TrySend transmits m like Send but never blocks: if the link's credits are
@@ -250,15 +340,16 @@ func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 
 // Call transmits m and blocks p until the destination's handler returns a
 // reply. The round trip charges send cost here, receive+handler cost on the
-// remote kernel, and the reply's costs symmetrically.
+// remote kernel, and the reply's costs symmetrically — all of it time p
+// spends parked, once per attempt: the send windows are engine events.
 //
 // On a reliable fabric a Call waits indefinitely (a lost reply is a protocol
-// bug the deadlock detector reports). With a fault plan attached the call
-// runs the hardened loop instead: a sim-time reply timeout, bounded
-// retransmission with exponential backoff (the receiver dedups, so handlers
-// still observe at-most-once semantics), and a DeadPeerError once the peer
-// is declared dead or retries are exhausted. Either way the wait-table
-// entry is removed on every exit path, including kill-unwind.
+// bug the deadlock detector reports). With a fault plan attached the wait is
+// hardened: a sim-time reply timeout, bounded retransmission with exponential
+// backoff (the receiver dedups, so handlers still observe at-most-once
+// semantics), and a DeadPeerError once the peer is declared dead or retries
+// are exhausted. Either way the wait-table entry is removed on every exit
+// path, including kill-unwind.
 func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	if m.To == ep.node {
 		return nil, fmt.Errorf("msg: node %d RPC to itself (type %v)", ep.node, m.Type)
@@ -299,9 +390,8 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	}
 	defer rpcSpan.End()
 	ep.beginWireSpan(p, m)
-	c := &call{waiter: p, to: m.To, dstInc: m.DstInc}
-	ep.pending[m.Seq] = c
-	defer delete(ep.pending, m.Seq)
+	c := ep.newCall(p, m)
+	defer ep.endCall(c)
 	ep.f.counter(&ep.f.hot.sent, "msg.sent").Inc()
 	ep.f.counter(&ep.f.hot.rpc, "msg.rpc").Inc()
 	if ep.f.tracer != nil {
@@ -311,47 +401,28 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		o.MsgSent(p, m)
 	}
 	start := p.Now()
-	entry := ep.f.reserve(m)
-	p.Sleep(ep.f.sendCost(m))
-	ep.f.commit(entry)
-	if ep.f.plan != nil {
-		reply, err := ep.callHardened(p, m, c, start)
-		if ep.f.flow != nil && !controlLane(m) {
-			// Only genuine RPC outcomes feed the breaker: success and
-			// dead-peer/timeout-exhausted failures are evidence about the
-			// peer; a backpressure refusal (retry budget) is evidence about
-			// congestion and must not convert into a breaker outage.
-			switch {
-			case err == nil:
-				ep.breakerResult(m.To, false)
-			case IsDeadPeer(err):
-				ep.breakerResult(m.To, true)
-			default:
-				ep.breakerAbort(m.To)
-			}
-		}
-		if err == nil {
-			ep.grayObserve(m.To, p.Now().Sub(start))
-		}
-		return reply, err
-	}
-	if !c.done {
-		p.SetWaitLabel("rpc-reply", rpcWaitLabel, uint64(m.Type), uint64(m.To), m.Seq)
-		p.Suspend()
-	}
-	if !c.done {
-		return nil, fmt.Errorf("msg: RPC %v to node %d woken without reply", m.Type, m.To)
-	}
+	c.transmit()
+	reply, err := ep.awaitReply(p, c)
 	if ep.f.flow != nil && !controlLane(m) {
-		// Mirror the hardened path: the success must reach the breaker even
-		// on a reliable fabric, or a half-open probe that succeeds leaves the
-		// breaker wedged in probing and every later bulk RPC fast-fails.
-		ep.breakerResult(m.To, false)
+		// Only genuine RPC outcomes feed the breaker: success (on a reliable
+		// fabric too, or a succeeding half-open probe leaves it wedged) and
+		// dead-peer/timeout-exhausted failures are evidence about the peer; a
+		// backpressure refusal (retry budget) is congestion, not an outage.
+		switch {
+		case err == nil:
+			ep.breakerResult(m.To, false)
+		case IsDeadPeer(err):
+			ep.breakerResult(m.To, true)
+		default:
+			ep.breakerAbort(m.To)
+		}
 	}
-	rtt := p.Now().Sub(start)
-	ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(rtt)
-	ep.grayObserve(m.To, rtt)
-	return c.reply, nil
+	if err == nil {
+		rtt := p.Now().Sub(start)
+		ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(rtt)
+		ep.grayObserve(m.To, rtt)
+	}
+	return reply, err
 }
 
 // rpcWaitLabel renders the deadlock-report label of a caller parked for a
@@ -369,43 +440,29 @@ func (f *Fabric) creditWait() time.Duration {
 	return f.flow.cfg.MaxCreditWait
 }
 
-// callHardened is the fault-mode wait half of Call: the request is already
-// on the wire; wait for the reply under a timeout, retransmitting with
-// exponential backoff until the reply lands, the peer is declared dead, or
-// retries run out.
-func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Time) (*Message, error) {
-	cfg := ep.f.fcfg
-	timeout := cfg.RPCTimeout
-	attempts := 1
-	for !c.done {
-		if c.failed || ep.declaredDead[m.To] {
-			ep.f.metrics.Counter("msg.fault.rpcdead").Inc()
-			return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
-		}
-		h := ep.f.e.Schedule(timeout, func() {
-			if c.done || c.failed || c.timedOut {
-				return
-			}
-			c.timedOut = true
-			p.Resume()
-		})
+// awaitReply is the wait half of Call: park p until the reply lands or, in
+// fault mode only, a dead-peer verdict falls or the reply timeout fires —
+// then retransmit with exponential backoff until retries run out.
+func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
+	m, cfg := c.m, ep.f.fcfg
+	for attempts := 1; ; attempts++ {
 		p.SetWaitLabel("rpc-reply", rpcWaitLabel, uint64(m.Type), uint64(m.To), m.Seq)
 		p.Suspend()
-		h.Cancel()
-		if c.done {
-			break
-		}
-		if c.failed {
-			continue
-		}
-		if !c.timedOut {
+		c.timerEv.Cancel()
+		switch {
+		case c.done:
+			return c.reply, nil
+		case c.failed:
+			ep.f.metrics.Counter("msg.fault.rpcdead").Inc()
+			return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
+		case !c.timedOut:
 			return nil, fmt.Errorf("msg: RPC %v to node %d woken without reply", m.Type, m.To)
 		}
 		c.timedOut = false
 		ep.f.countLink("msg.fault.timeout", ep.node, m.To)
 		// A timeout is also an RTT observation: the peer took at least this
 		// long, so silence feeds the gray detector just like a slow reply.
-		ep.grayObserve(m.To, timeout)
+		ep.grayObserve(m.To, c.timeout)
 		if attempts > cfg.RPCRetries {
 			ep.f.countLink("msg.fault.exhausted", ep.node, m.To)
 			return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
@@ -415,31 +472,22 @@ func (ep *Endpoint) callHardened(p *sim.Proc, m *Message, c *call, start sim.Tim
 			// retransmit storm and surface overload to the caller instead.
 			return nil, &BackpressureError{Peer: m.To, Type: m.Type, Reason: "retry-budget"}
 		}
-		attempts++
 		// Exponential backoff with deterministic jitter: without the jitter
 		// term, callers that timed out together retransmit in lockstep
 		// forever (a synchronized retry storm); the seeded stream keeps the
 		// desynchronization replay-identical.
-		timeout *= 2
-		timeout += time.Duration(ep.f.jrng.Int63n(int64(cfg.RPCTimeout)))
+		c.timeout = 2*c.timeout + time.Duration(ep.f.jrng.Int63n(int64(cfg.RPCTimeout)))
 		// Retransmit the same Seq through the normal wire path. The
 		// observer sees another MsgSent for the same key — a harmless
 		// over-approximation that only adds the caller's own clock ticks to
 		// the edge the eventual delivery joins.
 		ep.f.countLink("msg.fault.retransmit", ep.node, m.To)
-		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc retransmit=%d", m.Type, m.To, m.Seq, m.Size, attempts)
+		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc retransmit=%d", m.Type, m.To, m.Seq, m.Size, attempts+1)
 		if o := ep.f.observer; o != nil {
 			o.MsgSent(p, m)
 		}
-		entry := ep.f.reserve(m)
-		p.Sleep(ep.f.sendCost(m))
-		ep.f.commit(entry)
+		c.transmit()
 	}
-	if c.failed {
-		return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
-	}
-	ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(p.Now().Sub(start))
-	return c.reply, nil
 }
 
 // prepare stamps From, Seq, and (in fault mode) the incarnation pair, and
@@ -654,14 +702,32 @@ func (pu *pump) step() {
 	f.e.Schedule(f.recvCost(pu.m), pu.stepFn)
 }
 
+// onSent ends the send window of a handler's reply: commit, as the handler
+// did after sleeping out the send cost — unless the kernel crashed inside the
+// window: a killed handler never committed and left its request un-done.
+//
+//popcornvet:hotpath
+func (e *wireEntry) onSent() {
+	pu, de, span, reply := e.pu, e.de, e.span, e.m // commit may recycle e
+	f := pu.ep.f
+	if !pu.stopped {
+		f.commit(e)
+		if de != nil {
+			de.done, de.reply = true, reply
+		}
+	}
+	f.collector.EndAt(span, f.e.Now())
+}
+
 // spawnHandler runs m's handler in a process of its own, so it may block
 // without stalling delivery; the one body closure does spawnTracked's
-// bookkeeping itself. A type nobody registered for fails the run.
+// bookkeeping itself. A reply's send cost is charged to no process: the
+// handler stages it, leaves the commit to the wire entry (onSent), and
+// returns. A type nobody registered for fails the run.
 //
 //popcornvet:allow hotalloc one handler process per message is the modeled work-queue semantics
 func (ep *Endpoint) spawnHandler(m *Message) {
-	h, ok := ep.handlers[m.Type]
-	if !ok {
+	if !ep.Handles(m.Type) {
 		//popcornvet:allow hotalloc fatal misuse path; the failure ends the run
 		ep.f.e.Fail(fmt.Errorf("msg: node %d has no handler for %v", ep.node, m.Type))
 		return
@@ -671,23 +737,27 @@ func (ep *Endpoint) spawnHandler(m *Message) {
 		if o := ep.f.observer; o != nil {
 			o.MsgDelivered(hp, m)
 		}
+		// The handler span nests under the *sender's* operation span
+		// (carried in the message) — that link is what stitches the tree
+		// across the kernel boundary. It covers the handler body and, for
+		// RPCs, committing the reply: a staged reply takes the span along.
+		var hs trace.Scope
 		if col := ep.f.collector; col != nil {
-			// The handler span nests under the *sender's* operation span
-			// (carried in the message) — that link is what stitches the
-			// tree across the kernel boundary. It covers the handler body
-			// and, for RPCs, committing the reply to the wire.
-			hs := col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
-			defer hs.End()
+			hs = col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
 		}
-		reply := h(hp, m)
-		if reply != nil {
-			reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
-			ep.Send(hp, reply)
-		}
+		defer func() { hs.End() }()
+		reply := ep.handlers[m.Type](hp, m)
 		// Fault plane only (seen is nil otherwise): later duplicates of an
 		// RPC are answered from the cached reply.
-		if de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]; de != nil {
-			de.done, de.reply = true, reply
+		de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]
+		if reply != nil {
+			reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
+			entry := ep.stage(hp, reply)
+			entry.pu, entry.de = ep.pump, de
+			entry.span, hs = hs.ID(), trace.Scope{}
+			ep.f.e.Schedule(ep.f.sendCost(reply), entry.sentFn)
+		} else if de != nil {
+			de.done = true
 		}
 	})
 	ep.procs[pr.ID()] = pr
@@ -737,5 +807,5 @@ func (ep *Endpoint) completeCall(m *Message) {
 	if o := ep.f.observer; o != nil {
 		o.MsgDelivered(c.waiter, m)
 	}
-	c.waiter.Resume()
+	c.wake()
 }

@@ -388,10 +388,8 @@ func (f *Fabric) crashNode(n NodeID) {
 	// The wipes above destroyed the occupancy the credits tracked; refill
 	// every account touching the dead kernel and unblock its waiters.
 	f.resetFlowLinks(n)
-	for k := range f.wires {
-		if k.from == n || k.to == n {
-			delete(f.wires, k)
-		}
+	for peer := range f.endpoints {
+		f.wires[f.pair(n, NodeID(peer))], f.wires[f.pair(NodeID(peer), n)] = wire{}, wire{}
 	}
 	ep.pump.stop()
 	ids := make([]int64, 0, len(ep.procs))
@@ -583,7 +581,7 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 func (f *Fabric) failStaleCalls(ep *Endpoint, peer NodeID, inc uint64) {
 	seqs := make([]uint64, 0, len(ep.pending))
 	for seq, c := range ep.pending {
-		if c.to == peer && c.dstInc < inc && !c.done && !c.failed {
+		if c.m.To == peer && c.m.DstInc < inc && !c.done && !c.failed {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -592,7 +590,7 @@ func (f *Fabric) failStaleCalls(ep *Endpoint, peer NodeID, inc uint64) {
 		c := ep.pending[seq]
 		c.failed = true
 		f.countLink("msg.fault.stalecall", ep.node, peer)
-		c.waiter.Resume()
+		c.wake()
 	}
 }
 
@@ -644,7 +642,7 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 	f.traceEvent("msg.declare-dead", ep.node, "kernel %d declares kernel %d dead", ep.node, dead)
 	seqs := make([]uint64, 0, len(ep.pending))
 	for seq, c := range ep.pending {
-		if c.to == dead && !c.done && !c.failed {
+		if c.m.To == dead && !c.done && !c.failed {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -652,7 +650,7 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 	for _, seq := range seqs {
 		c := ep.pending[seq]
 		c.failed = true
-		c.waiter.Resume()
+		c.wake()
 	}
 	if f.hooks.PeerDead != nil {
 		// Track the sweep so a rejoin handshake racing it can wait for

@@ -167,9 +167,9 @@ func (c FlowConfig) withDefaults() FlowConfig {
 // and nil otherwise; a detached fabric pays one pointer check per message.
 type flowState struct {
 	cfg FlowConfig
-	// links holds per-directed-pair credit accounts, created on first use
-	// like the wires they mirror.
-	links map[wireKey]*flowLink
+	// links holds the per-directed-pair credit accounts, indexed like the
+	// wires they mirror (Fabric.pair).
+	links []flowLink
 }
 
 // flowLink is one directed pair's credit account. waiters[whead:] is the
@@ -224,7 +224,10 @@ type flowPeer struct {
 func (f *Fabric) EnableFlow(cfg FlowConfig) {
 	f.flow = &flowState{
 		cfg:   cfg.withDefaults(),
-		links: make(map[wireKey]*flowLink),
+		links: make([]flowLink, len(f.endpoints)*len(f.endpoints)),
+	}
+	for i := range f.flow.links {
+		f.flow.links[i].credits = f.flow.cfg.CreditsPerLink
 	}
 	for _, ep := range f.endpoints {
 		ep.flowPeers = make(map[NodeID]*flowPeer, len(f.endpoints))
@@ -268,19 +271,8 @@ func controlLane(m *Message) bool {
 		m.Type == TypeDirReplicate || m.Type == TypeGroupReplicate || m.Type == TypeOriginHandover
 }
 
-// link resolves (or creates) the credit account for one directed pair.
-//
-//popcornvet:hotpath
-func (fl *flowState) link(from, to NodeID) *flowLink {
-	k := wireKey{from: from, to: to}
-	lk, ok := fl.links[k]
-	if !ok {
-		//popcornvet:allow hotalloc first contact between a kernel pair; the account persists
-		lk = &flowLink{credits: fl.cfg.CreditsPerLink}
-		fl.links[k] = lk
-	}
-	return lk
-}
+// creditLink resolves the credit account for one directed pair.
+func (f *Fabric) creditLink(from, to NodeID) *flowLink { return &f.flow.links[f.pair(from, to)] }
 
 // tryTakeCredit claims a credit immediately if the account has one free and
 // no earlier sender is queued ahead (FIFO fairness: a late TrySend must not
@@ -326,8 +318,7 @@ func (fl *flowState) grantCredit(lk *flowLink) {
 //
 //popcornvet:hotpath
 func (ep *Endpoint) acquireCredit(p *sim.Proc, m *Message, wait time.Duration) error {
-	fl := ep.f.flow
-	lk := fl.link(ep.node, m.To)
+	lk := ep.f.creditLink(ep.node, m.To)
 	if lk.tryTakeCredit() {
 		return nil
 	}
@@ -442,7 +433,7 @@ func (f *Fabric) flowRelease(m *Message) {
 		return
 	}
 	m.flowCredit = false
-	fl.grantCredit(fl.link(m.From, m.To))
+	fl.grantCredit(f.creditLink(m.From, m.To))
 }
 
 // resetFlowLinks refills every credit account touching crashed kernel n and
@@ -461,18 +452,14 @@ func (f *Fabric) resetFlowLinks(n NodeID) {
 	// schedule.
 	for peer := range f.endpoints {
 		pn := NodeID(peer)
-		f.resetFlowLink(wireKey{from: n, to: pn})
-		f.resetFlowLink(wireKey{from: pn, to: n})
+		f.resetFlowLink(f.creditLink(n, pn))
+		f.resetFlowLink(f.creditLink(pn, n))
 	}
 }
 
 // resetFlowLink refills one account and unblocks its waiters; see
 // resetFlowLinks.
-func (f *Fabric) resetFlowLink(k wireKey) {
-	lk, ok := f.flow.links[k]
-	if !ok {
-		return
-	}
+func (f *Fabric) resetFlowLink(lk *flowLink) {
 	lk.credits = f.flow.cfg.CreditsPerLink
 	for lk.whead < len(lk.waiters) {
 		w := lk.waiters[lk.whead]

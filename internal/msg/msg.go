@@ -323,8 +323,9 @@ type Fabric struct {
 	// wires holds the per-directed-pair rings. Slot order is reserved when
 	// a send begins and deliveries respect it, so messages between one
 	// kernel pair can never overtake each other (a large in-progress send
-	// head-of-line blocks later small ones, as on a real ring).
-	wires map[wireKey]*wire
+	// head-of-line blocks later small ones, as on a real ring). Indexed by
+	// pair(from, to).
+	wires []wire
 	// tracer, when attached, records send/deliver events.
 	tracer *trace.Buffer
 	// collector, when attached, records causal spans for every non-heartbeat
@@ -335,10 +336,12 @@ type Fabric struct {
 	observer Observer
 
 	// entryFree recycles wireEntry objects between reserve and commit;
-	// msgFree recycles fabric-owned Messages (heartbeats). Both are plain
-	// LIFO slices, engine-ordered and deterministic — never sync.Pool.
+	// msgFree recycles fabric-owned Messages (heartbeats), callFree RPC wait
+	// records. All are plain LIFO slices, engine-ordered and deterministic —
+	// never sync.Pool.
 	entryFree []*wireEntry
 	msgFree   []*Message
+	callFree  []*call
 	// linkCounters caches the per-link metric counters countLink would
 	// otherwise re-derive with Sprintf on every fault-plane event.
 	linkCounters map[linkKey]*stats.Counter
@@ -420,7 +423,8 @@ func (f *Fabric) traceEvent(kind string, node NodeID, format string, args ...any
 	f.tracer.Add(trace.Event{At: f.e.Now(), Kind: kind, Node: int(node), Detail: fmt.Sprintf(format, args...)})
 }
 
-type wireKey struct{ from, to NodeID }
+// pair indexes the per-directed-pair tables (wires, flow links).
+func (f *Fabric) pair(from, to NodeID) int { return int(from)*len(f.endpoints) + int(to) }
 
 // wire is one directed pair's FIFO ring. entries[head:] are the live
 // reservations; drained prefixes are compacted by resetting head instead of
@@ -433,6 +437,12 @@ type wire struct {
 type wireEntry struct {
 	m     *Message
 	ready bool
+	// What the commit of a handler's reply (onSent, bound once as sentFn)
+	// needs: its incarnation's pump, its dedup entry, its handle.* span.
+	pu     *pump
+	de     *dedupEntry
+	span   trace.SpanID
+	sentFn func()
 }
 
 // allocWireEntry takes a reservation record off the free list, or allocates
@@ -448,15 +458,16 @@ func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
 		return e
 	}
 	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
-	return &wireEntry{m: m}
+	e := &wireEntry{m: m}
+	e.sentFn = e.onSent
+	return e
 }
 
 // releaseWireEntry returns a drained reservation to the free list.
 //
 //popcornvet:hotpath
 func (f *Fabric) releaseWireEntry(e *wireEntry) {
-	e.m = nil
-	e.ready = false
+	*e = wireEntry{sentFn: e.sentFn}
 	//popcornvet:bounded free list: grows only when an entry retires, so peak in-flight entries cap it
 	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
 	f.entryFree = append(f.entryFree, e)
@@ -492,13 +503,7 @@ func (f *Fabric) releaseMsg(m *Message) {
 //
 //popcornvet:hotpath
 func (f *Fabric) reserve(m *Message) *wireEntry {
-	k := wireKey{from: m.From, to: m.To}
-	w, ok := f.wires[k]
-	if !ok {
-		//popcornvet:allow hotalloc first contact between a kernel pair; the wire persists
-		w = &wire{}
-		f.wires[k] = w
-	}
+	w := &f.wires[f.pair(m.From, m.To)]
 	entry := f.allocWireEntry(m)
 	//popcornvet:bounded per-pair wire ring with head compaction; with the flow plane attached, sender credits bound occupancy
 	//popcornvet:allow hotalloc ring growth is amortized; head compaction reuses capacity
@@ -509,18 +514,14 @@ func (f *Fabric) reserve(m *Message) *wireEntry {
 // commit marks a reserved send complete and delivers every wire-order-ready
 // message at the head of the pair's queue. Each delivery passes through the
 // fault plane (dispatchWire), which is a straight f.deliver when no plan is
-// attached. A kernel crash clears its wires, so the entry may no longer be
+// attached. A kernel crash empties its wires, so the entry may no longer be
 // queued; marking it ready is then a no-op and any surviving ready heads
 // still drain.
 //
 //popcornvet:hotpath
 func (f *Fabric) commit(entry *wireEntry) {
 	entry.ready = true
-	k := wireKey{from: entry.m.From, to: entry.m.To}
-	w := f.wires[k]
-	if w == nil {
-		return
-	}
+	w := &f.wires[f.pair(entry.m.From, entry.m.To)]
 	for w.head < len(w.entries) && w.entries[w.head].ready {
 		head := w.entries[w.head]
 		w.entries[w.head] = nil
@@ -557,7 +558,7 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 		cfg:          cfg,
 		nodeCore:     append([]int(nil), nodeCore...),
 		metrics:      metrics,
-		wires:        make(map[wireKey]*wire),
+		wires:        make([]wire, nodes*nodes),
 		linkCounters: make(map[linkKey]*stats.Counter),
 	}
 	f.endpoints = make([]*Endpoint, nodes)
@@ -574,7 +575,7 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 			for seq, c := range ep.pending {
 				if c.waiter.Finished() {
 					return fmt.Errorf("node %d leaked pending RPC seq=%d to node %d (caller %q finished)",
-						ep.node, seq, c.to, c.waiter.Name())
+						ep.node, seq, c.m.To, c.waiter.Name())
 				}
 			}
 		}

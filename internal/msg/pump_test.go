@@ -16,8 +16,9 @@ import (
 // tie-shuffled table.
 
 // rpcRunEvents runs n back-to-back RPCs 0→1 on a fresh fabric and returns
-// how many events the engine processed.
-func rpcRunEvents(t *testing.T, n int) uint64 {
+// how many events the engine processed and how many of them switched into a
+// process.
+func rpcRunEvents(t *testing.T, n int) (events, handoffs uint64) {
 	t.Helper()
 	e := sim.NewEngine()
 	defer e.Close()
@@ -35,17 +36,24 @@ func rpcRunEvents(t *testing.T, n int) uint64 {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return e.EventsProcessed()
+	return e.EventsProcessed(), e.Handoffs()
 }
 
 func TestPumpEventsPerRPC(t *testing.T) {
-	// Four endpoint boots and the caller's spawn, then 8 per RPC: caller's
-	// send sleep, wake, received, handler start, handler's send sleep, wake,
-	// received, caller resumed.
+	// Four endpoint boots and the caller's spawn, then 8 per RPC: request
+	// sent, wake, received, handler start, reply sent, wake, received, caller
+	// resumed. Only the caller's spawn, each handler start and each caller
+	// resume switch into a process; the two send windows were two more
+	// hand-offs per RPC while the sender slept them out.
 	const boot, perRPC = 5, 8
+	const bootHandoffs, handoffsPerRPC = 1, 2
 	for _, n := range []int{1, 100} {
-		if got, want := rpcRunEvents(t, n), uint64(boot+perRPC*n); got != want {
-			t.Errorf("%d RPCs processed %d events, want %d", n, got, want)
+		events, handoffs := rpcRunEvents(t, n)
+		if want := uint64(boot + perRPC*n); events != want {
+			t.Errorf("%d RPCs processed %d events, want %d", n, events, want)
+		}
+		if want := uint64(bootHandoffs + handoffsPerRPC*n); handoffs != want {
+			t.Errorf("%d RPCs took %d hand-offs, want %d", n, handoffs, want)
 		}
 	}
 }

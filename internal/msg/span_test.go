@@ -56,6 +56,11 @@ func TestRPCSpanTree(t *testing.T) {
 	if !ok || reply.Parent != handle.ID {
 		t.Fatalf("wire.ping.reply not under handle.ping: %+v", reply)
 	}
+	// The handler span covers committing the reply, a send cost after the
+	// handler staged it (and returned).
+	if got, want := handle.End.Sub(reply.Begin), f.sendCost(&Message{From: 2, To: 0, Size: 8}); got != want {
+		t.Errorf("handle.ping ends %v after the reply was staged, want the reply's send cost %v", got, want)
+	}
 	// Every span closed, and nesting is temporally consistent.
 	for name, s := range byName {
 		if s.End < s.Begin {

@@ -3,6 +3,8 @@ package msg
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestTypeStringExhaustive fails when a message type is added without a
@@ -43,5 +45,34 @@ func TestAllTypesCoversEnum(t *testing.T) {
 		if int(ty) != i+1 {
 			t.Fatalf("AllTypes[%d] = %d, want dense enumeration", i, int(ty))
 		}
+	}
+}
+
+// TestHandlerTableBounds: the handler table is an array indexed by type, so
+// Handles must answer false — not index — for anything outside the enum, a
+// second registration must panic, and a delivered message of a type nobody
+// registered (or no type at all) must fail the run instead of crashing it.
+func TestHandlerTableBounds(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	ep := f.Endpoint(1)
+	ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message { return nil })
+	for ty, want := range map[Type]bool{TypePing: true, TypeUser: false, TypeInvalid: false, numTypes: false, -1: false, numTypes + 7: false} {
+		if got := ep.Handles(ty); got != want {
+			t.Errorf("Handles(%d) = %v, want %v", int(ty), got, want)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering TypePing twice did not panic")
+			}
+		}()
+		ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message { return nil })
+	}()
+	f.deliver(&Message{Type: numTypes + 7, From: 0, To: 1, Size: 8})
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "no handler") {
+		t.Fatalf("Run = %v, want a no-handler failure for an out-of-range type", err)
 	}
 }

@@ -66,7 +66,8 @@ func TestCarriersBoundGoroutinesByPeakLiveProcs(t *testing.T) {
 }
 
 // TestSpawnFinishSteadyStateAllocs pins what a short-lived process costs
-// once a carrier is idle: its Proc record and its dispatch closure.
+// once a carrier is idle: its Proc record and nothing else (its dispatch
+// events carry the process itself, not a closure).
 func TestSpawnFinishSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -78,8 +79,8 @@ func TestSpawnFinishSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 	})
-	if allocs != 2 {
-		t.Fatalf("spawn→finish on an idle carrier allocates %v allocs/op, want 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("spawn→finish on an idle carrier allocates %v allocs/op, want 1", allocs)
 	}
 }
 
@@ -202,7 +203,7 @@ func TestStaleDispatchCannotAdvanceNextTenant(t *testing.T) {
 		t.Fatalf("setup: a finished=%v, b on a's carrier=%v", a.Finished(), b.k == k)
 	}
 	a.Resume()
-	e.Schedule(0, a.dispatchFn)
+	a.dispatchIn(0)
 	if err := e.RunFor(time.Microsecond); err != nil {
 		t.Fatalf("RunFor: %v", err)
 	}

@@ -36,6 +36,8 @@ var ErrDeadlock = errors.New("sim: deadlock: blocked processes with no pending e
 // bounded prefix of a run.
 var ErrEventLimit = errors.New("sim: event limit reached")
 
+const endOfTime = Time(1<<63 - 1) // the bound of an unbounded Run
+
 // GlobalLane is the lane value of untagged events and processes: work that
 // belongs to no single kernel (the fabric, syscall veneers, observers).
 const GlobalLane = -1
@@ -54,6 +56,8 @@ type event struct {
 	// concurrent events while each seed stays fully deterministic.
 	prio uint64
 	fn   func()
+	// p, when set (Proc.dispatchIn), is dispatched instead of calling fn.
+	p *Proc
 	// lane is the kernel-affinity tag (GlobalLane when untagged). Dispatch
 	// ignores it: it records which kernel's state the event touches, the
 	// independence relation schedule exploration can prune on.
@@ -84,6 +88,8 @@ type core struct {
 	failure   error
 	closed    bool
 	processed uint64
+	handoffs  uint64
+	until     Time // the running drive call's bound
 
 	// free is the engine-owned event free list. Fired and canceled events
 	// are recycled through it (LIFO), so steady-state scheduling allocates
@@ -137,6 +143,8 @@ type Engine interface {
 	Fail(err error)
 	// EventsProcessed returns how many events the engine has dispatched.
 	EventsProcessed() uint64
+	// Handoffs returns how many of those events switched into a process.
+	Handoffs() uint64
 	// Schedule arranges for fn to run at time now+d, tagged with this
 	// view's lane. It returns a handle that can cancel the callback before
 	// it fires.
@@ -246,6 +254,10 @@ func (v *view) Fail(err error) { v.c.fail(err) }
 // tracking.
 func (v *view) EventsProcessed() uint64 { return v.c.processed }
 
+// Handoffs returns how many processed events switched into a process's
+// coroutine; callbacks and sleeps taken in place (Proc.Sleep) do not.
+func (v *view) Handoffs() uint64 { return v.c.handoffs }
+
 // LaneID returns this view's lane, or GlobalLane for the root engine.
 func (v *view) LaneID() int { return v.lane }
 
@@ -316,7 +328,7 @@ func (c *core) allocEvent() *event {
 //popcornvet:hotpath
 func (c *core) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.p = nil, nil
 	ev.canceled = false
 	ev.lane = GlobalLane
 	//popcornvet:bounded free list: grows only when an event retires, so peak live events cap it
@@ -352,14 +364,14 @@ func (c *core) nextSeq() uint64 {
 // or a process panics. It returns ErrDeadlock if blocked processes remain
 // while the heap is empty, and the panic error if a process failed.
 func (v *view) Run() error {
-	return v.c.drive(0, false)
+	return v.c.drive(endOfTime)
 }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
 // t. Events after t remain queued. Unlike Run, processes left blocked at t
 // are not a deadlock: more work may be scheduled before the next RunUntil.
 func (v *view) RunUntil(t Time) error {
-	err := v.c.drive(t, true)
+	err := v.c.drive(t)
 	if err != nil && !errors.Is(err, ErrDeadlock) {
 		return err
 	}
@@ -372,16 +384,17 @@ func (v *view) RunUntil(t Time) error {
 // RunFor processes events for d of virtual time from the current clock.
 func (v *view) RunFor(d time.Duration) error { return v.RunUntil(v.c.now.Add(d)) }
 
-// drive is the dispatch loop. With bounded set, it stops once the next event
-// lies beyond until; the bound is a plain value rather than a predicate
+// drive is the dispatch loop. It stops once the next event lies beyond until
+// (Run passes endOfTime); the bound is a plain value rather than a predicate
 // closure so repeated RunUntil calls stay allocation-free. The per-event work
 // happens in step, which carries the hot-path root; the loop shell itself
 // allocates only on the misuse/fatal paths.
-func (c *core) drive(until Time, bounded bool) error {
+func (c *core) drive(until Time) error {
 	if c.closed {
 		return errors.New("sim: engine is closed")
 	}
-	for c.heap.len() > 0 && (!bounded || c.heap.peek().at <= until) {
+	c.until = until
+	for c.heap.len() > 0 && c.heap.peek().at <= until {
 		if c.limit > 0 && c.processed >= c.limit {
 			return ErrEventLimit
 		}
@@ -408,9 +421,13 @@ func (c *core) step() (error, bool) {
 	}
 	c.now = ev.at
 	c.processed++
-	fn := ev.fn
+	fn, p := ev.fn, ev.p
 	c.recycle(ev)
-	fn()
+	if p != nil {
+		c.dispatch(p)
+	} else {
+		fn()
+	}
 	if c.failure != nil {
 		return c.failure, true
 	}
@@ -422,6 +439,17 @@ func (c *core) step() (error, bool) {
 		}
 	}
 	return nil, false
+}
+
+// nextInLine reports whether an event scheduled now for at would be the very
+// next one drive dispatches with nothing observing the boundary in between:
+// no pending event at or before at, no failure, event limit or RunUntil bound
+// stopping the loop first, no periodic invariant sweep between events.
+//
+//popcornvet:hotpath
+func (c *core) nextInLine(at Time) bool {
+	return (c.heap.len() == 0 || c.heap.peek().at > at) && c.failure == nil &&
+		(c.limit == 0 || c.processed < c.limit) && at <= c.until && c.invInterval == 0
 }
 
 // quiesce runs the end-of-heap checks: the model should be consistent

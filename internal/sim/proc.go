@@ -39,10 +39,6 @@ type Proc struct {
 	// is plain data the tracer threads through blocking protocol code —
 	// the engine never reads it, so it cannot perturb the schedule.
 	span uint64
-	// dispatchFn is the single pre-bound dispatch closure for this process,
-	// created once at spawn so Sleep/wake/Yield schedule it without
-	// allocating a fresh closure per call.
-	dispatchFn func()
 }
 
 // carrier is a host execution context for process bodies: a runtime
@@ -81,7 +77,6 @@ func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	c := v.c
 	c.nextPID++
 	p := &Proc{v: v, id: c.nextPID, name: name, daemon: daemon}
-	p.dispatchFn = func() { c.dispatch(p) }
 	if n := len(c.idle); n > 0 {
 		p.k, c.idle[n-1] = c.idle[n-1], nil
 		c.idle = c.idle[:n-1]
@@ -92,7 +87,7 @@ func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	p.k.p, p.k.fn = p, fn
 	c.procs[p.id] = p
 	c.observeStarted(p)
-	v.Schedule(0, p.dispatchFn)
+	p.dispatchIn(0)
 	return p
 }
 
@@ -136,6 +131,10 @@ func (k *carrier) run() {
 	fn(p)
 }
 
+// dispatchIn queues p's next dispatch d from now: an event that carries the
+// process itself, so spawn, wake and Sleep need no per-process closure.
+func (p *Proc) dispatchIn(d time.Duration) { p.v.Schedule(d, nil).ev.p = p }
+
 // dispatch hands the CPU to p until it parks or finishes.
 //
 //popcornvet:hotpath
@@ -143,6 +142,7 @@ func (c *core) dispatch(p *Proc) {
 	if p.finished {
 		return
 	}
+	c.handoffs++
 	prev := c.current
 	c.current = p
 	p.waking = false
@@ -170,7 +170,7 @@ func (p *Proc) wake() {
 	}
 	p.waking = true
 	p.v.c.observeWoken(p)
-	p.v.Schedule(0, p.dispatchFn)
+	p.dispatchIn(0)
 }
 
 // Engine returns the engine view this process was spawned through: the
@@ -198,17 +198,32 @@ func (p *Proc) Span() uint64 { return p.span }
 // never interpreted, by the simulation.
 func (p *Proc) SetSpan(id uint64) { p.span = id }
 
-// Sleep blocks the process for d of virtual time. Non-positive durations
-// still yield: the process re-enters the run queue behind same-instant
-// events.
+// Sleep blocks the process for d of virtual time, charged to the caller and
+// nobody else. Non-positive durations still yield: the process re-enters the
+// run queue behind same-instant events. A sleep nobody can interleave with
+// (nextInLine) is not even an event: Sleep does to the engine exactly what
+// scheduling, parking, popping and re-dispatching would — one seq, one
+// tie-shuffle draw, the clock, the event count — without leaving the
+// coroutine, so no seeded stream, event count or limit prefix can tell.
 //
 //popcornvet:hotpath
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	c := p.v.c
+	if at := c.now.Add(d); !p.killed && c.nextInLine(at) {
+		c.nextSeq()
+		if c.shuffle {
+			c.rng.Uint64()
+		}
+		c.now = at
+		c.processed++
+		p.clearWaitInfo()
+		return
+	}
 	p.waking = true
-	p.v.Schedule(d, p.dispatchFn)
+	p.dispatchIn(d)
 	p.park()
 }
 

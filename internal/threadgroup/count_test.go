@@ -1,0 +1,65 @@
+package threadgroup_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/kernel"
+	"repro/internal/osi"
+	"repro/internal/sim"
+)
+
+// TestWarmMigrationEventAndHandoffCounts records what one migration onto a
+// kernel that already holds the thread's shadow costs the engine, on the
+// two-kernel machine popbench's threadgroup.migrate rig boots: 15 events —
+// unchanged since the pump went in — of which 3 switch into a process (9
+// before a send in flight became an event and a next-in-line Sleep stopped
+// parking). A PR that changes the schedule on purpose moves these numbers and
+// says so.
+func TestWarmMigrationEventAndHandoffCounts(t *testing.T) {
+	const hops = 200
+	const wantEvents, wantHandoffs = 15, 3
+	topo := hw.Topology{Cores: 16, NUMANodes: 2}
+	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := kernel.DefaultClusterConfig(machine)
+	cc.Kernels = 2
+	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	e := o.Engine()
+	var events, handoffs uint64
+	e.Spawn("driver", func(p *sim.Proc) {
+		pr, err := o.StartProcessOn(p, 0)
+		must(err)
+		must(pr.Spawn(p, 0, func(th osi.Thread) {
+			// One round trip first, so both kernels hold a shadow to revive.
+			must(th.Migrate(1))
+			must(th.Migrate(0))
+			events, handoffs = e.EventsProcessed(), e.Handoffs()
+			for i := 0; i < hops; i++ {
+				must(th.Migrate(1 - th.KernelID()))
+			}
+			events, handoffs = e.EventsProcessed()-events, e.Handoffs()-handoffs
+		}))
+		pr.Wait(p)
+		must(pr.Close(p))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if events != wantEvents*hops || handoffs != wantHandoffs*hops {
+		t.Fatalf("%d warm migrations: %d events, %d hand-offs; want %d and %d (%d and %d per hop)",
+			hops, events, handoffs, wantEvents*hops, wantHandoffs*hops, wantEvents, wantHandoffs)
+	}
+}
