@@ -1,6 +1,7 @@
 package futex_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,10 +18,14 @@ import (
 // popbench's futex.remote_pair rig boots: 38 events — unchanged since the
 // pump went in — of which 12 switch into a process (33 before a send in
 // flight became an event and a next-in-line Sleep stopped parking). A PR that
-// changes the schedule on purpose moves these numbers and says so.
+// changes the schedule on purpose moves these numbers and says so. Beside
+// them, what the pair costs the allocator: its messages, each one object with
+// its payload, and nothing for blocking, handling or bookkeeping — the next
+// per-message allocation fails here, not in popbench.
 func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 	const warm, pairs = 50, 200
 	const wantEvents, wantHandoffs = 38, 12
+	const maxMallocs = 3 + 0.5 // measured 3.00: request, reply, wake-up (27 before this budget existed)
 	topo := hw.Topology{Cores: 16, NUMANodes: 2}
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
@@ -40,6 +45,7 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 	}
 	e := o.Engine()
 	var events, handoffs uint64
+	var before, after runtime.MemStats
 	e.Spawn("driver", func(p *sim.Proc) {
 		pr, err := o.StartProcessOn(p, 0)
 		must(err)
@@ -75,7 +81,9 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 			}
 			wake(warm)
 			events, handoffs = e.EventsProcessed(), e.Handoffs()
+			runtime.ReadMemStats(&before)
 			wake(pairs)
+			runtime.ReadMemStats(&after)
 			events, handoffs = e.EventsProcessed()-events, e.Handoffs()-handoffs
 		}))
 		pr.Wait(p)
@@ -87,5 +95,8 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 	if events != wantEvents*pairs || handoffs != wantHandoffs*pairs {
 		t.Fatalf("%d remote pairs: %d events, %d hand-offs; want %d and %d (%d and %d per pair)",
 			pairs, events, handoffs, wantEvents*pairs, wantHandoffs*pairs, wantEvents, wantHandoffs)
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / pairs; got > maxMallocs {
+		t.Fatalf("%.2f mallocs per remote pair, want <= %.1f", got, maxMallocs)
 	}
 }

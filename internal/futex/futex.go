@@ -80,6 +80,12 @@ type Service struct {
 	buckets   map[key]*bucket
 	waiters   map[uint64]*localWaiter
 	nextToken uint64
+	// lwFree recycles localWaiter records (beginWait/endWait).
+	lwFree []*localWaiter
+	// hot caches the handles of the per-operation metrics, each filled on
+	// first use (stats.Registry.CounterIn) so a run registers exactly the
+	// names it always did.
+	hot struct{ wait, wake, remote, eagain, queueMax *stats.Counter }
 }
 
 // futexOp selects the home-side operation.
@@ -159,12 +165,9 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 	if !ok {
 		return fmt.Errorf("futex: unknown group %d", gid)
 	}
-	s.nextToken++
-	token := s.nextToken
-	lw := &localWaiter{p: p, home: home}
-	s.waiters[token] = lw
-	defer delete(s.waiters, token)
-	s.metrics.Counter("futex.wait").Inc()
+	token, lw := s.beginWait(p, home)
+	defer s.endWait(token, lw)
+	s.metrics.CounterIn(&s.hot.wait, "futex.wait").Inc()
 	s.checker.SyncOp(p, int64(gid), mem.PageOf(addr))
 
 	// futex.wait spans the enqueue protocol only — the examine-and-queue
@@ -180,11 +183,10 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 		}
 		queued = reply.Queued
 	} else {
-		s.metrics.Counter("futex.remote").Inc()
-		reply, err := s.ep.Call(p, &msg.Message{
-			Type: msg.TypeFutexOp, To: home, Size: reqSize,
-			Payload: &futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token},
-		})
+		s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
+		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
+			futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token},
+		))
 		if err != nil {
 			waitScope.End()
 			return err
@@ -210,6 +212,27 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 		return errors.New("futex: waiter woken without a wake")
 	}
 	return lw.err
+}
+
+// beginWait registers p as a waiter under a fresh token, on a recycled record.
+func (s *Service) beginWait(p *sim.Proc, home msg.NodeID) (uint64, *localWaiter) {
+	lw := sim.Take(&s.lwFree)
+	if lw == nil {
+		lw = &localWaiter{}
+	}
+	lw.p, lw.home = p, home
+	s.nextToken++
+	s.waiters[s.nextToken] = lw
+	return s.nextToken, lw
+}
+
+// endWait runs on every exit path of Wait, kill-unwind included. Only the
+// table names a record, so once out of it the record is free.
+func (s *Service) endWait(token uint64, lw *localWaiter) {
+	delete(s.waiters, token)
+	*lw = localWaiter{}
+	//popcornvet:bounded free list: grows only when a Wait ends, so the threads blocked on this kernel at once cap it
+	sim.Give(&s.lwFree, lw)
 }
 
 // Reboot resets the service to boot state for a kernel reboot: home-side
@@ -293,7 +316,7 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 	if !ok {
 		return 0, fmt.Errorf("futex: unknown group %d", gid)
 	}
-	s.metrics.Counter("futex.wake").Inc()
+	s.metrics.CounterIn(&s.hot.wake, "futex.wake").Inc()
 	s.checker.SyncOp(p, int64(gid), mem.PageOf(addr))
 	// futex.wake spans the whole wake protocol: the home-side dequeue plus,
 	// for remote waiters, the FutexWakeup fan-out the home performs.
@@ -303,11 +326,10 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 		reply := s.doWake(p, gid, addr, count)
 		return reply.Woken, nil
 	}
-	s.metrics.Counter("futex.remote").Inc()
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeFutexOp, To: home, Size: reqSize,
-		Payload: &futexOpReq{Op: opWake, GID: gid, Addr: addr, Count: count},
-	})
+	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
+		futexOpReq{Op: opWake, GID: gid, Addr: addr, Count: count},
+	))
 	if err != nil {
 		return 0, err
 	}
@@ -321,10 +343,10 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 // doWait runs the home-side half of FUTEX_WAIT: under the bucket lock,
 // re-read the word through the home's address-space replica and enqueue the
 // waiter only if it still matches.
-func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, from msg.NodeID, token uint64) *futexOpReply {
+func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, from msg.NodeID, token uint64) futexOpReply {
 	sp, ok := s.resolver.GroupSpace(gid)
 	if !ok {
-		return &futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
+		return futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
 	}
 	b := s.bucket(key{gid: gid, addr: addr})
 	b.mu.Lock(p)
@@ -332,25 +354,24 @@ func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, f
 	//popcornvet:allow locksend the word re-read must be atomic with the enqueue under the bucket lock (the lost-wakeup guarantee); page-protocol handlers never take futex bucket locks, so no wait cycle can close
 	val, err := sp.Load(p, s.homeCore, addr)
 	if err != nil {
-		return &futexOpReply{Err: err.Error()}
+		return futexOpReply{Err: err.Error()}
 	}
 	if val != expect {
-		s.metrics.Counter("futex.eagain").Inc()
-		return &futexOpReply{Queued: false}
+		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
+		return futexOpReply{Queued: false}
 	}
 	//popcornvet:bounded one entry per blocked thread; the workload's thread population is fixed and FUTEX_WAKE drains the bucket
 	b.waiters = append(b.waiters, waiterRef{node: from, token: token})
-	if d := uint64(len(b.waiters)); d > s.metrics.Counter("futex.queue.max").Value() {
-		c := s.metrics.Counter("futex.queue.max")
+	if c, d := s.metrics.CounterIn(&s.hot.queueMax, "futex.queue.max"), uint64(len(b.waiters)); d > c.Value() {
 		c.Add(d - c.Value())
 	}
-	return &futexOpReply{Queued: true}
+	return futexOpReply{Queued: true}
 }
 
 // doWake runs the home-side half of FUTEX_WAKE.
-func (s *Service) doWake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) *futexOpReply {
+func (s *Service) doWake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) futexOpReply {
 	if count <= 0 {
-		return &futexOpReply{}
+		return futexOpReply{}
 	}
 	b := s.bucket(key{gid: gid, addr: addr})
 	b.mu.Lock(p)
@@ -358,13 +379,17 @@ func (s *Service) doWake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) *fut
 	if n > len(b.waiters) {
 		n = len(b.waiters)
 	}
-	released := append([]waiterRef(nil), b.waiters[:n]...)
-	b.waiters = b.waiters[n:]
+	// The released few leave the queue before the lock drops (a wake-all of
+	// more than the array holds falls back to the heap), and the rest slide
+	// down: reslicing from the front would walk the queue off its capacity.
+	var few [4]waiterRef
+	released := append(few[:0], b.waiters[:n]...)
+	b.waiters = append(b.waiters[:0], b.waiters[n:]...)
 	b.mu.Unlock(p)
 	for _, ref := range released {
 		s.release(p, ref)
 	}
-	return &futexOpReply{Woken: len(released)}
+	return futexOpReply{Woken: len(released)}
 }
 
 func (s *Service) bucket(k key) *bucket {
@@ -390,7 +415,7 @@ func (s *Service) wakeLocal(token uint64) {
 
 func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*futexOpReq)
-	var reply *futexOpReply
+	var reply futexOpReply
 	switch req.Op {
 	case opWait:
 		reply = s.doWait(p, req.GID, req.Addr, req.Expect, m.From, req.Token)
@@ -399,9 +424,9 @@ func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	case opRequeue:
 		reply = s.doRequeue(p, req.GID, req.Addr, req.Addr2, req.Expect, req.Count, req.Count2)
 	default:
-		reply = &futexOpReply{Err: fmt.Sprintf("unknown futex op %d", req.Op)}
+		reply = futexOpReply{Err: fmt.Sprintf("unknown futex op %d", req.Op)}
 	}
-	return &msg.Message{Size: reqSize, Payload: reply}
+	return msg.Reply(reqSize, reply)
 }
 
 func (s *Service) handleWakeup(p *sim.Proc, m *msg.Message) *msg.Message {

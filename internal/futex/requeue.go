@@ -30,14 +30,13 @@ func (s *Service) Requeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int
 		}
 		return reply.Woken, reply.Requeued, nil
 	}
-	s.metrics.Counter("futex.remote").Inc()
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeFutexOp, To: home, Size: reqSize,
-		Payload: &futexOpReq{
+	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
+		futexOpReq{
 			Op: opRequeue, GID: gid, Addr: from, Addr2: to,
 			Expect: expect, Count: wake, Count2: requeue,
 		},
-	})
+	))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -61,10 +60,10 @@ const wouldBlockMarker = "EAGAIN"
 // doRequeue runs at the home kernel. The value check and both queue edits
 // happen atomically under the bucket locks; the wakeups themselves go out
 // after the locks drop, like doWake, so no lock is held across the fabric.
-func (s *Service) doRequeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) *futexOpReply {
+func (s *Service) doRequeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) futexOpReply {
 	sp, ok := s.resolver.GroupSpace(gid)
 	if !ok {
-		return &futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
+		return futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
 	}
 	released, reply := s.requeueLocked(p, sp, gid, from, to, expect, wake, requeue)
 	for _, ref := range released {
@@ -76,7 +75,7 @@ func (s *Service) doRequeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect i
 // requeueLocked is the bucket-locked half of doRequeue: re-check the word,
 // detach up to wake waiters for the caller to release, and move up to
 // requeue of the remainder onto to's queue.
-func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) ([]waiterRef, *futexOpReply) {
+func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) ([]waiterRef, futexOpReply) {
 	bFrom := s.bucket(key{gid: gid, addr: from})
 	bTo := s.bucket(key{gid: gid, addr: to})
 	// Lock both queues in address order so concurrent requeues between the
@@ -98,11 +97,11 @@ func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to 
 	//popcornvet:allow locksend the word re-read must be atomic with the queue edit under the bucket lock (the lost-wakeup guarantee); page-protocol handlers never take futex bucket locks, so no wait cycle can close
 	val, err := sp.Load(p, s.homeCore, from)
 	if err != nil {
-		return nil, &futexOpReply{Err: err.Error()}
+		return nil, futexOpReply{Err: err.Error()}
 	}
 	if val != expect {
-		s.metrics.Counter("futex.eagain").Inc()
-		return nil, &futexOpReply{Err: wouldBlockMarker}
+		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
+		return nil, futexOpReply{Err: wouldBlockMarker}
 	}
 	var released []waiterRef
 	for len(released) < wake && len(bFrom.waiters) > 0 {
@@ -118,7 +117,7 @@ func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to 
 		bTo.waiters = append(bTo.waiters, ref)
 		requeued++
 	}
-	return released, &futexOpReply{Woken: len(released), Requeued: requeued}
+	return released, futexOpReply{Woken: len(released), Requeued: requeued}
 }
 
 // release wakes one waiter reference, locally or via message.
@@ -127,8 +126,7 @@ func (s *Service) release(p *sim.Proc, ref waiterRef) {
 		s.wakeLocal(ref.token)
 		return
 	}
-	s.ep.Send(p, &msg.Message{
-		Type: msg.TypeFutexWakeup, To: ref.node, Size: reqSize,
-		Payload: &futexWakeup{Token: ref.token},
-	})
+	s.ep.Send(p, msg.NewWith(msg.TypeFutexWakeup, ref.node, reqSize,
+		futexWakeup{Token: ref.token},
+	))
 }

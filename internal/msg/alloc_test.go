@@ -95,45 +95,43 @@ func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 }
 
 // TestSendDeliverSteadyStateAllocs pins the reliable fabric's send→deliver
-// path at a fixed small constant per message. The remaining allocations are
-// the modeled per-message work: the handler process the receive pump spawns
-// (Proc record and body closure — the carrier it runs on is pooled and its
-// dispatch events carry the process, not a closure). Everything else —
-// events, the pump's pre-bound callbacks, wire entries, ring slots, span
-// names — is recycled.
+// path at nothing per message: the pinger reuses its one Message, the handler
+// process runs on a pooled record (its Proc, its bound body) on a pooled
+// carrier, and events, the pump's pre-bound callbacks, wire entries, ring
+// slots and span names are recycled.
 func TestSendDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	got := allocsPerMessage(t, f, e)
-	// Measured 1.8 (two per message, seven messages per eight-tick window);
-	// the bound is the contract that nothing per-message beyond the handler
-	// spawn creeps back in — one more allocation per message reads 2.6.
-	if got > 2.3 {
-		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 2.3", got)
+	// Measured 0; one allocation per message reads 0.9 (seven messages per
+	// eight-tick window).
+	if got > 0.5 {
+		t.Fatalf("send→deliver steady state allocates %.1f allocs/message, want <= 0.5", got)
 	}
 }
 
 // TestSendDeliverSteadyStateAllocsFaultsOn repeats the pin with the fault
-// plane attached (empty plan: hardened transport, no injected faults). The
-// extra budget over the reliable path is the dedup table entry per request
-// and its map growth.
+// plane attached (empty plan: hardened transport, no injected faults). What
+// it adds to the reliable path is the dedup table entry per request and the
+// table's growth.
 func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	f.EnableFaults(&faultinj.Plan{Seed: 1}, FaultConfig{}, FaultHooks{})
 	got := allocsPerMessage(t, f, e)
-	// Measured 2.6.
-	if got > 3.1 {
-		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 3.1", got)
+	// Measured 0.9.
+	if got > 1.4 {
+		t.Fatalf("fault-mode send→deliver allocates %.1f allocs/message, want <= 1.4", got)
 	}
 }
 
 // TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached:
-// request message, reply message and the handler spawn (the call record and
-// the reply's continuation are pooled), and nothing for diagnostics nobody
-// asked for — Call must not box msg.send trace
+// the request message and the reply message, which are handed to the other
+// side — the handler's record, the call record and the reply's continuation
+// are pooled — and nothing for diagnostics nobody asked for — Call must not
+// box msg.send trace
 // arguments for a detached tracer, nor format a deadlock-report label per
 // wait. Seq (past 255 after the warm-up) and Size are chosen so that boxing
 // them allocates; the runtime boxes smaller integers for free.
@@ -164,10 +162,10 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 	})
-	// Measured 3.6 (four per call, seven calls per eight-tick window); boxing
+	// Measured 1.8 (two per call, seven calls per eight-tick window); boxing
 	// the two trace arguments alone adds 1.8.
-	if got := allocs / perRun; got > 4.1 {
-		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 4.1", got)
+	if got := allocs / perRun; got > 2.3 {
+		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 2.3", got)
 	}
 }
 

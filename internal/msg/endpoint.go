@@ -40,10 +40,12 @@ type Endpoint struct {
 	// at registration instead of per message.
 	handlerNames [numTypes]string
 	pending      map[uint64]*call
+	eachNames    []string // multicast worker process names, by target
 
-	// procs tracks every process this endpoint spawned (handlers, multicast
-	// workers, failure detection) so a kernel crash can halt all of them.
-	procs map[int64]*sim.Proc
+	// live lists (through handlerRun.prev/next) every process this endpoint
+	// started (handlers, multicast workers, failure detection) and has not
+	// torn down, so a kernel crash can halt all of them.
+	live *handlerRun
 
 	// Fault-plane state, allocated by EnableFaults and nil otherwise.
 	// dead marks a crashed kernel; lastHeard/declaredDead/suspects are this
@@ -83,6 +85,7 @@ type Endpoint struct {
 type call struct {
 	ep              *Endpoint
 	waiter          *sim.Proc
+	waiterPID       int64 // the waiter's storage may outlive it (sim.Engine.Start)
 	m, reply        *Message
 	entry           *wireEntry
 	timeout         time.Duration // this attempt's reply timeout (fault mode)
@@ -99,16 +102,13 @@ type call struct {
 //popcornvet:hotpath
 func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
 	f := ep.f
-	var c *call
-	if n := len(f.callFree); n > 0 {
-		c, f.callFree[n-1] = f.callFree[n-1], nil
-		f.callFree = f.callFree[:n-1]
-	} else {
+	c := sim.Take(&f.callFree)
+	if c == nil {
 		//popcornvet:allow hotalloc pool cold miss (the object and its two bound callbacks); steady state recycles
 		c = &call{}
 		c.sentFn, c.timerFn = c.onSent, c.onTimeout
 	}
-	c.ep, c.waiter, c.m, c.timeout = ep, p, m, f.fcfg.RPCTimeout
+	c.ep, c.waiter, c.waiterPID, c.m, c.timeout = ep, p, p.ID(), m, f.fcfg.RPCTimeout
 	ep.pending[m.Seq] = c
 	return c
 }
@@ -123,9 +123,7 @@ func (ep *Endpoint) endCall(c *call) {
 	c.timerEv.Cancel()
 	delete(ep.pending, c.m.Seq)
 	*c = call{sentFn: c.sentFn, timerFn: c.timerFn}
-	//popcornvet:bounded free list: grows only when a call ends, so peak in-flight calls cap it
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
-	ep.f.callFree = append(ep.f.callFree, c)
+	sim.Give(&ep.f.callFree, c)
 }
 
 // transmit is the one place an RPC request — first copy or retransmission —
@@ -199,7 +197,9 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 		node:    node,
 		eng:     f.e.Lane(int(node)),
 		pending: make(map[uint64]*call),
-		procs:   make(map[int64]*sim.Proc),
+	}
+	for to := range f.endpoints {
+		ep.eachNames = append(ep.eachNames, fmt.Sprintf("msg-calleach-%d-%d", node, to))
 	}
 	ep.pump = newPump(ep)
 	return ep
@@ -250,18 +250,80 @@ func (ep *Endpoint) Handles(t Type) bool {
 // and the OS uses it to evacuate threads before a peer is declared dead.
 func (ep *Endpoint) Suspects(n NodeID) bool { return ep.suspects[n] }
 
-// spawnTracked spawns fn as an endpoint-owned process: it is registered
-// with the endpoint for its lifetime so crashNode can halt it. The registry
-// is plain map bookkeeping (no events, no RNG), so tracking is always on.
+// handlerRun is one endpoint-owned process on storage the fabric pools: the
+// Proc itself (sim.Engine.Start) and what its body works on — a request (m,
+// with its handle.* span hs), one target of a multicast round (fan, i), or any
+// other function (fn). So handling a message allocates no Proc, no closure and
+// no registry entry; the record is on its endpoint's live list instead.
+type handlerRun struct {
+	proc sim.Proc
+	ep   *Endpoint
+	m    *Message
+	hs   trace.Scope
+	fan  *fanout
+	i    int
+	fn   func(p *sim.Proc)
+	// run, handle and callOne, bound once per record.
+	body, serve, each func(p *sim.Proc)
+	prev, next        *handlerRun
+}
+
+// startRun starts a process of ep's on a pooled record; the caller then sets
+// what its body works on (the process first runs as a later event). Linking at
+// the head as the pid is assigned keeps the live list in descending pid order.
 //
-//popcornvet:allow hotalloc the tracking wrapper closure is part of the per-process spawn cost the alloc guards already budget
-func (ep *Endpoint) spawnTracked(name string, fn func(p *sim.Proc)) *sim.Proc {
-	pr := ep.f.e.Spawn(name, func(p *sim.Proc) {
-		defer delete(ep.procs, p.ID())
-		fn(p)
-	})
-	ep.procs[pr.ID()] = pr
-	return pr
+//popcornvet:hotpath
+func (ep *Endpoint) startRun(name string) *handlerRun {
+	r := sim.Take(&ep.f.runFree)
+	if r == nil {
+		//popcornvet:allow hotalloc pool cold miss (the record and its bound bodies); steady state recycles
+		r = &handlerRun{}
+		r.body, r.serve, r.each = r.run, r.handle, r.callOne
+	}
+	r.ep = ep
+	if r.next = ep.live; r.next != nil {
+		r.next.prev = r
+	}
+	ep.live = r
+	ep.f.e.Start(&r.proc, name, r.body)
+	return r
+}
+
+// run is every record's body.
+//
+//popcornvet:hotpath
+func (r *handlerRun) run(p *sim.Proc) {
+	defer r.teardown(p)
+	r.fn(p)
+}
+
+// teardown runs on every exit path of the body, kill-unwind included: end a
+// handle span no reply took over, leave the live list, and go back to the pool
+// — unless killed: a wait queue may still name the Proc, so the record is
+// retired with its process. The Proc is left alone; the engine is finishing it.
+//
+//popcornvet:hotpath
+func (r *handlerRun) teardown(p *sim.Proc) {
+	r.hs.End()
+	ep := r.ep
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		ep.live = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	}
+	if p.Killed() {
+		return
+	}
+	r.ep, r.m, r.hs, r.fan, r.fn, r.prev, r.next = nil, nil, trace.Scope{}, nil, nil, nil, nil
+	sim.Give(&ep.f.runFree, r)
+}
+
+// spawnTracked starts fn as an endpoint-owned process, which crashNode halts.
+func (ep *Endpoint) spawnTracked(name string, fn func(p *sim.Proc)) {
+	ep.startRun(name).fn = fn
 }
 
 // beginWireSpan opens the wire-transit span for m's first send and stamps
@@ -311,7 +373,7 @@ func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
 	_ = ep.flowAdmit(p, m, -1, false)
 	ep.prepare(m)
 	ep.beginWireSpan(p, m)
-	ep.f.counter(&ep.f.hot.sent, "msg.sent").Inc()
+	ep.f.metrics.CounterIn(&ep.f.hot.sent, "msg.sent").Inc()
 	// The nil check lives at the call site, not just inside traceEvent: the
 	// variadic ...any arguments box before the callee can decline them, so
 	// a detached tracer must skip the call entirely to stay allocation-free.
@@ -392,8 +454,8 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	ep.beginWireSpan(p, m)
 	c := ep.newCall(p, m)
 	defer ep.endCall(c)
-	ep.f.counter(&ep.f.hot.sent, "msg.sent").Inc()
-	ep.f.counter(&ep.f.hot.rpc, "msg.rpc").Inc()
+	ep.f.metrics.CounterIn(&ep.f.hot.sent, "msg.sent").Inc()
+	ep.f.metrics.CounterIn(&ep.f.hot.rpc, "msg.rpc").Inc()
 	if ep.f.tracer != nil {
 		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc", m.Type, m.To, m.Seq, m.Size)
 	}
@@ -419,7 +481,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	}
 	if err == nil {
 		rtt := p.Now().Sub(start)
-		ep.f.histogram(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(rtt)
+		ep.f.metrics.HistogramIn(&ep.f.hot.rtt, "msg.rpc.rtt").Observe(rtt)
 		ep.grayObserve(m.To, rtt)
 	}
 	return reply, err
@@ -573,7 +635,7 @@ func (f *Fabric) deliver(m *Message) {
 	if f.tracer != nil {
 		f.traceEvent("msg.deliver", m.To, "%v from k%d seq=%d size=%d reply=%v", m.Type, m.From, m.Seq, m.Size, m.IsReply)
 	}
-	f.counter(&f.hot.delivered, "msg.delivered").Inc()
+	f.metrics.CounterIn(&f.hot.delivered, "msg.delivered").Inc()
 	if f.flow != nil {
 		m.enqAt = f.e.Now()
 		if controlLane(m) {
@@ -585,7 +647,7 @@ func (f *Fabric) deliver(m *Message) {
 			//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 			dst.ctrlq = append(dst.ctrlq, m)
 			cdepth := uint64(len(dst.ctrlq) - dst.chead)
-			if g := f.counter(&f.hot.ctrlDepth, "msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
+			if g := f.metrics.CounterIn(&f.hot.ctrlDepth, "msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
 				g.Add(cdepth - g.Value())
 			}
 			dst.pump.kick()
@@ -596,7 +658,7 @@ func (f *Fabric) deliver(m *Message) {
 	//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
 	dst.queue = append(dst.queue, m)
 	depth := uint64(len(dst.queue) - dst.qhead)
-	if g := f.counter(&f.hot.queueDepth, "msg.queue.maxdepth"); depth > g.Value() {
+	if g := f.metrics.CounterIn(&f.hot.queueDepth, "msg.queue.maxdepth"); depth > g.Value() {
 		g.Add(depth - g.Value())
 	}
 	dst.pump.kick()
@@ -682,7 +744,7 @@ func (pu *pump) step() {
 			ep.ctrlq = ep.ctrlq[:0]
 			ep.chead = 0
 		}
-		f.histogram(&f.hot.ctrlWait, "msg.flow.ctrlwait").Observe(f.e.Now().Sub(pu.m.enqAt))
+		f.metrics.HistogramIn(&f.hot.ctrlWait, "msg.flow.ctrlwait").Observe(f.e.Now().Sub(pu.m.enqAt))
 	case ep.qhead < len(ep.queue):
 		pu.m = ep.queue[ep.qhead]
 		ep.queue[ep.qhead] = nil
@@ -692,7 +754,7 @@ func (pu *pump) step() {
 			ep.qhead = 0
 		}
 		if f.flow != nil {
-			f.histogram(&f.hot.bulkWait, "msg.flow.bulkwait").Observe(f.e.Now().Sub(pu.m.enqAt))
+			f.metrics.HistogramIn(&f.hot.bulkWait, "msg.flow.bulkwait").Observe(f.e.Now().Sub(pu.m.enqAt))
 			f.flowRelease(pu.m)
 		}
 	default:
@@ -719,48 +781,50 @@ func (e *wireEntry) onSent() {
 	f.collector.EndAt(span, f.e.Now())
 }
 
-// spawnHandler runs m's handler in a process of its own, so it may block
-// without stalling delivery; the one body closure does spawnTracked's
-// bookkeeping itself. A reply's send cost is charged to no process: the
-// handler stages it, leaves the commit to the wire entry (onSent), and
-// returns. A type nobody registered for fails the run.
+// spawnHandler runs m's handler in a process of its own (the modeled work
+// queue: it may block without stalling delivery), on a pooled record. A type
+// nobody registered for fails the run.
 //
-//popcornvet:allow hotalloc one handler process per message is the modeled work-queue semantics
+//popcornvet:hotpath
 func (ep *Endpoint) spawnHandler(m *Message) {
 	if !ep.Handles(m.Type) {
 		//popcornvet:allow hotalloc fatal misuse path; the failure ends the run
 		ep.f.e.Fail(fmt.Errorf("msg: node %d has no handler for %v", ep.node, m.Type))
 		return
 	}
-	pr := ep.f.e.Spawn(ep.handlerNames[m.Type], func(hp *sim.Proc) {
-		defer delete(ep.procs, hp.ID())
-		if o := ep.f.observer; o != nil {
-			o.MsgDelivered(hp, m)
-		}
-		// The handler span nests under the *sender's* operation span
-		// (carried in the message) — that link is what stitches the tree
-		// across the kernel boundary. It covers the handler body and, for
-		// RPCs, committing the reply: a staged reply takes the span along.
-		var hs trace.Scope
-		if col := ep.f.collector; col != nil {
-			hs = col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
-		}
-		defer func() { hs.End() }()
-		reply := ep.handlers[m.Type](hp, m)
-		// Fault plane only (seen is nil otherwise): later duplicates of an
-		// RPC are answered from the cached reply.
-		de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]
-		if reply != nil {
-			reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
-			entry := ep.stage(hp, reply)
-			entry.pu, entry.de = ep.pump, de
-			entry.span, hs = hs.ID(), trace.Scope{}
-			ep.f.e.Schedule(ep.f.sendCost(reply), entry.sentFn)
-		} else if de != nil {
-			de.done = true
-		}
-	})
-	ep.procs[pr.ID()] = pr
+	r := ep.startRun(ep.handlerNames[m.Type])
+	r.m, r.fn = m, r.serve
+}
+
+// handle is a handler process's body. A reply's send cost is charged to no
+// process: the handler stages it and leaves the commit to its wire entry.
+//
+//popcornvet:hotpath
+func (r *handlerRun) handle(hp *sim.Proc) {
+	ep, m := r.ep, r.m
+	if o := ep.f.observer; o != nil {
+		o.MsgDelivered(hp, m)
+	}
+	// The handler span nests under the *sender's* operation span (carried in
+	// the message) — that link is what stitches the tree across the kernel
+	// boundary. It covers the handler body and, for RPCs, committing the
+	// reply: a staged reply takes the span along; teardown ends any other.
+	if col := ep.f.collector; col != nil {
+		r.hs = col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
+	}
+	reply := ep.handlers[m.Type](hp, m)
+	// Fault plane only (seen is nil otherwise): later duplicates of an RPC are
+	// answered from the cached reply.
+	de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]
+	if reply != nil {
+		reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
+		entry := ep.stage(hp, reply)
+		entry.pu, entry.de = ep.pump, de
+		entry.span, r.hs = r.hs.ID(), trace.Scope{}
+		ep.f.e.Schedule(ep.f.sendCost(reply), entry.sentFn)
+	} else if de != nil {
+		de.done = true
+	}
 }
 
 // dedup enforces at-most-once request delivery under duplication and

@@ -392,13 +392,13 @@ func (f *Fabric) crashNode(n NodeID) {
 		f.wires[f.pair(n, NodeID(peer))], f.wires[f.pair(NodeID(peer), n)] = wire{}, wire{}
 	}
 	ep.pump.stop()
-	ids := make([]int64, 0, len(ep.procs))
-	for id := range ep.procs {
-		ids = append(ids, id)
+	// In pid order: the live list runs from the youngest process to the oldest.
+	var live []*sim.Proc
+	for r := ep.live; r != nil; r = r.next {
+		live = append(live, &r.proc)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		ep.procs[id].Kill()
+	for i := len(live) - 1; i >= 0; i-- {
+		live[i].Kill()
 	}
 	// Tell the sanitizer (if one is attached) so its shadow state forgets
 	// the dead kernel's page holdings and in-flight clocks.
@@ -512,7 +512,7 @@ func (f *Fabric) healNode(n NodeID) {
 			targets = append(targets, pn)
 		}
 		_, errs := ep.CallEachErr(p, targets, func(to NodeID) *Message {
-			return &Message{Type: TypeRejoin, To: to, Size: 64, Payload: &rejoinReq{Node: n, Incarnation: inc}}
+			return NewWith(TypeRejoin, to, 64, rejoinReq{Node: n, Incarnation: inc})
 		})
 		for _, err := range errs {
 			if err != nil && !IsDeadPeer(err) {

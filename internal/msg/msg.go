@@ -256,6 +256,30 @@ type Message struct {
 // enforces this exhaustively by reflection.
 func (m *Message) reset() { *m = Message{} }
 
+// NewWith returns a message of type t for kernel to, size bytes on the wire,
+// carrying payload, the two as one allocation: Payload points at the copy
+// beside the header, so receivers assert m.Payload.(*T) as ever. Co-allocated,
+// not pooled: after Call returns a reply is its caller's, and the dedup table
+// retains replies (a replayed copy of the header still points into the
+// original object) — no release point exists. The header comes as scalars, not
+// a Message by value: a sender's frame stays on its stack for the whole RPC.
+//
+//popcornvet:hotpath
+func NewWith[T any](t Type, to NodeID, size int, payload T) *Message {
+	//popcornvet:allow hotalloc the message itself: handed to the receiver, so it cannot be pooled
+	b := &struct {
+		Message
+		body T
+	}{Message{Type: t, To: to, Size: size}, payload}
+	b.Payload = &b.body
+	return &b.Message
+}
+
+// Reply is NewWith for a handler's reply, which the fabric addresses.
+//
+//popcornvet:hotpath
+func Reply[T any](size int, payload T) *Message { return NewWith(TypeInvalid, 0, size, payload) }
+
 // Handler processes one received message on the destination kernel. It runs
 // in its own simulated process and may block on simulator primitives. A
 // non-nil return value is sent back as the RPC reply.
@@ -335,13 +359,16 @@ type Fabric struct {
 	// observer, when attached, sees the happens-before edges messages carry.
 	observer Observer
 
-	// entryFree recycles wireEntry objects between reserve and commit;
-	// msgFree recycles fabric-owned Messages (heartbeats), callFree RPC wait
-	// records. All are plain LIFO slices, engine-ordered and deterministic —
-	// never sync.Pool.
+	// The free lists (sim.Take/Give): plain LIFO slices, engine-ordered and
+	// deterministic — never sync.Pool. entryFree recycles wireEntry objects
+	// between reserve and commit, msgFree fabric-owned Messages (heartbeats),
+	// callFree RPC wait records, runFree the records of endpoint-owned
+	// processes (peak concurrent handlers and workers), fanFree their rounds.
 	entryFree []*wireEntry
 	msgFree   []*Message
 	callFree  []*call
+	runFree   []*handlerRun
+	fanFree   []*fanout
 	// linkCounters caches the per-link metric counters countLink would
 	// otherwise re-derive with Sprintf on every fault-plane event.
 	linkCounters map[linkKey]*stats.Counter
@@ -450,16 +477,13 @@ type wireEntry struct {
 //
 //popcornvet:hotpath
 func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
-	if n := len(f.entryFree); n > 0 {
-		e := f.entryFree[n-1]
-		f.entryFree[n-1] = nil
-		f.entryFree = f.entryFree[:n-1]
-		e.m = m
-		return e
+	e := sim.Take(&f.entryFree)
+	if e == nil {
+		//popcornvet:allow hotalloc free-list cold miss; steady state recycles
+		e = &wireEntry{}
+		e.sentFn = e.onSent
 	}
-	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
-	e := &wireEntry{m: m}
-	e.sentFn = e.onSent
+	e.m = m
 	return e
 }
 
@@ -468,9 +492,7 @@ func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
 //popcornvet:hotpath
 func (f *Fabric) releaseWireEntry(e *wireEntry) {
 	*e = wireEntry{sentFn: e.sentFn}
-	//popcornvet:bounded free list: grows only when an entry retires, so peak in-flight entries cap it
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
-	f.entryFree = append(f.entryFree, e)
+	sim.Give(&f.entryFree, e)
 }
 
 // allocMsg takes a fabric-owned Message (heartbeats) off the pool, or
@@ -479,10 +501,7 @@ func (f *Fabric) releaseWireEntry(e *wireEntry) {
 //
 //popcornvet:hotpath
 func (f *Fabric) allocMsg() *Message {
-	if n := len(f.msgFree); n > 0 {
-		m := f.msgFree[n-1]
-		f.msgFree[n-1] = nil
-		f.msgFree = f.msgFree[:n-1]
+	if m := sim.Take(&f.msgFree); m != nil {
 		return m
 	}
 	//popcornvet:allow hotalloc pool cold miss; steady state recycles
@@ -494,9 +513,7 @@ func (f *Fabric) allocMsg() *Message {
 //popcornvet:hotpath
 func (f *Fabric) releaseMsg(m *Message) {
 	m.reset()
-	//popcornvet:bounded pool: grows only when a message retires, so peak in-flight messages cap it
-	//popcornvet:allow hotalloc pool growth is amortized; capacity is retained
-	f.msgFree = append(f.msgFree, m)
+	sim.Give(&f.msgFree, m)
 }
 
 // reserve claims the next ring slot sequence for m on its pair's wire.
@@ -569,11 +586,12 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 	// live caller. Call removes its entry on every exit path (reply, timeout
 	// exhaustion, peer death, kill-unwind), so an entry whose waiter has
 	// finished is a transport bug, not a blocked process (those are the
-	// deadlock detector's department).
+	// deadlock detector's department). Finished by pid: a handler's Proc
+	// storage runs another process later, and reads unfinished again.
 	e.Invariant("msg.pending-leak", func() error {
 		for _, ep := range f.endpoints {
 			for seq, c := range ep.pending {
-				if c.waiter.Finished() {
+				if c.waiter.Finished() || c.waiter.ID() != c.waiterPID {
 					return fmt.Errorf("node %d leaked pending RPC seq=%d to node %d (caller %q finished)",
 						ep.node, seq, c.m.To, c.waiter.Name())
 				}

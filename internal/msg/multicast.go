@@ -35,21 +35,41 @@ func (ep *Endpoint) CallEachErr(p *sim.Proc, targets []NodeID, build func(to Nod
 			return replies, errs
 		}
 	}
-	wg := sim.NewWaitGroup()
-	wg.Add(len(targets))
+	fo := sim.Take(&ep.f.fanFree)
+	if fo == nil {
+		fo = &fanout{}
+	}
 	// The worker processes inherit the caller's causal span, so the parallel
 	// RPC rounds stay children of the operation that fanned them out.
-	parentSpan := p.Span()
+	fo.targets, fo.build, fo.replies, fo.errs, fo.span = targets, build, replies, errs, p.Span()
+	fo.wg.Add(len(targets))
 	for i, to := range targets {
-		i, to := i, to
-		ep.spawnTracked(fmt.Sprintf("msg-calleach-%d-%d", ep.node, to), func(cp *sim.Proc) {
-			defer wg.Done()
-			cp.SetSpan(parentSpan)
-			replies[i], errs[i] = ep.Call(cp, build(to))
-		})
+		r := ep.startRun(ep.eachNames[to])
+		r.fan, r.i, r.fn = fo, i, r.each
 	}
-	wg.Wait(p)
+	fo.wg.Wait(p)
+	*fo = fanout{} // every worker is done with it (a caller killed in the wait never gets here)
+	sim.Give(&ep.f.fanFree, fo)
 	return replies, errs
+}
+
+// fanout is what the workers of one CallEachErr round (handlerRun.fan, one per
+// target) share. Pooled on Fabric.fanFree.
+type fanout struct {
+	wg      sim.WaitGroup
+	targets []NodeID
+	build   func(to NodeID) *Message
+	replies []*Message
+	errs    []error
+	span    uint64
+}
+
+// callOne is a multicast worker's body: one RPC, its outcome in the round's slot.
+func (r *handlerRun) callOne(cp *sim.Proc) {
+	fo, i := r.fan, r.i
+	defer fo.wg.Done()
+	cp.SetSpan(fo.span)
+	fo.replies[i], fo.errs[i] = r.ep.Call(cp, fo.build(fo.targets[i]))
 }
 
 // SendEach fire-and-forgets one message to every target, charging the

@@ -307,20 +307,19 @@ func (d *Domain) Store(addr mem.Addr, val int64) error {
 // for same-kernel ones.
 func (d *Domain) Send(dst *Domain, size int, payload any) {
 	d.os.metrics.Counter("mk.send").Inc()
-	pkt := &packet{Dst: dst.id, Size: size, Payload: payload}
 	if dst.node == d.node {
 		d.p.Sleep(d.os.machine.Cost.MemAccessLocal)
 		//popcornvet:bounded local delivery to a fixed domain set; the receiver drains via hasMail
-		dst.inbox = append(dst.inbox, pkt)
+		dst.inbox = append(dst.inbox, &packet{Dst: dst.id, Size: size, Payload: payload})
 		dst.hasMail.Signal()
 		return
 	}
 	// d.node.id is the sending domain's own kernel: a local-endpoint
 	// resolve, not a grab at a peer's queue.
 	//popcornvet:allow kernlocal resolves the sender's own kernel endpoint, not a peer's
-	d.os.fabric.Endpoint(d.node.id).Send(d.p, &msg.Message{
-		Type: msg.TypeUser, To: dst.node.id, Size: size, Payload: pkt,
-	})
+	d.os.fabric.Endpoint(d.node.id).Send(d.p, msg.NewWith(msg.TypeUser, dst.node.id, size,
+		packet{Dst: dst.id, Size: size, Payload: payload},
+	))
 }
 
 // Recv blocks until a message arrives and returns its payload and size.

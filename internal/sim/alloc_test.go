@@ -153,3 +153,79 @@ func TestZeroEventHandleCancelIsNoOp(t *testing.T) {
 		t.Fatal("zero EventHandle.Cancel() = true, want false")
 	}
 }
+
+// steadyAllocs warms e up for warm of virtual time and returns the
+// allocations per further step of it.
+func steadyAllocs(t *testing.T, e Engine, warm, step time.Duration) float64 {
+	t.Helper()
+	if err := e.RunFor(warm); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	return testing.AllocsPerRun(100, func() {
+		if err := e.RunFor(step); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+}
+
+// TestContendedLockHandoffZeroAllocs: four processes take turns on one mutex
+// that is never idle, so every acquisition queues and every release hands off.
+// The queue is links through the Procs themselves: no waiter record, and no
+// slice to regrow as the queue's head walks off its capacity.
+func TestContendedLockHandoffZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	mu, rw := NewMutex(e), NewRWMutex(e)
+	for i := 0; i < 4; i++ {
+		e.SpawnDaemon("locker", func(p *Proc) {
+			for {
+				mu.Lock(p)
+				p.Sleep(time.Microsecond)
+				mu.Unlock(p)
+				if i%2 == 0 {
+					rw.Lock(p)
+					p.Sleep(time.Microsecond)
+					rw.Unlock(p)
+				} else {
+					rw.RLock(p)
+					p.Sleep(time.Microsecond)
+					rw.RUnlock(p)
+				}
+			}
+		})
+	}
+	if allocs := steadyAllocs(t, e, 200*time.Microsecond, 20*time.Microsecond); allocs != 0 {
+		t.Fatalf("contended lock hand-off allocates %v allocs per 20 hand-offs, want 0", allocs)
+	}
+	if st := mu.Stats(); st.Contended == 0 || st.MaxQueue < 2 {
+		t.Fatalf("the mutex was not contended: %+v", st)
+	}
+}
+
+// TestCondAndWaitGroupRoundsZeroAllocs: a Cond wait→signal round and a
+// WaitGroup add→wait→done round, both primitives embedded as zero values.
+func TestCondAndWaitGroupRoundsZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	var shared struct {
+		cond Cond
+		wg   WaitGroup
+	}
+	e.SpawnDaemon("waiter", func(p *Proc) {
+		for {
+			shared.cond.Wait(p)
+			shared.wg.Done()
+		}
+	})
+	e.SpawnDaemon("driver", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			shared.wg.Add(1)
+			shared.cond.Signal()
+			shared.wg.Wait(p)
+		}
+	})
+	if allocs := steadyAllocs(t, e, 100*time.Microsecond, 10*time.Microsecond); allocs != 0 {
+		t.Fatalf("cond/waitgroup rounds allocate %v allocs per 10 rounds, want 0", allocs)
+	}
+}

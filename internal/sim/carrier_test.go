@@ -67,7 +67,8 @@ func TestCarriersBoundGoroutinesByPeakLiveProcs(t *testing.T) {
 
 // TestSpawnFinishSteadyStateAllocs pins what a short-lived process costs
 // once a carrier is idle: its Proc record and nothing else (its dispatch
-// events carry the process itself, not a closure).
+// events carry the process itself, not a closure) — and nothing at all when
+// Start puts it on storage the caller reuses.
 func TestSpawnFinishSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -81,6 +82,17 @@ func TestSpawnFinishSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("spawn→finish on an idle carrier allocates %v allocs/op, want 1", allocs)
+	}
+	// On storage the caller owns and reuses, not even that.
+	var s Proc
+	allocs = testing.AllocsPerRun(100, func() {
+		e.Start(&s, "w", body)
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("start→finish on reused storage allocates %v allocs/op, want 0", allocs)
 	}
 }
 

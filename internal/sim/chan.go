@@ -62,7 +62,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	w := &chanWaiter[T]{p: p, val: v}
 	//popcornvet:bounded one waiter per blocked process
 	c.sendQ = append(c.sendQ, w)
-	p.SetWaitInfo("chan-send", c.label, nil)
+	p.SetWaitInfo("chan-send", c.label)
 	p.park()
 	if w.closed {
 		panic("sim: send on closed channel")
@@ -110,7 +110,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	w := &chanWaiter[T]{p: p}
 	//popcornvet:bounded one waiter per blocked process
 	c.recvQ = append(c.recvQ, w)
-	p.SetWaitInfo("chan-recv", c.label, nil)
+	p.SetWaitInfo("chan-recv", c.label)
 	p.park()
 	return w.val, w.ok
 }

@@ -25,10 +25,10 @@ type WaitInfo struct {
 // so layered primitives (the message layer's RPC wait, the futex service)
 // can annotate their Suspend calls; the core primitives call it themselves.
 // The engine clears it when the process resumes.
-func (p *Proc) SetWaitInfo(kind, resource string, holder *Proc) {
+func (p *Proc) SetWaitInfo(kind, resource string) {
 	p.waitKind = kind
 	p.waitRes = resource
-	p.waitHolder = holder
+	p.waitLock = nil
 	p.waitRender = nil
 }
 
@@ -36,7 +36,7 @@ func (p *Proc) SetWaitInfo(kind, resource string, holder *Proc) {
 // label's operands, and render (a plain function, so that recording allocates
 // nothing) formats them only if WaitingOn or a deadlock report asks.
 func (p *Proc) SetWaitLabel(kind string, render func(a, b, c uint64) string, a, b, c uint64) {
-	p.waitKind, p.waitHolder = kind, nil
+	p.waitKind, p.waitLock = kind, nil
 	p.waitRender = render
 	p.waitArgs = [3]uint64{a, b, c}
 }
@@ -55,11 +55,15 @@ func (p *Proc) WaitingOn() (WaitInfo, bool) {
 	if p.waitKind == "" {
 		return WaitInfo{}, false
 	}
-	return WaitInfo{Kind: p.waitKind, Resource: p.waitResource(), Holder: p.waitHolder}, true
+	wi := WaitInfo{Kind: p.waitKind, Resource: p.waitResource()}
+	if p.waitLock != nil {
+		wi.Holder = p.waitLock.holder() // whoever holds it now
+	}
+	return wi, true
 }
 
 func (p *Proc) clearWaitInfo() {
-	p.waitKind, p.waitRes, p.waitHolder, p.waitRender = "", "", nil, nil
+	p.waitKind, p.waitRes, p.waitLock, p.waitRender = "", "", nil, nil
 }
 
 // ProcWait is one blocked process in a deadlock report.
@@ -130,8 +134,9 @@ func (e *core) buildDeadlockError() *DeadlockError {
 		if p.daemon && p.waitKind != "mutex" && p.waitKind != "rwmutex" {
 			continue
 		}
-		w := ProcWait{PID: p.id, Name: p.name, Kind: p.waitKind, Resource: p.waitResource(), Daemon: p.daemon}
-		if h := p.waitHolder; h != nil {
+		wi, _ := p.WaitingOn()
+		w := ProcWait{PID: p.id, Name: p.name, Kind: wi.Kind, Resource: wi.Resource, Daemon: p.daemon}
+		if h := wi.Holder; h != nil {
 			w.HolderPID = h.id
 			w.HolderName = h.name
 		}

@@ -13,7 +13,8 @@
 // switches into and the body switches out of directly, with no channel and
 // no trip through the Go scheduler's run queue. A finished body's carrier
 // waits on an engine-owned idle list for the next Spawn, so a short-lived
-// process costs a record and a closure, not a goroutine; Close stops them all.
+// process costs a Proc record, not a goroutine (on Start storage its caller
+// reuses, not even that), and a wait links Procs, no record; Close stops all.
 //
 // The package is the hardware/time substrate for the replicated-kernel OS
 // reproduction: kernels, message rings, schedulers, and workloads are all

@@ -56,8 +56,10 @@ type event struct {
 	// concurrent events while each seed stays fully deterministic.
 	prio uint64
 	fn   func()
-	// p, when set (Proc.dispatchIn), is dispatched instead of calling fn.
-	p *Proc
+	// p, when set (Proc.dispatchIn), is dispatched instead of calling fn —
+	// if it is still process pid: its storage may have been started anew.
+	p   *Proc
+	pid int64
 	// lane is the kernel-affinity tag (GlobalLane when untagged). Dispatch
 	// ignores it: it records which kernel's state the event touches, the
 	// independence relation schedule exploration can prune on.
@@ -82,7 +84,7 @@ type core struct {
 	shuffle   bool
 	limit     uint64
 	observer  ProcObserver
-	procs     map[int64]*Proc
+	procs     []*Proc // live processes, unordered; Proc.idx is the slot
 	nextPID   int64
 	current   *Proc
 	failure   error
@@ -91,10 +93,9 @@ type core struct {
 	handoffs  uint64
 	until     Time // the running drive call's bound
 
-	// free is the engine-owned event free list. Fired and canceled events
-	// are recycled through it (LIFO), so steady-state scheduling allocates
-	// nothing. A plain slice keeps recycling deterministic — sync.Pool
-	// would let wall-clock GC timing decide which objects survive.
+	// free is the engine-owned event free list (Take/Give). Fired and
+	// canceled events are recycled through it, so steady-state scheduling
+	// allocates nothing.
 	free []*event
 
 	// idle holds the carriers whose tenant finished; Spawn reuses them LIFO.
@@ -151,6 +152,9 @@ type Engine interface {
 	Schedule(d time.Duration, fn func()) EventHandle
 	// Spawn starts fn as a new simulated process bound to this view's lane.
 	Spawn(name string, fn func(p *Proc)) *Proc
+	// Start is Spawn on caller-owned Proc storage, reusable once the process
+	// has finished and was not killed.
+	Start(p *Proc, name string, fn func(p *Proc))
 	// SpawnDaemon starts fn as a daemon process bound to this view's lane.
 	SpawnDaemon(name string, fn func(p *Proc)) *Proc
 	// Run drains the event heap, advancing virtual time, until no events
@@ -212,10 +216,7 @@ func WithTieShuffle() Option {
 
 // NewEngine returns a new engine with virtual time zero.
 func NewEngine(opts ...Option) Engine {
-	c := &core{
-		rng:   NewRNG(1),
-		procs: make(map[int64]*Proc),
-	}
+	c := &core{rng: NewRNG(1)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -306,16 +307,37 @@ func (v *view) Schedule(d time.Duration, fn func()) EventHandle {
 	return EventHandle{ev: ev, gen: ev.gen}
 }
 
+// Take and Give are the simulator's free-list idiom, for every layer's pools:
+// a plain LIFO slice of retired objects beside whatever owns them, so recycling
+// is engine-ordered and deterministic — sync.Pool would let wall-clock GC timing
+// decide which objects survive. Take returns nil on a cold miss and the caller
+// allocates; a list grows only when an object retires, so the peak number in use
+// caps it.
+//
+//popcornvet:hotpath
+func Take[T any](free *[]*T) (x *T) {
+	if n := len(*free); n > 0 {
+		x, (*free)[n-1] = (*free)[n-1], nil
+		*free = (*free)[:n-1]
+	}
+	return x
+}
+
+// Give retires x to a free list; see Take.
+//
+//popcornvet:hotpath
+func Give[T any](free *[]*T, x *T) {
+	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
+	*free = append(*free, x)
+}
+
 // allocEvent takes an event object off the free list, or allocates one on a
 // cold miss. The returned event keeps only its gen counter; all scheduling
 // fields are set by the caller.
 //
 //popcornvet:hotpath
 func (c *core) allocEvent() *event {
-	if n := len(c.free); n > 0 {
-		ev := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+	if ev := Take(&c.free); ev != nil {
 		return ev
 	}
 	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
@@ -331,9 +353,7 @@ func (c *core) recycle(ev *event) {
 	ev.fn, ev.p = nil, nil
 	ev.canceled = false
 	ev.lane = GlobalLane
-	//popcornvet:bounded free list: grows only when an event retires, so peak live events cap it
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
-	c.free = append(c.free, ev)
+	Give(&c.free, ev)
 }
 
 // EventHandle allows cancelling a scheduled callback. It is a value: copies
@@ -421,10 +441,10 @@ func (c *core) step() (error, bool) {
 	}
 	c.now = ev.at
 	c.processed++
-	fn, p := ev.fn, ev.p
+	fn, p, pid := ev.fn, ev.p, ev.pid
 	c.recycle(ev)
 	if p != nil {
-		c.dispatch(p)
+		c.dispatch(p, pid)
 	} else {
 		fn()
 	}
@@ -481,12 +501,9 @@ func (c *core) blockedCount() int {
 // procsByID returns the live process table in ascending PID order. Every
 // loop whose side effects are order-visible (collecting names, building
 // error reports, tearing processes down) iterates through this instead of
-// ranging the map directly, so runs stay bit-identical.
+// ranging the table, whose order is whatever swap-removal left, directly.
 func (c *core) procsByID() []*Proc {
-	out := make([]*Proc, 0, len(c.procs))
-	for _, p := range c.procs {
-		out = append(out, p)
-	}
+	out := append([]*Proc(nil), c.procs...)
 	//popcornvet:allow detorder PIDs are allocated uniquely, so the single key is total
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out

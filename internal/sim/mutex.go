@@ -27,21 +27,94 @@ func (s *LockStats) recordWait(w time.Duration) {
 	}
 }
 
+// waitq is the one FIFO of blocked processes behind Mutex, RWMutex, Cond and
+// WaitGroup. It is intrusive: the link, and what a lock keeps per waiter
+// (since, granted), live in the Proc — a process waits in at most one queue —
+// so blocking allocates nothing and the zero value is an empty queue. An entry
+// leaves only by pop: a process killed while queued stays linked (hence Start
+// refuses its storage), and a later pop hands it whatever was being handed out.
+type waitq struct {
+	head, tail *Proc
+	n          int
+}
+
+// push links p behind the earlier waiters.
+//
+//popcornvet:hotpath
+func (q *waitq) push(p *Proc) {
+	if p.queued {
+		panic("sim: process blocks while still queued on another primitive")
+	}
+	p.queued = true
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.wnext = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// pop unlinks and returns the oldest waiter; the queue must not be empty.
+//
+//popcornvet:hotpath
+func (q *waitq) pop() *Proc {
+	p := q.head
+	if q.head = p.wnext; q.head == nil {
+		q.tail = nil
+	}
+	p.wnext, p.queued = nil, false
+	q.n--
+	return p
+}
+
+// wakeAll wakes every waiter, oldest first.
+func (q *waitq) wakeAll() {
+	for q.n > 0 {
+		q.pop().wake()
+	}
+}
+
+// holder is a lock as its waiters record it (Proc.waitLock): a report asks who
+// holds it then, so a hand-off touches none of the processes still queued.
+type holder interface{ holder() *Proc }
+
+// wait queues p on q for lock l. The caller parks it next, in its own frame: a
+// blocked process's stack is as deep as its deepest wait.
+func (e *core) wait(q *waitq, p *Proc, kind, label string, l holder) {
+	p.since, p.granted = e.now, false
+	q.push(p)
+	p.SetWaitInfo(kind, label)
+	p.waitLock = l
+}
+
+// granted books the contended acquisition of l by p, just resumed.
+func (e *core) granted(p *Proc, l holder, stats *LockStats) {
+	if !p.granted {
+		panic("sim: lock waiter woken without grant")
+	}
+	stats.Acquisitions++
+	stats.recordWait(e.now.Sub(p.since))
+	e.observeAcquire(p, l)
+}
+
+// grant pops q's oldest waiter as the lock's next holder and wakes it.
+func (q *waitq) grant() *Proc {
+	p := q.pop()
+	p.granted = true
+	p.wake()
+	return p
+}
+
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff and
-// contention accounting.
+// contention accounting. Waiting for it allocates nothing (see waitq).
 type Mutex struct {
 	e          *core
 	label      string
 	owner      *Proc
-	q          []*mutexWaiter
+	q          waitq
 	acquiredAt Time
 	stats      LockStats
-}
-
-type mutexWaiter struct {
-	p       *Proc
-	since   Time
-	granted bool
 }
 
 // NewMutex returns an unlocked mutex on e.
@@ -53,32 +126,20 @@ func (m *Mutex) SetLabel(s string) *Mutex {
 	return m
 }
 
+func (m *Mutex) holder() *Proc { return m.owner }
+
 // Lock acquires the mutex, blocking p in FIFO order behind earlier waiters.
 func (m *Mutex) Lock(p *Proc) {
-	if m.owner == nil {
-		m.owner = p
-		m.acquiredAt = m.e.now
-		m.stats.Acquisitions++
-		m.e.observeAcquire(p, m)
+	if m.TryLock(p) {
 		return
 	}
 	if m.owner == p {
 		panic("sim: recursive Mutex.Lock by owner " + p.name)
 	}
-	w := &mutexWaiter{p: p, since: m.e.now}
-	//popcornvet:bounded one waiter per blocked process
-	m.q = append(m.q, w)
-	if len(m.q) > m.stats.MaxQueue {
-		m.stats.MaxQueue = len(m.q)
-	}
-	p.SetWaitInfo("mutex", m.label, m.owner)
+	m.stats.MaxQueue = max(m.stats.MaxQueue, m.q.n+1)
+	m.e.wait(&m.q, p, "mutex", m.label, m)
 	p.park()
-	if !w.granted {
-		panic("sim: mutex waiter woken without grant")
-	}
-	m.stats.Acquisitions++
-	m.stats.recordWait(m.e.now.Sub(w.since))
-	m.e.observeAcquire(p, m)
+	m.e.granted(p, m, &m.stats)
 }
 
 // TryLock acquires the mutex if it is free, reporting success.
@@ -100,21 +161,12 @@ func (m *Mutex) Unlock(p *Proc) {
 	}
 	m.e.observeRelease(p, m)
 	m.stats.TotalHold += m.e.now.Sub(m.acquiredAt)
-	if len(m.q) == 0 {
+	if m.q.n == 0 {
 		m.owner = nil
 		return
 	}
-	w := m.q[0]
-	m.q = m.q[1:]
-	w.granted = true
-	m.owner = w.p
+	m.owner = m.q.grant()
 	m.acquiredAt = m.e.now
-	w.p.wake()
-	// Remaining waiters now wait on the new owner; keep their recorded
-	// holder accurate for deadlock reports.
-	for _, rest := range m.q {
-		rest.p.waitHolder = m.owner
-	}
 }
 
 // Owner returns the process currently holding the mutex, or nil.
@@ -124,7 +176,7 @@ func (m *Mutex) Owner() *Proc { return m.owner }
 func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Waiters returns the current queue depth.
-func (m *Mutex) Waiters() int { return len(m.q) }
+func (m *Mutex) Waiters() int { return m.q.n }
 
 // Stats returns a snapshot of the contention counters.
 func (m *Mutex) Stats() LockStats { return m.stats }
@@ -133,14 +185,13 @@ func (m *Mutex) Stats() LockStats { return m.stats }
 // writer queues, new readers wait behind it. This mirrors the Linux
 // rw_semaphore behaviour that makes mmap_sem a scalability bottleneck.
 type RWMutex struct {
-	e          *core
-	label      string
-	readers    int
-	writer     *Proc
-	readQ      []*mutexWaiter
-	writeQ     []*mutexWaiter
-	acquiredAt Time
-	stats      LockStats
+	e             *core
+	label         string
+	readers       int
+	writer        *Proc
+	readQ, writeQ waitq
+	acquiredAt    Time
+	stats         LockStats
 }
 
 // NewRWMutex returns an unlocked reader-writer lock on e.
@@ -152,10 +203,12 @@ func (l *RWMutex) SetLabel(s string) *RWMutex {
 	return l
 }
 
+func (l *RWMutex) holder() *Proc { return l.writer }
+
 // RLock acquires the lock shared. It blocks while a writer holds the lock or
 // is queued ahead.
 func (l *RWMutex) RLock(p *Proc) {
-	if l.writer == nil && len(l.writeQ) == 0 {
+	if l.writer == nil && l.writeQ.n == 0 {
 		if l.readers == 0 {
 			l.acquiredAt = l.e.now
 		}
@@ -164,18 +217,10 @@ func (l *RWMutex) RLock(p *Proc) {
 		l.e.observeAcquire(p, l)
 		return
 	}
-	w := &mutexWaiter{p: p, since: l.e.now}
-	//popcornvet:bounded one waiter per blocked process
-	l.readQ = append(l.readQ, w)
-	l.noteQueue()
-	p.SetWaitInfo("rwmutex", l.label, l.writer)
+	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
+	l.e.wait(&l.readQ, p, "rwmutex", l.label, l)
 	p.park()
-	if !w.granted {
-		panic("sim: rwmutex reader woken without grant")
-	}
-	l.stats.Acquisitions++
-	l.stats.recordWait(l.e.now.Sub(w.since))
-	l.e.observeAcquire(p, l)
+	l.e.granted(p, l, &l.stats)
 }
 
 // RUnlock releases a shared hold.
@@ -203,18 +248,10 @@ func (l *RWMutex) Lock(p *Proc) {
 	if l.writer == p {
 		panic("sim: recursive RWMutex.Lock by owner " + p.name)
 	}
-	w := &mutexWaiter{p: p, since: l.e.now}
-	//popcornvet:bounded one waiter per blocked process
-	l.writeQ = append(l.writeQ, w)
-	l.noteQueue()
-	p.SetWaitInfo("rwmutex", l.label, l.writer)
+	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
+	l.e.wait(&l.writeQ, p, "rwmutex", l.label, l)
 	p.park()
-	if !w.granted {
-		panic("sim: rwmutex writer woken without grant")
-	}
-	l.stats.Acquisitions++
-	l.stats.recordWait(l.e.now.Sub(w.since))
-	l.e.observeAcquire(p, l)
+	l.e.granted(p, l, &l.stats)
 }
 
 // Unlock releases an exclusive hold.
@@ -231,36 +268,17 @@ func (l *RWMutex) Unlock(p *Proc) {
 // promote hands the lock to the next writer, or to all queued readers if no
 // writer waits.
 func (l *RWMutex) promote() {
-	if len(l.writeQ) > 0 {
-		w := l.writeQ[0]
-		l.writeQ = l.writeQ[1:]
-		w.granted = true
-		l.writer = w.p
+	if l.writeQ.n > 0 {
+		l.writer = l.writeQ.grant()
 		l.acquiredAt = l.e.now
-		w.p.wake()
-		for _, rest := range l.writeQ {
-			rest.p.waitHolder = l.writer
-		}
-		for _, rest := range l.readQ {
-			rest.p.waitHolder = l.writer
-		}
 		return
 	}
-	if len(l.readQ) > 0 {
+	if l.readQ.n > 0 {
 		l.acquiredAt = l.e.now
-		for _, w := range l.readQ {
-			w.granted = true
+		for l.readQ.n > 0 {
+			l.readQ.grant()
 			l.readers++
-			w.p.wake()
 		}
-		l.readQ = nil
-	}
-}
-
-func (l *RWMutex) noteQueue() {
-	depth := len(l.readQ) + len(l.writeQ)
-	if depth > l.stats.MaxQueue {
-		l.stats.MaxQueue = depth
 	}
 }
 
@@ -268,4 +286,4 @@ func (l *RWMutex) noteQueue() {
 func (l *RWMutex) Stats() LockStats { return l.stats }
 
 // Waiters returns the current total queue depth (readers + writers).
-func (l *RWMutex) Waiters() int { return len(l.readQ) + len(l.writeQ) }
+func (l *RWMutex) Waiters() int { return l.readQ.n + l.writeQ.n }

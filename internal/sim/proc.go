@@ -11,12 +11,16 @@ import (
 // call blocking primitives (Sleep, Suspend, channel and mutex operations)
 // from its own body while it is the running process. A Proc spawned through
 // a lane view is lane-affine: its dispatch events carry the lane tag.
+// It is also the storage of what its own blocking needs (table slot, wait-queue
+// link, wait label), so parking allocates nothing and Start can reuse it.
 type Proc struct {
 	v    *view
 	id   int64
 	name string
-	// k is the carrier this process runs on, from Spawn until it finishes.
-	k        *carrier
+	// k is the carrier this process runs on, from Start until it finishes.
+	k *carrier
+	// idx is the process's slot in core.procs while it is live.
+	idx      int
 	finished bool
 	killed   bool
 	// daemon processes (service loops) are expected to
@@ -25,11 +29,17 @@ type Proc struct {
 	// waking guards against double-wakeups: a proc that is already
 	// scheduled to resume must not be woken again.
 	waking bool
-	// waitKind/waitRes/waitHolder describe what a blocked process waits
-	// for (see WaitInfo); cleared on resume.
-	waitKind   string
-	waitRes    string
-	waitHolder *Proc
+	// waitKind/waitRes/waitLock describe what a blocked process waits for
+	// (see WaitInfo); cleared on resume.
+	waitKind string
+	waitRes  string
+	waitLock holder
+	// wnext/queued link the process into the one waitq it blocks in; since
+	// and granted are what a lock keeps per waiter.
+	wnext   *Proc
+	queued  bool
+	granted bool
+	since   Time
 	// waitRender/waitArgs are a label recorded lazily by SetWaitLabel;
 	// waitRender is nil when waitRes already holds the text.
 	waitRender func(a, b, c uint64) string
@@ -58,10 +68,22 @@ type carrier struct {
 
 // Spawn starts fn as a new simulated process. The process begins running at
 // the current virtual time (as a scheduled event, so the caller continues
-// first). The name is used in diagnostics.
+// first). The name is used in diagnostics. The returned handle is storage
+// nothing reuses: it stays valid, and Finished stays true, for ever.
 func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
-	return v.spawn(name, false, fn)
+	return v.start(&Proc{}, name, false, fn)
 }
+
+// Start is Spawn on caller-owned storage — a Proc embedded in a record the
+// caller pools — so a short-lived process costs no allocation. The caller may
+// pass p to Start again once the process has finished and was not killed (a
+// killed process may still sit in a wait queue that will name it later: its
+// storage is retired with it). Every handle to the old process then names the
+// new one, and the caller must know none is in use; the engine's own are safe,
+// a dispatch event carries the pid it was scheduled for.
+//
+//popcornvet:hotpath
+func (v *view) Start(p *Proc, name string, fn func(p *Proc)) { v.start(p, name, false, fn) }
 
 // SpawnDaemon starts fn as a daemon process: a service loop that is expected
 // to remain blocked when the simulation quiesces, and therefore does not
@@ -70,25 +92,35 @@ func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
 // the fabric's receive pump runs; no production code spawns a daemon today,
 // but the engine tests and the allocation guards drive them.
 func (v *view) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return v.spawn(name, true, fn)
+	return v.start(&Proc{}, name, true, fn)
 }
 
-func (v *view) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
+func (v *view) start(p *Proc, name string, daemon bool, fn func(p *Proc)) *Proc {
+	if p.id != 0 && (!p.finished || p.killed || p.queued) {
+		panic("sim: Start on the storage of a process that is live, was killed or is still queued")
+	}
 	c := v.c
 	c.nextPID++
-	p := &Proc{v: v, id: c.nextPID, name: name, daemon: daemon}
-	if n := len(c.idle); n > 0 {
-		p.k, c.idle[n-1] = c.idle[n-1], nil
-		c.idle = c.idle[:n-1]
-	} else {
-		p.k = &carrier{}
-		p.k.next, p.k.stop = iter.Pull(p.k.loop)
+	*p = Proc{v: v, id: c.nextPID, name: name, daemon: daemon, idx: len(c.procs)}
+	if p.k = Take(&c.idle); p.k == nil {
+		p.k = newCarrier()
 	}
 	p.k.p, p.k.fn = p, fn
-	c.procs[p.id] = p
+	//popcornvet:bounded process table: one slot per live process, vacated by swap-remove when it finishes
+	//popcornvet:allow hotalloc table growth is amortized; capacity is retained
+	c.procs = append(c.procs, p)
 	c.observeStarted(p)
 	p.dispatchIn(0)
 	return p
+}
+
+// newCarrier is the idle list's cold miss: once per peak live process.
+//
+//popcornvet:coldpath
+func newCarrier() *carrier {
+	k := &carrier{}
+	k.next, k.stop = iter.Pull(k.loop)
+	return k
 }
 
 // loop is the carrier's coroutine body: run the assigned tenant, park idle,
@@ -108,12 +140,14 @@ func (k *carrier) run() {
 	defer func() {
 		p.finished = true
 		k.p, k.fn = nil, nil
-		// The process leaves the proc table, the observer hears of it, and
-		// the carrier goes idle.
-		delete(c.procs, p.id)
+		// The process leaves the proc table (the last entry takes its slot),
+		// the observer hears of it, and the carrier goes idle.
+		last := len(c.procs) - 1
+		c.procs[p.idx], c.procs[last].idx = c.procs[last], p.idx
+		c.procs[last] = nil
+		c.procs = c.procs[:last]
 		c.observeFinished(p)
-		//popcornvet:bounded idle carriers: one per finished process not yet reused, so peak live procs cap it
-		c.idle = append(c.idle, k)
+		Give(&c.idle, k)
 		p.k = nil
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && err == ErrKilled {
@@ -132,14 +166,19 @@ func (k *carrier) run() {
 }
 
 // dispatchIn queues p's next dispatch d from now: an event that carries the
-// process itself, so spawn, wake and Sleep need no per-process closure.
-func (p *Proc) dispatchIn(d time.Duration) { p.v.Schedule(d, nil).ev.p = p }
+// process itself, so spawn, wake and Sleep need no per-process closure, and
+// its pid, so the event cannot reach the storage's next process.
+func (p *Proc) dispatchIn(d time.Duration) {
+	ev := p.v.Schedule(d, nil).ev
+	ev.p, ev.pid = p, p.id
+}
 
-// dispatch hands the CPU to p until it parks or finishes.
+// dispatch hands the CPU to process pid, on p's storage, until it parks or
+// finishes; an event a finished process left behind does nothing.
 //
 //popcornvet:hotpath
-func (c *core) dispatch(p *Proc) {
-	if p.finished {
+func (c *core) dispatch(p *Proc, pid int64) {
+	if p.finished || p.id != pid {
 		return
 	}
 	c.handoffs++
@@ -249,6 +288,10 @@ func (p *Proc) Resume() { p.wake() }
 
 // Finished reports whether the process function has returned.
 func (p *Proc) Finished() bool { return p.finished }
+
+// Killed reports whether Kill (or Close) has terminated the process, whose
+// Start storage must then not be started again.
+func (p *Proc) Killed() bool { return p.killed }
 
 // Kill terminates the process: the next time it would run (or immediately,
 // if it is the running process) its blocking primitive panics with

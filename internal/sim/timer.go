@@ -52,7 +52,7 @@ func (t *Timer) Wait(p *Proc) bool {
 		panic("sim: Timer.Wait by two processes")
 	}
 	t.waiter = p
-	p.SetWaitInfo("timer", "", nil)
+	p.SetWaitInfo("timer", "")
 	p.park()
 	t.waiter = nil
 	return t.fired

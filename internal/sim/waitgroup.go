@@ -1,10 +1,11 @@
 package sim
 
 // WaitGroup is a simulated analogue of sync.WaitGroup: processes block in
-// Wait until the counter returns to zero.
+// Wait until the counter returns to zero. The zero value is ready to use, so
+// an owner can embed one; waiting allocates nothing (see waitq).
 type WaitGroup struct {
-	n       int
-	waiters []*Proc
+	n int
+	q waitq
 }
 
 // NewWaitGroup returns a WaitGroup with a zero counter.
@@ -18,10 +19,7 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if wg.n == 0 {
-		for _, p := range wg.waiters {
-			p.wake()
-		}
-		wg.waiters = nil
+		wg.q.wakeAll()
 	}
 }
 
@@ -33,9 +31,8 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	if wg.n == 0 {
 		return
 	}
-	//popcornvet:bounded one waiter per blocked process
-	wg.waiters = append(wg.waiters, p)
-	p.SetWaitInfo("waitgroup", "", nil)
+	wg.q.push(p)
+	p.SetWaitInfo("waitgroup", "")
 	p.park()
 }
 
@@ -45,9 +42,11 @@ func (wg *WaitGroup) Pending() int { return wg.n }
 // Cond is a simulated condition variable tied to caller-managed state.
 // Unlike sync.Cond there is no associated lock: the simulator's run-to-block
 // execution makes checks and waits atomic with respect to other processes.
+// The zero value is ready to use, so an owner can embed one; waiting
+// allocates nothing (see waitq).
 type Cond struct {
-	label   string
-	waiters []*Proc
+	label string
+	q     waitq
 }
 
 // NewCond returns an empty condition variable.
@@ -63,29 +62,20 @@ func (c *Cond) SetLabel(s string) *Cond {
 // Wait parks p until Signal or Broadcast wakes it. Callers must re-check
 // their predicate after waking, as with any condition variable.
 func (c *Cond) Wait(p *Proc) {
-	//popcornvet:bounded one waiter per blocked process
-	c.waiters = append(c.waiters, p)
-	p.SetWaitInfo("cond", c.label, nil)
+	c.q.push(p)
+	p.SetWaitInfo("cond", c.label)
 	p.park()
 }
 
 // Signal wakes the oldest waiter, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.q.n > 0 {
+		c.q.pop().wake()
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	p.wake()
 }
 
 // Broadcast wakes all waiters.
-func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		p.wake()
-	}
-	c.waiters = nil
-}
+func (c *Cond) Broadcast() { c.q.wakeAll() }
 
 // Waiters returns the number of parked processes.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return c.q.n }

@@ -153,6 +153,25 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// CounterIn returns the counter cached in *slot, looking it up (and so
+// registering it) under name on first use. A per-event path keeps the handle
+// and skips the map lookup, while the set of registered names — and every
+// dump — stays what a lookup by name each time would have made it.
+func (r *Registry) CounterIn(slot **Counter, name string) *Counter {
+	if *slot == nil {
+		*slot = r.Counter(name)
+	}
+	return *slot
+}
+
+// HistogramIn is CounterIn for histograms.
+func (r *Registry) HistogramIn(slot **Histogram, name string) *Histogram {
+	if *slot == nil {
+		*slot = r.Histogram(name)
+	}
+	return *slot
+}
+
 // Names returns all metric names in sorted order, counters then histograms.
 func (r *Registry) Names() []string {
 	var names []string

@@ -1,6 +1,7 @@
 package threadgroup_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -16,10 +17,12 @@ import (
 // unchanged since the pump went in — of which 3 switch into a process (9
 // before a send in flight became an event and a next-in-line Sleep stopped
 // parking). A PR that changes the schedule on purpose moves these numbers and
-// says so.
+// says so. Beside them, what a hop costs the allocator, so that the next
+// per-message allocation fails here, not in popbench.
 func TestWarmMigrationEventAndHandoffCounts(t *testing.T) {
 	const hops = 200
 	const wantEvents, wantHandoffs = 15, 3
+	const maxMallocs = 6 + 0.5 // measured 6.00: the messages, and the hop lists the context keeps (12 before this budget existed)
 	topo := hw.Topology{Cores: 16, NUMANodes: 2}
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
@@ -39,6 +42,7 @@ func TestWarmMigrationEventAndHandoffCounts(t *testing.T) {
 	}
 	e := o.Engine()
 	var events, handoffs uint64
+	var before, after runtime.MemStats
 	e.Spawn("driver", func(p *sim.Proc) {
 		pr, err := o.StartProcessOn(p, 0)
 		must(err)
@@ -47,9 +51,11 @@ func TestWarmMigrationEventAndHandoffCounts(t *testing.T) {
 			must(th.Migrate(1))
 			must(th.Migrate(0))
 			events, handoffs = e.EventsProcessed(), e.Handoffs()
+			runtime.ReadMemStats(&before)
 			for i := 0; i < hops; i++ {
 				must(th.Migrate(1 - th.KernelID()))
 			}
+			runtime.ReadMemStats(&after)
 			events, handoffs = e.EventsProcessed()-events, e.Handoffs()-handoffs
 		}))
 		pr.Wait(p)
@@ -61,5 +67,8 @@ func TestWarmMigrationEventAndHandoffCounts(t *testing.T) {
 	if events != wantEvents*hops || handoffs != wantHandoffs*hops {
 		t.Fatalf("%d warm migrations: %d events, %d hand-offs; want %d and %d (%d and %d per hop)",
 			hops, events, handoffs, wantEvents*hops, wantHandoffs*hops, wantEvents, wantHandoffs)
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / hops; got > maxMallocs {
+		t.Fatalf("%.2f mallocs per warm migration, want <= %.1f", got, maxMallocs)
 	}
 }

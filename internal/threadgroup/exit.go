@@ -53,10 +53,9 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 		if hop == int(s.node) {
 			continue
 		}
-		s.ep.Send(p, &msg.Message{
-			Type: msg.TypeExitNotify, To: msg.NodeID(hop), Size: 64,
-			Payload: &exitNotify{GID: gid, TaskID: id, Reap: true},
-		})
+		s.ep.Send(p, msg.NewWith(msg.TypeExitNotify, msg.NodeID(hop), 64,
+			exitNotify{GID: gid, TaskID: id, Reap: true},
+		))
 	}
 
 	if g.isOrigin {
@@ -100,7 +99,7 @@ func (s *Service) originMemberExited(p *sim.Proc, g *group, id task.ID) error {
 		// A replica that died (or dies while we notify it) has no state left
 		// to tear down; only a live replica's refusal is a real error.
 		_, errs := s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return &msg.Message{Type: msg.TypeGroupExit, To: to, Size: 64, Payload: &groupExit{GID: g.gid}}
+			return msg.NewWith(msg.TypeGroupExit, to, 64, groupExit{GID: g.gid})
 		})
 		for _, err := range errs {
 			if err != nil && !msg.IsDeadPeer(err) {
@@ -128,7 +127,7 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		if req.Reap {
 			return nil // group already torn down; nothing to reap
 		}
-		return &msg.Message{Size: 64, Payload: &exitReply{Err: fmt.Sprintf("group %d not resident on kernel %d", req.GID, s.node)}}
+		return msg.Reply(64, exitReply{Err: fmt.Sprintf("group %d not resident on kernel %d", req.GID, s.node)})
 	}
 	if req.Reap {
 		if sh, ok := g.shadows[req.TaskID]; ok {
@@ -150,12 +149,12 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		return nil
 	}
 	if !g.isOrigin {
-		return &msg.Message{Size: 64, Payload: &exitReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)}}
+		return msg.Reply(64, exitReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	if err := s.originMemberExited(p, g, req.TaskID); err != nil {
-		return &msg.Message{Size: 64, Payload: &exitReply{Err: err.Error()}}
+		return msg.Reply(64, exitReply{Err: err.Error()})
 	}
-	return &msg.Message{Size: 64, Payload: &exitReply{}}
+	return msg.Reply(64, exitReply{})
 }
 
 // handleGroupExit tears down a replica kernel's state for an exited group.
@@ -170,7 +169,7 @@ func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
 		}
 		s.teardownLocal(p, g)
 	}
-	return &msg.Message{Size: 64, Payload: &exitReply{}}
+	return msg.Reply(64, exitReply{})
 }
 
 func sortNodes(ns []msg.NodeID) {

@@ -94,7 +94,7 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 		return
 	}
 	g.snapVersion++
-	rep := &groupRepl{
+	rep := groupRepl{
 		GID: g.gid, Origin: s.node, SnapVersion: g.snapVersion, Exited: g.exited,
 	}
 	size := 64
@@ -138,7 +138,7 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 		}
 		size += 16 * (len(rep.Members) + len(rep.MoveEpochs) + len(rep.Replicas))
 	}
-	m := &msg.Message{Type: msg.TypeGroupReplicate, To: s.fabric.Successor(s.node), Size: size, Payload: rep}
+	m := msg.NewWith(msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
 	s.fabric.StampOrigin(m, vm.OriginKernelOf(g.gid))
 	s.metrics.Counter("tg.failover.replicated").Inc()
 	if _, err := s.ep.Call(p, m); err != nil {
@@ -216,8 +216,8 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 	if len(targets) > 0 {
 		s.metrics.Counter("tg.handover.sent").Inc()
 		_, errs := s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return &msg.Message{Type: msg.TypeOriginHandover, To: to, Size: 64,
-				Payload: &originHandover{Holder: s.node, Roles: roles, Epochs: epochs, GIDs: gids}}
+			return msg.NewWith(msg.TypeOriginHandover, to, 64,
+				originHandover{Holder: s.node, Roles: roles, Epochs: epochs, GIDs: gids})
 		})
 		for _, err := range errs {
 			if err != nil && !msg.IsDeadPeer(err) {
@@ -330,8 +330,8 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			s.metrics.Counter("tg.exit.orphaned").Inc()
 			return nil
 		}
-		m := &msg.Message{Type: msg.TypeExitNotify, To: g.origin, Size: 64,
-			Payload: &exitNotify{GID: g.gid, TaskID: id}}
+		m := msg.NewWith(msg.TypeExitNotify, g.origin, 64,
+			exitNotify{GID: g.gid, TaskID: id})
 		s.fabric.StampOrigin(m, role)
 		reply, err := s.ep.Call(p, m)
 		if err != nil {

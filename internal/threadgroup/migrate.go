@@ -47,26 +47,11 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 	ckptScope := s.ep.Collector().Begin(p, "tg.checkpoint", int(s.node))
 	p.Sleep(s.machine.Cost.ContextSwitch)
 	ckptScope.End()
-	s.metrics.Histogram("tg.migrate.checkpoint").Observe(p.Now().Sub(totalStart))
-
-	hops := append(append([]int(nil), t.Hops...), int(s.node))
-	req := &migrateReq{
-		GID:         gid,
-		Origin:      g.origin,
-		TaskID:      id,
-		Ctx:         t.Ctx,
-		Hops:        hops,
-		Migrations:  t.Migrations + 1,
-		Pending:     append([]int(nil), t.PendingSignals...),
-		Recoverable: t.Recoverable,
-	}
-	t.PendingSignals = nil
+	s.metrics.HistogramIn(&s.hot.checkpoint, "tg.migrate.checkpoint").Observe(p.Now().Sub(totalStart))
 
 	// Phase 3 — ship the context and wait for the destination to resume.
 	rpcStart := p.Now()
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeMigrate, To: dst, Size: t.Ctx.Bytes() + 64, Payload: req,
-	})
+	reply, err := s.ep.Call(p, s.migrateMsg(g, t, dst))
 	if err != nil {
 		// Transport failure (the destination died or never answered): the
 		// thread never resumed there, so revive the source task and surface
@@ -95,7 +80,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		s.rollbackMigration(g, t, id)
 		return nil, fmt.Errorf("threadgroup: migrate to kernel %d: %s", dst, r.Err)
 	}
-	s.metrics.Histogram("tg.migrate.rpc").Observe(p.Now().Sub(rpcStart))
+	s.metrics.HistogramIn(&s.hot.rpc, "tg.migrate.rpc").Observe(p.Now().Sub(rpcStart))
 
 	// The SOURCE registers the new location, after the import reply is in
 	// hand: the origin must not learn of the move before the thread's
@@ -111,17 +96,35 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		// The origin refused the location: a checkpointed restart (or a
 		// newer registration) owns this thread's identity. The imported
 		// copy must never run — reap it and lose this execution.
-		s.ep.Send(p, &msg.Message{
-			Type: msg.TypeExitNotify, To: dst, Size: 64,
-			Payload: &exitNotify{GID: gid, TaskID: id, Ghost: true},
-		})
+		s.ep.Send(p, msg.NewWith(msg.TypeExitNotify, dst, 64,
+			exitNotify{GID: gid, TaskID: id, Ghost: true},
+		))
 		s.dropSupersededShadow(g, t, id)
 		return nil, err
 	}
-	s.metrics.Histogram("tg.migrate.total").Observe(p.Now().Sub(totalStart))
-	s.metrics.Counter("tg.migrate").Inc()
+	s.metrics.HistogramIn(&s.hot.total, "tg.migrate.total").Observe(p.Now().Sub(totalStart))
+	s.metrics.CounterIn(&s.hot.migrate, "tg.migrate").Inc()
 	s.checker.ThreadMigrated(p, int64(gid), int64(id), s.node, dst)
 	return r.Task, nil
+}
+
+// migrateMsg builds the request that carries t's checkpoint to dst, taking
+// t's pending signals along. On its own so that the stack copy of the context
+// the request is built from lives in a frame that is gone before the round
+// trip parks the migrating thread.
+func (s *Service) migrateMsg(g *group, t *task.Task, dst msg.NodeID) *msg.Message {
+	req := migrateReq{
+		GID:         g.gid,
+		Origin:      g.origin,
+		TaskID:      t.ID,
+		Ctx:         t.Ctx,
+		Hops:        append(append([]int(nil), t.Hops...), int(s.node)),
+		Migrations:  t.Migrations + 1,
+		Pending:     append([]int(nil), t.PendingSignals...),
+		Recoverable: t.Recoverable,
+	}
+	t.PendingSignals = nil
+	return msg.NewWith(msg.TypeMigrate, dst, t.Ctx.Bytes()+64, req)
 }
 
 // handleMigrate is the destination half of the migration protocol.
@@ -129,14 +132,14 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*migrateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return &msg.Message{Size: 64, Payload: &migrateReply{Err: err.Error()}}
+		return msg.Reply(64, migrateReply{Err: err.Error()})
 	}
 	if _, live := g.local[req.TaskID]; live {
 		// A duplicate import: the first execution of this request already
 		// landed and the dedup window that would normally replay its reply
 		// died with a reboot. Re-importing would fork the thread.
 		s.metrics.Counter("tg.migrate.dupimport").Inc()
-		return &msg.Message{Size: 64, Payload: &migrateReply{Err: fmt.Sprintf("task %d already live on kernel %d", req.TaskID, s.node)}}
+		return msg.Reply(64, migrateReply{Err: fmt.Sprintf("task %d already live on kernel %d", req.TaskID, s.node)})
 	}
 
 	var t *task.Task
@@ -145,7 +148,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 		delete(g.shadows, req.TaskID)
 		t = shadow
 		t.Role = task.RoleNormal
-		s.metrics.Counter("tg.migrate.revive").Inc()
+		s.metrics.CounterIn(&s.hot.revive, "tg.migrate.revive").Inc()
 	} else {
 		setupStart := p.Now()
 		// tg.setup covers acquiring a destination task: the tasklist lock,
@@ -156,17 +159,17 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 		if s.dummies > 0 {
 			// A pre-created dummy thread absorbs the task-setup cost.
 			s.dummies--
-			s.metrics.Counter("tg.migrate.dummyhit").Inc()
+			s.metrics.CounterIn(&s.hot.dummyHit, "tg.migrate.dummyhit").Inc()
 			//popcornvet:allow locksend refillDummy only spawns the background refill proc via the engine's Spawn; the name-based analysis confuses that with this service's fabric-backed Spawn
 			s.refillDummy() //popcornvet:allow lockorder same Spawn name collision: the refill proc takes tasklist on its own, after this handler released it
 		} else {
 			p.Sleep(s.machine.Cost.ThreadSetup)
-			s.metrics.Counter("tg.migrate.dummymiss").Inc()
+			s.metrics.CounterIn(&s.hot.dummyMiss, "tg.migrate.dummymiss").Inc()
 		}
 		s.tasklist.Unlock(p)
 		t = task.New(req.TaskID, task.ID(req.GID), int(s.node))
 		setupScope.End()
-		s.metrics.Histogram("tg.migrate.setup").Observe(p.Now().Sub(setupStart))
+		s.metrics.HistogramIn(&s.hot.setup, "tg.migrate.setup").Observe(p.Now().Sub(setupStart))
 	}
 
 	// Import the context into the (dummy) task and make it runnable.
@@ -187,13 +190,13 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	}
 	s.adoptOrphanSignals(g, t)
 	importScope.End()
-	s.metrics.Histogram("tg.migrate.import").Observe(p.Now().Sub(importStart))
+	s.metrics.HistogramIn(&s.hot.importCtx, "tg.migrate.import").Observe(p.Now().Sub(importStart))
 
 	// Deliberately NO origin registration here: the source registers the
 	// move after it receives this reply (see Migrate). Committing the new
 	// location from the destination would let a source crash strand the
 	// member — registered here while the only executor died over there.
-	return &msg.Message{Size: 64, Payload: &migrateReply{Task: t}}
+	return msg.Reply(64, migrateReply{Task: t})
 }
 
 // claimRollback asks the origin whether the source of a failed migration
@@ -217,10 +220,9 @@ func (s *Service) claimRollback(p *sim.Proc, g *group, t *task.Task, id task.ID)
 		return true
 	}
 	for {
-		reply, err := s.ep.Call(p, &msg.Message{
-			Type: msg.TypeGroupSetup, To: g.origin, Size: 64,
-			Payload: &groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations},
-		})
+		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, 64,
+			groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations},
+		))
 		if err != nil {
 			if msg.IsDeadPeer(err) {
 				// Orphaned: the origin is gone, and restarts only ever run
@@ -327,10 +329,9 @@ func (s *Service) ensureReplica(p *sim.Proc, gid vm.GID, origin msg.NodeID) (*gr
 	}()
 	// Register with the origin first so layout updates reach this kernel
 	// before any state is cached here.
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeGroupSetup, To: origin, Size: 64,
-		Payload: &groupSetupReq{GID: gid, Node: s.node},
-	})
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, origin, 64,
+		groupSetupReq{GID: gid, Node: s.node},
+	))
 	if err != nil {
 		return nil, err
 	}
@@ -356,21 +357,21 @@ func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*threadCreateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return &msg.Message{Size: 64, Payload: &threadCreateReply{Err: err.Error()}}
+		return msg.Reply(64, threadCreateReply{Err: err.Error()})
 	}
 	t, err := s.spawnLocal(p, g)
 	if err != nil {
-		return &msg.Message{Size: 64, Payload: &threadCreateReply{Err: err.Error()}}
+		return msg.Reply(64, threadCreateReply{Err: err.Error()})
 	}
 	// The origin records membership when its Spawn call returns (it
 	// initiated this create) or via the GroupSetup ack for third-party
 	// creates.
 	if !g.isOrigin && m.From != g.origin {
 		if err := s.notifyOriginSpawn(p, g, t.ID); err != nil {
-			return &msg.Message{Size: 64, Payload: &threadCreateReply{Err: err.Error()}}
+			return msg.Reply(64, threadCreateReply{Err: err.Error()})
 		}
 	}
-	return &msg.Message{Size: 64, Payload: &threadCreateReply{TaskID: t.ID, Task: t}}
+	return msg.Reply(64, threadCreateReply{TaskID: t.ID, Task: t})
 }
 
 // registerMove commits a completed migration's new location with the
@@ -396,7 +397,7 @@ func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.
 		s.shipGroup(p, g)
 		return nil
 	}
-	req := &groupSetupReq{GID: g.gid, Node: dst, MovedMember: id, MoveEpoch: moved.Migrations}
+	req := groupSetupReq{GID: g.gid, Node: dst, MovedMember: id, MoveEpoch: moved.Migrations}
 	size := 64
 	if moved.Recoverable {
 		ctx := moved.Ctx
@@ -404,9 +405,7 @@ func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.
 		size += ctx.Bytes()
 	}
 	for {
-		reply, err := s.ep.Call(p, &msg.Message{
-			Type: msg.TypeGroupSetup, To: g.origin, Size: size, Payload: req,
-		})
+		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, size, req))
 		if err != nil {
 			if msg.IsDeadPeer(err) {
 				g.originDead = true
@@ -441,12 +440,12 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*groupSetupReq)
 	g, ok := s.groups[req.GID]
 	if !ok || !g.isOrigin {
-		return &msg.Message{Size: 64, Payload: &groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)}}
+		return msg.Reply(64, groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	if _, have := g.replicas[req.Node]; !have && req.Node != s.node {
 		g.replicas[req.Node] = struct{}{}
 		if err := s.vmsvc.RegisterReplicaFrom(p, req.GID, req.Node); err != nil {
-			return &msg.Message{Size: 64, Payload: &groupSetupReply{Err: err.Error()}}
+			return msg.Reply(64, groupSetupReply{Err: err.Error()})
 		}
 	}
 	if req.NewMember != task.NoTask {
@@ -463,7 +462,7 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 			// Stale: the member was reaped, restarted from its checkpoint,
 			// or re-registered under a newer epoch. The source must discard
 			// the imported copy instead of letting it run.
-			return &msg.Message{Size: 64, Payload: &groupSetupReply{Denied: true}}
+			return msg.Reply(64, groupSetupReply{Denied: true})
 		default:
 			g.members[id] = req.Node
 			g.moveEpoch[id] = req.MoveEpoch
@@ -478,7 +477,7 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 		granted := ok && n == req.Node && g.moveEpoch[id] == req.MoveEpoch
 		replayed := ok && n == req.Node && g.moveEpoch[id] == req.MoveEpoch+1
 		if !granted && !replayed {
-			return &msg.Message{Size: 64, Payload: &groupSetupReply{Denied: true}}
+			return msg.Reply(64, groupSetupReply{Denied: true})
 		}
 		// Granted: sequence the revival so any late registration for the
 		// failed migration arrives stale. (replayed = a retried claim this
@@ -490,5 +489,5 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 	// Replicate before acking: the requester must not act on a mutation the
 	// failover successor has not logged.
 	s.shipGroup(p, g)
-	return &msg.Message{Size: 64, Payload: &groupSetupReply{}}
+	return msg.Reply(64, groupSetupReply{})
 }

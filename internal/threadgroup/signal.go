@@ -68,10 +68,9 @@ func (s *Service) SignalGroup(p *sim.Proc, gid vm.GID, sig int) error {
 	if !g.isOrigin {
 		// Let the origin fan out: a group signal is a signal to the
 		// group's main routing point.
-		reply, err := s.ep.Call(p, &msg.Message{
-			Type: msg.TypeSignal, To: g.origin, Size: 64,
-			Payload: &signalReq{GID: gid, TaskID: task.NoTask, Sig: sig},
-		})
+		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeSignal, g.origin, 64,
+			signalReq{GID: gid, TaskID: task.NoTask, Sig: sig},
+		))
 		if err != nil {
 			return err
 		}
@@ -158,7 +157,7 @@ func (s *Service) forwardSignal(p *sim.Proc, req *signalReq, to msg.NodeID) erro
 	if to == s.node {
 		return s.routeSignal(p, &fwd)
 	}
-	reply, err := s.ep.Call(p, &msg.Message{Type: msg.TypeSignal, To: to, Size: 64, Payload: &fwd})
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeSignal, to, 64, fwd))
 	if err != nil {
 		return err
 	}
@@ -224,17 +223,17 @@ func (s *Service) handleSignal(p *sim.Proc, m *msg.Message) *msg.Message {
 		// Group fan-out request, must be at the origin.
 		g, ok := s.groups[req.GID]
 		if !ok || !g.isOrigin {
-			return &msg.Message{Size: 64, Payload: &signalReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)}}
+			return msg.Reply(64, signalReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 		}
 		if err := s.fanoutGroupSignal(p, g, req.Sig); err != nil {
-			return &msg.Message{Size: 64, Payload: &signalReply{Err: err.Error()}}
+			return msg.Reply(64, signalReply{Err: err.Error()})
 		}
-		return &msg.Message{Size: 64, Payload: &signalReply{}}
+		return msg.Reply(64, signalReply{})
 	}
 	if err := s.routeSignal(p, req); err != nil {
-		return &msg.Message{Size: 64, Payload: &signalReply{Err: err.Error()}}
+		return msg.Reply(64, signalReply{Err: err.Error()})
 	}
-	return &msg.Message{Size: 64, Payload: &signalReply{}}
+	return msg.Reply(64, signalReply{})
 }
 
 // adoptOrphanSignals merges signals that arrived ahead of a migrating

@@ -109,6 +109,13 @@ type Service struct {
 	fabric  *msg.Fabric
 	vmsvc   *vm.Service
 	metrics *stats.Registry
+	// hot caches the handles of the per-migration metrics, each filled on
+	// first use (stats.Registry.CounterIn) so a run registers exactly the
+	// names it always did.
+	hot struct {
+		migrate, revive, dummyHit, dummyMiss     *stats.Counter
+		checkpoint, rpc, total, setup, importCtx *stats.Histogram
+	}
 	checker *sanitize.Checker
 	cfg     Config
 
@@ -295,10 +302,9 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 		return t, nil
 	}
 	start := p.Now()
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeThreadCreate, To: dst, Size: 128,
-		Payload: &threadCreateReq{GID: gid, Origin: g.origin},
-	})
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeThreadCreate, dst, 128,
+		threadCreateReq{GID: gid, Origin: g.origin},
+	))
 	if err != nil {
 		return nil, err
 	}
@@ -320,10 +326,9 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 
 // notifyOriginSpawn tells the origin a member was created on this kernel.
 func (s *Service) notifyOriginSpawn(p *sim.Proc, g *group, id task.ID) error {
-	reply, err := s.ep.Call(p, &msg.Message{
-		Type: msg.TypeGroupSetup, To: g.origin, Size: 64,
-		Payload: &groupSetupReq{GID: g.gid, Node: s.node, NewMember: id},
-	})
+	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, 64,
+		groupSetupReq{GID: g.gid, Node: s.node, NewMember: id},
+	))
 	if err != nil {
 		return err
 	}

@@ -230,9 +230,9 @@ func exprsPure(exprs []ast.Expr) bool {
 	return pure
 }
 
-// sortsAfter reports whether the enclosing body calls sort.<anything> — or a
-// local sort helper named sort*/Sort* (sortKeys, sortTokens) — after the
-// given position.
+// sortsAfter reports whether the enclosing body calls sort.<anything>,
+// slices.Sort<anything> — or a local sort helper named sort*/Sort* (sortKeys,
+// sortTokens) — after the given position.
 func sortsAfter(enclosing ast.Node, after token.Pos) bool {
 	found := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
@@ -242,7 +242,7 @@ func sortsAfter(enclosing ast.Node, after token.Pos) bool {
 		}
 		switch fn := call.Fun.(type) {
 		case *ast.SelectorExpr:
-			if id, ok := fn.X.(*ast.Ident); ok && id.Name == "sort" {
+			if id, ok := fn.X.(*ast.Ident); ok && (id.Name == "sort" || id.Name == "slices" && strings.HasPrefix(fn.Sel.Name, "Sort")) {
 				found = true
 			}
 		case *ast.Ident:

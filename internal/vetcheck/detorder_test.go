@@ -75,6 +75,7 @@ func TestDetOrderInsensitiveBodiesExempt(t *testing.T) {
 import (
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"slices"
 	"sort"
 )
 
@@ -104,10 +105,18 @@ func (s *Service) handlePing(p *sim.Proc, mm *msg.Message) *msg.Message {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	for _, k := range keys {
+	for _, k := range s.keysInto(keys[:0]) {
 		s.ep.Send(p, &msg.Message{To: msg.NodeID(k)})
 	}
 	return nil
+}
+
+func (s *Service) keysInto(buf []int) []int {
+	for k := range s.m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 `,
 	}, DetOrder{})

@@ -18,7 +18,8 @@ import (
 //     registration in non-test code — a type nobody can receive is either
 //     dead or a latent "no handler" panic;
 //   - every declared Type must be sent somewhere (a Message composite
-//     literal with Type: TypeX) — otherwise it is dead protocol surface;
+//     literal with Type: TypeX, or a NewWith(TypeX, ...) call) — otherwise it
+//     is dead protocol surface;
 //   - Call/CallEach results must not discard the error: a lost reply is how
 //     inter-kernel protocols wedge silently.
 //
@@ -57,9 +58,13 @@ func (MsgProto) Check(t *Tree) []Finding {
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				switch node := n.(type) {
 				case *ast.CallExpr:
-					if name := calleeName(node); name == "Handle" && len(node.Args) >= 1 {
+					if name := calleeName(node); (name == "Handle" || name == "NewWith") && len(node.Args) >= 1 {
 						if tn, ok := typeConstName(node.Args[0]); ok {
-							handled[tn] = true
+							if name == "Handle" {
+								handled[tn] = true
+							} else {
+								sent[tn] = true
+							}
 						}
 					}
 				case *ast.CompositeLit:

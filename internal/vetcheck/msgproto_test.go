@@ -83,6 +83,28 @@ func wire(ep *msg.Endpoint) {
 	wantRules(t, got, "TypeOrphan has no entry in typeNames")
 }
 
+func TestMsgProtoNewWithCountsAsSend(t *testing.T) {
+	// A co-allocated message names its type as NewWith's first argument, not
+	// in a Message literal; a Reply names none.
+	got := findingsFor(t, map[string]string{
+		"internal/msg/msg.go":      msgFixture,
+		"internal/msg/endpoint.go": msgUserFixture,
+		"internal/vm/wire.go": `package vm
+
+import "repro/internal/msg"
+
+type req struct{ N int }
+
+func wire(ep *msg.Endpoint) {
+	ep.Handle(msg.TypeOrphan, func() {})
+	_ = msg.NewWith(msg.TypeOrphan, 2, 64, req{N: 1})
+	_ = msg.Reply(64, req{N: 2})
+}
+`,
+	}, MsgProto{})
+	wantRules(t, got, "TypeOrphan has no entry in typeNames")
+}
+
 func TestMsgProtoDiscardedCall(t *testing.T) {
 	got := findingsFor(t, map[string]string{
 		"internal/msg/msg.go":      msgFixture,

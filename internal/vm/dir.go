@@ -11,11 +11,13 @@ import (
 
 // dirTransaction is the origin-side heart of the consistency protocol: it
 // serialises on the page's directory entry, revokes conflicting copies, and
-// produces the grant for the requesting kernel. The caller holds the
-// address-space lock shared.
+// produces the grant for the requesting kernel — into g, the caller's own
+// storage, so the origin's local fault allocates nothing for it and the frames
+// a blocked transaction keeps on its stack carry one copy, not one per level.
+// The caller holds the address-space lock shared.
 //
 //popcornvet:allow locksend holding the directory-entry lock across the revocation RPCs is the protocol: it is what makes a page's ownership transition atomic. Invalidate handlers at remote kernels touch only their local page tables and never take origin directory locks, so no wait cycle can close.
-func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write, noCopy bool) (*pageGrant, error) {
+func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write, noCopy bool, g *pageGrant) error {
 	// The vm.dir span covers the origin-side transaction: waiting for the
 	// page's directory-entry lock plus any revocation fan-out. It runs under
 	// vm.fault for local faults and under handle.page-fetch for remote ones.
@@ -25,14 +27,16 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	}
 	defer dirScope.End()
 	vma, ok := sp.vmas.find(vpn)
-	if !ok {
-		return &pageGrant{Code: codeSegv, Err: fmt.Sprintf("page %#x unmapped", uint64(vpn.Base()))}, nil
-	}
-	if write && !vma.Prot.Writable() {
-		return &pageGrant{Code: codeAccess, Err: fmt.Sprintf("write to %v page", vma.Prot)}, nil
-	}
-	if !vma.Prot.Readable() {
-		return &pageGrant{Code: codeAccess, Err: fmt.Sprintf("%v page", vma.Prot)}, nil
+	switch {
+	case !ok:
+		*g = pageGrant{Code: codeSegv, Err: fmt.Sprintf("page %#x unmapped", uint64(vpn.Base()))}
+		return nil
+	case write && !vma.Prot.Writable():
+		*g = pageGrant{Code: codeAccess, Err: fmt.Sprintf("write to %v page", vma.Prot)}
+		return nil
+	case !vma.Prot.Readable():
+		*g = pageGrant{Code: codeAccess, Err: fmt.Sprintf("%v page", vma.Prot)}
+		return nil
 	}
 	de, ok := sp.dir[vpn]
 	if !ok {
@@ -57,24 +61,24 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	// Every locked directory transaction is one protocol-relative commit for
 	// the fault plane's origin-crash triggers (a nil check when no plan).
 	sp.svc.fabric.RecordDirCommit(sp.svc.node)
-	grant, err := sp.dirApply(p, req, vpn, de, vma, ver, write, noCopy)
-	if err == nil && grant != nil && grant.Err == "" && sp.svc.failover {
+	err := sp.dirApply(p, req, vpn, de, vma, ver, write, noCopy, g)
+	if err == nil && g.Err == "" && sp.svc.failover {
 		// Mirror the committed entry to the successor before the grant is
 		// released: still under de.mu, so the per-entry replication stream
 		// is ordered, and the requester can never act on a grant the
 		// successor has not logged.
 		sp.shipDirEntry(p, vpn, de)
 	}
-	return grant, err
+	return err
 }
 
 // dirApply performs the MSI state transition for one locked directory entry
-// and produces the grant. Split from dirTransaction so the failover plane
+// and produces the grant, into g. Split from dirTransaction so the failover plane
 // can ship the entry's post-transaction snapshot between the transition and
 // the grant's release.
 //
 //popcornvet:allow locksend same protocol invariant as dirTransaction: the revocation fan-out under the entry lock is what makes the ownership transition atomic, and invalidate handlers never take origin directory locks
-func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry, vma VMA, ver uint64, write, noCopy bool) (*pageGrant, error) {
+func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry, vma VMA, ver uint64, write, noCopy bool, g *pageGrant) error {
 	sharedProt := vma.Prot &^ mem.ProtWrite
 	exclusiveProt := vma.Prot
 
@@ -92,12 +96,14 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			de.state = pageModified
 			de.owner = req
 			ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
-			return &pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}, nil
+			*g = pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}
+			return nil
 		}
 		de.state = pageShared
 		de.sharers = map[msg.NodeID]struct{}{req: {}}
 		ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
-		return &pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}, nil
+		*g = pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}
+		return nil
 
 	case pageShared:
 		_, isSharer := de.sharers[req]
@@ -108,12 +114,13 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 				src = srcHaveCopy
 			}
 			ck.Grant(p, int64(sp.gid), vpn, req, false, !isSharer, de.value)
-			return &pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}, nil
+			*g = pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}
+			return nil
 		}
 		// Write on a shared page: revoke every other copy, then grant
 		// exclusive.
-		others := nodeSet(de.sharers, req)
-		sp.revokeCopies(p, others, vpn, false, ver)
+		de.nodes = nodeSet(de.nodes, de.sharers, req)
+		sp.revokeCopies(p, de.nodes, vpn, false, ver)
 		de.state = pageModified
 		de.owner = req
 		de.sharers = nil
@@ -122,7 +129,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			src = srcHaveCopy
 		}
 		ck.Grant(p, int64(sp.gid), vpn, req, true, !isSharer, de.value)
-		return &pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}, nil
+		*g = pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}
+		return nil
 
 	case pageModified:
 		if de.owner == req {
@@ -136,18 +144,21 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 				sp.svc.metrics.Counter("vm.dir.desync_repaired").Inc()
 				if write {
 					ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
-					return &pageGrant{Value: de.value, Src: int(sp.origin), Prot: exclusiveProt, Version: ver}, nil
+					*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: exclusiveProt, Version: ver}
+					return nil
 				}
 				de.state = pageShared
 				de.sharers = map[msg.NodeID]struct{}{req: {}}
 				de.owner = 0
 				ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
-				return &pageGrant{Value: de.value, Src: int(sp.origin), Prot: sharedProt, Version: ver}, nil
+				*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: sharedProt, Version: ver}
+				return nil
 			}
 			// The owner lost PTE bits (mprotect round trip) but still has
 			// the data; re-grant in place.
 			ck.Grant(p, int64(sp.gid), vpn, req, true, false, 0)
-			return &pageGrant{Src: srcHaveCopy, Prot: exclusiveProt, Version: ver}, nil
+			*g = pageGrant{Src: srcHaveCopy, Prot: exclusiveProt, Version: ver}
+			return nil
 		}
 		old := de.owner
 		ack := sp.revokeOwner(p, old, vpn, !write, ver)
@@ -157,7 +168,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		if write {
 			de.owner = req
 			ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
-			return &pageGrant{Value: de.value, Src: int(old), Prot: exclusiveProt, Version: ver}, nil
+			*g = pageGrant{Value: de.value, Src: int(old), Prot: exclusiveProt, Version: ver}
+			return nil
 		}
 		de.state = pageShared
 		de.sharers = map[msg.NodeID]struct{}{req: {}}
@@ -167,15 +179,17 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		}
 		de.owner = 0
 		ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
-		return &pageGrant{Value: de.value, Src: int(old), Prot: sharedProt, Version: ver}, nil
+		*g = pageGrant{Value: de.value, Src: int(old), Prot: sharedProt, Version: ver}
+		return nil
 	}
-	return nil, fmt.Errorf("vm: directory entry for %#x in impossible state %d", uint64(vpn.Base()), de.state)
+	return fmt.Errorf("vm: directory entry for %#x in impossible state %d", uint64(vpn.Base()), de.state)
 }
 
 // revokeCopies invalidates read copies at the given kernels (the origin's
 // own copy is handled locally; remote copies over the fabric, in parallel).
+// It keeps the remote ones in targets' own storage.
 func (sp *Space) revokeCopies(p *sim.Proc, targets []msg.NodeID, vpn mem.VPN, downgrade bool, ver uint64) {
-	remote := targets[:0:0]
+	remote := targets[:0]
 	for _, t := range targets {
 		if sp.svc.injectSkipRevoke && t == sp.svc.skipRevokeTarget {
 			// Deliberately broken protocol (sanitizer tests): leave the
@@ -193,10 +207,10 @@ func (sp *Space) revokeCopies(p *sim.Proc, targets []msg.NodeID, vpn mem.VPN, do
 	if len(remote) == 0 {
 		return
 	}
-	sp.svc.metrics.Counter("vm.inval.sent").Add(uint64(len(remote)))
+	sp.svc.metrics.CounterIn(&sp.svc.hot.invalSent, "vm.inval.sent").Add(uint64(len(remote)))
 	replies, errs := sp.svc.ep.CallEachErr(p, remote, func(to msg.NodeID) *msg.Message {
-		m := &msg.Message{Type: msg.TypePageInvalidate, To: to, Size: sizeSmallReq,
-			Payload: &pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver}}
+		m := msg.NewWith(msg.TypePageInvalidate, to, sizeSmallReq,
+			pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver})
 		// Origin-role traffic carries the origin epoch: if this kernel dies
 		// and later rejoins, copies of this invalidation still in flight are
 		// fenced at delivery instead of revoking pages behind the promoted
@@ -235,10 +249,9 @@ func (sp *Space) revokeOwner(p *sim.Proc, owner msg.NodeID, vpn mem.VPN, downgra
 		sp.svc.checker.Revoked(p, int64(sp.gid), vpn, owner, downgrade, ack.HadCopy, ack.Value)
 		return ack
 	}
-	sp.svc.metrics.Counter("vm.inval.sent").Inc()
-	rm := &msg.Message{
-		Type: msg.TypePageInvalidate, To: owner, Size: sizeSmallReq,
-		Payload: &pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver}}
+	sp.svc.metrics.CounterIn(&sp.svc.hot.invalSent, "vm.inval.sent").Inc()
+	rm := msg.NewWith(msg.TypePageInvalidate, owner, sizeSmallReq,
+		pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver})
 	// Epoch-stamped like the copy fan-out above (see revokeCopies).
 	sp.svc.fabric.StampOrigin(rm, OriginKernelOf(sp.gid))
 	reply, err := sp.svc.ep.Call(p, rm)
@@ -296,6 +309,6 @@ func (sp *Space) applyInval(p *sim.Proc, vpn mem.VPN, downgrade bool, ver uint64
 		delete(sp.values, vpn)
 	}
 	p.Sleep(sp.svc.machine.TLBShootdown(sp.shootdownCores(), false))
-	sp.svc.metrics.Counter("vm.inval.applied").Inc()
+	sp.svc.metrics.CounterIn(&sp.svc.hot.invalApplied, "vm.inval.applied").Inc()
 	return ack
 }

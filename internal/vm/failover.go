@@ -116,9 +116,9 @@ func (s *Service) FailoverEnabled() bool { return s.failover }
 // only possible failure is a dead successor — then the record is skipped
 // and the origin keeps running unreplicated (counted, so soaks can assert
 // the window was empty).
-func (s *Service) shipRepl(p *sim.Proc, rep *dirRepl) {
+func (s *Service) shipRepl(p *sim.Proc, rep dirRepl) {
 	succ := s.fabric.Successor(s.node)
-	m := &msg.Message{Type: msg.TypeDirReplicate, To: succ, Size: sizeSmallReq, Payload: rep}
+	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
 	s.fabric.StampOrigin(m, OriginKernelOf(rep.GID))
 	s.metrics.Counter("dir.failover.replicated").Inc()
 	if _, err := s.ep.Call(p, m); err != nil {
@@ -138,13 +138,13 @@ func (s *Service) shipRepl(p *sim.Proc, rep *dirRepl) {
 //
 //popcornvet:allow locksend the per-entry replication stream must be ordered by the same lock that orders the transactions; the successor-side handler only stores into its mirror maps and never calls back
 func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
-	rep := &dirRepl{
+	rep := dirRepl{
 		Kind: replEntry, GID: sp.gid, Origin: sp.svc.node,
 		VPN: vpn, State: int(de.state), Owner: de.owner,
 		Value: de.value, Version: de.version, Reclaimed: de.reclaimed,
 	}
 	if len(de.sharers) > 0 {
-		rep.Sharers = nodeSet(de.sharers, msg.NodeID(-1))
+		rep.Sharers = nodeSet(nil, de.sharers, msg.NodeID(-1)) // the mirror keeps it
 	}
 	sp.svc.shipRepl(p, rep)
 }
@@ -155,7 +155,7 @@ func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
 //
 //popcornvet:allow locksend layout replication must be ordered by the asLock that versions the mutations; the successor-side handler only stores into its mirror and never calls back
 func (sp *Space) shipLayout(p *sim.Proc, op vmaOp, lo, hi mem.VPN, prot mem.Prot) {
-	sp.svc.shipRepl(p, &dirRepl{
+	sp.svc.shipRepl(p, dirRepl{
 		Kind: replLayout, GID: sp.gid, Origin: sp.svc.node,
 		Op: op, Lo: lo, Hi: hi, Prot: prot,
 		LayoutVersion: sp.version, NextMap: sp.nextMap, Brk: sp.brk,
@@ -173,14 +173,14 @@ func (sp *Space) shipLayout(p *sim.Proc, op vmaOp, lo, hi mem.VPN, prot mem.Prot
 func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ver uint64) {
 	holder := s.fabric.OriginHolder(OriginKernelOf(gid))
 	succ := s.fabric.Successor(holder)
-	rep := &dirRepl{Kind: replValue, GID: gid, Origin: holder, VPN: vpn, Value: val, Version: ver}
+	rep := dirRepl{Kind: replValue, GID: gid, Origin: holder, VPN: vpn, Value: val, Version: ver}
 	s.metrics.Counter("dir.failover.preserved").Inc()
 	if succ == s.node {
 		// The revokee is the mirror host itself; patch in place.
-		s.applyRepl(rep)
+		s.applyRepl(&rep)
 		return
 	}
-	m := &msg.Message{Type: msg.TypeDirReplicate, To: succ, Size: sizeSmallReq, Payload: rep}
+	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
 	s.fabric.StampOrigin(m, OriginKernelOf(gid))
 	if _, err := s.ep.Call(p, m); err != nil {
 		if msg.IsDeadPeer(err) {
@@ -200,7 +200,7 @@ func (s *Service) RegisterReplicaFrom(p *sim.Proc, gid GID, node msg.NodeID) err
 		return err
 	}
 	if s.failover {
-		s.shipRepl(p, &dirRepl{Kind: replReplica, GID: gid, Origin: s.node, Replica: node})
+		s.shipRepl(p, dirRepl{Kind: replReplica, GID: gid, Origin: s.node, Replica: node})
 	}
 	return nil
 }

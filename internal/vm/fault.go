@@ -108,6 +108,26 @@ func (sp *Space) retryFailover(p *sim.Proc, err error) bool {
 	return true
 }
 
+// beginFault registers an in-flight fault on vpn, on a recycled record.
+func (sp *Space) beginFault(vpn mem.VPN) *pendingFault {
+	pend := sim.Take(&sp.pendFree)
+	if pend == nil {
+		pend = &pendingFault{}
+	}
+	sp.pending[vpn] = pend
+	return pend
+}
+
+// endFault retires vpn's fault and releases the faults coalesced behind it.
+// They re-walk without looking at the record again, so it is free at once.
+func (sp *Space) endFault(vpn mem.VPN, pend *pendingFault) {
+	delete(sp.pending, vpn)
+	pend.done.Broadcast()
+	*pend = pendingFault{}
+	//popcornvet:bounded free list: grows only when a fault ends, so the peak number of faults in flight on this space caps it
+	sim.Give(&sp.pendFree, pend)
+}
+
 func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int64, error) {
 	vpn := mem.PageOf(addr)
 	write := op.needsWrite()
@@ -147,12 +167,11 @@ func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int6
 		faultStart := p.Now()
 		if pend, ok := sp.pending[vpn]; ok {
 			// Another local thread is resolving this page: coalesce.
-			sp.svc.metrics.Counter("vm.fault.coalesced").Inc()
+			sp.svc.metrics.CounterIn(&sp.svc.hot.faultCoalesced, "vm.fault.coalesced").Inc()
 			pend.done.Wait(p)
 			continue
 		}
-		pend := &pendingFault{done: sim.NewCond()}
-		sp.pending[vpn] = pend
+		pend := sp.beginFault(vpn)
 		// The vm.fault span covers this kernel's fault resolution: the
 		// directory transaction (local) or the PageFetch round trip (remote)
 		// plus installing the grant. The trap cost and coalesced waits stay
@@ -163,8 +182,7 @@ func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int6
 		}
 		res, err := sp.resolveFault(p, vpn, op, pend, noCopy)
 		faultScope.End()
-		delete(sp.pending, vpn)
-		pend.done.Broadcast()
+		sp.endFault(vpn, pend)
 		if err != nil {
 			// An origin that died mid-fault is retried (paced) when failover
 			// is on: the successor promotes itself and the handover
@@ -175,9 +193,9 @@ func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int6
 			return 0, err
 		}
 		if sp.isOrigin {
-			sp.svc.metrics.Histogram("vm.fault.latency.local").Observe(p.Now().Sub(faultStart))
+			sp.svc.metrics.HistogramIn(&sp.svc.hot.latLocal, "vm.fault.latency.local").Observe(p.Now().Sub(faultStart))
 		} else {
-			sp.svc.metrics.Histogram("vm.fault.latency.remote").Observe(p.Now().Sub(faultStart))
+			sp.svc.metrics.HistogramIn(&sp.svc.hot.latRemote, "vm.fault.latency.remote").Observe(p.Now().Sub(faultStart))
 		}
 		if res.completed {
 			// The faulting access was performed atomically at install
@@ -190,7 +208,7 @@ func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int6
 			sp.svc.metrics.Counter("vm.fault.desync").Inc()
 			noCopy = true
 		}
-		sp.svc.metrics.Counter("vm.fault.retried").Inc()
+		sp.svc.metrics.CounterIn(&sp.svc.hot.faultRetried, "vm.fault.retried").Inc()
 		// A racing invalidation or layout change voided the grant; redo
 		// the walk from the top.
 	}
@@ -216,11 +234,10 @@ func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
 	if sp.isOrigin {
 		return VMA{}, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
 	}
-	sp.svc.metrics.Counter("vm.vmafetch").Inc()
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAFetch, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaFetchReq{GID: sp.gid, VPN: vpn},
-	})
+	sp.svc.metrics.CounterIn(&sp.svc.hot.vmaFetch, "vm.vmafetch").Inc()
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAFetch, sp.origin, sizeSmallReq,
+		vmaFetchReq{GID: sp.gid, VPN: vpn},
+	))
 	if err != nil {
 		return VMA{}, err
 	}
@@ -238,23 +255,21 @@ func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
 // racing invalidation voided the grant.
 func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op accessOp, pend *pendingFault, noCopy bool) (accessResult, error) {
 	write := op.needsWrite()
-	var grant *pageGrant
+	grant := &pend.grant
 	if sp.isOrigin {
-		sp.svc.metrics.Counter("vm.fault.local").Inc()
+		sp.svc.metrics.CounterIn(&sp.svc.hot.faultLocal, "vm.fault.local").Inc()
 		sp.asLock.RLock(p)
 		//popcornvet:allow locksend the shared asLock orders this fault against concurrent VMA updates; the revocation handlers it can trigger touch only remote page tables and never take the origin asLock
-		g, err := sp.dirTransaction(p, sp.svc.node, vpn, write, noCopy)
+		err := sp.dirTransaction(p, sp.svc.node, vpn, write, noCopy, grant)
 		sp.asLock.RUnlock(p)
 		if err != nil {
 			return accessResult{}, err
 		}
-		grant = g
 	} else {
-		sp.svc.metrics.Counter("vm.fault.remote").Inc()
-		reply, err := sp.svc.ep.Call(p, &msg.Message{
-			Type: msg.TypePageFetch, To: sp.origin, Size: sizeSmallReq,
-			Payload: &pageFetchReq{GID: sp.gid, VPN: vpn, Write: write, NoCopy: noCopy},
-		})
+		sp.svc.metrics.CounterIn(&sp.svc.hot.faultRemote, "vm.fault.remote").Inc()
+		reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq,
+			pageFetchReq{GID: sp.gid, VPN: vpn, Write: write, NoCopy: noCopy},
+		))
 		if err != nil {
 			return accessResult{}, err
 		}
@@ -328,9 +343,9 @@ func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFa
 		return accessResult{}, nil
 	}
 	if g.Src == srcZeroFill {
-		sp.svc.metrics.Counter("vm.page.zerofill").Inc()
+		sp.svc.metrics.CounterIn(&sp.svc.hot.zeroFill, "vm.page.zerofill").Inc()
 	} else {
-		sp.svc.metrics.Counter("vm.page.transfer").Inc()
+		sp.svc.metrics.CounterIn(&sp.svc.hot.transfer, "vm.page.transfer").Inc()
 	}
 	sp.pt.Set(vpn, mem.PTE{Frame: frame, Prot: g.Prot, HomeNode: home})
 	sp.values[vpn] = g.Value
@@ -369,7 +384,7 @@ func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, op accessOp) accessResu
 // revokes any conflicting replicas through the ordinary directory path —
 // and returns the result. No ownership ever moves to this kernel.
 func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op accessOp) (int64, error) {
-	req := &pageFetchReq{GID: sp.gid, VPN: mem.PageOf(addr), Write: true, Addr: addr, Val: op.val}
+	req := pageFetchReq{GID: sp.gid, VPN: mem.PageOf(addr), Write: true, Addr: addr, Val: op.val}
 	switch {
 	case op.fwdCode != fwdNone:
 		req.Forward = op.fwdCode
@@ -379,9 +394,7 @@ func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op accessOp) (int64, e
 		req.Forward = fwdStore
 	}
 	sp.svc.metrics.Counter("vm.write.forwarded").Inc()
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypePageFetch, To: sp.origin, Size: sizeSmallReq, Payload: req,
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq, req))
 	if err != nil {
 		return 0, err
 	}
@@ -432,10 +445,9 @@ func (sp *Space) Whereis(p *sim.Proc, addr mem.Addr) (msg.NodeID, error) {
 	if sp.isOrigin {
 		return sp.ownerOf(vpn), nil
 	}
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAFetch, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaFetchReq{GID: sp.gid, VPN: vpn, WantOwner: true},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAFetch, sp.origin, sizeSmallReq,
+		vmaFetchReq{GID: sp.gid, VPN: vpn, WantOwner: true},
+	))
 	if err != nil {
 		return 0, err
 	}
@@ -533,25 +545,21 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 			}
 			continue
 		}
-		pend := &pendingFault{done: sim.NewCond()}
-		sp.pending[vpn] = pend
-		want = append(want, slot{vpn: vpn, pend: pend})
+		want = append(want, slot{vpn: vpn, pend: sp.beginFault(vpn)})
 	}
 	if len(want) == 0 {
 		return 0, nil
 	}
 	finish := func() {
 		for _, s := range want {
-			delete(sp.pending, s.vpn)
-			s.pend.done.Broadcast()
+			sp.endFault(s.vpn, s.pend)
 		}
 	}
 	sp.svc.metrics.Counter("vm.prefetch").Inc()
 	count := int(want[len(want)-1].vpn-want[0].vpn) + 1
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypePageFetch, To: sp.origin, Size: sizeSmallReq,
-		Payload: &pageFetchReq{GID: sp.gid, VPN: want[0].vpn, Count: count},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq,
+		pageFetchReq{GID: sp.gid, VPN: want[0].vpn, Count: count},
+	))
 	if err != nil {
 		finish()
 		if msg.IsBackpressure(err) {
@@ -613,8 +621,8 @@ func (sp *Space) batchTransactions(p *sim.Proc, req msg.NodeID, first mem.VPN, c
 		sp.svc.e.Spawn("vm-batch", func(bp *sim.Proc) {
 			defer wg.Done()
 			bp.SetSpan(parentSpan)
-			g, err := sp.dirTransaction(bp, req, first+mem.VPN(i), false, false)
-			if err != nil {
+			var g pageGrant
+			if err := sp.dirTransaction(bp, req, first+mem.VPN(i), false, false, &g); err != nil {
 				out.Batch[i] = batchEntry{Code: codeOther}
 				return
 			}

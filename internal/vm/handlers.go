@@ -15,9 +15,9 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaOpReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return &msg.Message{Size: sizeVMAReply, Payload: &vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)}}
+		return msg.Reply(sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
-	reply := &vmaOpReply{}
+	var reply vmaOpReply
 	var err error
 	switch req.Op {
 	case opMap:
@@ -35,7 +35,7 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 		reply.Err = err.Error()
 	}
 	reply.Version = sp.version
-	return &msg.Message{Size: sizeVMAReply, Payload: reply}
+	return msg.Reply(sizeVMAReply, reply)
 }
 
 // handleVMAUpdate applies a pushed layout change on a replica.
@@ -44,7 +44,7 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 	sp, ok := s.spaces[u.GID]
 	if !ok {
 		// The replica was dropped concurrently (group exit); ack anyway.
-		return &msg.Message{Size: sizeSmallReq, Payload: &vmaOpReply{}}
+		return msg.Reply(sizeSmallReq, vmaOpReply{})
 	}
 	switch u.Op {
 	case opMap:
@@ -61,7 +61,7 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 		sp.version = u.Version
 	}
 	s.checker.LayoutApplied(s.node, int64(u.GID), sp.version)
-	return &msg.Message{Size: sizeSmallReq, Payload: &vmaOpReply{Version: sp.version}}
+	return msg.Reply(sizeSmallReq, vmaOpReply{Version: sp.version})
 }
 
 // handleVMAFetch serves a replica's VMA cache miss at the origin.
@@ -69,16 +69,16 @@ func (s *Service) handleVMAFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return &msg.Message{Size: sizeVMAReply, Payload: &vmaFetchReply{}}
+		return msg.Reply(sizeVMAReply, vmaFetchReply{})
 	}
 	sp.asLock.RLock(p)
 	defer sp.asLock.RUnlock(p)
 	vma, found := sp.vmas.find(req.VPN)
-	reply := &vmaFetchReply{OK: found, VMA: vma, Version: sp.version}
+	reply := vmaFetchReply{OK: found, VMA: vma, Version: sp.version}
 	if req.WantOwner && found {
 		reply.Owner = sp.ownerOf(req.VPN)
 	}
-	return &msg.Message{Size: sizeVMAReply, Payload: reply}
+	return msg.Reply(sizeVMAReply, reply)
 }
 
 // handlePageFetch runs a directory transaction at the origin on behalf of a
@@ -87,7 +87,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*pageFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return &msg.Message{Size: sizeVMAReply, Payload: &pageGrant{Code: codeOther, Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)}}
+		return msg.Reply(sizeVMAReply, pageGrant{Code: codeOther, Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	// Count > 0 marks a prefetch (demand faults leave it zero). A
 	// single-page prefetch must still take the batch path: the requester
@@ -104,36 +104,37 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 				size += hw.PageSize
 			}
 		}
-		return &msg.Message{Size: size, Payload: grant}
+		return msg.Reply(size, *grant)
 	}
 	if req.Forward != fwdNone {
 		val, err := sp.applyForwarded(p, req)
 		//popcornvet:allow dirver a forwarded-op reply installs no page copy (srcApplied); there is nothing for the replica to order
-		grant := &pageGrant{Value: val, Src: srcApplied, Swapped: sp.lastApplySwap}
+		grant := pageGrant{Value: val, Src: srcApplied, Swapped: sp.lastApplySwap}
 		if err != nil {
 			grant = forwardedError(err)
 		}
-		return &msg.Message{Size: sizeVMAReply, Payload: grant}
+		return msg.Reply(sizeVMAReply, grant)
 	}
+	var grant pageGrant
 	sp.asLock.RLock(p)
 	//popcornvet:allow locksend the shared asLock orders remote faults against concurrent VMA updates; the revocation handlers it can trigger touch only remote page tables and never take the origin asLock
-	grant, err := sp.dirTransaction(p, m.From, req.VPN, req.Write, req.NoCopy)
+	err := sp.dirTransaction(p, m.From, req.VPN, req.Write, req.NoCopy, &grant)
 	sp.asLock.RUnlock(p)
 	if err != nil {
-		grant = &pageGrant{Code: codeOther, Err: err.Error()}
+		grant = pageGrant{Code: codeOther, Err: err.Error()}
 	}
-	return &msg.Message{Size: grantSize(grant), Payload: grant}
+	return msg.Reply(grantSize(grant), grant)
 }
 
 // forwardedError maps a local access error onto a grant.
-func forwardedError(err error) *pageGrant {
+func forwardedError(err error) pageGrant {
 	switch {
 	case errors.Is(err, ErrSegv):
-		return &pageGrant{Code: codeSegv, Err: err.Error()}
+		return pageGrant{Code: codeSegv, Err: err.Error()}
 	case errors.Is(err, ErrAccess):
-		return &pageGrant{Code: codeAccess, Err: err.Error()}
+		return pageGrant{Code: codeAccess, Err: err.Error()}
 	default:
-		return &pageGrant{Code: codeOther, Err: err.Error()}
+		return pageGrant{Code: codeOther, Err: err.Error()}
 	}
 }
 
@@ -143,8 +144,7 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	req := m.Payload.(*pageInval)
 	sp, ok := s.spaces[req.GID]
 	if !ok {
-		ack := &pageInvalAck{}
-		return &msg.Message{Size: invalAckSize(ack), Payload: ack}
+		return msg.Reply(sizeSmallReq, pageInvalAck{})
 	}
 	// A full invalidation of a writable copy destroys the page's only
 	// current contents: after applyInval the value exists solely in the ack
@@ -163,5 +163,5 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	if surrender && ack.HadCopy {
 		s.shipSurrender(p, req.GID, req.VPN, ack.Value, req.Version)
 	}
-	return &msg.Message{Size: invalAckSize(&ack), Payload: &ack}
+	return msg.Reply(invalAckSize(ack), ack)
 }

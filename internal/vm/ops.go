@@ -18,16 +18,17 @@ func (sp *Space) Map(p *sim.Proc, length uint64, prot mem.Prot) (mem.Addr, error
 	if length == 0 {
 		return 0, fmt.Errorf("%w: zero-length map", ErrBadRange)
 	}
-	sp.svc.metrics.Counter("vm.op.map").Inc()
+	sp.svc.metrics.CounterIn(&sp.svc.hot.opMap, "vm.op.map").Inc()
 	start := p.Now()
-	defer func() { sp.svc.metrics.Histogram("vm.op.map.latency").Observe(p.Now().Sub(start)) }()
+	defer func() {
+		sp.svc.metrics.HistogramIn(&sp.svc.hot.latMap, "vm.op.map.latency").Observe(p.Now().Sub(start))
+	}()
 	if sp.isOrigin {
 		return sp.originMap(p, length, prot)
 	}
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAOp, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaOpReq{GID: sp.gid, Op: opMap, Length: length, Prot: prot},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
+		vmaOpReq{GID: sp.gid, Op: opMap, Length: length, Prot: prot},
+	))
 	if err != nil {
 		return 0, err
 	}
@@ -50,16 +51,17 @@ func (sp *Space) Unmap(p *sim.Proc, addr mem.Addr, length uint64) error {
 	if err := checkRange(addr, length); err != nil {
 		return err
 	}
-	sp.svc.metrics.Counter("vm.op.unmap").Inc()
+	sp.svc.metrics.CounterIn(&sp.svc.hot.opUnmap, "vm.op.unmap").Inc()
 	start := p.Now()
-	defer func() { sp.svc.metrics.Histogram("vm.op.unmap.latency").Observe(p.Now().Sub(start)) }()
+	defer func() {
+		sp.svc.metrics.HistogramIn(&sp.svc.hot.latUnmap, "vm.op.unmap.latency").Observe(p.Now().Sub(start))
+	}()
 	if sp.isOrigin {
 		return sp.originUnmap(p, addr, length)
 	}
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAOp, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaOpReq{GID: sp.gid, Op: opUnmap, Addr: addr, Length: length},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
+		vmaOpReq{GID: sp.gid, Op: opUnmap, Addr: addr, Length: length},
+	))
 	if err != nil {
 		return err
 	}
@@ -75,16 +77,17 @@ func (sp *Space) Protect(p *sim.Proc, addr mem.Addr, length uint64, prot mem.Pro
 	if err := checkRange(addr, length); err != nil {
 		return err
 	}
-	sp.svc.metrics.Counter("vm.op.protect").Inc()
+	sp.svc.metrics.CounterIn(&sp.svc.hot.opProtect, "vm.op.protect").Inc()
 	start := p.Now()
-	defer func() { sp.svc.metrics.Histogram("vm.op.protect.latency").Observe(p.Now().Sub(start)) }()
+	defer func() {
+		sp.svc.metrics.HistogramIn(&sp.svc.hot.latProtect, "vm.op.protect.latency").Observe(p.Now().Sub(start))
+	}()
 	if sp.isOrigin {
 		return sp.originProtect(p, addr, length, prot)
 	}
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAOp, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaOpReq{GID: sp.gid, Op: opProtect, Addr: addr, Length: length, Prot: prot},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
+		vmaOpReq{GID: sp.gid, Op: opProtect, Addr: addr, Length: length, Prot: prot},
+	))
 	if err != nil {
 		return err
 	}
@@ -130,7 +133,7 @@ func (sp *Space) originMap(p *sim.Proc, length uint64, prot mem.Prot) (mem.Addr,
 	}
 	if sp.svc.eagerMapPush {
 		//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-		if err := sp.pushUpdate(p, &vmaUpdate{GID: sp.gid, Op: opMap, Lo: v.Lo, Hi: v.Hi, Prot: prot, Version: sp.version}); err != nil {
+		if err := sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opMap, Lo: v.Lo, Hi: v.Hi, Prot: prot, Version: sp.version}); err != nil {
 			return 0, err
 		}
 	}
@@ -163,7 +166,7 @@ func (sp *Space) originUnmap(p *sim.Proc, addr mem.Addr, length uint64) error {
 		sp.shipLayout(p, opUnmap, lo, hi, 0)
 	}
 	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	return sp.pushUpdate(p, &vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
+	return sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
 }
 
 // originProtect re-protects the range and pushes the update to replicas.
@@ -188,18 +191,19 @@ func (sp *Space) originProtect(p *sim.Proc, addr mem.Addr, length uint64, prot m
 	}
 	sp.applyProtectLocal(p, lo, hi, prot)
 	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	return sp.pushUpdate(p, &vmaUpdate{GID: sp.gid, Op: opProtect, Lo: lo, Hi: hi, Prot: prot, Version: sp.version})
+	return sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opProtect, Lo: lo, Hi: hi, Prot: prot, Version: sp.version})
 }
 
 // pushUpdate synchronously delivers a layout change to every replica.
-func (sp *Space) pushUpdate(p *sim.Proc, u *vmaUpdate) error {
-	targets := nodeSet(sp.replicas, sp.origin)
+func (sp *Space) pushUpdate(p *sim.Proc, u vmaUpdate) error {
+	sp.pushNodes = nodeSet(sp.pushNodes, sp.replicas, sp.origin)
+	targets := sp.pushNodes
 	if len(targets) == 0 {
 		return nil
 	}
-	sp.svc.metrics.Counter("vm.update.pushed").Add(uint64(len(targets)))
+	sp.svc.metrics.CounterIn(&sp.svc.hot.updatePushed, "vm.update.pushed").Add(uint64(len(targets)))
 	_, err := sp.svc.ep.CallEach(p, targets, func(to msg.NodeID) *msg.Message {
-		m := &msg.Message{Type: msg.TypeVMAUpdate, To: to, Size: sizeSmallReq, Payload: u}
+		m := msg.NewWith(msg.TypeVMAUpdate, to, sizeSmallReq, u)
 		// Origin-role traffic: epoch-stamped so stale copies from a
 		// crashed-and-rejoined origin are fenced (see revokeCopies).
 		sp.svc.fabric.StampOrigin(m, OriginKernelOf(sp.gid))
@@ -289,10 +293,9 @@ func (sp *Space) Sbrk(p *sim.Proc, delta int64) (mem.Addr, error) {
 	if sp.isOrigin {
 		return sp.originSbrk(p, delta)
 	}
-	reply, err := sp.svc.ep.Call(p, &msg.Message{
-		Type: msg.TypeVMAOp, To: sp.origin, Size: sizeSmallReq,
-		Payload: &vmaOpReq{GID: sp.gid, Op: opBrk, Length: uint64(delta)},
-	})
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
+		vmaOpReq{GID: sp.gid, Op: opBrk, Length: uint64(delta)},
+	))
 	if err != nil {
 		return 0, err
 	}
@@ -354,7 +357,7 @@ func (sp *Space) originSbrk(p *sim.Proc, delta int64) (mem.Addr, error) {
 		sp.shipLayout(p, opUnmap, lo, hi, 0)
 	}
 	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	err := sp.pushUpdate(p, &vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
+	err := sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
 	sp.asLock.Unlock(p)
 	return old, err
 }

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -165,7 +165,7 @@ type pageInvalAck struct {
 
 // grantSize returns the reply size for a grant (page data included only
 // when contents actually travel).
-func grantSize(g *pageGrant) int {
+func grantSize(g pageGrant) int {
 	if g.Src >= 0 {
 		return sizePageGrant
 	}
@@ -173,22 +173,27 @@ func grantSize(g *pageGrant) int {
 }
 
 // invalAckSize returns the ack size (page data included on write-back).
-func invalAckSize(a *pageInvalAck) int {
+func invalAckSize(a pageInvalAck) int {
 	if a.HadCopy {
 		return sizePageGrant
 	}
 	return sizeSmallReq
 }
 
-// nodeSet returns the keys of a node set as a slice, excluding skip.
-func nodeSet(m map[msg.NodeID]struct{}, skip msg.NodeID) []msg.NodeID {
-	out := make([]msg.NodeID, 0, len(m))
+// nodeSet returns the keys of a node set, excluding skip, in buf's storage
+// (nil: fresh storage). The caller must own buf until its last use of the
+// result — across blocking steps too, so only under a lock that covers them.
+func nodeSet(buf []msg.NodeID, m map[msg.NodeID]struct{}, skip msg.NodeID) []msg.NodeID {
+	if cap(buf) < len(m) {
+		buf = make([]msg.NodeID, 0, len(m))
+	}
+	out := buf[:0]
 	for n := range m {
 		if n != skip {
 			out = append(out, n)
 		}
 	}
 	// Deterministic order for reproducible schedules.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

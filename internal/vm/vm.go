@@ -82,13 +82,20 @@ type dirEntry struct {
 	version uint64
 	// mu serialises directory transactions for this page.
 	mu *sim.Mutex
+	// nodes is the transaction's scratch for the kernels to revoke: mu is
+	// held from filling it to the last use, across every blocking step.
+	nodes []msg.NodeID
 }
 
 // pendingFault tracks an in-flight fault on a replica so concurrent faults
-// on the same page coalesce and a racing invalidation forces a retry.
+// on the same page coalesce and a racing invalidation forces a retry. Records
+// come off Space.pendFree (beginFault/endFault).
 type pendingFault struct {
-	done        *sim.Cond
+	done        sim.Cond
 	invalidated bool
+	// grant is where the origin's own fault has its directory transaction
+	// write the grant: storage the fault already has, not a fresh object.
+	grant pageGrant
 	// invalVersion is the highest directory version seen on an invalidation
 	// while this fault was in flight; layout-level scrubs (munmap,
 	// mprotect) set it to ^uint64(0) because they void any grant. A grant
@@ -111,6 +118,8 @@ type Space struct {
 	pt      *mem.PageTable
 	values  map[mem.VPN]int64
 	pending map[mem.VPN]*pendingFault
+	// pendFree recycles pendingFault records (beginFault/endFault).
+	pendFree []*pendingFault
 	// localThreads counts live group members on this kernel; TLB
 	// shootdowns for this space hit at most that many cores (the
 	// replicated kernel's mm_cpumask analogue).
@@ -129,6 +138,9 @@ type Space struct {
 	// replicas is the set of kernels that attached a replica (origin
 	// excluded); layout updates are pushed to these.
 	replicas map[msg.NodeID]struct{}
+	// pushNodes is pushUpdate's scratch for its targets; asLock is held
+	// exclusively from filling it to the last use.
+	pushNodes []msg.NodeID
 }
 
 // Service is the per-kernel VM service: it owns this kernel's group spaces
@@ -150,7 +162,16 @@ type Service struct {
 	ep      *msg.Endpoint
 	frames  FrameSource
 	metrics *stats.Registry
-	spaces  map[GID]*Space
+	// hot caches the handles of the per-fault and per-operation metrics, each
+	// filled on first use (stats.Registry.CounterIn) so a run registers
+	// exactly the names it always did.
+	hot struct {
+		faultLocal, faultRemote, faultCoalesced, faultRetried, vmaFetch *stats.Counter
+		zeroFill, transfer, invalSent, invalApplied                     *stats.Counter
+		opMap, opUnmap, opProtect, updatePushed                         *stats.Counter
+		latLocal, latRemote, latMap, latUnmap, latProtect               *stats.Histogram
+	}
+	spaces map[GID]*Space
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
 	// layout change hit all of them.
 	localCores int
