@@ -10,18 +10,12 @@
 //	          and undocumented same-class lock nesting
 //	dirver    pageGrant/pageInval composite literals that leave the
 //	          directory Version unstamped (error replies exempt)
-//	doccomment exported declarations and exported struct fields without
-//	          doc comments in the documented-surface packages
-//	          (msg, vm, threadgroup, trace)
 //	kernlocal handler paths that touch another kernel's state (cluster
-//	          table, peer endpoints) or handler-reachable shared
-//	          infrastructure, instead of going through msg
+//	          table, peer endpoints) instead of going through msg
 //	detorder  nondeterministic ordering on event-visible paths: map
 //	          ranges whose order escapes, non-total sort.Slice
 //	          comparators, wall-clock/global-rand outside the
 //	          sim-managed set
-//	sharedmut package-level mutable vars referenced from
-//	          handler-reachable code
 //	hotalloc  heap-allocating constructs (make/new, &T{}, append,
 //	          fmt/errors calls, string concat and conversions, closures,
 //	          defer-in-loop) in functions marked //popcornvet:hotpath or
@@ -40,7 +34,7 @@
 // JSON array of {file, line, col, analyzer, message} objects on stdout)
 // and the exit status is 1 when any exist. Suppress a deliberate violation
 // with a justified directive on (or just above) the offending line, or in
-// the enclosing declaration's doc comment:
+// the enclosing function's doc comment:
 //
 //	//popcornvet:allow <rule> <reason>
 //

@@ -9,8 +9,10 @@
 package futex
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/msg"
@@ -231,7 +233,6 @@ func (s *Service) beginWait(p *sim.Proc, home msg.NodeID) (uint64, *localWaiter)
 func (s *Service) endWait(token uint64, lw *localWaiter) {
 	delete(s.waiters, token)
 	*lw = localWaiter{}
-	//popcornvet:bounded free list: grows only when a Wait ends, so the threads blocked on this kernel at once cap it
 	sim.Give(&s.lwFree, lw)
 }
 
@@ -255,7 +256,9 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 	for k := range s.buckets {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.gid, b.gid), cmp.Compare(a.addr, b.addr))
+	})
 	for _, k := range keys {
 		b := s.buckets[k]
 		b.mu.Lock(p)
@@ -276,7 +279,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 			tokens = append(tokens, tok)
 		}
 	}
-	sortTokens(tokens)
+	slices.Sort(tokens)
 	for _, tok := range tokens {
 		lw := s.waiters[tok]
 		lw.woken = true
@@ -284,28 +287,6 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 		s.metrics.Counter("futex.wait.deadhome").Inc()
 		if lw.parked {
 			lw.p.Resume()
-		}
-	}
-}
-
-func sortKeys(keys []key) {
-	less := func(a, b key) bool {
-		if a.gid != b.gid {
-			return a.gid < b.gid
-		}
-		return a.addr < b.addr
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
-func sortTokens(ts []uint64) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
 		}
 	}
 }
@@ -360,7 +341,6 @@ func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, f
 		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
 		return futexOpReply{Queued: false}
 	}
-	//popcornvet:bounded one entry per blocked thread; the workload's thread population is fixed and FUTEX_WAKE drains the bucket
 	b.waiters = append(b.waiters, waiterRef{node: from, token: token})
 	if c, d := s.metrics.CounterIn(&s.hot.queueMax, "futex.queue.max"), uint64(len(b.waiters)); d > c.Value() {
 		c.Add(d - c.Value())

@@ -113,7 +113,6 @@ func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to 
 	for requeued < requeue && len(bFrom.waiters) > 0 {
 		ref := bFrom.waiters[0]
 		bFrom.waiters = bFrom.waiters[1:]
-		//popcornvet:bounded requeue conserves waiters: every entry appended here was just removed from bFrom
 		bTo.waiters = append(bTo.waiters, ref)
 		requeued++
 	}

@@ -186,23 +186,47 @@ func TestWireRingReusesCapacity(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	w := f.wires[f.pair(0, 1)]
-	if w.head != 0 || len(w.entries) != 0 {
-		t.Fatalf("drained wire not compacted: head=%d len=%d", w.head, len(w.entries))
+	if w.len() != 0 {
+		t.Fatalf("%d entries left on the drained wire", w.len())
 	}
-	if cap(w.entries) > 64 {
-		t.Fatalf("ring capacity grew to %d for strictly serial sends; compaction is not reusing the array", cap(w.entries))
+	if cap(w.items) > 64 {
+		t.Fatalf("ring capacity grew to %d for strictly serial sends; compaction is not reusing the array", cap(w.items))
 	}
 	if len(f.entryFree) == 0 {
 		t.Fatal("wire entries were not recycled to the free list")
 	}
 }
 
+// heartbeatsOnWires counts the fabric-owned heartbeats in flight: reserved on
+// a wire, their sender inside the send window. Between engine events that is
+// every heartbeat there is outside the pool — commit hands one to delivery or
+// to drop in the same step.
+func heartbeatsOnWires(f *Fabric) int {
+	n := 0
+	for _, w := range f.wires {
+		for _, entry := range w.items[w.head:] {
+			if entry.m.Type == TypeHeartbeat {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkHeartbeatsConserved asserts that every heartbeat allocMsg ever made is
+// either back in the pool or in flight.
+func checkHeartbeatsConserved(t *testing.T, f *Fabric, when string) {
+	t.Helper()
+	if pooled, flying := len(f.msgFree), heartbeatsOnWires(f); f.msgMade != pooled+flying {
+		t.Fatalf("%s: %d heartbeats allocated, %d pooled + %d in flight: %d leaked",
+			when, f.msgMade, pooled, flying, f.msgMade-pooled-flying)
+	}
+}
+
 // TestHeartbeatPoolRecycles drives a crash-and-heal window (which starts
-// the survivors' heartbeat traffic) and verifies delivered heartbeats cycle
-// through the fabric's message pool rather than piling up as garbage: once
-// every kernel is live again, a sweep's final probe is released at delivery
-// and sits in the pool. Copies sent into the dead window simply fall out of
-// the pool — that loss is bounded by the window, not the run length.
+// the survivors' heartbeat traffic) and verifies heartbeats cycle through the
+// fabric's message pool rather than piling up as garbage — the ones delivered
+// and the ones sent into the dead window alike.
 func TestHeartbeatPoolRecycles(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -219,7 +243,66 @@ func TestHeartbeatPoolRecycles(t *testing.T) {
 	if f.metrics.Counter("msg.heartbeat.recv").Value() == 0 {
 		t.Fatal("no heartbeats delivered; the scenario did not exercise the pool")
 	}
-	if len(f.msgFree) == 0 {
-		t.Fatal("delivered heartbeats were not recycled to the message pool")
+	if f.metrics.Counter("msg.fault.dead-link").Value() == 0 {
+		t.Fatal("no heartbeat went into the dead window; the scenario did not exercise drop")
+	}
+	checkHeartbeatsConserved(t, f, "after the window")
+}
+
+// TestEatenHeartbeatsRecycle holds a failure window open (a crash whose heal
+// is far off, a verdict threshold further still) with two survivors
+// partitioned from each other for hundreds of probe periods, so every period
+// the fault plane eats five heartbeats — two at the partition, three on the
+// dead kernel's links. Each must go back to the pool (Fabric.drop): the
+// window's steady state allocates nothing, and no heartbeat is ever
+// unaccounted for. An eaten heartbeat left as garbage costs its replacement at
+// the next probe: 40 allocations per measured run below.
+func TestEatenHeartbeatsRecycle(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	const every = 50 * time.Microsecond
+	plan := &faultinj.Plan{
+		Seed:       1,
+		Crashes:    []faultinj.NodeCrash{{Node: 3, At: 2 * every}},
+		Heals:      []faultinj.NodeHeal{{Node: 3, At: 600 * every}},
+		Partitions: []faultinj.Partition{{A: 0, B: 1, From: 0, Until: 500 * every}},
+	}
+	// DeadAfter far past the window: no suspicion and no verdict ends the
+	// probing of the dead kernel or of the partitioned peer.
+	f.EnableFaults(plan, FaultConfig{HeartbeatEvery: every, DeadAfter: time.Second}, FaultHooks{})
+	if err := e.RunFor(40 * every); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	checkHeartbeatsConserved(t, f, "after warm-up")
+	eaten := f.metrics.Counter("msg.fault.partition").Value() + f.metrics.Counter("msg.fault.dead-link").Value()
+	made := f.msgMade
+	const perRun = 8
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := e.RunFor(perRun * every); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	if now := e.Now().Duration(); now >= 500*every {
+		t.Fatalf("measured up to %v, past the partition: shorten the runs", now)
+	}
+	after := f.metrics.Counter("msg.fault.partition").Value() + f.metrics.Counter("msg.fault.dead-link").Value()
+	if periods := uint64(51 * perRun); after-eaten < 4*periods {
+		t.Fatalf("the fault plane ate %d heartbeats over %d periods, want about five a period", after-eaten, periods)
+	}
+	if allocs != 0 || f.msgMade != made {
+		t.Fatalf("steady state of the window: %.0f allocations per %d probe periods and %d new heartbeats, want 0 and 0",
+			allocs, perRun, f.msgMade-made)
+	}
+	checkHeartbeatsConserved(t, f, "inside the partition")
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if f.metrics.Counter("msg.fault.rejoined").Value() == 0 {
+		t.Fatal("the healed kernel never rejoined; the window did not close")
+	}
+	checkHeartbeatsConserved(t, f, "at quiescence")
+	if flying := heartbeatsOnWires(f); flying != 0 {
+		t.Fatalf("%d heartbeats still in flight at quiescence", flying)
 	}
 }

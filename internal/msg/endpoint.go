@@ -21,60 +21,56 @@ type Endpoint struct {
 	// state stay untagged, on the root engine.
 	eng sim.Engine
 
-	// queue[qhead:] is the inbound backlog; the pump advances qhead
-	// instead of reslicing and resets both once drained, so the backing
-	// array is reused across bursts. With the flow plane attached it holds
-	// only bulk traffic, whose depth the sender-side credits bound.
-	queue []*Message
-	qhead int
-	// ctrlq[chead:] is the priority control lane (flow plane only): replies,
-	// rejoin handshakes, and invalidations are received ahead of the bulk
-	// queue so control traffic is never starved behind data. Same
-	// head-compaction discipline as queue.
-	ctrlq []*Message
-	chead int
-	// pump drains the two queues for the current incarnation.
+	// bulk is the inbound backlog the pump drains. With the flow plane
+	// attached it holds only bulk traffic, whose depth the sender-side credits
+	// bound, and ctrl is the priority control lane: replies, rejoin handshakes
+	// and invalidations are received ahead of bulk so control traffic is never
+	// starved behind data.
+	bulk, ctrl fifo[*Message]
+	// pump drains the two lanes for the current incarnation.
 	pump     *pump
 	handlers [numTypes]Handler
 	// handlerNames holds the per-type handler process names, formatted once
 	// at registration instead of per message.
 	handlerNames [numTypes]string
 	pending      map[uint64]*call
-	eachNames    []string // multicast worker process names, by target
 
 	// live lists (through handlerRun.prev/next) every process this endpoint
 	// started (handlers, multicast workers, failure detection) and has not
 	// torn down, so a kernel crash can halt all of them.
 	live *handlerRun
 
-	// Fault-plane state, allocated by EnableFaults and nil otherwise.
-	// dead marks a crashed kernel; lastHeard/declaredDead/suspects are this
-	// kernel's local failure-detector view; seen is the at-most-once dedup
-	// table.
-	dead         bool
-	detecting    bool
-	lastHeard    map[NodeID]sim.Time
-	declaredDead map[NodeID]bool
-	suspects     map[NodeID]bool
-	seen         map[dedupKey]*dedupEntry
-	// knownInc is the highest incarnation of each peer this kernel has
+	// peers is everything this kernel knows about each other kernel, indexed
+	// by NodeID. dead marks this kernel itself crashed; seen is the
+	// at-most-once dedup table (fault plane only, nil otherwise).
+	peers     []peer
+	dead      bool
+	detecting bool
+	seen      map[dedupKey]*dedupEntry
+	sweepDone *sim.Cond
+}
+
+// peer is one kernel's own view of one other kernel — the paper's kernels
+// share nothing, so every plane's per-peer knowledge lives here, learned by
+// message: the failure detector's clock and verdicts and the rejoin admission
+// state (fault plane), the gray EWMA, breaker and retry bucket (flow plane).
+// A detached plane leaves its fields zero, and a reboot resets the record.
+type peer struct {
+	lastHeard             sim.Time
+	suspect, declaredDead bool
+	// knownInc is the highest incarnation of the peer this kernel has
 	// completed a rejoin handshake with (i.e. finished reclaiming the
 	// previous incarnation's state). Messages stamped with a newer
 	// incarnation are dropped at delivery until the handshake lands:
 	// serving a fresh kernel while its predecessor's reclamation sweep is
 	// still pending would let the sweep wipe state granted to the new one.
-	knownInc map[NodeID]uint64
-	// sweeping marks peers whose detector-declared degradation sweep is
-	// still running in its spawned process; a rejoin handshake for such a
-	// peer waits for the sweep to finish before admitting the new
-	// incarnation.
-	sweeping  map[NodeID]bool
-	sweepDone *sim.Cond
-
-	// flowPeers is this kernel's flow-plane state per peer (gray-failure
-	// EWMA, circuit breaker, retry budget), allocated by EnableFlow and nil
-	// otherwise.
-	flowPeers map[NodeID]*flowPeer
+	knownInc uint64
+	// sweeping: the detector-declared degradation sweep for the peer is still
+	// running in its spawned process; a rejoin handshake waits (sweepDone) for
+	// it to finish before admitting the new incarnation.
+	sweeping bool
+	flow     flowPeer
+	eachName string // multicast worker process name toward this peer
 }
 
 // call is one RPC in flight and the request's continuation: while the caller
@@ -148,7 +144,7 @@ func (c *call) onSent() {
 	f := c.ep.f
 	c.sent = true
 	f.commit(c.entry)
-	if !c.done && c.ep.declaredDead[c.m.To] {
+	if !c.done && c.ep.peers[c.m.To].declaredDead {
 		c.failed = true // the verdict on the peer is read here and nowhere else
 	}
 	switch {
@@ -197,9 +193,10 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 		node:    node,
 		eng:     f.e.Lane(int(node)),
 		pending: make(map[uint64]*call),
+		peers:   make([]peer, len(f.endpoints)),
 	}
-	for to := range f.endpoints {
-		ep.eachNames = append(ep.eachNames, fmt.Sprintf("msg-calleach-%d-%d", node, to))
+	for to := range ep.peers {
+		ep.peers[to].eachName = fmt.Sprintf("msg-calleach-%d-%d", node, to)
 	}
 	ep.pump = newPump(ep)
 	return ep
@@ -248,7 +245,7 @@ func (ep *Endpoint) Handles(t Type) bool {
 // threshold but no verdict has been reached. Like Fabric.Crashed, this is
 // physically-local knowledge — each kernel reads only its own detector —
 // and the OS uses it to evacuate threads before a peer is declared dead.
-func (ep *Endpoint) Suspects(n NodeID) bool { return ep.suspects[n] }
+func (ep *Endpoint) Suspects(n NodeID) bool { return ep.peers[n].suspect }
 
 // handlerRun is one endpoint-owned process on storage the fabric pools: the
 // Proc itself (sim.Engine.Start) and what its body works on — a request (m,
@@ -368,9 +365,18 @@ func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
 // stage is a one-way send up to its ring-slot reservation; whoever calls it
 // owes the send cost and then the commit.
 func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
+	ep.checkAddressed(m)
 	// wait<0 blocks forever and shed=false never refuses, so the error
 	// return is structurally nil here.
 	_ = ep.flowAdmit(p, m, -1, false)
+	ep.announce(p, m)
+	return ep.f.reserve(m)
+}
+
+// announce is what a message's first send does between admission and the
+// ring, one-way or RPC alike: stamp it, open its wire span, count it and tell
+// the tracer and the observer.
+func (ep *Endpoint) announce(p *sim.Proc, m *Message) {
 	ep.prepare(m)
 	ep.beginWireSpan(p, m)
 	ep.f.metrics.CounterIn(&ep.f.hot.sent, "msg.sent").Inc()
@@ -383,7 +389,6 @@ func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
 	if o := ep.f.observer; o != nil {
 		o.MsgSent(p, m)
 	}
-	return ep.f.reserve(m)
 }
 
 // TrySend transmits m like Send but never blocks: if the link's credits are
@@ -416,7 +421,8 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	if m.To == ep.node {
 		return nil, fmt.Errorf("msg: node %d RPC to itself (type %v)", ep.node, m.Type)
 	}
-	if ep.declaredDead[m.To] {
+	ep.checkAddressed(m)
+	if ep.peers[m.To].declaredDead {
 		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
 		return nil, &DeadPeerError{Peer: m.To, Type: m.Type}
 	}
@@ -441,7 +447,6 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		ep.breakerAbort(m.To)
 		return nil, err
 	}
-	ep.prepare(m)
 	// The RPC round span covers everything between the caller issuing the
 	// request and resuming with the reply (or an error): both wire legs, the
 	// remote handler, queue waits, and any retransmission backoff. It ends
@@ -451,17 +456,10 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		rpcSpan = col.Begin(p, rpcSpanNames[m.Type], int(ep.node))
 	}
 	defer rpcSpan.End()
-	ep.beginWireSpan(p, m)
+	ep.announce(p, m)
+	ep.f.metrics.CounterIn(&ep.f.hot.rpc, "msg.rpc").Inc()
 	c := ep.newCall(p, m)
 	defer ep.endCall(c)
-	ep.f.metrics.CounterIn(&ep.f.hot.sent, "msg.sent").Inc()
-	ep.f.metrics.CounterIn(&ep.f.hot.rpc, "msg.rpc").Inc()
-	if ep.f.tracer != nil {
-		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc", m.Type, m.To, m.Seq, m.Size)
-	}
-	if o := ep.f.observer; o != nil {
-		o.MsgSent(p, m)
-	}
 	start := p.Now()
 	c.transmit()
 	reply, err := ep.awaitReply(p, c)
@@ -552,18 +550,23 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 	}
 }
 
-// prepare stamps From, Seq, and (in fault mode) the incarnation pair, and
-// validates the destination. Retransmissions re-enter with SrcInc already
-// set and keep their original stamps: a copy prepared before a reboot must
-// stay fenceable, and at-most-once dedup holds across incarnations.
-func (ep *Endpoint) prepare(m *Message) {
-	if int(m.To) < 0 || int(m.To) >= len(ep.f.endpoints) {
+// checkAddressed panics on a message no kernel could receive — fatal misuse,
+// caught at the door, before a plane indexes anything by m.To.
+func (ep *Endpoint) checkAddressed(m *Message) {
+	if int(m.To) < 0 || int(m.To) >= len(ep.peers) {
 		//popcornvet:allow hotalloc fatal misuse path; the panic ends the run
 		panic(fmt.Sprintf("msg: send to unknown node %d", m.To))
 	}
 	if m.Type == TypeInvalid {
 		panic("msg: send of invalid message type")
 	}
+}
+
+// prepare stamps From, Seq, and (in fault mode) the incarnation pair.
+// Retransmissions re-enter with SrcInc already set and keep their original
+// stamps: a copy prepared before a reboot must stay fenceable, and
+// at-most-once dedup holds across incarnations.
+func (ep *Endpoint) prepare(m *Message) {
 	m.From = ep.node
 	if m.Seq == 0 {
 		ep.f.nextSeq++
@@ -575,50 +578,25 @@ func (ep *Endpoint) prepare(m *Message) {
 	}
 }
 
-// deliver enqueues m at its destination endpoint. In fault mode stale
-// incarnations are fenced first — before the last-heard refresh, so a
-// zombie heartbeat cannot feed the failure detector — then every surviving
-// delivery refreshes the detector's clock, and heartbeats are consumed here
-// without ever touching the queue, tracer, or observer. This IS the
-// fabric's delivery step — the one place allowed to touch a peer's queue.
+// deliver enqueues m at its destination endpoint. The fence comes first —
+// before the last-heard refresh, so a zombie heartbeat cannot feed the failure
+// detector — then, in fault mode, every surviving delivery refreshes the
+// detector's clock, and heartbeats are consumed here without ever touching
+// the queue, tracer, or observer. This IS the fabric's delivery step — the
+// one place allowed to touch a peer's queue.
 //
 //popcornvet:allow kernlocal the fabric's delivery step itself: the message arriving at its destination's queue
 //popcornvet:hotpath
 func (f *Fabric) deliver(m *Message) {
 	dst := f.endpoints[m.To]
-	if f.staleOrigin(m) {
-		// The message was prepared under an origin-epoch a promotion has
-		// since superseded — pre-failover traffic from (or addressed through)
-		// a stale origin. Dropped like dead-incarnation traffic: the promoted
-		// successor's state must never see it.
-		f.countLink("msg.fault.staleorigin", m.From, m.To)
-		f.flowRelease(m)
+	if f.fence(m, dst) {
 		return
 	}
 	if f.plan != nil {
-		if dst.dead {
-			f.flowRelease(m)
-			return
-		}
-		if f.fenced(m) {
-			f.flowRelease(m)
-			return
-		}
-		if m.Type != TypeRejoin && m.SrcInc > dst.knownInc[m.From] {
-			// The sender rebooted and this kernel has not yet completed its
-			// rejoin handshake (the previous incarnation's reclamation may
-			// still be pending here). Admitting traffic now would let that
-			// sweep wipe state granted to the fresh kernel, so drop; RPC
-			// retransmits cover the gap until the handshake lands.
-			f.countLink("msg.fault.unadmitted", m.From, m.To)
-			f.flowRelease(m)
-			return
-		}
-		dst.lastHeard[m.From] = f.e.Now()
+		dst.peers[m.From].lastHeard = f.e.Now()
 		if m.Type == TypeHeartbeat {
-			// The consume point — and, because heartbeats are never queued,
-			// duplicated, or retried, the one safe place to release the
-			// fabric-owned object back to its pool.
+			// The consume point: heartbeats are never queued, duplicated, or
+			// retried, so the fabric-owned object goes back to its pool here.
 			f.metrics.Counter("msg.heartbeat.recv").Inc()
 			f.releaseMsg(m)
 			return
@@ -631,37 +609,90 @@ func (f *Fabric) deliver(m *Message) {
 		f.collector.EndAt(trace.SpanID(m.Span), f.e.Now())
 	}
 	// Call-site nil check: keeps the variadic boxing off the detached path
-	// (see Send).
+	// (see announce).
 	if f.tracer != nil {
 		f.traceEvent("msg.deliver", m.To, "%v from k%d seq=%d size=%d reply=%v", m.Type, m.From, m.Seq, m.Size, m.IsReply)
 	}
 	f.metrics.CounterIn(&f.hot.delivered, "msg.delivered").Inc()
+	lane, gauge, name := &dst.bulk, &f.hot.queueDepth, "msg.queue.maxdepth"
 	if f.flow != nil {
 		m.enqAt = f.e.Now()
 		if controlLane(m) {
 			// The priority lane: uncredited (replies and revocations must
 			// never deadlock behind the credits their senders hold) but still
 			// bounded — replies by the outstanding credited RPCs, rejoin and
-			// invalidations by their protocols' own fan-out.
-			//popcornvet:bounded control lane admits only replies (bounded by outstanding RPCs) and protocol-bounded rejoin/invalidate traffic
-			//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
-			dst.ctrlq = append(dst.ctrlq, m)
-			cdepth := uint64(len(dst.ctrlq) - dst.chead)
-			if g := f.metrics.CounterIn(&f.hot.ctrlDepth, "msg.ctrlqueue.maxdepth"); cdepth > g.Value() {
-				g.Add(cdepth - g.Value())
-			}
-			dst.pump.kick()
-			return
+			// invalidations by their protocols' own fan-out. Bulk depth is
+			// capped by the per-link sender credits.
+			lane, gauge, name = &dst.ctrl, &f.hot.ctrlDepth, "msg.ctrlqueue.maxdepth"
 		}
 	}
-	//popcornvet:bounded with the flow plane attached, bulk depth is capped by per-link sender credits; detached runs are backpressure-free by construction
-	//popcornvet:allow hotalloc queue growth is amortized; head compaction reuses capacity
-	dst.queue = append(dst.queue, m)
-	depth := uint64(len(dst.queue) - dst.qhead)
-	if g := f.metrics.CounterIn(&f.hot.queueDepth, "msg.queue.maxdepth"); depth > g.Value() {
+	lane.push(m)
+	if g, depth := f.metrics.CounterIn(gauge, name), uint64(lane.len()); depth > g.Value() {
 		g.Add(depth - g.Value())
 	}
 	dst.pump.kick()
+}
+
+// fence is the one delivery-time admission check, and reports whether it
+// dropped m. Every stamp is first-wins at send and compared here: the
+// origin-epoch m was prepared under against the failover plane's current one
+// (pre-promotion traffic from, or addressed through, a stale origin — the
+// promoted successor's state must never see it), then, in fault mode, the
+// destination's life, the incarnation pair against the current one (the
+// sender rebooted since — a zombie — or the destination did, and the message
+// targets state that died with the crash; unstamped messages, sent before
+// EnableFaults, pass), and the sender's incarnation against the one the
+// destination has admitted: until the rejoin handshake lands the previous
+// incarnation's reclamation may still be pending here, and admitting traffic
+// now would let that sweep wipe state granted to the fresh kernel — RPC
+// retransmits cover the gap.
+//
+//popcornvet:hotpath
+func (f *Fabric) fence(m *Message, dst *Endpoint) bool {
+	switch {
+	case f.originEpoch != nil && m.OriginEpoch != 0 && m.OriginEpoch < f.originEpoch[m.OriginNode]:
+		f.drop(m, "msg.fault.staleorigin")
+	case f.plan == nil:
+		return false
+	case dst.dead:
+		f.drop(m, "")
+	case m.SrcInc != 0 && (m.SrcInc != f.incarnation[m.From] || m.DstInc != f.incarnation[m.To]):
+		if f.tracer != nil {
+			f.traceFenced(m)
+		}
+		f.drop(m, "msg.fault.fenced")
+	case m.Type != TypeRejoin && m.SrcInc > dst.peers[m.From].knownInc:
+		f.drop(m, "msg.fault.unadmitted")
+	default:
+		return false
+	}
+	return true
+}
+
+// traceFenced renders the msg.fenced timeline entry, in a frame of its own so
+// the Sprintf operands stay out of the per-delivery one.
+//
+//popcornvet:coldpath
+func (f *Fabric) traceFenced(m *Message) {
+	f.traceEvent("msg.fenced", m.To, "%v from k%d seq=%d stamped (%d,%d), current (%d,%d)",
+		m.Type, m.From, m.Seq, m.SrcInc, m.DstInc, f.incarnation[m.From], f.incarnation[m.To])
+}
+
+// drop is the one way out for a message that will not be handled — fenced,
+// sent over a dead or partitioned link, lost to the plan: count it under why,
+// machine-wide and per link ("" where the caller already counted), return the
+// flow credit it holds, and recycle it if it is the fabric's own heartbeat
+// (never duplicated or retried, so this is its only end besides delivery).
+//
+//popcornvet:hotpath
+func (f *Fabric) drop(m *Message, why string) {
+	if why != "" {
+		f.countLink(why, m.From, m.To)
+	}
+	f.flowRelease(m)
+	if m.Type == TypeHeartbeat {
+		f.releaseMsg(m)
+	}
 }
 
 // pump is one incarnation of an endpoint's message work queue, run as a
@@ -736,23 +767,11 @@ func (pu *pump) step() {
 		}
 	}
 	switch {
-	case ep.chead < len(ep.ctrlq):
-		pu.m = ep.ctrlq[ep.chead]
-		ep.ctrlq[ep.chead] = nil
-		ep.chead++
-		if ep.chead == len(ep.ctrlq) {
-			ep.ctrlq = ep.ctrlq[:0]
-			ep.chead = 0
-		}
+	case ep.ctrl.len() > 0:
+		pu.m = ep.ctrl.pop()
 		f.metrics.HistogramIn(&f.hot.ctrlWait, "msg.flow.ctrlwait").Observe(f.e.Now().Sub(pu.m.enqAt))
-	case ep.qhead < len(ep.queue):
-		pu.m = ep.queue[ep.qhead]
-		ep.queue[ep.qhead] = nil
-		ep.qhead++
-		if ep.qhead == len(ep.queue) {
-			ep.queue = ep.queue[:0]
-			ep.qhead = 0
-		}
+	case ep.bulk.len() > 0:
+		pu.m = ep.bulk.pop()
 		if f.flow != nil {
 			f.metrics.HistogramIn(&f.hot.bulkWait, "msg.flow.bulkwait").Observe(f.e.Now().Sub(pu.m.enqAt))
 			f.flowRelease(pu.m)

@@ -10,6 +10,12 @@ package msg
 // rejoining old origin still has in flight from before its crash — is
 // fenced at delivery the way dead-incarnation traffic already is.
 
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
+
 // EnableFailover attaches the fabric's origin-failover plane: per-kernel
 // origin-epoch and holder tables, epoch stamping of origin-addressed
 // RPCs, and the stale-origin delivery fence. Call after boot, before the
@@ -26,9 +32,6 @@ func (f *Fabric) EnableFailover() {
 		f.originHolder[i] = NodeID(i)
 	}
 }
-
-// FailoverEnabled reports whether EnableFailover has been called.
-func (f *Fabric) FailoverEnabled() bool { return f.originEpoch != nil }
 
 // Successor returns the deterministically chosen replication successor for
 // kernel n's origin roles: the next kernel in ring order. Every kernel
@@ -101,15 +104,22 @@ func (f *Fabric) PromoteTo(role, holder NodeID, epoch uint64) {
 	f.originEpoch[role] = epoch
 }
 
-// staleOrigin reports whether m carries an origin-epoch stamp older than
-// the fabric's current view — traffic addressed to an origin role that has
-// since failed over. Such messages are dropped at delivery (deliver counts
-// them under msg.fault.staleorigin), exactly like dead-incarnation
-// traffic: the promoted successor's state must never see them.
-//
-//popcornvet:hotpath
-func (f *Fabric) staleOrigin(m *Message) bool {
-	return f.originEpoch != nil && m.OriginEpoch != 0 && m.OriginEpoch < f.originEpoch[m.OriginNode]
+// Replicate ships m — one record of the replication stream for role's origin
+// state, addressed to the successor — and returns once the successor has
+// logged it: stamped with role's origin-epoch, so a copy that straddles a
+// promotion is fenced (Fabric.fence) instead of applied. Replication rides the
+// control lane, past credits and breakers, so the only failure is a dead
+// successor: then it reports false and the origin runs on unreplicated (the
+// caller counts the skip, so soaks can assert the window was empty).
+func (ep *Endpoint) Replicate(p *sim.Proc, m *Message, role NodeID) bool {
+	ep.f.StampOrigin(m, role)
+	if _, err := ep.Call(p, m); err != nil {
+		if IsDeadPeer(err) {
+			return false
+		}
+		panic(fmt.Sprintf("msg: %v to successor kernel %d failed: %v", m.Type, m.To, err))
+	}
+	return true
 }
 
 // RecordDirCommit counts one directory-transaction commit at kernel n
@@ -125,9 +135,6 @@ func (f *Fabric) RecordDirCommit(n NodeID) {
 	for _, oc := range f.plan.RecordDirCommit(int(n)) {
 		node := NodeID(oc.Node)
 		f.traceEvent("fault.origincrash", node, "armed by dir commit %d at kernel %d", oc.Nth, n)
-		f.e.Schedule(oc.After, func() {
-			f.crashesDone++
-			f.crashNode(node)
-		})
+		f.armCrash(node, oc.After)
 	}
 }

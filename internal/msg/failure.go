@@ -3,7 +3,8 @@ package msg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/faultinj"
@@ -142,45 +143,32 @@ func (f *Fabric) EnableFaults(plan *faultinj.Plan, cfg FaultConfig, hooks FaultH
 	// RNG and derived from its seed, but a separate stream, so jitter draws
 	// are replayable per seed without perturbing the tie-shuffle sequence.
 	f.jrng = sim.NewRNG(f.e.Seed() ^ 0x6a177e5)
-	f.crashed = make(map[NodeID]bool)
 	f.plannedCrashes = len(plan.Crashes) + len(plan.TypeCrashes) + len(plan.OriginCrashes)
 	f.plannedHeals = len(plan.Heals)
 	f.incarnation = make([]uint64, len(f.endpoints))
 	now := f.e.Now()
 	for n, ep := range f.endpoints {
 		f.incarnation[n] = 1
-		ep.lastHeard = make(map[NodeID]sim.Time, len(f.endpoints))
-		ep.declaredDead = make(map[NodeID]bool)
-		ep.suspects = make(map[NodeID]bool)
 		ep.seen = make(map[dedupKey]*dedupEntry)
-		ep.knownInc = make(map[NodeID]uint64, len(f.endpoints))
-		ep.sweeping = make(map[NodeID]bool)
 		ep.sweepDone = sim.NewCond()
 		ep.Handle(TypeRejoin, f.handleRejoin)
-		for peer := range f.endpoints {
-			ep.lastHeard[NodeID(peer)] = now
-			ep.knownInc[NodeID(peer)] = 1
+		for i := range ep.peers {
+			ep.peers[i].lastHeard, ep.peers[i].knownInc = now, 1
 		}
 	}
 	for _, nc := range plan.Crashes {
-		nc := nc
 		// NodeCrash.At is an absolute simulation time; Schedule is relative
 		// to Now (and clamps negative delays to 0).
-		f.e.Schedule(nc.At-f.e.Now().Duration(), func() {
-			f.crashesDone++
-			f.crashNode(NodeID(nc.Node))
-		})
+		f.armCrash(NodeID(nc.Node), nc.At-now.Duration())
 	}
 	for _, nh := range plan.Heals {
-		nh := nh
-		f.e.Schedule(nh.At-f.e.Now().Duration(), func() {
+		f.e.Schedule(nh.At-now.Duration(), func() {
 			f.healsDone++
 			f.healNode(NodeID(nh.Node))
 		})
 	}
 	for _, part := range plan.Partitions {
-		part := part
-		f.e.Schedule(part.Until-f.e.Now().Duration(), func() {
+		f.e.Schedule(part.Until-now.Duration(), func() {
 			f.partitionClosed(NodeID(part.A), NodeID(part.B))
 		})
 	}
@@ -198,33 +186,29 @@ func (f *Fabric) Incarnation(n NodeID) uint64 {
 	return f.incarnation[n]
 }
 
-// fenced reports whether m carries a stale incarnation stamp and must be
-// discarded: the sender rebooted since the message was prepared (a zombie
-// from the previous incarnation), or the destination did (the message
-// targets state that died with the crash). Unstamped messages — sent before
-// EnableFaults — pass.
-func (f *Fabric) fenced(m *Message) bool {
-	if m.SrcInc == 0 {
-		return false
-	}
-	if m.SrcInc == f.incarnation[m.From] && m.DstInc == f.incarnation[m.To] {
-		return false
-	}
-	f.countLink("msg.fault.fenced", m.From, m.To)
-	// Call-site nil check: keeps the variadic boxing off the detached path
-	// (see Endpoint.Send).
-	if f.tracer != nil {
-		f.traceEvent("msg.fenced", m.To, "%v from k%d seq=%d stamped (%d,%d), current (%d,%d)",
-			m.Type, m.From, m.Seq, m.SrcInc, m.DstInc, f.incarnation[m.From], f.incarnation[m.To])
-	}
-	return true
-}
-
 // Crashed reports whether kernel n has died. This is not a failure oracle
 // for remote kernels — survivors still learn of deaths through their own
 // detectors — it models physically-local knowledge: code asking about the
 // kernel it is (or is about to be) running on.
-func (f *Fabric) Crashed(n NodeID) bool { return f.crashed[n] }
+//
+//popcornvet:allow kernlocal physically-local knowledge: callers ask about the kernel they run on, and the bit lives on its endpoint
+func (f *Fabric) Crashed(n NodeID) bool { return f.endpoints[n].dead }
+
+// linkDown reports whether either end of m's link has crashed: the wire
+// between them no longer exists.
+//
+//popcornvet:allow kernlocal the medium itself: a link is down when the hardware at either end is
+func (f *Fabric) linkDown(m *Message) bool { return f.endpoints[m.From].dead || f.endpoints[m.To].dead }
+
+// armCrash schedules kernel n's planned death, a handful of times per run at most.
+//
+//popcornvet:coldpath
+func (f *Fabric) armCrash(n NodeID, after time.Duration) {
+	f.e.Schedule(after, func() {
+		f.crashesDone++
+		f.crashNode(n)
+	})
+}
 
 // dispatchWire is the fault plane's interception point: every message that
 // leaves a wire in commit order passes through here exactly once.
@@ -236,13 +220,8 @@ func (f *Fabric) dispatchWire(m *Message) {
 		return
 	}
 	for _, tc := range f.plan.RecordCommit(int(m.Type)) {
-		tc := tc
 		f.traceEvent("msg.crash-armed", NodeID(tc.Node), "kernel %d dies %v after %v commit #%d", tc.Node, tc.After, Type(tc.Type), tc.Nth)
-		//popcornvet:allow hotalloc arming a planned crash happens at most a handful of times per run
-		f.e.Schedule(tc.After, func() {
-			f.crashesDone++
-			f.crashNode(NodeID(tc.Node))
-		})
+		f.armCrash(NodeID(tc.Node), tc.After)
 	}
 	f.route(m)
 }
@@ -257,9 +236,9 @@ func (f *Fabric) dispatchWire(m *Message) {
 //
 //popcornvet:allow hotalloc injected-fault branches (dup copy, delay/retry closures) are rare by construction; the deliver fast path is clean
 func (f *Fabric) route(m *Message) {
-	if f.crashed[m.From] || f.crashed[m.To] {
-		f.metrics.Counter("msg.fault.dead-link").Inc()
-		f.flowRelease(m)
+	if f.linkDown(m) {
+		f.metrics.Counter("msg.fault.dead-link").Inc() // machine-wide only: the link is gone
+		f.drop(m, "")
 		return
 	}
 	if f.plan.Partitioned(f.e.Now().Duration(), int(m.From), int(m.To)) {
@@ -293,7 +272,7 @@ func (f *Fabric) route(m *Message) {
 		// The copy never held a credit: a double release would mint one.
 		dup.flowCredit = false
 		f.e.Schedule(extra+d.DupDelay, func() {
-			if !f.crashed[dup.From] && !f.crashed[dup.To] {
+			if !f.linkDown(&dup) {
 				f.deliver(&dup)
 			}
 		})
@@ -319,48 +298,45 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 	}
 	//popcornvet:allow hotalloc delay closures exist only for injected latency faults, rare by construction
 	f.e.Schedule(d, func() {
-		if !f.crashed[m.From] && !f.crashed[m.To] {
-			f.deliver(m)
+		if f.linkDown(m) {
+			f.drop(m, "")
 			return
 		}
-		f.flowRelease(m)
+		f.deliver(m)
 	})
 }
 
 // dropMsg handles a message the plan (or a partition) dropped. Heartbeats
 // are lost silently — their loss is the signal. RPC requests are lost too:
-// the caller's timeout loop owns their recovery. Everything else (replies,
-// fire-and-forget notifications) gets bounded link-layer redelivery, the
-// ring's ack/retry, so a single drop cannot wedge a protocol that has no
-// caller-side retry. Runs inside the fabric's fault plane, the same
-// engine-context step as delivery.
+// the caller's timeout loop owns their recovery, and reuses the Message
+// without re-acquiring, so its credit is freed now — the wire occupancy it
+// tracked is gone. Everything else (replies, fire-and-forget notifications)
+// gets bounded link-layer redelivery, the ring's ack/retry, so a single drop
+// cannot wedge a protocol that has no caller-side retry. Runs inside the
+// fabric's fault plane, the same engine-context step as delivery.
 //
 //popcornvet:allow kernlocal link-layer fault handling inside the fabric's delivery step, the medium between kernels
 func (f *Fabric) dropMsg(m *Message) {
-	f.traceEvent("msg.drop", m.From, "%v to k%d seq=%d attempt=%d", m.Type, m.To, m.Seq, m.attempts)
-	if m.Type == TypeHeartbeat {
-		return
+	// Call-site nil check: a partitioned heartbeat comes through here every
+	// probe period, and must not box trace arguments for a detached tracer.
+	if f.tracer != nil {
+		f.traceEvent("msg.drop", m.From, "%v to k%d seq=%d attempt=%d", m.Type, m.To, m.Seq, m.attempts)
 	}
-	if !m.IsReply {
-		if _, rpc := f.endpoints[m.From].pending[m.Seq]; rpc {
-			// The caller's retransmit loop reuses this Message without
-			// re-acquiring, so free its credit now: the wire occupancy it
-			// was tracking is gone.
-			f.flowRelease(m)
-			return
-		}
+	_, rpc := f.endpoints[m.From].pending[m.Seq]
+	if m.Type == TypeHeartbeat || (rpc && !m.IsReply) {
+		f.drop(m, "")
+		return
 	}
 	m.attempts++
 	if m.attempts > f.fcfg.SendRetries {
-		f.countLink("msg.fault.lost", m.From, m.To)
-		f.flowRelease(m)
+		f.drop(m, "msg.fault.lost")
 		return
 	}
 	f.countLink("msg.fault.redeliver", m.From, m.To)
 	backoff := f.fcfg.SendRetryEvery * time.Duration(m.attempts)
 	//popcornvet:allow hotalloc retry closures exist only for injected drops, rare by construction
 	f.e.Schedule(backoff, func() {
-		if !f.crashed[m.From] && !f.crashed[m.To] {
+		if !f.linkDown(m) {
 			f.route(m)
 		}
 	})
@@ -380,16 +356,14 @@ func (f *Fabric) crashNode(n NodeID) {
 		return
 	}
 	ep.dead = true
-	f.crashed[n] = true
 	f.metrics.Counter("msg.fault.crash").Inc()
 	f.traceEvent("msg.crash", n, "kernel %d crashed", n)
-	ep.queue, ep.qhead = nil, 0
-	ep.ctrlq, ep.chead = nil, 0
+	ep.bulk, ep.ctrl = fifo[*Message]{}, fifo[*Message]{}
 	// The wipes above destroyed the occupancy the credits tracked; refill
 	// every account touching the dead kernel and unblock its waiters.
 	f.resetFlowLinks(n)
 	for peer := range f.endpoints {
-		f.wires[f.pair(n, NodeID(peer))], f.wires[f.pair(NodeID(peer), n)] = wire{}, wire{}
+		f.wires[f.pair(n, NodeID(peer))], f.wires[f.pair(NodeID(peer), n)] = fifo[*wireEntry]{}, fifo[*wireEntry]{}
 	}
 	ep.pump.stop()
 	// In pid order: the live list runs from the youngest process to the oldest.
@@ -421,9 +395,9 @@ func (f *Fabric) crashNode(n NodeID) {
 		if sep.dead {
 			continue
 		}
-		for peer := range f.endpoints {
-			if !sep.declaredDead[NodeID(peer)] {
-				sep.lastHeard[NodeID(peer)] = now
+		for i := range sep.peers {
+			if !sep.peers[i].declaredDead {
+				sep.peers[i].lastHeard = now
 			}
 		}
 		if !sep.detecting {
@@ -444,46 +418,34 @@ func (f *Fabric) healNode(n NodeID) {
 	if !ep.dead {
 		return
 	}
-	delete(f.crashed, n)
 	f.incarnation[n]++
 	ep.dead = false
 	f.metrics.Counter("msg.fault.heal").Inc()
 	f.traceEvent("msg.heal", n, "kernel %d rebooted, incarnation %d", n, f.incarnation[n])
-	// Fresh transport state. The inbound queue, wait table, and dedup table
-	// belonged to the previous incarnation, and so did the stopped pump: an
-	// event of its still in flight fires against that pump, not the new one.
-	ep.queue, ep.qhead = nil, 0
-	ep.ctrlq, ep.chead = nil, 0
+	// Fresh transport state. The wait table and dedup table belonged to the
+	// previous incarnation (its inbound lanes were wiped at the crash and
+	// fenced since), and so did the stopped pump: an event of its still in
+	// flight fires against that pump, not the new one.
 	ep.pending = make(map[uint64]*call)
 	ep.seen = make(map[dedupKey]*dedupEntry)
-	ep.suspects = make(map[NodeID]bool)
-	if f.flow != nil {
-		// The reboot forgets the dead incarnation's flow verdicts: breaker
-		// trips, gray suspicions and spent retry budgets all described a
-		// kernel that no longer exists. Peers keep their own view of this
-		// kernel — their breakers reopen via half-open probes.
-		ep.flowPeers = make(map[NodeID]*flowPeer, len(f.endpoints))
-	}
-	// The fresh incarnation owes no peer a reclamation sweep (it has no
-	// pre-crash state to reconcile), so it admits every peer at its
-	// current incarnation immediately.
-	ep.knownInc = make(map[NodeID]uint64, len(f.endpoints))
-	for peer := range f.endpoints {
-		ep.knownInc[NodeID(peer)] = f.incarnation[peer]
-	}
-	ep.sweeping = make(map[NodeID]bool)
 	ep.sweepDone = sim.NewCond()
-	// Boot-time knowledge from the service processor: kernels that are down
-	// right now start out declared, so the fresh kernel neither burns RPC
-	// retries rediscovering them nor holds up settling. Its own detector
-	// takes over from here for future crashes.
-	ep.declaredDead = make(map[NodeID]bool)
-	for peer := range f.crashed {
-		ep.declaredDead[peer] = true
-	}
+	// So did everything it knew about its peers. Suspicions and sweeps are
+	// gone; breaker trips, gray verdicts and spent retry budgets described a
+	// view that no longer exists (peers keep their own view of this kernel —
+	// their breakers reopen via half-open probes). The fresh incarnation owes
+	// no peer a reclamation sweep (it has no pre-crash state to reconcile), so
+	// it admits every peer at its current incarnation immediately. And it
+	// boots with the service processor's knowledge of who is down right now
+	// already declared, so it neither burns RPC retries rediscovering them
+	// nor holds up settling; its own detector takes over for future crashes.
 	now := f.e.Now()
-	for peer := range f.endpoints {
-		ep.lastHeard[NodeID(peer)] = now
+	for i := range ep.peers {
+		ep.peers[i] = peer{
+			lastHeard:    now,
+			declaredDead: f.endpoints[i].dead,
+			knownInc:     f.incarnation[i],
+			eachName:     ep.peers[i].eachName,
+		}
 	}
 	ep.pump = newPump(ep)
 	// Tell the sanitizer (mirroring crashNode) that this kernel is live
@@ -506,7 +468,7 @@ func (f *Fabric) healNode(n NodeID) {
 		targets := make([]NodeID, 0, len(f.endpoints))
 		for peer := range f.endpoints {
 			pn := NodeID(peer)
-			if pn == n || ep.declaredDead[pn] {
+			if pn == n || ep.peers[pn].declaredDead {
 				continue
 			}
 			targets = append(targets, pn)
@@ -542,8 +504,12 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 	ep := f.endpoints[m.To]
 	node := req.Node
 	f.traceEvent("msg.rejoin", ep.node, "kernel %d accepts kernel %d at incarnation %d", ep.node, node, req.Incarnation)
-	f.failStaleCalls(ep, node, req.Incarnation)
-	for ep.sweeping[node] {
+	// Requests to the previous incarnation (and their retransmissions, which
+	// keep the original stamps) are fenced at the rejoined kernel: waiting out
+	// the retry schedule would only delay the inevitable DeadPeerError.
+	f.failCalls(ep, node, req.Incarnation, "msg.fault.stalecall")
+	pr := &ep.peers[node]
+	for pr.sweeping {
 		// A detector declaration's degradation sweep for the previous
 		// incarnation is still running in its own process. Reclamation
 		// must complete before the new incarnation is admitted, or the
@@ -551,45 +517,42 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 		// granted.
 		ep.sweepDone.Wait(p)
 	}
-	if !ep.declaredDead[node] {
+	if !pr.declaredDead {
 		// Fast heal: the kernel rebooted before this survivor's detector
 		// reached a verdict, but the old incarnation's state is just as
 		// dead. Run the degradation sweep the declaration would have run.
 		// The verdict flag is claimed for the sweep's duration so a
 		// concurrent detector declaration cannot double-sweep and new RPCs
 		// to the rejoiner fast-fail until reclamation is done.
-		ep.declaredDead[node] = true
+		pr.declaredDead = true
 		f.countLink("msg.fault.rejoin-sweep", ep.node, node)
 		if f.hooks.PeerDead != nil {
 			f.hooks.PeerDead(p, ep.node, node)
 		}
 	}
-	delete(ep.declaredDead, node)
-	delete(ep.suspects, node)
-	ep.lastHeard[node] = p.Now()
+	pr.declaredDead, pr.suspect, pr.lastHeard = false, false, p.Now()
 	// Reclamation is settled: admit the new incarnation's traffic.
-	ep.knownInc[node] = req.Incarnation
+	pr.knownInc = req.Incarnation
 	f.countLink("msg.fault.rejoined", ep.node, node)
 	return &Message{Size: 16}
 }
 
-// failStaleCalls fails every pending RPC this endpoint has outstanding to
-// an older incarnation of peer. Such requests (and their retransmissions,
-// which keep the original stamps) are fenced at the rejoined kernel, so
-// waiting out the full retry schedule would only delay the inevitable
-// DeadPeerError.
-func (f *Fabric) failStaleCalls(ep *Endpoint, peer NodeID, inc uint64) {
+// failCalls fails every pending RPC ep has outstanding to an incarnation of
+// peer older than inc, in Seq order, counting each under counter ("" for none).
+func (f *Fabric) failCalls(ep *Endpoint, peer NodeID, inc uint64, counter string) {
 	seqs := make([]uint64, 0, len(ep.pending))
 	for seq, c := range ep.pending {
 		if c.m.To == peer && c.m.DstInc < inc && !c.done && !c.failed {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		c := ep.pending[seq]
 		c.failed = true
-		f.countLink("msg.fault.stalecall", ep.node, peer)
+		if counter != "" {
+			f.countLink(counter, ep.node, peer)
+		}
 		c.wake()
 	}
 }
@@ -614,12 +577,13 @@ func (f *Fabric) partitionClosed(a, b NodeID) {
 //popcornvet:allow kernlocal fault-plane detector reset when the injector closes a partition; no kernel's handler path
 func (f *Fabric) resetSilence(at, peer NodeID, now sim.Time) {
 	ep := f.endpoints[at]
-	if ep.dead || ep.declaredDead[peer] {
+	pr := &ep.peers[peer]
+	if ep.dead || pr.declaredDead {
 		return
 	}
-	ep.lastHeard[peer] = now
-	if ep.suspects[peer] {
-		delete(ep.suspects, peer)
+	pr.lastHeard = now
+	if pr.suspect {
+		pr.suspect = false
 		f.countLink("msg.fault.unsuspected", ep.node, peer)
 	}
 }
@@ -633,32 +597,21 @@ func (f *Fabric) resetSilence(at, peer NodeID, now sim.Time) {
 //
 //popcornvet:coldpath
 func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
-	if ep.declaredDead[dead] {
+	pr := &ep.peers[dead]
+	if pr.declaredDead {
 		return
 	}
-	ep.declaredDead[dead] = true
-	delete(ep.suspects, dead)
+	pr.declaredDead, pr.suspect = true, false
 	f.countLink("msg.fault.declared", ep.node, dead)
 	f.traceEvent("msg.declare-dead", ep.node, "kernel %d declares kernel %d dead", ep.node, dead)
-	seqs := make([]uint64, 0, len(ep.pending))
-	for seq, c := range ep.pending {
-		if c.m.To == dead && !c.done && !c.failed {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		c := ep.pending[seq]
-		c.failed = true
-		c.wake()
-	}
+	f.failCalls(ep, dead, math.MaxUint64, "") // whatever incarnation they were aimed at
 	if f.hooks.PeerDead != nil {
 		// Track the sweep so a rejoin handshake racing it can wait for
 		// reclamation to finish before re-admitting the peer.
-		ep.sweeping[dead] = true
+		pr.sweeping = true
 		ep.spawnTracked(fmt.Sprintf("msg-degrade-%d-%d", ep.node, dead), func(p *sim.Proc) {
 			f.hooks.PeerDead(p, ep.node, dead)
-			delete(ep.sweeping, dead)
+			pr.sweeping = false
 			ep.sweepDone.Broadcast()
 		})
 	}
@@ -683,14 +636,13 @@ func (f *Fabric) startFailureDetection(ep *Endpoint) {
 				// survivor has no oracle for who crashed, so its heartbeats
 				// to a dead peer go into the void until its own detector
 				// gives a verdict.
-				if to == ep.node || ep.dead || ep.declaredDead[to] {
+				if to == ep.node || ep.dead || ep.peers[to].declaredDead {
 					continue
 				}
 				// Heartbeats are fabric-owned and pooled: deliver releases
-				// them at its consume point, so the steady probe traffic of a
-				// failure window recycles a handful of objects. Copies the
-				// fault plane eats (partition, dead link, fence) simply fall
-				// out of the pool.
+				// them at its consume point and drop wherever the fault plane
+				// eats one (partition, dead link, fence), so the probe traffic
+				// of a failure window recycles a handful of objects.
 				hb := f.allocMsg()
 				hb.Type = TypeHeartbeat
 				hb.To = to
@@ -715,28 +667,24 @@ func (f *Fabric) startFailureDetection(ep *Endpoint) {
 				return
 			}
 			now := p.Now()
-			for n := range f.endpoints {
-				peer := NodeID(n)
-				if peer == ep.node || ep.declaredDead[peer] {
+			for n := range ep.peers {
+				peer, pr := NodeID(n), &ep.peers[n]
+				if peer == ep.node || pr.declaredDead {
 					continue
 				}
-				silence := now.Sub(ep.lastHeard[peer])
-				switch {
+				// Suspicion at half the declaration threshold: the OS reads
+				// it (Endpoint.Suspects) to evacuate threads off a
+				// possibly-partitioned kernel before any verdict falls.
+				silence := now.Sub(pr.lastHeard)
+				switch suspect := silence > cfg.DeadAfter/2; {
 				case silence > cfg.DeadAfter:
 					f.declareDead(ep, peer)
-				case silence > cfg.DeadAfter/2:
-					// Suspicion at half the declaration threshold: the OS
-					// reads it (Endpoint.Suspects) to evacuate threads off a
-					// possibly-partitioned kernel before any verdict falls.
-					if !ep.suspects[peer] {
-						ep.suspects[peer] = true
-						f.countLink("msg.fault.suspected", ep.node, peer)
-					}
-				default:
-					if ep.suspects[peer] {
-						delete(ep.suspects, peer)
-						f.countLink("msg.fault.unsuspected", ep.node, peer)
-					}
+				case suspect && !pr.suspect:
+					pr.suspect = true
+					f.countLink("msg.fault.suspected", ep.node, peer)
+				case !suspect && pr.suspect:
+					pr.suspect = false
+					f.countLink("msg.fault.unsuspected", ep.node, peer)
 				}
 			}
 		}
@@ -752,15 +700,12 @@ func (f *Fabric) settled() bool {
 	if f.crashesDone < f.plannedCrashes || f.healsDone < f.plannedHeals {
 		return false
 	}
-	for _, ep := range f.endpoints {
-		if ep.dead {
+	for n, crashed := range f.endpoints {
+		if !crashed.dead {
 			continue
 		}
-		// A pure ∀-quantifier: the answer is the same whichever crashed
-		// kernel is examined first, and nothing but the boolean escapes.
-		//popcornvet:allow detorder order-insensitive membership test; only the conjunction escapes the loop
-		for n := range f.crashed {
-			if !ep.declaredDead[n] {
+		for _, ep := range f.endpoints {
+			if !ep.dead && !ep.peers[n].declaredDead {
 				return false
 			}
 		}

@@ -197,7 +197,7 @@ func TestFastFailAfterDeclaredDead(t *testing.T) {
 	defer e.Close()
 	plan := &faultinj.Plan{Seed: 1}
 	f := faultFabric(t, e, plan)
-	f.Endpoint(0).declaredDead[1] = true
+	f.Endpoint(0).peers[1].declaredDead = true
 	e.Spawn("caller", func(p *sim.Proc) {
 		_, err := f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 8})
 		if !IsDeadPeer(err) {

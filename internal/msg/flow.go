@@ -172,14 +172,12 @@ type flowState struct {
 	links []flowLink
 }
 
-// flowLink is one directed pair's credit account. waiters[whead:] is the
-// FIFO of processes blocked on an exhausted account; like the dispatch
-// queue, the drained prefix is compacted by advancing whead so the backing
-// array is reused.
+// flowLink is one directed pair's credit account and the FIFO of processes
+// blocked on it while exhausted — one waiter per blocked sender process, so
+// the process population bounds the queue.
 type flowLink struct {
 	credits int
-	waiters []*creditWaiter
-	whead   int
+	waiters fifo[*creditWaiter]
 }
 
 // creditWaiter is one process blocked in acquireCredit. granted marks a
@@ -198,9 +196,13 @@ const (
 	breakerHalfOpen
 )
 
-// flowPeer is one endpoint's flow-plane state for one peer: the gray
-// detector's RTT EWMA, the circuit breaker, and the retry-budget bucket.
+// flowPeer is one endpoint's flow-plane state for one peer (peer.flow): the
+// gray detector's RTT EWMA, the circuit breaker, and the retry-budget bucket.
 type flowPeer struct {
+	// met: the flow plane has had contact with the peer, which is when the
+	// retry bucket fills and its refill clock starts.
+	met bool
+
 	// ewma is the integer RTT estimate (alpha = 1/8, the classic SRTT
 	// weighting); samples counts observations toward MinRTTSamples.
 	ewma    time.Duration
@@ -229,20 +231,6 @@ func (f *Fabric) EnableFlow(cfg FlowConfig) {
 	for i := range f.flow.links {
 		f.flow.links[i].credits = f.flow.cfg.CreditsPerLink
 	}
-	for _, ep := range f.endpoints {
-		ep.flowPeers = make(map[NodeID]*flowPeer, len(f.endpoints))
-	}
-}
-
-// FlowEnabled reports whether the flow-control plane is attached.
-func (f *Fabric) FlowEnabled() bool { return f.flow != nil }
-
-// FlowConfig returns the active flow tuning (zero value when detached).
-func (f *Fabric) FlowConfig() FlowConfig {
-	if f.flow == nil {
-		return FlowConfig{}
-	}
-	return f.flow.cfg
 }
 
 // RetryBackoff is the pacing a protocol retry loop must apply after a
@@ -278,33 +266,31 @@ func (f *Fabric) creditLink(from, to NodeID) *flowLink { return &f.flow.links[f.
 // no earlier sender is queued ahead (FIFO fairness: a late TrySend must not
 // overtake blocked waiters).
 func (lk *flowLink) tryTakeCredit() bool {
-	if lk.credits <= 0 || lk.whead < len(lk.waiters) {
+	if lk.credits <= 0 || lk.waiters.len() > 0 {
 		return false
 	}
 	lk.credits--
 	return true
 }
 
+// grantNext hands a credit to the account's first live waiter and reports
+// whether there was one; waiters that gave up are discarded on the way.
+func (lk *flowLink) grantNext() bool {
+	for lk.waiters.len() > 0 {
+		if w := lk.waiters.pop(); !w.timedOut {
+			w.granted = true
+			w.p.Resume()
+			return true
+		}
+	}
+	return false
+}
+
 // grantCredit hands one freed credit to the first live waiter, or banks it
 // (clamped at the configured limit, so fault-plane resets that refill an
 // account cannot overflow it).
 func (fl *flowState) grantCredit(lk *flowLink) {
-	for lk.whead < len(lk.waiters) {
-		w := lk.waiters[lk.whead]
-		lk.waiters[lk.whead] = nil
-		lk.whead++
-		if lk.whead == len(lk.waiters) {
-			lk.waiters = lk.waiters[:0]
-			lk.whead = 0
-		}
-		if w.timedOut {
-			continue
-		}
-		w.granted = true
-		w.p.Resume()
-		return
-	}
-	if lk.credits < fl.cfg.CreditsPerLink {
+	if !lk.grantNext() && lk.credits < fl.cfg.CreditsPerLink {
 		lk.credits++
 	}
 }
@@ -345,8 +331,7 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 	}
 	start := p.Now()
 	w := &creditWaiter{p: p}
-	//popcornvet:bounded one waiter per blocked sender process; the process population bounds the queue
-	lk.waiters = append(lk.waiters, w)
+	lk.waiters.push(w)
 	// Kill-unwind safety: a waiter whose process dies mid-wait (kernel
 	// crash) marks itself timed out so grantCredit skips the corpse; if the
 	// grant already happened, the credit is re-granted so it is not lost.
@@ -406,7 +391,7 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 		return nil
 	}
 	if shed && fl.cfg.ShedSlowBulk {
-		if st := ep.flowPeers[m.To]; st != nil && st.slow {
+		if ep.peers[m.To].flow.slow {
 			ep.f.countLink("msg.flow.shed", ep.node, m.To)
 			//popcornvet:allow hotalloc shedding error path; refusal is the overload slow path
 			return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "slow-shed"}
@@ -420,11 +405,10 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 }
 
 // flowRelease returns the credit m holds (if any) to its account, waking the
-// first blocked sender. It is called at every point a queued or in-flight
-// message reaches the end of its life: receive-pump dequeue, fault-plane
-// drops, fencing, and crash wipes. Clearing the flag makes release
-// idempotent — retransmitted copies share the Message and must not
-// double-release.
+// first blocked sender. It has two callers, the two ends a queued or
+// in-flight message can come to: the receive pump's dequeue, and drop.
+// Clearing the flag makes release idempotent — retransmitted copies share the
+// Message and must not double-release.
 //
 //popcornvet:hotpath
 func (f *Fabric) flowRelease(m *Message) {
@@ -461,30 +445,16 @@ func (f *Fabric) resetFlowLinks(n NodeID) {
 // resetFlowLinks.
 func (f *Fabric) resetFlowLink(lk *flowLink) {
 	lk.credits = f.flow.cfg.CreditsPerLink
-	for lk.whead < len(lk.waiters) {
-		w := lk.waiters[lk.whead]
-		lk.waiters[lk.whead] = nil
-		lk.whead++
-		if w.timedOut {
-			continue
-		}
-		w.granted = true
-		w.p.Resume()
+	for lk.grantNext() {
 	}
-	lk.waiters = lk.waiters[:0]
-	lk.whead = 0
 }
 
-// flowPeer resolves (or creates) this endpoint's flow state for one peer.
+// flowPeer resolves this endpoint's flow state for one peer, filling the
+// retry bucket at first contact.
 func (ep *Endpoint) flowPeer(n NodeID) *flowPeer {
-	st, ok := ep.flowPeers[n]
-	if !ok {
-		//popcornvet:allow hotalloc first flow-plane contact with a peer; the record persists
-		st = &flowPeer{
-			tokens:     ep.f.flow.cfg.RetryBudget,
-			lastRefill: ep.f.e.Now(),
-		}
-		ep.flowPeers[n] = st
+	st := &ep.peers[n].flow
+	if !st.met {
+		st.met, st.tokens, st.lastRefill = true, ep.f.flow.cfg.RetryBudget, ep.f.e.Now()
 	}
 	return st
 }
@@ -494,10 +464,10 @@ func (ep *Endpoint) flowPeer(n NodeID) *flowPeer {
 // Like Suspects, this is physically-local knowledge — each kernel reads only
 // its own detectors.
 func (ep *Endpoint) PeerHealth(n NodeID) PeerHealth {
-	if ep.declaredDead[n] {
+	if ep.peers[n].declaredDead {
 		return PeerDead
 	}
-	if st := ep.flowPeers[n]; st != nil && st.slow {
+	if ep.peers[n].flow.slow {
 		return PeerSlow
 	}
 	return PeerHealthy
@@ -630,10 +600,7 @@ func (ep *Endpoint) budgetAllow(n NodeID) bool {
 	}
 	if elapsed := ep.f.e.Now().Sub(st.lastRefill); elapsed >= interval {
 		refill := int(elapsed / interval)
-		st.tokens += refill
-		if st.tokens > fl.cfg.RetryBudget {
-			st.tokens = fl.cfg.RetryBudget
-		}
+		st.tokens = min(st.tokens+refill, fl.cfg.RetryBudget)
 		st.lastRefill = st.lastRefill.Add(time.Duration(refill) * interval)
 	}
 	if st.tokens <= 0 {

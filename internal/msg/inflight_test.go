@@ -117,8 +117,8 @@ func TestHandlerCrashInsideReplySendWindow(t *testing.T) {
 	if de == nil || de.done || de.reply != nil {
 		t.Errorf("dedup entry %+v, want present and not done: the reply never went out", de)
 	}
-	if e := f.wires[f.pair(1, 0)].entries; len(e) != 0 {
-		t.Errorf("%d entries on the dead kernel's wire, want it wiped", len(e))
+	if n := f.wires[f.pair(1, 0)].len(); n != 0 {
+		t.Errorf("%d entries on the dead kernel's wire, want it wiped", n)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestHandlerCrashInsideReplySendWindow(t *testing.T) {
 func TestDeadVerdictInsideSendWindow(t *testing.T) {
 	for name, verdict := range map[string]func(f *Fabric){
 		"declared":   func(f *Fabric) { f.declareDead(f.Endpoint(0), 1) },
-		"flag alone": func(f *Fabric) { f.Endpoint(0).declaredDead[1] = true },
+		"flag alone": func(f *Fabric) { f.Endpoint(0).peers[1].declaredDead = true },
 	} {
 		e := sim.NewEngine()
 		f := faultFabric(t, e, &faultinj.Plan{Seed: 1})

@@ -119,8 +119,6 @@ func AllTypes() []Type {
 }
 
 // typeNames is populated once by this literal and only ever read.
-//
-//popcornvet:allow sharedmut immutable after package init; concurrent reads are safe
 var typeNames = map[Type]string{
 	TypePing:           "ping",
 	TypeThreadCreate:   "thread-create",
@@ -157,8 +155,6 @@ func (t Type) String() string {
 // Span and trace names are derived from the type names once at package init,
 // so the per-message paths index an array instead of concatenating strings.
 // All four tables are written only by init below and read-only after.
-//
-//popcornvet:allow sharedmut immutable after package init; concurrent reads are safe
 var (
 	wireSpanNames      [numTypes]string
 	wireReplySpanNames [numTypes]string
@@ -349,7 +345,7 @@ type Fabric struct {
 	// kernel pair can never overtake each other (a large in-progress send
 	// head-of-line blocks later small ones, as on a real ring). Indexed by
 	// pair(from, to).
-	wires []wire
+	wires []fifo[*wireEntry]
 	// tracer, when attached, records send/deliver events.
 	tracer *trace.Buffer
 	// collector, when attached, records causal spans for every non-heartbeat
@@ -366,6 +362,7 @@ type Fabric struct {
 	// processes (peak concurrent handlers and workers), fanFree their rounds.
 	entryFree []*wireEntry
 	msgFree   []*Message
+	msgMade   int // allocMsg's cold misses: msgMade == len(msgFree) + heartbeats in flight
 	callFree  []*call
 	runFree   []*handlerRun
 	fanFree   []*fanout
@@ -386,10 +383,9 @@ type Fabric struct {
 	// nil means a perfectly reliable fabric and costs one pointer check per
 	// message (the sanitizer's detached pattern). The remaining fields are
 	// the fault plane's state; see failure.go.
-	plan    *faultinj.Plan
-	fcfg    FaultConfig
-	hooks   FaultHooks
-	crashed map[NodeID]bool
+	plan  *faultinj.Plan
+	fcfg  FaultConfig
+	hooks FaultHooks
 	// plannedCrashes/crashesDone track whether every plan crash has fired,
 	// which gates the failure detectors' exit (see settled).
 	plannedCrashes int
@@ -453,12 +449,34 @@ func (f *Fabric) traceEvent(kind string, node NodeID, format string, args ...any
 // pair indexes the per-directed-pair tables (wires, flow links).
 func (f *Fabric) pair(from, to NodeID) int { return int(from)*len(f.endpoints) + int(to) }
 
-// wire is one directed pair's FIFO ring. entries[head:] are the live
-// reservations; drained prefixes are compacted by resetting head instead of
-// reslicing, so the backing array's capacity is reused forever.
-type wire struct {
-	entries []*wireEntry
-	head    int
+// fifo is the one queue in this package: the two receive lanes, the wires and
+// the credit waiters. items[head:] is the backlog; pop advances head instead
+// of reslicing and resets both once drained, so the backing array is reused
+// across bursts for ever.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+// front returns the oldest item without removing it; the queue must not be empty.
+func (q *fifo[T]) front() T { return q.items[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	//popcornvet:allow hotalloc queue growth is amortized; the drained head is reused
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
 }
 
 type wireEntry struct {
@@ -497,13 +515,15 @@ func (f *Fabric) releaseWireEntry(e *wireEntry) {
 
 // allocMsg takes a fabric-owned Message (heartbeats) off the pool, or
 // allocates one on a cold miss. releaseMsg resets and recycles it; only the
-// fabric itself may release, at the single point it consumes the message.
+// fabric itself may release, where the message ends: consumed at delivery, or
+// dropped (Fabric.drop).
 //
 //popcornvet:hotpath
 func (f *Fabric) allocMsg() *Message {
 	if m := sim.Take(&f.msgFree); m != nil {
 		return m
 	}
+	f.msgMade++
 	//popcornvet:allow hotalloc pool cold miss; steady state recycles
 	return &Message{}
 }
@@ -520,11 +540,8 @@ func (f *Fabric) releaseMsg(m *Message) {
 //
 //popcornvet:hotpath
 func (f *Fabric) reserve(m *Message) *wireEntry {
-	w := &f.wires[f.pair(m.From, m.To)]
 	entry := f.allocWireEntry(m)
-	//popcornvet:bounded per-pair wire ring with head compaction; with the flow plane attached, sender credits bound occupancy
-	//popcornvet:allow hotalloc ring growth is amortized; head compaction reuses capacity
-	w.entries = append(w.entries, entry)
+	f.wires[f.pair(m.From, m.To)].push(entry)
 	return entry
 }
 
@@ -539,17 +556,11 @@ func (f *Fabric) reserve(m *Message) *wireEntry {
 func (f *Fabric) commit(entry *wireEntry) {
 	entry.ready = true
 	w := &f.wires[f.pair(entry.m.From, entry.m.To)]
-	for w.head < len(w.entries) && w.entries[w.head].ready {
-		head := w.entries[w.head]
-		w.entries[w.head] = nil
-		w.head++
+	for w.len() > 0 && w.front().ready {
+		head := w.pop()
 		m := head.m
 		f.releaseWireEntry(head)
 		f.dispatchWire(m)
-	}
-	if w.head == len(w.entries) {
-		w.entries = w.entries[:0]
-		w.head = 0
 	}
 }
 
@@ -575,7 +586,7 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 		cfg:          cfg,
 		nodeCore:     append([]int(nil), nodeCore...),
 		metrics:      metrics,
-		wires:        make([]wire, nodes*nodes),
+		wires:        make([]fifo[*wireEntry], nodes*nodes),
 		linkCounters: make(map[linkKey]*stats.Counter),
 	}
 	f.endpoints = make([]*Endpoint, nodes)
@@ -619,22 +630,6 @@ func (f *Fabric) Endpoint(n NodeID) *Endpoint {
 
 // Metrics returns the registry the fabric records into.
 func (f *Fabric) Metrics() *stats.Registry { return f.metrics }
-
-// counter and histogram return the hot-path metric cached in *slot,
-// registering it under name on first use.
-func (f *Fabric) counter(slot **stats.Counter, name string) *stats.Counter {
-	if *slot == nil {
-		*slot = f.metrics.Counter(name)
-	}
-	return *slot
-}
-
-func (f *Fabric) histogram(slot **stats.Histogram, name string) *stats.Histogram {
-	if *slot == nil {
-		*slot = f.metrics.Histogram(name)
-	}
-	return *slot
-}
 
 // sendCost is the sender-side cost of pushing m onto the destination ring.
 func (f *Fabric) sendCost(m *Message) time.Duration {

@@ -44,7 +44,7 @@ func (ep *Endpoint) CallEachErr(p *sim.Proc, targets []NodeID, build func(to Nod
 	fo.targets, fo.build, fo.replies, fo.errs, fo.span = targets, build, replies, errs, p.Span()
 	fo.wg.Add(len(targets))
 	for i, to := range targets {
-		r := ep.startRun(ep.eachNames[to])
+		r := ep.startRun(ep.peers[to].eachName)
 		r.fan, r.i, r.fn = fo, i, r.each
 	}
 	fo.wg.Wait(p)

@@ -128,7 +128,6 @@ func BootOn(e sim.Engine, machine *hw.Machine, kernels, framesPerKernel int) (*O
 				os.metrics.Counter("mk.drop").Inc()
 				return nil
 			}
-			//popcornvet:bounded the model's domain population is fixed and each Send round-trips before the next, bounding occupancy
 			d.inbox = append(d.inbox, pkt)
 			d.hasMail.Signal()
 			return nil
@@ -309,7 +308,6 @@ func (d *Domain) Send(dst *Domain, size int, payload any) {
 	d.os.metrics.Counter("mk.send").Inc()
 	if dst.node == d.node {
 		d.p.Sleep(d.os.machine.Cost.MemAccessLocal)
-		//popcornvet:bounded local delivery to a fixed domain set; the receiver drains via hasMail
 		dst.inbox = append(dst.inbox, &packet{Dst: dst.id, Size: size, Payload: payload})
 		dst.hasMail.Signal()
 		return

@@ -210,7 +210,6 @@ func (c *Checker) violate(kind string, node msg.NodeID, gid int64, vpn mem.VPN, 
 		Detail: fmt.Sprintf(format, args...),
 		Events: c.pageHistory(gid, vpn),
 	}
-	//popcornvet:bounded violations fail the run; a healthy execution never grows this list
 	c.violations = append(c.violations, v)
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Add(trace.Event{

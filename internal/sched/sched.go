@@ -88,7 +88,6 @@ func (s *Scheduler) Reset() {
 	s.runq = nil
 	s.free = s.free[:0]
 	for i := len(s.coreIDs) - 1; i >= 0; i-- {
-		//popcornvet:bounded at most one entry per core
 		s.free = append(s.free, s.coreIDs[i])
 	}
 }
@@ -109,7 +108,6 @@ func (s *Scheduler) Acquire(p *sim.Proc) int {
 		return core
 	}
 	w := &schedWaiter{p: p, since: s.e.Now(), core: -1}
-	//popcornvet:bounded one waiter per blocked process; the workload's process population bounds the queue
 	s.runq = append(s.runq, w)
 	if d := uint64(len(s.runq)); d > s.metrics.Counter("sched.runq.max").Value() {
 		c := s.metrics.Counter("sched.runq.max")
@@ -140,7 +138,6 @@ func (s *Scheduler) Release(p *sim.Proc) {
 		w.p.Resume()
 		return
 	}
-	//popcornvet:bounded at most one entry per core
 	s.free = append(s.free, core)
 }
 

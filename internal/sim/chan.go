@@ -60,7 +60,6 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		return
 	}
 	w := &chanWaiter[T]{p: p, val: v}
-	//popcornvet:bounded one waiter per blocked process
 	c.sendQ = append(c.sendQ, w)
 	p.SetWaitInfo("chan-send", c.label)
 	p.park()
@@ -108,7 +107,6 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 		return v, false
 	}
 	w := &chanWaiter[T]{p: p}
-	//popcornvet:bounded one waiter per blocked process
 	c.recvQ = append(c.recvQ, w)
 	p.SetWaitInfo("chan-recv", c.label)
 	p.park()

@@ -140,7 +140,6 @@ func (e *core) buildDeadlockError() *DeadlockError {
 			w.HolderPID = h.id
 			w.HolderName = h.name
 		}
-		//popcornvet:bounded one report entry per waiting process in a run that is already dead
 		de.Waits = append(de.Waits, w)
 	}
 	de.Cycle = findWaitCycle(de.Waits)
@@ -205,7 +204,6 @@ type invariant struct {
 // the run, pinpointing the first virtual instant the model went wrong.
 func (v *view) Invariant(name string, fn func() error) {
 	e := v.c
-	//popcornvet:bounded setup-time registration; the invariant set is fixed before the run
 	e.invariants = append(e.invariants, invariant{name: name, fn: fn})
 }
 

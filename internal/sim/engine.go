@@ -272,7 +272,6 @@ func (v *view) Lane(id int) Engine {
 		panic(fmt.Sprintf("sim: lane %d out of range", id))
 	}
 	for id >= len(c.lanes) {
-		//popcornvet:bounded lane table: one entry per modeled kernel, grown at boot only
 		c.lanes = append(c.lanes, nil)
 	}
 	if c.lanes[id] == nil {

@@ -106,7 +106,6 @@ func (v *view) start(p *Proc, name string, daemon bool, fn func(p *Proc)) *Proc 
 		p.k = newCarrier()
 	}
 	p.k.p, p.k.fn = p, fn
-	//popcornvet:bounded process table: one slot per live process, vacated by swap-remove when it finishes
 	//popcornvet:allow hotalloc table growth is amortized; capacity is retained
 	c.procs = append(c.procs, p)
 	c.observeStarted(p)

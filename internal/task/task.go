@@ -44,8 +44,6 @@ const (
 )
 
 // stateNames is populated once by this literal and only ever read.
-//
-//popcornvet:allow sharedmut immutable after package init; concurrent reads are safe
 var stateNames = map[State]string{
 	StateNew:       "new",
 	StateRunnable:  "runnable",
@@ -79,8 +77,6 @@ const (
 )
 
 // roleNames is populated once by this literal and only ever read.
-//
-//popcornvet:allow sharedmut immutable after package init; concurrent reads are safe
 var roleNames = map[Role]string{
 	RoleNormal: "normal",
 	RoleShadow: "shadow",

@@ -2,6 +2,7 @@ package threadgroup
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -94,7 +95,7 @@ func (s *Service) originMemberExited(p *sim.Proc, g *group, id task.ID) error {
 			targets = append(targets, n)
 		}
 	}
-	sortNodes(targets)
+	slices.Sort(targets)
 	if len(targets) > 0 {
 		// A replica that died (or dies while we notify it) has no state left
 		// to tear down; only a live replica's refusal is a real error.
@@ -170,28 +171,4 @@ func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
 		s.teardownLocal(p, g)
 	}
 	return msg.Reply(64, exitReply{})
-}
-
-func sortNodes(ns []msg.NodeID) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
-func sortTasks(ids []task.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func sortGIDs(gids []vm.GID) {
-	for i := 1; i < len(gids); i++ {
-		for j := i; j > 0 && gids[j] < gids[j-1]; j-- {
-			gids[j], gids[j-1] = gids[j-1], gids[j]
-		}
-	}
 }

@@ -14,6 +14,8 @@ package threadgroup
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/msg"
@@ -31,38 +33,22 @@ const (
 	tgFailoverRetryMax   = 64
 )
 
-// memberRec is one member's location in a group snapshot.
-type memberRec struct {
-	ID   task.ID
-	Node msg.NodeID
-}
-
-// epochRec is one member's accepted move epoch in a group snapshot.
-type epochRec struct {
-	ID    task.ID
-	Epoch int
-}
-
-// ckptRec is one recoverable member's restart checkpoint in a snapshot.
-type ckptRec struct {
-	ID  task.ID
-	Ctx task.Context
-}
-
 // groupRepl is the full origin-state snapshot of one group, shipped to the
-// replication successor after every origin-side mutation. Snapshots carry a
-// monotonic per-group version so a fault-plan duplicate can never roll the
-// mirror backwards; all slices are sorted for determinism.
+// replication successor after every origin-side mutation: copies of the
+// origin's own six tables, which a promotion installs as they are (the
+// simulation passes pointers; the message's Size is what the wire charges).
+// Snapshots carry a monotonic per-group version so a fault-plan duplicate can
+// never roll the mirror backwards.
 type groupRepl struct {
 	GID         vm.GID
 	Origin      msg.NodeID
 	SnapVersion uint64
-	Members     []memberRec
-	Replicas    []msg.NodeID
-	MoveEpochs  []epochRec
-	Recoverable []task.ID
-	Restarted   []task.ID
-	Checkpoints []ckptRec
+	Members     map[task.ID]msg.NodeID
+	Replicas    map[msg.NodeID]struct{}
+	MoveEpochs  map[task.ID]int
+	Recoverable map[task.ID]bool
+	Restarted   map[task.ID]bool
+	Checkpoints map[task.ID]task.Context
 	// Exited marks the group's final snapshot: the last member left and the
 	// group tore down, so the successor drops its mirror instead of keeping
 	// a promotable copy of a dead group.
@@ -99,54 +85,22 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 	}
 	size := 64
 	if !g.exited {
-		rep.Members = make([]memberRec, 0, len(g.members))
-		for id, n := range g.members {
-			//popcornvet:bounded snapshot of the member table, one record per live member, rebuilt per ship
-			rep.Members = append(rep.Members, memberRec{ID: id, Node: n})
+		rep.Members = maps.Clone(g.members)
+		rep.Replicas = maps.Clone(g.replicas)
+		rep.MoveEpochs = maps.Clone(g.moveEpoch)
+		rep.Recoverable = maps.Clone(g.recoverable)
+		rep.Restarted = maps.Clone(g.restarted)
+		rep.Checkpoints = maps.Clone(g.checkpoints)
+		//popcornvet:allow detorder a sum of sizes: only the total leaves the loop
+		for _, ctx := range g.checkpoints {
+			size += ctx.Bytes()
 		}
-		sortMemberRecs(rep.Members)
-		rep.Replicas = make([]msg.NodeID, 0, len(g.replicas))
-		for n := range g.replicas {
-			//popcornvet:bounded at most one entry per kernel
-			rep.Replicas = append(rep.Replicas, n)
-		}
-		sortNodes(rep.Replicas)
-		rep.MoveEpochs = make([]epochRec, 0, len(g.moveEpoch))
-		for id, e := range g.moveEpoch {
-			//popcornvet:bounded one epoch per thread that ever migrated, rebuilt per ship
-			rep.MoveEpochs = append(rep.MoveEpochs, epochRec{ID: id, Epoch: e})
-		}
-		sortEpochRecs(rep.MoveEpochs)
-		for id := range g.recoverable {
-			//popcornvet:bounded one entry per recoverable thread, rebuilt per ship
-			rep.Recoverable = append(rep.Recoverable, id)
-		}
-		sortTasks(rep.Recoverable)
-		for id := range g.restarted {
-			//popcornvet:bounded one entry per restarted thread, rebuilt per ship
-			rep.Restarted = append(rep.Restarted, id)
-		}
-		sortTasks(rep.Restarted)
-		rep.Checkpoints = make([]ckptRec, 0, len(g.checkpoints))
-		for id, ctx := range g.checkpoints {
-			//popcornvet:bounded one checkpoint per migrated thread, rebuilt per ship
-			rep.Checkpoints = append(rep.Checkpoints, ckptRec{ID: id, Ctx: ctx})
-		}
-		sortCkptRecs(rep.Checkpoints)
-		for _, cr := range rep.Checkpoints {
-			size += cr.Ctx.Bytes()
-		}
-		size += 16 * (len(rep.Members) + len(rep.MoveEpochs) + len(rep.Replicas))
+		size += 16 * (len(g.members) + len(g.moveEpoch) + len(g.replicas))
 	}
 	m := msg.NewWith(msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
-	s.fabric.StampOrigin(m, vm.OriginKernelOf(g.gid))
 	s.metrics.Counter("tg.failover.replicated").Inc()
-	if _, err := s.ep.Call(p, m); err != nil {
-		if msg.IsDeadPeer(err) {
-			s.metrics.Counter("tg.failover.skipped").Inc()
-			return
-		}
-		panic(fmt.Sprintf("threadgroup: replication to successor failed: %v", err))
+	if !s.ep.Replicate(p, m, vm.OriginKernelOf(g.gid)) {
+		s.metrics.Counter("tg.failover.skipped").Inc()
 	}
 }
 
@@ -182,7 +136,7 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 			gids = append(gids, gid)
 		}
 	}
-	sortGIDs(gids)
+	slices.Sort(gids)
 	if len(gids) == 0 {
 		return
 	}
@@ -198,7 +152,7 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 		}
 		s.metrics.Counter("tg.failover.promoted").Inc()
 	}
-	sortNodes(roles)
+	slices.Sort(roles)
 	epochs := make([]uint64, len(roles))
 	for i, role := range roles {
 		epochs[i] = s.fabric.Promote(role, s.node)
@@ -248,32 +202,16 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	if g.emptyWaiters == nil {
 		g.emptyWaiters = sim.NewCond()
 	}
-	g.members = make(map[task.ID]msg.NodeID, len(rep.Members))
-	for _, mr := range rep.Members {
-		g.members[mr.ID] = mr.Node
-	}
-	g.replicas = make(map[msg.NodeID]struct{}, len(rep.Replicas))
-	for _, n := range rep.Replicas {
-		if n != s.node && n != dead {
-			g.replicas[n] = struct{}{}
-		}
-	}
-	g.moveEpoch = make(map[task.ID]int, len(rep.MoveEpochs))
-	for _, er := range rep.MoveEpochs {
-		g.moveEpoch[er.ID] = er.Epoch
-	}
-	g.recoverable = make(map[task.ID]bool, len(rep.Recoverable))
-	for _, id := range rep.Recoverable {
-		g.recoverable[id] = true
-	}
-	g.restarted = make(map[task.ID]bool, len(rep.Restarted))
-	for _, id := range rep.Restarted {
-		g.restarted[id] = true
-	}
-	g.checkpoints = make(map[task.ID]task.Context, len(rep.Checkpoints))
-	for _, cr := range rep.Checkpoints {
-		g.checkpoints[cr.ID] = cr.Ctx
-	}
+	// The mirror's tables are copies nobody else holds (shipGroup), so the
+	// promoted origin takes them as its own.
+	g.members = rep.Members
+	g.moveEpoch = rep.MoveEpochs
+	g.recoverable = rep.Recoverable
+	g.restarted = rep.Restarted
+	g.checkpoints = rep.Checkpoints
+	g.replicas = rep.Replicas
+	delete(g.replicas, s.node)
+	delete(g.replicas, dead)
 	// The VM side promoted its mirror before this sweep ran (core orders
 	// VM.PeerDied first); EnsureOrigin covers a group whose address space
 	// never committed anything, and the replica set is re-registered so
@@ -365,28 +303,4 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 	g.originDead = true
 	s.metrics.Counter("tg.exit.orphaned").Inc()
 	return nil
-}
-
-func sortMemberRecs(rs []memberRec) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].ID < rs[j-1].ID; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func sortEpochRecs(rs []epochRec) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].ID < rs[j-1].ID; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func sortCkptRecs(rs []ckptRec) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].ID < rs[j-1].ID; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

@@ -1,0 +1,143 @@
+package threadgroup
+
+import (
+	"maps"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+	"repro/internal/sim"
+	"repro/internal/task"
+	"repro/internal/vm"
+)
+
+// originTables is a group's replicated origin state: the six tables a
+// snapshot carries and a promotion installs.
+type originTables struct {
+	Members     map[task.ID]msg.NodeID
+	Replicas    map[msg.NodeID]struct{}
+	MoveEpochs  map[task.ID]int
+	Recoverable map[task.ID]bool
+	Restarted   map[task.ID]bool
+	Checkpoints map[task.ID]task.Context
+}
+
+func tablesOf(g *group) originTables {
+	return originTables{g.members, g.replicas, g.moveEpoch, g.recoverable, g.restarted, g.checkpoints}
+}
+
+func mirroredTables(rep *groupRepl) originTables {
+	return originTables{rep.Members, rep.Replicas, rep.MoveEpochs, rep.Recoverable, rep.Restarted, rep.Checkpoints}
+}
+
+// TestMirrorsEqualOriginAtQuiescence is the replication invariant as a test:
+// with the failover plane on and nothing crashing, once the machine is quiet
+// every live group's six origin tables equal the mirror its ring successor
+// holds, and a group that exited has no mirror left. Two groups with
+// different origins (one whose successor wraps around the ring) go through
+// every mutation that ships — spawns, migrations of plain and recoverable
+// threads, member exits — and a third runs to its last exit.
+func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
+	ev := newEnv(t, 4, Config{})
+	ev.fabric.EnableFailover()
+	for k := range ev.tgs {
+		ev.vms[k].EnableFailover()
+		ev.tgs[k].EnableFailover()
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gone vm.GID
+	ev.run(t, func(p *sim.Proc) {
+		// Group at origin 0, mirrored on kernel 1.
+		gid, main, err := ev.tgs[0].CreateGroup(p)
+		must(err)
+		w1, err := ev.tgs[0].Spawn(p, gid, 1)
+		must(err)
+		w2, err := ev.tgs[0].Spawn(p, gid, 2)
+		must(err)
+		must(ev.tgs[0].SetRecoverable(p, gid, w1.ID))
+		w1, err = ev.tgs[1].Migrate(p, gid, w1.ID, 3) // a recoverable move refreshes its checkpoint
+		must(err)
+		_, err = ev.tgs[0].Migrate(p, gid, main.ID, 2)
+		must(err)
+		must(ev.tgs[2].Exit(p, gid, w2.ID))
+
+		// Group at origin 3, mirrored on kernel 0.
+		gid3, main3, err := ev.tgs[3].CreateGroup(p)
+		must(err)
+		_, err = ev.tgs[3].Spawn(p, gid3, 0)
+		must(err)
+		moved, err := ev.tgs[3].Migrate(p, gid3, main3.ID, 1)
+		must(err)
+		_, err = ev.tgs[1].Migrate(p, gid3, moved.ID, 3)
+		must(err)
+
+		// Group at origin 1 that lives and dies.
+		var mainG *task.Task
+		gone, mainG, err = ev.tgs[1].CreateGroup(p)
+		must(err)
+		wg, err := ev.tgs[1].Spawn(p, gone, 2)
+		must(err)
+		must(ev.tgs[2].Exit(p, gone, wg.ID))
+		must(ev.tgs[1].Exit(p, gone, mainG.ID))
+		p.Sleep(time.Millisecond) // let the teardown notifications drain
+	})
+
+	live := 0
+	for k, s := range ev.tgs {
+		succ := ev.tgs[ev.fabric.Successor(msg.NodeID(k))]
+		for gid, g := range s.groups {
+			if !g.isOrigin {
+				continue
+			}
+			live++
+			rep, ok := succ.gmirrors[gid]
+			if !ok {
+				t.Errorf("group %d (origin %d): no mirror on kernel %d", gid, k, succ.node)
+				continue
+			}
+			if rep.Origin != msg.NodeID(k) || rep.SnapVersion != g.snapVersion {
+				t.Errorf("group %d: mirror is snapshot %d of origin %d, want %d of %d", gid, rep.SnapVersion, rep.Origin, g.snapVersion, k)
+			}
+			if got, want := mirroredTables(rep), tablesOf(g); !reflect.DeepEqual(got, want) {
+				t.Errorf("group %d: mirror on kernel %d\n%+v\nwant the origin's tables\n%+v", gid, succ.node, got, want)
+			}
+		}
+		if _, ok := s.gmirrors[gone]; ok {
+			t.Errorf("kernel %d still mirrors exited group %d", k, gone)
+		}
+	}
+	if live != 2 {
+		t.Fatalf("%d live origin groups at quiescence, want 2", live)
+	}
+	// The first group's tables must have something in each for the
+	// comparison to mean anything (restarted fills only after a crash).
+	g := ev.tgs[0].groups[1]
+	if len(g.members) != 2 || len(g.replicas) < 3 || len(g.moveEpoch) != 2 || len(g.recoverable) != 1 || len(g.checkpoints) != 1 {
+		t.Fatalf("group 1's origin tables are thinner than the scenario meant: %+v", tablesOf(g))
+	}
+
+	// A snapshot is a copy, not an alias: the origin's next mutation must not
+	// reach the mirror before the ship that carries it.
+	rep := ev.tgs[1].gmirrors[1]
+	before := mirroredTables(&groupRepl{
+		Members: maps.Clone(rep.Members), Replicas: maps.Clone(rep.Replicas), MoveEpochs: maps.Clone(rep.MoveEpochs),
+		Recoverable: maps.Clone(rep.Recoverable), Restarted: maps.Clone(rep.Restarted), Checkpoints: maps.Clone(rep.Checkpoints),
+	})
+	const ghost = task.ID(424242)
+	g.members[ghost] = 3
+	g.replicas[3] = struct{}{}
+	delete(g.replicas, 1)
+	g.moveEpoch[ghost] = 7
+	g.recoverable[ghost] = true
+	g.restarted[ghost] = true
+	g.checkpoints[ghost] = task.Context{}
+	if got := mirroredTables(rep); !reflect.DeepEqual(got, before) {
+		t.Errorf("mutating the origin's tables changed the mirror:\n%+v\nwas\n%+v", got, before)
+	}
+}

@@ -182,7 +182,6 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	t.Recoverable = req.Recoverable
 	t.Hops = hopsWithout(req.Hops, int(s.node))
 	p.Sleep(s.machine.Cost.ContextSwitch / 2)
-	//popcornvet:bounded the pending set travels with the migrating thread; WaitSignal drains it
 	t.PendingSignals = append(t.PendingSignals, req.Pending...)
 	g.local[req.TaskID] = t
 	if sp, ok := s.vmsvc.Space(req.GID); ok {

@@ -169,7 +169,6 @@ func (s *Service) forwardSignal(p *sim.Proc, req *signalReq, to msg.NodeID) erro
 
 // deliverLocal queues the signal on the task and wakes any WaitSignal.
 func (s *Service) deliverLocal(g *group, t *task.Task, sig int) {
-	//popcornvet:bounded senders block on the signal RPC round-trip and WaitSignal drains the set
 	t.PendingSignals = append(t.PendingSignals, sig)
 	s.metrics.Counter("tg.signal.delivered").Inc()
 	if w, ok := s.sigWaiters[t.ID]; ok {

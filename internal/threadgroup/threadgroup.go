@@ -10,6 +10,7 @@ package threadgroup
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/msg"
@@ -400,7 +401,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 	for gid := range s.groups {
 		gids = append(gids, gid)
 	}
-	sortGIDs(gids)
+	slices.Sort(gids)
 	for _, gid := range gids {
 		g, ok := s.groups[gid]
 		if !ok {
@@ -415,7 +416,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 				ids = append(ids, id)
 			}
 		}
-		sortTasks(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			sh := g.shadows[id]
 			delete(g.shadows, id)
@@ -438,7 +439,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 				ids = append(ids, id)
 			}
 		}
-		sortTasks(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			if g.recoverable[id] && !g.restarted[id] && s.restart != nil {
 				// Checkpointed restart: rebuild the thread here instead of

@@ -29,6 +29,7 @@ func (f *simpleFrames) FreeFrame(p *sim.Proc, fr mem.FrameID) {
 
 type env struct {
 	e      sim.Engine
+	fabric *msg.Fabric
 	vms    []*vm.Service
 	tgs    []*Service
 	allocs []*mem.FrameAllocator
@@ -47,7 +48,7 @@ func newEnv(t *testing.T, kernels int, cfg Config) *env {
 	if err != nil {
 		t.Fatalf("NewFabric: %v", err)
 	}
-	ev := &env{e: e}
+	ev := &env{e: e, fabric: fabric}
 	for k := 0; k < kernels; k++ {
 		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), mem.FrameID(k*1<<20), 256)
 		ev.allocs = append(ev.allocs, alloc)

@@ -50,7 +50,7 @@ func (DetOrder) Check(t *Tree) []Finding {
 			continue
 		}
 		res := newTypeRes(pkg)
-		roots := handlerRoots(pkg, rootOpts{exported: true})
+		roots := handlerRoots(pkg)
 		for _, rb := range ci.reachableBodies(pkg, roots) {
 			out = append(out, checkDetOrder(t, pkg, res, rb)...)
 		}

@@ -38,7 +38,7 @@ func (KernLocal) Check(t *Tree) []Finding {
 		if !kernelSide(pkg.Name) {
 			continue
 		}
-		roots := handlerRoots(pkg, rootOpts{exported: true})
+		roots := handlerRoots(pkg)
 		for _, rb := range ci.reachableBodies(pkg, roots) {
 			out = append(out, checkLocality(t, rb.body)...)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the interprocedural substrate shared by the kernel-locality
-// analyzers (kernlocal, detorder, sharedmut) and lockorder: a per-package
+// analyzers (kernlocal, detorder) and lockorder: a per-package
 // function index, entry-point ("handler root") discovery, and a
 // reachable-set closure. Resolution is package-local and name-based —
 // methods and functions share one namespace keyed by their bare name, the
@@ -84,15 +84,6 @@ func isSetupName(name string) bool {
 	return false
 }
 
-// rootOpts tunes entry-point discovery per analyzer.
-type rootOpts struct {
-	// exported adds the package's exported non-setup functions and methods
-	// as roots: package-local analysis cannot see the cross-package call
-	// from another kernel-side package's handler into this one, so the
-	// exported surface is assumed event-visible.
-	exported bool
-}
-
 // handlerRoots discovers pkg's entry points:
 //
 //   - handler funcs registered via <ep>.Handle(type, h);
@@ -101,10 +92,12 @@ type rootOpts struct {
 //   - methods of types with an interface assertion `var _ I = (*T)(nil)`
 //     (the osi syscall surface: called through the interface from threads
 //     executing on a kernel);
-//   - with opts.exported, every exported function/method whose name does
-//     not mark it setup-only (New*/Set*/Enable*/Attach*/Boot*/Inject*/
-//     Default*).
-func handlerRoots(pkg *Package, opts rootOpts) rootSet {
+//   - every exported function/method whose name does not mark it
+//     setup-only (New*/Set*/Enable*/Attach*/Boot*/Inject*/Default*):
+//     package-local analysis cannot see the cross-package call from another
+//     kernel-side package's handler into this one, so the exported surface
+//     is assumed event-visible.
+func handlerRoots(pkg *Package) rootSet {
 	rs := rootSet{names: make(map[string]bool)}
 	addArg := func(e ast.Expr) {
 		switch fn := e.(type) {
@@ -169,10 +162,7 @@ func handlerRoots(pkg *Package, opts rootOpts) rootSet {
 				continue
 			}
 			name := fd.Name.Name
-			if fd.Recv != nil && assertedTypes[recvTypeName(fd)] && !isSetupName(name) {
-				rs.names[name] = true
-			}
-			if opts.exported && ast.IsExported(name) && !isSetupName(name) {
+			if (ast.IsExported(name) || assertedTypes[recvTypeName(fd)]) && !isSetupName(name) {
 				rs.names[name] = true
 			}
 		}

@@ -61,8 +61,8 @@ type Tree struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 	// callIdx caches the package-local function index shared by the
-	// interprocedural analyzers (lockorder, kernlocal, detorder,
-	// sharedmut); built lazily by calls().
+	// interprocedural analyzers (lockorder, kernlocal, detorder, hotalloc);
+	// built lazily by calls().
 	callIdx *callIndex
 }
 
@@ -75,8 +75,8 @@ type Analyzer interface {
 // Analyzers returns every built-in analyzer.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		SimTime{}, MsgProto{}, LockSend{}, LockOrder{}, DirVer{}, DocComment{},
-		KernLocal{}, DetOrder{}, SharedMut{}, HotAlloc{}, UnboundedQ{},
+		SimTime{}, MsgProto{}, LockSend{}, LockOrder{}, DirVer{},
+		KernLocal{}, DetOrder{}, HotAlloc{},
 	}
 }
 
@@ -285,23 +285,16 @@ func collectDirectives(t *Tree) (allowIndex, []Finding) {
 	var bad []Finding
 	for _, pkg := range t.Pkgs {
 		for _, file := range pkg.Files {
-			// Map each doc-comment group to the declaration it documents,
-			// so a directive there can cover the full body — functions and
-			// var/type/const blocks alike (but never more than one decl:
-			// suppression stays scoped to what the comment documents).
+			// Map each function's doc-comment group to the function, so a
+			// directive there can cover the full body (but never more than
+			// the one decl: suppression stays scoped to what the comment
+			// documents).
 			docSpan := make(map[*ast.CommentGroup][2]int)
 			for _, decl := range file.AST.Decls {
-				var doc *ast.CommentGroup
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					doc = d.Doc
-				case *ast.GenDecl:
-					doc = d.Doc
-				}
-				if doc != nil {
-					docSpan[doc] = [2]int{
-						t.Fset.Position(decl.Pos()).Line,
-						t.Fset.Position(decl.End()).Line,
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+					docSpan[fd.Doc] = [2]int{
+						t.Fset.Position(fd.Pos()).Line,
+						t.Fset.Position(fd.End()).Line,
 					}
 				}
 			}

@@ -130,45 +130,11 @@ func TestDirectiveKnowsEveryShippedAnalyzer(t *testing.T) {
 			t.Errorf("knownRules() is missing analyzer %q", a.Name())
 		}
 	}
-	for _, name := range []string{"kernlocal", "detorder", "sharedmut"} {
+	for _, name := range []string{"kernlocal", "detorder"} {
 		if !known[name] {
 			t.Errorf("knownRules() is missing the kernel-locality analyzer %q", name)
 		}
 	}
-}
-
-func TestDirectiveInVarDocScopedToThatDeclOnly(t *testing.T) {
-	// A directive in one var's doc comment must not leak to the next
-	// declaration in the file: decl scoping, not file scoping.
-	got := findingsFor(t, map[string]string{
-		"internal/vm/a.go": `package vm
-
-import (
-	"repro/internal/msg"
-	"repro/internal/sim"
-)
-
-// table is written once at init.
-//
-//popcornvet:allow sharedmut read-only after package init
-var table = map[int]string{}
-
-var counter int
-
-type Service struct{ ep *msg.Endpoint }
-
-func (s *Service) register() {
-	s.ep.Handle(msg.TypePing, s.handlePing)
-}
-
-func (s *Service) handlePing(p *sim.Proc, m *msg.Message) *msg.Message {
-	_ = table[0]
-	counter++
-	return nil
-}
-`,
-	}, SharedMut{})
-	wantRules(t, got, "package-level mutable var counter")
 }
 
 func TestManagedSet(t *testing.T) {
@@ -185,7 +151,7 @@ func TestManagedSet(t *testing.T) {
 }
 
 // TestShippedTreeIsClean is the repo's own gate: the analyzers — including
-// the kernel-locality suite (kernlocal, detorder, sharedmut) — must pass
+// the kernel-locality suite (kernlocal, detorder) — must pass
 // over the real source tree, so a regression fails `go test` even when
 // nobody runs the CLI.
 func TestShippedTreeIsClean(t *testing.T) {
@@ -194,7 +160,7 @@ func TestShippedTreeIsClean(t *testing.T) {
 	for _, a := range analyzers {
 		names[a.Name()] = true
 	}
-	for _, want := range []string{"kernlocal", "detorder", "sharedmut"} {
+	for _, want := range []string{"kernlocal", "detorder"} {
 		if !names[want] {
 			t.Fatalf("Analyzers() is missing %q; the shipped-tree gate would silently weaken", want)
 		}

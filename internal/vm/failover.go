@@ -15,6 +15,8 @@ package vm
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/msg"
@@ -108,25 +110,21 @@ type dirMirror struct {
 // (msg.Fabric.EnableFailover) must be enabled too.
 func (s *Service) EnableFailover() { s.failover = true }
 
-// FailoverEnabled reports whether origin replication is on.
-func (s *Service) FailoverEnabled() bool { return s.failover }
-
-// shipRepl synchronously delivers one replication record to the successor.
-// Control-lane traffic bypasses credits and the circuit breaker, so the
-// only possible failure is a dead successor — then the record is skipped
-// and the origin keeps running unreplicated (counted, so soaks can assert
-// the window was empty).
+// shipRepl synchronously mirrors one record of this origin's own state to its
+// ring successor.
 func (s *Service) shipRepl(p *sim.Proc, rep dirRepl) {
-	succ := s.fabric.Successor(s.node)
-	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
-	s.fabric.StampOrigin(m, OriginKernelOf(rep.GID))
 	s.metrics.Counter("dir.failover.replicated").Inc()
-	if _, err := s.ep.Call(p, m); err != nil {
-		if msg.IsDeadPeer(err) {
-			s.metrics.Counter("dir.failover.skipped").Inc()
-			return
-		}
-		panic(fmt.Sprintf("vm: replication to successor failed: %v", err))
+	s.shipTo(p, s.fabric.Successor(s.node), rep)
+}
+
+// shipTo delivers one replication record to succ, the mirror's host
+// (msg.Endpoint.Replicate). A dead successor skips the record and the origin
+// keeps running unreplicated — counted, so soaks can assert the window was
+// empty.
+func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
+	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
+	if !s.ep.Replicate(p, m, OriginKernelOf(rep.GID)) {
+		s.metrics.Counter("dir.failover.skipped").Inc()
 	}
 }
 
@@ -180,15 +178,7 @@ func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ve
 		s.applyRepl(&rep)
 		return
 	}
-	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
-	s.fabric.StampOrigin(m, OriginKernelOf(gid))
-	if _, err := s.ep.Call(p, m); err != nil {
-		if msg.IsDeadPeer(err) {
-			s.metrics.Counter("dir.failover.skipped").Inc()
-			return
-		}
-		panic(fmt.Sprintf("vm: surrender preservation to successor failed: %v", err))
-	}
+	s.shipTo(p, succ, rep)
 }
 
 // RegisterReplicaFrom is RegisterReplica plus failover mirroring: the
@@ -296,7 +286,7 @@ func (s *Service) PromoteOrigin(dead msg.NodeID) []GID {
 			gids = append(gids, gid)
 		}
 	}
-	sortGIDsVM(gids)
+	slices.Sort(gids)
 	for _, gid := range gids {
 		s.promoteSpace(gid, s.mirrors[gid], dead)
 		delete(s.mirrors, gid)
@@ -310,38 +300,18 @@ func (s *Service) PromoteOrigin(dead msg.NodeID) []GID {
 // the mirror. Pure state rebuild — no blocking — so the promotion is atomic
 // in virtual time.
 func (s *Service) promoteSpace(gid GID, mir *dirMirror, dead msg.NodeID) {
-	sp, ok := s.spaces[gid]
-	if !ok {
-		sp = &Space{
-			svc:     s,
-			gid:     gid,
-			pt:      mem.NewPageTable(),
-			values:  make(map[mem.VPN]int64),
-			pending: make(map[mem.VPN]*pendingFault),
-		}
-		s.spaces[gid] = sp
-	}
-	sp.isOrigin = true
-	sp.origin = s.node
-	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
+	sp := s.makeOrigin(gid)
 	sp.vmas = mir.vmas
-	if mir.version > sp.version {
-		sp.version = mir.version
-	}
-	sp.nextMap = mir.nextMap
-	sp.brk = mir.brk
-	sp.replicas = make(map[msg.NodeID]struct{})
-	for n := range mir.replicas {
-		if n != s.node && n != dead {
-			sp.replicas[n] = struct{}{}
-		}
-	}
-	sp.dir = make(map[mem.VPN]*dirEntry, len(mir.entries))
+	sp.version = max(sp.version, mir.version)
+	sp.nextMap, sp.brk = mir.nextMap, mir.brk
+	sp.replicas = maps.Clone(mir.replicas)
+	delete(sp.replicas, s.node)
+	delete(sp.replicas, dead)
 	vpns := make([]mem.VPN, 0, len(mir.entries))
 	for vpn := range mir.entries {
 		vpns = append(vpns, vpn)
 	}
-	sortVPNs(vpns)
+	slices.Sort(vpns)
 	for _, vpn := range vpns {
 		me := mir.entries[vpn]
 		de := &dirEntry{
@@ -364,22 +334,8 @@ func (s *Service) promoteSpace(gid GID, mir *dirMirror, dead msg.NodeID) {
 		// exists to prevent. Writes the dead origin performed against its own
 		// copies *after* its last directory transaction are gone with it —
 		// the log captures directory-known state, not page dirty bits.
-		switch {
-		case de.state == pageModified && de.owner == dead:
-			de.state = pageUnmapped
-			de.owner = 0
-			de.reclaimed = true
+		if de.loseCopies(dead) {
 			s.metrics.Counter("dir.failover.ownerlost").Inc()
-		case de.state == pageShared:
-			if _, held := de.sharers[dead]; held {
-				delete(de.sharers, dead)
-				if len(de.sharers) == 0 {
-					de.state = pageUnmapped
-					de.sharers = nil
-					de.reclaimed = true
-				}
-				s.metrics.Counter("dir.failover.ownerlost").Inc()
-			}
 		}
 		sp.dir[vpn] = de
 	}
@@ -400,35 +356,8 @@ func (s *Service) Retarget(gid GID, holder msg.NodeID) {
 // space) if the replication stream never shipped a VM record for the group
 // — a group that crashed before its first directory or layout commit.
 func (s *Service) EnsureOrigin(gid GID) {
-	sp, ok := s.spaces[gid]
-	if ok && sp.isOrigin {
-		return
-	}
-	if !ok {
-		sp = &Space{
-			svc:     s,
-			gid:     gid,
-			vmas:    &vmaSet{},
-			pt:      mem.NewPageTable(),
-			values:  make(map[mem.VPN]int64),
-			pending: make(map[mem.VPN]*pendingFault),
-		}
-		s.spaces[gid] = sp
-	}
-	sp.isOrigin = true
-	sp.origin = s.node
-	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
-	if sp.dir == nil {
-		sp.dir = make(map[mem.VPN]*dirEntry)
-	}
-	if sp.replicas == nil {
-		sp.replicas = make(map[msg.NodeID]struct{})
-	}
-	if sp.nextMap == 0 {
-		sp.nextMap = mapBase
-	}
-	if sp.brk == 0 {
-		sp.brk = heapBase
+	if sp, ok := s.spaces[gid]; !ok || !sp.isOrigin {
+		s.makeOrigin(gid)
 	}
 }
 

@@ -124,7 +124,6 @@ func (sp *Space) endFault(vpn mem.VPN, pend *pendingFault) {
 	delete(sp.pending, vpn)
 	pend.done.Broadcast()
 	*pend = pendingFault{}
-	//popcornvet:bounded free list: grows only when a fault ends, so the peak number of faults in flight on this space caps it
 	sim.Give(&sp.pendFree, pend)
 }
 

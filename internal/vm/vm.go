@@ -9,6 +9,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -303,23 +304,40 @@ func (s *Service) Create(gid GID) (*Space, error) {
 	if _, dup := s.spaces[gid]; dup {
 		return nil, fmt.Errorf("vm: group %d already present on kernel %d", gid, s.node)
 	}
+	return s.makeOrigin(gid), nil
+}
+
+// addSpace enters an empty space for gid, shaped as a replica of origin's, in
+// this kernel's table.
+func (s *Service) addSpace(gid GID, origin msg.NodeID) *Space {
 	sp := &Space{
-		svc:      s,
-		gid:      gid,
-		origin:   s.node,
-		isOrigin: true,
-		vmas:     &vmaSet{},
-		pt:       mem.NewPageTable(),
-		values:   make(map[mem.VPN]int64),
-		pending:  make(map[mem.VPN]*pendingFault),
-		asLock:   sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid)),
-		dir:      make(map[mem.VPN]*dirEntry),
-		nextMap:  mapBase,
-		brk:      heapBase,
-		replicas: make(map[msg.NodeID]struct{}),
+		svc:     s,
+		gid:     gid,
+		origin:  origin,
+		vmas:    &vmaSet{},
+		pt:      mem.NewPageTable(),
+		values:  make(map[mem.VPN]int64),
+		pending: make(map[mem.VPN]*pendingFault),
 	}
 	s.spaces[gid] = sp
-	return sp, nil
+	return sp
+}
+
+// makeOrigin makes this kernel's space for gid the group's authoritative one,
+// with empty origin-side state: a new group's (Create), or — after a failover
+// — a replica's or that of a group no member of which ever ran here, for the
+// promotion to fill from its mirror.
+func (s *Service) makeOrigin(gid GID) *Space {
+	sp, ok := s.spaces[gid]
+	if !ok {
+		sp = s.addSpace(gid, s.node)
+	}
+	sp.origin, sp.isOrigin = s.node, true
+	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
+	sp.dir = make(map[mem.VPN]*dirEntry)
+	sp.nextMap, sp.brk = mapBase, heapBase
+	sp.replicas = make(map[msg.NodeID]struct{})
+	return sp
 }
 
 // Attach sets up a cached replica of gid's address space (whose origin is
@@ -333,17 +351,7 @@ func (s *Service) Attach(gid GID, origin msg.NodeID) (*Space, error) {
 	if _, dup := s.spaces[gid]; dup {
 		return nil, fmt.Errorf("vm: group %d already present on kernel %d", gid, s.node)
 	}
-	sp := &Space{
-		svc:     s,
-		gid:     gid,
-		origin:  origin,
-		vmas:    &vmaSet{},
-		pt:      mem.NewPageTable(),
-		values:  make(map[mem.VPN]int64),
-		pending: make(map[mem.VPN]*pendingFault),
-	}
-	s.spaces[gid] = sp
-	return sp, nil
+	return s.addSpace(gid, origin), nil
 }
 
 // RegisterReplica records (at the origin) that node now hosts a replica and
@@ -402,7 +410,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 	for gid := range s.spaces {
 		gids = append(gids, gid)
 	}
-	sortGIDsVM(gids)
+	slices.Sort(gids)
 	for _, gid := range gids {
 		sp, ok := s.spaces[gid]
 		if !ok || !sp.isOrigin {
@@ -415,46 +423,37 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 		for vpn := range sp.dir {
 			vpns = append(vpns, vpn)
 		}
-		sortVPNs(vpns)
+		slices.Sort(vpns)
 		for _, vpn := range vpns {
 			de := sp.dir[vpn]
 			de.mu.Lock(p)
-			switch {
-			case de.state == pageModified && de.owner == dead:
-				de.state = pageUnmapped
-				de.owner = 0
-				de.reclaimed = true
+			if de.loseCopies(dead) {
 				s.metrics.Counter("vm.pages.reclaimed").Inc()
-			case de.state == pageShared:
-				if _, held := de.sharers[dead]; held {
-					delete(de.sharers, dead)
-					if len(de.sharers) == 0 {
-						de.state = pageUnmapped
-						de.sharers = nil
-						de.reclaimed = true
-					}
-					s.metrics.Counter("vm.pages.reclaimed").Inc()
-				}
 			}
 			de.mu.Unlock(p)
 		}
 	}
 }
 
-func sortGIDsVM(gids []GID) {
-	for i := 1; i < len(gids); i++ {
-		for j := i; j > 0 && gids[j] < gids[j-1]; j-- {
-			gids[j], gids[j-1] = gids[j-1], gids[j]
+// loseCopies takes a crashed kernel out of the entry and reports whether it
+// held a copy: a modified page loses its (never written back) exclusive copy
+// and falls back to the directory's last value; a sharer just leaves the set.
+// An entry left with no copy is marked reclaimed.
+func (de *dirEntry) loseCopies(dead msg.NodeID) bool {
+	switch {
+	case de.state == pageModified && de.owner == dead:
+		de.state, de.owner, de.reclaimed = pageUnmapped, 0, true
+		return true
+	case de.state == pageShared:
+		if _, held := de.sharers[dead]; held {
+			delete(de.sharers, dead)
+			if len(de.sharers) == 0 {
+				de.state, de.sharers, de.reclaimed = pageUnmapped, nil, true
+			}
+			return true
 		}
 	}
-}
-
-func sortVPNs(vpns []mem.VPN) {
-	for i := 1; i < len(vpns); i++ {
-		for j := i; j > 0 && vpns[j] < vpns[j-1]; j-- {
-			vpns[j], vpns[j-1] = vpns[j-1], vpns[j]
-		}
-	}
+	return false
 }
 
 // GID returns the group this space belongs to.

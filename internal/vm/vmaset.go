@@ -67,7 +67,6 @@ func (s *vmaSet) insert(v VMA) error {
 		return fmt.Errorf("vm: VMA %v overlaps an existing area", v)
 	}
 	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].Lo > v.Lo })
-	//popcornvet:bounded one entry per live VMA; mmap/munmap balance bounds the address-space map
 	s.areas = append(s.areas, VMA{})
 	copy(s.areas[i+1:], s.areas[i:])
 	s.areas[i] = v

@@ -30,8 +30,6 @@ const (
 )
 
 // kernelNames lists the valid ComputeKernel shapes.
-//
-//popcornvet:allow sharedmut immutable after package init; concurrent reads are safe
 var kernelNames = map[string]bool{
 	KernelIS: true, KernelCG: true, KernelFT: true, KernelEP: true, KernelMG: true,
 }
