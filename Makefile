@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare profile popcornmc soak soak-overload soak-failover test trace-demo size
+.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare profile popcornmc soak test trace-demo size
 
 verify: build vet escapes bench-compare test popcornmc soak trace-demo size
 
@@ -62,35 +62,28 @@ profile:
 	$(GO) run ./cmd/benchtable -exp $(EXP) -scale full -cpuprofile $(PROFILE_DIR)/$(EXP).cpu.pprof -memprofile $(PROFILE_DIR)/$(EXP).mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(EXP).cpu.pprof
 
-# Schedule exploration with the coherence sanitizer attached; see DESIGN.md §7.
-# The -faults sweeps layer the fault plan (drop/dup/delay everywhere, kernel
-# crash mid-migration) over the schedules; see DESIGN.md §8.
+# Schedule exploration with the coherence sanitizer attached: every sweep row
+# of cmd/popcornmc's table (contention, migration, futex), bare and under the
+# fault plane (drop/dup/delay on every link; migration also loses a kernel
+# mid-migration). See DESIGN.md §7-8. The other six plane combinations run
+# in tier-1 (TestPlaneMatrix).
 popcornmc:
-	$(GO) run ./cmd/popcornmc -workload contention -seeds 32
-	$(GO) run ./cmd/popcornmc -workload migration -seeds 32
-	$(GO) run ./cmd/popcornmc -workload migration -seeds 16 -faults
-	$(GO) run ./cmd/popcornmc -workload futex -seeds 16 -faults
+	$(GO) run ./cmd/popcornmc -workload all -seeds 16
+	$(GO) run ./cmd/popcornmc -workload all -seeds 16 -planes faults
 
-# Chaos soak: crash -> heal -> crash kernels under message noise with the
-# sanitizer attached, asserting every lost recoverable thread is restarted
-# from its checkpoint; see DESIGN.md §9. The overload soak layers 10x
-# offered load, a gray link and a crash-heal cycle over the flow-control
-# plane and asserts the backlog stays credit-bounded while the breaker runs
-# a full open -> half-open -> close cycle; see DESIGN.md §13. The failover
-# soak crashes the origin kernel on a protocol-relative trigger with the
-# origin-replication plane attached and asserts the ring successor promotes
-# with zero reclaimed pages, zero orphaned exits and the stale origin
-# fenced; see DESIGN.md §14.
+# The soak rows of the same table. chaos: crash -> heal -> crash kernels
+# under message noise, asserting every lost recoverable thread is restarted
+# from its checkpoint at most once; see DESIGN.md §9. overload: 10x offered
+# load, a gray link and a crash-heal cycle over the flow-control plane,
+# asserting the backlog stays credit-bounded while the breaker runs a full
+# open -> half-open -> close cycle; see DESIGN.md §13. failover: the origin
+# kernel crashes on a protocol-relative trigger with the origin-replication
+# plane attached, asserting the ring successor promotes with zero reclaimed
+# pages and zero orphaned exits; see DESIGN.md §14.
 soak:
-	$(GO) run ./cmd/popcornmc -soak -seeds 16
-	$(GO) run ./cmd/popcornmc -soak -overload -seeds 16
-	$(GO) run ./cmd/popcornmc -soak -failover -seeds 16
-
-soak-overload:
-	$(GO) run ./cmd/popcornmc -soak -overload -seeds 16
-
-soak-failover:
-	$(GO) run ./cmd/popcornmc -soak -failover -seeds 16
+	$(GO) run ./cmd/popcornmc -workload chaos -seeds 16
+	$(GO) run ./cmd/popcornmc -workload overload -seeds 16
+	$(GO) run ./cmd/popcornmc -workload failover -seeds 16
 
 test:
 	$(GO) test -race ./...

@@ -1,149 +1,188 @@
 // Command popcornmc model-checks the replicated kernel's distributed
-// protocols. It boots the OS with the coherence sanitizer and
-// happens-before race detector attached (internal/sanitize), runs a
-// protocol-heavy workload under many seeds with tie-shuffled schedules,
-// and reports the first seed whose schedule violates the memory model:
-// two kernels holding a page writable, a reader observing a stale value
-// after an invalidation acked, layout versions going backwards, or a
-// data race the protocol's happens-before edges do not order.
+// protocols. It is one harness driving a table of rows (rows.go). A row is
+// a machine shape, a fault plan, a workload, the counters it reports and a
+// check over them; the harness boots the row under a seed with tie-shuffled
+// scheduling, attaches the coherence sanitizer and happens-before race
+// detector (internal/sanitize), the message trace behind their reports and
+// the causal span collector, attaches the row's planes, runs the workload
+// to quiescence and judges the run.
 //
-// With -faults the same sweep runs against an adversarial fabric: a
-// seed-derived fault plan drops, duplicates and delays messages on every
-// link, and the migration workload additionally loses a kernel mid-
-// migration. The run must still satisfy every safety invariant — the
-// sanitizer stays clean, nothing deadlocks, no RPC wait-table entry
-// leaks — with dead-peer degradation errors being the only tolerated
-// outcome difference.
+// Three rows are sweeps — contention, migration, futex — short protocol-
+// heavy workloads whose planes come from the command line: -planes takes
+// any subset of flow, failover and faults (default configurations; the
+// fault plane brings the row's seed-derived plan: drop, duplication and
+// delay on every link, and for migration a kernel crash just after it
+// accepts a migrated thread). Three are soaks — chaos, overload, failover —
+// endurance runs that fix their own planes and plan and assert an end
+// state (soakrows.go says what each asserts).
 //
-// With -soak the tool instead runs the chaos soak (soak.go): a 4-kernel
-// cluster under crash → heal → crash cycles, a partition and link noise,
-// with recoverable threads that must be lost and restarted from their
-// checkpoints, asserting the end-state recovery invariants per seed.
+// The verdict is the same for every row, in this order. Safety: the
+// sanitizer saw two kernels hold a page writable, a reader observe a stale
+// value after an invalidation acked, layout versions go backwards, or a
+// data race the protocol's happens-before edges do not order; or the run
+// ended in an error (a panic, a deadlock, a leaked RPC wait-table entry)
+// that is not a dead-peer or backpressure degradation a sweep row's
+// attached planes explain. End state, judged only on runs that reached
+// quiescence: the cluster settled inside the event backstop, no thread is
+// still live, and the row's own check over its counters holds.
 //
-// A failing seed is shrunk to the shortest event prefix that still fails
-// (binary search over the engine's event limit — the schedule is a pure
-// function of the seed, so any prefix replays exactly), and the tool
-// prints the command that reproduces it deterministically.
+// A seed that fails a safety verdict is shrunk to the shortest event
+// prefix that still fails (binary search over the engine's event limit —
+// the schedule is a pure function of the seed, so any prefix replays
+// exactly); every failing seed prints the sanitizer's reports, the tail of
+// the operation timeline and the command that reproduces it.
 //
 // Usage:
 //
-//	popcornmc -workload all -seeds 32
-//	popcornmc -workload all -seeds 16 -faults                (fault sweep)
-//	popcornmc -soak -seeds 16                                (chaos soak)
+//	popcornmc -workload all -seeds 32                        (the three sweeps, bare)
+//	popcornmc -workload all -seeds 16 -planes faults         (fault sweep)
+//	popcornmc -workload futex -planes flow,failover          (any of the 2^3 plane sets)
+//	popcornmc -workload chaos -seeds 16 -v                   (a soak, with per-seed counters)
 //	popcornmc -workload contention -seed 17 -events 4213     (replay a repro)
-//	popcornmc -workload migration -inject skip-revoke=0      (plant a protocol bug)
+//	popcornmc -workload migration -inject skip-revoke=1      (plant a protocol bug)
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/adversity"
 	"repro/internal/core"
 	"repro/internal/faultinj"
-	"repro/internal/hw"
-	"repro/internal/kernel"
 	"repro/internal/msg"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "popcornmc:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	wlFlag := flag.String("workload", "all", "workload to explore: contention, migration, futex, all")
-	seeds := flag.Int64("seeds", 32, "sweep seeds 1..N")
-	seed := flag.Int64("seed", 0, "run this single seed instead of sweeping")
-	events := flag.Uint64("events", 0, "stop after N events (replays a shrunk prefix)")
-	inject := flag.String("inject", "", "plant a protocol bug: skip-revoke=K drops invalidations to kernel K")
-	faults := flag.Bool("faults", false, "layer a seed-derived fault plan (drop/dup/delay on all links, plus a kernel crash mid-migration) over the sweep")
-	fseed := flag.Int64("fseed", 0, "fault-plan seed (default: the schedule seed)")
-	soak := flag.Bool("soak", false, "run the chaos soak: crash→heal→crash cycles over recoverable workloads, asserting end-state recovery invariants")
-	overload := flag.Bool("overload", false, "with -soak: run the overload soak instead — 10x offered load, a slow-link window and a crash-heal cycle against the flow-control plane")
-	failover := flag.Bool("failover", false, "with -soak: run the failover soak instead — the origin kernel dies mid-replication-stream with the failover plane on, asserting zero reclaimed pages and zero orphaned exits")
-	traceN := flag.Int("trace", 512, "trace buffer capacity behind violation reports")
-	noShrink := flag.Bool("noshrink", false, "report the failing seed without minimising it")
-	verbose := flag.Bool("v", false, "print a line per seed")
-	flag.Parse()
-
-	if *soak {
-		if *overload {
-			return runOverload(*seeds, *seed, *verbose)
-		}
-		if *failover {
-			return runFailoverSoak(*seeds, *seed, *verbose)
-		}
-		return runSoak(*seeds, *seed, *verbose)
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("popcornmc", flag.ContinueOnError)
+	wlFlag := fs.String("workload", "all", "row to run: "+rowNames()+", or all (the three sweeps)")
+	seeds := fs.Int64("seeds", 32, "sweep seeds 1..N")
+	seed := fs.Int64("seed", 0, "run this single seed instead of sweeping")
+	events := fs.Uint64("events", 0, "stop after N events (replays a shrunk prefix)")
+	inject := fs.String("inject", "", "sweep rows: plant a protocol bug; skip-revoke=K drops invalidations to kernel K")
+	planesFlag := fs.String("planes", "", "sweep rows: comma-separated planes to attach, of flow, failover, faults")
+	fseed := fs.Int64("fseed", 0, "fault-plan seed under -planes faults (default: the schedule seed)")
+	noShrink := fs.Bool("noshrink", false, "report the failing seed without minimising it")
+	verbose := fs.Bool("v", false, "print a line per seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	picked, err := pickRows(*wlFlag)
+	if err != nil {
+		return err
+	}
+	pl, err := parsePlanes(*planesFlag)
+	if err != nil {
+		return err
 	}
 	injectNode, err := parseInject(*inject)
 	if err != nil {
 		return err
 	}
-	workloads, err := pickWorkloads(*wlFlag)
-	if err != nil {
-		return err
+	if *fseed != 0 && !pl.faults {
+		return errors.New("-fseed seeds the fault plan: it needs -planes faults")
 	}
+	var sweep []int64
+	switch {
+	case *seed != 0:
+		sweep = []int64{*seed}
+	case *seeds < 1:
+		return fmt.Errorf("-seeds %d: nothing to run", *seeds)
+	default:
+		for s := int64(1); s <= *seeds; s++ {
+			sweep = append(sweep, s)
+		}
+	}
+	for _, r := range picked {
+		if r.soak && (*planesFlag != "" || *inject != "") {
+			return fmt.Errorf("%s is a soak: it fixes its own planes and plan; -planes and -inject apply to the sweeps", r.Name)
+		}
+		cfg := runCfg{row: r, limit: *events, inject: injectNode, planes: pl, fseed: *fseed}
+		if err := sweepRow(w, cfg, sweep, *verbose, !*noShrink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	for _, wl := range workloads {
-		var sweep []int64
-		if *seed != 0 {
-			sweep = []int64{*seed}
-		} else {
-			for s := int64(1); s <= *seeds; s++ {
-				sweep = append(sweep, s)
-			}
+// sweepRow runs one row over the seeds, stops at the first seed that fails
+// and prints what is needed to see why and to run it again.
+func sweepRow(w io.Writer, cfg runCfg, seeds []int64, verbose, shrink bool) error {
+	r := cfg.row
+	var events uint64
+	totals := make(map[string]uint64)
+	for _, s := range seeds {
+		cfg.seed = s
+		out := runOne(cfg)
+		events += out.events
+		for _, st := range r.report {
+			totals[st.key] = st.total(totals[st.key], out.vals[st.key])
 		}
-		var total uint64
-		for _, s := range sweep {
-			cfg := runCfg{
-				wl: wl, seed: s, limit: *events, injectNode: injectNode,
-				traceN: *traceN, faults: *faults, fseed: *fseed,
-			}
-			out := runOne(cfg)
-			total += out.events
-			if *verbose {
-				fmt.Printf("%-11s seed=%-4d events=%-8d violations=%d races=%d degraded=%v\n",
-					wl, s, out.events, len(out.violations), len(out.races), out.degraded)
-			}
-			if !out.failed() {
-				continue
-			}
-			fmt.Printf("%s: seed %d FAILED after %d events\n\n", wl, s, out.events)
-			report(out)
-			limit := out.events
-			if !*noShrink && *events == 0 {
+		if verbose {
+			fmt.Fprintf(w, "%-11s seed=%-4d events=%-8d violations=%d races=%d degraded=%v%s\n",
+				r.Name, s, out.events, len(out.violations), len(out.races), out.degraded, statLine(r.report, out.vals))
+		}
+		if out.err == nil {
+			continue
+		}
+		fmt.Fprintf(w, "%s: seed %d FAILED after %d events: %v\n\n", r.Name, s, out.events, out.err)
+		out.explain(w)
+		// Only a safety verdict has a shorter prefix that still shows it; an
+		// end-state verdict is about the complete run, which replays whole.
+		limit := cfg.limit
+		if out.safety && limit == 0 {
+			limit = out.events
+			if shrink {
 				limit = shrinkLimit(cfg, out.events)
-				fmt.Printf("shrunk to a %d-event prefix (from %d)\n", limit, out.events)
+				fmt.Fprintf(w, "shrunk to a %d-event prefix (from %d)\n\n", limit, out.events)
 			}
-			fmt.Printf("\nreplay deterministically with:\n\n  go run ./cmd/popcornmc %s\n",
-				reproArgs(cfg, limit, *inject))
-			return fmt.Errorf("%s: schedule %d violates the memory model", wl, s)
 		}
-		fmt.Printf("%s: %d seeds clean (%d events explored)\n", wl, len(sweep), total)
+		fmt.Fprintf(w, "replay deterministically with:\n\n  go run ./cmd/popcornmc %s\n", replayArgs(cfg, limit))
+		return fmt.Errorf("%s: seed %d: %w", r.Name, s, out.err)
 	}
+	if r.sweepCheck != nil && cfg.limit == 0 {
+		if err := r.sweepCheck(totals, len(seeds)); err != nil {
+			return fmt.Errorf("%s: %w", r.Name, err)
+		}
+	}
+	fmt.Fprintf(w, "%s: %d seeds clean (events=%d%s)\n", r.Name, len(seeds), events, statLine(r.report, totals))
 	return nil
 }
 
 // runCfg is everything a single seeded run needs, so shrinking and replay
 // reuse the exact configuration.
 type runCfg struct {
-	wl         string
-	seed       int64
-	limit      uint64
-	injectNode int
-	traceN     int
-	faults     bool
-	fseed      int64
+	row    *row
+	seed   int64
+	limit  uint64 // -events: judge only this prefix of the schedule
+	inject int    // kernel whose invalidations are dropped, -1 for none
+	planes planes // -planes; a soak row attaches its own instead
+	fseed  int64
+}
+
+// attached is the set of planes the run attaches.
+func (c runCfg) attached() planes {
+	if c.row.soak {
+		return c.row.planes
+	}
+	return c.planes
 }
 
 // planSeed resolves the fault-plan seed: explicitly pinned via -fseed, or
@@ -156,199 +195,190 @@ func (c runCfg) planSeed() int64 {
 	return c.seed
 }
 
+// planes is the set of fabric planes a run attaches.
+type planes struct{ flow, failover, faults bool }
+
+func (pl planes) String() string {
+	var on []string
+	if pl.flow {
+		on = append(on, "flow")
+	}
+	if pl.failover {
+		on = append(on, "failover")
+	}
+	if pl.faults {
+		on = append(on, "faults")
+	}
+	return strings.Join(on, ",")
+}
+
 // outcome is one seeded run's verdict.
 type outcome struct {
-	seed       int64
 	events     uint64
 	violations []*sanitize.Violation
 	races      []*sanitize.Violation
-	err        error
-	// degraded notes that the workload surfaced a dead-peer error under an
-	// injected crash — the tolerated outcome, not a failure.
+	// degraded notes that a sweep workload surfaced a dead-peer or
+	// backpressure error its attached planes explain — the tolerated
+	// outcome, not a failure.
 	degraded bool
+	// vals are the row's reported counters, by stat key.
+	vals map[string]uint64
+	// err is the verdict (nil: clean); safety says it is one a prefix of the
+	// schedule can show, so the seed can be shrunk.
+	err    error
+	safety bool
+	// spans is the run's causal span collector, kept so a failing seed can
+	// print the tail of its operation timeline next to the verdict.
+	spans *trace.Collector
 }
 
-func (o outcome) failed() bool {
-	return len(o.violations) > 0 || len(o.races) > 0 || o.err != nil
-}
-
-// faultPlan builds the -faults plan for one run: probabilistic drop,
-// duplication and delay on every link, and — for the migration workload —
-// one kernel crash shortly after it acknowledges an inbound migration, so
-// the thread dies with the kernel it just moved to.
-func faultPlan(cfg runCfg) *faultinj.Plan {
-	plan := &faultinj.Plan{Seed: cfg.planSeed()}
-	if cfg.injectNode >= 0 {
-		plan.Rules = append(plan.Rules, msg.SkipRevokeRule(msg.NodeID(cfg.injectNode)))
+// explain prints what a failing run leaves behind besides its verdict: the
+// sanitizer's rendered reports, and the failure timeline — the last
+// operations the cluster ran, straight from the causal tracer.
+func (out outcome) explain(w io.Writer) {
+	for _, v := range append(out.violations, out.races...) {
+		fmt.Fprintf(w, "%s\n\n", v.String())
 	}
-	plan.Rules = append(plan.Rules,
-		// Migration traffic is exempt from link noise: the crash scenario
-		// below exercises migration failure deterministically, and the
-		// rollback-vs-crash race is unit-tested rather than swept.
-		faultinj.Rule{From: faultinj.Wildcard, To: faultinj.Wildcard, Type: int(msg.TypeMigrate)},
-		faultinj.Rule{
-			From: faultinj.Wildcard, To: faultinj.Wildcard, Type: faultinj.Wildcard,
-			DropP: 0.12, DupP: 0.08, DelayP: 0.12, DelayMax: 20 * time.Microsecond,
-		},
-	)
-	if cfg.wl == "migration" {
-		// The second TypeMigrate commit is the destination's acceptance
-		// reply; shortly after it the migrated thread has resumed on kernel 1
-		// and dies with it. The window must be shorter than the migrated
-		// consumer's remaining (all-local) work or the crash lands on an
-		// already-empty kernel.
-		plan.TypeCrashes = append(plan.TypeCrashes, faultinj.TypeCrash{
-			Node: 1, Type: int(msg.TypeMigrate), Nth: 2, After: 2 * time.Microsecond,
-		})
+	var tl strings.Builder
+	if err := out.spans.WriteTimeline(&tl, 40); err == nil && tl.Len() > 0 {
+		fmt.Fprintf(w, "last operations before failure:\n%s\n", tl.String())
 	}
-	return plan
 }
 
-// runOne boots a fresh OS for the workload, attaches the sanitizer (and the
-// fault plan when enabled), and runs the workload under the given seed,
-// optionally bounded to a prefix.
+// eventBackstop bounds every run that -events does not: a healthy seed of
+// the longest row quiesces in well under a million events, so reaching it
+// means something retried forever.
+const eventBackstop = 5_000_000
+
+// runOne boots a fresh OS for the row, attaches the checkers and the run's
+// planes — flow, failover, faults, the order every row relies on — runs the
+// workload under the seed, optionally bounded to a prefix, and judges it.
+// Both tracers only record what the simulation already produced; neither
+// moves an event.
 func runOne(cfg runCfg) outcome {
-	o, err := bootFor(cfg.wl, cfg.seed)
+	r := cfg.row
+	bc, err := r.Config(cfg.seed)
 	if err != nil {
-		return outcome{seed: cfg.seed, err: err}
+		return outcome{err: err}
+	}
+	o, err := core.Boot(bc)
+	if err != nil {
+		return outcome{err: err}
 	}
 	defer o.Close()
-	tb := o.Trace(cfg.traceN)
-	ck := o.AttachSanitizer(sanitize.Config{Trace: tb, FailFast: true})
-	if cfg.limit > 0 {
-		o.Engine().SetEventLimit(cfg.limit)
+	ck := o.AttachSanitizer(sanitize.Config{Trace: o.Trace(512), FailFast: true})
+	out := outcome{spans: o.AttachTracer(), vals: make(map[string]uint64)}
+	limit := cfg.limit
+	if limit == 0 {
+		limit = eventBackstop
 	}
-	if cfg.faults {
-		o.EnableFaults(faultPlan(cfg), msg.FaultConfig{})
-	} else if cfg.injectNode >= 0 {
+	o.Engine().SetEventLimit(limit)
+	pl := cfg.attached()
+	if pl.flow {
+		o.EnableFlow(r.flow)
+	}
+	if pl.failover {
+		o.EnableFailover()
+	}
+	if pl.faults {
+		plan := r.Plan(cfg.planSeed())
+		if cfg.inject >= 0 {
+			plan.Rules = append([]faultinj.Rule{msg.SkipRevokeRule(msg.NodeID(cfg.inject))}, plan.Rules...)
+		}
+		o.EnableFaults(plan, msg.FaultConfig{})
+	} else if cfg.inject >= 0 {
 		for k := 0; k < o.Kernels(); k++ {
-			o.Kernel(k).VM.InjectSkipRevoke(msg.NodeID(cfg.injectNode))
+			o.Kernel(k).VM.InjectSkipRevoke(msg.NodeID(cfg.inject))
 		}
 	}
-	_, err = runWorkload(o, cfg.wl)
-	out := outcome{
-		seed:       cfg.seed,
-		events:     o.Engine().EventsProcessed(),
-		violations: ck.Violations(),
-		races:      ck.Races(),
+	err = r.Run(o, cfg.seed)
+
+	out.events = o.Engine().EventsProcessed()
+	out.violations, out.races = ck.Violations(), ck.Races()
+	m := o.Metrics()
+	for _, st := range r.report {
+		out.vals[st.key] = st.read(m)
 	}
-	// The event limit cuts the run short by design; a fail-fast violation
-	// already explains its own panic. Under a fault plan, a dead-peer error
-	// is graceful degradation — the safety invariants above still hold —
-	// not a failure. Anything else is real.
-	if err != nil && !errors.Is(err, sim.ErrEventLimit) && len(out.violations) == 0 {
-		if cfg.faults && isDegradation(err) {
-			out.degraded = true
-		} else {
-			out.err = err
-		}
+	limited := errors.Is(err, sim.ErrEventLimit)
+	switch {
+	case len(out.violations)+len(out.races) > 0:
+		// A fail-fast violation explains its own panic; err adds nothing.
+		out.err, out.safety = fmt.Errorf("%d sanitizer violations, %d races", len(out.violations), len(out.races)), true
+	case limited && cfg.limit == 0:
+		out.err = fmt.Errorf("event backstop hit: the cluster never settled: %w", err)
+	case limited:
+		// The prefix -events asked for ran clean; there is no end state.
+	case err != nil && !r.soak && pl != (planes{}) && adversity.IsDegradation(err):
+		// Soak workers absorb degradation in their bodies, so an error that
+		// escapes one is real; a sweep workload just stops, with the safety
+		// verdicts above already passed.
+		out.degraded = true
+	case err != nil:
+		out.err, out.safety = err, true
+	case o.LiveThreads() != 0:
+		out.err = fmt.Errorf("%d threads still live after quiescence", o.LiveThreads())
+	default:
+		out.err = r.check(m)
 	}
 	return out
 }
 
-// isDegradation reports whether err is a tolerated consequence of the run's
-// adversity — a dead peer from an injected crash, or a backpressure
-// rejection from the overload plane. Workloads panic with the transport
-// error embedded, so the check accepts both the error chain and its
-// rendered text.
-func isDegradation(err error) bool {
-	if msg.IsDeadPeer(err) || msg.IsBackpressure(err) {
-		return true
-	}
-	s := err.Error()
-	for _, marker := range []string{
-		"dead kernel",                // msg.DeadPeerError
-		"peer kernel is dead",        // msg.ErrDeadPeer sentinel
-		"died while task waited",     // futex home-death error wake
-		"refused under backpressure", // msg.BackpressureError
-	} {
-		if strings.Contains(s, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// bootFor builds the machine shape each workload stresses: contention uses
-// the full 8-kernel cluster, migration and futex the 2-kernel testbed.
-func bootFor(wl string, seed int64) (*core.OS, error) {
-	switch wl {
-	case "contention":
-		topo := hw.Topology{Cores: 64, NUMANodes: 2}
-		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
-		if err != nil {
-			return nil, err
-		}
-		cc := kernel.DefaultClusterConfig(machine)
-		cc.Kernels = 8
-		return core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
-	case "migration", "futex":
-		return core.Boot(core.Config{Topology: hw.Topology{Cores: 16, NUMANodes: 2}, Seed: seed, TieShuffle: true})
-	}
-	return nil, fmt.Errorf("unknown workload %q", wl)
-}
-
-// runWorkload exercises the protocol paths the sanitizer watches: remote
-// thread creation (contention), page grants/revocations plus thread
-// migration (migration), and cross-kernel futex hand-offs (futex).
-func runWorkload(o *core.OS, wl string) (workload.Result, error) {
-	switch wl {
-	case "contention":
-		return workload.ThreadBomb(o, workload.ThreadBombSpec{Spawners: 8, Children: 8})
-	case "migration":
-		// Pull first (cross-kernel demand faults revoke the producer's
-		// exclusive copies), then the migration protocol itself.
-		if _, err := workload.MigrationBenefit(o, workload.MigrationBenefitSpec{Pages: 16, Rounds: 2}); err != nil {
-			return workload.Result{}, err
-		}
-		return workload.MigrationBenefit(o, workload.MigrationBenefitSpec{Pages: 16, Rounds: 2, Migrate: true})
-	case "futex":
-		return workload.FutexChain(o, workload.FutexChainSpec{Threads: 8, Iters: 4, CS: time.Microsecond, Shared: true})
-	}
-	return workload.Result{}, fmt.Errorf("unknown workload %q", wl)
-}
-
 // shrinkLimit binary-searches the smallest event limit under which the
-// seed still fails. Event limits do not perturb the schedule, so failure
-// is monotone in the limit and the search is exact.
+// seed still fails a safety verdict. Event limits do not perturb the
+// schedule, so failure is monotone in the limit and the search is exact.
 func shrinkLimit(cfg runCfg, failEvents uint64) uint64 {
 	lo, hi := uint64(1), failEvents
 	for lo < hi {
-		mid := lo + (hi-lo)/2
-		c := cfg
-		c.limit = mid
-		if runOne(c).failed() {
-			hi = mid
+		cfg.limit = lo + (hi-lo)/2
+		if runOne(cfg).safety {
+			hi = cfg.limit
 		} else {
-			lo = mid + 1
+			lo = cfg.limit + 1
 		}
 	}
 	return lo
 }
 
-func report(out outcome) {
-	for _, v := range out.violations {
-		fmt.Println(v.String())
-		fmt.Println()
+// replayArgs spells the command line that reruns cfg; limit 0 replays the
+// complete run.
+func replayArgs(cfg runCfg, limit uint64) string {
+	args := fmt.Sprintf("-workload %s -seed %d -v", cfg.row.Name, cfg.seed)
+	if limit > 0 {
+		args += fmt.Sprintf(" -events %d", limit)
 	}
-	for _, r := range out.races {
-		fmt.Println(r.String())
-		fmt.Println()
+	if cfg.row.soak {
+		return args
 	}
-	if out.err != nil {
-		fmt.Printf("run error: %v\n\n", out.err)
+	if cfg.planes != (planes{}) {
+		args += " -planes " + cfg.planes.String()
 	}
-}
-
-func reproArgs(cfg runCfg, events uint64, inject string) string {
-	args := fmt.Sprintf("-workload %s -seed %d -events %d", cfg.wl, cfg.seed, events)
-	if cfg.faults {
-		args += fmt.Sprintf(" -faults -fseed %d", cfg.planSeed())
+	if cfg.planes.faults {
+		args += fmt.Sprintf(" -fseed %d", cfg.planSeed())
 	}
-	if inject != "" {
-		args += " -inject " + inject
+	if cfg.inject >= 0 {
+		args += fmt.Sprintf(" -inject skip-revoke=%d", cfg.inject)
 	}
 	return args
+}
+
+func parsePlanes(s string) (planes, error) {
+	var pl planes
+	if s == "" {
+		return pl, nil
+	}
+	for _, name := range strings.Split(s, ",") {
+		switch name {
+		case "flow":
+			pl.flow = true
+		case "failover":
+			pl.failover = true
+		case "faults":
+			pl.faults = true
+		default:
+			return pl, fmt.Errorf("unknown plane %q (want flow, failover, faults)", name)
+		}
+	}
+	return pl, nil
 }
 
 func parseInject(s string) (int, error) {
@@ -364,14 +394,4 @@ func parseInject(s string) (int, error) {
 		return -1, fmt.Errorf("bad injection target %q", val)
 	}
 	return k, nil
-}
-
-func pickWorkloads(s string) ([]string, error) {
-	switch s {
-	case "all":
-		return []string{"contention", "migration", "futex"}, nil
-	case "contention", "migration", "futex":
-		return []string{s}, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (want contention, migration, futex, all)", s)
 }

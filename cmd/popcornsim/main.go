@@ -12,9 +12,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -29,28 +33,143 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "popcornsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (runErr error) {
-	osFlag := flag.String("os", "popcorn", "OS flavour: popcorn, smp, multikernel")
-	wlFlag := flag.String("workload", "mmapstorm", "workload: threadbomb, mmapstorm, mmapstorm-shared, faultsweep, futexchain, futexchain-shared, npb-is, npb-cg, npb-ft, npb-ep, npb-mg, kvstore, migrate")
-	threads := flag.Int("threads", 16, "worker thread/domain count")
-	iters := flag.Int("iters", 8, "iterations per worker (where applicable)")
-	pages := flag.Int("pages", 4, "pages per region (where applicable)")
-	cores := flag.Int("cores", 64, "machine core count")
-	nodes := flag.Int("nodes", 2, "machine NUMA node count")
-	kernels := flag.Int("kernels", 8, "kernel instances (popcorn/multikernel)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	metrics := flag.Bool("metrics", false, "dump OS metrics after the run")
-	traceN := flag.Int("trace", 0, "record and print the last N inter-kernel messages (popcorn only)")
-	snapshot := flag.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
-	compare := flag.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
-	profile := prof.Register(flag.CommandLine)
-	flag.Parse()
+// params are the workload knobs the command line sets.
+type params struct {
+	threads, iters, pages int
+	seed                  int64
+}
+
+// A workloadRow is one -workload name: its form against the osi interface
+// (popcorn and smp run the identical code) and, where one exists, its
+// explicitly distributed port for the multikernel.
+type workloadRow struct {
+	name string
+	osi  func(osi.OS, params) (workload.Result, error)
+	mk   func(*multikernel.OS, params) (workload.Result, error)
+}
+
+// form makes a table cell of a workload and the spec params give it; a
+// workload's osi form and its multikernel port take the same spec.
+func form[O, S any](f func(O, S) (workload.Result, error), spec func(params) S) func(O, params) (workload.Result, error) {
+	return func(o O, p params) (workload.Result, error) { return f(o, spec(p)) }
+}
+
+var workloads = []workloadRow{
+	{"threadbomb", form(workload.ThreadBomb, bomb), form(workload.MKThreadBomb, bomb)},
+	{"mmapstorm", form(workload.MmapStorm, storm(false)), form(workload.MKMemStorm, storm(false))},
+	{"mmapstorm-shared", form(workload.MmapStorm, storm(true)), nil},
+	{"faultsweep", form(workload.FaultSweep, sweep), form(workload.MKFaultSweep, sweep)},
+	{"futexchain", form(workload.FutexChain, chain(false)), nil},
+	{"futexchain-shared", form(workload.FutexChain, chain(true)), nil},
+	npb("is"), npb("cg"), npb("ft"), npb("ep"), npb("mg"),
+	{"kvstore", form(workload.KVStore, func(p params) workload.KVStoreSpec {
+		return workload.KVStoreSpec{
+			Shards: 16, Clients: p.threads, OpsPerClient: p.iters,
+			PutRatioPct: 10, KeysPerShard: p.pages, Think: 2 * time.Microsecond, Seed: p.seed}
+	}), nil},
+	{"migrate", form(workload.MigrationBenefit, func(p params) workload.MigrationBenefitSpec {
+		return workload.MigrationBenefitSpec{Pages: p.pages, Rounds: p.iters, Migrate: true}
+	}), nil},
+}
+
+func bomb(p params) workload.ThreadBombSpec {
+	return workload.ThreadBombSpec{Spawners: p.threads, Children: p.iters}
+}
+
+func storm(shared bool) func(params) workload.MmapStormSpec {
+	return func(p params) workload.MmapStormSpec {
+		return workload.MmapStormSpec{Threads: p.threads, Iters: p.iters, Pages: p.pages, Shared: shared}
+	}
+}
+
+func sweep(p params) workload.FaultSweepSpec {
+	return workload.FaultSweepSpec{Threads: p.threads, Pages: p.pages}
+}
+
+func chain(shared bool) func(params) workload.FutexChainSpec {
+	return func(p params) workload.FutexChainSpec {
+		return workload.FutexChainSpec{Threads: p.threads, Iters: p.iters, CS: 2 * time.Microsecond, Shared: shared}
+	}
+}
+
+// npb is the row for one NPB-class compute kernel.
+func npb(k string) workloadRow {
+	spec := func(p params) workload.ComputeKernelSpec {
+		return workload.ComputeKernelSpec{Kernel: k, Threads: p.threads, Iters: p.iters, Work: 100 * time.Microsecond}
+	}
+	return workloadRow{"npb-" + k, form(workload.ComputeKernel, spec), form(workload.MKComputeKernel, spec)}
+}
+
+var flavours = []string{"popcorn", "smp", "multikernel"}
+
+var errNoPort = errors.New("no multikernel port")
+
+// booted is what popcornsim needs of an OS of any flavour: popcorn and smp
+// are also an osi.OS, the multikernel is its own type.
+type booted interface {
+	Metrics() *stats.Registry
+	Close()
+}
+
+func boot(flavour string, topo hw.Topology, kernels int, seed int64) (booted, error) {
+	switch flavour {
+	case "popcorn":
+		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+		if err != nil {
+			return nil, err
+		}
+		cc := kernel.DefaultClusterConfig(machine)
+		cc.Kernels = kernels
+		return core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed})
+	case "smp":
+		return smp.Boot(smp.Config{Topology: topo, Seed: seed})
+	case "multikernel":
+		return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, Seed: seed})
+	}
+	return nil, fmt.Errorf("unknown OS flavour %q", flavour)
+}
+
+// runOn drives wl on o in the form o's flavour takes.
+func runOn(o booted, wl workloadRow, p params) (workload.Result, error) {
+	mk, ok := o.(*multikernel.OS)
+	if !ok {
+		return wl.osi(o.(osi.OS), p)
+	}
+	if wl.mk == nil {
+		return workload.Result{}, errNoPort
+	}
+	return wl.mk(mk, p)
+}
+
+func run(args []string, w io.Writer) (runErr error) {
+	var names []string
+	for _, wl := range workloads {
+		names = append(names, wl.name)
+	}
+	fs := flag.NewFlagSet("popcornsim", flag.ContinueOnError)
+	osFlag := fs.String("os", "popcorn", "OS flavour: "+strings.Join(flavours, ", "))
+	wlFlag := fs.String("workload", "mmapstorm", "workload: "+strings.Join(names, ", "))
+	threads := fs.Int("threads", 16, "worker thread/domain count")
+	iters := fs.Int("iters", 8, "iterations per worker (where applicable)")
+	pages := fs.Int("pages", 4, "pages per region (where applicable)")
+	cores := fs.Int("cores", 64, "machine core count")
+	nodes := fs.Int("nodes", 2, "machine NUMA node count")
+	kernels := fs.Int("kernels", 8, "kernel instances (popcorn/multikernel)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	metrics := fs.Bool("metrics", false, "dump OS metrics after the run")
+	traceN := fs.Int("trace", 0, "record and print the last N inter-kernel messages (popcorn only)")
+	snapshot := fs.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
+	compare := fs.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
+	profile := prof.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProfile, err := profile.Start()
 	if err != nil {
@@ -62,195 +181,74 @@ func run() (runErr error) {
 		}
 	}()
 
+	i := slices.Index(names, *wlFlag)
+	if i < 0 {
+		return fmt.Errorf("unknown workload %q", *wlFlag)
+	}
+	wl := workloads[i]
 	topo := hw.Topology{Cores: *cores, NUMANodes: *nodes}
+	p := params{threads: *threads, iters: *iters, pages: *pages, seed: *seed}
 
 	if *compare {
-		return runCompare(topo, *kernels, *seed, *wlFlag, *threads, *iters, *pages)
+		return runCompare(w, topo, *kernels, wl, p)
 	}
 
-	var (
-		res  workload.Result
-		reg  *stats.Registry
-		stop func()
-	)
-
-	if *osFlag == "multikernel" {
-		mk, bootErr := multikernel.Boot(multikernel.Config{Topology: topo, Kernels: *kernels, Seed: *seed})
-		if bootErr != nil {
-			return bootErr
+	o, err := boot(*osFlag, topo, *kernels, *seed)
+	if err != nil {
+		return err
+	}
+	defer o.Close()
+	if pop, ok := o.(*core.OS); ok {
+		if *traceN > 0 {
+			tb := pop.Trace(*traceN)
+			defer func() {
+				fmt.Fprintln(w, "\n--- trace (most recent messages) ---")
+				_ = tb.Dump(w)
+			}()
 		}
-		stop, reg = mk.Close, mk.Metrics()
-		defer stop()
-		switch *wlFlag {
-		case "threadbomb":
-			res, err = workload.MKThreadBomb(mk, workload.ThreadBombSpec{Spawners: *threads, Children: *iters})
-		case "mmapstorm":
-			res, err = workload.MKMemStorm(mk, workload.MmapStormSpec{Threads: *threads, Iters: *iters, Pages: *pages})
-		case "faultsweep":
-			res, err = workload.MKFaultSweep(mk, workload.FaultSweepSpec{Threads: *threads, Pages: *pages})
-		case "npb-is", "npb-cg", "npb-ft", "npb-ep", "npb-mg":
-			res, err = workload.MKComputeKernel(mk, workload.ComputeKernelSpec{
-				Kernel: (*wlFlag)[4:], Threads: *threads, Iters: *iters, Work: 100 * time.Microsecond})
-		default:
-			return fmt.Errorf("workload %q has no multikernel port", *wlFlag)
+		if *snapshot {
+			defer func() {
+				fmt.Fprintln(w, "\n--- snapshot ---")
+				fmt.Fprint(w, pop.Snapshot())
+			}()
 		}
-	} else {
-		var o osi.OS
-		switch *osFlag {
-		case "popcorn":
-			machine, mErr := hw.NewMachine(topo, hw.DefaultCostModel())
-			if mErr != nil {
-				return mErr
-			}
-			cc := kernel.DefaultClusterConfig(machine)
-			cc.Kernels = *kernels
-			pop, bootErr := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: *seed})
-			if bootErr != nil {
-				return bootErr
-			}
-			if *traceN > 0 {
-				tb := pop.Trace(*traceN)
-				defer func() {
-					fmt.Println("\n--- trace (most recent messages) ---")
-					_ = tb.Dump(os.Stdout)
-				}()
-			}
-			if *snapshot {
-				defer func() {
-					fmt.Println("\n--- snapshot ---")
-					fmt.Print(pop.Snapshot())
-				}()
-			}
-			o, stop = pop, pop.Close
-		case "smp":
-			sm, bootErr := smp.Boot(smp.Config{Topology: topo, Seed: *seed})
-			if bootErr != nil {
-				return bootErr
-			}
-			o, stop = sm, sm.Close
-		default:
-			return fmt.Errorf("unknown OS flavour %q", *osFlag)
-		}
-		reg = o.Metrics()
-		defer stop()
-		switch *wlFlag {
-		case "threadbomb":
-			res, err = workload.ThreadBomb(o, workload.ThreadBombSpec{Spawners: *threads, Children: *iters})
-		case "mmapstorm":
-			res, err = workload.MmapStorm(o, workload.MmapStormSpec{Threads: *threads, Iters: *iters, Pages: *pages})
-		case "mmapstorm-shared":
-			res, err = workload.MmapStorm(o, workload.MmapStormSpec{Threads: *threads, Iters: *iters, Pages: *pages, Shared: true})
-		case "faultsweep":
-			res, err = workload.FaultSweep(o, workload.FaultSweepSpec{Threads: *threads, Pages: *pages})
-		case "futexchain":
-			res, err = workload.FutexChain(o, workload.FutexChainSpec{Threads: *threads, Iters: *iters, CS: 2 * time.Microsecond})
-		case "futexchain-shared":
-			res, err = workload.FutexChain(o, workload.FutexChainSpec{Threads: *threads, Iters: *iters, CS: 2 * time.Microsecond, Shared: true})
-		case "npb-is", "npb-cg", "npb-ft", "npb-ep", "npb-mg":
-			res, err = workload.ComputeKernel(o, workload.ComputeKernelSpec{
-				Kernel: (*wlFlag)[4:], Threads: *threads, Iters: *iters, Work: 100 * time.Microsecond})
-		case "kvstore":
-			res, err = workload.KVStore(o, workload.KVStoreSpec{
-				Shards: 16, Clients: *threads, OpsPerClient: *iters,
-				PutRatioPct: 10, KeysPerShard: *pages, Think: 2 * time.Microsecond, Seed: *seed})
-		case "migrate":
-			res, err = workload.MigrationBenefit(o, workload.MigrationBenefitSpec{Pages: *pages, Rounds: *iters, Migrate: true})
-		default:
-			return fmt.Errorf("unknown workload %q", *wlFlag)
-		}
+	}
+	res, err := runOn(o, wl, p)
+	if errors.Is(err, errNoPort) {
+		return fmt.Errorf("workload %q has %w", wl.name, err)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Println(res)
-	fmt.Printf("virtual throughput: %.1f ops/ms, %.2f us/op\n", res.Throughput()/1000, float64(res.PerOp().Nanoseconds())/1000)
-	if reg != nil {
-		fmt.Printf("simulation work: %d messages\n", reg.Counter("msg.sent").Value())
-	}
+	fmt.Fprintln(w, res)
+	fmt.Fprintf(w, "virtual throughput: %.1f ops/ms, %.2f us/op\n", res.Throughput()/1000, float64(res.PerOp().Nanoseconds())/1000)
+	fmt.Fprintf(w, "simulation work: %d messages\n", o.Metrics().Counter("msg.sent").Value())
 	if *metrics {
-		fmt.Print("\n--- metrics ---\n", reg.Dump())
+		fmt.Fprint(w, "\n--- metrics ---\n", o.Metrics().Dump())
 	}
 	return nil
 }
 
-// runCompare runs one workload on popcorn, smp and (when ported) the
-// multikernel, printing a side-by-side table.
-func runCompare(topo hw.Topology, kernels int, seed int64, wl string, threads, iters, pages int) error {
-	tab := stats.NewTable(fmt.Sprintf("%s, %d threads on %d cores", wl, threads, topo.Cores),
+// runCompare runs one workload on every flavour that has a form of it,
+// printing a side-by-side table.
+func runCompare(w io.Writer, topo hw.Topology, kernels int, wl workloadRow, p params) error {
+	tab := stats.NewTable(fmt.Sprintf("%s, %d threads on %d cores", wl.name, p.threads, topo.Cores),
 		"os", "ops", "elapsed", "ops/ms")
-	type flavour struct {
-		name string
-		run  func() (workload.Result, error)
-	}
-	runOSI := func(o osi.OS) (workload.Result, error) {
-		switch wl {
-		case "threadbomb":
-			return workload.ThreadBomb(o, workload.ThreadBombSpec{Spawners: threads, Children: iters})
-		case "mmapstorm":
-			return workload.MmapStorm(o, workload.MmapStormSpec{Threads: threads, Iters: iters, Pages: pages})
-		case "faultsweep":
-			return workload.FaultSweep(o, workload.FaultSweepSpec{Threads: threads, Pages: pages})
-		case "futexchain":
-			return workload.FutexChain(o, workload.FutexChainSpec{Threads: threads, Iters: iters, CS: 2 * time.Microsecond})
-		case "kvstore":
-			return workload.KVStore(o, workload.KVStoreSpec{
-				Shards: 16, Clients: threads, OpsPerClient: iters,
-				PutRatioPct: 10, KeysPerShard: pages, Think: 2 * time.Microsecond, Seed: seed})
-		case "npb-is", "npb-cg", "npb-ft", "npb-ep", "npb-mg":
-			return workload.ComputeKernel(o, workload.ComputeKernelSpec{Kernel: wl[4:], Threads: threads, Iters: iters, Work: 100 * time.Microsecond})
-		}
-		return workload.Result{}, fmt.Errorf("workload %q has no comparison form", wl)
-	}
-	flavours := []flavour{
-		{"popcorn", func() (workload.Result, error) {
-			machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
-			if err != nil {
-				return workload.Result{}, err
-			}
-			cc := kernel.DefaultClusterConfig(machine)
-			cc.Kernels = kernels
-			o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed})
+	for _, flavour := range flavours {
+		res, err := func() (workload.Result, error) {
+			o, err := boot(flavour, topo, kernels, p.seed)
 			if err != nil {
 				return workload.Result{}, err
 			}
 			defer o.Close()
-			return runOSI(o)
-		}},
-		{"smp", func() (workload.Result, error) {
-			o, err := smp.Boot(smp.Config{Topology: topo, Seed: seed})
-			if err != nil {
-				return workload.Result{}, err
-			}
-			defer o.Close()
-			return runOSI(o)
-		}},
-		{"multikernel", func() (workload.Result, error) {
-			o, err := multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, Seed: seed})
-			if err != nil {
-				return workload.Result{}, err
-			}
-			defer o.Close()
-			switch wl {
-			case "threadbomb":
-				return workload.MKThreadBomb(o, workload.ThreadBombSpec{Spawners: threads, Children: iters})
-			case "mmapstorm":
-				return workload.MKMemStorm(o, workload.MmapStormSpec{Threads: threads, Iters: iters, Pages: pages})
-			case "faultsweep":
-				return workload.MKFaultSweep(o, workload.FaultSweepSpec{Threads: threads, Pages: pages})
-			case "npb-is", "npb-cg", "npb-ft", "npb-ep", "npb-mg":
-				return workload.MKComputeKernel(o, workload.ComputeKernelSpec{Kernel: wl[4:], Threads: threads, Iters: iters, Work: 100 * time.Microsecond})
-			}
-			return workload.Result{}, fmt.Errorf("no multikernel port")
-		}},
-	}
-	for _, f := range flavours {
-		res, err := f.run()
+			return runOn(o, wl, p)
+		}()
 		if err != nil {
-			tab.AddRow(f.name, "-", err.Error(), "-")
+			tab.AddRow(flavour, "-", err.Error(), "-")
 			continue
 		}
-		tab.AddRow(f.name, fmt.Sprint(res.Ops), res.Elapsed.String(), fmt.Sprintf("%.0f", res.Throughput()/1000))
+		tab.AddRow(flavour, fmt.Sprint(res.Ops), res.Elapsed.String(), fmt.Sprintf("%.0f", res.Throughput()/1000))
 	}
-	fmt.Println(tab)
+	fmt.Fprintln(w, tab)
 	return nil
 }

@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"strings"
@@ -81,19 +82,28 @@ var escapePackages = []string{"./internal/sim", "./internal/msg", "./internal/tr
 // relative to the module root popcornvet runs from.
 const escapeBaselinePath = "ESCAPES.json"
 
-func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	allowlist := flag.Bool("allowlist", false, "inventory //popcornvet:allow waivers as JSON instead of running analyzers")
-	escapes := flag.Bool("escapes", false, "compare `go build -gcflags=-m` hot-path heap escapes against "+escapeBaselinePath)
-	write := flag.Bool("write", false, "with -escapes: regenerate "+escapeBaselinePath+" instead of comparing")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: popcornvet [-only rules] [-json] [-allowlist] [-escapes [-write]] [path ...]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	roots := flag.Args()
+// run is the command: findings and reports go to stdout, diagnostics to
+// stderr, and the result is the exit status — 0 clean, 1 findings or escape
+// regressions, 2 when the command could not do what was asked.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("popcornvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	allowlist := fs.Bool("allowlist", false, "inventory //popcornvet:allow waivers as JSON instead of running analyzers")
+	escapes := fs.Bool("escapes", false, "compare `go build -gcflags=-m` hot-path heap escapes against "+escapeBaselinePath)
+	write := fs.Bool("write", false, "with -escapes: regenerate "+escapeBaselinePath+" instead of comparing")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: popcornvet [-only rules] [-json] [-allowlist] [-escapes [-write]] [path ...]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	roots := fs.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
@@ -121,25 +131,23 @@ func main() {
 			}
 		}
 		for name := range want {
-			fmt.Fprintf(os.Stderr, "popcornvet: unknown analyzer %q\n", name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "popcornvet: unknown analyzer %q\n", name)
+			return 2
 		}
 		analyzers = picked
 	}
 
 	tree, err := vetcheck.Load(roots)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "popcornvet: %v\n", err)
+		return 2
 	}
 
 	if *allowlist {
-		writeJSON(vetcheck.Allowlist(tree))
-		return
+		return writeJSON(stdout, stderr, vetcheck.Allowlist(tree))
 	}
 	if *escapes {
-		runEscapeGate(tree, *write)
-		return
+		return runEscapeGate(tree, *write, stdout, stderr)
 	}
 
 	findings := vetcheck.Run(tree, analyzers)
@@ -154,36 +162,40 @@ func main() {
 				Message:  f.Message,
 			})
 		}
-		writeJSON(out)
+		if code := writeJSON(stdout, stderr, out); code != 0 {
+			return code
+		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "popcornvet: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "popcornvet: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
-// writeJSON encodes v indented on stdout, exiting 2 on encoder failure.
-func writeJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON encodes v indented on stdout; the status is 2 on encoder failure.
+func writeJSON(stdout, stderr io.Writer, v any) int {
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "popcornvet: %v\n", err)
+		return 2
 	}
+	return 0
 }
 
 // runEscapeGate compiles the hot packages with escape diagnostics on,
 // normalizes the hot-path escapes, and either rewrites the baseline (write)
-// or diffs against it, exiting 1 on any new or grown escape.
-func runEscapeGate(tree *vetcheck.Tree, write bool) {
+// or diffs against it, with status 1 on any new or grown escape.
+func runEscapeGate(tree *vetcheck.Tree, write bool, stdout, stderr io.Writer) int {
 	spans := vetcheck.HotSpans(tree)
 	if len(spans) == 0 {
-		fmt.Fprintln(os.Stderr, "popcornvet: -escapes found no //popcornvet:hotpath functions in the loaded tree")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "popcornvet: -escapes found no //popcornvet:hotpath functions in the loaded tree")
+		return 2
 	}
 	args := append([]string{"build", "-gcflags=-m"}, escapePackages...)
 	cmd := exec.Command("go", args...)
@@ -192,8 +204,8 @@ func runEscapeGate(tree *vetcheck.Tree, write bool) {
 	// needed for a stable view.
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: go build -gcflags=-m failed: %v\n%s", err, raw)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "popcornvet: go build -gcflags=-m failed: %v\n%s", err, raw)
+		return 2
 	}
 	current := vetcheck.ParseEscapes(string(raw), spans)
 	baseline := vetcheck.EscapeBaseline{Packages: escapePackages, Escapes: current}
@@ -201,41 +213,42 @@ func runEscapeGate(tree *vetcheck.Tree, write bool) {
 	if write {
 		data, err := json.MarshalIndent(baseline, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "popcornvet: %v\n", err)
+			return 2
 		}
 		if err := os.WriteFile(escapeBaselinePath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "popcornvet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "popcornvet: %v\n", err)
+			return 2
 		}
-		fmt.Printf("popcornvet: wrote %s (%d hot-path escape entr%s across %d hot functions)\n",
+		fmt.Fprintf(stdout, "popcornvet: wrote %s (%d hot-path escape entr%s across %d hot functions)\n",
 			escapeBaselinePath, len(current), plural(len(current), "y", "ies"), len(spans))
-		return
+		return 0
 	}
 
 	data, err := os.ReadFile(escapeBaselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: read baseline: %v (regenerate with -escapes -write)\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "popcornvet: read baseline: %v (regenerate with -escapes -write)\n", err)
+		return 2
 	}
 	var have vetcheck.EscapeBaseline
 	if err := json.Unmarshal(data, &have); err != nil {
-		fmt.Fprintf(os.Stderr, "popcornvet: parse %s: %v\n", escapeBaselinePath, err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "popcornvet: parse %s: %v\n", escapeBaselinePath, err)
+		return 2
 	}
 	regressions, improvements := vetcheck.CompareEscapes(have.Escapes, current)
 	for _, s := range improvements {
-		fmt.Println("note: " + s)
+		fmt.Fprintln(stdout, "note: "+s)
 	}
 	for _, s := range regressions {
-		fmt.Println(s)
+		fmt.Fprintln(stdout, s)
 	}
 	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "popcornvet: %d hot-path escape regression(s) vs %s\n", len(regressions), escapeBaselinePath)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "popcornvet: %d hot-path escape regression(s) vs %s\n", len(regressions), escapeBaselinePath)
+		return 1
 	}
-	fmt.Printf("popcornvet: hot-path escapes match %s (%d entr%s, %d hot functions)\n",
+	fmt.Fprintf(stdout, "popcornvet: hot-path escapes match %s (%d entr%s, %d hot functions)\n",
 		escapeBaselinePath, len(current), plural(len(current), "y", "ies"), len(spans))
+	return 0
 }
 
 // plural picks the singular or plural suffix for n.

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/adversity"
 	"repro/internal/core"
 	"repro/internal/faultinj"
 	"repro/internal/hw"
-	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/osi"
@@ -95,19 +95,15 @@ type failoverCell struct {
 // known crash instant to subtract from the observed promotion instant.
 func oneFailoverCell(seed int64, failover, crash bool) (*failoverCell, error) {
 	const crashAt = 1500 * time.Microsecond
-	topo := hw.Topology{Cores: 16, NUMANodes: 2}
-	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+	cfg, err := adversity.Shape{Cores: 16, Kernels: 4}.Config(seed)
 	if err != nil {
 		return nil, err
 	}
-	cc := kernel.DefaultClusterConfig(machine)
-	cc.Kernels = 4
-	o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc, Seed: seed, TieShuffle: true})
+	o, err := core.Boot(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer o.Close()
-	e := o.Engine()
 	if failover {
 		o.EnableFailover()
 	}
@@ -118,37 +114,11 @@ func oneFailoverCell(seed int64, failover, crash bool) (*failoverCell, error) {
 		}, msg.FaultConfig{})
 	}
 	cell := &failoverCell{}
-	var runErr error
-	e.Spawn("r3-driver", func(p *sim.Proc) {
-		pr, err := o.StartProcessOn(p, 0)
-		if err != nil {
-			runErr = err
-			return
-		}
-		var base mem.Addr
-		const (
-			shared  = 4
-			workers = 6
-		)
-		ready := sim.NewWaitGroup()
-		ready.Add(1)
-		if err := pr.Spawn(p, 0, func(th osi.Thread) {
-			a, err := th.Mmap((shared+workers+1)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-			if err != nil {
-				panic(err)
-			}
-			for i := 0; i < shared; i++ {
-				if err := th.Store(a+mem.Addr(i*hw.PageSize), int64(100+i)); err != nil {
-					panic(err)
-				}
-			}
-			base = a
-			ready.Done()
-		}); err != nil {
-			runErr = err
-			return
-		}
-		ready.Wait(p)
+	const (
+		shared  = 4
+		workers = 6
+	)
+	cell.completion, err = adversity.OneProcess(o, "r3-driver", shared+workers+1, shared, 100, func(p *sim.Proc, pr *core.Process, base mem.Addr) error {
 		tally := base + mem.Addr((shared+workers)*hw.PageSize)
 		for i := 0; i < workers; i++ {
 			i := i
@@ -170,8 +140,7 @@ func oneFailoverCell(seed int64, failover, crash bool) (*failoverCell, error) {
 					}
 				}
 			}); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		if crash {
@@ -183,21 +152,10 @@ func oneFailoverCell(seed int64, failover, crash bool) (*failoverCell, error) {
 			}
 			cell.downtime = p.Now().Duration() - crashAt
 		}
-		if err := pr.Join(p); err != nil {
-			runErr = err
-			return
-		}
-		if err := pr.Close(p); err != nil {
-			runErr = err
-			return
-		}
-		cell.completion = p.Now().Duration()
+		return nil
 	})
-	if err := e.Run(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	m := o.Metrics()
 	cell.replicated = m.Counter("dir.failover.replicated").Value() + m.Counter("tg.failover.replicated").Value()

@@ -2,15 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
+	"repro/internal/adversity"
 	"repro/internal/core"
-	"repro/internal/faultinj"
-	"repro/internal/hw"
 	"repro/internal/msg"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // R1FaultCounters runs the migration and futex workloads under the fault
@@ -26,9 +22,11 @@ func R1FaultCounters(s Scale) (*stats.Table, error) {
 	}
 	agg := stats.NewRegistry()
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		for _, wl := range []string{"migration", "futex"} {
-			if err := oneFaultRun(wl, seed, agg); err != nil {
-				return nil, fmt.Errorf("%s seed %d: %w", wl, seed, err)
+		// Migration and futex: the two-kernel sweeps, whose one link the
+		// per-link rows below name.
+		for _, sw := range adversity.Sweeps[1:] {
+			if err := oneFaultRun(sw, seed, agg); err != nil {
+				return nil, fmt.Errorf("%s seed %d: %w", sw.Name, seed, err)
 			}
 		}
 	}
@@ -67,44 +65,22 @@ var faultCounterRows = []struct{ name, desc string }{
 	{"futex.waiter.reaped", "remote futex waiters reaped"},
 }
 
-// oneFaultRun mirrors one `popcornmc -faults` run: the same 2-kernel
-// testbed, tie-shuffled schedule, and fault plan, with seed doubling as the
-// fault seed. Counters are accumulated into agg.
-func oneFaultRun(wl string, seed int64, agg *stats.Registry) error {
-	o, err := core.Boot(core.Config{
-		Topology: hw.Topology{Cores: 16, NUMANodes: 2}, Seed: seed, TieShuffle: true,
-	})
+// oneFaultRun is one popcornmc fault-sweep run of sw — the same machine,
+// tie-shuffled schedule, plan and workload, because both take them from
+// adversity.Sweeps — with seed doubling as the fault seed. Counters are
+// accumulated into agg.
+func oneFaultRun(sw adversity.Sweep, seed int64, agg *stats.Registry) error {
+	cfg, err := sw.Config(seed)
+	if err != nil {
+		return err
+	}
+	o, err := core.Boot(cfg)
 	if err != nil {
 		return err
 	}
 	defer o.Close()
-	plan := &faultinj.Plan{Seed: seed}
-	plan.Rules = append(plan.Rules,
-		// Exempt the migration request/reply so the crash trigger below is
-		// the only fault that can hit the migration protocol itself.
-		faultinj.Rule{From: faultinj.Wildcard, To: faultinj.Wildcard, Type: int(msg.TypeMigrate)},
-		faultinj.Rule{
-			From: faultinj.Wildcard, To: faultinj.Wildcard, Type: faultinj.Wildcard,
-			DropP: 0.12, DupP: 0.08, DelayP: 0.12, DelayMax: 20 * time.Microsecond,
-		})
-	if wl == "migration" {
-		plan.TypeCrashes = append(plan.TypeCrashes, faultinj.TypeCrash{
-			Node: 1, Type: int(msg.TypeMigrate), Nth: 2, After: 2 * time.Microsecond,
-		})
-	}
-	o.EnableFaults(plan, msg.FaultConfig{})
-	switch wl {
-	case "migration":
-		_, err = workload.MigrationBenefit(o, workload.MigrationBenefitSpec{Pages: 16, Rounds: 2})
-		if err == nil {
-			_, err = workload.MigrationBenefit(o, workload.MigrationBenefitSpec{Pages: 16, Rounds: 2, Migrate: true})
-		}
-	case "futex":
-		_, err = workload.FutexChain(o, workload.FutexChainSpec{Threads: 8, Iters: 4, CS: time.Microsecond, Shared: true})
-	default:
-		return fmt.Errorf("unknown workload %q", wl)
-	}
-	if err != nil && !faultDegradation(err) {
+	o.EnableFaults(sw.Plan(seed), msg.FaultConfig{})
+	if err := sw.Run(o, seed); err != nil && !adversity.IsDegradation(err) {
 		return err
 	}
 	m := o.Metrics()
@@ -112,20 +88,4 @@ func oneFaultRun(wl string, seed int64, agg *stats.Registry) error {
 		agg.Counter(c.name).Add(m.Counter(c.name).Value())
 	}
 	return nil
-}
-
-// faultDegradation reports whether err is an acceptable consequence of the
-// run's adversity — a dead kernel from the fault plan, or a backpressure
-// rejection from the overload plane — rather than a bug.
-func faultDegradation(err error) bool {
-	if msg.IsDeadPeer(err) || msg.IsBackpressure(err) {
-		return true
-	}
-	s := err.Error()
-	for _, marker := range []string{"dead kernel", "peer kernel is dead", "died while task waited", "refused under backpressure"} {
-		if strings.Contains(s, marker) {
-			return true
-		}
-	}
-	return false
 }
