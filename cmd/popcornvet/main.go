@@ -1,21 +1,23 @@
 // Command popcornvet lints the replicated-kernel simulator for determinism
-// and protocol bugs that ordinary go vet cannot see:
+// and protocol bugs that ordinary go vet cannot see. It type-checks the tree
+// it is pointed at (go/types, standard library from GOROOT source) and every
+// rule matches declarations, not names:
 //
 //	simtime   wall-clock time, global math/rand, bare go statements and
 //	          real sync primitives inside sim-managed packages
 //	msgproto  msg.Type enum vs String() names, handler registrations and
 //	          send sites; discarded RPC errors
-//	locksend  sim.Mutex held across a blocking fabric send or RPC
+//	locksend  sim.Mutex held across a blocking fabric send or RPC, or a
+//	          call that reaches one
 //	lockorder sim-lock acquisition-order cycles (hierarchy inversions)
 //	          and undocumented same-class lock nesting
 //	dirver    pageGrant/pageInval composite literals that leave the
 //	          directory Version unstamped (error replies exempt)
-//	kernlocal handler paths that touch another kernel's state (cluster
-//	          table, peer endpoints) instead of going through msg
-//	detorder  nondeterministic ordering on event-visible paths: map
-//	          ranges whose order escapes, non-total sort.Slice
-//	          comparators, wall-clock/global-rand outside the
-//	          sim-managed set
+//	kernlocal event-context code that touches another kernel's state
+//	          (cluster table, peer endpoints) instead of going through msg
+//	detorder  nondeterministic ordering in event context: map ranges
+//	          whose order escapes, non-total sort.Slice comparators,
+//	          wall-clock/global-rand outside the sim-managed set
 //	hotalloc  heap-allocating constructs (make/new, &T{}, append,
 //	          fmt/errors calls, string concat and conversions, closures,
 //	          defer-in-loop) in functions marked //popcornvet:hotpath or
@@ -32,11 +34,15 @@
 //
 // Findings print as file:line:col: [rule] message (or, with -json, as a
 // JSON array of {file, line, col, analyzer, message} objects on stdout)
-// and the exit status is 1 when any exist. Suppress a deliberate violation
-// with a justified directive on (or just above) the offending line, or in
-// the enclosing function's doc comment:
+// and the exit status is 1 when any exist; a tree that does not type-check
+// is exit 2. Suppress a deliberate violation with a justified directive on
+// (or just above) the offending line, or in the enclosing function's doc
+// comment:
 //
 //	//popcornvet:allow <rule> <reason>
+//
+// A directive without a reason, naming no analyzer, or suppressing nothing
+// is itself a finding.
 //
 // -allowlist inventories those directives instead of running the analyzers:
 // it prints every well-formed waiver as {file, line, analyzer,

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// tree writes a one-file fixture tree: package kernel is sim-managed (the
+// tree writes a one-file fixture module: package kernel is sim-managed (the
 // package name, not the path, decides), so wall-clock time in it is a
 // simtime finding.
 func tree(t *testing.T, body string) string {
@@ -18,8 +18,13 @@ func tree(t *testing.T, body string) string {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "k.go"), []byte("package kernel\n\n"+body), 0o644); err != nil {
-		t.Fatal(err)
+	for path, src := range map[string]string{
+		filepath.Join(root, "go.mod"): "module fixture\n\ngo 1.23\n",
+		filepath.Join(dir, "k.go"):    "package kernel\n\n" + body,
+	} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return root
 }
@@ -30,6 +35,7 @@ func tree(t *testing.T, body string) string {
 func TestExitStatus(t *testing.T) {
 	clean := tree(t, "func Tick(n int) int { return n + 1 }\n")
 	dirty := tree(t, "import \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n")
+	broken := tree(t, "func Tick(n int) int { return n + missing }\n")
 	for _, tc := range []struct {
 		name       string
 		args       []string
@@ -44,6 +50,7 @@ func TestExitStatus(t *testing.T) {
 		{"unknown analyzer", []string{"-only", "simtime,nosuch", clean}, 2, "", `unknown analyzer "nosuch"`},
 		{"unknown flag", []string{"-nosuch", clean}, 2, "", "usage: popcornvet"},
 		{"missing tree", []string{filepath.Join(clean, "absent")}, 2, "", "popcornvet:"},
+		{"tree that does not compile", []string{broken}, 2, "", "undefined: missing"},
 		{"allowlist", []string{"-allowlist", clean}, 0, "null", ""},
 	} {
 		var out, errb bytes.Buffer

@@ -160,8 +160,6 @@ func (o *OS) Kernel(k int) *kernel.Kernel { return o.cluster.Kernels[k] }
 
 // Fabric returns the inter-kernel message fabric, so model checkers and
 // benchmarks can drive raw transport load alongside the OS workload.
-//
-//popcornvet:allow kernlocal white-box accessor for model checking and benchmarks only; never on an event path
 func (o *OS) Fabric() *msg.Fabric { return o.cluster.Fabric }
 
 // Trace attaches an event buffer to the inter-kernel fabric (nil detaches)
@@ -242,6 +240,8 @@ func (o *OS) EnableFailover() {
 // kernel's declared-dead verdict drives its VM, futex and thread-group
 // services' degradation. Call after boot, before the workload runs. A nil
 // plan changes nothing.
+//
+//popcornvet:allow kernlocal the reboot and peer-death hooks act on the kernel the fabric names: the harness standing in for that machine's firmware and failure detector, not one kernel reaching into another
 func (o *OS) EnableFaults(plan *faultinj.Plan, cfg msg.FaultConfig) {
 	if plan != nil {
 		o.faultsOn = true

@@ -419,19 +419,19 @@ func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 // path, including kill-unwind.
 func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	if m.To == ep.node {
-		return nil, fmt.Errorf("msg: node %d RPC to itself (type %v)", ep.node, m.Type)
+		return nil, selfRPCError(ep.node, m.Type)
 	}
 	ep.checkAddressed(m)
 	if ep.peers[m.To].declaredDead {
 		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
-		return nil, &DeadPeerError{Peer: m.To, Type: m.Type}
+		return nil, deadPeer(m.To, m.Type, 0)
 	}
 	if ep.dead {
 		// This kernel itself crashed: a straggler issuing RPCs through its
 		// endpoint (say, teardown of a process whose origin died) fails fast
 		// instead of waiting on wires that no longer exist.
 		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
-		return nil, &DeadPeerError{Peer: ep.node, Type: m.Type}
+		return nil, deadPeer(ep.node, m.Type, 0)
 	}
 	// Flow-plane gates: an open circuit breaker fails bulk RPCs fast, and a
 	// bulk request must hold a link credit — waiting at most MaxCreditWait
@@ -485,8 +485,24 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	return reply, err
 }
 
+// selfRPCError and strayWakeError build Call's two misuse errors; the RPC
+// that returns one never happened.
+//
+//popcornvet:coldpath
+func selfRPCError(node NodeID, t Type) error {
+	return fmt.Errorf("msg: node %d RPC to itself (type %v)", node, t)
+}
+
+//popcornvet:coldpath
+func strayWakeError(t Type, to NodeID) error {
+	return fmt.Errorf("msg: RPC %v to node %d woken without reply", t, to)
+}
+
 // rpcWaitLabel renders the deadlock-report label of a caller parked for a
-// reply, from the operands Call recorded with SetWaitLabel.
+// reply, from the operands Call recorded with SetWaitLabel. It runs only
+// when a report is rendered, never while the caller waits.
+//
+//popcornvet:coldpath
 func rpcWaitLabel(typ, to, seq uint64) string {
 	return fmt.Sprintf("%v from k%d seq=%d", Type(typ), NodeID(to), seq)
 }
@@ -514,9 +530,9 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 			return c.reply, nil
 		case c.failed:
 			ep.f.metrics.Counter("msg.fault.rpcdead").Inc()
-			return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
+			return nil, deadPeer(m.To, m.Type, attempts)
 		case !c.timedOut:
-			return nil, fmt.Errorf("msg: RPC %v to node %d woken without reply", m.Type, m.To)
+			return nil, strayWakeError(m.Type, m.To)
 		}
 		c.timedOut = false
 		ep.f.countLink("msg.fault.timeout", ep.node, m.To)
@@ -525,12 +541,12 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 		ep.grayObserve(m.To, c.timeout)
 		if attempts > cfg.RPCRetries {
 			ep.f.countLink("msg.fault.exhausted", ep.node, m.To)
-			return nil, &DeadPeerError{Peer: m.To, Type: m.Type, Attempts: attempts}
+			return nil, deadPeer(m.To, m.Type, attempts)
 		}
 		if ep.f.flow != nil && !controlLane(m) && !ep.budgetAllow(m.To) {
 			// The per-peer retry budget ran dry: stop contributing to the
 			// retransmit storm and surface overload to the caller instead.
-			return nil, &BackpressureError{Peer: m.To, Type: m.Type, Reason: "retry-budget"}
+			return nil, backpressure(m.To, m.Type, "retry-budget")
 		}
 		// Exponential backoff with deterministic jitter: without the jitter
 		// term, callers that timed out together retransmit in lockstep

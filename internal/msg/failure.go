@@ -35,9 +35,20 @@ func (e *DeadPeerError) Error() string {
 // Unwrap yields ErrDeadPeer so errors.Is(err, ErrDeadPeer) matches.
 func (e *DeadPeerError) Unwrap() error { return ErrDeadPeer }
 
+// deadPeer builds the error of an RPC abandoned because its peer is dead;
+// every exit that returns one has already lost the RPC.
+//
+//popcornvet:coldpath
+func deadPeer(peer NodeID, t Type, attempts int) error {
+	return &DeadPeerError{Peer: peer, Type: t, Attempts: attempts}
+}
+
 // IsDeadPeer reports whether err means the remote kernel died. Protocol
 // degradation paths (group exit, directory revocation) treat this as "the
-// peer's state is gone" rather than as a failure.
+// peer's state is gone" rather than as a failure. Callers ask with a failed
+// RPC's error in hand, so it is off every hot path.
+//
+//popcornvet:coldpath
 func IsDeadPeer(err error) bool { return errors.Is(err, ErrDeadPeer) }
 
 // FaultConfig tunes the hardened transport that EnableFaults switches on.

@@ -38,6 +38,14 @@ func (e *BackpressureError) Error() string {
 // Unwrap yields ErrBackpressure so errors.Is(err, ErrBackpressure) matches.
 func (e *BackpressureError) Unwrap() error { return ErrBackpressure }
 
+// backpressure builds the error of a request the flow plane refused;
+// refusal is the overload slow path, never a per-message cost.
+//
+//popcornvet:coldpath
+func backpressure(peer NodeID, t Type, reason string) error {
+	return &BackpressureError{Peer: peer, Type: t, Reason: reason}
+}
+
 // IsBackpressure reports whether err means the fabric refused load under
 // overload. Protocol layers treat this as "slow down or shed" — the peer is
 // alive and its state intact, unlike IsDeadPeer.
@@ -322,7 +330,7 @@ func (ep *Endpoint) acquireCredit(p *sim.Proc, m *Message, wait time.Duration) e
 func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wait time.Duration) error {
 	if wait == 0 {
 		ep.f.countLink("msg.flow.backpressure", ep.node, m.To)
-		return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "credits"}
+		return backpressure(m.To, m.Type, "credits")
 	}
 	ep.f.countLink("msg.flow.creditblock", ep.node, m.To)
 	var ws trace.Scope
@@ -367,7 +375,7 @@ func (ep *Endpoint) acquireCreditSlow(p *sim.Proc, m *Message, lk *flowLink, wai
 	ws.End()
 	if !w.granted {
 		ep.f.countLink("msg.flow.backpressure", ep.node, m.To)
-		return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "credits"}
+		return backpressure(m.To, m.Type, "credits")
 	}
 	return nil
 }
@@ -393,8 +401,7 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 	if shed && fl.cfg.ShedSlowBulk {
 		if ep.peers[m.To].flow.slow {
 			ep.f.countLink("msg.flow.shed", ep.node, m.To)
-			//popcornvet:allow hotalloc shedding error path; refusal is the overload slow path
-			return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "slow-shed"}
+			return backpressure(m.To, m.Type, "slow-shed")
 		}
 	}
 	if err := ep.acquireCredit(p, m, wait); err != nil {
@@ -535,7 +542,7 @@ func (ep *Endpoint) breakerAllow(m *Message) error {
 		}
 	}
 	ep.f.countLink("msg.flow.breaker_fastfail", ep.node, m.To)
-	return &BackpressureError{Peer: m.To, Type: m.Type, Reason: "circuit-open"}
+	return backpressure(m.To, m.Type, "circuit-open")
 }
 
 // breakerResult records one bulk RPC's outcome: failures accumulate toward

@@ -601,16 +601,28 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 	// storage runs another process later, and reads unfinished again.
 	e.Invariant("msg.pending-leak", func() error {
 		for _, ep := range f.endpoints {
-			for seq, c := range ep.pending {
-				if c.waiter.Finished() || c.waiter.ID() != c.waiterPID {
-					return fmt.Errorf("node %d leaked pending RPC seq=%d to node %d (caller %q finished)",
-						ep.node, seq, c.m.To, c.waiter.Name())
-				}
+			if seq, c := ep.leakedCall(); c != nil {
+				return fmt.Errorf("node %d leaked pending RPC seq=%d to node %d (caller %q finished)",
+					ep.node, seq, c.m.To, c.waiter.Name())
 			}
 		}
 		return nil
 	})
 	return f, nil
+}
+
+// leakedCall returns the wait-table entry with the lowest seq whose caller
+// has finished, or nil. The pending-leak invariant runs it on every endpoint
+// at every quiescence, so it allocates nothing.
+//
+//popcornvet:allow detorder keeps the leaked entry with the smallest seq, which is the same entry in any visiting order; a sorted copy would allocate at every quiescence
+func (ep *Endpoint) leakedCall() (seq uint64, leaked *call) {
+	for s, c := range ep.pending {
+		if (leaked == nil || s < seq) && (c.waiter.Finished() || c.waiter.ID() != c.waiterPID) {
+			seq, leaked = s, c
+		}
+	}
+	return seq, leaked
 }
 
 // Nodes returns the number of kernels on the fabric.

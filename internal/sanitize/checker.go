@@ -12,6 +12,8 @@ package sanitize
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -386,18 +388,28 @@ func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, excl
 	}
 	k := pageKey{gid, vpn}
 	sh := c.shadow(k)
+	// Conflicting holders are counted first — the common grant has none and
+	// allocates nothing — and reported in node order, so a multi-holder
+	// violation names the same kernel first on every run.
+	conflicts := 0
 	for n, r := range sh.holders {
-		if n == to {
-			continue
+		if n != to && (exclusive || r&rWrite != 0) {
+			conflicts++
 		}
-		if exclusive {
-			c.violate("single-writer", to, gid, vpn,
-				"exclusive grant of %s to k%d while k%d still holds a copy (rights=%d)",
-				pageToken(gid, vpn), to, n, r)
-		} else if r&rWrite != 0 {
-			c.violate("single-writer", to, gid, vpn,
-				"shared grant of %s to k%d while k%d holds the page writable",
-				pageToken(gid, vpn), to, n)
+	}
+	if conflicts > 0 {
+		for _, n := range slices.Sorted(maps.Keys(sh.holders)) {
+			switch r := sh.holders[n]; {
+			case n == to:
+			case exclusive:
+				c.violate("single-writer", to, gid, vpn,
+					"exclusive grant of %s to k%d while k%d still holds a copy (rights=%d)",
+					pageToken(gid, vpn), to, n, r)
+			case r&rWrite != 0:
+				c.violate("single-writer", to, gid, vpn,
+					"shared grant of %s to k%d while k%d holds the page writable",
+					pageToken(gid, vpn), to, n)
+			}
 		}
 	}
 	if c.dead[to] {

@@ -152,7 +152,6 @@ func (k *carrier) run() {
 			if err, ok := r.(error); ok && err == ErrKilled {
 				// Engine shutdown: exit quietly.
 			} else {
-				//popcornvet:allow hotalloc fatal process-panic path; the run is already lost
 				c.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 			}
 		}

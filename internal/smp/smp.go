@@ -21,6 +21,7 @@ package smp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -290,8 +291,16 @@ func (pr *Process) Wait(p *sim.Proc) { pr.wg.Wait(p) }
 
 // Close implements osi.Process. SMP teardown frees the process's frames.
 func (pr *Process) Close(p *sim.Proc) error {
-	for v, pte := range pr.mm.pt.All() {
-		if pte.Frame != mem.NoFrame {
+	// In page order: the order frames go back decides which frame numbers
+	// later allocations get.
+	all := pr.mm.pt.All()
+	vpns := make([]mem.VPN, 0, len(all))
+	for v := range all {
+		vpns = append(vpns, v)
+	}
+	slices.Sort(vpns)
+	for _, v := range vpns {
+		if pte := all[v]; pte.Frame != mem.NoFrame {
 			pr.os.zones[pte.HomeNode].FreeFrame(p, pte.Frame)
 		}
 		pr.mm.pt.Clear(v)

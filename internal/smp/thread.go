@@ -174,7 +174,6 @@ func (t *Thread) Mprotect(addr mem.Addr, length uint64, prot mem.Prot) error {
 	if !mm.vmas.Covered(lo, hi) {
 		return fmt.Errorf("%w: mprotect range not fully mapped", vm.ErrBadRange)
 	}
-	//popcornvet:allow locksend vmas.Protect is the in-memory AreaSet update, not the fabric-backed vm.Space.Protect the name-based analysis confuses it with; nothing here leaves the kernel
 	changed := mm.vmas.Protect(lo, hi, prot)
 	if len(changed) == 0 {
 		return nil

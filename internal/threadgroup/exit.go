@@ -163,6 +163,7 @@ func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*groupExit)
 	g, ok := s.groups[req.GID]
 	if ok {
+		//popcornvet:allow detorder every shadow gets the same state store, delete and counter bump; nothing leaves the loop in its order
 		for id, sh := range g.shadows {
 			sh.State = task.StateExited
 			delete(g.shadows, id)

@@ -217,7 +217,7 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	// never committed anything, and the replica set is re-registered so
 	// layout pushes from the promoted origin reach every member kernel.
 	s.vmsvc.EnsureOrigin(rep.GID)
-	for n := range g.replicas {
+	for _, n := range slices.Sorted(maps.Keys(g.replicas)) {
 		_ = s.vmsvc.RegisterReplica(rep.GID, n)
 	}
 }

@@ -160,8 +160,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 			// A pre-created dummy thread absorbs the task-setup cost.
 			s.dummies--
 			s.metrics.CounterIn(&s.hot.dummyHit, "tg.migrate.dummyhit").Inc()
-			//popcornvet:allow locksend refillDummy only spawns the background refill proc via the engine's Spawn; the name-based analysis confuses that with this service's fabric-backed Spawn
-			s.refillDummy() //popcornvet:allow lockorder same Spawn name collision: the refill proc takes tasklist on its own, after this handler released it
+			s.refillDummy()
 		} else {
 			p.Sleep(s.machine.Cost.ThreadSetup)
 			s.metrics.CounterIn(&s.hot.dummyMiss, "tg.migrate.dummymiss").Inc()

@@ -1,9 +1,6 @@
 package vetcheck
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Waiver is one well-formed //popcornvet:allow directive in the tree:
 // where it is, which analyzer it silences, and the written justification.
@@ -22,30 +19,10 @@ type Waiver struct {
 // already findings in their own right (the "directive" meta-rule), not
 // waivers.
 func Allowlist(t *Tree) []Waiver {
-	known := knownRules()
 	var out []Waiver
-	for _, pkg := range t.Pkgs {
-		for _, file := range pkg.Files {
-			for _, cg := range file.AST.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, directivePrefix) {
-						continue
-					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
-					fields := strings.SplitN(rest, " ", 2)
-					if len(fields) < 2 || !known[fields[0]] {
-						continue
-					}
-					pos := t.Fset.Position(c.Pos())
-					out = append(out, Waiver{
-						File:          normPath(pos.Filename),
-						Line:          pos.Line,
-						Analyzer:      fields[0],
-						Justification: strings.TrimSpace(fields[1]),
-					})
-				}
-			}
+	for _, d := range t.directives() {
+		if d.malformed == "" {
+			out = append(out, Waiver{File: normPath(d.pos.Filename), Line: d.pos.Line, Analyzer: d.rule, Justification: d.reason})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -166,26 +166,30 @@ func (r *Registry) Dump() {
 	}
 }
 
-// Negative: functions no handler can reach are out of scope even in
-// kernel-side packages (setup helpers iterate maps freely).
+// Negative: setup-only functions are out of scope even in kernel-side
+// packages (constructors and Set*/Attach* configuration iterate maps
+// freely: they run before the engine starts). Positive: the callbacks they
+// register are not setup — a literal inside a setup function is policed.
 func TestDetOrderUnreachableExempt(t *testing.T) {
 	got := findingsFor(t, map[string]string{
 		"internal/vm/setup.go": `package vm
 
-type Service struct{ m map[int]int }
+type Service struct {
+	m     map[int]int
+	order []int
+}
 
 func NewService(seed map[int]int) *Service {
 	s := &Service{m: make(map[int]int)}
-	for k, v := range seed {
-		_ = v
-		s.slowInit(k)
+	for k := range seed {
+		s.order = append(s.order, k)
 	}
 	return s
 }
 
-func (s *Service) slowInit(k int) {
-	for q := range s.m {
-		s.slowInit(q)
+func (s *Service) SetSeeds(seed map[int]int) {
+	for k := range seed {
+		s.order = append(s.order, k)
 	}
 }
 `,
@@ -193,6 +197,28 @@ func (s *Service) slowInit(k int) {
 	if len(got) != 0 {
 		t.Fatalf("setup-only code must be exempt, got:\n%s", renderFindings(got))
 	}
+
+	got = findingsFor(t, map[string]string{
+		"internal/vm/invariant.go": `package vm
+
+type Service struct {
+	m     map[int]int
+	check func() int
+}
+
+func (s *Service) AttachInvariant() {
+	s.check = func() int {
+		for k, v := range s.m {
+			if v < 0 {
+				return k // which entry a failure names depends on map order
+			}
+		}
+		return 0
+	}
+}
+`,
+	}, DetOrder{})
+	wantRules(t, got, "range over a map")
 }
 
 // Positive: the trace package's export surface is in scope even though it
@@ -209,6 +235,103 @@ func (c *Collector) Export() []string {
 		out = append(out, s)
 	}
 	return out
+}
+`,
+	}, DetOrder{})
+	wantRules(t, got, "range over a map")
+}
+
+// Positive: what is ranged over is a map whatever the expression's shape —
+// the result of a call, or a named map type declared in another package.
+// Neither has a field or variable declaration to read a map type off.
+func TestDetOrderMapBehindCallAndNamedType(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/mem/pt.go": `package mem
+
+type Frames map[int]int
+
+type PageTable struct{ m map[int]int }
+
+func (pt *PageTable) All() map[int]int { return pt.m }
+`,
+		"internal/vm/drop.go": `package vm
+
+import "repro/internal/mem"
+
+type Service struct {
+	pt     *mem.PageTable
+	frames mem.Frames
+	freed  []int
+}
+
+func (s *Service) Drop() {
+	for _, f := range s.pt.All() {
+		s.freed = append(s.freed, f)
+	}
+	for _, f := range s.frames {
+		s.freed = append(s.freed, f)
+	}
+}
+`,
+	}, DetOrder{})
+	wantRules(t, got, "range over a map", "range over a map")
+}
+
+// Negative: a type conversion is not a call. The collect-then-sort idiom
+// stays exempt when the collected key is converted on the way.
+func TestDetOrderConversionIsPure(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/vm/keys.go": `package vm
+
+import "slices"
+
+type nodeID int
+
+type Service struct{ sharers map[nodeID]bool }
+
+func (s *Service) Targets(dead nodeID) []int {
+	var out []int
+	n := 0
+	for k := range s.sharers {
+		if int(k) != int(dead) {
+			out = append(out, int(k))
+		}
+		n += int(k)
+	}
+	slices.Sort(out)
+	return append(out, n)
+}
+`,
+	}, DetOrder{})
+	if len(got) != 0 {
+		t.Fatalf("conversions must not make a loop body order-sensitive, got:\n%s", renderFindings(got))
+	}
+}
+
+// TestDetOrderHistoricalUnsortedFanout re-plants the defect detorder was
+// written for (PR 6): invalidations sent to a page's sharers in map order,
+// so two runs of one seed deliver them in different orders.
+func TestDetOrderHistoricalUnsortedFanout(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/vm/inval.go": `package vm
+
+import (
+	"repro/internal/msg"
+	"repro/internal/sim"
+)
+
+type dirEntry struct{ sharers map[msg.NodeID]struct{} }
+
+type Service struct{ ep *msg.Endpoint }
+
+func (s *Service) invalidate(p *sim.Proc, de *dirEntry) {
+	var targets []msg.NodeID
+	for n := range de.sharers {
+		targets = append(targets, n)
+	}
+	s.ep.SendEach(p, targets, func(to msg.NodeID) *msg.Message {
+		return &msg.Message{Type: msg.TypePageInvalidate, To: to}
+	})
 }
 `,
 	}, DetOrder{})

@@ -23,24 +23,26 @@ type DirVer struct{}
 // Name implements Analyzer.
 func (DirVer) Name() string { return "dirver" }
 
+// versionedPayloads are the version-carrying coherence payloads.
+var versionedPayloads = []anchor{declare("vm", "", "pageGrant"), declare("vm", "", "pageInval")}
+
 // Check implements Analyzer.
 func (DirVer) Check(t *Tree) []Finding {
 	var out []Finding
 	for _, pkg := range t.Pkgs {
-		if pkg.Name != "vm" {
-			continue
-		}
 		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				cl, ok := n.(*ast.CompositeLit)
 				if !ok {
 					return true
 				}
-				name, ok := versionedLitType(cl)
-				if !ok {
+				name := ""
+				for _, a := range versionedPayloads {
+					if a.isType(pkg.info.TypeOf(cl)) {
+						name = a.name
+					}
+				}
+				if name == "" {
 					return true
 				}
 				var hasVersion, isError bool
@@ -49,14 +51,11 @@ func (DirVer) Check(t *Tree) []Finding {
 					if !ok {
 						continue
 					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					switch key.Name {
-					case "Version":
+					switch key, _ := kv.Key.(*ast.Ident); {
+					case key == nil:
+					case key.Name == "Version":
 						hasVersion = true
-					case "Err", "Code":
+					case key.Name == "Err", key.Name == "Code":
 						isError = true
 					}
 				}
@@ -74,18 +73,4 @@ func (DirVer) Check(t *Tree) []Finding {
 		}
 	}
 	return out
-}
-
-// versionedLitType reports whether a composite literal constructs one of
-// the version-carrying coherence payloads, returning its type name.
-func versionedLitType(cl *ast.CompositeLit) (string, bool) {
-	id, ok := cl.Type.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	switch id.Name {
-	case "pageGrant", "pageInval":
-		return id.Name, true
-	}
-	return "", false
 }

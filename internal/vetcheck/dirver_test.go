@@ -2,8 +2,26 @@ package vetcheck
 
 import "testing"
 
+// vmPayloads declares the two version-carrying coherence payloads the way
+// package vm does.
+const vmPayloads = `package vm
+
+type pageGrant struct {
+	Value, Src, Prot, Code int
+	Version            uint64
+	Err                string
+}
+
+type pageInval struct {
+	GID, VPN  int
+	Downgrade bool
+	Version   uint64
+}
+`
+
 func TestDirVerPositives(t *testing.T) {
 	got := findingsFor(t, map[string]string{
+		"internal/vm/payload.go": vmPayloads,
 		"internal/vm/bad.go": `package vm
 
 func bad() {
@@ -21,6 +39,7 @@ func bad() {
 
 func TestDirVerNegatives(t *testing.T) {
 	got := findingsFor(t, map[string]string{
+		"internal/vm/payload.go": vmPayloads,
 		// Versioned literals and error replies are fine.
 		"internal/vm/good.go": `package vm
 
@@ -51,6 +70,7 @@ func fixture() { _ = &pageGrant{Value: 7} }
 
 func TestDirVerAllowDirective(t *testing.T) {
 	got := findingsFor(t, map[string]string{
+		"internal/vm/payload.go": vmPayloads,
 		"internal/vm/reply.go": `package vm
 
 func reply() {
@@ -62,4 +82,25 @@ func reply() {
 	if len(got) != 0 {
 		t.Fatalf("directive did not suppress:\n%s", renderFindings(got))
 	}
+}
+
+// TestDirVerHistoricalUnversionedFanout re-plants the defect dirver was
+// written for (PR 3): the fan-out invalidation built per sharer without the
+// transaction's Version, which replicas then cannot order against grants.
+func TestDirVerHistoricalUnversionedFanout(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/vm/payload.go": vmPayloads,
+		"internal/vm/fanout.go": `package vm
+
+func fanout(sharers []int, gid, vpn int, version uint64) []*pageInval {
+	var out []*pageInval
+	for range sharers {
+		out = append(out, &pageInval{GID: gid, VPN: vpn})
+	}
+	_ = version
+	return out
+}
+`,
+	}, DirVer{})
+	wantRules(t, got, "pageInval literal without Version")
 }

@@ -2,7 +2,6 @@ package vetcheck
 
 import (
 	"fmt"
-	"go/ast"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,29 +31,15 @@ type HotSpan struct {
 // HotSpans returns the extents of every function the hotalloc closure
 // considers hot, across all packages, sorted by file then starting line.
 func HotSpans(t *Tree) []HotSpan {
-	ci := t.calls()
 	var out []HotSpan
-	for _, pkg := range t.Pkgs {
-		via := hotVia(ci, pkg)
-		if via == nil {
-			continue
-		}
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			for _, fd := range fileFuncs(file) {
-				if _, hot := via[fd.Name.Name]; !hot {
-					continue
-				}
-				out = append(out, HotSpan{
-					File: normPath(file.Name),
-					Func: fd.Name.Name,
-					From: t.Fset.Position(fd.Pos()).Line,
-					To:   t.Fset.Position(fd.End()).Line,
-				})
-			}
-		}
+	nodes, _ := t.hot()
+	for _, n := range nodes {
+		out = append(out, HotSpan{
+			File: normPath(n.file.Name),
+			Func: n.fn.Name(),
+			From: t.Fset.Position(n.decl.Pos()).Line,
+			To:   t.Fset.Position(n.decl.End()).Line,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -62,17 +47,6 @@ func HotSpans(t *Tree) []HotSpan {
 		}
 		return out[i].From < out[j].From
 	})
-	return out
-}
-
-// fileFuncs returns the function declarations with bodies in one file.
-func fileFuncs(file *File) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, decl := range file.AST.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			out = append(out, fd)
-		}
-	}
 	return out
 }
 

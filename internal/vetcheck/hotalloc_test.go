@@ -192,3 +192,51 @@ func (e *engine) wake(n int) {
 		"make allocates",
 	)
 }
+
+// TestHotAllocMethodValueInField: a method stored in a field as a method
+// value and called through the field later is hot from where it was named —
+// msg's r.each = r.callOne, which a call-site-only closure misses, leaving
+// the whole RPC path outside the contract.
+func TestHotAllocMethodValueInField(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/kernel/run.go": `package kernel
+
+type run struct {
+	each func(n int)
+	buf  []int
+}
+
+//popcornvet:hotpath
+func (r *run) start() {
+	r.each = r.callOne
+	r.each(1)
+}
+
+func (r *run) callOne(n int) { r.buf = append(r.buf, n) }
+`,
+	}, HotAlloc{})
+	wantRules(t, got, "append may grow")
+	if !strings.Contains(got[0].Message, "in callOne, reached from //popcornvet:hotpath root start") {
+		t.Errorf("finding %q does not attribute callOne to its root", got[0].Message)
+	}
+}
+
+// TestHotAllocUsesOperandTypes: whether + concatenates and whether a
+// conversion copies is the operands' types, not their spelling.
+func TestHotAllocUsesOperandTypes(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/kernel/label.go": `package kernel
+
+type name string
+
+type raw []byte
+
+//popcornvet:hotpath
+func label(a, b name, n, m int, r raw) (name, int, raw, name) {
+	const prefix = "k" + "-"
+	return a + b, n + m, raw(r), name(prefix)
+}
+`,
+	}, HotAlloc{})
+	wantRules(t, got, "string concatenation allocates")
+}

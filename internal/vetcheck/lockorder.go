@@ -3,7 +3,8 @@ package vetcheck
 import (
 	"fmt"
 	"go/ast"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -17,300 +18,55 @@ import (
 // is flagged too: it is deadlock-free only under a documented instance
 // order, which an allow-directive should state.
 //
-// A lock's class is the receiver's final selector component qualified by
-// the package ("vm.mu", "futex.mu", "threadgroup.tasklist"): one class per
-// field, not per instance, matching how hierarchies are designed. The
-// walk mirrors locksend's: held sets flow through statements in source
-// order, branch bodies get copies, a deferred Unlock keeps the lock held
-// to function end, and function literals are skipped (they run in other
-// procs). Calls resolve package-locally by name; the callee's transitive
-// acquisition set contributes edges under the caller's held locks.
+// Held sets flow through each body as in locksend (held.go names the
+// classes). A call made under a lock contributes the classes its callee
+// acquires, transitively, in the executing proc: the call graph's summary
+// with function literals left out, since the procs they become take their
+// locks on their own.
 type LockOrder struct{}
 
 // Name implements Analyzer.
 func (LockOrder) Name() string { return "lockorder" }
 
+// orderEdge records one "acquired to while holding from" observation; via
+// names the callee when the acquisition happens inside a call rather than
+// syntactically at the site.
+type orderEdge struct {
+	from, to, via string
+	at            ast.Node
+}
+
 // Check implements Analyzer.
 func (LockOrder) Check(t *Tree) []Finding {
-	r := newAcquireResolver(t.calls())
+	g := t.calls()
+	acquires := g.facts(func(n *funcNode) []string {
+		var classes []string
+		w := &heldWalker{pkg: n.pkg}
+		w.acquire = func(_ *ast.CallExpr, class string, _ map[string]string) { classes = append(classes, class) }
+		w.stmts(n.decl.Body.List, map[string]string{})
+		return classes
+	}, false)
 	var edges []orderEdge
 	for _, pkg := range t.Pkgs {
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			for _, decl := range file.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				w := &orderWalker{t: t, pkg: pkg.Name, resolver: r}
-				w.stmts(fd.Body.List, map[string]string{})
-				edges = append(edges, w.edges...)
+		w := &heldWalker{pkg: pkg}
+		w.acquire = func(call *ast.CallExpr, class string, held map[string]string) {
+			for _, from := range heldClasses(held) {
+				edges = append(edges, orderEdge{from: from, to: class, at: call})
 			}
 		}
-	}
-	return flagCycles(t, edges)
-}
-
-// orderEdge records one "acquired to while holding from" observation.
-type orderEdge struct {
-	from, to string
-	pos      ast.Node
-	// via names the callee when the acquisition happens inside a call
-	// rather than syntactically at pos.
-	via string
-}
-
-// acquireResolver computes, per package-local function name, the set of
-// lock classes its body may (transitively) acquire. Function declarations
-// come from the Tree's shared call index (reach.go).
-type acquireResolver struct {
-	ci       *callIndex
-	acquires map[string]map[string]map[string]bool // pkg -> func -> classes
-}
-
-func newAcquireResolver(ci *callIndex) *acquireResolver {
-	r := &acquireResolver{
-		ci:       ci,
-		acquires: make(map[string]map[string]map[string]bool),
-	}
-	for pkgName := range ci.decls {
-		r.acquires[pkgName] = make(map[string]map[string]bool)
-	}
-	for changed := true; changed; {
-		changed = false
-		for pkgName, byName := range ci.decls {
-			for name, decls := range byName {
-				set := r.acquires[pkgName][name]
-				if set == nil {
-					set = make(map[string]bool)
-					r.acquires[pkgName][name] = set
-				}
-				before := len(set)
-				for _, fd := range decls {
-					r.collect(pkgName, fd.Body, set)
-				}
-				if len(set) != before {
-					changed = true
-				}
-			}
-		}
-	}
-	return r
-}
-
-// collect adds every class body may acquire, following package-local
-// callees one level (the fixpoint loop closes the transitive set). FuncLit
-// bodies are skipped: they execute in other procs.
-func (r *acquireResolver) collect(pkg string, body *ast.BlockStmt, set map[string]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if class, acquired := acquiredClass(pkg, call); acquired {
-			set[class] = true
-			return true
-		}
-		if name := calleeName(call); name != "" && !lockOpNames[name] {
-			for class := range r.acquires[pkg][name] {
-				set[class] = true
-			}
-		}
-		return true
-	})
-}
-
-// classesOf returns the classes calling name from pkg may acquire
-// (package-local resolution only; unknown names contribute nothing).
-func (r *acquireResolver) classesOf(pkg, name string) map[string]bool {
-	return r.acquires[pkg][name]
-}
-
-// acquiredClass reports whether call is a sim lock acquisition
-// (x.Lock(p) / x.RLock(p): one proc argument distinguishes the sim
-// primitives from stdlib sync) and returns its class.
-func acquiredClass(pkg string, call *ast.CallExpr) (string, bool) {
-	if len(call.Args) != 1 {
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-		return "", false
-	}
-	return lockClass(pkg, sel.X), true
-}
-
-// lockClass derives the class name from a lock receiver expression.
-func lockClass(pkg string, recv ast.Expr) string {
-	name := exprString(recv)
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		name = name[i+1:]
-	}
-	return pkg + "." + name
-}
-
-// orderWalker tracks held lock instances (receiver -> class) through one
-// function body, emitting hierarchy edges.
-type orderWalker struct {
-	t        *Tree
-	pkg      string
-	resolver *acquireResolver
-	edges    []orderEdge
-}
-
-func (w *orderWalker) stmts(list []ast.Stmt, held map[string]string) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-func (w *orderWalker) stmt(s ast.Stmt, held map[string]string) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if w.lockOp(st.X, held) {
-			return
-		}
-		w.scan(st.X, held)
-	case *ast.DeferStmt:
-		if name := calleeName(st.Call); name == "Unlock" || name == "RUnlock" {
-			return
-		}
-		w.scan(st.Call, held)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			w.scan(rhs, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scan(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scan(v, held)
+		w.call = func(call *ast.CallExpr, held map[string]string) {
+			for _, n := range g.callees(pkg.info, call) {
+				for _, to := range slices.Sorted(maps.Keys(acquires[n])) {
+					for _, from := range heldClasses(held) {
+						edges = append(edges, orderEdge{from: from, to: to, via: n.fn.Name(), at: call})
 					}
 				}
 			}
 		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Cond, held)
-		w.stmts(st.Body.List, copyHeldClasses(held))
-		if st.Else != nil {
-			w.stmt(st.Else, copyHeldClasses(held))
-		}
-	case *ast.BlockStmt:
-		w.stmts(st.List, copyHeldClasses(held))
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Cond, held)
-		w.stmts(st.Body.List, copyHeldClasses(held))
-	case *ast.RangeStmt:
-		w.scan(st.X, held)
-		w.stmts(st.Body.List, copyHeldClasses(held))
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Tag, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeldClasses(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeldClasses(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeldClasses(held))
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, held)
-	case *ast.GoStmt:
-		// Runs in another goroutine without this proc's locks.
+		pkg.funcs(func(_ *File, fd *ast.FuncDecl) { w.stmts(fd.Body.List, map[string]string{}) })
 	}
-}
 
-// lockOp applies an acquisition or release to the held set, emitting
-// hierarchy edges for acquisitions made under held locks.
-func (w *orderWalker) lockOp(e ast.Expr, held map[string]string) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	recv := exprString(sel.X)
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		class := lockClass(w.pkg, sel.X)
-		for _, heldClass := range held {
-			w.edges = append(w.edges, orderEdge{from: heldClass, to: class, pos: call})
-		}
-		held[recv] = class
-		return true
-	case "Unlock", "RUnlock":
-		delete(held, recv)
-		return true
-	}
-	return false
-}
-
-// scan emits edges for acquisitions made inside called functions while
-// locks are held. FuncLit bodies run in other procs and are skipped.
-func (w *orderWalker) scan(e ast.Expr, held map[string]string) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if class, acquired := acquiredClass(w.pkg, call); acquired {
-			for _, heldClass := range held {
-				w.edges = append(w.edges, orderEdge{from: heldClass, to: class, pos: call})
-			}
-			return true
-		}
-		name := calleeName(call)
-		if name == "" || lockOpNames[name] {
-			return true
-		}
-		for class := range w.resolver.classesOf(w.pkg, name) {
-			for _, heldClass := range held {
-				w.edges = append(w.edges, orderEdge{from: heldClass, to: class, pos: call, via: name})
-			}
-		}
-		return true
-	})
-}
-
-// flagCycles reports every edge that participates in a cycle of the class
-// graph (including self-loops: same-class nesting).
-func flagCycles(t *Tree, edges []orderEdge) []Finding {
+	// Flag every edge on a cycle of the class graph, self-loops included.
 	succ := make(map[string]map[string]bool)
 	for _, e := range edges {
 		if succ[e.from] == nil {
@@ -320,69 +76,50 @@ func flagCycles(t *Tree, edges []orderEdge) []Finding {
 	}
 	var out []Finding
 	for _, e := range edges {
+		via := ""
+		if e.via != "" {
+			via = " (via " + e.via + ")"
+		}
+		var msg string
 		if e.from == e.to {
-			out = append(out, Finding{
-				Pos:  t.Fset.Position(e.pos.Pos()),
-				Rule: "lockorder",
-				Message: fmt.Sprintf("nested acquisition of %s while an instance of %s is already held%s; "+
-					"deadlock-free only under a documented instance order", e.to, e.from, viaSuffix(e)),
-			})
+			msg = fmt.Sprintf("nested acquisition of %s while an instance of %s is already held%s; "+
+				"deadlock-free only under a documented instance order", e.to, e.from, via)
+		} else if path := findPath(succ, e.to, e.from); path != nil {
+			msg = fmt.Sprintf("acquiring %s while holding %s%s inverts the lock hierarchy "+
+				"(cycle: %s)", e.to, e.from, via, strings.Join(append([]string{e.from}, path...), " -> "))
+		} else {
 			continue
 		}
-		if path := findPath(succ, e.to, e.from); path != nil {
-			cycle := append([]string{e.from}, path...)
-			out = append(out, Finding{
-				Pos:  t.Fset.Position(e.pos.Pos()),
-				Rule: "lockorder",
-				Message: fmt.Sprintf("acquiring %s while holding %s%s inverts the lock hierarchy "+
-					"(cycle: %s)", e.to, e.from, viaSuffix(e), strings.Join(cycle, " -> ")),
-			})
-		}
+		out = append(out, Finding{Pos: t.Fset.Position(e.at.Pos()), Rule: "lockorder", Message: msg})
 	}
 	return out
 }
 
-func viaSuffix(e orderEdge) string {
-	if e.via == "" {
-		return ""
-	}
-	return " (via " + e.via + ")"
+// heldClasses returns the distinct classes of a held set, sorted.
+func heldClasses(held map[string]string) []string {
+	return slices.Compact(slices.Sorted(maps.Values(held)))
 }
 
 // findPath returns a path from -> ... -> to in the class graph, or nil.
 func findPath(succ map[string]map[string]bool, from, to string) []string {
-	type frame struct {
-		node string
-		path []string
-	}
-	seen := map[string]bool{from: true}
-	queue := []frame{{from, []string{from}}}
+	prev := map[string]string{from: ""}
+	queue := []string{from}
 	for len(queue) > 0 {
-		f := queue[0]
+		node := queue[0]
 		queue = queue[1:]
-		if f.node == to {
-			return f.path
-		}
-		next := make([]string, 0, len(succ[f.node]))
-		for n := range succ[f.node] {
-			next = append(next, n)
-		}
-		sort.Strings(next)
-		for _, n := range next {
-			if seen[n] {
-				continue
+		if node == to {
+			var path []string
+			for n := to; n != ""; n = prev[n] {
+				path = append([]string{n}, path...)
 			}
-			seen[n] = true
-			queue = append(queue, frame{n, append(append([]string(nil), f.path...), n)})
+			return path
+		}
+		for _, next := range slices.Sorted(maps.Keys(succ[node])) {
+			if _, seen := prev[next]; !seen {
+				prev[next] = node
+				queue = append(queue, next)
+			}
 		}
 	}
 	return nil
-}
-
-func copyHeldClasses(held map[string]string) map[string]string {
-	c := make(map[string]string, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
 }

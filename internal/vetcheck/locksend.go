@@ -3,8 +3,6 @@ package vetcheck
 import (
 	"fmt"
 	"go/ast"
-	"sort"
-	"strings"
 )
 
 // LockSend flags code that holds a sim.Mutex (or sim.RWMutex) across a
@@ -16,391 +14,51 @@ import (
 // serialisation is the point (the origin-side directory transaction) carry
 // a justified allow-directive.
 //
-// The analysis is name-based and inter-procedural:
-//
-//   - acquisitions are recognised syntactically: sim primitives take the
-//     proc as an argument (x.Lock(p), x.RLock(p)), which distinguishes
-//     them from stdlib sync calls;
-//   - the blocking set is seeded with the fabric methods {Call, CallEach,
-//     Send, SendEach} and closed over the call graph: a function whose
-//     body invokes a blocking callee is itself blocking. A call qualified
-//     with an imported package's name (strings.Join, msg.IsDeadPeer)
-//     resolves in that package — stdlib and other out-of-tree packages
-//     cannot touch the fabric, so their calls never block. Unqualified
-//     callees resolve package-locally first — a name the caller's own
-//     package declares means that declaration — and fall back to "blocking
-//     in any package" only for names the package does not declare. Without
-//     type information that is the cut that keeps a trivial sim.Engine
-//     helper from poisoning every caller of an identically-named method
-//     elsewhere;
-//   - Lock/RLock/Unlock/RUnlock never propagate blocking: acquiring a
-//     contended sim.Mutex parks too, but lock-ordering cycles are the
-//     runtime deadlock detector's job, and flagging every nested
-//     acquisition would drown the fabric findings this analyzer is for;
-//   - within a function, statements are walked in source order with the
-//     held-lock set; branch bodies get a copy so an early-exit unlock
-//     inside one arm does not leak into the fall-through path, and a
-//     deferred Unlock keeps the lock held to the end of the function.
+// A call blocks when its callee reaches one of the fabric's four entry
+// points in the call graph (reach.go): through an interface it blocks if
+// any implementation does, and a function that spawns procs which send
+// blocks too, because the callers that matter wait for them
+// (batchTransactions). Acquiring a contended sim lock also parks, but that
+// is lockorder's subject and the runtime deadlock detector's; it is not a
+// fabric operation and never reaches one. The walk itself is held.go's.
 type LockSend struct{}
 
 // Name implements Analyzer.
 func (LockSend) Name() string { return "locksend" }
 
+// fabricSends are the fabric entry points: every one of them parks the
+// calling proc at least for the simulated wire latency.
+var fabricSends = []anchor{
+	declare("msg", "Endpoint", "Call"), declare("msg", "Endpoint", "CallEach"),
+	declare("msg", "Endpoint", "Send"), declare("msg", "Endpoint", "SendEach"),
+}
+
 // Check implements Analyzer.
 func (LockSend) Check(t *Tree) []Finding {
-	r := newBlockResolver(t)
+	g := t.calls()
+	blocks := g.facts(func(n *funcNode) []string {
+		if anyFunc(fabricSends, n.fn) {
+			return []string{"fabric"}
+		}
+		return nil
+	}, true)
 	var out []Finding
 	for _, pkg := range t.Pkgs {
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			for _, decl := range file.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+		w := &heldWalker{pkg: pkg}
+		w.call = func(call *ast.CallExpr, held map[string]string) {
+			for _, n := range g.callees(pkg.info, call) {
+				if len(blocks[n]) > 0 {
+					out = append(out, Finding{
+						Pos:  t.Fset.Position(call.Pos()),
+						Rule: "locksend",
+						Message: fmt.Sprintf("%s can block on the fabric while %s is held; "+
+							"a remote handler needing that lock deadlocks the cluster", n.fn.Name(), heldList(held)),
+					})
+					return
 				}
-				w := &lockWalker{t: t, pkg: pkg.Name, file: file.AST, resolver: r}
-				w.stmts(fd.Body.List, map[string]bool{})
-				out = append(out, w.out...)
 			}
 		}
+		pkg.funcs(func(_ *File, fd *ast.FuncDecl) { w.stmts(fd.Body.List, map[string]string{}) })
 	}
 	return out
-}
-
-// seedNames are the fabric entry points: every one of them parks the
-// calling proc at least for the simulated wire latency.
-var seedNames = map[string]bool{
-	"Call": true, "CallEach": true, "Send": true, "SendEach": true,
-}
-
-// lockOpNames are the sim lock operations; they are excluded from blocking
-// propagation (see the analyzer comment).
-var lockOpNames = map[string]bool{
-	"Lock": true, "RLock": true, "Unlock": true, "RUnlock": true,
-}
-
-// blockResolver computes which functions (transitively) perform fabric
-// operations, with package-local name resolution.
-type blockResolver struct {
-	decls   map[string]map[string][]bodyCtx // pkg -> func name -> bodies
-	blocked map[string]map[string]bool      // pkg -> func name -> blocking
-}
-
-// bodyCtx is one function body with the file it came from; the file's
-// import table qualifies cross-package calls during resolution.
-type bodyCtx struct {
-	body *ast.BlockStmt
-	file *ast.File
-}
-
-func newBlockResolver(t *Tree) *blockResolver {
-	r := &blockResolver{
-		decls:   make(map[string]map[string][]bodyCtx),
-		blocked: make(map[string]map[string]bool),
-	}
-	for _, pkg := range t.Pkgs {
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			for _, decl := range file.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if r.decls[pkg.Name] == nil {
-					r.decls[pkg.Name] = make(map[string][]bodyCtx)
-					r.blocked[pkg.Name] = make(map[string]bool)
-				}
-				r.decls[pkg.Name][fd.Name.Name] = append(r.decls[pkg.Name][fd.Name.Name], bodyCtx{body: fd.Body, file: file.AST})
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for pkgName, byName := range r.decls {
-			for name, bodies := range byName {
-				if r.blocked[pkgName][name] {
-					continue
-				}
-				for _, bc := range bodies {
-					if r.bodyBlocks(pkgName, bc) {
-						r.blocked[pkgName][name] = true
-						changed = true
-						break
-					}
-				}
-			}
-		}
-	}
-	return r
-}
-
-// isBlocking reports whether calling name from within pkg may block on the
-// fabric.
-func (r *blockResolver) isBlocking(pkg, name string) bool {
-	if name == "" || lockOpNames[name] {
-		return false
-	}
-	if seedNames[name] {
-		return true
-	}
-	if _, local := r.decls[pkg][name]; local {
-		return r.blocked[pkg][name]
-	}
-	for _, names := range r.blocked {
-		if names[name] {
-			return true
-		}
-	}
-	return false
-}
-
-// callBlocks resolves one call site. A call qualified with a name the file
-// imports resolves in that package: in-tree packages by their computed
-// blocking set, everything else (stdlib, external) as non-blocking — fmt
-// and strings cannot touch the fabric, and without this cut a blocking
-// in-tree function named like a stdlib one (Join, Wait) would poison every
-// stdlib call of that name.
-func (r *blockResolver) callBlocks(pkg string, file *ast.File, call *ast.CallExpr) bool {
-	name := calleeName(call)
-	if name == "" || lockOpNames[name] {
-		return false
-	}
-	if seedNames[name] {
-		return true
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if target, imported := importedPackage(file, id.Name); imported {
-				if _, in := r.decls[target]; in {
-					return r.blocked[target][name]
-				}
-				return false
-			}
-		}
-	}
-	return r.isBlocking(pkg, name)
-}
-
-// importedPackage reports whether ident is one of the file's import names,
-// returning the imported package's name (the final path segment, matching
-// the Tree's package naming).
-func importedPackage(f *ast.File, ident string) (string, bool) {
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		base := path
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			base = path[i+1:]
-		}
-		local := base
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		if local == ident {
-			return base, true
-		}
-	}
-	return "", false
-}
-
-func (r *blockResolver) bodyBlocks(pkg string, bc bodyCtx) bool {
-	blocks := false
-	ast.Inspect(bc.body, func(n ast.Node) bool {
-		if blocks {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && r.callBlocks(pkg, bc.file, call) {
-			blocks = true
-		}
-		return true
-	})
-	return blocks
-}
-
-// lockWalker tracks the held-lock set through one function body.
-type lockWalker struct {
-	t        *Tree
-	pkg      string
-	file     *ast.File
-	resolver *blockResolver
-	out      []Finding
-}
-
-func (w *lockWalker) stmts(list []ast.Stmt, held map[string]bool) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-func (w *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if w.lockOp(st.X, held) {
-			return
-		}
-		w.scan(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the remainder of the
-		// function: simply not removing it from held models that exactly.
-		if name := calleeName(st.Call); name == "Unlock" || name == "RUnlock" {
-			return
-		}
-		w.scan(st.Call, held)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			w.scan(rhs, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.scan(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scan(v, held)
-					}
-				}
-			}
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Cond, held)
-		w.stmts(st.Body.List, copyHeld(held))
-		if st.Else != nil {
-			w.stmt(st.Else, copyHeld(held))
-		}
-	case *ast.BlockStmt:
-		w.stmts(st.List, copyHeld(held))
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Cond, held)
-		w.stmts(st.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.scan(st.X, held)
-		w.stmts(st.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.scan(st.Tag, held)
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, held)
-	case *ast.GoStmt:
-		// The spawned body runs in another goroutine without this proc's
-		// locks (and simtime flags the bare go statement itself).
-	}
-}
-
-// lockOp applies x.Lock(p) / x.RLock(p) / x.Unlock(p) / x.RUnlock(p) to the
-// held set and reports whether the expression was one. The single proc
-// argument is what distinguishes the sim primitives from stdlib sync.
-func (w *lockWalker) lockOp(e ast.Expr, held map[string]bool) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	recv := exprString(sel.X)
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		held[recv] = true
-		return true
-	case "Unlock", "RUnlock":
-		delete(held, recv)
-		return true
-	}
-	return false
-}
-
-// scan reports every blocking call inside e while locks are held. FuncLit
-// bodies are skipped: they execute in other procs, without these locks.
-func (w *lockWalker) scan(e ast.Expr, held map[string]bool) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(call)
-		if !w.resolver.callBlocks(w.pkg, w.file, call) {
-			return true
-		}
-		w.out = append(w.out, Finding{
-			Pos:  w.t.Fset.Position(call.Pos()),
-			Rule: "locksend",
-			Message: fmt.Sprintf("%s can block on the fabric while %s is held; "+
-				"a remote handler needing that lock deadlocks the cluster", name, heldList(held)),
-		})
-		return true
-	})
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func heldList(held map[string]bool) string {
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// exprString renders a receiver expression for reporting and held-set keys.
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.ParenExpr:
-		return exprString(x.X)
-	case *ast.StarExpr:
-		return "*" + exprString(x.X)
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[...]"
-	case *ast.CallExpr:
-		return exprString(x.Fun) + "()"
-	}
-	return "?"
 }

@@ -2,8 +2,10 @@ package vetcheck
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
-	"strings"
+	"go/types"
+	"sort"
 )
 
 // MsgProto cross-checks the inter-kernel message protocol: the msg.Type
@@ -12,275 +14,136 @@ import (
 // state and interact only through these typed messages, so the wiring is
 // mechanically checkable:
 //
-//   - every declared Type must appear in the typeNames map (String()
+//   - every declared Type must be a key of the typeNames map (String()
 //     coverage);
-//   - every declared Type must have at least one Handle(TypeX, ...)
-//     registration in non-test code — a type nobody can receive is either
-//     dead or a latent "no handler" panic;
+//   - every declared Type must have at least one Endpoint.Handle(TypeX, ...)
+//     registration — a type nobody can receive is either dead or a latent
+//     "no handler" panic;
 //   - every declared Type must be sent somewhere (a Message composite
 //     literal with Type: TypeX, or a NewWith(TypeX, ...) call) — otherwise it
 //     is dead protocol surface;
-//   - Call/CallEach results must not discard the error: a lost reply is how
-//     inter-kernel protocols wedge silently.
+//   - Endpoint.Call/CallEach results must not discard the error: a lost
+//     reply is how inter-kernel protocols wedge silently.
 //
-// Exemptions are per-type allow-directives at the declaration site.
+// A use names an enum member by its constant value, so an alias or a
+// parenthesised or converted constant still counts. Exemptions are per-type
+// allow-directives at the declaration site.
 type MsgProto struct{}
 
 // Name implements Analyzer.
 func (MsgProto) Name() string { return "msgproto" }
 
-// declaredType is one msg.Type constant.
-type declaredType struct {
-	name string
-	pos  token.Pos
-}
+var (
+	msgType     = declare("msg", "", "Type")
+	msgMessage  = declare("msg", "", "Message")
+	msgNames    = declare("msg", "", "typeNames")
+	msgNewWith  = declare("msg", "", "NewWith")
+	msgHandle   = declare("msg", "Endpoint", "Handle")
+	msgCall     = fabricSends[0]
+	msgCallEach = fabricSends[1]
+)
 
 // Check implements Analyzer.
 func (MsgProto) Check(t *Tree) []Finding {
-	msgPkg := findPackage(t, "msg")
-	if msgPkg == nil {
-		return nil
-	}
-	declared := declaredMsgTypes(msgPkg)
-	if len(declared) == 0 {
-		return nil
-	}
-	stringNames := typeNameMapKeys(msgPkg)
-	handled := make(map[string]bool)
-	sent := make(map[string]bool)
 	var out []Finding
-
+	flag := func(n interface{ Pos() token.Pos }, msg string) {
+		out = append(out, Finding{Pos: t.Fset.Position(n.Pos()), Rule: "msgproto", Message: msg})
+	}
+	// Enum members seen as a typeNames key, a Handle registration, a send.
+	named, handled, sent := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
 	for _, pkg := range t.Pkgs {
-		for _, file := range pkg.Files {
-			if file.Test {
-				continue
+		info := pkg.info
+		// mark records e in set when it is a msg.Type constant.
+		mark := func(set map[int64]bool, e ast.Expr) {
+			if tv := info.Types[e]; tv.Value != nil && msgType.isType(tv.Type) {
+				if v, exact := constant.Int64Val(tv.Value); exact {
+					set[v] = true
+				}
 			}
+		}
+		for _, file := range pkg.Files {
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				switch node := n.(type) {
-				case *ast.CallExpr:
-					if name := calleeName(node); (name == "Handle" || name == "NewWith") && len(node.Args) >= 1 {
-						if tn, ok := typeConstName(node.Args[0]); ok {
-							if name == "Handle" {
-								handled[tn] = true
-							} else {
-								sent[tn] = true
+				case *ast.ValueSpec:
+					if len(node.Names) != 1 || len(node.Values) != 1 || !msgNames.is(info.Defs[node.Names[0]], nil) {
+						return true
+					}
+					if cl, ok := node.Values[0].(*ast.CompositeLit); ok {
+						for _, el := range cl.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								mark(named, kv.Key)
 							}
 						}
 					}
+				case *ast.CallExpr:
+					switch fn := callee(info, node); {
+					case msgHandle.isFunc(fn):
+						mark(handled, node.Args[0])
+					case msgNewWith.isFunc(fn):
+						mark(sent, node.Args[0])
+					}
 				case *ast.CompositeLit:
-					if !isMessageLit(node) {
+					if !msgMessage.isType(info.TypeOf(node)) {
 						return true
 					}
 					for _, el := range node.Elts {
-						kv, ok := el.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Type" {
-							if tn, ok := typeConstName(kv.Value); ok {
-								sent[tn] = true
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Type" {
+								mark(sent, kv.Value)
 							}
 						}
 					}
+				case *ast.ExprStmt:
+					if call, ok := node.X.(*ast.CallExpr); ok && isRPC(info, call) {
+						flag(call, callee(info, call).Name()+" reply and error discarded; a lost reply is how "+
+							"inter-kernel protocols wedge silently")
+					}
+				case *ast.AssignStmt:
+					if call, ok := node.Rhs[0].(*ast.CallExpr); ok && len(node.Rhs) == 1 && isRPC(info, call) {
+						if id, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
+							flag(call, callee(info, call).Name()+" error discarded; handle or propagate the RPC failure")
+						}
+					}
 				}
 				return true
 			})
-			out = append(out, checkCallSites(t, file)...)
 		}
 	}
 
-	for _, d := range declared {
-		pos := t.Fset.Position(d.pos)
-		if !stringNames[d.name] {
-			out = append(out, Finding{
-				Pos:  pos,
-				Rule: "msgproto",
-				Message: d.name + " has no entry in typeNames: its String() falls back to a " +
-					"numeric placeholder in every trace and error",
-			})
-		}
-		if !handled[d.name] {
-			out = append(out, Finding{
-				Pos:  pos,
-				Rule: "msgproto",
-				Message: d.name + " has no Handle registration anywhere: receiving it would " +
-					"fail the run",
-			})
-		}
-		if !sent[d.name] {
-			out = append(out, Finding{
-				Pos:     pos,
-				Rule:    "msgproto",
-				Message: d.name + " is never sent: dead protocol surface",
-			})
-		}
-	}
-	return out
-}
-
-// checkCallSites flags RPC invocations whose error (or whole result) is
-// discarded.
-func checkCallSites(t *Tree, file *File) []Finding {
-	var out []Finding
-	isRPC := func(call *ast.CallExpr) bool {
-		name := calleeName(call)
-		if name != "Call" && name != "CallEach" {
-			return false
-		}
-		// Require a method call to avoid flagging unrelated free functions.
-		_, isSel := call.Fun.(*ast.SelectorExpr)
-		return isSel
-	}
-	ast.Inspect(file.AST, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := node.X.(*ast.CallExpr); ok && isRPC(call) {
-				out = append(out, Finding{
-					Pos:  t.Fset.Position(call.Pos()),
-					Rule: "msgproto",
-					Message: calleeName(call) + " reply and error discarded; a lost reply is how " +
-						"inter-kernel protocols wedge silently",
-				})
-			}
-		case *ast.AssignStmt:
-			if len(node.Rhs) != 1 {
-				return true
-			}
-			call, ok := node.Rhs[0].(*ast.CallExpr)
-			if !ok || !isRPC(call) || len(node.Lhs) == 0 {
-				return true
-			}
-			if id, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
-				out = append(out, Finding{
-					Pos:     t.Fset.Position(call.Pos()),
-					Rule:    "msgproto",
-					Message: calleeName(call) + " error discarded; handle or propagate the RPC failure",
-				})
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// findPackage returns the first package with the given name.
-func findPackage(t *Tree, name string) *Package {
+	// The enum: every exported constant of type msg.Type but the zero
+	// sentinel TypeInvalid, in declaration order.
+	var declared []*types.Const
 	for _, pkg := range t.Pkgs {
-		if pkg.Name == name {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// declaredMsgTypes extracts the exported TypeX constants of the msg.Type
-// enum (skipping TypeInvalid and unexported terminators).
-func declaredMsgTypes(pkg *Package) []declaredType {
-	var out []declaredType
-	for _, file := range pkg.Files {
-		if file.Test {
+		if pkg.Name != msgType.pkg {
 			continue
 		}
-		for _, decl := range file.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
+		scope := pkg.tpkg.Scope()
+		for _, name := range scope.Names() {
+			if c, ok := scope.Lookup(name).(*types.Const); ok && c.Exported() && name != "TypeInvalid" && msgType.isType(c.Type()) {
+				declared = append(declared, c)
 			}
-			if !constBlockOfType(gd, "Type") {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, name := range vs.Names {
-					if !name.IsExported() || !strings.HasPrefix(name.Name, "Type") || name.Name == "TypeInvalid" {
-						continue
-					}
-					out = append(out, declaredType{name: name.Name, pos: name.Pos()})
-				}
-			}
+		}
+	}
+	sort.Slice(declared, func(i, j int) bool { return declared[i].Pos() < declared[j].Pos() })
+	for _, c := range declared {
+		v, _ := constant.Int64Val(c.Val())
+		if !named[v] {
+			flag(c, c.Name()+" has no entry in typeNames: its String() falls back to a "+
+				"numeric placeholder in every trace and error")
+		}
+		if !handled[v] {
+			flag(c, c.Name()+" has no Handle registration anywhere: receiving it would "+
+				"fail the run")
+		}
+		if !sent[v] {
+			flag(c, c.Name()+" is never sent: dead protocol surface")
 		}
 	}
 	return out
 }
 
-// constBlockOfType reports whether a const block's first typed spec uses
-// the named type (the iota-enum idiom).
-func constBlockOfType(gd *ast.GenDecl, typeName string) bool {
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		if id, ok := vs.Type.(*ast.Ident); ok {
-			return id.Name == typeName
-		}
-	}
-	return false
-}
-
-// typeNameMapKeys collects the keys of the typeNames map literal.
-func typeNameMapKeys(pkg *Package) map[string]bool {
-	out := make(map[string]bool)
-	for _, file := range pkg.Files {
-		if file.Test {
-			continue
-		}
-		ast.Inspect(file.AST, func(n ast.Node) bool {
-			vs, ok := n.(*ast.ValueSpec)
-			if !ok {
-				return true
-			}
-			for i, name := range vs.Names {
-				if name.Name != "typeNames" || i >= len(vs.Values) {
-					continue
-				}
-				cl, ok := vs.Values[i].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				for _, el := range cl.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if tn, ok := typeConstName(kv.Key); ok {
-						out[tn] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// typeConstName extracts a TypeX constant reference from an expression
-// (bare ident inside package msg, or msg.TypeX selector elsewhere).
-func typeConstName(expr ast.Expr) (string, bool) {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		if strings.HasPrefix(e.Name, "Type") {
-			return e.Name, true
-		}
-	case *ast.SelectorExpr:
-		if strings.HasPrefix(e.Sel.Name, "Type") {
-			return e.Sel.Name, true
-		}
-	}
-	return "", false
-}
-
-// isMessageLit reports whether a composite literal constructs a
-// msg.Message (or Message inside package msg).
-func isMessageLit(cl *ast.CompositeLit) bool {
-	switch t := cl.Type.(type) {
-	case *ast.Ident:
-		return t.Name == "Message"
-	case *ast.SelectorExpr:
-		return t.Sel.Name == "Message"
-	}
-	return false
+// isRPC reports whether call invokes msg.Endpoint.Call or CallEach.
+func isRPC(info *types.Info, call *ast.CallExpr) bool {
+	fn := callee(info, call)
+	return msgCall.isFunc(fn) || msgCallEach.isFunc(fn)
 }

@@ -32,7 +32,12 @@ const msgUserFixture = `package msg
 
 type Endpoint struct{}
 
-func (ep *Endpoint) Handle(t Type, h func()) {}
+func (ep *Endpoint) Handle(t Type, h func())       {}
+func (ep *Endpoint) Call(m int) (int, error)      { return 0, nil }
+func (ep *Endpoint) CallEach(m int) (int, error)  { return 0, nil }
+
+func NewWith[T any](t Type, to, size int, payload T) *Message { return nil }
+func Reply[T any](size int, payload T) *Message               { return nil }
 
 func wire(ep *Endpoint) {
 	ep.Handle(TypeGood, func() {})
@@ -111,17 +116,20 @@ func TestMsgProtoDiscardedCall(t *testing.T) {
 		"internal/msg/endpoint.go": msgUserFixture,
 		"internal/vm/calls.go": `package vm
 
-type endpoint struct{}
+import "repro/internal/msg"
 
-func (e *endpoint) Call(m int) (int, error)     { return 0, nil }
-func (e *endpoint) CallEach(m int) (int, error) { return 0, nil }
+// local has the RPC methods' names but is not the fabric's endpoint.
+type local struct{}
 
-func bad(e *endpoint) {
+func (local) Call(m int) {}
+
+func bad(e *msg.Endpoint, l local) {
 	e.Call(1)
 	_, _ = e.CallEach(2)
+	l.Call(3)
 }
 
-func good(e *endpoint) error {
+func good(e *msg.Endpoint) error {
 	r, err := e.Call(1)
 	_ = r
 	if err != nil {
@@ -144,4 +152,26 @@ func good(e *endpoint) error {
 	if !strings.Contains(got[4].Message, "CallEach error discarded") {
 		t.Errorf("finding 4 = %q, want discarded CallEach error", got[4].Message)
 	}
+}
+
+// TestMsgProtoMembersByValue: a use names an enum member by its constant
+// value, so wiring through an alias constant counts for the member it
+// equals.
+func TestMsgProtoMembersByValue(t *testing.T) {
+	got := findingsFor(t, map[string]string{
+		"internal/msg/msg.go":      msgFixture,
+		"internal/msg/endpoint.go": msgUserFixture,
+		"internal/vm/wire.go": `package vm
+
+import "repro/internal/msg"
+
+const fetch = msg.TypeOrphan
+
+func wire(ep *msg.Endpoint) {
+	ep.Handle(fetch, func() {})
+	_ = &msg.Message{Type: (fetch), To: 2}
+}
+`,
+	}, MsgProto{})
+	wantRules(t, got, "TypeOrphan has no entry in typeNames")
 }

@@ -2,6 +2,7 @@ package vetcheck
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // SimTime enforces the determinism rules inside sim-managed packages:
@@ -18,8 +19,8 @@ import (
 //     sync.Cond) — they block the host goroutine outside the engine's
 //     control; use the sim equivalents.
 //
-// Test files are exempt: they run outside the simulated world and verify
-// with wall-clock timeouts.
+// Test files are never loaded: they run outside the simulated world and
+// verify with wall-clock timeouts.
 type SimTime struct{}
 
 // Name implements Analyzer.
@@ -32,16 +33,32 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Since": true, "Until": true,
 }
 
-// allowedRandNames are the seeded-constructor and type references on
-// math/rand that do not touch the global source.
-var allowedRandNames = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"Rand": true, "Source": true, "Source64": true, "Zipf": true,
-}
+// seededRandFuncs are the math/rand constructors that do not touch the
+// global source.
+var seededRandFuncs = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 // forbiddenSyncTypes are the real blocking primitives with sim equivalents.
 var forbiddenSyncTypes = map[string]bool{
 	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Cond": true,
+}
+
+// nondeterministic reports whether obj is a standard-library function whose
+// result differs from run to run — a wall-clock read or real timer, or a
+// draw from math/rand's process-global source — and names its package.
+// simtime polices these in the sim-managed packages, detorder in the rest of
+// the event-visible world.
+func nondeterministic(obj types.Object) (lib string, ok bool) {
+	fn, isFunc := obj.(*types.Func)
+	if !isFunc || fn.Type().(*types.Signature).Recv() != nil {
+		return "", false
+	}
+	switch {
+	case fromStd(fn, "time") && forbiddenTimeFuncs[fn.Name()]:
+		return "time", true
+	case fromStd(fn, "math/rand") && !seededRandFuncs[fn.Name()]:
+		return "math/rand", true
+	}
+	return "", false
 }
 
 // Check implements Analyzer.
@@ -51,52 +68,27 @@ func (SimTime) Check(t *Tree) []Finding {
 		if !pkg.Managed {
 			continue
 		}
+		flag := func(n ast.Node, msg string) {
+			out = append(out, Finding{Pos: t.Fset.Position(n.Pos()), Rule: "simtime", Message: msg})
+		}
 		for _, file := range pkg.Files {
-			if file.Test {
-				continue
-			}
-			timeName := importName(file.AST, "time")
-			randName := importName(file.AST, "math/rand")
-			syncName := importName(file.AST, "sync")
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				switch node := n.(type) {
 				case *ast.GoStmt:
-					out = append(out, Finding{
-						Pos:  t.Fset.Position(node.Pos()),
-						Rule: "simtime",
-						Message: "bare go statement in sim-managed package; " +
-							"use sim.Engine.Spawn so the scheduler controls the interleaving",
-					})
+					flag(node, "bare go statement in sim-managed package; "+
+						"use sim.Engine.Spawn so the scheduler controls the interleaving")
 				case *ast.SelectorExpr:
-					if timeName != "" {
-						if name, ok := selectorOn(node, timeName); ok && forbiddenTimeFuncs[name] {
-							out = append(out, Finding{
-								Pos:  t.Fset.Position(node.Pos()),
-								Rule: "simtime",
-								Message: "time." + name + " reads the wall clock; " +
-									"use the engine's virtual time (Proc.Sleep, Engine.Now, sim.Timer)",
-							})
-						}
-					}
-					if randName != "" {
-						if name, ok := selectorOn(node, randName); ok && !allowedRandNames[name] {
-							out = append(out, Finding{
-								Pos:  t.Fset.Position(node.Pos()),
-								Rule: "simtime",
-								Message: "global math/rand." + name + " breaks seed determinism; " +
-									"draw from the engine's seeded source (Engine.Rand)",
-							})
-						}
-					}
-					if syncName != "" {
-						if name, ok := selectorOn(node, syncName); ok && forbiddenSyncTypes[name] {
-							out = append(out, Finding{
-								Pos:  t.Fset.Position(node.Pos()),
-								Rule: "simtime",
-								Message: "real sync." + name + " blocks outside the engine's control; " +
-									"use the sim." + name + " equivalent",
-							})
-						}
+					obj := pkg.info.Uses[node.Sel]
+					switch lib, _ := nondeterministic(obj); {
+					case lib == "time":
+						flag(node, "time."+obj.Name()+" reads the wall clock; "+
+							"use the engine's virtual time (Proc.Sleep, Engine.Now, sim.Timer)")
+					case lib == "math/rand":
+						flag(node, "global math/rand."+obj.Name()+" breaks seed determinism; "+
+							"draw from the engine's seeded source (Engine.Rand)")
+					case fromStd(obj, "sync") && forbiddenSyncTypes[obj.Name()]:
+						flag(node, "real sync."+obj.Name()+" blocks outside the engine's control; "+
+							"use the sim."+obj.Name()+" equivalent")
 					}
 				}
 				return true

@@ -1,13 +1,115 @@
 package vetcheck
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// standIns are minimal versions of the shipped packages whose declarations
+// the analyzers anchor on. findingsFor adds one under a fixture that imports
+// it and does not declare that package itself, so fixtures compile while
+// declaring only their own types. Each is clean under every analyzer.
+var standIns = map[string]string{
+	"sim": `package sim
+
+type Proc struct{}
+
+func (p *Proc) Sleep(d int) {}
+
+type Mutex struct{}
+
+func (m *Mutex) Lock(p *Proc)   {}
+func (m *Mutex) Unlock(p *Proc) {}
+
+type RWMutex struct{}
+
+func (l *RWMutex) Lock(p *Proc)    {}
+func (l *RWMutex) Unlock(p *Proc)  {}
+func (l *RWMutex) RLock(p *Proc)   {}
+func (l *RWMutex) RUnlock(p *Proc) {}
+
+type Engine struct{}
+
+func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc { return nil }
+func (e *Engine) Schedule(d int, fn func())                 {}
+func (e *Engine) Start(rec *Proc, fn func(p *Proc))         {}
+`,
+	"msg": `package msg
+
+import "repro/internal/sim"
+
+type Type int
+
+const (
+	TypeInvalid Type = iota
+	TypePing
+	TypePageFetch
+	TypePageInvalidate
+)
+
+type NodeID int
+
+type Message struct {
+	Type     Type
+	From, To NodeID
+}
+
+func NewWith[T any](t Type, to NodeID, size int, payload T) *Message { return nil }
+
+type Handler func(p *sim.Proc, m *Message) *Message
+
+type Fabric struct{ endpoints []*Endpoint }
+
+func (f *Fabric) Endpoint(n NodeID) *Endpoint { return nil }
+
+type Endpoint struct{}
+
+func (ep *Endpoint) Handle(t Type, h Handler)                          {}
+func (ep *Endpoint) Send(p *sim.Proc, m *Message)                      {}
+func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error)    { return nil, nil }
+func (ep *Endpoint) SendEach(p *sim.Proc, to []NodeID, m func(NodeID) *Message) {}
+func (ep *Endpoint) CallEach(p *sim.Proc, to []NodeID, m func(NodeID) *Message) ([]*Message, error) {
+	return nil, nil
+}
+`,
+	"kernel": `package kernel
+
+type Kernel struct{ Node int }
+
+type Cluster struct{ Kernels []*Kernel }
+`,
+}
+
+// withStandIns returns files plus every stand-in package they import,
+// transitively, that they do not declare themselves.
+func withStandIns(files map[string]string) map[string]string {
+	out := make(map[string]string)
+	declared := make(map[string]bool)
+	for path, src := range files {
+		out[path] = src
+		declared[filepath.Dir(path)] = true
+	}
+	var need func(src string)
+	need = func(src string) {
+		for name, standIn := range standIns {
+			dir := "internal/" + name
+			if strings.Contains(src, `"repro/`+dir+`"`) && !declared[dir] {
+				declared[dir] = true
+				out[dir+"/standin.go"] = standIn
+				need(standIn)
+			}
+		}
+	}
+	for _, src := range files {
+		need(src)
+	}
+	return out
+}
+
 func findingsFor(t *testing.T, files map[string]string, a Analyzer) []Finding {
 	t.Helper()
-	tree, err := LoadSource(files)
+	tree, err := LoadSource(withStandIns(files))
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}

@@ -6,26 +6,30 @@
 // invalidates every benchmark figure. These checks make the rules
 // mechanical.
 //
-// The analyzers are stdlib-only (go/ast, go/parser, go/token) and operate
-// on a parsed Tree of packages, so they are unit-testable apart from the
-// CLI (cmd/popcornvet). Violations can be suppressed with a justified
-// directive:
+// The analyzers are stdlib-only and run over a type-checked Tree (load.go):
+// every question of the form "is this a map, whose method is this, what does
+// this name refer to" is answered by go/types, so there is no expression an
+// analyzer "could not resolve" — a tree that does not type-check does not
+// load. The declarations of the shipped tree the rules key on
+// (msg.Endpoint.Call, kernel.Cluster.Kernels, sim.Mutex.Lock, ...) are the
+// anchors declared below; the interprocedural questions ("can this call
+// reach the fabric", "which locks does it take", "is it on a hot path") go
+// to the one call graph in reach.go. Violations can be suppressed with a
+// justified directive:
 //
 //	//popcornvet:allow <rule> <reason>
 //
 // placed on the offending line, on the line above it, or in the doc
 // comment of the enclosing function (which suppresses the rule for the
-// whole function). A directive without a reason is itself a violation.
+// whole function). A directive without a reason, one that names no
+// analyzer, and one that suppresses nothing are themselves violations.
 package vetcheck
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -41,29 +45,34 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
-// File is one parsed source file.
+// File is one parsed non-test source file.
 type File struct {
 	Name string // path as given to the loader
 	AST  *ast.File
-	Test bool // *_test.go
 }
 
-// Package groups the files of one directory-level package.
+// Package is one type-checked directory-level package.
 type Package struct {
 	Name    string // package clause name
 	Dir     string
 	Managed bool // subject to the determinism rules
 	Files   []*File
+	path    string // import path
+	tpkg    *types.Package
+	info    *types.Info
 }
 
-// Tree is the parsed forest the analyzers run over.
+// Tree is the type-checked forest the analyzers run over.
 type Tree struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// callIdx caches the package-local function index shared by the
-	// interprocedural analyzers (lockorder, kernlocal, detorder, hotalloc);
-	// built lazily by calls().
-	callIdx *callIndex
+	// deps are in-module packages the roots import but do not contain: they
+	// are type-checked and part of the call graph, but never reported on.
+	deps []*Package
+	// graph caches the call graph (reach.go) and waivers the parsed
+	// directives; both are built on first use and shared by one Run.
+	graph   *callGraph
+	waivers []*directive
 }
 
 // Analyzer is one pluggable check.
@@ -117,134 +126,186 @@ var managedPackages = map[string]bool{
 // rules.
 func Managed(pkgName string) bool { return managedPackages[pkgName] }
 
-// Load walks the given roots for .go files and parses them into a Tree.
-// Directories named testdata and hidden directories are skipped.
-func Load(roots []string) (*Tree, error) {
-	fset := token.NewFileSet()
-	byDir := make(map[string][]*File)
-	pkgName := make(map[string]string)
-	var dirs []string
-	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				// Never skip the walk root itself: a root given as ".." (or
-				// any dot-prefixed relative path) must still be entered, or
-				// Load returns an empty tree and every gate built on it
-				// passes vacuously.
-				if path == root {
-					return nil
-				}
-				base := d.Name()
-				if strings.HasPrefix(base, ".") || base == "testdata" || base == "vendor" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-			if err != nil {
-				return err
-			}
-			dir := filepath.Dir(path)
-			if _, seen := byDir[dir]; !seen {
-				dirs = append(dirs, dir)
-			}
-			byDir[dir] = append(byDir[dir], &File{
-				Name: path,
-				AST:  f,
-				Test: strings.HasSuffix(path, "_test.go"),
-			})
-			if name := strings.TrimSuffix(f.Name.Name, "_test"); pkgName[dir] == "" {
-				pkgName[dir] = name
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	t := &Tree{Fset: fset}
-	sort.Strings(dirs)
-	for _, dir := range dirs {
-		name := pkgName[dir]
-		t.Pkgs = append(t.Pkgs, &Package{
-			Name:    name,
-			Dir:     dir,
-			Managed: Managed(name),
-			Files:   byDir[dir],
-		})
-	}
-	return t, nil
+// kernelSide reports whether a package holds kernel-side state the
+// kernel-locality analyzers police: every sim-managed package plus core,
+// the SSI veneer whose syscall surface executes on whichever kernel hosts
+// the calling thread.
+func kernelSide(pkgName string) bool {
+	return Managed(pkgName) || pkgName == "core"
 }
 
-// LoadSource parses an in-memory file set (path -> source), grouping files
-// by directory like Load. Tests use it to build fixtures.
-func LoadSource(files map[string]string) (*Tree, error) {
-	fset := token.NewFileSet()
-	byDir := make(map[string][]*File)
-	pkgName := make(map[string]string)
-	var paths []string
-	for path := range files {
-		paths = append(paths, path)
+// anchor names one declaration of the shipped tree that a rule keys on: a
+// package-level function, type or variable (recv empty), or a method or
+// field of the named type. Packages are matched by name, as Managed does.
+// Every anchor is registered at declaration, and TestAnchorsResolve looks
+// each one up in the real tree, so a rename cannot blind a rule silently.
+type anchor struct{ pkg, recv, name string }
+
+var anchors []anchor
+
+func declare(pkg, recv, name string) anchor {
+	a := anchor{pkg, recv, name}
+	anchors = append(anchors, a)
+	return a
+}
+
+// is reports whether obj, a member of owner (nil for package-level
+// objects), is the anchored declaration.
+func (a anchor) is(obj types.Object, owner types.Type) bool {
+	if obj == nil || obj.Pkg() == nil || obj.Name() != a.name || obj.Pkg().Name() != a.pkg {
+		return false
 	}
-	sort.Strings(paths)
-	var dirs []string
-	for _, path := range paths {
-		f, err := parser.ParseFile(fset, path, files[path], parser.ParseComments)
-		if err != nil {
-			return nil, err
+	recv := ""
+	if n := namedType(owner); n != nil {
+		recv = n.Obj().Name()
+	}
+	return recv == a.recv
+}
+
+// namedType returns the named type t is or points to, or nil.
+func namedType(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// isFunc reports whether fn is the anchored function or method.
+func (a anchor) isFunc(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		return a.is(fn, recv.Type())
+	}
+	return a.is(fn, nil)
+}
+
+// isType reports whether t (or the type it points to) is the anchored
+// named type.
+func (a anchor) isType(t types.Type) bool {
+	n := namedType(t)
+	return n != nil && a.is(n.Obj(), nil)
+}
+
+// isField reports whether e selects the anchored struct field.
+func (a anchor) isField(info *types.Info, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := info.Selections[sel]
+	return s != nil && s.Kind() == types.FieldVal && a.is(s.Obj(), s.Recv())
+}
+
+// callee resolves the declared function or method a call invokes: generic
+// instances resolve to their origin, and the result is nil for builtins,
+// conversions and calls of function values.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) { // explicit instantiation f[T](...)
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var id *ast.Ident
+	switch fn := fun.(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	default:
+		return nil
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
+}
+
+// fromStd reports whether obj is declared by the standard-library package
+// with the given import path.
+func fromStd(obj types.Object, path string) bool {
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == path
+}
+
+// funcs calls fn for every function declaration with a body in pkg.
+func (pkg *Package) funcs(fn func(file *File, fd *ast.FuncDecl)) {
+	for _, file := range pkg.Files {
+		for _, decl := range file.AST.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(file, fd)
+			}
 		}
-		dir := filepath.Dir(path)
-		if _, seen := byDir[dir]; !seen {
-			dirs = append(dirs, dir)
+	}
+}
+
+// setupPrefixes mark functions that run during harness setup, before the
+// engine starts: constructors and one-shot configuration.
+var setupPrefixes = []string{"New", "Set", "Enable", "Attach", "Boot", "Inject", "Default"}
+
+// eventBodies calls fn for every body of pkg that executes in event context
+// — under the engine, on some kernel's behalf. That is every function
+// except the setup-only ones (setupPrefixes), plus the function literals
+// inside those: what setup code registers as a handler, an engine callback,
+// an invariant or a fault hook runs as an event. The kernel-locality
+// analyzers (kernlocal, detorder) police exactly these bodies.
+func (pkg *Package) eventBodies(fn func(body *ast.BlockStmt)) {
+	pkg.funcs(func(_ *File, fd *ast.FuncDecl) {
+		setup := false
+		for _, p := range setupPrefixes {
+			setup = setup || strings.HasPrefix(fd.Name.Name, p)
 		}
-		byDir[dir] = append(byDir[dir], &File{
-			Name: path,
-			AST:  f,
-			Test: strings.HasSuffix(path, "_test.go"),
+		if !setup {
+			fn(fd.Body)
+			return
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				fn(lit.Body)
+				return false
+			}
+			return true
 		})
-		if pkgName[dir] == "" {
-			pkgName[dir] = strings.TrimSuffix(f.Name.Name, "_test")
-		}
-	}
-	t := &Tree{Fset: fset}
-	for _, dir := range dirs {
-		name := pkgName[dir]
-		t.Pkgs = append(t.Pkgs, &Package{
-			Name:    name,
-			Dir:     dir,
-			Managed: Managed(name),
-			Files:   byDir[dir],
-		})
-	}
-	return t, nil
+	})
 }
 
 // Run executes the analyzers over the tree, filters findings suppressed by
-// allow-directives, appends findings for malformed directives, and returns
-// the result sorted by position.
+// allow-directives, appends the directive meta-rule's findings (malformed
+// directives, and waivers for an analyzer that ran which suppressed none of
+// its findings), and returns the result sorted by position.
 func Run(t *Tree, analyzers []Analyzer) []Finding {
-	allows, bad := collectDirectives(t)
+	waivers := t.directives()
+	used := make(map[*directive]bool)
+	ran := make(map[string]bool)
 	var out []Finding
 	for _, a := range analyzers {
+		ran[a.Name()] = true
 		for _, f := range a.Check(t) {
-			if allows.allowed(f.Rule, f.Pos) {
-				continue
+			suppressed := false
+			for _, d := range waivers {
+				if d.covers(f) {
+					used[d], suppressed = true, true
+				}
 			}
-			out = append(out, f)
+			if !suppressed {
+				out = append(out, f)
+			}
 		}
 	}
-	out = append(out, bad...)
-	sort.Slice(out, func(i, j int) bool {
+	for _, d := range waivers {
+		switch {
+		case d.malformed != "":
+			out = append(out, Finding{Pos: d.pos, Rule: "directive", Message: d.malformed})
+		case ran[d.rule] && !used[d]:
+			out = append(out, Finding{Pos: d.pos, Rule: "directive",
+				Message: fmt.Sprintf("//popcornvet:allow %s suppresses nothing: no %s finding falls in its scope; "+
+					"a stale waiver hides the next real violation written there — delete it", d.rule, d.rule)})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {
 			return out[i].Pos.Filename < out[j].Pos.Filename
 		}
@@ -258,130 +319,64 @@ func Run(t *Tree, analyzers []Analyzer) []Finding {
 
 const directivePrefix = "popcornvet:allow"
 
-// allowRange is one directive's scope: rule suppressed on lines
-// [from, to] of a file.
-type allowRange struct {
-	rule     string
-	from, to int
+// directive is one //popcornvet:allow comment: the rule it suppresses on
+// lines [from, to] of its file and the written reason, or — when it has no
+// reason or names no analyzer — the finding it is instead.
+type directive struct {
+	pos          token.Position
+	rule, reason string
+	from, to     int
+	malformed    string
 }
 
-type allowIndex map[string][]allowRange // filename -> ranges
+func (d *directive) covers(f Finding) bool {
+	return d.malformed == "" && d.rule == f.Rule && d.pos.Filename == f.Pos.Filename &&
+		d.from <= f.Pos.Line && f.Pos.Line <= d.to
+}
 
-func (ai allowIndex) allowed(rule string, pos token.Position) bool {
-	for _, r := range ai[pos.Filename] {
-		if r.rule == rule && pos.Line >= r.from && pos.Line <= r.to {
-			return true
-		}
+// directives parses every //popcornvet:allow directive of the tree, once. A
+// directive covers its own line span plus the following line; a directive
+// inside a function's doc comment covers the whole function (but never more
+// than the one decl: suppression stays scoped to what the comment
+// documents).
+func (t *Tree) directives() []*directive {
+	if t.waivers != nil {
+		return t.waivers
 	}
-	return false
-}
-
-// collectDirectives indexes every //popcornvet:allow directive. A directive
-// covers its own line span plus the following line; a directive inside a
-// function's doc comment covers the whole function.
-func collectDirectives(t *Tree) (allowIndex, []Finding) {
-	ai := make(allowIndex)
 	known := knownRules()
-	var bad []Finding
+	t.waivers = []*directive{}
 	for _, pkg := range t.Pkgs {
 		for _, file := range pkg.Files {
-			// Map each function's doc-comment group to the function, so a
-			// directive there can cover the full body (but never more than
-			// the one decl: suppression stays scoped to what the comment
-			// documents).
 			docSpan := make(map[*ast.CommentGroup][2]int)
 			for _, decl := range file.AST.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-					docSpan[fd.Doc] = [2]int{
-						t.Fset.Position(fd.Pos()).Line,
-						t.Fset.Position(fd.End()).Line,
-					}
+					docSpan[fd.Doc] = [2]int{t.Fset.Position(fd.Pos()).Line, t.Fset.Position(fd.End()).Line}
 				}
 			}
 			for _, cg := range file.AST.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
+					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 					if !strings.HasPrefix(text, directivePrefix) {
 						continue
 					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
-					fields := strings.Fields(rest)
-					pos := t.Fset.Position(c.Pos())
-					if len(fields) < 2 {
-						bad = append(bad, Finding{
-							Pos:  pos,
-							Rule: "directive",
-							Message: "malformed //popcornvet:allow: need \"<rule> <reason>\"; " +
-								"an unexplained suppression is as bad as the violation",
-						})
-						continue
-					}
-					rule := fields[0]
-					if !known[rule] {
-						bad = append(bad, Finding{
-							Pos:  pos,
-							Rule: "directive",
-							Message: fmt.Sprintf("//popcornvet:allow names unknown analyzer %q; "+
-								"a misspelled rule suppresses nothing", rule),
-						})
-						continue
-					}
-					from := pos.Line
-					to := t.Fset.Position(c.End()).Line + 1
+					rule, reason, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(text, directivePrefix)), " ")
+					d := &directive{pos: t.Fset.Position(c.Pos()), rule: rule, reason: strings.TrimSpace(reason)}
+					d.from, d.to = d.pos.Line, t.Fset.Position(c.End()).Line+1
 					if span, ok := docSpan[cg]; ok {
-						from, to = span[0], span[1]
+						d.from, d.to = span[0], span[1]
 					}
-					ai[pos.Filename] = append(ai[pos.Filename], allowRange{rule: rule, from: from, to: to})
+					switch {
+					case d.reason == "":
+						d.malformed = "malformed //popcornvet:allow: need \"<rule> <reason>\"; " +
+							"an unexplained suppression is as bad as the violation"
+					case !known[rule]:
+						d.malformed = fmt.Sprintf("//popcornvet:allow names unknown analyzer %q; "+
+							"a misspelled rule suppresses nothing", rule)
+					}
+					t.waivers = append(t.waivers, d)
 				}
 			}
 		}
 	}
-	return ai, bad
-}
-
-// importName returns the local name a file binds the given import path to,
-// or "" when the file does not import it.
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
-
-// selectorOn reports whether expr is a selector X.name with X an identifier
-// equal to pkgIdent (a package reference by our import-name heuristic),
-// returning the selected name.
-func selectorOn(expr ast.Expr, pkgIdent string) (string, bool) {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != pkgIdent {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// calleeName returns the final identifier of a call's function expression:
-// foo(...) -> "foo", x.y.Call(...) -> "Call".
-func calleeName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
+	return t.waivers
 }

@@ -1,6 +1,7 @@
 package vetcheck
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -165,7 +166,7 @@ func TestShippedTreeIsClean(t *testing.T) {
 			t.Fatalf("Analyzers() is missing %q; the shipped-tree gate would silently weaken", want)
 		}
 	}
-	tree, err := Load([]string{"../..", "../../cmd", "../../examples"}[:1])
+	tree, err := Load([]string{"../.."})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -191,5 +192,97 @@ func f() { _ = time.Now() }
 	s := got[0].String()
 	if !strings.HasPrefix(s, "internal/kernel/a.go:5:16: [simtime]") {
 		t.Errorf("String() = %q, want file:line:col: [rule] prefix", s)
+	}
+}
+
+// A waiver that suppresses nothing is a finding: it reads as a justified
+// exception while hiding the next real violation written in its scope. Only
+// waivers for analyzers that ran are judged, so -only does not condemn the
+// rest.
+func TestStaleWaiverIsAFinding(t *testing.T) {
+	files := map[string]string{
+		"internal/kernel/a.go": `package kernel
+
+import "time"
+
+func f() time.Duration {
+	//popcornvet:allow simtime the harness stamped real boot time here once
+	return 3 * time.Millisecond
+}
+
+//popcornvet:allow locksend held across the RPC by design
+func g() {}
+`,
+	}
+	got := findingsFor(t, files, SimTime{})
+	if len(got) != 1 || got[0].Rule != "directive" || !strings.Contains(got[0].Message, "allow simtime suppresses nothing") {
+		t.Fatalf("want the stale simtime waiver reported (and the locksend one left alone), got:\n%s", renderFindings(got))
+	}
+	if got[0].Pos.Line != 6 {
+		t.Errorf("reported at line %d, want the directive's own line 6", got[0].Pos.Line)
+	}
+	if got = findingsFor(t, files, LockSend{}); len(got) != 1 || !strings.Contains(got[0].Message, "allow locksend suppresses nothing") {
+		t.Fatalf("want the stale locksend waiver reported, got:\n%s", renderFindings(got))
+	}
+}
+
+// A tree that does not type-check does not load: there is no "could not
+// tell, not flagged".
+func TestLoadRejectsTreeThatDoesNotTypeCheck(t *testing.T) {
+	for name, src := range map[string]string{
+		"undefined name":  "package kernel\n\nfunc f() int { return missing }\n",
+		"unknown import":  "package kernel\n\nimport \"repro/internal/absent\"\n\nvar _ = absent.X\n",
+		"unused variable": "package kernel\n\nfunc f() { x := 1 }\n",
+	} {
+		if _, err := LoadSource(map[string]string{"internal/kernel/a.go": src}); err == nil {
+			t.Errorf("%s: LoadSource succeeded, want a load error", name)
+		}
+	}
+}
+
+// TestAnchorsResolve looks up every declaration an analyzer keys on in the
+// shipped tree, so renaming msg.Endpoint.Call or kernel.Cluster.Kernels
+// fails here instead of silently blinding the rule that matches it.
+func TestAnchorsResolve(t *testing.T) {
+	tree, err := Load([]string{"../.."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(anchors) < 20 {
+		t.Fatalf("only %d anchors registered; the analyzers' declare calls are gone", len(anchors))
+	}
+	for _, a := range anchors {
+		var found types.Object
+		for _, pkg := range tree.Pkgs {
+			if pkg.Name != a.pkg || !strings.HasPrefix(pkg.path, "repro/internal/") {
+				continue
+			}
+			if scope := pkg.tpkg.Scope(); a.recv == "" {
+				found = scope.Lookup(a.name)
+			} else if owner := scope.Lookup(a.recv); owner != nil {
+				found, _, _ = types.LookupFieldOrMethod(types.NewPointer(owner.Type()), true, pkg.tpkg, a.name)
+			}
+		}
+		if found == nil {
+			t.Errorf("anchor %s.%s.%s does not resolve in the shipped tree", a.pkg, a.recv, a.name)
+		}
+	}
+}
+
+// A root below the module root loads as the package it is, importing the
+// rest of the module on demand: `popcornvet .` from a package directory,
+// `popcornvet ./internal/vm` from the top.
+func TestLoadBelowModuleRoot(t *testing.T) {
+	for root, want := range map[string]string{".": "repro/internal/vetcheck", "../futex": "repro/internal/futex"} {
+		tree, err := Load([]string{root})
+		if err != nil {
+			t.Fatalf("Load(%q): %v", root, err)
+		}
+		if len(tree.Pkgs) != 1 || tree.Pkgs[0].path != want {
+			t.Fatalf("Load(%q) = %d packages (first %+v), want the one package %s", root, len(tree.Pkgs), tree.Pkgs, want)
+		}
+		if root != "." && len(tree.deps) == 0 {
+			t.Errorf("Load(%q) type-checked no in-module dependencies; futex imports msg, sim, vm", root)
+		}
 	}
 }

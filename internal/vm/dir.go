@@ -76,8 +76,6 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 // and produces the grant, into g. Split from dirTransaction so the failover plane
 // can ship the entry's post-transaction snapshot between the transition and
 // the grant's release.
-//
-//popcornvet:allow locksend same protocol invariant as dirTransaction: the revocation fan-out under the entry lock is what makes the ownership transition atomic, and invalidate handlers never take origin directory locks
 func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry, vma VMA, ver uint64, write, noCopy bool, g *pageGrant) error {
 	sharedProt := vma.Prot &^ mem.ProtWrite
 	exclusiveProt := vma.Prot

@@ -133,8 +133,6 @@ func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
 // serialises the per-entry replication stream; the handler side applies
 // records in version order, so a fault-plan duplicate can never roll the
 // mirror backwards.
-//
-//popcornvet:allow locksend the per-entry replication stream must be ordered by the same lock that orders the transactions; the successor-side handler only stores into its mirror maps and never calls back
 func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
 	rep := dirRepl{
 		Kind: replEntry, GID: sp.gid, Origin: sp.svc.node,
@@ -150,8 +148,6 @@ func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
 // shipLayout mirrors one committed layout mutation to the successor. Called
 // under the asLock exclusive — the same lock that assigned the version — so
 // the layout replication stream arrives in version order.
-//
-//popcornvet:allow locksend layout replication must be ordered by the asLock that versions the mutations; the successor-side handler only stores into its mirror and never calls back
 func (sp *Space) shipLayout(p *sim.Proc, op vmaOp, lo, hi mem.VPN, prot mem.Prot) {
 	sp.svc.shipRepl(p, dirRepl{
 		Kind: replLayout, GID: sp.gid, Origin: sp.svc.node,

@@ -470,6 +470,7 @@ func (sp *Space) ownerOf(vpn mem.VPN) msg.NodeID {
 	case pageShared:
 		best := sp.origin
 		first := true
+		//popcornvet:allow detorder a minimum over the sharer set is the same in any order; this is the fault path, so no sorted copy
 		for n := range de.sharers {
 			if first || n < best {
 				best, first = n, false
