@@ -261,6 +261,31 @@ func (pl *Plan) SlowExtra(now time.Duration, from, to int) time.Duration {
 	return total
 }
 
+// Straggle bounds how long after a message leaves its wire any copy of it can
+// still be delivered under this plan: the largest DelayMax of a duplicating or
+// delaying rule plus every slow-link window's Extra+Jitter (windows on one
+// link add up) — the latency one delivering roll can add — and, when the plan
+// can drop (a DropP rule or a partition), the link-layer redelivery chain
+// before that roll: retries attempts, attempt n after n*every, each dropped
+// copy re-rolled undelayed. Zero for a plan that injects nothing.
+func (pl *Plan) Straggle(retries int, every time.Duration) time.Duration {
+	var bound time.Duration
+	drops := len(pl.Partitions) > 0
+	for _, r := range pl.Rules {
+		if r.DupP > 0 || r.DelayP > 0 {
+			bound = max(bound, r.DelayMax)
+		}
+		drops = drops || r.DropP > 0
+	}
+	for _, s := range pl.SlowLinks {
+		bound += s.Extra + s.Jitter
+	}
+	if drops {
+		bound += every * time.Duration(retries*(retries+1)/2)
+	}
+	return bound
+}
+
 // Partitioned reports whether the a<->b link is inside a partition window
 // at the given simulation time.
 func (pl *Plan) Partitioned(now time.Duration, a, b int) bool {

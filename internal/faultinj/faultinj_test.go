@@ -211,3 +211,30 @@ func TestRecordDirCommitReplayDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStraggle pins the copy-latency bound the dedup table retires by: zero
+// for a plan that injects nothing, the longest delay a duplicating or delaying
+// rule draws plus every slow-link window's inflation, and — once the plan can
+// drop — the link-layer redelivery chain in front of it.
+func TestStraggle(t *testing.T) {
+	const retries, every = 12, 3 * time.Microsecond
+	chain := 78 * every // attempts 1..12, attempt n after n*every
+	noisy := Rule{From: Wildcard, To: Wildcard, Type: Wildcard, DropP: 0.1, DupP: 0.2, DelayP: 0.2, DelayMax: 20 * time.Microsecond}
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		want time.Duration
+	}{
+		{"empty", Plan{}, 0},
+		{"crashes only", Plan{Crashes: []NodeCrash{{Node: 1, At: time.Millisecond}}}, 0},
+		{"drop 0.1 / dup 0.2 / delay 0.2", Plan{Rules: []Rule{noisy}}, 20*time.Microsecond + chain},
+		{"delay without drops", Plan{Rules: []Rule{{DelayP: 1, DelayMax: 5 * time.Microsecond}, {DupP: 1, DelayMax: 7 * time.Microsecond}}}, 7 * time.Microsecond},
+		{"a DelayMax nothing draws", Plan{Rules: []Rule{{DelayMax: time.Second}}}, 0},
+		{"partition", Plan{Partitions: []Partition{{A: 0, B: 1, Until: time.Millisecond}}}, chain},
+		{"slow links add up", Plan{SlowLinks: []SlowLink{{Extra: 50 * time.Microsecond, Jitter: 10 * time.Microsecond}, {Extra: time.Microsecond}}}, 61 * time.Microsecond},
+	} {
+		if got := tc.plan.Straggle(retries, every); got != tc.want {
+			t.Errorf("%s: Straggle = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

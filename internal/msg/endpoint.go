@@ -71,6 +71,32 @@ type peer struct {
 	sweeping bool
 	flow     flowPeer
 	eachName string // multicast worker process name toward this peer
+
+	// The at-most-once horizon (fault plane): this kernel's open calls to the
+	// peer, in seq order (call.prev/next; the oldest's seq is the Floor it
+	// stamps); the highest floor the peer stamped (floor, learned at floorAt)
+	// and the highest known longer than the straggler bound (safe); the
+	// peer's dedup entries, in arrival order.
+	oldest, newest *call
+	floor, safe    uint64
+	floorAt        sim.Time
+	dedupQ         fifo[*dedupEntry]
+}
+
+// learnFloor takes a floor the peer stamped: a lower one is a stale copy's,
+// and a higher one landing while another ages into safe waits for a later one.
+func (pr *peer) learnFloor(floor uint64, now sim.Time, bound time.Duration) {
+	if floor > pr.safeFloor(now, bound) && pr.floor == pr.safe {
+		pr.floor, pr.floorAt = floor, now
+	}
+}
+
+// safeFloor is the highest floor known for longer than the straggler bound.
+func (pr *peer) safeFloor(now sim.Time, bound time.Duration) uint64 {
+	if pr.floor > pr.safe && now.Sub(pr.floorAt) > bound {
+		pr.safe = pr.floor
+	}
+	return pr.safe
 }
 
 // call is one RPC in flight and the request's continuation: while the caller
@@ -90,10 +116,12 @@ type call struct {
 	// a dead-peer or stale-call verdict). timedOut: the timeout's wake marker.
 	sent, done, failed, timedOut bool
 	sentFn, timerFn              func()
+	prev, next                   *call // the open calls to m.To (peer.oldest)
 }
 
-// newCall takes a call off the pool and enters it in the wait table; endCall,
-// deferred by Call, undoes both.
+// newCall takes a call off the pool and enters it in the wait table and its
+// peer's open calls (in seq order: prepare has just numbered m); endCall,
+// deferred by Call, undoes all three.
 //
 //popcornvet:hotpath
 func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
@@ -106,6 +134,12 @@ func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
 	}
 	c.ep, c.waiter, c.waiterPID, c.m, c.timeout = ep, p, p.ID(), m, f.fcfg.RPCTimeout
 	ep.pending[m.Seq] = c
+	pr := &ep.peers[m.To]
+	at := &pr.oldest
+	if c.prev = pr.newest; c.prev != nil {
+		at = &c.prev.next
+	}
+	*at, pr.newest = c, c
 	return c
 }
 
@@ -118,6 +152,14 @@ func (ep *Endpoint) endCall(c *call) {
 	c.sendEv.Cancel()
 	c.timerEv.Cancel()
 	delete(ep.pending, c.m.Seq)
+	fwd, back := &ep.peers[c.m.To].oldest, &ep.peers[c.m.To].newest
+	if c.prev != nil {
+		fwd = &c.prev.next
+	}
+	if c.next != nil {
+		back = &c.next.prev
+	}
+	*fwd, *back = c.next, c.prev
 	*c = call{sentFn: c.sentFn, timerFn: c.timerFn}
 	sim.Give(&ep.f.callFree, c)
 }
@@ -179,12 +221,15 @@ type dedupKey struct {
 	seq  uint64
 }
 
-// dedupEntry remembers a request this kernel already accepted. While the
-// handler runs, duplicates are suppressed outright; once done, duplicates
-// of an RPC re-send the cached reply (the caller evidently missed it).
+// dedupEntry remembers a request this kernel accepted, from its first copy's
+// arrival (at) until retire. While the handler runs, duplicates are suppressed
+// outright; once done, duplicates of an RPC re-send the cached reply (the
+// caller evidently missed it). Pooled on Fabric.dedupFree.
 type dedupEntry struct {
-	done  bool
-	reply *Message
+	seq       uint64
+	at        sim.Time
+	rpc, done bool
+	reply     *Message
 }
 
 func newEndpoint(f *Fabric, node NodeID) *Endpoint {
@@ -456,6 +501,7 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 		rpcSpan = col.Begin(p, rpcSpanNames[m.Type], int(ep.node))
 	}
 	defer rpcSpan.End()
+	m.rpc = true
 	ep.announce(p, m)
 	ep.f.metrics.CounterIn(&ep.f.hot.rpc, "msg.rpc").Inc()
 	c := ep.newCall(p, m)
@@ -578,10 +624,10 @@ func (ep *Endpoint) checkAddressed(m *Message) {
 	}
 }
 
-// prepare stamps From, Seq, and (in fault mode) the incarnation pair.
-// Retransmissions re-enter with SrcInc already set and keep their original
-// stamps: a copy prepared before a reboot must stay fenceable, and
-// at-most-once dedup holds across incarnations.
+// prepare stamps From, Seq, and (in fault mode) the incarnation pair and the
+// floor. Retransmissions re-enter with SrcInc already set and keep their
+// original stamps: a copy prepared before a reboot must stay fenceable, and
+// at-most-once dedup holds across incarnations; an old floor only understates.
 func (ep *Endpoint) prepare(m *Message) {
 	m.From = ep.node
 	if m.Seq == 0 {
@@ -591,15 +637,19 @@ func (ep *Endpoint) prepare(m *Message) {
 	if ep.f.incarnation != nil && m.SrcInc == 0 {
 		m.SrcInc = ep.f.incarnation[ep.node]
 		m.DstInc = ep.f.incarnation[m.To]
+		m.Floor = m.Seq
+		if c := ep.peers[m.To].oldest; c != nil {
+			m.Floor = c.m.Seq
+		}
 	}
 }
 
 // deliver enqueues m at its destination endpoint. The fence comes first —
 // before the last-heard refresh, so a zombie heartbeat cannot feed the failure
 // detector — then, in fault mode, every surviving delivery refreshes the
-// detector's clock, and heartbeats are consumed here without ever touching
-// the queue, tracer, or observer. This IS the fabric's delivery step — the
-// one place allowed to touch a peer's queue.
+// detector's clock and the sender's floor, and heartbeats are consumed here
+// without ever touching the queue, tracer, or observer. This IS the fabric's
+// delivery step — the one place allowed to touch a peer's queue.
 //
 //popcornvet:allow kernlocal the fabric's delivery step itself: the message arriving at its destination's queue
 //popcornvet:hotpath
@@ -609,7 +659,9 @@ func (f *Fabric) deliver(m *Message) {
 		return
 	}
 	if f.plan != nil {
-		dst.peers[m.From].lastHeard = f.e.Now()
+		pr := &dst.peers[m.From]
+		pr.lastHeard = f.e.Now()
+		pr.learnFloor(m.Floor, pr.lastHeard, f.straggle)
 		if m.Type == TypeHeartbeat {
 			// The consume point: heartbeats are never queued, duplicated, or
 			// retried, so the fabric-owned object goes back to its pool here.
@@ -794,6 +846,9 @@ func (pu *pump) step() {
 		}
 	default:
 		pu.idle = true
+		if ep.seen != nil {
+			ep.retire()
+		}
 		return
 	}
 	f.e.Schedule(f.recvCost(pu.m), pu.stepFn)
@@ -875,8 +930,13 @@ func (ep *Endpoint) dedup(m *Message) bool {
 	k := dedupKey{from: m.From, seq: m.Seq}
 	de, dup := ep.seen[k]
 	if !dup {
-		//popcornvet:allow hotalloc one dedup entry per first-seen request is the at-most-once protocol state
-		ep.seen[k] = &dedupEntry{}
+		if de = sim.Take(&ep.f.dedupFree); de == nil {
+			//popcornvet:allow hotalloc pool cold miss; retire recycles every entry no copy can still hit
+			de = &dedupEntry{}
+		}
+		de.seq, de.at, de.rpc = m.Seq, ep.f.e.Now(), m.rpc
+		ep.seen[k] = de
+		ep.peers[m.From].dedupQ.push(de)
 		return false
 	}
 	ep.f.countLink("msg.fault.dedup_hits", m.From, ep.node)
@@ -892,6 +952,32 @@ func (ep *Endpoint) dedup(m *Message) bool {
 	ep.pump.resend = ep.f.reserve(&rm)
 	ep.f.e.Schedule(ep.f.sendCost(&rm), ep.pump.stepFn)
 	return true
+}
+
+// retire runs as the pump goes idle — lanes empty, nothing in receive, so every
+// copy that has arrived has been through dedup — and drops from the front of
+// each sender's queue every done entry no copy can still hit: an RPC below the
+// safe floor (each copy was reserved on the pair wire before the floor's
+// message, so it left first, and lands within the straggler bound after), or a
+// one-way message older than the bound (its copies left at one dispatch).
+//
+//popcornvet:hotpath
+func (ep *Endpoint) retire() {
+	f, now := ep.f, ep.f.e.Now()
+	for from := range ep.peers {
+		pr := &ep.peers[from]
+		safe := pr.safeFloor(now, f.straggle)
+		for pr.dedupQ.len() > 0 {
+			de := pr.dedupQ.front()
+			if !de.done || (de.rpc && de.seq >= safe) || (!de.rpc && now.Sub(de.at) <= f.straggle) {
+				break
+			}
+			pr.dedupQ.pop()
+			delete(ep.seen, dedupKey{from: NodeID(from), seq: de.seq})
+			*de = dedupEntry{}
+			sim.Give(&f.dedupFree, de)
+		}
+	}
 }
 
 // completeCall matches a reply to its pending RPC and wakes the caller.

@@ -150,6 +150,7 @@ func (f *Fabric) EnableFaults(plan *faultinj.Plan, cfg FaultConfig, hooks FaultH
 	f.plan = plan
 	f.fcfg = cfg.withDefaults()
 	f.hooks = hooks
+	f.straggle = plan.Straggle(f.fcfg.SendRetries, f.fcfg.SendRetryEvery)
 	// The retransmit-jitter stream: splitmix64 like the engine's schedule
 	// RNG and derived from its seed, but a separate stream, so jitter draws
 	// are replayable per seed without perturbing the tie-shuffle sequence.
@@ -318,23 +319,20 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 }
 
 // dropMsg handles a message the plan (or a partition) dropped. Heartbeats
-// are lost silently — their loss is the signal. RPC requests are lost too:
-// the caller's timeout loop owns their recovery, and reuses the Message
-// without re-acquiring, so its credit is freed now — the wire occupancy it
-// tracked is gone. Everything else (replies, fire-and-forget notifications)
-// gets bounded link-layer redelivery, the ring's ack/retry, so a single drop
-// cannot wedge a protocol that has no caller-side retry. Runs inside the
-// fabric's fault plane, the same engine-context step as delivery.
-//
-//popcornvet:allow kernlocal link-layer fault handling inside the fabric's delivery step, the medium between kernels
+// are lost silently — their loss is the signal. RPC requests (Message.rpc) are
+// lost too: the caller's timeout loop owns their recovery, and reuses the
+// Message without re-acquiring, so its credit is freed now — the wire
+// occupancy it tracked is gone. Everything else (replies, fire-and-forget
+// notifications) gets bounded link-layer redelivery, the ring's ack/retry, so
+// a single drop cannot wedge a protocol that has no caller-side retry. Runs
+// inside the fabric's fault plane, the same engine-context step as delivery.
 func (f *Fabric) dropMsg(m *Message) {
 	// Call-site nil check: a partitioned heartbeat comes through here every
 	// probe period, and must not box trace arguments for a detached tracer.
 	if f.tracer != nil {
 		f.traceEvent("msg.drop", m.From, "%v to k%d seq=%d attempt=%d", m.Type, m.To, m.Seq, m.attempts)
 	}
-	_, rpc := f.endpoints[m.From].pending[m.Seq]
-	if m.Type == TypeHeartbeat || (rpc && !m.IsReply) {
+	if m.Type == TypeHeartbeat || m.rpc {
 		f.drop(m, "")
 		return
 	}
@@ -369,12 +367,17 @@ func (f *Fabric) crashNode(n NodeID) {
 	ep.dead = true
 	f.metrics.Counter("msg.fault.crash").Inc()
 	f.traceEvent("msg.crash", n, "kernel %d crashed", n)
-	ep.bulk, ep.ctrl = fifo[*Message]{}, fifo[*Message]{}
-	// The wipes above destroyed the occupancy the credits tracked; refill
-	// every account touching the dead kernel and unblock its waiters.
+	// The wipes destroy the occupancy the credits tracked: refill every
+	// account touching the dead kernel and unblock its waiters.
 	f.resetFlowLinks(n)
+	for _, lane := range []*fifo[*Message]{&ep.bulk, &ep.ctrl} {
+		for lane.len() > 0 {
+			f.endWiped(lane.pop())
+		}
+	}
 	for peer := range f.endpoints {
-		f.wires[f.pair(n, NodeID(peer))], f.wires[f.pair(NodeID(peer), n)] = fifo[*wireEntry]{}, fifo[*wireEntry]{}
+		f.wipeWire(n, f.pair(n, NodeID(peer)))
+		f.wipeWire(n, f.pair(NodeID(peer), n))
 	}
 	ep.pump.stop()
 	// In pid order: the live list runs from the youngest process to the oldest.
@@ -418,6 +421,31 @@ func (f *Fabric) crashNode(n NodeID) {
 	}
 }
 
+// wipeWire empties one of crashed kernel n's wires. A committed entry ends
+// here; one inside its send window is left to its sender's commit (recycled
+// now, the commit would reach its next tenant) — unless the sender is n's
+// heartbeat process, which dies in this crash.
+func (f *Fabric) wipeWire(n NodeID, pair int) {
+	for w := &f.wires[pair]; w.len() > 0; {
+		e := w.pop()
+		if !e.ready && (e.m.Type != TypeHeartbeat || e.m.From != n) {
+			e.wiped = true
+			continue
+		}
+		f.endWiped(e.m)
+		f.releaseWireEntry(e)
+	}
+}
+
+// endWiped ends a wiped message as drop does, but returns no credit:
+// resetFlowLinks has refilled the account.
+func (f *Fabric) endWiped(m *Message) {
+	m.flowCredit = false
+	if m.Type == TypeHeartbeat {
+		f.releaseMsg(m)
+	}
+}
+
 // healNode reboots crashed kernel n: the kernel returns empty — every
 // pre-crash structure is gone — under a bumped incarnation, reattaches to
 // the fabric, and runs the rejoin handshake with the survivors. Runs in
@@ -449,13 +477,18 @@ func (f *Fabric) healNode(n NodeID) {
 	// boots with the service processor's knowledge of who is down right now
 	// already declared, so it neither burns RPC retries rediscovering them
 	// nor holds up settling; its own detector takes over for future crashes.
+	// Dedup queues and floors go too; the open-call lists stay for the old
+	// incarnation's calls to unlink as they unwind (meanwhile a lower floor).
 	now := f.e.Now()
 	for i := range ep.peers {
-		ep.peers[i] = peer{
+		pr := &ep.peers[i]
+		*pr = peer{
 			lastHeard:    now,
 			declaredDead: f.endpoints[i].dead,
 			knownInc:     f.incarnation[i],
-			eachName:     ep.peers[i].eachName,
+			eachName:     pr.eachName,
+			oldest:       pr.oldest,
+			newest:       pr.newest,
 		}
 	}
 	ep.pump = newPump(ep)

@@ -72,3 +72,35 @@ func TestFifoReusesCapacity(t *testing.T) {
 		t.Fatalf("steady-state push/pop allocates %.1f per round, want 0", allocs)
 	}
 }
+
+// TestFifoBacklogNeverDrainingStaysBounded holds a steady backlog of k — the
+// queue never empties, so pop never gets to reset it — through 10⁵ push/pop
+// pairs: the array must stay within twice the backlog, stop allocating, and
+// keep no reference to a popped item.
+func TestFifoBacklogNeverDrainingStaysBounded(t *testing.T) {
+	for _, k := range []int{1, 3, 64, 100, 1000} {
+		var q fifo[*int]
+		for i := 0; i < k; i++ {
+			q.push(new(int))
+		}
+		for i := 0; i < 100_000; i++ {
+			q.push(new(int))
+			q.pop()
+			if cap(q.items) > 2*k {
+				t.Fatalf("backlog %d, pair %d: capacity %d, want <= %d", k, i, cap(q.items), 2*k)
+			}
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { q.push(q.pop()) }); allocs != 0 {
+			t.Fatalf("backlog %d: steady push/pop allocates %.1f per pair, want 0", k, allocs)
+		}
+		live := 0
+		for _, p := range q.items[:cap(q.items)] {
+			if p != nil {
+				live++
+			}
+		}
+		if live != q.len() {
+			t.Fatalf("backlog %d: %d slots reference items, %d queued", k, live, q.len())
+		}
+	}
+}

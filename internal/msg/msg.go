@@ -186,6 +186,15 @@ type Message struct {
 	Seq uint64
 	// IsReply marks the response leg of an RPC.
 	IsReply bool
+	// rpc marks an RPC request (Call sets it): recovered by the caller's
+	// retransmission, never link-layer redelivery; deduplicated until Floor.
+	rpc bool
+	// flowCredit marks a message holding one of its link's flow-control
+	// credits (flow plane only). The credit is returned — and the flag
+	// cleared, making release idempotent across retransmitted copies — at the
+	// message's end of life: pump dequeue or drop; a crash wipe just clears
+	// it (resetFlowLinks refilled the account). Three flags, one word.
+	flowCredit bool
 	// Size is the serialised payload size in bytes (drives fragmentation).
 	Size int
 	// Payload is the typed protocol body, passed by pointer.
@@ -202,6 +211,11 @@ type Message struct {
 	// DstInc is the destination's incarnation as the sender knew it; see
 	// SrcInc.
 	DstInc uint64
+	// Floor is the sender's implicit acknowledgement (fault mode, stamped
+	// with SrcInc): no RPC of the sender's to To below this seq has a caller
+	// left — the seq of its oldest open call to To, else the message's own.
+	// The receiver retires the dedup entries it covers (Endpoint.retire).
+	Floor uint64
 
 	// OriginNode/OriginEpoch fence stale-origin traffic after a failover
 	// (failover plane only; zero otherwise). A message addressed to a
@@ -234,12 +248,6 @@ type Message struct {
 	// instead rely on the caller's timeout/retransmit loop.
 	attempts int
 
-	// flowCredit marks a message holding one of its link's flow-control
-	// credits (flow plane only; always false when detached). The credit is
-	// returned — and the flag cleared, making release idempotent across
-	// retransmitted copies — at the message's end of life: receive-pump
-	// dequeue, fault-plane drop, fence, or crash wipe.
-	flowCredit bool
 	// enqAt is when the message entered its destination's inbound queue
 	// (flow plane only), feeding the per-lane queue-wait histograms that the
 	// control-lane starvation assertions read.
@@ -256,8 +264,8 @@ func (m *Message) reset() { *m = Message{} }
 // carrying payload, the two as one allocation: Payload points at the copy
 // beside the header, so receivers assert m.Payload.(*T) as ever. Co-allocated,
 // not pooled: after Call returns a reply is its caller's, and the dedup table
-// retains replies (a replayed copy of the header still points into the
-// original object) — no release point exists. The header comes as scalars, not
+// caches it until the caller's floor passes (a replayed copy of the header
+// still points into the original object). The header comes as scalars, not
 // a Message by value: a sender's frame stays on its stack for the whole RPC.
 //
 //popcornvet:hotpath
@@ -359,13 +367,15 @@ type Fabric struct {
 	// deterministic — never sync.Pool. entryFree recycles wireEntry objects
 	// between reserve and commit, msgFree fabric-owned Messages (heartbeats),
 	// callFree RPC wait records, runFree the records of endpoint-owned
-	// processes (peak concurrent handlers and workers), fanFree their rounds.
+	// processes (peak concurrent handlers and workers), fanFree their rounds,
+	// dedupFree the at-most-once table's entries (fault plane).
 	entryFree []*wireEntry
 	msgFree   []*Message
 	msgMade   int // allocMsg's cold misses: msgMade == len(msgFree) + heartbeats in flight
 	callFree  []*call
 	runFree   []*handlerRun
 	fanFree   []*fanout
+	dedupFree []*dedupEntry
 	// linkCounters caches the per-link metric counters countLink would
 	// otherwise re-derive with Sprintf on every fault-plane event.
 	linkCounters map[linkKey]*stats.Counter
@@ -383,9 +393,10 @@ type Fabric struct {
 	// nil means a perfectly reliable fabric and costs one pointer check per
 	// message (the sanitizer's detached pattern). The remaining fields are
 	// the fault plane's state; see failure.go.
-	plan  *faultinj.Plan
-	fcfg  FaultConfig
-	hooks FaultHooks
+	plan     *faultinj.Plan
+	fcfg     FaultConfig
+	hooks    FaultHooks
+	straggle time.Duration // the dedup horizon: faultinj.Plan.Straggle
 	// plannedCrashes/crashesDone track whether every plan crash has fired,
 	// which gates the failure detectors' exit (see settled).
 	plannedCrashes int
@@ -449,10 +460,12 @@ func (f *Fabric) traceEvent(kind string, node NodeID, format string, args ...any
 // pair indexes the per-directed-pair tables (wires, flow links).
 func (f *Fabric) pair(from, to NodeID) int { return int(from)*len(f.endpoints) + int(to) }
 
-// fifo is the one queue in this package: the two receive lanes, the wires and
-// the credit waiters. items[head:] is the backlog; pop advances head instead
-// of reslicing and resets both once drained, so the backing array is reused
-// across bursts for ever.
+// fifo is the one queue in this package: the two receive lanes, the wires, the
+// credit waiters and the dedup queues. items[head:] is the backlog; pop
+// advances head instead of reslicing and resets both once drained, and push
+// slides a backlog that never drains down once the array is full and half
+// popped, else moves it to an array twice its size (not append's, which rounds
+// up to a size class): the array stays within twice the largest backlog.
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -463,8 +476,20 @@ func (q *fifo[T]) len() int { return len(q.items) - q.head }
 // front returns the oldest item without removing it; the queue must not be empty.
 func (q *fifo[T]) front() T { return q.items[q.head] }
 
+//popcornvet:allow hotalloc queue growth is amortized; a drained or half-popped array is reused first
 func (q *fifo[T]) push(v T) {
-	//popcornvet:allow hotalloc queue growth is amortized; the drained head is reused
+	if n := q.len(); len(q.items) == cap(q.items) {
+		if q.head > 0 && 2*q.head >= len(q.items) {
+			copy(q.items, q.items[q.head:])
+			clear(q.items[n:]) // the moved items' old slots
+			q.items = q.items[:n]
+		} else {
+			items := make([]T, n, 2*max(n, 1))
+			copy(items, q.items[q.head:])
+			q.items = items
+		}
+		q.head = 0
+	}
 	q.items = append(q.items, v)
 }
 
@@ -482,6 +507,7 @@ func (q *fifo[T]) pop() T {
 type wireEntry struct {
 	m     *Message
 	ready bool
+	wiped bool // its wire died inside the send window (Fabric.wipeWire)
 	// What the commit of a handler's reply (onSent, bound once as sentFn)
 	// needs: its incarnation's pump, its dedup entry, its handle.* span.
 	pu     *pump
@@ -548,12 +574,16 @@ func (f *Fabric) reserve(m *Message) *wireEntry {
 // commit marks a reserved send complete and delivers every wire-order-ready
 // message at the head of the pair's queue. Each delivery passes through the
 // fault plane (dispatchWire), which is a straight f.deliver when no plan is
-// attached. A kernel crash empties its wires, so the entry may no longer be
-// queued; marking it ready is then a no-op and any surviving ready heads
-// still drain.
+// attached. An entry a kernel crash wiped off its wire inside the send window
+// is no longer queued: its commit is the message's end instead.
 //
 //popcornvet:hotpath
 func (f *Fabric) commit(entry *wireEntry) {
+	if entry.wiped {
+		f.endWiped(entry.m)
+		f.releaseWireEntry(entry)
+		return
+	}
 	entry.ready = true
 	w := &f.wires[f.pair(entry.m.From, entry.m.To)]
 	for w.len() > 0 && w.front().ready {
