@@ -123,6 +123,19 @@ func TestPlantCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// TestFailoverGrantCountsOnceReleased replays the failover soak's seeds 24, 31
+// and 63. On each, the origin-crash trigger armed by a directory commit kills
+// the origin while it ships that commit's entry to the mirror, so the grant's
+// reply never leaves. A grant counted when the origin decided it, not when it
+// released it, then makes the promoted successor's own correct re-grant look
+// like a second writer.
+func TestFailoverGrantCountsOnceReleased(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sweepRow(&buf, cfgFor(rowNamed(t, "failover"), 0, planes{}), []int64{24, 31, 63}, true, false); err != nil {
+		t.Fatalf("%v\n%s", err, buf.String())
+	}
+}
+
 // healthyCounters is a registry the named row's check accepts, built
 // without the counter named omit.
 func healthyCounters(row, omit string) *stats.Registry {

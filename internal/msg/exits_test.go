@@ -165,6 +165,18 @@ func TestEveryExitPaysItsDebts(t *testing.T) {
 			want:    map[string]uint64{"msg.fault.partition": 1, "msg.fault.lost": 1},
 		},
 		{
+			// Dropped at once and redelivered 100µs later, by when kernel 1
+			// has died: the redelivery ends at the dead-link check.
+			name: "redelivery onto a dead link",
+			plan: faultinj.Plan{
+				Partitions: []faultinj.Partition{{A: 0, B: 1, From: 0, Until: 10 * time.Millisecond}},
+				Crashes:    []faultinj.NodeCrash{{Node: 1, At: crashAt}},
+			},
+			fcfg:    FaultConfig{SendRetries: 3, SendRetryEvery: 100 * time.Microsecond},
+			arrange: func(r *exitRun) { r.e.Spawn("sender", r.send) },
+			want:    map[string]uint64{"msg.fault.dead-link": 1},
+		},
+		{
 			name: "delayed then crashed",
 			plan: faultinj.Plan{
 				SlowLinks: []faultinj.SlowLink{inFlight},

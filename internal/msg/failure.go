@@ -344,11 +344,7 @@ func (f *Fabric) dropMsg(m *Message) {
 	f.countLink("msg.fault.redeliver", m.From, m.To)
 	backoff := f.fcfg.SendRetryEvery * time.Duration(m.attempts)
 	//popcornvet:allow hotalloc retry closures exist only for injected drops, rare by construction
-	f.e.Schedule(backoff, func() {
-		if !f.linkDown(m) {
-			f.route(m)
-		}
-	})
+	f.e.Schedule(backoff, func() { f.route(m) })
 }
 
 // crashNode kills kernel n: its endpoint goes dark, queued and in-flight

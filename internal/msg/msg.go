@@ -295,29 +295,22 @@ type Config struct {
 	// slot are fragmented and charged per slot. Popcorn's rings used
 	// cache-line-multiple slots.
 	SlotBytes int
-	// PerSlot is the cost of writing or reading one ring slot.
-	PerSlot time.Duration
-	// NotifyByIPI charges an IPI on the sender to notify the receiving
-	// kernel, as Popcorn does when the receiver is not already polling.
-	NotifyByIPI bool
 }
 
+// perSlot is the cost of writing or reading one ring slot. Every send also
+// charges an IPI to notify the receiving kernel, as Popcorn does when the
+// receiver is not already polling.
+const perSlot = 120 * time.Nanosecond
+
 // DefaultConfig returns the transport configuration used by the paper-style
-// experiments: 128-byte slots, ~120 ns per slot, IPI notification.
+// experiments: 128-byte slots.
 func DefaultConfig() Config {
-	return Config{
-		SlotBytes:   128,
-		PerSlot:     120 * time.Nanosecond,
-		NotifyByIPI: true,
-	}
+	return Config{SlotBytes: 128}
 }
 
 func (c Config) validate() error {
 	if c.SlotBytes <= 0 {
 		return fmt.Errorf("msg: SlotBytes must be positive, got %d", c.SlotBytes)
-	}
-	if c.PerSlot < 0 {
-		return fmt.Errorf("msg: PerSlot must be non-negative, got %v", c.PerSlot)
 	}
 	return nil
 }
@@ -676,11 +669,7 @@ func (f *Fabric) Metrics() *stats.Registry { return f.metrics }
 // sendCost is the sender-side cost of pushing m onto the destination ring.
 func (f *Fabric) sendCost(m *Message) time.Duration {
 	slots := f.cfg.slots(m.Size)
-	cost := time.Duration(slots) * f.cfg.PerSlot
-	if f.cfg.NotifyByIPI {
-		cost += f.machine.IPI(f.nodeCore[m.From], f.nodeCore[m.To])
-	}
-	return cost
+	return time.Duration(slots)*perSlot + f.machine.IPI(f.nodeCore[m.From], f.nodeCore[m.To])
 }
 
 // recvCost is the receiver-side cost of draining m from the ring: the
@@ -697,5 +686,5 @@ func (f *Fabric) recvCost(m *Message) time.Duration {
 		perKB = f.machine.Cost.BulkPerKBRemote
 	}
 	bulk := time.Duration(m.Size) * perKB / 1024
-	return time.Duration(slots)*f.cfg.PerSlot + line + bulk
+	return time.Duration(slots)*perSlot + line + bulk
 }

@@ -367,7 +367,7 @@ func TestMetricsRecorded(t *testing.T) {
 }
 
 func TestSlotsFragmentation(t *testing.T) {
-	c := Config{SlotBytes: 128, PerSlot: time.Nanosecond}
+	c := Config{SlotBytes: 128}
 	tests := []struct {
 		size, want int
 	}{

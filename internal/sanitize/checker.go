@@ -71,9 +71,10 @@ type Config struct {
 	// recorded. Race reports are never fail-fast: they are filtered against
 	// inferred synchronisation addresses at the end of the run.
 	FailFast bool
-	// MaxEvents caps the page history attached per violation (default 12).
-	MaxEvents int
 }
+
+// maxEvents caps the page history attached per violation.
+const maxEvents = 12
 
 // Checker is the dynamic protocol checker. Wire one in with
 // Engine.SetProcObserver, Fabric.SetObserver and each service's
@@ -110,9 +111,6 @@ type Checker struct {
 
 // New returns a checker bound to e.
 func New(e sim.Engine, cfg Config) *Checker {
-	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = 12
-	}
 	return &Checker{
 		e:         e,
 		cfg:       cfg,
@@ -236,8 +234,8 @@ func (c *Checker) pageHistory(gid int64, vpn mem.VPN) []trace.Event {
 			out = append(out, ev)
 		}
 	}
-	if len(out) > c.cfg.MaxEvents {
-		out = out[len(out)-c.cfg.MaxEvents:]
+	if len(out) > maxEvents {
+		out = out[len(out)-maxEvents:]
 	}
 	return out
 }

@@ -40,7 +40,7 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	}
 	de, ok := sp.dir[vpn]
 	if !ok {
-		de = &dirEntry{state: pageUnmapped, mu: sim.NewMutex(sp.svc.e).SetLabel("vm.dir-entry")}
+		de = &dirEntry{mu: sim.NewMutex(sp.svc.e).SetLabel("vm.dir-entry")}
 		sp.dir[vpn] = de
 	}
 	de.mu.Lock(p)
@@ -61,26 +61,39 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	// Every locked directory transaction is one protocol-relative commit for
 	// the fault plane's origin-crash triggers (a nil check when no plan).
 	sp.svc.fabric.RecordDirCommit(sp.svc.node)
-	err := sp.dirApply(p, req, vpn, de, vma, ver, write, noCopy, g)
-	if err == nil && g.Err == "" && sp.svc.failover {
+	rec, err := sp.dirApply(p, req, vpn, de, vma, ver, write, noCopy, g)
+	if err != nil {
+		return err
+	}
+	if sp.svc.failover {
 		// Mirror the committed entry to the successor before the grant is
 		// released: still under de.mu, so the per-entry replication stream
 		// is ordered, and the requester can never act on a grant the
 		// successor has not logged.
 		sp.shipDirEntry(p, vpn, de)
 	}
-	return err
+	// The grant exists from here on: the mirror has logged it and the reply
+	// is about to leave. An origin that dies mid-ship never gets here, so the
+	// sanitizer never counts a grant that was never sent.
+	sp.svc.checker.Grant(p, int64(sp.gid), vpn, req, rec.exclusive, rec.fresh, rec.value)
+	return nil
 }
 
-// dirApply performs the MSI state transition for one locked directory entry
-// and produces the grant, into g. Split from dirTransaction so the failover plane
-// can ship the entry's post-transaction snapshot between the transition and
-// the grant's release.
-func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry, vma VMA, ver uint64, write, noCopy bool, g *pageGrant) error {
+// grantRec is the sanitizer's record of the grant one transition decided (see
+// sanitize.Checker.Grant); dirTransaction reports it once the grant is released.
+type grantRec struct {
+	exclusive, fresh bool
+	value            int64
+}
+
+// dirApply performs the MSI state transition for one locked directory entry,
+// produces the grant into g and returns the sanitizer's record of it. Split
+// from dirTransaction so the failover plane can ship the entry's
+// post-transaction snapshot between the transition and the grant's release.
+func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry, vma VMA, ver uint64, write, noCopy bool, g *pageGrant) (grantRec, error) {
 	sharedProt := vma.Prot &^ mem.ProtWrite
 	exclusiveProt := vma.Prot
 
-	ck := sp.svc.checker
 	switch de.state {
 	case pageUnmapped:
 		// A fresh entry zero-fills. A reclaimed entry (its owner's kernel
@@ -93,15 +106,13 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		if write {
 			de.state = pageModified
 			de.owner = req
-			ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
 			*g = pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}
-			return nil
+			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
 		de.state = pageShared
 		de.sharers = map[msg.NodeID]struct{}{req: {}}
-		ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
 		*g = pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}
-		return nil
+		return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 
 	case pageShared:
 		_, isSharer := de.sharers[req]
@@ -111,9 +122,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			if isSharer {
 				src = srcHaveCopy
 			}
-			ck.Grant(p, int64(sp.gid), vpn, req, false, !isSharer, de.value)
 			*g = pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}
-			return nil
+			return grantRec{exclusive: false, fresh: !isSharer, value: de.value}, nil
 		}
 		// Write on a shared page: revoke every other copy, then grant
 		// exclusive.
@@ -126,9 +136,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		if isSharer {
 			src = srcHaveCopy
 		}
-		ck.Grant(p, int64(sp.gid), vpn, req, true, !isSharer, de.value)
 		*g = pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}
-		return nil
+		return grantRec{exclusive: true, fresh: !isSharer, value: de.value}, nil
 
 	case pageModified:
 		if de.owner == req {
@@ -141,22 +150,19 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 				// re-granting data that no longer exists.
 				sp.svc.metrics.Counter("vm.dir.desync_repaired").Inc()
 				if write {
-					ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
 					*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: exclusiveProt, Version: ver}
-					return nil
+					return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 				}
 				de.state = pageShared
 				de.sharers = map[msg.NodeID]struct{}{req: {}}
 				de.owner = 0
-				ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
 				*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: sharedProt, Version: ver}
-				return nil
+				return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 			}
 			// The owner lost PTE bits (mprotect round trip) but still has
 			// the data; re-grant in place.
-			ck.Grant(p, int64(sp.gid), vpn, req, true, false, 0)
 			*g = pageGrant{Src: srcHaveCopy, Prot: exclusiveProt, Version: ver}
-			return nil
+			return grantRec{exclusive: true}, nil
 		}
 		old := de.owner
 		ack := sp.revokeOwner(p, old, vpn, !write, ver)
@@ -165,9 +171,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		}
 		if write {
 			de.owner = req
-			ck.Grant(p, int64(sp.gid), vpn, req, true, true, de.value)
 			*g = pageGrant{Value: de.value, Src: int(old), Prot: exclusiveProt, Version: ver}
-			return nil
+			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
 		de.state = pageShared
 		de.sharers = map[msg.NodeID]struct{}{req: {}}
@@ -176,11 +181,10 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			de.sharers[old] = struct{}{}
 		}
 		de.owner = 0
-		ck.Grant(p, int64(sp.gid), vpn, req, false, true, de.value)
 		*g = pageGrant{Value: de.value, Src: int(old), Prot: sharedProt, Version: ver}
-		return nil
+		return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 	}
-	return fmt.Errorf("vm: directory entry for %#x in impossible state %d", uint64(vpn.Base()), de.state)
+	return grantRec{}, fmt.Errorf("vm: directory entry for %#x in impossible state %d", uint64(vpn.Base()), de.state)
 }
 
 // revokeCopies invalidates read copies at the given kernels (the origin's

@@ -14,7 +14,6 @@ package vm
 // failed-over groups).
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 
@@ -58,36 +57,19 @@ type dirRepl struct {
 	GID    GID
 	Origin msg.NodeID
 
-	// replEntry: the entry's full post-transaction state.
-	VPN       mem.VPN
-	State     int
-	Owner     msg.NodeID
-	Sharers   []msg.NodeID
-	Value     int64
-	Version   uint64
-	Reclaimed bool
+	// replEntry: the page and its entry's full post-transaction state.
+	// replValue: the page, Entry.value and the Entry.version it belongs to.
+	VPN   mem.VPN
+	Entry dirState
 
-	// replLayout: the committed mutation (opMap inserts [Lo,Hi), opUnmap
-	// removes it, opProtect re-protects it) and the allocator cursors.
-	Op            vmaOp
-	Lo, Hi        mem.VPN
-	Prot          mem.Prot
-	LayoutVersion uint64
-	NextMap       mem.Addr
-	Brk           mem.Addr
+	// replLayout: the committed change, stamped with its layout version, and
+	// the allocator cursors needed to continue allocation after promotion.
+	Layout  vmaUpdate
+	NextMap mem.Addr
+	Brk     mem.Addr
 
 	// replReplica: a kernel that attached a replica.
 	Replica msg.NodeID
-}
-
-// mirrorEntry is the successor's passive copy of one directory entry.
-type mirrorEntry struct {
-	state     pageState
-	owner     msg.NodeID
-	sharers   []msg.NodeID
-	value     int64
-	version   uint64
-	reclaimed bool
 }
 
 // dirMirror is the successor's standby copy of one origin's space: enough
@@ -95,7 +77,7 @@ type mirrorEntry struct {
 // if the origin dies.
 type dirMirror struct {
 	origin   msg.NodeID
-	entries  map[mem.VPN]*mirrorEntry
+	entries  map[mem.VPN]dirState
 	vmas     *vmaSet
 	version  uint64
 	nextMap  mem.Addr
@@ -134,25 +116,18 @@ func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
 // records in version order, so a fault-plan duplicate can never roll the
 // mirror backwards.
 func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
-	rep := dirRepl{
-		Kind: replEntry, GID: sp.gid, Origin: sp.svc.node,
-		VPN: vpn, State: int(de.state), Owner: de.owner,
-		Value: de.value, Version: de.version, Reclaimed: de.reclaimed,
-	}
-	if len(de.sharers) > 0 {
-		rep.Sharers = nodeSet(nil, de.sharers, msg.NodeID(-1)) // the mirror keeps it
-	}
+	rep := dirRepl{Kind: replEntry, GID: sp.gid, Origin: sp.svc.node, VPN: vpn, Entry: de.dirState}
+	rep.Entry.sharers = maps.Clone(de.sharers) // the mirror keeps it
 	sp.svc.shipRepl(p, rep)
 }
 
-// shipLayout mirrors one committed layout mutation to the successor. Called
+// shipLayout mirrors one committed layout change to the successor. Called
 // under the asLock exclusive — the same lock that assigned the version — so
 // the layout replication stream arrives in version order.
-func (sp *Space) shipLayout(p *sim.Proc, op vmaOp, lo, hi mem.VPN, prot mem.Prot) {
+func (sp *Space) shipLayout(p *sim.Proc, u vmaUpdate) {
 	sp.svc.shipRepl(p, dirRepl{
 		Kind: replLayout, GID: sp.gid, Origin: sp.svc.node,
-		Op: op, Lo: lo, Hi: hi, Prot: prot,
-		LayoutVersion: sp.version, NextMap: sp.nextMap, Brk: sp.brk,
+		Layout: u, NextMap: sp.nextMap, Brk: sp.brk,
 	})
 }
 
@@ -167,7 +142,7 @@ func (sp *Space) shipLayout(p *sim.Proc, op vmaOp, lo, hi mem.VPN, prot mem.Prot
 func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ver uint64) {
 	holder := s.fabric.OriginHolder(OriginKernelOf(gid))
 	succ := s.fabric.Successor(holder)
-	rep := dirRepl{Kind: replValue, GID: gid, Origin: holder, VPN: vpn, Value: val, Version: ver}
+	rep := dirRepl{Kind: replValue, GID: gid, Origin: holder, VPN: vpn, Entry: dirState{value: val, version: ver}}
 	s.metrics.Counter("dir.failover.preserved").Inc()
 	if succ == s.node {
 		// The revokee is the mirror host itself; patch in place.
@@ -207,7 +182,7 @@ func (s *Service) applyRepl(rep *dirRepl) {
 	if !ok {
 		mir = &dirMirror{
 			origin:   rep.Origin,
-			entries:  make(map[mem.VPN]*mirrorEntry),
+			entries:  make(map[mem.VPN]dirState),
 			vmas:     &vmaSet{},
 			nextMap:  mapBase,
 			brk:      heapBase,
@@ -217,48 +192,38 @@ func (s *Service) applyRepl(rep *dirRepl) {
 	}
 	switch rep.Kind {
 	case replEntry:
-		if old, dup := mir.entries[rep.VPN]; dup && rep.Version <= old.version {
+		if old, dup := mir.entries[rep.VPN]; dup && rep.Entry.version <= old.version {
 			break // fault-plan duplicate of an already-applied record
 		}
-		mir.entries[rep.VPN] = &mirrorEntry{
-			state: pageState(rep.State), owner: rep.Owner, sharers: rep.Sharers,
-			value: rep.Value, version: rep.Version, reclaimed: rep.Reclaimed,
-		}
+		mir.entries[rep.VPN] = rep.Entry
 	case replLayout:
-		if rep.LayoutVersion <= mir.version {
+		u := rep.Layout
+		if u.Version <= mir.version {
 			break // duplicate: the stream is Call-serialised, never reordered
 		}
-		switch rep.Op {
-		case opMap:
-			mir.vmas.remove(rep.Lo, rep.Hi)
-			if err := mir.vmas.insert(VMA{Lo: rep.Lo, Hi: rep.Hi, Prot: rep.Prot}); err != nil {
-				panic(fmt.Sprintf("vm: mirror layout apply: %v", err))
-			}
-		case opUnmap:
-			mir.vmas.remove(rep.Lo, rep.Hi)
-			for v := rep.Lo; v < rep.Hi; v++ {
+		mir.vmas.apply(u)
+		if u.Op == opUnmap {
+			for v := u.Lo; v < u.Hi; v++ {
 				delete(mir.entries, v)
 			}
-		case opProtect:
-			mir.vmas.protect(rep.Lo, rep.Hi, rep.Prot)
 		}
-		mir.version = rep.LayoutVersion
-		mir.nextMap = rep.NextMap
-		mir.brk = rep.Brk
+		mir.version, mir.nextMap, mir.brk = u.Version, rep.NextMap, rep.Brk
 	case replReplica:
 		mir.replicas[rep.Replica] = struct{}{}
 	case replValue:
 		// Patch the value, leaving state/owner/version alone: the origin's
-		// own replEntry for the same transaction (version == rep.Version)
-		// must still apply over this if the origin survives to ship it.
-		me, ok := mir.entries[rep.VPN]
-		if !ok {
+		// own replEntry for the same transaction (same version) must still
+		// apply over this if the origin survives to ship it.
+		st, ok := mir.entries[rep.VPN]
+		switch {
+		case !ok:
 			// No entry was ever shipped (possible only if the grant that made
 			// the revokee owner raced a successor change): keep the value as
 			// a reclaimed-style entry so promotion transfers it.
-			mir.entries[rep.VPN] = &mirrorEntry{state: pageUnmapped, reclaimed: true, value: rep.Value}
-		} else if rep.Version > me.version {
-			me.value = rep.Value
+			mir.entries[rep.VPN] = dirState{state: pageUnmapped, reclaimed: true, value: rep.Entry.value}
+		case rep.Entry.version > st.version:
+			st.value = rep.Entry.value
+			mir.entries[rep.VPN] = st
 		}
 	}
 	s.metrics.Counter("dir.failover.applied").Inc()
@@ -309,21 +274,8 @@ func (s *Service) promoteSpace(gid GID, mir *dirMirror, dead msg.NodeID) {
 	}
 	slices.Sort(vpns)
 	for _, vpn := range vpns {
-		me := mir.entries[vpn]
-		de := &dirEntry{
-			state:     me.state,
-			owner:     me.owner,
-			value:     me.value,
-			reclaimed: me.reclaimed,
-			version:   me.version + 1,
-			mu:        sim.NewMutex(s.e).SetLabel("vm.dir-entry"),
-		}
-		if len(me.sharers) > 0 {
-			de.sharers = make(map[msg.NodeID]struct{}, len(me.sharers))
-			for _, n := range me.sharers {
-				de.sharers[n] = struct{}{}
-			}
-		}
+		de := &dirEntry{dirState: mir.entries[vpn], mu: sim.NewMutex(s.e).SetLabel("vm.dir-entry")}
+		de.version++
 		// Purge the dead kernel from the entry here, keeping the directory's
 		// last written-back value: the promoted grant path re-faults it from
 		// the home node, which is exactly the data loss the replication log

@@ -1,6 +1,10 @@
 package vm
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -72,8 +76,8 @@ func TestPromotedOriginServesMirroredState(t *testing.T) {
 func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	ev := newEnv(t, 2, 64)
 	s := ev.svcs[1]
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, State: int(pageModified), Owner: 2, Value: 16, Version: 5})
-	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Value: 17, Version: 6})
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, Entry: dirState{state: pageModified, owner: 2, value: 16, version: 5}})
+	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Entry: dirState{value: 17, version: 6}})
 	me := s.mirrors[7].entries[100]
 	if me.value != 17 {
 		t.Errorf("patched value = %d, want 17", me.value)
@@ -83,12 +87,12 @@ func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	}
 	// The origin survived to ship the transaction's own entry snapshot: it
 	// must still apply over the patch.
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, State: int(pageModified), Owner: 3, Value: 17, Version: 6})
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, Entry: dirState{state: pageModified, owner: 3, value: 17, version: 6}})
 	if me = s.mirrors[7].entries[100]; me.owner != 3 || me.version != 6 {
 		t.Errorf("same-version replEntry skipped after patch: owner %d version %d", me.owner, me.version)
 	}
 	// A duplicated patch (version no longer newer) is a no-op.
-	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Value: 16, Version: 6})
+	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Entry: dirState{value: 16, version: 6}})
 	if me = s.mirrors[7].entries[100]; me.value != 17 {
 		t.Errorf("stale duplicate patch rolled value back to %d", me.value)
 	}
@@ -139,4 +143,106 @@ func TestSurrenderedValueDurableBeforeAck(t *testing.T) {
 			t.Errorf("third-kernel read = %d, %v; want 17", v, err)
 		}
 	})
+}
+
+// TestMirrorMatchesOrigin runs every layout operation with failover on, once
+// from the origin and once from a replica, and after each one requires the
+// successor's mirror to hold exactly the origin's layout, version, allocator
+// cursors and directory. The space promoted from the mirror must then match
+// the origin too, less the dead origin's copies.
+func TestMirrorMatchesOrigin(t *testing.T) {
+	ev := failoverEnv(t, 4)
+	sps := ev.group(t, 1)
+	origin := sps[0]
+	const rw = mem.ProtRead | mem.ProtWrite
+	page := func(a mem.Addr, i int) mem.Addr { return a + mem.Addr(i*hw.PageSize) }
+	ev.run(t, func(p *sim.Proc) {
+		for _, k := range []int{0, 2} {
+			sp, core := sps[k], 2*k
+			var area, heap mem.Addr
+			steps := []struct {
+				name string
+				op   func() error
+			}{
+				{"map", func() (err error) {
+					area, err = sp.Map(p, 4*hw.PageSize, rw)
+					return err
+				}},
+				{"touch", func() error {
+					for i := 0; i < 4; i++ {
+						if err := sp.Store(p, core, page(area, i), int64(i+1)); err != nil {
+							return err
+						}
+					}
+					_, err := sps[3].Load(p, 6, page(area, 1))
+					return err
+				}},
+				{"unmap a hole", func() error { return sp.Unmap(p, page(area, 64), hw.PageSize) }},
+				{"unmap a range", func() error { return sp.Unmap(p, page(area, 3), hw.PageSize) }},
+				{"protect", func() error { return sp.Protect(p, area, hw.PageSize, mem.ProtRead) }},
+				{"brk grow", func() (err error) {
+					heap, err = sp.Sbrk(p, 2*hw.PageSize)
+					return err
+				}},
+				{"touch heap", func() error { return sp.Store(p, core, page(heap, 1), 9) }},
+				{"brk shrink", func() error { _, err := sp.Sbrk(p, -hw.PageSize); return err }},
+				{"brk 0", func() error { _, err := sp.Sbrk(p, 0); return err }},
+			}
+			for _, st := range steps {
+				if err := st.op(); err != nil {
+					t.Fatalf("k%d %s: %v", k, st.name, err)
+				}
+				mir := ev.svcs[1].mirrors[1]
+				if err := layoutDiff(origin, mir.vmas, mir.version, mir.nextMap, mir.brk); err != nil {
+					t.Fatalf("after k%d %s, mirror: %v", k, st.name, err)
+				}
+				if err := dirDiff(origin, mir.entries, func(de *dirEntry) {}); err != nil {
+					t.Fatalf("after k%d %s, mirror: %v", k, st.name, err)
+				}
+			}
+		}
+		ev.svcs[1].PromoteOrigin(0)
+		promoted := ev.svcs[1].spaces[1]
+		if err := layoutDiff(origin, promoted.vmas, promoted.version, promoted.nextMap, promoted.brk); err != nil {
+			t.Errorf("promoted: %v", err)
+		}
+		promotedDir := make(map[mem.VPN]dirState, len(promoted.dir))
+		for vpn, de := range promoted.dir {
+			promotedDir[vpn] = de.dirState
+		}
+		// Promotion takes a new entry version and purges the dead kernel.
+		if err := dirDiff(origin, promotedDir, func(de *dirEntry) { de.version++; de.loseCopies(0) }); err != nil {
+			t.Errorf("promoted: %v", err)
+		}
+	})
+}
+
+// layoutDiff reports how a copy's layout, version and allocator cursors
+// differ from the origin's.
+func layoutDiff(origin *Space, vmas *vmaSet, version uint64, nextMap, brk mem.Addr) error {
+	if !slices.Equal(vmas.areas, origin.vmas.areas) {
+		return fmt.Errorf("layout %v, origin %v", vmas, origin.vmas)
+	}
+	if version != origin.version || nextMap != origin.nextMap || brk != origin.brk {
+		return fmt.Errorf("version %d nextMap %#x brk %#x, origin %d %#x %#x",
+			version, uint64(nextMap), uint64(brk), origin.version, uint64(origin.nextMap), uint64(origin.brk))
+	}
+	return nil
+}
+
+// dirDiff reports how a copy's directory differs from the origin's, each
+// origin entry first passed through want.
+func dirDiff(origin *Space, entries map[mem.VPN]dirState, want func(de *dirEntry)) error {
+	if len(entries) != len(origin.dir) {
+		return fmt.Errorf("%d directory entries, origin %d", len(entries), len(origin.dir))
+	}
+	for _, vpn := range slices.Sorted(maps.Keys(origin.dir)) {
+		exp := &dirEntry{dirState: origin.dir[vpn].dirState}
+		exp.sharers = maps.Clone(exp.sharers)
+		want(exp)
+		if got, ok := entries[vpn]; !ok || !reflect.DeepEqual(got, exp.dirState) {
+			return fmt.Errorf("page %#x: %+v, want %+v", uint64(vpn.Base()), got, exp.dirState)
+		}
+	}
+	return nil
 }

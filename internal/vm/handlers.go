@@ -17,24 +17,10 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	if !ok || !sp.isOrigin {
 		return msg.Reply(sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
-	var reply vmaOpReply
-	var err error
-	switch req.Op {
-	case opMap:
-		reply.Addr, err = sp.originMap(p, req.Length, req.Prot)
-	case opUnmap:
-		err = sp.originUnmap(p, req.Addr, req.Length)
-	case opProtect:
-		err = sp.originProtect(p, req.Addr, req.Length, req.Prot)
-	case opBrk:
-		reply.Addr, err = sp.originSbrk(p, int64(req.Length))
-	default:
-		err = fmt.Errorf("unknown vma op %d", req.Op)
-	}
+	reply, err := sp.originLayout(p, *req)
 	if err != nil {
 		reply.Err = err.Error()
 	}
-	reply.Version = sp.version
 	return msg.Reply(sizeVMAReply, reply)
 }
 
@@ -46,15 +32,13 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 		// The replica was dropped concurrently (group exit); ack anyway.
 		return msg.Reply(sizeSmallReq, vmaOpReply{})
 	}
+	// A pushed map (the eager-push ablation) only pre-populates the
+	// replica's VMA cache; removals and re-protections also reach its pages.
+	sp.vmas.apply(*u)
 	switch u.Op {
-	case opMap:
-		// Eager-push ablation: pre-populate the replica's VMA cache.
-		sp.cacheVMA(VMA{Lo: u.Lo, Hi: u.Hi, Prot: u.Prot}, u.Version)
 	case opUnmap:
-		sp.vmas.remove(u.Lo, u.Hi)
 		sp.scrubLocal(p, u.Lo, u.Hi)
 	case opProtect:
-		sp.vmas.protect(u.Lo, u.Hi, u.Prot)
 		sp.applyProtectLocal(p, u.Lo, u.Hi, u.Prot)
 	}
 	if u.Version > sp.version {

@@ -23,24 +23,16 @@ func (sp *Space) Map(p *sim.Proc, length uint64, prot mem.Prot) (mem.Addr, error
 	defer func() {
 		sp.svc.metrics.HistogramIn(&sp.svc.hot.latMap, "vm.op.map.latency").Observe(p.Now().Sub(start))
 	}()
-	if sp.isOrigin {
-		return sp.originMap(p, length, prot)
-	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
-		vmaOpReq{GID: sp.gid, Op: opMap, Length: length, Prot: prot},
-	))
+	r, err := sp.layout(p, vmaOpReq{GID: sp.gid, Op: opMap, Length: length, Prot: prot})
 	if err != nil {
 		return 0, err
 	}
-	r := reply.Payload.(*vmaOpReply)
-	if r.Err != "" {
-		return 0, fmt.Errorf("vm: remote map: %s", r.Err)
+	if !sp.isOrigin {
+		// Cache the new area locally so this kernel's first fault skips the
+		// VMA-fetch round trip.
+		lo := mem.PageOf(r.Addr)
+		sp.cacheVMA(VMA{Lo: lo, Hi: lo + mem.VPN(pagesFor(length)), Prot: prot}, r.Version)
 	}
-	// Cache the new area locally so this kernel's first fault skips the
-	// VMA-fetch round trip.
-	lo := mem.PageOf(r.Addr)
-	hi := lo + mem.VPN(pagesFor(length))
-	sp.cacheVMA(VMA{Lo: lo, Hi: hi, Prot: prot}, r.Version)
 	return r.Addr, nil
 }
 
@@ -56,19 +48,8 @@ func (sp *Space) Unmap(p *sim.Proc, addr mem.Addr, length uint64) error {
 	defer func() {
 		sp.svc.metrics.HistogramIn(&sp.svc.hot.latUnmap, "vm.op.unmap.latency").Observe(p.Now().Sub(start))
 	}()
-	if sp.isOrigin {
-		return sp.originUnmap(p, addr, length)
-	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
-		vmaOpReq{GID: sp.gid, Op: opUnmap, Addr: addr, Length: length},
-	))
-	if err != nil {
-		return err
-	}
-	if r := reply.Payload.(*vmaOpReply); r.Err != "" {
-		return fmt.Errorf("vm: remote unmap: %s", r.Err)
-	}
-	return nil
+	_, err := sp.layout(p, vmaOpReq{GID: sp.gid, Op: opUnmap, Addr: addr, Length: length})
+	return err
 }
 
 // Protect changes the protection of [addr, addr+length), which must be
@@ -82,19 +63,40 @@ func (sp *Space) Protect(p *sim.Proc, addr mem.Addr, length uint64, prot mem.Pro
 	defer func() {
 		sp.svc.metrics.HistogramIn(&sp.svc.hot.latProtect, "vm.op.protect.latency").Observe(p.Now().Sub(start))
 	}()
-	if sp.isOrigin {
-		return sp.originProtect(p, addr, length, prot)
-	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
-		vmaOpReq{GID: sp.gid, Op: opProtect, Addr: addr, Length: length, Prot: prot},
-	))
+	_, err := sp.layout(p, vmaOpReq{GID: sp.gid, Op: opProtect, Addr: addr, Length: length, Prot: prot})
+	return err
+}
+
+// heapBase is where each group's brk heap starts (below the mmap area).
+const heapBase mem.Addr = 1 << 28
+
+// Sbrk grows (delta > 0) or shrinks (delta < 0) the process heap by delta
+// bytes, rounded to whole pages, returning the previous program break. It
+// is the classic brk(2) interface over the same origin-coordinated
+// machinery: growth is a map, shrinkage an unmap.
+func (sp *Space) Sbrk(p *sim.Proc, delta int64) (mem.Addr, error) {
+	r, err := sp.layout(p, vmaOpReq{GID: sp.gid, Op: opBrk, Length: uint64(delta)})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if r := reply.Payload.(*vmaOpReply); r.Err != "" {
-		return fmt.Errorf("vm: remote protect: %s", r.Err)
+	return r.Addr, nil
+}
+
+// layout runs one layout operation: committed here on the origin, forwarded
+// to it from a replica.
+func (sp *Space) layout(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
+	if sp.isOrigin {
+		return sp.originLayout(p, req)
 	}
-	return nil
+	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq, req))
+	if err != nil {
+		return vmaOpReply{}, err
+	}
+	r := reply.Payload.(*vmaOpReply)
+	if r.Err != "" {
+		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %s", opNames[req.Op], r.Err)
+	}
+	return *r, nil
 }
 
 func checkRange(addr mem.Addr, length uint64) error {
@@ -111,48 +113,55 @@ func pagesFor(length uint64) int {
 	return int((length + hw.PageSize - 1) / hw.PageSize)
 }
 
-// originMap runs the map at the origin: allocate an address range, insert
-// the VMA, bump the version. No eager propagation.
-func (sp *Space) originMap(p *sim.Proc, length uint64, prot mem.Prot) (mem.Addr, error) {
+// originLayout commits one layout operation at the origin. One switch
+// resolves the request against the authoritative layout, making no sends: into
+// the update that replicas and the mirror replay (brk growth is a map, brk
+// shrinkage an unmap), or into nothing when the layout did not change. A
+// change then takes the next version, applies to this kernel's own pages, and
+// is published, all under the asLock that assigned the version.
+func (sp *Space) originLayout(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 	sp.asLock.Lock(p)
 	defer sp.asLock.Unlock(p)
 	p.Sleep(sp.svc.machine.Cost.VMAOp)
-	addr := sp.nextMap
-	pages := pagesFor(length)
-	sp.nextMap += mem.Addr(pages * hw.PageSize)
-	lo := mem.PageOf(addr)
-	v := VMA{Lo: lo, Hi: lo + mem.VPN(pages), Prot: prot}
-	if err := sp.vmas.insert(v); err != nil {
-		return 0, err
-	}
-	sp.version++
-	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
-	if sp.svc.failover {
-		//popcornvet:allow locksend layout snapshots must reach the mirror in version order, so the ship happens under the asLock that assigned the version; the mirror-side handler only records the snapshot and never calls back into the origin
-		sp.shipLayout(p, opMap, v.Lo, v.Hi, prot)
-	}
-	if sp.svc.eagerMapPush {
-		//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-		if err := sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opMap, Lo: v.Lo, Hi: v.Hi, Prot: prot, Version: sp.version}); err != nil {
-			return 0, err
+	var (
+		reply   vmaOpReply
+		u       vmaUpdate // Op stays 0 when nothing changed
+		removed []VMA     // the mapped pieces an unmap took out
+		err     error
+	)
+	pages := pagesFor(req.Length)
+	lo := mem.PageOf(req.Addr)
+	hi := lo + mem.VPN(pages)
+	switch req.Op {
+	case opMap:
+		reply.Addr = sp.nextMap
+		sp.nextMap += mem.Addr(pages * hw.PageSize)
+		lo = mem.PageOf(reply.Addr)
+		u = vmaUpdate{Op: opMap, Lo: lo, Hi: lo + mem.VPN(pages), Prot: req.Prot}
+		err = sp.vmas.insert(VMA{Lo: u.Lo, Hi: u.Hi, Prot: u.Prot})
+	case opUnmap:
+		// Unmapping a hole is a no-op, as in Linux.
+		if removed = sp.vmas.remove(lo, hi); len(removed) > 0 {
+			u = vmaUpdate{Op: opUnmap, Lo: lo, Hi: hi}
 		}
+	case opProtect:
+		if !sp.vmas.covered(lo, hi) {
+			err = fmt.Errorf("%w: mprotect range [%#x,%#x) not fully mapped", ErrBadRange, uint64(req.Addr), uint64(req.Addr)+req.Length)
+		} else if len(sp.vmas.protect(lo, hi, req.Prot)) > 0 {
+			u = vmaUpdate{Op: opProtect, Lo: lo, Hi: hi, Prot: req.Prot}
+		}
+	case opBrk:
+		reply.Addr = sp.brk
+		u, removed, err = sp.resolveBrk(int64(req.Length))
+	default:
+		err = fmt.Errorf("unknown vma op %d", req.Op)
 	}
-	return addr, nil
-}
-
-// originUnmap removes the range, scrubs local pages and the directory, and
-// pushes the update to every replica.
-func (sp *Space) originUnmap(p *sim.Proc, addr mem.Addr, length uint64) error {
-	sp.asLock.Lock(p)
-	defer sp.asLock.Unlock(p)
-	p.Sleep(sp.svc.machine.Cost.VMAOp)
-	lo := mem.PageOf(addr)
-	hi := lo + mem.VPN(pagesFor(length))
-	removed := sp.vmas.remove(lo, hi)
-	if len(removed) == 0 {
-		return nil // unmapping a hole is a no-op, as in Linux
+	if err != nil || u.Op == 0 {
+		reply.Version = sp.version
+		return reply, err
 	}
 	sp.version++
+	u.GID, u.Version = sp.gid, sp.version
 	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
 	for _, r := range removed {
 		sp.scrubLocal(p, r.Lo, r.Hi)
@@ -161,37 +170,53 @@ func (sp *Space) originUnmap(p *sim.Proc, addr mem.Addr, length uint64) error {
 		}
 		sp.svc.checker.Unmapped(int64(sp.gid), r.Lo, r.Hi)
 	}
-	if sp.svc.failover {
-		//popcornvet:allow locksend layout snapshots must reach the mirror in version order, so the ship happens under the asLock that assigned the version; the mirror-side handler only records the snapshot and never calls back into the origin
-		sp.shipLayout(p, opUnmap, lo, hi, 0)
+	if u.Op == opProtect {
+		sp.applyProtectLocal(p, u.Lo, u.Hi, u.Prot)
 	}
-	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	return sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
+	reply.Version = sp.version
+	//popcornvet:allow locksend layout changes must reach the mirror and every replica in version order, so they are published under the asLock that assigned the version; the mirror and replica handlers apply the change locally and never call back into the origin
+	return reply, sp.publish(p, u)
 }
 
-// originProtect re-protects the range and pushes the update to replicas.
-func (sp *Space) originProtect(p *sim.Proc, addr mem.Addr, length uint64, prot mem.Prot) error {
-	sp.asLock.Lock(p)
-	defer sp.asLock.Unlock(p)
-	p.Sleep(sp.svc.machine.Cost.VMAOp)
-	lo := mem.PageOf(addr)
-	hi := lo + mem.VPN(pagesFor(length))
-	if !sp.vmas.covered(lo, hi) {
-		return fmt.Errorf("%w: mprotect range [%#x,%#x) not fully mapped", ErrBadRange, uint64(addr), uint64(addr)+length)
+// resolveBrk moves the program break by delta bytes, rounded to whole pages,
+// and returns the layout change that moved it.
+func (sp *Space) resolveBrk(delta int64) (vmaUpdate, []VMA, error) {
+	if delta == 0 {
+		return vmaUpdate{}, nil, nil
 	}
-	changed := sp.vmas.protect(lo, hi, prot)
-	if len(changed) == 0 {
+	pages := (delta + hw.PageSize - 1) / hw.PageSize
+	if delta < 0 {
+		pages = -((-delta + hw.PageSize - 1) / hw.PageSize)
+	}
+	old := sp.brk
+	newBrk := old + mem.Addr(pages*hw.PageSize)
+	if newBrk < heapBase {
+		return vmaUpdate{}, nil, fmt.Errorf("%w: brk below heap base", ErrBadRange)
+	}
+	if delta > 0 {
+		u := vmaUpdate{Op: opMap, Lo: mem.PageOf(old), Hi: mem.PageOf(newBrk), Prot: mem.ProtRead | mem.ProtWrite}
+		if err := sp.vmas.insert(VMA{Lo: u.Lo, Hi: u.Hi, Prot: u.Prot}); err != nil {
+			return vmaUpdate{}, nil, err
+		}
+		sp.brk = newBrk
+		return u, nil, nil
+	}
+	u := vmaUpdate{Op: opUnmap, Lo: mem.PageOf(newBrk), Hi: mem.PageOf(old)}
+	sp.brk = newBrk
+	return u, sp.vmas.remove(u.Lo, u.Hi), nil
+}
+
+// publish sends one committed layout change on: to the mirror when failover
+// is on, then to every replica. A new mapping reaches replicas lazily, on
+// their first fault, unless the eager-push ablation is on.
+func (sp *Space) publish(p *sim.Proc, u vmaUpdate) error {
+	if sp.svc.failover {
+		sp.shipLayout(p, u)
+	}
+	if u.Op == opMap && !sp.svc.eagerMapPush {
 		return nil
 	}
-	sp.version++
-	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
-	if sp.svc.failover {
-		//popcornvet:allow locksend layout snapshots must reach the mirror in version order, so the ship happens under the asLock that assigned the version; the mirror-side handler only records the snapshot and never calls back into the origin
-		sp.shipLayout(p, opProtect, lo, hi, prot)
-	}
-	sp.applyProtectLocal(p, lo, hi, prot)
-	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	return sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opProtect, Lo: lo, Hi: hi, Prot: prot, Version: sp.version})
+	return sp.pushUpdate(p, u)
 }
 
 // pushUpdate synchronously delivers a layout change to every replica.
@@ -271,93 +296,9 @@ func (sp *Space) applyProtectLocal(p *sim.Proc, lo, hi mem.VPN, prot mem.Prot) {
 // cacheVMA installs a fetched or just-created VMA into the replica cache,
 // replacing any stale fragments the authoritative area supersedes.
 func (sp *Space) cacheVMA(v VMA, version uint64) {
-	sp.vmas.remove(v.Lo, v.Hi)
-	// insert cannot fail after the remove cleared the range.
-	if err := sp.vmas.insert(v); err != nil {
-		panic(fmt.Sprintf("vm: cacheVMA: %v", err))
-	}
+	sp.vmas.apply(vmaUpdate{Op: opMap, Lo: v.Lo, Hi: v.Hi, Prot: v.Prot})
 	if version > sp.version {
 		sp.version = version
 	}
 	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
-}
-
-// heapBase is where each group's brk heap starts (below the mmap area).
-const heapBase mem.Addr = 1 << 28
-
-// Sbrk grows (delta > 0) or shrinks (delta < 0) the process heap by delta
-// bytes, rounded to whole pages, returning the previous program break. It
-// is the classic brk(2) interface over the same origin-coordinated
-// machinery: growth is lazy like mmap, shrinkage pushes like munmap.
-func (sp *Space) Sbrk(p *sim.Proc, delta int64) (mem.Addr, error) {
-	if sp.isOrigin {
-		return sp.originSbrk(p, delta)
-	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq,
-		vmaOpReq{GID: sp.gid, Op: opBrk, Length: uint64(delta)},
-	))
-	if err != nil {
-		return 0, err
-	}
-	r := reply.Payload.(*vmaOpReply)
-	if r.Err != "" {
-		return 0, fmt.Errorf("vm: remote sbrk: %s", r.Err)
-	}
-	return r.Addr, nil
-}
-
-func (sp *Space) originSbrk(p *sim.Proc, delta int64) (mem.Addr, error) {
-	sp.asLock.Lock(p)
-	p.Sleep(sp.svc.machine.Cost.VMAOp)
-	old := sp.brk
-	if delta == 0 {
-		sp.asLock.Unlock(p)
-		return old, nil
-	}
-	pages := (delta + hw.PageSize - 1) / hw.PageSize
-	if delta < 0 {
-		pages = -((-delta + hw.PageSize - 1) / hw.PageSize)
-	}
-	newBrk := old + mem.Addr(pages*hw.PageSize)
-	if newBrk < heapBase {
-		sp.asLock.Unlock(p)
-		return 0, fmt.Errorf("%w: brk below heap base", ErrBadRange)
-	}
-	if delta > 0 {
-		v := VMA{Lo: mem.PageOf(old), Hi: mem.PageOf(newBrk), Prot: mem.ProtRead | mem.ProtWrite}
-		if err := sp.vmas.insert(v); err != nil {
-			sp.asLock.Unlock(p)
-			return 0, err
-		}
-		sp.brk = newBrk
-		sp.version++
-		sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
-		if sp.svc.failover {
-			//popcornvet:allow locksend layout snapshots must reach the mirror in version order, so the ship happens under the asLock that assigned the version; the mirror-side handler only records the snapshot and never calls back into the origin
-			sp.shipLayout(p, opMap, v.Lo, v.Hi, v.Prot)
-		}
-		sp.asLock.Unlock(p)
-		return old, nil
-	}
-	// Shrink: release [newBrk, old) like an unmap, pushing to replicas.
-	lo, hi := mem.PageOf(newBrk), mem.PageOf(old)
-	removed := sp.vmas.remove(lo, hi)
-	sp.brk = newBrk
-	sp.version++
-	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), sp.version)
-	for _, r := range removed {
-		sp.scrubLocal(p, r.Lo, r.Hi)
-		for v := r.Lo; v < r.Hi; v++ {
-			delete(sp.dir, v)
-		}
-		sp.svc.checker.Unmapped(int64(sp.gid), r.Lo, r.Hi)
-	}
-	if sp.svc.failover {
-		//popcornvet:allow locksend layout snapshots must reach the mirror in version order, so the ship happens under the asLock that assigned the version; the mirror-side handler only records the snapshot and never calls back into the origin
-		sp.shipLayout(p, opUnmap, lo, hi, 0)
-	}
-	//popcornvet:allow locksend VMA updates must reach replicas in version order, so the push happens under the asLock that assigned the version; the replica-side handler applies the layout locally and never calls back into the origin
-	err := sp.pushUpdate(p, vmaUpdate{GID: sp.gid, Op: opUnmap, Lo: lo, Hi: hi, Version: sp.version})
-	sp.asLock.Unlock(p)
-	return old, err
 }

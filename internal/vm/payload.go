@@ -18,6 +18,9 @@ const (
 	opBrk
 )
 
+// opNames names each operation for error messages.
+var opNames = [...]string{opMap: "map", opUnmap: "unmap", opProtect: "protect", opBrk: "sbrk"}
+
 // Wire payload sizes (bytes) for message costing. Headers and small fixed
 // requests fit one or two cache lines; page grants carry the page itself.
 const (

@@ -65,6 +65,18 @@ const (
 
 // dirEntry is the origin's directory record for one page.
 type dirEntry struct {
+	dirState
+	// mu serialises directory transactions for this page.
+	mu *sim.Mutex
+	// nodes is the transaction's scratch for the kernels to revoke: mu is
+	// held from filling it to the last use, across every blocking step.
+	nodes []msg.NodeID
+}
+
+// dirState is a directory entry's protocol state: what a transaction commits,
+// what the failover plane ships to the successor's mirror, and what a
+// promotion rebuilds the directory from.
+type dirState struct {
 	state pageState
 	// owner is the kernel holding the modified copy (pageModified only).
 	owner msg.NodeID
@@ -81,11 +93,6 @@ type dirEntry struct {
 	// revocations carry it so replicas can order a late grant against the
 	// invalidation that overtook it (see pageGrant.Version).
 	version uint64
-	// mu serialises directory transactions for this page.
-	mu *sim.Mutex
-	// nodes is the transaction's scratch for the kernels to revoke: mu is
-	// held from filling it to the last use, across every blocking step.
-	nodes []msg.NodeID
 }
 
 // pendingFault tracks an in-flight fault on a replica so concurrent faults

@@ -87,7 +87,7 @@ func (s *vmaSet) remove(lo, hi mem.VPN) []VMA {
 			out = append(out, a)
 			continue
 		}
-		cutLo, cutHi := maxVPN(a.Lo, lo), minVPN(a.Hi, hi)
+		cutLo, cutHi := max(a.Lo, lo), min(a.Hi, hi)
 		removed = append(removed, VMA{Lo: cutLo, Hi: cutHi, Prot: a.Prot})
 		if a.Lo < cutLo {
 			out = append(out, VMA{Lo: a.Lo, Hi: cutLo, Prot: a.Prot})
@@ -116,7 +116,7 @@ func (s *vmaSet) protect(lo, hi mem.VPN, prot mem.Prot) []VMA {
 			out = append(out, a)
 			continue
 		}
-		cutLo, cutHi := maxVPN(a.Lo, lo), minVPN(a.Hi, hi)
+		cutLo, cutHi := max(a.Lo, lo), min(a.Hi, hi)
 		changed = append(changed, VMA{Lo: cutLo, Hi: cutHi, Prot: a.Prot})
 		if a.Lo < cutLo {
 			out = append(out, VMA{Lo: a.Lo, Hi: cutLo, Prot: a.Prot})
@@ -129,6 +129,25 @@ func (s *vmaSet) protect(lo, hi mem.VPN, prot mem.Prot) []VMA {
 	s.areas = out
 	s.mergeAll()
 	return changed
+}
+
+// apply replays one layout change the origin committed: a map replaces
+// whatever stale fragments its range held, an unmap punches its range out, a
+// protect re-protects it. Replicas and the failover mirror change their
+// layout only through here.
+func (s *vmaSet) apply(u vmaUpdate) {
+	switch u.Op {
+	case opMap:
+		s.remove(u.Lo, u.Hi)
+		// insert cannot fail after the remove cleared the range.
+		if err := s.insert(VMA{Lo: u.Lo, Hi: u.Hi, Prot: u.Prot}); err != nil {
+			panic(fmt.Sprintf("vm: layout apply: %v", err))
+		}
+	case opUnmap:
+		s.remove(u.Lo, u.Hi)
+	case opProtect:
+		s.protect(u.Lo, u.Hi, u.Prot)
+	}
 }
 
 // covered reports whether every page of [lo, hi) is mapped.
@@ -174,45 +193,10 @@ func (s *vmaSet) mergeAll() {
 	s.areas = out
 }
 
-// invariantErr checks ordering, disjointness and maximal coalescing,
-// returning a description of the first violation. Used by tests.
-func (s *vmaSet) invariantErr() error {
-	for i, a := range s.areas {
-		if a.Lo >= a.Hi {
-			return fmt.Errorf("area %d empty: %v", i, a)
-		}
-		if i == 0 {
-			continue
-		}
-		prev := s.areas[i-1]
-		if prev.Hi > a.Lo {
-			return fmt.Errorf("areas %d,%d overlap: %v %v", i-1, i, prev, a)
-		}
-		if prev.Hi == a.Lo && prev.Prot == a.Prot {
-			return fmt.Errorf("areas %d,%d not coalesced: %v %v", i-1, i, prev, a)
-		}
-	}
-	return nil
-}
-
 func (s *vmaSet) String() string {
 	parts := make([]string, len(s.areas))
 	for i, a := range s.areas {
 		parts[i] = a.String()
 	}
 	return strings.Join(parts, " ")
-}
-
-func minVPN(a, b mem.VPN) mem.VPN {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxVPN(a, b mem.VPN) mem.VPN {
-	if a > b {
-		return a
-	}
-	return b
 }

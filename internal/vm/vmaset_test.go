@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -215,4 +216,25 @@ func TestVMASetClone(t *testing.T) {
 	if s.len() != 1 {
 		t.Fatal("clone shares state with original")
 	}
+}
+
+// invariantErr checks ordering, disjointness and maximal coalescing,
+// returning a description of the first violation.
+func (s *vmaSet) invariantErr() error {
+	for i, a := range s.areas {
+		if a.Lo >= a.Hi {
+			return fmt.Errorf("area %d empty: %v", i, a)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := s.areas[i-1]
+		if prev.Hi > a.Lo {
+			return fmt.Errorf("areas %d,%d overlap: %v %v", i-1, i, prev, a)
+		}
+		if prev.Hi == a.Lo && prev.Prot == a.Prot {
+			return fmt.Errorf("areas %d,%d not coalesced: %v %v", i-1, i, prev, a)
+		}
+	}
+	return nil
 }
