@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare profile popcornmc soak test trace-demo size
+.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline bench-compare profile popcornmc soak schedule-oracle test trace-demo size
 
 verify: build vet escapes bench-compare test popcornmc soak trace-demo size
 
@@ -85,6 +85,27 @@ soak:
 	$(GO) run ./cmd/popcornmc -workload overload -seeds 16
 	$(GO) run ./cmd/popcornmc -workload failover -seeds 64
 
+# Schedule oracle for refactors that must not move the schedule (not part of
+# verify): build cmd/popcornmc from commit BASE and from the working tree, and
+# diff their -v per-seed lines (events, violations, message counts) over the
+# three sweep legs and the three soak rows. Any output is a moved schedule.
+# BASE is exported with git archive, so no worktree is left behind.
+BASE ?= HEAD~1
+ORACLE_DIR ?= /tmp/popcorn-schedule-oracle
+schedule-oracle:
+	rm -rf $(ORACLE_DIR) && mkdir -p $(ORACLE_DIR)/base
+	git archive $(BASE) | tar -x -C $(ORACLE_DIR)/base
+	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/popcornmc-base ./cmd/popcornmc
+	$(GO) build -o $(ORACLE_DIR)/popcornmc-head ./cmd/popcornmc
+	@set -e; for args in "-workload all" "-workload all -planes faults" "-workload all -planes faults,flow,failover" \
+		"-workload chaos" "-workload overload" "-workload failover"; do \
+		echo "schedule-oracle: popcornmc -v -seeds 16 $$args"; \
+		$(ORACLE_DIR)/popcornmc-base -v -seeds 16 $$args > $(ORACLE_DIR)/base.out 2>&1 || true; \
+		$(ORACLE_DIR)/popcornmc-head -v -seeds 16 $$args > $(ORACLE_DIR)/head.out 2>&1 || true; \
+		diff $(ORACLE_DIR)/base.out $(ORACLE_DIR)/head.out; \
+	done
+	@echo "schedule-oracle: per-seed lines identical to $(BASE)"
+
 test:
 	$(GO) test -race ./...
 
@@ -99,9 +120,10 @@ trace-demo:
 	@echo "trace-demo: span trees byte-identical across runs"
 
 # The design-quality instrument: non-test Go lines per package (comments and
-# blanks included), the same for the replication core ROADMAP item 4 tracks,
-# the justified //popcornvet:allow waivers as the linter counts them, and the
-# //popcornvet:bounded markers left in the tree. ROADMAP quotes these numbers.
+# blanks included), the same for the replication core (the message layer plus
+# the vm and threadgroup failover files), the justified //popcornvet:allow
+# waivers as the linter counts them, and the //popcornvet:bounded markers left
+# in the tree. ROADMAP quotes these numbers.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | awk '$$2 != "total" { sub("/[^/]*$$", "", $$2); n[$$2] += $$1 } END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
 	@printf '%6d  internal/msg + vm/failover.go + threadgroup/failover.go\n' $$(ls internal/msg/*.go internal/vm/failover.go internal/threadgroup/failover.go | grep -v _test.go | xargs cat | wc -l)

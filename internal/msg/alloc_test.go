@@ -77,13 +77,13 @@ func setNonZero(fv reflect.Value) string {
 
 // allocsPerMessage runs a one-message-per-tick send→deliver→handle loop and
 // returns the average allocations per processed message once the fabric is
-// warm. A pinger daemon fires every tick; each RunFor window covers exactly
+// warm. A pinger process fires every tick; each RunFor window covers exactly
 // n ticks.
 func allocsPerMessage(t *testing.T, f *Fabric, e sim.Engine) float64 {
 	t.Helper()
 	const tick = 10 * time.Microsecond
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message { return nil })
-	e.SpawnDaemon("pinger", func(p *sim.Proc) {
+	e.Spawn("pinger", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
 		m := &Message{}
 		for {
@@ -158,7 +158,7 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 64}
 	})
-	e.SpawnDaemon("caller", func(p *sim.Proc) {
+	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
 		for {
 			if _, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 4096}); err != nil {

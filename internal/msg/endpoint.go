@@ -14,12 +14,6 @@ import (
 type Endpoint struct {
 	f    *Fabric
 	node NodeID
-	// eng is this kernel's lane view of the engine (sim.Engine.Lane keyed by
-	// the node ID): events and processes created through it carry the
-	// kernel-affinity tag. Kernel-local compute schedules through eng; the
-	// receive pump and everything that touches the fabric's shared wire
-	// state stay untagged, on the root engine.
-	eng sim.Engine
 
 	// bulk is the inbound backlog the pump drains. With the flow plane
 	// attached it holds only bulk traffic, whose depth the sender-side credits
@@ -236,7 +230,6 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 	ep := &Endpoint{
 		f:       f,
 		node:    node,
-		eng:     f.e.Lane(int(node)),
 		pending: make(map[uint64]*call),
 		peers:   make([]peer, len(f.endpoints)),
 	}
@@ -249,12 +242,6 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 
 // Node returns the kernel this endpoint belongs to.
 func (ep *Endpoint) Node() NodeID { return ep.node }
-
-// Engine returns this kernel's lane view of the engine. Work scheduled or
-// spawned through it carries the kernel-affinity tag, so it must stay
-// kernel-local; anything that touches the fabric or another kernel belongs
-// on the root engine.
-func (ep *Endpoint) Engine() sim.Engine { return ep.eng }
 
 // Collector returns the span collector attached to the endpoint's fabric
 // (nil when tracing is detached). Protocol services read it here so one

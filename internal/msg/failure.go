@@ -658,9 +658,9 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 }
 
 // startFailureDetection spawns kernel ep's heartbeat sender and failure
-// detector. Both are ordinary (non-daemon) processes that exit once the
-// plan's crashes have all happened and every survivor has declared them,
-// so a fault run still quiesces. It runs once per kernel lifetime (boot and
+// detector. Both are ordinary processes that exit once the plan's crashes
+// have all happened and every survivor has declared them, so a fault run
+// still quiesces. It runs once per kernel lifetime (boot and
 // each reboot), so the spawn-time allocations are off the hot path; the
 // probe loop inside stays clean because the sends go through the pooled
 // allocMsg/reserve/commit hot functions.

@@ -61,13 +61,13 @@ func TestRunUntilZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSleepWakeSteadyStateAllocs pins the process Sleep path: a parked
-// daemon sleeping in a loop reuses its pre-bound dispatch closure and
+// TestSleepWakeSteadyStateAllocs pins the process Sleep path: a process
+// sleeping in a loop reuses its pre-bound dispatch closure and
 // recycled events, so each sleep→dispatch round trip must not allocate.
 func TestSleepWakeSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	e.SpawnDaemon("sleeper", func(p *Proc) {
+	e.Spawn("sleeper", func(p *Proc) {
 		for {
 			p.Sleep(time.Microsecond)
 		}
@@ -177,7 +177,7 @@ func TestContendedLockHandoffZeroAllocs(t *testing.T) {
 	defer e.Close()
 	mu, rw := NewMutex(e), NewRWMutex(e)
 	for i := 0; i < 4; i++ {
-		e.SpawnDaemon("locker", func(p *Proc) {
+		e.Spawn("locker", func(p *Proc) {
 			for {
 				mu.Lock(p)
 				p.Sleep(time.Microsecond)
@@ -211,13 +211,13 @@ func TestCondAndWaitGroupRoundsZeroAllocs(t *testing.T) {
 		cond Cond
 		wg   WaitGroup
 	}
-	e.SpawnDaemon("waiter", func(p *Proc) {
+	e.Spawn("waiter", func(p *Proc) {
 		for {
 			shared.cond.Wait(p)
 			shared.wg.Done()
 		}
 	})
-	e.SpawnDaemon("driver", func(p *Proc) {
+	e.Spawn("driver", func(p *Proc) {
 		for {
 			p.Sleep(time.Microsecond)
 			shared.wg.Add(1)

@@ -25,7 +25,7 @@ func runOne(t *testing.T, e Engine, name string) *carrier {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if idle := e.base().idle; len(idle) == 0 || idle[len(idle)-1] != k {
+	if idle := e.idle; len(idle) == 0 || idle[len(idle)-1] != k {
 		t.Fatalf("carrier of finished %q is not on top of the idle list", name)
 	}
 	return k
@@ -54,7 +54,7 @@ func TestCarriersBoundGoroutinesByPeakLiveProcs(t *testing.T) {
 	if got := runtime.NumGoroutine() - base; got > peak {
 		t.Fatalf("%d goroutines held after %d cycles with %d live at a time", got, ran, peak)
 	}
-	if got := len(e.base().idle); got != peak {
+	if got := len(e.idle); got != peak {
 		t.Fatalf("%d idle carriers, want %d", got, peak)
 	}
 	e.Close()
@@ -110,25 +110,24 @@ func TestCloseFinishesUndispatchedProcOnReusedCarrier(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	c := e.base()
-	reused := c.idle[len(c.idle)-1]
+	reused := e.idle[len(e.idle)-1]
 	ran := false
 	b := e.Spawn("b", func(p *Proc) { ran = true })
-	if b.k != reused || len(c.idle) != 1 {
-		t.Fatalf("Spawn did not take the most recently idled carrier (idle=%d)", len(c.idle))
+	if b.k != reused || len(e.idle) != 1 {
+		t.Fatalf("Spawn did not take the most recently idled carrier (idle=%d)", len(e.idle))
 	}
 	e.Close()
 	if ran {
 		t.Fatal("body ran although the engine closed before its first dispatch")
 	}
-	if !b.Finished() || len(c.procs) != 0 {
-		t.Fatalf("finished=%v, %d procs left in the table", b.Finished(), len(c.procs))
+	if !b.Finished() || len(e.procs) != 0 {
+		t.Fatalf("finished=%v, %d procs left in the table", b.Finished(), len(e.procs))
 	}
 	if got := strings.Join(log.names, ","); got != "a1,a2,b" {
 		t.Fatalf("ProcFinished saw %q, want a1,a2,b", got)
 	}
-	if got := runtime.NumGoroutine() - base; got > 0 || c.idle != nil {
-		t.Fatalf("Close left %d goroutines and %d idle carriers behind", got, len(c.idle))
+	if got := runtime.NumGoroutine() - base; got > 0 || e.idle != nil {
+		t.Fatalf("Close left %d goroutines and %d idle carriers behind", got, len(e.idle))
 	}
 }
 
@@ -158,7 +157,7 @@ func TestKillUnwindsParkedProcOnReusedCarrier(t *testing.T) {
 	if !unwound || returned || !p.Finished() {
 		t.Fatalf("unwound=%v returned=%v finished=%v", unwound, returned, p.Finished())
 	}
-	if idle := e.base().idle; len(idle) != 1 || idle[0] != k {
+	if idle := e.idle; len(idle) != 1 || idle[0] != k {
 		t.Fatalf("carrier did not return to the idle list (idle=%d)", len(idle))
 	}
 }
@@ -178,7 +177,7 @@ func TestPanicNamesCurrentTenantAndCarrierSurvives(t *testing.T) {
 		t.Fatalf("Run = %v, want a panic report naming \"second\"", err)
 	}
 	// The engine keeps its first failure; clear it to drive the carrier on.
-	e.base().failure = nil
+	e.failure = nil
 	ran := false
 	if p := e.Spawn("third", func(p *Proc) { p.Sleep(time.Microsecond); ran = true }); p.k != k {
 		t.Fatal("third did not reuse the carrier that hosted the panic")

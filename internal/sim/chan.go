@@ -5,7 +5,7 @@ package sim
 // capacity, and receives on a closed channel drain the buffer and then
 // report !ok. All operations take effect in deterministic engine order.
 type Chan[T any] struct {
-	e      *core
+	e      *engine
 	label  string
 	cap    int
 	buf    []T
@@ -33,7 +33,7 @@ func NewChan[T any](e Engine, capacity int) *Chan[T] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Chan[T]{e: e.base(), cap: capacity}
+	return &Chan[T]{e: e, cap: capacity}
 }
 
 // Len returns the number of buffered elements.

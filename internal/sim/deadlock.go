@@ -11,7 +11,7 @@ import (
 // deadlocks, the engine can dump a wait-for graph instead of a bare count.
 type WaitInfo struct {
 	// Kind names the primitive: "mutex", "rwmutex", "chan-send",
-	// "chan-recv", "cond", "waitgroup", "timer", "rpc-reply", "futex",
+	// "chan-recv", "cond", "waitgroup", "rpc-reply", "futex",
 	// "suspend".
 	Kind string
 	// Resource is a human-readable label for the contended object.
@@ -76,7 +76,6 @@ type ProcWait struct {
 	// resource, when known (0/"" otherwise).
 	HolderPID  int64
 	HolderName string // see HolderPID
-	Daemon     bool   // whether the blocked process was spawned with SpawnDaemon
 }
 
 // DeadlockError is returned by Run when blocked processes remain but the
@@ -85,7 +84,7 @@ type ProcWait struct {
 // through resource holders.
 type DeadlockError struct {
 	At    Time       // simulated time at which the engine stalled
-	Waits []ProcWait // one entry per blocked non-daemon process
+	Waits []ProcWait // one entry per blocked process
 	// Cycle lists process names forming a wait cycle through resource
 	// holders (first == last), when one exists.
 	Cycle []string
@@ -119,23 +118,16 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// buildDeadlockError assembles the wait-for graph at quiescence. Non-daemon
-// processes always appear; daemons appear only when they block on a lock
-// (a daemon parked on its service condition variable is idle, not stuck).
+// buildDeadlockError assembles the wait-for graph at quiescence: every live
+// process appears.
 //
 //popcornvet:coldpath
-func (e *core) buildDeadlockError() *DeadlockError {
+func (e *engine) buildDeadlockError() *DeadlockError {
 	de := &DeadlockError{At: e.now}
 	// procsByID already yields ascending PIDs, so Waits needs no re-sort.
 	for _, p := range e.procsByID() {
-		if p.finished {
-			continue
-		}
-		if p.daemon && p.waitKind != "mutex" && p.waitKind != "rwmutex" {
-			continue
-		}
 		wi, _ := p.WaitingOn()
-		w := ProcWait{PID: p.id, Name: p.name, Kind: wi.Kind, Resource: wi.Resource, Daemon: p.daemon}
+		w := ProcWait{PID: p.id, Name: p.name, Kind: wi.Kind, Resource: wi.Resource}
 		if h := wi.Holder; h != nil {
 			w.HolderPID = h.id
 			w.HolderName = h.name
@@ -202,8 +194,7 @@ type invariant struct {
 // drains (simulation quiescence) and, if WithInvariantInterval enabled
 // periodic checking, every interval of virtual time. A non-nil return fails
 // the run, pinpointing the first virtual instant the model went wrong.
-func (v *view) Invariant(name string, fn func() error) {
-	e := v.c
+func (e *engine) Invariant(name string, fn func() error) {
 	e.invariants = append(e.invariants, invariant{name: name, fn: fn})
 }
 
@@ -212,17 +203,17 @@ func (v *view) Invariant(name string, fn func() error) {
 // (in addition to the always-on check at quiescence). d <= 0 disables the
 // periodic checks.
 func WithInvariantInterval(d time.Duration) Option {
-	return func(e *core) { e.invInterval = d }
+	return func(e *engine) { e.invInterval = d }
 }
 
 // checkInvariants runs every registered invariant, recording the first
 // failure into the engine. It sits on the dispatch loop's periodic sweep,
 // but only the (terminal) failure path allocates.
-func (e *core) checkInvariants() {
+func (e *engine) checkInvariants() {
 	for _, inv := range e.invariants {
 		if err := inv.fn(); err != nil {
 			//popcornvet:allow hotalloc invariant-failure path ends the run
-			e.fail(fmt.Errorf("sim: invariant %q violated at %v: %w", inv.name, e.now, err))
+			e.Fail(fmt.Errorf("sim: invariant %q violated at %v: %w", inv.name, e.now, err))
 			return
 		}
 	}

@@ -62,17 +62,18 @@ func TestDeadlockReportABBA(t *testing.T) {
 	}
 }
 
-// TestDeadlockReportIdleDaemonExcluded checks that a daemon parked on its
-// service loop does not pollute the report, while a daemon stuck on a lock
-// does appear.
-func TestDeadlockReportIdleDaemonExcluded(t *testing.T) {
+// TestDeadlockReportListsEveryLiveProc checks that every live process at
+// quiescence appears in the report with what it waits for: a process parked
+// in Suspend as a bare "suspend", a process stuck on a lock with the lock's
+// holder named.
+func TestDeadlockReportListsEveryLiveProc(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	mu := NewMutex(e).SetLabel("held-forever")
-	e.SpawnDaemon("idle-daemon", func(p *Proc) {
+	e.Spawn("idle", func(p *Proc) {
 		p.Suspend() // waiting for work that never comes
 	})
-	e.SpawnDaemon("stuck-daemon", func(p *Proc) {
+	e.Spawn("stuck", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		mu.Lock(p)
 		mu.Unlock(p)
@@ -87,15 +88,21 @@ func TestDeadlockReportIdleDaemonExcluded(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("Run = %v, want *DeadlockError", err)
 	}
-	names := make(map[string]bool)
+	byName := make(map[string]ProcWait)
 	for _, w := range de.Waits {
-		names[w.Name] = true
+		byName[w.Name] = w
 	}
-	if names["idle-daemon"] {
-		t.Errorf("idle daemon appears in report: %+v", de.Waits)
+	if len(de.Waits) != 3 {
+		t.Fatalf("Waits = %+v, want idle, stuck and holder", de.Waits)
 	}
-	if !names["stuck-daemon"] || !names["holder"] {
-		t.Errorf("report = %+v, want stuck-daemon and holder", de.Waits)
+	if w := byName["idle"]; w.Kind != "suspend" || w.HolderName != "" {
+		t.Errorf("idle wait = %+v, want a bare suspend", w)
+	}
+	if w := byName["stuck"]; w.Kind != "mutex" || w.Resource != "held-forever" || w.HolderName != "holder" {
+		t.Errorf("stuck wait = %+v, want mutex held-forever held by holder", w)
+	}
+	if de.Cycle != nil {
+		t.Errorf("Cycle = %v, want none", de.Cycle)
 	}
 }
 

@@ -340,27 +340,3 @@ func TestEventsProcessedCounts(t *testing.T) {
 		t.Fatalf("EventsProcessed = %d, want >= 3", got)
 	}
 }
-
-// TestLaneViewsCachedAndTagged pins the Lane contract: views are cached,
-// carry their lane ID, and share the engine's clock, seed and random stream.
-func TestLaneViewsCachedAndTagged(t *testing.T) {
-	e := NewEngine(WithSeed(9))
-	defer e.Close()
-	l3 := e.Lane(3)
-	if e.Lane(3) != l3 {
-		t.Fatal("Lane(3) not cached")
-	}
-	if l3.LaneID() != 3 || e.LaneID() != GlobalLane {
-		t.Fatalf("lane IDs wrong: %d, %d", l3.LaneID(), e.LaneID())
-	}
-	if l3.Seed() != e.Seed() || l3.Now() != e.Now() || l3.Rand() != e.Rand() {
-		t.Fatal("lane view does not share engine seed/clock/random stream")
-	}
-	p := l3.Spawn("w", func(p *Proc) {})
-	if p.Lane() != 3 {
-		t.Fatalf("proc lane = %d, want 3", p.Lane())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -81,7 +81,7 @@ type holder interface{ holder() *Proc }
 
 // wait queues p on q for lock l. The caller parks it next, in its own frame: a
 // blocked process's stack is as deep as its deepest wait.
-func (e *core) wait(q *waitq, p *Proc, kind, label string, l holder) {
+func (e *engine) wait(q *waitq, p *Proc, kind, label string, l holder) {
 	p.since, p.granted = e.now, false
 	q.push(p)
 	p.SetWaitInfo(kind, label)
@@ -89,7 +89,7 @@ func (e *core) wait(q *waitq, p *Proc, kind, label string, l holder) {
 }
 
 // granted books the contended acquisition of l by p, just resumed.
-func (e *core) granted(p *Proc, l holder, stats *LockStats) {
+func (e *engine) granted(p *Proc, l holder, stats *LockStats) {
 	if !p.granted {
 		panic("sim: lock waiter woken without grant")
 	}
@@ -109,7 +109,7 @@ func (q *waitq) grant() *Proc {
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff and
 // contention accounting. Waiting for it allocates nothing (see waitq).
 type Mutex struct {
-	e          *core
+	e          *engine
 	label      string
 	owner      *Proc
 	q          waitq
@@ -118,7 +118,7 @@ type Mutex struct {
 }
 
 // NewMutex returns an unlocked mutex on e.
-func NewMutex(e Engine) *Mutex { return &Mutex{e: e.base()} }
+func NewMutex(e Engine) *Mutex { return &Mutex{e: e} }
 
 // SetLabel names the mutex for deadlock reports and returns it (chainable).
 func (m *Mutex) SetLabel(s string) *Mutex {
@@ -185,7 +185,7 @@ func (m *Mutex) Stats() LockStats { return m.stats }
 // writer queues, new readers wait behind it. This mirrors the Linux
 // rw_semaphore behaviour that makes mmap_sem a scalability bottleneck.
 type RWMutex struct {
-	e             *core
+	e             *engine
 	label         string
 	readers       int
 	writer        *Proc
@@ -195,7 +195,7 @@ type RWMutex struct {
 }
 
 // NewRWMutex returns an unlocked reader-writer lock on e.
-func NewRWMutex(e Engine) *RWMutex { return &RWMutex{e: e.base()} }
+func NewRWMutex(e Engine) *RWMutex { return &RWMutex{e: e} }
 
 // SetLabel names the lock for deadlock reports and returns it (chainable).
 func (l *RWMutex) SetLabel(s string) *RWMutex {

@@ -9,23 +9,19 @@ import (
 // Proc is a simulated process: a sequential body that runs cooperatively
 // under the engine on a carrier, a pooled host coroutine. A Proc may only
 // call blocking primitives (Sleep, Suspend, channel and mutex operations)
-// from its own body while it is the running process. A Proc spawned through
-// a lane view is lane-affine: its dispatch events carry the lane tag.
+// from its own body while it is the running process.
 // It is also the storage of what its own blocking needs (table slot, wait-queue
 // link, wait label), so parking allocates nothing and Start can reuse it.
 type Proc struct {
-	v    *view
+	e    *engine
 	id   int64
 	name string
 	// k is the carrier this process runs on, from Start until it finishes.
 	k *carrier
-	// idx is the process's slot in core.procs while it is live.
+	// idx is the process's slot in engine.procs while it is live.
 	idx      int
 	finished bool
 	killed   bool
-	// daemon processes (service loops) are expected to
-	// block forever and do not count toward deadlock detection.
-	daemon bool
 	// waking guards against double-wakeups: a proc that is already
 	// scheduled to resume must not be woken again.
 	waking bool
@@ -70,8 +66,10 @@ type carrier struct {
 // the current virtual time (as a scheduled event, so the caller continues
 // first). The name is used in diagnostics. The returned handle is storage
 // nothing reuses: it stays valid, and Finished stays true, for ever.
-func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
-	return v.start(&Proc{}, name, false, fn)
+func (e *engine) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := &Proc{}
+	e.Start(p, name, fn)
+	return p
 }
 
 // Start is Spawn on caller-owned storage — a Proc embedded in a record the
@@ -83,34 +81,20 @@ func (v *view) Spawn(name string, fn func(p *Proc)) *Proc {
 // a dispatch event carries the pid it was scheduled for.
 //
 //popcornvet:hotpath
-func (v *view) Start(p *Proc, name string, fn func(p *Proc)) { v.start(p, name, false, fn) }
-
-// SpawnDaemon starts fn as a daemon process: a service loop that is expected
-// to remain blocked when the simulation quiesces, and therefore does not
-// trigger deadlock detection in Run. A component that only ever waits for
-// its next request is cheaper as a chain of Schedule callbacks, which is how
-// the fabric's receive pump runs; no production code spawns a daemon today,
-// but the engine tests and the allocation guards drive them.
-func (v *view) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return v.start(&Proc{}, name, true, fn)
-}
-
-func (v *view) start(p *Proc, name string, daemon bool, fn func(p *Proc)) *Proc {
+func (e *engine) Start(p *Proc, name string, fn func(p *Proc)) {
 	if p.id != 0 && (!p.finished || p.killed || p.queued) {
 		panic("sim: Start on the storage of a process that is live, was killed or is still queued")
 	}
-	c := v.c
-	c.nextPID++
-	*p = Proc{v: v, id: c.nextPID, name: name, daemon: daemon, idx: len(c.procs)}
-	if p.k = Take(&c.idle); p.k == nil {
+	e.nextPID++
+	*p = Proc{e: e, id: e.nextPID, name: name, idx: len(e.procs)}
+	if p.k = Take(&e.idle); p.k == nil {
 		p.k = newCarrier()
 	}
 	p.k.p, p.k.fn = p, fn
 	//popcornvet:allow hotalloc table growth is amortized; capacity is retained
-	c.procs = append(c.procs, p)
-	c.observeStarted(p)
+	e.procs = append(e.procs, p)
+	e.observeStarted(p)
 	p.dispatchIn(0)
-	return p
 }
 
 // newCarrier is the idle list's cold miss: once per peak live process.
@@ -135,24 +119,24 @@ func (k *carrier) loop(yield func(struct{}) bool) {
 // carrier ready for the next tenant.
 func (k *carrier) run() {
 	p, fn := k.p, k.fn
-	c := p.v.c
+	e := p.e
 	defer func() {
 		p.finished = true
 		k.p, k.fn = nil, nil
 		// The process leaves the proc table (the last entry takes its slot),
 		// the observer hears of it, and the carrier goes idle.
-		last := len(c.procs) - 1
-		c.procs[p.idx], c.procs[last].idx = c.procs[last], p.idx
-		c.procs[last] = nil
-		c.procs = c.procs[:last]
-		c.observeFinished(p)
-		Give(&c.idle, k)
+		last := len(e.procs) - 1
+		e.procs[p.idx], e.procs[last].idx = e.procs[last], p.idx
+		e.procs[last] = nil
+		e.procs = e.procs[:last]
+		e.observeFinished(p)
+		Give(&e.idle, k)
 		p.k = nil
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && err == ErrKilled {
 				// Engine shutdown: exit quietly.
 			} else {
-				c.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+				e.Fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
 	}()
@@ -167,7 +151,7 @@ func (k *carrier) run() {
 // process itself, so spawn, wake and Sleep need no per-process closure, and
 // its pid, so the event cannot reach the storage's next process.
 func (p *Proc) dispatchIn(d time.Duration) {
-	ev := p.v.Schedule(d, nil).ev
+	ev := p.e.Schedule(d, nil).ev
 	ev.p, ev.pid = p, p.id
 }
 
@@ -175,16 +159,16 @@ func (p *Proc) dispatchIn(d time.Duration) {
 // finishes; an event a finished process left behind does nothing.
 //
 //popcornvet:hotpath
-func (c *core) dispatch(p *Proc, pid int64) {
+func (e *engine) dispatch(p *Proc, pid int64) {
 	if p.finished || p.id != pid {
 		return
 	}
-	c.handoffs++
-	prev := c.current
-	c.current = p
+	e.handoffs++
+	prev := e.current
+	e.current = p
 	p.waking = false
 	p.k.next()
-	c.current = prev
+	e.current = prev
 }
 
 // park returns control from the running process to the engine and blocks
@@ -206,13 +190,12 @@ func (p *Proc) wake() {
 		return
 	}
 	p.waking = true
-	p.v.c.observeWoken(p)
+	p.e.observeWoken(p)
 	p.dispatchIn(0)
 }
 
-// Engine returns the engine view this process was spawned through: the
-// root engine for untagged processes, the lane view for lane-affine ones.
-func (p *Proc) Engine() Engine { return p.v }
+// Engine returns the engine this process runs on.
+func (p *Proc) Engine() Engine { return p.e }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -221,10 +204,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) ID() int64 { return p.id }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.v.c.now }
-
-// Lane returns the lane this process is affine to, or GlobalLane.
-func (p *Proc) Lane() int { return p.v.lane }
+func (p *Proc) Now() Time { return p.e.now }
 
 // Span returns the causal-tracing span ID this process currently runs
 // under (zero when none). The engine itself never consults it.
@@ -248,14 +228,14 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	c := p.v.c
-	if at := c.now.Add(d); !p.killed && c.nextInLine(at) {
-		c.nextSeq()
-		if c.shuffle {
-			c.rng.Uint64()
+	e := p.e
+	if at := e.now.Add(d); !p.killed && e.nextInLine(at) {
+		e.nextSeq()
+		if e.shuffle {
+			e.rng.Uint64()
 		}
-		c.now = at
-		c.processed++
+		e.now = at
+		e.processed++
 		p.clearWaitInfo()
 		return
 	}
@@ -304,7 +284,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.killed = true
-	if p == p.v.c.current {
+	if p == p.e.current {
 		panic(error(ErrKilled))
 	}
 	p.wake()

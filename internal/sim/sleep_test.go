@@ -83,7 +83,7 @@ func runSleepScript(t *testing.T, seed int64, shuffle, shadow bool) sleepScriptR
 		t.Fatalf("Run: %v", err)
 	}
 	res.finalRand = e.Rand().Uint64()
-	res.events, res.seq, res.handoffs = e.EventsProcessed(), e.base().seq, e.Handoffs()
+	res.events, res.seq, res.handoffs = e.EventsProcessed(), e.seq, e.Handoffs()
 	return res
 }
 

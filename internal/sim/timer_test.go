@@ -34,79 +34,3 @@ func TestAfterFuncStop(t *testing.T) {
 		t.Fatal("stopped timer fired")
 	}
 }
-
-func TestTimerWaitBlocks(t *testing.T) {
-	e := NewEngine()
-	var wokeAt Time
-	tm := e.NewTimer(3 * time.Millisecond)
-	e.Spawn("waiter", func(p *Proc) {
-		if !tm.Wait(p) {
-			t.Error("Wait returned false for a firing timer")
-		}
-		wokeAt = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if wokeAt != Time(3*time.Millisecond) {
-		t.Fatalf("woke at %v", wokeAt)
-	}
-	if !tm.Fired() {
-		t.Fatal("Fired() false after firing")
-	}
-}
-
-func TestTimerWaitAfterFire(t *testing.T) {
-	e := NewEngine()
-	tm := e.NewTimer(time.Microsecond)
-	ran := false
-	e.Spawn("late", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		if !tm.Wait(p) {
-			t.Error("Wait on already-fired timer returned false")
-		}
-		ran = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !ran {
-		t.Fatal("late waiter never completed")
-	}
-}
-
-func TestTimerStopReleasesWaiter(t *testing.T) {
-	e := NewEngine()
-	tm := e.NewTimer(time.Hour)
-	released := false
-	e.Spawn("waiter", func(p *Proc) {
-		if tm.Wait(p) {
-			t.Error("Wait returned true for a stopped timer")
-		}
-		released = true
-	})
-	e.Spawn("stopper", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		tm.Stop()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !released {
-		t.Fatal("waiter never released by Stop")
-	}
-}
-
-func TestTimerDoubleWaitPanics(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	tm := e.NewTimer(time.Hour)
-	e.Spawn("a", func(p *Proc) { tm.Wait(p) })
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		tm.Wait(p)
-	})
-	if err := e.Run(); err == nil {
-		t.Fatal("double Wait did not fail")
-	}
-}

@@ -417,7 +417,7 @@ func TestSpawnHandleStaysFinishedForEver(t *testing.T) {
 	if !first.Finished() || first.ID() != pid || first.Name() != "first" {
 		t.Fatalf("handle now reads finished=%v pid=%d name=%q", first.Finished(), first.ID(), first.Name())
 	}
-	if n := len(e.base().procs); n != 0 {
+	if n := len(e.procs); n != 0 {
 		t.Fatalf("%d processes left in the table", n)
 	}
 }

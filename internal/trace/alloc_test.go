@@ -29,7 +29,7 @@ func TestScopeBeginEndZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	e := sim.NewEngine()
 	defer e.Close()
-	e.SpawnDaemon("spanner", func(p *sim.Proc) {
+	e.Spawn("spanner", func(p *sim.Proc) {
 		for {
 			s := c.Begin(p, "op.tick", 0)
 			s.End()

@@ -23,8 +23,9 @@ import (
 //
 // Either shape would run correctly on the simulator — one engine runs every
 // event — but it would model a shared-memory shortcut the paper's kernels do
-// not have, and it would make the lane tag on the event a lie. Every such
-// site is either removed or carries a written justification.
+// not have: they share nothing and talk only by messages, so state one kernel
+// owns is reached from another only through its endpoint. Every such site is
+// either removed or carries a written justification.
 type KernLocal struct{}
 
 // Name implements Analyzer.
