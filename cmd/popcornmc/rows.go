@@ -63,7 +63,6 @@ var rows = []row{
 			// this machine are tens of microseconds.
 			SlowAfter:    100 * time.Microsecond,
 			HealthyBelow: 50 * time.Microsecond,
-			ShedSlowBulk: true,
 			// Short enough that the half-open probe lands after the heal but
 			// well before the run's end.
 			BreakerCooldown: time.Millisecond,

@@ -223,13 +223,7 @@ func (o *OS) EnableFlow(cfg msg.FlowConfig) {
 // failure detector declares an origin dead. Call after boot, before the
 // workload runs; pair with EnableFaults for the detector that triggers
 // promotions. A detached OS behaves exactly as before.
-func (o *OS) EnableFailover() {
-	o.cluster.Fabric.EnableFailover()
-	for _, kn := range o.cluster.Kernels {
-		kn.VM.EnableFailover()
-		kn.TG.EnableFailover()
-	}
-}
+func (o *OS) EnableFailover() { o.cluster.Fabric.EnableFailover() }
 
 // EnableFaults attaches a fault plan to the inter-kernel fabric and wires
 // the OS-level degradation and recovery hooks: a crashing kernel halts every

@@ -13,19 +13,50 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRemotePairEventAndHandoffCounts records what one remote FutexWait and
-// the FutexWake that releases it cost the engine, on the two-kernel machine
-// popbench's futex.remote_pair rig boots: 38 events — unchanged since the
-// pump went in — of which 12 switch into a process (33 before a send in
-// flight became an event and a next-in-line Sleep stopped parking). A PR that
-// changes the schedule on purpose moves these numbers and says so. Beside
-// them, what the pair costs the allocator: its messages, each one object with
-// its payload, and nothing for blocking, handling or bookkeeping — the next
-// per-message allocation fails here, not in popbench.
+// TestRemotePairEventAndHandoffCounts records what one FutexWait and the
+// FutexWake that releases it cost the engine, on the two-kernel machine
+// popbench's futex.remote_pair rig boots. Remote (waiter on kernel 1, home and
+// waker on kernel 0): 38 events — unchanged since the pump went in — of which
+// 12 switch into a process (33 before a send in flight became an event and a
+// next-in-line Sleep stopped parking). Home (waiter and waker both on the home
+// kernel 0): 6 events and 4 hand-offs, the in-place path that sends nothing. A
+// PR that changes the schedule on purpose moves these numbers and says so.
+// Beside them, what the pair costs the allocator: its messages, each one
+// object with its payload, and nothing for blocking, handling or bookkeeping —
+// the next per-message allocation fails here, not in popbench.
 func TestRemotePairEventAndHandoffCounts(t *testing.T) {
-	const warm, pairs = 50, 200
-	const wantEvents, wantHandoffs = 38, 12
-	const maxMallocs = 3 + 0.5 // measured 3.00: request, reply, wake-up (27 before this budget existed)
+	cases := []struct {
+		name                     string
+		waiter                   int
+		wantEvents, wantHandoffs uint64
+		maxMallocs               float64
+	}{
+		// measured 3.00: request, reply, wake-up (27 before this budget existed)
+		{"remote", 1, 38, 12, 3 + 0.5},
+		// measured 0.00: the home call runs in place
+		{"home", 0, 6, 4, 0 + 0.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			events, handoffs, mallocs := futexPairCosts(t, c.waiter)
+			if events != c.wantEvents*pairs || handoffs != c.wantHandoffs*pairs {
+				t.Fatalf("%d pairs: %d events, %d hand-offs; want %d and %d (%d and %d per pair)",
+					pairs, events, handoffs, c.wantEvents*pairs, c.wantHandoffs*pairs, c.wantEvents, c.wantHandoffs)
+			}
+			if mallocs > c.maxMallocs {
+				t.Fatalf("%.2f mallocs per pair, want <= %.1f", mallocs, c.maxMallocs)
+			}
+		})
+	}
+}
+
+const pairs = 200
+
+// futexPairCosts runs a waiter on kernel waiterKernel against a waker on the
+// home kernel 0 and returns the engine events and hand-offs of the measured
+// pairs after a warm-up, and their mallocs per pair.
+func futexPairCosts(t *testing.T, waiterKernel int) (events, handoffs uint64, mallocs float64) {
+	const warm = 50
 	topo := hw.Topology{Cores: 16, NUMANodes: 2}
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
@@ -44,7 +75,6 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 		}
 	}
 	e := o.Engine()
-	var events, handoffs uint64
 	var before, after runtime.MemStats
 	e.Spawn("driver", func(p *sim.Proc) {
 		pr, err := o.StartProcessOn(p, 0)
@@ -59,7 +89,7 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 			must(th.Store(word, 0))
 		}))
 		ready.Wait(p)
-		must(pr.Spawn(p, 1, func(th osi.Thread) {
+		must(pr.Spawn(p, waiterKernel, func(th osi.Thread) {
 			for i := 0; i < warm+pairs; i++ {
 				must(th.FutexWait(word, 0))
 			}
@@ -92,11 +122,5 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if events != wantEvents*pairs || handoffs != wantHandoffs*pairs {
-		t.Fatalf("%d remote pairs: %d events, %d hand-offs; want %d and %d (%d and %d per pair)",
-			pairs, events, handoffs, wantEvents*pairs, wantHandoffs*pairs, wantEvents, wantHandoffs)
-	}
-	if got := float64(after.Mallocs-before.Mallocs) / pairs; got > maxMallocs {
-		t.Fatalf("%.2f mallocs per remote pair, want <= %.1f", got, maxMallocs)
-	}
+	return events, handoffs, float64(after.Mallocs-before.Mallocs) / pairs
 }

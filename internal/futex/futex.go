@@ -176,32 +176,12 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 	// round at the home kernel. The block itself (Suspend until a Wake) is
 	// application time, not protocol cost, so it stays outside the span.
 	waitScope := s.ep.Collector().Begin(p, "futex.wait", int(s.node))
-	var queued bool
-	if home == s.node {
-		reply := s.doWait(p, gid, addr, expect, s.node, token)
-		if reply.Err != "" {
-			waitScope.End()
-			return fmt.Errorf("futex: %s", reply.Err)
-		}
-		queued = reply.Queued
-	} else {
-		s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
-			futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token},
-		))
-		if err != nil {
-			waitScope.End()
-			return err
-		}
-		r := reply.Payload.(*futexOpReply)
-		if r.Err != "" {
-			waitScope.End()
-			return fmt.Errorf("futex: %s", r.Err)
-		}
-		queued = r.Queued
-	}
+	r, err := s.atHome(p, home, futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token})
 	waitScope.End()
-	if !queued {
+	if err != nil {
+		return err
+	}
+	if !r.Queued {
 		return ErrWouldBlock
 	}
 	if !lw.woken {
@@ -303,22 +283,33 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 	// for remote waiters, the FutexWakeup fan-out the home performs.
 	wakeScope := s.ep.Collector().Begin(p, "futex.wake", int(s.node))
 	defer wakeScope.End()
+	r, err := s.atHome(p, home, futexOpReq{Op: opWake, GID: gid, Addr: addr, Count: count})
+	return r.Woken, err
+}
+
+// atHome runs one operation at the futex's home kernel: in place when that is
+// this kernel, else over TypeFutexOp. Both paths run the same do and map its
+// errors one way: the EAGAIN marker to ErrWouldBlock, anything else to a
+// futex error. futex.remote counts the remote calls only.
+func (s *Service) atHome(p *sim.Proc, home msg.NodeID, req futexOpReq) (futexOpReply, error) {
+	var r futexOpReply
 	if home == s.node {
-		reply := s.doWake(p, gid, addr, count)
-		return reply.Woken, nil
+		r = s.do(p, &req, s.node)
+	} else {
+		s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
+		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize, req))
+		if err != nil {
+			return futexOpReply{}, err
+		}
+		r = *reply.Payload.(*futexOpReply)
 	}
-	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
-		futexOpReq{Op: opWake, GID: gid, Addr: addr, Count: count},
-	))
-	if err != nil {
-		return 0, err
+	switch r.Err {
+	case "":
+		return r, nil
+	case wouldBlockMarker:
+		return r, ErrWouldBlock
 	}
-	r := reply.Payload.(*futexOpReply)
-	if r.Err != "" {
-		return 0, fmt.Errorf("futex: %s", r.Err)
-	}
-	return r.Woken, nil
+	return r, fmt.Errorf("futex: %s", r.Err)
 }
 
 // doWait runs the home-side half of FUTEX_WAIT: under the bucket lock,
@@ -393,20 +384,21 @@ func (s *Service) wakeLocal(token uint64) {
 	}
 }
 
-func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*futexOpReq)
-	var reply futexOpReply
+// do runs one operation at its home kernel on behalf of kernel from.
+func (s *Service) do(p *sim.Proc, req *futexOpReq, from msg.NodeID) futexOpReply {
 	switch req.Op {
 	case opWait:
-		reply = s.doWait(p, req.GID, req.Addr, req.Expect, m.From, req.Token)
+		return s.doWait(p, req.GID, req.Addr, req.Expect, from, req.Token)
 	case opWake:
-		reply = s.doWake(p, req.GID, req.Addr, req.Count)
+		return s.doWake(p, req.GID, req.Addr, req.Count)
 	case opRequeue:
-		reply = s.doRequeue(p, req.GID, req.Addr, req.Addr2, req.Expect, req.Count, req.Count2)
-	default:
-		reply = futexOpReply{Err: fmt.Sprintf("unknown futex op %d", req.Op)}
+		return s.doRequeue(p, req.GID, req.Addr, req.Addr2, req.Expect, req.Count, req.Count2)
 	}
-	return msg.Reply(reqSize, reply)
+	return futexOpReply{Err: fmt.Sprintf("unknown futex op %d", req.Op)}
+}
+
+func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
+	return msg.Reply(reqSize, s.do(p, m.Payload.(*futexOpReq), m.From))
 }
 
 func (s *Service) handleWakeup(p *sim.Proc, m *msg.Message) *msg.Message {

@@ -23,35 +23,11 @@ func (s *Service) Requeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int
 	s.metrics.Counter("futex.requeue").Inc()
 	s.checker.SyncOp(p, int64(gid), mem.PageOf(from))
 	s.checker.SyncOp(p, int64(gid), mem.PageOf(to))
-	if home == s.node {
-		reply := s.doRequeue(p, gid, from, to, expect, wake, requeue)
-		if reply.Err != "" {
-			return 0, 0, requeueErr(reply.Err)
-		}
-		return reply.Woken, reply.Requeued, nil
-	}
-	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize,
-		futexOpReq{
-			Op: opRequeue, GID: gid, Addr: from, Addr2: to,
-			Expect: expect, Count: wake, Count2: requeue,
-		},
-	))
-	if err != nil {
-		return 0, 0, err
-	}
-	r := reply.Payload.(*futexOpReply)
-	if r.Err != "" {
-		return 0, 0, requeueErr(r.Err)
-	}
-	return r.Woken, r.Requeued, nil
-}
-
-func requeueErr(s string) error {
-	if s == wouldBlockMarker {
-		return ErrWouldBlock
-	}
-	return fmt.Errorf("futex: %s", s)
+	r, err := s.atHome(p, home, futexOpReq{
+		Op: opRequeue, GID: gid, Addr: from, Addr2: to,
+		Expect: expect, Count: wake, Count2: requeue,
+	})
+	return r.Woken, r.Requeued, err
 }
 
 // wouldBlockMarker carries ErrWouldBlock identity across the wire.

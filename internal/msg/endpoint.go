@@ -424,11 +424,11 @@ func (ep *Endpoint) announce(p *sim.Proc, m *Message) {
 }
 
 // TrySend transmits m like Send but never blocks: if the link's credits are
-// exhausted — or the destination is gray-listed as slow and ShedSlowBulk is
-// on — it refuses immediately with a BackpressureError. This is the
-// load-shedding entry point for advisory traffic (prefetch, bulk user data)
-// whose loss costs only performance. Without the flow plane it is identical
-// to Send and always returns nil.
+// exhausted — or the destination is gray-listed as slow — it refuses
+// immediately with a BackpressureError. This is the load-shedding entry point
+// for advisory traffic (prefetch, bulk user data) whose loss costs only
+// performance. Without the flow plane it is identical to Send and always
+// returns nil.
 func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 	if err := ep.flowAdmit(p, m, 0, true); err != nil {
 		return err

@@ -33,6 +33,10 @@ func (f *Fabric) EnableFailover() {
 	}
 }
 
+// Failover reports whether the origin-failover plane is attached: the one
+// switch the services' replication and promotion paths read.
+func (f *Fabric) Failover() bool { return f.originEpoch != nil }
+
 // Successor returns the deterministically chosen replication successor for
 // kernel n's origin roles: the next kernel in ring order. Every kernel
 // computes the same answer locally, so no agreement protocol is needed to

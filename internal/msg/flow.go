@@ -100,42 +100,36 @@ type FlowConfig struct {
 	SlowAfter time.Duration
 	// HealthyBelow is the recovery threshold; see SlowAfter.
 	HealthyBelow time.Duration
-	// MinRTTSamples is how many RTT observations a peer needs before the
-	// gray detector will classify it at all — a single cold-start outlier
-	// must not mark a link slow.
-	MinRTTSamples int
-	// ShedSlowBulk makes TrySend fail fast toward peers the gray detector
-	// marked slow, so advisory bulk traffic sheds instead of piling onto a
-	// degraded link. Control traffic and blocking Sends are never shed.
-	ShedSlowBulk bool
-	// BreakerFailures is how many consecutive RPC failures toward one peer
-	// trip its circuit breaker open.
-	BreakerFailures int
 	// BreakerCooldown is how long an open breaker waits before letting a
 	// single half-open probe through.
 	BreakerCooldown time.Duration
-	// RetryBudget caps RPC retransmissions toward one peer inside each
-	// RetryBudgetWindow: a token bucket refilled at Budget/Window, so a
-	// retry storm degrades into a paced trickle instead of a synchronized
-	// thundering herd.
-	RetryBudget int
-	// RetryBudgetWindow is the refill period; see RetryBudget.
-	RetryBudgetWindow time.Duration
 }
+
+// The flow plane's fixed tuning.
+const (
+	// minRTTSamples is how many RTT observations a peer needs before the gray
+	// detector will classify it at all — a single cold-start outlier must not
+	// mark a link slow.
+	minRTTSamples = 8
+	// breakerFailures is how many consecutive RPC failures toward one peer
+	// trip its circuit breaker open.
+	breakerFailures = 3
+	// retryBudget caps RPC retransmissions toward one peer inside each
+	// retryBudgetWindow: a token bucket refilled at budget/window, so a retry
+	// storm degrades into a paced trickle instead of a synchronized
+	// thundering herd.
+	retryBudget       = 8
+	retryBudgetWindow = time.Millisecond
+)
 
 // DefaultFlowConfig returns the tuning the overload sweeps use.
 func DefaultFlowConfig() FlowConfig {
 	return FlowConfig{
-		CreditsPerLink:    16,
-		MaxCreditWait:     2 * time.Millisecond,
-		SlowAfter:         time.Millisecond,
-		HealthyBelow:      500 * time.Microsecond,
-		MinRTTSamples:     8,
-		ShedSlowBulk:      true,
-		BreakerFailures:   3,
-		BreakerCooldown:   4 * time.Millisecond,
-		RetryBudget:       8,
-		RetryBudgetWindow: time.Millisecond,
+		CreditsPerLink:  16,
+		MaxCreditWait:   2 * time.Millisecond,
+		SlowAfter:       time.Millisecond,
+		HealthyBelow:    500 * time.Microsecond,
+		BreakerCooldown: 4 * time.Millisecond,
 	}
 }
 
@@ -153,20 +147,8 @@ func (c FlowConfig) withDefaults() FlowConfig {
 	if c.HealthyBelow <= 0 || c.HealthyBelow > c.SlowAfter {
 		c.HealthyBelow = c.SlowAfter / 2
 	}
-	if c.MinRTTSamples <= 0 {
-		c.MinRTTSamples = d.MinRTTSamples
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = d.BreakerFailures
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = d.BreakerCooldown
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = d.RetryBudget
-	}
-	if c.RetryBudgetWindow <= 0 {
-		c.RetryBudgetWindow = d.RetryBudgetWindow
 	}
 	return c
 }
@@ -212,7 +194,7 @@ type flowPeer struct {
 	met bool
 
 	// ewma is the integer RTT estimate (alpha = 1/8, the classic SRTT
-	// weighting); samples counts observations toward MinRTTSamples.
+	// weighting); samples counts observations toward minRTTSamples.
 	ewma    time.Duration
 	samples int
 	slow    bool
@@ -398,11 +380,11 @@ func (ep *Endpoint) flowAdmit(p *sim.Proc, m *Message, wait time.Duration, shed 
 	if fl == nil || m.flowCredit || controlLane(m) {
 		return nil
 	}
-	if shed && fl.cfg.ShedSlowBulk {
-		if ep.peers[m.To].flow.slow {
-			ep.f.countLink("msg.flow.shed", ep.node, m.To)
-			return backpressure(m.To, m.Type, "slow-shed")
-		}
+	if shed && ep.peers[m.To].flow.slow {
+		// Advisory bulk traffic sheds instead of piling onto a link the
+		// gray detector marked slow.
+		ep.f.countLink("msg.flow.shed", ep.node, m.To)
+		return backpressure(m.To, m.Type, "slow-shed")
 	}
 	if err := ep.acquireCredit(p, m, wait); err != nil {
 		return err
@@ -461,7 +443,7 @@ func (f *Fabric) resetFlowLink(lk *flowLink) {
 func (ep *Endpoint) flowPeer(n NodeID) *flowPeer {
 	st := &ep.peers[n].flow
 	if !st.met {
-		st.met, st.tokens, st.lastRefill = true, ep.f.flow.cfg.RetryBudget, ep.f.e.Now()
+		st.met, st.tokens, st.lastRefill = true, retryBudget, ep.f.e.Now()
 	}
 	return st
 }
@@ -499,7 +481,7 @@ func (ep *Endpoint) grayObserve(peer NodeID, rtt time.Duration) {
 		st.ewma += (rtt - st.ewma) / 8
 	}
 	st.samples++
-	if st.samples < fl.cfg.MinRTTSamples {
+	if st.samples < minRTTSamples {
 		return
 	}
 	switch {
@@ -556,7 +538,7 @@ func (ep *Endpoint) breakerResult(peer NodeID, failed bool) {
 	st := ep.flowPeer(peer)
 	if failed {
 		st.fails++
-		if st.breaker == breakerHalfOpen || (st.breaker == breakerClosed && st.fails >= fl.cfg.BreakerFailures) {
+		if st.breaker == breakerHalfOpen || (st.breaker == breakerClosed && st.fails >= breakerFailures) {
 			st.breaker = breakerOpen
 			st.openedAt = ep.f.e.Now()
 			st.probing = false
@@ -592,7 +574,7 @@ func (ep *Endpoint) breakerAbort(peer NodeID) {
 }
 
 // budgetAllow spends one retransmission token toward peer n, refilling the
-// bucket at RetryBudget per RetryBudgetWindow of sim time. An empty bucket
+// bucket at retryBudget per retryBudgetWindow of sim time. An empty bucket
 // means the caller must stop retransmitting — under a retry storm this is
 // what converts N synchronized retransmit schedules into a paced trickle.
 func (ep *Endpoint) budgetAllow(n NodeID) bool {
@@ -601,13 +583,10 @@ func (ep *Endpoint) budgetAllow(n NodeID) bool {
 		return true
 	}
 	st := ep.flowPeer(n)
-	interval := fl.cfg.RetryBudgetWindow / time.Duration(fl.cfg.RetryBudget)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
+	const interval = retryBudgetWindow / retryBudget
 	if elapsed := ep.f.e.Now().Sub(st.lastRefill); elapsed >= interval {
 		refill := int(elapsed / interval)
-		st.tokens = min(st.tokens+refill, fl.cfg.RetryBudget)
+		st.tokens = min(st.tokens+refill, retryBudget)
 		st.lastRefill = st.lastRefill.Add(time.Duration(refill) * interval)
 	}
 	if st.tokens <= 0 {

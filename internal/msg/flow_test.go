@@ -133,7 +133,7 @@ func TestControlLanePriority(t *testing.T) {
 }
 
 // TestBreakerCycle drives one link through the full breaker state machine:
-// consecutive RPC failures trip it open, fast-fails follow, the cooldown
+// three consecutive RPC failures trip it open, fast-fails follow, the cooldown
 // admits a half-open probe, and the probe's success closes it.
 func TestBreakerCycle(t *testing.T) {
 	e := sim.NewEngine(sim.WithSeed(4))
@@ -146,11 +146,7 @@ func TestBreakerCycle(t *testing.T) {
 	f.EnableFaults(plan, FaultConfig{RPCTimeout: 100 * time.Microsecond, RPCRetries: 1}, FaultHooks{})
 	f.EnableFlow(FlowConfig{
 		CreditsPerLink:  16,
-		BreakerFailures: 2,
 		BreakerCooldown: time.Millisecond,
-		// Budget generous enough to stay out of the way of this test.
-		RetryBudget:       64,
-		RetryBudgetWindow: time.Millisecond,
 	})
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 8}
@@ -191,16 +187,15 @@ func TestBreakerCycle(t *testing.T) {
 // credit-wait refusal is local congestion (the receiver is busy, not
 // broken), so a burst of backpressured RPCs must leave the breaker closed
 // and a later RPC — issued once the backlog drains — must succeed. Before
-// the rule, BreakerFailures refusals opened the breaker on this
+// the rule, three refusals opened the breaker on this
 // flow-without-faults fabric and, with no path ever reporting success back
 // to it, a half-open probe could never close it again.
 func TestCreditRefusalDoesNotTripBreaker(t *testing.T) {
 	e := sim.NewEngine(sim.WithSeed(9))
 	defer e.Close()
 	f := flowFabric(t, e, FlowConfig{
-		CreditsPerLink:  1,
-		MaxCreditWait:   50 * time.Microsecond,
-		BreakerFailures: 2,
+		CreditsPerLink: 1,
+		MaxCreditWait:  50 * time.Microsecond,
 	})
 	f.Endpoint(1).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message { return nil })
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
@@ -276,9 +271,11 @@ func TestBreakerAbortRearmsProbe(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetStopsStorm drops every request on one link and requires
-// the retry budget — not the full retransmit schedule — to end the call,
-// converting a would-be storm into a bounded, paced failure.
+// TestRetryBudgetStopsStorm drops every request on one link from more
+// concurrent callers than the retry budget has tokens, all retransmitting
+// inside one budget window, and requires the budget — not the full retransmit
+// schedule — to end calls: the would-be storm becomes a bounded, paced
+// failure, with retransmissions never outrunning the token bucket.
 func TestRetryBudgetStopsStorm(t *testing.T) {
 	e := sim.NewEngine(sim.WithSeed(5))
 	defer e.Close()
@@ -287,28 +284,36 @@ func TestRetryBudgetStopsStorm(t *testing.T) {
 		Rules: []faultinj.Rule{{From: 0, To: 1, Type: int(TypePing), DropP: 1}},
 	}
 	f := testFabric(t, e)
-	f.EnableFaults(plan, FaultConfig{RPCTimeout: 100 * time.Microsecond, RPCRetries: 12}, FaultHooks{})
-	f.EnableFlow(FlowConfig{
-		CreditsPerLink:    16,
-		RetryBudget:       2,
-		RetryBudgetWindow: 50 * time.Millisecond,
-	})
+	const retries = 3
+	f.EnableFaults(plan, FaultConfig{RPCTimeout: 100 * time.Microsecond, RPCRetries: retries}, FaultHooks{})
+	f.EnableFlow(FlowConfig{CreditsPerLink: 16})
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 8}
 	})
-	var got error
-	e.Spawn("caller", func(p *sim.Proc) {
-		_, got = f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 8})
-	})
+	// One caller's exponential backoff never drains the bucket; twice its
+	// tokens, all first retransmitting at the same timeout, do.
+	const callers = 2 * retryBudget
+	budgetStopped := 0
+	for i := 0; i < callers; i++ {
+		e.Spawn("caller", func(p *sim.Proc) {
+			_, err := f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 8})
+			var bp *BackpressureError
+			if errors.As(err, &bp) && bp.Reason == "retry-budget" {
+				budgetStopped++
+			}
+		})
+	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var bp *BackpressureError
-	if !errors.As(got, &bp) || bp.Reason != "retry-budget" {
-		t.Fatalf("Call error = %v, want BackpressureError with Reason \"retry-budget\"", got)
+	if budgetStopped == 0 {
+		t.Fatal("no Call ended with BackpressureError Reason \"retry-budget\"")
 	}
-	if n := f.metrics.Counter("msg.fault.retransmit").Value(); n > 2 {
-		t.Errorf("%d retransmissions despite a budget of 2", n)
+	// The bucket starts full and refills one token per window/budget, far
+	// fewer than the callers*retries an unbudgeted storm would send.
+	bound := uint64(retryBudget + e.Now().Duration()/(retryBudgetWindow/retryBudget))
+	if n := f.metrics.Counter("msg.fault.retransmit").Value(); n > bound || bound >= callers*retries {
+		t.Errorf("%d retransmissions in %v, want <= the budget's %d (< %d unbudgeted)", n, e.Now(), bound, callers*retries)
 	}
 	if f.metrics.Counter("msg.flow.budget_exhausted").Value() == 0 {
 		t.Error("msg.flow.budget_exhausted not counted")
@@ -333,7 +338,6 @@ func TestGrayDetectorHysteresis(t *testing.T) {
 		CreditsPerLink: 16,
 		SlowAfter:      500 * time.Microsecond,
 		HealthyBelow:   250 * time.Microsecond,
-		MinRTTSamples:  3,
 	})
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 8}
@@ -341,7 +345,7 @@ func TestGrayDetectorHysteresis(t *testing.T) {
 	var slowDuring, healthyAfter bool
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < minRTTSamples; i++ {
 			if _, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 8}); err != nil {
 				t.Errorf("Call during slow window: %v", err)
 			}
@@ -393,8 +397,6 @@ func TestSlowShedAvoidsSlowPeer(t *testing.T) {
 		CreditsPerLink: 16,
 		SlowAfter:      500 * time.Microsecond,
 		HealthyBelow:   250 * time.Microsecond,
-		MinRTTSamples:  3,
-		ShedSlowBulk:   true,
 	})
 	pong := func(p *sim.Proc, m *Message) *Message { return &Message{Size: 8} }
 	f.Endpoint(1).Handle(TypePing, pong)
@@ -404,7 +406,7 @@ func TestSlowShedAvoidsSlowPeer(t *testing.T) {
 	var slowErr, healthyErr error
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < minRTTSamples; i++ {
 			if _, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 8}); err != nil {
 				t.Errorf("Call: %v", err)
 			}

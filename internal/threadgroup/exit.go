@@ -17,7 +17,7 @@ import (
 func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 	g, ok := s.groups[gid]
 	if !ok {
-		if s.failover {
+		if s.fabric.Failover() {
 			// With failover on, a promoted origin reaps the members a crash
 			// took, and the last reap tears the group down before the
 			// process-level Close arrives here. Exiting an already-settled
@@ -29,7 +29,7 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 	}
 	t, ok := g.local[id]
 	if !ok {
-		if _, member := g.members[id]; s.failover && g.isOrigin && !member {
+		if _, member := g.members[id]; s.fabric.Failover() && g.isOrigin && !member {
 			// Same settled case before the group's last member leaves: this
 			// member died with its crashed kernel and the promotion sweep
 			// already reaped it.
@@ -72,9 +72,6 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 func (s *Service) originMemberExited(p *sim.Proc, g *group, id task.ID) error {
 	delete(g.members, id)
 	delete(g.checkpoints, id)
-	delete(g.recoverable, id)
-	delete(g.restarted, id)
-	delete(g.moveEpoch, id)
 	g.emptyWaiters.Broadcast()
 	if len(g.members) > 0 {
 		s.shipGroup(p, g)

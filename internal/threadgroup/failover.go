@@ -35,7 +35,7 @@ const (
 
 // groupRepl is the full origin-state snapshot of one group, shipped to the
 // replication successor after every origin-side mutation: copies of the
-// origin's own six tables, which a promotion installs as they are (the
+// origin's own three tables, which a promotion installs as they are (the
 // simulation passes pointers; the message's Size is what the wire charges).
 // Snapshots carry a monotonic per-group version so a fault-plan duplicate can
 // never roll the mirror backwards.
@@ -43,11 +43,8 @@ type groupRepl struct {
 	GID         vm.GID
 	Origin      msg.NodeID
 	SnapVersion uint64
-	Members     map[task.ID]msg.NodeID
+	Members     map[task.ID]member
 	Replicas    map[msg.NodeID]struct{}
-	MoveEpochs  map[task.ID]int
-	Recoverable map[task.ID]bool
-	Restarted   map[task.ID]bool
 	Checkpoints map[task.ID]task.Context
 	// Exited marks the group's final snapshot: the last member left and the
 	// group tore down, so the successor drops its mirror instead of keeping
@@ -66,17 +63,12 @@ type originHandover struct {
 	GIDs   []vm.GID
 }
 
-// EnableFailover turns on origin replication for this kernel's groups.
-// Call after boot, before the workload runs; the fabric's failover plane
-// and the VM service's replication must be enabled alongside.
-func (s *Service) EnableFailover() { s.failover = true }
-
 // shipGroup mirrors g's full origin state to the replication successor.
 // Synchronous: the mutation that triggered it is not acknowledged to its
 // requester until the successor has logged the snapshot. A dead successor
 // skips the ship (counted) and the origin keeps running unreplicated.
 func (s *Service) shipGroup(p *sim.Proc, g *group) {
-	if !s.failover || !g.isOrigin {
+	if !s.fabric.Failover() || !g.isOrigin {
 		return
 	}
 	g.snapVersion++
@@ -87,15 +79,19 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 	if !g.exited {
 		rep.Members = maps.Clone(g.members)
 		rep.Replicas = maps.Clone(g.replicas)
-		rep.MoveEpochs = maps.Clone(g.moveEpoch)
-		rep.Recoverable = maps.Clone(g.recoverable)
-		rep.Restarted = maps.Clone(g.restarted)
 		rep.Checkpoints = maps.Clone(g.checkpoints)
 		//popcornvet:allow detorder a sum of sizes: only the total leaves the loop
 		for _, ctx := range g.checkpoints {
 			size += ctx.Bytes()
 		}
-		size += 16 * (len(g.members) + len(g.moveEpoch) + len(g.replicas))
+		// The wire charges 16 B per member, per moved member's epoch and per
+		// replica.
+		for _, m := range g.members {
+			if m.epoch > 0 {
+				size += 16
+			}
+		}
+		size += 16 * (len(g.members) + len(g.replicas))
 	}
 	m := msg.NewWith(msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
 	s.metrics.Counter("tg.failover.replicated").Inc()
@@ -127,7 +123,7 @@ func (s *Service) handleGroupReplicate(p *sim.Proc, m *msg.Message) *msg.Message
 // the promoted groups' members the crash took, releasing joiners exactly as
 // it would had this kernel been the origin all along.
 func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
-	if !s.failover || s.fabric.Successor(dead) != s.node {
+	if !s.fabric.Failover() || s.fabric.Successor(dead) != s.node {
 		return
 	}
 	gids := make([]vm.GID, 0, len(s.gmirrors))
@@ -205,9 +201,6 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	// The mirror's tables are copies nobody else holds (shipGroup), so the
 	// promoted origin takes them as its own.
 	g.members = rep.Members
-	g.moveEpoch = rep.MoveEpochs
-	g.recoverable = rep.Recoverable
-	g.restarted = rep.Restarted
 	g.checkpoints = rep.Checkpoints
 	g.replicas = rep.Replicas
 	delete(g.replicas, s.node)
@@ -248,20 +241,20 @@ func (s *Service) handleOriginHandover(p *sim.Proc, m *msg.Message) *msg.Message
 // orphaned; only when no live holder emerges within the retry budget does
 // the orphaned-exit degradation apply.
 func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
-	role := vm.OriginKernelOf(g.gid)
+	role, failover := vm.OriginKernelOf(g.gid), s.fabric.Failover()
 	for attempt := 0; attempt < tgFailoverRetryMax; attempt++ {
 		if g.isOrigin {
 			// A promotion re-homed the group onto this kernel mid-exit.
 			return s.originMemberExited(p, g, id)
 		}
-		if s.failover {
+		if failover {
 			if holder := s.fabric.OriginHolder(role); holder != g.origin && holder != s.node {
 				g.origin = holder
 				g.originDead = false
 				s.metrics.Counter("tg.exit.rerouted").Inc()
 			}
 		}
-		if g.originDead && !s.failover {
+		if g.originDead && !failover {
 			// The origin is gone and nothing will replace it; local cleanup
 			// is all the exit can do. The survivors' own PeerDied reaping
 			// settles the group accounting.
@@ -274,7 +267,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 		reply, err := s.ep.Call(p, m)
 		if err != nil {
 			if msg.IsDeadPeer(err) {
-				if s.failover {
+				if failover {
 					// Wait out the detection-plus-promotion window, then
 					// re-resolve the holder and try again.
 					s.metrics.Counter("tg.exit.failover_retry").Inc()
@@ -288,7 +281,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			return err
 		}
 		if r := reply.Payload.(*exitReply); r.Err != "" {
-			if s.failover {
+			if failover {
 				// The holder answered before finishing (or beginning) its
 				// promotion; paced retry until the group is origin there.
 				s.metrics.Counter("tg.exit.failover_retry").Inc()

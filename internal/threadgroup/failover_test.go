@@ -12,28 +12,25 @@ import (
 	"repro/internal/vm"
 )
 
-// originTables is a group's replicated origin state: the six tables a
+// originTables is a group's replicated origin state: the three tables a
 // snapshot carries and a promotion installs.
 type originTables struct {
-	Members     map[task.ID]msg.NodeID
+	Members     map[task.ID]member
 	Replicas    map[msg.NodeID]struct{}
-	MoveEpochs  map[task.ID]int
-	Recoverable map[task.ID]bool
-	Restarted   map[task.ID]bool
 	Checkpoints map[task.ID]task.Context
 }
 
 func tablesOf(g *group) originTables {
-	return originTables{g.members, g.replicas, g.moveEpoch, g.recoverable, g.restarted, g.checkpoints}
+	return originTables{g.members, g.replicas, g.checkpoints}
 }
 
 func mirroredTables(rep *groupRepl) originTables {
-	return originTables{rep.Members, rep.Replicas, rep.MoveEpochs, rep.Recoverable, rep.Restarted, rep.Checkpoints}
+	return originTables{rep.Members, rep.Replicas, rep.Checkpoints}
 }
 
 // TestMirrorsEqualOriginAtQuiescence is the replication invariant as a test:
 // with the failover plane on and nothing crashing, once the machine is quiet
-// every live group's six origin tables equal the mirror its ring successor
+// every live group's three origin tables equal the mirror its ring successor
 // holds, and a group that exited has no mirror left. Two groups with
 // different origins (one whose successor wraps around the ring) go through
 // every mutation that ships — spawns, migrations of plain and recoverable
@@ -41,10 +38,6 @@ func mirroredTables(rep *groupRepl) originTables {
 func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 	ev := newEnv(t, 4, Config{})
 	ev.fabric.EnableFailover()
-	for k := range ev.tgs {
-		ev.vms[k].EnableFailover()
-		ev.tgs[k].EnableFailover()
-	}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -116,9 +109,18 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 		t.Fatalf("%d live origin groups at quiescence, want 2", live)
 	}
 	// The first group's tables must have something in each for the
-	// comparison to mean anything (restarted fills only after a crash).
+	// comparison to mean anything (restarted is set only after a crash).
 	g := ev.tgs[0].groups[1]
-	if len(g.members) != 2 || len(g.replicas) < 3 || len(g.moveEpoch) != 2 || len(g.recoverable) != 1 || len(g.checkpoints) != 1 {
+	moved, recoverable := 0, 0
+	for _, m := range g.members {
+		if m.epoch > 0 {
+			moved++
+		}
+		if m.recoverable {
+			recoverable++
+		}
+	}
+	if len(g.members) != 2 || len(g.replicas) < 3 || moved != 2 || recoverable != 1 || len(g.checkpoints) != 1 {
 		t.Fatalf("group 1's origin tables are thinner than the scenario meant: %+v", tablesOf(g))
 	}
 
@@ -126,16 +128,12 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 	// reach the mirror before the ship that carries it.
 	rep := ev.tgs[1].gmirrors[1]
 	before := mirroredTables(&groupRepl{
-		Members: maps.Clone(rep.Members), Replicas: maps.Clone(rep.Replicas), MoveEpochs: maps.Clone(rep.MoveEpochs),
-		Recoverable: maps.Clone(rep.Recoverable), Restarted: maps.Clone(rep.Restarted), Checkpoints: maps.Clone(rep.Checkpoints),
+		Members: maps.Clone(rep.Members), Replicas: maps.Clone(rep.Replicas), Checkpoints: maps.Clone(rep.Checkpoints),
 	})
 	const ghost = task.ID(424242)
-	g.members[ghost] = 3
+	g.members[ghost] = member{node: 3, epoch: 7, recoverable: true, restarted: true}
 	g.replicas[3] = struct{}{}
 	delete(g.replicas, 1)
-	g.moveEpoch[ghost] = 7
-	g.recoverable[ghost] = true
-	g.restarted[ghost] = true
 	g.checkpoints[ghost] = task.Context{}
 	if got := mirroredTables(rep); !reflect.DeepEqual(got, before) {
 		t.Errorf("mutating the origin's tables changed the mirror:\n%+v\nwas\n%+v", got, before)

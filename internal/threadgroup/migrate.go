@@ -207,52 +207,15 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 // origin grants by default: that is the orphaned-group degradation, with
 // no authority left to race against.
 func (s *Service) claimRollback(p *sim.Proc, g *group, t *task.Task, id task.ID) bool {
-	if g.isOrigin {
-		if n, ok := g.members[id]; !ok || n != s.node || g.moveEpoch[id] != t.Migrations {
-			s.dropSupersededShadow(g, t, id)
-			return false
-		}
-		g.moveEpoch[id] = t.Migrations + 1
-		t.Migrations++
-		s.shipGroup(p, g)
-		return true
+	r := s.askOrigin(p, g, groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations}, 64, "tg.claim")
+	if r.Denied {
+		s.dropSupersededShadow(g, t, id)
+		return false
 	}
-	for {
-		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, 64,
-			groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations},
-		))
-		if err != nil {
-			if msg.IsDeadPeer(err) {
-				// Orphaned: the origin is gone, and restarts only ever run
-				// there — no authority left to race against.
-				g.originDead = true
-				return true
-			}
-			// Transient (timeout, partition, overload): guessing either way
-			// risks a fork or an unnecessary kill, so keep asking until the
-			// origin answers or is declared dead. Backpressure fast-fails
-			// consume no virtual time, so pace those retries or the loop
-			// spins at one instant.
-			s.metrics.Counter("tg.claim.retry").Inc()
-			if msg.IsBackpressure(err) {
-				s.metrics.Counter("tg.claim.backpressure").Inc()
-				p.Sleep(s.ep.RetryBackoff())
-			}
-			continue
-		}
-		r := reply.Payload.(*groupSetupReply)
-		if r.Denied {
-			s.dropSupersededShadow(g, t, id)
-			return false
-		}
-		if r.Err != "" {
-			// The origin rebooted and lost the group: orphaned degradation.
-			g.originDead = true
-			return true
-		}
+	if r.Err == "" {
 		t.Migrations++
-		return true
 	}
+	return true
 }
 
 // dropSupersededShadow discards the phase-1 shadow of a migration whose
@@ -382,110 +345,120 @@ func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
 // contradict the move). Denial means a restart or a newer registration
 // owns the thread's identity; the returned error wraps ErrSuperseded.
 func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.NodeID) error {
-	id := moved.ID
-	if g.isOrigin {
-		if _, ok := g.members[id]; !ok || moved.Migrations <= g.moveEpoch[id] {
-			return fmt.Errorf("%w: move registration for task %d", ErrSuperseded, id)
-		}
-		g.members[id] = dst
-		g.moveEpoch[id] = moved.Migrations
-		if moved.Recoverable {
-			g.checkpoints[id] = moved.Ctx
-		}
-		s.shipGroup(p, g)
-		return nil
-	}
-	req := groupSetupReq{GID: g.gid, Node: dst, MovedMember: id, MoveEpoch: moved.Migrations}
+	req := groupSetupReq{GID: g.gid, Node: dst, MovedMember: moved.ID, MoveEpoch: moved.Migrations}
 	size := 64
 	if moved.Recoverable {
 		ctx := moved.Ctx
 		req.Ctx = &ctx
 		size += ctx.Bytes()
 	}
+	r := s.askOrigin(p, g, req, size, "tg.move")
+	if r.Denied {
+		return fmt.Errorf("%w: move registration for task %d", ErrSuperseded, moved.ID)
+	}
+	if r.Err != "" {
+		s.metrics.Counter("tg.move.orphaned").Inc()
+	}
+	return nil
+}
+
+// askOrigin puts one origin decision — a move registration or a rollback
+// claim — to g's origin and returns its verdict: decided in place when this
+// kernel is the origin, else over TypeGroupSetup. Transport failures retry
+// until the origin answers or is declared dead: guessing either way risks a
+// fork or an unnecessary kill. Backpressure fast-fails consume no virtual
+// time, so those retries are paced or the loop would spin at one instant.
+// A dead origin, or one that rebooted and lost the group, orphans the group:
+// the reply then carries Err, and there is no authority left to race
+// against. name prefixes the retry and backpressure counters.
+func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, size int, name string) groupSetupReply {
+	if g.isOrigin {
+		return s.originSetup(p, g, &req)
+	}
 	for {
 		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, size, req))
-		if err != nil {
-			if msg.IsDeadPeer(err) {
+		if err == nil {
+			r := *reply.Payload.(*groupSetupReply)
+			if r.Err != "" {
 				g.originDead = true
-				s.metrics.Counter("tg.move.orphaned").Inc()
-				return nil
 			}
-			s.metrics.Counter("tg.move.retry").Inc()
-			// Pace zero-time backpressure rejections (see claim loop above).
-			if msg.IsBackpressure(err) {
-				s.metrics.Counter("tg.move.backpressure").Inc()
-				p.Sleep(s.ep.RetryBackoff())
-			}
-			continue
+			return r
 		}
-		r := reply.Payload.(*groupSetupReply)
-		if r.Denied {
-			return fmt.Errorf("%w: move registration for task %d", ErrSuperseded, id)
-		}
-		if r.Err != "" {
-			// The origin rebooted and lost the group: orphaned degradation.
+		if msg.IsDeadPeer(err) {
 			g.originDead = true
-			s.metrics.Counter("tg.move.orphaned").Inc()
-			return nil
+			return groupSetupReply{Err: err.Error()}
 		}
-		return nil
+		s.metrics.Counter(name + ".retry").Inc()
+		if msg.IsBackpressure(err) {
+			s.metrics.Counter(name + ".backpressure").Inc()
+			p.Sleep(s.ep.RetryBackoff())
+		}
 	}
 }
 
-// handleGroupSetup runs at the origin: register a replica kernel and/or
-// record a new or moved member.
+// handleGroupSetup runs at the origin: the wire half of askOrigin, and the
+// registration of new replicas and members.
 func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*groupSetupReq)
 	g, ok := s.groups[req.GID]
 	if !ok || !g.isOrigin {
 		return msg.Reply(64, groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
+	return msg.Reply(64, s.originSetup(p, g, req))
+}
+
+// originSetup is the origin's one decision on a group-setup request, made in
+// place for requests from the origin itself and by the handler for the rest:
+// register a replica kernel, record a new member, accept or deny a moved
+// member's registration, and grant or deny a rollback claim.
+func (s *Service) originSetup(p *sim.Proc, g *group, req *groupSetupReq) groupSetupReply {
 	if _, have := g.replicas[req.Node]; !have && req.Node != s.node {
 		g.replicas[req.Node] = struct{}{}
 		if err := s.vmsvc.RegisterReplicaFrom(p, req.GID, req.Node); err != nil {
-			return msg.Reply(64, groupSetupReply{Err: err.Error()})
+			return groupSetupReply{Err: err.Error()}
 		}
 	}
 	if req.NewMember != task.NoTask {
-		g.members[req.NewMember] = req.Node
+		m := g.members[req.NewMember]
+		m.node = req.Node
+		g.members[req.NewMember] = m
 	}
-	if req.MovedMember != task.NoTask {
-		id := req.MovedMember
-		n, ok := g.members[id]
+	if id := req.MovedMember; id != task.NoTask {
+		m, ok := g.members[id]
 		switch {
-		case ok && n == req.Node && g.moveEpoch[id] == req.MoveEpoch:
+		case ok && m.node == req.Node && m.epoch == req.MoveEpoch:
 			// Already applied: a fresh Call retrying a registration whose
 			// reply was lost. Idempotent success.
-		case !ok || req.MoveEpoch <= g.moveEpoch[id]:
+		case !ok || req.MoveEpoch <= m.epoch:
 			// Stale: the member was reaped, restarted from its checkpoint,
 			// or re-registered under a newer epoch. The source must discard
 			// the imported copy instead of letting it run.
-			return msg.Reply(64, groupSetupReply{Denied: true})
+			return groupSetupReply{Denied: true}
 		default:
-			g.members[id] = req.Node
-			g.moveEpoch[id] = req.MoveEpoch
+			m.node, m.epoch = req.Node, req.MoveEpoch
+			g.members[id] = m
 			if req.Ctx != nil {
 				g.checkpoints[id] = *req.Ctx
 			}
 		}
 	}
-	if req.ClaimMember != task.NoTask {
-		id := req.ClaimMember
-		n, ok := g.members[id]
-		granted := ok && n == req.Node && g.moveEpoch[id] == req.MoveEpoch
-		replayed := ok && n == req.Node && g.moveEpoch[id] == req.MoveEpoch+1
+	if id := req.ClaimMember; id != task.NoTask {
+		m, ok := g.members[id]
+		granted := ok && m.node == req.Node && m.epoch == req.MoveEpoch
+		replayed := ok && m.node == req.Node && m.epoch == req.MoveEpoch+1
 		if !granted && !replayed {
-			return msg.Reply(64, groupSetupReply{Denied: true})
+			return groupSetupReply{Denied: true}
 		}
 		// Granted: sequence the revival so any late registration for the
 		// failed migration arrives stale. (replayed = a retried claim this
 		// origin already granted but whose reply was lost; only a grant to
 		// this same kernel leaves the member here at epoch+1, so answering
 		// success again is safe.)
-		g.moveEpoch[id] = req.MoveEpoch + 1
+		m.epoch = req.MoveEpoch + 1
+		g.members[id] = m
 	}
 	// Replicate before acking: the requester must not act on a mutation the
 	// failover successor has not logged.
 	s.shipGroup(p, g)
-	return msg.Reply(64, groupSetupReply{})
+	return groupSetupReply{}
 }

@@ -44,7 +44,12 @@ func (s *Service) SetRecoverable(p *sim.Proc, gid vm.GID, id task.ID) error {
 	if !g.isOrigin {
 		return ErrNotOrigin
 	}
-	g.recoverable[id] = true
+	m, ok := g.members[id]
+	if !ok {
+		return fmt.Errorf("threadgroup: task %d is not a member of group %d", id, gid)
+	}
+	m.recoverable = true
+	g.members[id] = m
 	if _, ok := g.checkpoints[id]; !ok {
 		g.checkpoints[id] = task.Context{}
 	}
@@ -73,8 +78,10 @@ func (s *Service) restartMember(p *sim.Proc, g *group, id task.ID) bool {
 	// registration or rollback claim from the old copy carries an epoch at
 	// or below the one we store here, so the origin rejects it and exactly
 	// one incarnation of the member survives.
-	t.Migrations = g.moveEpoch[id] + 1
-	g.moveEpoch[id] = t.Migrations
+	m := g.members[id]
+	t.Migrations = m.epoch + 1
+	m.node, m.epoch = s.node, t.Migrations
+	g.members[id] = m
 	ghost, hadGhost := g.local[id]
 	if hadGhost {
 		// A dead source's migration into this (the origin) kernel landed
@@ -91,7 +98,6 @@ func (s *Service) restartMember(p *sim.Proc, g *group, id task.ID) bool {
 			sp.ThreadArrived()
 		}
 	}
-	g.members[id] = s.node
 	if !s.restart(p, t) {
 		delete(g.local, id)
 		if sp, ok := s.vmsvc.Space(g.gid); ok {
@@ -111,7 +117,7 @@ func (s *Service) restartMember(p *sim.Proc, g *group, id task.ID) bool {
 func (s *Service) WaitMembers(p *sim.Proc, gid vm.GID, n int) error {
 	g, ok := s.groups[gid]
 	if !ok {
-		if s.failover {
+		if s.fabric.Failover() {
 			// With failover on, the promoted origin reaps crash-lost members
 			// and the last reap tears the group down — possibly before a
 			// holder-routed Join arrives here. A gone group is a drained

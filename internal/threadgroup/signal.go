@@ -123,7 +123,8 @@ func (s *Service) routeSignal(p *sim.Proc, req *signalReq) error {
 		return s.forwardSignal(p, &routed, msg.NodeID(sh.MigratedTo))
 	}
 	if g.isOrigin {
-		dst, ok := g.members[req.TaskID]
+		m, ok := g.members[req.TaskID]
+		dst := m.node
 		if !ok {
 			return fmt.Errorf("threadgroup: signal to unknown task %d in group %d", req.TaskID, req.GID)
 		}

@@ -54,34 +54,18 @@ type group struct {
 
 	// Origin-only state.
 	isOrigin bool
-	// members maps every live member to its current kernel.
-	members map[task.ID]msg.NodeID
+	// members holds the origin's record of every live member.
+	members map[task.ID]member
 	// replicas is the set of kernels hosting (or having hosted) members.
 	replicas map[msg.NodeID]struct{}
-	// emptyWaiters are processes blocked in WaitEmpty or WaitMembers.
+	// emptyWaiters are processes blocked in WaitMembers.
 	emptyWaiters *sim.Cond
 	exited       bool
 	// checkpoints retains, per recoverable member, the last migration
 	// payload the origin saw — the lightweight checkpoint restart rebuilds
-	// the thread from.
+	// the thread from. Its own table: a context is large, and only
+	// recoverable members have one.
 	checkpoints map[task.ID]task.Context
-	// recoverable marks members eligible for checkpointed restart if their
-	// hosting kernel crashes.
-	recoverable map[task.ID]bool
-	// restarted records members already restarted once; restart is
-	// at-most-once per member, so a second hosting-kernel crash reaps the
-	// thread as lost.
-	restarted map[task.ID]bool
-	// moveEpoch is the per-member sequence number of the last location
-	// change the origin accepted (the task's Migrations counter at that
-	// move; zero until the first migration). It makes the origin the single
-	// arbiter of a thread's identity when a migration fails: the source's
-	// rollback claim, the destination's (possibly retransmitted) move
-	// registration, and the recovery sweep's checkpointed restart all race
-	// for the same member, and whichever the origin sequences first wins —
-	// every later arrival carries a stale epoch and is denied, so exactly
-	// one incarnation of the thread survives.
-	moveEpoch map[task.ID]int
 
 	// originDead marks a replica whose origin kernel was declared dead:
 	// exits complete locally without the origin round trip.
@@ -91,6 +75,29 @@ type group struct {
 	// replication snapshot shipped to the failover successor; mirrors use
 	// it to discard stale or duplicated snapshots.
 	snapVersion uint64
+}
+
+// member is the origin's record of one live member; it leaves the table
+// whole when the member exits or is reaped.
+type member struct {
+	// node is the kernel the member currently runs on.
+	node msg.NodeID
+	// epoch is the sequence number of the last location change the origin
+	// accepted (the task's Migrations counter at that move; zero until the
+	// first migration). It makes the origin the single arbiter of a
+	// thread's identity when a migration fails: the source's rollback claim,
+	// the destination's (possibly retransmitted) move registration, and the
+	// recovery sweep's checkpointed restart all race for the same member,
+	// and whichever the origin sequences first wins — every later arrival
+	// carries a stale epoch and is denied, so exactly one incarnation of the
+	// thread survives.
+	epoch int
+	// recoverable marks a member eligible for checkpointed restart if its
+	// hosting kernel crashes.
+	recoverable bool
+	// restarted records that the member was restarted once already; restart
+	// is at-most-once, so a second hosting-kernel crash reaps it as lost.
+	restarted bool
 }
 
 // Config tunes the thread-group service.
@@ -140,10 +147,6 @@ type Service struct {
 	// degradation sweep invokes it at the origin for restartable members).
 	restart RestartHook
 
-	// failover enables origin replication: origin-side group mutations ship
-	// snapshots to the ring successor, and this kernel promotes mirrored
-	// groups when their origin dies (DESIGN.md §14).
-	failover bool
 	// gmirrors holds the latest group snapshot received from each origin
 	// this kernel is the replication successor for.
 	gmirrors map[vm.GID]*groupRepl
@@ -240,13 +243,10 @@ func (s *Service) CreateGroup(p *sim.Proc) (vm.GID, *task.Task, error) {
 		isOrigin:     true,
 		local:        make(map[task.ID]*task.Task),
 		shadows:      make(map[task.ID]*task.Task),
-		members:      make(map[task.ID]msg.NodeID),
+		members:      make(map[task.ID]member),
 		replicas:     make(map[msg.NodeID]struct{}),
 		emptyWaiters: sim.NewCond(),
 		checkpoints:  make(map[task.ID]task.Context),
-		recoverable:  make(map[task.ID]bool),
-		restarted:    make(map[task.ID]bool),
-		moveEpoch:    make(map[task.ID]int),
 	}
 	s.groups[gid] = g
 	main, err := s.spawnLocal(p, g)
@@ -270,7 +270,7 @@ func (s *Service) spawnLocal(p *sim.Proc, g *group) (*task.Task, error) {
 	}
 	s.metrics.Counter("tg.spawn.local").Inc()
 	if g.isOrigin {
-		g.members[t.ID] = s.node
+		g.members[t.ID] = member{node: s.node}
 		s.shipGroup(p, g)
 	} else {
 		// Remote member: the origin learns via the create/migrate path
@@ -318,7 +318,7 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 	t := task.New(r.TaskID, task.ID(gid), int(dst))
 	t.State = task.StateRunnable
 	if g.isOrigin {
-		g.members[t.ID] = dst
+		g.members[t.ID] = member{node: dst}
 		g.replicas[dst] = struct{}{}
 		s.shipGroup(p, g)
 	}
@@ -362,8 +362,8 @@ func (s *Service) Members(gid vm.GID) (map[task.ID]msg.NodeID, error) {
 		return nil, ErrNotOrigin
 	}
 	out := make(map[task.ID]msg.NodeID, len(g.members))
-	for id, n := range g.members {
-		out[id] = n
+	for id, m := range g.members {
+		out[id] = m.node
 	}
 	return out, nil
 }
@@ -389,7 +389,7 @@ func (s *Service) Shadows(gid vm.GID) int {
 // PeerDied is the degradation hook: the failure detector on this kernel
 // declared `dead` gone. The origin reaps members hosted there (completing
 // group exit/join accounting) and marks shadows stranded there as lost, so
-// a crashed kernel never wedges WaitEmpty or a joiner. Replicas whose
+// a crashed kernel never wedges a joiner. Replicas whose
 // origin died switch to local-only exits. Iteration orders are sorted so
 // degradation is as deterministic as the schedule that triggered it.
 func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
@@ -432,20 +432,21 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 		}
 		delete(g.replicas, dead)
 		// Reap members hosted on the dead kernel as if they exited; the last
-		// reap tears the group down and releases WaitEmpty.
+		// reap tears the group down and releases WaitMembers.
 		ids = ids[:0]
-		for id, n := range g.members {
-			if n == dead {
+		for id, m := range g.members {
+			if m.node == dead {
 				ids = append(ids, id)
 			}
 		}
 		slices.Sort(ids)
 		for _, id := range ids {
-			if g.recoverable[id] && !g.restarted[id] && s.restart != nil {
+			if m := g.members[id]; m.recoverable && !m.restarted && s.restart != nil {
 				// Checkpointed restart: rebuild the thread here instead of
 				// reaping it. At-most-once — mark before attempting so a
 				// failed hook still burns the member's one restart.
-				g.restarted[id] = true
+				m.restarted = true
+				g.members[id] = m
 				if s.restartMember(p, g, id) {
 					s.metrics.Counter("tg.member.restarted").Inc()
 					continue
@@ -457,19 +458,4 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 			}
 		}
 	}
-}
-
-// WaitEmpty blocks p (at the origin) until every member of gid has exited.
-func (s *Service) WaitEmpty(p *sim.Proc, gid vm.GID) error {
-	g, ok := s.groups[gid]
-	if !ok {
-		return ErrNoGroup
-	}
-	if !g.isOrigin {
-		return ErrNotOrigin
-	}
-	for len(g.members) > 0 {
-		g.emptyWaiters.Wait(p)
-	}
-	return nil
 }

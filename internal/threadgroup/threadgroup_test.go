@@ -305,8 +305,8 @@ func TestWaitEmptyBlocksUntilLastExit(t *testing.T) {
 		gid, main, _ := ev.tgs[0].CreateGroup(p)
 		worker, _ := ev.tgs[0].Spawn(p, gid, 1)
 		ev.e.Spawn("waiter", func(wp *sim.Proc) {
-			if err := ev.tgs[0].WaitEmpty(wp, gid); err != nil {
-				t.Errorf("WaitEmpty: %v", err)
+			if err := ev.tgs[0].WaitMembers(wp, gid, 0); err != nil {
+				t.Errorf("WaitMembers: %v", err)
 			}
 			emptyAt = wp.Now()
 		})
@@ -317,7 +317,7 @@ func TestWaitEmptyBlocksUntilLastExit(t *testing.T) {
 		_ = ev.tgs[1].Exit(p, gid, worker.ID)
 	})
 	if emptyAt < exitAt {
-		t.Fatalf("WaitEmpty returned at %v, before last exit at %v", emptyAt, exitAt)
+		t.Fatalf("WaitMembers(0) returned at %v, before last exit at %v", emptyAt, exitAt)
 	}
 }
 

@@ -65,7 +65,7 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	if err != nil {
 		return err
 	}
-	if sp.svc.failover {
+	if sp.svc.fabric.Failover() {
 		// Mirror the committed entry to the successor before the grant is
 		// released: still under de.mu, so the per-entry replication stream
 		// is ordered, and the requester can never act on a grant the

@@ -85,13 +85,6 @@ type dirMirror struct {
 	replicas map[msg.NodeID]struct{}
 }
 
-// EnableFailover turns on origin replication for this kernel's spaces:
-// every directory transaction, layout mutation and replica registration on
-// an origin space is synchronously shipped to the fabric's ring successor.
-// Call after boot, before the workload runs; the fabric's failover plane
-// (msg.Fabric.EnableFailover) must be enabled too.
-func (s *Service) EnableFailover() { s.failover = true }
-
 // shipRepl synchronously mirrors one record of this origin's own state to its
 // ring successor.
 func (s *Service) shipRepl(p *sim.Proc, rep dirRepl) {
@@ -160,7 +153,7 @@ func (s *Service) RegisterReplicaFrom(p *sim.Proc, gid GID, node msg.NodeID) err
 	if err := s.RegisterReplica(gid, node); err != nil {
 		return err
 	}
-	if s.failover {
+	if s.fabric.Failover() {
 		s.shipRepl(p, dirRepl{Kind: replReplica, GID: gid, Origin: s.node, Replica: node})
 	}
 	return nil
@@ -238,7 +231,7 @@ func (s *Service) applyRepl(rep *dirRepl) {
 // last written-back values), so the sweep finds nothing to reclaim on the
 // promoted spaces and directory-known contents survive the crash.
 func (s *Service) PromoteOrigin(dead msg.NodeID) []GID {
-	if !s.failover || s.fabric.Successor(dead) != s.node {
+	if !s.fabric.Failover() || s.fabric.Successor(dead) != s.node {
 		return nil
 	}
 	gids := make([]GID, 0, len(s.mirrors))

@@ -13,15 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// failoverEnv is newEnv with the failover plane attached on the fabric and
-// every service, as core.OS.EnableFailover wires it.
+// failoverEnv is newEnv with the fabric's failover plane attached, the one
+// switch every service reads.
 func failoverEnv(t *testing.T, kernels int) *env {
 	t.Helper()
 	ev := newEnv(t, kernels, 64)
 	ev.fabric.EnableFailover()
-	for _, s := range ev.svcs {
-		s.EnableFailover()
-	}
 	return ev
 }
 

@@ -100,7 +100,7 @@ const failoverRetryDelay = 200 * time.Microsecond
 // because the group's origin died while the failover plane is on; it
 // sleeps the pacing delay before returning true.
 func (sp *Space) retryFailover(p *sim.Proc, err error) bool {
-	if !sp.svc.failover || !msg.IsDeadPeer(err) {
+	if !sp.svc.fabric.Failover() || !msg.IsDeadPeer(err) {
 		return false
 	}
 	sp.svc.metrics.Counter("vm.fault.failover_retry").Inc()

@@ -138,7 +138,7 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	// successor *before* releasing the ack, so the mirror is never behind a
 	// value the directory has committed to.
 	surrender := false
-	if s.failover && !req.Downgrade {
+	if s.fabric.Failover() && !req.Downgrade {
 		if pte, held := sp.pt.Lookup(req.VPN); held && pte.Prot.Writable() {
 			surrender = true
 		}

@@ -210,7 +210,7 @@ func (sp *Space) resolveBrk(delta int64) (vmaUpdate, []VMA, error) {
 // is on, then to every replica. A new mapping reaches replicas lazily, on
 // their first fault, unless the eager-push ablation is on.
 func (sp *Space) publish(p *sim.Proc, u vmaUpdate) error {
-	if sp.svc.failover {
+	if sp.svc.fabric.Failover() {
 		sp.shipLayout(p, u)
 	}
 	if u.Op == opMap && !sp.svc.eagerMapPush {

@@ -184,12 +184,6 @@ type Service struct {
 	// layout change hit all of them.
 	localCores int
 
-	// failover, when set, synchronously mirrors every origin-side mutation
-	// (directory transactions, layout changes, replica registrations) to the
-	// fabric's ring successor so it can promote itself if this kernel dies
-	// (DESIGN.md §14). Off by default; fault-free runs pay one bool check
-	// per commit.
-	failover bool
 	// mirrors holds the standby copies this kernel keeps as a replication
 	// successor, keyed by group; promoted into authoritative spaces by
 	// PromoteOrigin when the origin dies.
