@@ -71,18 +71,19 @@ popcornmc:
 	$(GO) run ./cmd/popcornmc -workload all -seeds 16
 	$(GO) run ./cmd/popcornmc -workload all -seeds 16 -planes faults
 
-# The soak rows of the same table. chaos: crash -> heal -> crash kernels
-# under message noise, asserting every lost recoverable thread is restarted
-# from its checkpoint at most once; see DESIGN.md §9. overload: 10x offered
-# load, a gray link and a crash-heal cycle over the flow-control plane,
-# asserting the backlog stays credit-bounded while the breaker runs a full
-# open -> half-open -> close cycle; see DESIGN.md §13. failover: the origin
-# kernel crashes on a protocol-relative trigger with the origin-replication
-# plane attached, asserting the ring successor promotes with zero reclaimed
-# pages and zero orphaned exits, over 64 seeds (~3 s); see DESIGN.md §14.
+# The soak rows of the same table, 64 seeds each (~4 s together, prebuilt).
+# chaos: crash -> heal -> crash kernels under message noise, asserting every
+# lost recoverable thread is restarted from its checkpoint at most once; see
+# DESIGN.md §9. overload: 10x offered load, a gray link and a crash-heal
+# cycle over the flow-control plane, asserting the backlog stays
+# credit-bounded while the breaker runs a full open -> half-open -> close
+# cycle; see DESIGN.md §13. failover: the origin kernel crashes on a
+# protocol-relative trigger with the origin-replication plane attached,
+# asserting the ring successor promotes with zero reclaimed pages and zero
+# orphaned exits; see DESIGN.md §14.
 soak:
-	$(GO) run ./cmd/popcornmc -workload chaos -seeds 16
-	$(GO) run ./cmd/popcornmc -workload overload -seeds 16
+	$(GO) run ./cmd/popcornmc -workload chaos -seeds 64
+	$(GO) run ./cmd/popcornmc -workload overload -seeds 64
 	$(GO) run ./cmd/popcornmc -workload failover -seeds 64
 
 # Schedule oracle for refactors that must not move the schedule (not part of

@@ -3,9 +3,8 @@
 // a machine shape, a fault plan, a workload, the counters it reports and a
 // check over them; the harness boots the row under a seed with tie-shuffled
 // scheduling, attaches the coherence sanitizer and happens-before race
-// detector (internal/sanitize), the message trace behind their reports and
-// the causal span collector, attaches the row's planes, runs the workload
-// to quiescence and judges the run.
+// detector (internal/sanitize) and the causal span collector, attaches the
+// row's planes, runs the workload to quiescence and judges the run.
 //
 // Three rows are sweeps — contention, migration, futex — short protocol-
 // heavy workloads whose planes come from the command line: -planes takes
@@ -253,8 +252,8 @@ const eventBackstop = 5_000_000
 // runOne boots a fresh OS for the row, attaches the checkers and the run's
 // planes — flow, failover, faults, the order every row relies on — runs the
 // workload under the seed, optionally bounded to a prefix, and judges it.
-// Both tracers only record what the simulation already produced; neither
-// moves an event.
+// The sanitizer and the collector only record what the simulation already
+// produced; neither moves an event.
 func runOne(cfg runCfg) outcome {
 	r := cfg.row
 	bc, err := r.Config(cfg.seed)
@@ -266,7 +265,7 @@ func runOne(cfg runCfg) outcome {
 		return outcome{err: err}
 	}
 	defer o.Close()
-	ck := o.AttachSanitizer(sanitize.Config{Trace: o.Trace(512), FailFast: true})
+	ck := o.AttachSanitizer(sanitize.Config{FailFast: true})
 	out := outcome{spans: o.AttachTracer(), vals: make(map[string]uint64)}
 	limit := cfg.limit
 	if limit == 0 {

@@ -163,7 +163,7 @@ func run(args []string, w io.Writer) (runErr error) {
 	kernels := fs.Int("kernels", 8, "kernel instances (popcorn/multikernel)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	metrics := fs.Bool("metrics", false, "dump OS metrics after the run")
-	traceN := fs.Int("trace", 0, "record and print the last N inter-kernel messages (popcorn only)")
+	traceN := fs.Int("trace", 0, "record causal spans and print the last N (popcorn only)")
 	snapshot := fs.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
 	compare := fs.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
 	profile := prof.Register(fs)
@@ -200,10 +200,10 @@ func run(args []string, w io.Writer) (runErr error) {
 	defer o.Close()
 	if pop, ok := o.(*core.OS); ok {
 		if *traceN > 0 {
-			tb := pop.Trace(*traceN)
+			col := pop.AttachTracer()
 			defer func() {
-				fmt.Fprintln(w, "\n--- trace (most recent messages) ---")
-				_ = tb.Dump(w)
+				fmt.Fprintln(w, "\n--- trace (most recent spans) ---")
+				_ = col.WriteTimeline(w, *traceN)
 			}()
 		}
 		if *snapshot {

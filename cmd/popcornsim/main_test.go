@@ -39,12 +39,26 @@ func TestEveryWorkloadOnEveryFlavour(t *testing.T) {
 }
 
 // TestGoldenOutput pins what the command prints, byte for byte: one run,
-// and one comparison across all three flavours.
+// the same run with its span timeline, and one comparison across all three
+// flavours.
 func TestGoldenOutput(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-os popcorn -workload futexchain-shared -threads 4 -iters 2 -pages 2", `popcorn/futexchain-shared threads=4 ops=8 elapsed=351.874µs (22735 ops/s)
 virtual throughput: 22.7 ops/ms, 43.98 us/op
 simulation work: 117 messages
+`},
+		{"-os popcorn -workload futexchain-shared -threads 4 -iters 2 -pages 2 -trace 6", `popcorn/futexchain-shared threads=4 ops=8 elapsed=351.874µs (22735 ops/s)
+virtual throughput: 22.7 ops/ms, 43.98 us/op
+simulation work: 117 messages
+
+--- trace (most recent spans) ---
+(... 281 earlier spans elided)
+   350.202µs → 351.322µs    k1  handle.group-exit        id=282 parent=276
+   350.202µs → 351.322µs    k1  wire.group-exit.reply    id=283 parent=282
+   350.202µs → 351.492µs    k2  handle.group-exit        id=284 parent=278
+   350.202µs → 351.322µs    k3  handle.group-exit        id=285 parent=280
+   350.202µs → 351.322µs    k3  wire.group-exit.reply    id=286 parent=285
+   350.372µs → 351.492µs    k2  wire.group-exit.reply    id=287 parent=284
 `},
 		{"-compare -workload threadbomb -threads 4 -iters 2 -pages 2", `== threadbomb, 4 threads on 64 cores ==
 os           ops  elapsed   ops/ms

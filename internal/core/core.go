@@ -28,19 +28,6 @@ import (
 	"repro/internal/vm"
 )
 
-// PlacementPolicy selects how AnyKernel spawns are placed.
-type PlacementPolicy int
-
-// Placement policies.
-const (
-	// PlaceRoundRobin cycles through the kernels (default; cheap and
-	// deterministic, what the prototype's userspace launcher did).
-	PlaceRoundRobin PlacementPolicy = iota
-	// PlaceLeastLoaded picks the kernel with the shortest run queue —
-	// load information every kernel has locally for its own cores.
-	PlaceLeastLoaded
-)
-
 // Config configures a replicated-kernel boot.
 type Config struct {
 	// Topology describes the machine; zero value defaults to 64 cores on
@@ -56,8 +43,6 @@ type Config struct {
 	// TieShuffle randomises the order of same-instant events from the
 	// seed, so different seeds explore different legal schedules.
 	TieShuffle bool
-	// Placement selects the AnyKernel spawn policy.
-	Placement PlacementPolicy
 }
 
 // OS is a booted replicated-kernel operating system.
@@ -67,8 +52,7 @@ type OS struct {
 	cluster *kernel.Cluster
 	// metrics is the machine-wide registry every kernel's services count
 	// into.
-	metrics   *stats.Registry
-	placement PlacementPolicy
+	metrics *stats.Registry
 	// rr is the round-robin cursor for automatic thread placement.
 	rr int
 	// live tracks every running Thread by task ID so the fault plane can
@@ -124,17 +108,6 @@ func Boot(cfg Config) (*OS, error) {
 		e.Close()
 		return nil, err
 	}
-	return &OS{e: e, machine: machine, cluster: cluster, metrics: metrics, placement: cfg.Placement, live: make(map[task.ID]*Thread), restartable: make(map[task.ID]restartEntry)}, nil
-}
-
-// BootOn builds a replicated-kernel OS on an existing engine and machine,
-// for harnesses that drive several OS instances under one clock.
-func BootOn(e sim.Engine, machine *hw.Machine, clusterCfg kernel.ClusterConfig) (*OS, error) {
-	metrics := stats.NewRegistry()
-	cluster, err := kernel.Boot(e, machine, clusterCfg, metrics)
-	if err != nil {
-		return nil, err
-	}
 	return &OS{e: e, machine: machine, cluster: cluster, metrics: metrics, live: make(map[task.ID]*Thread), restartable: make(map[task.ID]restartEntry)}, nil
 }
 
@@ -161,14 +134,6 @@ func (o *OS) Kernel(k int) *kernel.Kernel { return o.cluster.Kernels[k] }
 // Fabric returns the inter-kernel message fabric, so model checkers and
 // benchmarks can drive raw transport load alongside the OS workload.
 func (o *OS) Fabric() *msg.Fabric { return o.cluster.Fabric }
-
-// Trace attaches an event buffer to the inter-kernel fabric (nil detaches)
-// and returns it, for protocol debugging.
-func (o *OS) Trace(capacity int) *trace.Buffer {
-	b := trace.NewBuffer(capacity)
-	o.cluster.Fabric.SetTrace(b)
-	return b
-}
 
 // AttachTracer attaches a causal span collector to the inter-kernel fabric
 // and returns it. Every protocol layer reads the collector through the
@@ -322,22 +287,11 @@ func (o *OS) LiveThreads() int { return len(o.live) }
 // Close shuts the simulation down, unwinding all service processes.
 func (o *OS) Close() { o.e.Close() }
 
-// pickKernel resolves a placement hint to a kernel index. The least-loaded
-// scan reads every kernel's queue depth directly — a placement heuristic
-// that tolerates stale values, standing in for gossiped load reports.
-//
-//popcornvet:allow kernlocal load scan is an advisory heuristic; stale reads only skew placement, never correctness
+// pickKernel resolves a placement hint to a kernel index: AnyKernel cycles
+// through the kernels round-robin (cheap and deterministic, what the
+// prototype's userspace launcher did).
 func (o *OS) pickKernel(hint int) (int, error) {
 	if hint == osi.AnyKernel {
-		if o.placement == PlaceLeastLoaded {
-			best, bestLoad := 0, int(^uint(0)>>1)
-			for k, kn := range o.cluster.Kernels {
-				if load := kn.Sched.Load(); load < bestLoad {
-					best, bestLoad = k, load
-				}
-			}
-			return best, nil
-		}
 		k := o.rr % len(o.cluster.Kernels)
 		o.rr++
 		return k, nil

@@ -12,7 +12,7 @@ import (
 	"repro/internal/sim"
 )
 
-func bootWithPlacement(t *testing.T, pol PlacementPolicy) *OS {
+func bootFourKernels(t *testing.T) *OS {
 	t.Helper()
 	topo := hw.Topology{Cores: 8, NUMANodes: 2}
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
@@ -22,7 +22,7 @@ func bootWithPlacement(t *testing.T, pol PlacementPolicy) *OS {
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = 4
 	cc.FramesPerKernel = 4096
-	os, err := Boot(Config{Topology: topo, Cluster: &cc, Placement: pol})
+	os, err := Boot(Config{Topology: topo, Cluster: &cc})
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
@@ -30,48 +30,8 @@ func bootWithPlacement(t *testing.T, pol PlacementPolicy) *OS {
 	return os
 }
 
-func TestLeastLoadedAvoidsBusyKernel(t *testing.T) {
-	os := bootWithPlacement(t, PlaceLeastLoaded)
-	e := os.Engine()
-	counts := make(map[int]int)
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, _ := os.StartProcessOn(p, 0)
-		// Saturate kernel 0 with long-running pinned threads.
-		for i := 0; i < 4; i++ {
-			_ = pr.Spawn(p, 0, func(th osi.Thread) {
-				th.Compute(5 * time.Millisecond)
-			})
-		}
-		p.Sleep(10 * time.Microsecond)
-		// Auto-placed threads must land elsewhere.
-		for i := 0; i < 6; i++ {
-			_ = pr.Spawn(p, osi.AnyKernel, func(th osi.Thread) {
-				counts[th.KernelID()]++
-				th.Compute(time.Millisecond)
-			})
-		}
-		pr.Wait(p)
-		_ = pr.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if counts[0] != 0 {
-		t.Fatalf("least-loaded placed %d threads on the saturated kernel (counts=%v)", counts[0], counts)
-	}
-	placed := 0
-	for k, n := range counts {
-		if k != 0 {
-			placed += n
-		}
-	}
-	if placed != 6 {
-		t.Fatalf("placed %d threads, want 6 (counts=%v)", placed, counts)
-	}
-}
-
 func TestRoundRobinIgnoresLoad(t *testing.T) {
-	os := bootWithPlacement(t, PlaceRoundRobin)
+	os := bootFourKernels(t)
 	e := os.Engine()
 	hit0 := 0
 	e.Spawn("driver", func(p *sim.Proc) {
@@ -99,7 +59,7 @@ func TestRoundRobinIgnoresLoad(t *testing.T) {
 }
 
 func TestSnapshotReportsState(t *testing.T) {
-	os := bootWithPlacement(t, PlaceRoundRobin)
+	os := bootFourKernels(t)
 	e := os.Engine()
 	e.Spawn("driver", func(p *sim.Proc) {
 		pr, _ := os.StartProcessOn(p, 0)

@@ -13,12 +13,11 @@ import (
 // registered handler on every kernel: an unhandled type fails the run the
 // first time a remote kernel sends it.
 var handlerExempt = map[msg.Type]string{
-	msg.TypeInvalid:     "zero value, never sent",
-	msg.TypePing:        "control traffic owned by tests and the T1 benchmark, which register it themselves",
-	msg.TypeUser:        "application-level traffic; the multikernel baseline wires it per domain",
-	msg.TypeMigrateBack: "reserved for wire compatibility; back-migration reuses TypeMigrate toward the origin",
-	msg.TypeHeartbeat:   "consumed by the fabric itself in deliver; never enqueued or dispatched to a handler",
-	msg.TypeRejoin:      "registered by msg.EnableFaults on every endpoint; only a fault plan's rejoin handshake sends it",
+	msg.TypeInvalid:   "zero value, never sent",
+	msg.TypePing:      "control traffic owned by tests and the T1 benchmark, which register it themselves",
+	msg.TypeUser:      "application-level traffic; the multikernel baseline wires it per domain",
+	msg.TypeHeartbeat: "consumed by the fabric itself in deliver; never enqueued or dispatched to a handler",
+	msg.TypeRejoin:    "registered by msg.EnableFaults on every endpoint; only a fault plan's rejoin handshake sends it",
 }
 
 // TestClusterHandlesEveryMessageType boots a cluster and cross-checks the

@@ -407,17 +407,11 @@ func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
 
 // announce is what a message's first send does between admission and the
 // ring, one-way or RPC alike: stamp it, open its wire span, count it and tell
-// the tracer and the observer.
+// the observer.
 func (ep *Endpoint) announce(p *sim.Proc, m *Message) {
 	ep.prepare(m)
 	ep.beginWireSpan(p, m)
 	ep.f.metrics.CounterIn(&ep.f.hot.sent, "msg.sent").Inc()
-	// The nil check lives at the call site, not just inside traceEvent: the
-	// variadic ...any arguments box before the callee can decline them, so
-	// a detached tracer must skip the call entirely to stay allocation-free.
-	if ep.f.tracer != nil {
-		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d reply=%v", m.Type, m.To, m.Seq, m.Size, m.IsReply)
-	}
 	if o := ep.f.observer; o != nil {
 		o.MsgSent(p, m)
 	}
@@ -591,7 +585,6 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 		// over-approximation that only adds the caller's own clock ticks to
 		// the edge the eventual delivery joins.
 		ep.f.countLink("msg.fault.retransmit", ep.node, m.To)
-		ep.f.traceEvent("msg.send", m.From, "%v to k%d seq=%d size=%d rpc retransmit=%d", m.Type, m.To, m.Seq, m.Size, attempts+1)
 		if o := ep.f.observer; o != nil {
 			o.MsgSent(p, m)
 		}
@@ -635,7 +628,7 @@ func (ep *Endpoint) prepare(m *Message) {
 // before the last-heard refresh, so a zombie heartbeat cannot feed the failure
 // detector — then, in fault mode, every surviving delivery refreshes the
 // detector's clock and the sender's floor, and heartbeats are consumed here
-// without ever touching the queue, tracer, or observer. This IS the fabric's
+// without ever touching the queue or the observer. This IS the fabric's
 // delivery step — the one place allowed to touch a peer's queue.
 //
 //popcornvet:allow kernlocal the fabric's delivery step itself: the message arriving at its destination's queue
@@ -662,11 +655,6 @@ func (f *Fabric) deliver(m *Message) {
 		// this point, so a message the fault plane ate leaves its span open —
 		// which is exactly how a trace shows a lost leg.
 		f.collector.EndAt(trace.SpanID(m.Span), f.e.Now())
-	}
-	// Call-site nil check: keeps the variadic boxing off the detached path
-	// (see announce).
-	if f.tracer != nil {
-		f.traceEvent("msg.deliver", m.To, "%v from k%d seq=%d size=%d reply=%v", m.Type, m.From, m.Seq, m.Size, m.IsReply)
 	}
 	f.metrics.CounterIn(&f.hot.delivered, "msg.delivered").Inc()
 	lane, gauge, name := &dst.bulk, &f.hot.queueDepth, "msg.queue.maxdepth"
@@ -712,9 +700,6 @@ func (f *Fabric) fence(m *Message, dst *Endpoint) bool {
 	case dst.dead:
 		f.drop(m, "")
 	case m.SrcInc != 0 && (m.SrcInc != f.incarnation[m.From] || m.DstInc != f.incarnation[m.To]):
-		if f.tracer != nil {
-			f.traceFenced(m)
-		}
 		f.drop(m, "msg.fault.fenced")
 	case m.Type != TypeRejoin && m.SrcInc > dst.peers[m.From].knownInc:
 		f.drop(m, "msg.fault.unadmitted")
@@ -722,15 +707,6 @@ func (f *Fabric) fence(m *Message, dst *Endpoint) bool {
 		return false
 	}
 	return true
-}
-
-// traceFenced renders the msg.fenced timeline entry, in a frame of its own so
-// the Sprintf operands stay out of the per-delivery one.
-//
-//popcornvet:coldpath
-func (f *Fabric) traceFenced(m *Message) {
-	f.traceEvent("msg.fenced", m.To, "%v from k%d seq=%d stamped (%d,%d), current (%d,%d)",
-		m.Type, m.From, m.Seq, m.SrcInc, m.DstInc, f.incarnation[m.From], f.incarnation[m.To])
 }
 
 // drop is the one way out for a message that will not be handled — fenced,
@@ -932,9 +908,6 @@ func (ep *Endpoint) dedup(m *Message) bool {
 		return true
 	}
 	ep.f.countLink("msg.fault.replayed", ep.node, m.From)
-	if ep.f.tracer != nil {
-		ep.f.traceEvent("msg.send", ep.node, "%v to k%d seq=%d cached-reply resend", de.reply.Type, de.reply.To, de.reply.Seq)
-	}
 	rm := *de.reply
 	ep.pump.resend = ep.f.reserve(&rm)
 	ep.f.e.Schedule(ep.f.sendCost(&rm), ep.pump.stepFn)

@@ -137,8 +137,6 @@ func (f *Fabric) RecordDirCommit(n NodeID) {
 		return
 	}
 	for _, oc := range f.plan.RecordDirCommit(int(n)) {
-		node := NodeID(oc.Node)
-		f.traceEvent("fault.origincrash", node, "armed by dir commit %d at kernel %d", oc.Nth, n)
-		f.armCrash(node, oc.After)
+		f.armCrash(NodeID(oc.Node), oc.After)
 	}
 }

@@ -232,7 +232,6 @@ func (f *Fabric) dispatchWire(m *Message) {
 		return
 	}
 	for _, tc := range f.plan.RecordCommit(int(m.Type)) {
-		f.traceEvent("msg.crash-armed", NodeID(tc.Node), "kernel %d dies %v after %v commit #%d", tc.Node, tc.After, Type(tc.Type), tc.Nth)
 		f.armCrash(NodeID(tc.Node), tc.After)
 	}
 	f.route(m)
@@ -327,11 +326,6 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 // a single drop cannot wedge a protocol that has no caller-side retry. Runs
 // inside the fabric's fault plane, the same engine-context step as delivery.
 func (f *Fabric) dropMsg(m *Message) {
-	// Call-site nil check: a partitioned heartbeat comes through here every
-	// probe period, and must not box trace arguments for a detached tracer.
-	if f.tracer != nil {
-		f.traceEvent("msg.drop", m.From, "%v to k%d seq=%d attempt=%d", m.Type, m.To, m.Seq, m.attempts)
-	}
 	if m.Type == TypeHeartbeat || m.rpc {
 		f.drop(m, "")
 		return
@@ -349,9 +343,10 @@ func (f *Fabric) dropMsg(m *Message) {
 
 // crashNode kills kernel n: its endpoint goes dark, queued and in-flight
 // messages vanish, its receive pump stops, and every process it hosts
-// (handlers, heartbeats, multicast workers) halts. Runs in engine context —
-// fabric fault-plane code. It fires once per injected crash, so it may
-// allocate freely.
+// (handlers, heartbeats, multicast workers) halts; an attached collector
+// gets a zero-length fault.crash span on n, so a run's timeline shows the
+// death. Runs in engine context — fabric fault-plane code. It fires once per
+// injected crash, so it may allocate freely.
 //
 //popcornvet:allow kernlocal fault-plane kill switch: the injector acting as the hardware, not one kernel reaching into another
 //popcornvet:coldpath
@@ -362,7 +357,7 @@ func (f *Fabric) crashNode(n NodeID) {
 	}
 	ep.dead = true
 	f.metrics.Counter("msg.fault.crash").Inc()
-	f.traceEvent("msg.crash", n, "kernel %d crashed", n)
+	f.collector.EndAt(f.collector.StartAt("fault.crash", int(n), 0, f.e.Now()), f.e.Now())
 	// The wipes destroy the occupancy the credits tracked: refill every
 	// account touching the dead kernel and unblock its waiters.
 	f.resetFlowLinks(n)
@@ -444,8 +439,9 @@ func (f *Fabric) endWiped(m *Message) {
 
 // healNode reboots crashed kernel n: the kernel returns empty — every
 // pre-crash structure is gone — under a bumped incarnation, reattaches to
-// the fabric, and runs the rejoin handshake with the survivors. Runs in
-// engine context — fabric fault-plane code.
+// the fabric, and runs the rejoin handshake with the survivors (a zero-length
+// fault.heal span on n marks the reboot). Runs in engine context — fabric
+// fault-plane code.
 //
 //popcornvet:allow kernlocal fault-plane reboot: the injector acting as the hardware, not one kernel reaching into another
 func (f *Fabric) healNode(n NodeID) {
@@ -456,7 +452,7 @@ func (f *Fabric) healNode(n NodeID) {
 	f.incarnation[n]++
 	ep.dead = false
 	f.metrics.Counter("msg.fault.heal").Inc()
-	f.traceEvent("msg.heal", n, "kernel %d rebooted, incarnation %d", n, f.incarnation[n])
+	f.collector.EndAt(f.collector.StartAt("fault.heal", int(n), 0, f.e.Now()), f.e.Now())
 	// Fresh transport state. The wait table and dedup table belonged to the
 	// previous incarnation (its inbound lanes were wiped at the crash and
 	// fenced since), and so did the stopped pump: an event of its still in
@@ -543,7 +539,6 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 	req := m.Payload.(*rejoinReq)
 	ep := f.endpoints[m.To]
 	node := req.Node
-	f.traceEvent("msg.rejoin", ep.node, "kernel %d accepts kernel %d at incarnation %d", ep.node, node, req.Incarnation)
 	// Requests to the previous incarnation (and their retransmissions, which
 	// keep the original stamps) are fenced at the rejoined kernel: waiting out
 	// the retry schedule would only delay the inevitable DeadPeerError.
@@ -643,7 +638,6 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 	}
 	pr.declaredDead, pr.suspect = true, false
 	f.countLink("msg.fault.declared", ep.node, dead)
-	f.traceEvent("msg.declare-dead", ep.node, "kernel %d declares kernel %d dead", ep.node, dead)
 	f.failCalls(ep, dead, math.MaxUint64, "") // whatever incarnation they were aimed at
 	if f.hooks.PeerDead != nil {
 		// Track the sweep so a rejoin handshake racing it can wait for

@@ -41,9 +41,6 @@ const (
 	TypeGroupSetup
 	// TypeMigrate carries a thread's execution context to its new kernel.
 	TypeMigrate
-	// TypeMigrateBack returns a migrated thread to its origin kernel.
-	//popcornvet:allow msgproto back-migration reuses TypeMigrate toward the origin (shadow revival); the type is reserved for wire compatibility
-	TypeMigrateBack
 	// TypeExitNotify propagates a member thread's exit to the group origin.
 	TypeExitNotify
 	// TypeGroupExit broadcasts group-wide termination.
@@ -124,7 +121,6 @@ var typeNames = map[Type]string{
 	TypeThreadCreate:   "thread-create",
 	TypeGroupSetup:     "group-setup",
 	TypeMigrate:        "migrate",
-	TypeMigrateBack:    "migrate-back",
 	TypeExitNotify:     "exit-notify",
 	TypeVMAOp:          "vma-op",
 	TypeGroupExit:      "group-exit",
@@ -347,8 +343,6 @@ type Fabric struct {
 	// head-of-line blocks later small ones, as on a real ring). Indexed by
 	// pair(from, to).
 	wires []fifo[*wireEntry]
-	// tracer, when attached, records send/deliver events.
-	tracer *trace.Buffer
 	// collector, when attached, records causal spans for every non-heartbeat
 	// message (wire transit, RPC round, handler execution); nil means one
 	// pointer check per message and not a single allocation.
@@ -410,9 +404,6 @@ type Fabric struct {
 	originHolder []NodeID
 }
 
-// SetTrace attaches an event buffer; nil detaches it.
-func (f *Fabric) SetTrace(b *trace.Buffer) { f.tracer = b }
-
 // SetCollector attaches a causal span collector; nil detaches it. Attached
 // or not, the fabric's virtual-time behaviour is identical: the collector
 // only records timestamps the simulation already produced.
@@ -437,18 +428,6 @@ type Observer interface {
 // SetObserver attaches o to the fabric; nil detaches it. The fabric pays
 // only a nil-check per message when detached.
 func (f *Fabric) SetObserver(o Observer) { f.observer = o }
-
-// traceEvent records one wire/fault-plane event into the attached ring.
-// Detached — the benchmark configuration — it costs one nil check; the
-// Sprintf runs only when a human asked for a timeline.
-//
-//popcornvet:allow hotalloc renders only with a tracer attached; tracing is explicitly outside the zero-alloc contract
-func (f *Fabric) traceEvent(kind string, node NodeID, format string, args ...any) {
-	if f.tracer == nil {
-		return
-	}
-	f.tracer.Add(trace.Event{At: f.e.Now(), Kind: kind, Node: int(node), Detail: fmt.Sprintf(format, args...)})
-}
 
 // pair indexes the per-directed-pair tables (wires, flow links).
 func (f *Fabric) pair(from, to NodeID) int { return int(from)*len(f.endpoints) + int(to) }

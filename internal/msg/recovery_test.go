@@ -1,18 +1,21 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultinj"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestStaleIncarnationMessageFencedAfterRejoin is the fencing unit test: a
 // message stamped with a kernel's pre-crash incarnation that surfaces after
 // the kernel rebooted (a zombie grant, reply, or notification that sat in a
 // delay queue across the crash) must be discarded by the fence, while a
-// message stamped with the current incarnation pair goes through.
+// message stamped with the current incarnation pair goes through. The
+// crash and the reboot each leave one zero-length span on the collector.
 func TestStaleIncarnationMessageFencedAfterRejoin(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -22,6 +25,8 @@ func TestStaleIncarnationMessageFencedAfterRejoin(t *testing.T) {
 		Heals:   []faultinj.NodeHeal{{Node: 1, At: 1500 * time.Microsecond}},
 	}
 	f := faultFabric(t, e, plan)
+	col := trace.NewCollector()
+	f.SetCollector(col)
 	handled := 0
 	f.Endpoint(1).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
 		handled++
@@ -49,6 +54,20 @@ func TestStaleIncarnationMessageFencedAfterRejoin(t *testing.T) {
 	}
 	if got := f.metrics.Counter("msg.fault.fenced.k0-k1").Value(); got != 1 {
 		t.Errorf("per-link fenced counter = %d, want 1", got)
+	}
+	want := map[string]sim.Time{"fault.crash": sim.Time(time.Millisecond), "fault.heal": sim.Time(1500 * time.Microsecond)}
+	for _, sp := range col.Spans() {
+		at, ok := want[sp.Name]
+		if !strings.HasPrefix(sp.Name, "fault.") {
+			continue
+		}
+		if !ok || sp.Node != 1 || sp.Begin != at || sp.End != at {
+			t.Errorf("span %v, want one zero-length fault.crash on k1 at 1ms and one fault.heal on k1 at 1.5ms", sp)
+		}
+		delete(want, sp.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("no span for %v", want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -154,14 +155,15 @@ func TestSeqRoundTrips(t *testing.T) {
 	}
 }
 
-// TestTracerCapturesTraffic attaches a trace buffer and checks sends and
-// deliveries are recorded with matching counts.
+// TestTracerCapturesTraffic attaches a span collector and checks that every
+// leg of an RPC is counted as sent and delivered and recorded as one closed
+// wire span.
 func TestTracerCapturesTraffic(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
-	buf := trace.NewBuffer(64)
-	f.SetTrace(buf)
+	col := trace.NewCollector()
+	f.SetCollector(col)
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 8}
 	})
@@ -173,10 +175,17 @@ func TestTracerCapturesTraffic(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	sends := len(buf.Filter("msg.send"))
-	delivers := len(buf.Filter("msg.deliver"))
+	sends, delivers := f.metrics.Counter("msg.sent").Value(), f.metrics.Counter("msg.delivered").Value()
 	if sends != 2 || delivers != 2 { // request + reply
 		t.Fatalf("sends=%d delivers=%d, want 2/2", sends, delivers)
 	}
-	f.SetTrace(nil) // detaching must not break future traffic
+	wires := 0
+	for _, sp := range col.Spans() {
+		if strings.HasPrefix(sp.Name, "wire.") && sp.End >= sp.Begin {
+			wires++
+		}
+	}
+	if wires != 2 {
+		t.Fatalf("closed wire spans = %d, want 2:\n%v", wires, col.Spans())
+	}
 }

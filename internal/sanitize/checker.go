@@ -2,9 +2,9 @@
 // sanitizer and happens-before race detector for the replicated-kernel DSM
 // protocol. It shadows every page grant, revoke and access the vm layer
 // performs, maintains vector clocks over the engine's scheduling and
-// message edges, and reports violations with the owning trace events
-// attached. Nothing here affects protocol behaviour: detached, the hooks
-// cost one nil-check; attached, the checker only observes.
+// message edges, and reports violations with the page's own protocol
+// history attached. Nothing here affects protocol behaviour: detached, the
+// hooks cost one nil-check; attached, the checker only observes.
 //
 // See DESIGN.md §"Memory-model checking" for the model and cmd/popcornmc
 // for seeded schedule exploration built on top.
@@ -20,7 +20,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // rights is the copy a kernel may legally hold of a page.
@@ -53,6 +52,28 @@ type pageShadow struct {
 	lastWriteName string
 	readers       map[int64]epoch
 	readerNames   map[int64]string
+
+	// history is a ring of the page's last maxEvents protocol records;
+	// recorded counts every record ever made, so recorded%maxEvents is the
+	// next slot.
+	history  [maxEvents]record
+	recorded int
+}
+
+// record appends one protocol step to the page's history ring, overwriting
+// the oldest once the ring is full.
+func (sh *pageShadow) record(r record) {
+	sh.history[sh.recorded%maxEvents] = r
+	sh.recorded++
+}
+
+// events returns the page's retained history, oldest first.
+func (sh *pageShadow) events() []record {
+	var out []record
+	for i := max(sh.recorded-maxEvents, 0); i < sh.recorded; i++ {
+		out = append(out, sh.history[i%maxEvents])
+	}
+	return out
 }
 
 type msgKey struct {
@@ -63,9 +84,6 @@ type msgKey struct {
 
 // Config tunes a Checker.
 type Config struct {
-	// Trace, when set, receives san.* protocol events and is mined for the
-	// page history attached to violations.
-	Trace *trace.Buffer
 	// FailFast makes coherence violations panic in the offending proc
 	// (unwound by the engine into a run failure) instead of only being
 	// recorded. Race reports are never fail-fast: they are filtered against
@@ -73,7 +91,8 @@ type Config struct {
 	FailFast bool
 }
 
-// maxEvents caps the page history attached per violation.
+// maxEvents caps the protocol history each page keeps, and so the history
+// attached per violation.
 const maxEvents = 12
 
 // Checker is the dynamic protocol checker. Wire one in with
@@ -128,9 +147,6 @@ func New(e sim.Engine, cfg Config) *Checker {
 		candidates: make(map[pageKey]*Violation),
 	}
 }
-
-// Trace returns the trace buffer the checker records into (may be nil).
-func (c *Checker) Trace() *trace.Buffer { return c.cfg.Trace }
 
 // Violations returns the coherence violations recorded so far.
 func (c *Checker) Violations() []*Violation { return c.violations }
@@ -191,53 +207,22 @@ func (c *Checker) vc(p *sim.Proc) VC {
 	return v
 }
 
-func (c *Checker) traceEvent(kind string, node msg.NodeID, gid int64, vpn mem.VPN, format string, args ...any) {
-	if c.cfg.Trace == nil {
-		return
-	}
-	c.cfg.Trace.Add(trace.Event{
-		At: c.e.Now(), Kind: kind, Node: int(node),
-		Detail: pageToken(gid, vpn) + " " + fmt.Sprintf(format, args...),
-	})
-}
-
-// violate records a coherence violation, attaches the page's protocol
-// history, and (under FailFast) panics in the offending proc.
+// violate records a coherence violation with the page's protocol history
+// attached, adds it to that history, and (under FailFast) panics in the
+// offending proc.
 func (c *Checker) violate(kind string, node msg.NodeID, gid int64, vpn mem.VPN, format string, args ...any) {
+	sh := c.shadow(pageKey{gid, vpn})
 	v := &Violation{
 		Kind: kind, At: c.e.Now(), Node: int(node),
 		GID: gid, VPN: vpn,
-		Detail: fmt.Sprintf(format, args...),
-		Events: c.pageHistory(gid, vpn),
+		Detail:  fmt.Sprintf(format, args...),
+		history: sh.events(),
 	}
 	c.violations = append(c.violations, v)
-	if c.cfg.Trace != nil {
-		c.cfg.Trace.Add(trace.Event{
-			At: v.At, Kind: "san.violation", Node: v.Node,
-			Detail: pageToken(gid, vpn) + " " + kind + ": " + v.Detail,
-		})
-	}
+	sh.record(record{at: v.At, kind: "san.violation", node: node, v: v})
 	if c.cfg.FailFast {
 		panic(v)
 	}
-}
-
-// pageHistory pulls the page's san.* events out of the shared trace buffer.
-func (c *Checker) pageHistory(gid int64, vpn mem.VPN) []trace.Event {
-	if c.cfg.Trace == nil {
-		return nil
-	}
-	token := pageToken(gid, vpn) + " "
-	var out []trace.Event
-	for _, ev := range c.cfg.Trace.Events() {
-		if strings.HasPrefix(ev.Kind, "san.") && strings.HasPrefix(ev.Detail, token) {
-			out = append(out, ev)
-		}
-	}
-	if len(out) > maxEvents {
-		out = out[len(out)-maxEvents:]
-	}
-	return out
 }
 
 // candidate records a possible race on k; the first report per page wins,
@@ -249,8 +234,8 @@ func (c *Checker) candidate(k pageKey, node msg.NodeID, format string, args ...a
 	c.candidates[k] = &Violation{
 		Kind: "race", At: c.e.Now(), Node: int(node),
 		GID: k.gid, VPN: k.vpn,
-		Detail: fmt.Sprintf(format, args...),
-		Events: c.pageHistory(k.gid, k.vpn),
+		Detail:  fmt.Sprintf(format, args...),
+		history: c.pages[k].events(),
 	}
 }
 
@@ -354,7 +339,7 @@ func (c *Checker) NodeCrashed(node msg.NodeID) {
 		if r&rWrite != 0 {
 			sh.valueKnown = false
 		}
-		c.traceEvent("san.crash-reclaim", node, k.gid, k.vpn, "k%d died holding rights=%d", node, r)
+		sh.record(record{at: c.e.Now(), kind: "san.crash-reclaim", node: node, value: int64(r)})
 	}
 	for k := range c.msgs {
 		if k.from == node || k.to == node {
@@ -415,7 +400,7 @@ func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, excl
 		// commits to a deleted wire and the copy is never installed. The
 		// crash sweep already ran, so recording the holder here would leave
 		// a phantom copy that blocks every later exclusive grant.
-		c.traceEvent("san.grant-dead", to, gid, vpn, "grant to dead k%d never installs; not recorded", to)
+		sh.record(record{at: c.e.Now(), kind: "san.grant-dead", node: to})
 		return
 	}
 	if fresh {
@@ -432,11 +417,7 @@ func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, excl
 	} else {
 		sh.holders[to] |= rRead
 	}
-	mode := "shared"
-	if exclusive {
-		mode = "excl"
-	}
-	c.traceEvent("san.grant", to, gid, vpn, "%s to k%d fresh=%v val=%d", mode, to, fresh, value)
+	sh.record(record{at: c.e.Now(), kind: "san.grant", node: to, a: exclusive, b: fresh, value: value})
 }
 
 // Revoked records that the origin collected kernel at's invalidation ack
@@ -468,7 +449,7 @@ func (c *Checker) Revoked(p *sim.Proc, gid int64, vpn mem.VPN, at msg.NodeID, do
 		// directory likewise drops it from the sharer set.
 		delete(sh.holders, at)
 	}
-	c.traceEvent("san.revoke", at, gid, vpn, "at k%d downgrade=%v hadCopy=%v val=%d", at, downgrade, hadCopy, value)
+	sh.record(record{at: c.e.Now(), kind: "san.revoke", node: at, a: downgrade, b: hadCopy, value: value})
 }
 
 // Unmapped forgets the shadow state for pages in [lo, hi): the origin
@@ -571,12 +552,7 @@ func (c *Checker) checkWriteRights(node msg.NodeID, gid int64, vpn mem.VPN, sh *
 	}
 	// Sorted so a multi-holder violation reports the same kernel first on
 	// every run.
-	holders := make([]msg.NodeID, 0, len(sh.holders))
-	for n := range sh.holders {
-		holders = append(holders, n)
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-	for _, n := range holders {
+	for _, n := range slices.Sorted(maps.Keys(sh.holders)) {
 		if n != node && sh.holders[n]&rWrite != 0 {
 			c.violate("single-writer", node, gid, vpn,
 				"k%d wrote %s while k%d also holds it writable", node, pageToken(gid, vpn), n)
@@ -634,12 +610,7 @@ func (c *Checker) raceWrite(p *sim.Proc, node msg.NodeID, k pageKey, sh *pageSha
 	}
 	// Sorted so a write conflicting with several readers reports them in
 	// the same order on every run.
-	pids := make([]int64, 0, len(sh.readers))
-	for pid := range sh.readers {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
+	for _, pid := range slices.Sorted(maps.Keys(sh.readers)) {
 		if pid != p.ID() && !pv.covers(sh.readers[pid]) {
 			c.candidate(k, node, "unsynchronized write of %s by %q on k%d conflicts with read by %q",
 				pageToken(k.gid, k.vpn), p.Name(), node, sh.readerNames[pid])
@@ -654,18 +625,12 @@ func (c *Checker) raceWrite(p *sim.Proc, node msg.NodeID, k pageKey, sh *pageSha
 // ---- threadgroup hooks -----------------------------------------------
 
 // ThreadMigrated advances the migrating proc's clock across the kernel
-// boundary and records the hop for reports.
-func (c *Checker) ThreadMigrated(p *sim.Proc, gid int64, id int64, from, to msg.NodeID) {
+// boundary.
+func (c *Checker) ThreadMigrated(p *sim.Proc) {
 	if c == nil {
 		return
 	}
 	c.vc(p).tick(p.ID())
-	if c.cfg.Trace != nil {
-		c.cfg.Trace.Add(trace.Event{
-			At: c.e.Now(), Kind: "san.migrate", Node: int(to),
-			Detail: fmt.Sprintf("g%d task %d k%d -> k%d", gid, id, from, to),
-		})
-	}
 }
 
 // ThreadExited advances the exiting proc's clock; its exit notification

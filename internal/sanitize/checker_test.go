@@ -275,3 +275,20 @@ func TestRaceFilteredBySyncAddress(t *testing.T) {
 		t.Fatalf("race on a synchronisation word survived filtering: %v", races)
 	}
 }
+
+// TestPageHistoryKeepsLastRecords fills a page's history past its capacity:
+// the ring keeps the newest maxEvents records, oldest first.
+func TestPageHistoryKeepsLastRecords(t *testing.T) {
+	var sh pageShadow
+	for i := 0; i < maxEvents+3; i++ {
+		if got := len(sh.events()); got != min(i, maxEvents) {
+			t.Fatalf("after %d records: %d retained", i, got)
+		}
+		sh.record(record{kind: "san.grant", value: int64(i)})
+	}
+	for i, r := range sh.events() {
+		if want := int64(i + 3); r.value != want {
+			t.Fatalf("events()[%d] holds record %d, want %d", i, r.value, want)
+		}
+	}
+}

@@ -172,10 +172,6 @@ func (s *Scheduler) Run(p *sim.Proc, d time.Duration) int {
 	return core
 }
 
-// Load returns the number of running plus queued tasks; the thread-group
-// layer uses it for placement decisions.
-func (s *Scheduler) Load() int { return len(s.running) + len(s.runq) }
-
 // Queued returns the current run-queue depth.
 func (s *Scheduler) Queued() int { return len(s.runq) }
 

@@ -152,9 +152,6 @@ func TestLoadAndQueuedAccounting(t *testing.T) {
 	}
 	e.Spawn("checker", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		if s.Load() != 3 {
-			t.Errorf("Load = %d, want 3", s.Load())
-		}
 		if s.Queued() != 2 {
 			t.Errorf("Queued = %d, want 2", s.Queued())
 		}
@@ -167,8 +164,8 @@ func TestLoadAndQueuedAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if s.Load() != 0 {
-		t.Fatalf("Load = %d after drain, want 0", s.Load())
+	if s.Queued() != 0 || s.RunningTasks() != 0 {
+		t.Fatalf("Queued = %d, RunningTasks = %d after drain, want 0", s.Queued(), s.RunningTasks())
 	}
 }
 

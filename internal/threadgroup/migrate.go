@@ -104,7 +104,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 	}
 	s.metrics.HistogramIn(&s.hot.total, "tg.migrate.total").Observe(p.Now().Sub(totalStart))
 	s.metrics.CounterIn(&s.hot.migrate, "tg.migrate").Inc()
-	s.checker.ThreadMigrated(p, int64(gid), int64(id), s.node, dst)
+	s.checker.ThreadMigrated(p)
 	return r.Task, nil
 }
 

@@ -1,3 +1,8 @@
+// Package trace is the run recorder: a causal span collector that connects
+// a request on kernel A to its grant on kernel B. It records *intervals* with
+// parent links, so a distributed operation (a migration, a page fault, a
+// futex hand-off) assembles into one tree spanning every kernel it touched,
+// and a failing run's last spans are its timeline.
 package trace
 
 import (
@@ -9,12 +14,6 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the causal half of the trace package: a span collector that
-// connects a request on kernel A to its grant on kernel B. Where Buffer
-// records flat per-kernel events, the Collector records *intervals* with
-// parent links, so a distributed operation (a migration, a page fault, a
-// futex hand-off) assembles into one tree spanning every kernel it touched.
-//
 // Determinism rules (DESIGN.md §10): spans carry only virtual-time stamps
 // already produced by the simulation; the collector schedules no events,
 // consumes no randomness, and allocates IDs in event order — so for a fixed

@@ -255,56 +255,3 @@ func TestRootNamesSortedAndDistinct(t *testing.T) {
 		t.Fatalf("RootNames = %v", names)
 	}
 }
-
-func TestFilterWrappedRingChronological(t *testing.T) {
-	b := NewBuffer(4)
-	for i := 0; i < 10; i++ {
-		kind := "a"
-		if i%2 == 1 {
-			kind = "b"
-		}
-		b.Add(Event{At: sim.Time(i), Node: i, Kind: kind})
-	}
-	got := b.Filter("b") // retained: 6,7,8,9 → matches 7, 9
-	if len(got) != 2 || got[0].Node != 7 || got[1].Node != 9 {
-		t.Fatalf("Filter on wrapped ring = %+v", got)
-	}
-	if b.Filter("nope") != nil {
-		t.Fatal("no-match filter should return nil")
-	}
-}
-
-func TestFilterAllocatesOnlyResult(t *testing.T) {
-	b := NewBuffer(1024)
-	for i := 0; i < 2048; i++ {
-		kind := "msg.send"
-		if i%4 == 0 {
-			kind = "vm.fault"
-		}
-		b.Add(Event{At: sim.Time(i), Kind: kind})
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		b.Filter("vm.")
-	})
-	if allocs > 1 {
-		t.Fatalf("Filter allocates %v times per call, want <= 1", allocs)
-	}
-}
-
-func BenchmarkBufferFilter(bm *testing.B) {
-	b := NewBuffer(4096)
-	for i := 0; i < 8192; i++ {
-		kind := "msg.send"
-		if i%8 == 0 {
-			kind = "vm.fault"
-		}
-		b.Add(Event{At: sim.Time(i), Kind: kind})
-	}
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		if got := b.Filter("vm."); len(got) != 512 {
-			bm.Fatalf("len = %d", len(got))
-		}
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FuzzVMASet drives the VMA set with an op stream decoded from fuzz input
@@ -89,8 +88,7 @@ func FuzzCoherenceSanitized(f *testing.F) {
 			data = data[:128]
 		}
 		ev := newEnv(t, 2, 64, sim.WithSeed(int64(seed)+1), sim.WithTieShuffle())
-		buf := trace.NewBuffer(512)
-		ck := attachSanitizer(ev, sanitize.Config{Trace: buf})
+		ck := attachSanitizer(ev, sanitize.Config{})
 		if inject {
 			ev.svcs[0].InjectSkipRevoke(1)
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // attachSanitizer wires a checker into every kernel of the test env the way
@@ -37,12 +36,10 @@ func normalizeReport(s string) string {
 // TestSanitizerCatchesSkippedRevoke is the golden-output test for the
 // coherence sanitizer: a deliberately broken directory (InjectSkipRevoke
 // drops invalidations bound for kernel 1) must produce exactly one
-// single-writer violation, with the page's grant/revoke history attached
-// from the trace buffer.
+// single-writer violation, with the page's grant/revoke history attached.
 func TestSanitizerCatchesSkippedRevoke(t *testing.T) {
 	ev := newEnv(t, 2, 64)
-	buf := trace.NewBuffer(256)
-	ck := attachSanitizer(ev, sanitize.Config{Trace: buf})
+	ck := attachSanitizer(ev, sanitize.Config{})
 	ev.svcs[0].InjectSkipRevoke(1)
 	sps := ev.group(t, 1)
 
@@ -107,7 +104,7 @@ T  k1  san.grant    PAGE shared to k1 fresh=true val=7
 // with an intact directory reports nothing.
 func TestSanitizerCleanWithoutInjection(t *testing.T) {
 	ev := newEnv(t, 2, 64)
-	ck := attachSanitizer(ev, sanitize.Config{Trace: trace.NewBuffer(256), FailFast: true})
+	ck := attachSanitizer(ev, sanitize.Config{FailFast: true})
 	sps := ev.group(t, 1)
 	ev.run(t, func(p *sim.Proc) {
 		addr, err := sps[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
