@@ -47,7 +47,7 @@ escapes-baseline:
 # experiment's `data` bytes differ from the last checked-in snapshot; gen_ns
 # is printed old -> new as information only (host time is popbench's job,
 # `bash benchmark/run.sh`). Override BENCH_BASE when re-anchoring.
-BENCH_BASE ?= BENCH_19.json
+BENCH_BASE ?= BENCH_33.json
 bench-compare:
 	$(GO) run ./cmd/benchtable -scale full -json /tmp/bench_current.json > /dev/null
 	$(GO) run ./cmd/benchtable -compare $(BENCH_BASE) /tmp/bench_current.json

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/adversity"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/osi"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // The soak rows. Each is a plan (one seed's adversity), a run (the workers
@@ -90,7 +90,6 @@ func chaosRun(o *core.OS, seed int64) error {
 		// clone past its kernel's crash; a clone that dies with its target
 		// is a degradation the driver absorbs, and the worker is skipped.
 		for i, k := range []int{1, 2} {
-			i := i
 			if err := pr.SpawnRecoverable(p, k, func(th osi.Thread) {
 				chaosWork(th, base, pages, tallyPg, seed*100+int64(i), false)
 			}); err != nil && !adversity.IsDegradation(err) {
@@ -101,7 +100,6 @@ func chaosRun(o *core.OS, seed int64) error {
 		// kernels 1-3, sometimes landing on a kernel shortly before it dies,
 		// and evacuate kernel 3 during the late partition's suspicion window.
 		for i := 0; i < 2; i++ {
-			i := i
 			if err := pr.SpawnRecoverable(p, 3, func(th osi.Thread) {
 				chaosWork(th, base, pages, tallyPg, seed*100+10+int64(i), true)
 			}); err != nil {
@@ -114,17 +112,17 @@ func chaosRun(o *core.OS, seed int64) error {
 		// gap the recovery model documents as out of scope).
 		for i := 0; i < 2; i++ {
 			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				lock := base + mem.Addr(lockPage*hw.PageSize)
+				lock := workload.NewFutexMutex(base + mem.Addr(lockPage*hw.PageSize))
 				tally := base + mem.Addr(tallyPg*hw.PageSize)
 				for n := 0; n < 40; n++ {
-					if err := lockAcquire(th, lock); err != nil {
+					if err := lock.Lock(th); err != nil {
 						panic(err)
 					}
 					if _, err := th.FetchAdd(tally, 1); err != nil {
 						panic(err)
 					}
 					th.Compute(20 * time.Microsecond)
-					if err := lockRelease(th, lock); err != nil {
+					if err := lock.Unlock(th); err != nil {
 						panic(err)
 					}
 					th.Compute(100 * time.Microsecond)
@@ -175,31 +173,6 @@ func chaosWork(th osi.Thread, base mem.Addr, pages, tallyPg int, seed int64, roa
 			}
 		}
 	}
-}
-
-// lockAcquire / lockRelease are the standard futex mutex over one shared
-// word, as a soak thread uses it.
-func lockAcquire(th osi.Thread, word mem.Addr) error {
-	for {
-		swapped, err := th.CompareAndSwap(word, 0, 1)
-		if err != nil {
-			return err
-		}
-		if swapped {
-			return nil
-		}
-		if err := th.FutexWait(word, 1); err != nil && !strings.Contains(err.Error(), "value changed") {
-			return err
-		}
-	}
-}
-
-func lockRelease(th osi.Thread, word mem.Addr) error {
-	if err := th.Store(word, 0); err != nil {
-		return err
-	}
-	_, err := th.FutexWake(word, 1)
-	return err
 }
 
 // The overload soak is the flow-control plane's endurance test: credits,
@@ -271,7 +244,6 @@ func overloadRun(o *core.OS, seed int64) error {
 		from, to msg.NodeID
 		try      bool
 	}{{0, 1, false}, {3, 0, false}, {0, 1, true}, {1, 3, false}} {
-		link := link
 		e.Spawn("overload-gen", func(p *sim.Proc) {
 			ep := f.Endpoint(link.from)
 			for i := 0; i < ovBulkCount; i++ {
@@ -324,7 +296,6 @@ func overloadRun(o *core.OS, seed int64) error {
 			return err
 		}
 		for i, k := range []int{1, 3} {
-			i := i
 			if err := pr.Spawn(p, k, func(th osi.Thread) {
 				overloadWork(th, base, pages, seed*100+1+int64(i))
 			}); err != nil {
@@ -456,7 +427,6 @@ func failoverRun(o *core.OS, seed int64) error {
 		// so the workers see no errors at all.
 		tally := base + mem.Addr((shared+workers)*hw.PageSize)
 		for i := 0; i < workers; i++ {
-			i := i
 			if err := pr.Spawn(p, 1+i%3, func(th osi.Thread) {
 				r := rand.New(rand.NewSource(seed*100 + int64(i)))
 				own := base + mem.Addr((shared+i)*hw.PageSize)

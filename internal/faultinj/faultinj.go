@@ -146,17 +146,6 @@ type Plan struct {
 	firedOrigin []bool
 }
 
-// HasCrashes reports whether the plan kills any kernel, which is what
-// decides whether the fabric needs heartbeats and failure detectors.
-func (pl *Plan) HasCrashes() bool {
-	return pl != nil && (len(pl.Crashes) > 0 || len(pl.TypeCrashes) > 0 || len(pl.OriginCrashes) > 0)
-}
-
-// HasHeals reports whether the plan reboots any kernel.
-func (pl *Plan) HasHeals() bool {
-	return pl != nil && len(pl.Heals) > 0
-}
-
 func (pl *Plan) ensure() {
 	if pl.rng == nil {
 		pl.rng = sim.NewRNG(pl.Seed)

@@ -12,6 +12,7 @@ package msg
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -37,6 +38,10 @@ func (f *Fabric) EnableFailover() {
 // switch the services' replication and promotion paths read.
 func (f *Fabric) Failover() bool { return f.originEpoch != nil }
 
+// FailoverRetryDelay paces the services' retries against a dead origin
+// while the detection-plus-promotion window runs.
+const FailoverRetryDelay = 200 * time.Microsecond
+
 // Successor returns the deterministically chosen replication successor for
 // kernel n's origin roles: the next kernel in ring order. Every kernel
 // computes the same answer locally, so no agreement protocol is needed to
@@ -55,15 +60,6 @@ func (f *Fabric) OriginHolder(role NodeID) NodeID {
 	return f.originHolder[role]
 }
 
-// OriginEpochOf returns the current origin-epoch for kernel `role`'s
-// roles (1 until the first promotion; 0 with the plane detached).
-func (f *Fabric) OriginEpochOf(role NodeID) uint64 {
-	if f.originEpoch == nil {
-		return 0
-	}
-	return f.originEpoch[role]
-}
-
 // StampOrigin stamps m as origin-role traffic for `role` under the current
 // epoch. First-wins, like the incarnation stamps: a retransmitted copy
 // keeps the epoch it was first prepared under, so copies that straddle a
@@ -79,10 +75,10 @@ func (f *Fabric) StampOrigin(m *Message, role NodeID) {
 }
 
 // Promote records that `holder` now serves kernel `role`'s origin roles,
-// under a bumped origin-epoch, and returns the new epoch. Idempotent per
-// (role, holder) pair: promoting the current holder again does not bump
-// the epoch, so the cluster-wide handover announcement can be applied by
-// every receiver without coordinating who applies it first.
+// under a bumped origin-epoch, and returns the new epoch. The promoting
+// successor is the table's only writer. Idempotent per (role, holder) pair:
+// promoting the current holder again does not bump the epoch, so the
+// successor calls it once per promoted group.
 func (f *Fabric) Promote(role, holder NodeID) uint64 {
 	if f.originEpoch == nil {
 		return 0
@@ -94,18 +90,6 @@ func (f *Fabric) Promote(role, holder NodeID) uint64 {
 	f.originEpoch[role]++
 	f.metrics.Counter("msg.failover.promotions").Inc()
 	return f.originEpoch[role]
-}
-
-// PromoteTo installs an externally announced (epoch, holder) pair for
-// `role`, taking it only if it is newer than the local view. Receivers of
-// TypeOriginHandover apply the announcement through this so a delayed or
-// reordered announcement can never roll the table backwards.
-func (f *Fabric) PromoteTo(role, holder NodeID, epoch uint64) {
-	if f.originEpoch == nil || epoch <= f.originEpoch[role] {
-		return
-	}
-	f.originHolder[role] = holder
-	f.originEpoch[role] = epoch
 }
 
 // Replicate ships m — one record of the replication stream for role's origin

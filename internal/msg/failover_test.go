@@ -80,10 +80,9 @@ func TestCurrentEpochTrafficPassesFence(t *testing.T) {
 }
 
 // TestPromoteEpochSemantics pins the agreement-free handover arithmetic:
-// Promote bumps once per holder change (idempotent per pair, so every
-// receiver of a handover announcement can apply it), PromoteTo only moves
-// the table forward, and OriginHolder/Successor expose the routing the
-// retry paths rebuild from.
+// Promote bumps once per holder change (idempotent per pair, so the
+// successor can call it once per promoted group), and
+// OriginHolder/Successor expose the routing the retry paths rebuild from.
 func TestPromoteEpochSemantics(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -107,14 +106,8 @@ func TestPromoteEpochSemantics(t *testing.T) {
 	if got := f.Metrics().Counter("msg.failover.promotions").Value(); got != 1 {
 		t.Errorf("msg.failover.promotions = %d, want 1", got)
 	}
-	// Announcements can arrive delayed or reordered: an older view must not
-	// roll the table back; a newer one must land.
-	f.PromoteTo(0, 0, 1)
-	if got := f.OriginHolder(0); got != 1 {
-		t.Error("stale PromoteTo rolled the holder table backwards")
-	}
-	f.PromoteTo(0, 2, 5)
-	if got, ep := f.OriginHolder(0), f.OriginEpochOf(0); got != 2 || ep != 5 {
-		t.Errorf("newer PromoteTo gave holder %d epoch %d, want 2/5", got, ep)
+	// A second failover of the same role moves the holder and bumps again.
+	if ep := f.Promote(0, 2); ep != 3 || f.OriginHolder(0) != 2 {
+		t.Errorf("second promotion gave holder %d epoch %d, want 2/3", f.OriginHolder(0), ep)
 	}
 }

@@ -160,6 +160,3 @@ func (c *Chan[T]) Close() {
 	}
 	c.sendQ = nil
 }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }

@@ -6,17 +6,17 @@ package threadgroup
 // full snapshot of the group's origin state to the fabric's ring successor
 // over TypeGroupReplicate (control lane). When the failure detector
 // declares the origin dead, the successor promotes the mirrored groups into
-// authoritative origin state, restarts or reaps the members the crash took,
-// bumps the origin-epoch, and announces TypeOriginHandover cluster-wide so
-// every kernel re-points its replicas (and the fabric fences stale-epoch
-// traffic from the old origin). Member exits then propagate to WaitMembers
-// waiters through the promoted origin instead of completing orphaned.
+// authoritative origin state — the address space in the same call — bumps
+// the origin-epoch (the fabric then fences stale-epoch traffic from the old
+// origin), restarts or reaps the members the crash took, and announces
+// TypeOriginHandover cluster-wide so every kernel re-points its replicas.
+// Member exits then propagate to WaitMembers waiters through the promoted
+// origin instead of completing orphaned.
 
 import (
 	"fmt"
 	"maps"
 	"slices"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -24,21 +24,19 @@ import (
 	"repro/internal/vm"
 )
 
-// tgFailoverRetryDelay paces origin-RPC retries while a failover is in
-// flight, and tgFailoverRetryMax bounds them; together they span well past
-// the detection-plus-promotion window, after which the orphaned-exit
+// tgFailoverRetryMax bounds origin-RPC retries while a failover is in
+// flight; paced by msg.FailoverRetryDelay, they span well past the
+// detection-plus-promotion window, after which the orphaned-exit
 // degradation applies as if failover were off.
-const (
-	tgFailoverRetryDelay = 200 * time.Microsecond
-	tgFailoverRetryMax   = 64
-)
+const tgFailoverRetryMax = 64
 
 // groupRepl is the full origin-state snapshot of one group, shipped to the
 // replication successor after every origin-side mutation: copies of the
 // origin's own three tables, which a promotion installs as they are (the
 // simulation passes pointers; the message's Size is what the wire charges).
-// Snapshots carry a monotonic per-group version so a fault-plan duplicate can
-// never roll the mirror backwards.
+// Replicas is the only replicated copy of the group's replica set. Snapshots
+// carry a monotonic per-group version so a fault-plan duplicate can never
+// roll the mirror backwards.
 type groupRepl struct {
 	GID         vm.GID
 	Origin      msg.NodeID
@@ -53,13 +51,11 @@ type groupRepl struct {
 }
 
 // originHandover announces a completed promotion cluster-wide: Holder now
-// serves the origin roles listed in Roles (with their bumped epochs) and
-// the groups listed in GIDs. Receivers re-point replicas and install the
-// epochs, fencing stale-origin traffic.
+// serves the groups listed in GIDs, and receivers re-point their replicas.
+// The epoch table is already written: the promoting successor's
+// msg.Fabric.Promote is its only writer.
 type originHandover struct {
 	Holder msg.NodeID
-	Roles  []msg.NodeID
-	Epochs []uint64
 	GIDs   []vm.GID
 }
 
@@ -117,8 +113,8 @@ func (s *Service) handleGroupReplicate(p *sim.Proc, m *msg.Message) *msg.Message
 
 // promoteGroups rebuilds, from this kernel's mirrors, authoritative origin
 // state for every group whose origin was `dead` — provided this kernel is
-// the designated successor and failover is on — then bumps the affected
-// origin-epochs and announces the handover cluster-wide. Called at the top
+// the designated successor and failover is on — bumps each promoted group's
+// origin-epoch and announces the handover cluster-wide. Called at the top
 // of PeerDied, so the ordinary origin sweep that follows restarts or reaps
 // the promoted groups' members the crash took, releasing joiners exactly as
 // it would had this kernel been the origin all along.
@@ -136,27 +132,16 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 	if len(gids) == 0 {
 		return
 	}
-	roleSeen := make(map[msg.NodeID]bool)
-	roles := make([]msg.NodeID, 0, 1)
 	for _, gid := range gids {
 		rep := s.gmirrors[gid]
 		delete(s.gmirrors, gid)
 		s.promoteGroup(rep, dead)
-		if role := vm.OriginKernelOf(gid); !roleSeen[role] {
-			roleSeen[role] = true
-			roles = append(roles, role)
-		}
+		s.fabric.Promote(vm.OriginKernelOf(gid), s.node)
 		s.metrics.Counter("tg.failover.promoted").Inc()
 	}
-	slices.Sort(roles)
-	epochs := make([]uint64, len(roles))
-	for i, role := range roles {
-		epochs[i] = s.fabric.Promote(role, s.node)
-	}
 	// Announce the handover to every other kernel: replicas re-point at the
-	// promoted holder and the epoch table fences the old origin's in-flight
-	// traffic. A dead peer has nothing to re-point (a later rejoin starts
-	// from scratch and learns locations on demand).
+	// promoted holder. A dead peer has nothing to re-point (a later rejoin
+	// starts from scratch and learns locations on demand).
 	targets := make([]msg.NodeID, 0, s.fabric.Nodes()-2)
 	for n := 0; n < s.fabric.Nodes(); n++ {
 		if nid := msg.NodeID(n); nid != s.node && nid != dead {
@@ -167,7 +152,7 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 		s.metrics.Counter("tg.handover.sent").Inc()
 		_, errs := s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
 			return msg.NewWith(msg.TypeOriginHandover, to, 64,
-				originHandover{Holder: s.node, Roles: roles, Epochs: epochs, GIDs: gids})
+				originHandover{Holder: s.node, GIDs: gids})
 		})
 		for _, err := range errs {
 			if err != nil && !msg.IsDeadPeer(err) {
@@ -179,7 +164,8 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 
 // promoteGroup converts this kernel's replica of one group (or creates
 // fresh state, if no member ever ran here) into the authoritative origin
-// copy from its mirrored snapshot. Pure state rebuild — no blocking.
+// copy from its mirrored snapshot, address space included. Pure state
+// rebuild — no blocking.
 func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	g, ok := s.groups[rep.GID]
 	if !ok {
@@ -205,24 +191,19 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	g.replicas = rep.Replicas
 	delete(g.replicas, s.node)
 	delete(g.replicas, dead)
-	// The VM side promoted its mirror before this sweep ran (core orders
-	// VM.PeerDied first); EnsureOrigin covers a group whose address space
-	// never committed anything, and the replica set is re-registered so
-	// layout pushes from the promoted origin reach every member kernel.
-	s.vmsvc.EnsureOrigin(rep.GID)
+	// The address space is promoted in the same call, and the snapshot's
+	// replica set registered into it so layout pushes from the promoted
+	// origin reach every member kernel.
+	s.vmsvc.Promote(rep.GID, dead)
 	for _, n := range slices.Sorted(maps.Keys(g.replicas)) {
 		_ = s.vmsvc.RegisterReplica(rep.GID, n)
 	}
 }
 
-// handleOriginHandover applies a promotion announcement: install the bumped
-// origin-epochs (fencing the old origin's stale traffic) and re-point this
+// handleOriginHandover applies a promotion announcement: re-point this
 // kernel's replicas of the promoted groups at the new holder.
 func (s *Service) handleOriginHandover(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*originHandover)
-	for i, role := range req.Roles {
-		s.fabric.PromoteTo(role, req.Holder, req.Epochs[i])
-	}
 	for _, gid := range req.GIDs {
 		if g, ok := s.groups[gid]; ok && !g.isOrigin {
 			g.origin = req.Holder
@@ -271,7 +252,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 					// Wait out the detection-plus-promotion window, then
 					// re-resolve the holder and try again.
 					s.metrics.Counter("tg.exit.failover_retry").Inc()
-					p.Sleep(tgFailoverRetryDelay)
+					p.Sleep(msg.FailoverRetryDelay)
 					continue
 				}
 				g.originDead = true
@@ -285,7 +266,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 				// The holder answered before finishing (or beginning) its
 				// promotion; paced retry until the group is origin there.
 				s.metrics.Counter("tg.exit.failover_retry").Inc()
-				p.Sleep(tgFailoverRetryDelay)
+				p.Sleep(msg.FailoverRetryDelay)
 				continue
 			}
 			return fmt.Errorf("threadgroup: exit notify: %s", r.Err)

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hw"
+	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -34,7 +36,9 @@ func mirroredTables(rep *groupRepl) originTables {
 // holds, and a group that exited has no mirror left. Two groups with
 // different origins (one whose successor wraps around the ring) go through
 // every mutation that ships — spawns, migrations of plain and recoverable
-// threads, member exits — and a third runs to its last exit.
+// threads, member exits — and a third runs to its last exit. Then the first
+// group's origin dies, and its successor's one promotion pass installs that
+// mirror, address space included.
 func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 	ev := newEnv(t, 4, Config{})
 	ev.fabric.EnableFailover()
@@ -137,5 +141,54 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 	g.checkpoints[ghost] = task.Context{}
 	if got := mirroredTables(rep); !reflect.DeepEqual(got, before) {
 		t.Errorf("mutating the origin's tables changed the mirror:\n%+v\nwas\n%+v", got, before)
+	}
+
+	// Kernel 0 dies after one layout commit. Each survivor runs what core's
+	// peer-death hook runs. Kernel 1 promotes group 1: its replica set, in
+	// both layers, is the snapshot's less the successor and the dead kernel;
+	// a Munmap at the promoted origin reaches each of those replicas; and
+	// neither layer keeps a mirror of the dead origin.
+	want := maps.Clone(rep.Replicas)
+	delete(want, 0)
+	delete(want, 1)
+	var area mem.Addr
+	ev.run(t, func(p *sim.Proc) {
+		sp, _ := ev.vms[0].Space(1)
+		var err error
+		area, err = sp.Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
+		must(err)
+		for k := 1; k < 4; k++ {
+			ev.vms[k].PeerDied(p, 0)
+			ev.tgs[k].PeerDied(p, 0)
+		}
+	})
+	succ, counters := ev.tgs[1], ev.vms[1].Metrics()
+	if g := succ.groups[1]; !g.isOrigin || !reflect.DeepEqual(g.replicas, want) {
+		t.Errorf("promoted group 1: origin %v, replicas %v, want the snapshot's less kernels 0 and 1: %v", g.isOrigin, g.replicas, want)
+	}
+	if _, kept := succ.gmirrors[1]; kept {
+		t.Error("kernel 1 still mirrors group 1 after promoting it")
+	}
+	if got := counters.Counter("dir.failover.promoted").Value(); got != 1 {
+		t.Fatalf("dir.failover.promoted = %d, want 1: the address space was not rebuilt from its mirror", got)
+	}
+	ev.run(t, func(p *sim.Proc) {
+		sp, _ := ev.vms[1].Space(1)
+		pushed := counters.Counter("vm.update.pushed").Value()
+		must(sp.Unmap(p, area, hw.PageSize))
+		if got := counters.Counter("vm.update.pushed").Value() - pushed; got != uint64(len(want)) {
+			t.Errorf("Munmap at the promoted origin pushed to %d kernels, want %d", got, len(want))
+		}
+		for n := range want {
+			if r, ok := ev.vms[n].Space(1); !ok || r.Version() != sp.Version() {
+				t.Errorf("replica on kernel %d missed the promoted origin's Munmap", n)
+			}
+		}
+		// The vm mirror went with the promotion: promoting again rebuilds
+		// nothing.
+		ev.vms[1].Promote(1, 0)
+	})
+	if got := counters.Counter("dir.failover.promoted").Value(); got != 1 {
+		t.Error("kernel 1 still mirrors group 1's address space after promoting it")
 	}
 }

@@ -414,7 +414,7 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 func (s *Service) originSetup(p *sim.Proc, g *group, req *groupSetupReq) groupSetupReply {
 	if _, have := g.replicas[req.Node]; !have && req.Node != s.node {
 		g.replicas[req.Node] = struct{}{}
-		if err := s.vmsvc.RegisterReplicaFrom(p, req.GID, req.Node); err != nil {
+		if err := s.vmsvc.RegisterReplica(req.GID, req.Node); err != nil {
 			return groupSetupReply{Err: err.Error()}
 		}
 	}

@@ -2,16 +2,17 @@ package vm
 
 // Origin failover for the address-space layer (DESIGN.md §14). When the
 // failover plane is enabled, every committed mutation of an origin's
-// authoritative state — directory-entry transitions, VMA layout changes,
-// replica-set registrations — is synchronously mirrored to the origin's
-// ring successor over TypeDirReplicate (control lane, so the flow plane
-// cannot starve the replication stream). The successor keeps a passive
+// authoritative state — directory-entry transitions and VMA layout changes —
+// is synchronously mirrored to the origin's ring successor over
+// TypeDirReplicate (control lane, so the flow plane cannot starve the
+// replication stream). The replica set is not mirrored here: it travels in
+// the thread-group layer's group snapshot. The successor keeps a passive
 // standby copy per group; when the failure detector declares the origin
-// dead, PromoteOrigin rebuilds authoritative spaces from the mirrors,
-// purging the dead kernel's page copies from the directory *before* the
-// generic reclaim sweep runs — so a crash with a live successor loses no
-// directory-known page contents (vm.pages.reclaimed stays zero for the
-// failed-over groups).
+// dead, the thread-group layer's promotion pass calls Promote for each
+// group, which rebuilds the authoritative space from the mirror and purges
+// the dead kernel's page copies itself — so a crash with a live successor
+// loses no directory-known page contents (vm.pages.reclaimed stays zero for
+// the failed-over groups).
 
 import (
 	"maps"
@@ -42,20 +43,17 @@ const (
 	// replLayout ships one committed VMA layout mutation plus the allocator
 	// cursors (nextMap, brk) needed to continue allocation after promotion.
 	replLayout = 2
-	// replReplica ships a replica-set registration.
-	replReplica = 3
 	// replValue patches a mirrored entry's value without touching its
 	// protocol state: a revokee preserving the Modified copy it is about to
 	// surrender, in case the revoking origin dies with the ack in flight.
-	replValue = 4
+	replValue = 3
 )
 
 // dirRepl is one origin-side mutation shipped to the successor. Exactly one
 // of the kind-specific field groups is meaningful, selected by Kind.
 type dirRepl struct {
-	Kind   int
-	GID    GID
-	Origin msg.NodeID
+	Kind int
+	GID  GID
 
 	// replEntry: the page and its entry's full post-transaction state.
 	// replValue: the page, Entry.value and the Entry.version it belongs to.
@@ -67,22 +65,17 @@ type dirRepl struct {
 	Layout  vmaUpdate
 	NextMap mem.Addr
 	Brk     mem.Addr
-
-	// replReplica: a kernel that attached a replica.
-	Replica msg.NodeID
 }
 
 // dirMirror is the successor's standby copy of one origin's space: enough
-// directory, layout and replica-set state to rebuild an authoritative Space
-// if the origin dies.
+// directory and layout state to rebuild an authoritative Space if the
+// origin dies.
 type dirMirror struct {
-	origin   msg.NodeID
-	entries  map[mem.VPN]dirState
-	vmas     *vmaSet
-	version  uint64
-	nextMap  mem.Addr
-	brk      mem.Addr
-	replicas map[msg.NodeID]struct{}
+	entries map[mem.VPN]dirState
+	vmas    *vmaSet
+	version uint64
+	nextMap mem.Addr
+	brk     mem.Addr
 }
 
 // shipRepl synchronously mirrors one record of this origin's own state to its
@@ -109,7 +102,7 @@ func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
 // records in version order, so a fault-plan duplicate can never roll the
 // mirror backwards.
 func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
-	rep := dirRepl{Kind: replEntry, GID: sp.gid, Origin: sp.svc.node, VPN: vpn, Entry: de.dirState}
+	rep := dirRepl{Kind: replEntry, GID: sp.gid, VPN: vpn, Entry: de.dirState}
 	rep.Entry.sharers = maps.Clone(de.sharers) // the mirror keeps it
 	sp.svc.shipRepl(p, rep)
 }
@@ -119,8 +112,7 @@ func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
 // the layout replication stream arrives in version order.
 func (sp *Space) shipLayout(p *sim.Proc, u vmaUpdate) {
 	sp.svc.shipRepl(p, dirRepl{
-		Kind: replLayout, GID: sp.gid, Origin: sp.svc.node,
-		Layout: u, NextMap: sp.nextMap, Brk: sp.brk,
+		Kind: replLayout, GID: sp.gid, Layout: u, NextMap: sp.nextMap, Brk: sp.brk,
 	})
 }
 
@@ -133,9 +125,8 @@ func (sp *Space) shipLayout(p *sim.Proc, u vmaUpdate) {
 // version guards the patch, so fault-plan duplicates can never roll a newer
 // mirrored value backwards.
 func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ver uint64) {
-	holder := s.fabric.OriginHolder(OriginKernelOf(gid))
-	succ := s.fabric.Successor(holder)
-	rep := dirRepl{Kind: replValue, GID: gid, Origin: holder, VPN: vpn, Entry: dirState{value: val, version: ver}}
+	succ := s.fabric.Successor(s.fabric.OriginHolder(OriginKernelOf(gid)))
+	rep := dirRepl{Kind: replValue, GID: gid, VPN: vpn, Entry: dirState{value: val, version: ver}}
 	s.metrics.Counter("dir.failover.preserved").Inc()
 	if succ == s.node {
 		// The revokee is the mirror host itself; patch in place.
@@ -143,20 +134,6 @@ func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ve
 		return
 	}
 	s.shipTo(p, succ, rep)
-}
-
-// RegisterReplicaFrom is RegisterReplica plus failover mirroring: the
-// registration is shipped to the successor so a promoted origin knows which
-// kernels its layout pushes must reach. The origin-side group-setup handler
-// calls this (it has the handler proc the synchronous ship needs).
-func (s *Service) RegisterReplicaFrom(p *sim.Proc, gid GID, node msg.NodeID) error {
-	if err := s.RegisterReplica(gid, node); err != nil {
-		return err
-	}
-	if s.fabric.Failover() {
-		s.shipRepl(p, dirRepl{Kind: replReplica, GID: gid, Origin: s.node, Replica: node})
-	}
-	return nil
 }
 
 // handleDirReplicate stores one replication record into this kernel's
@@ -173,14 +150,7 @@ func (s *Service) handleDirReplicate(p *sim.Proc, m *msg.Message) *msg.Message {
 func (s *Service) applyRepl(rep *dirRepl) {
 	mir, ok := s.mirrors[rep.GID]
 	if !ok {
-		mir = &dirMirror{
-			origin:   rep.Origin,
-			entries:  make(map[mem.VPN]dirState),
-			vmas:     &vmaSet{},
-			nextMap:  mapBase,
-			brk:      heapBase,
-			replicas: make(map[msg.NodeID]struct{}),
-		}
+		mir = &dirMirror{entries: make(map[mem.VPN]dirState), vmas: &vmaSet{}, nextMap: mapBase, brk: heapBase}
 		s.mirrors[rep.GID] = mir
 	}
 	switch rep.Kind {
@@ -201,8 +171,6 @@ func (s *Service) applyRepl(rep *dirRepl) {
 			}
 		}
 		mir.version, mir.nextMap, mir.brk = u.Version, rep.NextMap, rep.Brk
-	case replReplica:
-		mir.replicas[rep.Replica] = struct{}{}
 	case replValue:
 		// Patch the value, leaving state/owner/version alone: the origin's
 		// own replEntry for the same transaction (same version) must still
@@ -222,45 +190,31 @@ func (s *Service) applyRepl(rep *dirRepl) {
 	s.metrics.Counter("dir.failover.applied").Inc()
 }
 
-// PromoteOrigin rebuilds, from this kernel's mirrors, an authoritative
-// space for every group whose origin was `dead` — provided this kernel is
-// the dead origin's designated successor and failover is on. It returns the
-// promoted GIDs (sorted). Run *before* the generic PeerDied reclaim sweep:
-// promotion purges the dead kernel's page copies from the rebuilt
-// directory itself (under dir.failover.ownerlost, keeping the directory's
-// last written-back values), so the sweep finds nothing to reclaim on the
-// promoted spaces and directory-known contents survive the crash.
-func (s *Service) PromoteOrigin(dead msg.NodeID) []GID {
-	if !s.fabric.Failover() || s.fabric.Successor(dead) != s.node {
-		return nil
-	}
-	gids := make([]GID, 0, len(s.mirrors))
-	for gid, mir := range s.mirrors {
-		if mir.origin == dead {
-			gids = append(gids, gid)
+// Promote makes this kernel the authoritative origin of gid, whose origin
+// `dead` crashed. The thread-group layer's promotion pass calls it for each
+// group it promotes and then registers the group snapshot's replica set, the
+// only replicated copy of it. With a mirror, the space is rebuilt from it:
+// this kernel's replica (or a fresh space, if no member ever ran here)
+// becomes the origin copy, and the dead kernel's page copies are purged from
+// the directory (under dir.failover.ownerlost, keeping the last written-back
+// values), so the PeerDied reclaim sweep has nothing to lose on it. Without
+// one — a group that crashed before its first directory or layout commit —
+// it makes an empty origin space. Pure state rebuild, no blocking: the
+// promotion is atomic in virtual time.
+func (s *Service) Promote(gid GID, dead msg.NodeID) {
+	mir, ok := s.mirrors[gid]
+	if !ok {
+		if sp, ok := s.spaces[gid]; !ok || !sp.isOrigin {
+			s.makeOrigin(gid)
 		}
+		return
 	}
-	slices.Sort(gids)
-	for _, gid := range gids {
-		s.promoteSpace(gid, s.mirrors[gid], dead)
-		delete(s.mirrors, gid)
-		s.metrics.Counter("dir.failover.promoted").Inc()
-	}
-	return gids
-}
-
-// promoteSpace converts this kernel's replica of gid (or a fresh space, if
-// no member ever ran here) into the authoritative origin copy, rebuilt from
-// the mirror. Pure state rebuild — no blocking — so the promotion is atomic
-// in virtual time.
-func (s *Service) promoteSpace(gid GID, mir *dirMirror, dead msg.NodeID) {
+	delete(s.mirrors, gid)
+	s.metrics.Counter("dir.failover.promoted").Inc()
 	sp := s.makeOrigin(gid)
 	sp.vmas = mir.vmas
 	sp.version = max(sp.version, mir.version)
 	sp.nextMap, sp.brk = mir.nextMap, mir.brk
-	sp.replicas = maps.Clone(mir.replicas)
-	delete(sp.replicas, s.node)
-	delete(sp.replicas, dead)
 	vpns := make([]mem.VPN, 0, len(mir.entries))
 	for vpn := range mir.entries {
 		vpns = append(vpns, vpn)
@@ -289,16 +243,6 @@ func (s *Service) promoteSpace(gid GID, mir *dirMirror, dead msg.NodeID) {
 func (s *Service) Retarget(gid GID, holder msg.NodeID) {
 	if sp, ok := s.spaces[gid]; ok && !sp.isOrigin {
 		sp.origin = holder
-	}
-}
-
-// EnsureOrigin guarantees an authoritative space for gid exists on this
-// kernel after a promotion, upgrading a replica (or creating an empty
-// space) if the replication stream never shipped a VM record for the group
-// — a group that crashed before its first directory or layout commit.
-func (s *Service) EnsureOrigin(gid GID) {
-	if sp, ok := s.spaces[gid]; !ok || !sp.isOrigin {
-		s.makeOrigin(gid)
 	}
 }
 

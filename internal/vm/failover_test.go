@@ -22,6 +22,28 @@ func failoverEnv(t *testing.T, kernels int) *env {
 	return ev
 }
 
+// promote fails gid's origin `dead` over to its ring successor the way the
+// thread-group layer's promotion pass does: Promote, then register the group
+// snapshot's surviving replicas (here: every other kernel), bump the epoch
+// and re-point the survivors.
+func (ev *env) promote(t *testing.T, gid GID, dead msg.NodeID) {
+	t.Helper()
+	succ := ev.fabric.Successor(dead)
+	ev.svcs[succ].Promote(gid, dead)
+	if _, kept := ev.svcs[succ].mirrors[gid]; kept {
+		t.Errorf("kernel %d still mirrors group %d after promoting it", succ, gid)
+	}
+	for k := range ev.svcs {
+		if n := msg.NodeID(k); n != dead && n != succ {
+			if err := ev.svcs[succ].RegisterReplica(gid, n); err != nil {
+				t.Fatalf("RegisterReplica(%d): %v", n, err)
+			}
+			ev.svcs[n].Retarget(gid, succ)
+		}
+	}
+	ev.fabric.Promote(OriginKernelOf(gid), succ)
+}
+
 // TestPromotedOriginServesMirroredState drives real transactions against an
 // origin, then promotes its successor from the mirror alone and requires the
 // promoted directory to be observably identical: the layout resolves, the
@@ -43,13 +65,10 @@ func TestPromotedOriginServesMirroredState(t *testing.T) {
 		}
 		// Kernel 0 is declared dead: its successor promotes from the mirror,
 		// the fabric records the handover, and the survivors re-point.
-		gids := ev.svcs[1].PromoteOrigin(0)
-		if len(gids) != 1 || gids[0] != 1 {
-			t.Fatalf("PromoteOrigin promoted %v, want [1]", gids)
+		ev.promote(t, 1, 0)
+		if got := ev.svcs[1].metrics.Counter("dir.failover.promoted").Value(); got != 1 {
+			t.Fatalf("dir.failover.promoted = %d, want 1", got)
 		}
-		ev.fabric.Promote(0, 1)
-		ev.svcs[2].Retarget(1, 1)
-		ev.svcs[3].Retarget(1, 1)
 		// The dead kernel shared this page; its copy is purged but the
 		// directory's value survives for a kernel that never held it.
 		if v, err := sps[3].Load(p, 6, addr); err != nil || v != 7 {
@@ -73,8 +92,8 @@ func TestPromotedOriginServesMirroredState(t *testing.T) {
 func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	ev := newEnv(t, 2, 64)
 	s := ev.svcs[1]
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, Entry: dirState{state: pageModified, owner: 2, value: 16, version: 5}})
-	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Entry: dirState{value: 17, version: 6}})
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, owner: 2, value: 16, version: 5}})
+	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, VPN: 100, Entry: dirState{value: 17, version: 6}})
 	me := s.mirrors[7].entries[100]
 	if me.value != 17 {
 		t.Errorf("patched value = %d, want 17", me.value)
@@ -84,12 +103,12 @@ func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	}
 	// The origin survived to ship the transaction's own entry snapshot: it
 	// must still apply over the patch.
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, Origin: 0, VPN: 100, Entry: dirState{state: pageModified, owner: 3, value: 17, version: 6}})
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, owner: 3, value: 17, version: 6}})
 	if me = s.mirrors[7].entries[100]; me.owner != 3 || me.version != 6 {
 		t.Errorf("same-version replEntry skipped after patch: owner %d version %d", me.owner, me.version)
 	}
 	// A duplicated patch (version no longer newer) is a no-op.
-	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, Origin: 0, VPN: 100, Entry: dirState{value: 16, version: 6}})
+	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, VPN: 100, Entry: dirState{value: 16, version: 6}})
 	if me = s.mirrors[7].entries[100]; me.value != 17 {
 		t.Errorf("stale duplicate patch rolled value back to %d", me.value)
 	}
@@ -126,10 +145,7 @@ func TestSurrenderedValueDurableBeforeAck(t *testing.T) {
 		if me.version != mver {
 			t.Errorf("surrender patch advanced mirror version %d -> %d", mver, me.version)
 		}
-		ev.svcs[1].PromoteOrigin(0)
-		ev.fabric.Promote(0, 1)
-		ev.svcs[2].Retarget(1, 1)
-		ev.svcs[3].Retarget(1, 1)
+		ev.promote(t, 1, 0)
 		// The promoted directory still records k2 as Modified owner, but k2's
 		// page table lost the copy: the retry disclaims it and the repair
 		// transfers the preserved value instead of re-granting nothing.
@@ -198,7 +214,7 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 				}
 			}
 		}
-		ev.svcs[1].PromoteOrigin(0)
+		ev.promote(t, 1, 0)
 		promoted := ev.svcs[1].spaces[1]
 		if err := layoutDiff(origin, promoted.vmas, promoted.version, promoted.nextMap, promoted.brk); err != nil {
 			t.Errorf("promoted: %v", err)

@@ -88,23 +88,19 @@ func (sp *Space) Touch(p *sim.Proc, core int, addr mem.Addr, write bool) error {
 // times in one access indicates a protocol bug, not workload behaviour.
 const maxFaultRetries = 64
 
-// failoverRetryDelay paces fault retries against a dead origin while the
-// failover plane promotes its successor. Declared-dead fast-fails consume
-// no virtual time, so without pacing the retry budget would burn out at one
-// instant; with it, maxFaultRetries spans comfortably more than the
-// detection-plus-handover window, and the retried fault lands on the
-// promoted origin once the handover announcement re-points sp.origin.
-const failoverRetryDelay = 200 * time.Microsecond
-
 // retryFailover reports whether a fault-path error should be retried
 // because the group's origin died while the failover plane is on; it
-// sleeps the pacing delay before returning true.
+// sleeps msg.FailoverRetryDelay before returning true. Declared-dead
+// fast-fails consume no virtual time, so without pacing the retry budget
+// would burn out at one instant; with it, maxFaultRetries spans comfortably
+// more than the detection-plus-handover window, and the retried fault lands
+// on the promoted origin once the handover announcement re-points sp.origin.
 func (sp *Space) retryFailover(p *sim.Proc, err error) bool {
 	if !sp.svc.fabric.Failover() || !msg.IsDeadPeer(err) {
 		return false
 	}
 	sp.svc.metrics.Counter("vm.fault.failover_retry").Inc()
-	p.Sleep(failoverRetryDelay)
+	p.Sleep(msg.FailoverRetryDelay)
 	return true
 }
 

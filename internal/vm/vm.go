@@ -185,8 +185,8 @@ type Service struct {
 	localCores int
 
 	// mirrors holds the standby copies this kernel keeps as a replication
-	// successor, keyed by group; promoted into authoritative spaces by
-	// PromoteOrigin when the origin dies.
+	// successor, keyed by group; Promote rebuilds an authoritative space
+	// from one when the origin dies.
 	mirrors map[GID]*dirMirror
 
 	// checker, when attached, shadows every grant, revoke and access this
@@ -426,12 +426,8 @@ func (s *Service) Reboot() {
 // their (never written back) exclusive copy and fall back to the directory's
 // last value; the dead kernel leaves every sharer set. Runs from the fabric's
 // failure-degradation hook once the local detector declares the peer dead.
+// It does not promote: the thread-group layer's promotion pass calls Promote.
 func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
-	// Promotion first: rebuilding the dead origin's directories from the
-	// replication mirrors purges the dead kernel's copies itself (keeping
-	// the logged values), so the reclaim sweep below finds nothing to lose
-	// on the promoted spaces.
-	s.PromoteOrigin(dead)
 	gids := make([]GID, 0, len(s.spaces))
 	for gid := range s.spaces {
 		gids = append(gids, gid)
@@ -494,14 +490,6 @@ func (sp *Space) Origin() msg.NodeID { return sp.origin }
 
 // Version returns the replica's layout version.
 func (sp *Space) Version() uint64 { return sp.version }
-
-// MappedAreas returns a copy of the locally known VMA list.
-func (sp *Space) MappedAreas() []VMA {
-	return append([]VMA(nil), sp.vmas.areas...)
-}
-
-// ResidentPages returns how many pages this kernel has copies of.
-func (sp *Space) ResidentPages() int { return len(sp.values) }
 
 // ThreadArrived records a live group member on this kernel (clone or
 // inbound migration); ThreadLeft records an exit or outbound migration.
