@@ -5,8 +5,7 @@
 //
 //	simtime   wall-clock time, global math/rand, bare go statements and
 //	          real sync primitives inside sim-managed packages
-//	msgproto  msg.Type enum vs String() names, handler registrations and
-//	          send sites; discarded RPC errors
+//	msgproto  msg.Type members never sent; discarded RPC errors
 //	locksend  sim.Mutex held across a blocking fabric send or RPC, or a
 //	          call that reaches one
 //	lockorder sim-lock acquisition-order cycles (hierarchy inversions)
@@ -18,10 +17,6 @@
 //	detorder  nondeterministic ordering in event context: map ranges
 //	          whose order escapes, non-total sort.Slice comparators,
 //	          wall-clock/global-rand outside the sim-managed set
-//	hotalloc  heap-allocating constructs (make/new, &T{}, append,
-//	          fmt/errors calls, string concat and conversions, closures,
-//	          defer-in-loop) in functions marked //popcornvet:hotpath or
-//	          reachable from one; //popcornvet:coldpath stops the closure
 //
 // Usage:
 //
@@ -49,12 +44,14 @@
 // justification} JSON, so CI archives the accepted-exception population
 // next to the findings artifact.
 //
-// -escapes is the compiler's half of the hot-path allocation contract
+// -escapes is the static half of the hot-path allocation contract
 // (DESIGN.md §12): it runs `go build -gcflags=-m` over the hot packages,
-// keeps the heap-escape diagnostics that land inside hotpath-reachable
-// functions, and compares them against the checked-in baseline
-// (ESCAPES.json). A new or grown escape fails with exit 1; -write
-// regenerates the baseline instead of comparing.
+// keeps the heap-escape diagnostics that land inside functions marked
+// //popcornvet:hotpath or reachable from one in their package (a
+// //popcornvet:coldpath function stops the closure), and compares them
+// against the checked-in baseline (ESCAPES.json). Any difference — a new,
+// grown, shrunk or vanished escape — fails with exit 1; -write regenerates
+// the baseline instead of comparing.
 package main
 
 import (
@@ -92,7 +89,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: findings and reports go to stdout, diagnostics to
 // stderr, and the result is the exit status — 0 clean, 1 findings or escape
-// regressions, 2 when the command could not do what was asked.
+// differences, 2 when the command could not do what was asked.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("popcornvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -196,7 +193,7 @@ func writeJSON(stdout, stderr io.Writer, v any) int {
 
 // runEscapeGate compiles the hot packages with escape diagnostics on,
 // normalizes the hot-path escapes, and either rewrites the baseline (write)
-// or diffs against it, with status 1 on any new or grown escape.
+// or diffs against it, with status 1 on any difference.
 func runEscapeGate(tree *vetcheck.Tree, write bool, stdout, stderr io.Writer) int {
 	spans := vetcheck.HotSpans(tree)
 	if len(spans) == 0 {
@@ -241,15 +238,12 @@ func runEscapeGate(tree *vetcheck.Tree, write bool, stdout, stderr io.Writer) in
 		fmt.Fprintf(stderr, "popcornvet: parse %s: %v\n", escapeBaselinePath, err)
 		return 2
 	}
-	regressions, improvements := vetcheck.CompareEscapes(have.Escapes, current)
-	for _, s := range improvements {
-		fmt.Fprintln(stdout, "note: "+s)
-	}
-	for _, s := range regressions {
+	diffs := vetcheck.CompareEscapes(have.Escapes, current)
+	for _, s := range diffs {
 		fmt.Fprintln(stdout, s)
 	}
-	if len(regressions) > 0 {
-		fmt.Fprintf(stderr, "popcornvet: %d hot-path escape regression(s) vs %s\n", len(regressions), escapeBaselinePath)
+	if len(diffs) > 0 {
+		fmt.Fprintf(stderr, "popcornvet: %d hot-path escape difference(s) vs %s\n", len(diffs), escapeBaselinePath)
 		return 1
 	}
 	fmt.Fprintf(stdout, "popcornvet: hot-path escapes match %s (%d entr%s, %d hot functions)\n",

@@ -122,7 +122,6 @@ func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
 	f := ep.f
 	c := sim.Take(&f.callFree)
 	if c == nil {
-		//popcornvet:allow hotalloc pool cold miss (the object and its two bound callbacks); steady state recycles
 		c = &call{}
 		c.sentFn, c.timerFn = c.onSent, c.onTimeout
 	}
@@ -305,7 +304,6 @@ type handlerRun struct {
 func (ep *Endpoint) startRun(name string) *handlerRun {
 	r := sim.Take(&ep.f.runFree)
 	if r == nil {
-		//popcornvet:allow hotalloc pool cold miss (the record and its bound bodies); steady state recycles
 		r = &handlerRun{}
 		r.body, r.serve, r.each = r.run, r.handle, r.callOne
 	}
@@ -596,7 +594,6 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 // caught at the door, before a plane indexes anything by m.To.
 func (ep *Endpoint) checkAddressed(m *Message) {
 	if int(m.To) < 0 || int(m.To) >= len(ep.peers) {
-		//popcornvet:allow hotalloc fatal misuse path; the panic ends the run
 		panic(fmt.Sprintf("msg: send to unknown node %d", m.To))
 	}
 	if m.Type == TypeInvalid {
@@ -841,7 +838,6 @@ func (e *wireEntry) onSent() {
 //popcornvet:hotpath
 func (ep *Endpoint) spawnHandler(m *Message) {
 	if !ep.Handles(m.Type) {
-		//popcornvet:allow hotalloc fatal misuse path; the failure ends the run
 		ep.f.e.Fail(fmt.Errorf("msg: node %d has no handler for %v", ep.node, m.Type))
 		return
 	}
@@ -894,7 +890,6 @@ func (ep *Endpoint) dedup(m *Message) bool {
 	de, dup := ep.seen[k]
 	if !dup {
 		if de = sim.Take(&ep.f.dedupFree); de == nil {
-			//popcornvet:allow hotalloc pool cold miss; retire recycles every entry no copy can still hit
 			de = &dedupEntry{}
 		}
 		de.seq, de.at, de.rpc = m.Seq, ep.f.e.Now(), m.rpc

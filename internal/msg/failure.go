@@ -244,8 +244,6 @@ func (f *Fabric) dispatchWire(m *Message) {
 // The no-fault fast path (deliver) is allocation-free; injected faults may
 // allocate copies and delay closures, which is fine — a fault event is the
 // rare case by construction.
-//
-//popcornvet:allow hotalloc injected-fault branches (dup copy, delay/retry closures) are rare by construction; the deliver fast path is clean
 func (f *Fabric) route(m *Message) {
 	if f.linkDown(m) {
 		f.metrics.Counter("msg.fault.dead-link").Inc() // machine-wide only: the link is gone
@@ -307,7 +305,6 @@ func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 		f.deliver(m)
 		return
 	}
-	//popcornvet:allow hotalloc delay closures exist only for injected latency faults, rare by construction
 	f.e.Schedule(d, func() {
 		if f.linkDown(m) {
 			f.drop(m, "")
@@ -337,7 +334,6 @@ func (f *Fabric) dropMsg(m *Message) {
 	}
 	f.countLink("msg.fault.redeliver", m.From, m.To)
 	backoff := f.fcfg.SendRetryEvery * time.Duration(m.attempts)
-	//popcornvet:allow hotalloc retry closures exist only for injected drops, rare by construction
 	f.e.Schedule(backoff, func() { f.route(m) })
 }
 
@@ -765,7 +761,6 @@ func (f *Fabric) countLink(name string, from, to NodeID) {
 	k := linkKey{name: name, from: from, to: to}
 	c, ok := f.linkCounters[k]
 	if !ok {
-		//popcornvet:allow hotalloc first occurrence of a per-link metric; cached thereafter
 		c = f.metrics.Counter(fmt.Sprintf("%s.k%d-k%d", name, from, to))
 		f.linkCounters[k] = c
 	}

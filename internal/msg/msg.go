@@ -69,7 +69,6 @@ const (
 	// by the fabric itself (never enqueued or dispatched to a handler) and is
 	// exempt from probabilistic fault rules, though partitions and crashes
 	// still silence it — that silence is exactly what the detector measures.
-	//popcornvet:allow msgproto heartbeats are consumed inside Fabric.deliver before the dispatch queue, so no kernel handler exists or is needed
 	TypeHeartbeat
 	// TypeRejoin is the handshake a rebooted kernel sends every survivor: it
 	// announces the kernel's new incarnation so the survivor finishes any
@@ -266,7 +265,6 @@ func (m *Message) reset() { *m = Message{} }
 //
 //popcornvet:hotpath
 func NewWith[T any](t Type, to NodeID, size int, payload T) *Message {
-	//popcornvet:allow hotalloc the message itself: handed to the receiver, so it cannot be pooled
 	b := &struct {
 		Message
 		body T
@@ -448,7 +446,6 @@ func (q *fifo[T]) len() int { return len(q.items) - q.head }
 // front returns the oldest item without removing it; the queue must not be empty.
 func (q *fifo[T]) front() T { return q.items[q.head] }
 
-//popcornvet:allow hotalloc queue growth is amortized; a drained or half-popped array is reused first
 func (q *fifo[T]) push(v T) {
 	if n := q.len(); len(q.items) == cap(q.items) {
 		if q.head > 0 && 2*q.head >= len(q.items) {
@@ -495,7 +492,6 @@ type wireEntry struct {
 func (f *Fabric) allocWireEntry(m *Message) *wireEntry {
 	e := sim.Take(&f.entryFree)
 	if e == nil {
-		//popcornvet:allow hotalloc free-list cold miss; steady state recycles
 		e = &wireEntry{}
 		e.sentFn = e.onSent
 	}
@@ -522,7 +518,6 @@ func (f *Fabric) allocMsg() *Message {
 		return m
 	}
 	f.msgMade++
-	//popcornvet:allow hotalloc pool cold miss; steady state recycles
 	return &Message{}
 }
 

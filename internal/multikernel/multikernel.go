@@ -25,7 +25,6 @@ import (
 // Config configures a multikernel boot.
 type Config struct {
 	Topology hw.Topology
-	Cost     *hw.CostModel
 	Seed     int64
 	// Kernels is the number of kernel instances (default one per core
 	// pair is excessive to simulate; default one per NUMA node).
@@ -53,45 +52,37 @@ type node struct {
 }
 
 // Boot brings up the multikernel.
-func Boot(cfg Config) (*OS, error) {
+func Boot(cfg Config) (_ *OS, err error) {
 	topo := cfg.Topology
 	if topo.Cores == 0 {
 		topo = hw.Topology{Cores: 64, NUMANodes: 2}
 	}
-	cost := hw.DefaultCostModel()
-	if cfg.Cost != nil {
-		cost = *cfg.Cost
-	}
-	machine, err := hw.NewMachine(topo, cost)
+	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
 		return nil, err
+	}
+	kernels, framesPerKernel := cfg.Kernels, cfg.FramesPerKernel
+	if kernels <= 0 {
+		kernels = topo.NUMANodes
+	}
+	if framesPerKernel <= 0 {
+		framesPerKernel = 1 << 16
+	}
+	if topo.Cores%kernels != 0 {
+		return nil, fmt.Errorf("multikernel: %d cores do not split across %d kernels", topo.Cores, kernels)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	e := sim.NewEngine(sim.WithSeed(seed))
-	os, err := BootOn(e, machine, cfg.Kernels, cfg.FramesPerKernel)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	return os, nil
-}
-
-// BootOn builds the multikernel on an existing engine and machine.
-func BootOn(e sim.Engine, machine *hw.Machine, kernels, framesPerKernel int) (*OS, error) {
-	if kernels <= 0 {
-		kernels = machine.Topology.NUMANodes
-	}
-	if framesPerKernel <= 0 {
-		framesPerKernel = 1 << 16
-	}
-	if machine.Topology.Cores%kernels != 0 {
-		return nil, fmt.Errorf("multikernel: %d cores do not split across %d kernels", machine.Topology.Cores, kernels)
-	}
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
 	metrics := stats.NewRegistry()
-	perKernel := machine.Topology.Cores / kernels
+	perKernel := topo.Cores / kernels
 	nodeCore := make([]int, kernels)
 	for k := range nodeCore {
 		nodeCore[k] = k * perKernel
@@ -110,7 +101,7 @@ func BootOn(e sim.Engine, machine *hw.Machine, kernels, framesPerKernel int) (*O
 		if err != nil {
 			return nil, err
 		}
-		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[0]), mem.FrameID(k)<<24, framesPerKernel)
+		alloc, err := mem.NewFrameAllocator(topo.NodeOf(cores[0]), mem.FrameID(k)<<24, framesPerKernel)
 		if err != nil {
 			return nil, err
 		}

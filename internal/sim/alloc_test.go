@@ -8,9 +8,9 @@ import (
 // TestScheduleDispatchZeroAllocs pins the engine's schedule→dispatch path at
 // zero allocations per event in steady state. The free list is warmed by a
 // first round; after that, scheduling an event, popping it off the heap, and
-// running its callback must not touch the heap allocator at all — this is
-// the contract the hotalloc analyzer enforces statically and ROADMAP item 5
-// demands for many-kernel sweeps.
+// running its callback must not touch the heap allocator at all. This pin is
+// the runtime half of the hot-path allocation contract (DESIGN.md §12); the
+// escape baseline (make escapes) is the static half.
 func TestScheduleDispatchZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	tick := func() {}

@@ -212,7 +212,6 @@ func WithInvariantInterval(d time.Duration) Option {
 func (e *engine) checkInvariants() {
 	for _, inv := range e.invariants {
 		if err := inv.fn(); err != nil {
-			//popcornvet:allow hotalloc invariant-failure path ends the run
 			e.Fail(fmt.Errorf("sim: invariant %q violated at %v: %w", inv.name, e.now, err))
 			return
 		}

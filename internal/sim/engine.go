@@ -214,7 +214,7 @@ func Take[T any](free *[]*T) (x *T) {
 //
 //popcornvet:hotpath
 func Give[T any](free *[]*T, x *T) {
-	//popcornvet:allow hotalloc free-list growth is amortized; capacity is retained
+	// Free-list growth is amortized: capacity is retained.
 	*free = append(*free, x)
 }
 
@@ -227,7 +227,6 @@ func (e *engine) allocEvent() *event {
 	if ev := Take(&e.free); ev != nil {
 		return ev
 	}
-	//popcornvet:allow hotalloc free-list cold miss; steady state recycles
 	return &event{}
 }
 
@@ -322,7 +321,6 @@ func (e *engine) step() (error, bool) {
 		return nil, false
 	}
 	if ev.at < e.now {
-		//popcornvet:allow hotalloc fatal-error path; the run is already lost
 		return fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.now), true
 	}
 	e.now = ev.at

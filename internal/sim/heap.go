@@ -25,7 +25,7 @@ func (h *eventHeap) less(i, j int) bool {
 }
 
 func (h *eventHeap) push(ev *event) {
-	//popcornvet:allow hotalloc heap growth is amortized; capacity is retained across pops
+	// Heap growth is amortized: capacity is retained across pops.
 	h.events = append(h.events, ev)
 	h.up(len(h.events) - 1)
 }

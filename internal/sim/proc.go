@@ -91,7 +91,7 @@ func (e *engine) Start(p *Proc, name string, fn func(p *Proc)) {
 		p.k = newCarrier()
 	}
 	p.k.p, p.k.fn = p, fn
-	//popcornvet:allow hotalloc table growth is amortized; capacity is retained
+	// Table growth is amortized: capacity is retained as processes finish.
 	e.procs = append(e.procs, p)
 	e.observeStarted(p)
 	p.dispatchIn(0)

@@ -79,7 +79,7 @@ type smpWaiter struct {
 var _ osi.OS = (*OS)(nil)
 
 // Boot brings up the SMP system.
-func Boot(cfg Config) (*OS, error) {
+func Boot(cfg Config) (_ *OS, err error) {
 	topo := cfg.Topology
 	if topo.Cores == 0 {
 		topo = hw.Topology{Cores: 64, NUMANodes: 2}
@@ -92,26 +92,22 @@ func Boot(cfg Config) (*OS, error) {
 	if err != nil {
 		return nil, err
 	}
+	framesPerNode := cfg.FramesPerNode
+	if framesPerNode <= 0 {
+		framesPerNode = 1 << 16
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	e := sim.NewEngine(sim.WithSeed(seed))
-	os, err := BootOn(e, machine, cfg.FramesPerNode)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	return os, nil
-}
-
-// BootOn builds the SMP system on an existing engine and machine.
-func BootOn(e sim.Engine, machine *hw.Machine, framesPerNode int) (*OS, error) {
-	if framesPerNode <= 0 {
-		framesPerNode = 1 << 16
-	}
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
 	metrics := stats.NewRegistry()
-	allCores := make([]int, machine.Topology.Cores)
+	allCores := make([]int, topo.Cores)
 	for i := range allCores {
 		allCores[i] = i
 	}
@@ -127,12 +123,12 @@ func BootOn(e sim.Engine, machine *hw.Machine, framesPerNode int) (*OS, error) {
 		tasklist: sim.NewMutex(e),
 		pidLock:  sim.NewMutex(e),
 	}
-	for n := 0; n < machine.Topology.NUMANodes; n++ {
+	for n := 0; n < topo.NUMANodes; n++ {
 		alloc, err := mem.NewFrameAllocator(n, mem.FrameID(n)<<24, framesPerNode)
 		if err != nil {
 			return nil, err
 		}
-		os.zones = append(os.zones, kernel.NewLockedFrames(e, machine, alloc, false, machine.Topology.CoresPerNode()))
+		os.zones = append(os.zones, kernel.NewLockedFrames(e, machine, alloc, false, topo.CoresPerNode()))
 	}
 	for i := range os.futexes {
 		os.futexes[i] = &futexBucket{mu: sim.NewMutex(e).SetLabel("smp.futex.bucket"), waiters: make(map[mem.Addr][]*smpWaiter)}

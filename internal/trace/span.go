@@ -104,7 +104,7 @@ func (c *Collector) StartAt(name string, node int, parent SpanID, at sim.Time) S
 		return 0
 	}
 	id := SpanID(len(c.spans) + 1)
-	//popcornvet:allow hotalloc span-store growth is amortized; NewCollector preallocates the common case
+	// Span-store growth is amortized; NewCollector preallocates the common case.
 	c.spans = append(c.spans, Span{ID: id, Parent: parent, Name: name, Node: node, Begin: at, End: openEnd})
 	return id
 }

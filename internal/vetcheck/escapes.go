@@ -2,22 +2,74 @@ package vetcheck
 
 import (
 	"fmt"
+	"go/ast"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// This file is the static half of the escape-baseline gate (DESIGN.md §12):
-// the compiler's own escape analysis (`go build -gcflags=-m`) is the ground
-// truth for what actually reaches the heap, and the checked-in ESCAPES.json
-// pins the set of heap escapes inside declared hot paths. The hotalloc
-// analyzer catches allocating *constructs* syntactically; this gate catches
-// what the analyzer cannot see — a parameter that starts escaping because a
-// callee changed, an interface conversion the inliner stopped eliding — by
-// failing CI the moment the compiler reports a heap escape on a hot path
-// that the baseline does not already account for. cmd/popcornvet -escapes
-// runs the compiler and drives the comparison; the parsing and diffing live
-// here so they are unit-testable without a toolchain.
+// This file is the static half of the hot-path allocation contract
+// (DESIGN.md §12): the compiler's own escape analysis (`go build -gcflags=-m`)
+// is the ground truth for what reaches the heap, and the checked-in
+// ESCAPES.json is the exact set of heap escapes accepted inside declared hot
+// paths. A new, grown, shrunk or vanished entry fails the gate, so a site
+// whose diagnostic is already known cannot slip in under a stale count. The
+// runtime half is the AllocsPerRun pins in each package and
+// TestMemoryFlatInRunLength, which judge what the compiler cannot: whether an
+// allocation happens per event, and whether amortized growth stays bounded.
+// cmd/popcornvet -escapes runs the compiler and drives the comparison; the
+// hot set, the parsing and the diffing live here so they are unit-testable
+// without a toolchain.
+
+// Markers recognised in function doc comments. They declare scope, not
+// suppression, so they do not share the popcornvet:allow prefix. A
+// //popcornvet:hotpath function is a hot root: it runs once per simulated
+// event or per message. A function is hot when the call graph (reach.go)
+// reaches it from a root without leaving the root's package and without
+// entering a //popcornvet:coldpath function (error construction, reports and
+// other O(1)-per-run paths); a method value stored in a field and called
+// later is reached from where it was named.
+const (
+	hotMarker  = "popcornvet:hotpath"
+	coldMarker = "popcornvet:coldpath"
+)
+
+// docMarked reports whether fn's doc comment contains the given marker on a
+// line of its own.
+func docMarked(fd *ast.FuncDecl, marker string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == marker {
+			return true
+		}
+	}
+	return false
+}
+
+// hot returns the hot functions of the tree in source order.
+func (t *Tree) hot() (nodes []*funcNode) {
+	g := t.calls()
+	var all, roots []*funcNode
+	for _, pkg := range t.Pkgs {
+		pkg.funcs(func(_ *File, fd *ast.FuncDecl) {
+			all = append(all, g.node(pkg, fd))
+			if docMarked(fd, hotMarker) {
+				roots = append(roots, g.node(pkg, fd))
+			}
+		})
+	}
+	reached := g.closure(roots, func(from, to *funcNode) bool {
+		return to.pkg == from.pkg && !docMarked(to.decl, coldMarker)
+	})
+	for _, n := range all {
+		if reached[n] {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
 
 // HotSpan is the source extent of one hot-path-reachable function: the
 // escape gate keeps only compiler diagnostics that land inside one.
@@ -28,12 +80,11 @@ type HotSpan struct {
 	To   int // last line of the declaration
 }
 
-// HotSpans returns the extents of every function the hotalloc closure
-// considers hot, across all packages, sorted by file then starting line.
+// HotSpans returns the extents of every hot function, across all packages,
+// sorted by file then starting line.
 func HotSpans(t *Tree) []HotSpan {
 	var out []HotSpan
-	nodes, _ := t.hot()
-	for _, n := range nodes {
+	for _, n := range t.hot() {
 		out = append(out, HotSpan{
 			File: normPath(n.file.Name),
 			Func: n.fn.Name(),
@@ -129,16 +180,19 @@ func splitDiag(line string) (file string, srcLine int, diag string, ok bool) {
 // diagnostics compare equal regardless of how the roots were spelled.
 func normPath(p string) string { return strings.TrimPrefix(p, "./") }
 
-// CompareEscapes diffs current hot-path escapes against the baseline. Every
-// regression string is a new or grown escape and must fail the gate;
-// improvements (baseline entries no longer present) are informational —
-// the baseline should be regenerated to lock them in.
-func CompareEscapes(baseline, current []Escape) (regressions, improvements []string) {
+// CompareEscapes diffs current hot-path escapes against the baseline and
+// returns one line per difference; any difference fails the gate. A new or
+// grown escape is an allocation nobody accepted. A shrunk or vanished one
+// leaves slack a new site with the same diagnostic could fill unseen, the
+// way a stale waiver would, so it must be locked in with
+// `make escapes-baseline`.
+func CompareEscapes(baseline, current []Escape) (diffs []string) {
 	type key struct{ file, fn, diag string }
 	base := make(map[key]int, len(baseline))
 	for _, e := range baseline {
 		base[key{e.File, e.Func, e.Diag}] = e.Count
 	}
+	const relock = " — regenerate the baseline with `make escapes-baseline`"
 	seen := make(map[key]bool, len(current))
 	for _, e := range current {
 		k := key{e.File, e.Func, e.Diag}
@@ -146,18 +200,21 @@ func CompareEscapes(baseline, current []Escape) (regressions, improvements []str
 		want, known := base[k]
 		switch {
 		case !known:
-			regressions = append(regressions,
+			diffs = append(diffs,
 				fmt.Sprintf("%s: new heap escape in hot function %s: %q (%d site(s))", e.File, e.Func, e.Diag, e.Count))
 		case e.Count > want:
-			regressions = append(regressions,
+			diffs = append(diffs,
 				fmt.Sprintf("%s: heap escape %q in hot function %s grew from %d to %d site(s)", e.File, e.Diag, e.Func, want, e.Count))
+		case e.Count < want:
+			diffs = append(diffs,
+				fmt.Sprintf("%s: heap escape %q in hot function %s shrank from %d to %d site(s)%s", e.File, e.Diag, e.Func, want, e.Count, relock))
 		}
 	}
 	for _, e := range baseline {
 		if !seen[key{e.File, e.Func, e.Diag}] {
-			improvements = append(improvements,
-				fmt.Sprintf("%s: baseline escape %q in %s no longer reported — regenerate the baseline to lock the win in", e.File, e.Diag, e.Func))
+			diffs = append(diffs,
+				fmt.Sprintf("%s: baseline escape %q in %s no longer reported%s", e.File, e.Diag, e.Func, relock))
 		}
 	}
-	return regressions, improvements
+	return diffs
 }

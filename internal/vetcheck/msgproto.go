@@ -8,26 +8,24 @@ import (
 	"sort"
 )
 
-// MsgProto cross-checks the inter-kernel message protocol: the msg.Type
-// enum against its String() names, registered handlers and send sites, plus
-// RPC call sites that discard the error. Popcorn-style kernels share no
-// state and interact only through these typed messages, so the wiring is
-// mechanically checkable:
+// MsgProto cross-checks the inter-kernel message protocol where only the
+// source can: send sites and discarded RPC errors. Popcorn-style kernels
+// share no state and interact only through these typed messages, so the
+// wiring is mechanically checkable:
 //
-//   - every declared Type must be a key of the typeNames map (String()
-//     coverage);
-//   - every declared Type must have at least one Endpoint.Handle(TypeX, ...)
-//     registration — a type nobody can receive is either dead or a latent
-//     "no handler" panic;
 //   - every declared Type must be sent somewhere (a Message composite
-//     literal with Type: TypeX, or a NewWith(TypeX, ...) call) — otherwise it
-//     is dead protocol surface;
+//     literal with Type: TypeX, an assignment m.Type = TypeX to a pooled
+//     Message, or a NewWith(TypeX, ...) call) — otherwise it is dead
+//     protocol surface;
 //   - Endpoint.Call/CallEach results must not discard the error: a lost
 //     reply is how inter-kernel protocols wedge silently.
 //
 // A use names an enum member by its constant value, so an alias or a
 // parenthesised or converted constant still counts. Exemptions are per-type
-// allow-directives at the declaration site.
+// allow-directives at the declaration site. The rest of the wiring is pinned
+// at run time: msg's TestTypeStringExhaustive requires a String() name for
+// every type, and kernel's TestClusterHandlesEveryMessageType requires a
+// handler on every booted kernel, with reasoned exemptions.
 type MsgProto struct{}
 
 // Name implements Analyzer.
@@ -36,9 +34,8 @@ func (MsgProto) Name() string { return "msgproto" }
 var (
 	msgType     = declare("msg", "", "Type")
 	msgMessage  = declare("msg", "", "Message")
-	msgNames    = declare("msg", "", "typeNames")
+	msgTypeOf   = declare("msg", "Message", "Type")
 	msgNewWith  = declare("msg", "", "NewWith")
-	msgHandle   = declare("msg", "Endpoint", "Handle")
 	msgCall     = fabricSends[0]
 	msgCallEach = fabricSends[1]
 )
@@ -49,38 +46,24 @@ func (MsgProto) Check(t *Tree) []Finding {
 	flag := func(n interface{ Pos() token.Pos }, msg string) {
 		out = append(out, Finding{Pos: t.Fset.Position(n.Pos()), Rule: "msgproto", Message: msg})
 	}
-	// Enum members seen as a typeNames key, a Handle registration, a send.
-	named, handled, sent := map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
+	// Enum members seen in a send.
+	sent := map[int64]bool{}
 	for _, pkg := range t.Pkgs {
 		info := pkg.info
-		// mark records e in set when it is a msg.Type constant.
-		mark := func(set map[int64]bool, e ast.Expr) {
+		// markSent records e as sent when it is a msg.Type constant.
+		markSent := func(e ast.Expr) {
 			if tv := info.Types[e]; tv.Value != nil && msgType.isType(tv.Type) {
 				if v, exact := constant.Int64Val(tv.Value); exact {
-					set[v] = true
+					sent[v] = true
 				}
 			}
 		}
 		for _, file := range pkg.Files {
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				switch node := n.(type) {
-				case *ast.ValueSpec:
-					if len(node.Names) != 1 || len(node.Values) != 1 || !msgNames.is(info.Defs[node.Names[0]], nil) {
-						return true
-					}
-					if cl, ok := node.Values[0].(*ast.CompositeLit); ok {
-						for _, el := range cl.Elts {
-							if kv, ok := el.(*ast.KeyValueExpr); ok {
-								mark(named, kv.Key)
-							}
-						}
-					}
 				case *ast.CallExpr:
-					switch fn := callee(info, node); {
-					case msgHandle.isFunc(fn):
-						mark(handled, node.Args[0])
-					case msgNewWith.isFunc(fn):
-						mark(sent, node.Args[0])
+					if msgNewWith.isFunc(callee(info, node)) {
+						markSent(node.Args[0])
 					}
 				case *ast.CompositeLit:
 					if !msgMessage.isType(info.TypeOf(node)) {
@@ -89,7 +72,7 @@ func (MsgProto) Check(t *Tree) []Finding {
 					for _, el := range node.Elts {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
 							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Type" {
-								mark(sent, kv.Value)
+								markSent(kv.Value)
 							}
 						}
 					}
@@ -99,6 +82,11 @@ func (MsgProto) Check(t *Tree) []Finding {
 							"inter-kernel protocols wedge silently")
 					}
 				case *ast.AssignStmt:
+					for i, lhs := range node.Lhs {
+						if len(node.Rhs) == len(node.Lhs) && msgTypeOf.isField(info, lhs) {
+							markSent(node.Rhs[i])
+						}
+					}
 					if call, ok := node.Rhs[0].(*ast.CallExpr); ok && len(node.Rhs) == 1 && isRPC(info, call) {
 						if id, ok := node.Lhs[len(node.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
 							flag(call, callee(info, call).Name()+" error discarded; handle or propagate the RPC failure")
@@ -126,16 +114,7 @@ func (MsgProto) Check(t *Tree) []Finding {
 	}
 	sort.Slice(declared, func(i, j int) bool { return declared[i].Pos() < declared[j].Pos() })
 	for _, c := range declared {
-		v, _ := constant.Int64Val(c.Val())
-		if !named[v] {
-			flag(c, c.Name()+" has no entry in typeNames: its String() falls back to a "+
-				"numeric placeholder in every trace and error")
-		}
-		if !handled[v] {
-			flag(c, c.Name()+" has no Handle registration anywhere: receiving it would "+
-				"fail the run")
-		}
-		if !sent[v] {
+		if v, _ := constant.Int64Val(c.Val()); !sent[v] {
 			flag(c, c.Name()+" is never sent: dead protocol surface")
 		}
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the one call graph the interprocedural analyzers share
-// (locksend, lockorder, hotalloc and the escape gate's HotSpans). A node is
-// a function or method declared with a body anywhere in the module; an edge
+// (locksend, lockorder and the escape gate's HotSpans). A node is a
+// function or method declared with a body anywhere in the module; an edge
 // f -> g exists when f's body names g at all — calls it, takes it as a
 // method value (r.each = r.callOne), passes it as a callback — because a
 // function that is named is assumed to run. A reference to an interface
@@ -137,26 +137,24 @@ func (g *callGraph) callees(info *types.Info, call *ast.CallExpr) []*funcNode {
 	return nil
 }
 
-// closure returns every node reachable from roots, mapped to the root that
-// reached it first (breadth-first, roots in the order given, so the
-// attribution is deterministic). enter gates each edge.
-func (g *callGraph) closure(roots []*funcNode, enter func(from, to *funcNode) bool) map[*funcNode]*funcNode {
-	via := make(map[*funcNode]*funcNode)
-	queue := append([]*funcNode(nil), roots...)
+// closure returns every node reachable from roots; enter gates each edge.
+func (g *callGraph) closure(roots []*funcNode, enter func(from, to *funcNode) bool) map[*funcNode]bool {
+	seen := make(map[*funcNode]bool)
 	for _, r := range roots {
-		via[r] = r
+		seen[r] = true
 	}
+	queue := append([]*funcNode(nil), roots...)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.edges {
-			if _, seen := via[e.to]; !seen && enter(n, e.to) {
-				via[e.to] = via[n]
+			if !seen[e.to] && enter(n, e.to) {
+				seen[e.to] = true
 				queue = append(queue, e.to)
 			}
 		}
 	}
-	return via
+	return seen
 }
 
 // facts computes a transitive summary: for every node, the least set that

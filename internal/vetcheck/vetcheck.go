@@ -85,7 +85,7 @@ type Analyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		SimTime{}, MsgProto{}, LockSend{}, LockOrder{}, DirVer{},
-		KernLocal{}, DetOrder{}, HotAlloc{},
+		KernLocal{}, DetOrder{},
 	}
 }
 

@@ -15,33 +15,10 @@ import (
 // messages, exactly as the same benchmarks had to be ported to Barrelfish
 // for the paper's comparison.
 
-// mkDrive mirrors drive for the multikernel OS.
-func mkDrive(o *multikernel.OS, name string, threads int, body func(p *sim.Proc) (uint64, error)) (Result, error) {
-	e := o.Engine()
-	var res Result
-	var runErr error
-	e.Spawn("workload-"+name, func(p *sim.Proc) {
-		start := p.Now()
-		ops, err := body(p)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res = Result{OS: o.Name(), Name: name, Threads: threads, Ops: ops, Elapsed: p.Now().Sub(start)}
-	})
-	if err := e.Run(); err != nil {
-		return Result{}, fmt.Errorf("workload %s: %w", name, err)
-	}
-	if runErr != nil {
-		return Result{}, fmt.Errorf("workload %s: %w", name, runErr)
-	}
-	return res, nil
-}
-
 // MKThreadBomb is the F1 port: spawner domains create child domains on
 // their own kernel (domain creation is purely kernel-local).
 func MKThreadBomb(o *multikernel.OS, spec ThreadBombSpec) (Result, error) {
-	return mkDrive(o, "threadbomb", spec.Spawners, func(p *sim.Proc) (uint64, error) {
+	return drive(o, "threadbomb", spec.Spawners, func(p *sim.Proc) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Spawners; i++ {
 			k := i % o.Kernels()
@@ -65,7 +42,7 @@ func MKThreadBomb(o *multikernel.OS, spec ThreadBombSpec) (Result, error) {
 // MKMemStorm is the F4 port: domains allocate, touch and free private
 // memory — no shared VMA tree exists to contend on.
 func MKMemStorm(o *multikernel.OS, spec MmapStormSpec) (Result, error) {
-	return mkDrive(o, "mmapstorm", spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return drive(o, "mmapstorm", spec.Threads, func(p *sim.Proc) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Threads; i++ {
 			k := i % o.Kernels()
@@ -97,7 +74,7 @@ func MKMemStorm(o *multikernel.OS, spec MmapStormSpec) (Result, error) {
 // regions. Allocation is eager on a multikernel (capabilities), so the
 // "fault" cost is folded into Alloc.
 func MKFaultSweep(o *multikernel.OS, spec FaultSweepSpec) (Result, error) {
-	return mkDrive(o, "faultsweep", spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return drive(o, "faultsweep", spec.Threads, func(p *sim.Proc) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Threads; i++ {
 			k := i % o.Kernels()
@@ -133,7 +110,7 @@ func MKComputeKernel(o *multikernel.OS, spec ComputeKernelSpec) (Result, error) 
 		return Result{}, fmt.Errorf("workload: unknown compute kernel %q", spec.Kernel)
 	}
 	name := "npb-" + spec.Kernel
-	return mkDrive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return drive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
 		T := spec.Threads
 		wg := sim.NewWaitGroup()
 		workers := make([]*multikernel.Domain, T)

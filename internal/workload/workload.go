@@ -52,7 +52,7 @@ func (r Result) String() string {
 // drive runs body inside a fresh driver process on o's engine, drains the
 // simulation and returns body's measurement. The engine must be freshly
 // booted (virtual time is not reset).
-func drive(o osi.OS, name string, threads int, body func(p *sim.Proc) (uint64, error)) (Result, error) {
+func drive(o driven, name string, threads int, body func(p *sim.Proc) (uint64, error)) (Result, error) {
 	return driveWindow(o, name, threads, func(p *sim.Proc, w *window) (uint64, error) {
 		return body(p)
 	})
@@ -70,9 +70,16 @@ func (w *window) Measure(start, end sim.Time) {
 	w.start, w.end, w.set = start, end, true
 }
 
+// driven is what the driver needs of an OS: both osi.OS flavours and the
+// multikernel have it.
+type driven interface {
+	Engine() sim.Engine
+	Name() string
+}
+
 // driveWindow is drive with an explicit measurement window: when the body
 // calls w.Measure, only that interval is reported.
-func driveWindow(o osi.OS, name string, threads int, body func(p *sim.Proc, w *window) (uint64, error)) (Result, error) {
+func driveWindow(o driven, name string, threads int, body func(p *sim.Proc, w *window) (uint64, error)) (Result, error) {
 	e := o.Engine()
 	var res Result
 	var runErr error
