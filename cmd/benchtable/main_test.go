@@ -2,86 +2,83 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-// snap writes a snapshot fixture: each experiment is "ID:gen_ns:cell", where
-// cell is the one table cell the fixture's data block holds.
-func snap(t *testing.T, scale string, exps ...string) string {
-	t.Helper()
-	var items []string
-	for _, e := range exps {
-		f := strings.Split(e, ":")
-		items = append(items, fmt.Sprintf(
-			`{"id":%q,"title":"t","gen_ns":%s,"data":{"kind":"table","rows":[[%q]]}}`, f[0], f[1], f[2]))
-	}
-	path := filepath.Join(t.TempDir(), "snap.json")
-	doc := fmt.Sprintf(`{"scale":%q,"experiments":[%s]}`, scale, strings.Join(items, ","))
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareSnapshots(t *testing.T) {
-	cases := []struct {
-		name     string
-		old, new string
-		code     int
-		want     string
-	}{
-		{"same data, 3x slower gen_ns",
-			snap(t, "full", "T1:1000000:5us", "F4:20000000:9ms"),
-			snap(t, "full", "T1:3000000:5us", "F4:60000000:9ms"),
-			0, "all 2 shared experiments have data byte-equal"},
-		{"one changed cell",
-			snap(t, "full", "T1:1000000:5us", "F4:20000000:9ms"),
-			snap(t, "full", "T1:1000000:5us", "F4:20000000:8ms"),
-			1, "F4           20ms ->         20ms  DATA CHANGED"},
-		{"experiment dropped and added",
-			snap(t, "full", "T1:1000000:5us", "T5:1000000:0.5x"),
-			snap(t, "full", "T1:1000000:5us", "F9:1000000:1ms"),
-			0, "T5   dropped from the new snapshot"},
-		{"scale mismatch",
-			snap(t, "quick", "T1:1000000:5us"),
-			snap(t, "full", "T1:1000000:5us"),
-			2, ""},
-	}
-	for _, c := range cases {
-		var out bytes.Buffer
-		if code := compareSnapshots(&out, c.old, c.new); code != c.code {
-			t.Errorf("%s: exit %d, want %d\n%s", c.name, code, c.code, &out)
-		}
-		if !strings.Contains(out.String(), c.want) {
-			t.Errorf("%s: output lacks %q:\n%s", c.name, c.want, &out)
-		}
-	}
-}
-
-// TestJSONRoundTrip runs one experiment through the command and reads the
-// snapshot back; a snapshot must also compare clean against itself.
+// TestJSONRoundTrip runs one experiment through the command and decodes the
+// snapshot it wrote.
 func TestJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t1.json")
 	if code := run([]string{"-exp", "T1", "-scale", "quick", "-json", path}, io.Discard); code != 0 {
 		t.Fatalf("run exit %d", code)
 	}
-	s, err := readSnapshot(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var s struct {
+		Scale       string
+		Experiments []struct {
+			ID    string
+			GenNS int64 `json:"gen_ns"`
+			Data  struct{ Kind string }
+		}
+	}
+	if err := json.Unmarshal(data, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.Scale != "quick" || len(s.Experiments) != 1 {
 		t.Fatalf("snapshot = scale %q, %d experiments; want quick, 1", s.Scale, len(s.Experiments))
 	}
-	e := s.Experiments[0]
-	if e.ID != "T1" || e.GenNS <= 0 || !bytes.Contains(e.Data, []byte(`"kind": "series"`)) {
-		t.Fatalf("experiment = %s gen_ns %d data %s", e.ID, e.GenNS, e.Data)
+	if e := s.Experiments[0]; e.ID != "T1" || e.GenNS <= 0 || e.Data.Kind != "series" {
+		t.Fatalf("experiment = %+v, want T1 with gen_ns > 0 and a series", e)
 	}
-	if code := run([]string{"-compare", path, path}, io.Discard); code != 0 {
-		t.Fatalf("snapshot differs from itself: exit %d", code)
+}
+
+// TestTraceExportDeterministic runs T2 traced twice, exporting its spans:
+// same seed, same spans, same bytes, and each export loads as a Chrome
+// trace.
+func TestTraceExportDeterministic(t *testing.T) {
+	var exports [2][]byte
+	for i := range exports {
+		dir := t.TempDir()
+		if code := run([]string{"-exp", "T2", "-scale", "quick", "-trace", "-traceout", dir}, io.Discard); code != 0 {
+			t.Fatalf("run exit %d", code)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "T2.trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.ValidateChromeTrace(data); err != nil {
+			t.Fatal(err)
+		}
+		exports[i] = data
+	}
+	if !bytes.Equal(exports[0], exports[1]) {
+		t.Fatal("two traced T2 runs exported different span trees")
+	}
+}
+
+// TestBadArguments checks that a flag combination the command cannot honour
+// exits 2 and writes nothing.
+func TestBadArguments(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	for _, args := range [][]string{
+		{"-scale", "huge"},
+		{"-exp", "T9"},
+		{"-exp", "T3", "-scale", "quick", "-traceout", dir},
+	} {
+		if code := run(args, io.Discard); code != 2 {
+			t.Errorf("benchtable %v: exit %d, want 2", args, code)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("-traceout without -trace created %s", dir)
 	}
 }

@@ -170,6 +170,9 @@ func run(args []string, w io.Writer) (runErr error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if (*traceN > 0 || *snapshot) && (*osFlag != "popcorn" || *compare) || *metrics && *compare {
+		return errors.New("-trace and -snapshot need -os popcorn, and none of -trace, -snapshot, -metrics works with -compare")
+	}
 
 	stopProfile, err := profile.Start()
 	if err != nil {
@@ -198,20 +201,18 @@ func run(args []string, w io.Writer) (runErr error) {
 		return err
 	}
 	defer o.Close()
-	if pop, ok := o.(*core.OS); ok {
-		if *traceN > 0 {
-			col := pop.AttachTracer()
-			defer func() {
-				fmt.Fprintln(w, "\n--- trace (most recent spans) ---")
-				_ = col.WriteTimeline(w, *traceN)
-			}()
-		}
-		if *snapshot {
-			defer func() {
-				fmt.Fprintln(w, "\n--- snapshot ---")
-				fmt.Fprint(w, pop.Snapshot())
-			}()
-		}
+	if *traceN > 0 {
+		col := o.(*core.OS).AttachTracer()
+		defer func() {
+			fmt.Fprintln(w, "\n--- trace (most recent spans) ---")
+			_ = col.WriteTimeline(w, *traceN)
+		}()
+	}
+	if *snapshot {
+		defer func() {
+			fmt.Fprintln(w, "\n--- snapshot ---")
+			fmt.Fprint(w, o.(*core.OS).Snapshot())
+		}()
 	}
 	res, err := runOn(o, wl, p)
 	if errors.Is(err, errNoPort) {

@@ -81,6 +81,13 @@ func TestBadArguments(t *testing.T) {
 		"-workload bogus":            "unknown workload",
 		"-compare -workload bogus":   "unknown workload",
 		"-workload mmapstorm -cores": "flag needs an argument",
+
+		// Output flags the selected run cannot honour fail, not vanish.
+		"-os smp -workload mmapstorm -threads 4 -trace 5 -snapshot": "need -os popcorn",
+		"-os multikernel -snapshot":                                 "need -os popcorn",
+		"-compare -trace 3":                                         "works with -compare",
+		"-compare -metrics":                                         "works with -compare",
+		"-compare -metrics -trace 3 -snapshot":                      "works with -compare",
 	} {
 		if _, err := sim(args); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("popcornsim %s: err = %v, want one containing %q", args, err, want)

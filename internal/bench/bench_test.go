@@ -1,32 +1,6 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestAllExperimentsRunAtQuickScale smoke-runs every registered experiment
-// and checks that the output has the expected structure. This is the
-// integration test for the whole stack: every experiment boots full
-// machines and runs real workloads.
-func TestAllExperimentsRunAtQuickScale(t *testing.T) {
-	for _, exp := range Experiments() {
-		exp := exp
-		t.Run(exp.ID, func(t *testing.T) {
-			out, err := exp.Run(Quick)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", exp.ID, exp.Title, err)
-			}
-			s := out.String()
-			if len(s) == 0 {
-				t.Fatalf("%s produced empty output", exp.ID)
-			}
-			if !strings.Contains(s, "\n") {
-				t.Fatalf("%s output is not a table/series:\n%s", exp.ID, s)
-			}
-		})
-	}
-}
+import "testing"
 
 func TestFindExperiment(t *testing.T) {
 	if _, ok := Find("F4"); !ok {

@@ -221,35 +221,6 @@ func TestFormatNum(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("T", "name", "value")
-	tab.AddRow("plain", "1")
-	tab.AddRow("with,comma", `quote"inside`)
-	var sb strings.Builder
-	if err := tab.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	want := "name,value\nplain,1\n\"with,comma\",\"quote\"\"inside\"\n"
-	if out != want {
-		t.Fatalf("CSV = %q, want %q", out, want)
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries("fig", "threads", "ops", 1, 2)
-	_ = s.AddLine("a", []float64{10, 20})
-	_ = s.AddLine("b", []float64{1.5, 2.5})
-	var sb strings.Builder
-	if err := s.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "threads,a,b\n1,10,1.5\n2,20,2.5\n"
-	if sb.String() != want {
-		t.Fatalf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestTableJSON(t *testing.T) {
 	tb := NewTable("tbl", "name", "value")
 	tb.AddRow("a", "1")

@@ -98,8 +98,8 @@ func microString(ns int64) string {
 }
 
 // ValidateChromeTrace checks that an exported trace is well-formed JSON
-// with the trace_event envelope. Tests and the trace-demo target use it as
-// a smoke check that the hand-rolled output stays loadable.
+// with the trace_event envelope. Tests use it as a smoke check that the
+// hand-rolled output stays loadable.
 func ValidateChromeTrace(data []byte) error {
 	if !strings.HasPrefix(string(data), "{\"traceEvents\":[") {
 		return fmt.Errorf("trace: missing traceEvents envelope")
