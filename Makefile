@@ -47,7 +47,9 @@ escapes-baseline:
 
 # Host profiles on tap: run one experiment at full scale under the CPU and
 # allocation profilers and print the hottest functions. The .pprof files stay
-# in PROFILE_DIR for `go tool pprof` (-list, -peek, -http).
+# in PROFILE_DIR for `go tool pprof` (-list, -peek, -http). An experiment's
+# cells run on up to GOMAXPROCS goroutines, so the CPU profile spans them
+# all: its sample total is CPU time summed over cores, above the wall time.
 EXP ?= F5b
 PROFILE_DIR ?= /tmp/popcorn-profile
 profile:
@@ -103,7 +105,9 @@ schedule-oracle:
 # Tier-1 under the race detector: among it the table gate (every experiment's
 # table digest at both scales, traced equal to untraced; see
 # internal/bench/testdata/golden_tables.txt) and the byte-determinism of the
-# Chrome trace export (cmd/benchtable); see DESIGN.md §10 and §12.
+# Chrome trace export (cmd/benchtable); see DESIGN.md §10 and §12. The race
+# detector also guards the cells internal/bench runs side by side (DESIGN.md
+# §6); that package takes ~18 s of this on a 2-core host.
 test:
 	$(GO) test -race ./...
 

@@ -5,13 +5,19 @@
 //
 // Usage:
 //
-//	benchtable [-scale quick|full] [-exp all|T1,F4,...] [-list] [-trace] [-traceout DIR] [-json FILE]
+//	benchtable [-scale quick|full] [-exp all|T1,F4,...] [-list] [-reps N] [-trace] [-traceout DIR] [-json FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
+// With -reps N, each selected experiment runs N times and the command exits
+// 1 if any rep's output (at full precision) differs from the first rep's;
+// the host generation time is reported as the minimum and median over the
+// reps.
+//
 // With -json FILE, a machine-readable snapshot of every selected experiment
-// — id, title, host generation nanoseconds, and the structured table/series
-// data — is written to FILE; checked in per PR as BENCH_<n>.json, it gives
-// the perf trajectory a diffable history.
+// — id, title, host generation nanoseconds (minimum and median over the
+// reps), and the structured table/series data — is written to FILE; checked
+// in per PR as BENCH_<n>.json, it gives the perf trajectory a diffable
+// history.
 //
 // With -cpuprofile/-memprofile, host CPU and allocation profiles of the
 // selected experiments are written for `go tool pprof`; `make profile
@@ -27,12 +33,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,10 +56,11 @@ import (
 type jsonExperiment struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
-	// GenNS is wall-clock nanoseconds spent generating the experiment on
-	// the host: one unrepeated reading, recorded as a trajectory, judged by
-	// nothing.
-	GenNS int64 `json:"gen_ns"`
+	// GenNS and GenNSMedian are the minimum and median wall-clock
+	// nanoseconds spent generating the experiment on the host, over -reps
+	// runs: a trajectory, judged by nothing.
+	GenNS       int64 `json:"gen_ns"`
+	GenNSMedian int64 `json:"gen_ns_median"`
 	// Data is the experiment's output: a stats.Table or stats.Series in its
 	// tagged JSON form, or a plain string for outputs without one.
 	Data any `json:"data"`
@@ -72,6 +81,7 @@ func run(args []string, stdout io.Writer) int {
 	scaleFlag := fs.String("scale", "full", "experiment scale: quick or full")
 	expFlag := fs.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 	listFlag := fs.Bool("list", false, "list available experiments and exit")
+	reps := fs.Int("reps", 1, "run each selected experiment N times; exit 1 if any rep's output differs from the first")
 	traceFlag := fs.Bool("trace", false, "attach the causal tracer and print critical-path attribution tables")
 	traceDir := fs.String("traceout", "", "with -trace, write Chrome trace_event JSON per experiment into this directory")
 	jsonOut := fs.String("json", "", "also write a machine-readable snapshot of every selected experiment to this file")
@@ -80,6 +90,10 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "benchtable: -reps %d: want at least 1\n", *reps)
+		return 2
+	}
 	if *traceDir != "" && !*traceFlag {
 		fmt.Fprintf(os.Stderr, "benchtable: -traceout writes the spans -trace records: it needs -trace\n")
 		return 2
@@ -126,36 +140,26 @@ func run(args []string, stdout io.Writer) int {
 	failed := 0
 	snapshot := jsonSnapshot{Scale: *scaleFlag, Experiments: []jsonExperiment{}}
 	for _, exp := range selected {
-		start := time.Now()
-		var (
-			out fmt.Stringer
-			col *trace.Collector
-			err error
-		)
-		if *traceFlag && exp.RunTraced != nil {
-			out, col, err = exp.RunTraced(scale)
-		} else {
-			out, err = exp.Run(scale)
-		}
+		r, err := repeat(exp, scale, *reps, *traceFlag)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtable: %s failed: %v\n", exp.ID, err)
 			failed++
 			continue
 		}
-		elapsed := time.Since(start)
+		gen, median := r.gens[0], (r.gens[(*reps-1)/2]+r.gens[*reps/2])/2
 		if *jsonOut != "" {
-			var data any = out
-			if _, ok := out.(json.Marshaler); !ok {
-				data = out.String()
-			}
-			snapshot.Experiments = append(snapshot.Experiments,
-				jsonExperiment{ID: exp.ID, Title: exp.Title, GenNS: elapsed.Nanoseconds(), Data: data})
+			snapshot.Experiments = append(snapshot.Experiments, jsonExperiment{ID: exp.ID, Title: exp.Title,
+				GenNS: gen.Nanoseconds(), GenNSMedian: median.Nanoseconds(), Data: data(r.out)})
 		}
-		fmt.Fprintf(stdout, "### %s — %s (generated in %v)\n\n%s\n", exp.ID, exp.Title, elapsed.Round(time.Millisecond), out)
+		took := fmt.Sprint(gen.Round(time.Millisecond))
+		if *reps > 1 {
+			took = fmt.Sprintf("%v min, %v median of %d reps", gen.Round(time.Millisecond), median.Round(time.Millisecond), *reps)
+		}
+		fmt.Fprintf(stdout, "### %s — %s (generated in %s)\n\n%s\n", exp.ID, exp.Title, took, r.out)
 		if *traceFlag {
-			if col == nil {
+			if r.col == nil {
 				fmt.Fprintf(stdout, "(no traced variant for %s)\n\n", exp.ID)
-			} else if err := printAttribution(stdout, exp.ID, col, *traceDir); err != nil {
+			} else if err := printAttribution(stdout, exp.ID, r.col, *traceDir); err != nil {
 				fmt.Fprintf(os.Stderr, "benchtable: trace for %s: %v\n", exp.ID, err)
 				failed++
 			}
@@ -175,6 +179,60 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// repeated is one experiment's first output, traced when -trace asked for it
+// and the experiment has a traced variant, with every rep's host generation
+// time in ascending order.
+type repeated struct {
+	out  fmt.Stringer
+	col  *trace.Collector
+	gens []time.Duration
+}
+
+// repeat runs exp n times and fails unless every rep's output equals the
+// first's in its snapshot form, which holds a Series at full precision
+// where its text prints three significant digits.
+func repeat(exp bench.Experiment, scale bench.Scale, n int, traced bool) (*repeated, error) {
+	r := &repeated{}
+	var first []byte
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		var (
+			out fmt.Stringer
+			col *trace.Collector
+			err error
+		)
+		if traced && exp.RunTraced != nil {
+			out, col, err = exp.RunTraced(scale)
+		} else {
+			out, err = exp.Run(scale)
+		}
+		if err != nil {
+			return nil, err
+		}
+		r.gens = append(r.gens, time.Since(start))
+		form, err := json.Marshal(data(out))
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			r.out, r.col, first = out, col, form
+		} else if !bytes.Equal(form, first) {
+			return nil, fmt.Errorf("rep %d output differs from rep 1", i+1)
+		}
+	}
+	slices.Sort(r.gens)
+	return r, nil
+}
+
+// data is an output's snapshot form: a stats.Table or stats.Series in its
+// tagged JSON form, any other output as its text.
+func data(out fmt.Stringer) any {
+	if _, ok := out.(json.Marshaler); ok {
+		return out
+	}
+	return out.String()
 }
 
 // writeSnapshot writes the machine-readable run snapshot as indented JSON.

@@ -82,18 +82,13 @@ func AblationSlotSize(s Scale) (*stats.Series, error) {
 		xs[i] = float64(sz)
 	}
 	series := stats.NewSeries("D4: ring slot size vs RTT", "slot-bytes", "rtt-us", xs...)
-	for _, payload := range []int{64, 4096} {
-		ys := make([]float64, len(slots))
-		for i, slot := range slots {
-			rtt, err := onePingCfg(payload, slot)
-			if err != nil {
-				return nil, err
-			}
-			ys[i] = float64(rtt.Nanoseconds()) / 1000
-		}
-		if err := series.AddLine(fmt.Sprintf("%dB payload", payload), ys); err != nil {
-			return nil, err
-		}
+	payloads := []int{64, 4096}
+	err := addLines(series, len(slots), []string{"64B payload", "4096B payload"}, func(l, x int) (float64, error) {
+		rtt, err := onePingCfg(payloads[l], slots[x])
+		return float64(rtt.Nanoseconds()) / 1000, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }
@@ -233,20 +228,16 @@ func AblationKernelCount(s Scale) (*stats.Series, error) {
 		xs[i] = float64(k)
 	}
 	series := stats.NewSeries("D3: kernel count vs mmap-storm throughput", "kernels", "cycles/ms", xs...)
-	ys := make([]float64, len(kernelCounts))
-	for i, kernels := range kernelCounts {
-		o, err := bootPopcorn(testbed(), kernels)
+	err := addLines(series, len(kernelCounts), []string{"popcorn"}, func(_, x int) (float64, error) {
+		o, err := bootPopcorn(testbed(), kernelCounts[x])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		defer o.Close()
 		res, err := workload.MmapStorm(o, workload.MmapStormSpec{Threads: threads, Iters: iters, Pages: 4})
-		o.Close()
-		if err != nil {
-			return nil, err
-		}
-		ys[i] = res.Throughput() / 1000
-	}
-	if err := series.AddLine("popcorn", ys); err != nil {
+		return res.Throughput() / 1000, err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return series, nil

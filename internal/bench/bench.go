@@ -64,8 +64,7 @@ func threadCounts(s Scale) []int {
 	return []int{1, 2, 4, 8, 16, 32, 64}
 }
 
-// runOn runs an osi workload on a freshly booted OS of each flavour and
-// returns throughput lines for a series.
+// osBoot boots a fresh machine of one OS flavour and returns its closer.
 type osBoot struct {
 	name string
 	boot func() (osi.OS, func(), error)
@@ -90,54 +89,101 @@ func standardOSes(topo hw.Topology, kernels int) []osBoot {
 	}
 }
 
+// flavour is one OS line of a figure: run boots a fresh machine of that OS,
+// runs one cell's workload on it and closes it, so each call is a cell.
+type flavour[A any] struct {
+	name string
+	run  func(arg A) (workload.Result, error)
+}
+
+// flavours returns a figure's popcorn and smp lines, plus the multikernel
+// line when mkRun is non-nil.
+func flavours[A any](run func(o osi.OS, arg A) (workload.Result, error),
+	mkRun func(o *multikernel.OS, arg A) (workload.Result, error),
+) []flavour[A] {
+	topo := testbed()
+	var fs []flavour[A]
+	for _, ob := range standardOSes(topo, popcornKernels) {
+		fs = append(fs, flavour[A]{ob.name, func(arg A) (workload.Result, error) {
+			o, closeOS, err := ob.boot()
+			if err != nil {
+				return workload.Result{}, fmt.Errorf("boot %s: %w", ob.name, err)
+			}
+			defer closeOS()
+			return run(o, arg)
+		}})
+	}
+	if mkRun != nil {
+		fs = append(fs, flavour[A]{"multikernel", func(arg A) (workload.Result, error) {
+			o, err := bootMK(topo, popcornKernels)
+			if err != nil {
+				return workload.Result{}, fmt.Errorf("boot multikernel: %w", err)
+			}
+			defer o.Close()
+			return mkRun(o, arg)
+		}})
+	}
+	return fs
+}
+
+// names lists the lines' names, in order.
+func names[A any](fs []flavour[A]) []string {
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = f.name
+	}
+	return out
+}
+
+// addLines adds one line per name to series, computing every point as a
+// cell: y(l, x) is line l's value at the series' x-th point. Cells run
+// highest x first: in a thread sweep the highest count is the costliest
+// cell (F5b's popcorn 64-thread point is most of the figure), and the
+// longest cell must not start last.
+func addLines(series *stats.Series, points int, names []string, y func(l, x int) (float64, error)) error {
+	ys := make([][]float64, len(names))
+	for l := range ys {
+		ys[l] = make([]float64, points)
+	}
+	err := cells(len(names)*points, func(i int) error {
+		l, x := i%len(names), points-1-i/len(names)
+		v, err := y(l, x)
+		ys[l][x] = v
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for l, name := range names {
+		if err := series.AddLine(name, ys[l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sweep runs `run` for every OS flavour and thread count, returning ops/ms
 // series (plus the multikernel line when mkRun is non-nil).
 func sweep(s Scale, title, ylabel string,
 	run func(o osi.OS, threads int) (workload.Result, error),
 	mkRun func(o *multikernel.OS, threads int) (workload.Result, error),
 ) (*stats.Series, error) {
-	topo := testbed()
 	counts := threadCounts(s)
 	xs := make([]float64, len(counts))
 	for i, c := range counts {
 		xs[i] = float64(c)
 	}
 	series := stats.NewSeries(title, "threads", ylabel, xs...)
-	for _, ob := range standardOSes(topo, popcornKernels) {
-		ys := make([]float64, len(counts))
-		for i, threads := range counts {
-			o, closeOS, err := ob.boot()
-			if err != nil {
-				return nil, fmt.Errorf("boot %s: %w", ob.name, err)
-			}
-			res, err := run(o, threads)
-			closeOS()
-			if err != nil {
-				return nil, fmt.Errorf("%s threads=%d: %w", ob.name, threads, err)
-			}
-			ys[i] = res.Throughput() / 1000 // ops per virtual millisecond
+	lines := flavours(run, mkRun)
+	err := addLines(series, len(counts), names(lines), func(l, x int) (float64, error) {
+		res, err := lines[l].run(counts[x])
+		if err != nil {
+			return 0, fmt.Errorf("%s threads=%d: %w", lines[l].name, counts[x], err)
 		}
-		if err := series.AddLine(ob.name, ys); err != nil {
-			return nil, err
-		}
-	}
-	if mkRun != nil {
-		ys := make([]float64, len(counts))
-		for i, threads := range counts {
-			o, err := bootMK(topo, popcornKernels)
-			if err != nil {
-				return nil, fmt.Errorf("boot multikernel: %w", err)
-			}
-			res, err := mkRun(o, threads)
-			o.Close()
-			if err != nil {
-				return nil, fmt.Errorf("multikernel threads=%d: %w", threads, err)
-			}
-			ys[i] = res.Throughput() / 1000
-		}
-		if err := series.AddLine("multikernel", ys); err != nil {
-			return nil, err
-		}
+		return res.Throughput() / 1000, nil // ops per virtual millisecond
+	})
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }

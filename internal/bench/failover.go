@@ -46,16 +46,26 @@ func R3FailoverSweep(s Scale) (*stats.Table, error) {
 	}
 	t := stats.NewTable(fmt.Sprintf("R3: origin-failover sweep - replication overhead and crash downtime (%d seeds, 4 kernels)", seeds),
 		"replication / fault", "completion (ms)", "repl records", "downtime (us)", "max fault stall (us)", "promoted", "reclaimed", "orphaned")
-	for _, cfg := range configs {
+	// One cell per configuration and seed; each row sums its seeds in
+	// seed order.
+	cs := make([]*failoverCell, len(configs)*seeds)
+	err := cells(len(cs), func(i int) error {
+		cfg, seed := configs[i/seeds], int64(1+i%seeds)
+		var err error
+		if cs[i], err = oneFailoverCell(seed, cfg.failover, cfg.crash); err != nil {
+			return fmt.Errorf("%s seed %d: %w", cfg.name, seed, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci, cfg := range configs {
 		var (
 			completion, downtime, stall               time.Duration
 			replicated, promoted, reclaimed, orphaned uint64
 		)
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			c, err := oneFailoverCell(seed, cfg.failover, cfg.crash)
-			if err != nil {
-				return nil, fmt.Errorf("%s seed %d: %w", cfg.name, seed, err)
-			}
+		for _, c := range cs[ci*seeds : (ci+1)*seeds] {
 			completion += c.completion
 			downtime += c.downtime
 			if c.maxStall > stall {

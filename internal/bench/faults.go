@@ -20,26 +20,36 @@ func R1FaultCounters(s Scale) (*stats.Table, error) {
 	if s == Quick {
 		seeds = 4
 	}
-	agg := stats.NewRegistry()
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		// Migration and futex: the two-kernel sweeps, whose one link the
-		// per-link rows below name.
-		for _, sw := range adversity.Sweeps[1:] {
-			if err := oneFaultRun(sw, seed, agg); err != nil {
-				return nil, fmt.Errorf("%s seed %d: %w", sw.Name, seed, err)
-			}
+	// Migration and futex: the two-kernel sweeps, whose one link the
+	// per-link rows below name. One cell per seed and sweep, each with its
+	// own machine and registry; the totals sum the cells in index order.
+	sweeps := adversity.Sweeps[1:]
+	counts := make([][]uint64, seeds*len(sweeps))
+	err := cells(len(counts), func(i int) error {
+		sw, seed := sweeps[i%len(sweeps)], int64(1+i/len(sweeps))
+		var err error
+		if counts[i], err = oneFaultRun(sw, seed); err != nil {
+			return fmt.Errorf("%s seed %d: %w", sw.Name, seed, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t := stats.NewTable(fmt.Sprintf("R1: fault-sweep transport & degradation counters (%d seeds, migration+futex)", seeds),
 		"counter", "total")
-	for _, c := range faultCounterRows {
-		t.AddRow(c.desc, fmt.Sprintf("%d", agg.Counter(c.name).Value()))
+	for r, c := range faultCounterRows {
+		var total uint64
+		for _, cell := range counts {
+			total += cell[r]
+		}
+		t.AddRow(c.desc, fmt.Sprintf("%d", total))
 	}
 	return t, nil
 }
 
 // faultCounterRows maps the surfaced counters to their table descriptions;
-// it is also the set oneFaultRun aggregates across seeds.
+// it is also the set oneFaultRun returns per run.
 var faultCounterRows = []struct{ name, desc string }{
 	{"msg.fault.drop", "messages dropped at commit"},
 	{"msg.fault.drop.k0-k1", "  of which on link k0->k1"},
@@ -67,25 +77,26 @@ var faultCounterRows = []struct{ name, desc string }{
 
 // oneFaultRun is one popcornmc fault-sweep run of sw — the same machine,
 // tie-shuffled schedule, plan and workload, because both take them from
-// adversity.Sweeps — with seed doubling as the fault seed. Counters are
-// accumulated into agg.
-func oneFaultRun(sw adversity.Sweep, seed int64, agg *stats.Registry) error {
+// adversity.Sweeps — with seed doubling as the fault seed. It returns the
+// run's faultCounterRows counters, in row order.
+func oneFaultRun(sw adversity.Sweep, seed int64) ([]uint64, error) {
 	cfg, err := sw.Config(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	o, err := core.Boot(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer o.Close()
 	o.EnableFaults(sw.Plan(seed), msg.FaultConfig{})
 	if err := sw.Run(o, seed); err != nil && !adversity.IsDegradation(err) {
-		return err
+		return nil, err
 	}
 	m := o.Metrics()
-	for _, c := range faultCounterRows {
-		agg.Counter(c.name).Add(m.Counter(c.name).Value())
+	counts := make([]uint64, len(faultCounterRows))
+	for r, c := range faultCounterRows {
+		counts[r] = m.Counter(c.name).Value()
 	}
-	return nil
+	return counts, nil
 }

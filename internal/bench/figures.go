@@ -95,37 +95,31 @@ func F7ComputeKernels(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable(
 		fmt.Sprintf("F7: NPB-like kernels, %d threads (elapsed ms, lower is better)", threads),
 		"kernel", "popcorn", "smp", "multikernel", "popcorn/smp")
-	for _, k := range []string{workload.KernelEP, workload.KernelIS, workload.KernelCG, workload.KernelMG, workload.KernelFT} {
-		spec := workload.ComputeKernelSpec{Kernel: k, Threads: threads, Iters: iters, Work: work}
-		var elapsed [3]time.Duration
-		for i, ob := range standardOSes(testbed(), popcornKernels) {
-			o, closeOS, err := ob.boot()
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.ComputeKernel(o, spec)
-			closeOS()
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", ob.name, k, err)
-			}
-			elapsed[i] = res.Elapsed
-		}
-		mk, err := bootMK(testbed(), popcornKernels)
+	kernels := []string{workload.KernelEP, workload.KernelIS, workload.KernelCG, workload.KernelMG, workload.KernelFT}
+	oses := flavours(workload.ComputeKernel, workload.MKComputeKernel)
+	elapsed := make([][]time.Duration, len(kernels))
+	for k := range elapsed {
+		elapsed[k] = make([]time.Duration, len(oses))
+	}
+	err := cells(len(kernels)*len(oses), func(i int) error {
+		k, f := i/len(oses), i%len(oses)
+		spec := workload.ComputeKernelSpec{Kernel: kernels[k], Threads: threads, Iters: iters, Work: work}
+		res, err := oses[f].run(spec)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%s %s: %w", oses[f].name, kernels[k], err)
 		}
-		mkRes, err := workload.MKComputeKernel(mk, spec)
-		mk.Close()
-		if err != nil {
-			return nil, fmt.Errorf("multikernel %s: %w", k, err)
-		}
-		elapsed[2] = mkRes.Elapsed
-		ratio := float64(elapsed[0]) / float64(elapsed[1])
-		tab.AddRow(k,
-			fmt.Sprintf("%.3f", elapsed[0].Seconds()*1000),
-			fmt.Sprintf("%.3f", elapsed[1].Seconds()*1000),
-			fmt.Sprintf("%.3f", elapsed[2].Seconds()*1000),
-			fmt.Sprintf("%.2f", ratio))
+		elapsed[k][f] = res.Elapsed
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, e := range elapsed {
+		tab.AddRow(kernels[k],
+			fmt.Sprintf("%.3f", e[0].Seconds()*1000),
+			fmt.Sprintf("%.3f", e[1].Seconds()*1000),
+			fmt.Sprintf("%.3f", e[2].Seconds()*1000),
+			fmt.Sprintf("%.2f", float64(e[0])/float64(e[1])))
 	}
 	return tab, nil
 }
@@ -142,37 +136,24 @@ func F8MigrationBenefit(s Scale) (*stats.Series, error) {
 		xs[i] = float64(c)
 	}
 	series := stats.NewSeries("F8: migrate-to-data vs pull-data vs batched prefetch", "data-pages", "elapsed-us", xs...)
-	strategies := []struct {
-		name string
-		spec func(pages int) workload.MigrationBenefitSpec
-	}{
-		{"stay (demand pull)", func(pages int) workload.MigrationBenefitSpec {
-			return workload.MigrationBenefitSpec{Pages: pages, Rounds: 1}
-		}},
-		{"migrate to data", func(pages int) workload.MigrationBenefitSpec {
-			return workload.MigrationBenefitSpec{Pages: pages, Rounds: 1, Migrate: true}
-		}},
-		{"stay + prefetch batch", func(pages int) workload.MigrationBenefitSpec {
-			return workload.MigrationBenefitSpec{Pages: pages, Rounds: 1, Prefetch: true}
-		}},
-	}
-	for _, st := range strategies {
-		ys := make([]float64, len(pageCounts))
-		for i, pages := range pageCounts {
-			o, err := bootPopcorn(testbed(), popcornKernels)
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.MigrationBenefit(o, st.spec(pages))
-			o.Close()
-			if err != nil {
-				return nil, err
-			}
-			ys[i] = float64(res.Elapsed.Nanoseconds()) / 1000
+	strategies := []workload.MigrationBenefitSpec{{Rounds: 1}, {Rounds: 1, Migrate: true}, {Rounds: 1, Prefetch: true}}
+	lineNames := []string{"stay (demand pull)", "migrate to data", "stay + prefetch batch"}
+	err := addLines(series, len(pageCounts), lineNames, func(l, x int) (float64, error) {
+		o, err := bootPopcorn(testbed(), popcornKernels)
+		if err != nil {
+			return 0, err
 		}
-		if err := series.AddLine(st.name, ys); err != nil {
-			return nil, err
+		defer o.Close()
+		spec := strategies[l]
+		spec.Pages = pageCounts[x]
+		res, err := workload.MigrationBenefit(o, spec)
+		if err != nil {
+			return 0, err
 		}
+		return float64(res.Elapsed.Nanoseconds()) / 1000, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }
@@ -197,27 +178,22 @@ func F9KVStore(s Scale) (*stats.Series, error) {
 	}
 	series := stats.NewSeries("F9: sharded KV store vs request locality (32 clients, 10% puts)",
 		"locality-pct", "requests/ms", xs...)
-	for _, ob := range standardOSes(testbed(), popcornKernels) {
-		ys := make([]float64, len(localities))
-		for i, loc := range localities {
-			o, closeOS, err := ob.boot()
-			if err != nil {
-				return nil, err
-			}
-			res, err := workload.KVStore(o, workload.KVStoreSpec{
-				Shards: 32, Clients: clients, OpsPerClient: ops,
-				PutRatioPct: 10, LocalityPct: loc, KeysPerShard: 2,
-				Think: 2 * time.Microsecond, Seed: 3,
-			})
-			closeOS()
-			if err != nil {
-				return nil, fmt.Errorf("%s locality=%d: %w", ob.name, loc, err)
-			}
-			ys[i] = res.Throughput() / 1000
+	oses := flavours(func(o osi.OS, loc int) (workload.Result, error) {
+		return workload.KVStore(o, workload.KVStoreSpec{
+			Shards: 32, Clients: clients, OpsPerClient: ops,
+			PutRatioPct: 10, LocalityPct: loc, KeysPerShard: 2,
+			Think: 2 * time.Microsecond, Seed: 3,
+		})
+	}, nil)
+	err := addLines(series, len(localities), names(oses), func(l, x int) (float64, error) {
+		res, err := oses[l].run(localities[x])
+		if err != nil {
+			return 0, fmt.Errorf("%s locality=%d: %w", oses[l].name, localities[x], err)
 		}
-		if err := series.AddLine(ob.name, ys); err != nil {
-			return nil, err
-		}
+		return res.Throughput() / 1000, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return series, nil
 }

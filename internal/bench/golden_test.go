@@ -19,18 +19,27 @@ const goldenPath = "testdata/golden_tables.txt"
 // digest is one golden line's value: the sha256 of a rendered table, or of
 // its precise form when precise is set.
 func digest(t *testing.T, out fmt.Stringer, precise bool) string {
-	text := []byte(out.String())
-	// Series.String prints each value to three significant digits; the JSON
-	// form carries the float64s whole. A Table's JSON holds the same cells as
-	// its text, so only a Series has more to hash.
-	if s, ok := out.(*stats.Series); ok && precise {
+	text := out.String()
+	if precise {
+		text = render(t, out)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
+}
+
+// render is an output at full precision. Series.String prints each value to
+// three significant digits; the JSON form carries the float64s whole. A
+// Table's JSON holds the same cells as its text, so only a Series has more
+// to render.
+func render(t *testing.T, out fmt.Stringer) string {
+	text := out.String()
+	if s, ok := out.(*stats.Series); ok {
 		data, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		text = append(text, data...)
+		text += string(data)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(text))
+	return text
 }
 
 // TestAllExperimentsRunAtQuickScale and TestGoldenTables are the repo's

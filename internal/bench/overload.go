@@ -24,24 +24,28 @@ func R2OverloadSweep(s Scale) (*stats.Table, error) {
 	}
 	t := stats.NewTable("R2: overload sweep - credit flow control off vs on (bulk 16 KiB, probe RPCs sharing the link)",
 		"offered load", "flow", "delivered", "shed", "probe p99 (us)", "probes ok", "probes refused", "max queue depth")
-	for _, mult := range mults {
-		for _, flow := range []bool{false, true} {
-			r, err := oneOverloadCell(mult, flow)
-			if err != nil {
-				return nil, err
-			}
-			mode := "off"
-			if flow {
-				mode = "on"
-			}
-			t.AddRow(fmt.Sprintf("%dx", mult), mode,
-				fmt.Sprintf("%d", r.delivered),
-				fmt.Sprintf("%d", r.shed),
-				fmt.Sprintf("%.1f", float64(r.p99.Nanoseconds())/1000),
-				fmt.Sprintf("%d", r.probeOK),
-				fmt.Sprintf("%d", r.probeRefused),
-				fmt.Sprintf("%d", r.maxDepth))
+	// One cell per load and flow setting: flow off, then on.
+	rs := make([]*overloadCell, 2*len(mults))
+	err := cells(len(rs), func(i int) error {
+		var err error
+		rs[i], err = oneOverloadCell(mults[i/2], i%2 == 1)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
+		mode := "off"
+		if i%2 == 1 {
+			mode = "on"
 		}
+		t.AddRow(fmt.Sprintf("%dx", mults[i/2]), mode,
+			fmt.Sprintf("%d", r.delivered),
+			fmt.Sprintf("%d", r.shed),
+			fmt.Sprintf("%.1f", float64(r.p99.Nanoseconds())/1000),
+			fmt.Sprintf("%d", r.probeOK),
+			fmt.Sprintf("%d", r.probeRefused),
+			fmt.Sprintf("%d", r.maxDepth))
 	}
 	return t, nil
 }
