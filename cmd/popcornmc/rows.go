@@ -61,8 +61,7 @@ var rows = []row{
 			MaxCreditWait:  500 * time.Microsecond,
 			// The slow window inflates Call RTTs by ~160 us; healthy RTTs on
 			// this machine are tens of microseconds.
-			SlowAfter:    100 * time.Microsecond,
-			HealthyBelow: 50 * time.Microsecond,
+			SlowAfter: 100 * time.Microsecond,
 			// Short enough that the half-open probe lands after the heal but
 			// well before the run's end.
 			BreakerCooldown: time.Millisecond,

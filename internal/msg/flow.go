@@ -94,12 +94,10 @@ type FlowConfig struct {
 	// and TrySend never waits at all.
 	MaxCreditWait time.Duration
 	// SlowAfter is the RTT-EWMA threshold above which the gray-failure
-	// detector classifies a peer as slow; HealthyBelow is the hysteresis
-	// floor it must fall back under to be healthy again. SlowAfter must
-	// exceed HealthyBelow or every EWMA wobble would flap the state.
+	// detector classifies a peer as slow; half of it is the hysteresis
+	// floor the EWMA must fall back under to be healthy again, so an EWMA
+	// wobbling at the threshold cannot flap the state.
 	SlowAfter time.Duration
-	// HealthyBelow is the recovery threshold; see SlowAfter.
-	HealthyBelow time.Duration
 	// BreakerCooldown is how long an open breaker waits before letting a
 	// single half-open probe through.
 	BreakerCooldown time.Duration
@@ -128,7 +126,6 @@ func DefaultFlowConfig() FlowConfig {
 		CreditsPerLink:  16,
 		MaxCreditWait:   2 * time.Millisecond,
 		SlowAfter:       time.Millisecond,
-		HealthyBelow:    500 * time.Microsecond,
 		BreakerCooldown: 4 * time.Millisecond,
 	}
 }
@@ -143,9 +140,6 @@ func (c FlowConfig) withDefaults() FlowConfig {
 	}
 	if c.SlowAfter <= 0 {
 		c.SlowAfter = d.SlowAfter
-	}
-	if c.HealthyBelow <= 0 || c.HealthyBelow > c.SlowAfter {
-		c.HealthyBelow = c.SlowAfter / 2
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = d.BreakerCooldown
@@ -465,7 +459,7 @@ func (ep *Endpoint) PeerHealth(n NodeID) PeerHealth {
 // grayObserve feeds one RTT sample (a completed RPC round, or a timeout's
 // elapsed patience — silence is also evidence of slowness) into the gray
 // detector's EWMA and applies the suspicion hysteresis: above SlowAfter the
-// peer turns slow, and it must fall back below HealthyBelow to recover, so
+// peer turns slow, and it must fall back below half of it to recover, so
 // a link hovering at the threshold cannot flap.
 //
 //popcornvet:hotpath
@@ -488,7 +482,7 @@ func (ep *Endpoint) grayObserve(peer NodeID, rtt time.Duration) {
 	case !st.slow && st.ewma > fl.cfg.SlowAfter:
 		st.slow = true
 		ep.f.countLink("msg.gray.slow", ep.node, peer)
-	case st.slow && st.ewma < fl.cfg.HealthyBelow:
+	case st.slow && st.ewma < fl.cfg.SlowAfter/2:
 		st.slow = false
 		ep.f.countLink("msg.gray.healthy", ep.node, peer)
 	}

@@ -337,7 +337,6 @@ func TestGrayDetectorHysteresis(t *testing.T) {
 	f.EnableFlow(FlowConfig{
 		CreditsPerLink: 16,
 		SlowAfter:      500 * time.Microsecond,
-		HealthyBelow:   250 * time.Microsecond,
 	})
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		return &Message{Size: 8}
@@ -396,7 +395,6 @@ func TestSlowShedAvoidsSlowPeer(t *testing.T) {
 	f.EnableFlow(FlowConfig{
 		CreditsPerLink: 16,
 		SlowAfter:      500 * time.Microsecond,
-		HealthyBelow:   250 * time.Microsecond,
 	})
 	pong := func(p *sim.Proc, m *Message) *Message { return &Message{Size: 8} }
 	f.Endpoint(1).Handle(TypePing, pong)
