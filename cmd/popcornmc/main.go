@@ -135,8 +135,9 @@ func sweepRow(w io.Writer, cfg runCfg, seeds []int64, verbose, shrink bool) erro
 			totals[st.key] = st.total(totals[st.key], out.vals[st.key])
 		}
 		if verbose {
-			fmt.Fprintf(w, "%-11s seed=%-4d events=%-8d violations=%d races=%d degraded=%v%s\n",
-				r.Name, s, out.events, len(out.violations), len(out.races), out.degraded, statLine(r.report, out.vals))
+			fmt.Fprintf(w, "%-11s seed=%-4d events=%-8d violations=%d races=%d degraded=%v%s ties=%d/%d\n",
+				r.Name, s, out.events, len(out.violations), len(out.races), out.degraded, statLine(r.report, out.vals),
+				out.ties[0], out.ties[1])
 		}
 		if out.err == nil {
 			continue
@@ -220,8 +221,10 @@ type outcome struct {
 	// backpressure error its attached planes explain — the tolerated
 	// outcome, not a failure.
 	degraded bool
-	// vals are the row's reported counters, by stat key.
+	// vals are the row's reported counters, by stat key; ties are the
+	// engine's Ties, the shuffled schedule's choices and their widest k.
 	vals map[string]uint64
+	ties [2]uint64
 	// err is the verdict (nil: clean); safety says it is one a prefix of the
 	// schedule can show, so the seed can be shrunk.
 	err    error
@@ -293,6 +296,7 @@ func runOne(cfg runCfg) outcome {
 	err = r.Run(o, cfg.seed)
 
 	out.events = o.Engine().EventsProcessed()
+	out.ties[0], out.ties[1] = o.Engine().Ties()
 	out.violations, out.races = ck.Violations(), ck.Races()
 	m := o.Metrics()
 	for _, st := range r.report {

@@ -127,8 +127,8 @@ type Decision struct {
 // mutate internal counters and the RNG stream.
 type Plan struct {
 	// Seed drives every probabilistic decision through a dedicated
-	// splitmix64 stream, separate from the engine's schedule RNG so fault
-	// plans compose with tie-shuffled schedules without perturbing them.
+	// splitmix64 stream, not the engine RNG the tie chooser draws from, so
+	// fault plans compose with tie-shuffled schedules without perturbing them.
 	Seed int64
 
 	Rules         []Rule

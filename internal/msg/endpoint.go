@@ -759,7 +759,7 @@ func (pu *pump) kick() {
 
 // stop halts the pump at a kernel crash. An idle pump still spends one
 // event, as the parked daemon it replaced did to unwind: dropping it would
-// shift every later seq and, under tie-shuffle, the engine's RNG stream.
+// shift every later seq and, under tie-shuffle, the chooser's draws.
 func (pu *pump) stop() {
 	pu.kick()
 	pu.stopped = true

@@ -153,7 +153,7 @@ func (f *Fabric) EnableFaults(plan *faultinj.Plan, cfg FaultConfig, hooks FaultH
 	f.straggle = plan.Straggle(f.fcfg.SendRetries, f.fcfg.SendRetryEvery)
 	// The retransmit-jitter stream: splitmix64 like the engine's schedule
 	// RNG and derived from its seed, but a separate stream, so jitter draws
-	// are replayable per seed without perturbing the tie-shuffle sequence.
+	// are replayable per seed without shifting the tie chooser's draws.
 	f.jrng = sim.NewRNG(f.e.Seed() ^ 0x6a177e5)
 	f.plannedCrashes = len(plan.Crashes) + len(plan.TypeCrashes) + len(plan.OriginCrashes)
 	f.plannedHeals = len(plan.Heals)

@@ -371,7 +371,7 @@ type Fabric struct {
 	flow *flowState
 	// jrng drives the retransmit-backoff jitter, a dedicated splitmix64
 	// stream derived from the engine seed in EnableFaults so jitter draws
-	// never perturb the engine's own tie-shuffle sequence.
+	// never shift the engine RNG the tie chooser draws from.
 	jrng *sim.RNG
 
 	// plan, when attached via EnableFaults, intercepts every wire commit;

@@ -5,9 +5,9 @@
 // Exactly one simulated process runs at any instant: a process executes real
 // Go code until it performs a blocking simulator operation (Sleep, channel
 // send/receive, mutex lock, ...), at which point control returns to the
-// engine, which dispatches the next event. Ties in the event heap are broken
-// by insertion sequence, so a given seed and program order always produce an
-// identical schedule and identical virtual-time measurements.
+// engine, which dispatches the next event. Same-instant events fire in
+// insertion order unless WithTieShuffle's seeded chooser picks, so a given
+// seed and program order always produce an identical schedule.
 //
 // A process body runs on a carrier: an iter.Pull coroutine the engine
 // switches into and the body switches out of directly, with no channel and

@@ -41,12 +41,7 @@ const endOfTime = Time(1<<63 - 1) // the bound of an unbounded Run
 type event struct {
 	at  Time
 	seq uint64
-	// prio breaks ties between same-instant events. By default prio == seq
-	// (insertion order); under WithTieShuffle it is a seeded random draw, so
-	// different seeds explore different interleavings of logically
-	// concurrent events while each seed stays fully deterministic.
-	prio uint64
-	fn   func()
+	fn  func()
 	// p, when set (Proc.dispatchIn), is dispatched instead of calling fn —
 	// if it is still process pid: its storage may have been started anew.
 	p   *Proc
@@ -61,8 +56,8 @@ type event struct {
 }
 
 // Engine is a deterministic discrete-event simulation engine: one goroutine
-// drains the event heap in (time, prio, seq) order, so a run is a pure
-// function of (seed, workload). NewEngine returns one; every kernel,
+// drains the event heap in (time, seq) order or its tie chooser's, so a run
+// is a pure function of (seed, workload). NewEngine returns one; every kernel,
 // service and process of a simulated machine shares it.
 //
 // Its methods must be called either from outside Run (to set up the
@@ -81,7 +76,10 @@ type engine struct {
 	seq       uint64
 	heap      eventHeap
 	rng       *RNG
-	shuffle   bool
+	choose    func(k int) int // the tie chooser, see pick; nil keeps insertion order
+	tied      []*event        // pick's scratch
+	ties      uint64          // pops that asked the chooser (Ties)
+	tieMaxK   uint64          // the largest k it was asked with
 	limit     uint64
 	observer  ProcObserver
 	procs     []*Proc // live processes, unordered; Proc.idx is the slot
@@ -116,12 +114,11 @@ func WithSeed(seed int64) Option {
 	return func(e *engine) { e.rng = NewRNG(seed) }
 }
 
-// WithTieShuffle makes same-instant events fire in a seeded random order
-// instead of insertion order. Each seed still yields one fixed schedule, so
-// a run is replayable from (seed, workload) alone; popcornmc sweeps seeds to
-// explore interleavings the default schedule never exercises.
+// WithTieShuffle installs the tie chooser (pick): an engine RNG draw picks
+// which of k > 1 same-instant events fires next. A seed is one replayable
+// schedule; popcornmc sweeps seeds for interleavings insertion order misses.
 func WithTieShuffle() Option {
-	return func(e *engine) { e.shuffle = true }
+	return func(e *engine) { e.choose = func(k int) int { return e.rng.Intn(k) } }
 }
 
 // NewEngine returns a new engine with virtual time zero.
@@ -171,6 +168,9 @@ func (e *engine) EventsProcessed() uint64 { return e.processed }
 // coroutine; callbacks and sleeps taken in place (Proc.Sleep) do not.
 func (e *engine) Handoffs() uint64 { return e.handoffs }
 
+// Ties returns how many pops the tie chooser decided, and the largest k.
+func (e *engine) Ties() (instants, maxK uint64) { return e.ties, e.tieMaxK }
+
 // Schedule arranges for fn to run at time now+d on the engine loop. It
 // returns a handle that can cancel the callback before it fires. fn runs in
 // engine context: it must not block on simulator primitives, but it may
@@ -185,11 +185,6 @@ func (e *engine) Schedule(d time.Duration, fn func()) EventHandle {
 	ev.at = e.now.Add(d)
 	ev.seq = e.nextSeq()
 	ev.fn = fn
-	if e.shuffle {
-		ev.prio = e.rng.Uint64()
-	} else {
-		ev.prio = ev.seq
-	}
 	e.heap.push(ev)
 	return EventHandle{ev: ev, gen: ev.gen}
 }
@@ -310,8 +305,8 @@ func (e *engine) drive(until Time) error {
 	return e.quiesce()
 }
 
-// step pops and dispatches exactly one event, in canonical order, followed by
-// the periodic invariant sweep when one is due.
+// step pops and dispatches exactly one event (under a tie chooser, its pick),
+// followed by the periodic invariant sweep when one is due.
 //
 //popcornvet:hotpath
 func (e *engine) step() (error, bool) {
@@ -319,6 +314,9 @@ func (e *engine) step() (error, bool) {
 	if ev.canceled {
 		e.recycle(ev)
 		return nil, false
+	}
+	if e.choose != nil && e.heap.len() > 0 && e.heap.peek().at == ev.at {
+		ev = e.pick(ev)
 	}
 	if ev.at < e.now {
 		return fmt.Errorf("sim: event scheduled in the past (%v < %v)", ev.at, e.now), true
@@ -343,6 +341,30 @@ func (e *engine) step() (error, bool) {
 		}
 	}
 	return nil, false
+}
+
+// pick is the one tie-break: the live events at first's instant pop in
+// insertion order (canceled ones are recycled); for k > 1 the chooser names
+// the one that fires, 0 the first, and the rest rejoin the heap for the next.
+func (e *engine) pick(first *event) *event {
+	tied := append(e.tied[:0], first)
+	for e.heap.len() > 0 && e.heap.peek().at == first.at {
+		if ev := e.heap.pop(); ev.canceled {
+			e.recycle(ev)
+		} else {
+			tied = append(tied, ev)
+		}
+	}
+	if k := len(tied); k > 1 {
+		e.ties, e.tieMaxK = e.ties+1, max(e.tieMaxK, uint64(k))
+		i := e.choose(k)
+		tied[0], tied[i] = tied[i], tied[0]
+		for _, ev := range tied[1:] {
+			e.heap.push(ev)
+		}
+	}
+	e.tied = tied[:0] // the events stay engine-owned: the stale tail pins nothing
+	return tied[0]
 }
 
 // nextInLine reports whether an event scheduled now for at would be the very

@@ -1,10 +1,7 @@
 package sim
 
-// eventHeap is a binary min-heap of events ordered by (time, priority,
-// sequence). By default priority equals sequence, so same-instant events
-// fire in insertion order, which is what makes the simulator deterministic;
-// under tie-shuffle the priority is a seeded random draw and the sequence
-// only breaks priority collisions.
+// eventHeap is a binary min-heap of events ordered by (time, sequence): ties
+// pop in insertion order, and which one fires is engine.pick's choice.
 type eventHeap struct {
 	events []*event
 }
@@ -17,9 +14,6 @@ func (h *eventHeap) less(i, j int) bool {
 	a, b := h.events[i], h.events[j]
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
 	}
 	return a.seq < b.seq
 }

@@ -219,8 +219,8 @@ func (p *Proc) SetSpan(id uint64) { p.span = id }
 // nobody else. Non-positive durations still yield: the process re-enters the
 // run queue behind same-instant events. A sleep nobody can interleave with
 // (nextInLine) is not even an event: Sleep does to the engine exactly what
-// scheduling, parking, popping and re-dispatching would — one seq, one
-// tie-shuffle draw, the clock, the event count — without leaving the
+// scheduling, parking, popping and re-dispatching would (a seq, the clock,
+// the event count; alone at its instant, it is no tie) without leaving the
 // coroutine, so no seeded stream, event count or limit prefix can tell.
 //
 //popcornvet:hotpath
@@ -231,9 +231,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	e := p.e
 	if at := e.now.Add(d); !p.killed && e.nextInLine(at) {
 		e.nextSeq()
-		if e.shuffle {
-			e.rng.Uint64()
-		}
 		e.now = at
 		e.processed++
 		p.clearWaitInfo()

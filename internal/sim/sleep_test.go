@@ -23,17 +23,21 @@ type sleepScriptResult struct {
 
 // runSleepScript runs a seeded random script of processes — sleeps of mixed
 // lengths including zero, a contended mutex, timers — driven by RunUntil in
-// slices. With shadow set, a no-op event is scheduled at exactly every sleep's
-// wake instant, which puts an event at-or-before the wake-up on the heap and
-// so forces the park path. The as-is run compensates under tie-shuffle with
-// one discarded draw where the shadow run spends one on the shadow's
-// priority, so every other event sees the same priority in both.
-func runSleepScript(t *testing.T, seed int64, shuffle, shadow bool) sleepScriptResult {
+// slices. With park set every sleep takes the park path. In insertion order a
+// no-op shadow event is scheduled at exactly every sleep's wake instant,
+// which puts an event at-or-before the wake-up on the heap. Under tie-shuffle
+// a shadow would be a tie the chooser is asked about, so there an invariant
+// interval with no invariant registered forces the park path instead.
+func runSleepScript(t *testing.T, seed int64, shuffle, park bool) sleepScriptResult {
 	t.Helper()
 	opts := []Option{WithSeed(seed)}
 	if shuffle {
 		opts = append(opts, WithTieShuffle())
+		if park {
+			opts = append(opts, WithInvariantInterval(time.Hour))
+		}
 	}
+	shadow := park && !shuffle
 	e := NewEngine(opts...)
 	defer e.Close()
 	var res sleepScriptResult
@@ -44,8 +48,6 @@ func runSleepScript(t *testing.T, seed int64, shuffle, shadow bool) sleepScriptR
 		if shadow {
 			e.Schedule(d, noop)
 			res.shadows++
-		} else if shuffle {
-			e.Rand().Uint64()
 		}
 		p.Sleep(d)
 		res.resumes = append(res.resumes, fmt.Sprintf("%d %s", p.Now(), p.Name()))

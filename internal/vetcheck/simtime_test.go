@@ -225,19 +225,18 @@ func (r *RNG) Uint64() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+func (r *RNG) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
 `,
 		"internal/sim/engine.go": `package sim
 
 type Engine struct {
-	rng     *RNG
-	shuffle bool
+	rng    *RNG
+	choose func(k int) int
 }
 
-func (e *Engine) prio(seq uint64) uint64 {
-	if e.shuffle {
-		return e.rng.Uint64()
-	}
-	return seq
+func WithTieShuffle() func(*Engine) {
+	return func(e *Engine) { e.choose = func(k int) int { return e.rng.Intn(k) } }
 }
 `,
 	}, SimTime{})
@@ -245,17 +244,17 @@ func (e *Engine) prio(seq uint64) uint64 {
 		t.Fatalf("want no findings, got:\n%s", renderFindings(got))
 	}
 
-	// The pattern it replaced: drawing schedule priorities from the global
-	// math/rand source, which no seed flag can make reproducible.
+	// The pattern it replaced: breaking ties from the global math/rand
+	// source, which no seed flag can make reproducible.
 	got = findingsFor(t, map[string]string{
 		"internal/sim/engine.go": `package sim
 
 import "math/rand"
 
-func prio() uint64 { return rand.Uint64() }
+func choose(k int) int { return rand.Intn(k) }
 `,
 	}, SimTime{})
-	wantRules(t, got, "global math/rand.Uint64")
+	wantRules(t, got, "global math/rand.Intn")
 }
 
 func TestSimTimeRenamedImport(t *testing.T) {
