@@ -48,6 +48,9 @@ func TestSameInstantEventsFireInInsertionOrder(t *testing.T) {
 			t.Fatalf("order = %v, want ascending", order)
 		}
 	}
+	if instants, maxK := e.Ties(); instants != 0 || maxK != 0 {
+		t.Fatalf("Ties() = %d/%d without a tie chooser, want 0/0", instants, maxK)
+	}
 }
 
 func TestScheduleCancel(t *testing.T) {
