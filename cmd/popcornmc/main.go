@@ -242,7 +242,7 @@ func (out outcome) explain(w io.Writer) {
 		fmt.Fprintf(w, "%s\n\n", v.String())
 	}
 	var tl strings.Builder
-	if err := out.spans.WriteTimeline(&tl, 40); err == nil && tl.Len() > 0 {
+	if err := out.spans.WriteTimeline(&tl, trace.TailSpans); err == nil && tl.Len() > 0 {
 		fmt.Fprintf(w, "last operations before failure:\n%s\n", tl.String())
 	}
 }

@@ -1,17 +1,18 @@
 // Command popcornsim boots one simulated machine under a chosen OS flavour
-// and runs one workload, printing the result and (optionally) the OS's
-// internal metrics. It is the interactive entry point to the reproduction:
-// everything benchtable sweeps can be probed here one configuration at a
-// time.
+// and runs one workload, printing the result. It is the interactive entry
+// point to the reproduction: everything benchtable sweeps can be probed here
+// one configuration at a time. -report FILE also writes the run report (see
+// type report), the reproduction's stand-in for Popcorn's per-kernel /proc.
 //
 // Usage:
 //
-//	popcornsim -os popcorn -workload mmapstorm -threads 32
-//	popcornsim -os smp -workload threadbomb -threads 16 -metrics
-//	popcornsim -os multikernel -workload npb-cg -threads 8
+//	popcornsim -os popcorn -workload mmapstorm -threads 32 -report run.json
+//	popcornsim -os smp -workload threadbomb -threads 16
+//	popcornsim -compare -workload npb-cg -threads 8 -report cmp.json
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,8 +28,10 @@ import (
 	"repro/internal/multikernel"
 	"repro/internal/osi"
 	"repro/internal/prof"
+	"repro/internal/sim"
 	"repro/internal/smp"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -113,6 +116,7 @@ var errNoPort = errors.New("no multikernel port")
 // booted is what popcornsim needs of an OS of any flavour: popcorn and smp
 // are also an osi.OS, the multikernel is its own type.
 type booted interface {
+	Engine() sim.Engine
 	Metrics() *stats.Registry
 	Close()
 }
@@ -162,16 +166,11 @@ func run(args []string, w io.Writer) (runErr error) {
 	nodes := fs.Int("nodes", 2, "machine NUMA node count")
 	kernels := fs.Int("kernels", 8, "kernel instances (popcorn/multikernel)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	metrics := fs.Bool("metrics", false, "dump OS metrics after the run")
-	traceN := fs.Int("trace", 0, "record causal spans and print the last N (popcorn only)")
-	snapshot := fs.Bool("snapshot", false, "print the OS state snapshot after the run (popcorn only)")
 	compare := fs.Bool("compare", false, "run the workload on every OS flavour and print a comparison")
+	reportFile := fs.String("report", "", "write the JSON run report (metrics, kernel state, trace tail) to this file")
 	profile := prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if (*traceN > 0 || *snapshot) && (*osFlag != "popcorn" || *compare) || *metrics && *compare {
-		return errors.New("-trace and -snapshot need -os popcorn, and none of -trace, -snapshot, -metrics works with -compare")
 	}
 
 	stopProfile, err := profile.Start()
@@ -192,29 +191,28 @@ func run(args []string, w io.Writer) (runErr error) {
 	topo := hw.Topology{Cores: *cores, NUMANodes: *nodes}
 	p := params{threads: *threads, iters: *iters, pages: *pages, seed: *seed}
 
+	var rep *report
+	if *reportFile != "" {
+		rep = &report{Config: map[string]string{}}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "report" {
+				rep.Config[f.Name] = f.Value.String()
+			}
+		})
+		defer func() {
+			data, err := json.MarshalIndent(rep, "", "  ")
+			if err == nil {
+				err = os.WriteFile(*reportFile, append(data, '\n'), 0o644)
+			}
+			if runErr == nil {
+				runErr = err
+			}
+		}()
+	}
 	if *compare {
-		return runCompare(w, topo, *kernels, wl, p)
+		return runCompare(w, topo, *kernels, wl, p, rep)
 	}
-
-	o, err := boot(*osFlag, topo, *kernels, *seed)
-	if err != nil {
-		return err
-	}
-	defer o.Close()
-	if *traceN > 0 {
-		col := o.(*core.OS).AttachTracer()
-		defer func() {
-			fmt.Fprintln(w, "\n--- trace (most recent spans) ---")
-			_ = col.WriteTimeline(w, *traceN)
-		}()
-	}
-	if *snapshot {
-		defer func() {
-			fmt.Fprintln(w, "\n--- snapshot ---")
-			fmt.Fprint(w, o.(*core.OS).Snapshot())
-		}()
-	}
-	res, err := runOn(o, wl, p)
+	res, sent, err := runFlavour(*osFlag, topo, *kernels, wl, p, rep)
 	if errors.Is(err, errNoPort) {
 		return fmt.Errorf("workload %q has %w", wl.name, err)
 	}
@@ -223,27 +221,79 @@ func run(args []string, w io.Writer) (runErr error) {
 	}
 	fmt.Fprintln(w, res)
 	fmt.Fprintf(w, "virtual throughput: %.1f ops/ms, %.2f us/op\n", res.Throughput()/1000, float64(res.PerOp().Nanoseconds())/1000)
-	fmt.Fprintf(w, "simulation work: %d messages\n", o.Metrics().Counter("msg.sent").Value())
-	if *metrics {
-		fmt.Fprint(w, "\n--- metrics ---\n", o.Metrics().Dump())
-	}
+	fmt.Fprintf(w, "simulation work: %d messages\n", sent)
 	return nil
+}
+
+// report is the -report document: the flags set but -report, and one run
+// per OS booted. It holds only what the simulation computed, so a command
+// line always writes the same bytes. Durations are nanoseconds.
+type report struct {
+	Config map[string]string `json:"config"`
+	Runs   []runReport       `json:"runs"`
+}
+
+// runReport is one OS's run. For popcorn it adds the per-kernel state a run
+// leaves (zone-lock contention, frames in use) and the last trace.TailSpans
+// spans of its timeline: the tracer, attached for a report, moves no number.
+type runReport struct {
+	OS       string          `json:"os"`
+	Ops      uint64          `json:"ops"`
+	Elapsed  time.Duration   `json:"elapsed"`
+	Error    string          `json:"error,omitempty"`
+	Events   uint64          `json:"events"`
+	Metrics  *stats.Registry `json:"metrics"`
+	Kernels  []kernelReport  `json:"kernels,omitempty"`
+	Timeline []string        `json:"timeline,omitempty"`
+}
+
+type kernelReport struct {
+	ZoneLock    sim.LockStats `json:"zone_lock"`
+	FramesInUse int           `json:"frames_in_use"`
+}
+
+// runFlavour boots flavour, runs wl on it and closes it, adding the run to
+// rep if a report is being written; sent is the fabric's message count.
+func runFlavour(flavour string, topo hw.Topology, kernels int, wl workloadRow, p params, rep *report) (res workload.Result, sent uint64, err error) {
+	o, err := boot(flavour, topo, kernels, p.seed)
+	if err != nil {
+		return res, 0, err
+	}
+	defer o.Close()
+	pop, _ := o.(*core.OS)
+	var col *trace.Collector
+	if rep != nil && pop != nil {
+		col = pop.AttachTracer()
+	}
+	res, err = runOn(o, wl, p)
+	sent = o.Metrics().Counter("msg.sent").Value()
+	if rep == nil {
+		return res, sent, err
+	}
+	run := runReport{OS: flavour, Ops: res.Ops, Elapsed: res.Elapsed, Events: o.Engine().EventsProcessed(), Metrics: o.Metrics()}
+	if err != nil {
+		run.Error = err.Error()
+	}
+	if pop != nil {
+		for k := range pop.Kernels() {
+			frames := pop.Kernel(k).Frames
+			run.Kernels = append(run.Kernels, kernelReport{frames.LockStats(), frames.Allocator().InUse()})
+		}
+		var tl strings.Builder
+		_ = col.WriteTimeline(&tl, trace.TailSpans) // a strings.Builder never fails
+		run.Timeline = strings.FieldsFunc(tl.String(), func(r rune) bool { return r == '\n' })
+	}
+	rep.Runs = append(rep.Runs, run)
+	return res, sent, err
 }
 
 // runCompare runs one workload on every flavour that has a form of it,
 // printing a side-by-side table.
-func runCompare(w io.Writer, topo hw.Topology, kernels int, wl workloadRow, p params) error {
+func runCompare(w io.Writer, topo hw.Topology, kernels int, wl workloadRow, p params, rep *report) error {
 	tab := stats.NewTable(fmt.Sprintf("%s, %d threads on %d cores", wl.name, p.threads, topo.Cores),
 		"os", "ops", "elapsed", "ops/ms")
 	for _, flavour := range flavours {
-		res, err := func() (workload.Result, error) {
-			o, err := boot(flavour, topo, kernels, p.seed)
-			if err != nil {
-				return workload.Result{}, err
-			}
-			defer o.Close()
-			return runOn(o, wl, p)
-		}()
+		res, _, err := runFlavour(flavour, topo, kernels, wl, p, rep)
 		if err != nil {
 			tab.AddRow(flavour, "-", err.Error(), "-")
 			continue

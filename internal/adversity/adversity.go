@@ -8,7 +8,6 @@ package adversity
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -122,24 +121,10 @@ func linkNoise(seed int64) *faultinj.Plan {
 // IsDegradation reports whether err is a tolerated consequence of a run's
 // adversity — a dead peer from an injected crash, or a backpressure
 // rejection from the overload plane — rather than a bug. Workloads panic
-// with the transport error embedded, so the check accepts both the error
-// chain and its rendered text.
+// with the transport error wrapped and the engine keeps a panic's error in
+// its failure's chain, so the chain alone decides.
 func IsDegradation(err error) bool {
-	if msg.IsDeadPeer(err) || msg.IsBackpressure(err) {
-		return true
-	}
-	s := err.Error()
-	for _, marker := range []string{
-		"dead kernel",                // msg.DeadPeerError
-		"peer kernel is dead",        // msg.ErrDeadPeer sentinel
-		"died while task waited",     // futex home-death error wake
-		"refused under backpressure", // msg.BackpressureError
-	} {
-		if strings.Contains(s, marker) {
-			return true
-		}
-	}
-	return false
+	return msg.IsDeadPeer(err) || msg.IsBackpressure(err)
 }
 
 // OneProcess runs the skeleton the soaks and R3 share, to quiescence: a

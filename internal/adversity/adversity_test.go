@@ -6,21 +6,26 @@ import (
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/sim"
 )
 
 // TestIsDegradation: the tolerated errors are recognised through the error
-// chain and through the text a workload's panic renders them into, and
-// nothing else is.
+// chain — also when a sim process panicked with one — and nothing else is.
 func TestIsDegradation(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	e.Spawn("thread-3", func(*sim.Proc) {
+		panic(fmt.Errorf("producer store: %w", msg.ErrDeadPeer))
+	})
+	panicked := e.Run()
 	for _, tc := range []struct {
 		err  error
 		want bool
 	}{
 		{msg.ErrDeadPeer, true},
 		{fmt.Errorf("consumer load: %w", msg.ErrDeadPeer), true},
-		{errors.New("sim: process \"thread-3\" panicked: producer store: " + msg.ErrDeadPeer.Error()), true},
-		{errors.New("futex home k1 died while task waited"), true},
-		{errors.New("page-fetch to k2 refused under backpressure"), true},
+		{panicked, true},
+		{fmt.Errorf("kvstore put: %w", msg.ErrBackpressure), true},
 		{errors.New("consumer sum = 3, want 240"), false},
 		{errors.New("sim: deadlock: blocked processes with no pending events"), false},
 	} {

@@ -773,6 +773,6 @@ func (t *Thread) SigWait() ([]int, error) {
 func (t *Thread) exit() {
 	t.k.Sched.Release(t.p)
 	if err := t.k.TG.Exit(t.p, t.pr.gid, t.task.ID); err != nil {
-		panic(fmt.Sprintf("core: thread exit: %v", err))
+		panic(fmt.Errorf("core: thread exit: %w", err))
 	}
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
-	"repro/internal/mem"
 	"repro/internal/osi"
 	"repro/internal/sim"
 )
@@ -55,29 +53,5 @@ func TestRoundRobinIgnoresLoad(t *testing.T) {
 	}
 	if hit0 == 0 {
 		t.Fatal("round robin never placed on kernel 0; expected exactly one of four")
-	}
-}
-
-func TestSnapshotReportsState(t *testing.T) {
-	os := bootFourKernels(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, _ := os.StartProcessOn(p, 0)
-		_ = pr.Spawn(p, 1, func(th osi.Thread) {
-			a, _ := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
-			_ = th.Store(a, 1)
-			_ = th.Migrate(2)
-		})
-		pr.Wait(p)
-		_ = pr.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	snap := os.Snapshot()
-	for _, want := range []string{"kernel 0", "kernel 3", "1 migrations", "remote spawns", "fabric"} {
-		if !strings.Contains(snap, want) {
-			t.Fatalf("snapshot missing %q:\n%s", want, snap)
-		}
 	}
 }

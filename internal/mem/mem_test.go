@@ -157,7 +157,7 @@ func TestFrameAllocatorSequence(t *testing.T) {
 				t.Fatalf("step %d: Free(%d) = %v; want %q", i, st.frame, err, st.err)
 			}
 		}
-		// core/snapshot.go prints both halves of this sum.
+		// Every frame of the partition is either in use or available.
 		if a.InUse()+a.Available() != count {
 			t.Fatalf("step %d: InUse %d + Available %d != %d", i, a.InUse(), a.Available(), count)
 		}

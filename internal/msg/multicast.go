@@ -71,11 +71,3 @@ func (r *handlerRun) callOne(cp *sim.Proc) {
 	cp.SetSpan(fo.span)
 	fo.replies[i], fo.errs[i] = r.ep.Call(cp, fo.build(fo.targets[i]))
 }
-
-// SendEach fire-and-forgets one message to every target, charging the
-// sender's ring cost for each.
-func (ep *Endpoint) SendEach(p *sim.Proc, targets []NodeID, build func(to NodeID) *Message) {
-	for _, to := range targets {
-		ep.Send(p, build(to))
-	}
-}

@@ -135,6 +135,8 @@ func (k *carrier) run() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && err == ErrKilled {
 				// Engine shutdown: exit quietly.
+			} else if ok { // kept in the failure's chain for errors.Is
+				e.Fail(fmt.Errorf("sim: process %q panicked: %w", p.name, err))
 			} else {
 				e.Fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
 			}

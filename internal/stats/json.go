@@ -1,6 +1,9 @@
 package stats
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"time"
+)
 
 // jsonTable is Table's wire form: a tagged object so consumers can
 // distinguish tables from series without guessing at fields.
@@ -44,4 +47,32 @@ func (s *Series) MarshalJSON() ([]byte, error) {
 		Kind: "series", Title: s.Title, XLabel: s.XLabel, YLabel: s.YLabel,
 		X: s.X, Lines: lines,
 	})
+}
+
+// jsonHistogram is a Histogram's wire form, durations in nanoseconds.
+type jsonHistogram struct {
+	Count uint64        `json:"count"`
+	Sum   time.Duration `json:"sum"`
+	Min   time.Duration `json:"min"`
+	P50   time.Duration `json:"p50"`
+	P99   time.Duration `json:"p99"`
+	Max   time.Duration `json:"max"`
+}
+
+// MarshalJSON renders the registry as {counters: {name: n}, histograms:
+// {name: {count, sum, min, p50, p99, max}}}. Names come out sorted,
+// so equal registries render byte-identically.
+func (r *Registry) MarshalJSON() ([]byte, error) {
+	counters := make(map[string]uint64, len(r.counters))
+	for n, c := range r.counters {
+		counters[n] = c.n
+	}
+	histograms := make(map[string]jsonHistogram, len(r.histograms))
+	for n, h := range r.histograms {
+		histograms[n] = jsonHistogram{h.count, h.sum, h.min, h.Quantile(0.5), h.Quantile(0.99), h.max}
+	}
+	return json.Marshal(struct {
+		Counters   map[string]uint64        `json:"counters"`
+		Histograms map[string]jsonHistogram `json:"histograms"`
+	}{counters, histograms})
 }

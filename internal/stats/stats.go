@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -183,26 +182,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Dump renders the registry as one line per metric, sorted by name.
-func (r *Registry) Dump() string {
-	var b strings.Builder
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-40s %d\n", n, r.counters[n].Value())
-	}
-	names = names[:0]
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-40s %s\n", n, r.histograms[n])
-	}
-	return b.String()
 }

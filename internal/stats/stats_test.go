@@ -125,16 +125,21 @@ func TestRegistryReusesMetrics(t *testing.T) {
 	}
 }
 
-func TestRegistryDumpContainsMetrics(t *testing.T) {
+// TestRegistryJSON: the registry renders every counter and histogram under
+// its name, names sorted, histogram fields in nanoseconds.
+func TestRegistryJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops").Add(7)
-	r.Histogram("lat").Observe(time.Millisecond)
-	out := r.Dump()
-	if !strings.Contains(out, "ops") || !strings.Contains(out, "7") {
-		t.Fatalf("Dump missing counter: %q", out)
+	r.Counter("b.ops").Inc()
+	r.Histogram("lat").Observe(3 * time.Microsecond)
+	r.Histogram("lat").Observe(time.Microsecond)
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "lat") {
-		t.Fatalf("Dump missing histogram: %q", out)
+	want := `{"counters":{"b.ops":1,"ops":7},"histograms":{"lat":{"count":2,"sum":4000,"min":1000,"p50":1024,"p99":3000,"max":3000}}}`
+	if string(got) != want {
+		t.Fatalf("registry JSON\n got %s\nwant %s", got, want)
 	}
 }
 

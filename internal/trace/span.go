@@ -193,6 +193,9 @@ func (c *Collector) RootNames() []string {
 	return names
 }
 
+// TailSpans is how many spans a failure timeline or a run report shows.
+const TailSpans = 40
+
 // WriteTimeline writes the last n spans by begin time (all of them when
 // n <= 0), one per line — the failure-timeline view the chaos soak prints
 // when a seed breaks an invariant.

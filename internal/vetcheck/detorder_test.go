@@ -325,13 +325,9 @@ type dirEntry struct{ sharers map[msg.NodeID]struct{} }
 type Service struct{ ep *msg.Endpoint }
 
 func (s *Service) invalidate(p *sim.Proc, de *dirEntry) {
-	var targets []msg.NodeID
 	for n := range de.sharers {
-		targets = append(targets, n)
+		s.ep.Send(p, &msg.Message{Type: msg.TypePageInvalidate, To: n})
 	}
-	s.ep.SendEach(p, targets, func(to msg.NodeID) *msg.Message {
-		return &msg.Message{Type: msg.TypePageInvalidate, To: to}
-	})
 }
 `,
 	}, DetOrder{})

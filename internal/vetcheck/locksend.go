@@ -14,7 +14,7 @@ import (
 // serialisation is the point (the origin-side directory transaction) carry
 // a justified allow-directive.
 //
-// A call blocks when its callee reaches one of the fabric's four entry
+// A call blocks when its callee reaches one of the fabric's three entry
 // points in the call graph (reach.go): through an interface it blocks if
 // any implementation does, and a function that spawns procs which send
 // blocks too, because the callers that matter wait for them
@@ -30,7 +30,7 @@ func (LockSend) Name() string { return "locksend" }
 // calling proc at least for the simulated wire latency.
 var fabricSends = []anchor{
 	declare("msg", "Endpoint", "Call"), declare("msg", "Endpoint", "CallEach"),
-	declare("msg", "Endpoint", "Send"), declare("msg", "Endpoint", "SendEach"),
+	declare("msg", "Endpoint", "Send"),
 }
 
 // Check implements Analyzer.

@@ -195,12 +195,12 @@ func TestLockSendDeferredUnlockHoldsToEnd(t *testing.T) {
 func (s *svc) bad(p *sim.Proc) {
 	s.mu.Lock(p)
 	defer s.mu.Unlock(p)
-	s.ep.SendEach(p, nil, nil)
+	s.ep.Send(p, nil)
 }
 `,
 	}, LockSend{})
-	if len(got) != 1 || !strings.Contains(got[0].Message, "SendEach can block") {
-		t.Fatalf("want one SendEach finding, got:\n%s", renderFindings(got))
+	if len(got) != 1 || !strings.Contains(got[0].Message, "Send can block") {
+		t.Fatalf("want one Send finding, got:\n%s", renderFindings(got))
 	}
 }
 

@@ -68,7 +68,6 @@ type Endpoint struct{}
 func (ep *Endpoint) Handle(t Type, h Handler)                          {}
 func (ep *Endpoint) Send(p *sim.Proc, m *Message)                      {}
 func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error)    { return nil, nil }
-func (ep *Endpoint) SendEach(p *sim.Proc, to []NodeID, m func(NodeID) *Message) {}
 func (ep *Endpoint) CallEach(p *sim.Proc, to []NodeID, m func(NodeID) *Message) ([]*Message, error) {
 	return nil, nil
 }

@@ -248,7 +248,7 @@ func TestAnchorsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(anchors) < 20 {
+	if len(anchors) < 19 {
 		t.Fatalf("only %d anchors registered; the analyzers' declare calls are gone", len(anchors))
 	}
 	for _, a := range anchors {

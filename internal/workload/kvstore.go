@@ -60,7 +60,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 		if err := pr.Spawn(p, 0, func(th osi.Thread) {
 			a, err := th.Mmap(uint64(spec.Shards*stride)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
-				panic(fmt.Sprintf("kvstore mmap: %v", err))
+				panic(fmt.Errorf("kvstore mmap: %w", err))
 			}
 			base = a
 			ready.Done()
@@ -87,7 +87,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 				defer warm.Done()
 				for pg := 0; pg <= spec.KeysPerShard; pg++ {
 					if err := th.Store(shardLock(s)+mem.Addr(pg*hw.PageSize), 0); err != nil {
-						panic(fmt.Sprintf("kvstore warm: %v", err))
+						panic(fmt.Errorf("kvstore warm: %w", err))
 					}
 				}
 			}); err != nil {
@@ -143,17 +143,17 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 					if o.put {
 						lock := NewFutexMutex(shardLock(o.shard))
 						if err := lock.Lock(th); err != nil {
-							panic(fmt.Sprintf("kvstore lock: %v", err))
+							panic(fmt.Errorf("kvstore lock: %w", err))
 						}
 						if _, err := th.FetchAdd(keyAddr(o.shard, o.key), 1); err != nil {
-							panic(fmt.Sprintf("kvstore put: %v", err))
+							panic(fmt.Errorf("kvstore put: %w", err))
 						}
 						if err := lock.Unlock(th); err != nil {
-							panic(fmt.Sprintf("kvstore unlock: %v", err))
+							panic(fmt.Errorf("kvstore unlock: %w", err))
 						}
 					} else {
 						if _, err := th.Load(keyAddr(o.shard, o.key)); err != nil {
-							panic(fmt.Sprintf("kvstore get: %v", err))
+							panic(fmt.Errorf("kvstore get: %w", err))
 						}
 					}
 				}
@@ -174,7 +174,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 				for k := 0; k < spec.KeysPerShard; k++ {
 					v, err := th.Load(keyAddr(s, k))
 					if err != nil {
-						panic(fmt.Sprintf("kvstore verify: %v", err))
+						panic(fmt.Errorf("kvstore verify: %w", err))
 					}
 					total += v
 				}

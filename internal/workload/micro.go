@@ -42,7 +42,7 @@ func ThreadBomb(o osi.OS, spec ThreadBombSpec) (Result, error) {
 			spawnErr := pr.Spawn(p, k, func(th osi.Thread) {
 				for c := 0; c < spec.Children; c++ {
 					if err := th.Spawn(th.KernelID(), func(osi.Thread) {}); err != nil {
-						panic(fmt.Sprintf("threadbomb child spawn: %v", err))
+						panic(fmt.Errorf("threadbomb child spawn: %w", err))
 					}
 				}
 			})
@@ -86,15 +86,15 @@ func MmapStorm(o osi.OS, spec MmapStormSpec) (Result, error) {
 			for i := 0; i < spec.Iters; i++ {
 				addr, err := th.Mmap(uint64(spec.Pages)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				if err != nil {
-					panic(fmt.Sprintf("mmapstorm mmap: %v", err))
+					panic(fmt.Errorf("mmapstorm mmap: %w", err))
 				}
 				for pg := 0; pg < spec.Pages; pg++ {
 					if err := th.Store(addr+mem.Addr(pg*hw.PageSize), int64(i)); err != nil {
-						panic(fmt.Sprintf("mmapstorm touch: %v", err))
+						panic(fmt.Errorf("mmapstorm touch: %w", err))
 					}
 				}
 				if err := th.Munmap(addr, uint64(spec.Pages)*hw.PageSize); err != nil {
-					panic(fmt.Sprintf("mmapstorm munmap: %v", err))
+					panic(fmt.Errorf("mmapstorm munmap: %w", err))
 				}
 			}
 		}
@@ -166,11 +166,11 @@ func FaultSweep(o osi.OS, spec FaultSweepSpec) (Result, error) {
 			if err := pr.Spawn(p, k, func(th osi.Thread) {
 				addr, err := th.Mmap(uint64(spec.Pages)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				if err != nil {
-					panic(fmt.Sprintf("faultsweep mmap: %v", err))
+					panic(fmt.Errorf("faultsweep mmap: %w", err))
 				}
 				for pg := 0; pg < spec.Pages; pg++ {
 					if err := th.Store(addr+mem.Addr(pg*hw.PageSize), 1); err != nil {
-						panic(fmt.Sprintf("faultsweep touch: %v", err))
+						panic(fmt.Errorf("faultsweep touch: %w", err))
 					}
 				}
 			}); err != nil {
@@ -237,7 +237,7 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 			if err := pr.Spawn(p, kHome, func(th osi.Thread) {
 				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				if err != nil {
-					panic(fmt.Sprintf("futexchain mmap: %v", err))
+					panic(fmt.Errorf("futexchain mmap: %w", err))
 				}
 				lockAddr = a
 				ready.Done()
@@ -255,13 +255,13 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 					lock := NewFutexMutex(lockAddr)
 					for i := 0; i < spec.Iters; i++ {
 						if err := lock.Lock(th); err != nil {
-							panic(fmt.Sprintf("futexchain lock: %v", err))
+							panic(fmt.Errorf("futexchain lock: %w", err))
 						}
 						if spec.CS > 0 {
 							th.Compute(spec.CS)
 						}
 						if err := lock.Unlock(th); err != nil {
-							panic(fmt.Sprintf("futexchain unlock: %v", err))
+							panic(fmt.Errorf("futexchain unlock: %w", err))
 						}
 					}
 				}); err != nil {

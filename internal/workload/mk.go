@@ -26,7 +26,7 @@ func MKThreadBomb(o *multikernel.OS, spec ThreadBombSpec) (Result, error) {
 				inner := sim.NewWaitGroup()
 				for c := 0; c < spec.Children; c++ {
 					if _, err := o.SpawnDomain(d.Proc(), d.KernelID(), inner, func(*multikernel.Domain) {}); err != nil {
-						panic(fmt.Sprintf("mk threadbomb child: %v", err))
+						panic(fmt.Errorf("mk threadbomb child: %w", err))
 					}
 				}
 				inner.Wait(d.Proc())
@@ -50,15 +50,15 @@ func MKMemStorm(o *multikernel.OS, spec MmapStormSpec) (Result, error) {
 				for it := 0; it < spec.Iters; it++ {
 					addr, err := d.Alloc(spec.Pages)
 					if err != nil {
-						panic(fmt.Sprintf("mk memstorm alloc: %v", err))
+						panic(fmt.Errorf("mk memstorm alloc: %w", err))
 					}
 					for pg := 0; pg < spec.Pages; pg++ {
 						if err := d.Store(addr+mem.Addr(pg*hw.PageSize), int64(it)); err != nil {
-							panic(fmt.Sprintf("mk memstorm store: %v", err))
+							panic(fmt.Errorf("mk memstorm store: %w", err))
 						}
 					}
 					if err := d.Free(addr, spec.Pages); err != nil {
-						panic(fmt.Sprintf("mk memstorm free: %v", err))
+						panic(fmt.Errorf("mk memstorm free: %w", err))
 					}
 				}
 			}); err != nil {
@@ -81,11 +81,11 @@ func MKFaultSweep(o *multikernel.OS, spec FaultSweepSpec) (Result, error) {
 			if _, err := o.SpawnDomain(p, k, wg, func(d *multikernel.Domain) {
 				addr, err := d.Alloc(spec.Pages)
 				if err != nil {
-					panic(fmt.Sprintf("mk faultsweep alloc: %v", err))
+					panic(fmt.Errorf("mk faultsweep alloc: %w", err))
 				}
 				for pg := 0; pg < spec.Pages; pg++ {
 					if err := d.Store(addr+mem.Addr(pg*hw.PageSize), 1); err != nil {
-						panic(fmt.Sprintf("mk faultsweep store: %v", err))
+						panic(fmt.Errorf("mk faultsweep store: %w", err))
 					}
 				}
 			}); err != nil {
@@ -125,7 +125,7 @@ func MKComputeKernel(o *multikernel.OS, spec ComputeKernelSpec) (Result, error) 
 				coordinator := peers[len(peers)-1]
 				buf, err := d.Alloc(T + 1)
 				if err != nil {
-					panic(fmt.Sprintf("mk npb alloc: %v", err))
+					panic(fmt.Errorf("mk npb alloc: %w", err))
 				}
 				for it := 0; it < spec.Iters; it++ {
 					d.Compute(spec.Work)
@@ -159,7 +159,7 @@ func MKComputeKernel(o *multikernel.OS, spec ComputeKernelSpec) (Result, error) 
 						// message per remote peer.
 						for s := 0; s < T; s++ {
 							if err := d.Store(buf+mem.Addr(s*hw.PageSize), int64(it)); err != nil {
-								panic(fmt.Sprintf("mk is store: %v", err))
+								panic(fmt.Errorf("mk is store: %w", err))
 							}
 						}
 						for s := 0; s < T; s++ {

@@ -70,7 +70,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 		if err := pr.Spawn(p, 0, func(th osi.Thread) {
 			a, err := th.Mmap(uint64(3+T*T)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
-				panic(fmt.Sprintf("npb mmap: %v", err))
+				panic(fmt.Errorf("npb mmap: %w", err))
 			}
 			base = a
 			setup.Done()
@@ -99,7 +99,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 						// Pure compute; reduce only on the last iteration.
 						if it == spec.Iters-1 {
 							if _, err := th.FetchAdd(redAddr, int64(i+1)); err != nil {
-								panic(fmt.Sprintf("ep reduce: %v", err))
+								panic(fmt.Errorf("ep reduce: %w", err))
 							}
 						}
 					case KernelMG:
@@ -107,10 +107,10 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 						// page, then read both neighbours' after the
 						// mid-iteration barrier.
 						if err := th.Store(exch(i, 0), int64(it)); err != nil {
-							panic(fmt.Sprintf("mg halo write: %v", err))
+							panic(fmt.Errorf("mg halo write: %w", err))
 						}
 						if err := bar.Wait(th); err != nil {
-							panic(fmt.Sprintf("mg mid barrier: %v", err))
+							panic(fmt.Errorf("mg mid barrier: %w", err))
 						}
 						for _, nb := range []int{(i + 1) % T, (i + T - 1) % T} {
 							if v, err := th.Load(exch(nb, 0)); err != nil || v != int64(it) {
@@ -121,23 +121,23 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 						// Scatter into this thread's own bucket pages.
 						for s := 0; s < T; s++ {
 							if err := th.Store(exch(i, s), int64(it)); err != nil {
-								panic(fmt.Sprintf("is scatter: %v", err))
+								panic(fmt.Errorf("is scatter: %w", err))
 							}
 						}
 					case KernelCG:
 						if _, err := th.FetchAdd(redAddr, int64(i+1)); err != nil {
-							panic(fmt.Sprintf("cg reduce: %v", err))
+							panic(fmt.Errorf("cg reduce: %w", err))
 						}
 					case KernelFT:
 						// All-to-all: write my row, then read my column
 						// (one page written by each peer).
 						for s := 0; s < T; s++ {
 							if err := th.Store(exch(i, s), int64(it)); err != nil {
-								panic(fmt.Sprintf("ft write: %v", err))
+								panic(fmt.Errorf("ft write: %w", err))
 							}
 						}
 						if err := bar.Wait(th); err != nil {
-							panic(fmt.Sprintf("ft mid barrier: %v", err))
+							panic(fmt.Errorf("ft mid barrier: %w", err))
 						}
 						for w := 0; w < T; w++ {
 							if v, err := th.Load(exch(w, i)); err != nil || v != int64(it) {
@@ -149,7 +149,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 						// EP is embarrassingly parallel: no per-iteration
 						// synchronisation, that's the point.
 						if err := bar.Wait(th); err != nil {
-							panic(fmt.Sprintf("npb barrier: %v", err))
+							panic(fmt.Errorf("npb barrier: %w", err))
 						}
 					}
 				}
@@ -226,11 +226,11 @@ func MigrationBenefit(o osi.OS, spec MigrationBenefitSpec) (Result, error) {
 		if err := pr.Spawn(p, 1, func(th osi.Thread) {
 			a, err := th.Mmap(uint64(spec.Pages)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
-				panic(fmt.Sprintf("producer mmap: %v", err))
+				panic(fmt.Errorf("producer mmap: %w", err))
 			}
 			for pg := 0; pg < spec.Pages; pg++ {
 				if err := th.Store(a+mem.Addr(pg*hw.PageSize), int64(pg)); err != nil {
-					panic(fmt.Sprintf("producer store: %v", err))
+					panic(fmt.Errorf("producer store: %w", err))
 				}
 			}
 			base = a
@@ -243,7 +243,7 @@ func MigrationBenefit(o osi.OS, spec MigrationBenefitSpec) (Result, error) {
 			ready.Wait(th.Proc())
 			if spec.Migrate {
 				if err := th.Migrate(1); err != nil {
-					panic(fmt.Sprintf("consumer migrate: %v", err))
+					panic(fmt.Errorf("consumer migrate: %w", err))
 				}
 			}
 			if spec.Prefetch {
@@ -252,7 +252,7 @@ func MigrationBenefit(o osi.OS, spec MigrationBenefitSpec) (Result, error) {
 					panic("consumer prefetch: OS does not support Prefetch")
 				}
 				if _, err := pf.Prefetch(base, spec.Pages); err != nil {
-					panic(fmt.Sprintf("consumer prefetch: %v", err))
+					panic(fmt.Errorf("consumer prefetch: %w", err))
 				}
 			}
 			sum := int64(0)
@@ -260,7 +260,7 @@ func MigrationBenefit(o osi.OS, spec MigrationBenefitSpec) (Result, error) {
 				for pg := 0; pg < spec.Pages; pg++ {
 					v, err := th.Load(base + mem.Addr(pg*hw.PageSize))
 					if err != nil {
-						panic(fmt.Sprintf("consumer load: %v", err))
+						panic(fmt.Errorf("consumer load: %w", err))
 					}
 					sum += v
 				}
