@@ -103,7 +103,8 @@ schedule-oracle:
 	@echo "schedule-oracle: per-seed lines identical to $(BASE)"
 
 # Tier-1 under the race detector: among it the table gate (every experiment's
-# table digest at both scales, traced equal to untraced; see
+# table digest at both scales, traced equal to untraced, the traced span
+# trees of T1, T2 and F2 pinned by their ID/trace lines; see
 # internal/bench/testdata/golden_tables.txt) and the byte-determinism of the
 # Chrome trace export (cmd/benchtable); see DESIGN.md §10 and §12. The race
 # detector also guards the cells internal/bench runs side by side (DESIGN.md

@@ -74,8 +74,6 @@ func run(args []string, w io.Writer) error {
 	events := fs.Uint64("events", 0, "stop after N events (replays a shrunk prefix)")
 	inject := fs.String("inject", "", "sweep rows: plant a protocol bug; skip-revoke=K drops invalidations to kernel K")
 	planesFlag := fs.String("planes", "", "sweep rows: comma-separated planes to attach, of flow, failover, faults")
-	fseed := fs.Int64("fseed", 0, "fault-plan seed under -planes faults (default: the schedule seed)")
-	noShrink := fs.Bool("noshrink", false, "report the failing seed without minimising it")
 	verbose := fs.Bool("v", false, "print a line per seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,9 +93,6 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *fseed != 0 && !pl.faults {
-		return errors.New("-fseed seeds the fault plan: it needs -planes faults")
-	}
 	var sweep []int64
 	switch {
 	case *seed != 0:
@@ -113,8 +108,8 @@ func run(args []string, w io.Writer) error {
 		if r.soak && (*planesFlag != "" || *inject != "") {
 			return fmt.Errorf("%s is a soak: it fixes its own planes and plan; -planes and -inject apply to the sweeps", r.Name)
 		}
-		cfg := runCfg{row: r, limit: *events, inject: injectNode, planes: pl, fseed: *fseed}
-		if err := sweepRow(w, cfg, sweep, *verbose, !*noShrink); err != nil {
+		cfg := runCfg{row: r, limit: *events, inject: injectNode, planes: pl}
+		if err := sweepRow(w, cfg, sweep, *verbose); err != nil {
 			return err
 		}
 	}
@@ -123,7 +118,7 @@ func run(args []string, w io.Writer) error {
 
 // sweepRow runs one row over the seeds, stops at the first seed that fails
 // and prints what is needed to see why and to run it again.
-func sweepRow(w io.Writer, cfg runCfg, seeds []int64, verbose, shrink bool) error {
+func sweepRow(w io.Writer, cfg runCfg, seeds []int64, verbose bool) error {
 	r := cfg.row
 	var events uint64
 	totals := make(map[string]uint64)
@@ -148,11 +143,8 @@ func sweepRow(w io.Writer, cfg runCfg, seeds []int64, verbose, shrink bool) erro
 		// end-state verdict is about the complete run, which replays whole.
 		limit := cfg.limit
 		if out.safety && limit == 0 {
-			limit = out.events
-			if shrink {
-				limit = shrinkLimit(cfg, out.events)
-				fmt.Fprintf(w, "shrunk to a %d-event prefix (from %d)\n\n", limit, out.events)
-			}
+			limit = shrinkLimit(cfg, out.events)
+			fmt.Fprintf(w, "shrunk to a %d-event prefix (from %d)\n\n", limit, out.events)
 		}
 		fmt.Fprintf(w, "replay deterministically with:\n\n  go run ./cmd/popcornmc %s\n", replayArgs(cfg, limit))
 		return fmt.Errorf("%s: seed %d: %w", r.Name, s, out.err)
@@ -174,7 +166,6 @@ type runCfg struct {
 	limit  uint64 // -events: judge only this prefix of the schedule
 	inject int    // kernel whose invalidations are dropped, -1 for none
 	planes planes // -planes; a soak row attaches its own instead
-	fseed  int64
 }
 
 // attached is the set of planes the run attaches.
@@ -183,16 +174,6 @@ func (c runCfg) attached() planes {
 		return c.row.planes
 	}
 	return c.planes
-}
-
-// planSeed resolves the fault-plan seed: explicitly pinned via -fseed, or
-// derived from the schedule seed so every sweep seed explores a different
-// fault pattern.
-func (c runCfg) planSeed() int64 {
-	if c.fseed != 0 {
-		return c.fseed
-	}
-	return c.seed
 }
 
 // planes is the set of fabric planes a run attaches.
@@ -283,7 +264,9 @@ func runOne(cfg runCfg) outcome {
 		o.EnableFailover()
 	}
 	if pl.faults {
-		plan := r.Plan(cfg.planSeed())
+		// The schedule seed seeds the plan too, so every sweep seed explores
+		// a different fault pattern.
+		plan := r.Plan(cfg.seed)
 		if cfg.inject >= 0 {
 			plan.Rules = append([]faultinj.Rule{msg.SkipRevokeRule(msg.NodeID(cfg.inject))}, plan.Rules...)
 		}
@@ -354,9 +337,6 @@ func replayArgs(cfg runCfg, limit uint64) string {
 	}
 	if cfg.planes != (planes{}) {
 		args += " -planes " + cfg.planes.String()
-	}
-	if cfg.planes.faults {
-		args += fmt.Sprintf(" -fseed %d", cfg.planSeed())
 	}
 	if cfg.inject >= 0 {
 		args += fmt.Sprintf(" -inject skip-revoke=%d", cfg.inject)

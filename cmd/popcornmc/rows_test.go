@@ -40,7 +40,7 @@ func TestEveryRowClean(t *testing.T) {
 		r := &rows[i]
 		t.Run(r.Name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := sweepRow(&buf, cfgFor(r, 0, planes{}), []int64{1, 2}, true, false); err != nil {
+			if err := sweepRow(&buf, cfgFor(r, 0, planes{}), []int64{1, 2}, true); err != nil {
 				t.Fatalf("%v\n%s", err, buf.String())
 			}
 		})
@@ -86,7 +86,7 @@ func TestPlaneMatrix(t *testing.T) {
 				continue
 			}
 			var buf bytes.Buffer
-			if err := sweepRow(&buf, cfgFor(r, 0, pl), []int64{1, 2, 3, 4}, true, false); err != nil {
+			if err := sweepRow(&buf, cfgFor(r, 0, pl), []int64{1, 2, 3, 4}, true); err != nil {
 				t.Errorf("planes [%s]: %v\n%s", pl, err, buf.String())
 			}
 		}
@@ -144,7 +144,7 @@ func TestFailoverGrantCountsOnceReleased(t *testing.T) {
 		{"chaos", []int64{37}},
 	} {
 		var buf bytes.Buffer
-		if err := sweepRow(&buf, cfgFor(rowNamed(t, tc.row), 0, planes{}), tc.seeds, true, false); err != nil {
+		if err := sweepRow(&buf, cfgFor(rowNamed(t, tc.row), 0, planes{}), tc.seeds, true); err != nil {
 			t.Errorf("%s %v: %v\n%s", tc.row, tc.seeds, err, buf.String())
 		}
 	}
@@ -232,7 +232,7 @@ func TestFlagMisuse(t *testing.T) {
 		{"-workload overload -planes flow", "is a soak"},
 		{"-workload failover -inject skip-revoke=0", "is a soak"},
 		{"-workload futex -inject drop-all", "unknown injection"},
-		{"-workload futex -fseed 3", "needs -planes faults"},
+		{"-workload futex -planes faults -fseed 3", "flag provided but not defined"},
 		{"-workload futex -seeds 0", "nothing to run"},
 		{"-workload futex faults", "unexpected argument"},
 		{"-soak", "flag provided but not defined"},

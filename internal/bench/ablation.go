@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/osi"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/threadgroup"
 	"repro/internal/workload"
 )
 
@@ -25,41 +23,15 @@ func AblationDummyThread(s Scale) (*stats.Table, error) {
 		iters = 4
 	}
 	for _, pool := range []int{0, 2} {
-		topo := testbed()
-		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+		o, err := bootPopcorn(testbed(), popcornKernels, func(cc *kernel.ClusterConfig) { cc.TG.DummyPool = pool })
 		if err != nil {
 			return nil, err
 		}
-		cc := kernel.DefaultClusterConfig(machine)
-		cc.Kernels = popcornKernels
-		cc.TG = threadgroup.Config{DummyPool: pool}
-		o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc})
-		if err != nil {
-			return nil, err
-		}
-		e := o.Engine()
-		e.Spawn("driver", func(p *sim.Proc) {
-			pr, err := o.StartProcessOn(p, 0)
-			if err != nil {
-				panic(err)
-			}
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				for i := 0; i < iters; i++ {
-					// Fresh destinations so the shadow-revival fast path
-					// never hides the task-setup cost.
-					must(th.Migrate((th.KernelID() + 1) % o.Kernels()))
-				}
-			}); err != nil {
-				panic(err)
-			}
-			pr.Wait(p)
-			_ = pr.Close(p)
-		})
-		runErr := e.Run()
+		_, err = runProcess(o, ringHops(o, iters))
 		mean := o.Metrics().Histogram("tg.migrate.total").Mean()
 		o.Close()
-		if runErr != nil {
-			return nil, runErr
+		if err != nil {
+			return nil, err
 		}
 		name := fmt.Sprintf("pool=%d (pre-created)", pool)
 		if pool == 0 {
@@ -84,46 +56,15 @@ func AblationSlotSize(s Scale) (*stats.Series, error) {
 	series := stats.NewSeries("D4: ring slot size vs RTT", "slot-bytes", "rtt-us", xs...)
 	payloads := []int{64, 4096}
 	err := addLines(series, len(slots), []string{"64B payload", "4096B payload"}, func(l, x int) (float64, error) {
-		rtt, err := onePingCfg(payloads[l], slots[x])
+		cfg := msg.DefaultConfig()
+		cfg.SlotBytes = slots[x]
+		rtt, err := onePing([]int{0, 8}, 1, cfg, payloads[l], nil)
 		return float64(rtt.Nanoseconds()) / 1000, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return series, nil
-}
-
-func onePingCfg(size, slotBytes int) (time.Duration, error) {
-	e := sim.NewEngine(sim.WithSeed(1))
-	defer e.Close()
-	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
-	if err != nil {
-		return 0, err
-	}
-	cfg := msg.DefaultConfig()
-	cfg.SlotBytes = slotBytes
-	fabric, err := msg.NewFabric(e, machine, 2, []int{0, 8}, cfg, stats.NewRegistry())
-	if err != nil {
-		return 0, err
-	}
-	fabric.Endpoint(1).Handle(msg.TypePing, func(p *sim.Proc, m *msg.Message) *msg.Message {
-		return &msg.Message{Size: m.Size}
-	})
-	var rtt time.Duration
-	e.Spawn("pinger", func(p *sim.Proc) {
-		const iters = 8
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := fabric.Endpoint(0).Call(p, &msg.Message{Type: msg.TypePing, To: 1, Size: size}); err != nil {
-				panic(err)
-			}
-		}
-		rtt = p.Now().Sub(start) / iters
-	})
-	if err := e.Run(); err != nil {
-		return 0, err
-	}
-	return rtt, nil
 }
 
 // AblationVMAPush (D1) compares lazy mmap propagation (the paper's design)
@@ -143,64 +84,33 @@ func AblationVMAPush(s Scale) (*stats.Table, error) {
 		for k := 0; k < o.Kernels(); k++ {
 			o.Kernel(k).VM.SetEagerMapPush(eager)
 		}
-		e := o.Engine()
 		var elapsed time.Duration
-		e.Spawn("driver", func(p *sim.Proc) {
-			pr, err := o.StartProcessOn(p, 0)
-			if err != nil {
-				panic(err)
-			}
+		_, err = runProcess(o, func(p *sim.Proc, pr osi.Process) {
+			others := kernelRange(1, o.Kernels()-1)
 			// Warm replicas on every kernel first.
-			warm := sim.NewWaitGroup()
-			for k := 1; k < o.Kernels(); k++ {
-				warm.Add(1)
-				if err := pr.Spawn(p, k, func(th osi.Thread) {
-					a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
-					must(err)
-					must(th.Store(a, 1))
-					warm.Done()
-				}); err != nil {
-					panic(err)
-				}
-			}
-			warm.Wait(p)
+			onKernels(p, pr, func(th osi.Thread) {
+				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
+				must(err)
+				must(th.Store(a, 1))
+			}, others...)
 			start := p.Now()
 			for i := 0; i < iters; i++ {
 				var addr mem.Addr
-				step := sim.NewWaitGroup()
-				step.Add(1)
-				if err := pr.Spawn(p, 0, func(th osi.Thread) {
+				onKernels(p, pr, func(th osi.Thread) {
 					a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 					must(err)
 					addr = a
-					step.Done()
-				}); err != nil {
-					panic(err)
-				}
-				step.Wait(p)
+				}, 0)
 				// Every kernel faults into the new mapping.
-				faults := sim.NewWaitGroup()
-				for k := 1; k < o.Kernels(); k++ {
-					faults.Add(1)
-					if err := pr.Spawn(p, k, func(th osi.Thread) {
-						mustV(th.Load(addr))
-						faults.Done()
-					}); err != nil {
-						panic(err)
-					}
-				}
-				faults.Wait(p)
+				onKernels(p, pr, func(th osi.Thread) { mustV(th.Load(addr)) }, others...)
 			}
 			elapsed = p.Now().Sub(start)
-			pr.Wait(p)
-			_ = pr.Close(p)
 		})
-		runErr := e.Run()
 		fetches := o.Metrics().Counter("vm.vmafetch").Value()
 		pushes := o.Metrics().Counter("vm.update.pushed").Value()
 		o.Close()
-		if runErr != nil {
-			return nil, runErr
+		if err != nil {
+			return nil, err
 		}
 		name := "lazy (paper design)"
 		if eager {
@@ -258,67 +168,39 @@ func AblationPageOwnership(s Scale) (*stats.Table, error) {
 		"pattern", "ownership (paper)", "write-forwarding")
 	patterns := []struct {
 		name string
-		run  func(o *core.OS, p *sim.Proc) error
+		body func(p *sim.Proc, pr osi.Process)
 	}{
-		{"repeated remote writes", func(o *core.OS, p *sim.Proc) error {
-			pr, err := o.StartProcessOn(p, 0)
-			if err != nil {
-				return err
-			}
-			if err := pr.Spawn(p, 1, func(th osi.Thread) {
+		{"repeated remote writes", func(p *sim.Proc, pr osi.Process) {
+			must(pr.Spawn(p, 1, func(th osi.Thread) {
 				addr, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				must(err)
 				for i := 0; i < writes; i++ {
 					must(th.Store(addr, int64(i)))
 				}
-			}); err != nil {
-				return err
-			}
-			pr.Wait(p)
-			return pr.Close(p)
+			}))
 		}},
-		{"alternating writers", func(o *core.OS, p *sim.Proc) error {
-			pr, err := o.StartProcessOn(p, 0)
-			if err != nil {
-				return err
-			}
+		{"alternating writers", func(p *sim.Proc, pr osi.Process) {
 			var addr mem.Addr
-			ready := sim.NewWaitGroup()
-			ready.Add(1)
-			turn := sim.NewWaitGroup()
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
+			onKernels(p, pr, func(th osi.Thread) {
 				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				must(err)
 				addr = a
-				ready.Done()
-			}); err != nil {
-				return err
-			}
-			ready.Wait(p)
-			// Two writers on different kernels strictly alternate.
-			for w := 0; w < 2; w++ {
-				w := w
-				turn.Add(1)
-				if err := pr.Spawn(p, 1+w, func(th osi.Thread) {
-					defer turn.Done()
-					for i := 0; i < writes/2; i++ {
-						for {
-							v, err := th.Load(addr)
-							must(err)
-							if int(v)%2 == w {
-								break
-							}
-							th.Compute(200 * time.Nanosecond)
+			}, 0)
+			// Two writers on kernels 1 and 2 strictly alternate.
+			onKernels(p, pr, func(th osi.Thread) {
+				w := th.KernelID() - 1
+				for i := 0; i < writes/2; i++ {
+					for {
+						v, err := th.Load(addr)
+						must(err)
+						if int(v)%2 == w {
+							break
 						}
-						must(th.Store(addr, int64(2*i+w+1)))
+						th.Compute(200 * time.Nanosecond)
 					}
-				}); err != nil {
-					return err
+					must(th.Store(addr, int64(2*i+w+1)))
 				}
-			}
-			turn.Wait(p)
-			pr.Wait(p)
-			return pr.Close(p)
+			}, 1, 2)
 		}},
 	}
 	for _, pat := range patterns {
@@ -333,19 +215,12 @@ func AblationPageOwnership(s Scale) (*stats.Table, error) {
 					o.Kernel(k).VM.SetWriteForwarding(true)
 				}
 			}
-			e := o.Engine()
-			var elapsed time.Duration
-			e.Spawn("driver", func(p *sim.Proc) {
-				start := p.Now()
-				if err := pat.run(o, p); err != nil {
-					panic(err)
-				}
-				elapsed = p.Now().Sub(start)
-			})
-			runErr := e.Run()
+			// The driver starts at time zero: the close instant is the
+			// pattern's elapsed time.
+			elapsed, err := runProcess(o, pat.body)
 			o.Close()
-			if runErr != nil {
-				return nil, runErr
+			if err != nil {
+				return nil, err
 			}
 			cells[mode] = us(elapsed)
 		}

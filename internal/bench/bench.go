@@ -12,8 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/msg"
 	"repro/internal/multikernel"
 	"repro/internal/osi"
+	"repro/internal/sim"
 	"repro/internal/smp"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -37,14 +39,18 @@ func testbed() hw.Topology { return hw.Topology{Cores: 64, NUMANodes: 2} }
 // on the testbed (8 kernels x 8 cores).
 const popcornKernels = 8
 
-func bootPopcorn(topo hw.Topology, kernels int) (*core.OS, error) {
+// bootPopcorn boots the replicated-kernel OS on topo as the given number of
+// kernels; each tweak, in order, edits the default cluster config first.
+func bootPopcorn(topo hw.Topology, kernels int, tweaks ...func(*kernel.ClusterConfig)) (*core.OS, error) {
 	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
 	if err != nil {
 		return nil, err
 	}
 	cc := kernel.DefaultClusterConfig(machine)
 	cc.Kernels = kernels
-	cc.FramesPerKernel = 1 << 16
+	for _, tweak := range tweaks {
+		tweak(&cc)
+	}
 	return core.Boot(core.Config{Topology: topo, Cluster: &cc})
 }
 
@@ -54,6 +60,68 @@ func bootSMP(topo hw.Topology) (*smp.OS, error) {
 
 func bootMK(topo hw.Topology, kernels int) (*multikernel.OS, error) {
 	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16})
+}
+
+// bootFabric boots a bare message fabric on the testbed, no kernels above
+// it: node i's endpoint runs on core nodeCore[i]. The caller closes the
+// engine.
+func bootFabric(nodeCore []int, cfg msg.Config, reg *stats.Registry) (sim.Engine, *msg.Fabric, error) {
+	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
+	if err != nil {
+		return nil, nil, err
+	}
+	e := sim.NewEngine(sim.WithSeed(1))
+	fabric, err := msg.NewFabric(e, machine, len(nodeCore), nodeCore, cfg, reg)
+	if err != nil {
+		e.Close()
+		return nil, nil, err
+	}
+	return e, fabric, nil
+}
+
+// runProcess drives o to quiescence from one driver proc, which starts a
+// process (on kernel 0 of a fresh popcorn boot), runs body, waits for the
+// process's threads and closes it. It returns the virtual instant the close
+// finished, and the error of the start, the run or the close.
+func runProcess(o osi.OS, body func(p *sim.Proc, pr osi.Process)) (closed time.Duration, err error) {
+	o.Engine().Spawn("driver", func(p *sim.Proc) {
+		pr, startErr := o.StartProcess(p)
+		if startErr != nil {
+			err = startErr
+			return
+		}
+		body(p, pr)
+		pr.Wait(p)
+		err = pr.Close(p)
+		closed = p.Now().Duration()
+	})
+	if runErr := o.Engine().Run(); runErr != nil {
+		return 0, runErr
+	}
+	return closed, err
+}
+
+// onKernels runs fn as one thread of pr on each of kernels, spawned in
+// order, and waits until every one has returned.
+func onKernels(p *sim.Proc, pr osi.Process, fn osi.ThreadFunc, kernels ...int) {
+	done := sim.NewWaitGroup()
+	done.Add(len(kernels))
+	for _, k := range kernels {
+		must(pr.Spawn(p, k, func(th osi.Thread) {
+			fn(th)
+			done.Done()
+		}))
+	}
+	done.Wait(p)
+}
+
+// kernelRange lists the n kernels from first up.
+func kernelRange(first, n int) []int {
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = first + i
+	}
+	return ks
 }
 
 // threadCounts returns the sweep of thread counts for scalability figures.
@@ -189,3 +257,15 @@ func sweep(s Scale, title, ylabel string,
 }
 
 func us(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1000) }
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+func mustV(_ int64, err error) {
+	if err != nil {
+		panic(err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_tables.txt from this tree's tables")
@@ -22,6 +23,17 @@ func digest(t *testing.T, out fmt.Stringer, precise bool) string {
 	text := out.String()
 	if precise {
 		text = render(t, out)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
+}
+
+// traceDigest is a traced run's golden value: the sha256 of its span count
+// and of every root operation's critical-path table, the attribution
+// `benchtable -trace` prints.
+func traceDigest(col *trace.Collector) string {
+	text := fmt.Sprintf("%d spans\n", col.Len())
+	for _, root := range col.RootNames() {
+		text += col.CriticalPath(root).Table().String()
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
 }
@@ -48,10 +60,12 @@ func render(t *testing.T, out fmt.Stringer) string {
 // "ID scale sha256" line. A full line hashes a Series at full precision (its
 // JSON form too), so a value that moves below the printed third digit fails
 // it; a quick line hashes the printed text. An experiment with a traced
-// variant also runs traced, and that output must equal the untraced one at
-// full precision: the tracer reads the virtual timestamps the run already
-// produced and moves none. A PR that means to
-// move a table regenerates the file with
+// variant also runs traced (subtest ID/trace), and that output must equal
+// the untraced one at full precision: the tracer reads the virtual
+// timestamps the run already produced and moves none. Its "ID/trace scale
+// sha256" line pins the span trees: the span count and every root's
+// critical-path table, so a change that moves spans but no table fails too.
+// A PR that means to move a table regenerates the file with
 // `go test ./internal/bench -run 'TestAllExperimentsRunAtQuickScale|TestGoldenTables' -update`
 // and says which table moved and why; anything else that trips this changed
 // virtual time. -update keeps the file's line order, so a moved table is a
@@ -88,37 +102,48 @@ func checkGolden(t *testing.T, scale Scale, label string) {
 	}
 
 	got := map[string]string{}
-	runs := 0
+	// pin records one golden line's digest and checks it against the file.
+	pin := func(t *testing.T, key, sum string) {
+		got[key] = sum
+		if _, pinned := want[key]; !pinned {
+			order = append(order, key)
+		}
+		if sum != want[key] && !*updateGolden {
+			t.Errorf("%s changed: sha256 %s, golden %q", key, sum, want[key])
+		}
+	}
+	runs, all := 0, 0
 	for _, e := range Experiments() {
+		all++
+		if e.RunTraced != nil {
+			all++
+		}
 		t.Run(e.ID, func(t *testing.T) {
 			runs++
 			out, err := e.Run(scale)
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := e.ID + " " + label
-			got[key] = digest(t, out, scale == Full)
-			if _, pinned := want[key]; !pinned {
-				order = append(order, key)
-			}
-			if got[key] != want[key] && !*updateGolden {
-				t.Errorf("table changed: %s sha256 %s, golden %q", key, got[key], want[key])
-			}
+			pin(t, e.ID+" "+label, digest(t, out, scale == Full))
 			if e.RunTraced == nil {
 				return
 			}
-			traced, _, err := e.RunTraced(scale)
-			if err != nil {
-				t.Fatalf("traced: %v", err)
-			}
-			if sum, plain := digest(t, traced, true), digest(t, out, true); sum != plain {
-				t.Errorf("traced output differs from untraced: %s traced %s, untraced %s", key, sum, plain)
-			}
+			t.Run("trace", func(t *testing.T) {
+				runs++
+				traced, col, err := e.RunTraced(scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum, plain := digest(t, traced, true), digest(t, out, true); sum != plain {
+					t.Errorf("traced output differs from untraced: %s traced %s, untraced %s", e.ID, sum, plain)
+				}
+				pin(t, e.ID+"/trace "+label, traceDigest(col))
+			})
 		})
 	}
 	// Stale pins and -update need every experiment; a -run filter that
 	// selects a few subtests checks only those.
-	if runs < len(Experiments()) || t.Failed() {
+	if runs < all || t.Failed() {
 		return
 	}
 	var lines []string

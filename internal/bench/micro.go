@@ -13,27 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
-// T1MessageRoundTrip measures the message layer: RPC round-trip latency
-// versus payload size, for a same-NUMA-node kernel pair and a cross-node
-// pair.
-func T1MessageRoundTrip(s Scale) (*stats.Series, error) {
-	return t1Run(s, nil)
-}
-
-// T1MessageRoundTripTraced is T1 with a causal span collector attached: the
-// returned collector holds the rpc/wire/handle span trees of every measured
-// ping, which the critical-path table attributes leg by leg.
-func T1MessageRoundTripTraced(s Scale) (fmt.Stringer, *trace.Collector, error) {
-	col := trace.NewCollector()
-	series, err := t1Run(s, col)
-	return series, col, err
-}
-
-// t1Run is the shared T1 body. When col is non-nil every per-ping fabric
-// attaches it, so one collector accumulates spans across all the
-// configurations (the per-ping engines run sequentially, so span IDs stay
+// t1Run measures the message layer: RPC round-trip latency versus payload
+// size, for a same-NUMA-node kernel pair and a cross-node pair. Traced, one
+// collector attached to every per-ping fabric accumulates the rpc/wire/handle
+// span trees of every ping, which the critical-path table attributes leg by
+// leg (the per-ping engines run one after another, so span IDs stay
 // deterministic).
-func t1Run(s Scale, col *trace.Collector) (*stats.Series, error) {
+func t1Run(s Scale, traced bool) (*stats.Series, *trace.Collector, error) {
+	var col *trace.Collector
+	if traced {
+		col = trace.NewCollector()
+	}
 	sizes := []int{64, 256, 1024, 4096, 16384, 65536}
 	if s == Quick {
 		sizes = []int{64, 4096, 65536}
@@ -43,58 +33,51 @@ func t1Run(s Scale, col *trace.Collector) (*stats.Series, error) {
 		xs[i] = float64(sz)
 	}
 	series := stats.NewSeries("T1: message round-trip latency", "payload-bytes", "rtt-us", xs...)
-	for _, cross := range []bool{false, true} {
+	// Kernels 0 and 1 on node 0, kernel 2 on node 1.
+	for _, dst := range []msg.NodeID{1, 2} {
 		ys := make([]float64, len(sizes))
 		for i, size := range sizes {
-			rtt, err := onePing(size, cross, col)
+			rtt, err := onePing([]int{0, 8, 32}, dst, msg.DefaultConfig(), size, col)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ys[i] = float64(rtt.Nanoseconds()) / 1000
 		}
 		name := "same-node"
-		if cross {
+		if dst == 2 {
 			name = "cross-node"
 		}
 		if err := series.AddLine(name, ys); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return series, nil
+	return series, col, nil
 }
 
-func onePing(size int, crossNode bool, col *trace.Collector) (time.Duration, error) {
-	e := sim.NewEngine(sim.WithSeed(1))
+// onePing boots a bare fabric with one node per nodeCore entry and returns
+// the mean round trip of size-byte pings from node 0 to dst: one warm-up
+// ping, then a measured batch.
+func onePing(nodeCore []int, dst msg.NodeID, cfg msg.Config, size int, col *trace.Collector) (time.Duration, error) {
+	e, fabric, err := bootFabric(nodeCore, cfg, stats.NewRegistry())
+	if err != nil {
+		return 0, err
+	}
 	defer e.Close()
-	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
-	if err != nil {
-		return 0, err
-	}
-	// Kernels 0,1 on node 0; kernel 2 on node 1.
-	fabric, err := msg.NewFabric(e, machine, 3, []int{0, 8, 32}, msg.DefaultConfig(), stats.NewRegistry())
-	if err != nil {
-		return 0, err
-	}
 	fabric.SetCollector(col)
-	dst := msg.NodeID(1)
-	if crossNode {
-		dst = 2
-	}
 	fabric.Endpoint(dst).Handle(msg.TypePing, func(p *sim.Proc, m *msg.Message) *msg.Message {
 		return &msg.Message{Size: m.Size}
 	})
 	var rtt time.Duration
 	e.Spawn("pinger", func(p *sim.Proc) {
-		// Warm-up then measure a batch.
-		const iters = 8
-		if _, err := fabric.Endpoint(0).Call(p, &msg.Message{Type: msg.TypePing, To: dst, Size: size}); err != nil {
-			panic(err)
+		ping := func() {
+			_, err := fabric.Endpoint(0).Call(p, &msg.Message{Type: msg.TypePing, To: dst, Size: size})
+			must(err)
 		}
+		const iters = 8
+		ping()
 		start := p.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := fabric.Endpoint(0).Call(p, &msg.Message{Type: msg.TypePing, To: dst, Size: size}); err != nil {
-				panic(err)
-			}
+			ping()
 		}
 		rtt = p.Now().Sub(start) / iters
 	})
@@ -104,23 +87,25 @@ func onePing(size int, crossNode bool, col *trace.Collector) (time.Duration, err
 	return rtt, nil
 }
 
-// T2MigrationBreakdown migrates one thread between kernels and reports the
-// per-phase virtual-time costs of the paper's migration protocol.
-func T2MigrationBreakdown(s Scale) (*stats.Table, error) {
-	tab, _, err := t2Run(s, false)
-	return tab, err
+// ringHops is a process body: one thread on kernel 0 migrates iters times,
+// each hop to the next kernel around the ring. A ring rather than a
+// back-and-forth pair keeps the shadow-revival fast path (a return to a
+// kernel the thread left) from hiding the task-setup cost on the first lap.
+func ringHops(o osi.OS, iters int) func(*sim.Proc, osi.Process) {
+	return func(p *sim.Proc, pr osi.Process) {
+		must(pr.Spawn(p, 0, func(th osi.Thread) {
+			for i := 0; i < iters; i++ {
+				must(th.Migrate((th.KernelID() + 1) % o.Kernels()))
+			}
+		}))
+	}
 }
 
-// T2MigrationBreakdownTraced is T2 with the causal tracer attached: the
+// t2Run migrates one thread between kernels and reports the per-phase
+// virtual-time costs of the paper's migration protocol. Traced, the
 // collector holds one core.migrate span tree per migration, so the
 // critical-path table can be cross-checked against the histogram means the
-// untraced table reports.
-func T2MigrationBreakdownTraced(s Scale) (fmt.Stringer, *trace.Collector, error) {
-	return t2Run(s, true)
-}
-
-// t2Run is the shared T2 body; traced attaches a span collector to the
-// booted OS (reads only virtual timestamps, so the table is unchanged).
+// table reports.
 func t2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	tab := stats.NewTable("T2: thread migration latency breakdown", "phase", "mean-us", "share")
 	o, err := bootPopcorn(testbed(), popcornKernels)
@@ -132,29 +117,11 @@ func t2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	if traced {
 		col = o.AttachTracer()
 	}
-	e := o.Engine()
 	iters := 16
 	if s == Quick {
 		iters = 4
 	}
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, err := o.StartProcessOn(p, 0)
-		if err != nil {
-			panic(err)
-		}
-		if err := pr.Spawn(p, 0, func(th osi.Thread) {
-			for i := 0; i < iters; i++ {
-				if err := th.Migrate((th.KernelID() + 1) % o.Kernels()); err != nil {
-					panic(err)
-				}
-			}
-		}); err != nil {
-			panic(err)
-		}
-		pr.Wait(p)
-		_ = pr.Close(p)
-	})
-	if err := e.Run(); err != nil {
+	if _, err := runProcess(o, ringHops(o, iters)); err != nil {
 		return nil, nil, err
 	}
 	reg := o.Metrics()
@@ -189,18 +156,11 @@ func T3ThreadCreate(s Scale) (*stats.Table, error) {
 		return nil, err
 	}
 	defer o.Close()
-	e := o.Engine()
 	var localLat, coldLat, warmLat time.Duration
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, err := o.StartProcessOn(p, 0)
-		if err != nil {
-			panic(err)
-		}
+	_, err = runProcess(o, func(p *sim.Proc, pr osi.Process) {
 		measure := func(k int) time.Duration {
 			start := p.Now()
-			if err := pr.Spawn(p, k, func(osi.Thread) {}); err != nil {
-				panic(err)
-			}
+			must(pr.Spawn(p, k, func(osi.Thread) {}))
 			return p.Now().Sub(start)
 		}
 		localLat = measure(0)
@@ -211,10 +171,8 @@ func T3ThreadCreate(s Scale) (*stats.Table, error) {
 			sum += measure(1)
 		}
 		warmLat = sum / warmIters
-		pr.Wait(p)
-		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	tab.AddRow("local clone", us(localLat))
@@ -259,13 +217,8 @@ func T4SyscallOverhead(s Scale) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := o.Engine()
-		e.Spawn("driver", func(p *sim.Proc) {
-			pr, err := o.StartProcess(p)
-			if err != nil {
-				panic(err)
-			}
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
+		_, err = runProcess(o, func(p *sim.Proc, pr osi.Process) {
+			must(pr.Spawn(p, 0, func(th osi.Thread) {
 				for _, pb := range probes {
 					start := th.Proc().Now()
 					if err := pb.run(th); err != nil {
@@ -276,16 +229,11 @@ func T4SyscallOverhead(s Scale) (*stats.Table, error) {
 					r[osIdx] = d
 					results[pb.name] = r
 				}
-			}); err != nil {
-				panic(err)
-			}
-			pr.Wait(p)
-			_ = pr.Close(p)
+			}))
 		})
-		runErr := e.Run()
 		closeOS()
-		if runErr != nil {
-			return nil, runErr
+		if err != nil {
+			return nil, err
 		}
 	}
 	for _, pb := range probes {
@@ -295,24 +243,12 @@ func T4SyscallOverhead(s Scale) (*stats.Table, error) {
 	return tab, nil
 }
 
-// F2PageFault measures fault service latency by directory state: local
-// zero-fill at the origin, remote zero-fill, remote read of a modified
-// page, and a write that must invalidate remote readers.
-func F2PageFault(s Scale) (*stats.Table, error) {
-	tab, _, err := f2Run(s, false)
-	return tab, err
-}
-
-// F2PageFaultTraced is F2 with the causal tracer attached: each measured
-// fault leaves a vm.fault span tree whose legs (directory transaction, page
+// f2Run measures fault service latency by directory state: local zero-fill
+// at the origin, remote zero-fill, remote read of a modified page, and a
+// write that must invalidate remote readers. Traced, each measured fault
+// leaves a vm.fault span tree whose legs (directory transaction, page
 // transfer wire legs, invalidation fan-out) the critical-path table
 // attributes.
-func F2PageFaultTraced(s Scale) (fmt.Stringer, *trace.Collector, error) {
-	return f2Run(s, true)
-}
-
-// f2Run is the shared F2 body; traced attaches a span collector to the
-// booted OS.
 func f2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	tab := stats.NewTable("F2: page-fault service latency", "fault type", "latency-us")
 	o, err := bootPopcorn(testbed(), popcornKernels)
@@ -324,34 +260,22 @@ func f2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	if traced {
 		col = o.AttachTracer()
 	}
-	e := o.Engine()
 	lat := make(map[string]time.Duration)
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, err := o.StartProcessOn(p, 0)
-		if err != nil {
-			panic(err)
-		}
+	_, err = runProcess(o, func(p *sim.Proc, pr osi.Process) {
 		var base mem.Addr
-		step := sim.NewWaitGroup()
-		run := func(k int, name string, fn func(th osi.Thread)) {
-			step.Add(1)
-			if err := pr.Spawn(p, k, func(th osi.Thread) {
-				defer step.Done()
+		// run runs fn on kernel k, timing it under name unless name is "".
+		run := func(k int, name string, fn osi.ThreadFunc) {
+			onKernels(p, pr, func(th osi.Thread) {
 				start := th.Proc().Now()
 				fn(th)
 				if name != "" {
 					lat[name] = th.Proc().Now().Sub(start)
 				}
-			}); err != nil {
-				panic(err)
-			}
-			step.Wait(p)
+			}, k)
 		}
 		run(0, "", func(th osi.Thread) {
 			a, err := th.Mmap(64*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-			if err != nil {
-				panic(err)
-			}
+			must(err)
 			base = a
 		})
 		pg := func(i int) mem.Addr { return base + mem.Addr(i*hw.PageSize) }
@@ -364,10 +288,8 @@ func f2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 		run(1, "", func(th osi.Thread) { mustV(th.Load(pg(3))) })
 		run(2, "", func(th osi.Thread) { mustV(th.Load(pg(3))) })
 		run(3, "write invalidating 3 sharers", func(th osi.Thread) { must(th.Store(pg(3), 10)) })
-		pr.Wait(p)
-		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	for _, name := range []string{
@@ -401,48 +323,28 @@ func F3VMAPropagation(s Scale) (*stats.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := o.Engine()
 		var mm, pt, um time.Duration
-		e.Spawn("driver", func(p *sim.Proc) {
-			pr, err := o.StartProcessOn(p, 0)
-			if err != nil {
-				panic(err)
-			}
+		_, err = runProcess(o, func(p *sim.Proc, pr osi.Process) {
 			var base mem.Addr
 			ready := sim.NewWaitGroup()
 			ready.Add(1)
 			hold := sim.NewWaitGroup()
 			hold.Add(1)
-			// Materialise replicas: one thread per extra kernel touches a
-			// page so the kernel holds group state.
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
+			must(pr.Spawn(p, 0, func(th osi.Thread) {
 				a, err := th.Mmap(uint64(8+replicas)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-				if err != nil {
-					panic(err)
-				}
+				must(err)
 				base = a
 				ready.Done()
 				hold.Wait(th.Proc())
-			}); err != nil {
-				panic(err)
-			}
+			}))
 			ready.Wait(p)
-			touched := sim.NewWaitGroup()
-			for r := 0; r < replicas; r++ {
-				touched.Add(1)
-				if err := pr.Spawn(p, 1+r, func(th osi.Thread) {
-					must(th.Store(base+mem.Addr((8+r)*hw.PageSize), 1))
-					touched.Done()
-				}); err != nil {
-					panic(err)
-				}
-			}
-			touched.Wait(p)
+			// Materialise replicas: one thread per extra kernel touches a
+			// page so the kernel holds group state.
+			onKernels(p, pr, func(th osi.Thread) {
+				must(th.Store(base+mem.Addr((7+th.KernelID())*hw.PageSize), 1))
+			}, kernelRange(1, replicas)...)
 			// Measure from the origin.
-			meas := sim.NewWaitGroup()
-			meas.Add(1)
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				defer meas.Done()
+			onKernels(p, pr, func(th osi.Thread) {
 				const iters = 4
 				start := th.Proc().Now()
 				addrs := make([]mem.Addr, iters)
@@ -463,18 +365,12 @@ func F3VMAPropagation(s Scale) (*stats.Series, error) {
 					must(th.Munmap(addrs[i], hw.PageSize))
 				}
 				um = th.Proc().Now().Sub(start) / iters
-			}); err != nil {
-				panic(err)
-			}
-			meas.Wait(p)
+			}, 0)
 			hold.Done()
-			pr.Wait(p)
-			_ = pr.Close(p)
 		})
-		runErr := e.Run()
 		o.Close()
-		if runErr != nil {
-			return nil, runErr
+		if err != nil {
+			return nil, err
 		}
 		mmapYs[i] = float64(mm.Nanoseconds()) / 1000
 		protYs[i] = float64(pt.Nanoseconds()) / 1000
@@ -490,16 +386,4 @@ func F3VMAPropagation(s Scale) (*stats.Series, error) {
 		return nil, err
 	}
 	return series, nil
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-func mustV(_ int64, err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -70,18 +69,13 @@ func oneOverloadCell(mult int, flow bool) (*overloadCell, error) {
 	)
 	// The remote drain cost of one 16 KiB message sets the saturation point;
 	// the generator offers mult messages per drain.
-	e := sim.NewEngine(sim.WithSeed(1))
-	defer e.Close()
-	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
 	reg := stats.NewRegistry()
 	// Kernel 0 on node 0, kernel 1 on node 1: the bulk crosses the slow path.
-	fabric, err := msg.NewFabric(e, machine, 2, []int{0, 32}, msg.DefaultConfig(), reg)
+	e, fabric, err := bootFabric([]int{0, 32}, msg.DefaultConfig(), reg)
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	if flow {
 		fabric.EnableFlow(msg.FlowConfig{
 			CreditsPerLink: 8,

@@ -35,15 +35,34 @@ func wrapT[T fmt.Stringer](fn func(Scale) (T, error)) func(Scale) (fmt.Stringer,
 	}
 }
 
+// traced is an experiment whose generator can attach a span collector: Run
+// calls it untraced and RunTraced traced, so both print one generator's
+// result.
+func traced[T fmt.Stringer](id, title string, gen func(s Scale, traced bool) (T, *trace.Collector, error)) Experiment {
+	return Experiment{ID: id, Title: title,
+		Run: wrapT(func(s Scale) (T, error) {
+			v, _, err := gen(s, false)
+			return v, err
+		}),
+		RunTraced: func(s Scale) (fmt.Stringer, *trace.Collector, error) {
+			v, col, err := gen(s, true)
+			if err != nil {
+				return nil, nil, err
+			}
+			return v, col, nil
+		},
+	}
+}
+
 // Experiments returns the full experiment registry, sorted by ID.
 func Experiments() []Experiment {
 	exps := []Experiment{
-		{ID: "T1", Title: "Message-layer round trip", Run: wrapT(T1MessageRoundTrip), RunTraced: T1MessageRoundTripTraced},
-		{ID: "T2", Title: "Thread migration latency breakdown", Run: wrapT(T2MigrationBreakdown), RunTraced: T2MigrationBreakdownTraced},
+		traced("T1", "Message-layer round trip", t1Run),
+		traced("T2", "Thread migration latency breakdown", t2Run),
 		{ID: "T3", Title: "Remote vs local thread creation", Run: wrapT(T3ThreadCreate)},
 		{ID: "T4", Title: "Uncontended syscall overhead", Run: wrapT(T4SyscallOverhead)},
 		{ID: "F1", Title: "Thread-creation scalability", Run: wrapT(F1ThreadBomb)},
-		{ID: "F2", Title: "Page-fault service latency", Run: wrapT(F2PageFault), RunTraced: F2PageFaultTraced},
+		traced("F2", "Page-fault service latency", f2Run),
 		{ID: "F3", Title: "VMA-operation propagation", Run: wrapT(F3VMAPropagation)},
 		{ID: "F4", Title: "mmap-storm scalability (headline)", Run: wrapT(F4MmapStorm)},
 		{ID: "F4b", Title: "mmap-storm, one shared process", Run: wrapT(F4bSharedMmapStorm)},

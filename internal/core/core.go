@@ -61,9 +61,6 @@ type OS struct {
 	// restartable maps recoverable threads to their re-execution entry; the
 	// thread-group restart hook consults it after a hosting-kernel crash.
 	restartable map[task.ID]restartEntry
-	// faultsOn gates the recovery checks on syscall hot paths (suspicion
-	// probes in Compute) so fault-free runs pay nothing.
-	faultsOn bool
 }
 
 // restartEntry is what checkpointed restart needs to re-execute a thread:
@@ -203,7 +200,6 @@ func (o *OS) EnableFailover() { o.cluster.Fabric.EnableFailover() }
 //popcornvet:allow kernlocal the reboot and peer-death hooks act on the kernel the fabric names: the harness standing in for that machine's firmware and failure detector, not one kernel reaching into another
 func (o *OS) EnableFaults(plan *faultinj.Plan, cfg msg.FaultConfig) {
 	if plan != nil {
-		o.faultsOn = true
 		for _, kn := range o.cluster.Kernels {
 			kn.TG.SetRestartHook(o.restartHookFor(kn))
 		}
@@ -489,9 +485,9 @@ func (t *Thread) Migrations() int { return t.task.Migrations }
 
 // Compute implements osi.Thread. Under a fault plan it first gives the
 // thread a chance to evacuate a kernel whose link to the group origin has
-// turned suspicious.
+// turned suspicious; fault-free runs skip the check.
 func (t *Thread) Compute(d time.Duration) {
-	if t.pr.os.faultsOn {
+	if t.pr.os.cluster.Fabric.FaultsEnabled() {
 		t.maybeEvacuate()
 	}
 	t.core = t.k.Sched.Run(t.p, d)

@@ -18,16 +18,15 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultQuantum is the scheduling timeslice: the longest a task runs while
-// others wait before it is preempted.
-const DefaultQuantum = 100 * time.Microsecond
+// quantum is the scheduling timeslice: the longest a task runs while others
+// wait before it is preempted.
+const quantum = 100 * time.Microsecond
 
 // Scheduler multiplexes one kernel's tasks onto its cores.
 type Scheduler struct {
 	e       sim.Engine
 	machine *hw.Machine
 	coreIDs []int
-	quantum time.Duration
 	metrics *stats.Registry
 
 	free    []int // free global core IDs, LIFO for cache warmth
@@ -41,20 +40,8 @@ type schedWaiter struct {
 	core  int
 }
 
-// Option configures a Scheduler.
-type Option func(*Scheduler)
-
-// WithQuantum overrides the scheduling timeslice.
-func WithQuantum(q time.Duration) Option {
-	return func(s *Scheduler) {
-		if q > 0 {
-			s.quantum = q
-		}
-	}
-}
-
 // New creates a scheduler over the given global core IDs.
-func New(e sim.Engine, machine *hw.Machine, coreIDs []int, metrics *stats.Registry, opts ...Option) (*Scheduler, error) {
+func New(e sim.Engine, machine *hw.Machine, coreIDs []int, metrics *stats.Registry) (*Scheduler, error) {
 	if len(coreIDs) == 0 {
 		return nil, fmt.Errorf("sched: scheduler needs at least one core")
 	}
@@ -65,12 +52,8 @@ func New(e sim.Engine, machine *hw.Machine, coreIDs []int, metrics *stats.Regist
 		e:       e,
 		machine: machine,
 		coreIDs: append([]int(nil), coreIDs...),
-		quantum: DefaultQuantum,
 		metrics: metrics,
 		running: make(map[int64]int),
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	// Free list starts in reverse so cores are handed out in ID order.
 	for i := len(s.coreIDs) - 1; i >= 0; i-- {
@@ -157,8 +140,8 @@ func (s *Scheduler) Run(p *sim.Proc, d time.Duration) int {
 	}
 	for d > 0 {
 		slice := d
-		if slice > s.quantum {
-			slice = s.quantum
+		if slice > quantum {
+			slice = quantum
 		}
 		p.Sleep(slice)
 		d -= slice

@@ -9,13 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
-func newSched(t *testing.T, e sim.Engine, cores []int, opts ...Option) *Scheduler {
+func newSched(t *testing.T, e sim.Engine, cores []int) *Scheduler {
 	t.Helper()
 	m, err := hw.NewMachine(hw.Topology{Cores: 8, NUMANodes: 2}, hw.DefaultCostModel())
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	s, err := New(e, m, cores, stats.NewRegistry(), opts...)
+	s, err := New(e, m, cores, stats.NewRegistry())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestAcquireBlocksWhenSaturated(t *testing.T) {
 func TestRunSlicesAtQuantum(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
-	s := newSched(t, e, []int{0}, WithQuantum(100*time.Microsecond))
+	s := newSched(t, e, []int{0})
 	var aDone, bDone sim.Time
 	e.Spawn("a", func(p *sim.Proc) {
 		s.Acquire(p)
@@ -111,7 +111,7 @@ func TestRunWithoutContentionDoesNotPreempt(t *testing.T) {
 	defer e.Close()
 	reg := stats.NewRegistry()
 	m, _ := hw.NewMachine(hw.Topology{Cores: 8, NUMANodes: 2}, hw.DefaultCostModel())
-	s, _ := New(e, m, []int{0, 1}, reg, WithQuantum(10*time.Microsecond))
+	s, _ := New(e, m, []int{0, 1}, reg)
 	e.Spawn("solo", func(p *sim.Proc) {
 		s.Acquire(p)
 		s.Run(p, time.Millisecond)

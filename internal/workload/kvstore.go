@@ -79,10 +79,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 		for s := 0; s < spec.Shards; s++ {
 			s := s
 			warm.Add(1)
-			k := 0
-			if kernels > 1 {
-				k = s % kernels
-			}
+			k := s % kernels
 			if err := pr.Spawn(p, k, func(th osi.Thread) {
 				defer warm.Done()
 				for pg := 0; pg <= spec.KeysPerShard; pg++ {
@@ -103,10 +100,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 		expectPuts := make([]int64, spec.Shards)
 		for c := 0; c < spec.Clients; c++ {
 			c := c
-			k := 0
-			if kernels > 1 {
-				k = c % kernels
-			}
+			k := c % kernels
 			// Precompute the client's op sequence deterministically so the
 			// expected per-shard put counts are known up front.
 			type op struct {

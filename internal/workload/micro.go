@@ -35,10 +35,7 @@ func ThreadBomb(o osi.OS, spec ThreadBombSpec) (Result, error) {
 		}
 		kernels := o.Kernels()
 		for i, pr := range procs {
-			k := 0
-			if kernels > 1 {
-				k = i % kernels
-			}
+			k := i % kernels
 			spawnErr := pr.Spawn(p, k, func(th osi.Thread) {
 				for c := 0; c < spec.Children; c++ {
 					if err := th.Spawn(th.KernelID(), func(osi.Thread) {}); err != nil {
@@ -50,13 +47,8 @@ func ThreadBomb(o osi.OS, spec ThreadBombSpec) (Result, error) {
 				return 0, spawnErr
 			}
 		}
-		for _, pr := range procs {
-			pr.Wait(p)
-		}
-		for _, pr := range procs {
-			if err := pr.Close(p); err != nil {
-				return 0, err
-			}
+		if err := closeAll(p, procs); err != nil {
+			return 0, err
 		}
 		return uint64(spec.Spawners * spec.Children), nil
 	})
@@ -105,10 +97,7 @@ func MmapStorm(o osi.OS, spec MmapStormSpec) (Result, error) {
 				return 0, err
 			}
 			for i := 0; i < spec.Threads; i++ {
-				k := 0
-				if kernels > 1 {
-					k = i % kernels
-				}
+				k := i % kernels
 				if err := pr.Spawn(p, k, body); err != nil {
 					return 0, err
 				}
@@ -120,23 +109,15 @@ func MmapStorm(o osi.OS, spec MmapStormSpec) (Result, error) {
 				if err != nil {
 					return 0, err
 				}
-				k := 0
-				if kernels > 1 {
-					k = i % kernels
-				}
+				k := i % kernels
 				if err := pr.Spawn(p, k, body); err != nil {
 					return 0, err
 				}
 				procs = append(procs, pr)
 			}
 		}
-		for _, pr := range procs {
-			pr.Wait(p)
-		}
-		for _, pr := range procs {
-			if err := pr.Close(p); err != nil {
-				return 0, err
-			}
+		if err := closeAll(p, procs); err != nil {
+			return 0, err
 		}
 		return uint64(spec.Threads * spec.Iters), nil
 	})
@@ -159,10 +140,7 @@ func FaultSweep(o osi.OS, spec FaultSweepSpec) (Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			k := 0
-			if kernels > 1 {
-				k = i % kernels
-			}
+			k := i % kernels
 			if err := pr.Spawn(p, k, func(th osi.Thread) {
 				addr, err := th.Mmap(uint64(spec.Pages)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				if err != nil {
@@ -178,13 +156,8 @@ func FaultSweep(o osi.OS, spec FaultSweepSpec) (Result, error) {
 			}
 			procs = append(procs, pr)
 		}
-		for _, pr := range procs {
-			pr.Wait(p)
-		}
-		for _, pr := range procs {
-			if err := pr.Close(p); err != nil {
-				return 0, err
-			}
+		if err := closeAll(p, procs); err != nil {
+			return 0, err
 		}
 		return uint64(spec.Threads * spec.Pages), nil
 	})
@@ -230,10 +203,7 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 			ready := sim.NewWaitGroup()
 			ready.Add(1)
 			var lockAddr mem.Addr
-			kHome := 0
-			if kernels > 1 && !spec.Shared {
-				kHome = g % kernels
-			}
+			kHome := g % kernels
 			if err := pr.Spawn(p, kHome, func(th osi.Thread) {
 				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 				if err != nil {
@@ -247,7 +217,7 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 			members := spec.Threads / groups
 			for m := 0; m < members; m++ {
 				k := kHome
-				if spec.Shared && kernels > 1 {
+				if spec.Shared {
 					k = m % kernels
 				}
 				if err := pr.Spawn(p, k, func(th osi.Thread) {
@@ -270,13 +240,8 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 				spawned++
 			}
 		}
-		for _, pr := range procs {
-			pr.Wait(p)
-		}
-		for _, pr := range procs {
-			if err := pr.Close(p); err != nil {
-				return 0, err
-			}
+		if err := closeAll(p, procs); err != nil {
+			return 0, err
 		}
 		return uint64(spawned * spec.Iters), nil
 	})

@@ -87,10 +87,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 
 		for i := 0; i < T; i++ {
 			i := i
-			k := 0
-			if kernels > 1 {
-				k = i % kernels
-			}
+			k := i % kernels
 			if err := pr.Spawn(p, k, func(th osi.Thread) {
 				for it := 0; it < spec.Iters; it++ {
 					th.Compute(spec.Work)

@@ -58,6 +58,20 @@ func drive(o driven, name string, threads int, body func(p *sim.Proc) (uint64, e
 	})
 }
 
+// closeAll waits for the threads of every process in procs, then closes
+// the processes in order.
+func closeAll(p *sim.Proc, procs []osi.Process) error {
+	for _, pr := range procs {
+		pr.Wait(p)
+	}
+	for _, pr := range procs {
+		if err := pr.Close(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // window lets a workload narrow the measured interval (excluding setup and
 // verification phases from the reported elapsed time).
 type window struct {
