@@ -21,9 +21,10 @@ import (
 // next-in-line Sleep stopped parking). Home (waiter and waker both on the home
 // kernel 0): 6 events and 4 hand-offs, the in-place path that sends nothing. A
 // PR that changes the schedule on purpose moves these numbers and says so.
-// Beside them, what the pair costs the allocator: its messages, each one
-// object with its payload, and nothing for blocking, handling or bookkeeping —
-// the next per-message allocation fails here, not in popbench.
+// Beside them, what the pair costs the allocator: nothing — its messages come
+// out of the fabric's pool, and blocking, handling and bookkeeping allocate
+// nothing either — so the next per-message allocation fails here, not in
+// popbench.
 func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 	cases := []struct {
 		name                     string
@@ -31,8 +32,9 @@ func TestRemotePairEventAndHandoffCounts(t *testing.T) {
 		wantEvents, wantHandoffs uint64
 		maxMallocs               float64
 	}{
-		// measured 3.00: request, reply, wake-up (27 before this budget existed)
-		{"remote", 1, 38, 12, 3 + 0.5},
+		// measured 0.00 (3.00 while request, reply and wake-up were fresh
+		// objects, 27 before this budget existed)
+		{"remote", 1, 38, 12, 0 + 0.5},
 		// measured 0.00: the home call runs in place
 		{"home", 0, 6, 4, 0 + 0.5},
 	}

@@ -297,11 +297,11 @@ func (s *Service) atHome(p *sim.Proc, home msg.NodeID, req futexOpReq) (futexOpR
 		r = s.do(p, &req, s.node)
 	} else {
 		s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeFutexOp, home, reqSize, req))
+		var err error
+		r, err = msg.CallFor[futexOpReply](s.ep, p, msg.NewWith(s.ep, msg.TypeFutexOp, home, reqSize, req))
 		if err != nil {
 			return futexOpReply{}, err
 		}
-		r = *reply.Payload.(*futexOpReply)
 	}
 	switch r.Err {
 	case "":
@@ -398,7 +398,7 @@ func (s *Service) do(p *sim.Proc, req *futexOpReq, from msg.NodeID) futexOpReply
 }
 
 func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
-	return msg.Reply(reqSize, s.do(p, m.Payload.(*futexOpReq), m.From))
+	return msg.Reply(s.ep, m, reqSize, s.do(p, m.Payload.(*futexOpReq), m.From))
 }
 
 func (s *Service) handleWakeup(p *sim.Proc, m *msg.Message) *msg.Message {

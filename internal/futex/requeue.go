@@ -101,7 +101,7 @@ func (s *Service) release(p *sim.Proc, ref waiterRef) {
 		s.wakeLocal(ref.token)
 		return
 	}
-	s.ep.Send(p, msg.NewWith(msg.TypeFutexWakeup, ref.node, reqSize,
+	s.ep.Send(p, msg.NewWith(s.ep, msg.TypeFutexWakeup, ref.node, reqSize,
 		futexWakeup{Token: ref.token},
 	))
 }

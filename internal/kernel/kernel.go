@@ -140,6 +140,9 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 	if cfg.Kernels <= 0 {
 		return nil, fmt.Errorf("kernel: cluster needs at least one kernel, got %d", cfg.Kernels)
 	}
+	if cfg.Kernels > vm.MaxKernels {
+		return nil, fmt.Errorf("kernel: cluster of %d kernels exceeds the %d a kernel set holds", cfg.Kernels, vm.MaxKernels)
+	}
 	if machine.Topology.Cores%cfg.Kernels != 0 {
 		return nil, fmt.Errorf("kernel: %d cores do not split evenly across %d kernels", machine.Topology.Cores, cfg.Kernels)
 	}

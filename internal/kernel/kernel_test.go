@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -70,6 +71,11 @@ func TestBootValidation(t *testing.T) {
 	cfg.FramesPerKernel = 0
 	if _, err := Boot(e, m, cfg, nil); err == nil {
 		t.Error("zero frames accepted")
+	}
+	cfg = DefaultClusterConfig(m)
+	cfg.Kernels = 65 // one more than a directory's sharer set holds
+	if _, err := Boot(e, m, cfg, nil); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("65 kernels: %v, want the 64-kernel limit", err)
 	}
 }
 

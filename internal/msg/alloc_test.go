@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,38 +12,49 @@ import (
 )
 
 // TestMessageResetZeroesEveryField proves by reflection that Message.reset
-// clears every field — exported and unexported alike — so a future field
-// addition cannot leak one pooled message's state into its next tenant. It
-// mirrors the AllTypes exhaustiveness pattern: the field list is discovered,
-// not enumerated by hand.
+// clears every field — exported and unexported alike — but the two that make
+// a free message its slot's (Payload, pointing at the body beside the header,
+// and pooled), and keeps those two as they were, so a future field addition
+// cannot leak one pooled message's state into its next tenant. It mirrors the
+// AllTypes exhaustiveness pattern: the field list is discovered, not
+// enumerated by hand.
 func TestMessageResetZeroesEveryField(t *testing.T) {
-	m := &Message{}
-	v := reflect.ValueOf(m).Elem()
-	ty := v.Type()
-	for i := 0; i < ty.NumField(); i++ {
-		f := ty.Field(i)
+	kept := map[string]bool{"Payload": true, "pooled": true}
+	ty := reflect.TypeOf(Message{})
+	field := func(m *Message, i int) reflect.Value {
 		// Unexported fields need the unsafe.Pointer detour to be settable.
-		fv := reflect.NewAt(f.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+		return reflect.NewAt(ty.Field(i).Type, unsafe.Pointer(reflect.ValueOf(m).Elem().Field(i).UnsafeAddr())).Elem()
+	}
+	m := &Message{}
+	for i := 0; i < ty.NumField(); i++ {
+		fv := field(m, i)
 		if err := setNonZero(fv); err != "" {
-			t.Fatalf("field %s: %s", f.Name, err)
+			t.Fatalf("field %s: %s", ty.Field(i).Name, err)
 		}
 		if fv.IsZero() {
-			t.Fatalf("field %s: failed to make it non-zero before reset", f.Name)
+			t.Fatalf("field %s: failed to make it non-zero before reset", ty.Field(i).Name)
 		}
 	}
+	before := *m
 	m.reset()
 	for i := 0; i < ty.NumField(); i++ {
-		f := ty.Field(i)
-		fv := reflect.NewAt(f.Type, unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
-		if !fv.IsZero() {
-			t.Errorf("field %s survived reset with value %v; pooled reuse would leak it", f.Name, fv)
+		name, fv := ty.Field(i).Name, field(m, i)
+		switch {
+		case kept[name] && !reflect.DeepEqual(fv.Interface(), field(&before, i).Interface()):
+			t.Errorf("field %s changed across reset to %v; the free message would lose its slot", name, fv)
+		case !kept[name] && !fv.IsZero():
+			t.Errorf("field %s survived reset with value %v; pooled reuse would leak it", name, fv)
 		}
+		delete(kept, name)
+	}
+	if len(kept) != 0 {
+		t.Errorf("reset keeps fields Message no longer has: %v", kept)
 	}
 }
 
-// TestMessageIs136Bytes pins the header's size. NewWith co-allocates it with
-// its payload, so a header that grows a word can push common messages into
-// the next size class: Floor, laid out as its own word instead of beside the
+// TestMessageIs136Bytes pins the header's size. NewWith allocates it with its
+// payload, so a header that grows a word can push common messages into the
+// next size class: Floor, laid out as its own word instead of beside the
 // flags, moved futex_shared, migrate_ring and page_bounce bytes_per_op by
 // +3–4 %.
 func TestMessageIs136Bytes(t *testing.T) {
@@ -141,28 +153,30 @@ func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 	}
 }
 
-// TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached:
-// the request message and the reply message, which are handed to the other
-// side — the handler's record, the call record and the reply's continuation
-// are pooled — and nothing for diagnostics nobody asked for — Call must not
-// box msg.send trace
-// arguments for a detached tracer, nor format a deadlock-report label per
-// wait. Seq (past 255 after the warm-up) and Size are chosen so that boxing
-// them allocates; the runtime boxes smaller integers for free.
+// TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached
+// at nothing per call: the request and the reply come out of the fabric's
+// message pool and go back to it (at the Call's end, and once CallFor has
+// copied the payload out), the handler's record, the call record and the
+// reply's continuation are pooled — and nothing for diagnostics nobody asked
+// for: Call must not box msg.send trace arguments for a detached tracer, nor
+// format a deadlock-report label per wait. Seq (past 255 after the warm-up)
+// and Size are chosen so that boxing them allocates; the runtime boxes
+// smaller integers for free.
 func TestCallSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	// One round trip per tick: the tick is far longer than a 4 KiB RPC.
 	const tick = 100 * time.Microsecond
+	type pong struct{ N int }
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-		return &Message{Size: 64}
+		return Reply(f.Endpoint(1), m, 64, pong{N: m.Payload.(*pong).N})
 	})
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
-		for {
-			if _, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 4096}); err != nil {
-				panic(err)
+		for i := 0; ; i++ {
+			if r, err := CallFor[pong](ep, p, NewWith(ep, TypePing, 1, 4096, pong{N: i})); err != nil || r.N != i {
+				panic(fmt.Sprintf("call %d: %+v, %v", i, r, err))
 			}
 			p.Sleep(tick)
 		}
@@ -176,10 +190,14 @@ func TestCallSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("run: %v", err)
 		}
 	})
-	// Measured 1.8 (two per call, seven calls per eight-tick window); boxing
-	// the two trace arguments alone adds 1.8.
-	if got := allocs / perRun; got > 2.3 {
-		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 2.3", got)
+	// Measured 0.0 (1.8 before messages were pooled: two per call, seven
+	// calls per eight-tick window); boxing the two trace arguments alone adds
+	// 1.8.
+	if got := allocs / perRun; got > 0.5 {
+		t.Fatalf("RPC steady state allocates %.1f allocs/call, want <= 0.5", got)
+	}
+	if err := f.checkPool(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,9 +230,7 @@ func TestWireRingReusesCapacity(t *testing.T) {
 }
 
 // heartbeatsOnWires counts the fabric-owned heartbeats in flight: reserved on
-// a wire, their sender inside the send window. Between engine events that is
-// every heartbeat there is outside the pool — commit hands one to delivery or
-// to drop in the same step.
+// a wire, their sender inside the send window.
 func heartbeatsOnWires(f *Fabric) int {
 	n := 0
 	for _, w := range f.wires {
@@ -227,13 +243,18 @@ func heartbeatsOnWires(f *Fabric) int {
 	return n
 }
 
-// checkHeartbeatsConserved asserts that every heartbeat allocMsg ever made is
-// either back in the pool or in flight.
+// checkHeartbeatsConserved asserts the msg.pool invariant mid-run, and that
+// every heartbeat is back in the pool, in flight or riding a delay: none is
+// pinned, held or lost.
 func checkHeartbeatsConserved(t *testing.T, f *Fabric, when string) {
 	t.Helper()
-	if pooled, flying := len(f.msgFree), heartbeatsOnWires(f); f.msgMade != pooled+flying {
-		t.Fatalf("%s: %d heartbeats allocated, %d pooled + %d in flight: %d leaked",
-			when, f.msgMade, pooled, flying, f.msgMade-pooled-flying)
+	if err := f.checkPool(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	hb := &f.pool.slots[TypeHeartbeat][0]
+	if pooled, flying := len(hb.free), heartbeatsOnWires(f); hb.made != pooled+flying+f.pool.detached {
+		t.Fatalf("%s: %d heartbeats allocated, %d pooled + %d in flight + %d detached: %d leaked",
+			when, hb.made, pooled, flying, f.pool.detached, hb.made-pooled-flying-f.pool.detached)
 	}
 }
 
@@ -290,7 +311,8 @@ func TestEatenHeartbeatsRecycle(t *testing.T) {
 	}
 	checkHeartbeatsConserved(t, f, "after warm-up")
 	eaten := f.metrics.Counter("msg.fault.partition").Value() + f.metrics.Counter("msg.fault.dead-link").Value()
-	made := f.msgMade
+	hb := &f.pool.slots[TypeHeartbeat][0]
+	made := hb.made
 	const perRun = 8
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := e.RunFor(perRun * every); err != nil {
@@ -304,9 +326,9 @@ func TestEatenHeartbeatsRecycle(t *testing.T) {
 	if periods := uint64(51 * perRun); after-eaten < 4*periods {
 		t.Fatalf("the fault plane ate %d heartbeats over %d periods, want about five a period", after-eaten, periods)
 	}
-	if allocs != 0 || f.msgMade != made {
+	if allocs != 0 || hb.made != made {
 		t.Fatalf("steady state of the window: %.0f allocations per %d probe periods and %d new heartbeats, want 0 and 0",
-			allocs, perRun, f.msgMade-made)
+			allocs, perRun, hb.made-made)
 	}
 	checkHeartbeatsConserved(t, f, "inside the partition")
 	if err := e.Run(); err != nil {

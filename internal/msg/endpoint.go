@@ -10,7 +10,7 @@ import (
 
 // Endpoint is one kernel's attachment to the fabric: an inbound queue
 // drained by the receive pump (the kernel's message work queue), a handler
-// table, and the RPC wait table.
+// table, and per peer the open RPCs (peer.oldest).
 type Endpoint struct {
 	f    *Fabric
 	node NodeID
@@ -27,7 +27,6 @@ type Endpoint struct {
 	// handlerNames holds the per-type handler process names, formatted once
 	// at registration instead of per message.
 	handlerNames [numTypes]string
-	pending      map[uint64]*call
 
 	// live lists (through handlerRun.prev/next) every process this endpoint
 	// started (handlers, multicast workers, failure detection) and has not
@@ -66,11 +65,12 @@ type peer struct {
 	flow     flowPeer
 	eachName string // multicast worker process name toward this peer
 
-	// The at-most-once horizon (fault plane): this kernel's open calls to the
-	// peer, in seq order (call.prev/next; the oldest's seq is the Floor it
-	// stamps); the highest floor the peer stamped (floor, learned at floorAt)
-	// and the highest known longer than the straggler bound (safe); the
-	// peer's dedup entries, in arrival order.
+	// This kernel's open calls to the peer, in seq order (call.prev/next): the
+	// one record of its RPCs in flight, which replies are matched against and
+	// verdicts fail; the oldest's seq is the Floor it stamps. The rest is the
+	// at-most-once horizon (fault plane): the highest floor the peer stamped
+	// (floor, learned at floorAt) and the highest known longer than the
+	// straggler bound (safe); the peer's dedup entries, in arrival order.
 	oldest, newest *call
 	floor, safe    uint64
 	floorAt        sim.Time
@@ -113,9 +113,9 @@ type call struct {
 	prev, next                   *call // the open calls to m.To (peer.oldest)
 }
 
-// newCall takes a call off the pool and enters it in the wait table and its
-// peer's open calls (in seq order: prepare has just numbered m); endCall,
-// deferred by Call, undoes all three.
+// newCall takes a call off the pool and enters it in its peer's open calls
+// (in seq order: prepare has just numbered m), which take m into the fabric's
+// custody; endCall, deferred by Call, undoes all three.
 //
 //popcornvet:hotpath
 func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
@@ -126,7 +126,7 @@ func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
 		c.sentFn, c.timerFn = c.onSent, c.onTimeout
 	}
 	c.ep, c.waiter, c.waiterPID, c.m, c.timeout = ep, p, p.ID(), m, f.fcfg.RPCTimeout
-	ep.pending[m.Seq] = c
+	f.adopt(m)
 	pr := &ep.peers[m.To]
 	at := &pr.oldest
 	if c.prev = pr.newest; c.prev != nil {
@@ -139,12 +139,15 @@ func (ep *Endpoint) newCall(p *sim.Proc, m *Message) *call {
 // endCall runs on every exit path of Call, kill-unwind included. Cancelling
 // the pending events (a fired one's handle is stale and cancels nothing) lets
 // the object be reused, and a sender killed inside the send window never commit.
+// The request's life ends here: answered, its one copy has been handled and it
+// goes back to the pool; otherwise a copy may still be on a wire or at a
+// handler, and it is pinned. A reply nobody took (the caller was killed after
+// it landed) goes back too.
 //
 //popcornvet:hotpath
 func (ep *Endpoint) endCall(c *call) {
 	c.sendEv.Cancel()
 	c.timerEv.Cancel()
-	delete(ep.pending, c.m.Seq)
 	fwd, back := &ep.peers[c.m.To].oldest, &ep.peers[c.m.To].newest
 	if c.prev != nil {
 		fwd = &c.prev.next
@@ -153,6 +156,14 @@ func (ep *Endpoint) endCall(c *call) {
 		back = &c.next.prev
 	}
 	*fwd, *back = c.next, c.prev
+	if c.done {
+		ep.f.release(c.m)
+	} else {
+		ep.f.pin(c.m)
+	}
+	if c.reply != nil {
+		ep.f.release(c.reply)
+	}
 	*c = call{sentFn: c.sentFn, timerFn: c.timerFn}
 	sim.Give(&ep.f.callFree, c)
 }
@@ -227,10 +238,9 @@ type dedupEntry struct {
 
 func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 	ep := &Endpoint{
-		f:       f,
-		node:    node,
-		pending: make(map[uint64]*call),
-		peers:   make([]peer, len(f.endpoints)),
+		f:     f,
+		node:  node,
+		peers: make([]peer, len(f.endpoints)),
 	}
 	for to := range ep.peers {
 		ep.peers[to].eachName = fmt.Sprintf("msg-calleach-%d-%d", node, to)
@@ -325,14 +335,23 @@ func (r *handlerRun) run(p *sim.Proc) {
 }
 
 // teardown runs on every exit path of the body, kill-unwind included: end a
-// handle span no reply took over, leave the live list, and go back to the pool
-// — unless killed: a wait queue may still name the Proc, so the record is
-// retired with its process. The Proc is left alone; the engine is finishing it.
+// handle span no reply took over, end the request's life (a one-way one goes
+// back to the pool — an RPC's is its Call's — and one a kill cut short is
+// pinned), leave the live list, and go back to the pool — unless killed: a
+// wait queue may still name the Proc, so the record is retired with its
+// process. The Proc is left alone; the engine is finishing it.
 //
 //popcornvet:hotpath
 func (r *handlerRun) teardown(p *sim.Proc) {
 	r.hs.End()
 	ep := r.ep
+	if m := r.m; m != nil {
+		if p.Killed() {
+			ep.f.pin(m)
+		} else {
+			ep.f.end(m)
+		}
+	}
 	if r.prev != nil {
 		r.prev.next = r.next
 	} else {
@@ -376,7 +395,8 @@ func (ep *Endpoint) beginWireSpan(p *sim.Proc, m *Message) {
 
 // Send transmits m asynchronously (fire-and-forget): the caller is charged
 // only the sender-side ring cost, slept out here because, unlike an RPC
-// caller, it runs again straight afterwards. m.From is set to this node.
+// caller, it runs again straight afterwards. m.From is set to this node. A
+// pooled m is the fabric's from here on: the sender must not touch it again.
 //
 // With the flow plane attached, bulk (non-control) sends must hold a link
 // credit and block — without bound — until one frees: fire-and-forget
@@ -392,15 +412,18 @@ func (ep *Endpoint) Send(p *sim.Proc, m *Message) {
 	ep.f.commit(entry)
 }
 
-// stage is a one-way send up to its ring-slot reservation; whoever calls it
-// owes the send cost and then the commit.
+// stage is a one-way send up to its ring-slot reservation, where the fabric
+// takes m into its custody; whoever calls it owes the send cost and then the
+// commit.
 func (ep *Endpoint) stage(p *sim.Proc, m *Message) *wireEntry {
 	ep.checkAddressed(m)
 	// wait<0 blocks forever and shed=false never refuses, so the error
 	// return is structurally nil here.
 	_ = ep.flowAdmit(p, m, -1, false)
 	ep.announce(p, m)
-	return ep.f.reserve(m)
+	entry := ep.f.reserve(m)
+	ep.f.adopt(m)
+	return entry
 }
 
 // announce is what a message's first send does between admission and the
@@ -420,9 +443,10 @@ func (ep *Endpoint) announce(p *sim.Proc, m *Message) {
 // immediately with a BackpressureError. This is the load-shedding entry point
 // for advisory traffic (prefetch, bulk user data) whose loss costs only
 // performance. Without the flow plane it is identical to Send and always
-// returns nil.
+// returns nil. A refused pooled m goes back to the pool.
 func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 	if err := ep.flowAdmit(p, m, 0, true); err != nil {
+		ep.f.discard(m)
 		return err
 	}
 	ep.Send(p, m)
@@ -439,36 +463,25 @@ func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 // hardened: a sim-time reply timeout, bounded retransmission with exponential
 // backoff (the receiver dedups, so handlers still observe at-most-once
 // semantics), and a DeadPeerError once the peer is declared dead or retries
-// are exhausted. Either way the wait-table entry is removed on every exit
+// are exhausted. Either way the open-call entry is removed on every exit
 // path, including kill-unwind.
+//
+// A pooled m is the fabric's from the call on. The reply is the caller's to
+// keep, left to the collector; CallFor hands it out by value instead, and the
+// reply goes back to the pool.
 func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
-	if m.To == ep.node {
-		return nil, selfRPCError(ep.node, m.Type)
+	reply, err := ep.call(p, m)
+	if reply != nil {
+		ep.f.adopt(reply)
+		ep.f.pin(reply)
 	}
-	ep.checkAddressed(m)
-	if ep.peers[m.To].declaredDead {
-		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
-		return nil, deadPeer(m.To, m.Type, 0)
-	}
-	if ep.dead {
-		// This kernel itself crashed: a straggler issuing RPCs through its
-		// endpoint (say, teardown of a process whose origin died) fails fast
-		// instead of waiting on wires that no longer exist.
-		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
-		return nil, deadPeer(ep.node, m.Type, 0)
-	}
-	// Flow-plane gates: an open circuit breaker fails bulk RPCs fast, and a
-	// bulk request must hold a link credit — waiting at most MaxCreditWait
-	// before the caller gets a deterministic BackpressureError instead of an
-	// unbounded queue. Control-lane RPCs (invalidations, rejoin) bypass both.
-	if err := ep.breakerAllow(m); err != nil {
-		return nil, err
-	}
-	if err := ep.flowAdmit(p, m, ep.f.creditWait(), false); err != nil {
-		// A credit refusal is local congestion — the receiver is busy, not
-		// broken — so it contributes no breaker failure; it only releases a
-		// half-open probe slot this caller may have claimed.
-		ep.breakerAbort(m.To)
+	return reply, err
+}
+
+// call is Call up to the reply, which it hands to the caller's custody.
+func (ep *Endpoint) call(p *sim.Proc, m *Message) (*Message, error) {
+	if err := ep.admit(p, m); err != nil {
+		ep.f.discard(m) // never sent: its life ends here
 		return nil, err
 	}
 	// The RPC round span covers everything between the caller issuing the
@@ -510,6 +523,41 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	return reply, err
 }
 
+// admit is Call's gate before anything is sent: misuse, a dead peer or a dead
+// self, and the flow plane's breaker and credit.
+func (ep *Endpoint) admit(p *sim.Proc, m *Message) error {
+	if m.To == ep.node {
+		return selfRPCError(ep.node, m.Type)
+	}
+	ep.checkAddressed(m)
+	if ep.peers[m.To].declaredDead {
+		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
+		return deadPeer(m.To, m.Type, 0)
+	}
+	if ep.dead {
+		// This kernel itself crashed: a straggler issuing RPCs through its
+		// endpoint (say, teardown of a process whose origin died) fails fast
+		// instead of waiting on wires that no longer exist.
+		ep.f.metrics.Counter("msg.fault.fastfail").Inc()
+		return deadPeer(ep.node, m.Type, 0)
+	}
+	// Flow-plane gates: an open circuit breaker fails bulk RPCs fast, and a
+	// bulk request must hold a link credit — waiting at most MaxCreditWait
+	// before the caller gets a deterministic BackpressureError instead of an
+	// unbounded queue. Control-lane RPCs (invalidations, rejoin) bypass both.
+	if err := ep.breakerAllow(m); err != nil {
+		return err
+	}
+	if err := ep.flowAdmit(p, m, ep.f.creditWait(), false); err != nil {
+		// A credit refusal is local congestion — the receiver is busy, not
+		// broken — so it contributes no breaker failure; it only releases a
+		// half-open probe slot this caller may have claimed.
+		ep.breakerAbort(m.To)
+		return err
+	}
+	return nil
+}
+
 // selfRPCError and strayWakeError build Call's two misuse errors; the RPC
 // that returns one never happened.
 //
@@ -543,7 +591,8 @@ func (f *Fabric) creditWait() time.Duration {
 
 // awaitReply is the wait half of Call: park p until the reply lands or, in
 // fault mode only, a dead-peer verdict falls or the reply timeout fires —
-// then retransmit with exponential backoff until retries run out.
+// then retransmit with exponential backoff until retries run out. The reply
+// goes to the caller's custody.
 func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 	m, cfg := c.m, ep.f.fcfg
 	for attempts := 1; ; attempts++ {
@@ -552,7 +601,10 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 		c.timerEv.Cancel()
 		switch {
 		case c.done:
-			return c.reply, nil
+			reply := c.reply
+			c.reply = nil
+			ep.f.handOut(reply)
+			return reply, nil
 		case c.failed:
 			ep.f.metrics.Counter("msg.fault.rpcdead").Inc()
 			return nil, deadPeer(m.To, m.Type, attempts)
@@ -586,6 +638,7 @@ func (ep *Endpoint) awaitReply(p *sim.Proc, c *call) (*Message, error) {
 		if o := ep.f.observer; o != nil {
 			o.MsgSent(p, m)
 		}
+		ep.f.pin(m) // the first copy may still be on a wire or at the handler
 		c.transmit()
 	}
 }
@@ -643,7 +696,7 @@ func (f *Fabric) deliver(m *Message) {
 			// The consume point: heartbeats are never queued, duplicated, or
 			// retried, so the fabric-owned object goes back to its pool here.
 			f.metrics.Counter("msg.heartbeat.recv").Inc()
-			f.releaseMsg(m)
+			f.release(m)
 			return
 		}
 	}
@@ -709,8 +762,8 @@ func (f *Fabric) fence(m *Message, dst *Endpoint) bool {
 // drop is the one way out for a message that will not be handled — fenced,
 // sent over a dead or partitioned link, lost to the plan: count it under why,
 // machine-wide and per link ("" where the caller already counted), return the
-// flow credit it holds, and recycle it if it is the fabric's own heartbeat
-// (never duplicated or retried, so this is its only end besides delivery).
+// flow credit it holds, and end it (an RPC request stays its Call's, to
+// retransmit).
 //
 //popcornvet:hotpath
 func (f *Fabric) drop(m *Message, why string) {
@@ -718,9 +771,7 @@ func (f *Fabric) drop(m *Message, why string) {
 		f.countLink(why, m.From, m.To)
 	}
 	f.flowRelease(m)
-	if m.Type == TypeHeartbeat {
-		f.releaseMsg(m)
-	}
+	f.end(m)
 }
 
 // pump is one incarnation of an endpoint's message work queue, run as a
@@ -759,10 +810,15 @@ func (pu *pump) kick() {
 
 // stop halts the pump at a kernel crash. An idle pump still spends one
 // event, as the parked daemon it replaced did to unwind: dropping it would
-// shift every later seq and, under tie-shuffle, the chooser's draws.
+// shift every later seq and, under tie-shuffle, the chooser's draws. The
+// message it was receiving dies with the kernel.
 func (pu *pump) stop() {
 	pu.kick()
 	pu.stopped = true
+	if m := pu.m; m != nil {
+		pu.m = nil
+		pu.ep.f.endWiped(m)
+	}
 }
 
 // step is the pump's one event. It finishes what the previous step started
@@ -839,6 +895,7 @@ func (e *wireEntry) onSent() {
 func (ep *Endpoint) spawnHandler(m *Message) {
 	if !ep.Handles(m.Type) {
 		ep.f.e.Fail(fmt.Errorf("msg: node %d has no handler for %v", ep.node, m.Type))
+		ep.f.end(m)
 		return
 	}
 	r := ep.startRun(ep.handlerNames[m.Type])
@@ -846,7 +903,8 @@ func (ep *Endpoint) spawnHandler(m *Message) {
 }
 
 // handle is a handler process's body. A reply's send cost is charged to no
-// process: the handler stages it and leaves the commit to its wire entry.
+// process: the handler stages it and leaves the commit to its wire entry. The
+// handler must keep neither m nor m.Payload: teardown ends the request.
 //
 //popcornvet:hotpath
 func (r *handlerRun) handle(hp *sim.Proc) {
@@ -868,6 +926,9 @@ func (r *handlerRun) handle(hp *sim.Proc) {
 	if reply != nil {
 		reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
 		entry := ep.stage(hp, reply)
+		if de != nil {
+			ep.f.pin(reply) // the dedup table will cache it for replays
+		}
 		entry.pu, entry.de = ep.pump, de
 		entry.span, r.hs = r.hs.ID(), trace.Scope{}
 		ep.f.e.Schedule(ep.f.sendCost(reply), entry.sentFn)
@@ -884,7 +945,7 @@ func (r *handlerRun) handle(hp *sim.Proc) {
 // here, committed by the pump's next step a send cost later. The resend
 // reuses the original reply's identity and skips MsgSent, so the sanitizer
 // joins the caller against the handler's original clock, not a phantom
-// second reply.
+// second reply. A suppressed copy ends here.
 func (ep *Endpoint) dedup(m *Message) bool {
 	k := dedupKey{from: m.From, seq: m.Seq}
 	de, dup := ep.seen[k]
@@ -898,6 +959,7 @@ func (ep *Endpoint) dedup(m *Message) bool {
 		return false
 	}
 	ep.f.countLink("msg.fault.dedup_hits", m.From, ep.node)
+	ep.f.end(m)
 	if !de.done || de.reply == nil {
 		ep.f.countLink("msg.fault.dupdrop", m.From, ep.node)
 		return true
@@ -935,11 +997,17 @@ func (ep *Endpoint) retire() {
 	}
 }
 
-// completeCall matches a reply to its pending RPC and wakes the caller.
+// completeCall matches a reply to its open call — on the list of calls to
+// the replying peer, made by this incarnation — and wakes the caller. A reply
+// nobody waits for any more ends here.
 func (ep *Endpoint) completeCall(m *Message) {
-	c, ok := ep.pending[m.Seq]
-	if !ok || c.done || c.failed {
+	c := ep.peers[m.From].oldest
+	for c != nil && (c.m.Seq != m.Seq || ep.stale(c)) {
+		c = c.next
+	}
+	if c == nil || c.done || c.failed {
 		ep.f.metrics.Counter("msg.rpc.orphan").Inc()
+		ep.f.end(m)
 		return
 	}
 	c.reply = m
@@ -948,4 +1016,11 @@ func (ep *Endpoint) completeCall(m *Message) {
 		o.MsgDelivered(c.waiter, m)
 	}
 	c.wake()
+}
+
+// stale reports whether c was opened by an earlier incarnation of this kernel:
+// such a call is on its peer's list only until its dead caller unwinds, and
+// no reply or verdict reaches it.
+func (ep *Endpoint) stale(c *call) bool {
+	return c.m.SrcInc != 0 && c.m.SrcInc != ep.f.incarnation[ep.node]
 }

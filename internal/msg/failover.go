@@ -101,12 +101,15 @@ func (f *Fabric) Promote(role, holder NodeID) uint64 {
 // caller counts the skip, so soaks can assert the window was empty).
 func (ep *Endpoint) Replicate(p *sim.Proc, m *Message, role NodeID) bool {
 	ep.f.StampOrigin(m, role)
-	if _, err := ep.Call(p, m); err != nil {
+	t, to := m.Type, m.To // m is the fabric's once the call starts
+	reply, err := ep.call(p, m)
+	if err != nil {
 		if IsDeadPeer(err) {
 			return false
 		}
-		panic(fmt.Sprintf("msg: %v to successor kernel %d failed: %v", m.Type, m.To, err))
+		panic(fmt.Sprintf("msg: %v to successor kernel %d failed: %v", t, to, err))
 	}
+	ep.f.discard(reply) // the ack says only that the successor logged it
 	return true
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/faultinj"
@@ -277,6 +276,9 @@ func (f *Fabric) route(m *Message) {
 	d := f.plan.Decide(int(m.From), int(m.To), int(m.Type))
 	if d.Dup {
 		f.countLink("msg.fault.dup", m.From, m.To)
+		// Both copies share the payload: pinned before the copy, so the
+		// copy's header is the collector's too.
+		f.pin(m)
 		dup := *m
 		// The copy never held a credit: a double release would mint one.
 		dup.flowCredit = false
@@ -299,13 +301,25 @@ func (f *Fabric) route(m *Message) {
 
 // deliverAfter delivers m after the fault plane's added latency (slow-link
 // inflation, reorder delay), or immediately when there is none. Delayed
-// deliveries bypass the per-pair FIFO — that is the reorder window.
+// deliveries bypass the per-pair FIFO — that is the reorder window. A delayed
+// message rides an event no structure sees: it is pinned, but for a heartbeat,
+// which keeps its pool slot (never duplicated or retried, it has no other
+// reference) and is counted aside until the event fires.
 func (f *Fabric) deliverAfter(m *Message, d time.Duration) {
 	if d <= 0 {
 		f.deliver(m)
 		return
 	}
+	hb := m.Type == TypeHeartbeat && m.pooled
+	if hb {
+		f.pool.detached++
+	} else {
+		f.pin(m)
+	}
 	f.e.Schedule(d, func() {
+		if hb {
+			f.pool.detached--
+		}
 		if f.linkDown(m) {
 			f.drop(m, "")
 			return
@@ -333,6 +347,7 @@ func (f *Fabric) dropMsg(m *Message) {
 		return
 	}
 	f.countLink("msg.fault.redeliver", m.From, m.To)
+	f.pin(m) // the redelivery event holds it
 	backoff := f.fcfg.SendRetryEvery * time.Duration(m.attempts)
 	f.e.Schedule(backoff, func() { f.route(m) })
 }
@@ -411,12 +426,19 @@ func (f *Fabric) crashNode(n NodeID) {
 // wipeWire empties one of crashed kernel n's wires. A committed entry ends
 // here; one inside its send window is left to its sender's commit (recycled
 // now, the commit would reach its next tenant) — unless the sender is n's
-// heartbeat process, which dies in this crash.
+// heartbeat process, which dies in this crash. A message so left is off every
+// structure and its sender may die before the commit: pinned now, but for a
+// heartbeat, counted aside until its sender's commit ends it.
 func (f *Fabric) wipeWire(n NodeID, pair int) {
 	for w := &f.wires[pair]; w.len() > 0; {
 		e := w.pop()
 		if !e.ready && (e.m.Type != TypeHeartbeat || e.m.From != n) {
 			e.wiped = true
+			if e.m.Type == TypeHeartbeat && e.m.pooled {
+				f.pool.detached++
+			} else {
+				f.pin(e.m)
+			}
 			continue
 		}
 		f.endWiped(e.m)
@@ -424,12 +446,15 @@ func (f *Fabric) wipeWire(n NodeID, pair int) {
 	}
 }
 
-// endWiped ends a wiped message as drop does, but returns no credit:
-// resetFlowLinks has refilled the account.
+// endWiped ends a wiped message, returning no credit (resetFlowLinks has
+// refilled the account): a heartbeat goes back to the pool; anything else
+// died with a kernel that may hold its other references, and is pinned.
 func (f *Fabric) endWiped(m *Message) {
 	m.flowCredit = false
 	if m.Type == TypeHeartbeat {
-		f.releaseMsg(m)
+		f.release(m)
+	} else {
+		f.pin(m)
 	}
 }
 
@@ -449,11 +474,10 @@ func (f *Fabric) healNode(n NodeID) {
 	ep.dead = false
 	f.metrics.Counter("msg.fault.heal").Inc()
 	f.collector.EndAt(f.collector.StartAt("fault.heal", int(n), 0, f.e.Now()), f.e.Now())
-	// Fresh transport state. The wait table and dedup table belonged to the
-	// previous incarnation (its inbound lanes were wiped at the crash and
-	// fenced since), and so did the stopped pump: an event of its still in
-	// flight fires against that pump, not the new one.
-	ep.pending = make(map[uint64]*call)
+	// Fresh transport state. The dedup table belonged to the previous
+	// incarnation (its inbound lanes were wiped at the crash and fenced
+	// since), and so did the stopped pump: an event of its still in flight
+	// fires against that pump, not the new one.
 	ep.seen = make(map[dedupKey]*dedupEntry)
 	ep.sweepDone = sim.NewCond()
 	// So did everything it knew about its peers. Suspicions and sweeps are
@@ -466,7 +490,8 @@ func (f *Fabric) healNode(n NodeID) {
 	// already declared, so it neither burns RPC retries rediscovering them
 	// nor holds up settling; its own detector takes over for future crashes.
 	// Dedup queues and floors go too; the open-call lists stay for the old
-	// incarnation's calls to unlink as they unwind (meanwhile a lower floor).
+	// incarnation's calls to unlink as they unwind (meanwhile a lower floor;
+	// no reply or verdict reaches them: Endpoint.stale).
 	now := f.e.Now()
 	for i := range ep.peers {
 		pr := &ep.peers[i]
@@ -505,9 +530,10 @@ func (f *Fabric) healNode(n NodeID) {
 			}
 			targets = append(targets, pn)
 		}
-		_, errs := ep.CallEachErr(p, targets, func(to NodeID) *Message {
-			return NewWith(TypeRejoin, to, 64, rejoinReq{Node: n, Incarnation: inc})
-		})
+		errs := make([]error, len(targets))
+		ep.CallEachErr(p, targets, func(to NodeID) *Message {
+			return NewWith(ep, TypeRejoin, to, 64, rejoinReq{Node: n, Incarnation: inc})
+		}, nil, errs)
 		for _, err := range errs {
 			if err != nil && !IsDeadPeer(err) {
 				panic(fmt.Sprintf("msg: rejoin handshake from kernel %d failed: %v", n, err))
@@ -565,26 +591,21 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 	// Reclamation is settled: admit the new incarnation's traffic.
 	pr.knownInc = req.Incarnation
 	f.countLink("msg.fault.rejoined", ep.node, node)
-	return &Message{Size: 16}
+	return Reply(ep, m, 16, struct{}{})
 }
 
-// failCalls fails every pending RPC ep has outstanding to an incarnation of
-// peer older than inc, in Seq order, counting each under counter ("" for none).
+// failCalls fails every open RPC ep has to an incarnation of peer older than
+// inc, in seq order (the peer's open-call list), counting each under counter
+// ("" for none).
 func (f *Fabric) failCalls(ep *Endpoint, peer NodeID, inc uint64, counter string) {
-	seqs := make([]uint64, 0, len(ep.pending))
-	for seq, c := range ep.pending {
-		if c.m.To == peer && c.m.DstInc < inc && !c.done && !c.failed {
-			seqs = append(seqs, seq)
+	for c := ep.peers[peer].oldest; c != nil; c = c.next {
+		if c.m.DstInc < inc && !c.done && !c.failed && !ep.stale(c) {
+			c.failed = true
+			if counter != "" {
+				f.countLink(counter, ep.node, peer)
+			}
+			c.wake()
 		}
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		c := ep.pending[seq]
-		c.failed = true
-		if counter != "" {
-			f.countLink(counter, ep.node, peer)
-		}
-		c.wake()
 	}
 }
 
@@ -653,7 +674,7 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 // still quiesces. It runs once per kernel lifetime (boot and
 // each reboot), so the spawn-time allocations are off the hot path; the
 // probe loop inside stays clean because the sends go through the pooled
-// allocMsg/reserve/commit hot functions.
+// NewWith/reserve/commit hot functions.
 //
 //popcornvet:coldpath
 func (f *Fabric) startFailureDetection(ep *Endpoint) {
@@ -673,13 +694,11 @@ func (f *Fabric) startFailureDetection(ep *Endpoint) {
 				// them at its consume point and drop wherever the fault plane
 				// eats one (partition, dead link, fence), so the probe traffic
 				// of a failure window recycles a handful of objects.
-				hb := f.allocMsg()
-				hb.Type = TypeHeartbeat
-				hb.To = to
-				hb.Size = 16
+				hb := NewWith(ep, TypeHeartbeat, to, 16, struct{}{})
 				ep.prepare(hb)
 				f.metrics.Counter("msg.heartbeat.sent").Inc()
 				entry := f.reserve(hb)
+				f.adopt(hb)
 				p.Sleep(f.sendCost(hb))
 				f.commit(entry)
 			}

@@ -151,7 +151,7 @@ func TestMulticastUnderFaults(t *testing.T) {
 
 // TestCallExhaustionReturnsDeadPeer drops every 0->1 message for good: the
 // caller must give up with a DeadPeerError after its retry budget, and its
-// wait-table entry must not leak.
+// open-call entry must not leak.
 func TestCallExhaustionReturnsDeadPeer(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -181,8 +181,8 @@ func TestCallExhaustionReturnsDeadPeer(t *testing.T) {
 	if dpe.Peer != 1 || dpe.Attempts == 0 {
 		t.Errorf("DeadPeerError = %+v, want peer 1 with nonzero attempts", dpe)
 	}
-	if got := len(f.Endpoint(0).pending); got != 0 {
-		t.Errorf("wait table leaked %d entries after exhausted call", got)
+	if got := openCalls(f.Endpoint(0)); got != 0 {
+		t.Errorf("%d open calls leaked after the exhausted call", got)
 	}
 	if f.metrics.Counter("msg.fault.exhausted").Value() == 0 {
 		t.Error("exhaustion not counted")
@@ -281,4 +281,15 @@ func TestNilPlanKeepsFabricIdentical(t *testing.T) {
 	if bare != quiet {
 		t.Fatalf("zero-fault plan changed delivery count: %d vs %d", bare, quiet)
 	}
+}
+
+// openCalls counts ep's open RPCs, over every peer's list.
+func openCalls(ep *Endpoint) int {
+	n := 0
+	for i := range ep.peers {
+		for c := ep.peers[i].oldest; c != nil; c = c.next {
+			n++
+		}
+	}
+	return n
 }

@@ -24,13 +24,14 @@ func TestHandlerRecordsAreReused(t *testing.T) {
 	f := testFabric(t, e)
 	type pong struct{ N int }
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-		return Reply(64, pong{N: m.Payload.(*pong).N + 1})
+		return Reply(f.Endpoint(1), m, 64, pong{N: m.Payload.(*pong).N + 1})
 	})
 	const calls = 10000
 	e.Spawn("caller", func(p *sim.Proc) {
+		ep := f.Endpoint(0)
 		for i := 0; i < calls; i++ {
-			reply, err := f.Endpoint(0).Call(p, NewWith(TypePing, 1, 64, pong{N: i}))
-			if err != nil || reply.Payload.(*pong).N != i+1 {
+			reply, err := CallFor[pong](ep, p, NewWith(ep, TypePing, 1, 64, pong{N: i}))
+			if err != nil || reply.N != i+1 {
 				t.Errorf("call %d: reply %+v, err %v", i, reply, err)
 				return
 			}
@@ -175,21 +176,22 @@ func TestCoAllocatedReplySurvivesDedupReplay(t *testing.T) {
 	served := 0
 	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
 		served++
-		return Reply(64, answer{Text: "forty-two", N: [4]uint64{4, 2, 4, 2}})
+		return Reply(f.Endpoint(1), m, 64, answer{Text: "forty-two", N: [4]uint64{4, 2, 4, 2}})
 	})
 	e.Spawn("caller", func(p *sim.Proc) {
-		req := NewWith(TypePing, 1, 64, struct{}{})
-		first, err := f.Endpoint(0).Call(p, req)
+		first, err := f.Endpoint(0).Call(p, NewWith(f.Endpoint(0), TypePing, 1, 64, struct{}{}))
 		if err != nil {
 			t.Errorf("call: %v", err)
 			return
 		}
-		payload := first.Payload.(*answer)
+		// The request went back to the pool as its call ended; the reply
+		// carries its seq.
+		seq, payload := first.Seq, first.Payload.(*answer)
 		first = nil
 		runtime.GC()
 		// A second call under the first one's identity is, to the callee, a
 		// retransmission of a request it has already answered.
-		again, err := f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 64, Seq: req.Seq})
+		again, err := f.Endpoint(0).Call(p, &Message{Type: TypePing, To: 1, Size: 64, Seq: seq})
 		if err != nil {
 			t.Errorf("replayed call: %v", err)
 			return
@@ -198,7 +200,7 @@ func TestCoAllocatedReplySurvivesDedupReplay(t *testing.T) {
 		if got != payload || got.Text != "forty-two" || got.N != [4]uint64{4, 2, 4, 2} {
 			t.Errorf("replayed reply carries %+v at %p, want the original payload at %p", *got, got, payload)
 		}
-		if !again.IsReply || again.Seq != req.Seq || again.To != 0 {
+		if !again.IsReply || again.Seq != seq || again.To != 0 {
 			t.Errorf("replayed header: %+v", *again)
 		}
 	})

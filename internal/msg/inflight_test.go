@@ -49,9 +49,7 @@ func TestCallerCrashWithEventPending(t *testing.T) {
 		})
 		var inFlight *call
 		e.Schedule(crashAt-1, func() {
-			for _, c := range f.Endpoint(0).pending {
-				inFlight = c
-			}
+			inFlight = f.Endpoint(0).peers[1].oldest
 		})
 		// msg.pending-leak runs at quiescence: Run fails if the entry survived.
 		if err := e.Run(); err != nil {

@@ -14,7 +14,7 @@ import (
 // fan-out, with 64 B and 4 KB payloads — under all eight combinations of the
 // three opt-in planes, the fault plane with an empty plan. A plane with
 // nothing to do must change nothing a caller can see: the same replies and
-// the same number of deliveries in every row, no RPC wait-table entry left
+// the same number of deliveries in every row, no open RPC left
 // behind (the msg.pending-leak invariant fails Run), and every credit back
 // where flow control is on. The all-detached row's end time is pinned: it is
 // the reliable fabric's schedule, which a detached plane's code must not
@@ -114,9 +114,10 @@ func planeMix(e sim.Engine, f *Fabric) (*replyLog, *int) {
 	})
 	e.Spawn("fanout", func(p *sim.Proc) {
 		targets := []NodeID{0, 1, 3}
-		replies, errs := f.Endpoint(2).CallEachErr(p, targets, func(to NodeID) *Message {
+		replies, errs := make([]*Message, len(targets)), make([]error, len(targets))
+		f.Endpoint(2).CallEachErr(p, targets, func(to NodeID) *Message {
 			return &Message{Type: TypePing, To: to, Size: 4096, Payload: 200 + int(to)}
-		})
+		}, replies, errs)
 		for i := range targets {
 			log.add(fmt.Sprintf("each %d", i), replies[i], errs[i])
 		}

@@ -188,8 +188,13 @@ type Message struct {
 	// credits (flow plane only). The credit is returned — and the flag
 	// cleared, making release idempotent across retransmitted copies — at the
 	// message's end of life: pump dequeue or drop; a crash wipe just clears
-	// it (resetFlowLinks refilled the account). Three flags, one word.
+	// it (resetFlowLinks refilled the account).
 	flowCredit bool
+	// pooled marks a message born in one of its fabric's slots (NewWith,
+	// Reply) that the pool still accounts for. Pinning clears it (a copy of
+	// the header inherits the cleared flag), leaving the message to the
+	// collector like every message built by hand. Four flags, one word.
+	pooled bool
 	// Size is the serialised payload size in bytes (drives fragmentation).
 	Size int
 	// Payload is the typed protocol body, passed by pointer.
@@ -249,34 +254,14 @@ type Message struct {
 	enqAt sim.Time
 }
 
-// reset returns the message to its zero state before pooled reuse. It must
-// clear every field — a survivor would leak one message's identity or
-// payload into an unrelated later one; TestMessageResetZeroesEveryField
-// enforces this exhaustively by reflection.
-func (m *Message) reset() { *m = Message{} }
-
-// NewWith returns a message of type t for kernel to, size bytes on the wire,
-// carrying payload, the two as one allocation: Payload points at the copy
-// beside the header, so receivers assert m.Payload.(*T) as ever. Co-allocated,
-// not pooled: after Call returns a reply is its caller's, and the dedup table
-// caches it until the caller's floor passes (a replayed copy of the header
-// still points into the original object). The header comes as scalars, not
-// a Message by value: a sender's frame stays on its stack for the whole RPC.
-//
-//popcornvet:hotpath
-func NewWith[T any](t Type, to NodeID, size int, payload T) *Message {
-	b := &struct {
-		Message
-		body T
-	}{Message{Type: t, To: to, Size: size}, payload}
-	b.Payload = &b.body
-	return &b.Message
-}
-
-// Reply is NewWith for a handler's reply, which the fabric addresses.
-//
-//popcornvet:hotpath
-func Reply[T any](size int, payload T) *Message { return NewWith(TypeInvalid, 0, size, payload) }
+// reset returns a released message to its free state before reuse. It keeps
+// exactly what makes the message its slot's — Payload, pointing at the body
+// allocated beside the header (zeroed by the slot), and pooled — and clears
+// every other field: a survivor would leak one message's identity into an
+// unrelated later one. TestMessageResetZeroesEveryField enforces this
+// exhaustively by reflection. A free message's Type is TypeInvalid, which is
+// how release tells a second release of it.
+func (m *Message) reset() { *m = Message{Payload: m.Payload, pooled: m.pooled} }
 
 // Handler processes one received message on the destination kernel. It runs
 // in its own simulated process and may block on simulator primitives. A
@@ -349,14 +334,13 @@ type Fabric struct {
 	observer Observer
 
 	// The free lists (sim.Take/Give): plain LIFO slices, engine-ordered and
-	// deterministic — never sync.Pool. entryFree recycles wireEntry objects
-	// between reserve and commit, msgFree fabric-owned Messages (heartbeats),
+	// deterministic — never sync.Pool. pool holds the messages (pool.go),
+	// entryFree recycles wireEntry objects between reserve and commit,
 	// callFree RPC wait records, runFree the records of endpoint-owned
 	// processes (peak concurrent handlers and workers), fanFree their rounds,
 	// dedupFree the at-most-once table's entries (fault plane).
+	pool      msgPool
 	entryFree []*wireEntry
-	msgFree   []*Message
-	msgMade   int // allocMsg's cold misses: msgMade == len(msgFree) + heartbeats in flight
 	callFree  []*call
 	runFree   []*handlerRun
 	fanFree   []*fanout
@@ -507,28 +491,6 @@ func (f *Fabric) releaseWireEntry(e *wireEntry) {
 	sim.Give(&f.entryFree, e)
 }
 
-// allocMsg takes a fabric-owned Message (heartbeats) off the pool, or
-// allocates one on a cold miss. releaseMsg resets and recycles it; only the
-// fabric itself may release, where the message ends: consumed at delivery, or
-// dropped (Fabric.drop).
-//
-//popcornvet:hotpath
-func (f *Fabric) allocMsg() *Message {
-	if m := sim.Take(&f.msgFree); m != nil {
-		return m
-	}
-	f.msgMade++
-	return &Message{}
-}
-
-// releaseMsg resets a fabric-owned Message and returns it to the pool.
-//
-//popcornvet:hotpath
-func (f *Fabric) releaseMsg(m *Message) {
-	m.reset()
-	sim.Give(&f.msgFree, m)
-}
-
 // reserve claims the next ring slot sequence for m on its pair's wire.
 //
 //popcornvet:hotpath
@@ -547,6 +509,9 @@ func (f *Fabric) reserve(m *Message) *wireEntry {
 //popcornvet:hotpath
 func (f *Fabric) commit(entry *wireEntry) {
 	if entry.wiped {
+		if entry.m.Type == TypeHeartbeat && entry.m.pooled {
+			f.pool.detached-- // counted aside by wipeWire
+		}
 		f.endWiped(entry.m)
 		f.releaseWireEntry(entry)
 		return
@@ -590,36 +555,42 @@ func NewFabric(e sim.Engine, machine *hw.Machine, nodes int, nodeCore []int, cfg
 	for i := 0; i < nodes; i++ {
 		f.endpoints[i] = newEndpoint(f, NodeID(i))
 	}
-	// End-of-run leak assertion: every RPC wait-table entry must belong to a
-	// live caller. Call removes its entry on every exit path (reply, timeout
+	// End-of-run leak assertions. Every open call must belong to a live
+	// caller: Call removes its entry on every exit path (reply, timeout
 	// exhaustion, peer death, kill-unwind), so an entry whose waiter has
 	// finished is a transport bug, not a blocked process (those are the
 	// deadlock detector's department). Finished by pid: a handler's Proc
-	// storage runs another process later, and reads unfinished again.
+	// storage runs another process later, and reads unfinished again. And
+	// every message the pool made must be accounted for (checkPool).
 	e.Invariant("msg.pending-leak", func() error {
 		for _, ep := range f.endpoints {
-			if seq, c := ep.leakedCall(); c != nil {
+			if c := ep.leakedCall(); c != nil {
 				return fmt.Errorf("node %d leaked pending RPC seq=%d to node %d (caller %q finished)",
-					ep.node, seq, c.m.To, c.waiter.Name())
+					ep.node, c.m.Seq, c.m.To, c.waiter.Name())
 			}
 		}
 		return nil
 	})
+	e.Invariant("msg.pool", f.checkPool)
 	return f, nil
 }
 
-// leakedCall returns the wait-table entry with the lowest seq whose caller
-// has finished, or nil. The pending-leak invariant runs it on every endpoint
-// at every quiescence, so it allocates nothing.
-//
-//popcornvet:allow detorder keeps the leaked entry with the smallest seq, which is the same entry in any visiting order; a sorted copy would allocate at every quiescence
-func (ep *Endpoint) leakedCall() (seq uint64, leaked *call) {
-	for s, c := range ep.pending {
-		if (leaked == nil || s < seq) && (c.waiter.Finished() || c.waiter.ID() != c.waiterPID) {
-			seq, leaked = s, c
+// leakedCall returns the open call with the lowest seq whose caller has
+// finished, or nil, walking the per-peer lists in order. The pending-leak
+// invariant runs it on every endpoint at every quiescence, so it allocates
+// nothing.
+func (ep *Endpoint) leakedCall() (leaked *call) {
+	for i := range ep.peers {
+		for c := ep.peers[i].oldest; c != nil; c = c.next {
+			if c.waiter.Finished() || c.waiter.ID() != c.waiterPID {
+				if leaked == nil || c.m.Seq < leaked.m.Seq {
+					leaked = c
+				}
+				break // the rest of this list is younger
+			}
 		}
 	}
-	return seq, leaked
+	return leaked
 }
 
 // Nodes returns the number of kernels on the fabric.

@@ -1,0 +1,272 @@
+package msg
+
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
+
+// The message pool: Popcorn's rings hand out preallocated slots, and so does
+// the fabric. Every protocol message comes from a free list on its Fabric,
+// one per (Type, request/reply) slot, and goes back to it where its life ends:
+//
+//   - a request at the return of its handler (one-way) or at the end of its
+//     Call (RPC);
+//   - a reply once its caller has copied the payload out (CallFor, Consume);
+//   - a heartbeat at delivery or at drop, the fabric's own.
+//
+// A message with a second reference or an abnormal end — a fault-plane
+// duplicate or delayed copy, a retransmitted request, a link-layer
+// redelivery, a dedup-cached reply, a crash wipe, a killed handler or caller —
+// is pinned instead: it leaves the pool's accounting and is left to the
+// garbage collector, like every message built by hand. One rule, no reference
+// counts.
+
+// msgPool is the fabric's message pool and its accounting: its slots count
+// their cold allocations, pinned the pool-born messages left to the
+// collector, held those in the custody of code outside this package (built
+// and not yet sent, or a reply handed to its caller), and detached the
+// heartbeats still the fabric's but off its structures (riding a fault-plane
+// delay, or wiped off their wire inside the sender's send window). The
+// msg.pool invariant checks that what was made is free, pinned, held,
+// detached or on one of the fabric's own structures.
+type msgPool struct {
+	slots                  [numTypes][2]msgSlot
+	pinned, held, detached int
+}
+
+// msgSlot is one (Type, leg) free list: plain LIFO, engine-ordered (sim.Take,
+// Give) — never sync.Pool. Every message in it carries a body of one payload
+// type, asserted at reuse; clear zeroes that body at release, so a free
+// message keeps nothing its last tenant referenced. made counts the slot's
+// cold allocations.
+type msgSlot struct {
+	free  []*Message
+	clear func(m *Message)
+	made  int
+}
+
+// leg indexes a slot by direction: requests 0, replies 1.
+func leg(isReply bool) int {
+	if isReply {
+		return 1
+	}
+	return 0
+}
+
+// NewWith returns a message of type t for kernel to, size bytes on the wire,
+// carrying payload, from ep's fabric's pool: a header with its payload beside
+// it, so receivers assert m.Payload.(*T) as ever. The message goes back to the
+// pool where its life ends (see the pool notes above): a handler must not
+// keep m or m.Payload past its return. The header comes as scalars, not a
+// Message by value: a sender's frame stays on its stack for the whole RPC.
+//
+//popcornvet:hotpath
+func NewWith[T any](ep *Endpoint, t Type, to NodeID, size int, payload T) *Message {
+	m := take(ep.f, t, false, payload)
+	m.Type, m.To, m.Size = t, to, size
+	return m
+}
+
+// Reply is NewWith for a handler's reply to req, from req's reply slot; the
+// fabric addresses it. It goes back to the pool once the caller has copied the
+// payload out (CallFor, Consume).
+//
+//popcornvet:hotpath
+func Reply[T any](ep *Endpoint, req *Message, size int, payload T) *Message {
+	m := take(ep.f, req.Type, true, payload)
+	m.Type, m.IsReply, m.Size = req.Type, true, size
+	return m
+}
+
+// take hands out a message of slot (t, reply) carrying payload: a free one,
+// whose body must be a T, or on a cold miss a new header and body in one
+// allocation. The message is in its caller's custody (held) until the fabric
+// takes it back.
+//
+//popcornvet:hotpath
+func take[T any](f *Fabric, t Type, reply bool, payload T) *Message {
+	s := &f.pool.slots[t][leg(reply)]
+	f.pool.held++
+	if m := sim.Take(&s.free); m != nil {
+		b, ok := m.Payload.(*T)
+		if !ok {
+			slotMismatch(t, reply, m.Payload, b)
+		}
+		*b = payload
+		return m
+	}
+	s.made++
+	if s.clear == nil {
+		s.clear = clearBody[T]
+	}
+	b := &struct {
+		Message
+		body T
+	}{Message{pooled: true}, payload}
+	b.Payload = &b.body
+	return &b.Message
+}
+
+// slotMismatch reports a slot asked for a second payload type: each (Type,
+// leg) carries one.
+//
+//popcornvet:coldpath
+func slotMismatch(t Type, reply bool, have, want any) {
+	panic(fmt.Sprintf("msg: %v slot (reply=%v) holds %T payloads, asked for a %T", t, reply, have, want))
+}
+
+// clearBody zeroes a pooled message's body, a T.
+func clearBody[T any](m *Message) {
+	var zero T
+	*m.Payload.(*T) = zero
+}
+
+// adopt takes m into the fabric's custody from the code that built it.
+//
+//popcornvet:hotpath
+func (f *Fabric) adopt(m *Message) {
+	if m.pooled {
+		f.pool.held--
+	}
+}
+
+// handOut gives m into the custody of code outside the fabric: a reply on its
+// way to its caller.
+//
+//popcornvet:hotpath
+func (f *Fabric) handOut(m *Message) {
+	if m.pooled {
+		f.pool.held++
+	}
+}
+
+// discard takes back a message its holder is done with unread — a request
+// never sent, a reply nobody reads — and returns it to the pool.
+//
+//popcornvet:hotpath
+func (f *Fabric) discard(m *Message) {
+	f.adopt(m)
+	f.release(m)
+}
+
+// release returns m to its slot's free list: body zeroed, header reset. A
+// message built by hand or pinned is the collector's, and release leaves it
+// alone; releasing a free message panics.
+//
+//popcornvet:hotpath
+func (f *Fabric) release(m *Message) {
+	if !m.pooled {
+		return
+	}
+	if m.Type == TypeInvalid {
+		doubleRelease(m)
+	}
+	s := &f.pool.slots[m.Type][leg(m.IsReply)]
+	s.clear(m)
+	m.reset()
+	sim.Give(&s.free, m)
+}
+
+// doubleRelease reports a message released twice.
+//
+//popcornvet:coldpath
+func doubleRelease(m *Message) {
+	panic(fmt.Sprintf("msg: message released twice (payload %T)", m.Payload))
+}
+
+// pin takes m out of the pool for good: it has, or may have, a second
+// reference, and is left to the collector.
+//
+//popcornvet:hotpath
+func (f *Fabric) pin(m *Message) {
+	if m.pooled {
+		m.pooled = false
+		f.pool.pinned++
+	}
+}
+
+// end is the fabric-side end of a message that will not be handled — dropped,
+// fenced, a suppressed duplicate, an orphan reply: released, unless it is an
+// RPC request, which stays its Call's until the Call ends.
+//
+//popcornvet:hotpath
+func (f *Fabric) end(m *Message) {
+	if !m.rpc {
+		f.release(m)
+	}
+}
+
+// Consume copies reply's payload out and returns reply to the pool: how a
+// caller holding a reply (CallEachErr's replies) reads it. A reply built by
+// hand is read the same way and left alone.
+//
+//popcornvet:hotpath
+func Consume[T any](ep *Endpoint, reply *Message) T {
+	v := *reply.Payload.(*T)
+	ep.f.discard(reply)
+	return v
+}
+
+// CallFor is Call with the reply handed out by value: the payload is copied
+// out and the reply goes back to the pool.
+//
+//popcornvet:hotpath
+func CallFor[T any](ep *Endpoint, p *sim.Proc, m *Message) (T, error) {
+	reply, err := ep.call(p, m)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return Consume[T](ep, reply), nil
+}
+
+// checkPool is the msg.pool invariant: every message the pool made is free,
+// pinned, held, detached, or on the fabric's own structures — a wire, a
+// receive lane, a pump, a handler's record, an open call. An RPC request is
+// counted at its call, which owns it for the call's life. A double release,
+// a duplicate header released into a slot, a message released while a
+// handler or a call still holds it: each breaks the sum.
+func (f *Fabric) checkPool() error {
+	made, free, flying := 0, 0, 0
+	for t := range f.pool.slots {
+		for _, s := range f.pool.slots[t] {
+			made, free = made+s.made, free+len(s.free)
+		}
+	}
+	count := func(m *Message) {
+		if m != nil && m.pooled && !m.rpc {
+			flying++
+		}
+	}
+	for _, w := range f.wires {
+		for _, e := range w.items[w.head:] {
+			count(e.m)
+		}
+	}
+	for _, ep := range f.endpoints {
+		for _, lane := range []*fifo[*Message]{&ep.bulk, &ep.ctrl} {
+			for _, m := range lane.items[lane.head:] {
+				count(m)
+			}
+		}
+		count(ep.pump.m)
+		for r := ep.live; r != nil; r = r.next {
+			count(r.m)
+		}
+		for i := range ep.peers {
+			for c := ep.peers[i].oldest; c != nil; c = c.next {
+				if c.m.pooled {
+					flying++
+				}
+				count(c.reply)
+			}
+		}
+	}
+	p := &f.pool
+	if made-p.pinned != free+p.held+p.detached+flying {
+		return fmt.Errorf("%d messages made, %d pinned: %d free + %d held + %d detached + %d in flight",
+			made, p.pinned, free, p.held, p.detached, flying)
+	}
+	return nil
+}

@@ -1,0 +1,194 @@
+package msg
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/faultinj"
+	"repro/internal/sim"
+)
+
+// poolReq and poolAck are the payloads of the pool tests: each request
+// carries a number unique to its send, and its reply echoes it doubled.
+type poolReq struct{ N int }
+type poolAck struct{ N int }
+
+// pinWatch is an Observer remembering every message it saw already pinned —
+// a duplicate, a delayed or redelivered copy, a retransmitted request, a
+// replayed reply — to check after the run that none of them went back to a
+// free list.
+type pinWatch struct{ pinned map[*Message]bool }
+
+func (w *pinWatch) MsgSent(_ *sim.Proc, m *Message) { w.note(m) }
+func (w *pinWatch) MsgDelivered(_ *sim.Proc, m *Message) {
+	w.note(m)
+}
+
+func (w *pinWatch) note(m *Message) {
+	if !m.pooled && m.Type != TypeInvalid {
+		w.pinned[m] = true
+	}
+}
+
+// TestPoolUnderFaultPlane drives RPCs and one-way sends, every message out of
+// the pool, through a fault plan that duplicates, delays and drops them —
+// so requests are retransmitted and completed RPCs replayed from the dedup
+// table — and checks that every handler reads the payload its request was
+// sent with (a recycled slot under a live copy would hand it another's), that
+// every caller gets its own answer, that no message seen pinned is ever back
+// in a free list, and that the pool balances (the msg.pool invariant also
+// runs at quiescence).
+func TestPoolUnderFaultPlane(t *testing.T) {
+	totals := map[string]uint64{}
+	for seed := int64(1); seed <= 6; seed++ {
+		e := sim.NewEngine(sim.WithSeed(seed))
+		plan := &faultinj.Plan{Seed: seed, Rules: []faultinj.Rule{{
+			From: faultinj.Wildcard, To: faultinj.Wildcard, Type: faultinj.Wildcard,
+			DropP: 0.05, DupP: 0.2, DelayP: 0.2, DelayMax: 300 * time.Microsecond,
+		}}}
+		f := faultFabric(t, e, plan)
+		watch := &pinWatch{pinned: map[*Message]bool{}}
+		f.SetObserver(watch)
+		type key struct {
+			from NodeID
+			seq  uint64
+		}
+		sentWith := map[key]int{}
+		check := func(m *Message) {
+			k, n := key{m.From, m.Seq}, m.Payload.(*poolReq).N
+			if first, ok := sentWith[k]; ok && first != n {
+				t.Errorf("seed %d: a copy of k%d seq %d carries %d, the first carried %d", seed, m.From, m.Seq, n, first)
+			}
+			sentWith[k] = n
+		}
+		for n := 1; n < 4; n++ {
+			ep := f.Endpoint(NodeID(n))
+			ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
+				check(m)
+				p.Sleep(time.Microsecond)
+				return Reply(ep, m, 64, poolAck{N: 2 * m.Payload.(*poolReq).N})
+			})
+			ep.Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
+				check(m)
+				return nil
+			})
+		}
+		ep := f.Endpoint(0)
+		for c := 0; c < 3; c++ {
+			c := c
+			e.Spawn("caller", func(p *sim.Proc) {
+				for i := 0; i < 40; i++ {
+					n := 1000*c + i
+					to := NodeID(1 + (c+i)%3)
+					ack, err := CallFor[poolAck](ep, p, NewWith(ep, TypePing, to, 64, poolReq{N: n}))
+					if err != nil {
+						t.Errorf("seed %d: call %d: %v", seed, n, err)
+						return
+					}
+					if ack.N != 2*n {
+						t.Errorf("seed %d: call %d answered %d", seed, n, ack.N)
+					}
+					ep.Send(p, NewWith(ep, TypeUser, to, 64, poolReq{N: -n}))
+				}
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		if err := f.checkPool(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		free := map[*Message]bool{}
+		for ty := range f.pool.slots {
+			for _, s := range f.pool.slots[ty] {
+				for _, m := range s.free {
+					free[m] = true
+				}
+			}
+		}
+		for m := range watch.pinned {
+			if m.pooled || free[m] {
+				t.Fatalf("seed %d: a pinned message went back to the pool", seed)
+			}
+		}
+		if made, calls := f.pool.slots[TypePing][0].made, f.metrics.Counter("msg.rpc").Value(); uint64(made) >= calls {
+			t.Fatalf("seed %d: %d requests made for %d calls: nothing was recycled", seed, made, calls)
+		}
+		for _, c := range []string{"msg.fault.dup", "msg.fault.delay", "msg.fault.retransmit", "msg.fault.replayed", "msg.fault.dedup_hits", "msg.fault.redeliver"} {
+			totals[c] += f.metrics.Counter(c).Value()
+		}
+		totals["pinned"] += uint64(len(watch.pinned))
+		e.Close()
+	}
+	for c, n := range totals {
+		if n == 0 {
+			t.Errorf("%s never happened over the seeds; the plan did not exercise it", c)
+		}
+	}
+}
+
+// TestPoolReleaseTwicePanics: a message released twice is the bug the pool
+// cannot absorb — its next two tenants would share one slot.
+func TestPoolReleaseTwicePanics(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	m := NewWith(f.Endpoint(0), TypePing, 1, 64, poolReq{N: 1})
+	f.discard(m)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "released twice") {
+			t.Fatalf("second release: recovered %v, want the double-release panic", r)
+		}
+	}()
+	f.release(m)
+}
+
+// TestPoolSlotHoldsOnePayloadType: a (Type, leg) slot reuses its messages for
+// one payload type; asking it for another panics at reuse.
+func TestPoolSlotHoldsOnePayloadType(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	f := testFabric(t, e)
+	ep := f.Endpoint(0)
+	f.discard(NewWith(ep, TypePing, 1, 64, poolReq{N: 1}))
+	if m := NewWith(ep, TypePing, 1, 64, poolReq{N: 2}); m.Payload.(*poolReq).N != 2 || len(f.pool.slots[TypePing][0].free) != 0 {
+		t.Fatalf("the slot did not hand its free message out again: %+v", m.Payload)
+	} else {
+		f.discard(m)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "holds *msg.poolReq payloads") {
+			t.Fatalf("recovered %v, want the one-payload-type panic", r)
+		}
+	}()
+	NewWith(ep, TypePing, 1, 64, poolAck{N: 3})
+}
+
+// TestPoolInvariantSeesEarlyRelease: a handler that gives its request back
+// while it still runs leaves one message both free and at its handler; the
+// msg.pool invariant, checked periodically here, fails the run at the first
+// check inside the handler's sleep.
+func TestPoolInvariantSeesEarlyRelease(t *testing.T) {
+	e := sim.NewEngine(sim.WithInvariantInterval(time.Microsecond))
+	defer e.Close()
+	f := testFabric(t, e)
+	f.Endpoint(1).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
+		f.release(m) // the bug: the request's life ends at the handler's return
+		p.Sleep(10 * time.Microsecond)
+		return nil
+	})
+	e.Spawn("sender", func(p *sim.Proc) {
+		ep := f.Endpoint(0)
+		ep.Send(p, NewWith(ep, TypeUser, 1, 64, poolReq{N: 1}))
+	})
+	e.Spawn("ticker", func(p *sim.Proc) { // events for the periodic check to follow
+		for i := 0; i < 20; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), `invariant "msg.pool"`) {
+		t.Fatalf("Run = %v, want the msg.pool invariant", err)
+	}
+}

@@ -120,7 +120,7 @@ func Boot(cfg Config) (_ *OS, err error) {
 				os.metrics.Counter("mk.drop").Inc()
 				return nil
 			}
-			d.inbox = append(d.inbox, pkt)
+			d.inbox = append(d.inbox, *pkt) // the message goes back to the pool on return
 			d.hasMail.Signal()
 			return nil
 		})
@@ -167,7 +167,7 @@ type Domain struct {
 	core int
 	wg   *sim.WaitGroup
 
-	inbox   []*packet
+	inbox   []packet
 	hasMail *sim.Cond
 
 	// Private memory: a bump allocator over the kernel's frame partition.
@@ -308,14 +308,15 @@ func (d *Domain) Send(dst *Domain, size int, payload any) {
 	d.os.metrics.Counter("mk.send").Inc()
 	if dst.node == d.node {
 		d.p.Sleep(d.os.machine.Cost.MemAccessLocal)
-		dst.inbox = append(dst.inbox, &packet{Dst: dst.id, Size: size, Payload: payload})
+		dst.inbox = append(dst.inbox, packet{Dst: dst.id, Size: size, Payload: payload})
 		dst.hasMail.Signal()
 		return
 	}
 	// d.node.id is the sending domain's own kernel: a local-endpoint
 	// resolve, not a grab at a peer's queue.
 	//popcornvet:allow kernlocal resolves the sender's own kernel endpoint, not a peer's
-	d.os.fabric.Endpoint(d.node.id).Send(d.p, msg.NewWith(msg.TypeUser, dst.node.id, size,
+	ep := d.os.fabric.Endpoint(d.node.id)
+	ep.Send(d.p, msg.NewWith(ep, msg.TypeUser, dst.node.id, size,
 		packet{Dst: dst.id, Size: size, Payload: payload},
 	))
 }
@@ -330,8 +331,7 @@ func (d *Domain) Recv() (any, int) {
 		}
 		d.core = d.node.sched.Acquire(d.p)
 	}
-	pkt := d.inbox[0]
-	d.inbox = d.inbox[1:]
+	pkt := d.next()
 	return pkt.Payload, pkt.Size
 }
 
@@ -340,7 +340,14 @@ func (d *Domain) TryRecv() (any, int, bool) {
 	if len(d.inbox) == 0 {
 		return nil, 0, false
 	}
-	pkt := d.inbox[0]
-	d.inbox = d.inbox[1:]
+	pkt := d.next()
 	return pkt.Payload, pkt.Size, true
+}
+
+// next pops the oldest packet off a non-empty inbox.
+func (d *Domain) next() packet {
+	pkt := d.inbox[0]
+	d.inbox[0] = packet{}
+	d.inbox = d.inbox[1:]
+	return pkt
 }

@@ -107,13 +107,33 @@ func newCarrier() *carrier {
 }
 
 // loop is the carrier's coroutine body: run the assigned tenant, park idle,
-// repeat until Close stops the carrier.
+// repeat until Close stops the carrier — then give its stack back.
 func (k *carrier) loop(yield func(struct{}) bool) {
 	k.yield = yield
 	for ok := true; ok; ok = yield(struct{}{}) {
 		k.run()
 	}
+	outgrowStack()
 }
+
+// outgrowStack grows a stopping carrier's stack past the size goroutines
+// start with, so that its exit frees the stack. The runtime keeps a dead
+// goroutine's stack for the next goroutine when it is exactly that size — up
+// to 63 of them per P, which no collection frees — and a closed engine's
+// carriers would otherwise park up to 1 MB of stack there, the more the less
+// the program collects (a collection shrinks an idle carrier's stack, and a
+// shrunk stack is freed at exit).
+//
+//go:noinline
+func outgrowStack() byte {
+	var pad [16 << 10]byte
+	return lastByte(pad[:])
+}
+
+// lastByte reads pad's far end, so the compiler keeps outgrowStack's frame.
+//
+//go:noinline
+func lastByte(b []byte) byte { return b[len(b)-1] }
 
 // run executes the current tenant's body and its teardown, leaving the
 // carrier ready for the next tenant.

@@ -54,7 +54,7 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 		if hop == int(s.node) {
 			continue
 		}
-		s.ep.Send(p, msg.NewWith(msg.TypeExitNotify, msg.NodeID(hop), 64,
+		s.ep.Send(p, msg.NewWith(s.ep, msg.TypeExitNotify, msg.NodeID(hop), 64,
 			exitNotify{GID: gid, TaskID: id, Reap: true},
 		))
 	}
@@ -96,9 +96,10 @@ func (s *Service) originMemberExited(p *sim.Proc, g *group, id task.ID) error {
 	if len(targets) > 0 {
 		// A replica that died (or dies while we notify it) has no state left
 		// to tear down; only a live replica's refusal is a real error.
-		_, errs := s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return msg.NewWith(msg.TypeGroupExit, to, 64, groupExit{GID: g.gid})
-		})
+		errs := make([]error, len(targets))
+		s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
+			return msg.NewWith(s.ep, msg.TypeGroupExit, to, 64, groupExit{GID: g.gid})
+		}, nil, errs)
 		for _, err := range errs {
 			if err != nil && !msg.IsDeadPeer(err) {
 				return err
@@ -125,7 +126,7 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		if req.Reap {
 			return nil // group already torn down; nothing to reap
 		}
-		return msg.Reply(64, exitReply{Err: fmt.Sprintf("group %d not resident on kernel %d", req.GID, s.node)})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Sprintf("group %d not resident on kernel %d", req.GID, s.node)})
 	}
 	if req.Reap {
 		if sh, ok := g.shadows[req.TaskID]; ok {
@@ -147,12 +148,12 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		return nil
 	}
 	if !g.isOrigin {
-		return msg.Reply(64, exitReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	if err := s.originMemberExited(p, g, req.TaskID); err != nil {
-		return msg.Reply(64, exitReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: err.Error()})
 	}
-	return msg.Reply(64, exitReply{})
+	return msg.Reply(s.ep, m, 64, exitReply{})
 }
 
 // handleGroupExit tears down a replica kernel's state for an exited group.
@@ -168,5 +169,5 @@ func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
 		}
 		s.teardownLocal(p, g)
 	}
-	return msg.Reply(64, exitReply{})
+	return msg.Reply(s.ep, m, 64, exitReply{})
 }

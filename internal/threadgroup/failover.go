@@ -89,7 +89,7 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 		}
 		size += 16 * (len(g.members) + len(g.replicas))
 	}
-	m := msg.NewWith(msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
+	m := msg.NewWith(s.ep, msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
 	s.metrics.Counter("tg.failover.replicated").Inc()
 	if !s.ep.Replicate(p, m, vm.OriginKernelOf(g.gid)) {
 		s.metrics.Counter("tg.failover.skipped").Inc()
@@ -105,10 +105,11 @@ func (s *Service) handleGroupReplicate(p *sim.Proc, m *msg.Message) *msg.Message
 		delete(s.gmirrors, rep.GID)
 		s.vmsvc.DropMirror(rep.GID)
 	} else if old, ok := s.gmirrors[rep.GID]; !ok || rep.SnapVersion > old.SnapVersion {
-		s.gmirrors[rep.GID] = rep
+		mirror := *rep // the request's payload goes back to the pool
+		s.gmirrors[rep.GID] = &mirror
 	}
 	s.metrics.Counter("tg.failover.applied").Inc()
-	return &msg.Message{Size: 64}
+	return msg.Reply(s.ep, m, 64, struct{}{})
 }
 
 // promoteGroups rebuilds, from this kernel's mirrors, authoritative origin
@@ -150,10 +151,11 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 	}
 	if len(targets) > 0 {
 		s.metrics.Counter("tg.handover.sent").Inc()
-		_, errs := s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return msg.NewWith(msg.TypeOriginHandover, to, 64,
+		errs := make([]error, len(targets))
+		s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
+			return msg.NewWith(s.ep, msg.TypeOriginHandover, to, 64,
 				originHandover{Holder: s.node, GIDs: gids})
-		})
+		}, nil, errs)
 		for _, err := range errs {
 			if err != nil && !msg.IsDeadPeer(err) {
 				panic(fmt.Sprintf("threadgroup: handover announcement failed: %v", err))
@@ -212,7 +214,7 @@ func (s *Service) handleOriginHandover(p *sim.Proc, m *msg.Message) *msg.Message
 		s.vmsvc.Retarget(gid, req.Holder)
 	}
 	s.metrics.Counter("tg.handover.applied").Inc()
-	return &msg.Message{Size: 64}
+	return msg.Reply(s.ep, m, 64, struct{}{})
 }
 
 // notifyExit reports a member exit to the group's origin. With failover on,
@@ -242,10 +244,10 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			s.metrics.Counter("tg.exit.orphaned").Inc()
 			return nil
 		}
-		m := msg.NewWith(msg.TypeExitNotify, g.origin, 64,
+		m := msg.NewWith(s.ep, msg.TypeExitNotify, g.origin, 64,
 			exitNotify{GID: g.gid, TaskID: id})
 		s.fabric.StampOrigin(m, role)
-		reply, err := s.ep.Call(p, m)
+		r, err := msg.CallFor[exitReply](s.ep, p, m)
 		if err != nil {
 			if msg.IsDeadPeer(err) {
 				if failover {
@@ -261,7 +263,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			}
 			return err
 		}
-		if r := reply.Payload.(*exitReply); r.Err != "" {
+		if r.Err != "" {
 			if failover {
 				// The holder answered before finishing (or beginning) its
 				// promotion; paced retry until the group is origin there.

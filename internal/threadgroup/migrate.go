@@ -51,7 +51,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 
 	// Phase 3 — ship the context and wait for the destination to resume.
 	rpcStart := p.Now()
-	reply, err := s.ep.Call(p, s.migrateMsg(g, t, dst))
+	r, err := msg.CallFor[migrateReply](s.ep, p, s.migrateMsg(g, t, dst))
 	if err != nil {
 		// Transport failure (the destination died or never answered): the
 		// thread never resumed there, so revive the source task and surface
@@ -69,7 +69,6 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		s.metrics.Counter("tg.migrate.rollback").Inc()
 		return nil, err
 	}
-	r := reply.Payload.(*migrateReply)
 	if r.Err != "" {
 		// Roll back: revive the source task — under the same origin claim
 		// as the transport-failure path, because a refused import can mean
@@ -96,7 +95,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		// The origin refused the location: a checkpointed restart (or a
 		// newer registration) owns this thread's identity. The imported
 		// copy must never run — reap it and lose this execution.
-		s.ep.Send(p, msg.NewWith(msg.TypeExitNotify, dst, 64,
+		s.ep.Send(p, msg.NewWith(s.ep, msg.TypeExitNotify, dst, 64,
 			exitNotify{GID: gid, TaskID: id, Ghost: true},
 		))
 		s.dropSupersededShadow(g, t, id)
@@ -124,7 +123,7 @@ func (s *Service) migrateMsg(g *group, t *task.Task, dst msg.NodeID) *msg.Messag
 		Recoverable: t.Recoverable,
 	}
 	t.PendingSignals = nil
-	return msg.NewWith(msg.TypeMigrate, dst, t.Ctx.Bytes()+64, req)
+	return msg.NewWith(s.ep, msg.TypeMigrate, dst, t.Ctx.Bytes()+64, req)
 }
 
 // handleMigrate is the destination half of the migration protocol.
@@ -132,14 +131,14 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*migrateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(64, migrateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, migrateReply{Err: err.Error()})
 	}
 	if _, live := g.local[req.TaskID]; live {
 		// A duplicate import: the first execution of this request already
 		// landed and the dedup window that would normally replay its reply
 		// died with a reboot. Re-importing would fork the thread.
 		s.metrics.Counter("tg.migrate.dupimport").Inc()
-		return msg.Reply(64, migrateReply{Err: fmt.Sprintf("task %d already live on kernel %d", req.TaskID, s.node)})
+		return msg.Reply(s.ep, m, 64, migrateReply{Err: fmt.Sprintf("task %d already live on kernel %d", req.TaskID, s.node)})
 	}
 
 	var t *task.Task
@@ -194,7 +193,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	// move after it receives this reply (see Migrate). Committing the new
 	// location from the destination would let a source crash strand the
 	// member — registered here while the only executor died over there.
-	return msg.Reply(64, migrateReply{Task: t})
+	return msg.Reply(s.ep, m, 64, migrateReply{Task: t})
 }
 
 // claimRollback asks the origin whether the source of a failed migration
@@ -290,13 +289,13 @@ func (s *Service) ensureReplica(p *sim.Proc, gid vm.GID, origin msg.NodeID) (*gr
 	}()
 	// Register with the origin first so layout updates reach this kernel
 	// before any state is cached here.
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, origin, 64,
+	r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, origin, 64,
 		groupSetupReq{GID: gid, Node: s.node},
 	))
 	if err != nil {
 		return nil, err
 	}
-	if r := reply.Payload.(*groupSetupReply); r.Err != "" {
+	if r.Err != "" {
 		return nil, fmt.Errorf("threadgroup: replica setup: %s", r.Err)
 	}
 	if _, err := s.vmsvc.Attach(gid, origin); err != nil {
@@ -318,21 +317,21 @@ func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*threadCreateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(64, threadCreateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
 	}
 	t, err := s.spawnLocal(p, g)
 	if err != nil {
-		return msg.Reply(64, threadCreateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
 	}
 	// The origin records membership when its Spawn call returns (it
 	// initiated this create) or via the GroupSetup ack for third-party
 	// creates.
 	if !g.isOrigin && m.From != g.origin {
 		if err := s.notifyOriginSpawn(p, g, t.ID); err != nil {
-			return msg.Reply(64, threadCreateReply{Err: err.Error()})
+			return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
 		}
 	}
-	return msg.Reply(64, threadCreateReply{TaskID: t.ID, Task: t})
+	return msg.Reply(s.ep, m, 64, threadCreateReply{TaskID: t.ID, Task: t})
 }
 
 // registerMove commits a completed migration's new location with the
@@ -376,9 +375,8 @@ func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, size int, 
 		return s.originSetup(p, g, &req)
 	}
 	for {
-		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, size, req))
+		r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, g.origin, size, req))
 		if err == nil {
-			r := *reply.Payload.(*groupSetupReply)
 			if r.Err != "" {
 				g.originDead = true
 			}
@@ -402,9 +400,9 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*groupSetupReq)
 	g, ok := s.groups[req.GID]
 	if !ok || !g.isOrigin {
-		return msg.Reply(64, groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, 64, groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
-	return msg.Reply(64, s.originSetup(p, g, req))
+	return msg.Reply(s.ep, m, 64, s.originSetup(p, g, req))
 }
 
 // originSetup is the origin's one decision on a group-setup request, made in

@@ -68,13 +68,13 @@ func (s *Service) SignalGroup(p *sim.Proc, gid vm.GID, sig int) error {
 	if !g.isOrigin {
 		// Let the origin fan out: a group signal is a signal to the
 		// group's main routing point.
-		reply, err := s.ep.Call(p, msg.NewWith(msg.TypeSignal, g.origin, 64,
+		r, err := msg.CallFor[signalReply](s.ep, p, msg.NewWith(s.ep, msg.TypeSignal, g.origin, 64,
 			signalReq{GID: gid, TaskID: task.NoTask, Sig: sig},
 		))
 		if err != nil {
 			return err
 		}
-		if r := reply.Payload.(*signalReply); r.Err != "" {
+		if r.Err != "" {
 			return fmt.Errorf("threadgroup: group signal: %s", r.Err)
 		}
 		return nil
@@ -158,11 +158,11 @@ func (s *Service) forwardSignal(p *sim.Proc, req *signalReq, to msg.NodeID) erro
 	if to == s.node {
 		return s.routeSignal(p, &fwd)
 	}
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeSignal, to, 64, fwd))
+	r, err := msg.CallFor[signalReply](s.ep, p, msg.NewWith(s.ep, msg.TypeSignal, to, 64, fwd))
 	if err != nil {
 		return err
 	}
-	if r := reply.Payload.(*signalReply); r.Err != "" {
+	if r.Err != "" {
 		return fmt.Errorf("threadgroup: signal forward: %s", r.Err)
 	}
 	return nil
@@ -223,17 +223,17 @@ func (s *Service) handleSignal(p *sim.Proc, m *msg.Message) *msg.Message {
 		// Group fan-out request, must be at the origin.
 		g, ok := s.groups[req.GID]
 		if !ok || !g.isOrigin {
-			return msg.Reply(64, signalReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+			return msg.Reply(s.ep, m, 64, signalReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 		}
 		if err := s.fanoutGroupSignal(p, g, req.Sig); err != nil {
-			return msg.Reply(64, signalReply{Err: err.Error()})
+			return msg.Reply(s.ep, m, 64, signalReply{Err: err.Error()})
 		}
-		return msg.Reply(64, signalReply{})
+		return msg.Reply(s.ep, m, 64, signalReply{})
 	}
 	if err := s.routeSignal(p, req); err != nil {
-		return msg.Reply(64, signalReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, signalReply{Err: err.Error()})
 	}
-	return msg.Reply(64, signalReply{})
+	return msg.Reply(s.ep, m, 64, signalReply{})
 }
 
 // adoptOrphanSignals merges signals that arrived ahead of a migrating

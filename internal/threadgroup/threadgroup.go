@@ -303,13 +303,12 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 		return t, nil
 	}
 	start := p.Now()
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeThreadCreate, dst, 128,
+	r, err := msg.CallFor[threadCreateReply](s.ep, p, msg.NewWith(s.ep, msg.TypeThreadCreate, dst, 128,
 		threadCreateReq{GID: gid, Origin: g.origin},
 	))
 	if err != nil {
 		return nil, err
 	}
-	r := reply.Payload.(*threadCreateReply)
 	if r.Err != "" {
 		return nil, fmt.Errorf("threadgroup: remote clone on kernel %d: %s", dst, r.Err)
 	}
@@ -327,13 +326,13 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 
 // notifyOriginSpawn tells the origin a member was created on this kernel.
 func (s *Service) notifyOriginSpawn(p *sim.Proc, g *group, id task.ID) error {
-	reply, err := s.ep.Call(p, msg.NewWith(msg.TypeGroupSetup, g.origin, 64,
+	r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, g.origin, 64,
 		groupSetupReq{GID: g.gid, Node: s.node, NewMember: id},
 	))
 	if err != nil {
 		return err
 	}
-	if r := reply.Payload.(*groupSetupReply); r.Err != "" {
+	if r.Err != "" {
 		return fmt.Errorf("threadgroup: origin registration: %s", r.Err)
 	}
 	return nil

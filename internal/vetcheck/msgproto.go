@@ -14,11 +14,10 @@ import (
 // wiring is mechanically checkable:
 //
 //   - every declared Type must be sent somewhere (a Message composite
-//     literal with Type: TypeX, an assignment m.Type = TypeX to a pooled
-//     Message, or a NewWith(TypeX, ...) call) — otherwise it is dead
-//     protocol surface;
-//   - Endpoint.Call/CallEach results must not discard the error: a lost
-//     reply is how inter-kernel protocols wedge silently.
+//     literal with Type: TypeX, an assignment m.Type = TypeX, or a
+//     NewWith(ep, TypeX, ...) call) — otherwise it is dead protocol surface;
+//   - Endpoint.Call/CallEach and CallFor results must not discard the
+//     error: a lost reply is how inter-kernel protocols wedge silently.
 //
 // A use names an enum member by its constant value, so an alias or a
 // parenthesised or converted constant still counts. Exemptions are per-type
@@ -38,6 +37,7 @@ var (
 	msgNewWith  = declare("msg", "", "NewWith")
 	msgCall     = fabricSends[0]
 	msgCallEach = fabricSends[1]
+	msgCallFor  = declare("msg", "", "CallFor")
 )
 
 // Check implements Analyzer.
@@ -63,7 +63,11 @@ func (MsgProto) Check(t *Tree) []Finding {
 				switch node := n.(type) {
 				case *ast.CallExpr:
 					if msgNewWith.isFunc(callee(info, node)) {
-						markSent(node.Args[0])
+						// The Type is whichever argument has that type, so
+						// the rule follows the parameter if it moves.
+						for _, arg := range node.Args {
+							markSent(arg)
+						}
 					}
 				case *ast.CompositeLit:
 					if !msgMessage.isType(info.TypeOf(node)) {
@@ -121,8 +125,9 @@ func (MsgProto) Check(t *Tree) []Finding {
 	return out
 }
 
-// isRPC reports whether call invokes msg.Endpoint.Call or CallEach.
+// isRPC reports whether call invokes msg.Endpoint.Call, CallEach or
+// msg.CallFor.
 func isRPC(info *types.Info, call *ast.CallExpr) bool {
 	fn := callee(info, call)
-	return msgCall.isFunc(fn) || msgCallEach.isFunc(fn)
+	return msgCall.isFunc(fn) || msgCallEach.isFunc(fn) || msgCallFor.isFunc(fn)
 }

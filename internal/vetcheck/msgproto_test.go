@@ -32,8 +32,8 @@ func (ep *Endpoint) Handle(t Type, h func())       {}
 func (ep *Endpoint) Call(m int) (int, error)      { return 0, nil }
 func (ep *Endpoint) CallEach(m int) (int, error)  { return 0, nil }
 
-func NewWith[T any](t Type, to, size int, payload T) *Message { return nil }
-func Reply[T any](size int, payload T) *Message               { return nil }
+func NewWith[T any](ep *Endpoint, t Type, to, size int, payload T) *Message { return nil }
+func Reply[T any](ep *Endpoint, req *Message, size int, payload T) *Message { return nil }
 
 func wire(ep *Endpoint) {
 	ep.Handle(TypeGood, func() {})
@@ -80,8 +80,9 @@ func wire(ep *msg.Endpoint) {
 }
 
 func TestMsgProtoNewWithCountsAsSend(t *testing.T) {
-	// A co-allocated message names its type as NewWith's first argument, not
-	// in a Message literal; a Reply names none.
+	// A pooled message names its type as NewWith's second argument, after
+	// the endpoint whose pool it comes from, not in a Message literal; a
+	// Reply names none. TypeOrphan is sent only that way here.
 	got := findingsFor(t, map[string]string{
 		"internal/msg/msg.go":      msgFixture,
 		"internal/msg/endpoint.go": msgUserFixture,
@@ -92,8 +93,8 @@ import "repro/internal/msg"
 type req struct{ N int }
 
 func wire(ep *msg.Endpoint) {
-	_ = msg.NewWith(msg.TypeOrphan, 2, 64, req{N: 1})
-	_ = msg.Reply(64, req{N: 2})
+	_ = msg.NewWith(ep, msg.TypeOrphan, 2, 64, req{N: 1})
+	_ = msg.Reply(ep, nil, 64, req{N: 2})
 }
 `,
 	}, MsgProto{})

@@ -55,7 +55,7 @@ type Message struct {
 	From, To NodeID
 }
 
-func NewWith[T any](t Type, to NodeID, size int, payload T) *Message { return nil }
+func NewWith[T any](ep *Endpoint, t Type, to NodeID, size int, payload T) *Message { return nil }
 
 type Handler func(p *sim.Proc, m *Message) *Message
 

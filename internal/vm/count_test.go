@@ -71,10 +71,11 @@ func mallocsPer(ops int, op func(i int)) float64 {
 }
 
 // TestFaultAllocationBudgets holds the two remote fault shapes popbench's rigs
-// time to their allocation counts, through core.OS on the rigs' machines: what
-// a fault allocates is its messages — each one object with its payload — and
-// what the page tables and the directory keep, so the next per-message or
-// per-fault allocation fails here, in tier-1, not in popbench.
+// time to their allocation counts, through core.OS on the rigs' machines: a
+// fault's messages come out of the fabric's pool and its sharer set is a word,
+// so what a fault allocates is what the page tables and the directory keep,
+// and the next per-message or per-fault allocation fails here, in tier-1, not
+// in popbench.
 func TestFaultAllocationBudgets(t *testing.T) {
 	const pages = 512
 	page := func(a mem.Addr, i int) mem.Addr { return a + mem.Addr(i*hw.PageSize) }
@@ -89,11 +90,11 @@ func TestFaultAllocationBudgets(t *testing.T) {
 
 	// Kernel 0 owns the pages; a thread on kernel 1 reads each once: a fetch
 	// round trip to the origin with the owner's downgrade nested in it, local
-	// here. Measured 4.03 (10.03 before this budget existed): the request,
-	// the grant, the sharer set the directory keeps from now on, and the
-	// growth of the reader's page table and value map.
+	// here. Measured 0.03 (4.03 with a fresh request and grant per fault and
+	// a map per sharer set, 10.03 before this budget existed): the growth of
+	// the reader's page table and value map.
 	t.Run("remote read fault", func(t *testing.T) {
-		const max = 4.03 + 0.5
+		const max = 0.03 + 0.5
 		var got float64
 		faultRig(t, 2, func(o *core.OS, p *sim.Proc, pr osi.Process) {
 			var a, warm mem.Addr
@@ -113,12 +114,12 @@ func TestFaultAllocationBudgets(t *testing.T) {
 
 	// Kernels 1–3 hold read copies; the origin writes each page: a local fault
 	// whose directory transaction fans three invalidations out and collects
-	// their acks. Measured 10.01 (44.01 before this budget existed): three
-	// invalidations and three acks, the reply and error slices and the request
-	// builder the fan-out hands over, and — on a page's first such fault only
-	// — the entry's scratch list of kernels to revoke.
+	// their acks. Measured 1.01 (10.01 with fresh messages, reply and error
+	// slices and request builder per fan-out, 44.01 before this budget
+	// existed): on a page's first such fault only, the entry's scratch list
+	// of kernels to revoke.
 	t.Run("write fault with three sharers", func(t *testing.T) {
-		const max = 10.01 + 0.5
+		const max = 1.01 + 0.5
 		var got float64
 		faultRig(t, 4, func(o *core.OS, p *sim.Proc, pr osi.Process) {
 			var a, warm mem.Addr

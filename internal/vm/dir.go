@@ -51,8 +51,8 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 		// of its page table). Believe the page table: drop the stale sharer
 		// entry so the grant below transfers the data again instead of
 		// assuming a copy that does not exist.
-		if _, stale := de.sharers[req]; stale {
-			delete(de.sharers, req)
+		if de.sharers.has(req) {
+			de.sharers.remove(req)
 			sp.svc.metrics.Counter("vm.dir.desync_repaired").Inc()
 		}
 	}
@@ -110,14 +110,15 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
 		de.state = pageShared
-		de.sharers = map[msg.NodeID]struct{}{req: {}}
+		de.sharers = 0
+		de.sharers.add(req)
 		*g = pageGrant{Value: de.value, Src: src, Prot: sharedProt, Version: ver}
 		return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 
 	case pageShared:
-		_, isSharer := de.sharers[req]
+		isSharer := de.sharers.has(req)
 		if !write {
-			de.sharers[req] = struct{}{}
+			de.sharers.add(req)
 			src := int(sp.origin)
 			if isSharer {
 				src = srcHaveCopy
@@ -127,11 +128,11 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		}
 		// Write on a shared page: revoke every other copy, then grant
 		// exclusive.
-		de.nodes = nodeSet(de.nodes, de.sharers, req)
+		de.nodes = de.sharers.nodes(de.nodes, req)
 		sp.revokeCopies(p, de.nodes, vpn, false, ver)
 		de.state = pageModified
 		de.owner = req
-		de.sharers = nil
+		de.sharers = 0
 		src := int(sp.origin)
 		if isSharer {
 			src = srcHaveCopy
@@ -154,7 +155,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 					return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 				}
 				de.state = pageShared
-				de.sharers = map[msg.NodeID]struct{}{req: {}}
+				de.sharers = 0
+				de.sharers.add(req)
 				de.owner = 0
 				*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: sharedProt, Version: ver}
 				return grantRec{exclusive: false, fresh: true, value: de.value}, nil
@@ -175,10 +177,11 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
 		de.state = pageShared
-		de.sharers = map[msg.NodeID]struct{}{req: {}}
+		de.sharers = 0
+		de.sharers.add(req)
 		if ack.HadCopy {
 			// The old owner kept a downgraded read copy.
-			de.sharers[old] = struct{}{}
+			de.sharers.add(old)
 		}
 		de.owner = 0
 		*g = pageGrant{Value: de.value, Src: int(old), Prot: sharedProt, Version: ver}
@@ -189,7 +192,8 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 
 // revokeCopies invalidates read copies at the given kernels (the origin's
 // own copy is handled locally; remote copies over the fabric, in parallel).
-// It keeps the remote ones in targets' own storage.
+// It keeps the remote ones in targets' own storage, and the fan-out's state
+// on a pooled revokeRound.
 func (sp *Space) revokeCopies(p *sim.Proc, targets []msg.NodeID, vpn mem.VPN, downgrade bool, ver uint64) {
 	remote := targets[:0]
 	for _, t := range targets {
@@ -210,19 +214,17 @@ func (sp *Space) revokeCopies(p *sim.Proc, targets []msg.NodeID, vpn mem.VPN, do
 		return
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.invalSent, "vm.inval.sent").Add(uint64(len(remote)))
-	replies, errs := sp.svc.ep.CallEachErr(p, remote, func(to msg.NodeID) *msg.Message {
-		m := msg.NewWith(msg.TypePageInvalidate, to, sizeSmallReq,
-			pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver})
-		// Origin-role traffic carries the origin epoch: if this kernel dies
-		// and later rejoins, copies of this invalidation still in flight are
-		// fenced at delivery instead of revoking pages behind the promoted
-		// successor's back.
-		sp.svc.fabric.StampOrigin(m, OriginKernelOf(sp.gid))
-		return m
-	})
-	for i, err := range errs {
+	r := sim.Take(&sp.svc.roundFree)
+	if r == nil {
+		r = &revokeRound{}
+		r.build = r.request
+	}
+	r.sp, r.req = sp, pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver}
+	r.replies, r.errs = resize(r.replies, len(remote)), resize(r.errs, len(remote))
+	sp.svc.ep.CallEachErr(p, remote, r.build, r.replies, r.errs)
+	for i, err := range r.errs {
 		if err == nil {
-			ack := replies[i].Payload.(*pageInvalAck)
+			ack := msg.Consume[pageInvalAck](sp.svc.ep, r.replies[i])
 			sp.svc.checker.Revoked(p, int64(sp.gid), vpn, remote[i], downgrade, ack.HadCopy, ack.Value)
 			continue
 		}
@@ -235,6 +237,33 @@ func (sp *Space) revokeCopies(p *sim.Proc, targets []msg.NodeID, vpn mem.VPN, do
 		}
 		panic(fmt.Sprintf("vm: invalidation fan-out failed: %v", err))
 	}
+	clear(r.replies)
+	clear(r.errs)
+	r.sp = nil
+	sim.Give(&sp.svc.roundFree, r)
+}
+
+// revokeRound is one revokeCopies fan-out: its invalidation, the builder
+// CallEachErr asks for each target's copy (bound once per record, so a
+// revocation hands over no fresh closure) and the replies and verdicts it
+// collects. Pooled on Service.roundFree, one per revocation in flight.
+type revokeRound struct {
+	sp      *Space
+	req     pageInval
+	build   func(to msg.NodeID) *msg.Message
+	replies []*msg.Message
+	errs    []error
+}
+
+// request builds the invalidation for one target.
+func (r *revokeRound) request(to msg.NodeID) *msg.Message {
+	m := msg.NewWith(r.sp.svc.ep, msg.TypePageInvalidate, to, sizeSmallReq, r.req)
+	// Origin-role traffic carries the origin epoch: if this kernel dies and
+	// later rejoins, copies of this invalidation still in flight are fenced
+	// at delivery instead of revoking pages behind the promoted successor's
+	// back.
+	r.sp.svc.fabric.StampOrigin(m, OriginKernelOf(r.sp.gid))
+	return m
 }
 
 // revokeOwner revokes (or downgrades) the exclusive copy at the owning
@@ -252,11 +281,11 @@ func (sp *Space) revokeOwner(p *sim.Proc, owner msg.NodeID, vpn mem.VPN, downgra
 		return ack
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.invalSent, "vm.inval.sent").Inc()
-	rm := msg.NewWith(msg.TypePageInvalidate, owner, sizeSmallReq,
+	rm := msg.NewWith(sp.svc.ep, msg.TypePageInvalidate, owner, sizeSmallReq,
 		pageInval{GID: sp.gid, VPN: vpn, Downgrade: downgrade, Version: ver})
-	// Epoch-stamped like the copy fan-out above (see revokeCopies).
+	// Epoch-stamped like the copy fan-out above (see revokeRound).
 	sp.svc.fabric.StampOrigin(rm, OriginKernelOf(sp.gid))
-	reply, err := sp.svc.ep.Call(p, rm)
+	ack, err := msg.CallFor[pageInvalAck](sp.svc.ep, p, rm)
 	if err != nil {
 		if msg.IsDeadPeer(err) {
 			// The owner died before writing back: its copy (and any writes
@@ -269,7 +298,6 @@ func (sp *Space) revokeOwner(p *sim.Proc, owner msg.NodeID, vpn mem.VPN, downgra
 		}
 		panic(fmt.Sprintf("vm: owner revocation failed: %v", err))
 	}
-	ack := *reply.Payload.(*pageInvalAck)
 	sp.svc.checker.Revoked(p, int64(sp.gid), vpn, owner, downgrade, ack.HadCopy, ack.Value)
 	return ack
 }

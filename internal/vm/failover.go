@@ -15,7 +15,6 @@ package vm
 // the failed-over groups).
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/mem"
@@ -90,7 +89,7 @@ func (s *Service) shipRepl(p *sim.Proc, rep dirRepl) {
 // keeps running unreplicated — counted, so soaks can assert the window was
 // empty.
 func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
-	m := msg.NewWith(msg.TypeDirReplicate, succ, sizeSmallReq, rep)
+	m := msg.NewWith(s.ep, msg.TypeDirReplicate, succ, sizeSmallReq, rep)
 	if !s.ep.Replicate(p, m, OriginKernelOf(rep.GID)) {
 		s.metrics.Counter("dir.failover.skipped").Inc()
 	}
@@ -102,9 +101,7 @@ func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
 // records in version order, so a fault-plan duplicate can never roll the
 // mirror backwards.
 func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
-	rep := dirRepl{Kind: replEntry, GID: sp.gid, VPN: vpn, Entry: de.dirState}
-	rep.Entry.sharers = maps.Clone(de.sharers) // the mirror keeps it
-	sp.svc.shipRepl(p, rep)
+	sp.svc.shipRepl(p, dirRepl{Kind: replEntry, GID: sp.gid, VPN: vpn, Entry: de.dirState})
 }
 
 // shipLayout mirrors one committed layout change to the successor. Called
@@ -141,7 +138,7 @@ func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ve
 // messages, so the origin's synchronous ship can never deadlock against it.
 func (s *Service) handleDirReplicate(p *sim.Proc, m *msg.Message) *msg.Message {
 	s.applyRepl(m.Payload.(*dirRepl))
-	return &msg.Message{Size: 64}
+	return msg.Reply(s.ep, m, 64, struct{}{})
 }
 
 // applyRepl installs one replication record into the mirror for its group,

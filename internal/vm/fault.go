@@ -230,13 +230,12 @@ func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
 		return VMA{}, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.vmaFetch, "vm.vmafetch").Inc()
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAFetch, sp.origin, sizeSmallReq,
+	r, err := msg.CallFor[vmaFetchReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAFetch, sp.origin, sizeSmallReq,
 		vmaFetchReq{GID: sp.gid, VPN: vpn},
 	))
 	if err != nil {
 		return VMA{}, err
 	}
-	r := reply.Payload.(*vmaFetchReply)
 	if !r.OK {
 		return VMA{}, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
 	}
@@ -262,13 +261,13 @@ func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op accessOp, pend *pendi
 		}
 	} else {
 		sp.svc.metrics.CounterIn(&sp.svc.hot.faultRemote, "vm.fault.remote").Inc()
-		reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq,
+		g, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq,
 			pageFetchReq{GID: sp.gid, VPN: vpn, Write: write, NoCopy: noCopy},
 		))
 		if err != nil {
 			return accessResult{}, err
 		}
-		grant = reply.Payload.(*pageGrant)
+		*grant = g
 	}
 	if grant.Err != "" {
 		switch grant.Code {
@@ -389,11 +388,10 @@ func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op accessOp) (int64, e
 		req.Forward = fwdStore
 	}
 	sp.svc.metrics.Counter("vm.write.forwarded").Inc()
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq, req))
+	grant, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq, req))
 	if err != nil {
 		return 0, err
 	}
-	grant := reply.Payload.(*pageGrant)
 	if grant.Err != "" {
 		switch grant.Code {
 		case codeSegv:
@@ -440,13 +438,12 @@ func (sp *Space) Whereis(p *sim.Proc, addr mem.Addr) (msg.NodeID, error) {
 	if sp.isOrigin {
 		return sp.ownerOf(vpn), nil
 	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAFetch, sp.origin, sizeSmallReq,
+	r, err := msg.CallFor[vmaFetchReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAFetch, sp.origin, sizeSmallReq,
 		vmaFetchReq{GID: sp.gid, VPN: vpn, WantOwner: true},
 	))
 	if err != nil {
 		return 0, err
 	}
-	r := reply.Payload.(*vmaFetchReply)
 	if !r.OK {
 		return 0, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
 	}
@@ -464,15 +461,9 @@ func (sp *Space) ownerOf(vpn mem.VPN) msg.NodeID {
 	case pageModified:
 		return de.owner
 	case pageShared:
-		best := sp.origin
-		first := true
-		//popcornvet:allow detorder a minimum over the sharer set is the same in any order; this is the fault path, so no sorted copy
-		for n := range de.sharers {
-			if first || n < best {
-				best, first = n, false
-			}
+		if de.sharers != 0 {
+			return de.sharers.first()
 		}
-		return best
 	}
 	return sp.origin
 }
@@ -553,7 +544,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 	}
 	sp.svc.metrics.Counter("vm.prefetch").Inc()
 	count := int(want[len(want)-1].vpn-want[0].vpn) + 1
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypePageFetch, sp.origin, sizeSmallReq,
+	grant, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq,
 		pageFetchReq{GID: sp.gid, VPN: want[0].vpn, Count: count},
 	))
 	if err != nil {
@@ -566,7 +557,6 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 		}
 		return 0, err
 	}
-	grant := reply.Payload.(*pageGrant)
 	if grant.Err != "" {
 		finish()
 		return 0, fmt.Errorf("vm: prefetch: %s", grant.Err)

@@ -15,13 +15,13 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaOpReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	reply, err := sp.originLayout(p, *req)
 	if err != nil {
 		reply.Err = err.Error()
 	}
-	return msg.Reply(sizeVMAReply, reply)
+	return msg.Reply(s.ep, m, sizeVMAReply, reply)
 }
 
 // handleVMAUpdate applies a pushed layout change on a replica.
@@ -30,7 +30,7 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 	sp, ok := s.spaces[u.GID]
 	if !ok {
 		// The replica was dropped concurrently (group exit); ack anyway.
-		return msg.Reply(sizeSmallReq, vmaOpReply{})
+		return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{})
 	}
 	// A pushed map (the eager-push ablation) only pre-populates the
 	// replica's VMA cache; removals and re-protections also reach its pages.
@@ -45,7 +45,7 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 		sp.version = u.Version
 	}
 	s.checker.LayoutApplied(s.node, int64(u.GID), sp.version)
-	return msg.Reply(sizeSmallReq, vmaOpReply{Version: sp.version})
+	return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{Version: sp.version})
 }
 
 // handleVMAFetch serves a replica's VMA cache miss at the origin.
@@ -53,7 +53,7 @@ func (s *Service) handleVMAFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(sizeVMAReply, vmaFetchReply{})
+		return msg.Reply(s.ep, m, sizeVMAReply, vmaFetchReply{})
 	}
 	sp.asLock.RLock(p)
 	defer sp.asLock.RUnlock(p)
@@ -62,7 +62,7 @@ func (s *Service) handleVMAFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	if req.WantOwner && found {
 		reply.Owner = sp.ownerOf(req.VPN)
 	}
-	return msg.Reply(sizeVMAReply, reply)
+	return msg.Reply(s.ep, m, sizeVMAReply, reply)
 }
 
 // handlePageFetch runs a directory transaction at the origin on behalf of a
@@ -71,7 +71,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*pageFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(sizeVMAReply, pageGrant{Code: codeOther, Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, sizeVMAReply, pageGrant{Code: codeOther, Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	// Count > 0 marks a prefetch (demand faults leave it zero). A
 	// single-page prefetch must still take the batch path: the requester
@@ -88,7 +88,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 				size += hw.PageSize
 			}
 		}
-		return msg.Reply(size, *grant)
+		return msg.Reply(s.ep, m, size, *grant)
 	}
 	if req.Forward != fwdNone {
 		val, err := sp.applyForwarded(p, req)
@@ -97,7 +97,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 		if err != nil {
 			grant = forwardedError(err)
 		}
-		return msg.Reply(sizeVMAReply, grant)
+		return msg.Reply(s.ep, m, sizeVMAReply, grant)
 	}
 	var grant pageGrant
 	sp.asLock.RLock(p)
@@ -107,7 +107,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	if err != nil {
 		grant = pageGrant{Code: codeOther, Err: err.Error()}
 	}
-	return msg.Reply(grantSize(grant), grant)
+	return msg.Reply(s.ep, m, grantSize(grant), grant)
 }
 
 // forwardedError maps a local access error onto a grant.
@@ -128,7 +128,7 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	req := m.Payload.(*pageInval)
 	sp, ok := s.spaces[req.GID]
 	if !ok {
-		return msg.Reply(sizeSmallReq, pageInvalAck{})
+		return msg.Reply(s.ep, m, sizeSmallReq, pageInvalAck{})
 	}
 	// A full invalidation of a writable copy destroys the page's only
 	// current contents: after applyInval the value exists solely in the ack
@@ -147,5 +147,5 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	if surrender && ack.HadCopy {
 		s.shipSurrender(p, req.GID, req.VPN, ack.Value, req.Version)
 	}
-	return msg.Reply(invalAckSize(ack), ack)
+	return msg.Reply(s.ep, m, invalAckSize(ack), ack)
 }

@@ -88,15 +88,14 @@ func (sp *Space) layout(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 	if sp.isOrigin {
 		return sp.originLayout(p, req)
 	}
-	reply, err := sp.svc.ep.Call(p, msg.NewWith(msg.TypeVMAOp, sp.origin, sizeSmallReq, req))
+	r, err := msg.CallFor[vmaOpReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAOp, sp.origin, sizeSmallReq, req))
 	if err != nil {
 		return vmaOpReply{}, err
 	}
-	r := reply.Payload.(*vmaOpReply)
 	if r.Err != "" {
 		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %s", opNames[req.Op], r.Err)
 	}
-	return *r, nil
+	return r, nil
 }
 
 func checkRange(addr mem.Addr, length uint64) error {
@@ -221,20 +220,34 @@ func (sp *Space) publish(p *sim.Proc, u vmaUpdate) error {
 
 // pushUpdate synchronously delivers a layout change to every replica.
 func (sp *Space) pushUpdate(p *sim.Proc, u vmaUpdate) error {
-	sp.pushNodes = nodeSet(sp.pushNodes, sp.replicas, sp.origin)
+	sp.pushNodes = sp.replicas.nodes(sp.pushNodes, sp.origin)
 	targets := sp.pushNodes
 	if len(targets) == 0 {
 		return nil
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.updatePushed, "vm.update.pushed").Add(uint64(len(targets)))
-	_, err := sp.svc.ep.CallEach(p, targets, func(to msg.NodeID) *msg.Message {
-		m := msg.NewWith(msg.TypeVMAUpdate, to, sizeSmallReq, u)
-		// Origin-role traffic: epoch-stamped so stale copies from a
-		// crashed-and-rejoined origin are fenced (see revokeCopies).
-		sp.svc.fabric.StampOrigin(m, OriginKernelOf(sp.gid))
-		return m
-	})
+	if sp.pushBuild == nil {
+		sp.pushBuild = sp.pushRequest
+	}
+	sp.pushU, sp.pushErrs = u, resize(sp.pushErrs, len(targets))
+	sp.svc.ep.CallEachErr(p, targets, sp.pushBuild, nil, sp.pushErrs)
+	var err error
+	for _, e := range sp.pushErrs {
+		if e != nil && err == nil {
+			err = e
+		}
+	}
+	clear(sp.pushErrs)
 	return err
+}
+
+// pushRequest is pushUpdate's request builder, bound once as sp.pushBuild.
+func (sp *Space) pushRequest(to msg.NodeID) *msg.Message {
+	m := msg.NewWith(sp.svc.ep, msg.TypeVMAUpdate, to, sizeSmallReq, sp.pushU)
+	// Origin-role traffic: epoch-stamped so stale copies from a
+	// crashed-and-rejoined origin are fenced (see revokeCopies).
+	sp.svc.fabric.StampOrigin(m, OriginKernelOf(sp.gid))
+	return m
 }
 
 // scrubLocal drops this kernel's PTEs, values and frames for [lo, hi),

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"slices"
+	"math/bits"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -183,20 +183,44 @@ func invalAckSize(a pageInvalAck) int {
 	return sizeSmallReq
 }
 
-// nodeSet returns the keys of a node set, excluding skip, in buf's storage
-// (nil: fresh storage). The caller must own buf until its last use of the
-// result — across blocking steps too, so only under a lock that covers them.
-func nodeSet(buf []msg.NodeID, m map[msg.NodeID]struct{}, skip msg.NodeID) []msg.NodeID {
-	if cap(buf) < len(m) {
-		buf = make([]msg.NodeID, 0, len(m))
+// resize returns s with n elements, in its own storage when it has the room.
+// A caller that clears what it used gets zeroed elements back.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// MaxKernels bounds the kernels a machine may boot: a set of kernels (a
+// page's sharers, a space's replicas) is one nodeMask word.
+const MaxKernels = 64
+
+// nodeMask is a set of kernels, bit n for kernel n: a value, so a directory
+// entry's state copies (to a grant, to the failover mirror) without sharing
+// storage, and it lists its members in ascending order, the order the
+// protocol's fan-outs go out in.
+type nodeMask uint64
+
+func (s nodeMask) has(n msg.NodeID) bool { return s&(1<<uint(n)) != 0 }
+func (s *nodeMask) add(n msg.NodeID)     { *s |= 1 << uint(n) }
+func (s *nodeMask) remove(n msg.NodeID)  { *s &^= 1 << uint(n) }
+func (s nodeMask) len() int              { return bits.OnesCount64(uint64(s)) }
+
+// first returns the lowest kernel in a non-empty set.
+func (s nodeMask) first() msg.NodeID { return msg.NodeID(bits.TrailingZeros64(uint64(s))) }
+
+// nodes returns the set's kernels but skip, ascending, in buf's storage. The
+// caller must own buf until its last use of the result — across blocking
+// steps too, so only under a lock that covers them.
+func (s nodeMask) nodes(buf []msg.NodeID, skip msg.NodeID) []msg.NodeID {
+	s.remove(skip)
+	if cap(buf) < s.len() {
+		buf = make([]msg.NodeID, 0, s.len())
 	}
 	out := buf[:0]
-	for n := range m {
-		if n != skip {
-			out = append(out, n)
-		}
+	for ; s != 0; s &= s - 1 {
+		out = append(out, s.first())
 	}
-	// Deterministic order for reproducible schedules.
-	slices.Sort(out)
 	return out
 }

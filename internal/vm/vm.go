@@ -81,7 +81,7 @@ type dirState struct {
 	// owner is the kernel holding the modified copy (pageModified only).
 	owner msg.NodeID
 	// sharers holds the kernels with read copies (pageShared only).
-	sharers map[msg.NodeID]struct{}
+	sharers nodeMask
 	// value is the origin's record of the page contents as of the last
 	// write-back or shared grant; authoritative while state != pageModified.
 	value int64
@@ -145,10 +145,14 @@ type Space struct {
 	brk     mem.Addr
 	// replicas is the set of kernels that attached a replica (origin
 	// excluded); layout updates are pushed to these.
-	replicas map[msg.NodeID]struct{}
-	// pushNodes is pushUpdate's scratch for its targets; asLock is held
-	// exclusively from filling it to the last use.
+	replicas nodeMask
+	// pushNodes, pushU and pushErrs are pushUpdate's scratch for its targets,
+	// its update and its verdicts, and pushBuild its request builder (bound
+	// once); asLock is held exclusively from filling them to the last use.
 	pushNodes []msg.NodeID
+	pushU     vmaUpdate
+	pushErrs  []error
+	pushBuild func(to msg.NodeID) *msg.Message
 }
 
 // Service is the per-kernel VM service: it owns this kernel's group spaces
@@ -180,6 +184,8 @@ type Service struct {
 		latLocal, latRemote, latMap, latUnmap, latProtect               *stats.Histogram
 	}
 	spaces map[GID]*Space
+	// roundFree recycles revokeCopies' fan-out records (sim.Take/Give).
+	roundFree []*revokeRound
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
 	// layout change hit all of them.
 	localCores int
@@ -259,16 +265,16 @@ func (s *Service) checkDirectory() error {
 func (s *Service) checkEntry(gid GID, vpn mem.VPN, de *dirEntry) error {
 	switch de.state {
 	case pageUnmapped:
-		if len(de.sharers) != 0 {
-			return fmt.Errorf("vm: group %d page %#x unmapped but has %d sharers", gid, uint64(vpn.Base()), len(de.sharers))
+		if de.sharers != 0 {
+			return fmt.Errorf("vm: group %d page %#x unmapped but has %d sharers", gid, uint64(vpn.Base()), de.sharers.len())
 		}
 	case pageShared:
-		if len(de.sharers) == 0 {
+		if de.sharers == 0 {
 			return fmt.Errorf("vm: group %d page %#x shared with no sharers", gid, uint64(vpn.Base()))
 		}
 	case pageModified:
-		if len(de.sharers) != 0 {
-			return fmt.Errorf("vm: group %d page %#x modified (owner k%d) but has %d read sharers", gid, uint64(vpn.Base()), de.owner, len(de.sharers))
+		if de.sharers != 0 {
+			return fmt.Errorf("vm: group %d page %#x modified (owner k%d) but has %d read sharers", gid, uint64(vpn.Base()), de.owner, de.sharers.len())
 		}
 		if int(de.owner) < 0 || int(de.owner) >= s.fabric.Nodes() {
 			return fmt.Errorf("vm: group %d page %#x owned by unknown kernel %d", gid, uint64(vpn.Base()), de.owner)
@@ -355,7 +361,7 @@ func (s *Service) makeOrigin(gid GID) *Space {
 	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
 	sp.dir = make(map[mem.VPN]*dirEntry)
 	sp.nextMap, sp.brk = mapBase, heapBase
-	sp.replicas = make(map[msg.NodeID]struct{})
+	sp.replicas = 0
 	return sp
 }
 
@@ -380,7 +386,7 @@ func (s *Service) RegisterReplica(gid GID, node msg.NodeID) error {
 	if !ok || !sp.isOrigin {
 		return fmt.Errorf("vm: RegisterReplica on kernel %d which is not origin of group %d", s.node, gid)
 	}
-	sp.replicas[node] = struct{}{}
+	sp.replicas.add(node)
 	return nil
 }
 
@@ -438,7 +444,7 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 		if !ok || !sp.isOrigin {
 			continue
 		}
-		delete(sp.replicas, dead)
+		sp.replicas.remove(dead)
 		// Snapshot the entries: transactions racing with this sweep can add
 		// fresh pages, but a fresh entry cannot involve the dead kernel.
 		vpns := make([]mem.VPN, 0, len(sp.dir))
@@ -467,10 +473,10 @@ func (de *dirEntry) loseCopies(dead msg.NodeID) bool {
 		de.state, de.owner, de.reclaimed = pageUnmapped, 0, true
 		return true
 	case de.state == pageShared:
-		if _, held := de.sharers[dead]; held {
-			delete(de.sharers, dead)
-			if len(de.sharers) == 0 {
-				de.state, de.sharers, de.reclaimed = pageUnmapped, nil, true
+		if de.sharers.has(dead) {
+			de.sharers.remove(dead)
+			if de.sharers == 0 {
+				de.state, de.reclaimed = pageUnmapped, true
 			}
 			return true
 		}
