@@ -6,15 +6,22 @@
 
 GO ?= go
 
-.PHONY: verify build vet govet popcornvet vet-json allowlist escapes escapes-baseline profile popcornmc soak schedule-oracle test size
+.PHONY: verify build vet gofmt govet popcornvet vet-json allowlist escapes escapes-baseline profile popcornmc soak schedule-oracle test size
 
 verify: build vet escapes test popcornmc soak size
 
 build:
 	$(GO) build ./...
 
-# vet is the full static gate: stock go vet plus the repo's own analyzers.
-vet: govet popcornvet
+# vet is the full static gate: gofmt, stock go vet and the repo's own
+# analyzers.
+vet: gofmt govet popcornvet
+
+# Every tracked Go file must be gofmt-clean: `gofmt -l` lists the files it
+# would rewrite, and any listed file fails the gate.
+GOFMT ?= gofmt
+gofmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
 govet:
 	$(GO) vet ./...

@@ -227,3 +227,44 @@ func (pt *PageTable) All() map[VPN]PTE {
 	}
 	return out
 }
+
+// OpKind names the kind of a word access.
+type OpKind uint8
+
+// Word access kinds.
+const (
+	OpLoad OpKind = iota
+	OpStore
+	OpCAS
+	OpFetchAdd
+)
+
+// Op is one access to a memory word: the single description of a load,
+// store, compare-and-swap or fetch-add that every OS's memory path applies,
+// and that write forwarding ships to the page's origin as is.
+type Op struct {
+	Kind OpKind
+	// Val is the value a store writes, a CAS's replacement or a fetch-add's
+	// delta.
+	Val int64
+	// Old is the value a CAS expects.
+	Old int64
+}
+
+// Apply performs the access on a word holding cur. It returns the word's
+// next contents, the access's result (the prior value, or for a store the
+// value stored) and whether the word was written. A CAS succeeded exactly
+// when the result equals Old.
+func (op Op) Apply(cur int64) (next, result int64, wrote bool) {
+	switch op.Kind {
+	case OpStore:
+		return op.Val, op.Val, true
+	case OpCAS:
+		if cur == op.Old {
+			return op.Val, cur, true
+		}
+	case OpFetchAdd:
+		return cur + op.Val, cur, true
+	}
+	return cur, cur, false
+}

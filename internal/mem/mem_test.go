@@ -299,3 +299,24 @@ func TestPageTableAllSnapshot(t *testing.T) {
 		t.Fatal("snapshot mutation leaked into the table")
 	}
 }
+
+func TestOpApply(t *testing.T) {
+	cases := []struct {
+		op           Op
+		cur          int64
+		next, result int64
+		wrote        bool
+	}{
+		{Op{Kind: OpLoad}, 7, 7, 7, false},
+		{Op{Kind: OpStore, Val: 3}, 7, 3, 3, true},
+		{Op{Kind: OpCAS, Old: 7, Val: 9}, 7, 9, 7, true},
+		{Op{Kind: OpCAS, Old: 0, Val: 9}, 7, 7, 7, false},
+		{Op{Kind: OpFetchAdd, Val: 5}, 7, 12, 7, true},
+	}
+	for _, c := range cases {
+		next, result, wrote := c.op.Apply(c.cur)
+		if next != c.next || result != c.result || wrote != c.wrote {
+			t.Errorf("%+v.Apply(%d) = %d, %d, %v; want %d, %d, %v", c.op, c.cur, next, result, wrote, c.next, c.result, c.wrote)
+		}
+	}
+}

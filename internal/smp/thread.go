@@ -209,11 +209,11 @@ func checkRange(addr mem.Addr, length uint64) error {
 // access is the SMP memory path: hardware-coherent, so no protocol — just
 // the fault path (mmap_sem shared + zone alloc) on first touch and
 // cache-line transfer costs for cross-core sharing.
-func (t *Thread) access(addr mem.Addr, op accessOp) (int64, error) {
+func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 	o := t.pr.os
 	mm := t.pr.mm
 	vpn := mem.PageOf(addr)
-	write := op.write || op.rmw != nil
+	write := op.Kind != mem.OpLoad
 	pte, ok := mm.pt.Lookup(vpn)
 	if !ok || !pte.Prot.Readable() || (write && !pte.Prot.Writable()) {
 		// Page fault (or protection check through the VMA).
@@ -255,59 +255,37 @@ func (t *Thread) access(addr mem.Addr, op accessOp) (int64, error) {
 	if last, wrote := mm.lastWriter[vpn]; wrote && last != t.core {
 		t.p.Sleep(o.machine.LineBounce(1, !o.machine.Topology.SameNode(last, t.core)))
 	}
-	var result int64
-	switch {
-	case op.rmw != nil:
-		old := mm.values[vpn]
-		if next, doWrite := op.rmw(old); doWrite {
-			mm.values[vpn] = next
-		}
-		result = old
+	next, result, wrote := op.Apply(mm.values[vpn])
+	if wrote {
+		mm.values[vpn] = next
+	}
+	if write {
 		mm.lastWriter[vpn] = t.core
-	case op.write:
-		mm.values[vpn] = op.val
-		result = op.val
-		mm.lastWriter[vpn] = t.core
-	default:
-		result = mm.values[vpn]
 	}
 	t.p.Sleep(o.machine.MemAccess(t.core, pte.HomeNode))
 	return result, nil
 }
 
-type accessOp struct {
-	write bool
-	val   int64
-	rmw   func(old int64) (int64, bool)
-}
-
 // Load implements osi.Thread.
 func (t *Thread) Load(addr mem.Addr) (int64, error) {
-	return t.access(addr, accessOp{})
+	return t.access(addr, mem.Op{Kind: mem.OpLoad})
 }
 
 // Store implements osi.Thread.
 func (t *Thread) Store(addr mem.Addr, val int64) error {
-	_, err := t.access(addr, accessOp{write: true, val: val})
+	_, err := t.access(addr, mem.Op{Kind: mem.OpStore, Val: val})
 	return err
 }
 
 // CompareAndSwap implements osi.Thread.
 func (t *Thread) CompareAndSwap(addr mem.Addr, old, new int64) (bool, error) {
-	swapped := false
-	_, err := t.access(addr, accessOp{rmw: func(cur int64) (int64, bool) {
-		if cur == old {
-			swapped = true
-			return new, true
-		}
-		return 0, false
-	}})
-	return swapped, err
+	prior, err := t.access(addr, mem.Op{Kind: mem.OpCAS, Val: new, Old: old})
+	return err == nil && prior == old, err
 }
 
 // FetchAdd implements osi.Thread.
 func (t *Thread) FetchAdd(addr mem.Addr, delta int64) (int64, error) {
-	return t.access(addr, accessOp{rmw: func(cur int64) (int64, bool) { return cur + delta, true }})
+	return t.access(addr, mem.Op{Kind: mem.OpFetchAdd, Val: delta})
 }
 
 // FutexWait implements osi.Thread: the global hash bucket serialises the
@@ -318,7 +296,7 @@ func (t *Thread) FutexWait(addr mem.Addr, expect int64) error {
 	b := o.futexes[int(addr/hw.CacheLineSize)%futexBuckets]
 	b.mu.Lock(t.p)
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(b.mu.Waiters()), o.crossNode()))
-	val, err := t.access(addr, accessOp{})
+	val, err := t.access(addr, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
 		b.mu.Unlock(t.p)
 		return err
@@ -399,7 +377,7 @@ func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int
 		first.mu.Unlock(t.p)
 	}()
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(first.mu.Waiters()+second.mu.Waiters()), o.crossNode()))
-	val, err := t.access(from, accessOp{})
+	val, err := t.access(from, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
 		return 0, 0, err
 	}

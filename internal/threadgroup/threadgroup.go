@@ -38,11 +38,6 @@ var (
 	ErrSuperseded = errors.New("threadgroup: rollback superseded by origin recovery")
 )
 
-// pid allocation: the PID space is partitioned by kernel so every kernel
-// allocates globally unique IDs with a purely local counter — the paper's
-// answer to SMP Linux's global PID-map lock.
-const pidShift = 44
-
 // group is one kernel's view of a distributed thread group.
 type group struct {
 	gid    vm.GID
@@ -223,17 +218,18 @@ func (s *Service) capSharers(waiters int) int {
 	return waiters
 }
 
-// allocPID returns a machine-unique task ID from this kernel's partition.
+// allocPID returns a machine-unique task ID from this kernel's partition of
+// the ID space, the one group IDs come from (vm.NewGID).
 func (s *Service) allocPID() task.ID {
 	s.nextPID++
-	return task.ID(int64(s.node)<<pidShift | s.nextPID)
+	return task.ID(vm.NewGID(s.node, s.nextPID))
 }
 
 // CreateGroup starts a new thread group (process) with this kernel as
 // origin and returns the group ID and its initial (main) thread.
 func (s *Service) CreateGroup(p *sim.Proc) (vm.GID, *task.Task, error) {
 	s.nextGID++
-	gid := vm.GID(int64(s.node)<<pidShift | s.nextGID)
+	gid := vm.NewGID(s.node, s.nextGID)
 	if _, err := s.vmsvc.Create(gid); err != nil {
 		return 0, nil, err
 	}

@@ -1,8 +1,11 @@
 package vetcheck
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,7 +22,9 @@ import (
 //   - a package-qualified chain (`sim.Engine`, `msg.Endpoint.Call`) whose
 //     second name is exported;
 //   - a type-qualified chain (`Proc.Sleep`, `Endpoint.node`), a call's
-//     argument list ignored.
+//     argument list ignored;
+//   - a bare test, benchmark or fuzz target name (`TestGoldenTables`),
+//     against the func declarations of the tree's _test.go files.
 //
 // A chain whose head names neither a package nor a type — a local variable
 // in prose, a file name such as ROADMAP.md — says nothing checkable and is
@@ -28,12 +33,15 @@ import (
 var (
 	docFile  = regexp.MustCompile("`([\\w.-]+(?:/[\\w.-]+)*/[\\w.-]+\\.go)(?::[\\d,-]+)?`")
 	docChain = regexp.MustCompile("`([A-Za-z_]\\w*(?:\\.[A-Za-z_]\\w*)+)(?:\\([^`]*\\))?`")
+	docTest  = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z_]\\w*)`")
 )
 
-// docScope indexes a tree's packages and type names by their plain names.
+// docScope indexes a tree's packages and type names by their plain names, and
+// the names of its test functions.
 type docScope struct {
 	pkgs  map[string][]*types.Package
 	types map[string][]*types.TypeName
+	tests map[string]bool
 }
 
 func newDocScope(tree *Tree) *docScope {
@@ -103,7 +111,44 @@ func unresolvedDocRefs(s *docScope, root, doc string) []string {
 			bad = append(bad, m[1])
 		}
 	}
+	for _, m := range docTest.FindAllStringSubmatch(doc, -1) {
+		if !s.tests[m[1]] {
+			bad = append(bad, m[1])
+		}
+	}
 	return bad
+}
+
+// testFuncs returns the names of the package-level funcs declared in the
+// _test.go files under root, skipping the directories Load skips.
+func testFuncs(root string) (map[string]bool, error) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if base := d.Name(); path != root && (strings.HasPrefix(base, ".") || base == "testdata" || base == "vendor") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return names, err
 }
 
 func fileExists(path string) bool {
@@ -119,6 +164,9 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	s := newDocScope(tree)
+	if s.tests, err = testFuncs("../.."); err != nil {
+		t.Fatalf("testFuncs: %v", err)
+	}
 	for _, name := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md"} {
 		doc, err := os.ReadFile(filepath.Join("../..", name))
 		if err != nil {
@@ -131,8 +179,8 @@ func TestDocReferencesResolve(t *testing.T) {
 }
 
 // TestDocReferenceToDeletedCodeFails pins the check's teeth on a fixture
-// tree: a doc naming a method, field or file that is gone fails, while live
-// references and prose-local chains pass.
+// tree: a doc naming a method, field, file or test that is gone fails, while
+// live references and prose-local chains pass.
 func TestDocReferenceToDeletedCodeFails(t *testing.T) {
 	tree, err := LoadSource(map[string]string{"internal/sim/engine.go": `package sim
 
@@ -151,12 +199,13 @@ func (p *Proc) Sleep() {}
 		t.Fatal(err)
 	}
 	s := newDocScope(tree)
+	s.tests = map[string]bool{"TestSleep": true}
 	doc := "Work starts with `Engine.Spawn(name)` or `sim.Engine`; a process calls `Proc.Sleep`, " +
 		"reaches its engine through `Proc.e` and reads `e.now` (see `internal/vetcheck/load.go`; " +
-		"the `sim.events` counter is a metric name). " +
-		"Stale: `Engine.Lane`, `sim.GlobalLane`, `Proc.v.c`, `internal/sim/lane.go:12`."
+		"the `sim.events` counter is a metric name; `TestSleep` tests it, `TestSleep/short` is a subtest). " +
+		"Stale: `Engine.Lane`, `sim.GlobalLane`, `Proc.v.c`, `internal/sim/lane.go:12`, `BenchmarkLane`."
 	got := strings.Join(unresolvedDocRefs(s, "../..", doc), ", ")
-	if want := "internal/sim/lane.go, Engine.Lane, sim.GlobalLane, Proc.v.c"; got != want {
+	if want := "internal/sim/lane.go, Engine.Lane, sim.GlobalLane, Proc.v.c, BenchmarkLane"; got != want {
 		t.Fatalf("unresolved = %q, want %q", got, want)
 	}
 }

@@ -88,11 +88,11 @@ func TestTouchWriteKeepsValue(t *testing.T) {
 	ev.run(t, func(p *sim.Proc) {
 		addr, _ := sps[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
 		_ = sps[0].Store(p, 0, addr, 123)
-		if err := sps[0].Touch(p, 0, addr, true); err != nil {
-			t.Fatalf("Touch: %v", err)
+		if _, err := sps[0].FetchAdd(p, 0, addr, 0); err != nil {
+			t.Fatalf("FetchAdd(0): %v", err)
 		}
 		if v, _ := sps[0].Load(p, 0, addr); v != 123 {
-			t.Fatalf("Touch(write) clobbered value: %d", v)
+			t.Fatalf("FetchAdd(0) clobbered value: %d", v)
 		}
 	})
 }

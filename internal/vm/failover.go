@@ -22,17 +22,21 @@ import (
 	"repro/internal/sim"
 )
 
-// originKernelShift is the GID bit split the thread-group layer uses to
-// partition the ID space by allocating kernel (threadgroup's pidShift).
-const originKernelShift = 44
+// kernelShift splits an ID into the kernel that allocated it (the high bits)
+// and that kernel's local counter: no kernel asks another for a unique ID —
+// the paper's answer to SMP Linux's global PID-map lock.
+const kernelShift = 44
+
+// NewGID returns the n-th ID of node's partition, for groups and tasks alike.
+func NewGID(node msg.NodeID, n int64) GID { return GID(int64(node)<<kernelShift | n) }
 
 // OriginKernelOf returns the kernel that allocated gid — the group's
-// boot-time origin. The thread-group layer partitions the GID space by
-// kernel in the high bits, so the original origin role is recoverable from
-// the ID alone even after a failover re-homes the group. Epoch stamping
-// keys on this role, not on the current holder.
+// boot-time origin. IDs are partitioned by kernel (NewGID), so the original
+// origin role is recoverable from the ID alone even after a failover
+// re-homes the group. Epoch stamping keys on this role, not on the current
+// holder.
 func OriginKernelOf(gid GID) msg.NodeID {
-	return msg.NodeID(int64(gid) >> originKernelShift)
+	return msg.NodeID(int64(gid) >> kernelShift)
 }
 
 // Replication record kinds carried by dirRepl.

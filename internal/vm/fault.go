@@ -10,32 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// accessOp describes one memory access: a plain load, a plain store, or an
-// atomic read-modify-write (rmw non-nil implies exclusive ownership; the
-// function maps the old value to the new one and whether to write it).
-type accessOp struct {
-	write bool
-	val   int64
-	rmw   func(old int64) (int64, bool)
-	// fwdCode/fwdVal/fwdOld describe the operation for write forwarding
-	// (rmw closures cannot cross the wire).
-	fwdCode int
-	fwdVal  int64
-	fwdOld  int64
-}
-
-func (op accessOp) needsWrite() bool { return op.write || op.rmw != nil }
-
 // Load reads the word at addr from a thread running on the given core of
 // this kernel, resolving faults through the consistency protocol as needed.
 func (sp *Space) Load(p *sim.Proc, core int, addr mem.Addr) (int64, error) {
-	return sp.access(p, core, addr, accessOp{})
+	return sp.access(p, core, addr, mem.Op{Kind: mem.OpLoad})
 }
 
 // Store writes val to addr from a thread running on the given core of this
 // kernel, acquiring exclusive page ownership as needed.
 func (sp *Space) Store(p *sim.Proc, core int, addr mem.Addr, val int64) error {
-	_, err := sp.access(p, core, addr, accessOp{write: true, val: val})
+	_, err := sp.access(p, core, addr, mem.Op{Kind: mem.OpStore, Val: val})
 	return err
 }
 
@@ -43,45 +27,14 @@ func (sp *Space) Store(p *sim.Proc, core int, addr mem.Addr, val int64) error {
 // old, reporting whether the swap happened. The page is brought in
 // exclusively either way, as a hardware CAS would.
 func (sp *Space) CompareAndSwap(p *sim.Proc, core int, addr mem.Addr, old, new int64) (bool, error) {
-	swapped := false
-	observed, err := sp.access(p, core, addr, accessOp{
-		fwdCode: fwdCAS, fwdVal: new, fwdOld: old,
-		rmw: func(cur int64) (int64, bool) {
-			if cur == old {
-				swapped = true
-				return new, true
-			}
-			return 0, false
-		}})
-	if err != nil {
-		return false, err
-	}
-	if sp.svc.writeForwarding && !sp.isOrigin {
-		_ = observed
-		return sp.lastForwardSwap, nil
-	}
-	return swapped, err
+	prior, err := sp.access(p, core, addr, mem.Op{Kind: mem.OpCAS, Val: new, Old: old})
+	return err == nil && prior == old, err
 }
 
 // FetchAdd atomically adds delta to the word at addr and returns the
 // previous value.
 func (sp *Space) FetchAdd(p *sim.Proc, core int, addr mem.Addr, delta int64) (int64, error) {
-	return sp.access(p, core, addr, accessOp{
-		fwdCode: fwdFetchAdd, fwdVal: delta,
-		rmw: func(cur int64) (int64, bool) {
-			return cur + delta, true
-		}})
-}
-
-// Touch is a Load (write=false) or a FetchAdd of zero (write=true) that
-// discards the value; convenient for fault benchmarks.
-func (sp *Space) Touch(p *sim.Proc, core int, addr mem.Addr, write bool) error {
-	if write {
-		_, err := sp.FetchAdd(p, core, addr, 0)
-		return err
-	}
-	_, err := sp.access(p, core, addr, accessOp{})
-	return err
+	return sp.access(p, core, addr, mem.Op{Kind: mem.OpFetchAdd, Val: delta})
 }
 
 // maxFaultRetries bounds fault retry loops; a page ping-ponging this many
@@ -123,9 +76,9 @@ func (sp *Space) endFault(vpn mem.VPN, pend *pendingFault) {
 	sim.Give(&sp.pendFree, pend)
 }
 
-func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op accessOp) (int64, error) {
+func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op mem.Op) (int64, error) {
 	vpn := mem.PageOf(addr)
-	write := op.needsWrite()
+	write := op.Kind != mem.OpLoad
 	if write && sp.svc.writeForwarding && !sp.isOrigin {
 		return sp.forwardWrite(p, addr, op)
 	}
@@ -247,8 +200,8 @@ func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
 // the origin, over a PageFetch RPC elsewhere) and installs the result,
 // performing the faulting access atomically with the installation unless a
 // racing invalidation voided the grant.
-func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op accessOp, pend *pendingFault, noCopy bool) (accessResult, error) {
-	write := op.needsWrite()
+func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op mem.Op, pend *pendingFault, noCopy bool) (accessResult, error) {
+	write := op.Kind != mem.OpLoad
 	grant := &pend.grant
 	if sp.isOrigin {
 		sp.svc.metrics.CounterIn(&sp.svc.hot.faultLocal, "vm.fault.local").Inc()
@@ -270,14 +223,7 @@ func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op accessOp, pend *pendi
 		*grant = g
 	}
 	if grant.Err != "" {
-		switch grant.Code {
-		case codeSegv:
-			return accessResult{}, fmt.Errorf("%w: %s", ErrSegv, grant.Err)
-		case codeAccess:
-			return accessResult{}, fmt.Errorf("%w: %s", ErrAccess, grant.Err)
-		default:
-			return accessResult{}, fmt.Errorf("vm: page fetch %#x: %s", uint64(vpn.Base()), grant.Err)
-		}
+		return accessResult{}, grant.err(fmt.Sprintf("vm: page fetch %#x", uint64(vpn.Base())))
 	}
 	// Everything the wire delivered to this kernel before the grant is
 	// already processed (per-pair FIFO), so any invalidation marks so far
@@ -303,7 +249,7 @@ func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op accessOp, pend *pendi
 // guarantees that a granted fault makes progress: the access linearises
 // before any later revocation, which will then simply write the new
 // contents back.
-func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFault, op accessOp) (accessResult, error) {
+func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFault, op mem.Op) (accessResult, error) {
 	if g.Src == srcHaveCopy {
 		if pend.invalidated {
 			return accessResult{}, nil
@@ -348,86 +294,42 @@ func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFa
 	return res, nil
 }
 
-// performAccess applies the load, store or read-modify-write against the
-// local copy. It must be called with no intervening blocking after the
-// sufficiency check or installation: this is the access's linearisation
-// point, which is also where the sanitizer checks it.
-func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, op accessOp) accessResult {
-	switch {
-	case op.rmw != nil:
-		old := sp.values[vpn]
-		next, doWrite := op.rmw(old)
-		if doWrite {
-			sp.values[vpn] = next
-		}
-		sp.svc.checker.AccessRMW(p, sp.svc.node, int64(sp.gid), vpn, old, next, doWrite)
-		return accessResult{value: old, completed: true}
-	case op.write:
-		sp.values[vpn] = op.val
-		sp.svc.checker.AccessWrite(p, sp.svc.node, int64(sp.gid), vpn, op.val)
-		return accessResult{value: op.val, completed: true}
-	default:
-		v := sp.values[vpn]
-		sp.svc.checker.AccessRead(p, sp.svc.node, int64(sp.gid), vpn, v)
-		return accessResult{value: v, completed: true}
+// performAccess applies op to the local copy. It must be called with no
+// intervening blocking after the sufficiency check or installation: this is
+// the access's linearisation point, which is also where the sanitizer checks
+// it.
+func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, op mem.Op) accessResult {
+	cur := sp.values[vpn]
+	next, result, wrote := op.Apply(cur)
+	if wrote {
+		sp.values[vpn] = next
 	}
+	switch op.Kind {
+	case mem.OpLoad:
+		sp.svc.checker.AccessRead(p, sp.svc.node, int64(sp.gid), vpn, cur)
+	case mem.OpStore:
+		sp.svc.checker.AccessWrite(p, sp.svc.node, int64(sp.gid), vpn, next)
+	default:
+		sp.svc.checker.AccessRMW(p, sp.svc.node, int64(sp.gid), vpn, cur, next, wrote)
+	}
+	return accessResult{value: result, completed: true}
 }
 
 // forwardWrite ships a write-class operation to the origin (the D5
 // ablation): the origin performs the access against its own copy — which
 // revokes any conflicting replicas through the ordinary directory path —
-// and returns the result. No ownership ever moves to this kernel.
-func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op accessOp) (int64, error) {
-	req := pageFetchReq{GID: sp.gid, VPN: mem.PageOf(addr), Write: true, Addr: addr, Val: op.val}
-	switch {
-	case op.fwdCode != fwdNone:
-		req.Forward = op.fwdCode
-		req.Val = op.fwdVal
-		req.Old = op.fwdOld
-	default:
-		req.Forward = fwdStore
-	}
+// and returns the access's result. No ownership ever moves to this kernel.
+func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op mem.Op) (int64, error) {
+	req := pageFetchReq{GID: sp.gid, VPN: mem.PageOf(addr), Addr: addr, Op: op}
 	sp.svc.metrics.Counter("vm.write.forwarded").Inc()
 	grant, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq, req))
 	if err != nil {
 		return 0, err
 	}
 	if grant.Err != "" {
-		switch grant.Code {
-		case codeSegv:
-			return 0, fmt.Errorf("%w: %s", ErrSegv, grant.Err)
-		case codeAccess:
-			return 0, fmt.Errorf("%w: %s", ErrAccess, grant.Err)
-		default:
-			return 0, fmt.Errorf("vm: forwarded write: %s", grant.Err)
-		}
+		return 0, grant.err("vm: forwarded write")
 	}
-	sp.lastForwardSwap = grant.Swapped
 	return grant.Value, nil
-}
-
-// applyForwarded executes a forwarded operation locally at the origin.
-func (sp *Space) applyForwarded(p *sim.Proc, req *pageFetchReq) (int64, error) {
-	core := sp.svc.homeCoreHint()
-	switch req.Forward {
-	case fwdStore:
-		err := sp.Store(p, core, req.Addr, req.Val)
-		return req.Val, err
-	case fwdCAS:
-		swapped, err := sp.CompareAndSwap(p, core, req.Addr, req.Old, req.Val)
-		if err != nil {
-			return 0, err
-		}
-		sp.lastApplySwap = swapped
-		if swapped {
-			return req.Old, nil
-		}
-		v, err := sp.Load(p, core, req.Addr)
-		return v, err
-	case fwdFetchAdd:
-		return sp.FetchAdd(p, core, req.Addr, req.Val)
-	}
-	return 0, fmt.Errorf("vm: unknown forwarded op %d", req.Forward)
 }
 
 // Whereis reports which kernel currently holds the page containing addr:
@@ -494,7 +396,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 			sp.svc.e.Spawn("vm-prefetch", func(fp *sim.Proc) {
 				defer wg.Done()
 				fp.SetSpan(parentSpan)
-				if _, err := sp.access(fp, core, vpn.Base(), accessOp{}); err == nil {
+				if _, err := sp.access(fp, core, vpn.Base(), mem.Op{Kind: mem.OpLoad}); err == nil {
 					n++
 				}
 			})
@@ -559,7 +461,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 	}
 	if grant.Err != "" {
 		finish()
-		return 0, fmt.Errorf("vm: prefetch: %s", grant.Err)
+		return 0, grant.err("vm: prefetch")
 	}
 	installed := 0
 	for _, s := range want {

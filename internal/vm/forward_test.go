@@ -2,9 +2,11 @@ package vm
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
+	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -50,6 +52,10 @@ func TestWriteForwardingAtomicsAcrossKernels(t *testing.T) {
 	enableForwarding(ev)
 	wg := sim.NewWaitGroup()
 	wg.Add(4)
+	// seen counts each value a FetchAdd returned: the forwarded reply's value
+	// is the only outcome a remote kernel gets, so every prior value 0..99
+	// must come back exactly once.
+	seen := make(map[int64]int)
 	ev.e.Spawn("driver", func(p *sim.Proc) {
 		addr, _ := sps[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
 		for k := 0; k < 4; k++ {
@@ -57,16 +63,23 @@ func TestWriteForwardingAtomicsAcrossKernels(t *testing.T) {
 			ev.e.Spawn("adder", func(ap *sim.Proc) {
 				defer wg.Done()
 				for i := 0; i < 25; i++ {
-					if _, err := sps[k].FetchAdd(ap, 2*k, addr, 1); err != nil {
+					prior, err := sps[k].FetchAdd(ap, 2*k, addr, 1)
+					if err != nil {
 						t.Errorf("kernel %d FetchAdd: %v", k, err)
 						return
 					}
+					seen[prior]++
 				}
 			})
 		}
 		wg.Wait(p)
 		if v, _ := sps[0].Load(p, 0, addr); v != 100 {
 			t.Errorf("counter = %d, want 100", v)
+		}
+		for v := int64(0); v < 100; v++ {
+			if seen[v] != 1 {
+				t.Errorf("FetchAdd returned %d %d times, want once", v, seen[v])
+			}
 		}
 	})
 	if err := ev.e.Run(); err != nil {
@@ -90,6 +103,57 @@ func TestWriteForwardingCASSemantics(t *testing.T) {
 		}
 		if v, _ := sps[0].Load(p, 0, addr); v != 5 {
 			t.Fatalf("value = %d, want 5", v)
+		}
+	})
+}
+
+// TestForwardedCASReportsItsOwnOutcome serves three forwarded writes at the
+// origin whose executions overlap: A's CAS(0->1) fails on the word's 1, C
+// stores 0 while A is still in flight, and B's CAS(0->1) then succeeds. Each
+// reply must carry its own CAS's outcome, not one another request left
+// behind at the origin.
+func TestForwardedCASReportsItsOwnOutcome(t *testing.T) {
+	ev := newEnv(t, 2, 64)
+	sps := ev.group(t, 1)
+	origin := ev.svcs[0]
+	ev.run(t, func(p *sim.Proc) {
+		addr, _ := sps[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
+		if err := sps[0].Store(p, 0, addr, 1); err != nil {
+			t.Fatalf("Store: %v", err)
+		}
+		forward := func(fp *sim.Proc, op mem.Op) pageGrant {
+			req := &pageFetchReq{GID: 1, VPN: mem.PageOf(addr), Addr: addr, Op: op}
+			reply := origin.handlePageFetch(fp, &msg.Message{Type: msg.TypePageFetch, From: 1, Payload: req})
+			return msg.Consume[pageGrant](origin.ep, reply)
+		}
+		cas := mem.Op{Kind: mem.OpCAS, Old: 0, Val: 1}
+		var a, b pageGrant
+		wg := sim.NewWaitGroup()
+		wg.Add(3)
+		ev.e.Spawn("A", func(fp *sim.Proc) {
+			defer wg.Done()
+			a = forward(fp, cas)
+		})
+		ev.e.Spawn("C", func(fp *sim.Proc) {
+			defer wg.Done()
+			fp.Sleep(time.Nanosecond)
+			forward(fp, mem.Op{Kind: mem.OpStore, Val: 0})
+		})
+		ev.e.Spawn("B", func(fp *sim.Proc) {
+			defer wg.Done()
+			fp.Sleep(2 * time.Nanosecond)
+			b = forward(fp, cas)
+		})
+		wg.Wait(p)
+		if a.Err != "" || b.Err != "" {
+			t.Fatalf("forwarded CAS errors: A %q, B %q", a.Err, b.Err)
+		}
+		aWon, bWon := a.Value == cas.Old, b.Value == cas.Old
+		if aWon || !bWon {
+			t.Fatalf("CAS outcomes A=%v B=%v, want A=false B=true", aWon, bWon)
+		}
+		if v, _ := sps[0].Load(p, 0, addr); v != 1 {
+			t.Fatalf("word = %d, want 1", v)
 		}
 	})
 }

@@ -1,11 +1,10 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/hw"
-
+	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -71,7 +70,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*pageFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, pageGrant{Code: codeOther, Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, sizeVMAReply, grantError(fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)))
 	}
 	// Count > 0 marks a prefetch (demand faults leave it zero). A
 	// single-page prefetch must still take the batch path: the requester
@@ -90,12 +89,13 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 		}
 		return msg.Reply(s.ep, m, size, *grant)
 	}
-	if req.Forward != fwdNone {
-		val, err := sp.applyForwarded(p, req)
+	if req.Op.Kind != mem.OpLoad {
+		// A forwarded write: apply it here, as a local thread would.
+		val, err := sp.access(p, s.homeCoreHint(), req.Addr, req.Op)
 		//popcornvet:allow dirver a forwarded-op reply installs no page copy (srcApplied); there is nothing for the replica to order
-		grant := pageGrant{Value: val, Src: srcApplied, Swapped: sp.lastApplySwap}
+		grant := pageGrant{Value: val, Src: srcApplied}
 		if err != nil {
-			grant = forwardedError(err)
+			grant = grantError(err)
 		}
 		return msg.Reply(s.ep, m, sizeVMAReply, grant)
 	}
@@ -105,21 +105,9 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	err := sp.dirTransaction(p, m.From, req.VPN, req.Write, req.NoCopy, &grant)
 	sp.asLock.RUnlock(p)
 	if err != nil {
-		grant = pageGrant{Code: codeOther, Err: err.Error()}
+		grant = grantError(err)
 	}
 	return msg.Reply(s.ep, m, grantSize(grant), grant)
-}
-
-// forwardedError maps a local access error onto a grant.
-func forwardedError(err error) pageGrant {
-	switch {
-	case errors.Is(err, ErrSegv):
-		return pageGrant{Code: codeSegv, Err: err.Error()}
-	case errors.Is(err, ErrAccess):
-		return pageGrant{Code: codeAccess, Err: err.Error()}
-	default:
-		return pageGrant{Code: codeOther, Err: err.Error()}
-	}
 }
 
 // handlePageInvalidate revokes this kernel's copy of a page on the origin's

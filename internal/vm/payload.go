@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"repro/internal/hw"
@@ -71,19 +73,11 @@ type vmaFetchReply struct {
 	Owner   msg.NodeID
 }
 
-// Forwarded-write operation codes (the D5 ablation: remote kernels ship
-// writes to the origin instead of taking page ownership).
-const (
-	fwdNone = iota
-	fwdStore
-	fwdCAS
-	fwdFetchAdd
-)
-
-// pageFetchReq asks the origin's directory for access to a page, or (when
-// Forward is set) asks the origin to apply the write on the requester's
-// behalf, or (Count > 1) for a read-only batch grant of Count consecutive
-// pages (the prefetch path: one round trip instead of Count).
+// pageFetchReq asks the origin's directory for access to a page, or (when Op
+// is not a load) asks the origin to apply the write on the requester's behalf
+// (the D5 ablation: remote kernels ship writes to the origin instead of
+// taking page ownership), or (Count > 0) for a read-only batch grant of Count
+// consecutive pages (the prefetch path: one round trip instead of Count).
 type pageFetchReq struct {
 	GID   GID
 	VPN   mem.VPN
@@ -95,12 +89,9 @@ type pageFetchReq struct {
 	// failed install left the directory ahead of the page table); the origin
 	// then drops the stale sharer entry so the regrant carries the data.
 	NoCopy bool
-	// Forward selects a remotely applied operation (fwd* codes); Addr, Val
-	// and Old are its operands.
-	Forward int
-	Addr    mem.Addr
-	Val     int64
-	Old     int64
+	// Addr and Op are a forwarded write's word and the access to apply to it.
+	Addr mem.Addr
+	Op   mem.Op
 }
 
 // batchEntry is one page's grant inside a batched (prefetch) reply.
@@ -130,11 +121,10 @@ const (
 type pageGrant struct {
 	Err  string
 	Code int
-	// Swapped reports a forwarded CAS's outcome.
-	Swapped bool
 	// Batch carries per-page grants for a prefetch request.
 	Batch []batchEntry
-	// Value is the page contents (the simulation's one-word proxy).
+	// Value is the page contents (the simulation's one-word proxy), or a
+	// forwarded write's result.
 	Value int64
 	// Src is the kernel the data came from, or srcZeroFill / srcHaveCopy.
 	Src int
@@ -146,6 +136,31 @@ type pageGrant struct {
 	// retransmit), the version is the only way to order a late grant
 	// against the revocation that overtook it.
 	Version uint64
+}
+
+// grantError encodes err as a grant, keeping ErrSegv and ErrAccess
+// identifiable across the wire.
+func grantError(err error) pageGrant {
+	code := codeOther
+	switch {
+	case errors.Is(err, ErrSegv):
+		code = codeSegv
+	case errors.Is(err, ErrAccess):
+		code = codeAccess
+	}
+	return pageGrant{Code: code, Err: err.Error()}
+}
+
+// err decodes a grant's error (grant.Err != ""); prefix names the request
+// for an error that is neither ErrSegv nor ErrAccess.
+func (g *pageGrant) err(prefix string) error {
+	switch g.Code {
+	case codeSegv:
+		return fmt.Errorf("%w: %s", ErrSegv, g.Err)
+	case codeAccess:
+		return fmt.Errorf("%w: %s", ErrAccess, g.Err)
+	}
+	return fmt.Errorf("%s: %s", prefix, g.Err)
 }
 
 // pageInval revokes or downgrades a copy at its destination kernel.

@@ -132,11 +132,6 @@ type Space struct {
 	// shootdowns for this space hit at most that many cores (the
 	// replicated kernel's mm_cpumask analogue).
 	localThreads int
-	// lastForwardSwap / lastApplySwap carry a forwarded CAS's outcome
-	// between the protocol layers (valid immediately after the call in
-	// the run-to-block execution model).
-	lastForwardSwap bool
-	lastApplySwap   bool
 
 	// Origin-only state.
 	asLock  *sim.RWMutex
@@ -486,10 +481,6 @@ func (de *dirEntry) loseCopies(dead msg.NodeID) bool {
 
 // GID returns the group this space belongs to.
 func (sp *Space) GID() GID { return sp.gid }
-
-// AttachChecker wires the coherence sanitizer in via this space's service
-// (all spaces on a kernel share the hook). Nil detaches.
-func (sp *Space) AttachChecker(c *sanitize.Checker) { sp.svc.AttachChecker(c) }
 
 // Origin returns the group's origin kernel.
 func (sp *Space) Origin() msg.NodeID { return sp.origin }
