@@ -89,17 +89,22 @@ soak:
 	$(GO) run ./cmd/popcornmc -workload failover -seeds 64
 
 # Schedule oracle for refactors that must not move the schedule (not part of
-# verify): build cmd/popcornmc from commit BASE and from the working tree, and
-# diff their -v per-seed lines (events, violations, message counts) over the
-# three sweep legs and the three soak rows. Any output is a moved schedule.
-# BASE is exported with git archive, so no worktree is left behind.
+# verify): build cmd/popcornmc and cmd/popcornsim from commit BASE and from the
+# working tree, and diff their outputs. popcornmc's -v per-seed lines (events,
+# violations, message counts) cover the three sweep legs and the three soak
+# rows; popcornmc boots only the replicated kernel, so popcornsim -compare
+# (popcorn, smp and multikernel on one workload) covers the baselines, its
+# stdout and its -report JSON over a fixed list of workloads. Any output is a
+# moved schedule. BASE is exported with git archive, so no worktree is left
+# behind.
 BASE ?= HEAD~1
 ORACLE_DIR ?= /tmp/popcorn-schedule-oracle
 schedule-oracle:
 	rm -rf $(ORACLE_DIR) && mkdir -p $(ORACLE_DIR)/base
 	git archive $(BASE) | tar -x -C $(ORACLE_DIR)/base
-	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/popcornmc-base ./cmd/popcornmc
+	cd $(ORACLE_DIR)/base && $(GO) build -o $(ORACLE_DIR)/popcornmc-base ./cmd/popcornmc && $(GO) build -o $(ORACLE_DIR)/popcornsim-base ./cmd/popcornsim
 	$(GO) build -o $(ORACLE_DIR)/popcornmc-head ./cmd/popcornmc
+	$(GO) build -o $(ORACLE_DIR)/popcornsim-head ./cmd/popcornsim
 	@set -e; for args in "-workload all" "-workload all -planes faults" "-workload all -planes faults,flow,failover" \
 		"-workload chaos" "-workload overload" "-workload failover"; do \
 		echo "schedule-oracle: popcornmc -v -seeds 16 $$args"; \
@@ -107,7 +112,15 @@ schedule-oracle:
 		$(ORACLE_DIR)/popcornmc-head -v -seeds 16 $$args > $(ORACLE_DIR)/head.out 2>&1 || true; \
 		diff $(ORACLE_DIR)/base.out $(ORACLE_DIR)/head.out; \
 	done
-	@echo "schedule-oracle: per-seed lines identical to $(BASE)"
+	@set -e; for wl in mmapstorm mmapstorm-shared faultsweep futexchain-shared npb-cg kvstore migrate; do \
+		echo "schedule-oracle: popcornsim -compare -workload $$wl"; \
+		for side in base head; do \
+			rm -f $(ORACLE_DIR)/$$side.json; $(ORACLE_DIR)/popcornsim-$$side -compare -workload $$wl -report $(ORACLE_DIR)/$$side.json > $(ORACLE_DIR)/$$side.out 2>&1 || true; \
+		done; \
+		diff $(ORACLE_DIR)/base.out $(ORACLE_DIR)/head.out; \
+		diff $(ORACLE_DIR)/base.json $(ORACLE_DIR)/head.json; \
+	done
+	@echo "schedule-oracle: per-seed lines and baseline runs identical to $(BASE)"
 
 # Tier-1 under the race detector: among it the table gate (every experiment's
 # table digest at both scales, traced equal to untraced, the traced span

@@ -52,7 +52,6 @@ import (
 
 	"repro/internal/adversity"
 	"repro/internal/core"
-	"repro/internal/faultinj"
 	"repro/internal/msg"
 	"repro/internal/sanitize"
 	"repro/internal/sim"
@@ -266,12 +265,9 @@ func runOne(cfg runCfg) outcome {
 	if pl.faults {
 		// The schedule seed seeds the plan too, so every sweep seed explores
 		// a different fault pattern.
-		plan := r.Plan(cfg.seed)
-		if cfg.inject >= 0 {
-			plan.Rules = append([]faultinj.Rule{msg.SkipRevokeRule(msg.NodeID(cfg.inject))}, plan.Rules...)
-		}
-		o.EnableFaults(plan, msg.FaultConfig{})
-	} else if cfg.inject >= 0 {
+		o.EnableFaults(r.Plan(cfg.seed), msg.FaultConfig{})
+	}
+	if cfg.inject >= 0 {
 		for k := 0; k < o.Kernels(); k++ {
 			o.Kernel(k).VM.InjectSkipRevoke(msg.NodeID(cfg.inject))
 		}

@@ -98,8 +98,19 @@ func TestPlaneMatrix(t *testing.T) {
 // kernel 1; kernel 0 is never sent an invalidation, so planting there is a
 // no-op and sweeps clean): the sanitizer must catch it, the
 // shrunk prefix must still fail while one event fewer does not, and the
-// command line must print the replay for exactly that prefix.
+// command line must print the replay for exactly that prefix. Under the
+// fault plane the plant is the same vm one, counted where it skips a
+// revocation, and the sanitizer catches it there too.
 func TestPlantCaughtAndShrunk(t *testing.T) {
+	r := rowNamed(t, "migration")
+	r.report = []stat{counters("skipped", "vm.inject.skipped")}
+	faulted := cfgFor(r, 1, planes{faults: true})
+	faulted.inject = 1
+	if out := runOne(faulted); !out.safety || out.vals["skipped"] == 0 {
+		t.Errorf("skip-revoke=1 under faults: err=%v violations=%d vm.inject.skipped=%d; want a violation and a skipped revocation",
+			out.err, len(out.violations), out.vals["skipped"])
+	}
+
 	cfg := cfgFor(rowNamed(t, "migration"), 1, planes{})
 	cfg.inject = 1
 	out := runOne(cfg)

@@ -720,23 +720,6 @@ func (t *Thread) Migrate(kernelHint int) error {
 	return nil
 }
 
-// MigrateToData moves the thread to the kernel currently holding the page
-// at addr (the paper's follow-the-data use case, automated: the directory
-// is asked where the data lives, then the ordinary migration protocol
-// runs). A no-op when the data is already local.
-func (t *Thread) MigrateToData(addr mem.Addr) error {
-	sp, err := t.space()
-	if err != nil {
-		return err
-	}
-	t.p.Sleep(t.k.Machine.Cost.SyscallTrap)
-	owner, err := sp.Whereis(t.p, addr)
-	if err != nil {
-		return err
-	}
-	return t.Migrate(int(owner))
-}
-
 // Prefetch batches read grants for [addr, addr+pages*PageSize) into one
 // origin round trip (madvise(WILLNEED) for the distributed address
 // space). Advisory; returns how many pages were installed.

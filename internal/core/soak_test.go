@@ -205,68 +205,6 @@ func (l *soakLock) unlock(t osi.Thread) error {
 	return err
 }
 
-func TestMigrateToDataFollowsOwnership(t *testing.T) {
-	os := boot(t, 4)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, _ := os.StartProcessOn(p, 0)
-		var addr mem.Addr
-		ready := sim.NewWaitGroup()
-		ready.Add(1)
-		// A producer on kernel 2 owns the page exclusively.
-		_ = pr.Spawn(p, 2, func(th osi.Thread) {
-			a, _ := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
-			_ = th.Store(a, 42)
-			addr = a
-			ready.Done()
-		})
-		// A consumer on kernel 1 follows the data.
-		_ = pr.Spawn(p, 1, func(th osi.Thread) {
-			ready.Wait(th.Proc())
-			if err := th.(*Thread).MigrateToData(addr); err != nil {
-				t.Errorf("MigrateToData: %v", err)
-				return
-			}
-			if th.KernelID() != 2 {
-				t.Errorf("consumer on kernel %d, want 2 (the owner)", th.KernelID())
-			}
-			if v, _ := th.Load(addr); v != 42 {
-				t.Errorf("value = %d", v)
-			}
-			// Already local: a second call must be a no-op.
-			if err := th.(*Thread).MigrateToData(addr); err != nil {
-				t.Errorf("second MigrateToData: %v", err)
-			}
-			if th.KernelID() != 2 {
-				t.Errorf("no-op moved the thread to %d", th.KernelID())
-			}
-		})
-		pr.Wait(p)
-		_ = pr.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestMigrateToDataUnmappedErrors(t *testing.T) {
-	os := boot(t, 2)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
-		pr, _ := os.StartProcessOn(p, 0)
-		_ = pr.Spawn(p, 1, func(th osi.Thread) {
-			if err := th.(*Thread).MigrateToData(0xdead000); err == nil {
-				t.Error("MigrateToData to unmapped address succeeded")
-			}
-		})
-		pr.Wait(p)
-		_ = pr.Close(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestOverloadedKernelStillServesProtocols(t *testing.T) {
 	// Saturate kernel 0's cores with compute hogs, then drive protocol
 	// traffic against it (it is the group origin): remote faults, VMA ops

@@ -5,6 +5,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 )
@@ -201,14 +202,14 @@ func (pt *PageTable) ClearRange(lo, hi VPN) []PTE {
 	return cleared
 }
 
-// Downgrade clears the write bit on all present entries in [lo, hi),
-// returning how many entries changed. Used when a page loses exclusive
-// ownership.
-func (pt *PageTable) Downgrade(lo, hi VPN) int {
+// Protect strips every bit outside prot from the present entries in
+// [lo, hi), returning how many entries changed. Entries keep their frames;
+// an entry never gains a bit here (upgrades go through the fault path).
+func (pt *PageTable) Protect(lo, hi VPN, prot Prot) int {
 	n := 0
 	for v := lo; v < hi; v++ {
-		if e, ok := pt.entries[v]; ok && e.Prot.Writable() {
-			e.Prot &^= ProtWrite
+		if e, ok := pt.entries[v]; ok && e.Prot&prot != e.Prot {
+			e.Prot &= prot
 			pt.entries[v] = e
 			n++
 		}
@@ -219,12 +220,20 @@ func (pt *PageTable) Downgrade(lo, hi VPN) int {
 // Len returns the number of present entries.
 func (pt *PageTable) Len() int { return len(pt.entries) }
 
-// All returns a snapshot of every present entry, for teardown walks.
-func (pt *PageTable) All() map[VPN]PTE {
-	out := make(map[VPN]PTE, len(pt.entries))
-	for v, e := range pt.entries {
-		out[v] = e
+// Drain empties the table and returns its entries in page order, for
+// teardown walks: the order frames go back decides which frame numbers
+// later allocations get.
+func (pt *PageTable) Drain() []PTE {
+	vpns := make([]VPN, 0, len(pt.entries))
+	for v := range pt.entries {
+		vpns = append(vpns, v)
 	}
+	slices.Sort(vpns)
+	out := make([]PTE, len(vpns))
+	for i, v := range vpns {
+		out[i] = pt.entries[v]
+	}
+	clear(pt.entries)
 	return out
 }
 

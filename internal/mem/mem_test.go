@@ -268,35 +268,42 @@ func TestPageTableClearRange(t *testing.T) {
 	}
 }
 
-func TestPageTableDowngrade(t *testing.T) {
+func TestPageTableProtect(t *testing.T) {
 	pt := NewPageTable()
 	pt.Set(1, PTE{Frame: 1, Prot: ProtRead | ProtWrite})
 	pt.Set(2, PTE{Frame: 2, Prot: ProtRead})
-	n := pt.Downgrade(0, 10)
-	if n != 1 {
-		t.Fatalf("Downgrade changed %d entries, want 1", n)
+	pt.Set(3, PTE{Frame: 3, Prot: ProtRead | ProtWrite})
+	if n := pt.Protect(0, 3, ProtRead|ProtExec); n != 1 {
+		t.Fatalf("Protect changed %d entries, want 1", n)
 	}
-	e, _ := pt.Lookup(1)
-	if e.Prot.Writable() {
-		t.Fatal("entry 1 still writable after Downgrade")
+	if e, _ := pt.Lookup(1); e.Prot != ProtRead || e.Frame != 1 {
+		t.Fatalf("entry 1 = %+v, want read-only on frame 1", e)
 	}
-	if !e.Prot.Readable() {
-		t.Fatal("Downgrade removed the read bit")
+	if e, _ := pt.Lookup(2); e.Prot != ProtRead {
+		t.Fatalf("entry 2 gained bits: %v", e.Prot)
+	}
+	if e, _ := pt.Lookup(3); e.Prot != ProtRead|ProtWrite {
+		t.Fatalf("entry 3 (exclusive bound) changed to %v", e.Prot)
+	}
+	if n := pt.Protect(0, 10, 0); n != 3 || pt.Len() != 3 {
+		t.Fatalf("Protect to none changed %d entries, Len %d; want 3, 3", n, pt.Len())
 	}
 }
 
-func TestPageTableAllSnapshot(t *testing.T) {
+func TestPageTableDrain(t *testing.T) {
 	pt := NewPageTable()
-	pt.Set(1, PTE{Frame: 10, Prot: ProtRead})
-	pt.Set(2, PTE{Frame: 20, Prot: ProtRead | ProtWrite})
-	snap := pt.All()
-	if len(snap) != 2 || snap[1].Frame != 10 || snap[2].Frame != 20 {
-		t.Fatalf("All = %v", snap)
+	for _, v := range []VPN{9, 2, 5} {
+		pt.Set(v, PTE{Frame: FrameID(v * 10), Prot: ProtRead})
 	}
-	// Mutating the snapshot must not affect the table.
-	delete(snap, 1)
-	if _, ok := pt.Lookup(1); !ok {
-		t.Fatal("snapshot mutation leaked into the table")
+	got := pt.Drain()
+	if len(got) != 3 || got[0].Frame != 20 || got[1].Frame != 50 || got[2].Frame != 90 {
+		t.Fatalf("Drain = %v, want frames 20, 50, 90 in page order", got)
+	}
+	if pt.Len() != 0 {
+		t.Fatalf("Len = %d after Drain, want 0", pt.Len())
+	}
+	if got := pt.Drain(); len(got) != 0 {
+		t.Fatalf("second Drain = %v, want nothing", got)
 	}
 }
 

@@ -126,14 +126,6 @@ type FaultHooks struct {
 	NodeRebooted func(n NodeID)
 }
 
-// SkipRevokeRule re-expresses vm.InjectSkipRevoke as a fault-plan rule:
-// every page-invalidation sent to the target kernel is dropped, so the
-// origin proceeds on an exhausted revocation and the sanitizer can watch
-// the stale copy being used.
-func SkipRevokeRule(node NodeID) faultinj.Rule {
-	return faultinj.Rule{From: faultinj.Wildcard, To: int(node), Type: int(TypePageInvalidate), DropP: 1}
-}
-
 // EnableFaults attaches a fault plan to the fabric and switches the
 // transport into its hardened mode: RPC timeout/retransmit with dedup,
 // link-layer redelivery of dropped sends, and — once a kernel crashes —

@@ -10,7 +10,6 @@ package multikernel
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/hw"
@@ -210,16 +209,8 @@ func (o *OS) SpawnDomain(p *sim.Proc, kernelID int, wg *sim.WaitGroup, fn Domain
 		fn(d)
 		n.sched.Release(dp)
 		delete(n.domains, d.id)
-		// In page order: the order frames go back decides which frame
-		// numbers later allocations get.
-		all := d.pt.All()
-		vpns := make([]mem.VPN, 0, len(all))
-		for v := range all {
-			vpns = append(vpns, v)
-		}
-		slices.Sort(vpns)
-		for _, v := range vpns {
-			if pte := all[v]; pte.Frame != mem.NoFrame {
+		for _, pte := range d.pt.Drain() {
+			if pte.Frame != mem.NoFrame {
 				n.frames.FreeFrame(dp, pte.Frame)
 			}
 		}

@@ -321,3 +321,81 @@ func TestConformanceSbrk(t *testing.T) {
 		t.Fatalf("final break = %#x, want %#x", uint64(pop.old3), uint64(pop.old1+2*hw.PageSize))
 	}
 }
+
+// TestConformanceBadRanges runs the layout calls that must be rejected or
+// ignored on both flavours: each must reach the same ErrBadRange verdict,
+// and the next mapping after it must land at the same address — a rejected
+// call moves no cursor, and both flavours place mappings alike.
+func TestConformanceBadRanges(t *testing.T) {
+	type verdict struct {
+		badRange bool
+		next     mem.Addr
+	}
+	cases := []struct {
+		name     string
+		call     func(th osi.Thread, base mem.Addr) error
+		badRange bool
+	}{
+		{"zero-length mmap", func(th osi.Thread, _ mem.Addr) error {
+			_, err := th.Mmap(0, mem.ProtRead)
+			return err
+		}, true},
+		{"unaligned munmap", func(th osi.Thread, base mem.Addr) error { return th.Munmap(base+1, hw.PageSize) }, true},
+		{"munmap of a hole", func(th osi.Thread, base mem.Addr) error { return th.Munmap(base+64*hw.PageSize, hw.PageSize) }, false},
+		{"mprotect over a hole", func(th osi.Thread, base mem.Addr) error {
+			return th.Mprotect(base+hw.PageSize, 64*hw.PageSize, mem.ProtRead)
+		}, true},
+		{"brk below the heap base", func(th osi.Thread, _ mem.Addr) error {
+			_, err := th.Sbrk(-hw.PageSize)
+			return err
+		}, true},
+	}
+	results := make(map[string][]verdict)
+	for name, o := range bootAll(t) {
+		e := o.Engine()
+		e.Spawn("program", func(p *sim.Proc) {
+			pr, err := o.StartProcess(p)
+			if err != nil {
+				t.Errorf("%s: StartProcess: %v", name, err)
+				return
+			}
+			if err := pr.Spawn(p, 0, func(th osi.Thread) {
+				base, err := th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
+				if err != nil {
+					panic(err)
+				}
+				for _, c := range cases {
+					err := c.call(th, base)
+					if err != nil && !errors.Is(err, vm.ErrBadRange) {
+						t.Errorf("%s: %s: %v, want ErrBadRange or nil", name, c.name, err)
+					}
+					v := verdict{badRange: err != nil}
+					if v.next, err = th.Mmap(hw.PageSize, mem.ProtRead); err != nil {
+						panic(err)
+					}
+					results[name] = append(results[name], v)
+				}
+			}); err != nil {
+				t.Errorf("%s: Spawn: %v", name, err)
+				return
+			}
+			pr.Wait(p)
+			_ = pr.Close(p)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+	}
+	pop, smp := results["popcorn"], results["smp"]
+	if len(pop) != len(cases) || len(smp) != len(cases) {
+		t.Fatalf("ran %d and %d cases, want %d", len(pop), len(smp), len(cases))
+	}
+	for i, c := range cases {
+		if pop[i] != smp[i] {
+			t.Errorf("%s: popcorn %+v, smp %+v", c.name, pop[i], smp[i])
+		}
+		if pop[i].badRange != c.badRange {
+			t.Errorf("%s: ErrBadRange = %v, want %v", c.name, pop[i].badRange, c.badRange)
+		}
+	}
+}

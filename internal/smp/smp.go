@@ -21,7 +21,6 @@ package smp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -36,10 +35,6 @@ import (
 // futexBuckets is the size of the global futex hash table (Linux sizes it
 // by core count; 256 matches the era's defaults for this machine class).
 const futexBuckets = 256
-
-// mapBase matches the replicated kernel's anonymous-mapping base so
-// workloads see identical address ranges.
-const mapBase mem.Addr = 1 << 32
 
 // Config configures an SMP boot.
 type Config struct {
@@ -177,27 +172,23 @@ func (o *OS) allocPID(p *sim.Proc) int64 {
 	return pid
 }
 
-// mmStruct is a process's memory descriptor: one VMA tree and page table
-// shared by all its threads, guarded by mmap_sem.
+// mmStruct is a process's memory descriptor: one layout and page table
+// shared by all its threads, guarded by mmap_sem. The layout is the
+// replicated kernel's own (vm.Layout), so both OSes place, unmap and protect
+// alike and differ only in how they coordinate it.
 type mmStruct struct {
 	os      *OS
 	mmapSem *sim.RWMutex
-	vmas    vm.AreaSet
+	layout  vm.Layout
 	pt      *mem.PageTable
 	values  map[mem.VPN]int64
 	// lastWriter tracks the core that last wrote each page, to charge the
 	// hardware cache-line transfer that cross-core sharing costs.
 	lastWriter map[mem.VPN]int
-	nextMap    mem.Addr
 	// activeThreads approximates mm_cpumask: TLB shootdowns hit only as
 	// many cores as the process has live threads.
 	activeThreads int
-	// brk is the current program break.
-	brk mem.Addr
 }
-
-// heapBase mirrors the replicated kernel's heap placement.
-const heapBase mem.Addr = 1 << 28
 
 // shootdownRemote returns how many remote cores a layout change must IPI
 // and whether they span NUMA nodes.
@@ -245,11 +236,10 @@ func (o *OS) StartProcess(p *sim.Proc) (osi.Process, error) {
 		mm: &mmStruct{
 			os:         o,
 			mmapSem:    sim.NewRWMutex(o.e),
+			layout:     vm.NewLayout(),
 			pt:         mem.NewPageTable(),
 			values:     make(map[mem.VPN]int64),
 			lastWriter: make(map[mem.VPN]int),
-			nextMap:    mapBase,
-			brk:        heapBase,
 		},
 		wg:         sim.NewWaitGroup(),
 		node:       node,
@@ -287,19 +277,10 @@ func (pr *Process) Wait(p *sim.Proc) { pr.wg.Wait(p) }
 
 // Close implements osi.Process. SMP teardown frees the process's frames.
 func (pr *Process) Close(p *sim.Proc) error {
-	// In page order: the order frames go back decides which frame numbers
-	// later allocations get.
-	all := pr.mm.pt.All()
-	vpns := make([]mem.VPN, 0, len(all))
-	for v := range all {
-		vpns = append(vpns, v)
-	}
-	slices.Sort(vpns)
-	for _, v := range vpns {
-		if pte := all[v]; pte.Frame != mem.NoFrame {
+	for _, pte := range pr.mm.pt.Drain() {
+		if pte.Frame != mem.NoFrame {
 			pr.os.zones[pte.HomeNode].FreeFrame(p, pte.Frame)
 		}
-		pr.mm.pt.Clear(v)
 	}
 	return nil
 }

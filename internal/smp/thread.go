@@ -52,95 +52,64 @@ func (t *Thread) Mmap(length uint64, prot mem.Prot) (mem.Addr, error) {
 		return 0, fmt.Errorf("%w: zero-length map", vm.ErrBadRange)
 	}
 	o := t.pr.os
-	mm := t.pr.mm
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
 	o.metrics.Counter("smp.mmap").Inc()
 	start := t.p.Now()
-	mm.mmapSem.Lock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mm.mmapSem.Waiters()), o.crossNode()) + o.machine.Cost.VMAOp)
-	pages := int((length + hw.PageSize - 1) / hw.PageSize)
-	addr := mm.nextMap
-	mm.nextMap += mem.Addr(pages * hw.PageSize)
-	lo := mem.PageOf(addr)
-	err := mm.vmas.Insert(vm.VMA{Lo: lo, Hi: lo + mem.VPN(pages), Prot: prot})
-	mm.mmapSem.Unlock(t.p)
+	addr, err := t.layout(vm.OpMap, 0, length, prot)
 	o.metrics.Histogram("smp.mmap.latency").Observe(t.p.Now().Sub(start))
-	if err != nil {
-		return 0, err
-	}
-	return addr, nil
+	return addr, err
 }
 
 // Sbrk implements osi.Thread: brk(2) under mmap_sem.
 func (t *Thread) Sbrk(delta int64) (mem.Addr, error) {
-	o := t.pr.os
-	mm := t.pr.mm
-	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	mm.mmapSem.Lock(t.p)
-	defer mm.mmapSem.Unlock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mm.mmapSem.Waiters()), o.crossNode()) + o.machine.Cost.VMAOp)
-	old := mm.brk
-	if delta == 0 {
-		return old, nil
-	}
-	pages := (delta + hw.PageSize - 1) / hw.PageSize
-	if delta < 0 {
-		pages = -((-delta + hw.PageSize - 1) / hw.PageSize)
-	}
-	newBrk := old + mem.Addr(pages*hw.PageSize)
-	if newBrk < heapBase {
-		return 0, fmt.Errorf("%w: brk below heap base", vm.ErrBadRange)
-	}
-	if delta > 0 {
-		if err := mm.vmas.Insert(vm.VMA{Lo: mem.PageOf(old), Hi: mem.PageOf(newBrk), Prot: mem.ProtRead | mem.ProtWrite}); err != nil {
-			return 0, err
-		}
-		mm.brk = newBrk
-		return old, nil
-	}
-	lo, hi := mem.PageOf(newBrk), mem.PageOf(old)
-	freed := 0
-	for _, r := range mm.vmas.Remove(lo, hi) {
-		for _, pte := range mm.pt.ClearRange(r.Lo, r.Hi) {
-			if pte.Frame != mem.NoFrame {
-				o.zones[pte.HomeNode].FreeFrame(t.p, pte.Frame)
-				freed++
-			}
-		}
-		for v := r.Lo; v < r.Hi; v++ {
-			delete(mm.values, v)
-			delete(mm.lastWriter, v)
-		}
-	}
-	mm.brk = newBrk
-	if freed > 0 {
-		remote, cross := mm.shootdownRemote()
-		t.p.Sleep(o.machine.TLBShootdown(remote, cross))
-	}
-	return old, nil
+	t.p.Sleep(t.pr.os.machine.Cost.SyscallTrap)
+	return t.layout(vm.OpBrk, 0, uint64(delta), 0)
 }
 
 // Munmap implements osi.Thread: mmap_sem exclusive, PTE teardown, zone
 // frees and a machine-wide TLB shootdown.
 func (t *Thread) Munmap(addr mem.Addr, length uint64) error {
-	if err := checkRange(addr, length); err != nil {
+	if err := vm.CheckRange(addr, length); err != nil {
 		return err
 	}
+	t.p.Sleep(t.pr.os.machine.Cost.SyscallTrap)
+	t.pr.os.metrics.Counter("smp.munmap").Inc()
+	_, err := t.layout(vm.OpUnmap, addr, length, 0)
+	return err
+}
+
+// Mprotect implements osi.Thread.
+func (t *Thread) Mprotect(addr mem.Addr, length uint64, prot mem.Prot) error {
+	if err := vm.CheckRange(addr, length); err != nil {
+		return err
+	}
+	t.p.Sleep(t.pr.os.machine.Cost.SyscallTrap)
+	t.pr.os.metrics.Counter("smp.mprotect").Inc()
+	_, err := t.layout(vm.OpProtect, addr, length, prot)
+	return err
+}
+
+// layout runs one layout operation under mmap_sem exclusive: the decision
+// the replicated kernel's origin makes (vm.Layout.Resolve), then this
+// process's pages — the removed ranges lose their entries, values and
+// frames, a protect strips PTE bits — and one TLB shootdown across the
+// process's cores if any entry changed.
+func (t *Thread) layout(op vm.LayoutOp, addr mem.Addr, length uint64, prot mem.Prot) (mem.Addr, error) {
 	o := t.pr.os
 	mm := t.pr.mm
-	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	o.metrics.Counter("smp.munmap").Inc()
 	mm.mmapSem.Lock(t.p)
+	defer mm.mmapSem.Unlock(t.p)
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(mm.mmapSem.Waiters()), o.crossNode()) + o.machine.Cost.VMAOp)
-	lo := mem.PageOf(addr)
-	hi := lo + mem.VPN((length+hw.PageSize-1)/hw.PageSize)
-	removed := mm.vmas.Remove(lo, hi)
-	freed := 0
+	at, u, removed, err := mm.layout.Resolve(op, addr, length, prot)
+	if err != nil {
+		return 0, err
+	}
+	touched := 0
 	for _, r := range removed {
 		for _, pte := range mm.pt.ClearRange(r.Lo, r.Hi) {
 			if pte.Frame != mem.NoFrame {
 				o.zones[pte.HomeNode].FreeFrame(t.p, pte.Frame)
-				freed++
+				touched++
 			}
 		}
 		for v := r.Lo; v < r.Hi; v++ {
@@ -148,62 +117,14 @@ func (t *Thread) Munmap(addr mem.Addr, length uint64) error {
 			delete(mm.lastWriter, v)
 		}
 	}
-	if freed > 0 {
-		// Shoot down the cores in the process's mm_cpumask.
-		remote, cross := mm.shootdownRemote()
-		t.p.Sleep(o.machine.TLBShootdown(remote, cross))
-	}
-	mm.mmapSem.Unlock(t.p)
-	return nil
-}
-
-// Mprotect implements osi.Thread.
-func (t *Thread) Mprotect(addr mem.Addr, length uint64, prot mem.Prot) error {
-	if err := checkRange(addr, length); err != nil {
-		return err
-	}
-	o := t.pr.os
-	mm := t.pr.mm
-	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	o.metrics.Counter("smp.mprotect").Inc()
-	mm.mmapSem.Lock(t.p)
-	defer mm.mmapSem.Unlock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mm.mmapSem.Waiters()), o.crossNode()) + o.machine.Cost.VMAOp)
-	lo := mem.PageOf(addr)
-	hi := lo + mem.VPN((length+hw.PageSize-1)/hw.PageSize)
-	if !mm.vmas.Covered(lo, hi) {
-		return fmt.Errorf("%w: mprotect range not fully mapped", vm.ErrBadRange)
-	}
-	changed := mm.vmas.Protect(lo, hi, prot)
-	if len(changed) == 0 {
-		return nil
-	}
-	touched := 0
-	for v := lo; v < hi; v++ {
-		if pte, ok := mm.pt.Lookup(v); ok {
-			np := pte.Prot & prot
-			if np != pte.Prot {
-				pte.Prot = np
-				mm.pt.Set(v, pte)
-				touched++
-			}
-		}
+	if u.Op == vm.OpProtect {
+		touched += mm.pt.Protect(u.Lo, u.Hi, u.Prot)
 	}
 	if touched > 0 {
 		remote, cross := mm.shootdownRemote()
 		t.p.Sleep(o.machine.TLBShootdown(remote, cross))
 	}
-	return nil
-}
-
-func checkRange(addr mem.Addr, length uint64) error {
-	if length == 0 {
-		return fmt.Errorf("%w: zero length", vm.ErrBadRange)
-	}
-	if uint64(addr)%hw.PageSize != 0 {
-		return fmt.Errorf("%w: address %#x not page-aligned", vm.ErrBadRange, uint64(addr))
-	}
-	return nil
+	return at, nil
 }
 
 // access is the SMP memory path: hardware-coherent, so no protocol — just
@@ -219,7 +140,7 @@ func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 		// Page fault (or protection check through the VMA).
 		t.p.Sleep(o.machine.Cost.PageFaultTrap)
 		mm.mmapSem.RLock(t.p)
-		area, found := mm.vmas.Find(vpn)
+		area, found := mm.layout.Find(vpn)
 		if !found {
 			mm.mmapSem.RUnlock(t.p)
 			return 0, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))

@@ -28,8 +28,8 @@ import (
 //     rest of the event-visible world, core and trace).
 //
 // Whether the ranged expression is a map is the type checker's answer: a
-// field, a call result (pt.All()) and a named map type from another package
-// are all the same question.
+// field, a call result (a getter returning a map) and a named map type from
+// another package are all the same question.
 type DetOrder struct{}
 
 // Name implements Analyzer.

@@ -274,9 +274,9 @@ func use(p *sim.Proc, ep *msg.Endpoint) {
 	wantRules(t, got, "Push can block on the fabric")
 }
 
-// TestLockSendSameNameDifferentReceiver is smp's mprotect: the in-memory
-// AreaSet.Protect under mmapSem is fine, the fabric-backed Space.Protect is
-// not, and only the receiver's type tells them apart.
+// TestLockSendSameNameDifferentReceiver is smp's mprotect: an in-memory
+// area set's Protect under mmapSem is fine, the fabric-backed Space.Protect
+// is not, and only the receiver's type tells them apart.
 func TestLockSendSameNameDifferentReceiver(t *testing.T) {
 	got := findingsFor(t, map[string]string{
 		"internal/smp/mm.go": `package smp

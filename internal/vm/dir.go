@@ -26,7 +26,7 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 		dirScope = col.Begin(p, "vm.dir", int(sp.svc.node))
 	}
 	defer dirScope.End()
-	vma, ok := sp.vmas.find(vpn)
+	vma, ok := sp.layout.Find(vpn)
 	switch {
 	case !ok:
 		*g = pageGrant{Code: codeSegv, Err: fmt.Sprintf("page %#x unmapped", uint64(vpn.Base()))}

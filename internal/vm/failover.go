@@ -75,10 +75,7 @@ type dirRepl struct {
 // origin dies.
 type dirMirror struct {
 	entries map[mem.VPN]dirState
-	vmas    *vmaSet
-	version uint64
-	nextMap mem.Addr
-	brk     mem.Addr
+	layout  Layout
 }
 
 // shipRepl synchronously mirrors one record of this origin's own state to its
@@ -113,7 +110,7 @@ func (sp *Space) shipDirEntry(p *sim.Proc, vpn mem.VPN, de *dirEntry) {
 // the layout replication stream arrives in version order.
 func (sp *Space) shipLayout(p *sim.Proc, u vmaUpdate) {
 	sp.svc.shipRepl(p, dirRepl{
-		Kind: replLayout, GID: sp.gid, Layout: u, NextMap: sp.nextMap, Brk: sp.brk,
+		Kind: replLayout, GID: sp.gid, Layout: u, NextMap: sp.layout.nextMap, Brk: sp.layout.brk,
 	})
 }
 
@@ -151,7 +148,7 @@ func (s *Service) handleDirReplicate(p *sim.Proc, m *msg.Message) *msg.Message {
 func (s *Service) applyRepl(rep *dirRepl) {
 	mir, ok := s.mirrors[rep.GID]
 	if !ok {
-		mir = &dirMirror{entries: make(map[mem.VPN]dirState), vmas: &vmaSet{}, nextMap: mapBase, brk: heapBase}
+		mir = &dirMirror{entries: make(map[mem.VPN]dirState), layout: NewLayout()}
 		s.mirrors[rep.GID] = mir
 	}
 	switch rep.Kind {
@@ -162,16 +159,16 @@ func (s *Service) applyRepl(rep *dirRepl) {
 		mir.entries[rep.VPN] = rep.Entry
 	case replLayout:
 		u := rep.Layout
-		if u.Version <= mir.version {
+		if u.Version <= mir.layout.version {
 			break // duplicate: the stream is Call-serialised, never reordered
 		}
-		mir.vmas.apply(u)
-		if u.Op == opUnmap {
+		mir.layout.vmas.apply(u)
+		if u.Op == OpUnmap {
 			for v := u.Lo; v < u.Hi; v++ {
 				delete(mir.entries, v)
 			}
 		}
-		mir.version, mir.nextMap, mir.brk = u.Version, rep.NextMap, rep.Brk
+		mir.layout.version, mir.layout.nextMap, mir.layout.brk = u.Version, rep.NextMap, rep.Brk
 	case replValue:
 		// Patch the value, leaving state/owner/version alone: the origin's
 		// own replEntry for the same transaction (same version) must still
@@ -213,9 +210,9 @@ func (s *Service) Promote(gid GID, dead msg.NodeID) {
 	delete(s.mirrors, gid)
 	s.metrics.Counter("dir.failover.promoted").Inc()
 	sp := s.makeOrigin(gid)
-	sp.vmas = mir.vmas
-	sp.version = max(sp.version, mir.version)
-	sp.nextMap, sp.brk = mir.nextMap, mir.brk
+	version := max(sp.layout.version, mir.layout.version)
+	sp.layout = mir.layout
+	sp.layout.version = version
 	vpns := make([]mem.VPN, 0, len(mir.entries))
 	for vpn := range mir.entries {
 		vpns = append(vpns, vpn)

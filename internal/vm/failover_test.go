@@ -206,7 +206,7 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 					t.Fatalf("k%d %s: %v", k, st.name, err)
 				}
 				mir := ev.svcs[1].mirrors[1]
-				if err := layoutDiff(origin, mir.vmas, mir.version, mir.nextMap, mir.brk); err != nil {
+				if err := layoutDiff(&mir.layout, &origin.layout); err != nil {
 					t.Fatalf("after k%d %s, mirror: %v", k, st.name, err)
 				}
 				if err := dirDiff(origin, mir.entries, func(de *dirEntry) {}); err != nil {
@@ -216,7 +216,7 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 		}
 		ev.promote(t, 1, 0)
 		promoted := ev.svcs[1].spaces[1]
-		if err := layoutDiff(origin, promoted.vmas, promoted.version, promoted.nextMap, promoted.brk); err != nil {
+		if err := layoutDiff(&promoted.layout, &origin.layout); err != nil {
 			t.Errorf("promoted: %v", err)
 		}
 		promotedDir := make(map[mem.VPN]dirState, len(promoted.dir))
@@ -230,15 +230,15 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 	})
 }
 
-// layoutDiff reports how a copy's layout, version and allocator cursors
-// differ from the origin's.
-func layoutDiff(origin *Space, vmas *vmaSet, version uint64, nextMap, brk mem.Addr) error {
-	if !slices.Equal(vmas.areas, origin.vmas.areas) {
-		return fmt.Errorf("layout %v, origin %v", vmas, origin.vmas)
+// layoutDiff reports how a copy's layout — areas, version and allocator
+// cursors — differs from the origin's.
+func layoutDiff(got, origin *Layout) error {
+	if !slices.Equal(got.vmas.areas, origin.vmas.areas) {
+		return fmt.Errorf("layout %v, origin %v", &got.vmas, &origin.vmas)
 	}
-	if version != origin.version || nextMap != origin.nextMap || brk != origin.brk {
+	if got.version != origin.version || got.nextMap != origin.nextMap || got.brk != origin.brk {
 		return fmt.Errorf("version %d nextMap %#x brk %#x, origin %d %#x %#x",
-			version, uint64(nextMap), uint64(brk), origin.version, uint64(origin.nextMap), uint64(origin.brk))
+			got.version, uint64(got.nextMap), uint64(got.brk), origin.version, uint64(origin.nextMap), uint64(origin.brk))
 	}
 	return nil
 }

@@ -176,7 +176,7 @@ type accessResult struct {
 // lookupVMA finds the VMA covering the page, consulting the origin on a
 // replica cache miss.
 func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
-	if v, ok := sp.vmas.find(vpn); ok {
+	if v, ok := sp.layout.Find(vpn); ok {
 		return v, nil
 	}
 	if sp.isOrigin {
@@ -330,44 +330,6 @@ func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op mem.Op) (int64, err
 		return 0, grant.err("vm: forwarded write")
 	}
 	return grant.Value, nil
-}
-
-// Whereis reports which kernel currently holds the page containing addr:
-// the exclusive owner, the first sharer, or the origin for untouched pages.
-// It is the query behind the runtime's follow-the-data migration hint.
-func (sp *Space) Whereis(p *sim.Proc, addr mem.Addr) (msg.NodeID, error) {
-	vpn := mem.PageOf(addr)
-	if sp.isOrigin {
-		return sp.ownerOf(vpn), nil
-	}
-	r, err := msg.CallFor[vmaFetchReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAFetch, sp.origin, sizeSmallReq,
-		vmaFetchReq{GID: sp.gid, VPN: vpn, WantOwner: true},
-	))
-	if err != nil {
-		return 0, err
-	}
-	if !r.OK {
-		return 0, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
-	}
-	return r.Owner, nil
-}
-
-// ownerOf resolves the directory's notion of where a page's data lives.
-// Runs at the origin.
-func (sp *Space) ownerOf(vpn mem.VPN) msg.NodeID {
-	de, ok := sp.dir[vpn]
-	if !ok {
-		return sp.origin
-	}
-	switch de.state {
-	case pageModified:
-		return de.owner
-	case pageShared:
-		if de.sharers != 0 {
-			return de.sharers.first()
-		}
-	}
-	return sp.origin
 }
 
 // Prefetch brings up to `pages` consecutive pages starting at addr into

@@ -33,18 +33,16 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 	}
 	// A pushed map (the eager-push ablation) only pre-populates the
 	// replica's VMA cache; removals and re-protections also reach its pages.
-	sp.vmas.apply(*u)
+	sp.layout.vmas.apply(*u)
 	switch u.Op {
-	case opUnmap:
+	case OpUnmap:
 		sp.scrubLocal(p, u.Lo, u.Hi)
-	case opProtect:
+	case OpProtect:
 		sp.applyProtectLocal(p, u.Lo, u.Hi, u.Prot)
 	}
-	if u.Version > sp.version {
-		sp.version = u.Version
-	}
-	s.checker.LayoutApplied(s.node, int64(u.GID), sp.version)
-	return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{Version: sp.version})
+	sp.layout.version = max(sp.layout.version, u.Version)
+	s.checker.LayoutApplied(s.node, int64(u.GID), sp.layout.version)
+	return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{Version: sp.layout.version})
 }
 
 // handleVMAFetch serves a replica's VMA cache miss at the origin.
@@ -56,12 +54,8 @@ func (s *Service) handleVMAFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	}
 	sp.asLock.RLock(p)
 	defer sp.asLock.RUnlock(p)
-	vma, found := sp.vmas.find(req.VPN)
-	reply := vmaFetchReply{OK: found, VMA: vma, Version: sp.version}
-	if req.WantOwner && found {
-		reply.Owner = sp.ownerOf(req.VPN)
-	}
-	return msg.Reply(s.ep, m, sizeVMAReply, reply)
+	vma, found := sp.layout.Find(req.VPN)
+	return msg.Reply(s.ep, m, sizeVMAReply, vmaFetchReply{OK: found, VMA: vma, Version: sp.layout.version})
 }
 
 // handlePageFetch runs a directory transaction at the origin on behalf of a

@@ -10,19 +10,6 @@ import (
 	"repro/internal/msg"
 )
 
-// vmaOp enumerates the layout operations forwarded to the origin.
-type vmaOp int
-
-const (
-	opMap vmaOp = iota + 1
-	opUnmap
-	opProtect
-	opBrk
-)
-
-// opNames names each operation for error messages.
-var opNames = [...]string{opMap: "map", opUnmap: "unmap", opProtect: "protect", opBrk: "sbrk"}
-
 // Wire payload sizes (bytes) for message costing. Headers and small fixed
 // requests fit one or two cache lines; page grants carry the page itself.
 const (
@@ -34,7 +21,7 @@ const (
 // vmaOpReq forwards a layout operation from a remote kernel to the origin.
 type vmaOpReq struct {
 	GID    GID
-	Op     vmaOp
+	Op     LayoutOp
 	Addr   mem.Addr
 	Length uint64
 	Prot   mem.Prot
@@ -50,27 +37,23 @@ type vmaOpReply struct {
 // vmaUpdate pushes a committed layout change from the origin to a replica.
 type vmaUpdate struct {
 	GID     GID
-	Op      vmaOp
+	Op      LayoutOp
 	Lo, Hi  mem.VPN
 	Prot    mem.Prot
 	Version uint64
 }
 
-// vmaFetchReq asks the origin for the VMA covering a page, or (WantOwner)
-// for the kernel currently holding the page's data.
+// vmaFetchReq asks the origin for the VMA covering a page.
 type vmaFetchReq struct {
-	GID       GID
-	VPN       mem.VPN
-	WantOwner bool
+	GID GID
+	VPN mem.VPN
 }
 
-// vmaFetchReply returns the covering VMA, if one exists, and (for owner
-// queries) the holding kernel.
+// vmaFetchReply returns the covering VMA, if one exists.
 type vmaFetchReply struct {
 	OK      bool
 	VMA     VMA
 	Version uint64
-	Owner   msg.NodeID
 }
 
 // pageFetchReq asks the origin's directory for access to a page, or (when Op

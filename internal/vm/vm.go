@@ -22,9 +22,6 @@ import (
 // GID identifies a distributed thread group (the SSI process) machine-wide.
 type GID int64
 
-// mapBase is the first address the anonymous-mapping allocator hands out.
-const mapBase mem.Addr = 1 << 32
-
 // Errors reported by address-space operations.
 var (
 	// ErrSegv is returned for accesses to unmapped addresses.
@@ -120,9 +117,9 @@ type Space struct {
 	origin   msg.NodeID
 	isOrigin bool
 
-	// Replica state (all kernels).
-	vmas    *vmaSet
-	version uint64
+	// Replica state (all kernels). The layout is authoritative at the
+	// origin, a cache elsewhere.
+	layout  Layout
 	pt      *mem.PageTable
 	values  map[mem.VPN]int64
 	pending map[mem.VPN]*pendingFault
@@ -134,10 +131,8 @@ type Space struct {
 	localThreads int
 
 	// Origin-only state.
-	asLock  *sim.RWMutex
-	dir     map[mem.VPN]*dirEntry
-	nextMap mem.Addr
-	brk     mem.Addr
+	asLock *sim.RWMutex
+	dir    map[mem.VPN]*dirEntry
 	// replicas is the set of kernels that attached a replica (origin
 	// excluded); layout updates are pushed to these.
 	replicas nodeMask
@@ -334,7 +329,7 @@ func (s *Service) addSpace(gid GID, origin msg.NodeID) *Space {
 		svc:     s,
 		gid:     gid,
 		origin:  origin,
-		vmas:    &vmaSet{},
+		layout:  NewLayout(),
 		pt:      mem.NewPageTable(),
 		values:  make(map[mem.VPN]int64),
 		pending: make(map[mem.VPN]*pendingFault),
@@ -355,7 +350,6 @@ func (s *Service) makeOrigin(gid GID) *Space {
 	sp.origin, sp.isOrigin = s.node, true
 	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
 	sp.dir = make(map[mem.VPN]*dirEntry)
-	sp.nextMap, sp.brk = mapBase, heapBase
 	sp.replicas = 0
 	return sp
 }
@@ -398,15 +392,8 @@ func (s *Service) Drop(p *sim.Proc, gid GID) {
 	if !ok {
 		return
 	}
-	// In page order: the order frames go back decides which frame numbers
-	// later allocations get.
-	vpns := make([]mem.VPN, 0, len(sp.values))
-	for vpn := range sp.values {
-		vpns = append(vpns, vpn)
-	}
-	slices.Sort(vpns)
-	for _, vpn := range vpns {
-		if pte, ok := sp.pt.Lookup(vpn); ok && pte.Frame != mem.NoFrame {
+	for _, pte := range sp.pt.Drain() {
+		if pte.Frame != mem.NoFrame {
 			s.frames.FreeFrame(p, pte.Frame)
 		}
 	}
@@ -486,7 +473,7 @@ func (sp *Space) GID() GID { return sp.gid }
 func (sp *Space) Origin() msg.NodeID { return sp.origin }
 
 // Version returns the replica's layout version.
-func (sp *Space) Version() uint64 { return sp.version }
+func (sp *Space) Version() uint64 { return sp.layout.version }
 
 // ThreadArrived records a live group member on this kernel (clone or
 // inbound migration); ThreadLeft records an exit or outbound migration.

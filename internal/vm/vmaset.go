@@ -34,11 +34,6 @@ type vmaSet struct {
 	areas []VMA // sorted by Lo, pairwise disjoint
 }
 
-// clone returns a deep copy (the slice is the only mutable state).
-func (s *vmaSet) clone() *vmaSet {
-	return &vmaSet{areas: append([]VMA(nil), s.areas...)}
-}
-
 // len returns the number of areas.
 func (s *vmaSet) len() int { return len(s.areas) }
 
@@ -137,15 +132,15 @@ func (s *vmaSet) protect(lo, hi mem.VPN, prot mem.Prot) []VMA {
 // layout only through here.
 func (s *vmaSet) apply(u vmaUpdate) {
 	switch u.Op {
-	case opMap:
+	case OpMap:
 		s.remove(u.Lo, u.Hi)
 		// insert cannot fail after the remove cleared the range.
 		if err := s.insert(VMA{Lo: u.Lo, Hi: u.Hi, Prot: u.Prot}); err != nil {
 			panic(fmt.Sprintf("vm: layout apply: %v", err))
 		}
-	case opUnmap:
+	case OpUnmap:
 		s.remove(u.Lo, u.Hi)
-	case opProtect:
+	case OpProtect:
 		s.protect(u.Lo, u.Hi, u.Prot)
 	}
 }

@@ -208,16 +208,6 @@ func TestVMASetRandomOpsInvariant(t *testing.T) {
 	}
 }
 
-func TestVMASetClone(t *testing.T) {
-	s := &vmaSet{}
-	mustInsert(t, s, VMA{Lo: 0, Hi: 10, Prot: mem.ProtRead})
-	c := s.clone()
-	c.remove(0, 10)
-	if s.len() != 1 {
-		t.Fatal("clone shares state with original")
-	}
-}
-
 // invariantErr checks ordering, disjointness and maximal coalescing,
 // returning a description of the first violation.
 func (s *vmaSet) invariantErr() error {
