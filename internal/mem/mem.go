@@ -189,17 +189,17 @@ func (pt *PageTable) Clear(v VPN) bool {
 	return true
 }
 
-// ClearRange removes all entries in [lo, hi) and returns the cleared
-// entries (the caller frees frames / initiates shootdowns).
-func (pt *PageTable) ClearRange(lo, hi VPN) []PTE {
-	var cleared []PTE
+// ClearRange removes all entries in [lo, hi) and appends the cleared
+// entries to dst in page order, returning the extended slice (the caller
+// frees frames / initiates shootdowns). A dst with room allocates nothing.
+func (pt *PageTable) ClearRange(dst []PTE, lo, hi VPN) []PTE {
 	for v := lo; v < hi; v++ {
 		if e, ok := pt.entries[v]; ok {
-			cleared = append(cleared, e)
+			dst = append(dst, e)
 			delete(pt.entries, v)
 		}
 	}
-	return cleared
+	return dst
 }
 
 // Protect strips every bit outside prot from the present entries in

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,18 +254,36 @@ func TestPageTableClearRange(t *testing.T) {
 	for v := VPN(0); v < 10; v++ {
 		pt.Set(v, PTE{Frame: FrameID(v), Prot: ProtRead})
 	}
-	cleared := pt.ClearRange(3, 7)
-	if len(cleared) != 4 {
-		t.Fatalf("cleared %d entries, want 4", len(cleared))
+	pt.Clear(5)
+	var buf [8]PTE
+	cleared := pt.ClearRange(buf[:1], 3, 8)
+	want := []PTE{{}, {Frame: 3, Prot: ProtRead}, {Frame: 4, Prot: ProtRead}, {Frame: 6, Prot: ProtRead}, {Frame: 7, Prot: ProtRead}}
+	if !slices.Equal(cleared, want) {
+		t.Fatalf("ClearRange = %v, want dst's element then pages 3, 4, 6, 7 in order: %v", cleared, want)
 	}
-	if pt.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", pt.Len())
+	if &cleared[0] != &buf[0] {
+		t.Fatal("ClearRange did not fill dst's storage")
+	}
+	if pt.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", pt.Len())
 	}
 	if _, ok := pt.Lookup(3); ok {
 		t.Fatal("entry 3 survived ClearRange")
 	}
-	if _, ok := pt.Lookup(7); !ok {
-		t.Fatal("entry 7 (exclusive bound) was cleared")
+	if _, ok := pt.Lookup(8); !ok {
+		t.Fatal("entry 8 (exclusive bound) was cleared")
+	}
+	// With room in dst, clearing allocates nothing.
+	allocs := testing.AllocsPerRun(100, func() {
+		for v := VPN(0); v < 4; v++ {
+			pt.Set(v, PTE{Frame: FrameID(v)})
+		}
+		if got := pt.ClearRange(buf[:0], 0, 4); len(got) != 4 {
+			t.Fatalf("cleared %d entries, want 4", len(got))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ClearRange into a dst with room allocates %.1f per call, want 0", allocs)
 	}
 }
 

@@ -325,7 +325,10 @@ func TestConformanceSbrk(t *testing.T) {
 // TestConformanceBadRanges runs the layout calls that must be rejected or
 // ignored on both flavours: each must reach the same ErrBadRange verdict,
 // and the next mapping after it must land at the same address — a rejected
-// call moves no cursor, and both flavours place mappings alike.
+// call moves no cursor, and both flavours place mappings alike. The thread
+// issues every case on kernel 0, the process's origin, and again after
+// migrating to kernel 1, a replica that forwards its layout calls to the
+// origin: the forwarded error keeps its identity. SMP does not migrate.
 func TestConformanceBadRanges(t *testing.T) {
 	type verdict struct {
 		badRange bool
@@ -364,16 +367,24 @@ func TestConformanceBadRanges(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				for _, c := range cases {
-					err := c.call(th, base)
-					if err != nil && !errors.Is(err, vm.ErrBadRange) {
-						t.Errorf("%s: %s: %v, want ErrBadRange or nil", name, c.name, err)
-					}
-					v := verdict{badRange: err != nil}
-					if v.next, err = th.Mmap(hw.PageSize, mem.ProtRead); err != nil {
+				for _, k := range []int{0, 1} {
+					if err := th.Migrate(k); err != nil && !errors.Is(err, osi.ErrUnsupported) {
 						panic(err)
 					}
-					results[name] = append(results[name], v)
+					for _, c := range cases {
+						err := c.call(th, base)
+						if err != nil && !errors.Is(err, vm.ErrBadRange) {
+							t.Errorf("%s: kernel %d: %s: %v, want ErrBadRange or nil", name, k, c.name, err)
+						}
+						v := verdict{badRange: err != nil}
+						if v.next, err = th.Mmap(hw.PageSize, mem.ProtRead); err != nil {
+							panic(err)
+						}
+						results[name] = append(results[name], v)
+					}
+				}
+				if k, ok := th.(interface{ KernelID() int }); ok && name == "popcorn" && k.KernelID() != 1 {
+					t.Errorf("%s: thread ended on kernel %d, want the replica 1", name, k.KernelID())
 				}
 			}); err != nil {
 				t.Errorf("%s: Spawn: %v", name, err)
@@ -387,15 +398,16 @@ func TestConformanceBadRanges(t *testing.T) {
 		}
 	}
 	pop, smp := results["popcorn"], results["smp"]
-	if len(pop) != len(cases) || len(smp) != len(cases) {
-		t.Fatalf("ran %d and %d cases, want %d", len(pop), len(smp), len(cases))
+	if len(pop) != 2*len(cases) || len(smp) != 2*len(cases) {
+		t.Fatalf("ran %d and %d cases, want %d", len(pop), len(smp), 2*len(cases))
 	}
-	for i, c := range cases {
+	for i := range pop {
+		k, c := i/len(cases), cases[i%len(cases)]
 		if pop[i] != smp[i] {
-			t.Errorf("%s: popcorn %+v, smp %+v", c.name, pop[i], smp[i])
+			t.Errorf("kernel %d: %s: popcorn %+v, smp %+v", k, c.name, pop[i], smp[i])
 		}
 		if pop[i].badRange != c.badRange {
-			t.Errorf("%s: ErrBadRange = %v, want %v", c.name, pop[i].badRange, c.badRange)
+			t.Errorf("kernel %d: %s: ErrBadRange = %v, want %v", k, c.name, pop[i].badRange, c.badRange)
 		}
 	}
 }

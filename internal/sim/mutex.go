@@ -107,9 +107,10 @@ func (q *waitq) grant() *Proc {
 }
 
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff and
-// contention accounting. Waiting for it allocates nothing (see waitq).
+// contention accounting. Waiting for it allocates nothing (see waitq). The
+// zero value is an unlocked mutex: it works on whichever engine runs the
+// process that locks it, so a record can hold one by value.
 type Mutex struct {
-	e          *engine
 	label      string
 	owner      *Proc
 	q          waitq
@@ -117,8 +118,9 @@ type Mutex struct {
 	stats      LockStats
 }
 
-// NewMutex returns an unlocked mutex on e.
-func NewMutex(e Engine) *Mutex { return &Mutex{e: e} }
+// NewMutex returns an unlocked mutex. The engine is the one its lockers run
+// on; the mutex itself keeps no reference to it.
+func NewMutex(Engine) *Mutex { return &Mutex{} }
 
 // SetLabel names the mutex for deadlock reports and returns it (chainable).
 func (m *Mutex) SetLabel(s string) *Mutex {
@@ -137,9 +139,9 @@ func (m *Mutex) Lock(p *Proc) {
 		panic("sim: recursive Mutex.Lock by owner " + p.name)
 	}
 	m.stats.MaxQueue = max(m.stats.MaxQueue, m.q.n+1)
-	m.e.wait(&m.q, p, "mutex", m.label, m)
+	p.e.wait(&m.q, p, "mutex", m.label, m)
 	p.park()
-	m.e.granted(p, m, &m.stats)
+	p.e.granted(p, m, &m.stats)
 }
 
 // TryLock acquires the mutex if it is free, reporting success.
@@ -148,9 +150,9 @@ func (m *Mutex) TryLock(p *Proc) bool {
 		return false
 	}
 	m.owner = p
-	m.acquiredAt = m.e.now
+	m.acquiredAt = p.e.now
 	m.stats.Acquisitions++
-	m.e.observeAcquire(p, m)
+	p.e.observeAcquire(p, m)
 	return true
 }
 
@@ -159,14 +161,14 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
 		panic("sim: Mutex.Unlock by non-owner")
 	}
-	m.e.observeRelease(p, m)
-	m.stats.TotalHold += m.e.now.Sub(m.acquiredAt)
+	p.e.observeRelease(p, m)
+	m.stats.TotalHold += p.e.now.Sub(m.acquiredAt)
 	if m.q.n == 0 {
 		m.owner = nil
 		return
 	}
 	m.owner = m.q.grant()
-	m.acquiredAt = m.e.now
+	m.acquiredAt = p.e.now
 }
 
 // Owner returns the process currently holding the mutex, or nil.

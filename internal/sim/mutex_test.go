@@ -39,6 +39,36 @@ func TestMutexExcludesAndHandsOffFIFO(t *testing.T) {
 	}
 }
 
+// TestMutexZeroValueIsUsable pins the zero Mutex as an unlocked mutex that
+// needs no constructor: a record can hold one by value, and it takes the
+// engine from the process that locks it.
+func TestMutexZeroValueIsUsable(t *testing.T) {
+	e := NewEngine()
+	var rec struct{ mu Mutex }
+	rec.mu.SetLabel("by-value")
+	const hold = 5 * time.Microsecond
+	for i := 0; i < 3; i++ {
+		e.Spawn("worker", func(p *Proc) {
+			rec.mu.Lock(p)
+			p.Sleep(hold)
+			rec.mu.Unlock(p)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if e.Now() != Time(3*hold) {
+		t.Fatalf("three serialised holds ended at %v, want %v", e.Now(), 3*hold)
+	}
+	st := rec.mu.Stats()
+	if st.Acquisitions != 3 || st.Contended != 2 || st.TotalHold != 3*hold {
+		t.Fatalf("Stats = %+v, want 3 acquisitions, 2 contended, %v held", st, 3*hold)
+	}
+	if rec.mu.Locked() {
+		t.Fatal("mutex still held after every worker unlocked")
+	}
+}
+
 func TestMutexContentionWaitGrowsWithQueue(t *testing.T) {
 	// Each of N procs holds the lock for H; the k-th waiter waits ~k*H, so
 	// total wait is ~H*N*(N-1)/2. This queueing behaviour is the core of the

@@ -105,8 +105,9 @@ func (t *Thread) layout(op vm.LayoutOp, addr mem.Addr, length uint64, prot mem.P
 		return 0, err
 	}
 	touched := 0
+	var buf [16]mem.PTE
 	for _, r := range removed {
-		for _, pte := range mm.pt.ClearRange(r.Lo, r.Hi) {
+		for _, pte := range mm.pt.ClearRange(buf[:0], r.Lo, r.Hi) {
 			if pte.Frame != mem.NoFrame {
 				o.zones[pte.HomeNode].FreeFrame(t.p, pte.Frame)
 				touched++

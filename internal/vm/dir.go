@@ -40,7 +40,8 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	}
 	de, ok := sp.dir[vpn]
 	if !ok {
-		de = &dirEntry{mu: sim.NewMutex(sp.svc.e).SetLabel("vm.dir-entry")}
+		de = &dirEntry{}
+		de.mu.SetLabel("vm.dir-entry")
 		sp.dir[vpn] = de
 	}
 	de.mu.Lock(p)

@@ -211,6 +211,9 @@ func (s *Service) Promote(gid GID, dead msg.NodeID) {
 	s.metrics.Counter("dir.failover.promoted").Inc()
 	sp := s.makeOrigin(gid)
 	version := max(sp.layout.version, mir.layout.version)
+	// The promoted layout takes over the mirror's backing arrays (areas and
+	// remove's scratch). That is safe only because the mirror was deleted
+	// above: nothing else can reach them.
 	sp.layout = mir.layout
 	sp.layout.version = version
 	vpns := make([]mem.VPN, 0, len(mir.entries))
@@ -219,7 +222,8 @@ func (s *Service) Promote(gid GID, dead msg.NodeID) {
 	}
 	slices.Sort(vpns)
 	for _, vpn := range vpns {
-		de := &dirEntry{dirState: mir.entries[vpn], mu: sim.NewMutex(s.e).SetLabel("vm.dir-entry")}
+		de := &dirEntry{dirState: mir.entries[vpn]}
+		de.mu.SetLabel("vm.dir-entry")
 		de.version++
 		// Purge the dead kernel from the entry here, keeping the directory's
 		// last written-back value: the promoted grant path re-faults it from

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hw"
@@ -10,13 +11,24 @@ import (
 )
 
 // FuzzVMASet drives the VMA set with an op stream decoded from fuzz input
-// and checks the structural invariants after every step. Run with
+// and checks the structural invariants after every step, and every remove's
+// returned pieces against the page oracle. Each op is three bytes: op and
+// protection (byte%3 and byte/3%3), first page, length-1. Run with
 // `go test -fuzz=FuzzVMASet ./internal/vm` for continuous fuzzing; the
 // seed corpus below runs as ordinary unit tests.
 func FuzzVMASet(f *testing.F) {
 	f.Add([]byte{0, 10, 4, 1, 12, 2, 2, 8, 8})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 1})
 	f.Add([]byte{2, 5, 3, 0, 5, 3, 1, 5, 3})
+	// A remove that splits one area in the middle: [10,18) loses [12,14).
+	f.Add([]byte{0, 10, 7, 1, 12, 1})
+	// A remove across three areas of three protections and the holes
+	// between them, trimming the first and the last: [3,11) out of [2,4) r,
+	// [5,7) rw and [8,12) none.
+	f.Add([]byte{0, 2, 1, 3, 5, 1, 6, 8, 3, 1, 3, 7})
+	// A remove over a protect's split: [20,24) r with [22,23) made rw, then
+	// [21,24) out, three pieces.
+	f.Add([]byte{0, 20, 3, 5, 22, 0, 1, 21, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &vmaSet{}
 		oracle := make(map[mem.VPN]mem.Prot)
@@ -25,7 +37,7 @@ func FuzzVMASet(f *testing.F) {
 			op := data[i] % 3
 			lo := mem.VPN(data[i+1] % 64)
 			hi := lo + mem.VPN(data[i+2]%8) + 1
-			prot := prots[int(data[i])%len(prots)]
+			prot := prots[int(data[i]/3)%len(prots)]
 			switch op {
 			case 0:
 				if !s.overlaps(lo, hi) {
@@ -37,9 +49,23 @@ func FuzzVMASet(f *testing.F) {
 					}
 				}
 			case 1:
-				s.remove(lo, hi)
+				// The pieces are the runs of mapped pages of one protection,
+				// ascending: adjacent areas never share a protection.
+				var want []VMA
 				for v := lo; v < hi; v++ {
+					prot, ok := oracle[v]
+					if !ok {
+						continue
+					}
+					if n := len(want); n > 0 && want[n-1].Hi == v && want[n-1].Prot == prot {
+						want[n-1].Hi++
+					} else {
+						want = append(want, VMA{Lo: v, Hi: v + 1, Prot: prot})
+					}
 					delete(oracle, v)
+				}
+				if got := s.remove(lo, hi); !slices.Equal(got, want) {
+					t.Fatalf("op %d: remove [%d,%d) returned %v, want %v", i/3, lo, hi, got, want)
 				}
 			case 2:
 				s.protect(lo, hi, prot)

@@ -14,11 +14,11 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaOpReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID), Code: codeOther})
 	}
 	reply, err := sp.originLayout(p, *req)
 	if err != nil {
-		reply.Err = err.Error()
+		reply.Err, reply.Code = err.Error(), errorCode(err)
 	}
 	return msg.Reply(s.ep, m, sizeVMAReply, reply)
 }

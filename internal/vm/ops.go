@@ -89,7 +89,7 @@ func (sp *Space) layoutOp(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 		return vmaOpReply{}, err
 	}
 	if r.Err != "" {
-		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %s", opNames[req.Op], r.Err)
+		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %w", opNames[req.Op], remoteError{text: r.Err, code: r.Code})
 	}
 	return r, nil
 }
@@ -172,7 +172,8 @@ func (sp *Space) pushRequest(to msg.NodeID) *msg.Message {
 // scrubLocal drops this kernel's PTEs, values and frames for [lo, hi),
 // charging a TLB shootdown across the kernel's cores if anything was mapped.
 func (sp *Space) scrubLocal(p *sim.Proc, lo, hi mem.VPN) {
-	cleared := sp.pt.ClearRange(lo, hi)
+	var buf [16]mem.PTE
+	cleared := sp.pt.ClearRange(buf[:0], lo, hi)
 	for v := lo; v < hi; v++ {
 		delete(sp.values, v)
 		if pend, ok := sp.pending[v]; ok {

@@ -27,11 +27,13 @@ type vmaOpReq struct {
 	Prot   mem.Prot
 }
 
-// vmaOpReply returns the operation result to the remote kernel.
+// vmaOpReply returns the operation result to the remote kernel. Code keeps
+// the error's identity across the wire, as a grant's does.
 type vmaOpReply struct {
 	Addr    mem.Addr
 	Version uint64
 	Err     string
+	Code    int
 }
 
 // vmaUpdate pushes a committed layout change from the origin to a replica.
@@ -92,13 +94,37 @@ const (
 	srcApplied  = -3 // the origin applied the operation remotely; nothing to install
 )
 
-// Grant error codes, preserving error identity across the wire.
+// Error codes, preserving error identity across the wire: a code names the
+// sentinel at its index in sentinels.
 const (
 	codeOK = iota
 	codeSegv
 	codeAccess
+	codeBadRange
 	codeOther
 )
+
+var sentinels = [codeOther + 1]error{codeSegv: ErrSegv, codeAccess: ErrAccess, codeBadRange: ErrBadRange}
+
+// errorCode returns the code naming err's sentinel, codeOther for none.
+func errorCode(err error) int {
+	for code, s := range sentinels {
+		if s != nil && errors.Is(err, s) {
+			return code
+		}
+	}
+	return codeOther
+}
+
+// remoteError is an error another kernel reported over the wire: its text as
+// that kernel wrote it, unwrapping to the sentinel its code names.
+type remoteError struct {
+	text string
+	code int
+}
+
+func (e remoteError) Error() string { return e.text }
+func (e remoteError) Unwrap() error { return sentinels[e.code] }
 
 // pageGrant is the directory's response to a fault.
 type pageGrant struct {
@@ -121,27 +147,17 @@ type pageGrant struct {
 	Version uint64
 }
 
-// grantError encodes err as a grant, keeping ErrSegv and ErrAccess
-// identifiable across the wire.
+// grantError encodes err as a grant, keeping its sentinel identifiable
+// across the wire.
 func grantError(err error) pageGrant {
-	code := codeOther
-	switch {
-	case errors.Is(err, ErrSegv):
-		code = codeSegv
-	case errors.Is(err, ErrAccess):
-		code = codeAccess
-	}
-	return pageGrant{Code: code, Err: err.Error()}
+	return pageGrant{Code: errorCode(err), Err: err.Error()}
 }
 
 // err decodes a grant's error (grant.Err != ""); prefix names the request
-// for an error that is neither ErrSegv nor ErrAccess.
+// for an error no sentinel names.
 func (g *pageGrant) err(prefix string) error {
-	switch g.Code {
-	case codeSegv:
-		return fmt.Errorf("%w: %s", ErrSegv, g.Err)
-	case codeAccess:
-		return fmt.Errorf("%w: %s", ErrAccess, g.Err)
+	if s := sentinels[g.Code]; s != nil {
+		return fmt.Errorf("%w: %s", s, g.Err)
 	}
 	return fmt.Errorf("%s: %s", prefix, g.Err)
 }

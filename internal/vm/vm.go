@@ -60,11 +60,14 @@ const (
 	pageModified
 )
 
-// dirEntry is the origin's directory record for one page.
+// dirEntry is the origin's directory record for one page: one allocation,
+// its mutex held by value. An entry is never recycled — the sanitizer keys
+// lock clocks by mutex identity, so a reused mutex would hand a new page the
+// old page's clock, a happens-before edge that is not there.
 type dirEntry struct {
 	dirState
 	// mu serialises directory transactions for this page.
-	mu *sim.Mutex
+	mu sim.Mutex
 	// nodes is the transaction's scratch for the kernels to revoke: mu is
 	// held from filling it to the last use, across every blocking step.
 	nodes []msg.NodeID

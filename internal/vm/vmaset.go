@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,6 +33,10 @@ func (v VMA) String() string {
 // splits at range edges and merges adjacent areas of equal protection.
 type vmaSet struct {
 	areas []VMA // sorted by Lo, pairwise disjoint
+	// removed is the storage remove returns its pieces in: they are valid
+	// until the next remove on this set, so a caller uses them under the
+	// lock that ordered the removal.
+	removed []VMA
 }
 
 // len returns the number of areas.
@@ -70,29 +75,35 @@ func (s *vmaSet) insert(v VMA) error {
 }
 
 // remove unmaps [lo, hi), splitting areas that straddle the edges. It
-// returns the sub-ranges that were actually mapped (for page cleanup).
+// returns the sub-ranges that were actually mapped (for page cleanup), in
+// ascending order, in the set's own storage: valid until the next remove. It
+// splices the overlapping run of areas out in place, keeping at most the two
+// edge remainders, so areas grows only when one area is split in the middle.
 func (s *vmaSet) remove(lo, hi mem.VPN) []VMA {
 	if lo >= hi {
 		return nil
 	}
-	var removed []VMA
-	out := s.areas[:0:0]
-	for _, a := range s.areas {
-		if a.Hi <= lo || a.Lo >= hi {
-			out = append(out, a)
-			continue
-		}
-		cutLo, cutHi := max(a.Lo, lo), min(a.Hi, hi)
-		removed = append(removed, VMA{Lo: cutLo, Hi: cutHi, Prot: a.Prot})
-		if a.Lo < cutLo {
-			out = append(out, VMA{Lo: a.Lo, Hi: cutLo, Prot: a.Prot})
-		}
-		if a.Hi > cutHi {
-			out = append(out, VMA{Lo: cutHi, Hi: a.Hi, Prot: a.Prot})
-		}
+	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].Hi > lo })
+	j := i + sort.Search(len(s.areas)-i, func(k int) bool { return s.areas[i+k].Lo >= hi })
+	if i == j {
+		return nil
 	}
-	s.areas = out
-	return removed
+	s.removed = s.removed[:0]
+	for _, a := range s.areas[i:j] {
+		s.removed = append(s.removed, VMA{Lo: max(a.Lo, lo), Hi: min(a.Hi, hi), Prot: a.Prot})
+	}
+	var keep [2]VMA
+	n := 0
+	if first := s.areas[i]; first.Lo < lo {
+		keep[n] = VMA{Lo: first.Lo, Hi: lo, Prot: first.Prot}
+		n++
+	}
+	if last := s.areas[j-1]; last.Hi > hi {
+		keep[n] = VMA{Lo: hi, Hi: last.Hi, Prot: last.Prot}
+		n++
+	}
+	s.areas = slices.Replace(s.areas, i, j, keep[:n]...)
+	return s.removed
 }
 
 // protect changes the protection of every mapped page in [lo, hi),
