@@ -113,13 +113,13 @@ type futexOpReq struct {
 
 // futexOpReply is the home's response.
 type futexOpReply struct {
-	// Queued is true when a WAIT was enqueued.
-	Queued bool
 	// Woken is the number of waiters a WAKE or REQUEUE released.
 	Woken int
 	// Requeued is the number of waiters a REQUEUE moved.
 	Requeued int
-	Err      string
+	// Err is the home's error: ErrWouldBlock when a WAIT or REQUEUE found
+	// the word changed.
+	Err error
 }
 
 // futexWakeup releases a remotely queued waiter.
@@ -176,13 +176,10 @@ func (s *Service) Wait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64) err
 	// round at the home kernel. The block itself (Suspend until a Wake) is
 	// application time, not protocol cost, so it stays outside the span.
 	waitScope := s.ep.Collector().Begin(p, "futex.wait", int(s.node))
-	r, err := s.atHome(p, home, futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token})
+	_, err := s.atHome(p, home, futexOpReq{Op: opWait, GID: gid, Addr: addr, Expect: expect, Token: token})
 	waitScope.End()
 	if err != nil {
 		return err
-	}
-	if !r.Queued {
-		return ErrWouldBlock
 	}
 	if !lw.woken {
 		p.SetWaitLabel("futex", futexWaitLabel, uint64(gid), uint64(addr), 0)
@@ -288,28 +285,19 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 }
 
 // atHome runs one operation at the futex's home kernel: in place when that is
-// this kernel, else over TypeFutexOp. Both paths run the same do and map its
-// errors one way: the EAGAIN marker to ErrWouldBlock, anything else to a
-// futex error. futex.remote counts the remote calls only.
+// this kernel, else over TypeFutexOp. Both paths run the same do and return
+// the error it decided. futex.remote counts the remote calls only.
 func (s *Service) atHome(p *sim.Proc, home msg.NodeID, req futexOpReq) (futexOpReply, error) {
-	var r futexOpReply
 	if home == s.node {
-		r = s.do(p, &req, s.node)
-	} else {
-		s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-		var err error
-		r, err = msg.CallFor[futexOpReply](s.ep, p, msg.NewWith(s.ep, msg.TypeFutexOp, home, reqSize, req))
-		if err != nil {
-			return futexOpReply{}, err
-		}
+		r := s.do(p, &req, s.node)
+		return r, r.Err
 	}
-	switch r.Err {
-	case "":
-		return r, nil
-	case wouldBlockMarker:
-		return r, ErrWouldBlock
+	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
+	r, err := msg.CallFor[futexOpReply](s.ep, p, msg.NewWith(s.ep, msg.TypeFutexOp, home, reqSize, req))
+	if err != nil {
+		return futexOpReply{}, err
 	}
-	return r, fmt.Errorf("futex: %s", r.Err)
+	return r, r.Err
 }
 
 // doWait runs the home-side half of FUTEX_WAIT: under the bucket lock,
@@ -318,7 +306,7 @@ func (s *Service) atHome(p *sim.Proc, home msg.NodeID, req futexOpReq) (futexOpR
 func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, from msg.NodeID, token uint64) futexOpReply {
 	sp, ok := s.resolver.GroupSpace(gid)
 	if !ok {
-		return futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
+		return futexOpReply{Err: fmt.Errorf("futex: group %d not resident on home kernel %d", gid, s.node)}
 	}
 	b := s.bucket(key{gid: gid, addr: addr})
 	b.mu.Lock(p)
@@ -326,17 +314,17 @@ func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, f
 	//popcornvet:allow locksend the word re-read must be atomic with the enqueue under the bucket lock (the lost-wakeup guarantee); page-protocol handlers never take futex bucket locks, so no wait cycle can close
 	val, err := sp.Load(p, s.homeCore, addr)
 	if err != nil {
-		return futexOpReply{Err: err.Error()}
+		return futexOpReply{Err: fmt.Errorf("futex: %w", err)}
 	}
 	if val != expect {
 		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
-		return futexOpReply{Queued: false}
+		return futexOpReply{Err: ErrWouldBlock}
 	}
 	b.waiters = append(b.waiters, waiterRef{node: from, token: token})
 	if c, d := s.metrics.CounterIn(&s.hot.queueMax, "futex.queue.max"), uint64(len(b.waiters)); d > c.Value() {
 		c.Add(d - c.Value())
 	}
-	return futexOpReply{Queued: true}
+	return futexOpReply{}
 }
 
 // doWake runs the home-side half of FUTEX_WAKE.
@@ -394,7 +382,7 @@ func (s *Service) do(p *sim.Proc, req *futexOpReq, from msg.NodeID) futexOpReply
 	case opRequeue:
 		return s.doRequeue(p, req.GID, req.Addr, req.Addr2, req.Expect, req.Count, req.Count2)
 	}
-	return futexOpReply{Err: fmt.Sprintf("unknown futex op %d", req.Op)}
+	return futexOpReply{Err: fmt.Errorf("futex: unknown futex op %d", req.Op)}
 }
 
 func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {

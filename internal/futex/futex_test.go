@@ -3,6 +3,7 @@ package futex
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,7 +96,7 @@ func TestWaitReturnsEagainOnChangedValue(t *testing.T) {
 		if err := ev.futexs[0].Wait(p, 1, addr, 4); !errors.Is(err, ErrWouldBlock) {
 			t.Errorf("local Wait with wrong expect = %v, want ErrWouldBlock", err)
 		}
-		if err := ev.futexs[1].Wait(p, 1, addr, 4); !errors.Is(err, ErrWouldBlock) {
+		if err := ev.futexs[1].Wait(p, 1, addr, 4); err != ErrWouldBlock {
 			t.Errorf("remote Wait with wrong expect = %v, want ErrWouldBlock", err)
 		}
 	})
@@ -214,11 +215,17 @@ func TestWakeWithNoWaiters(t *testing.T) {
 	}
 }
 
+// TestWaitOnUnmappedAddressErrors: the home's failed word load reaches the
+// remote waiter as a futex error that still unwraps to vm's sentinel.
 func TestWaitOnUnmappedAddressErrors(t *testing.T) {
 	ev := newEnv(t, 2)
 	ev.e.Spawn("test", func(p *sim.Proc) {
-		if err := ev.futexs[1].Wait(p, 1, 0xbad000, 0); err == nil || errors.Is(err, ErrWouldBlock) {
-			t.Errorf("Wait on unmapped = %v, want hard error", err)
+		err := ev.futexs[1].Wait(p, 1, 0xbad000, 0)
+		if !errors.Is(err, vm.ErrSegv) || errors.Is(err, ErrWouldBlock) {
+			t.Errorf("Wait on unmapped = %v, want ErrSegv", err)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "futex: ") {
+			t.Errorf("Wait on unmapped = %q, want a futex: error", err)
 		}
 	})
 	if err := ev.e.Run(); err != nil {
@@ -316,8 +323,8 @@ func TestRequeueMovesWaiters(t *testing.T) {
 		ev.e.Spawn("requeuer", func(rp *sim.Proc) {
 			rp.Sleep(time.Millisecond)
 			// Wrong expectation: EAGAIN, nothing moves.
-			if _, _, err := ev.futexs[1].Requeue(rp, 1, from, to, 99, 1, 10); !errors.Is(err, ErrWouldBlock) {
-				t.Errorf("requeue with wrong expect = %v", err)
+			if _, _, err := ev.futexs[1].Requeue(rp, 1, from, to, 99, 1, 10); err != ErrWouldBlock {
+				t.Errorf("remote requeue with wrong expect = %v, want ErrWouldBlock", err)
 			}
 			w, r, err := ev.futexs[1].Requeue(rp, 1, from, to, 0, 1, 10)
 			if err != nil || w != 1 || r != 3 {

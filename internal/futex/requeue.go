@@ -30,16 +30,13 @@ func (s *Service) Requeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int
 	return r.Woken, r.Requeued, err
 }
 
-// wouldBlockMarker carries ErrWouldBlock identity across the wire.
-const wouldBlockMarker = "EAGAIN"
-
 // doRequeue runs at the home kernel. The value check and both queue edits
 // happen atomically under the bucket locks; the wakeups themselves go out
 // after the locks drop, like doWake, so no lock is held across the fabric.
 func (s *Service) doRequeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) futexOpReply {
 	sp, ok := s.resolver.GroupSpace(gid)
 	if !ok {
-		return futexOpReply{Err: fmt.Sprintf("group %d not resident on home kernel %d", gid, s.node)}
+		return futexOpReply{Err: fmt.Errorf("futex: group %d not resident on home kernel %d", gid, s.node)}
 	}
 	released, reply := s.requeueLocked(p, sp, gid, from, to, expect, wake, requeue)
 	for _, ref := range released {
@@ -73,11 +70,11 @@ func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to 
 	//popcornvet:allow locksend the word re-read must be atomic with the queue edit under the bucket lock (the lost-wakeup guarantee); page-protocol handlers never take futex bucket locks, so no wait cycle can close
 	val, err := sp.Load(p, s.homeCore, from)
 	if err != nil {
-		return nil, futexOpReply{Err: err.Error()}
+		return nil, futexOpReply{Err: fmt.Errorf("futex: %w", err)}
 	}
 	if val != expect {
 		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
-		return nil, futexOpReply{Err: wouldBlockMarker}
+		return nil, futexOpReply{Err: ErrWouldBlock}
 	}
 	var released []waiterRef
 	for len(released) < wake && len(bFrom.waiters) > 0 {

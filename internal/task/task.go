@@ -1,7 +1,6 @@
 // Package task defines the kernel's view of a thread: the task struct, its
-// lifecycle states, the migratable user context, and the shadow/dummy roles
-// the paper's migration protocol creates on the source and destination
-// kernels.
+// lifecycle states (among them the shadow the paper's migration protocol
+// leaves on the source kernel), and the migratable user context.
 package task
 
 import "fmt"
@@ -24,8 +23,6 @@ const (
 	StateRunnable
 	// StateRunning means currently on a core.
 	StateRunning
-	// StateBlocked means waiting on a futex, page fault, or message.
-	StateBlocked
 	// StateShadow means the task migrated away; this husk remains at its
 	// former kernel holding kernel-side resources for back-migration.
 	StateShadow
@@ -48,7 +45,6 @@ var stateNames = map[State]string{
 	StateNew:       "new",
 	StateRunnable:  "runnable",
 	StateRunning:   "running",
-	StateBlocked:   "blocked",
 	StateShadow:    "shadow",
 	StateExited:    "exited",
 	StateLost:      "lost",
@@ -60,34 +56,6 @@ func (s State) String() string {
 		return n
 	}
 	return fmt.Sprintf("task.State(%d)", int(s))
-}
-
-// Role distinguishes the task structs the migration protocol creates.
-type Role int
-
-// Task roles.
-const (
-	// RoleNormal is an ordinary thread.
-	RoleNormal Role = iota + 1
-	// RoleShadow is the husk left on the source kernel after migration.
-	RoleShadow
-	// RoleDummy is the pre-created destination task a migrating context is
-	// imported into. Once resumed it becomes RoleNormal.
-	RoleDummy
-)
-
-// roleNames is populated once by this literal and only ever read.
-var roleNames = map[Role]string{
-	RoleNormal: "normal",
-	RoleShadow: "shadow",
-	RoleDummy:  "dummy",
-}
-
-func (r Role) String() string {
-	if n, ok := roleNames[r]; ok {
-		return n
-	}
-	return fmt.Sprintf("task.Role(%d)", int(r))
 }
 
 // Context is the migratable user execution context: what the paper ships in
@@ -116,16 +84,12 @@ type Task struct {
 	TGID ID
 	// Kernel is the kernel instance currently hosting the task.
 	Kernel int
-	// Origin is the kernel where the thread was created; shadows live there.
-	Origin int
 	// State is the lifecycle state.
 	State State
-	// Role distinguishes normal, shadow, and dummy tasks.
-	Role Role
 	// Ctx is the user execution context (valid while not running).
 	Ctx Context
 	// MigratedTo records, for a shadow, which kernel the live thread went
-	// to. Valid only when Role == RoleShadow.
+	// to. Valid only when State == StateShadow.
 	MigratedTo int
 	// Migrations counts how many times this thread has moved.
 	Migrations int
@@ -148,18 +112,10 @@ func New(id, tgid ID, kernel int) *Task {
 		ID:     id,
 		TGID:   tgid,
 		Kernel: kernel,
-		Origin: kernel,
 		State:  StateNew,
-		Role:   RoleNormal,
 	}
 }
 
-// Alive reports whether the task represents a live thread on its kernel
-// (shadows and exited tasks are not alive).
-func (t *Task) Alive() bool {
-	return t.State != StateExited && t.Role != RoleShadow
-}
-
 func (t *Task) String() string {
-	return fmt.Sprintf("task{id=%d tgid=%d kernel=%d %v/%v}", t.ID, t.TGID, t.Kernel, t.Role, t.State)
+	return fmt.Sprintf("task{id=%d tgid=%d kernel=%d %v}", t.ID, t.TGID, t.Kernel, t.State)
 }

@@ -7,27 +7,11 @@ import (
 
 func TestNewTaskDefaults(t *testing.T) {
 	tk := New(7, 7, 2)
-	if tk.ID != 7 || tk.TGID != 7 || tk.Kernel != 2 || tk.Origin != 2 {
+	if tk.ID != 7 || tk.TGID != 7 || tk.Kernel != 2 {
 		t.Fatalf("New = %+v", tk)
 	}
-	if tk.State != StateNew || tk.Role != RoleNormal {
-		t.Fatalf("state/role = %v/%v", tk.State, tk.Role)
-	}
-	if !tk.Alive() {
-		t.Fatal("new task not alive")
-	}
-}
-
-func TestAlive(t *testing.T) {
-	tk := New(1, 1, 0)
-	tk.State = StateExited
-	if tk.Alive() {
-		t.Fatal("exited task reported alive")
-	}
-	tk = New(2, 1, 0)
-	tk.Role = RoleShadow
-	if tk.Alive() {
-		t.Fatal("shadow task reported alive")
+	if tk.State != StateNew {
+		t.Fatalf("state = %v", tk.State)
 	}
 }
 
@@ -46,15 +30,9 @@ func TestStringers(t *testing.T) {
 	if !strings.Contains(State(99).String(), "99") {
 		t.Fatal("unknown state stringer")
 	}
-	if RoleDummy.String() != "dummy" {
-		t.Fatalf("RoleDummy = %q", RoleDummy)
-	}
-	if !strings.Contains(Role(42).String(), "42") {
-		t.Fatal("unknown role stringer")
-	}
 	tk := New(3, 4, 1)
 	s := tk.String()
-	for _, want := range []string{"id=3", "tgid=4", "kernel=1", "normal", "new"} {
+	for _, want := range []string{"id=3", "tgid=4", "kernel=1", "new"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Task.String() = %q missing %q", s, want)
 		}

@@ -126,7 +126,7 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		if req.Reap {
 			return nil // group already torn down; nothing to reap
 		}
-		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Sprintf("group %d not resident on kernel %d", req.GID, s.node)})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Errorf("group %d not resident on kernel %d", req.GID, s.node)})
 	}
 	if req.Reap {
 		if sh, ok := g.shadows[req.TaskID]; ok {
@@ -148,10 +148,10 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 		return nil
 	}
 	if !g.isOrigin {
-		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	if err := s.originMemberExited(p, g, req.TaskID); err != nil {
-		return msg.Reply(s.ep, m, 64, exitReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, exitReply{Err: err})
 	}
 	return msg.Reply(s.ep, m, 64, exitReply{})
 }

@@ -263,7 +263,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			}
 			return err
 		}
-		if r.Err != "" {
+		if r.Err != nil {
 			if failover {
 				// The holder answered before finishing (or beginning) its
 				// promotion; paced retry until the group is origin there.
@@ -271,7 +271,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 				p.Sleep(msg.FailoverRetryDelay)
 				continue
 			}
-			return fmt.Errorf("threadgroup: exit notify: %s", r.Err)
+			return fmt.Errorf("threadgroup: exit notify: %w", r.Err)
 		}
 		return nil
 	}

@@ -33,7 +33,6 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 	// blocking work, so a racing migration or exit observes a consistent
 	// not-live-here state instead of double-claiming the thread.
 	delete(g.local, id)
-	t.Role = task.RoleShadow
 	t.State = task.StateShadow
 	t.MigratedTo = int(dst)
 	g.shadows[id] = t
@@ -69,7 +68,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		s.metrics.Counter("tg.migrate.rollback").Inc()
 		return nil, err
 	}
-	if r.Err != "" {
+	if r.Err != nil {
 		// Roll back: revive the source task — under the same origin claim
 		// as the transport-failure path, because a refused import can mean
 		// a duplicate of this very migration already ran there.
@@ -77,7 +76,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 			return nil, fmt.Errorf("%w: task %d", ErrSuperseded, id)
 		}
 		s.rollbackMigration(g, t, id)
-		return nil, fmt.Errorf("threadgroup: migrate to kernel %d: %s", dst, r.Err)
+		return nil, fmt.Errorf("threadgroup: migrate to kernel %d: %w", dst, r.Err)
 	}
 	s.metrics.HistogramIn(&s.hot.rpc, "tg.migrate.rpc").Observe(p.Now().Sub(rpcStart))
 
@@ -131,14 +130,14 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*migrateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, migrateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, migrateReply{Err: err})
 	}
 	if _, live := g.local[req.TaskID]; live {
 		// A duplicate import: the first execution of this request already
 		// landed and the dedup window that would normally replay its reply
 		// died with a reboot. Re-importing would fork the thread.
 		s.metrics.Counter("tg.migrate.dupimport").Inc()
-		return msg.Reply(s.ep, m, 64, migrateReply{Err: fmt.Sprintf("task %d already live on kernel %d", req.TaskID, s.node)})
+		return msg.Reply(s.ep, m, 64, migrateReply{Err: fmt.Errorf("task %d already live on kernel %d", req.TaskID, s.node)})
 	}
 
 	var t *task.Task
@@ -146,7 +145,6 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 		// Back-migration: revive the shadow left here on the way out.
 		delete(g.shadows, req.TaskID)
 		t = shadow
-		t.Role = task.RoleNormal
 		s.metrics.CounterIn(&s.hot.revive, "tg.migrate.revive").Inc()
 	} else {
 		setupStart := p.Now()
@@ -211,7 +209,7 @@ func (s *Service) claimRollback(p *sim.Proc, g *group, t *task.Task, id task.ID)
 		s.dropSupersededShadow(g, t, id)
 		return false
 	}
-	if r.Err == "" {
+	if r.Err == nil {
 		t.Migrations++
 	}
 	return true
@@ -231,7 +229,6 @@ func (s *Service) dropSupersededShadow(g *group, t *task.Task, id task.ID) {
 // live local task again and the space's thread count is restored.
 func (s *Service) rollbackMigration(g *group, t *task.Task, id task.ID) {
 	delete(g.shadows, id)
-	t.Role = task.RoleNormal
 	t.State = task.StateRunnable
 	t.MigratedTo = 0
 	g.local[id] = t
@@ -295,8 +292,8 @@ func (s *Service) ensureReplica(p *sim.Proc, gid vm.GID, origin msg.NodeID) (*gr
 	if err != nil {
 		return nil, err
 	}
-	if r.Err != "" {
-		return nil, fmt.Errorf("threadgroup: replica setup: %s", r.Err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("threadgroup: replica setup: %w", r.Err)
 	}
 	if _, err := s.vmsvc.Attach(gid, origin); err != nil {
 		return nil, err
@@ -317,18 +314,18 @@ func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*threadCreateReq)
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
 	}
 	t, err := s.spawnLocal(p, g)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
+		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
 	}
 	// The origin records membership when its Spawn call returns (it
 	// initiated this create) or via the GroupSetup ack for third-party
 	// creates.
 	if !g.isOrigin && m.From != g.origin {
 		if err := s.notifyOriginSpawn(p, g, t.ID); err != nil {
-			return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err.Error()})
+			return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
 		}
 	}
 	return msg.Reply(s.ep, m, 64, threadCreateReply{TaskID: t.ID, Task: t})
@@ -355,7 +352,7 @@ func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.
 	if r.Denied {
 		return fmt.Errorf("%w: move registration for task %d", ErrSuperseded, moved.ID)
 	}
-	if r.Err != "" {
+	if r.Err != nil {
 		s.metrics.Counter("tg.move.orphaned").Inc()
 	}
 	return nil
@@ -377,14 +374,14 @@ func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, size int, 
 	for {
 		r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, g.origin, size, req))
 		if err == nil {
-			if r.Err != "" {
+			if r.Err != nil {
 				g.originDead = true
 			}
 			return r
 		}
 		if msg.IsDeadPeer(err) {
 			g.originDead = true
-			return groupSetupReply{Err: err.Error()}
+			return groupSetupReply{Err: err}
 		}
 		s.metrics.Counter(name + ".retry").Inc()
 		if msg.IsBackpressure(err) {
@@ -400,7 +397,7 @@ func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*groupSetupReq)
 	g, ok := s.groups[req.GID]
 	if !ok || !g.isOrigin {
-		return msg.Reply(s.ep, m, 64, groupSetupReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return msg.Reply(s.ep, m, 64, groupSetupReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	return msg.Reply(s.ep, m, 64, s.originSetup(p, g, req))
 }
@@ -413,7 +410,7 @@ func (s *Service) originSetup(p *sim.Proc, g *group, req *groupSetupReq) groupSe
 	if _, have := g.replicas[req.Node]; !have && req.Node != s.node {
 		g.replicas[req.Node] = struct{}{}
 		if err := s.vmsvc.RegisterReplica(req.GID, req.Node); err != nil {
-			return groupSetupReply{Err: err.Error()}
+			return groupSetupReply{Err: err}
 		}
 	}
 	if req.NewMember != task.NoTask {

@@ -18,7 +18,7 @@ type threadCreateReq struct {
 type threadCreateReply struct {
 	TaskID task.ID
 	Task   *task.Task
-	Err    string
+	Err    error
 }
 
 // groupSetupReq registers a replica kernel and/or membership changes with
@@ -47,7 +47,7 @@ type groupSetupReq struct {
 }
 
 type groupSetupReply struct {
-	Err string
+	Err error
 	// Denied rejects a MovedMember or ClaimMember request whose epoch lost:
 	// another incarnation of the thread owns the identity, so the requester
 	// must discard its copy instead of running it.
@@ -71,7 +71,7 @@ type migrateReq struct {
 
 type migrateReply struct {
 	Task *task.Task
-	Err  string
+	Err  error
 }
 
 // exitNotify reports a member exit to the origin (Reap=false) or reaps a
@@ -87,7 +87,7 @@ type exitNotify struct {
 }
 
 type exitReply struct {
-	Err string
+	Err error
 }
 
 // groupExit tears down a replica's group state after the last member exit.

@@ -2,7 +2,6 @@ package threadgroup
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -39,7 +38,7 @@ type signalReq struct {
 }
 
 type signalReply struct {
-	Err string
+	Err error
 }
 
 // maxSignalHops bounds forwarding along migration chains.
@@ -55,51 +54,6 @@ type sigWaiter struct {
 func (s *Service) Signal(p *sim.Proc, gid vm.GID, id task.ID, sig int) error {
 	s.metrics.Counter("tg.signal.sent").Inc()
 	return s.routeSignal(p, &signalReq{GID: gid, TaskID: id, Sig: sig})
-}
-
-// SignalGroup delivers sig to every live member of the group (the SSI
-// analogue of kill(-pid)). Must run somewhere the group is resident; the
-// fan-out happens at the origin.
-func (s *Service) SignalGroup(p *sim.Proc, gid vm.GID, sig int) error {
-	g, ok := s.groups[gid]
-	if !ok {
-		return fmt.Errorf("%w: group %d on kernel %d", ErrNoGroup, gid, s.node)
-	}
-	if !g.isOrigin {
-		// Let the origin fan out: a group signal is a signal to the
-		// group's main routing point.
-		r, err := msg.CallFor[signalReply](s.ep, p, msg.NewWith(s.ep, msg.TypeSignal, g.origin, 64,
-			signalReq{GID: gid, TaskID: task.NoTask, Sig: sig},
-		))
-		if err != nil {
-			return err
-		}
-		if r.Err != "" {
-			return fmt.Errorf("threadgroup: group signal: %s", r.Err)
-		}
-		return nil
-	}
-	return s.fanoutGroupSignal(p, g, sig)
-}
-
-func (s *Service) fanoutGroupSignal(p *sim.Proc, g *group, sig int) error {
-	var firstErr error
-	for _, id := range membersSorted(g) {
-		if err := s.routeSignal(p, &signalReq{GID: g.gid, TaskID: id, Sig: sig}); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// membersSorted returns member IDs in deterministic order.
-func membersSorted(g *group) []task.ID {
-	ids := make([]task.ID, 0, len(g.members))
-	for id := range g.members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // routeSignal delivers locally or forwards toward the target.
@@ -162,8 +116,8 @@ func (s *Service) forwardSignal(p *sim.Proc, req *signalReq, to msg.NodeID) erro
 	if err != nil {
 		return err
 	}
-	if r.Err != "" {
-		return fmt.Errorf("threadgroup: signal forward: %s", r.Err)
+	if r.Err != nil {
+		return fmt.Errorf("threadgroup: signal forward: %w", r.Err)
 	}
 	return nil
 }
@@ -218,20 +172,8 @@ func (s *Service) WaitSignal(p *sim.Proc, gid vm.GID, id task.ID) ([]int, error)
 
 // handleSignal serves routed signals.
 func (s *Service) handleSignal(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*signalReq)
-	if req.TaskID == task.NoTask {
-		// Group fan-out request, must be at the origin.
-		g, ok := s.groups[req.GID]
-		if !ok || !g.isOrigin {
-			return msg.Reply(s.ep, m, 64, signalReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID)})
-		}
-		if err := s.fanoutGroupSignal(p, g, req.Sig); err != nil {
-			return msg.Reply(s.ep, m, 64, signalReply{Err: err.Error()})
-		}
-		return msg.Reply(s.ep, m, 64, signalReply{})
-	}
-	if err := s.routeSignal(p, req); err != nil {
-		return msg.Reply(s.ep, m, 64, signalReply{Err: err.Error()})
+	if err := s.routeSignal(p, m.Payload.(*signalReq)); err != nil {
+		return msg.Reply(s.ep, m, 64, signalReply{Err: err})
 	}
 	return msg.Reply(s.ep, m, 64, signalReply{})
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 func TestSignalLocalDelivery(t *testing.T) {
@@ -107,35 +106,6 @@ func TestWaitSignalBlocksUntilDelivery(t *testing.T) {
 	if gotAt < sentAt {
 		t.Fatalf("WaitSignal returned at %v, before send at %v", gotAt, sentAt)
 	}
-}
-
-func TestSignalGroupReachesAllMembers(t *testing.T) {
-	ev := newEnv(t, 3, Config{})
-	ev.run(t, func(p *sim.Proc) {
-		gid, main, _ := ev.tgs[0].CreateGroup(p)
-		w1, _ := ev.tgs[0].Spawn(p, gid, 1)
-		w2, _ := ev.tgs[0].Spawn(p, gid, 2)
-		if err := ev.tgs[0].SignalGroup(p, gid, SigTerm); err != nil {
-			t.Fatalf("SignalGroup: %v", err)
-		}
-		for _, probe := range []struct {
-			k  int
-			id task.ID
-		}{{0, main.ID}, {1, w1.ID}, {2, w2.ID}} {
-			sigs, err := ev.tgs[probe.k].TakeSignals(gid, probe.id)
-			if err != nil || len(sigs) != 1 || sigs[0] != SigTerm {
-				t.Fatalf("kernel %d TakeSignals = %v, %v", probe.k, sigs, err)
-			}
-		}
-		// Group signal issued from a replica goes through the origin.
-		if err := ev.tgs[1].SignalGroup(p, gid, SigUsr1); err != nil {
-			t.Fatalf("replica SignalGroup: %v", err)
-		}
-		sigs, _ := ev.tgs[2].TakeSignals(gid, w2.ID)
-		if len(sigs) != 1 || sigs[0] != SigUsr1 {
-			t.Fatalf("replica group signal lost: %v", sigs)
-		}
-	})
 }
 
 func TestSignalUnknownTaskFails(t *testing.T) {

@@ -305,8 +305,8 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 	if err != nil {
 		return nil, err
 	}
-	if r.Err != "" {
-		return nil, fmt.Errorf("threadgroup: remote clone on kernel %d: %s", dst, r.Err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("threadgroup: remote clone on kernel %d: %w", dst, r.Err)
 	}
 	s.metrics.Counter("tg.spawn.remote").Inc()
 	s.metrics.Histogram("tg.spawn.remote.latency").Observe(p.Now().Sub(start))
@@ -328,8 +328,8 @@ func (s *Service) notifyOriginSpawn(p *sim.Proc, g *group, id task.ID) error {
 	if err != nil {
 		return err
 	}
-	if r.Err != "" {
-		return fmt.Errorf("threadgroup: origin registration: %s", r.Err)
+	if r.Err != nil {
+		return fmt.Errorf("threadgroup: origin registration: %w", r.Err)
 	}
 	return nil
 }

@@ -167,7 +167,7 @@ func TestMigrationMovesThread(t *testing.T) {
 		if moved.ID != main.ID {
 			t.Fatalf("migrated task changed ID: %d -> %d", main.ID, moved.ID)
 		}
-		if moved.Kernel != 1 || moved.State != task.StateRunnable || moved.Role != task.RoleNormal {
+		if moved.Kernel != 1 || moved.State != task.StateRunnable {
 			t.Fatalf("moved = %+v", moved)
 		}
 		if moved.Migrations != 1 {

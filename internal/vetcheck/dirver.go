@@ -14,8 +14,8 @@ import (
 // unversioned fan-out invalidation, caused a real stale-read bug; the rule
 // makes the stamp mechanical.
 //
-// Error replies are exempt: a grant carrying Err/Code transfers no page
-// copy, so there is nothing to order. Other deliberately unversioned
+// Error replies are exempt: a grant carrying Err transfers no page copy, so
+// there is nothing to order. Other deliberately unversioned
 // literals (e.g. replies that install nothing) take a justified
 // //popcornvet:allow dirver directive.
 type DirVer struct{}
@@ -55,7 +55,7 @@ func (DirVer) Check(t *Tree) []Finding {
 					case key == nil:
 					case key.Name == "Version":
 						hasVersion = true
-					case key.Name == "Err", key.Name == "Code":
+					case key.Name == "Err":
 						isError = true
 					}
 				}

@@ -7,10 +7,12 @@ import "testing"
 const vmPayloads = `package vm
 
 type pageGrant struct {
-	Value, Src, Prot, Code int
-	Version            uint64
-	Err                string
+	Value, Src, Prot int
+	Version          uint64
+	Err              error
 }
+
+var errSegv error
 
 type pageInval struct {
 	GID, VPN  int
@@ -46,8 +48,7 @@ func TestDirVerNegatives(t *testing.T) {
 func good() {
 	_ = &pageGrant{Value: 7, Src: 2, Version: 9}
 	_ = &pageInval{GID: 1, VPN: 4, Version: 9}
-	_ = &pageGrant{Code: 2, Err: "segv"}
-	_ = &pageGrant{Code: 1}
+	_ = &pageGrant{Err: errSegv}
 }
 `,
 		// The same shapes outside package vm are someone else's types.

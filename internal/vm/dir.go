@@ -29,13 +29,13 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	vma, ok := sp.layout.Find(vpn)
 	switch {
 	case !ok:
-		*g = pageGrant{Code: codeSegv, Err: fmt.Sprintf("page %#x unmapped", uint64(vpn.Base()))}
+		*g = pageGrant{Err: fmt.Errorf("%w: page %#x unmapped", ErrSegv, uint64(vpn.Base()))}
 		return nil
 	case write && !vma.Prot.Writable():
-		*g = pageGrant{Code: codeAccess, Err: fmt.Sprintf("write to %v page", vma.Prot)}
+		*g = pageGrant{Err: fmt.Errorf("%w: write to %v page", ErrAccess, vma.Prot)}
 		return nil
 	case !vma.Prot.Readable():
-		*g = pageGrant{Code: codeAccess, Err: fmt.Sprintf("%v page", vma.Prot)}
+		*g = pageGrant{Err: fmt.Errorf("%w: %v page", ErrAccess, vma.Prot)}
 		return nil
 	}
 	de, ok := sp.dir[vpn]

@@ -222,8 +222,8 @@ func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op mem.Op, pend *pending
 		}
 		*grant = g
 	}
-	if grant.Err != "" {
-		return accessResult{}, grant.err(fmt.Sprintf("vm: page fetch %#x", uint64(vpn.Base())))
+	if grant.Err != nil {
+		return accessResult{}, grant.Err
 	}
 	// Everything the wire delivered to this kernel before the grant is
 	// already processed (per-pair FIFO), so any invalidation marks so far
@@ -326,8 +326,8 @@ func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op mem.Op) (int64, err
 	if err != nil {
 		return 0, err
 	}
-	if grant.Err != "" {
-		return 0, grant.err("vm: forwarded write")
+	if grant.Err != nil {
+		return 0, grant.Err
 	}
 	return grant.Value, nil
 }
@@ -421,9 +421,9 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 		}
 		return 0, err
 	}
-	if grant.Err != "" {
+	if grant.Err != nil {
 		finish()
-		return 0, grant.err("vm: prefetch")
+		return 0, grant.Err
 	}
 	installed := 0
 	for _, s := range want {
@@ -432,7 +432,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 			break
 		}
 		be := grant.Batch[idx]
-		if be.Code != codeOK || s.pend.invalidated {
+		if be.Err != nil || s.pend.invalidated {
 			continue
 		}
 		frame, home, err := sp.svc.frames.AllocFrame(p)
@@ -473,14 +473,10 @@ func (sp *Space) batchTransactions(p *sim.Proc, req msg.NodeID, first mem.VPN, c
 			bp.SetSpan(parentSpan)
 			var g pageGrant
 			if err := sp.dirTransaction(bp, req, first+mem.VPN(i), false, false, &g); err != nil {
-				out.Batch[i] = batchEntry{Code: codeOther}
+				out.Batch[i] = batchEntry{Err: err}
 				return
 			}
-			if g.Err != "" {
-				out.Batch[i] = batchEntry{Code: g.Code}
-				return
-			}
-			out.Batch[i] = batchEntry{Code: codeOK, Value: g.Value, Src: g.Src, Prot: g.Prot}
+			out.Batch[i] = batchEntry{Err: g.Err, Value: g.Value, Src: g.Src, Prot: g.Prot}
 		})
 	}
 	wg.Wait(p)

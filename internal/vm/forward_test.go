@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,8 +147,8 @@ func TestForwardedCASReportsItsOwnOutcome(t *testing.T) {
 			b = forward(fp, cas)
 		})
 		wg.Wait(p)
-		if a.Err != "" || b.Err != "" {
-			t.Fatalf("forwarded CAS errors: A %q, B %q", a.Err, b.Err)
+		if a.Err != nil || b.Err != nil {
+			t.Fatalf("forwarded CAS errors: A %v, B %v", a.Err, b.Err)
 		}
 		aWon, bWon := a.Value == cas.Old, b.Value == cas.Old
 		if aWon || !bWon {
@@ -158,17 +160,34 @@ func TestForwardedCASReportsItsOwnOutcome(t *testing.T) {
 	})
 }
 
+// TestWriteForwardingErrors checks that a forwarded write's failure reaches
+// the requester as the error the origin decided: its sentinel intact and its
+// text written once. Each kernel has one frame.
 func TestWriteForwardingErrors(t *testing.T) {
-	ev := newEnv(t, 2, 64)
+	ev := newEnv(t, 2, 1)
 	sps := ev.group(t, 1)
 	enableForwarding(ev)
 	ev.run(t, func(p *sim.Proc) {
-		if err := sps[1].Store(p, 2, 0xdead000, 1); err == nil {
-			t.Fatal("forwarded store to unmapped succeeded")
+		err := sps[1].Store(p, 2, 0xdead000, 1)
+		if !errors.Is(err, ErrSegv) {
+			t.Fatalf("forwarded store to unmapped = %v, want ErrSegv", err)
 		}
 		roAddr, _ := sps[0].Map(p, hw.PageSize, mem.ProtRead)
-		if err := sps[1].Store(p, 2, roAddr, 1); err == nil {
-			t.Fatal("forwarded store to read-only succeeded")
+		err = sps[1].Store(p, 2, roAddr, 1)
+		if !errors.Is(err, ErrAccess) {
+			t.Fatalf("forwarded store to read-only = %v, want ErrAccess", err)
+		}
+		if n := strings.Count(err.Error(), ErrAccess.Error()); n != 1 {
+			t.Fatalf("forwarded store to read-only = %q: sentinel text %d times, want once", err, n)
+		}
+		// The origin's one frame goes to the first page; the forwarded store
+		// to the second finds none left.
+		rwAddr, _ := sps[0].Map(p, 2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
+		if err := sps[0].Store(p, 0, rwAddr, 1); err != nil {
+			t.Fatalf("origin store: %v", err)
+		}
+		if err := sps[1].Store(p, 2, rwAddr+hw.PageSize, 1); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("forwarded store with no frame left = %v, want ErrNoSpace", err)
 		}
 	})
 }

@@ -14,12 +14,10 @@ func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*vmaOpReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Sprintf("kernel %d is not origin of group %d", s.node, req.GID), Code: codeOther})
+		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	reply, err := sp.originLayout(p, *req)
-	if err != nil {
-		reply.Err, reply.Code = err.Error(), errorCode(err)
-	}
+	reply.Err = err
 	return msg.Reply(s.ep, m, sizeVMAReply, reply)
 }
 
@@ -64,7 +62,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	req := m.Payload.(*pageFetchReq)
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, grantError(fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)))
+		return msg.Reply(s.ep, m, sizeVMAReply, pageGrant{Err: fmt.Errorf("vm: kernel %d is not origin of group %d", s.node, req.GID)})
 	}
 	// Count > 0 marks a prefetch (demand faults leave it zero). A
 	// single-page prefetch must still take the batch path: the requester
@@ -77,7 +75,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 		sp.asLock.RUnlock(p)
 		size := sizeVMAReply
 		for _, be := range grant.Batch {
-			if be.Code == codeOK {
+			if be.Err == nil {
 				size += hw.PageSize
 			}
 		}
@@ -89,7 +87,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 		//popcornvet:allow dirver a forwarded-op reply installs no page copy (srcApplied); there is nothing for the replica to order
 		grant := pageGrant{Value: val, Src: srcApplied}
 		if err != nil {
-			grant = grantError(err)
+			grant = pageGrant{Err: err}
 		}
 		return msg.Reply(s.ep, m, sizeVMAReply, grant)
 	}
@@ -99,7 +97,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	err := sp.dirTransaction(p, m.From, req.VPN, req.Write, req.NoCopy, &grant)
 	sp.asLock.RUnlock(p)
 	if err != nil {
-		grant = grantError(err)
+		grant = pageGrant{Err: err}
 	}
 	return msg.Reply(s.ep, m, grantSize(grant), grant)
 }

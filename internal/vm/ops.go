@@ -88,8 +88,8 @@ func (sp *Space) layoutOp(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 	if err != nil {
 		return vmaOpReply{}, err
 	}
-	if r.Err != "" {
-		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %w", opNames[req.Op], remoteError{text: r.Err, code: r.Code})
+	if r.Err != nil {
+		return vmaOpReply{}, fmt.Errorf("vm: remote %s: %w", opNames[req.Op], r.Err)
 	}
 	return r, nil
 }

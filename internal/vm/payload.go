@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"repro/internal/hw"
@@ -27,13 +25,11 @@ type vmaOpReq struct {
 	Prot   mem.Prot
 }
 
-// vmaOpReply returns the operation result to the remote kernel. Code keeps
-// the error's identity across the wire, as a grant's does.
+// vmaOpReply returns the operation result to the remote kernel.
 type vmaOpReply struct {
 	Addr    mem.Addr
 	Version uint64
-	Err     string
-	Code    int
+	Err     error
 }
 
 // vmaUpdate pushes a committed layout change from the origin to a replica.
@@ -81,7 +77,7 @@ type pageFetchReq struct {
 
 // batchEntry is one page's grant inside a batched (prefetch) reply.
 type batchEntry struct {
-	Code  int
+	Err   error
 	Value int64
 	Src   int
 	Prot  mem.Prot
@@ -94,42 +90,10 @@ const (
 	srcApplied  = -3 // the origin applied the operation remotely; nothing to install
 )
 
-// Error codes, preserving error identity across the wire: a code names the
-// sentinel at its index in sentinels.
-const (
-	codeOK = iota
-	codeSegv
-	codeAccess
-	codeBadRange
-	codeOther
-)
-
-var sentinels = [codeOther + 1]error{codeSegv: ErrSegv, codeAccess: ErrAccess, codeBadRange: ErrBadRange}
-
-// errorCode returns the code naming err's sentinel, codeOther for none.
-func errorCode(err error) int {
-	for code, s := range sentinels {
-		if s != nil && errors.Is(err, s) {
-			return code
-		}
-	}
-	return codeOther
-}
-
-// remoteError is an error another kernel reported over the wire: its text as
-// that kernel wrote it, unwrapping to the sentinel its code names.
-type remoteError struct {
-	text string
-	code int
-}
-
-func (e remoteError) Error() string { return e.text }
-func (e remoteError) Unwrap() error { return sentinels[e.code] }
-
 // pageGrant is the directory's response to a fault.
 type pageGrant struct {
-	Err  string
-	Code int
+	// Err is the error the origin decided, nil for a grant.
+	Err error
 	// Batch carries per-page grants for a prefetch request.
 	Batch []batchEntry
 	// Value is the page contents (the simulation's one-word proxy), or a
@@ -145,21 +109,6 @@ type pageGrant struct {
 	// retransmit), the version is the only way to order a late grant
 	// against the revocation that overtook it.
 	Version uint64
-}
-
-// grantError encodes err as a grant, keeping its sentinel identifiable
-// across the wire.
-func grantError(err error) pageGrant {
-	return pageGrant{Code: errorCode(err), Err: err.Error()}
-}
-
-// err decodes a grant's error (grant.Err != ""); prefix names the request
-// for an error no sentinel names.
-func (g *pageGrant) err(prefix string) error {
-	if s := sentinels[g.Code]; s != nil {
-		return fmt.Errorf("%w: %s", s, g.Err)
-	}
-	return fmt.Errorf("%s: %s", prefix, g.Err)
 }
 
 // pageInval revokes or downgrades a copy at its destination kernel.

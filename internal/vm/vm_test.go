@@ -126,7 +126,18 @@ func TestSegvOnUnmapped(t *testing.T) {
 		if _, err := sps[1].Load(p, 2, 0xdead000); !errors.Is(err, ErrSegv) {
 			t.Errorf("replica load of unmapped = %v, want ErrSegv", err)
 		}
+		if err := fetchErr(p, ev.svcs[0], mem.PageOf(0xdead000), false); !errors.Is(err, ErrSegv) {
+			t.Errorf("page fetch of unmapped = %v, want ErrSegv", err)
+		}
 	})
+}
+
+// fetchErr serves a page fetch from kernel 1 at origin and returns the
+// grant's error as the requester receives it.
+func fetchErr(p *sim.Proc, origin *Service, vpn mem.VPN, write bool) error {
+	req := &pageFetchReq{GID: 1, VPN: vpn, Write: write}
+	reply := origin.handlePageFetch(p, &msg.Message{Type: msg.TypePageFetch, From: 1, Payload: req})
+	return msg.Consume[pageGrant](origin.ep, reply).Err
 }
 
 func TestWriteToReadOnlyFails(t *testing.T) {
@@ -142,6 +153,9 @@ func TestWriteToReadOnlyFails(t *testing.T) {
 		}
 		if err := sps[1].Store(p, 2, addr, 1); !errors.Is(err, ErrAccess) {
 			t.Errorf("replica store to RO = %v, want ErrAccess", err)
+		}
+		if err := fetchErr(p, ev.svcs[0], mem.PageOf(addr), true); !errors.Is(err, ErrAccess) {
+			t.Errorf("write fetch of RO = %v, want ErrAccess", err)
 		}
 	})
 }
