@@ -228,12 +228,18 @@ type dedupKey struct {
 // dedupEntry remembers a request this kernel accepted, from its first copy's
 // arrival (at) until retire. While the handler runs, duplicates are suppressed
 // outright; once done, duplicates of an RPC re-send the cached reply (the
-// caller evidently missed it). Pooled on Fabric.dedupFree.
+// caller evidently missed it): the entry's own copy (Fabric.keep), released
+// at retire. Pooled on Fabric.dedupFree.
 type dedupEntry struct {
 	seq       uint64
 	at        sim.Time
 	rpc, done bool
 	reply     *Message
+	// sent is the reply as it went out, not the entry's: a replay reads the
+	// link-layer attempts it has used while it is still that reply. A dropped
+	// reply is pinned for its redelivery and stays so; one never dropped has
+	// used none, and once back in its slot it no longer carries this seq.
+	sent *Message
 }
 
 func newEndpoint(f *Fabric, node NodeID) *Endpoint {
@@ -879,9 +885,13 @@ func (e *wireEntry) onSent() {
 	pu, de, span, reply := e.pu, e.de, e.span, e.m // commit may recycle e
 	f := pu.ep.f
 	if !pu.stopped {
+		var kept *Message
+		if de != nil {
+			kept = f.keep(reply) // before commit, which may hand reply on to its end
+		}
 		f.commit(e)
 		if de != nil {
-			de.done, de.reply = true, reply
+			de.done, de.reply, de.sent = true, kept, reply
 		}
 	}
 	f.collector.EndAt(span, f.e.Now())
@@ -921,14 +931,11 @@ func (r *handlerRun) handle(hp *sim.Proc) {
 	}
 	reply := ep.handlers[m.Type](hp, m)
 	// Fault plane only (seen is nil otherwise): later duplicates of an RPC are
-	// answered from the cached reply.
+	// answered from the entry's copy of the reply, made as it is sent.
 	de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]
 	if reply != nil {
 		reply.Type, reply.To, reply.Seq, reply.IsReply = m.Type, m.From, m.Seq, true
 		entry := ep.stage(hp, reply)
-		if de != nil {
-			ep.f.pin(reply) // the dedup table will cache it for replays
-		}
 		entry.pu, entry.de = ep.pump, de
 		entry.span, r.hs = r.hs.ID(), trace.Scope{}
 		ep.f.e.Schedule(ep.f.sendCost(reply), entry.sentFn)
@@ -966,6 +973,10 @@ func (ep *Endpoint) dedup(m *Message) bool {
 	}
 	ep.f.countLink("msg.fault.replayed", ep.node, m.From)
 	rm := *de.reply
+	rm.pooled = false // shares the entry's body, which retire releases
+	if sent := de.sent; sent.IsReply && sent.From == ep.node && sent.Seq == de.seq {
+		rm.attempts = sent.attempts
+	}
 	ep.pump.resend = ep.f.reserve(&rm)
 	ep.f.e.Schedule(ep.f.sendCost(&rm), ep.pump.stepFn)
 	return true
@@ -991,6 +1002,9 @@ func (ep *Endpoint) retire() {
 			}
 			pr.dedupQ.pop()
 			delete(ep.seen, dedupKey{from: NodeID(from), seq: de.seq})
+			if de.reply != nil {
+				f.release(de.reply)
+			}
 			*de = dedupEntry{}
 			sim.Give(&f.dedupFree, de)
 		}

@@ -487,6 +487,12 @@ func (f *Fabric) healNode(n NodeID) {
 	now := f.e.Now()
 	for i := range ep.peers {
 		pr := &ep.peers[i]
+		// A replay sent before the crash may still share an entry's copy.
+		for _, de := range pr.dedupQ.items[pr.dedupQ.head:] {
+			if de.reply != nil {
+				f.pin(de.reply)
+			}
+		}
 		*pr = peer{
 			lastHeard:    now,
 			declaredDead: f.endpoints[i].dead,

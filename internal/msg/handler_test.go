@@ -162,9 +162,10 @@ func TestLeakInvariantSeesThroughReusedWaiterStorage(t *testing.T) {
 }
 
 // TestCoAllocatedReplySurvivesDedupReplay: a duplicate of a completed RPC is
-// answered with a copy of the cached reply's header. The payload is not
-// copied — it lives beside the original header, which the dedup table keeps
-// alive — so the replayed reply must read the same bytes at the same address.
+// answered with a copy of the cached reply's header. The cache is the dedup
+// table's own copy of the reply, header and body, taken as the reply left —
+// the caller's reply is the caller's — so the replayed reply must read the
+// same bytes from the table's body, not the caller's.
 func TestCoAllocatedReplySurvivesDedupReplay(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
@@ -197,8 +198,8 @@ func TestCoAllocatedReplySurvivesDedupReplay(t *testing.T) {
 			return
 		}
 		got := again.Payload.(*answer)
-		if got != payload || got.Text != "forty-two" || got.N != [4]uint64{4, 2, 4, 2} {
-			t.Errorf("replayed reply carries %+v at %p, want the original payload at %p", *got, got, payload)
+		if got == payload || got.Text != "forty-two" || got.N != [4]uint64{4, 2, 4, 2} {
+			t.Errorf("replayed reply carries %+v at %p, want the original's bytes in the table's own body (the caller's is at %p)", *got, got, payload)
 		}
 		if !again.IsReply || again.Seq != seq || again.To != 0 {
 			t.Errorf("replayed header: %+v", *again)

@@ -17,10 +17,16 @@ import (
 //
 // A message with a second reference or an abnormal end — a fault-plane
 // duplicate or delayed copy, a retransmitted request, a link-layer
-// redelivery, a dedup-cached reply, a crash wipe, a killed handler or caller —
-// is pinned instead: it leaves the pool's accounting and is left to the
-// garbage collector, like every message built by hand. One rule, no reference
-// counts.
+// redelivery, a crash wipe, a killed handler or caller — is pinned instead: it
+// leaves the pool's accounting and is left to the garbage collector, like
+// every message built by hand. One rule, no reference counts.
+//
+// The dedup table does not share a reply with its caller: it keeps its own
+// copy, taken from the reply's slot as the reply leaves (Fabric.keep), and
+// releases it at retire. A replayed reply is a bare header sharing that copy's
+// body, pinned from birth; retire cannot reach the copy before the caller's
+// floor has passed its seq, by when the caller has copied the payload out.
+// A heal discards the table and pins its copies.
 
 // msgPool is the fabric's message pool and its accounting: its slots count
 // their cold allocations, pinned the pool-born messages left to the
@@ -37,13 +43,36 @@ type msgPool struct {
 
 // msgSlot is one (Type, leg) free list: plain LIFO, engine-ordered (sim.Take,
 // Give) — never sync.Pool. Every message in it carries a body of one payload
-// type, asserted at reuse; clear zeroes that body at release, so a free
-// message keeps nothing its last tenant referenced. made counts the slot's
-// cold allocations.
+// type, asserted at reuse; body zeroes it at release, so a free message keeps
+// nothing its last tenant referenced, and copies it for the dedup table. made
+// counts the slot's cold allocations.
 type msgSlot struct {
-	free  []*Message
-	clear func(m *Message)
-	made  int
+	free []*Message
+	body slotBody
+	made int
+}
+
+// slotBody is what a slot does to its payload type's bodies. Its one
+// implementation, bodyOf[T], is a zero-size value, so setting a slot's body
+// allocates nothing (a generic function value, made inside take, would
+// allocate its closure).
+type slotBody interface {
+	// clear zeroes m's body.
+	clear(m *Message)
+	// clone takes a message of m's slot carrying a copy of m's body.
+	clone(f *Fabric, m *Message) *Message
+}
+
+// bodyOf is slotBody for bodies of type T.
+type bodyOf[T any] struct{}
+
+func (bodyOf[T]) clear(m *Message) {
+	var zero T
+	*m.Payload.(*T) = zero
+}
+
+func (bodyOf[T]) clone(f *Fabric, m *Message) *Message {
+	return take(f, m.Type, m.IsReply, *m.Payload.(*T))
 }
 
 // leg indexes a slot by direction: requests 0, replies 1.
@@ -97,8 +126,8 @@ func take[T any](f *Fabric, t Type, reply bool, payload T) *Message {
 		return m
 	}
 	s.made++
-	if s.clear == nil {
-		s.clear = clearBody[T]
+	if s.body == nil {
+		s.body = bodyOf[T]{}
 	}
 	b := &struct {
 		Message
@@ -116,10 +145,23 @@ func slotMismatch(t Type, reply bool, have, want any) {
 	panic(fmt.Sprintf("msg: %v slot (reply=%v) holds %T payloads, asked for a %T", t, reply, have, want))
 }
 
-// clearBody zeroes a pooled message's body, a T.
-func clearBody[T any](m *Message) {
-	var zero T
-	*m.Payload.(*T) = zero
+// keep returns the dedup table's own copy of reply m as it leaves: m's header
+// and a copy of its body in a message of m's slot, holding no flow credit.
+// m goes on to its caller and back to the pool as ever; the table releases
+// the copy at retire. A message built by hand or pinned is the collector's,
+// and is kept as it is.
+//
+//popcornvet:hotpath
+func (f *Fabric) keep(m *Message) *Message {
+	if !m.pooled {
+		return m
+	}
+	c := f.pool.slots[m.Type][leg(m.IsReply)].body.clone(f, m)
+	f.adopt(c)
+	body := c.Payload
+	*c = *m
+	c.Payload, c.flowCredit = body, false
+	return c
 }
 
 // adopt takes m into the fabric's custody from the code that built it.
@@ -163,7 +205,7 @@ func (f *Fabric) release(m *Message) {
 		doubleRelease(m)
 	}
 	s := &f.pool.slots[m.Type][leg(m.IsReply)]
-	s.clear(m)
+	s.body.clear(m)
 	m.reset()
 	sim.Give(&s.free, m)
 }
@@ -223,10 +265,10 @@ func CallFor[T any](ep *Endpoint, p *sim.Proc, m *Message) (T, error) {
 
 // checkPool is the msg.pool invariant: every message the pool made is free,
 // pinned, held, detached, or on the fabric's own structures — a wire, a
-// receive lane, a pump, a handler's record, an open call. An RPC request is
-// counted at its call, which owns it for the call's life. A double release,
-// a duplicate header released into a slot, a message released while a
-// handler or a call still holds it: each breaks the sum.
+// receive lane, a pump, a dedup entry, a handler's record, an open call. An
+// RPC request is counted at its call, which owns it for the call's life. A
+// double release, a duplicate header released into a slot, a message released
+// while a handler or a call still holds it: each breaks the sum.
 func (f *Fabric) checkPool() error {
 	made, free, flying := 0, 0, 0
 	for t := range f.pool.slots {
@@ -251,6 +293,12 @@ func (f *Fabric) checkPool() error {
 			}
 		}
 		count(ep.pump.m)
+		for i := range ep.peers {
+			q := &ep.peers[i].dedupQ
+			for _, de := range q.items[q.head:] {
+				count(de.reply)
+			}
+		}
 		for r := ep.live; r != nil; r = r.next {
 			count(r.m)
 		}

@@ -192,3 +192,90 @@ func TestPoolInvariantSeesEarlyRelease(t *testing.T) {
 		t.Fatalf("Run = %v, want the msg.pool invariant", err)
 	}
 }
+
+// TestPoolDedupReplayReadsItsOwnCopy: every request from kernel 0 to kernel 1
+// is duplicated, so the dedup table answers copies of completed calls. The
+// last call's reply is consumed and goes back to the pool, and a call to
+// kernel 2 takes that very message for its own reply; a retransmission of the
+// last call is then answered from the table's copy and must read the last
+// call's answer, not kernel 2's. Kernel 1 then crashes and reboots holding its
+// table, and the pool must balance: a heal that discarded the copies without
+// pinning them would lose them from the accounting.
+func TestPoolDedupReplayReadsItsOwnCopy(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	const crashAt, healAt = 2 * time.Millisecond, 3 * time.Millisecond
+	f := faultFabric(t, e, &faultinj.Plan{
+		Seed: 1,
+		Rules: []faultinj.Rule{{
+			From: 0, To: 1, Type: int(TypePing), DupP: 1, DelayMax: 30 * time.Microsecond,
+		}},
+		Crashes: []faultinj.NodeCrash{{Node: 1, At: crashAt}},
+		Heals:   []faultinj.NodeHeal{{Node: 1, At: healAt}},
+	})
+	var lastSeq uint64
+	for n := 1; n <= 2; n++ {
+		ep := f.Endpoint(NodeID(n))
+		ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
+			lastSeq = m.Seq
+			return Reply(ep, m, 64, poolAck{N: 2 * m.Payload.(*poolReq).N})
+		})
+	}
+	// The caller's replies, in delivery order.
+	watch := &replyWatch{}
+	f.SetObserver(watch)
+	held := 0
+	e.Spawn("caller", func(p *sim.Proc) {
+		ep := f.Endpoint(0)
+		call := func(to NodeID, n int) {
+			if ack, err := CallFor[poolAck](ep, p, NewWith(ep, TypePing, to, 64, poolReq{N: n})); err != nil || ack.N != 2*n {
+				t.Errorf("call %d to k%d: %+v, %v", n, to, ack, err)
+			}
+		}
+		for n := 1; n <= 10; n++ {
+			call(1, n)
+			p.Sleep(50 * time.Microsecond) // the duplicate lands and is replayed
+		}
+		seq, last := lastSeq, watch.replies[len(watch.replies)-1]
+		call(2, 99)
+		if watch.replies[len(watch.replies)-1] != last {
+			t.Errorf("scenario broken: kernel 2's reply is not the recycled reply to call 10")
+		}
+		again, err := CallFor[poolAck](ep, p, &Message{Type: TypePing, To: 1, Size: 64, Seq: seq})
+		if err != nil || again.N != 20 {
+			t.Errorf("retransmission of call 10 answered %+v, %v; want N=20", again, err)
+		}
+		for _, pr := range f.Endpoint(1).peers {
+			for _, de := range pr.dedupQ.items[pr.dedupQ.head:] {
+				if de.reply != nil && de.reply.pooled {
+					held++
+				}
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if held == 0 {
+		t.Fatal("scenario broken: kernel 1's table held no copy before the crash")
+	}
+	if got := f.metrics.Counter("msg.fault.replayed").Value(); got < 11 {
+		t.Errorf("msg.fault.replayed = %d, want the ten duplicates and the retransmission", got)
+	}
+	if f.metrics.Counter("msg.fault.heal").Value() != 1 {
+		t.Fatal("scenario broken: kernel 1 did not reboot")
+	}
+	if err := f.checkPool(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replyWatch is an Observer recording the replies its callers are handed.
+type replyWatch struct{ replies []*Message }
+
+func (w *replyWatch) MsgSent(*sim.Proc, *Message) {}
+func (w *replyWatch) MsgDelivered(_ *sim.Proc, m *Message) {
+	if m.IsReply {
+		w.replies = append(w.replies, m)
+	}
+}

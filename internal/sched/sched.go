@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hw"
@@ -29,15 +30,17 @@ type Scheduler struct {
 	coreIDs []int
 	metrics *stats.Registry
 
-	free    []int // free global core IDs, LIFO for cache warmth
-	runq    []*schedWaiter
+	free []int // free global core IDs, LIFO for cache warmth
+	// runq holds the tasks waiting for a core, oldest first; a pop shifts
+	// the rest down (slices.Delete), so the slice keeps its backing array.
+	runq    []*sim.Proc
 	running map[int64]int // proc ID -> global core ID
-}
-
-type schedWaiter struct {
-	p     *sim.Proc
-	since sim.Time
-	core  int
+	// hot caches the per-dispatch metric handles, each filled on first use
+	// (stats.Registry.CounterIn) so a run registers the names it always did.
+	hot struct {
+		runqMax, switches, preemptions *stats.Counter
+		wait                           *stats.Histogram
+	}
 }
 
 // New creates a scheduler over the given global core IDs.
@@ -67,8 +70,9 @@ func New(e sim.Engine, machine *hw.Machine, coreIDs []int, metrics *stats.Regist
 // their cores, so the occupancy map and run queue describe executions that
 // no longer exist and are discarded wholesale.
 func (s *Scheduler) Reset() {
-	s.running = make(map[int64]int)
-	s.runq = nil
+	clear(s.running)
+	clear(s.runq)
+	s.runq = s.runq[:0]
 	s.free = s.free[:0]
 	for i := len(s.coreIDs) - 1; i >= 0; i-- {
 		s.free = append(s.free, s.coreIDs[i])
@@ -90,24 +94,24 @@ func (s *Scheduler) Acquire(p *sim.Proc) int {
 		s.running[p.ID()] = core
 		return core
 	}
-	w := &schedWaiter{p: p, since: s.e.Now(), core: -1}
-	s.runq = append(s.runq, w)
-	if d := uint64(len(s.runq)); d > s.metrics.Counter("sched.runq.max").Value() {
-		c := s.metrics.Counter("sched.runq.max")
+	since := s.e.Now()
+	s.runq = append(s.runq, p)
+	if c, d := s.metrics.CounterIn(&s.hot.runqMax, "sched.runq.max"), uint64(len(s.runq)); d > c.Value() {
 		c.Add(d - c.Value())
 	}
 	p.Suspend()
-	if w.core < 0 {
+	core, ok := s.running[p.ID()]
+	if !ok {
 		panic("sched: waiter woken without a core")
 	}
-	s.metrics.Histogram("sched.wait").Observe(s.e.Now().Sub(w.since))
+	s.metrics.HistogramIn(&s.hot.wait, "sched.wait").Observe(s.e.Now().Sub(since))
 	p.Sleep(s.machine.Cost.ContextSwitch)
-	s.metrics.Counter("sched.switches").Inc()
-	s.running[p.ID()] = w.core
-	return w.core
+	s.metrics.CounterIn(&s.hot.switches, "sched.switches").Inc()
+	return core
 }
 
-// Release gives p's core back, handing it to the oldest queued task.
+// Release gives p's core back, handing it to the oldest queued task: the
+// core is the waiter's (in running) before it wakes.
 func (s *Scheduler) Release(p *sim.Proc) {
 	core, ok := s.running[p.ID()]
 	if !ok {
@@ -116,9 +120,9 @@ func (s *Scheduler) Release(p *sim.Proc) {
 	delete(s.running, p.ID())
 	if len(s.runq) > 0 {
 		w := s.runq[0]
-		s.runq = s.runq[1:]
-		w.core = core
-		w.p.Resume()
+		s.runq = slices.Delete(s.runq, 0, 1)
+		s.running[w.ID()] = core
+		w.Resume()
 		return
 	}
 	s.free = append(s.free, core)
@@ -149,7 +153,7 @@ func (s *Scheduler) Run(p *sim.Proc, d time.Duration) int {
 			// Preempt: cycle through the run queue.
 			s.Release(p)
 			core = s.Acquire(p)
-			s.metrics.Counter("sched.preemptions").Inc()
+			s.metrics.CounterIn(&s.hot.preemptions, "sched.preemptions").Inc()
 		}
 	}
 	return core

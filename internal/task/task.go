@@ -94,7 +94,10 @@ type Task struct {
 	// Migrations counts how many times this thread has moved.
 	Migrations int
 	// Hops lists the kernels this thread left shadows on, in migration
-	// order; they are reaped when the thread exits.
+	// order; they are reaped when the thread exits. Each Task owns its
+	// array: a migration ships the source's list by reference and the
+	// destination rebuilds it into its own task's, so a shadow's list is
+	// never written and a rollback revives it intact.
 	Hops []int
 	// PendingSignals holds delivered-but-unconsumed signal numbers, in
 	// delivery order. Pending signals migrate with the thread.

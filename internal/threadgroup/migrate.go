@@ -116,7 +116,8 @@ func (s *Service) migrateMsg(g *group, t *task.Task, dst msg.NodeID) *msg.Messag
 		Origin:      g.origin,
 		TaskID:      t.ID,
 		Ctx:         t.Ctx,
-		Hops:        append(append([]int(nil), t.Hops...), int(s.node)),
+		Hops:        t.Hops,
+		Source:      int(s.node),
 		Migrations:  t.Migrations + 1,
 		Pending:     append([]int(nil), t.PendingSignals...),
 		Recoverable: t.Recoverable,
@@ -176,7 +177,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	t.State = task.StateRunnable
 	t.Migrations = req.Migrations
 	t.Recoverable = req.Recoverable
-	t.Hops = hopsWithout(req.Hops, int(s.node))
+	s.importHops(t, req)
 	p.Sleep(s.machine.Cost.ContextSwitch / 2)
 	t.PendingSignals = append(t.PendingSignals, req.Pending...)
 	g.local[req.TaskID] = t
@@ -237,22 +238,30 @@ func (s *Service) rollbackMigration(g *group, t *task.Task, id task.ID) {
 	}
 }
 
-// hopsWithout drops this kernel from the hop list (a revived shadow means
-// the thread no longer owes a reap here).
-func hopsWithout(hops []int, node int) []int {
-	out := make([]int, 0, len(hops))
-	for _, h := range hops {
-		if h != node {
-			out = append(out, h)
+// importHops rebuilds t's hop list in t's own array (sized to the kernel
+// count on first use) from the source's: its hops without this kernel — a
+// revived shadow means the thread no longer owes a reap here — then the
+// source, which left a shadow behind.
+func (s *Service) importHops(t *task.Task, req *migrateReq) {
+	if t.Hops == nil {
+		t.Hops = make([]int, 0, s.fabric.Nodes())
+	}
+	t.Hops = t.Hops[:0]
+	for _, h := range req.Hops {
+		if h != int(s.node) {
+			t.Hops = append(t.Hops, h)
 		}
 	}
-	return out
+	t.Hops = append(t.Hops, req.Source)
 }
 
 // refillDummy asynchronously rebuilds the dummy pool, the way Popcorn's
 // worker pre-creates dummy threads off the migration critical path.
 func (s *Service) refillDummy() {
-	s.e.Spawn(fmt.Sprintf("tg-dummy-refill-%d", s.node), func(p *sim.Proc) {
+	if s.refillName == "" {
+		s.refillName = fmt.Sprintf("tg-dummy-refill-%d", s.node)
+	}
+	s.e.Spawn(s.refillName, func(p *sim.Proc) {
 		s.tasklist.Lock(p)
 		p.Sleep(s.machine.Cost.ThreadSetup)
 		s.dummies++

@@ -56,11 +56,16 @@ type groupSetupReply struct {
 
 // migrateReq carries a thread's execution context to its new kernel.
 type migrateReq struct {
-	GID        vm.GID
-	Origin     msg.NodeID
-	TaskID     task.ID
-	Ctx        task.Context
-	Hops       []int
+	GID    vm.GID
+	Origin msg.NodeID
+	TaskID task.ID
+	Ctx    task.Context
+	// Hops is the source task's own hop list, shipped by reference: the
+	// source's task is a shadow until the reply, and a shadow's list is
+	// never written. The destination copies it into its own task.
+	Hops []int
+	// Source is the kernel the thread leaves, the hop the destination adds.
+	Source     int
 	Migrations int
 	// Pending carries the thread's undelivered signals to the new kernel.
 	Pending []int

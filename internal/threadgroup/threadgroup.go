@@ -130,6 +130,9 @@ type Service struct {
 	nextGID  int64
 	// dummies is the current dummy-thread pool depth.
 	dummies int
+	// refillName names every dummy-refill process, formatted at the first
+	// refill: a kernel that never takes a dummy never formats it.
+	refillName string
 	// setupPending serialises concurrent replica setups for one group
 	// (two inbound migrations racing to attach would otherwise collide).
 	setupPending map[vm.GID]*sim.Cond
