@@ -137,7 +137,9 @@ test:
 # the vm and threadgroup failover files), the justified //popcornvet:allow
 # waivers as the linter counts them, the //popcornvet:bounded markers left
 # in the tree, the string-typed Err fields (a reply carries the deciding
-# kernel's error value, never its text), and the settable options: exported
+# kernel's error value, never its text), the Payload type assertions outside
+# msg (a protocol message's payload types are its msg.Kind's, checked by the
+# compiler), and the settable options: exported
 # fields declared in `type ...Config struct` blocks, and each command's
 # command-line flags (as its -h lists them). ROADMAP quotes these numbers.
 size:
@@ -146,5 +148,6 @@ size:
 	@printf '%6d  waivers (popcornvet -allowlist)\n' $$($(GO) run ./cmd/popcornvet -allowlist . | grep -c '"analyzer"')
 	@printf '%6d  //popcornvet:bounded markers\n' $$(grep -r --include='*.go' '^[[:space:]]*//popcornvet:bounded' . | wc -l)
 	@printf '%6d  string-typed Err fields\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -hE '^[[:space:]]+Err[[:space:]]+string([[:space:]]|$$)' | wc -l)
+	@printf '%6d  Payload.( assertions outside internal/msg\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/msg/*' | xargs grep -o 'Payload\.(' | wc -l)
 	@printf '%6d  exported fields of type ...Config structs\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs awk '/^type [A-Za-z0-9_]*Config struct \{/ { c = 1; next } c && /^}/ { c = 0 } c && /^\t[A-Z][A-Za-z0-9_]*[ \t,]/ { n++ } END { print n + 0 }')
 	@for c in cmd/*/; do printf '%6d  flags of %s\n' $$($(GO) run ./$$c -h 2>&1 | grep -c '^  -') $${c%/}; done

@@ -5,7 +5,8 @@
 //
 //	simtime   wall-clock time, global math/rand, bare go statements and
 //	          real sync primitives inside sim-managed packages
-//	msgproto  msg.Type members never sent; discarded RPC errors
+//	msgproto  a msg.Type of two msg.Kinds; kinds and msg.Type members never
+//	          sent; discarded RPC errors
 //	locksend  sim.Mutex held across a blocking fabric send or RPC, or a
 //	          call that reaches one
 //	lockorder sim-lock acquisition-order cycles (hierarchy inversions)

@@ -129,6 +129,13 @@ type futexWakeup struct {
 
 const reqSize = 64
 
+// The futex protocol: an operation run at the key's home kernel, and the
+// wakeup of a waiter parked on another kernel.
+var (
+	homeOp = msg.Kind[futexOpReq, futexOpReply]{Type: msg.TypeFutexOp, Size: reqSize, ReplySize: reqSize}
+	wakeup = msg.Kind[futexWakeup, struct{}]{Type: msg.TypeFutexWakeup, Size: reqSize}
+)
+
 // NewService creates the kernel's futex service and registers its handlers.
 func NewService(e sim.Engine, fabric *msg.Fabric, node msg.NodeID, homeCore int, resolver Resolver, metrics *stats.Registry) *Service {
 	if metrics == nil {
@@ -144,8 +151,8 @@ func NewService(e sim.Engine, fabric *msg.Fabric, node msg.NodeID, homeCore int,
 		buckets:  make(map[key]*bucket),
 		waiters:  make(map[uint64]*localWaiter),
 	}
-	s.ep.Handle(msg.TypeFutexOp, s.handleOp)
-	s.ep.Handle(msg.TypeFutexWakeup, s.handleWakeup)
+	homeOp.Handle(s.ep, s.do)
+	wakeup.Handle(s.ep, s.handleWakeup)
 	return s
 }
 
@@ -289,11 +296,11 @@ func (s *Service) Wake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) (int, 
 // the error it decided. futex.remote counts the remote calls only.
 func (s *Service) atHome(p *sim.Proc, home msg.NodeID, req futexOpReq) (futexOpReply, error) {
 	if home == s.node {
-		r := s.do(p, &req, s.node)
+		r := s.do(p, s.node, &req)
 		return r, r.Err
 	}
 	s.metrics.CounterIn(&s.hot.remote, "futex.remote").Inc()
-	r, err := msg.CallFor[futexOpReply](s.ep, p, msg.NewWith(s.ep, msg.TypeFutexOp, home, reqSize, req))
+	r, err := homeOp.Call(p, s.ep, home, msg.NoRole, &req)
 	if err != nil {
 		return futexOpReply{}, err
 	}
@@ -372,8 +379,9 @@ func (s *Service) wakeLocal(token uint64) {
 	}
 }
 
-// do runs one operation at its home kernel on behalf of kernel from.
-func (s *Service) do(p *sim.Proc, req *futexOpReq, from msg.NodeID) futexOpReply {
+// do runs one operation at its home kernel on behalf of kernel from: for a
+// local caller, and as the homeOp handler.
+func (s *Service) do(p *sim.Proc, from msg.NodeID, req *futexOpReq) futexOpReply {
 	switch req.Op {
 	case opWait:
 		return s.doWait(p, req.GID, req.Addr, req.Expect, from, req.Token)
@@ -385,13 +393,9 @@ func (s *Service) do(p *sim.Proc, req *futexOpReq, from msg.NodeID) futexOpReply
 	return futexOpReply{Err: fmt.Errorf("futex: unknown futex op %d", req.Op)}
 }
 
-func (s *Service) handleOp(p *sim.Proc, m *msg.Message) *msg.Message {
-	return msg.Reply(s.ep, m, reqSize, s.do(p, m.Payload.(*futexOpReq), m.From))
-}
-
-func (s *Service) handleWakeup(p *sim.Proc, m *msg.Message) *msg.Message {
-	s.wakeLocal(m.Payload.(*futexWakeup).Token)
-	return nil
+func (s *Service) handleWakeup(_ *sim.Proc, _ msg.NodeID, w *futexWakeup) struct{} {
+	s.wakeLocal(w.Token)
+	return struct{}{}
 }
 
 // Metrics returns the registry this service records into.

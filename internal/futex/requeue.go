@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/vm"
 )
@@ -98,7 +97,5 @@ func (s *Service) release(p *sim.Proc, ref waiterRef) {
 		s.wakeLocal(ref.token)
 		return
 	}
-	s.ep.Send(p, msg.NewWith(s.ep, msg.TypeFutexWakeup, ref.node, reqSize,
-		futexWakeup{Token: ref.token},
-	))
+	wakeup.Send(p, s.ep, ref.node, &futexWakeup{Token: ref.token})
 }

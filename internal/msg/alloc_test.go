@@ -52,7 +52,7 @@ func TestMessageResetZeroesEveryField(t *testing.T) {
 	}
 }
 
-// TestMessageIs136Bytes pins the header's size. NewWith allocates it with its
+// TestMessageIs136Bytes pins the header's size. The pool allocates it with its
 // payload, so a header that grows a word can push common messages into the
 // next size class: Floor, laid out as its own word instead of beside the
 // flags, moved futex_shared, migrate_ring and page_bounce bytes_per_op by
@@ -155,7 +155,7 @@ func TestSendDeliverSteadyStateAllocsFaultsOn(t *testing.T) {
 
 // TestCallSteadyStateAllocs pins the RPC round trip with no tracer attached
 // at nothing per call: the request and the reply come out of the fabric's
-// message pool and go back to it (at the Call's end, and once CallFor has
+// message pool and go back to it (at the Call's end, and once Kind.Call has
 // copied the payload out), the handler's record, the call record and the
 // reply's continuation are pooled — and nothing for diagnostics nobody asked
 // for: Call must not box msg.send trace arguments for a detached tracer, nor
@@ -193,13 +193,12 @@ func callSteadyState(t *testing.T, e sim.Engine, f *Fabric) {
 	// One round trip per tick: the tick is far longer than a 4 KiB RPC.
 	const tick = 100 * time.Microsecond
 	type pong struct{ N int }
-	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-		return Reply(f.Endpoint(1), m, 64, pong{N: m.Payload.(*pong).N})
-	})
+	ping := &Kind[pong, pong]{Type: TypePing, Size: 4096, ReplySize: 64}
+	ping.Handle(f.Endpoint(1), func(_ *sim.Proc, _ NodeID, req *pong) pong { return *req })
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
 		for i := 0; ; i++ {
-			if r, err := CallFor[pong](ep, p, NewWith(ep, TypePing, 1, 4096, pong{N: i})); err != nil || r.N != i {
+			if r, err := ping.Call(p, ep, 1, NoRole, &pong{N: i}); err != nil || r.N != i {
 				panic(fmt.Sprintf("call %d: %+v, %v", i, r, err))
 			}
 			p.Sleep(tick)

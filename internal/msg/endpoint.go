@@ -23,10 +23,7 @@ type Endpoint struct {
 	bulk, ctrl fifo[*Message]
 	// pump drains the two lanes for the current incarnation.
 	pump     *pump
-	handlers [numTypes]Handler
-	// handlerNames holds the per-type handler process names, formatted once
-	// at registration instead of per message.
-	handlerNames [numTypes]string
+	handlers [numTypes]handler
 
 	// live lists (through handlerRun.prev/next) every process this endpoint
 	// started (handlers, multicast workers, failure detection) and has not
@@ -270,21 +267,41 @@ func (ep *Endpoint) Collector() *trace.Collector { return ep.f.collector }
 // this returns false.
 func (ep *Endpoint) Ordered() bool { return !ep.f.FaultsEnabled() }
 
-// Handle registers the handler for a message type. Registering twice for
-// the same type panics: handler wiring is static kernel configuration, and a
-// silent overwrite would hide a wiring bug.
-func (ep *Endpoint) Handle(t Type, h Handler) {
-	if ep.handlers[t] != nil {
+// handler is one Type's entry in an endpoint's handler table: its server, the
+// function a Kind's Handle registered, and the process name, formatted once.
+type handler struct {
+	s    server
+	fn   any
+	name string
+}
+
+// server runs request m's handler fn and returns the reply to stage, or nil:
+// a Kind, or a raw Handler. Both are pointer-shaped, as is fn, so registering
+// allocates nothing beyond the handler's own closure.
+type server interface {
+	serve(ep *Endpoint, p *sim.Proc, m *Message, fn any) *Message
+}
+
+func (h Handler) serve(_ *Endpoint, p *sim.Proc, m *Message, _ any) *Message { return h(p, m) }
+
+// Handle registers a raw handler, for traffic built by hand; protocol
+// services register through Kind.Handle.
+func (ep *Endpoint) Handle(t Type, h Handler) { ep.register(t, h, nil) }
+
+// register enters t's handler. Registering twice for the same type panics:
+// handler wiring is static kernel configuration, and a silent overwrite would
+// hide a wiring bug.
+func (ep *Endpoint) register(t Type, s server, fn any) {
+	if ep.handlers[t].s != nil {
 		panic(fmt.Sprintf("msg: duplicate handler for %v on node %d", t, ep.node))
 	}
-	ep.handlers[t] = h
-	ep.handlerNames[t] = fmt.Sprintf("msg-handler-%d-%v", ep.node, t)
+	ep.handlers[t] = handler{s: s, fn: fn, name: fmt.Sprintf("msg-handler-%d-%v", ep.node, t)}
 }
 
 // Handles reports whether a handler is registered for t. Exhaustiveness
 // tests use it to prove every protocol message type is wired.
 func (ep *Endpoint) Handles(t Type) bool {
-	return t > TypeInvalid && t < numTypes && ep.handlers[t] != nil
+	return t > TypeInvalid && t < numTypes && ep.handlers[t].s != nil
 }
 
 // Suspects reports whether this kernel's failure detector is currently
@@ -473,10 +490,10 @@ func (ep *Endpoint) TrySend(p *sim.Proc, m *Message) error {
 // path, including kill-unwind.
 //
 // A pooled m is the fabric's from the call on. The reply is the caller's to
-// keep, left to the collector; CallFor hands it out by value instead, and the
-// reply goes back to the pool.
+// keep, left to the collector; Kind.Call hands it out by value instead, and
+// the reply goes back to the pool.
 func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
-	reply, err := ep.call(p, m)
+	reply, err := ep.call(p, m, NoRole)
 	if reply != nil {
 		ep.f.adopt(reply)
 		ep.f.pin(reply)
@@ -484,8 +501,10 @@ func (ep *Endpoint) Call(p *sim.Proc, m *Message) (*Message, error) {
 	return reply, err
 }
 
-// call is Call up to the reply, which it hands to the caller's custody.
-func (ep *Endpoint) call(p *sim.Proc, m *Message) (*Message, error) {
+// call is Call up to the reply, which it hands to the caller's custody, for
+// a request that is origin-role traffic for kernel role unless role is NoRole.
+func (ep *Endpoint) call(p *sim.Proc, m *Message, role NodeID) (*Message, error) {
+	ep.f.stampOrigin(m, role)
 	if err := ep.admit(p, m); err != nil {
 		ep.f.discard(m) // never sent: its life ends here
 		return nil, err
@@ -908,13 +927,13 @@ func (ep *Endpoint) spawnHandler(m *Message) {
 		ep.f.end(m)
 		return
 	}
-	r := ep.startRun(ep.handlerNames[m.Type])
+	r := ep.startRun(ep.handlers[m.Type].name)
 	r.m, r.fn = m, r.serve
 }
 
 // handle is a handler process's body. A reply's send cost is charged to no
-// process: the handler stages it and leaves the commit to its wire entry. The
-// handler must keep neither m nor m.Payload: teardown ends the request.
+// process: the handler stages it and leaves the commit to its wire entry. A
+// raw handler must keep neither m nor m.Payload: teardown ends the request.
 //
 //popcornvet:hotpath
 func (r *handlerRun) handle(hp *sim.Proc) {
@@ -929,7 +948,8 @@ func (r *handlerRun) handle(hp *sim.Proc) {
 	if col := ep.f.collector; col != nil {
 		r.hs = col.BeginUnder(hp, handleSpanNames[m.Type], int(ep.node), trace.SpanID(m.SpanParent))
 	}
-	reply := ep.handlers[m.Type](hp, m)
+	h := &ep.handlers[m.Type]
+	reply := h.s.serve(ep, hp, m, h.fn)
 	// Fault plane only (seen is nil otherwise): later duplicates of an RPC are
 	// answered from the entry's copy of the reply, made as it is sent.
 	de := ep.seen[dedupKey{from: m.From, seq: m.Seq}]

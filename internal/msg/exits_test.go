@@ -88,7 +88,7 @@ func TestEveryExitPaysItsDebts(t *testing.T) {
 			failover: true,
 			arrange: func(r *exitRun) {
 				r.e.Spawn("sender", func(p *sim.Proc) {
-					r.f.StampOrigin(r.m, 1)
+					r.f.stampOrigin(r.m, 1)
 					r.send(p)
 				})
 				r.e.Schedule(healAt, func() { r.f.Promote(1, 2) })

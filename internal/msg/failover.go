@@ -10,12 +10,7 @@ package msg
 // rejoining old origin still has in flight from before its crash — is
 // fenced at delivery the way dead-incarnation traffic already is.
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/sim"
-)
+import "time"
 
 // EnableFailover attaches the fabric's origin-failover plane: per-kernel
 // origin-epoch and holder tables, epoch stamping of origin-addressed
@@ -60,14 +55,15 @@ func (f *Fabric) OriginHolder(role NodeID) NodeID {
 	return f.originHolder[role]
 }
 
-// StampOrigin stamps m as origin-role traffic for `role` under the current
-// epoch. First-wins, like the incarnation stamps: a retransmitted copy
-// keeps the epoch it was first prepared under, so copies that straddle a
-// promotion are fenced instead of mutating the successor's state.
+// stampOrigin stamps m as origin-role traffic for `role` under the current
+// epoch, unless role is NoRole. First-wins, like the incarnation stamps: a
+// retransmitted copy keeps the epoch it was first prepared under, so copies
+// that straddle a promotion are fenced instead of mutating the successor's
+// state.
 //
 //popcornvet:hotpath
-func (f *Fabric) StampOrigin(m *Message, role NodeID) {
-	if f.originEpoch == nil || m.OriginEpoch != 0 {
+func (f *Fabric) stampOrigin(m *Message, role NodeID) {
+	if f.originEpoch == nil || role == NoRole || m.OriginEpoch != 0 {
 		return
 	}
 	m.OriginNode = role
@@ -90,27 +86,6 @@ func (f *Fabric) Promote(role, holder NodeID) uint64 {
 	f.originEpoch[role]++
 	f.metrics.Counter("msg.failover.promotions").Inc()
 	return f.originEpoch[role]
-}
-
-// Replicate ships m — one record of the replication stream for role's origin
-// state, addressed to the successor — and returns once the successor has
-// logged it: stamped with role's origin-epoch, so a copy that straddles a
-// promotion is fenced (Fabric.fence) instead of applied. Replication rides the
-// control lane, past credits and breakers, so the only failure is a dead
-// successor: then it reports false and the origin runs on unreplicated (the
-// caller counts the skip, so soaks can assert the window was empty).
-func (ep *Endpoint) Replicate(p *sim.Proc, m *Message, role NodeID) bool {
-	ep.f.StampOrigin(m, role)
-	t, to := m.Type, m.To // m is the fabric's once the call starts
-	reply, err := ep.call(p, m)
-	if err != nil {
-		if IsDeadPeer(err) {
-			return false
-		}
-		panic(fmt.Sprintf("msg: %v to successor kernel %d failed: %v", t, to, err))
-	}
-	ep.f.discard(reply) // the ack says only that the successor logged it
-	return true
 }
 
 // RecordDirCommit counts one directory-transaction commit at kernel n

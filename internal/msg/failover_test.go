@@ -26,7 +26,7 @@ func TestStaleOriginTrafficFenced(t *testing.T) {
 		// Prepared under epoch 1, exactly like an RPC the old origin had in
 		// flight at the moment it was declared dead...
 		m := &Message{Type: TypeDirReplicate, To: 1, Size: 64}
-		f.StampOrigin(m, 0)
+		f.stampOrigin(m, 0)
 		if m.OriginEpoch != 1 {
 			t.Errorf("pre-promotion stamp epoch = %d, want 1", m.OriginEpoch)
 		}
@@ -61,7 +61,7 @@ func TestCurrentEpochTrafficPassesFence(t *testing.T) {
 	e.Spawn("current-origin", func(p *sim.Proc) {
 		f.Promote(0, 1)
 		fresh := &Message{Type: TypeDirReplicate, To: 1, Size: 64}
-		f.StampOrigin(fresh, 0)
+		f.stampOrigin(fresh, 0)
 		if fresh.OriginEpoch != 2 {
 			t.Errorf("post-promotion stamp epoch = %d, want 2", fresh.OriginEpoch)
 		}

@@ -154,7 +154,7 @@ func (f *Fabric) EnableFaults(plan *faultinj.Plan, cfg FaultConfig, hooks FaultH
 		f.incarnation[n] = 1
 		ep.seen = make(map[dedupKey]*dedupEntry)
 		ep.sweepDone = sim.NewCond()
-		ep.Handle(TypeRejoin, f.handleRejoin)
+		rejoin.Handle(ep, ep.handleRejoin)
 		for i := range ep.peers {
 			ep.peers[i].lastHeard, ep.peers[i].knownInc = now, 1
 		}
@@ -528,15 +528,11 @@ func (f *Fabric) healNode(n NodeID) {
 			}
 			targets = append(targets, pn)
 		}
-		errs := make([]error, len(targets))
-		ep.CallEachErr(p, targets, func(to NodeID) *Message {
-			return NewWith(ep, TypeRejoin, to, 64, rejoinReq{Node: n, Incarnation: inc})
-		}, nil, errs)
-		for _, err := range errs {
+		rejoin.Each(p, ep, targets, NoRole, &rejoinReq{Node: n, Incarnation: inc}, func(_ int, _ *struct{}, err error) {
 			if err != nil && !IsDeadPeer(err) {
 				panic(fmt.Sprintf("msg: rejoin handshake from kernel %d failed: %v", n, err))
 			}
-		}
+		})
 	})
 }
 
@@ -546,19 +542,20 @@ type rejoinReq struct {
 	Incarnation uint64
 }
 
-// handleRejoin runs on a surviving kernel when a rebooted peer announces
+// rejoin is the rebooted kernel's handshake with each survivor, and heartbeat
+// the failure detector's probe, which the fabric consumes at delivery.
+var (
+	rejoin    = Kind[rejoinReq, struct{}]{Type: TypeRejoin, Size: 64, ReplySize: 16}
+	heartbeat = Kind[struct{}, struct{}]{Type: TypeHeartbeat, Size: 16}
+)
+
+// handleRejoin runs on ep, a surviving kernel, when a rebooted peer announces
 // itself. The survivor cuts loose any RPC still waiting on the previous
 // incarnation, settles the reclamation it owes that incarnation's state
 // (running it now if its own detector never reached a verdict), and then
-// forgets the death verdict so traffic with the rejoiner resumes. The
-// endpoint it touches is m.To — the surviving kernel the handler runs on,
-// its own local state.
-//
-//popcornvet:allow kernlocal resolves the handler's own kernel endpoint (m.To), not a peer's
-func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
-	req := m.Payload.(*rejoinReq)
-	ep := f.endpoints[m.To]
-	node := req.Node
+// forgets the death verdict so traffic with the rejoiner resumes.
+func (ep *Endpoint) handleRejoin(p *sim.Proc, _ NodeID, req *rejoinReq) struct{} {
+	f, node := ep.f, req.Node
 	// Requests to the previous incarnation (and their retransmissions, which
 	// keep the original stamps) are fenced at the rejoined kernel: waiting out
 	// the retry schedule would only delay the inevitable DeadPeerError.
@@ -589,7 +586,7 @@ func (f *Fabric) handleRejoin(p *sim.Proc, m *Message) *Message {
 	// Reclamation is settled: admit the new incarnation's traffic.
 	pr.knownInc = req.Incarnation
 	f.countLink("msg.fault.rejoined", ep.node, node)
-	return Reply(ep, m, 16, struct{}{})
+	return struct{}{}
 }
 
 // failCalls fails every open RPC ep has to an incarnation of peer older than
@@ -672,7 +669,7 @@ func (f *Fabric) declareDead(ep *Endpoint, dead NodeID) {
 // still quiesces. It runs once per kernel lifetime (boot and
 // each reboot), so the spawn-time allocations are off the hot path; the
 // probe loop inside stays clean because the sends go through the pooled
-// NewWith/reserve/commit hot functions.
+// request/reserve/commit hot functions.
 //
 //popcornvet:coldpath
 func (f *Fabric) startFailureDetection(ep *Endpoint) {
@@ -692,7 +689,7 @@ func (f *Fabric) startFailureDetection(ep *Endpoint) {
 				// them at its consume point and drop wherever the fault plane
 				// eats one (partition, dead link, fence), so the probe traffic
 				// of a failure window recycles a handful of objects.
-				hb := NewWith(ep, TypeHeartbeat, to, 16, struct{}{})
+				hb := heartbeat.request(ep, to, &struct{}{})
 				ep.prepare(hb)
 				f.metrics.Counter("msg.heartbeat.sent").Inc()
 				entry := f.reserve(hb)

@@ -23,14 +23,13 @@ func TestHandlerRecordsAreReused(t *testing.T) {
 	defer e.Close()
 	f := testFabric(t, e)
 	type pong struct{ N int }
-	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-		return Reply(f.Endpoint(1), m, 64, pong{N: m.Payload.(*pong).N + 1})
-	})
+	ping := &Kind[pong, pong]{Type: TypePing, Size: 64, ReplySize: 64}
+	ping.Handle(f.Endpoint(1), func(_ *sim.Proc, _ NodeID, req *pong) pong { return pong{N: req.N + 1} })
 	const calls = 10000
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
 		for i := 0; i < calls; i++ {
-			reply, err := CallFor[pong](ep, p, NewWith(ep, TypePing, 1, 64, pong{N: i}))
+			reply, err := ping.Call(p, ep, 1, NoRole, &pong{N: i})
 			if err != nil || reply.N != i+1 {
 				t.Errorf("call %d: reply %+v, err %v", i, reply, err)
 				return
@@ -175,12 +174,15 @@ func TestCoAllocatedReplySurvivesDedupReplay(t *testing.T) {
 		N    [4]uint64
 	}
 	served := 0
-	f.Endpoint(1).Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
+	ask := &Kind[struct{}, answer]{Type: TypePing, Size: 64, ReplySize: 64}
+	ask.Handle(f.Endpoint(1), func(*sim.Proc, NodeID, *struct{}) answer {
 		served++
-		return Reply(f.Endpoint(1), m, 64, answer{Text: "forty-two", N: [4]uint64{4, 2, 4, 2}})
+		return answer{Text: "forty-two", N: [4]uint64{4, 2, 4, 2}}
 	})
 	e.Spawn("caller", func(p *sim.Proc) {
-		first, err := f.Endpoint(0).Call(p, NewWith(f.Endpoint(0), TypePing, 1, 64, struct{}{}))
+		// A raw Call of the kind's pooled request: it hands the pooled reply
+		// out as the caller's to keep.
+		first, err := f.Endpoint(0).Call(p, ask.request(f.Endpoint(0), 1, &struct{}{}))
 		if err != nil {
 			t.Errorf("call: %v", err)
 			return

@@ -190,8 +190,8 @@ type Message struct {
 	// message's end of life: pump dequeue or drop; a crash wipe just clears
 	// it (resetFlowLinks refilled the account).
 	flowCredit bool
-	// pooled marks a message born in one of its fabric's slots (NewWith,
-	// Reply) that the pool still accounts for. Pinning clears it (a copy of
+	// pooled marks a message born in one of its fabric's slots (a Kind's
+	// request or reply) that the pool still accounts for. Pinning clears it (a copy of
 	// the header inherits the cleared flag), leaving the message to the
 	// collector like every message built by hand. Four flags, one word.
 	pooled bool
@@ -263,9 +263,10 @@ type Message struct {
 // how release tells a second release of it.
 func (m *Message) reset() { *m = Message{Payload: m.Payload, pooled: m.pooled} }
 
-// Handler processes one received message on the destination kernel. It runs
-// in its own simulated process and may block on simulator primitives. A
-// non-nil return value is sent back as the RPC reply.
+// Handler is a raw handler (Endpoint.Handle): it processes one received
+// message on the destination kernel, in its own simulated process, and may
+// block on simulator primitives. A non-nil return value is sent back as the
+// RPC reply.
 type Handler func(p *sim.Proc, m *Message) *Message
 
 // Config tunes the transport's cost structure.

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,15 +15,28 @@ import (
 type poolReq struct{ N int }
 type poolAck struct{ N int }
 
+// double is the pool tests' RPC and note their one-way message.
+var (
+	double = Kind[poolReq, poolAck]{Type: TypePing, Size: 64, ReplySize: 64}
+	note   = Kind[poolReq, struct{}]{Type: TypeUser, Size: 64}
+)
+
 // pinWatch is an Observer remembering every message it saw already pinned —
 // a duplicate, a delayed or redelivered copy, a retransmitted request, a
 // replayed reply — to check after the run that none of them went back to a
-// free list.
-type pinWatch struct{ pinned map[*Message]bool }
+// free list. It hands every request it sees delivered to check, as its
+// handler is about to read it.
+type pinWatch struct {
+	pinned map[*Message]bool
+	check  func(m *Message)
+}
 
 func (w *pinWatch) MsgSent(_ *sim.Proc, m *Message) { w.note(m) }
 func (w *pinWatch) MsgDelivered(_ *sim.Proc, m *Message) {
 	w.note(m)
+	if !m.IsReply {
+		w.check(m)
+	}
 }
 
 func (w *pinWatch) note(m *Message) {
@@ -48,31 +62,26 @@ func TestPoolUnderFaultPlane(t *testing.T) {
 			DropP: 0.05, DupP: 0.2, DelayP: 0.2, DelayMax: 300 * time.Microsecond,
 		}}}
 		f := faultFabric(t, e, plan)
-		watch := &pinWatch{pinned: map[*Message]bool{}}
-		f.SetObserver(watch)
 		type key struct {
 			from NodeID
 			seq  uint64
 		}
 		sentWith := map[key]int{}
-		check := func(m *Message) {
+		watch := &pinWatch{pinned: map[*Message]bool{}, check: func(m *Message) {
 			k, n := key{m.From, m.Seq}, m.Payload.(*poolReq).N
 			if first, ok := sentWith[k]; ok && first != n {
 				t.Errorf("seed %d: a copy of k%d seq %d carries %d, the first carried %d", seed, m.From, m.Seq, n, first)
 			}
 			sentWith[k] = n
-		}
+		}}
+		f.SetObserver(watch)
 		for n := 1; n < 4; n++ {
 			ep := f.Endpoint(NodeID(n))
-			ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-				check(m)
+			double.Handle(ep, func(p *sim.Proc, _ NodeID, req *poolReq) poolAck {
 				p.Sleep(time.Microsecond)
-				return Reply(ep, m, 64, poolAck{N: 2 * m.Payload.(*poolReq).N})
+				return poolAck{N: 2 * req.N}
 			})
-			ep.Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
-				check(m)
-				return nil
-			})
+			note.Handle(ep, func(*sim.Proc, NodeID, *poolReq) struct{} { return struct{}{} })
 		}
 		ep := f.Endpoint(0)
 		for c := 0; c < 3; c++ {
@@ -81,7 +90,7 @@ func TestPoolUnderFaultPlane(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					n := 1000*c + i
 					to := NodeID(1 + (c+i)%3)
-					ack, err := CallFor[poolAck](ep, p, NewWith(ep, TypePing, to, 64, poolReq{N: n}))
+					ack, err := double.Call(p, ep, to, NoRole, &poolReq{N: n})
 					if err != nil {
 						t.Errorf("seed %d: call %d: %v", seed, n, err)
 						return
@@ -89,7 +98,7 @@ func TestPoolUnderFaultPlane(t *testing.T) {
 					if ack.N != 2*n {
 						t.Errorf("seed %d: call %d answered %d", seed, n, ack.N)
 					}
-					ep.Send(p, NewWith(ep, TypeUser, to, 64, poolReq{N: -n}))
+					note.Send(p, ep, to, &poolReq{N: -n})
 				}
 			})
 		}
@@ -134,7 +143,7 @@ func TestPoolReleaseTwicePanics(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
-	m := NewWith(f.Endpoint(0), TypePing, 1, 64, poolReq{N: 1})
+	m := double.request(f.Endpoint(0), 1, &poolReq{N: 1})
 	f.discard(m)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "released twice") {
@@ -145,24 +154,26 @@ func TestPoolReleaseTwicePanics(t *testing.T) {
 }
 
 // TestPoolSlotHoldsOnePayloadType: a (Type, leg) slot reuses its messages for
-// one payload type; asking it for another panics at reuse.
+// the one payload type its Kind declares. A second kind of the same Type, which
+// popcornvet's msgproto rejects, would find the wrong body at reuse.
 func TestPoolSlotHoldsOnePayloadType(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
 	ep := f.Endpoint(0)
-	f.discard(NewWith(ep, TypePing, 1, 64, poolReq{N: 1}))
-	if m := NewWith(ep, TypePing, 1, 64, poolReq{N: 2}); m.Payload.(*poolReq).N != 2 || len(f.pool.slots[TypePing][0].free) != 0 {
+	f.discard(double.request(ep, 1, &poolReq{N: 1}))
+	if m := double.request(ep, 1, &poolReq{N: 2}); m.Payload.(*poolReq).N != 2 || len(f.pool.slots[TypePing][0].free) != 0 {
 		t.Fatalf("the slot did not hand its free message out again: %+v", m.Payload)
 	} else {
 		f.discard(m)
 	}
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "holds *msg.poolReq payloads") {
-			t.Fatalf("recovered %v, want the one-payload-type panic", r)
+		if r, ok := recover().(runtime.Error); !ok || !strings.Contains(r.Error(), "*msg.poolReq") {
+			t.Fatalf("recovered %v, want the reused body's type assertion to fail", r)
 		}
 	}()
-	NewWith(ep, TypePing, 1, 64, poolAck{N: 3})
+	second := Kind[poolAck, poolAck]{Type: TypePing, Size: 64}
+	second.request(ep, 1, &poolAck{N: 3})
 }
 
 // TestPoolInvariantSeesEarlyRelease: a handler that gives its request back
@@ -179,8 +190,7 @@ func TestPoolInvariantSeesEarlyRelease(t *testing.T) {
 		return nil
 	})
 	e.Spawn("sender", func(p *sim.Proc) {
-		ep := f.Endpoint(0)
-		ep.Send(p, NewWith(ep, TypeUser, 1, 64, poolReq{N: 1}))
+		note.Send(p, f.Endpoint(0), 1, &poolReq{N: 1})
 	})
 	e.Spawn("ticker", func(p *sim.Proc) { // events for the periodic check to follow
 		for i := 0; i < 20; i++ {
@@ -213,12 +223,9 @@ func TestPoolDedupReplayReadsItsOwnCopy(t *testing.T) {
 		Crashes: []faultinj.NodeCrash{{Node: 1, At: crashAt}},
 		Heals:   []faultinj.NodeHeal{{Node: 1, At: healAt}},
 	})
-	var lastSeq uint64
 	for n := 1; n <= 2; n++ {
-		ep := f.Endpoint(NodeID(n))
-		ep.Handle(TypePing, func(p *sim.Proc, m *Message) *Message {
-			lastSeq = m.Seq
-			return Reply(ep, m, 64, poolAck{N: 2 * m.Payload.(*poolReq).N})
+		double.Handle(f.Endpoint(NodeID(n)), func(_ *sim.Proc, _ NodeID, req *poolReq) poolAck {
+			return poolAck{N: 2 * req.N}
 		})
 	}
 	// The caller's replies, in delivery order.
@@ -228,7 +235,7 @@ func TestPoolDedupReplayReadsItsOwnCopy(t *testing.T) {
 	e.Spawn("caller", func(p *sim.Proc) {
 		ep := f.Endpoint(0)
 		call := func(to NodeID, n int) {
-			if ack, err := CallFor[poolAck](ep, p, NewWith(ep, TypePing, to, 64, poolReq{N: n})); err != nil || ack.N != 2*n {
+			if ack, err := double.Call(p, ep, to, NoRole, &poolReq{N: n}); err != nil || ack.N != 2*n {
 				t.Errorf("call %d to k%d: %+v, %v", n, to, ack, err)
 			}
 		}
@@ -236,13 +243,13 @@ func TestPoolDedupReplayReadsItsOwnCopy(t *testing.T) {
 			call(1, n)
 			p.Sleep(50 * time.Microsecond) // the duplicate lands and is replayed
 		}
-		seq, last := lastSeq, watch.replies[len(watch.replies)-1]
+		seq, last := watch.seqs[len(watch.seqs)-1], watch.replies[len(watch.replies)-1]
 		call(2, 99)
 		if watch.replies[len(watch.replies)-1] != last {
 			t.Errorf("scenario broken: kernel 2's reply is not the recycled reply to call 10")
 		}
-		again, err := CallFor[poolAck](ep, p, &Message{Type: TypePing, To: 1, Size: 64, Seq: seq})
-		if err != nil || again.N != 20 {
+		again, err := ep.Call(p, &Message{Type: TypePing, To: 1, Size: 64, Seq: seq})
+		if err != nil || again.Payload.(*poolAck).N != 20 {
 			t.Errorf("retransmission of call 10 answered %+v, %v; want N=20", again, err)
 		}
 		for _, pr := range f.Endpoint(1).peers {
@@ -270,12 +277,17 @@ func TestPoolDedupReplayReadsItsOwnCopy(t *testing.T) {
 	}
 }
 
-// replyWatch is an Observer recording the replies its callers are handed.
-type replyWatch struct{ replies []*Message }
+// replyWatch is an Observer recording the replies its callers are handed,
+// and their seqs as they land.
+type replyWatch struct {
+	replies []*Message
+	seqs    []uint64
+}
 
 func (w *replyWatch) MsgSent(*sim.Proc, *Message) {}
 func (w *replyWatch) MsgDelivered(_ *sim.Proc, m *Message) {
 	if m.IsReply {
 		w.replies = append(w.replies, m)
+		w.seqs = append(w.seqs, m.Seq)
 	}
 }

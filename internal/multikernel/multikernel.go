@@ -112,16 +112,15 @@ func Boot(cfg Config) (_ *OS, err error) {
 		}
 		os.nodes = append(os.nodes, n)
 		k := k
-		fabric.Endpoint(msg.NodeID(k)).Handle(msg.TypeUser, func(p *sim.Proc, m *msg.Message) *msg.Message {
-			pkt := m.Payload.(*packet)
+		channel.Handle(fabric.Endpoint(msg.NodeID(k)), func(_ *sim.Proc, _ msg.NodeID, pkt *packet) struct{} {
 			d, ok := os.nodes[k].domains[pkt.Dst]
 			if !ok {
 				os.metrics.Counter("mk.drop").Inc()
-				return nil
+				return struct{}{}
 			}
 			d.inbox = append(d.inbox, *pkt) // the message goes back to the pool on return
 			d.hasMail.Signal()
-			return nil
+			return struct{}{}
 		})
 	}
 	return os, nil
@@ -151,6 +150,10 @@ type packet struct {
 	Size    int
 	Payload any
 }
+
+// channel carries packets between domains on different kernels, one-way,
+// as many bytes on the wire as the packet declares.
+var channel = msg.Kind[packet, struct{}]{Type: msg.TypeUser, SizeOf: func(p *packet) int { return p.Size }}
 
 // DomainFunc is a domain body; the domain exits when it returns.
 type DomainFunc func(d *Domain)
@@ -307,9 +310,7 @@ func (d *Domain) Send(dst *Domain, size int, payload any) {
 	// resolve, not a grab at a peer's queue.
 	//popcornvet:allow kernlocal resolves the sender's own kernel endpoint, not a peer's
 	ep := d.os.fabric.Endpoint(d.node.id)
-	ep.Send(d.p, msg.NewWith(ep, msg.TypeUser, dst.node.id, size,
-		packet{Dst: dst.id, Size: size, Payload: payload},
-	))
+	channel.Send(d.p, ep, dst.node.id, &packet{Dst: dst.id, Size: size, Payload: payload})
 }
 
 // Recv blocks until a message arrives and returns its payload and size.

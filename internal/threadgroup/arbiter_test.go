@@ -99,7 +99,7 @@ func askArbiter(t *testing.T, from msg.NodeID, asks []ask) ([]groupSetupReply, m
 		for _, a := range asks {
 			req := a(from, id)
 			req.GID = gid
-			replies = append(replies, ev.tgs[from].askOrigin(p, g, req, 64, "tg.test"))
+			replies = append(replies, ev.tgs[from].askOrigin(p, g, req, "tg.test"))
 		}
 		rec = og.members[id]
 	})

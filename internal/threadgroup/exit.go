@@ -54,9 +54,7 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 		if hop == int(s.node) {
 			continue
 		}
-		s.ep.Send(p, msg.NewWith(s.ep, msg.TypeExitNotify, msg.NodeID(hop), 64,
-			exitNotify{GID: gid, TaskID: id, Reap: true},
-		))
+		exitNotify.Send(p, s.ep, msg.NodeID(hop), &exitReq{GID: gid, TaskID: id, Reap: true})
 	}
 
 	if g.isOrigin {
@@ -96,14 +94,14 @@ func (s *Service) originMemberExited(p *sim.Proc, g *group, id task.ID) error {
 	if len(targets) > 0 {
 		// A replica that died (or dies while we notify it) has no state left
 		// to tear down; only a live replica's refusal is a real error.
-		errs := make([]error, len(targets))
-		s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return msg.NewWith(s.ep, msg.TypeGroupExit, to, 64, groupExit{GID: g.gid})
-		}, nil, errs)
-		for _, err := range errs {
-			if err != nil && !msg.IsDeadPeer(err) {
-				return err
+		var failed error
+		groupExit.Each(p, s.ep, targets, msg.NoRole, &groupExitReq{GID: g.gid}, func(_ int, _ *errReply, err error) {
+			if err != nil && !msg.IsDeadPeer(err) && failed == nil {
+				failed = err
 			}
+		})
+		if failed != nil {
+			return failed
 		}
 	}
 	s.teardownLocal(p, g)
@@ -117,16 +115,15 @@ func (s *Service) teardownLocal(p *sim.Proc, g *group) {
 	delete(s.groups, g.gid)
 }
 
-// handleExitNotify handles both shadow reaping (on hop kernels) and member
-// exit registration (at the origin).
-func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*exitNotify)
+// handleExitNotify handles both shadow reaping (on hop kernels, one-way)
+// and member exit registration (at the origin).
+func (s *Service) handleExitNotify(p *sim.Proc, _ msg.NodeID, req *exitReq) errReply {
 	g, ok := s.groups[req.GID]
 	if !ok {
 		if req.Reap {
-			return nil // group already torn down; nothing to reap
+			return errReply{} // group already torn down; nothing to reap
 		}
-		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Errorf("group %d not resident on kernel %d", req.GID, s.node)})
+		return errReply{Err: fmt.Errorf("group %d not resident on kernel %d", req.GID, s.node)}
 	}
 	if req.Reap {
 		if sh, ok := g.shadows[req.TaskID]; ok {
@@ -134,7 +131,7 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 			sh.State = task.StateExited
 			s.metrics.Counter("tg.shadow.reaped").Inc()
 		}
-		return nil
+		return errReply{}
 	}
 	if req.Ghost {
 		if t, ok := g.local[req.TaskID]; ok {
@@ -145,20 +142,16 @@ func (s *Service) handleExitNotify(p *sim.Proc, m *msg.Message) *msg.Message {
 			}
 			s.metrics.Counter("tg.migrate.ghostdrop").Inc()
 		}
-		return nil
+		return errReply{}
 	}
 	if !g.isOrigin {
-		return msg.Reply(s.ep, m, 64, exitReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return errReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)}
 	}
-	if err := s.originMemberExited(p, g, req.TaskID); err != nil {
-		return msg.Reply(s.ep, m, 64, exitReply{Err: err})
-	}
-	return msg.Reply(s.ep, m, 64, exitReply{})
+	return errReply{Err: s.originMemberExited(p, g, req.TaskID)}
 }
 
 // handleGroupExit tears down a replica kernel's state for an exited group.
-func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*groupExit)
+func (s *Service) handleGroupExit(p *sim.Proc, _ msg.NodeID, req *groupExitReq) errReply {
 	g, ok := s.groups[req.GID]
 	if ok {
 		//popcornvet:allow detorder every shadow gets the same state store, delete and counter bump; nothing leaves the loop in its order
@@ -169,5 +162,5 @@ func (s *Service) handleGroupExit(p *sim.Proc, m *msg.Message) *msg.Message {
 		}
 		s.teardownLocal(p, g)
 	}
-	return msg.Reply(s.ep, m, 64, exitReply{})
+	return errReply{}
 }

@@ -54,7 +54,7 @@ type groupRepl struct {
 // serves the groups listed in GIDs, and receivers re-point their replicas.
 // The epoch table is already written: the promoting successor's
 // msg.Fabric.Promote is its only writer.
-type originHandover struct {
+type handoverReq struct {
 	Holder msg.NodeID
 	GIDs   []vm.GID
 }
@@ -71,36 +71,37 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 	rep := groupRepl{
 		GID: g.gid, Origin: s.node, SnapVersion: g.snapVersion, Exited: g.exited,
 	}
-	size := 64
 	if !g.exited {
 		rep.Members = maps.Clone(g.members)
 		rep.Replicas = maps.Clone(g.replicas)
 		rep.Checkpoints = maps.Clone(g.checkpoints)
-		//popcornvet:allow detorder a sum of sizes: only the total leaves the loop
-		for _, ctx := range g.checkpoints {
-			size += ctx.Bytes()
-		}
-		// The wire charges 16 B per member, per moved member's epoch and per
-		// replica.
-		for _, m := range g.members {
-			if m.epoch > 0 {
-				size += 16
-			}
-		}
-		size += 16 * (len(g.members) + len(g.replicas))
 	}
-	m := msg.NewWith(s.ep, msg.TypeGroupReplicate, s.fabric.Successor(s.node), size, rep)
 	s.metrics.Counter("tg.failover.replicated").Inc()
-	if !s.ep.Replicate(p, m, vm.OriginKernelOf(g.gid)) {
+	if !groupReplicate.Replicate(p, s.ep, s.fabric.Successor(s.node), vm.OriginKernelOf(g.gid), &rep) {
 		s.metrics.Counter("tg.failover.skipped").Inc()
 	}
+}
+
+// groupReplSize is a snapshot's size on the wire: 64 B, each checkpointed
+// context, and 16 B per member, per moved member's epoch and per replica.
+func groupReplSize(rep *groupRepl) int {
+	size := 64
+	//popcornvet:allow detorder a sum of sizes: only the total leaves the loop
+	for _, ctx := range rep.Checkpoints {
+		size += ctx.Bytes()
+	}
+	for _, m := range rep.Members {
+		if m.epoch > 0 {
+			size += 16
+		}
+	}
+	return size + 16*(len(rep.Members)+len(rep.Replicas))
 }
 
 // handleGroupReplicate stores a group snapshot into this kernel's mirror
 // table. Pure state installation — no locks, no outbound messages — so the
 // origin's synchronous ship can never deadlock against it.
-func (s *Service) handleGroupReplicate(p *sim.Proc, m *msg.Message) *msg.Message {
-	rep := m.Payload.(*groupRepl)
+func (s *Service) handleGroupReplicate(_ *sim.Proc, _ msg.NodeID, rep *groupRepl) struct{} {
 	if rep.Exited {
 		delete(s.gmirrors, rep.GID)
 		s.vmsvc.DropMirror(rep.GID)
@@ -109,7 +110,7 @@ func (s *Service) handleGroupReplicate(p *sim.Proc, m *msg.Message) *msg.Message
 		s.gmirrors[rep.GID] = &mirror
 	}
 	s.metrics.Counter("tg.failover.applied").Inc()
-	return msg.Reply(s.ep, m, 64, struct{}{})
+	return struct{}{}
 }
 
 // promoteGroups rebuilds, from this kernel's mirrors, authoritative origin
@@ -151,16 +152,11 @@ func (s *Service) promoteGroups(p *sim.Proc, dead msg.NodeID) {
 	}
 	if len(targets) > 0 {
 		s.metrics.Counter("tg.handover.sent").Inc()
-		errs := make([]error, len(targets))
-		s.ep.CallEachErr(p, targets, func(to msg.NodeID) *msg.Message {
-			return msg.NewWith(s.ep, msg.TypeOriginHandover, to, 64,
-				originHandover{Holder: s.node, GIDs: gids})
-		}, nil, errs)
-		for _, err := range errs {
+		originHandover.Each(p, s.ep, targets, msg.NoRole, &handoverReq{Holder: s.node, GIDs: gids}, func(_ int, _ *struct{}, err error) {
 			if err != nil && !msg.IsDeadPeer(err) {
 				panic(fmt.Sprintf("threadgroup: handover announcement failed: %v", err))
 			}
-		}
+		})
 	}
 }
 
@@ -204,8 +200,7 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 
 // handleOriginHandover applies a promotion announcement: re-point this
 // kernel's replicas of the promoted groups at the new holder.
-func (s *Service) handleOriginHandover(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*originHandover)
+func (s *Service) handleOriginHandover(_ *sim.Proc, _ msg.NodeID, req *handoverReq) struct{} {
 	for _, gid := range req.GIDs {
 		if g, ok := s.groups[gid]; ok && !g.isOrigin {
 			g.origin = req.Holder
@@ -214,7 +209,7 @@ func (s *Service) handleOriginHandover(p *sim.Proc, m *msg.Message) *msg.Message
 		s.vmsvc.Retarget(gid, req.Holder)
 	}
 	s.metrics.Counter("tg.handover.applied").Inc()
-	return msg.Reply(s.ep, m, 64, struct{}{})
+	return struct{}{}
 }
 
 // notifyExit reports a member exit to the group's origin. With failover on,
@@ -244,10 +239,7 @@ func (s *Service) notifyExit(p *sim.Proc, g *group, id task.ID) error {
 			s.metrics.Counter("tg.exit.orphaned").Inc()
 			return nil
 		}
-		m := msg.NewWith(s.ep, msg.TypeExitNotify, g.origin, 64,
-			exitNotify{GID: g.gid, TaskID: id})
-		s.fabric.StampOrigin(m, role)
-		r, err := msg.CallFor[exitReply](s.ep, p, m)
+		r, err := exitNotify.Call(p, s.ep, g.origin, role, &exitReq{GID: g.gid, TaskID: id})
 		if err != nil {
 			if msg.IsDeadPeer(err) {
 				if failover {

@@ -50,7 +50,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 
 	// Phase 3 — ship the context and wait for the destination to resume.
 	rpcStart := p.Now()
-	r, err := msg.CallFor[migrateReply](s.ep, p, s.migrateMsg(g, t, dst))
+	r, err := s.shipContext(p, g, t, dst)
 	if err != nil {
 		// Transport failure (the destination died or never answered): the
 		// thread never resumed there, so revive the source task and surface
@@ -94,9 +94,7 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 		// The origin refused the location: a checkpointed restart (or a
 		// newer registration) owns this thread's identity. The imported
 		// copy must never run — reap it and lose this execution.
-		s.ep.Send(p, msg.NewWith(s.ep, msg.TypeExitNotify, dst, 64,
-			exitNotify{GID: gid, TaskID: id, Ghost: true},
-		))
+		exitNotify.Send(p, s.ep, dst, &exitReq{GID: gid, TaskID: id, Ghost: true})
 		s.dropSupersededShadow(g, t, id)
 		return nil, err
 	}
@@ -106,12 +104,13 @@ func (s *Service) Migrate(p *sim.Proc, gid vm.GID, id task.ID, dst msg.NodeID) (
 	return r.Task, nil
 }
 
-// migrateMsg builds the request that carries t's checkpoint to dst, taking
-// t's pending signals along. On its own so that the stack copy of the context
-// the request is built from lives in a frame that is gone before the round
-// trip parks the migrating thread.
-func (s *Service) migrateMsg(g *group, t *task.Task, dst msg.NodeID) *msg.Message {
-	req := migrateReq{
+// shipContext sends t's checkpoint to dst, taking t's pending signals along.
+// On its own so that the request it builds lives in a frame that exists only
+// for the round trip, not for the rest of Migrate's RPCs.
+func (s *Service) shipContext(p *sim.Proc, g *group, t *task.Task, dst msg.NodeID) (migrateReply, error) {
+	pending := append([]int(nil), t.PendingSignals...)
+	t.PendingSignals = nil
+	return migrate.Call(p, s.ep, dst, msg.NoRole, &migrateReq{
 		GID:         g.gid,
 		Origin:      g.origin,
 		TaskID:      t.ID,
@@ -119,26 +118,23 @@ func (s *Service) migrateMsg(g *group, t *task.Task, dst msg.NodeID) *msg.Messag
 		Hops:        t.Hops,
 		Source:      int(s.node),
 		Migrations:  t.Migrations + 1,
-		Pending:     append([]int(nil), t.PendingSignals...),
+		Pending:     pending,
 		Recoverable: t.Recoverable,
-	}
-	t.PendingSignals = nil
-	return msg.NewWith(s.ep, msg.TypeMigrate, dst, t.Ctx.Bytes()+64, req)
+	})
 }
 
 // handleMigrate is the destination half of the migration protocol.
-func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*migrateReq)
+func (s *Service) handleMigrate(p *sim.Proc, _ msg.NodeID, req *migrateReq) migrateReply {
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, migrateReply{Err: err})
+		return migrateReply{Err: err}
 	}
 	if _, live := g.local[req.TaskID]; live {
 		// A duplicate import: the first execution of this request already
 		// landed and the dedup window that would normally replay its reply
 		// died with a reboot. Re-importing would fork the thread.
 		s.metrics.Counter("tg.migrate.dupimport").Inc()
-		return msg.Reply(s.ep, m, 64, migrateReply{Err: fmt.Errorf("task %d already live on kernel %d", req.TaskID, s.node)})
+		return migrateReply{Err: fmt.Errorf("task %d already live on kernel %d", req.TaskID, s.node)}
 	}
 
 	var t *task.Task
@@ -192,7 +188,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 	// move after it receives this reply (see Migrate). Committing the new
 	// location from the destination would let a source crash strand the
 	// member — registered here while the only executor died over there.
-	return msg.Reply(s.ep, m, 64, migrateReply{Task: t})
+	return migrateReply{Task: t}
 }
 
 // claimRollback asks the origin whether the source of a failed migration
@@ -205,7 +201,7 @@ func (s *Service) handleMigrate(p *sim.Proc, m *msg.Message) *msg.Message {
 // origin grants by default: that is the orphaned-group degradation, with
 // no authority left to race against.
 func (s *Service) claimRollback(p *sim.Proc, g *group, t *task.Task, id task.ID) bool {
-	r := s.askOrigin(p, g, groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations}, 64, "tg.claim")
+	r := s.askOrigin(p, g, groupSetupReq{GID: g.gid, Node: s.node, ClaimMember: id, MoveEpoch: t.Migrations}, "tg.claim")
 	if r.Denied {
 		s.dropSupersededShadow(g, t, id)
 		return false
@@ -295,9 +291,7 @@ func (s *Service) ensureReplica(p *sim.Proc, gid vm.GID, origin msg.NodeID) (*gr
 	}()
 	// Register with the origin first so layout updates reach this kernel
 	// before any state is cached here.
-	r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, origin, 64,
-		groupSetupReq{GID: gid, Node: s.node},
-	))
+	r, err := groupSetup.Call(p, s.ep, origin, msg.NoRole, &groupSetupReq{GID: gid, Node: s.node})
 	if err != nil {
 		return nil, err
 	}
@@ -319,25 +313,24 @@ func (s *Service) ensureReplica(p *sim.Proc, gid vm.GID, origin msg.NodeID) (*gr
 }
 
 // handleThreadCreate serves a remote clone on the destination kernel.
-func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*threadCreateReq)
+func (s *Service) handleThreadCreate(p *sim.Proc, from msg.NodeID, req *threadCreateReq) threadCreateReply {
 	g, err := s.ensureReplica(p, req.GID, req.Origin)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
+		return threadCreateReply{Err: err}
 	}
 	t, err := s.spawnLocal(p, g)
 	if err != nil {
-		return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
+		return threadCreateReply{Err: err}
 	}
 	// The origin records membership when its Spawn call returns (it
 	// initiated this create) or via the GroupSetup ack for third-party
 	// creates.
-	if !g.isOrigin && m.From != g.origin {
+	if !g.isOrigin && from != g.origin {
 		if err := s.notifyOriginSpawn(p, g, t.ID); err != nil {
-			return msg.Reply(s.ep, m, 64, threadCreateReply{Err: err})
+			return threadCreateReply{Err: err}
 		}
 	}
-	return msg.Reply(s.ep, m, 64, threadCreateReply{TaskID: t.ID, Task: t})
+	return threadCreateReply{TaskID: t.ID, Task: t}
 }
 
 // registerMove commits a completed migration's new location with the
@@ -351,13 +344,11 @@ func (s *Service) handleThreadCreate(p *sim.Proc, m *msg.Message) *msg.Message {
 // owns the thread's identity; the returned error wraps ErrSuperseded.
 func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.NodeID) error {
 	req := groupSetupReq{GID: g.gid, Node: dst, MovedMember: moved.ID, MoveEpoch: moved.Migrations}
-	size := 64
 	if moved.Recoverable {
 		ctx := moved.Ctx
 		req.Ctx = &ctx
-		size += ctx.Bytes()
 	}
-	r := s.askOrigin(p, g, req, size, "tg.move")
+	r := s.askOrigin(p, g, req, "tg.move")
 	if r.Denied {
 		return fmt.Errorf("%w: move registration for task %d", ErrSuperseded, moved.ID)
 	}
@@ -376,12 +367,12 @@ func (s *Service) registerMove(p *sim.Proc, g *group, moved *task.Task, dst msg.
 // A dead origin, or one that rebooted and lost the group, orphans the group:
 // the reply then carries Err, and there is no authority left to race
 // against. name prefixes the retry and backpressure counters.
-func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, size int, name string) groupSetupReply {
+func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, name string) groupSetupReply {
 	if g.isOrigin {
 		return s.originSetup(p, g, &req)
 	}
 	for {
-		r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, g.origin, size, req))
+		r, err := groupSetup.Call(p, s.ep, g.origin, msg.NoRole, &req)
 		if err == nil {
 			if r.Err != nil {
 				g.originDead = true
@@ -402,13 +393,12 @@ func (s *Service) askOrigin(p *sim.Proc, g *group, req groupSetupReq, size int, 
 
 // handleGroupSetup runs at the origin: the wire half of askOrigin, and the
 // registration of new replicas and members.
-func (s *Service) handleGroupSetup(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*groupSetupReq)
+func (s *Service) handleGroupSetup(p *sim.Proc, _ msg.NodeID, req *groupSetupReq) groupSetupReply {
 	g, ok := s.groups[req.GID]
 	if !ok || !g.isOrigin {
-		return msg.Reply(s.ep, m, 64, groupSetupReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return groupSetupReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)}
 	}
-	return msg.Reply(s.ep, m, 64, s.originSetup(p, g, req))
+	return s.originSetup(p, g, req)
 }
 
 // originSetup is the origin's one decision on a group-setup request, made in

@@ -37,10 +37,6 @@ type signalReq struct {
 	Routed bool
 }
 
-type signalReply struct {
-	Err error
-}
-
 // maxSignalHops bounds forwarding along migration chains.
 const maxSignalHops = 16
 
@@ -112,7 +108,7 @@ func (s *Service) forwardSignal(p *sim.Proc, req *signalReq, to msg.NodeID) erro
 	if to == s.node {
 		return s.routeSignal(p, &fwd)
 	}
-	r, err := msg.CallFor[signalReply](s.ep, p, msg.NewWith(s.ep, msg.TypeSignal, to, 64, fwd))
+	r, err := signal.Call(p, s.ep, to, msg.NoRole, &fwd)
 	if err != nil {
 		return err
 	}
@@ -171,11 +167,8 @@ func (s *Service) WaitSignal(p *sim.Proc, gid vm.GID, id task.ID) ([]int, error)
 }
 
 // handleSignal serves routed signals.
-func (s *Service) handleSignal(p *sim.Proc, m *msg.Message) *msg.Message {
-	if err := s.routeSignal(p, m.Payload.(*signalReq)); err != nil {
-		return msg.Reply(s.ep, m, 64, signalReply{Err: err})
-	}
-	return msg.Reply(s.ep, m, 64, signalReply{})
+func (s *Service) handleSignal(p *sim.Proc, _ msg.NodeID, req *signalReq) errReply {
+	return errReply{Err: s.routeSignal(p, req)}
 }
 
 // adoptOrphanSignals merges signals that arrived ahead of a migrating

@@ -173,14 +173,14 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 		sigWaiters:    make(map[task.ID]*sigWaiter),
 		gmirrors:      make(map[vm.GID]*groupRepl),
 	}
-	s.ep.Handle(msg.TypeThreadCreate, s.handleThreadCreate)
-	s.ep.Handle(msg.TypeGroupReplicate, s.handleGroupReplicate)
-	s.ep.Handle(msg.TypeOriginHandover, s.handleOriginHandover)
-	s.ep.Handle(msg.TypeGroupSetup, s.handleGroupSetup)
-	s.ep.Handle(msg.TypeMigrate, s.handleMigrate)
-	s.ep.Handle(msg.TypeExitNotify, s.handleExitNotify)
-	s.ep.Handle(msg.TypeGroupExit, s.handleGroupExit)
-	s.ep.Handle(msg.TypeSignal, s.handleSignal)
+	threadCreate.Handle(s.ep, s.handleThreadCreate)
+	groupReplicate.Handle(s.ep, s.handleGroupReplicate)
+	originHandover.Handle(s.ep, s.handleOriginHandover)
+	groupSetup.Handle(s.ep, s.handleGroupSetup)
+	migrate.Handle(s.ep, s.handleMigrate)
+	exitNotify.Handle(s.ep, s.handleExitNotify)
+	groupExit.Handle(s.ep, s.handleGroupExit)
+	signal.Handle(s.ep, s.handleSignal)
 	return s
 }
 
@@ -302,9 +302,7 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 		return t, nil
 	}
 	start := p.Now()
-	r, err := msg.CallFor[threadCreateReply](s.ep, p, msg.NewWith(s.ep, msg.TypeThreadCreate, dst, 128,
-		threadCreateReq{GID: gid, Origin: g.origin},
-	))
+	r, err := threadCreate.Call(p, s.ep, dst, msg.NoRole, &threadCreateReq{GID: gid, Origin: g.origin})
 	if err != nil {
 		return nil, err
 	}
@@ -325,9 +323,7 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 
 // notifyOriginSpawn tells the origin a member was created on this kernel.
 func (s *Service) notifyOriginSpawn(p *sim.Proc, g *group, id task.ID) error {
-	r, err := msg.CallFor[groupSetupReply](s.ep, p, msg.NewWith(s.ep, msg.TypeGroupSetup, g.origin, 64,
-		groupSetupReq{GID: g.gid, Node: s.node, NewMember: id},
-	))
+	r, err := groupSetup.Call(p, s.ep, g.origin, msg.NoRole, &groupSetupReq{GID: g.gid, Node: s.node, NewMember: id})
 	if err != nil {
 		return err
 	}

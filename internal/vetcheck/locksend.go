@@ -28,7 +28,7 @@ func (LockSend) Name() string { return "locksend" }
 
 // fabricSends are the fabric entry points: every one of them parks the
 // calling proc at least for the simulated wire latency. The unexported call
-// is the RPC path under Call, CallFor and the fan-out workers.
+// is the RPC path under Call, the kinds' sends and the fan-out workers.
 var fabricSends = []anchor{
 	declare("msg", "Endpoint", "Call"), declare("msg", "Endpoint", "CallEach"),
 	declare("msg", "Endpoint", "Send"), declare("msg", "Endpoint", "call"),

@@ -32,8 +32,11 @@ func (ep *Endpoint) Handle(t Type, h func())       {}
 func (ep *Endpoint) Call(m int) (int, error)      { return 0, nil }
 func (ep *Endpoint) CallEach(m int) (int, error)  { return 0, nil }
 
-func NewWith[T any](ep *Endpoint, t Type, to, size int, payload T) *Message { return nil }
-func Reply[T any](ep *Endpoint, req *Message, size int, payload T) *Message { return nil }
+type Kind[Req, Rep any] struct{ Type Type }
+
+func (k *Kind[Req, Rep]) Call(to int, req Req) (Rep, error) { var r Rep; return r, nil }
+func (k *Kind[Req, Rep]) Send(to int, req Req)              {}
+func (k *Kind[Req, Rep]) Handle(h func(req *Req) Rep)       {}
 
 func wire(ep *Endpoint) {
 	ep.Handle(TypeGood, func() {})
@@ -79,11 +82,9 @@ func wire(ep *msg.Endpoint) {
 	wantRules(t, got)
 }
 
-func TestMsgProtoNewWithCountsAsSend(t *testing.T) {
-	// A pooled message names its type as NewWith's second argument, after
-	// the endpoint whose pool it comes from, not in a Message literal; a
-	// Reply names none. TypeOrphan is sent only that way here.
-	got := findingsFor(t, map[string]string{
+// kindFixture declares fetch, a kind of TypeOrphan, and wires it with calls.
+func kindFixture(calls string) map[string]string {
+	return map[string]string{
 		"internal/msg/msg.go":      msgFixture,
 		"internal/msg/endpoint.go": msgUserFixture,
 		"internal/vm/wire.go": `package vm
@@ -92,13 +93,47 @@ import "repro/internal/msg"
 
 type req struct{ N int }
 
-func wire(ep *msg.Endpoint) {
-	_ = msg.NewWith(ep, msg.TypeOrphan, 2, 64, req{N: 1})
-	_ = msg.Reply(ep, nil, 64, req{N: 2})
+var fetch = msg.Kind[req, req]{Type: msg.TypeOrphan}
+
+func wire() {
+	fetch.Handle(func(r *req) req { return *r })
+	` + calls + `
 }
 `,
-	}, MsgProto{})
-	wantRules(t, got)
+	}
+}
+
+// TestMsgProtoKindSendCountsAsSend: a kind's message names its Type in the
+// kind's declaration, not in a Message literal; sending the kind sends the
+// Type. TypeOrphan is sent only that way here.
+func TestMsgProtoKindSendCountsAsSend(t *testing.T) {
+	wantRules(t, findingsFor(t, kindFixture("fetch.Send(2, req{N: 1})"), MsgProto{}))
+}
+
+// TestMsgProtoUnsentKind: a kind that is only handled is dead protocol
+// surface, and so is its Type when nothing else sends it.
+func TestMsgProtoUnsentKind(t *testing.T) {
+	wantRules(t, findingsFor(t, kindFixture(""), MsgProto{}),
+		"TypeOrphan is never sent", "fetch is never sent")
+}
+
+// TestMsgProtoTypeOfTwoKinds: two kinds of one Type would share its pool
+// slots with two payload types; the second declaration is flagged.
+func TestMsgProtoTypeOfTwoKinds(t *testing.T) {
+	files := kindFixture("fetch.Send(2, req{N: 1})\n\tagain.Send(2, 3)")
+	files["internal/vm/again.go"] = `package vm
+
+import "repro/internal/msg"
+
+var again = msg.Kind[int, int]{Type: msg.TypeOrphan}
+`
+	wantRules(t, findingsFor(t, files, MsgProto{}), "a second kind declares the Type of")
+}
+
+// TestMsgProtoDiscardedKindCall: Kind.Call's error is an RPC's like Call's.
+func TestMsgProtoDiscardedKindCall(t *testing.T) {
+	wantRules(t, findingsFor(t, kindFixture("fetch.Call(2, req{})\n\t_, _ = fetch.Call(2, req{})"), MsgProto{}),
+		"Call reply and error discarded", "Call error discarded")
 }
 
 func TestMsgProtoDiscardedCall(t *testing.T) {
@@ -139,35 +174,6 @@ func good(e *msg.Endpoint) error {
 		"Call reply and error discarded",
 		"CallEach error discarded",
 	)
-}
-
-// TestMsgProtoTypeAssignmentCountsAsSend: a pooled message is typed by
-// assignment, not in a literal (msg's heartbeats); assigning the Type field
-// of anything but a Message sends nothing.
-func TestMsgProtoTypeAssignmentCountsAsSend(t *testing.T) {
-	for assign, want := range map[string][]string{
-		"h.Type = msg.TypeOrphan":              {"TypeOrphan is never sent"},
-		"m.Type, m.To = msg.TypeOrphan, 2":     nil,
-		"h.Type, m.Type = msg.TypeGood, fetch": nil,
-	} {
-		got := findingsFor(t, map[string]string{
-			"internal/msg/msg.go":      msgFixture,
-			"internal/msg/endpoint.go": msgUserFixture,
-			"internal/vm/wire.go": `package vm
-
-import "repro/internal/msg"
-
-type header struct{ Type msg.Type }
-
-const fetch = msg.TypeOrphan
-
-func wire(m *msg.Message, h *header) {
-	` + assign + `
-}
-`,
-		}, MsgProto{})
-		wantRules(t, got, want...)
-	}
 }
 
 // TestMsgProtoMembersByValue: a use names an enum member by its constant

@@ -55,7 +55,12 @@ type Message struct {
 	From, To NodeID
 }
 
-func NewWith[T any](ep *Endpoint, t Type, to NodeID, size int, payload T) *Message { return nil }
+type Kind[Req, Rep any] struct{ Type Type }
+
+func (k *Kind[Req, Rep]) Call(p *sim.Proc, ep *Endpoint, to, role NodeID, req Req) (Rep, error) {
+	var r Rep
+	return r, nil
+}
 
 type Handler func(p *sim.Proc, m *Message) *Message
 

@@ -86,12 +86,11 @@ func (s *Service) shipRepl(p *sim.Proc, rep dirRepl) {
 }
 
 // shipTo delivers one replication record to succ, the mirror's host
-// (msg.Endpoint.Replicate). A dead successor skips the record and the origin
+// (msg.Kind.Replicate). A dead successor skips the record and the origin
 // keeps running unreplicated — counted, so soaks can assert the window was
 // empty.
 func (s *Service) shipTo(p *sim.Proc, succ msg.NodeID, rep dirRepl) {
-	m := msg.NewWith(s.ep, msg.TypeDirReplicate, succ, sizeSmallReq, rep)
-	if !s.ep.Replicate(p, m, OriginKernelOf(rep.GID)) {
+	if !dirReplicate.Replicate(p, s.ep, succ, OriginKernelOf(rep.GID), &rep) {
 		s.metrics.Counter("dir.failover.skipped").Inc()
 	}
 }
@@ -137,9 +136,9 @@ func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ve
 // handleDirReplicate stores one replication record into this kernel's
 // mirror for the group. Pure state installation: no locks, no outbound
 // messages, so the origin's synchronous ship can never deadlock against it.
-func (s *Service) handleDirReplicate(p *sim.Proc, m *msg.Message) *msg.Message {
-	s.applyRepl(m.Payload.(*dirRepl))
-	return msg.Reply(s.ep, m, 64, struct{}{})
+func (s *Service) handleDirReplicate(_ *sim.Proc, _ msg.NodeID, rep *dirRepl) struct{} {
+	s.applyRepl(rep)
+	return struct{}{}
 }
 
 // applyRepl installs one replication record into the mirror for its group,

@@ -137,7 +137,7 @@ func TestSurrenderedValueDurableBeforeAck(t *testing.T) {
 		// The origin's revocation arrives at the owner, but the origin dies
 		// with the ack in flight: its replEntry for this transaction never
 		// ships. Deliver the invalidation directly to the owner's handler.
-		ev.svcs[2].handlePageInvalidate(p, &msg.Message{From: 0, Payload: &pageInval{GID: 1, VPN: vpn, Version: mver + 1}})
+		ev.svcs[2].handlePageInvalidate(p, 0, &pageInval{GID: 1, VPN: vpn, Version: mver + 1})
 		me := ev.svcs[1].mirrors[1].entries[vpn]
 		if me.value != 17 {
 			t.Fatalf("mirror value after surrender = %d, want 17 (preserved before the ack)", me.value)

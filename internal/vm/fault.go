@@ -183,9 +183,7 @@ func (sp *Space) lookupVMA(p *sim.Proc, vpn mem.VPN) (VMA, error) {
 		return VMA{}, fmt.Errorf("%w: page %#x", ErrSegv, uint64(vpn.Base()))
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.vmaFetch, "vm.vmafetch").Inc()
-	r, err := msg.CallFor[vmaFetchReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAFetch, sp.origin, sizeSmallReq,
-		vmaFetchReq{GID: sp.gid, VPN: vpn},
-	))
+	r, err := vmaFetch.Call(p, sp.svc.ep, sp.origin, msg.NoRole, &vmaFetchReq{GID: sp.gid, VPN: vpn})
 	if err != nil {
 		return VMA{}, err
 	}
@@ -214,9 +212,8 @@ func (sp *Space) resolveFault(p *sim.Proc, vpn mem.VPN, op mem.Op, pend *pending
 		}
 	} else {
 		sp.svc.metrics.CounterIn(&sp.svc.hot.faultRemote, "vm.fault.remote").Inc()
-		g, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq,
-			pageFetchReq{GID: sp.gid, VPN: vpn, Write: write, NoCopy: noCopy},
-		))
+		g, err := pageFetch.Call(p, sp.svc.ep, sp.origin, msg.NoRole,
+			&pageFetchReq{GID: sp.gid, VPN: vpn, Write: write, NoCopy: noCopy})
 		if err != nil {
 			return accessResult{}, err
 		}
@@ -322,7 +319,7 @@ func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, op mem.Op) accessResult
 func (sp *Space) forwardWrite(p *sim.Proc, addr mem.Addr, op mem.Op) (int64, error) {
 	req := pageFetchReq{GID: sp.gid, VPN: mem.PageOf(addr), Addr: addr, Op: op}
 	sp.svc.metrics.Counter("vm.write.forwarded").Inc()
-	grant, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq, req))
+	grant, err := pageFetch.Call(p, sp.svc.ep, sp.origin, msg.NoRole, &req)
 	if err != nil {
 		return 0, err
 	}
@@ -408,9 +405,8 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 	}
 	sp.svc.metrics.Counter("vm.prefetch").Inc()
 	count := int(want[len(want)-1].vpn-want[0].vpn) + 1
-	grant, err := msg.CallFor[pageGrant](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypePageFetch, sp.origin, sizeSmallReq,
-		pageFetchReq{GID: sp.gid, VPN: want[0].vpn, Count: count},
-	))
+	grant, err := pageFetch.Call(p, sp.svc.ep, sp.origin, msg.NoRole,
+		&pageFetchReq{GID: sp.gid, VPN: want[0].vpn, Count: count})
 	if err != nil {
 		finish()
 		if msg.IsBackpressure(err) {

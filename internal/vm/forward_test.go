@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/mem"
-	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -124,9 +123,7 @@ func TestForwardedCASReportsItsOwnOutcome(t *testing.T) {
 			t.Fatalf("Store: %v", err)
 		}
 		forward := func(fp *sim.Proc, op mem.Op) pageGrant {
-			req := &pageFetchReq{GID: 1, VPN: mem.PageOf(addr), Addr: addr, Op: op}
-			reply := origin.handlePageFetch(fp, &msg.Message{Type: msg.TypePageFetch, From: 1, Payload: req})
-			return msg.Consume[pageGrant](origin.ep, reply)
+			return origin.handlePageFetch(fp, 1, &pageFetchReq{GID: 1, VPN: mem.PageOf(addr), Addr: addr, Op: op})
 		}
 		cas := mem.Op{Kind: mem.OpCAS, Old: 0, Val: 1}
 		var a, b pageGrant

@@ -3,31 +3,28 @@ package vm
 import (
 	"fmt"
 
-	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
 // handleVMAOp serves a forwarded layout operation at the origin.
-func (s *Service) handleVMAOp(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*vmaOpReq)
+func (s *Service) handleVMAOp(p *sim.Proc, _ msg.NodeID, req *vmaOpReq) vmaOpReply {
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, vmaOpReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)})
+		return vmaOpReply{Err: fmt.Errorf("kernel %d is not origin of group %d", s.node, req.GID)}
 	}
 	reply, err := sp.originLayout(p, *req)
 	reply.Err = err
-	return msg.Reply(s.ep, m, sizeVMAReply, reply)
+	return reply
 }
 
 // handleVMAUpdate applies a pushed layout change on a replica.
-func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
-	u := m.Payload.(*vmaUpdate)
+func (s *Service) handleVMAUpdate(p *sim.Proc, _ msg.NodeID, u *vmaUpdate) vmaOpReply {
 	sp, ok := s.spaces[u.GID]
 	if !ok {
 		// The replica was dropped concurrently (group exit); ack anyway.
-		return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{})
+		return vmaOpReply{}
 	}
 	// A pushed map (the eager-push ablation) only pre-populates the
 	// replica's VMA cache; removals and re-protections also reach its pages.
@@ -40,29 +37,27 @@ func (s *Service) handleVMAUpdate(p *sim.Proc, m *msg.Message) *msg.Message {
 	}
 	sp.layout.version = max(sp.layout.version, u.Version)
 	s.checker.LayoutApplied(s.node, int64(u.GID), sp.layout.version)
-	return msg.Reply(s.ep, m, sizeSmallReq, vmaOpReply{Version: sp.layout.version})
+	return vmaOpReply{Version: sp.layout.version}
 }
 
 // handleVMAFetch serves a replica's VMA cache miss at the origin.
-func (s *Service) handleVMAFetch(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*vmaFetchReq)
+func (s *Service) handleVMAFetch(p *sim.Proc, _ msg.NodeID, req *vmaFetchReq) vmaFetchReply {
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, vmaFetchReply{})
+		return vmaFetchReply{}
 	}
 	sp.asLock.RLock(p)
 	defer sp.asLock.RUnlock(p)
 	vma, found := sp.layout.Find(req.VPN)
-	return msg.Reply(s.ep, m, sizeVMAReply, vmaFetchReply{OK: found, VMA: vma, Version: sp.layout.version})
+	return vmaFetchReply{OK: found, VMA: vma, Version: sp.layout.version}
 }
 
 // handlePageFetch runs a directory transaction at the origin on behalf of a
 // remote faulting kernel.
-func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*pageFetchReq)
+func (s *Service) handlePageFetch(p *sim.Proc, from msg.NodeID, req *pageFetchReq) pageGrant {
 	sp, ok := s.spaces[req.GID]
 	if !ok || !sp.isOrigin {
-		return msg.Reply(s.ep, m, sizeVMAReply, pageGrant{Err: fmt.Errorf("vm: kernel %d is not origin of group %d", s.node, req.GID)})
+		return pageGrant{Err: fmt.Errorf("vm: kernel %d is not origin of group %d", s.node, req.GID), Src: srcApplied}
 	}
 	// Count > 0 marks a prefetch (demand faults leave it zero). A
 	// single-page prefetch must still take the batch path: the requester
@@ -71,15 +66,9 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 	if req.Count > 0 {
 		sp.asLock.RLock(p)
 		//popcornvet:allow locksend the shared asLock orders remote faults against concurrent VMA updates; the revocation handlers it can trigger touch only remote page tables and never take the origin asLock
-		grant := sp.batchTransactions(p, m.From, req.VPN, req.Count)
+		grant := sp.batchTransactions(p, from, req.VPN, req.Count)
 		sp.asLock.RUnlock(p)
-		size := sizeVMAReply
-		for _, be := range grant.Batch {
-			if be.Err == nil {
-				size += hw.PageSize
-			}
-		}
-		return msg.Reply(s.ep, m, size, *grant)
+		return *grant
 	}
 	if req.Op.Kind != mem.OpLoad {
 		// A forwarded write: apply it here, as a local thread would.
@@ -87,28 +76,27 @@ func (s *Service) handlePageFetch(p *sim.Proc, m *msg.Message) *msg.Message {
 		//popcornvet:allow dirver a forwarded-op reply installs no page copy (srcApplied); there is nothing for the replica to order
 		grant := pageGrant{Value: val, Src: srcApplied}
 		if err != nil {
-			grant = pageGrant{Err: err}
+			grant = pageGrant{Err: err, Src: srcApplied}
 		}
-		return msg.Reply(s.ep, m, sizeVMAReply, grant)
+		return grant
 	}
 	var grant pageGrant
 	sp.asLock.RLock(p)
 	//popcornvet:allow locksend the shared asLock orders remote faults against concurrent VMA updates; the revocation handlers it can trigger touch only remote page tables and never take the origin asLock
-	err := sp.dirTransaction(p, m.From, req.VPN, req.Write, req.NoCopy, &grant)
+	err := sp.dirTransaction(p, from, req.VPN, req.Write, req.NoCopy, &grant)
 	sp.asLock.RUnlock(p)
 	if err != nil {
 		grant = pageGrant{Err: err}
 	}
-	return msg.Reply(s.ep, m, grantSize(grant), grant)
+	return grant
 }
 
 // handlePageInvalidate revokes this kernel's copy of a page on the origin's
 // behalf.
-func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message {
-	req := m.Payload.(*pageInval)
+func (s *Service) handlePageInvalidate(p *sim.Proc, _ msg.NodeID, req *pageInval) pageInvalAck {
 	sp, ok := s.spaces[req.GID]
 	if !ok {
-		return msg.Reply(s.ep, m, sizeSmallReq, pageInvalAck{})
+		return pageInvalAck{}
 	}
 	// A full invalidation of a writable copy destroys the page's only
 	// current contents: after applyInval the value exists solely in the ack
@@ -127,5 +115,5 @@ func (s *Service) handlePageInvalidate(p *sim.Proc, m *msg.Message) *msg.Message
 	if surrender && ack.HadCopy {
 		s.shipSurrender(p, req.GID, req.VPN, ack.Value, req.Version)
 	}
-	return msg.Reply(s.ep, m, invalAckSize(ack), ack)
+	return ack
 }

@@ -84,7 +84,7 @@ func (sp *Space) layoutOp(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 	if sp.isOrigin {
 		return sp.originLayout(p, req)
 	}
-	r, err := msg.CallFor[vmaOpReply](sp.svc.ep, p, msg.NewWith(sp.svc.ep, msg.TypeVMAOp, sp.origin, sizeSmallReq, req))
+	r, err := vmaOp.Call(p, sp.svc.ep, sp.origin, msg.NoRole, &req)
 	if err != nil {
 		return vmaOpReply{}, err
 	}
@@ -145,28 +145,15 @@ func (sp *Space) pushUpdate(p *sim.Proc, u vmaUpdate) error {
 		return nil
 	}
 	sp.svc.metrics.CounterIn(&sp.svc.hot.updatePushed, "vm.update.pushed").Add(uint64(len(targets)))
-	if sp.pushBuild == nil {
-		sp.pushBuild = sp.pushRequest
-	}
-	sp.pushU, sp.pushErrs = u, resize(sp.pushErrs, len(targets))
-	sp.svc.ep.CallEachErr(p, targets, sp.pushBuild, nil, sp.pushErrs)
-	var err error
-	for _, e := range sp.pushErrs {
-		if e != nil && err == nil {
-			err = e
-		}
-	}
-	clear(sp.pushErrs)
-	return err
-}
-
-// pushRequest is pushUpdate's request builder, bound once as sp.pushBuild.
-func (sp *Space) pushRequest(to msg.NodeID) *msg.Message {
-	m := msg.NewWith(sp.svc.ep, msg.TypeVMAUpdate, to, sizeSmallReq, sp.pushU)
 	// Origin-role traffic: epoch-stamped so stale copies from a
 	// crashed-and-rejoined origin are fenced (see revokeCopies).
-	sp.svc.fabric.StampOrigin(m, OriginKernelOf(sp.gid))
-	return m
+	var err error
+	vmaPush.Each(p, sp.svc.ep, targets, OriginKernelOf(sp.gid), &u, func(_ int, _ *vmaOpReply, e error) {
+		if err == nil {
+			err = e
+		}
+	})
+	return err
 }
 
 // scrubLocal drops this kernel's PTEs, values and frames for [lo, hi),

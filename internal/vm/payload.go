@@ -16,6 +16,17 @@ const (
 	sizePageGrant = hw.PageSize + 64
 )
 
+// The address-space protocol: layout operations forwarded to the origin and
+// pushed to replicas, VMA and page fetches, invalidations, and the mirror.
+var (
+	vmaOp          = msg.Kind[vmaOpReq, vmaOpReply]{Type: msg.TypeVMAOp, Size: sizeSmallReq, ReplySize: sizeVMAReply}
+	vmaPush        = msg.Kind[vmaUpdate, vmaOpReply]{Type: msg.TypeVMAUpdate, Size: sizeSmallReq, ReplySize: sizeSmallReq}
+	vmaFetch       = msg.Kind[vmaFetchReq, vmaFetchReply]{Type: msg.TypeVMAFetch, Size: sizeSmallReq, ReplySize: sizeVMAReply}
+	pageFetch      = msg.Kind[pageFetchReq, pageGrant]{Type: msg.TypePageFetch, Size: sizeSmallReq, ReplySizeOf: grantSize}
+	pageInvalidate = msg.Kind[pageInval, pageInvalAck]{Type: msg.TypePageInvalidate, Size: sizeSmallReq, ReplySizeOf: invalAckSize}
+	dirReplicate   = msg.Kind[dirRepl, struct{}]{Type: msg.TypeDirReplicate, Size: sizeSmallReq, ReplySize: 64}
+)
+
 // vmaOpReq forwards a layout operation from a remote kernel to the origin.
 type vmaOpReq struct {
 	GID    GID
@@ -87,7 +98,7 @@ type batchEntry struct {
 const (
 	srcZeroFill = -1 // first touch: requester zero-fills a local frame
 	srcHaveCopy = -2 // requester already holds the data (upgrade)
-	srcApplied  = -3 // the origin applied the operation remotely; nothing to install
+	srcApplied  = -3 // the origin applied the operation remotely, or refused it; nothing to install
 )
 
 // pageGrant is the directory's response to a fault.
@@ -129,30 +140,30 @@ type pageInvalAck struct {
 	HadCopy bool
 }
 
-// grantSize returns the reply size for a grant (page data included only
-// when contents actually travel).
-func grantSize(g pageGrant) int {
-	if g.Src >= 0 {
+// grantSize returns the reply size for a grant: page data is included only
+// when contents actually travel, and a batch carries each page it grants.
+func grantSize(g *pageGrant) int {
+	switch {
+	case g.Batch != nil:
+		size := sizeVMAReply
+		for _, be := range g.Batch {
+			if be.Err == nil {
+				size += hw.PageSize
+			}
+		}
+		return size
+	case g.Src >= 0:
 		return sizePageGrant
 	}
 	return sizeVMAReply
 }
 
 // invalAckSize returns the ack size (page data included on write-back).
-func invalAckSize(a pageInvalAck) int {
+func invalAckSize(a *pageInvalAck) int {
 	if a.HadCopy {
 		return sizePageGrant
 	}
 	return sizeSmallReq
-}
-
-// resize returns s with n elements, in its own storage when it has the room.
-// A caller that clears what it used gets zeroed elements back.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // MaxKernels bounds the kernels a machine may boot: a set of kernels (a

@@ -139,13 +139,9 @@ type Space struct {
 	// replicas is the set of kernels that attached a replica (origin
 	// excluded); layout updates are pushed to these.
 	replicas nodeMask
-	// pushNodes, pushU and pushErrs are pushUpdate's scratch for its targets,
-	// its update and its verdicts, and pushBuild its request builder (bound
-	// once); asLock is held exclusively from filling them to the last use.
+	// pushNodes is pushUpdate's scratch for its targets; asLock is held
+	// exclusively from filling it to the last use.
 	pushNodes []msg.NodeID
-	pushU     vmaUpdate
-	pushErrs  []error
-	pushBuild func(to msg.NodeID) *msg.Message
 }
 
 // Service is the per-kernel VM service: it owns this kernel's group spaces
@@ -177,8 +173,6 @@ type Service struct {
 		latLocal, latRemote, latMap, latUnmap, latProtect               *stats.Histogram
 	}
 	spaces map[GID]*Space
-	// roundFree recycles revokeCopies' fan-out records (sim.Take/Give).
-	roundFree []*revokeRound
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
 	// layout change hit all of them.
 	localCores int
@@ -216,12 +210,12 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 		mirrors:    make(map[GID]*dirMirror),
 		localCores: localCores,
 	}
-	s.ep.Handle(msg.TypeVMAOp, s.handleVMAOp)
-	s.ep.Handle(msg.TypeDirReplicate, s.handleDirReplicate)
-	s.ep.Handle(msg.TypeVMAUpdate, s.handleVMAUpdate)
-	s.ep.Handle(msg.TypeVMAFetch, s.handleVMAFetch)
-	s.ep.Handle(msg.TypePageFetch, s.handlePageFetch)
-	s.ep.Handle(msg.TypePageInvalidate, s.handlePageInvalidate)
+	vmaOp.Handle(s.ep, s.handleVMAOp)
+	dirReplicate.Handle(s.ep, s.handleDirReplicate)
+	vmaPush.Handle(s.ep, s.handleVMAUpdate)
+	vmaFetch.Handle(s.ep, s.handleVMAFetch)
+	pageFetch.Handle(s.ep, s.handlePageFetch)
+	pageInvalidate.Handle(s.ep, s.handlePageInvalidate)
 	e.Invariant(fmt.Sprintf("vm.dir.k%d", node), s.checkDirectory)
 	return s
 }

@@ -135,9 +135,7 @@ func TestSegvOnUnmapped(t *testing.T) {
 // fetchErr serves a page fetch from kernel 1 at origin and returns the
 // grant's error as the requester receives it.
 func fetchErr(p *sim.Proc, origin *Service, vpn mem.VPN, write bool) error {
-	req := &pageFetchReq{GID: 1, VPN: vpn, Write: write}
-	reply := origin.handlePageFetch(p, &msg.Message{Type: msg.TypePageFetch, From: 1, Payload: req})
-	return msg.Consume[pageGrant](origin.ep, reply).Err
+	return origin.handlePageFetch(p, 1, &pageFetchReq{GID: 1, VPN: vpn, Write: write}).Err
 }
 
 func TestWriteToReadOnlyFails(t *testing.T) {
