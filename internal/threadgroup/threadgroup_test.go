@@ -451,3 +451,22 @@ func TestConcurrentSpawnsAndMigrations(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// TestOneWayExitNotifyAnsweredOnlyOnFailure: exit notifications that are sent
+// one-way (a reap, a ghost drop) are answered when they fail — a ghost drop
+// for a group the kernel does not hold — and a reap, which never fails, is
+// not. The stray answer is dropped as an orphan at the sender.
+func TestOneWayExitNotifyAnsweredOnlyOnFailure(t *testing.T) {
+	ev := newEnv(t, 2, Config{})
+	sent := ev.fabric.Metrics().Counter("msg.sent")
+	ev.run(t, func(p *sim.Proc) {
+		exitNotify.Send(p, ev.tgs[0].ep, 1, &exitReq{GID: 42, TaskID: 7, Reap: true})
+		exitNotify.Send(p, ev.tgs[0].ep, 1, &exitReq{GID: 42, TaskID: 7, Ghost: true})
+	})
+	if got := sent.Value(); got != 3 {
+		t.Errorf("msg.sent = %d, want 3: two notifications and the ghost drop's error reply", got)
+	}
+	if got := ev.fabric.Metrics().Counter("msg.rpc.orphan").Value(); got != 1 {
+		t.Errorf("msg.rpc.orphan = %d, want 1", got)
+	}
+}
