@@ -141,9 +141,12 @@ type pageInvalAck struct {
 }
 
 // grantSize returns the reply size for a grant: page data is included only
-// when contents actually travel, and a batch carries each page it grants.
+// when contents actually travel, and a batch carries each page it grants. A
+// refusal carries no page, whatever its zero Src reads as.
 func grantSize(g *pageGrant) int {
 	switch {
+	case g.Err != nil:
+		return sizeVMAReply
 	case g.Batch != nil:
 		size := sizeVMAReply
 		for _, be := range g.Batch {

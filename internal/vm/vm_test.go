@@ -132,6 +132,38 @@ func TestSegvOnUnmapped(t *testing.T) {
 	})
 }
 
+// TestRefusedPageFetchReplySize pins what a refused page fetch costs on the
+// wire: its grant carries no page, so its reply is as small as every other
+// error reply, not a page grant's 4 KiB plus header (its zero Src once read as
+// data from kernel 0).
+func TestRefusedPageFetchReplySize(t *testing.T) {
+	ev := newEnv(t, 2, 64)
+	ev.group(t, 1)
+	sizes := &pageFetchReplySizes{}
+	ev.fabric.SetObserver(sizes)
+	ev.run(t, func(p *sim.Proc) {
+		req := pageFetchReq{GID: 1, VPN: mem.PageOf(0xdead000)}
+		g, err := pageFetch.Call(p, ev.svcs[1].ep, 0, msg.NoRole, &req)
+		if err != nil || !errors.Is(g.Err, ErrSegv) {
+			t.Errorf("page fetch of unmapped = %v, %v; want a grant refused with ErrSegv", g.Err, err)
+		}
+	})
+	if len(sizes.got) != 1 || sizes.got[0] != sizeVMAReply {
+		t.Fatalf("refused page fetch reply sizes %v, want one of %d bytes", sizes.got, sizeVMAReply)
+	}
+}
+
+// pageFetchReplySizes records the wire size of every page-fetch reply sent.
+type pageFetchReplySizes struct{ got []int }
+
+func (r *pageFetchReplySizes) MsgSent(_ *sim.Proc, m *msg.Message) {
+	if m.IsReply && m.Type == msg.TypePageFetch {
+		r.got = append(r.got, m.Size)
+	}
+}
+
+func (r *pageFetchReplySizes) MsgDelivered(*sim.Proc, *msg.Message) {}
+
 // fetchErr serves a page fetch from kernel 1 at origin and returns the
 // grant's error as the requester receives it.
 func fetchErr(p *sim.Proc, origin *Service, vpn mem.VPN, write bool) error {
