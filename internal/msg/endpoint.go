@@ -60,7 +60,6 @@ type peer struct {
 	// it to finish before admitting the new incarnation.
 	sweeping bool
 	flow     flowPeer
-	eachName string // multicast worker process name toward this peer
 
 	// This kernel's open calls to the peer, in seq order (call.prev/next): the
 	// one record of its RPCs in flight, which replies are matched against and
@@ -245,9 +244,6 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 		node:  node,
 		peers: make([]peer, len(f.endpoints)),
 	}
-	for to := range ep.peers {
-		ep.peers[to].eachName = fmt.Sprintf("msg-calleach-%d-%d", node, to)
-	}
 	ep.pump = newPump(ep)
 	return ep
 }
@@ -267,12 +263,11 @@ func (ep *Endpoint) Collector() *trace.Collector { return ep.f.collector }
 // this returns false.
 func (ep *Endpoint) Ordered() bool { return !ep.f.FaultsEnabled() }
 
-// handler is one Type's entry in an endpoint's handler table: its server, the
-// function a Kind's Handle registered, and the process name, formatted once.
+// handler is one Type's entry in an endpoint's handler table: its server and
+// the function a Kind's Handle registered.
 type handler struct {
-	s    server
-	fn   any
-	name string
+	s  server
+	fn any
 }
 
 // server runs request m's handler fn and returns the reply to stage, or nil:
@@ -295,7 +290,7 @@ func (ep *Endpoint) register(t Type, s server, fn any) {
 	if ep.handlers[t].s != nil {
 		panic(fmt.Sprintf("msg: duplicate handler for %v on node %d", t, ep.node))
 	}
-	ep.handlers[t] = handler{s: s, fn: fn, name: fmt.Sprintf("msg-handler-%d-%v", ep.node, t)}
+	ep.handlers[t] = handler{s: s, fn: fn}
 }
 
 // Handles reports whether a handler is registered for t. Exhaustiveness
@@ -927,7 +922,7 @@ func (ep *Endpoint) spawnHandler(m *Message) {
 		ep.f.end(m)
 		return
 	}
-	r := ep.startRun(ep.handlers[m.Type].name)
+	r := ep.startRun(handlerProcNames[m.Type])
 	r.m, r.fn = m, r.serve
 }
 

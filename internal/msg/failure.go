@@ -497,7 +497,6 @@ func (f *Fabric) healNode(n NodeID) {
 			lastHeard:    now,
 			declaredDead: f.endpoints[i].dead,
 			knownInc:     f.incarnation[i],
-			eachName:     pr.eachName,
 			oldest:       pr.oldest,
 			newest:       pr.newest,
 		}

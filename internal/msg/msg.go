@@ -147,14 +147,19 @@ func (t Type) String() string {
 	return fmt.Sprintf("msg.Type(%d)", int(t))
 }
 
-// Span and trace names are derived from the type names once at package init,
-// so the per-message paths index an array instead of concatenating strings.
-// All four tables are written only by init below and read-only after.
+// Span, trace and process names are derived from the type names once at
+// package init, so the per-message paths index an array instead of
+// concatenating strings, and neither a boot nor a handler registration formats
+// one. A process name carries no kernel: the span, the sanitizer's report and
+// a lock's label name it. All six tables are written only by init below and
+// read-only after.
 var (
 	wireSpanNames      [numTypes]string
 	wireReplySpanNames [numTypes]string
 	rpcSpanNames       [numTypes]string
 	handleSpanNames    [numTypes]string
+	handlerProcNames   [numTypes]string // a handler's process
+	eachProcNames      [numTypes]string // a multicast worker's process
 )
 
 func init() {
@@ -164,6 +169,8 @@ func init() {
 		wireReplySpanNames[t] = "wire." + n + ".reply"
 		rpcSpanNames[t] = "rpc." + n
 		handleSpanNames[t] = "handle." + n
+		handlerProcNames[t] = "msg-handler-" + n
+		eachProcNames[t] = "msg-calleach-" + n
 	}
 }
 

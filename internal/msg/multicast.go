@@ -39,8 +39,8 @@ func (ep *Endpoint) round(p *sim.Proc, targets []NodeID, role NodeID, build func
 	}
 	fo.role, fo.span = role, p.Span()
 	fo.wg.Add(len(targets))
-	for i, to := range targets {
-		r := ep.startRun(ep.peers[to].eachName)
+	for i, m := range fo.msgs {
+		r := ep.startRun(eachProcNames[m.Type])
 		r.fan, r.i, r.fn = fo, i, r.each
 	}
 	fo.wg.Wait(p) // a caller killed here leaves fo to the collector

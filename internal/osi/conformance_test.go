@@ -16,28 +16,43 @@ import (
 	"repro/internal/vm"
 )
 
-// bootAll returns one freshly booted OS per flavour implementing osi.OS.
+// bootAll returns one freshly booted OS per flavour implementing osi.OS, on
+// a dual-socket 8-core machine that popcorn splits into 4 kernels.
 func bootAll(t *testing.T) map[string]osi.OS {
 	t.Helper()
-	topo := hw.Topology{Cores: 8, NUMANodes: 2}
-	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
+	oses := make(map[string]osi.OS, len(boots))
+	for name, boot := range boots {
+		o, err := boot(hw.Topology{Cores: 8, NUMANodes: 2}, 4)
+		if err != nil {
+			t.Fatalf("Boot %s: %v", name, err)
+		}
+		t.Cleanup(o.Close)
+		oses[name] = o
 	}
-	cc := kernel.DefaultClusterConfig(machine)
-	cc.Kernels = 4
-	cc.FramesPerKernel = 4096
-	pop, err := core.Boot(core.Config{Topology: topo, Cluster: &cc})
-	if err != nil {
-		t.Fatalf("Boot popcorn: %v", err)
-	}
-	t.Cleanup(pop.Close)
-	sm, err := smp.Boot(smp.Config{Topology: topo, FramesPerNode: 8192})
-	if err != nil {
-		t.Fatalf("Boot smp: %v", err)
-	}
-	t.Cleanup(sm.Close)
-	return map[string]osi.OS{"popcorn": pop, "smp": sm}
+	return oses
+}
+
+// booted is an OS a test booted, and must Close.
+type booted interface {
+	osi.OS
+	Close()
+}
+
+// boots boots each flavour on topo; popcorn splits it into kernels kernels.
+var boots = map[string]func(topo hw.Topology, kernels int) (booted, error){
+	"popcorn": func(topo hw.Topology, kernels int) (booted, error) {
+		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+		if err != nil {
+			return nil, err
+		}
+		cc := kernel.DefaultClusterConfig(machine)
+		cc.Kernels = kernels
+		cc.FramesPerKernel = 4096
+		return core.Boot(core.Config{Topology: topo, Cluster: &cc})
+	},
+	"smp": func(topo hw.Topology, _ int) (booted, error) {
+		return smp.Boot(smp.Config{Topology: topo, FramesPerNode: 8192})
+	},
 }
 
 // TestConformanceIdenticalSemantics runs the same program on both OSes and

@@ -56,12 +56,10 @@ func New(e sim.Engine, machine *hw.Machine, coreIDs []int, metrics *stats.Regist
 		machine: machine,
 		coreIDs: append([]int(nil), coreIDs...),
 		metrics: metrics,
+		free:    make([]int, 0, len(coreIDs)),
 		running: make(map[int64]int),
 	}
-	// Free list starts in reverse so cores are handed out in ID order.
-	for i := len(s.coreIDs) - 1; i >= 0; i-- {
-		s.free = append(s.free, s.coreIDs[i])
-	}
+	s.Reset()
 	return s, nil
 }
 
@@ -74,6 +72,7 @@ func (s *Scheduler) Reset() {
 	clear(s.runq)
 	s.runq = s.runq[:0]
 	s.free = s.free[:0]
+	// The free list starts in reverse so cores are handed out in ID order.
 	for i := len(s.coreIDs) - 1; i >= 0; i-- {
 		s.free = append(s.free, s.coreIDs[i])
 	}

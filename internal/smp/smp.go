@@ -55,16 +55,17 @@ type OS struct {
 	tasklist *sim.Mutex
 	pidLock  *sim.Mutex
 	zones    []*kernel.LockedFrames
-	futexes  [futexBuckets]*futexBucket
-	nextPID  int64
-	rrNode   int
+	// futexes are the hash table's bucket locks; a futex address hashes to
+	// one (futexLock). The queues are keyed by the (process-unique) address
+	// itself, so one map holds every bucket's.
+	futexes      [futexBuckets]sim.Mutex
+	futexWaiters map[mem.Addr][]*smpWaiter
+	nextPID      int64
+	rrNode       int
 }
 
-type futexBucket struct {
-	mu      *sim.Mutex
-	waiters map[mem.Addr][]*smpWaiter // keyed by (process-unique) address
-}
-
+// smpWaiter is a thread's entry in a futex queue; each Thread holds its own,
+// as a thread waits on at most one futex at a time.
 type smpWaiter struct {
 	proc  *sim.Proc
 	mm    *mmStruct
@@ -111,12 +112,13 @@ func Boot(cfg Config) (_ *OS, err error) {
 		return nil, err
 	}
 	os := &OS{
-		e:        e,
-		machine:  machine,
-		metrics:  metrics,
-		sched:    sch,
-		tasklist: sim.NewMutex(e),
-		pidLock:  sim.NewMutex(e),
+		e:            e,
+		machine:      machine,
+		metrics:      metrics,
+		sched:        sch,
+		tasklist:     sim.NewMutex(e),
+		pidLock:      sim.NewMutex(e),
+		futexWaiters: make(map[mem.Addr][]*smpWaiter),
 	}
 	for n := 0; n < topo.NUMANodes; n++ {
 		alloc, err := mem.NewFrameAllocator(n, mem.FrameID(n)<<24, framesPerNode)
@@ -126,9 +128,14 @@ func Boot(cfg Config) (_ *OS, err error) {
 		os.zones = append(os.zones, kernel.NewLockedFrames(e, machine, alloc, false, topo.CoresPerNode()))
 	}
 	for i := range os.futexes {
-		os.futexes[i] = &futexBucket{mu: sim.NewMutex(e).SetLabel("smp.futex.bucket"), waiters: make(map[mem.Addr][]*smpWaiter)}
+		os.futexes[i].SetLabel("smp.futex.bucket")
 	}
 	return os, nil
+}
+
+// futexLock returns the hash-bucket lock addr's futex queue sits under.
+func (o *OS) futexLock(addr mem.Addr) *sim.Mutex {
+	return &o.futexes[int(addr/hw.CacheLineSize)%futexBuckets]
 }
 
 // Name implements osi.OS.
@@ -264,7 +271,7 @@ func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	pr.wg.Add(1)
 	o.e.Spawn(fmt.Sprintf("smp-thread-%d", tid), func(tp *sim.Proc) {
 		defer pr.wg.Done()
-		th := &Thread{pr: pr, p: tp, tid: tid}
+		th := &Thread{pr: pr, p: tp, tid: tid, waiter: smpWaiter{proc: tp, mm: pr.mm}}
 		th.core = o.sched.Acquire(tp)
 		fn(th)
 		th.exit()

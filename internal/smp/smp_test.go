@@ -2,6 +2,8 @@ package smp
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -262,6 +264,159 @@ func TestFutexIsolatedBetweenProcesses(t *testing.T) {
 		// A woke: fine only if it was A's own wake; the error cases above
 		// would have flagged B's cross-wake already.
 		_ = crossWake
+	}
+}
+
+// futexScript runs waiters of two processes, A and B, each waiting on one of
+// its words after a staggered delay, then each process's wakers in turn, one
+// operation a millisecond apart. It returns the waiters in the order they
+// woke, each tagged with the operation that woke it.
+type futexScript struct {
+	// words are the futex words, offsets into one mapping every process makes
+	// at the same address.
+	words   map[string]mem.Addr
+	waiters []futexWaiterSpec // in the order they queue
+	ops     []futexOpSpec     // in the order they run
+}
+
+type futexWaiterSpec struct {
+	name, proc, word string
+}
+
+type futexOpSpec struct {
+	proc string
+	// wake wakes up to n waiters of word; requeue (to != "") wakes up to n
+	// and moves up to move of the rest onto to.
+	word, to string
+	n, move  int
+	// want is the operation's (woken, requeued) count.
+	want [2]int
+}
+
+func (fs futexScript) run(t *testing.T) []string {
+	t.Helper()
+	os := boot(t)
+	e := os.Engine()
+	var woke []string
+	op := -1
+	var base mem.Addr // where every process maps its words
+	e.Spawn("driver", func(p *sim.Proc) {
+		procs := map[string]osi.Process{}
+		for _, name := range []string{"A", "B"} {
+			pr, err := os.StartProcess(p)
+			if err != nil {
+				t.Errorf("StartProcess: %v", err)
+				return
+			}
+			procs[name] = pr
+			// Map and fault in the words first, so that every waiter's
+			// enqueue costs the same and they queue in script order.
+			_ = pr.Spawn(p, 0, func(th osi.Thread) {
+				at, err := th.Mmap(8*hw.PageSize, mem.ProtRead|mem.ProtWrite)
+				if base == 0 {
+					base = at
+				}
+				if err != nil || at != base {
+					t.Errorf("Mmap = %#x, %v; want every process's words at %#x", uint64(at), err, uint64(base))
+				}
+				for _, w := range fs.words {
+					_ = th.Store(base+w, 0)
+				}
+			})
+			pr.Wait(p)
+		}
+		for i, ws := range fs.waiters {
+			_ = procs[ws.proc].Spawn(p, 0, func(th osi.Thread) {
+				th.Proc().Sleep(time.Duration(i+1) * 100 * time.Microsecond)
+				if err := th.FutexWait(base+fs.words[ws.word], 0); err != nil {
+					t.Errorf("%s: FutexWait: %v", ws.name, err)
+				}
+				woke = append(woke, fmt.Sprintf("%s@%d", ws.name, op))
+			})
+		}
+		p.Sleep(time.Duration(len(fs.waiters)+1) * 100 * time.Microsecond)
+		for i, o := range fs.ops {
+			_ = procs[o.proc].Spawn(p, 0, func(th osi.Thread) {
+				op = i
+				var got [2]int
+				var err error
+				if o.to == "" {
+					got[0], err = th.FutexWake(base+fs.words[o.word], o.n)
+				} else {
+					got[0], got[1], err = th.FutexRequeue(base+fs.words[o.word], base+fs.words[o.to], 0, o.n, o.move)
+				}
+				if err != nil || got != o.want {
+					t.Errorf("op %d (%+v): %v, %v; want %v", i, o, got, err, o.want)
+				}
+			})
+			p.Sleep(time.Millisecond)
+		}
+		for _, pr := range procs {
+			pr.Wait(p)
+			_ = pr.Close(p)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return woke
+}
+
+// TestFutexTableSharedBuckets drives the futex hash table with waiters of two
+// processes queued on one word, on a second word in the same bucket, and
+// requeued onto a word in another bucket: a wake or requeue takes only its
+// own process's waiters, oldest first, and leaves every other waiter queued
+// in its place, once.
+func TestFutexTableSharedBuckets(t *testing.T) {
+	fs := futexScript{
+		words: map[string]mem.Addr{
+			"x": 0,
+			"y": futexBuckets * hw.CacheLineSize, // x's bucket
+			"z": hw.CacheLineSize,                // the next bucket
+		},
+		waiters: []futexWaiterSpec{
+			{"A1", "A", "x"}, {"B1", "B", "x"}, {"A2", "A", "x"}, {"A3", "A", "x"},
+			{"B2", "B", "x"}, {"A4", "A", "x"}, {"A5", "A", "x"},
+			{"A6", "A", "y"}, {"B3", "B", "y"}, {"A7", "A", "y"}, {"B4", "B", "y"},
+		},
+		ops: []futexOpSpec{
+			{proc: "A", word: "x", n: 2, want: [2]int{2, 0}},                   // 0: A1, A2
+			{proc: "A", word: "x", to: "z", n: 1, move: 1, want: [2]int{1, 1}}, // 1: A3; A4 → z
+			{proc: "A", word: "y", n: 1, want: [2]int{1, 0}},                   // 2: A6
+			{proc: "B", word: "y", to: "z", n: 0, move: 1, want: [2]int{0, 1}}, // 3: B3 → z
+			{proc: "B", word: "x", n: 1, want: [2]int{1, 0}},                   // 4: B1
+			{proc: "A", word: "z", n: 5, want: [2]int{1, 0}},                   // 5: A4
+			{proc: "B", word: "z", n: 5, want: [2]int{1, 0}},                   // 6: B3
+			{proc: "A", word: "x", n: 5, want: [2]int{1, 0}},                   // 7: A5
+			{proc: "A", word: "y", to: "z", n: 1, move: 5, want: [2]int{1, 0}}, // 8: A7
+			{proc: "B", word: "y", to: "z", n: 0, move: 5, want: [2]int{0, 1}}, // 9: B4 → z
+			{proc: "B", word: "x", to: "z", n: 5, move: 5, want: [2]int{1, 0}}, // 10: B2
+			{proc: "B", word: "z", n: 5, want: [2]int{1, 0}},                   // 11: B4
+			{proc: "A", word: "z", n: 5, want: [2]int{0, 0}},                   // 12: none left
+		},
+	}
+	want := "A1@0 A2@0 A3@1 A6@2 B1@4 A4@5 B3@6 A5@7 A7@8 B2@10 B4@11"
+	if got := strings.Join(fs.run(t), " "); got != want {
+		t.Fatalf("woken %s\nwant  %s", got, want)
+	}
+}
+
+// TestFutexRequeueOntoItself requeues waiters onto the word they wait on: the
+// requeued ones go to the back of its queue, as they do on the replicated
+// kernel, rather than out of every queue.
+func TestFutexRequeueOntoItself(t *testing.T) {
+	fs := futexScript{
+		words:   map[string]mem.Addr{"x": 0},
+		waiters: []futexWaiterSpec{{"A1", "A", "x"}, {"A2", "A", "x"}, {"A3", "A", "x"}},
+		ops: []futexOpSpec{
+			{proc: "A", word: "x", to: "x", n: 1, move: 1, want: [2]int{1, 1}}, // 0: A1; A2 to the back
+			{proc: "A", word: "x", n: 1, want: [2]int{1, 0}},                   // 1: A3
+			{proc: "A", word: "x", n: 1, want: [2]int{1, 0}},                   // 2: A2
+		},
+	}
+	want := "A1@0 A3@1 A2@2"
+	if got := strings.Join(fs.run(t), " "); got != want {
+		t.Fatalf("woken %s\nwant  %s", got, want)
 	}
 }
 

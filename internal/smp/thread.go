@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/futex"
-	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/osi"
 	"repro/internal/sim"
@@ -25,6 +24,8 @@ type Thread struct {
 	p    *sim.Proc
 	tid  int64
 	core int
+	// waiter is the thread's futex queue entry, queued while it waits.
+	waiter smpWaiter
 }
 
 var _ osi.Thread = (*Thread)(nil)
@@ -215,22 +216,23 @@ func (t *Thread) FetchAdd(addr mem.Addr, delta int64) (int64, error) {
 func (t *Thread) FutexWait(addr mem.Addr, expect int64) error {
 	o := t.pr.os
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	b := o.futexes[int(addr/hw.CacheLineSize)%futexBuckets]
-	b.mu.Lock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(b.mu.Waiters()), o.crossNode()))
+	mu := o.futexLock(addr)
+	mu.Lock(t.p)
+	t.p.Sleep(o.machine.LineBounce(o.capSharers(mu.Waiters()), o.crossNode()))
 	val, err := t.access(addr, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
-		b.mu.Unlock(t.p)
+		mu.Unlock(t.p)
 		return err
 	}
 	if val != expect {
-		b.mu.Unlock(t.p)
+		mu.Unlock(t.p)
 		o.metrics.Counter("smp.futex.eagain").Inc()
 		return futex.ErrWouldBlock
 	}
-	w := &smpWaiter{proc: t.p, mm: t.pr.mm}
-	b.waiters[addr] = append(b.waiters[addr], w)
-	b.mu.Unlock(t.p)
+	w := &t.waiter
+	w.woken = false
+	o.futexWaiters[addr] = append(o.futexWaiters[addr], w)
+	mu.Unlock(t.p)
 	o.metrics.Counter("smp.futex.wait").Inc()
 	o.sched.Release(t.p)
 	if !w.woken {
@@ -250,10 +252,10 @@ func (t *Thread) FutexWake(addr mem.Addr, count int) (int, error) {
 	if count <= 0 {
 		return 0, nil
 	}
-	b := o.futexes[int(addr/hw.CacheLineSize)%futexBuckets]
-	b.mu.Lock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(b.mu.Waiters()), o.crossNode()))
-	q := b.waiters[addr]
+	mu := o.futexLock(addr)
+	mu.Lock(t.p)
+	t.p.Sleep(o.machine.LineBounce(o.capSharers(mu.Waiters()), o.crossNode()))
+	q := o.futexWaiters[addr]
 	// Wake only waiters of this process (keys are per-mm in Linux; the
 	// bucket is shared, the queue entries carry the mm).
 	woken := 0
@@ -267,38 +269,35 @@ func (t *Thread) FutexWake(addr mem.Addr, count int) (int, error) {
 			remaining = append(remaining, w)
 		}
 	}
-	if len(remaining) == 0 {
-		delete(b.waiters, addr)
-	} else {
-		b.waiters[addr] = append([]*smpWaiter(nil), remaining...)
-	}
-	b.mu.Unlock(t.p)
+	o.setFutexQueue(addr, q, remaining)
+	mu.Unlock(t.p)
 	o.metrics.Counter("smp.futex.wake").Inc()
 	return woken, nil
 }
 
 // FutexRequeue implements osi.Thread: both buckets lock in address order,
-// the value check and the queue moves are atomic under them.
+// the value check and the queue moves are atomic under them. Requeueing onto
+// the same word moves the requeued waiters to its tail.
 func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int) (int, int, error) {
 	o := t.pr.os
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	bFrom := o.futexes[int(from/hw.CacheLineSize)%futexBuckets]
-	bTo := o.futexes[int(to/hw.CacheLineSize)%futexBuckets]
-	first, second := bFrom, bTo
+	muFrom, muTo := o.futexLock(from), o.futexLock(to)
+	first, second := muFrom, muTo
 	if to < from {
-		first, second = bTo, bFrom
+		first, second = muTo, muFrom
 	}
-	first.mu.Lock(t.p)
+	// Taken in address order, so concurrent requeues cannot close a cycle.
+	first.Lock(t.p)
 	if second != first {
-		second.mu.Lock(t.p) //popcornvet:allow lockorder the two buckets are always taken in address order (first/second sorted above), so concurrent requeues cannot close a wait cycle
+		second.Lock(t.p)
 	}
 	defer func() {
 		if second != first {
-			second.mu.Unlock(t.p)
+			second.Unlock(t.p)
 		}
-		first.mu.Unlock(t.p)
+		first.Unlock(t.p)
 	}()
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(first.mu.Waiters()+second.mu.Waiters()), o.crossNode()))
+	t.p.Sleep(o.machine.LineBounce(o.capSharers(first.Waiters()+second.Waiters()), o.crossNode()))
 	val, err := t.access(from, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
 		return 0, 0, err
@@ -307,9 +306,10 @@ func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int
 		o.metrics.Counter("smp.futex.eagain").Inc()
 		return 0, 0, futex.ErrWouldBlock
 	}
-	q := bFrom.waiters[from]
+	q := o.futexWaiters[from]
 	woken, requeued := 0, 0
-	var remaining []*smpWaiter
+	remaining := q[:0]
+	var moved []*smpWaiter // requeued onto from itself
 	for _, w := range q {
 		switch {
 		case w.mm != t.pr.mm:
@@ -318,19 +318,29 @@ func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int
 			w.woken = true
 			w.proc.Resume()
 			woken++
+		case requeued < requeue && to == from:
+			moved = append(moved, w)
+			requeued++
 		case requeued < requeue:
-			bTo.waiters[to] = append(bTo.waiters[to], w)
+			o.futexWaiters[to] = append(o.futexWaiters[to], w)
 			requeued++
 		default:
 			remaining = append(remaining, w)
 		}
 	}
-	if len(remaining) == 0 {
-		delete(bFrom.waiters, from)
-	} else {
-		bFrom.waiters[from] = remaining
-	}
+	o.setFutexQueue(from, q, append(remaining, moved...))
 	return woken, requeued, nil
+}
+
+// setFutexQueue stores what is left of addr's queue q, compacted in place into
+// q's own array, and drops the stale tail.
+func (o *OS) setFutexQueue(addr mem.Addr, q, remaining []*smpWaiter) {
+	clear(q[len(remaining):])
+	if len(remaining) == 0 {
+		delete(o.futexWaiters, addr)
+	} else {
+		o.futexWaiters[addr] = remaining
+	}
 }
 
 // Spawn implements osi.Thread.

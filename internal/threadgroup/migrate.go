@@ -252,17 +252,40 @@ func (s *Service) importHops(t *task.Task, req *migrateReq) {
 }
 
 // refillDummy asynchronously rebuilds the dummy pool, the way Popcorn's
-// worker pre-creates dummy threads off the migration critical path.
+// worker pre-creates dummy threads off the migration critical path. The
+// refill's process runs on a pooled record (sim.Engine.Start), so once a
+// kernel has made its first record a dummy hit allocates nothing.
 func (s *Service) refillDummy() {
 	if s.refillName == "" {
 		s.refillName = fmt.Sprintf("tg-dummy-refill-%d", s.node)
 	}
-	s.e.Spawn(s.refillName, func(p *sim.Proc) {
-		s.tasklist.Lock(p)
-		p.Sleep(s.machine.Cost.ThreadSetup)
-		s.dummies++
-		s.tasklist.Unlock(p)
-	})
+	r := sim.Take(&s.refillFree)
+	if r == nil {
+		r = &refillRun{s: s}
+		// A literal, not the method value r.run: this runs under the
+		// tasklist lock that run takes, and a method value reads as a call.
+		r.body = func(p *sim.Proc) { r.run(p) }
+	}
+	s.e.Start(&r.proc, s.refillName, r.body)
+}
+
+// refillRun is one dummy refill's process, on storage its service pools.
+type refillRun struct {
+	proc sim.Proc
+	s    *Service
+	body func(p *sim.Proc) // run, bound once per record
+}
+
+// run builds one dummy thread under the tasklist lock and gives the record
+// back. A refill killed on the way never gets there: a wait queue may still
+// name its Proc, so the record is retired with its process.
+func (r *refillRun) run(p *sim.Proc) {
+	s := r.s
+	s.tasklist.Lock(p)
+	p.Sleep(s.machine.Cost.ThreadSetup)
+	s.dummies++
+	s.tasklist.Unlock(p)
+	sim.Give(&s.refillFree, r)
 }
 
 // ensureReplica makes sure this kernel hosts group state and an

@@ -133,6 +133,8 @@ type Service struct {
 	// refillName names every dummy-refill process, formatted at the first
 	// refill: a kernel that never takes a dummy never formats it.
 	refillName string
+	// refillFree holds the records of finished refills (refillDummy).
+	refillFree []*refillRun
 	// setupPending serialises concurrent replica setups for one group
 	// (two inbound migrations racing to attach would otherwise collide).
 	setupPending map[vm.GID]*sim.Cond
