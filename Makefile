@@ -53,7 +53,8 @@ escapes-baseline:
 	$(GO) run ./cmd/popcornvet -escapes -write .
 
 # Host profiles on tap: run one experiment at full scale under the CPU and
-# allocation profilers and print the hottest functions. The .pprof files stay
+# allocation profilers and print the hottest functions, then the sites that
+# allocate the most objects. The .pprof files stay
 # in PROFILE_DIR for `go tool pprof` (-list, -peek, -http). An experiment's
 # cells run on up to GOMAXPROCS goroutines, so the CPU profile spans them
 # all: its sample total is CPU time summed over cores, above the wall time.
@@ -63,6 +64,7 @@ profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) run ./cmd/benchtable -exp $(EXP) -scale full -cpuprofile $(PROFILE_DIR)/$(EXP).cpu.pprof -memprofile $(PROFILE_DIR)/$(EXP).mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(EXP).cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/$(EXP).mem.pprof
 
 # Schedule exploration with the coherence sanitizer attached: every sweep row
 # of cmd/popcornmc's table (contention, migration, futex), bare and under the
