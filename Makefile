@@ -75,7 +75,8 @@ popcornmc:
 	$(GO) run ./cmd/popcornmc -workload all -seeds 16
 	$(GO) run ./cmd/popcornmc -workload all -seeds 16 -planes faults
 
-# The soak rows of the same table, 64 seeds each (~4 s together, prebuilt).
+# The soak rows of the same table: chaos at 128 seeds, overload and failover
+# at 64 each (~5 s together, prebuilt).
 # chaos: crash -> heal -> crash kernels under message noise, asserting every
 # lost recoverable thread is restarted from its checkpoint at most once; see
 # DESIGN.md §9. overload: 10x offered load, a gray link and a crash-heal
@@ -86,7 +87,7 @@ popcornmc:
 # asserting the ring successor promotes with zero reclaimed pages and zero
 # orphaned exits; see DESIGN.md §14.
 soak:
-	$(GO) run ./cmd/popcornmc -workload chaos -seeds 64
+	$(GO) run ./cmd/popcornmc -workload chaos -seeds 128
 	$(GO) run ./cmd/popcornmc -workload overload -seeds 64
 	$(GO) run ./cmd/popcornmc -workload failover -seeds 64
 

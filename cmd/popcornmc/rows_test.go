@@ -161,6 +161,21 @@ func TestFailoverGrantCountsOnceReleased(t *testing.T) {
 	}
 }
 
+// TestChaosGrantToRebootedRequester replays the chaos seeds in 1-160 where a
+// page-fetch transaction kernel 1 started before its crash stays open across
+// the crash and the heal, then commits an exclusive grant to it. The reply is
+// fenced at kernel 1's new incarnation and never installs, and the rejoin's
+// PeerDied sweep takes kernel 1 out of the directory entry, so the sanitizer
+// must not record kernel 1 as a holder: it asked as an incarnation that no
+// longer exists, exactly as if it were still dead. Recorded, the phantom copy
+// fails the origin's next exclusive grant as a second writer.
+func TestChaosGrantToRebootedRequester(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sweepRow(&buf, cfgFor(rowNamed(t, "chaos"), 0, planes{}), []int64{91, 116, 157}, true); err != nil {
+		t.Errorf("chaos: %v\n%s", err, buf.String())
+	}
+}
+
 // healthyCounters is a registry the named row's check accepts, built
 // without the counter named omit.
 func healthyCounters(row, omit string) *stats.Registry {

@@ -362,10 +362,12 @@ func (c *Checker) NodeHealed(node msg.NodeID) {
 
 // Grant records the origin's decision to hand to a copy of (gid, vpn).
 // fresh means the grant ships page content (value is meaningful); a
-// have-copy re-grant does not. Exclusive grants while any other kernel
-// holds a copy, shared grants while a writer holds one, and grants shipping
-// a value different from the sanitizer's shadow all fail.
-func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, exclusive, fresh bool, value int64) {
+// have-copy re-grant does not. lost means the requesting incarnation of to
+// is gone (it rebooted since it asked), so the grant is never installed.
+// Exclusive grants while any other kernel holds a copy, shared grants while
+// a writer holds one, and grants shipping a value different from the
+// sanitizer's shadow all fail.
+func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, exclusive, fresh bool, value int64, lost bool) {
 	if c == nil {
 		return
 	}
@@ -395,11 +397,12 @@ func (c *Checker) Grant(p *sim.Proc, gid int64, vpn mem.VPN, to msg.NodeID, excl
 			}
 		}
 	}
-	if c.dead[to] {
-		// The grantee died while its request was being served: the reply
-		// commits to a deleted wire and the copy is never installed. The
-		// crash sweep already ran, so recording the holder here would leave
-		// a phantom copy that blocks every later exclusive grant.
+	if c.dead[to] || lost {
+		// The grantee died while its request was being served, or died and
+		// rebooted: the reply commits to a deleted wire or is fenced at the
+		// new incarnation, and the copy is never installed. The crash sweep
+		// already ran, so recording the holder here would leave a phantom
+		// copy that blocks every later exclusive grant.
 		sh.record(record{at: c.e.Now(), kind: "san.grant-dead", node: to})
 		return
 	}

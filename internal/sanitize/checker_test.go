@@ -46,72 +46,72 @@ func TestCoherenceViolations(t *testing.T) {
 		seq    func(c *Checker, p *sim.Proc)
 	}{
 		{"single-writer/exclusive-grant-over-holder", "single-writer", "exclusive grant", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 1)
-			c.Grant(p, gid, vpn, 1, true, false, 0)
+			c.Grant(p, gid, vpn, 0, false, true, 1, false)
+			c.Grant(p, gid, vpn, 1, true, false, 0, false)
 		}},
 		{"single-writer/exclusive-grant-after-revoke", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 1)
+			c.Grant(p, gid, vpn, 0, false, true, 1, false)
 			c.Revoked(p, gid, vpn, 0, false, true, 1)
-			c.Grant(p, gid, vpn, 1, true, false, 0)
+			c.Grant(p, gid, vpn, 1, true, false, 0, false)
 		}},
 		{"single-writer/shared-grant-over-writer", "single-writer", "holds the page writable", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
-			c.Grant(p, gid, vpn, 1, false, false, 0)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
+			c.Grant(p, gid, vpn, 1, false, false, 0, false)
 		}},
 		{"single-writer/shared-grant-after-downgrade", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.Revoked(p, gid, vpn, 0, true, true, 1)
-			c.Grant(p, gid, vpn, 1, false, false, 0)
+			c.Grant(p, gid, vpn, 1, false, false, 0, false)
 		}},
 		{"single-writer/write-without-grant", "single-writer", "without an exclusive grant", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 1)
+			c.Grant(p, gid, vpn, 0, false, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 		}},
 		{"single-writer/write-while-other-writable", "single-writer", "also holds it writable", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
-			c.Grant(p, gid, vpn, 1, true, false, 0)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
+			c.Grant(p, gid, vpn, 1, true, false, 0, false)
 			c.AccessWrite(p, 1, gid, vpn, 2)
 		}},
 		{"single-writer/write-with-exclusive-grant", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 		}},
 		{"stale-read/grant", "stale-read", "carries stale value", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 			c.Revoked(p, gid, vpn, 0, false, true, 2)
-			c.Grant(p, gid, vpn, 1, true, true, 1)
+			c.Grant(p, gid, vpn, 1, true, true, 1, false)
 		}},
 		{"stale-read/grant-current", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 			c.Revoked(p, gid, vpn, 0, false, true, 2)
-			c.Grant(p, gid, vpn, 1, true, true, 2)
+			c.Grant(p, gid, vpn, 1, true, true, 2, false)
 		}},
 		{"stale-read/read", "stale-read", "stale copy survived", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 5)
+			c.Grant(p, gid, vpn, 0, false, true, 5, false)
 			c.AccessRead(p, 0, gid, vpn, 4)
 		}},
 		{"stale-read/read-current", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 5)
+			c.Grant(p, gid, vpn, 0, false, true, 5, false)
 			c.AccessRead(p, 0, gid, vpn, 5)
 		}},
 		{"stale-read/rmw", "stale-read", "atomic read", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 5)
+			c.Grant(p, gid, vpn, 0, true, true, 5, false)
 			c.AccessRMW(p, 0, gid, vpn, 4, 6, true)
 		}},
 		{"stale-read/rmw-current", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 5)
+			c.Grant(p, gid, vpn, 0, true, true, 5, false)
 			c.AccessRMW(p, 0, gid, vpn, 5, 6, true)
 			c.AccessRead(p, 0, gid, vpn, 6)
 		}},
 		{"lost-writeback", "lost-writeback", "writes back 1", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 			c.Revoked(p, gid, vpn, 0, false, true, 1)
 		}},
 		{"lost-writeback/current", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, true, true, 1)
+			c.Grant(p, gid, vpn, 0, true, true, 1, false)
 			c.AccessWrite(p, 0, gid, vpn, 2)
 			c.Revoked(p, gid, vpn, 0, false, true, 2)
 		}},
@@ -119,7 +119,7 @@ func TestCoherenceViolations(t *testing.T) {
 			c.AccessRead(p, 0, gid, vpn, 0)
 		}},
 		{"no-grant/granted", "", "", func(c *Checker, p *sim.Proc) {
-			c.Grant(p, gid, vpn, 0, false, true, 0)
+			c.Grant(p, gid, vpn, 0, false, true, 0, false)
 			c.AccessRead(p, 0, gid, vpn, 0)
 		}},
 		{"version-regress", "version-regress", "went backwards: 2 after 3", func(c *Checker, p *sim.Proc) {
@@ -230,7 +230,7 @@ func TestRaceHappensBefore(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e, c := newRig(t)
 			write := func(p *sim.Proc) {
-				c.Grant(p, gid, vpn, 0, true, true, 0)
+				c.Grant(p, gid, vpn, 0, true, true, 0, false)
 				c.AccessWrite(p, 0, gid, vpn, 7)
 			}
 			read := func(p *sim.Proc) { c.AccessRead(p, 0, gid, vpn, 7) }
@@ -259,7 +259,7 @@ func TestRaceHappensBefore(t *testing.T) {
 func TestRaceFilteredBySyncAddress(t *testing.T) {
 	e, c := newRig(t)
 	e.Spawn("writer", func(p *sim.Proc) {
-		c.Grant(p, gid, vpn, 0, true, true, 0)
+		c.Grant(p, gid, vpn, 0, true, true, 0, false)
 		c.AccessWrite(p, 0, gid, vpn, 7)
 	})
 	e.Spawn("reader", func(p *sim.Proc) {

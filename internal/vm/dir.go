@@ -26,6 +26,8 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 		dirScope = col.Begin(p, "vm.dir", int(sp.svc.node))
 	}
 	defer dirScope.End()
+	// The requester's incarnation, for the sanitizer: see the Grant below.
+	inc := sp.svc.fabric.Incarnation(req)
 	vma, ok := sp.layout.Find(vpn)
 	if err := refusal(vma, ok, vpn, write); err != nil {
 		*g = pageGrant{Err: err}
@@ -68,8 +70,12 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 	}
 	// The grant exists from here on: the mirror has logged it and the reply
 	// is about to leave. An origin that dies mid-ship never gets here, so the
-	// sanitizer never counts a grant that was never sent.
-	sp.svc.checker.Grant(p, int64(sp.gid), vpn, req, rec.exclusive, rec.fresh, rec.value)
+	// sanitizer never counts a grant that was never sent. A requester that
+	// rebooted while the transaction ran is gone like a dead one: the reply
+	// is fenced at its new incarnation and never installs, and the rejoin's
+	// PeerDied sweep, queued on de.mu, takes it out of the entry.
+	lost := sp.svc.fabric.Incarnation(req) != inc
+	sp.svc.checker.Grant(p, int64(sp.gid), vpn, req, rec.exclusive, rec.fresh, rec.value, lost)
 	return nil
 }
 
