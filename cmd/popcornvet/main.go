@@ -18,6 +18,8 @@
 //	detorder  nondeterministic ordering in event context: map ranges
 //	          whose order escapes, non-total sort.Slice comparators,
 //	          wall-clock/global-rand outside the sim-managed set
+//	exportuse an exported function, variable or method in internal/ that
+//	          no other package of the module (tests included) uses
 //
 // Usage:
 //

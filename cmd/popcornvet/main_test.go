@@ -33,9 +33,9 @@ func tree(t *testing.T, body string) string {
 // clean tree, 1 with the finding printed when there is one, 2 when it was
 // asked for something it cannot do.
 func TestExitStatus(t *testing.T) {
-	clean := tree(t, "func Tick(n int) int { return n + 1 }\n")
-	dirty := tree(t, "import \"time\"\n\nfunc Stamp() int64 { return time.Now().UnixNano() }\n")
-	broken := tree(t, "func Tick(n int) int { return n + missing }\n")
+	clean := tree(t, "func tick(n int) int { return n + 1 }\n")
+	dirty := tree(t, "import \"time\"\n\nfunc stamp() int64 { return time.Now().UnixNano() }\n")
+	broken := tree(t, "func tick(n int) int { return n + missing }\n")
 	for _, tc := range []struct {
 		name       string
 		args       []string

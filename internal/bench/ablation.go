@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationDummyThread (D2) compares migration latency with and without the
+// ablationDummyThread (D2) compares migration latency with and without the
 // pre-created dummy-thread pool.
-func AblationDummyThread(s Scale) (*stats.Table, error) {
+func ablationDummyThread(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable("D2: dummy-thread pre-creation", "variant", "migration-us")
 	iters := 16
 	if s == Quick {
@@ -42,9 +42,9 @@ func AblationDummyThread(s Scale) (*stats.Table, error) {
 	return tab, nil
 }
 
-// AblationSlotSize (D4) sweeps the message ring slot size against the
+// ablationSlotSize (D4) sweeps the message ring slot size against the
 // migration-payload round trip.
-func AblationSlotSize(s Scale) (*stats.Series, error) {
+func ablationSlotSize(s Scale) (*stats.Series, error) {
 	slots := []int{64, 128, 256, 512, 1024}
 	if s == Quick {
 		slots = []int{64, 256, 1024}
@@ -67,10 +67,10 @@ func AblationSlotSize(s Scale) (*stats.Series, error) {
 	return series, nil
 }
 
-// AblationVMAPush (D1) compares lazy mmap propagation (the paper's design)
+// ablationVMAPush (D1) compares lazy mmap propagation (the paper's design)
 // with eager pushing, on a workload where remote threads fault into fresh
 // mappings.
-func AblationVMAPush(s Scale) (*stats.Table, error) {
+func ablationVMAPush(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable("D1: mmap propagation policy", "variant", "elapsed-us", "vma-fetch RPCs", "update pushes")
 	iters := 8
 	if s == Quick {
@@ -121,10 +121,10 @@ func AblationVMAPush(s Scale) (*stats.Table, error) {
 	return tab, nil
 }
 
-// AblationKernelCount (D3) sweeps kernels-per-machine for the mmap storm:
+// ablationKernelCount (D3) sweeps kernels-per-machine for the mmap storm:
 // the partitioning granularity trade-off (more kernels = less intra-kernel
 // contention but more cross-kernel traffic for shared work).
-func AblationKernelCount(s Scale) (*stats.Series, error) {
+func ablationKernelCount(s Scale) (*stats.Series, error) {
 	kernelCounts := []int{1, 2, 4, 8, 16}
 	if s == Quick {
 		kernelCounts = []int{1, 4, 16}
@@ -153,13 +153,13 @@ func AblationKernelCount(s Scale) (*stats.Series, error) {
 	return series, nil
 }
 
-// AblationPageOwnership (D5) compares the paper's ownership-migration
+// ablationPageOwnership (D5) compares the paper's ownership-migration
 // protocol (MSI) against forwarding every remote write to the origin, on
 // the two patterns that separate them: repeated writes from one remote
 // kernel (locality: MSI amortises one transfer over many writes) and
 // fine-grained alternation between two kernels (ping-pong: MSI moves the
 // page twice per round, forwarding pays one RPC per write).
-func AblationPageOwnership(s Scale) (*stats.Table, error) {
+func ablationPageOwnership(s Scale) (*stats.Table, error) {
 	writes := 64
 	if s == Quick {
 		writes = 16

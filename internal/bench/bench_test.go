@@ -18,7 +18,7 @@ func TestFindExperiment(t *testing.T) {
 // targets: the replicated kernel scales past SMP on contention-heavy
 // sweeps, while staying competitive uncontended.
 func TestHeadlineShapes(t *testing.T) {
-	series, err := F4MmapStorm(Quick)
+	series, err := f4MmapStorm(Quick)
 	if err != nil {
 		t.Fatalf("F4: %v", err)
 	}
@@ -41,14 +41,14 @@ func TestHeadlineShapes(t *testing.T) {
 // popcorn line must rise steeply with request locality while SMP stays
 // roughly flat.
 func TestNewFindingsShapes(t *testing.T) {
-	d5, err := AblationPageOwnership(Quick)
+	d5, err := ablationPageOwnership(Quick)
 	if err != nil {
 		t.Fatalf("D5: %v", err)
 	}
 	if d5.Rows() != 2 {
 		t.Fatalf("D5 rows = %d", d5.Rows())
 	}
-	f9, err := F9KVStore(Quick)
+	f9, err := f9KVStore(Quick)
 	if err != nil {
 		t.Fatalf("F9: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 	"repro/internal/stats"
 )
 
-// R3FailoverSweep measures what the origin-replication plane costs and what
+// r3FailoverSweep measures what the origin-replication plane costs and what
 // it buys. Three configurations of the same 4-kernel directory-heavy
 // workload (process origin on kernel 0, workers on the survivors):
 //
@@ -30,7 +30,7 @@ import (
 //
 // The crash row must finish with zero reclaimed pages and zero orphaned
 // exits: the failover contract, measured rather than asserted.
-func R3FailoverSweep(s Scale) (*stats.Table, error) {
+func r3FailoverSweep(s Scale) (*stats.Table, error) {
 	seeds := 8
 	if s == Quick {
 		seeds = 2

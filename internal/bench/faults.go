@@ -9,13 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
-// R1FaultCounters runs the migration and futex workloads under the fault
+// r1FaultCounters runs the migration and futex workloads under the fault
 // sweep's plan (drop/dup/delay on every link, a kernel crash mid-migration)
 // and tabulates what the hardened transport and the degradation paths
 // absorbed: per-link drops, retransmissions, duplicate suppressions,
 // timeouts, reclaimed pages, lost threads. Runs may degrade (dead-peer
 // errors) but must terminate; any other error fails the experiment.
-func R1FaultCounters(s Scale) (*stats.Table, error) {
+func r1FaultCounters(s Scale) (*stats.Table, error) {
 	seeds := 16
 	if s == Quick {
 		seeds = 4

@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// F1ThreadBomb sweeps concurrent thread creation across OSes (figure 1).
-func F1ThreadBomb(s Scale) (*stats.Series, error) {
+// f1ThreadBomb sweeps concurrent thread creation across OSes (figure 1).
+func f1ThreadBomb(s Scale) (*stats.Series, error) {
 	children := 16
 	if s == Quick {
 		children = 4
@@ -25,9 +25,9 @@ func F1ThreadBomb(s Scale) (*stats.Series, error) {
 		})
 }
 
-// F4MmapStorm sweeps the map/touch/unmap loop (the headline figure: the
+// f4MmapStorm sweeps the map/touch/unmap loop (the headline figure: the
 // abstract's "up to 40% faster" claim lands here).
-func F4MmapStorm(s Scale) (*stats.Series, error) {
+func f4MmapStorm(s Scale) (*stats.Series, error) {
 	iters, pages := 8, 4
 	if s == Quick {
 		iters = 3
@@ -41,10 +41,10 @@ func F4MmapStorm(s Scale) (*stats.Series, error) {
 		})
 }
 
-// F4bSharedMmapStorm is the honest companion to F4: all threads share one
+// f4bSharedMmapStorm is the honest companion to F4: all threads share one
 // process, so every VMA operation funnels through the group origin — the
 // replicated kernel's known weak spot for this operation class.
-func F4bSharedMmapStorm(s Scale) (*stats.Series, error) {
+func f4bSharedMmapStorm(s Scale) (*stats.Series, error) {
 	iters, pages := 6, 2
 	if s == Quick {
 		iters = 2
@@ -55,9 +55,9 @@ func F4bSharedMmapStorm(s Scale) (*stats.Series, error) {
 		}, nil)
 }
 
-// F5FutexChain sweeps contended futex lock/unlock cycles (partitioned,
+// f5FutexChain sweeps contended futex lock/unlock cycles (partitioned,
 // server-style: one lock per kernel partition).
-func F5FutexChain(s Scale) (*stats.Series, error) {
+func f5FutexChain(s Scale) (*stats.Series, error) {
 	iters := 16
 	if s == Quick {
 		iters = 5
@@ -68,8 +68,8 @@ func F5FutexChain(s Scale) (*stats.Series, error) {
 		}, nil)
 }
 
-// F6FaultSweep sweeps concurrent first-touch faulting.
-func F6FaultSweep(s Scale) (*stats.Series, error) {
+// f6FaultSweep sweeps concurrent first-touch faulting.
+func f6FaultSweep(s Scale) (*stats.Series, error) {
 	pages := 128
 	if s == Quick {
 		pages = 32
@@ -83,9 +83,9 @@ func F6FaultSweep(s Scale) (*stats.Series, error) {
 		})
 }
 
-// F7ComputeKernels runs the NPB-like kernels at a fixed thread count on all
+// f7ComputeKernels runs the NPB-like kernels at a fixed thread count on all
 // three OSes (table-style figure: one row per kernel).
-func F7ComputeKernels(s Scale) (*stats.Table, error) {
+func f7ComputeKernels(s Scale) (*stats.Table, error) {
 	// NPB-class kernels are compute-dominated: class-S-like sizing gives
 	// several milliseconds of work between synchronisation phases.
 	threads, iters, work := 32, 4, 5*time.Millisecond
@@ -124,9 +124,9 @@ func F7ComputeKernels(s Scale) (*stats.Table, error) {
 	return tab, nil
 }
 
-// F8MigrationBenefit sweeps data-set size for the follow-the-data decision:
+// f8MigrationBenefit sweeps data-set size for the follow-the-data decision:
 // the crossover where migrating the thread beats pulling pages.
-func F8MigrationBenefit(s Scale) (*stats.Series, error) {
+func f8MigrationBenefit(s Scale) (*stats.Series, error) {
 	pageCounts := []int{1, 4, 16, 64, 256}
 	if s == Quick {
 		pageCounts = []int{1, 16, 128}
@@ -158,14 +158,14 @@ func F8MigrationBenefit(s Scale) (*stats.Series, error) {
 	return series, nil
 }
 
-// F9KVStore sweeps request locality for a sharded, get-heavy key-value
+// f9KVStore sweeps request locality for a sharded, get-heavy key-value
 // store in ONE process — the SSI's hardest macro case. With random routing
 // every access is a coherence miss and SMP's hardware coherence wins by an
 // order of magnitude; as requests are routed to shard-local clients (as
 // real sharded servers do), the replicated kernel's gap closes. The
 // prefork webserver example is the complementary case where Popcorn wins
 // outright.
-func F9KVStore(s Scale) (*stats.Series, error) {
+func f9KVStore(s Scale) (*stats.Series, error) {
 	localities := []int{0, 50, 90, 100}
 	ops, clients := 24, 32
 	if s == Quick {
@@ -198,10 +198,10 @@ func F9KVStore(s Scale) (*stats.Series, error) {
 	return series, nil
 }
 
-// F5SharedFutex is the honest companion to F5: one process-wide lock
+// f5SharedFutex is the honest companion to F5: one process-wide lock
 // contended from every kernel, where the replicated kernel pays message
 // round trips per contended operation.
-func F5SharedFutex(s Scale) (*stats.Series, error) {
+func f5SharedFutex(s Scale) (*stats.Series, error) {
 	iters := 16
 	if s == Quick {
 		iters = 5

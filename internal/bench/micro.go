@@ -147,9 +147,9 @@ func t2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	return tab, col, nil
 }
 
-// T3ThreadCreate measures thread creation latency: local clone, first
+// t3ThreadCreate measures thread creation latency: local clone, first
 // remote clone (cold replica), and subsequent remote clones (warm).
-func T3ThreadCreate(s Scale) (*stats.Table, error) {
+func t3ThreadCreate(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable("T3: thread creation latency", "variant", "latency-us")
 	o, err := bootPopcorn(testbed(), popcornKernels)
 	if err != nil {
@@ -181,10 +181,10 @@ func T3ThreadCreate(s Scale) (*stats.Table, error) {
 	return tab, nil
 }
 
-// T4SyscallOverhead compares uncontended fast-path operations on the
+// t4SyscallOverhead compares uncontended fast-path operations on the
 // replicated kernel and on SMP: the SSI should cost almost nothing when no
 // cross-kernel work is needed.
-func T4SyscallOverhead(s Scale) (*stats.Table, error) {
+func t4SyscallOverhead(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable("T4: uncontended operation latency (one thread)", "operation", "popcorn-us", "smp-us")
 	type probe struct {
 		name string
@@ -303,9 +303,9 @@ func f2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	return tab, col, nil
 }
 
-// F3VMAPropagation measures mmap/mprotect/munmap latency at the origin as
+// f3VMAPropagation measures mmap/mprotect/munmap latency at the origin as
 // the group spans more kernels (the synchronous-push cost).
-func F3VMAPropagation(s Scale) (*stats.Series, error) {
+func f3VMAPropagation(s Scale) (*stats.Series, error) {
 	replicaCounts := []int{0, 1, 2, 4, 7}
 	if s == Quick {
 		replicaCounts = []int{0, 2, 7}

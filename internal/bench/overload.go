@@ -9,14 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// R2OverloadSweep measures what the flow-control plane buys under overload:
+// r2OverloadSweep measures what the flow-control plane buys under overload:
 // a bulk generator offers 1x, 4x and 10x the link's drain rate while a
 // prober issues small RPCs on the same link, with the credit/lane machinery
 // off and on. Without flow control the receive queue grows with the offered
 // load and the prober's p99 climbs as replies wait behind bulk; with it the
 // queue is bounded by the credit limit, the excess is shed at the sender,
 // and the prober's tail stays flat.
-func R2OverloadSweep(s Scale) (*stats.Table, error) {
+func r2OverloadSweep(s Scale) (*stats.Table, error) {
 	mults := []int{1, 4, 10}
 	if s == Quick {
 		mults = []int{1, 10}

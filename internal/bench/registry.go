@@ -59,27 +59,27 @@ func Experiments() []Experiment {
 	exps := []Experiment{
 		traced("T1", "Message-layer round trip", t1Run),
 		traced("T2", "Thread migration latency breakdown", t2Run),
-		{ID: "T3", Title: "Remote vs local thread creation", Run: wrapT(T3ThreadCreate)},
-		{ID: "T4", Title: "Uncontended syscall overhead", Run: wrapT(T4SyscallOverhead)},
-		{ID: "F1", Title: "Thread-creation scalability", Run: wrapT(F1ThreadBomb)},
+		{ID: "T3", Title: "Remote vs local thread creation", Run: wrapT(t3ThreadCreate)},
+		{ID: "T4", Title: "Uncontended syscall overhead", Run: wrapT(t4SyscallOverhead)},
+		{ID: "F1", Title: "Thread-creation scalability", Run: wrapT(f1ThreadBomb)},
 		traced("F2", "Page-fault service latency", f2Run),
-		{ID: "F3", Title: "VMA-operation propagation", Run: wrapT(F3VMAPropagation)},
-		{ID: "F4", Title: "mmap-storm scalability (headline)", Run: wrapT(F4MmapStorm)},
-		{ID: "F4b", Title: "mmap-storm, one shared process", Run: wrapT(F4bSharedMmapStorm)},
-		{ID: "F5", Title: "Futex scalability (partitioned)", Run: wrapT(F5FutexChain)},
-		{ID: "F5b", Title: "Futex scalability (one shared lock)", Run: wrapT(F5SharedFutex)},
-		{ID: "F6", Title: "Page-fault scalability", Run: wrapT(F6FaultSweep)},
-		{ID: "F7", Title: "NPB-like compute kernels", Run: wrapT(F7ComputeKernels)},
-		{ID: "F8", Title: "Migration cost vs benefit", Run: wrapT(F8MigrationBenefit)},
-		{ID: "F9", Title: "Sharded KV store (macro)", Run: wrapT(F9KVStore)},
-		{ID: "D1", Title: "Ablation: mmap propagation policy", Run: wrapT(AblationVMAPush)},
-		{ID: "D2", Title: "Ablation: dummy-thread pool", Run: wrapT(AblationDummyThread)},
-		{ID: "D3", Title: "Ablation: kernel count", Run: wrapT(AblationKernelCount)},
-		{ID: "D4", Title: "Ablation: ring slot size", Run: wrapT(AblationSlotSize)},
-		{ID: "D5", Title: "Ablation: page ownership vs write forwarding", Run: wrapT(AblationPageOwnership)},
-		{ID: "R1", Title: "Fault-sweep transport & degradation counters", Run: wrapT(R1FaultCounters)},
-		{ID: "R2", Title: "Overload sweep: flow control off vs on", Run: wrapT(R2OverloadSweep)},
-		{ID: "R3", Title: "Origin-failover sweep: replication overhead & downtime", Run: wrapT(R3FailoverSweep)},
+		{ID: "F3", Title: "VMA-operation propagation", Run: wrapT(f3VMAPropagation)},
+		{ID: "F4", Title: "mmap-storm scalability (headline)", Run: wrapT(f4MmapStorm)},
+		{ID: "F4b", Title: "mmap-storm, one shared process", Run: wrapT(f4bSharedMmapStorm)},
+		{ID: "F5", Title: "Futex scalability (partitioned)", Run: wrapT(f5FutexChain)},
+		{ID: "F5b", Title: "Futex scalability (one shared lock)", Run: wrapT(f5SharedFutex)},
+		{ID: "F6", Title: "Page-fault scalability", Run: wrapT(f6FaultSweep)},
+		{ID: "F7", Title: "NPB-like compute kernels", Run: wrapT(f7ComputeKernels)},
+		{ID: "F8", Title: "Migration cost vs benefit", Run: wrapT(f8MigrationBenefit)},
+		{ID: "F9", Title: "Sharded KV store (macro)", Run: wrapT(f9KVStore)},
+		{ID: "D1", Title: "Ablation: mmap propagation policy", Run: wrapT(ablationVMAPush)},
+		{ID: "D2", Title: "Ablation: dummy-thread pool", Run: wrapT(ablationDummyThread)},
+		{ID: "D3", Title: "Ablation: kernel count", Run: wrapT(ablationKernelCount)},
+		{ID: "D4", Title: "Ablation: ring slot size", Run: wrapT(ablationSlotSize)},
+		{ID: "D5", Title: "Ablation: page ownership vs write forwarding", Run: wrapT(ablationPageOwnership)},
+		{ID: "R1", Title: "Fault-sweep transport & degradation counters", Run: wrapT(r1FaultCounters)},
+		{ID: "R2", Title: "Overload sweep: flow control off vs on", Run: wrapT(r2OverloadSweep)},
+		{ID: "R3", Title: "Origin-failover sweep: replication overhead & downtime", Run: wrapT(r3FailoverSweep)},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps

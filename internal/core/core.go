@@ -146,10 +146,6 @@ func (o *OS) AttachTracer() *trace.Collector {
 	return c
 }
 
-// Tracer returns the span collector attached with AttachTracer (nil when
-// tracing is detached).
-func (o *OS) Tracer() *trace.Collector { return o.cluster.Fabric.Collector() }
-
 // AttachSanitizer wires a coherence sanitizer and race detector into every
 // layer of the OS: the engine (proc lifecycle and lock edges), the fabric
 // (message happens-before edges) and each kernel's VM, futex and
@@ -335,12 +331,6 @@ func (o *OS) StartProcessOn(p *sim.Proc, k int) (*Process, error) {
 	return &Process{os: o, gid: gid, origin: msg.NodeID(k), main: main, wg: sim.NewWaitGroup()}, nil
 }
 
-// GID returns the process's group ID.
-func (pr *Process) GID() vm.GID { return pr.gid }
-
-// Origin returns the kernel hosting the group origin.
-func (pr *Process) Origin() int { return int(pr.origin) }
-
 // Spawn implements osi.Process.
 func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	return pr.spawnThread(p, kernelHint, fn, false)
@@ -479,9 +469,6 @@ func (t *Thread) KernelID() int { return int(t.k.Node) }
 
 // Core implements osi.Thread.
 func (t *Thread) Core() int { return t.core }
-
-// Migrations returns how many times this thread has moved between kernels.
-func (t *Thread) Migrations() int { return t.task.Migrations }
 
 // Compute implements osi.Thread. Under a fault plan it first gives the
 // thread a chance to evacuate a kernel whose link to the group origin has
@@ -678,7 +665,7 @@ func (t *Thread) Migrate(kernelHint int) error {
 	// protocol (checkpoint → transfer → install → registration), and
 	// re-acquiring a core at the destination. Every protocol span below
 	// nests under it.
-	migScope := t.pr.os.Tracer().Begin(t.p, "core.migrate", int(t.k.Node))
+	migScope := t.pr.os.cluster.Fabric.Collector().Begin(t.p, "core.migrate", int(t.k.Node))
 	defer migScope.End()
 	t.p.Sleep(t.k.Machine.Cost.SyscallTrap)
 	t.k.Sched.Release(t.p)

@@ -166,8 +166,8 @@ func TestMigrateToSameKernelIsNoop(t *testing.T) {
 			if err := th.Migrate(0); err != nil {
 				t.Errorf("self Migrate: %v", err)
 			}
-			if ct := th.(*Thread); ct.Migrations() != 0 {
-				t.Errorf("Migrations = %d after no-op", ct.Migrations())
+			if ct := th.(*Thread); ct.task.Migrations != 0 {
+				t.Errorf("Migrations = %d after no-op", ct.task.Migrations)
 			}
 		})
 		pr.Wait(p)

@@ -397,6 +397,3 @@ func (s *Service) handleWakeup(_ *sim.Proc, _ msg.NodeID, w *futexWakeup) struct
 	s.wakeLocal(w.Token)
 	return struct{}{}
 }
-
-// Metrics returns the registry this service records into.
-func (s *Service) Metrics() *stats.Registry { return s.metrics }

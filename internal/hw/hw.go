@@ -25,8 +25,8 @@ type Topology struct {
 	NUMANodes int
 }
 
-// Validate checks the topology for internal consistency.
-func (t Topology) Validate() error {
+// validate checks the topology for internal consistency.
+func (t Topology) validate() error {
 	if t.Cores <= 0 {
 		return fmt.Errorf("hw: topology needs at least one core, got %d", t.Cores)
 	}
@@ -144,7 +144,7 @@ type Machine struct {
 
 // NewMachine validates the topology and returns a machine.
 func NewMachine(t Topology, c CostModel) (*Machine, error) {
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	return &Machine{Topology: t, Cost: c}, nil
@@ -166,14 +166,6 @@ func (m *Machine) MemAccess(core, homeNode int) time.Duration {
 		return m.Cost.MemAccessLocal
 	}
 	return m.Cost.MemAccessRemote
-}
-
-// PageCopy returns the cost of copying one page from srcNode to dstNode.
-func (m *Machine) PageCopy(srcNode, dstNode int) time.Duration {
-	if srcNode == dstNode {
-		return m.Cost.PageCopyLocal
-	}
-	return m.Cost.PageCopyRemote
 }
 
 // LineBounce returns the cost of acquiring exclusive ownership of a cache

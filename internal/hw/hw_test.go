@@ -21,7 +21,7 @@ func TestTopologyValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := tt.topo.Validate()
+			err := tt.topo.validate()
 			if (err != nil) != tt.wantErr {
 				t.Fatalf("Validate() = %v, wantErr %v", err, tt.wantErr)
 			}
@@ -69,7 +69,7 @@ func TestNodeOfPropertyInRange(t *testing.T) {
 		n := int(nodes%4) + 1
 		c = c * n // ensure divisibility
 		topo := Topology{Cores: c, NUMANodes: n}
-		if topo.Validate() != nil {
+		if topo.validate() != nil {
 			return true // skip invalid
 		}
 		node := topo.NodeOf(int(core) % c)
@@ -112,16 +112,6 @@ func TestMemAccessCosts(t *testing.T) {
 	}
 	if got := m.MemAccess(0, 1); got != m.Cost.MemAccessRemote {
 		t.Fatalf("remote access = %v, want %v", got, m.Cost.MemAccessRemote)
-	}
-}
-
-func TestPageCopyCosts(t *testing.T) {
-	m := newTestMachine(t)
-	if got := m.PageCopy(0, 0); got != m.Cost.PageCopyLocal {
-		t.Fatalf("local copy = %v, want %v", got, m.Cost.PageCopyLocal)
-	}
-	if got := m.PageCopy(0, 1); got != m.Cost.PageCopyRemote {
-		t.Fatalf("remote copy = %v, want %v", got, m.Cost.PageCopyRemote)
 	}
 }
 

@@ -28,16 +28,6 @@ func PageOf(a Addr) VPN { return VPN(a / hw.PageSize) }
 // Base returns the first address of the page.
 func (v VPN) Base() Addr { return Addr(v) * hw.PageSize }
 
-// PagesSpanned returns how many pages the range [a, a+length) touches.
-func PagesSpanned(a Addr, length uint64) int {
-	if length == 0 {
-		return 0
-	}
-	first := PageOf(a)
-	last := PageOf(a + Addr(length) - 1)
-	return int(last-first) + 1
-}
-
 // Prot is a page protection bitmask.
 type Prot uint8
 
@@ -216,9 +206,6 @@ func (pt *PageTable) Protect(lo, hi VPN, prot Prot) int {
 	}
 	return n
 }
-
-// Len returns the number of present entries.
-func (pt *PageTable) Len() int { return len(pt.entries) }
 
 // Drain empties the table and returns its entries in page order, for
 // teardown walks: the order frames go back decides which frame numbers

@@ -17,27 +17,6 @@ func TestPageOfAndBase(t *testing.T) {
 	}
 }
 
-func TestPagesSpanned(t *testing.T) {
-	tests := []struct {
-		a      Addr
-		length uint64
-		want   int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, hw.PageSize, 1},
-		{0, hw.PageSize + 1, 2},
-		{hw.PageSize - 1, 2, 2},
-		{hw.PageSize, hw.PageSize, 1},
-		{100, 3 * hw.PageSize, 4},
-	}
-	for _, tt := range tests {
-		if got := PagesSpanned(tt.a, tt.length); got != tt.want {
-			t.Errorf("PagesSpanned(%d, %d) = %d, want %d", tt.a, tt.length, got, tt.want)
-		}
-	}
-}
-
 func TestProtBits(t *testing.T) {
 	p := ProtRead | ProtWrite
 	if !p.Readable() || !p.Writable() {
@@ -238,8 +217,8 @@ func TestPageTableSetLookupClear(t *testing.T) {
 	if !ok || e.Frame != 42 {
 		t.Fatalf("Lookup = %+v, %v", e, ok)
 	}
-	if pt.Len() != 1 {
-		t.Fatalf("Len = %d", pt.Len())
+	if len(pt.entries) != 1 {
+		t.Fatalf("Len = %d", len(pt.entries))
 	}
 	if !pt.Clear(5) {
 		t.Fatal("Clear returned false for present entry")
@@ -264,8 +243,8 @@ func TestPageTableClearRange(t *testing.T) {
 	if &cleared[0] != &buf[0] {
 		t.Fatal("ClearRange did not fill dst's storage")
 	}
-	if pt.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", pt.Len())
+	if len(pt.entries) != 5 {
+		t.Fatalf("Len = %d, want 5", len(pt.entries))
 	}
 	if _, ok := pt.Lookup(3); ok {
 		t.Fatal("entry 3 survived ClearRange")
@@ -304,8 +283,8 @@ func TestPageTableProtect(t *testing.T) {
 	if e, _ := pt.Lookup(3); e.Prot != ProtRead|ProtWrite {
 		t.Fatalf("entry 3 (exclusive bound) changed to %v", e.Prot)
 	}
-	if n := pt.Protect(0, 10, 0); n != 3 || pt.Len() != 3 {
-		t.Fatalf("Protect to none changed %d entries, Len %d; want 3, 3", n, pt.Len())
+	if n := pt.Protect(0, 10, 0); n != 3 || len(pt.entries) != 3 {
+		t.Fatalf("Protect to none changed %d entries, Len %d; want 3, 3", n, len(pt.entries))
 	}
 }
 
@@ -318,8 +297,8 @@ func TestPageTableDrain(t *testing.T) {
 	if len(got) != 3 || got[0].Frame != 20 || got[1].Frame != 50 || got[2].Frame != 90 {
 		t.Fatalf("Drain = %v, want frames 20, 50, 90 in page order", got)
 	}
-	if pt.Len() != 0 {
-		t.Fatalf("Len = %d after Drain, want 0", pt.Len())
+	if len(pt.entries) != 0 {
+		t.Fatalf("Len = %d after Drain, want 0", len(pt.entries))
 	}
 	if got := pt.Drain(); len(got) != 0 {
 		t.Fatalf("second Drain = %v, want nothing", got)

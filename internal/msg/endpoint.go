@@ -248,9 +248,6 @@ func newEndpoint(f *Fabric, node NodeID) *Endpoint {
 	return ep
 }
 
-// Node returns the kernel this endpoint belongs to.
-func (ep *Endpoint) Node() NodeID { return ep.node }
-
 // Collector returns the span collector attached to the endpoint's fabric
 // (nil when tracing is detached). Protocol services read it here so one
 // Fabric.SetCollector covers every layer.

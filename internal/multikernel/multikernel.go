@@ -132,9 +132,6 @@ func (o *OS) Name() string { return "multikernel" }
 // Engine returns the simulation engine.
 func (o *OS) Engine() sim.Engine { return o.e }
 
-// Machine returns the simulated hardware.
-func (o *OS) Machine() *hw.Machine { return o.machine }
-
 // Kernels returns the kernel count.
 func (o *OS) Kernels() int { return len(o.nodes) }
 
@@ -167,14 +164,12 @@ type Domain struct {
 	id   int64
 	p    *sim.Proc
 	core int
-	wg   *sim.WaitGroup
 
 	inbox   []packet
 	hasMail *sim.Cond
 
 	// Private memory: a bump allocator over the kernel's frame partition.
 	pt      *mem.PageTable
-	values  map[mem.VPN]int64
 	nextMap mem.Addr
 }
 
@@ -194,9 +189,7 @@ func (o *OS) SpawnDomain(p *sim.Proc, kernelID int, wg *sim.WaitGroup, fn Domain
 		id:      o.nextDom,
 		hasMail: sim.NewCond(),
 		pt:      mem.NewPageTable(),
-		values:  make(map[mem.VPN]int64),
 		nextMap: 1 << 32,
-		wg:      wg,
 	}
 	n.domains[d.id] = d
 	if wg != nil {
@@ -220,9 +213,6 @@ func (o *OS) SpawnDomain(p *sim.Proc, kernelID int, wg *sim.WaitGroup, fn Domain
 	})
 	return d, nil
 }
-
-// ID returns the machine-unique domain ID (the channel address).
-func (d *Domain) ID() int64 { return d.id }
 
 // KernelID returns the kernel hosting this domain.
 func (d *Domain) KernelID() int { return int(d.node.id) }
@@ -265,32 +255,19 @@ func (d *Domain) Free(addr mem.Addr, pages int) error {
 			return fmt.Errorf("multikernel: Free of unmapped page %#x", uint64(v.Base()))
 		}
 		d.pt.Clear(v)
-		delete(d.values, v)
 		d.node.frames.FreeFrame(d.p, pte.Frame)
 	}
 	d.p.Sleep(d.os.machine.TLBShootdown(d.node.sched.Cores()-1, false))
 	return nil
 }
 
-// Load reads private memory.
-func (d *Domain) Load(addr mem.Addr) (int64, error) {
-	v := mem.PageOf(addr)
-	pte, ok := d.pt.Lookup(v)
-	if !ok {
-		return 0, fmt.Errorf("multikernel: load of unmapped %#x", uint64(addr))
-	}
-	d.p.Sleep(d.os.machine.MemAccess(d.core, pte.HomeNode))
-	return d.values[v], nil
-}
-
-// Store writes private memory.
-func (d *Domain) Store(addr mem.Addr, val int64) error {
-	v := mem.PageOf(addr)
-	pte, ok := d.pt.Lookup(v)
+// Store writes private memory. Nothing reads a domain's memory back, so
+// only the access is charged; the value is not kept.
+func (d *Domain) Store(addr mem.Addr, _ int64) error {
+	pte, ok := d.pt.Lookup(mem.PageOf(addr))
 	if !ok {
 		return fmt.Errorf("multikernel: store to unmapped %#x", uint64(addr))
 	}
-	d.values[v] = val
 	d.p.Sleep(d.os.machine.MemAccess(d.core, pte.HomeNode))
 	return nil
 }
@@ -323,23 +300,8 @@ func (d *Domain) Recv() (any, int) {
 		}
 		d.core = d.node.sched.Acquire(d.p)
 	}
-	pkt := d.next()
-	return pkt.Payload, pkt.Size
-}
-
-// TryRecv returns a pending message without blocking.
-func (d *Domain) TryRecv() (any, int, bool) {
-	if len(d.inbox) == 0 {
-		return nil, 0, false
-	}
-	pkt := d.next()
-	return pkt.Payload, pkt.Size, true
-}
-
-// next pops the oldest packet off a non-empty inbox.
-func (d *Domain) next() packet {
 	pkt := d.inbox[0]
 	d.inbox[0] = packet{}
 	d.inbox = d.inbox[1:]
-	return pkt
+	return pkt.Payload, pkt.Size
 }

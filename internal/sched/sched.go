@@ -127,12 +127,6 @@ func (s *Scheduler) Release(p *sim.Proc) {
 	s.free = append(s.free, core)
 }
 
-// Core returns the core p currently holds, if any.
-func (s *Scheduler) Core(p *sim.Proc) (int, bool) {
-	c, ok := s.running[p.ID()]
-	return c, ok
-}
-
 // Run executes d of CPU work on p's held core, yielding at every quantum
 // boundary while other tasks are queued. It returns the core p holds when
 // the work completes (preemption may move the task between cores).
@@ -157,9 +151,3 @@ func (s *Scheduler) Run(p *sim.Proc, d time.Duration) int {
 	}
 	return core
 }
-
-// Queued returns the current run-queue depth.
-func (s *Scheduler) Queued() int { return len(s.runq) }
-
-// RunningTasks returns how many tasks currently hold cores.
-func (s *Scheduler) RunningTasks() int { return len(s.running) }

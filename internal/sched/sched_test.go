@@ -152,11 +152,11 @@ func TestLoadAndQueuedAccounting(t *testing.T) {
 	}
 	e.Spawn("checker", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		if s.Queued() != 2 {
-			t.Errorf("Queued = %d, want 2", s.Queued())
+		if len(s.runq) != 2 {
+			t.Errorf("Queued = %d, want 2", len(s.runq))
 		}
-		if s.RunningTasks() != 1 {
-			t.Errorf("RunningTasks = %d, want 1", s.RunningTasks())
+		if len(s.running) != 1 {
+			t.Errorf("RunningTasks = %d, want 1", len(s.running))
 		}
 		released = true
 		release.Broadcast()
@@ -164,8 +164,8 @@ func TestLoadAndQueuedAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if s.Queued() != 0 || s.RunningTasks() != 0 {
-		t.Fatalf("Queued = %d, RunningTasks = %d after drain, want 0", s.Queued(), s.RunningTasks())
+	if len(s.runq) != 0 || len(s.running) != 0 {
+		t.Fatalf("Queued = %d, RunningTasks = %d after drain, want 0", len(s.runq), len(s.running))
 	}
 }
 
@@ -247,15 +247,15 @@ func TestResetWithWaitersQueued(t *testing.T) {
 	var at, gotAt sim.Time
 	e.Spawn("reboot", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond)
-		if s.Queued() != 2 || s.RunningTasks() != 1 {
-			t.Errorf("before the reboot: %d queued, %d running; want 2 and 1", s.Queued(), s.RunningTasks())
+		if len(s.runq) != 2 || len(s.running) != 1 {
+			t.Errorf("before the reboot: %d queued, %d running; want 2 and 1", len(s.runq), len(s.running))
 		}
 		for _, h := range hosted {
 			h.Kill()
 		}
 		s.Reset()
-		if s.Queued() != 0 || s.RunningTasks() != 0 {
-			t.Errorf("after Reset: %d queued, %d running; want none", s.Queued(), s.RunningTasks())
+		if len(s.runq) != 0 || len(s.running) != 0 {
+			t.Errorf("after Reset: %d queued, %d running; want none", len(s.runq), len(s.running))
 		}
 		at = p.Now()
 		e.Spawn("fresh", func(p *sim.Proc) {
@@ -269,8 +269,8 @@ func TestResetWithWaitersQueued(t *testing.T) {
 	if got != 0 || gotAt != at {
 		t.Fatalf("after Reset a task got core %d at %v, want core 0 at once (%v)", got, gotAt, at)
 	}
-	if s.Queued() != 0 || s.RunningTasks() != 0 {
-		t.Fatalf("at the end: %d queued, %d running; want none", s.Queued(), s.RunningTasks())
+	if len(s.runq) != 0 || len(s.running) != 0 {
+		t.Fatalf("at the end: %d queued, %d running; want none", len(s.runq), len(s.running))
 	}
 }
 

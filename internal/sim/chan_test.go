@@ -16,11 +16,7 @@ func TestChanUnbufferedRendezvous(t *testing.T) {
 		sentAt = p.Now()
 	})
 	e.Spawn("receiver", func(p *Proc) {
-		v, ok := ch.Recv(p)
-		if !ok {
-			t.Error("Recv reported closed")
-		}
-		got = v
+		got = ch.Recv(p)
 		recvAt = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -47,7 +43,7 @@ func TestChanBufferedDecouples(t *testing.T) {
 	e.Spawn("receiver", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		for i := 0; i < 2; i++ {
-			v, _ := ch.Recv(p)
+			v := ch.Recv(p)
 			got = append(got, v)
 		}
 	})
@@ -73,10 +69,10 @@ func TestChanBufferFullBlocksSender(t *testing.T) {
 	})
 	e.Spawn("receiver", func(p *Proc) {
 		p.Sleep(7 * time.Microsecond)
-		if v, _ := ch.Recv(p); v != 1 {
+		if v := ch.Recv(p); v != 1 {
 			t.Errorf("first recv = %d, want 1", v)
 		}
-		if v, _ := ch.Recv(p); v != 2 {
+		if v := ch.Recv(p); v != 2 {
 			t.Errorf("second recv = %d, want 2", v)
 		}
 	})
@@ -102,7 +98,7 @@ func TestChanFIFOAcrossManySenders(t *testing.T) {
 	e.Spawn("receiver", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		for i := 0; i < 8; i++ {
-			v, _ := ch.Recv(p)
+			v := ch.Recv(p)
 			got = append(got, v)
 		}
 	})
@@ -116,87 +112,20 @@ func TestChanFIFOAcrossManySenders(t *testing.T) {
 	}
 }
 
-func TestChanCloseWakesReceivers(t *testing.T) {
-	e := NewEngine()
-	ch := NewChan[int](e, 0)
-	var ok bool = true
-	e.Spawn("receiver", func(p *Proc) {
-		_, ok = ch.Recv(p)
-	})
-	e.Spawn("closer", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		ch.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ok {
-		t.Fatal("Recv on closed channel reported ok=true")
-	}
-}
-
-func TestChanCloseDrainsBufferFirst(t *testing.T) {
-	e := NewEngine()
-	ch := NewChan[int](e, 4)
-	e.Spawn("p", func(p *Proc) {
-		ch.Send(p, 1)
-		ch.Send(p, 2)
-		ch.Close()
-		if v, ok := ch.Recv(p); !ok || v != 1 {
-			t.Errorf("recv = %d,%v want 1,true", v, ok)
-		}
-		if v, ok := ch.Recv(p); !ok || v != 2 {
-			t.Errorf("recv = %d,%v want 2,true", v, ok)
-		}
-		if _, ok := ch.Recv(p); ok {
-			t.Error("recv after drain reported ok=true")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestChanSendOnClosedPanics(t *testing.T) {
-	e := NewEngine()
-	ch := NewChan[int](e, 0)
-	ch.Close()
-	e.Spawn("p", func(p *Proc) { ch.Send(p, 1) })
-	if err := e.Run(); err == nil {
-		t.Fatal("send on closed channel did not fail the engine")
-	}
-}
-
-func TestChanTrySendTryRecv(t *testing.T) {
-	e := NewEngine()
-	ch := NewChan[int](e, 1)
-	e.Spawn("p", func(p *Proc) {
-		if _, ok := ch.TryRecv(); ok {
-			t.Error("TryRecv on empty channel succeeded")
-		}
-		if !ch.TrySend(5) {
-			t.Error("TrySend with free buffer failed")
-		}
-		if ch.TrySend(6) {
-			t.Error("TrySend with full buffer succeeded")
-		}
-		if v, ok := ch.TryRecv(); !ok || v != 5 {
-			t.Errorf("TryRecv = %d,%v want 5,true", v, ok)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestChanLenCap(t *testing.T) {
 	e := NewEngine()
 	ch := NewChan[string](e, 3)
-	if ch.Cap() != 3 || ch.Len() != 0 {
-		t.Fatalf("cap=%d len=%d, want 3,0", ch.Cap(), ch.Len())
+	if ch.cap != 3 || len(ch.buf) != 0 {
+		t.Fatalf("cap=%d len=%d, want 3,0", ch.cap, len(ch.buf))
 	}
-	ch.TrySend("a")
-	if ch.Len() != 1 {
-		t.Fatalf("len = %d, want 1", ch.Len())
+	e.Spawn("p", func(p *Proc) { ch.Send(p, "a") })
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(ch.buf) != 1 {
+		t.Fatalf("len = %d, want 1", len(ch.buf))
+	}
+	if NewChan[int](e, -1).cap != 0 {
+		t.Fatal("a negative capacity is not clamped to unbuffered")
 	}
 }

@@ -22,10 +22,10 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats t as a duration since the engine epoch (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// ErrKilled is the panic value used to unwind a process body when the
+// errKilled is the panic value used to unwind a process body when the
 // engine shuts down. User code never observes it: the carrier recovers it
 // before taking its next tenant.
-var ErrKilled = errors.New("sim: process killed by engine shutdown")
+var errKilled = errors.New("sim: process killed by engine shutdown")
 
 // ErrDeadlock is returned by Run when processes remain blocked but no events
 // are pending, so virtual time can never advance again.
@@ -75,6 +75,7 @@ type engine struct {
 	now       Time
 	seq       uint64
 	heap      eventHeap
+	seed      int64
 	rng       *RNG
 	choose    func(k int) int // the tie chooser, see pick; nil keeps insertion order
 	tied      []*event        // pick's scratch
@@ -111,34 +112,31 @@ type Option func(*engine)
 
 // WithSeed sets the seed for the engine's deterministic random source.
 func WithSeed(seed int64) Option {
-	return func(e *engine) { e.rng = NewRNG(seed) }
+	return func(e *engine) { e.seed = seed }
 }
 
 // WithTieShuffle installs the tie chooser (pick): an engine RNG draw picks
 // which of k > 1 same-instant events fires next. A seed is one replayable
 // schedule; popcornmc sweeps seeds for interleavings insertion order misses.
 func WithTieShuffle() Option {
-	return func(e *engine) { e.choose = func(k int) int { return e.rng.Intn(k) } }
+	return func(e *engine) { e.choose = func(k int) int { return e.rng.intn(k) } }
 }
 
 // NewEngine returns a new engine with virtual time zero.
 func NewEngine(opts ...Option) Engine {
-	e := &engine{rng: NewRNG(1)}
+	e := &engine{seed: 1}
 	for _, opt := range opts {
 		opt(e)
 	}
+	e.rng = NewRNG(e.seed)
 	return e
 }
 
 // Now returns the current virtual time.
 func (e *engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source. It must only be
-// used from simulation processes or between Run calls.
-func (e *engine) Rand() *RNG { return e.rng }
-
 // Seed returns the seed the engine's random source was created with.
-func (e *engine) Seed() int64 { return e.rng.Seed() }
+func (e *engine) Seed() int64 { return e.seed }
 
 // SetEventLimit makes Run stop with ErrEventLimit after n events have been
 // processed over the engine's lifetime (0 disables the limit). Schedule
@@ -419,7 +417,7 @@ func (e *engine) Close() {
 		}
 		p.killed = true
 		// Switch into the process; its blocking primitive panics with
-		// ErrKilled, which the carrier swallows before going idle.
+		// errKilled, which the carrier swallows before going idle.
 		p.k.next()
 	}
 	for _, k := range e.idle {

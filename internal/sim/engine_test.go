@@ -269,7 +269,7 @@ func TestDeterministicSchedulesAcrossRuns(t *testing.T) {
 		var stamps []Time
 		for i := 0; i < 5; i++ {
 			e.Spawn("w", func(p *Proc) {
-				d := time.Duration(e.Rand().Intn(100)) * time.Microsecond
+				d := time.Duration(e.rng.intn(100)) * time.Microsecond
 				p.Sleep(d)
 				stamps = append(stamps, p.Now())
 			})

@@ -84,7 +84,7 @@ type holder interface{ holder() *Proc }
 func (e *engine) wait(q *waitq, p *Proc, kind, label string, l holder) {
 	p.since, p.granted = e.now, false
 	q.push(p)
-	p.SetWaitInfo(kind, label)
+	p.setWaitInfo(kind, label)
 	p.waitLock = l
 }
 
@@ -132,7 +132,7 @@ func (m *Mutex) holder() *Proc { return m.owner }
 
 // Lock acquires the mutex, blocking p in FIFO order behind earlier waiters.
 func (m *Mutex) Lock(p *Proc) {
-	if m.TryLock(p) {
+	if m.tryLock(p) {
 		return
 	}
 	if m.owner == p {
@@ -144,8 +144,8 @@ func (m *Mutex) Lock(p *Proc) {
 	p.e.granted(p, m, &m.stats)
 }
 
-// TryLock acquires the mutex if it is free, reporting success.
-func (m *Mutex) TryLock(p *Proc) bool {
+// tryLock acquires the mutex if it is free, reporting success.
+func (m *Mutex) tryLock(p *Proc) bool {
 	if m.owner != nil {
 		return false
 	}
@@ -170,12 +170,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.owner = m.q.grant()
 	m.acquiredAt = p.e.now
 }
-
-// Owner returns the process currently holding the mutex, or nil.
-func (m *Mutex) Owner() *Proc { return m.owner }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
 
 // Waiters returns the current queue depth.
 func (m *Mutex) Waiters() int { return m.q.n }
@@ -283,9 +277,6 @@ func (l *RWMutex) promote() {
 		}
 	}
 }
-
-// Stats returns a snapshot of the contention counters.
-func (l *RWMutex) Stats() LockStats { return l.stats }
 
 // Waiters returns the current total queue depth (readers + writers).
 func (l *RWMutex) Waiters() int { return l.readQ.n + l.writeQ.n }

@@ -64,7 +64,7 @@ func TestMutexZeroValueIsUsable(t *testing.T) {
 	if st.Acquisitions != 3 || st.Contended != 2 || st.TotalHold != 3*hold {
 		t.Fatalf("Stats = %+v, want 3 acquisitions, 2 contended, %v held", st, 3*hold)
 	}
-	if rec.mu.Locked() {
+	if rec.mu.owner != nil {
 		t.Fatal("mutex still held after every worker unlocked")
 	}
 }
@@ -104,14 +104,14 @@ func TestMutexTryLock(t *testing.T) {
 	e := NewEngine()
 	m := NewMutex(e)
 	e.Spawn("p", func(p *Proc) {
-		if !m.TryLock(p) {
-			t.Error("TryLock on free mutex failed")
+		if !m.tryLock(p) {
+			t.Error("tryLock on free mutex failed")
 		}
-		if m.TryLock(p) {
-			t.Error("TryLock on held mutex succeeded")
+		if m.tryLock(p) {
+			t.Error("tryLock on held mutex succeeded")
 		}
 		m.Unlock(p)
-		if m.Locked() {
+		if m.owner != nil {
 			t.Error("mutex still locked after Unlock")
 		}
 	})
@@ -329,8 +329,8 @@ func TestCondBroadcast(t *testing.T) {
 	}
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		if c.Waiters() != 5 {
-			t.Errorf("Waiters = %d, want 5", c.Waiters())
+		if c.q.n != 5 {
+			t.Errorf("Waiters = %d, want 5", c.q.n)
 		}
 		c.Broadcast()
 	})

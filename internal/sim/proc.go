@@ -153,7 +153,7 @@ func (k *carrier) run() {
 		Give(&e.idle, k)
 		p.k = nil
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && err == ErrKilled {
+			if err, ok := r.(error); ok && err == errKilled {
 				// Engine shutdown: exit quietly.
 			} else if ok { // kept in the failure's chain for errors.Is
 				e.Fail(fmt.Errorf("sim: process %q panicked: %w", p.name, err))
@@ -199,7 +199,7 @@ func (p *Proc) park() {
 	p.k.yield(struct{}{})
 	p.clearWaitInfo()
 	if p.killed {
-		panic(error(ErrKilled))
+		panic(error(errKilled))
 	}
 }
 
@@ -263,14 +263,10 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield gives up the CPU until all currently pending same-instant events
-// have run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Suspend parks the process indefinitely; another process or an engine
 // callback resumes it with Resume. Suspend/Resume is the low-level wait
 // primitive used to build condition-variable style synchronisation.
-// Callers may record what they wait for with SetWaitInfo first; otherwise
+// Callers may record what they wait for with setWaitInfo first; otherwise
 // the deadlock report shows a generic "suspend".
 func (p *Proc) Suspend() {
 	if p.waitKind == "" {
@@ -292,7 +288,7 @@ func (p *Proc) Killed() bool { return p.killed }
 
 // Kill terminates the process: the next time it would run (or immediately,
 // if it is the running process) its blocking primitive panics with
-// ErrKilled, which unwinds the body through its defers and which its
+// errKilled, which unwinds the body through its defers and which its
 // carrier swallows. Killing a finished or already-killed process is a
 // no-op. The fault injector uses Kill to model a kernel crash: the dead
 // kernel's processes halt wherever they stand, but their defers still
@@ -304,7 +300,7 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	if p == p.e.current {
-		panic(error(ErrKilled))
+		panic(error(errKilled))
 	}
 	p.wake()
 }

@@ -6,21 +6,17 @@ package sim
 // shuffles) is reproducible from the engine seed alone, with no dependency
 // on math/rand's generator changing between Go releases.
 type RNG struct {
-	seed  int64
 	state uint64
 }
 
 // NewRNG returns a generator seeded with seed. Equal seeds yield equal
 // streams.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, state: uint64(seed)}
+	return &RNG{state: uint64(seed)}
 }
 
-// Seed returns the seed the generator was created with (for repro commands).
-func (r *RNG) Seed() int64 { return r.seed }
-
-// Uint64 returns the next value of the splitmix64 stream.
-func (r *RNG) Uint64() uint64 {
+// next returns the next value of the splitmix64 stream.
+func (r *RNG) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -28,15 +24,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative 63-bit value.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// Intn returns a value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
+// intn returns a value in [0, n). It panics if n <= 0.
+func (r *RNG) intn(n int) int {
 	if n <= 0 {
-		panic("sim: RNG.Intn with non-positive n")
+		panic("sim: RNG.intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.next() % uint64(n))
 }
 
 // Int63n returns a value in [0, n). It panics if n <= 0.
@@ -44,19 +37,19 @@ func (r *RNG) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("sim: RNG.Int63n with non-positive n")
 	}
-	return int64(r.Uint64() % uint64(n))
+	return int64(r.next() % uint64(n))
 }
 
 // Float64 returns a value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
-		j := r.Intn(i + 1)
+		j := r.intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}

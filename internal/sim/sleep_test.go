@@ -55,7 +55,7 @@ func runSleepScript(t *testing.T, seed int64, shuffle, park bool) sleepScriptRes
 	for i := 0; i < 6; i++ {
 		steps := make([]int, 40)
 		for j := range steps {
-			steps[j] = script.Intn(1000)
+			steps[j] = script.intn(1000)
 		}
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for _, s := range steps {
@@ -84,7 +84,7 @@ func runSleepScript(t *testing.T, seed int64, shuffle, park bool) sleepScriptRes
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	res.finalRand = e.Rand().Uint64()
+	res.finalRand = e.rng.next()
 	res.events, res.seq, res.handoffs = e.EventsProcessed(), e.seq, e.Handoffs()
 	return res
 }
@@ -221,27 +221,27 @@ func TestInvariantIntervalSleepsAlwaysPark(t *testing.T) {
 	}
 }
 
-// TestYieldBehindSameInstantEventParks: Yield promises that pending
+// TestSleepZeroBehindSameInstantEventParks: a zero sleep lets pending
 // same-instant events run first, so it is only taken in place when there are
 // none.
-func TestYieldBehindSameInstantEventParks(t *testing.T) {
+func TestSleepZeroBehindSameInstantEventParks(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	var order []string
 	e.Spawn("p", func(p *Proc) {
-		p.Yield() // nothing pending: in place
+		p.Sleep(0) // nothing pending: in place
 		order = append(order, "alone")
 		e.Schedule(0, func() { order = append(order, "event") })
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "yielded")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(order); got != "[alone event yielded]" {
-		t.Fatalf("order %v, want the pending event before the second yield returns", got)
+		t.Fatalf("order %v, want the pending event before the second zero sleep returns", got)
 	}
 	if e.Handoffs() != 2 || e.EventsProcessed() != 4 {
-		t.Fatalf("%d hand-offs in %d events, want 2 (spawn, second yield) in 4", e.Handoffs(), e.EventsProcessed())
+		t.Fatalf("%d hand-offs in %d events, want 2 (spawn, second zero sleep) in 4", e.Handoffs(), e.EventsProcessed())
 	}
 }

@@ -101,7 +101,7 @@ func TestTieChooserNeverAskedAboutOneEvent(t *testing.T) {
 		if k < 2 {
 			bad = append(bad, k)
 		}
-		return rng.Intn(k)
+		return rng.intn(k)
 	})
 	defer e.Close()
 	noop := func() {}

@@ -32,12 +32,9 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	wg.q.push(p)
-	p.SetWaitInfo("waitgroup", "")
+	p.setWaitInfo("waitgroup", "")
 	p.park()
 }
-
-// Pending returns the current counter value.
-func (wg *WaitGroup) Pending() int { return wg.n }
 
 // Cond is a simulated condition variable tied to caller-managed state.
 // Unlike sync.Cond there is no associated lock: the simulator's run-to-block
@@ -45,25 +42,17 @@ func (wg *WaitGroup) Pending() int { return wg.n }
 // The zero value is ready to use, so an owner can embed one; waiting
 // allocates nothing (see waitq).
 type Cond struct {
-	label string
-	q     waitq
+	q waitq
 }
 
 // NewCond returns an empty condition variable.
 func NewCond() *Cond { return &Cond{} }
 
-// SetLabel names the condition variable for deadlock reports and returns it
-// (chainable).
-func (c *Cond) SetLabel(s string) *Cond {
-	c.label = s
-	return c
-}
-
 // Wait parks p until Signal or Broadcast wakes it. Callers must re-check
 // their predicate after waking, as with any condition variable.
 func (c *Cond) Wait(p *Proc) {
 	c.q.push(p)
-	p.SetWaitInfo("cond", c.label)
+	p.setWaitInfo("cond", "")
 	p.park()
 }
 
@@ -76,6 +65,3 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() { c.q.wakeAll() }
-
-// Waiters returns the number of parked processes.
-func (c *Cond) Waiters() int { return c.q.n }

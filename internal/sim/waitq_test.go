@@ -66,12 +66,12 @@ func TestWaitQueuesAreFIFOAgainstReferenceModel(t *testing.T) {
 			inside := [2]int{} // readers, writers past their lock call
 			check := func() {
 				t.Helper()
-				if mu.Waiters() != len(muQ.queue) || rw.Waiters() != len(readQ.queue)+len(writeQ.queue) || cond.Waiters() != len(condQ.queue) {
+				if mu.Waiters() != len(muQ.queue) || rw.Waiters() != len(readQ.queue)+len(writeQ.queue) || cond.q.n != len(condQ.queue) {
 					t.Fatalf("depths: mutex %d/%d rwmutex %d/%d cond %d/%d (queue/model)", mu.Waiters(), len(muQ.queue),
-						rw.Waiters(), len(readQ.queue)+len(writeQ.queue), cond.Waiters(), len(condQ.queue))
+						rw.Waiters(), len(readQ.queue)+len(writeQ.queue), cond.q.n, len(condQ.queue))
 				}
-				if mu.Locked() != muHeld || inside[1] > 1 || inside[1] == 1 && inside[0] > 0 {
-					t.Fatalf("mutex locked=%v model %v; %d readers and %d writers inside the rwmutex", mu.Locked(), muHeld, inside[0], inside[1])
+				if (mu.owner != nil) != muHeld || inside[1] > 1 || inside[1] == 1 && inside[0] > 0 {
+					t.Fatalf("mutex locked=%v model %v; %d readers and %d writers inside the rwmutex", (mu.owner != nil), muHeld, inside[0], inside[1])
 				}
 			}
 			const procs, rounds = 12, 40
@@ -79,9 +79,9 @@ func TestWaitQueuesAreFIFOAgainstReferenceModel(t *testing.T) {
 			for id := 0; id < procs; id++ {
 				e.Spawn(fmt.Sprint("w", id), func(p *Proc) {
 					for r := 0; r < rounds; r++ {
-						p.Sleep(time.Duration(rng.Intn(400)) * time.Nanosecond)
-						hold := time.Duration(50+rng.Intn(300)) * time.Nanosecond
-						switch rng.Intn(4) {
+						p.Sleep(time.Duration(rng.intn(400)) * time.Nanosecond)
+						hold := time.Duration(50+rng.intn(300)) * time.Nanosecond
+						switch rng.intn(4) {
 						case 0:
 							if muHeld {
 								muQ.arrive(id)
@@ -142,8 +142,8 @@ func TestWaitQueuesAreFIFOAgainstReferenceModel(t *testing.T) {
 			}
 			e.Spawn("signaler", func(p *Proc) {
 				for done < procs {
-					p.Sleep(time.Duration(100+rng.Intn(500)) * time.Nanosecond)
-					if rng.Intn(3) == 0 {
+					p.Sleep(time.Duration(100+rng.intn(500)) * time.Nanosecond)
+					if rng.intn(3) == 0 {
 						condQ.moveTo(condOut, len(condQ.queue))
 						cond.Broadcast()
 					} else {
@@ -201,8 +201,8 @@ func TestMutexWaiterKilledWhileQueued(t *testing.T) {
 	if w := de.Waits[0]; w.Name != "behind" || w.Kind != "mutex" || w.HolderName != "victim" {
 		t.Fatalf("blocked %+v, want \"behind\" waiting for the mutex held by \"victim\"", w)
 	}
-	if gotLock || mu.Owner() != victim || mu.Waiters() != 1 {
-		t.Fatalf("gotLock=%v owner=%v waiters=%d; want the lock handed to the dead victim and one waiter left", gotLock, mu.Owner().Name(), mu.Waiters())
+	if gotLock || mu.owner != victim || mu.Waiters() != 1 {
+		t.Fatalf("gotLock=%v owner=%v waiters=%d; want the lock handed to the dead victim and one waiter left", gotLock, mu.owner.Name(), mu.Waiters())
 	}
 }
 
@@ -225,7 +225,7 @@ func TestRWMutexWaitersKilledWhileQueued(t *testing.T) {
 		if entered || l.Waiters() != 1 {
 			t.Fatalf("entered=%v waiters=%d; want the reader still queued behind the dead writer's hold", entered, l.Waiters())
 		}
-		if wi, ok := victim.WaitingOn(); ok {
+		if wi, ok := victim.waitingOn(); ok {
 			t.Fatalf("finished victim still reports a wait: %+v", wi)
 		}
 	})
@@ -244,9 +244,9 @@ func TestRWMutexWaitersKilledWhileQueued(t *testing.T) {
 		if err := e.Run(); !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("Run = %v, want the late writer deadlocked behind the dead reader's hold", err)
 		}
-		if !live || wrote || l.Stats().Acquisitions != 2 {
+		if !live || wrote || l.stats.Acquisitions != 2 {
 			t.Fatalf("live reader entered=%v, writer entered=%v, %d acquisitions; want true, false and 2 (the dead reader never booked its own)",
-				live, wrote, l.Stats().Acquisitions)
+				live, wrote, l.stats.Acquisitions)
 		}
 	})
 }
@@ -263,13 +263,13 @@ func TestCondWaiterKilledWhileQueued(t *testing.T) {
 	runFor(t, e, 2*time.Microsecond)
 	victim.Kill()
 	runFor(t, e, time.Microsecond)
-	if c.Waiters() != 2 {
-		t.Fatalf("%d waiters after the kill, want 2", c.Waiters())
+	if c.q.n != 2 {
+		t.Fatalf("%d waiters after the kill, want 2", c.q.n)
 	}
 	c.Signal()
 	runFor(t, e, time.Microsecond)
-	if woke || c.Waiters() != 1 {
-		t.Fatalf("first Signal: woke=%v waiters=%d; want it spent on the dead waiter", woke, c.Waiters())
+	if woke || c.q.n != 1 {
+		t.Fatalf("first Signal: woke=%v waiters=%d; want it spent on the dead waiter", woke, c.q.n)
 	}
 	c.Signal()
 	if err := e.Run(); err != nil || !woke {
@@ -311,9 +311,9 @@ func TestHolderIsReadWhenAsked(t *testing.T) {
 	last = e.Spawn("last", func(p *Proc) { p.Sleep(time.Microsecond); mu.Lock(p); mu.Unlock(p) })
 	for i := 0; i < 3; i++ {
 		runFor(t, e, 10*time.Microsecond-1)
-		wi, ok := last.WaitingOn()
+		wi, ok := last.waitingOn()
 		if !ok || wi.Kind != "mutex" || wi.Holder == nil {
-			t.Fatalf("round %d: WaitingOn = %+v, %v", i, wi, ok)
+			t.Fatalf("round %d: waitingOn = %+v, %v", i, wi, ok)
 		}
 		holders += wi.Holder.Name()
 		runFor(t, e, 1)

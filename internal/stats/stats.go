@@ -65,9 +65,6 @@ func bucketOf(d time.Duration) int {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the average observation, or zero if empty.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {
@@ -75,9 +72,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.count)
 }
-
-// Min returns the smallest observation, or zero if empty.
-func (h *Histogram) Min() time.Duration { return h.min }
 
 // Max returns the largest observation, or zero if empty.
 func (h *Histogram) Max() time.Duration { return h.max }

@@ -29,15 +29,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each cell with fmt.Sprint.
-func (t *Table) AddRowf(cells ...any) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		s[i] = fmt.Sprint(c)
-	}
-	t.AddRow(s...)
-}
-
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
@@ -107,9 +98,6 @@ func (s *Series) AddLine(name string, ys []float64) error {
 	s.lines = append(s.lines, seriesLine{name: name, ys: ys})
 	return nil
 }
-
-// Lines returns the number of lines added.
-func (s *Series) Lines() int { return len(s.lines) }
 
 // Line returns the values of the named line and whether it exists.
 func (s *Series) Line(name string) ([]float64, bool) {

@@ -19,7 +19,7 @@ import (
 func TestConcurrentMigrateOfSameTask(t *testing.T) {
 	// Two processes race to migrate the same thread to different kernels.
 	// The task table makes this naturally exclusive: the second mover must
-	// fail with ErrBadMigration (the task is no longer live here), and
+	// fail with errBadMigration (the task is no longer live here), and
 	// exactly one destination ends up hosting the thread.
 	ev := newEnv(t, 3, Config{})
 	results := make([]error, 2)
@@ -40,8 +40,8 @@ func TestConcurrentMigrateOfSameTask(t *testing.T) {
 		for _, err := range results {
 			if err != nil {
 				fails++
-				if !errors.Is(err, ErrBadMigration) {
-					t.Errorf("loser got %v, want ErrBadMigration", err)
+				if !errors.Is(err, errBadMigration) {
+					t.Errorf("loser got %v, want errBadMigration", err)
 				}
 			}
 		}

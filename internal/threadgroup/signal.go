@@ -59,7 +59,7 @@ func (s *Service) routeSignal(p *sim.Proc, req *signalReq) error {
 	}
 	g, ok := s.groups[req.GID]
 	if !ok {
-		return fmt.Errorf("%w: group %d on kernel %d", ErrNoGroup, req.GID, s.node)
+		return fmt.Errorf("%w: group %d on kernel %d", errNoGroup, req.GID, s.node)
 	}
 	// Local live task: deliver.
 	if t, ok := g.local[req.TaskID]; ok {
@@ -128,27 +128,12 @@ func (s *Service) deliverLocal(g *group, t *task.Task, sig int) {
 	}
 }
 
-// TakeSignals consumes and returns the pending signals of a local task.
-func (s *Service) TakeSignals(gid vm.GID, id task.ID) ([]int, error) {
-	g, ok := s.groups[gid]
-	if !ok {
-		return nil, ErrNoGroup
-	}
-	t, ok := g.local[id]
-	if !ok {
-		return nil, fmt.Errorf("threadgroup: task %d not live on kernel %d", id, s.node)
-	}
-	sigs := t.PendingSignals
-	t.PendingSignals = nil
-	return sigs, nil
-}
-
 // WaitSignal blocks the calling process until the local task has at least
 // one pending signal, then consumes and returns them (sigwait semantics).
 func (s *Service) WaitSignal(p *sim.Proc, gid vm.GID, id task.ID) ([]int, error) {
 	g, ok := s.groups[gid]
 	if !ok {
-		return nil, ErrNoGroup
+		return nil, errNoGroup
 	}
 	t, ok := g.local[id]
 	if !ok {

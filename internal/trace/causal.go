@@ -25,10 +25,10 @@ type OpNode struct {
 	Children []*OpNode
 }
 
-// BuildOps assembles the spans into operation trees and returns the roots
+// buildOps assembles the spans into operation trees and returns the roots
 // (spans with no parent, or whose parent is missing — e.g. truncated dumps)
 // in ID order.
-func BuildOps(spans []Span) []*OpNode {
+func buildOps(spans []Span) []*OpNode {
 	nodes := make(map[SpanID]*OpNode, len(spans))
 	for _, s := range spans {
 		nodes[s.ID] = &OpNode{Span: s}
@@ -149,7 +149,7 @@ func (c *Collector) CriticalPath(rootName string) Attribution {
 		return att
 	}
 	acc := &legAccum{total: make(map[string]time.Duration)}
-	for _, root := range BuildOps(c.spans) {
+	for _, root := range buildOps(c.spans) {
 		if root.Name != rootName || root.End < root.Begin {
 			continue
 		}

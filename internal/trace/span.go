@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -45,14 +44,6 @@ type Span struct {
 	// Begin and End are the span's virtual-time bounds. End is negative
 	// while the span is still open (never ended: in-flight or dropped).
 	Begin, End sim.Time
-}
-
-// Duration returns the span's extent; zero for a span never ended.
-func (s Span) Duration() time.Duration {
-	if s.End < s.Begin {
-		return 0
-	}
-	return s.End.Sub(s.Begin)
 }
 
 // String renders one span for timeline dumps.

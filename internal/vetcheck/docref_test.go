@@ -182,7 +182,7 @@ func TestDocReferencesResolve(t *testing.T) {
 // tree: a doc naming a method, field, file or test that is gone fails, while
 // live references and prose-local chains pass.
 func TestDocReferenceToDeletedCodeFails(t *testing.T) {
-	tree, err := LoadSource(map[string]string{"internal/sim/engine.go": `package sim
+	tree, err := loadSource(map[string]string{"internal/sim/engine.go": `package sim
 
 type engine struct{ now int64 }
 

@@ -141,9 +141,9 @@ func setup(n int) []int { return make([]int, n) }
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			tree, err := LoadSource(tc.files)
+			tree, err := loadSource(tc.files)
 			if err != nil {
-				t.Fatalf("LoadSource: %v", err)
+				t.Fatalf("loadSource: %v", err)
 			}
 			var names []string
 			for _, sp := range HotSpans(tree) {
@@ -233,7 +233,7 @@ func wantDiffs(t *testing.T, got []string, wantSubstrings ...string) {
 }
 
 func TestAllowlist(t *testing.T) {
-	tree, err := LoadSource(map[string]string{
+	tree, err := loadSource(map[string]string{
 		"internal/kernel/w.go": `package kernel
 
 // grow has a justified exception.
@@ -251,7 +251,7 @@ func helper() {}
 `,
 	})
 	if err != nil {
-		t.Fatalf("LoadSource: %v", err)
+		t.Fatalf("loadSource: %v", err)
 	}
 	got := Allowlist(tree)
 	if len(got) != 2 {

@@ -32,6 +32,7 @@ type loader struct {
 	read   func(path string) ([]byte, error)
 	pkgs   map[string]*Package // import path -> package; nil for a directory without Go files
 	order  []*Package          // in-module packages in the order their check finished
+	all    []string            // every package directory of the module, for refs
 }
 
 // Load walks the given roots for non-test .go files, finds the enclosing
@@ -52,29 +53,41 @@ func Load(roots []string) (*Tree, error) {
 	}
 	var dirs []string
 	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			// Never skip the walk root itself: a root given as ".." (or any
-			// dot-prefixed relative path) must still be entered, or Load
-			// returns an empty tree and every gate built on it passes
-			// vacuously.
-			if base := d.Name(); path != root && (strings.HasPrefix(base, ".") || base == "testdata" || base == "vendor") {
-				return filepath.SkipDir
-			}
-			dirs = append(dirs, path)
-			return nil
-		})
+		found, err := walk(root)
 		if err != nil {
 			return nil, err
 		}
+		dirs = append(dirs, found...)
 	}
 	var err error
 	if l.root, l.module, err = findModule(roots[0]); err != nil {
 		return nil, err
 	}
+	if l.all, err = walk(l.root); err != nil {
+		return nil, err
+	}
 	return l.load(dirs)
+}
+
+// walk lists root and the directories below it, skipping directories named
+// testdata or vendor and hidden ones.
+func walk(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		// Never skip the walk root itself: a root given as ".." (or any
+		// dot-prefixed relative path) must still be entered, or Load
+		// returns an empty tree and every gate built on it passes
+		// vacuously.
+		if base := d.Name(); path != root && (strings.HasPrefix(base, ".") || base == "testdata" || base == "vendor") {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, path)
+		return nil
+	})
+	return dirs, err
 }
 
 // findModule returns the nearest ancestor of dir that holds a go.mod —
@@ -94,10 +107,10 @@ func findModule(dir string) (root, module string, err error) {
 	}
 }
 
-// LoadSource loads an in-memory file set (path -> source) as module "repro"
+// loadSource loads an in-memory file set (path -> source) as module "repro"
 // rooted at ".", exactly as Load does a directory tree. Tests use it to
 // build fixtures.
-func LoadSource(files map[string]string) (*Tree, error) {
+func loadSource(files map[string]string) (*Tree, error) {
 	l := &loader{module: "repro", root: "."}
 	byDir := make(map[string][]string)
 	for path := range files {
@@ -105,11 +118,10 @@ func LoadSource(files map[string]string) (*Tree, error) {
 	}
 	l.source = func(dir string) ([]string, error) { return byDir[filepath.Clean(dir)], nil }
 	l.read = func(path string) ([]byte, error) { return []byte(files[path]), nil }
-	var dirs []string
 	for dir := range byDir {
-		dirs = append(dirs, dir)
+		l.all = append(l.all, dir)
 	}
-	return l.load(dirs)
+	return l.load(l.all)
 }
 
 // load parses and checks the packages of dirs (the Tree's Pkgs, sorted by
@@ -140,7 +152,110 @@ func (l *loader) load(dirs []string) (*Tree, error) {
 			t.deps = append(t.deps, pkg)
 		}
 	}
-	return t, nil
+	var err error
+	t.refs, err = l.references()
+	return t, err
+}
+
+// references type-checks every package of the module, its _test.go files
+// included, and returns the objects each uses from another package. Test
+// files are checked as the go tool builds them: those of package p together
+// with p's own files, those of p_test as a package of their own. Uses that
+// stay within p (its tests' included) are left out, so a name only its own
+// package needs is not referenced. A directory with test files only is
+// skipped.
+func (l *loader) references() (map[types.Object]bool, error) {
+	refs := make(map[types.Object]bool)
+	use := func(from string, info *types.Info) {
+		for _, obj := range info.Uses {
+			if obj.Pkg() == nil || obj.Pkg().Path() == from {
+				continue
+			}
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			refs[obj] = true
+		}
+	}
+	sort.Strings(l.all)
+	for _, dir := range l.all {
+		pkg, err := l.parse(dir)
+		if err != nil {
+			return nil, err
+		}
+		if pkg == nil {
+			continue
+		}
+		if _, err := l.check(pkg); err != nil {
+			return nil, err
+		}
+		use(pkg.path, pkg.info)
+		inPkg, external, err := l.parseTests(pkg)
+		if err != nil {
+			return nil, err
+		}
+		imp := types.Importer(l)
+		if len(inPkg) > 0 {
+			files := inPkg
+			for _, f := range pkg.Files {
+				files = append(files, f.AST)
+			}
+			info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+			variant, err := (&types.Config{Importer: l}).Check(pkg.path, l.fset, files, info)
+			if err != nil {
+				return nil, fmt.Errorf("type-checking %s's tests: %v", pkg.path, err)
+			}
+			use(pkg.path, info)
+			// p_test sees p with its in-package test files (export_test.go).
+			imp = importerFunc(func(path string) (*types.Package, error) {
+				if path == pkg.path {
+					return variant, nil
+				}
+				return l.Import(path)
+			})
+		}
+		if len(external) > 0 {
+			info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+			if _, err := (&types.Config{Importer: imp}).Check(pkg.path+"_test", l.fset, external, info); err != nil {
+				return nil, fmt.Errorf("type-checking %s_test: %v", pkg.path, err)
+			}
+			use(pkg.path, info)
+		}
+	}
+	return refs, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// parseTests parses pkg's _test.go files, split into those of package p and
+// those of p_test.
+func (l *loader) parseTests(pkg *Package) (inPkg, external []*ast.File, err error) {
+	paths, err := l.source(pkg.Dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	sort.Strings(paths)
+	for _, name := range paths {
+		if !strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := l.read(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		f, err := parser.ParseFile(l.fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		if f.Name.Name == pkg.Name {
+			inPkg = append(inPkg, f)
+		} else {
+			external = append(external, f)
+		}
+	}
+	return inPkg, external, nil
 }
 
 // parse returns the package of one directory, parsing its non-test .go
@@ -186,7 +301,7 @@ func (l *loader) parse(dir string) (*Package, error) {
 			return nil, err
 		}
 		if pkg == nil {
-			pkg = &Package{Name: f.Name.Name, Dir: dir, path: path, Managed: Managed(f.Name.Name)}
+			pkg = &Package{Name: f.Name.Name, Dir: dir, path: path, Managed: managed(f.Name.Name)}
 		}
 		pkg.Files = append(pkg.Files, &File{Name: name, AST: f})
 	}

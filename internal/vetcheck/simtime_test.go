@@ -113,9 +113,9 @@ func withStandIns(files map[string]string) map[string]string {
 
 func findingsFor(t *testing.T, files map[string]string, a Analyzer) []Finding {
 	t.Helper()
-	tree, err := LoadSource(withStandIns(files))
+	tree, err := loadSource(withStandIns(files))
 	if err != nil {
-		t.Fatalf("LoadSource: %v", err)
+		t.Fatalf("loadSource: %v", err)
 	}
 	return Run(tree, []Analyzer{a})
 }

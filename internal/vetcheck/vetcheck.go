@@ -69,6 +69,9 @@ type Tree struct {
 	// deps are in-module packages the roots import but do not contain: they
 	// are type-checked and part of the call graph, but never reported on.
 	deps []*Package
+	// refs are the objects some package of the module uses from another
+	// package, its tests included; only ExportUse reads them.
+	refs map[types.Object]bool
 	// graph caches the call graph (reach.go) and waivers the parsed
 	// directives; both are built on first use and shared by one Run.
 	graph   *callGraph
@@ -85,7 +88,7 @@ type Analyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		SimTime{}, MsgProto{}, LockSend{}, LockOrder{}, DirVer{},
-		KernLocal{}, DetOrder{},
+		KernLocal{}, DetOrder{}, ExportUse{},
 	}
 }
 
@@ -122,16 +125,16 @@ var managedPackages = map[string]bool{
 	"osi":         true,
 }
 
-// Managed reports whether a package name is subject to the determinism
+// managed reports whether a package name is subject to the determinism
 // rules.
-func Managed(pkgName string) bool { return managedPackages[pkgName] }
+func managed(pkgName string) bool { return managedPackages[pkgName] }
 
 // kernelSide reports whether a package holds kernel-side state the
 // kernel-locality analyzers police: every sim-managed package plus core,
 // the SSI veneer whose syscall surface executes on whichever kernel hosts
 // the calling thread.
 func kernelSide(pkgName string) bool {
-	return Managed(pkgName) || pkgName == "core"
+	return managed(pkgName) || pkgName == "core"
 }
 
 // anchor names one declaration of the shipped tree that a rule keys on: a

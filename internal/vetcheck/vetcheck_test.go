@@ -140,12 +140,12 @@ func TestDirectiveKnowsEveryShippedAnalyzer(t *testing.T) {
 
 func TestManagedSet(t *testing.T) {
 	for _, name := range []string{"sim", "msg", "kernel", "vm", "threadgroup", "futex", "sched", "task", "workload", "smp", "multikernel", "osi"} {
-		if !Managed(name) {
+		if !managed(name) {
 			t.Errorf("Managed(%q) = false, want true", name)
 		}
 	}
 	for _, name := range []string{"main", "bench", "stats", "trace", "hw", "mem", "vetcheck"} {
-		if Managed(name) {
+		if managed(name) {
 			t.Errorf("Managed(%q) = true, want false", name)
 		}
 	}
@@ -176,7 +176,7 @@ func TestShippedTreeIsClean(t *testing.T) {
 }
 
 func TestFindingString(t *testing.T) {
-	tree, err := LoadSource(map[string]string{"internal/kernel/a.go": `package kernel
+	tree, err := loadSource(map[string]string{"internal/kernel/a.go": `package kernel
 
 import "time"
 
@@ -234,8 +234,8 @@ func TestLoadRejectsTreeThatDoesNotTypeCheck(t *testing.T) {
 		"unknown import":  "package kernel\n\nimport \"repro/internal/absent\"\n\nvar _ = absent.X\n",
 		"unused variable": "package kernel\n\nfunc f() { x := 1 }\n",
 	} {
-		if _, err := LoadSource(map[string]string{"internal/kernel/a.go": src}); err == nil {
-			t.Errorf("%s: LoadSource succeeded, want a load error", name)
+		if _, err := loadSource(map[string]string{"internal/kernel/a.go": src}); err == nil {
+			t.Errorf("%s: loadSource succeeded, want a load error", name)
 		}
 	}
 }

@@ -31,9 +31,6 @@ var (
 	// ErrNoSpace is returned when the hosting kernel's frame partition is
 	// exhausted.
 	ErrNoSpace = errors.New("vm: out of physical frames")
-	// ErrNotAttached is returned when a kernel operates on a group it
-	// hosts no replica for.
-	ErrNotAttached = errors.New("vm: kernel not attached to group")
 	// ErrBadRange is returned for unaligned or empty ranges.
 	ErrBadRange = errors.New("vm: bad address range")
 )
@@ -272,9 +269,6 @@ func (s *Service) checkEntry(gid GID, vpn mem.VPN, de *dirEntry) error {
 	return nil
 }
 
-// Node returns the kernel this service runs on.
-func (s *Service) Node() msg.NodeID { return s.node }
-
 // homeCoreHint returns a representative local core for costing handler-side
 // accesses.
 func (s *Service) homeCoreHint() int {
@@ -462,12 +456,6 @@ func (de *dirEntry) loseCopies(dead msg.NodeID) bool {
 	}
 	return false
 }
-
-// GID returns the group this space belongs to.
-func (sp *Space) GID() GID { return sp.gid }
-
-// Origin returns the group's origin kernel.
-func (sp *Space) Origin() msg.NodeID { return sp.origin }
 
 // Version returns the replica's layout version.
 func (sp *Space) Version() uint64 { return sp.layout.version }

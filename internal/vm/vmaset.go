@@ -17,11 +17,8 @@ type VMA struct {
 	Prot mem.Prot // uniform protection for the whole range
 }
 
-// Pages returns the number of pages the VMA covers.
-func (v VMA) Pages() int { return int(v.Hi - v.Lo) }
-
-// Contains reports whether the page lies inside the VMA.
-func (v VMA) Contains(p mem.VPN) bool { return p >= v.Lo && p < v.Hi }
+// contains reports whether the page lies inside the VMA.
+func (v VMA) contains(p mem.VPN) bool { return p >= v.Lo && p < v.Hi }
 
 // String renders the VMA as "[lo,hi) prot" with byte addresses.
 func (v VMA) String() string {
@@ -45,7 +42,7 @@ func (s *vmaSet) len() int { return len(s.areas) }
 // find returns the VMA containing the page, if any.
 func (s *vmaSet) find(p mem.VPN) (VMA, bool) {
 	i := sort.Search(len(s.areas), func(i int) bool { return s.areas[i].Hi > p })
-	if i < len(s.areas) && s.areas[i].Contains(p) {
+	if i < len(s.areas) && s.areas[i].contains(p) {
 		return s.areas[i], true
 	}
 	return VMA{}, false

@@ -79,7 +79,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 		}
 		setup.Wait(p)
 
-		bar := NewBarrier(T, base, base+hw.PageSize)
+		bar := newBarrier(T, base, base+hw.PageSize)
 		redAddr := base + 2*hw.PageSize
 		exch := func(writer, slot int) mem.Addr {
 			return base + mem.Addr((3+writer*T+slot)*hw.PageSize)

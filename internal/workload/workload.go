@@ -120,23 +120,23 @@ func driveWindow(o driven, name string, threads int, body func(p *sim.Proc, w *w
 	return res, nil
 }
 
-// Barrier is a sense-reversing barrier built on the OS's own primitives
+// barrier is a sense-reversing barrier built on the OS's own primitives
 // (FetchAdd + futex), so barrier cost reflects each OS's synchronisation
 // path — as it would for a pthreads barrier on the real systems.
-type Barrier struct {
+type barrier struct {
 	n     int64
 	count mem.Addr
 	sense mem.Addr
 }
 
-// NewBarrier initialises a barrier for n participants using two words of
+// newBarrier initialises a barrier for n participants using two words of
 // process memory. The caller supplies mapped, writable addresses.
-func NewBarrier(n int, count, sense mem.Addr) *Barrier {
-	return &Barrier{n: int64(n), count: count, sense: sense}
+func newBarrier(n int, count, sense mem.Addr) *barrier {
+	return &barrier{n: int64(n), count: count, sense: sense}
 }
 
 // Wait blocks t until all n participants arrive.
-func (b *Barrier) Wait(t osi.Thread) error {
+func (b *barrier) Wait(t osi.Thread) error {
 	phase, err := t.Load(b.sense)
 	if err != nil {
 		return err
@@ -246,18 +246,4 @@ func (c *FutexCond) Signal(t osi.Thread) error {
 	}
 	_, err := t.FutexWake(c.seq, 1)
 	return err
-}
-
-// Broadcast wakes one waiter and requeues the rest onto the mutex, so they
-// wake one at a time as the lock is handed over.
-func (c *FutexCond) Broadcast(t osi.Thread) error {
-	newSeq, err := t.FetchAdd(c.seq, 1)
-	if err != nil {
-		return err
-	}
-	_, _, err = t.FutexRequeue(c.seq, c.m.word, newSeq+1, 1, 1<<30)
-	if err != nil && !isWouldBlock(err) {
-		return err
-	}
-	return nil
 }
