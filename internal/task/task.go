@@ -58,23 +58,12 @@ func (s State) String() string {
 	return fmt.Sprintf("task.State(%d)", int(s))
 }
 
-// Context is the migratable user execution context: what the paper ships in
-// a migration message. Sizes follow x86-64: 16 GPRs + instruction and stack
-// pointers + flags, XSAVE-style FPU/SSE area, and the TLS base.
-type Context struct {
-	Regs  [16]uint64
-	IP    uint64
-	SP    uint64
-	Flags uint64
-	FPU   [512]byte
-	TLS   uint64
-}
-
-// Bytes returns the serialised size of the context, used to cost the
-// migration message.
-func (c *Context) Bytes() int {
-	return 16*8 + 3*8 + len(c.FPU) + 8
-}
+// ContextBytes is the serialised size of the migratable user execution
+// context, what the paper ships in a migration message; it costs the
+// messages that carry one. Sizes follow x86-64: 16 GPRs, instruction and
+// stack pointers and flags, the XSAVE-style FPU/SSE area, and the TLS base.
+// No simulated thread has register state, so only the size is modelled.
+const ContextBytes = 16*8 + 3*8 + 512 + 8
 
 // Task is the kernel-side descriptor for one thread.
 type Task struct {
@@ -86,8 +75,6 @@ type Task struct {
 	Kernel int
 	// State is the lifecycle state.
 	State State
-	// Ctx is the user execution context (valid while not running).
-	Ctx Context
 	// MigratedTo records, for a shadow, which kernel the live thread went
 	// to. Valid only when State == StateShadow.
 	MigratedTo int

@@ -16,10 +16,8 @@ func TestNewTaskDefaults(t *testing.T) {
 }
 
 func TestContextBytesMatchesLayout(t *testing.T) {
-	var c Context
-	want := 16*8 + 3*8 + 512 + 8
-	if c.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
+	if want := 16*8 + 3*8 + 512 + 8; ContextBytes != want {
+		t.Fatalf("ContextBytes = %d, want %d", ContextBytes, want)
 	}
 }
 

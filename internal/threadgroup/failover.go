@@ -43,7 +43,6 @@ type groupRepl struct {
 	SnapVersion uint64
 	Members     map[task.ID]member
 	Replicas    map[msg.NodeID]struct{}
-	Checkpoints map[task.ID]task.Context
 	// Exited marks the group's final snapshot: the last member left and the
 	// group tore down, so the successor drops its mirror instead of keeping
 	// a promotable copy of a dead group.
@@ -74,7 +73,6 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 	if !g.exited {
 		rep.Members = maps.Clone(g.members)
 		rep.Replicas = maps.Clone(g.replicas)
-		rep.Checkpoints = maps.Clone(g.checkpoints)
 	}
 	s.metrics.Counter("tg.failover.replicated").Inc()
 	if !groupReplicate.Replicate(p, s.ep, s.fabric.Successor(s.node), vm.OriginKernelOf(g.gid), &rep) {
@@ -82,17 +80,17 @@ func (s *Service) shipGroup(p *sim.Proc, g *group) {
 	}
 }
 
-// groupReplSize is a snapshot's size on the wire: 64 B, each checkpointed
-// context, and 16 B per member, per moved member's epoch and per replica.
+// groupReplSize is a snapshot's size on the wire: 64 B, each recoverable
+// member's checkpointed context, and 16 B per member, per moved member's
+// epoch and per replica.
 func groupReplSize(rep *groupRepl) int {
 	size := 64
-	//popcornvet:allow detorder a sum of sizes: only the total leaves the loop
-	for _, ctx := range rep.Checkpoints {
-		size += ctx.Bytes()
-	}
 	for _, m := range rep.Members {
 		if m.epoch > 0 {
 			size += 16
+		}
+		if m.recoverable {
+			size += task.ContextBytes
 		}
 	}
 	return size + 16*(len(rep.Members)+len(rep.Replicas))
@@ -185,7 +183,6 @@ func (s *Service) promoteGroup(rep *groupRepl, dead msg.NodeID) {
 	// The mirror's tables are copies nobody else holds (shipGroup), so the
 	// promoted origin takes them as its own.
 	g.members = rep.Members
-	g.checkpoints = rep.Checkpoints
 	g.replicas = rep.Replicas
 	delete(g.replicas, s.node)
 	delete(g.replicas, dead)

@@ -14,25 +14,25 @@ import (
 	"repro/internal/vm"
 )
 
-// originTables is a group's replicated origin state: the three tables a
-// snapshot carries and a promotion installs.
+// originTables is a group's replicated origin state: the two tables a
+// snapshot carries and a promotion installs (a member's checkpoint is its
+// recoverable flag).
 type originTables struct {
-	Members     map[task.ID]member
-	Replicas    map[msg.NodeID]struct{}
-	Checkpoints map[task.ID]task.Context
+	Members  map[task.ID]member
+	Replicas map[msg.NodeID]struct{}
 }
 
 func tablesOf(g *group) originTables {
-	return originTables{g.members, g.replicas, g.checkpoints}
+	return originTables{g.members, g.replicas}
 }
 
 func mirroredTables(rep *groupRepl) originTables {
-	return originTables{rep.Members, rep.Replicas, rep.Checkpoints}
+	return originTables{rep.Members, rep.Replicas}
 }
 
 // TestMirrorsEqualOriginAtQuiescence is the replication invariant as a test:
 // with the failover plane on and nothing crashing, once the machine is quiet
-// every live group's three origin tables equal the mirror its ring successor
+// every live group's two origin tables equal the mirror its ring successor
 // holds, and a group that exited has no mirror left. Two groups with
 // different origins (one whose successor wraps around the ring) go through
 // every mutation that ships — spawns, migrations of plain and recoverable
@@ -124,7 +124,7 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 			recoverable++
 		}
 	}
-	if len(g.members) != 2 || len(g.replicas) < 3 || moved != 2 || recoverable != 1 || len(g.checkpoints) != 1 {
+	if len(g.members) != 2 || len(g.replicas) < 3 || moved != 2 || recoverable != 1 {
 		t.Fatalf("group 1's origin tables are thinner than the scenario meant: %+v", tablesOf(g))
 	}
 
@@ -132,13 +132,12 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 	// reach the mirror before the ship that carries it.
 	rep := ev.tgs[1].gmirrors[1]
 	before := mirroredTables(&groupRepl{
-		Members: maps.Clone(rep.Members), Replicas: maps.Clone(rep.Replicas), Checkpoints: maps.Clone(rep.Checkpoints),
+		Members: maps.Clone(rep.Members), Replicas: maps.Clone(rep.Replicas),
 	})
 	const ghost = task.ID(424242)
 	g.members[ghost] = member{node: 3, epoch: 7, recoverable: true, restarted: true}
 	g.replicas[3] = struct{}{}
 	delete(g.replicas, 1)
-	g.checkpoints[ghost] = task.Context{}
 	if got := mirroredTables(rep); !reflect.DeepEqual(got, before) {
 		t.Errorf("mutating the origin's tables changed the mirror:\n%+v\nwas\n%+v", got, before)
 	}
