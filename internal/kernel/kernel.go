@@ -23,13 +23,11 @@ import (
 type Kernel struct {
 	Node    msg.NodeID
 	Machine *hw.Machine
-	Cores   []int
 	Sched   *sched.Scheduler
 	Frames  *LockedFrames
 	VM      *vm.Service
 	TG      *threadgroup.Service
 	Futex   *futex.Service
-	Metrics *stats.Registry
 }
 
 // LockedFrames is a kernel's physical allocator behind its local zone lock,
@@ -132,7 +130,6 @@ func DefaultClusterConfig(machine *hw.Machine) ClusterConfig {
 type Cluster struct {
 	Kernels []*Kernel
 	Fabric  *msg.Fabric
-	Metrics *stats.Registry
 }
 
 // Boot brings up cfg.Kernels kernel instances on the machine.
@@ -161,7 +158,7 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Fabric: fabric, Metrics: metrics}
+	cl := &Cluster{Fabric: fabric}
 	for k := 0; k < cfg.Kernels; k++ {
 		cores := make([]int, perKernel)
 		for i := range cores {
@@ -182,13 +179,11 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 		cl.Kernels = append(cl.Kernels, &Kernel{
 			Node:    msg.NodeID(k),
 			Machine: machine,
-			Cores:   cores,
 			Sched:   sch,
 			Frames:  frames,
 			VM:      vms,
 			TG:      tgs,
 			Futex:   fx,
-			Metrics: metrics,
 		})
 	}
 	return cl, nil
