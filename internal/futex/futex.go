@@ -43,8 +43,8 @@ type key struct {
 }
 
 type bucket struct {
-	mu      *sim.Mutex
-	waiters []waiterRef
+	mu *sim.Mutex
+	q  Queue[waiterRef]
 }
 
 type waiterRef struct {
@@ -246,15 +246,11 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 	for _, k := range keys {
 		b := s.buckets[k]
 		b.mu.Lock(p)
-		kept := b.waiters[:0]
-		for _, ref := range b.waiters {
-			if ref.node == dead {
-				s.metrics.Counter("futex.waiter.reaped").Inc()
-				continue
-			}
-			kept = append(kept, ref)
+		kept := slices.DeleteFunc(b.q.ws, func(ref waiterRef) bool { return ref.node == dead })
+		if reaped := len(b.q.ws) - len(kept); reaped > 0 {
+			s.metrics.Counter("futex.waiter.reaped").Add(uint64(reaped))
 		}
-		b.waiters = kept
+		b.q.ws = kept
 		b.mu.Unlock(p)
 	}
 	tokens := make([]uint64, 0, len(s.waiters))
@@ -323,12 +319,11 @@ func (s *Service) doWait(p *sim.Proc, gid vm.GID, addr mem.Addr, expect int64, f
 	if err != nil {
 		return futexOpReply{Err: fmt.Errorf("futex: %w", err)}
 	}
-	if val != expect {
+	if err := b.q.Wait(waiterRef{node: from, token: token}, val, expect); err != nil {
 		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
-		return futexOpReply{Err: ErrWouldBlock}
+		return futexOpReply{Err: err}
 	}
-	b.waiters = append(b.waiters, waiterRef{node: from, token: token})
-	if c, d := s.metrics.CounterIn(&s.hot.queueMax, "futex.queue.max"), uint64(len(b.waiters)); d > c.Value() {
+	if c, d := s.metrics.CounterIn(&s.hot.queueMax, "futex.queue.max"), uint64(len(b.q.ws)); d > c.Value() {
 		c.Add(d - c.Value())
 	}
 	return futexOpReply{}
@@ -341,16 +336,10 @@ func (s *Service) doWake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) fute
 	}
 	b := s.bucket(key{gid: gid, addr: addr})
 	b.mu.Lock(p)
-	n := count
-	if n > len(b.waiters) {
-		n = len(b.waiters)
-	}
 	// The released few leave the queue before the lock drops (a wake-all of
-	// more than the array holds falls back to the heap), and the rest slide
-	// down: reslicing from the front would walk the queue off its capacity.
+	// more than the array holds falls back to the heap).
 	var few [4]waiterRef
-	released := append(few[:0], b.waiters[:n]...)
-	b.waiters = append(b.waiters[:0], b.waiters[n:]...)
+	released := b.q.Wake(few[:0], count)
 	b.mu.Unlock(p)
 	for _, ref := range released {
 		s.release(p, ref)

@@ -37,17 +37,18 @@ func (s *Service) doRequeue(p *sim.Proc, gid vm.GID, from, to mem.Addr, expect i
 	if !ok {
 		return futexOpReply{Err: fmt.Errorf("futex: group %d not resident on home kernel %d", gid, s.node)}
 	}
-	released, reply := s.requeueLocked(p, sp, gid, from, to, expect, wake, requeue)
+	var few [4]waiterRef
+	released, moved, err := s.requeueLocked(p, few[:0], sp, gid, from, to, expect, wake, requeue)
 	for _, ref := range released {
 		s.release(p, ref)
 	}
-	return reply
+	return futexOpReply{Woken: len(released), Requeued: moved, Err: err}
 }
 
-// requeueLocked is the bucket-locked half of doRequeue: re-check the word,
-// detach up to wake waiters for the caller to release, and move up to
-// requeue of the remainder onto to's queue.
-func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) ([]waiterRef, futexOpReply) {
+// requeueLocked is the bucket-locked half of doRequeue: re-read the word and
+// let from's queue detach its wakers onto out and move its requeued waiters
+// onto to's.
+func (s *Service) requeueLocked(p *sim.Proc, out []waiterRef, sp *vm.Space, gid vm.GID, from, to mem.Addr, expect int64, wake, requeue int) ([]waiterRef, int, error) {
 	bFrom := s.bucket(key{gid: gid, addr: from})
 	bTo := s.bucket(key{gid: gid, addr: to})
 	// Lock both queues in address order so concurrent requeues between the
@@ -69,26 +70,13 @@ func (s *Service) requeueLocked(p *sim.Proc, sp *vm.Space, gid vm.GID, from, to 
 	//popcornvet:allow locksend the word re-read must be atomic with the queue edit under the bucket lock (the lost-wakeup guarantee); page-protocol handlers never take futex bucket locks, so no wait cycle can close
 	val, err := sp.Load(p, s.homeCore, from)
 	if err != nil {
-		return nil, futexOpReply{Err: fmt.Errorf("futex: %w", err)}
+		return out, 0, fmt.Errorf("futex: %w", err)
 	}
-	if val != expect {
+	out, moved, err := bFrom.q.Requeue(out, &bTo.q, val, expect, wake, requeue)
+	if err != nil {
 		s.metrics.CounterIn(&s.hot.eagain, "futex.eagain").Inc()
-		return nil, futexOpReply{Err: ErrWouldBlock}
 	}
-	var released []waiterRef
-	for len(released) < wake && len(bFrom.waiters) > 0 {
-		ref := bFrom.waiters[0]
-		bFrom.waiters = bFrom.waiters[1:]
-		released = append(released, ref)
-	}
-	requeued := 0
-	for requeued < requeue && len(bFrom.waiters) > 0 {
-		ref := bFrom.waiters[0]
-		bFrom.waiters = bFrom.waiters[1:]
-		bTo.waiters = append(bTo.waiters, ref)
-		requeued++
-	}
-	return released, futexOpReply{Woken: len(released), Requeued: requeued}
+	return out, moved, err
 }
 
 // release wakes one waiter reference, locally or via message.

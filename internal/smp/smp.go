@@ -22,6 +22,7 @@ package smp
 import (
 	"fmt"
 
+	"repro/internal/futex"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -56,19 +57,17 @@ type OS struct {
 	pidLock  *sim.Mutex
 	zones    []*kernel.LockedFrames
 	// futexes are the hash table's bucket locks; a futex address hashes to
-	// one (futexLock). The queues are keyed by the (process-unique) address
-	// itself, so one map holds every bucket's.
-	futexes      [futexBuckets]sim.Mutex
-	futexWaiters map[mem.Addr][]*smpWaiter
-	nextPID      int64
+	// one (futexLock). A queue is keyed by process and word, as Linux keys a
+	// private futex by its mm, and lives under its word's bucket lock.
+	futexes     [futexBuckets]sim.Mutex
+	futexQueues map[futexKey]*futex.Queue[*Thread]
+	nextPID     int64
 }
 
-// smpWaiter is a thread's entry in a futex queue; each Thread holds its own,
-// as a thread waits on at most one futex at a time.
-type smpWaiter struct {
-	proc  *sim.Proc
-	mm    *mmStruct
-	woken bool
+// futexKey names one process's futex word.
+type futexKey struct {
+	mm   *mmStruct
+	addr mem.Addr
 }
 
 var _ osi.OS = (*OS)(nil)
@@ -111,13 +110,13 @@ func Boot(cfg Config) (_ *OS, err error) {
 		return nil, err
 	}
 	os := &OS{
-		e:            e,
-		machine:      machine,
-		metrics:      metrics,
-		sched:        sch,
-		tasklist:     sim.NewMutex(e),
-		pidLock:      sim.NewMutex(e),
-		futexWaiters: make(map[mem.Addr][]*smpWaiter),
+		e:           e,
+		machine:     machine,
+		metrics:     metrics,
+		sched:       sch,
+		tasklist:    sim.NewMutex(e),
+		pidLock:     sim.NewMutex(e),
+		futexQueues: make(map[futexKey]*futex.Queue[*Thread]),
 	}
 	for n := 0; n < topo.NUMANodes; n++ {
 		alloc, err := mem.NewFrameAllocator(n, mem.FrameID(n)<<24, framesPerNode)
@@ -135,6 +134,26 @@ func Boot(cfg Config) (_ *OS, err error) {
 // futexLock returns the hash-bucket lock addr's futex queue sits under.
 func (o *OS) futexLock(addr mem.Addr) *sim.Mutex {
 	return &o.futexes[futexBucket(addr)]
+}
+
+// futexQueue returns mm's wait queue for the word at addr. Like the
+// replicated kernel's home buckets, a queue outlives its waiters.
+func (o *OS) futexQueue(mm *mmStruct, addr mem.Addr) *futex.Queue[*Thread] {
+	k := futexKey{mm: mm, addr: addr}
+	q := o.futexQueues[k]
+	if q == nil {
+		q = new(futex.Queue[*Thread])
+		o.futexQueues[k] = q
+	}
+	return q
+}
+
+// resume releases the waiters a wake or requeue detached.
+func resume(ws []*Thread) {
+	for _, w := range ws {
+		w.woken = true
+		w.p.Resume()
+	}
 }
 
 // futexBucket returns the index of addr's hash bucket.
@@ -269,7 +288,7 @@ func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	pr.wg.Add(1)
 	o.e.Spawn(fmt.Sprintf("smp-thread-%d", tid), func(tp *sim.Proc) {
 		defer pr.wg.Done()
-		th := &Thread{pr: pr, p: tp, tid: tid, waiter: smpWaiter{proc: tp, mm: pr.mm}}
+		th := &Thread{pr: pr, p: tp, tid: tid}
 		th.core = o.sched.Acquire(tp)
 		fn(th)
 		th.exit()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/futex"
 	"repro/internal/mem"
 	"repro/internal/osi"
 	"repro/internal/sim"
@@ -18,8 +17,8 @@ type Thread struct {
 	p    *sim.Proc
 	tid  int64
 	core int
-	// waiter is the thread's futex queue entry, queued while it waits.
-	waiter smpWaiter
+	// woken is set when a futex wake or requeue releases the thread.
+	woken bool
 }
 
 var _ osi.Thread = (*Thread)(nil)
@@ -218,22 +217,20 @@ func (t *Thread) FutexWait(addr mem.Addr, expect int64) error {
 		mu.Unlock(t.p)
 		return err
 	}
-	if val != expect {
+	t.woken = false
+	if err = o.futexQueue(t.pr.mm, addr).Wait(t, val, expect); err != nil {
 		mu.Unlock(t.p)
 		o.metrics.Counter("smp.futex.eagain").Inc()
-		return futex.ErrWouldBlock
+		return err
 	}
-	w := &t.waiter
-	w.woken = false
-	o.futexWaiters[addr] = append(o.futexWaiters[addr], w)
 	mu.Unlock(t.p)
 	o.metrics.Counter("smp.futex.wait").Inc()
 	o.sched.Release(t.p)
-	if !w.woken {
+	if !t.woken {
 		t.p.Suspend()
 	}
 	t.core = o.sched.Acquire(t.p)
-	if !w.woken {
+	if !t.woken {
 		return errors.New("smp: futex waiter woken without wake")
 	}
 	return nil
@@ -249,24 +246,12 @@ func (t *Thread) FutexWake(addr mem.Addr, count int) (int, error) {
 	mu := o.futexLock(addr)
 	mu.Lock(t.p)
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(mu.Waiters()), o.crossNode()))
-	q := o.futexWaiters[addr]
-	// Wake only waiters of this process (keys are per-mm in Linux; the
-	// bucket is shared, the queue entries carry the mm).
-	woken := 0
-	remaining := q[:0]
-	for _, w := range q {
-		if woken < count && w.mm == t.pr.mm {
-			w.woken = true
-			w.proc.Resume()
-			woken++
-		} else {
-			remaining = append(remaining, w)
-		}
-	}
-	o.setFutexQueue(addr, q, remaining)
+	var few [4]*Thread
+	woken := o.futexQueue(t.pr.mm, addr).Wake(few[:0], count)
+	resume(woken)
 	mu.Unlock(t.p)
 	o.metrics.Counter("smp.futex.wake").Inc()
-	return woken, nil
+	return len(woken), nil
 }
 
 // FutexRequeue implements osi.Thread: both buckets lock in bucket-index
@@ -295,45 +280,14 @@ func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int
 	if err != nil {
 		return 0, 0, err
 	}
-	if val != expect {
+	var few [4]*Thread
+	woken, requeued, err := o.futexQueue(t.pr.mm, from).Requeue(few[:0], o.futexQueue(t.pr.mm, to), val, expect, wake, requeue)
+	if err != nil {
 		o.metrics.Counter("smp.futex.eagain").Inc()
-		return 0, 0, futex.ErrWouldBlock
+		return 0, 0, err
 	}
-	q := o.futexWaiters[from]
-	woken, requeued := 0, 0
-	remaining := q[:0]
-	var moved []*smpWaiter // requeued onto from itself
-	for _, w := range q {
-		switch {
-		case w.mm != t.pr.mm:
-			remaining = append(remaining, w)
-		case woken < wake:
-			w.woken = true
-			w.proc.Resume()
-			woken++
-		case requeued < requeue && to == from:
-			moved = append(moved, w)
-			requeued++
-		case requeued < requeue:
-			o.futexWaiters[to] = append(o.futexWaiters[to], w)
-			requeued++
-		default:
-			remaining = append(remaining, w)
-		}
-	}
-	o.setFutexQueue(from, q, append(remaining, moved...))
-	return woken, requeued, nil
-}
-
-// setFutexQueue stores what is left of addr's queue q, compacted in place into
-// q's own array, and drops the stale tail.
-func (o *OS) setFutexQueue(addr mem.Addr, q, remaining []*smpWaiter) {
-	clear(q[len(remaining):])
-	if len(remaining) == 0 {
-		delete(o.futexWaiters, addr)
-	} else {
-		o.futexWaiters[addr] = remaining
-	}
+	resume(woken)
+	return len(woken), requeued, nil
 }
 
 // Spawn implements osi.Thread.
