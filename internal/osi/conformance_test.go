@@ -163,8 +163,8 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 }
 
 // TestConformanceSignalsAndRequeue checks the newer syscall surface —
-// cross-thread signals and FUTEX_CMP_REQUEUE — behaves identically on both
-// OS flavours.
+// cross-thread signals and FUTEX_CMP_REQUEUE, onto another word and onto the
+// word the waiters wait on — behaves identically on both OS flavours.
 func TestConformanceSignalsAndRequeue(t *testing.T) {
 	type outcome struct {
 		sigs      int
@@ -172,6 +172,11 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 		woken     int
 		requeued  int
 		badExpect bool
+		// A requeue of three waiters onto their own word: what it reports,
+		// and the order the waiters wake in (requeue first, then one wake
+		// at a time).
+		selfWoken, selfRequeued int
+		selfOrder               string
 	}
 	results := make(map[string]outcome)
 	for name, o := range bootAll(t) {
@@ -242,6 +247,30 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 				if _, err := th.FutexWake(base+hw.PageSize, 10); err != nil {
 					panic(err)
 				}
+				// Three more waiters on word 0, requeued onto word 0: one
+				// wakes, and the other two move to its tail once each.
+				again := sim.NewWaitGroup()
+				for i := 0; i < 3; i++ {
+					again.Add(1)
+					_ = th.Spawn(0, func(wt osi.Thread) {
+						again.Done()
+						if err := wt.FutexWait(base, 0); err != nil {
+							panic(err)
+						}
+						out.selfOrder += fmt.Sprint(i)
+					})
+				}
+				again.Wait(th.Proc())
+				th.Compute(50 * time.Microsecond)
+				if out.selfWoken, out.selfRequeued, err = th.FutexRequeue(base, base, 0, 1, 10); err != nil {
+					panic(err)
+				}
+				for i := 0; i < 2; i++ {
+					th.Compute(50 * time.Microsecond)
+					if _, err := th.FutexWake(base, 1); err != nil {
+						panic(err)
+					}
+				}
 			})
 			pr.Wait(p)
 			_ = pr.Close(p)
@@ -263,6 +292,9 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 	}
 	if pop.woken != 1 || pop.requeued != 2 {
 		t.Fatalf("requeue outcome = woken %d, requeued %d; want 1, 2", pop.woken, pop.requeued)
+	}
+	if pop.selfWoken != 1 || pop.selfRequeued != 2 || pop.selfOrder != "012" {
+		t.Fatalf("requeue onto itself = woken %d, requeued %d, wake order %q; want 1, 2, \"012\"", pop.selfWoken, pop.selfRequeued, pop.selfOrder)
 	}
 }
 
