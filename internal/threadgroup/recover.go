@@ -141,6 +141,6 @@ func (s *Service) Reboot() {
 	s.dummies = s.cfg.DummyPool
 	s.setupPending = make(map[vm.GID]*sim.Cond)
 	s.orphanSignals = make(map[task.ID][]int)
-	s.sigWaiters = make(map[task.ID]*sigWaiter)
+	s.sigWaiters = make(map[task.ID]*sim.Proc)
 	s.gmirrors = make(map[vm.GID]*groupRepl)
 }

@@ -40,11 +40,6 @@ type signalReq struct {
 // maxSignalHops bounds forwarding along migration chains.
 const maxSignalHops = 16
 
-// sigWaiter parks a thread in WaitSignal.
-type sigWaiter struct {
-	p *sim.Proc
-}
-
 // Signal delivers sig to thread (gid, id), wherever it runs. The call
 // returns once the signal is queued at the hosting kernel.
 func (s *Service) Signal(p *sim.Proc, gid vm.GID, id task.ID, sig int) error {
@@ -124,7 +119,7 @@ func (s *Service) deliverLocal(g *group, t *task.Task, sig int) {
 	s.metrics.Counter("tg.signal.delivered").Inc()
 	if w, ok := s.sigWaiters[t.ID]; ok {
 		delete(s.sigWaiters, t.ID)
-		w.p.Resume()
+		w.Resume()
 	}
 }
 
@@ -143,7 +138,7 @@ func (s *Service) WaitSignal(p *sim.Proc, gid vm.GID, id task.ID) ([]int, error)
 		if _, busy := s.sigWaiters[id]; busy {
 			return nil, fmt.Errorf("threadgroup: task %d already has a signal waiter", id)
 		}
-		s.sigWaiters[id] = &sigWaiter{p: p}
+		s.sigWaiters[id] = p
 		p.Suspend()
 	}
 	sigs := t.PendingSignals

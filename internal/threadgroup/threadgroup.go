@@ -139,7 +139,7 @@ type Service struct {
 	// in-flight migration.
 	orphanSignals map[task.ID][]int
 	// sigWaiters holds tasks blocked in WaitSignal.
-	sigWaiters map[task.ID]*sigWaiter
+	sigWaiters map[task.ID]*sim.Proc
 	// restart, when set, re-executes recovered tasks on this kernel (the
 	// degradation sweep invokes it at the origin for restartable members).
 	restart RestartHook
@@ -169,7 +169,7 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 		dummies:       cfg.DummyPool,
 		setupPending:  make(map[vm.GID]*sim.Cond),
 		orphanSignals: make(map[task.ID][]int),
-		sigWaiters:    make(map[task.ID]*sigWaiter),
+		sigWaiters:    make(map[task.ID]*sim.Proc),
 		gmirrors:      make(map[vm.GID]*groupRepl),
 	}
 	threadCreate.Handle(s.ep, s.handleThreadCreate)
