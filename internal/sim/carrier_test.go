@@ -31,6 +31,16 @@ func runOne(t *testing.T, e Engine, name string) *carrier {
 	return k
 }
 
+// goroutinesAbove returns how many goroutines run beyond base, once those on
+// their way out have had until a wall-clock deadline to exit: a goroutine
+// that has signalled its end is still counted until it returns.
+func goroutinesAbove(base int) int {
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine() - base
+}
+
 // TestCarriersBoundGoroutinesByPeakLiveProcs runs 10 000 spawn→finish cycles,
 // eight processes live at a time: the host must hold no more goroutines than
 // the peak number of live processes, and Close must hand every one of them
@@ -60,7 +70,7 @@ func TestCarriersBoundGoroutinesByPeakLiveProcs(t *testing.T) {
 	e.Close()
 	// Not != 0: a goroutine of an earlier test may still have been exiting
 	// when base was read.
-	if got := runtime.NumGoroutine() - base; got > 0 {
+	if got := goroutinesAbove(base); got > 0 {
 		t.Fatalf("Close left %d goroutines behind", got)
 	}
 }
@@ -126,7 +136,7 @@ func TestCloseFinishesUndispatchedProcOnReusedCarrier(t *testing.T) {
 	if got := strings.Join(log.names, ","); got != "a1,a2,b" {
 		t.Fatalf("ProcFinished saw %q, want a1,a2,b", got)
 	}
-	if got := runtime.NumGoroutine() - base; got > 0 || e.idle != nil {
+	if got := goroutinesAbove(base); got > 0 || e.idle != nil {
 		t.Fatalf("Close left %d goroutines and %d idle carriers behind", got, len(e.idle))
 	}
 }
@@ -255,10 +265,7 @@ func TestGoexitInProcBodyReachesRunCaller(t *testing.T) {
 	}
 	e.Close()
 	// The Run goroutine is between its deferred send and its exit.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
-		runtime.Gosched()
-	}
-	if got := runtime.NumGoroutine() - base; got > 0 {
+	if got := goroutinesAbove(base); got > 0 {
 		t.Fatalf("%d goroutines left behind", got)
 	}
 }
