@@ -13,6 +13,7 @@ import (
 	"repro/internal/osi"
 	"repro/internal/sim"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 func boot(t *testing.T) *OS {
@@ -571,5 +572,90 @@ func TestContentionGrowsLockWait(t *testing.T) {
 	low, high := cloneStorm(1), cloneStorm(6)
 	if high <= low {
 		t.Fatalf("tasklist wait with 6 cloners (%v) not above 1 cloner (%v)", high, low)
+	}
+}
+
+// TestRacedFirstTouchReturnsFrame runs F7's CG kernel at full scale, where
+// threads first-touch the same shared pages at once: a fault that finds the
+// entry installed after its frame allocation must give the frame back and
+// use the entry, so Close leaves every zone empty.
+func TestRacedFirstTouchReturnsFrame(t *testing.T) {
+	o, err := Boot(Config{Topology: hw.Topology{Cores: 64, NUMANodes: 2}, FramesPerNode: 1 << 18})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	t.Cleanup(o.Close)
+	spec := workload.ComputeKernelSpec{Kernel: workload.KernelCG, Threads: 32, Iters: 4, Work: 5 * time.Millisecond}
+	if _, err := workload.ComputeKernel(o, spec); err != nil {
+		t.Fatalf("ComputeKernel: %v", err)
+	}
+	for i, z := range o.zones {
+		if n := z.Allocator().InUse(); n != 0 {
+			t.Errorf("zone %d: %d frames in use after Close, want 0", i, n)
+		}
+	}
+}
+
+// TestAccessRacingUnmapInstallsNothing pins a store whose page is unmapped
+// while it pulls the line from the page's last writer: it lands on a zero
+// word and leaves nothing behind, so the heap page mapped again at the same
+// address reads zero.
+func TestAccessRacingUnmapInstallsNothing(t *testing.T) {
+	cost := hw.DefaultCostModel()
+	cost.LineTransferLocal, cost.LineTransferRemote = time.Millisecond, time.Millisecond
+	o, err := Boot(Config{Topology: hw.Topology{Cores: 8, NUMANodes: 2}, FramesPerNode: 4096, Cost: &cost})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	t.Cleanup(o.Close)
+	e := o.Engine()
+	e.Spawn("driver", func(p *sim.Proc) {
+		pr, _ := o.StartProcess(p)
+		mm := pr.(*Process).mm
+		var addr mem.Addr
+		written := sim.NewWaitGroup()
+		written.Add(1)
+		// The writer keeps its core busy, so the storer runs on another one
+		// and must pull the line.
+		_ = pr.Spawn(p, 0, func(th osi.Thread) {
+			addr, _ = th.Sbrk(hw.PageSize)
+			if err := th.Store(addr, 5); err != nil {
+				t.Errorf("first Store: %v", err)
+			}
+			written.Done()
+			th.Compute(10 * time.Millisecond)
+		})
+		written.Wait(p)
+		stored := sim.NewWaitGroup()
+		stored.Add(1)
+		_ = pr.Spawn(p, 0, func(th osi.Thread) {
+			if err := th.Store(addr, 9); err != nil {
+				t.Errorf("racing Store: %v", err)
+			}
+			if _, ok := mm.pt.Lookup(mem.PageOf(addr)); ok {
+				t.Error("the store reinstalled the unmapped page's entry")
+			}
+			stored.Done()
+		})
+		_ = pr.Spawn(p, 0, func(th osi.Thread) {
+			th.Compute(time.Microsecond)
+			if _, err := th.Sbrk(-hw.PageSize); err != nil {
+				t.Errorf("shrinking Sbrk: %v", err)
+			}
+			stored.Wait(th.Proc())
+			again, err := th.Sbrk(hw.PageSize)
+			if err != nil || again != addr {
+				t.Errorf("regrown heap at %#x, %v; want %#x", uint64(again), err, uint64(addr))
+				return
+			}
+			if v, err := th.Load(again); err != nil || v != 0 {
+				t.Errorf("Load of the remapped page = %d, %v; want 0, nil", v, err)
+			}
+		})
+		pr.Wait(p)
+		_ = pr.Close(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

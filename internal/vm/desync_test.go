@@ -35,7 +35,6 @@ func TestFaultSelfHealsDirectoryDesync(t *testing.T) {
 		}
 		sps[1].pt.Clear(vpn)
 		ev.allocs[1].Free(pte.Frame)
-		delete(sps[1].values, vpn)
 
 		if v, err := sps[1].Load(p, 2, addr); err != nil || v != 0 {
 			t.Fatalf("Load after desync = %d, %v; want 0, nil", v, err)

@@ -307,7 +307,7 @@ func (sp *Space) applyInval(p *sim.Proc, vpn mem.VPN, downgrade bool, ver uint64
 		return ack
 	}
 	ack.HadCopy = true
-	ack.Value = sp.values[vpn]
+	ack.Value = pte.Word
 	if downgrade {
 		pte.Prot &^= mem.ProtWrite
 		sp.pt.Set(vpn, pte)
@@ -316,7 +316,6 @@ func (sp *Space) applyInval(p *sim.Proc, vpn mem.VPN, downgrade bool, ver uint64
 		if pte.Frame != mem.NoFrame {
 			sp.svc.frames.FreeFrame(p, pte.Frame)
 		}
-		delete(sp.values, vpn)
 	}
 	p.Sleep(sp.svc.machine.TLBShootdown(sp.shootdownCores(), false))
 	sp.svc.metrics.CounterIn(&sp.svc.hot.invalApplied, "vm.inval.applied").Inc()

@@ -105,8 +105,8 @@ func (sp *Space) access(p *sim.Proc, core int, addr mem.Addr, op mem.Op) (int64,
 		if pte, ok := sp.pt.Lookup(vpn); ok {
 			sufficient := pte.Prot.Readable() && (!write || pte.Prot.Writable())
 			if sufficient {
-				res := sp.performAccess(p, vpn, op)
-				p.Sleep(sp.svc.machine.MemAccess(core, pte.HomeNode))
+				res := sp.performAccess(p, vpn, pte, op)
+				p.Sleep(sp.svc.machine.MemAccess(core, int(pte.HomeNode)))
 				return res.value, nil
 			}
 		}
@@ -264,7 +264,7 @@ func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFa
 		}
 		pte.Prot = g.Prot
 		sp.pt.Set(vpn, pte)
-		res := sp.performAccess(p, vpn, op)
+		res := sp.performAccess(p, vpn, pte, op)
 		p.Sleep(sp.svc.machine.Cost.PTESet)
 		return res, nil
 	}
@@ -284,22 +284,23 @@ func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFa
 	} else {
 		sp.svc.metrics.CounterIn(&sp.svc.hot.transfer, "vm.page.transfer").Inc()
 	}
-	sp.pt.Set(vpn, mem.PTE{Frame: frame, Prot: g.Prot, HomeNode: home})
-	sp.values[vpn] = g.Value
-	res := sp.performAccess(p, vpn, op)
+	pte := mem.PTE{Frame: frame, Word: g.Value, Prot: g.Prot, HomeNode: int32(home)}
+	sp.pt.Set(vpn, pte)
+	res := sp.performAccess(p, vpn, pte, op)
 	p.Sleep(sp.svc.machine.Cost.PageCopyLocal + sp.svc.machine.Cost.PTESet)
 	return res, nil
 }
 
-// performAccess applies op to the local copy. It must be called with no
-// intervening blocking after the sufficiency check or installation: this is
-// the access's linearisation point, which is also where the sanitizer checks
-// it.
-func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, op mem.Op) accessResult {
-	cur := sp.values[vpn]
+// performAccess applies op to the local copy, pte, the page's current entry.
+// It must be called with no intervening blocking after the sufficiency check
+// or installation: this is the access's linearisation point, which is also
+// where the sanitizer checks it.
+func (sp *Space) performAccess(p *sim.Proc, vpn mem.VPN, pte mem.PTE, op mem.Op) accessResult {
+	cur := pte.Word
 	next, result, wrote := op.Apply(cur)
 	if wrote {
-		sp.values[vpn] = next
+		pte.Word = next
+		sp.pt.Set(vpn, pte)
 	}
 	switch op.Kind {
 	case mem.OpLoad:
@@ -439,8 +440,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 			sp.svc.frames.FreeFrame(p, frame)
 			continue
 		}
-		sp.pt.Set(s.vpn, mem.PTE{Frame: frame, Prot: be.Prot, HomeNode: home})
-		sp.values[s.vpn] = be.Value
+		sp.pt.Set(s.vpn, mem.PTE{Frame: frame, Word: be.Value, Prot: be.Prot, HomeNode: int32(home)})
 		installed++
 	}
 	// Charge the fills once, overlapping the copies as hardware would.

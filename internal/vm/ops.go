@@ -156,13 +156,12 @@ func (sp *Space) pushUpdate(p *sim.Proc, u vmaUpdate) error {
 	return err
 }
 
-// scrubLocal drops this kernel's PTEs, values and frames for [lo, hi),
+// scrubLocal drops this kernel's PTEs and frames for [lo, hi),
 // charging a TLB shootdown across the kernel's cores if anything was mapped.
 func (sp *Space) scrubLocal(p *sim.Proc, lo, hi mem.VPN) {
 	var buf [16]mem.PTE
 	cleared := sp.pt.ClearRange(buf[:0], lo, hi)
 	for v := lo; v < hi; v++ {
-		delete(sp.values, v)
 		if pend, ok := sp.pending[v]; ok {
 			pend.invalidated = true
 			// A layout scrub voids any grant, whatever its directory
