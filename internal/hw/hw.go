@@ -42,12 +42,14 @@ func (t Topology) validate() error {
 // CoresPerNode returns the number of cores on each NUMA node.
 func (t Topology) CoresPerNode() int { return t.Cores / t.NUMANodes }
 
-// NodeOf returns the NUMA node that owns the given core.
+// NodeOf returns the NUMA node that owns the given core. One division
+// suffices: validate requires the cores to split evenly across the nodes,
+// so core*NUMANodes/Cores is core/CoresPerNode.
 func (t Topology) NodeOf(core int) int {
 	if core < 0 || core >= t.Cores {
 		panic(fmt.Sprintf("hw: core %d out of range [0,%d)", core, t.Cores))
 	}
-	return core / t.CoresPerNode()
+	return core * t.NUMANodes / t.Cores
 }
 
 // SameNode reports whether two cores share a NUMA node.
