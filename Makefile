@@ -142,9 +142,11 @@ test:
 # in the tree, the string-typed Err fields (a reply carries the deciding
 # kernel's error value, never its text), the Payload type assertions outside
 # msg (a protocol message's payload types are its msg.Kind's, checked by the
-# compiler), and the settable options: exported
-# fields declared in `type ...Config struct` blocks, and each command's
-# command-line flags (as its -h lists them). ROADMAP quotes these numbers.
+# compiler), the distinct map types keyed by a page or a frame number (a
+# resident page is one PageTable entry, so no per-page side map), and the
+# settable options: exported fields declared in `type ...Config struct`
+# blocks, and each command's command-line flags (as its -h lists them).
+# ROADMAP quotes these numbers.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | awk '$$2 != "total" { sub("/[^/]*$$", "", $$2); n[$$2] += $$1 } END { for (d in n) printf "%6d  %s\n", n[d], d }' | sort -k2
 	@printf '%6d  internal/msg + vm/failover.go + threadgroup/failover.go\n' $$(ls internal/msg/*.go internal/vm/failover.go internal/threadgroup/failover.go | grep -v _test.go | xargs cat | wc -l)
@@ -152,5 +154,6 @@ size:
 	@printf '%6d  //popcornvet:bounded markers\n' $$(grep -r --include='*.go' '^[[:space:]]*//popcornvet:bounded' . | wc -l)
 	@printf '%6d  string-typed Err fields\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -hE '^[[:space:]]+Err[[:space:]]+string([[:space:]]|$$)' | wc -l)
 	@printf '%6d  Payload.( assertions outside internal/msg\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/msg/*' | xargs grep -o 'Payload\.(' | wc -l)
+	@printf '%6d  map types keyed by VPN or FrameID\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -ohE 'map\[(mem\.)?(VPN|FrameID)\][^(){}[:space:]]+' | sort -u | wc -l)
 	@printf '%6d  exported fields of type ...Config structs\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs awk '/^type [A-Za-z0-9_]*Config struct \{/ { c = 1; next } c && /^}/ { c = 0 } c && /^\t[A-Z][A-Za-z0-9_]*[ \t,]/ { n++ } END { print n + 0 }')
 	@for c in cmd/*/; do printf '%6d  flags of %s\n' $$($(GO) run ./$$c -h 2>&1 | grep -c '^  -') $${c%/}; done
