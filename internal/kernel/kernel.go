@@ -96,7 +96,20 @@ func (f *LockedFrames) FreeFrame(p *sim.Proc, fr mem.FrameID) {
 	}
 }
 
-// Allocator exposes the underlying allocator for accounting.
+// DropFrame gives back a frame that was allocated but never mapped, as a
+// fault that lost a race to install its page does. It takes no zone lock
+// and charges nothing: Linux's put_page puts such a page on a per-CPU list,
+// off the zone lock. So a drop can land while another process holds the
+// lock between its bounce and its allocation, and that process may get the
+// dropped frame, as the next allocation on a CPU gets its list's pages.
+func (f *LockedFrames) DropFrame(fr mem.FrameID) {
+	if err := f.alloc.Free(fr); err != nil {
+		panic(fmt.Sprintf("kernel: frame drop: %v", err))
+	}
+}
+
+// Allocator exposes the underlying allocator for accounting; only
+// AllocFrame, FreeFrame and DropFrame change it.
 func (f *LockedFrames) Allocator() *mem.FrameAllocator { return f.alloc }
 
 // LockStats returns the zone lock's contention counters.

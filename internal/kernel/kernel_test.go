@@ -119,6 +119,44 @@ func TestLockedFramesChargesAndAccounts(t *testing.T) {
 	}
 }
 
+// TestLockedFramesDropIsFree pins DropFrame: the frame goes back without a
+// lock acquisition or a charge, and dropping it twice panics like a double
+// free.
+func TestLockedFramesDropIsFree(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	m := testMachine(t)
+	alloc, _ := mem.NewFrameAllocator(0, 0, 8)
+	lf := NewLockedFrames(e, m, alloc, false, 4)
+	e.Spawn("p", func(p *sim.Proc) {
+		fr, _, err := lf.AllocFrame(p)
+		if err != nil {
+			t.Errorf("AllocFrame: %v", err)
+			return
+		}
+		start := p.Now()
+		lf.DropFrame(fr)
+		if p.Now() != start {
+			t.Errorf("DropFrame charged %v", p.Now()-start)
+		}
+		if alloc.InUse() != 0 || alloc.Available() != 8 {
+			t.Errorf("after drop: %d in use, %d available; want 0, 8", alloc.InUse(), alloc.Available())
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("second DropFrame of one frame did not panic")
+			}
+		}()
+		lf.DropFrame(fr)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if lf.LockStats().Acquisitions != 1 {
+		t.Fatalf("lock acquisitions = %d, want 1 (the allocation only)", lf.LockStats().Acquisitions)
+	}
+}
+
 func TestLockedFramesContentionCostsGrow(t *testing.T) {
 	// N concurrent allocators on one lock: total elapsed grows superlinearly
 	// with contenders (the zone-lock effect).
