@@ -20,9 +20,15 @@ import (
 // a dual-socket 8-core machine that popcorn splits into 4 kernels.
 func bootAll(t *testing.T) map[string]osi.OS {
 	t.Helper()
+	return bootAllCost(t, hw.DefaultCostModel())
+}
+
+// bootAllCost is bootAll on a machine with the given cost model.
+func bootAllCost(t *testing.T, cost hw.CostModel) map[string]osi.OS {
+	t.Helper()
 	oses := make(map[string]osi.OS, len(boots))
 	for name, boot := range boots {
-		o, err := boot(hw.Topology{Cores: 8, NUMANodes: 2}, 4)
+		o, err := boot(hw.Topology{Cores: 8, NUMANodes: 2}, 4, cost)
 		if err != nil {
 			t.Fatalf("Boot %s: %v", name, err)
 		}
@@ -38,20 +44,21 @@ type booted interface {
 	Close()
 }
 
-// boots boots each flavour on topo; popcorn splits it into kernels kernels.
-var boots = map[string]func(topo hw.Topology, kernels int) (booted, error){
-	"popcorn": func(topo hw.Topology, kernels int) (booted, error) {
-		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+// boots boots each flavour on topo with the given costs; popcorn splits it
+// into kernels kernels.
+var boots = map[string]func(topo hw.Topology, kernels int, cost hw.CostModel) (booted, error){
+	"popcorn": func(topo hw.Topology, kernels int, cost hw.CostModel) (booted, error) {
+		machine, err := hw.NewMachine(topo, cost)
 		if err != nil {
 			return nil, err
 		}
 		cc := kernel.DefaultClusterConfig(machine)
 		cc.Kernels = kernels
 		cc.FramesPerKernel = 4096
-		return core.Boot(core.Config{Topology: topo, Cluster: &cc})
+		return core.Boot(core.Config{Topology: topo, Cost: &cost, Cluster: &cc})
 	},
-	"smp": func(topo hw.Topology, _ int) (booted, error) {
-		return smp.Boot(smp.Config{Topology: topo, FramesPerNode: 8192})
+	"smp": func(topo hw.Topology, _ int, cost hw.CostModel) (booted, error) {
+		return smp.Boot(smp.Config{Topology: topo, Cost: &cost, FramesPerNode: 8192})
 	},
 }
 
@@ -295,6 +302,96 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 	}
 	if pop.selfWoken != 1 || pop.selfRequeued != 2 || pop.selfOrder != "012" {
 		t.Fatalf("requeue onto itself = woken %d, requeued %d, wake order %q; want 1, 2, \"012\"", pop.selfWoken, pop.selfRequeued, pop.selfOrder)
+	}
+}
+
+// TestConformanceStoreRacingMprotect runs a store against an mprotect that
+// revokes its write right, with line transfers slowed to a millisecond so the
+// store is still in flight when the mprotect returns. A load after the
+// mprotect reads the word; the store must then either fail with ErrAccess or
+// be ordered before that load. A store that returns nil after the load read
+// the old word has written through a right the mprotect had already taken,
+// and no sequential order explains the history.
+func TestConformanceStoreRacingMprotect(t *testing.T) {
+	type outcome struct {
+		storeErr     error
+		loaded, word int64
+	}
+	cost := hw.DefaultCostModel()
+	cost.LineTransferLocal, cost.LineTransferRemote = time.Millisecond, time.Millisecond
+	for name, o := range bootAllCost(t, cost) {
+		var out outcome
+		e := o.Engine()
+		e.Spawn("program", func(p *sim.Proc) {
+			pr, err := o.StartProcess(p)
+			if err != nil {
+				t.Errorf("%s: StartProcess: %v", name, err)
+				return
+			}
+			var addr mem.Addr
+			written, protected, stored := sim.NewWaitGroup(), sim.NewWaitGroup(), sim.NewWaitGroup()
+			written.Add(1)
+			protected.Add(1)
+			stored.Add(1)
+			other := 0
+			if o.Kernels() > 1 {
+				other = 1
+			}
+			// The writer stores 5 and keeps its core while it waits, so the
+			// store of 9 runs on another core and must pull the line; then it
+			// loads the word once the mprotect has returned.
+			spawn := func(k int, fn osi.ThreadFunc) {
+				if err := pr.Spawn(p, k, fn); err != nil {
+					t.Errorf("%s: Spawn: %v", name, err)
+				}
+			}
+			spawn(0, func(th osi.Thread) {
+				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
+				if err != nil {
+					panic(err)
+				}
+				addr = a
+				if err := th.Store(addr, 5); err != nil {
+					panic(err)
+				}
+				written.Done()
+				protected.Wait(th.Proc())
+				if out.loaded, err = th.Load(addr); err != nil {
+					panic(err)
+				}
+				stored.Wait(th.Proc())
+				if out.word, err = th.Load(addr); err != nil {
+					panic(err)
+				}
+			})
+			written.Wait(p)
+			spawn(other, func(th osi.Thread) {
+				out.storeErr = th.Store(addr, 9)
+				stored.Done()
+			})
+			spawn(0, func(th osi.Thread) {
+				th.Compute(time.Microsecond)
+				if err := th.Mprotect(addr, hw.PageSize, mem.ProtRead); err != nil {
+					panic(err)
+				}
+				protected.Done()
+			})
+			pr.Wait(p)
+			_ = pr.Close(p)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		t.Logf("%s: store %v, load after mprotect %d, word at the end %d", name, out.storeErr, out.loaded, out.word)
+		switch {
+		case out.storeErr == nil && out.loaded != 9:
+			t.Errorf("%s: the store returned nil but the load after the mprotect read %d, and the word then reads %d: the store wrote through a revoked right",
+				name, out.loaded, out.word)
+		case out.storeErr != nil && !errors.Is(out.storeErr, vm.ErrAccess):
+			t.Errorf("%s: store = %v, want nil or %v", name, out.storeErr, vm.ErrAccess)
+		case out.storeErr != nil && (out.loaded != 5 || out.word != 5):
+			t.Errorf("%s: the refused store left the word at %d (load after the mprotect %d), want 5", name, out.word, out.loaded)
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 	vpn := mem.PageOf(addr)
 	write := op.Kind != mem.OpLoad
 	pte, ok := mm.pt.Lookup(vpn)
-	if !ok || !pte.Prot.Readable() || (write && !pte.Prot.Writable()) {
+	if !ok || !covers(pte.Prot, write) {
 		if err := t.fault(vpn, write, ok); err != nil {
 			return 0, err
 		}
@@ -143,8 +143,16 @@ func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 		t.p.Sleep(o.machine.LineBounce(1, !o.machine.Topology.SameNode(last, t.core)))
 		// Other cores ran during the transfer: the word may have moved on,
 		// or an unmap taken the entry, in which case the access reads a
-		// zero word and leaves nothing behind.
+		// zero word and leaves nothing behind. An mprotect that took the
+		// access's right sends it back through the fault path, which
+		// refuses it or restores the right from the area.
 		pte, ok = mm.pt.Lookup(vpn)
+		if ok && !covers(pte.Prot, write) {
+			if err := t.fault(vpn, write, true); err != nil {
+				return 0, err
+			}
+			pte, ok = mm.pt.Lookup(vpn)
+		}
 	}
 	next, result, wrote := op.Apply(pte.Word)
 	if ok && write {
@@ -156,6 +164,11 @@ func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 	}
 	t.p.Sleep(o.machine.MemAccess(t.core, home))
 	return result, nil
+}
+
+// covers reports whether prot allows a load, or a store when write is set.
+func covers(prot mem.Prot, write bool) bool {
+	return prot.Readable() && (!write || prot.Writable())
 }
 
 // fault resolves a page fault under mmap_sem shared: the VMA check, then a
