@@ -43,6 +43,13 @@ type LockedFrames struct {
 	// maxSharers caps the cache-line bounce term: a lock word cannot
 	// ping-pong between more caches than there are contending cores.
 	maxSharers int
+	// stats counts the zone lock's contention, booked by lock and unlock:
+	// the run report reads it, and a sim.Mutex keeps no counters. held
+	// says whether the lock has an owner (or one it was handed to) and
+	// acquiredAt when the owner got it.
+	stats      sim.LockStats
+	held       bool
+	acquiredAt sim.Time
 }
 
 // NewLockedFrames wraps an allocator with a charged zone lock. crossNode
@@ -63,6 +70,33 @@ func NewLockedFrames(e sim.Engine, machine *hw.Machine, alloc *mem.FrameAllocato
 func (f *LockedFrames) Reset() {
 	f.alloc.Reset()
 	f.mu = sim.NewMutex(f.e).SetLabel("kernel.frames")
+	f.stats, f.held = sim.LockStats{}, false
+}
+
+// lock takes the zone lock. A caller that finds it held queues behind its
+// waiters, and its wait counts as contended.
+func (f *LockedFrames) lock(p *sim.Proc) {
+	if f.held {
+		f.stats.MaxQueue = max(f.stats.MaxQueue, f.mu.Waiters()+1)
+		since := p.Now()
+		f.mu.Lock(p)
+		wait := p.Now().Sub(since)
+		f.stats.Contended++
+		f.stats.TotalWait += wait
+		f.stats.MaxWait = max(f.stats.MaxWait, wait)
+	} else {
+		f.mu.Lock(p)
+		f.held = true
+	}
+	f.stats.Acquisitions++
+	f.acquiredAt = p.Now()
+}
+
+// unlock releases the zone lock; the oldest waiter, if any, is handed it.
+func (f *LockedFrames) unlock(p *sim.Proc) {
+	f.stats.TotalHold += p.Now().Sub(f.acquiredAt)
+	f.held = f.mu.Waiters() > 0
+	f.mu.Unlock(p)
 }
 
 func (f *LockedFrames) bounce(p *sim.Proc) {
@@ -75,10 +109,10 @@ func (f *LockedFrames) bounce(p *sim.Proc) {
 
 // AllocFrame implements vm.FrameSource.
 func (f *LockedFrames) AllocFrame(p *sim.Proc) (mem.FrameID, int, error) {
-	f.mu.Lock(p)
+	f.lock(p)
 	f.bounce(p)
 	fr, err := f.alloc.Alloc()
-	f.mu.Unlock(p)
+	f.unlock(p)
 	if err != nil {
 		return mem.NoFrame, 0, err
 	}
@@ -87,10 +121,10 @@ func (f *LockedFrames) AllocFrame(p *sim.Proc) (mem.FrameID, int, error) {
 
 // FreeFrame implements vm.FrameSource.
 func (f *LockedFrames) FreeFrame(p *sim.Proc, fr mem.FrameID) {
-	f.mu.Lock(p)
+	f.lock(p)
 	f.bounce(p)
 	err := f.alloc.Free(fr)
-	f.mu.Unlock(p)
+	f.unlock(p)
 	if err != nil {
 		panic(fmt.Sprintf("kernel: frame free: %v", err))
 	}
@@ -113,7 +147,7 @@ func (f *LockedFrames) DropFrame(fr mem.FrameID) {
 func (f *LockedFrames) Allocator() *mem.FrameAllocator { return f.alloc }
 
 // LockStats returns the zone lock's contention counters.
-func (f *LockedFrames) LockStats() sim.LockStats { return f.mu.Stats() }
+func (f *LockedFrames) LockStats() sim.LockStats { return f.stats }
 
 // ClusterConfig describes a replicated-kernel boot.
 type ClusterConfig struct {

@@ -3,6 +3,7 @@ package kernel
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -116,6 +117,48 @@ func TestLockedFramesChargesAndAccounts(t *testing.T) {
 	}
 	if lf.LockStats().Acquisitions != 2 {
 		t.Fatalf("lock acquisitions = %d, want 2", lf.LockStats().Acquisitions)
+	}
+
+	// Contended: three processes allocate at once and each frees its frame
+	// as soon as it has it, so every free but the last queues behind an
+	// allocation. A holder's charge is b(k) for the k processes queued then.
+	e2 := sim.NewEngine()
+	defer e2.Close()
+	lf = NewLockedFrames(e2, m, alloc, false, 4)
+	for i := 0; i < 3; i++ {
+		e2.Spawn("p", func(p *sim.Proc) {
+			fr, _, err := lf.AllocFrame(p)
+			if err != nil {
+				t.Errorf("AllocFrame: %v", err)
+				return
+			}
+			lf.FreeFrame(p, fr)
+		})
+	}
+	if err := e2.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	b := func(k int) time.Duration { return m.LineBounce(k, false) + m.Cost.FrameAlloc }
+	// Holds in order: p1 alloc b(0); p2 alloc b(2); p3 alloc b(2); p1 free
+	// b(2); p2 free b(1); p3 free b(0). Waits: p2 b(0), p3 b(0)+b(2), then
+	// the frees 2·b(2), 2·b(2) and b(2)+b(1).
+	want := sim.LockStats{
+		Acquisitions: 6,
+		Contended:    5,
+		TotalWait:    2*b(0) + 6*b(2) + b(1),
+		MaxWait:      max(b(0)+b(2), 2*b(2), b(2)+b(1)),
+		TotalHold:    2*b(0) + 3*b(2) + b(1),
+		MaxQueue:     2,
+	}
+	if got := lf.LockStats(); got != want {
+		t.Fatalf("contended zone lock stats = %+v, want %+v", got, want)
+	}
+	if e2.Now() != sim.Time(want.TotalHold) {
+		t.Fatalf("the six holds ended at %v, want %v back to back", e2.Now(), want.TotalHold)
+	}
+	lf.Reset()
+	if got := lf.LockStats(); got != (sim.LockStats{}) {
+		t.Fatalf("zone lock stats after Reset = %+v, want zero", got)
 	}
 }
 

@@ -290,6 +290,17 @@ func (c *Checker) SyncRelease(p *sim.Proc, key any) {
 	lv.join(pv)
 }
 
+// LockRetired forgets the clock of a lock its owner drops for good (vm's
+// directory entries and address-space lock, at unmap and group exit). The
+// clock is keyed by the lock's address, so keeping it would keep the lock's
+// record alive for the rest of the run.
+func (c *Checker) LockRetired(key any) {
+	if c == nil {
+		return
+	}
+	delete(c.locks, key)
+}
+
 // ---- msg.Observer ----------------------------------------------------
 
 // MsgSent snapshots the sender's clock onto the message.

@@ -2,8 +2,10 @@ package sim
 
 import "time"
 
-// LockStats records contention observed on a simulated lock. The replicated
-// kernel's whole argument is about lock contention, so every lock counts it.
+// LockStats records contention observed on a simulated lock. Two places count
+// it: every RWMutex, and the zone lock, which kernel.LockedFrames books around
+// its own Lock and Unlock calls. A Mutex counts nothing: records made per
+// page hold one by value, and counters would be most of its size.
 type LockStats struct {
 	// Acquisitions is the total number of successful lock acquisitions.
 	Acquisitions uint64
@@ -88,13 +90,11 @@ func (e *engine) wait(q *waitq, p *Proc, kind, label string, l holder) {
 	p.waitLock = l
 }
 
-// granted books the contended acquisition of l by p, just resumed.
-func (e *engine) granted(p *Proc, l holder, stats *LockStats) {
+// granted reports the contended acquisition of l by p, just resumed.
+func (e *engine) granted(p *Proc, l holder) {
 	if !p.granted {
 		panic("sim: lock waiter woken without grant")
 	}
-	stats.Acquisitions++
-	stats.recordWait(e.now.Sub(p.since))
 	e.observeAcquire(p, l)
 }
 
@@ -106,16 +106,14 @@ func (q *waitq) grant() *Proc {
 	return p
 }
 
-// Mutex is a simulated mutual-exclusion lock with FIFO handoff and
-// contention accounting. Waiting for it allocates nothing (see waitq). The
-// zero value is an unlocked mutex: it works on whichever engine runs the
-// process that locks it, so a record can hold one by value.
+// Mutex is a simulated mutual-exclusion lock with FIFO handoff: its label,
+// its owner and its queue, 48 bytes. Waiting for it allocates nothing (see
+// waitq). The zero value is an unlocked mutex: it works on whichever engine
+// runs the process that locks it, so a record can hold one by value.
 type Mutex struct {
-	label      string
-	owner      *Proc
-	q          waitq
-	acquiredAt Time
-	stats      LockStats
+	label string
+	owner *Proc
+	q     waitq
 }
 
 // NewMutex returns an unlocked mutex. The engine is the one its lockers run
@@ -138,10 +136,9 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic("sim: recursive Mutex.Lock by owner " + p.name)
 	}
-	m.stats.MaxQueue = max(m.stats.MaxQueue, m.q.n+1)
 	p.e.wait(&m.q, p, "mutex", m.label, m)
 	p.park()
-	p.e.granted(p, m, &m.stats)
+	p.e.granted(p, m)
 }
 
 // tryLock acquires the mutex if it is free, reporting success.
@@ -150,8 +147,6 @@ func (m *Mutex) tryLock(p *Proc) bool {
 		return false
 	}
 	m.owner = p
-	m.acquiredAt = p.e.now
-	m.stats.Acquisitions++
 	p.e.observeAcquire(p, m)
 	return true
 }
@@ -162,20 +157,15 @@ func (m *Mutex) Unlock(p *Proc) {
 		panic("sim: Mutex.Unlock by non-owner")
 	}
 	p.e.observeRelease(p, m)
-	m.stats.TotalHold += p.e.now.Sub(m.acquiredAt)
 	if m.q.n == 0 {
 		m.owner = nil
 		return
 	}
 	m.owner = m.q.grant()
-	m.acquiredAt = p.e.now
 }
 
 // Waiters returns the current queue depth.
 func (m *Mutex) Waiters() int { return m.q.n }
-
-// Stats returns a snapshot of the contention counters.
-func (m *Mutex) Stats() LockStats { return m.stats }
 
 // RWMutex is a simulated reader-writer lock with writer preference: once a
 // writer queues, new readers wait behind it. This mirrors the Linux
@@ -216,7 +206,7 @@ func (l *RWMutex) RLock(p *Proc) {
 	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
 	l.e.wait(&l.readQ, p, "rwmutex", l.label, l)
 	p.park()
-	l.e.granted(p, l, &l.stats)
+	l.granted(p)
 }
 
 // RUnlock releases a shared hold.
@@ -247,7 +237,7 @@ func (l *RWMutex) Lock(p *Proc) {
 	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
 	l.e.wait(&l.writeQ, p, "rwmutex", l.label, l)
 	p.park()
-	l.e.granted(p, l, &l.stats)
+	l.granted(p)
 }
 
 // Unlock releases an exclusive hold.
@@ -278,5 +268,15 @@ func (l *RWMutex) promote() {
 	}
 }
 
+// granted books the contended acquisition of l by p, just resumed.
+func (l *RWMutex) granted(p *Proc) {
+	l.e.granted(p, l)
+	l.stats.Acquisitions++
+	l.stats.recordWait(l.e.now.Sub(p.since))
+}
+
 // Waiters returns the current total queue depth (readers + writers).
 func (l *RWMutex) Waiters() int { return l.readQ.n + l.writeQ.n }
+
+// Stats returns a snapshot of the contention counters.
+func (l *RWMutex) Stats() LockStats { return l.stats }

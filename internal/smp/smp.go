@@ -53,7 +53,9 @@ type OS struct {
 	metrics *stats.Registry
 	sched   *sched.Scheduler
 	// Global shared kernel state.
-	tasklist *sim.Mutex
+	// tasklist is Linux's tasklist_lock, an rwlock; clone, exit and signal
+	// delivery take it for writing, the only way this model takes it.
+	tasklist *sim.RWMutex
 	pidLock  *sim.Mutex
 	zones    []*kernel.LockedFrames
 	// futexes are the hash table's bucket locks; a futex address hashes to
@@ -114,7 +116,7 @@ func Boot(cfg Config) (_ *OS, err error) {
 		machine:     machine,
 		metrics:     metrics,
 		sched:       sch,
-		tasklist:    sim.NewMutex(e),
+		tasklist:    sim.NewRWMutex(e),
 		pidLock:     sim.NewMutex(e),
 		futexQueues: make(map[futexKey]*futex.Queue[*Thread]),
 	}

@@ -112,9 +112,7 @@ func (sp *Space) originLayout(p *sim.Proc, req vmaOpReq) (vmaOpReply, error) {
 	sp.svc.checker.LayoutApplied(sp.svc.node, int64(sp.gid), u.Version)
 	for _, r := range removed {
 		sp.scrubLocal(p, r.Lo, r.Hi)
-		for v := r.Lo; v < r.Hi; v++ {
-			delete(sp.dir, v)
-		}
+		sp.dropEntries(r.Lo, r.Hi)
 		sp.svc.checker.Unmapped(int64(sp.gid), r.Lo, r.Hi)
 	}
 	if u.Op == OpProtect {

@@ -189,7 +189,8 @@ func (s nodeMask) first() msg.NodeID { return msg.NodeID(bits.TrailingZeros64(ui
 
 // nodes returns the set's kernels but skip, ascending, in buf's storage. The
 // caller must own buf until its last use of the result — across blocking
-// steps too, so only under a lock that covers them.
+// steps too: under a lock that covers them, or off a free list until it gives
+// buf back.
 func (s nodeMask) nodes(buf []msg.NodeID, skip msg.NodeID) []msg.NodeID {
 	s.remove(skip)
 	if cap(buf) < s.len() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/hw"
 	"repro/internal/mem"
@@ -11,6 +12,18 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// TestDirEntrySize pins a directory entry in Go's 96-byte size class: every
+// first-touched page allocates one, so its state packs to 40 bytes beside a
+// 48-byte mutex, and nothing else lives in it.
+func TestDirEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(dirState{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(dirState{}) = %d, want <= 40", got)
+	}
+	if got := unsafe.Sizeof(dirEntry{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(dirEntry{}) = %d, want <= 96", got)
+	}
+}
 
 // simpleFrames adapts a raw allocator to FrameSource without lock costs.
 type simpleFrames struct{ a *mem.FrameAllocator }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/msg"
+	"repro/internal/sanitize"
 )
 
 // TestMemoryFlatInRunLength is the gate for state that grows with run length:
@@ -65,5 +66,45 @@ func TestMemoryFlatInRunLength(t *testing.T) {
 			t.Errorf("%s: heap in use %.2f MB at %d, %.2f MB at %d: grows %.2f× with run length, want < 1.25×",
 				tc.name, float64(short)/(1<<20), tc.n, float64(long)/(1<<20), 4*tc.n, float64(long)/float64(short))
 		}
+	}
+}
+
+// TestSanitizedMemoryFlatInRunLength is the same gate with the coherence
+// sanitizer attached, on one thread's private map → touch → unmap loop: each
+// iteration makes four directory entries and drops them, so a checker that
+// kept a lock clock per entry it ever saw (it once did: 1.69 MB live at 1 000
+// iterations, 6.53 MB at 4 000) would keep every entry alive with it.
+func TestSanitizedMemoryFlatInRunLength(t *testing.T) {
+	const n = 1000 // the short run's iterations; the long one runs 4n
+	heap := func(iters int) uint64 {
+		// Booted by hand, as above.
+		topo := hw.Topology{Cores: 8, NUMANodes: 2}
+		machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := kernel.DefaultClusterConfig(machine)
+		cc.Kernels = 4
+		o, err := core.Boot(core.Config{Topology: topo, Cluster: &cc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		c := o.AttachSanitizer(sanitize.Config{})
+		if _, err := MmapStorm(o, MmapStormSpec{Threads: 1, Iters: iters, Pages: 4}); err != nil {
+			t.Fatalf("mmapstorm at %d: %v", iters, err)
+		}
+		if r := c.Report(); r != "" {
+			t.Fatalf("mmapstorm at %d: sanitizer reports:\n%s", iters, r)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	short, long := heap(n), heap(4*n)
+	if float64(long) >= 1.25*float64(short) {
+		t.Errorf("heap in use %.2f MB at %d iterations, %.2f MB at %d: grows %.2f× with run length, want < 1.25×",
+			float64(short)/(1<<20), n, float64(long)/(1<<20), 4*n, float64(long)/float64(short))
 	}
 }
