@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet gofmt govet popcornvet vet-json allowlist escapes escapes-baseline profile popcornmc soak schedule-oracle test size
+.PHONY: verify build vet gofmt govet popcornvet vet-json allowlist escapes escapes-baseline profile membench popcornmc soak schedule-oracle test size
 
-verify: build vet escapes test popcornmc soak size
+verify: build vet escapes test membench popcornmc soak size
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,12 @@ profile:
 	$(GO) run ./cmd/benchtable -exp $(EXP) -scale full -cpuprofile $(PROFILE_DIR)/$(EXP).cpu.pprof -memprofile $(PROFILE_DIR)/$(EXP).mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(EXP).cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/$(EXP).mem.pprof
+
+# The page-table lookup benchmark at 4, 64 and 4 096 resident pages, one
+# iteration each: it keeps the benchmark building and running. For timings
+# run it with a real -benchtime.
+membench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mem
 
 # Schedule exploration with the coherence sanitizer attached: every sweep row
 # of cmd/popcornmc's table (contention, migration, futex), bare and under the

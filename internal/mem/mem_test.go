@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -169,7 +170,7 @@ func TestFrameAllocatorRejectsBadFrees(t *testing.T) {
 // resets against a set of held frames: InUse and Available always agree
 // with it, a frame not held (freed, never handed out, or held before a
 // Reset) is a double free, one outside the partition is foreign, and the
-// in-use slice never outgrows the watermark.
+// link slice never outgrows the watermark.
 func TestFrameAllocatorBookkeeping(t *testing.T) {
 	const start, count = 1000, 32
 	for seed := int64(1); seed <= 20; seed++ {
@@ -219,8 +220,8 @@ func TestFrameAllocatorBookkeeping(t *testing.T) {
 			if a.InUse() != len(held) || a.Available() != count-len(held) {
 				t.Fatalf("seed %d step %d: InUse %d, Available %d with %d held", seed, step, a.InUse(), a.Available(), len(held))
 			}
-			if len(a.used) != a.next {
-				t.Fatalf("seed %d step %d: %d in-use slots past a watermark of %d", seed, step, len(a.used), a.next)
+			if len(a.link) != a.next {
+				t.Fatalf("seed %d step %d: %d link slots past a watermark of %d", seed, step, len(a.link), a.next)
 			}
 		}
 	}
@@ -232,6 +233,9 @@ func TestFrameAllocatorValidation(t *testing.T) {
 	}
 	if _, err := NewFrameAllocator(0, -5, 4); err == nil {
 		t.Error("negative start accepted")
+	}
+	if _, err := NewFrameAllocator(0, 0, math.MaxInt32+1); err == nil {
+		t.Error("partition past the free stack's int32 links accepted")
 	}
 }
 
@@ -364,33 +368,90 @@ func TestPageTableProtect(t *testing.T) {
 	}
 }
 
+// mapping is one entry together with its page, as Drain yields them.
+type mapping struct {
+	Page VPN
+	PTE
+}
+
+// drain empties pt through Drain and returns what the walk yielded.
+func drain(pt *PageTable) []mapping {
+	var out []mapping
+	for v, e := range pt.Drain {
+		out = append(out, mapping{v, e})
+	}
+	return out
+}
+
 func TestPageTableDrain(t *testing.T) {
 	var pt PageTable
 	for _, v := range []VPN{9, 2, 5} {
 		pt.Set(v, PTE{Frame: FrameID(v * 10), Word: int64(v), Prot: ProtRead})
 	}
-	got := pt.Drain()
-	want := []Mapping{{2, PTE{Frame: 20, Word: 2, Prot: ProtRead}}, {5, PTE{Frame: 50, Word: 5, Prot: ProtRead}}, {9, PTE{Frame: 90, Word: 9, Prot: ProtRead}}}
+	got := drain(&pt)
+	want := []mapping{{2, PTE{Frame: 20, Word: 2, Prot: ProtRead}}, {5, PTE{Frame: 50, Word: 5, Prot: ProtRead}}, {9, PTE{Frame: 90, Word: 9, Prot: ProtRead}}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Drain = %v, want pages 2, 5, 9 in order: %v", got, want)
 	}
 	if n := entriesIn(&pt, 0, 10); n != 0 {
 		t.Fatalf("%d entries after Drain, want 0", n)
 	}
-	if got := pt.Drain(); len(got) != 0 {
+	if got := drain(&pt); len(got) != 0 {
 		t.Fatalf("second Drain = %v, want nothing", got)
 	}
-	// A teardown makes one exact-size allocation, the slice it returns.
+	// A teardown walks the detached leaves in place: it allocates nothing.
+	// AllocsPerRun calls the function 101 times, each on a filled table.
+	tables := make([]PageTable, 101)
+	for i := range tables {
+		for _, v := range []VPN{40, 9, 2, 5} {
+			tables[i].Set(v, PTE{Frame: FrameID(v)})
+		}
+	}
+	round := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, v := range []VPN{9, 2, 5} {
-			pt.Set(v, PTE{Frame: FrameID(v)})
+		var pages [4]VPN
+		n := 0
+		for v, e := range tables[round].Drain {
+			if n < len(pages) && e.Frame == FrameID(v) {
+				pages[n] = v
+			}
+			n++
 		}
-		if got := pt.Drain(); len(got) != 3 || cap(got) != 3 || got[0].Page != 2 {
-			t.Fatalf("Drain = %v (cap %d), want 3 mappings from page 2 in a slice of cap 3", got, cap(got))
+		if n != 4 || pages != [4]VPN{2, 5, 9, 40} {
+			t.Fatalf("Drain yielded %d mappings %v, want pages 2, 5, 9, 40", n, pages)
 		}
+		round++
 	})
-	if allocs != 1 {
-		t.Fatalf("Drain allocates %.1f per call, want 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("Drain allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// TestPageTableDrainWhileSetting: a teardown's loop body may block, and
+// another process may install pages meanwhile. Sets and unmaps into the
+// table being drained land in fresh leaves; the walk still yields exactly
+// the entries the table held when it began.
+func TestPageTableDrainWhileSetting(t *testing.T) {
+	var pt PageTable
+	var want []mapping
+	for _, v := range []VPN{3, 17, 18, 31, 40, 1 << 32} {
+		e := PTE{Frame: FrameID(v), Word: int64(v), Prot: ProtRead}
+		pt.Set(v, e)
+		want = append(want, mapping{v, e})
+	}
+	var got []mapping
+	for v, e := range pt.Drain {
+		got = append(got, mapping{v, e})
+		pt.Set(v, PTE{Frame: -2, Prot: ProtWrite})
+		pt.Set(v+1, PTE{Frame: -3})
+		pt.ClearRange(nil, 0, v) // frees the new leaves below v
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Drain while setting yielded %v, want %v", got, want)
+	}
+	// What the body left: pages 1<<32 and 1<<32+1, nothing below.
+	if got := drain(&pt); len(got) != 2 || got[0].Page != 1<<32 || got[0].Frame != -2 || got[1].Page != 1<<32+1 {
+		t.Fatalf("table after the walk = %v, want the body's two entries at 1<<32", got)
 	}
 }
 
@@ -403,8 +464,11 @@ func TestEmptyPageTableAllocatesNothing(t *testing.T) {
 		if _, ok := pt.Lookup(1); ok {
 			t.Fatal("empty table has entry")
 		}
-		if pt.Clear(1) || len(pt.ClearRange(nil, 0, 64)) != 0 || pt.Protect(0, 64, 0) != 0 || len(pt.Drain()) != 0 {
+		if pt.Clear(1) || len(pt.ClearRange(nil, 0, 64)) != 0 || pt.Protect(0, 64, 0) != 0 {
 			t.Fatal("empty table reported entries")
+		}
+		for range pt.Drain {
+			t.Fatal("empty table drained an entry")
 		}
 	})
 	if allocs != 0 {
@@ -412,19 +476,81 @@ func TestEmptyPageTableAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRisingMapLoopAllocatesNothing: a process that maps, touches and
+// unmaps 4 pages at ever-rising addresses (vm.Layout bumps its next mapping
+// address) reuses the leaf each unmap frees, so once warm the loop
+// allocates nothing.
+func TestRisingMapLoopAllocatesNothing(t *testing.T) {
+	var pt PageTable
+	var buf [4]PTE
+	next := VPN(1 << 32)
+	loop := func() {
+		for v := next; v < next+4; v++ {
+			pt.Set(v, PTE{Frame: FrameID(v), Prot: ProtRead | ProtWrite})
+		}
+		if got := pt.ClearRange(buf[:0], next, next+4); len(got) != 4 || got[0].Frame != FrameID(next) {
+			t.Fatalf("ClearRange at %d = %v, want its 4 entries", next, got)
+		}
+		next += 4
+	}
+	loop()
+	if allocs := testing.AllocsPerRun(100, loop); allocs != 0 {
+		t.Fatalf("a warm map/unmap loop at rising addresses allocates %.2f per round, want 0", allocs)
+	}
+}
+
+// checkShape verifies the radix's invariants: the top level strictly
+// ascending, the hint one of its slots or empty, and the spare, if any,
+// empty and not in it.
+func checkShape(t *testing.T, pt *PageTable, where string) {
+	t.Helper()
+	if pt.hint.l != nil && !slices.Contains(pt.top, pt.hint) {
+		t.Fatalf("%s: hint %+v names no slot of the top level", where, pt.hint)
+	}
+	for i, s := range pt.top {
+		if i > 0 && pt.top[i-1].key >= s.key {
+			t.Fatalf("%s: top level out of order at %d: %d after %d", where, i, s.key, pt.top[i-1].key)
+		}
+		if s.l == pt.spare {
+			t.Fatalf("%s: the spare leaf is also slot %d", where, i)
+		}
+	}
+	if pt.spare != nil && pt.spare.present != 0 {
+		t.Fatalf("%s: spare leaf holds entries %016b", where, pt.spare.present)
+	}
+}
+
 // TestPageTableModel checks random sequences of Set, Clear, ClearRange,
-// Protect and Drain against a plain map, the table's specification. Set
+// Protect and Drain against a plain map, the table's specification. Pages
+// fall in two distant regions, a heap near page 1<<28 and an mmap area
+// near 1<<32, each spanning several leaves from mid-leaf; range bounds fall
+// anywhere in a leaf, and now and then a range spans both regions. Set
 // overwrites the word as a write would, Protect and a write-bit downgrade
 // (Lookup, strip, Set) must leave it alone.
 func TestPageTableModel(t *testing.T) {
-	const pages = 24
+	regions := [2]VPN{1<<28 - 5, 1<<32 + 7}
+	const span = 72 // pages per region: five leaves or six
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var pt PageTable
 		model := make(map[VPN]PTE)
+		page := func() VPN { return regions[rng.Intn(2)] + VPN(rng.Intn(span)) }
+		// inRange returns the model's pages in [lo, hi), ascending.
+		inRange := func(lo, hi VPN) []VPN {
+			var out []VPN
+			for _, u := range slices.Sorted(maps.Keys(model)) {
+				if lo <= u && u < hi {
+					out = append(out, u)
+				}
+			}
+			return out
+		}
 		for step := 0; step < 400; step++ {
-			v := VPN(rng.Intn(pages))
-			lo, hi := v, v+VPN(rng.Intn(8))
+			v := page()
+			lo, hi := v, v+VPN(rng.Intn(40))
+			if rng.Intn(8) == 0 && lo < regions[1] {
+				hi = regions[1] + VPN(rng.Intn(span))
+			}
 			switch op := rng.Intn(20); {
 			case op < 8:
 				e := PTE{Frame: FrameID(rng.Intn(1000)), Word: rng.Int63n(100) - 50, Prot: Prot(rng.Intn(8)), HomeNode: int32(rng.Intn(4))}
@@ -448,11 +574,9 @@ func TestPageTableModel(t *testing.T) {
 				delete(model, v)
 			case op < 16:
 				var want []PTE
-				for u := lo; u < hi; u++ {
-					if e, ok := model[u]; ok {
-						want = append(want, e)
-						delete(model, u)
-					}
+				for _, u := range inRange(lo, hi) {
+					want = append(want, model[u])
+					delete(model, u)
 				}
 				if got := pt.ClearRange(nil, lo, hi); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: ClearRange(%d, %d) = %v, want %v", seed, step, lo, hi, got, want)
@@ -460,8 +584,8 @@ func TestPageTableModel(t *testing.T) {
 			case op < 19:
 				prot := Prot(rng.Intn(8))
 				want := 0
-				for u := lo; u < hi; u++ {
-					if e, ok := model[u]; ok && e.Prot&prot != e.Prot {
+				for _, u := range inRange(lo, hi) {
+					if e := model[u]; e.Prot&prot != e.Prot {
 						e.Prot &= prot
 						model[u] = e
 						want++
@@ -471,25 +595,52 @@ func TestPageTableModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Protect(%d, %d, %v) = %d, want %d", seed, step, lo, hi, prot, got, want)
 				}
 			default:
-				var want []Mapping
-				for u := VPN(0); u < pages+8; u++ {
-					if e, ok := model[u]; ok {
-						want = append(want, Mapping{Page: u, PTE: e})
-					}
+				var want []mapping
+				for _, u := range inRange(0, ^VPN(0)) {
+					want = append(want, mapping{Page: u, PTE: model[u]})
 				}
 				clear(model)
-				if got := pt.Drain(); !slices.Equal(got, want) {
+				if got := drain(&pt); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: Drain = %v, want %v", seed, step, got, want)
 				}
 			}
-			for u := VPN(0); u < pages+8; u++ {
-				got, ok := pt.Lookup(u)
-				want, wantOK := model[u]
-				if ok != wantOK || got != want {
-					t.Fatalf("seed %d step %d: Lookup(%d) = %+v, %v; want %+v, %v", seed, step, u, got, ok, want, wantOK)
+			checkShape(t, &pt, fmt.Sprintf("seed %d step %d", seed, step))
+			for _, base := range regions {
+				for u := base - leafPages; u < base+span+leafPages; u++ {
+					got, ok := pt.Lookup(u)
+					want, wantOK := model[u]
+					if ok != wantOK || got != want {
+						t.Fatalf("seed %d step %d: Lookup(%d) = %+v, %v; want %+v, %v", seed, step, u, got, ok, want, wantOK)
+					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPageTableLookup reads a table of 4, 64 and 4 096 resident pages
+// in a scattered order (a full-period step through the pages; n is a power
+// of two), so the larger tables mostly miss the one-slot hint.
+func BenchmarkPageTableLookup(b *testing.B) {
+	for _, n := range []int{4, 64, 4096} {
+		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {
+			var pt PageTable
+			const base = VPN(1 << 32)
+			for i := 0; i < n; i++ {
+				pt.Set(base+VPN(i), PTE{Frame: FrameID(i), Prot: ProtRead})
+			}
+			var sum FrameID
+			i := 0
+			b.ResetTimer()
+			for range b.N {
+				e, _ := pt.Lookup(base + VPN(i))
+				sum += e.Frame
+				i = (5*i + 1) & (n - 1)
+			}
+			if sum < 0 {
+				b.Fatal("negative frame sum")
+			}
+		})
 	}
 }
 

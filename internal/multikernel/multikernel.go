@@ -204,9 +204,9 @@ func (o *OS) SpawnDomain(p *sim.Proc, kernelID int, wg *sim.WaitGroup, fn Domain
 		fn(d)
 		n.sched.Release(dp)
 		delete(n.domains, d.id)
-		for _, m := range d.pt.Drain() {
-			if m.Frame != mem.NoFrame {
-				n.frames.FreeFrame(dp, m.Frame)
+		for _, e := range d.pt.Drain {
+			if e.Frame != mem.NoFrame {
+				n.frames.FreeFrame(dp, e.Frame)
 			}
 		}
 	})
@@ -244,17 +244,26 @@ func (d *Domain) Alloc(pages int) (mem.Addr, error) {
 	return base, nil
 }
 
-// Free unmaps private pages.
+// Free unmaps private pages, freeing their frames in page order. A range
+// with an unmapped page is unmapped up to that page, and the call fails
+// there.
 func (d *Domain) Free(addr mem.Addr, pages int) error {
 	d.p.Sleep(d.os.machine.Cost.SyscallTrap)
-	for i := 0; i < pages; i++ {
-		v := mem.PageOf(addr + mem.Addr(i*hw.PageSize))
-		pte, ok := d.pt.Lookup(v)
-		if !ok {
-			return fmt.Errorf("multikernel: Free of unmapped page %#x", uint64(v.Base()))
+	lo := mem.PageOf(addr)
+	hi := lo + mem.VPN(max(pages, 0))
+	var err error
+	for v := lo; v < hi; v++ {
+		if _, ok := d.pt.Lookup(v); !ok {
+			hi, err = v, fmt.Errorf("multikernel: Free of unmapped page %#x", uint64(v.Base()))
+			break
 		}
-		d.pt.Clear(v)
+	}
+	var buf [16]mem.PTE
+	for _, pte := range d.pt.ClearRange(buf[:0], lo, hi) {
 		d.node.frames.FreeFrame(d.p, pte.Frame)
+	}
+	if err != nil {
+		return err
 	}
 	d.p.Sleep(d.os.machine.TLBShootdown(d.node.sched.Cores()-1, false))
 	return nil

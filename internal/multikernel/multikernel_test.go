@@ -1,10 +1,12 @@
 package multikernel
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -54,6 +56,59 @@ func TestDomainPrivateMemory(t *testing.T) {
 			}
 			if err := d.Store(addr, 1); err == nil {
 				t.Error("store after free succeeded")
+			}
+		})
+		if err != nil {
+			t.Errorf("SpawnDomain: %v", err)
+		}
+		wg.Wait(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestDomainFreeStopsAtUnmappedPage: an unmap over a hole frees the pages
+// before it, in page order, and fails at the hole; the pages past it stay
+// mapped.
+func TestDomainFreeStopsAtUnmappedPage(t *testing.T) {
+	os := boot(t, 1)
+	e := os.Engine()
+	wg := sim.NewWaitGroup()
+	e.Spawn("driver", func(p *sim.Proc) {
+		_, err := os.SpawnDomain(p, 0, wg, func(d *Domain) {
+			frames := d.node.frames.Allocator()
+			addr, err := d.Alloc(4)
+			if err != nil {
+				t.Errorf("Alloc: %v", err)
+				return
+			}
+			page := func(i int) mem.Addr { return addr + mem.Addr(i*hw.PageSize) }
+			second, _ := d.pt.Lookup(mem.PageOf(page(1)))
+			if err := d.Free(page(2), 1); err != nil {
+				t.Errorf("Free of page 2: %v", err)
+			}
+			want := fmt.Sprintf("multikernel: Free of unmapped page %#x", uint64(page(2)))
+			if err := d.Free(addr, 4); err == nil || err.Error() != want {
+				t.Errorf("Free over the hole = %v, want %q", err, want)
+			}
+			if frames.InUse() != 1 {
+				t.Errorf("%d frames in use, want 1 (page 3's)", frames.InUse())
+			}
+			for i, mapped := range []bool{false, false, false, true} {
+				if err := d.Store(page(i), 1); (err == nil) != mapped {
+					t.Errorf("Store to page %d = %v, want mapped %v", i, err, mapped)
+				}
+			}
+			// Pages 0 and 1 went back in page order, so page 1's frame is
+			// the free stack's top.
+			again, err := d.Alloc(1)
+			if err != nil {
+				t.Errorf("Alloc: %v", err)
+				return
+			}
+			if got, _ := d.pt.Lookup(mem.PageOf(again)); got.Frame != second.Frame {
+				t.Errorf("next frame = %d, want page 1's %d", got.Frame, second.Frame)
 			}
 		})
 		if err != nil {

@@ -2,10 +2,12 @@ package sim
 
 import "time"
 
-// LockStats records contention observed on a simulated lock. Two places count
-// it: every RWMutex, and the zone lock, which kernel.LockedFrames books around
-// its own Lock and Unlock calls. A Mutex counts nothing: records made per
-// page hold one by value, and counters would be most of its size.
+// LockStats records contention observed on a simulated lock. The zone lock
+// is the one lock counted this way: kernel.LockedFrames books it around its
+// own Lock and Unlock calls. Neither Mutex nor RWMutex counts anything:
+// records made per page hold a Mutex by value, counters would be most of its
+// size, and an RWMutex is taken once per fault; a caller that wants a
+// lock's contention counts it at its own lock sites.
 type LockStats struct {
 	// Acquisitions is the total number of successful lock acquisitions.
 	Acquisitions uint64
@@ -21,17 +23,9 @@ type LockStats struct {
 	MaxQueue int
 }
 
-func (s *LockStats) recordWait(w time.Duration) {
-	s.Contended++
-	s.TotalWait += w
-	if w > s.MaxWait {
-		s.MaxWait = w
-	}
-}
-
 // waitq is the one FIFO of blocked processes behind Mutex, RWMutex, Cond and
 // WaitGroup. It is intrusive: the link, and what a lock keeps per waiter
-// (since, granted), live in the Proc — a process waits in at most one queue —
+// (granted), live in the Proc — a process waits in at most one queue —
 // so blocking allocates nothing and the zero value is an empty queue. An entry
 // leaves only by pop: a process killed while queued stays linked (hence Start
 // refuses its storage), and a later pop hands it whatever was being handed out.
@@ -84,7 +78,7 @@ type holder interface{ holder() *Proc }
 // wait queues p on q for lock l. The caller parks it next, in its own frame: a
 // blocked process's stack is as deep as its deepest wait.
 func (e *engine) wait(q *waitq, p *Proc, kind, label string, l holder) {
-	p.since, p.granted = e.now, false
+	p.granted = false
 	q.push(p)
 	p.setWaitInfo(kind, label)
 	p.waitLock = l
@@ -176,8 +170,6 @@ type RWMutex struct {
 	readers       int
 	writer        *Proc
 	readQ, writeQ waitq
-	acquiredAt    Time
-	stats         LockStats
 }
 
 // NewRWMutex returns an unlocked reader-writer lock on e.
@@ -195,18 +187,13 @@ func (l *RWMutex) holder() *Proc { return l.writer }
 // is queued ahead.
 func (l *RWMutex) RLock(p *Proc) {
 	if l.writer == nil && l.writeQ.n == 0 {
-		if l.readers == 0 {
-			l.acquiredAt = l.e.now
-		}
 		l.readers++
-		l.stats.Acquisitions++
 		l.e.observeAcquire(p, l)
 		return
 	}
-	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
 	l.e.wait(&l.readQ, p, "rwmutex", l.label, l)
 	p.park()
-	l.granted(p)
+	l.e.granted(p, l)
 }
 
 // RUnlock releases a shared hold.
@@ -217,7 +204,6 @@ func (l *RWMutex) RUnlock(p *Proc) {
 	l.e.observeRelease(p, l)
 	l.readers--
 	if l.readers == 0 {
-		l.stats.TotalHold += l.e.now.Sub(l.acquiredAt)
 		l.promote()
 	}
 }
@@ -226,18 +212,15 @@ func (l *RWMutex) RUnlock(p *Proc) {
 func (l *RWMutex) Lock(p *Proc) {
 	if l.writer == nil && l.readers == 0 {
 		l.writer = p
-		l.acquiredAt = l.e.now
-		l.stats.Acquisitions++
 		l.e.observeAcquire(p, l)
 		return
 	}
 	if l.writer == p {
 		panic("sim: recursive RWMutex.Lock by owner " + p.name)
 	}
-	l.stats.MaxQueue = max(l.stats.MaxQueue, l.Waiters()+1)
 	l.e.wait(&l.writeQ, p, "rwmutex", l.label, l)
 	p.park()
-	l.granted(p)
+	l.e.granted(p, l)
 }
 
 // Unlock releases an exclusive hold.
@@ -246,7 +229,6 @@ func (l *RWMutex) Unlock(p *Proc) {
 		panic("sim: RWMutex.Unlock by non-owner")
 	}
 	l.e.observeRelease(p, l)
-	l.stats.TotalHold += l.e.now.Sub(l.acquiredAt)
 	l.writer = nil
 	l.promote()
 }
@@ -256,27 +238,13 @@ func (l *RWMutex) Unlock(p *Proc) {
 func (l *RWMutex) promote() {
 	if l.writeQ.n > 0 {
 		l.writer = l.writeQ.grant()
-		l.acquiredAt = l.e.now
 		return
 	}
-	if l.readQ.n > 0 {
-		l.acquiredAt = l.e.now
-		for l.readQ.n > 0 {
-			l.readQ.grant()
-			l.readers++
-		}
+	for l.readQ.n > 0 {
+		l.readQ.grant()
+		l.readers++
 	}
-}
-
-// granted books the contended acquisition of l by p, just resumed.
-func (l *RWMutex) granted(p *Proc) {
-	l.e.granted(p, l)
-	l.stats.Acquisitions++
-	l.stats.recordWait(l.e.now.Sub(p.since))
 }
 
 // Waiters returns the current total queue depth (readers + writers).
 func (l *RWMutex) Waiters() int { return l.readQ.n + l.writeQ.n }
-
-// Stats returns a snapshot of the contention counters.
-func (l *RWMutex) Stats() LockStats { return l.stats }

@@ -30,12 +30,11 @@ type Proc struct {
 	waitKind string
 	waitRes  string
 	waitLock holder
-	// wnext/queued link the process into the one waitq it blocks in; since
-	// and granted are what a lock keeps per waiter.
+	// wnext/queued link the process into the one waitq it blocks in;
+	// granted is what a lock keeps per waiter.
 	wnext   *Proc
 	queued  bool
 	granted bool
-	since   Time
 	// waitRender/waitArgs are a label recorded lazily by SetWaitLabel;
 	// waitRender is nil when waitRes already holds the text.
 	waitRender func(a, b, c uint64) string

@@ -244,9 +244,9 @@ func TestRWMutexWaitersKilledWhileQueued(t *testing.T) {
 		if err := e.Run(); !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("Run = %v, want the late writer deadlocked behind the dead reader's hold", err)
 		}
-		if !live || wrote || l.stats.Acquisitions != 2 {
-			t.Fatalf("live reader entered=%v, writer entered=%v, %d acquisitions; want true, false and 2 (the dead reader never booked its own)",
-				live, wrote, l.stats.Acquisitions)
+		if !live || wrote || l.readers != 1 {
+			t.Fatalf("live reader entered=%v, writer entered=%v, %d readers; want true, false and 1 (the dead reader's hold)",
+				live, wrote, l.readers)
 		}
 	})
 }

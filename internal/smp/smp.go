@@ -21,6 +21,7 @@ package smp
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/futex"
 	"repro/internal/hw"
@@ -54,10 +55,12 @@ type OS struct {
 	sched   *sched.Scheduler
 	// Global shared kernel state.
 	// tasklist is Linux's tasklist_lock, an rwlock; clone, exit and signal
-	// delivery take it for writing, the only way this model takes it.
-	tasklist *sim.RWMutex
-	pidLock  *sim.Mutex
-	zones    []*kernel.LockedFrames
+	// delivery take it for writing, the only way this model takes it, and
+	// tasklistWait sums the virtual time they queue for it.
+	tasklist     *sim.RWMutex
+	tasklistWait time.Duration
+	pidLock      *sim.Mutex
+	zones        []*kernel.LockedFrames
 	// futexes are the hash table's bucket locks; a futex address hashes to
 	// one (futexLock). A queue is keyed by process and word, as Linux keys a
 	// private futex by its mm, and lives under its word's bucket lock.
@@ -251,7 +254,7 @@ var _ osi.Process = (*Process)(nil)
 func (o *OS) StartProcess(p *sim.Proc) (osi.Process, error) {
 	p.Sleep(o.machine.Cost.SyscallTrap)
 	o.allocPID(p)
-	o.tasklist.Lock(p)
+	o.lockTasklist(p)
 	p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()) + o.machine.Cost.ThreadSetup)
 	o.tasklist.Unlock(p)
 	return &Process{
@@ -267,6 +270,13 @@ func (o *OS) StartProcess(p *sim.Proc) (osi.Process, error) {
 	}, nil
 }
 
+// lockTasklist takes the tasklist lock for writing and books the wait.
+func (o *OS) lockTasklist(p *sim.Proc) {
+	since := p.Now()
+	o.tasklist.Lock(p)
+	o.tasklistWait += p.Now().Sub(since)
+}
+
 // Spawn implements osi.Process: clone() under the global locks.
 func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	if kernelHint > 0 {
@@ -275,7 +285,7 @@ func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	o := pr.os
 	p.Sleep(o.machine.Cost.SyscallTrap)
 	tid := o.allocPID(p)
-	o.tasklist.Lock(p)
+	o.lockTasklist(p)
 	p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()) + o.machine.Cost.ThreadSetup)
 	o.tasklist.Unlock(p)
 	o.metrics.Counter("smp.clone").Inc()
@@ -296,9 +306,9 @@ func (pr *Process) Wait(p *sim.Proc) { pr.wg.Wait(p) }
 
 // Close implements osi.Process. SMP teardown frees the process's frames.
 func (pr *Process) Close(p *sim.Proc) error {
-	for _, m := range pr.mm.pt.Drain() {
-		if m.Frame != mem.NoFrame {
-			pr.os.zones[m.HomeNode].FreeFrame(p, m.Frame)
+	for _, e := range pr.mm.pt.Drain {
+		if e.Frame != mem.NoFrame {
+			pr.os.zones[e.HomeNode].FreeFrame(p, e.Frame)
 		}
 	}
 	return nil

@@ -562,7 +562,7 @@ func TestContentionGrowsLockWait(t *testing.T) {
 			done.Wait(p)
 			pr.Wait(p)
 			_ = pr.Close(p)
-			wait = os.tasklist.Stats().TotalWait
+			wait = os.tasklistWait
 		})
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)

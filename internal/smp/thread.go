@@ -344,7 +344,7 @@ func (t *Thread) Migrate(kernel int) error {
 func (t *Thread) Kill(tid int64, sig int) error {
 	o := t.pr.os
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
-	o.tasklist.Lock(t.p)
+	o.lockTasklist(t.p)
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()))
 	t.pr.signals[tid] = append(t.pr.signals[tid], sig)
 	w := t.pr.sigWaiters[tid]
@@ -378,7 +378,7 @@ func (t *Thread) SigWait() ([]int, error) {
 func (t *Thread) exit() {
 	o := t.pr.os
 	t.pr.mm.activeThreads--
-	o.tasklist.Lock(t.p)
+	o.lockTasklist(t.p)
 	t.p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()))
 	o.tasklist.Unlock(t.p)
 	o.metrics.Counter("smp.exit").Inc()

@@ -387,9 +387,9 @@ func (s *Service) Drop(p *sim.Proc, gid GID) {
 	if !ok {
 		return
 	}
-	for _, m := range sp.pt.Drain() {
-		if m.Frame != mem.NoFrame {
-			s.frames.FreeFrame(p, m.Frame)
+	for _, e := range sp.pt.Drain {
+		if e.Frame != mem.NoFrame {
+			s.frames.FreeFrame(p, e.Frame)
 		}
 	}
 	if s.checker != nil && sp.isOrigin {
