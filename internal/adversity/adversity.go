@@ -127,31 +127,27 @@ func IsDegradation(err error) bool {
 	return msg.IsDeadPeer(err) || msg.IsBackpressure(err)
 }
 
-// OneProcess runs the skeleton the soaks and R3 share, to quiescence: a
-// driver proc starts a process whose origin is kernel 0; a setup thread
-// there maps pages pages and stores first+i into page i for each i below
-// seeded; workers spawns the run's threads against the mapping (and waits
-// for whatever must precede the join); then the driver joins — Join tracks
-// the origin's member table, so it waits out lost members' reaping and
-// restarted members' full re-execution, not just the first incarnations'
-// procs — and closes the process. It returns the instant the close
-// finished and the first error among the engine's, the driver's, the
-// join's and the close's.
+// OneProcess runs the skeleton the soaks and R3 share as workload.Drive's
+// body: it starts a process whose origin is kernel 0; a setup thread there
+// maps pages pages and stores first+i into page i for each i below seeded;
+// workers spawns the run's threads against the mapping (and waits for
+// whatever must precede the join); then it joins — Join tracks the origin's
+// member table, so it waits out lost members' reaping and restarted
+// members' full re-execution, not just the first incarnations' procs — and
+// closes the process. It returns the instant the close finished and
+// workload.Drive's error, of which the body's is the join's or the close's.
 func OneProcess(o *core.OS, name string, pages, seeded int, first int64,
 	workers func(p *sim.Proc, pr *core.Process, base mem.Addr) error) (time.Duration, error) {
 	var done time.Duration
-	var runErr error
-	e := o.Engine()
-	e.Spawn(name, func(p *sim.Proc) {
+	err := workload.Drive(o, name, func(p *sim.Proc) error {
 		pr, err := o.StartProcessOn(p, 0)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		var base mem.Addr
 		ready := sim.NewWaitGroup()
 		ready.Add(1)
-		if runErr = pr.Spawn(p, 0, func(th osi.Thread) {
+		if err := pr.Spawn(p, 0, func(th osi.Thread) {
 			a, err := th.Mmap(uint64(pages)*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
 				panic(err)
@@ -163,24 +159,23 @@ func OneProcess(o *core.OS, name string, pages, seeded int, first int64,
 			}
 			base = a
 			ready.Done()
-		}); runErr != nil {
-			return
+		}); err != nil {
+			return err
 		}
 		ready.Wait(p)
-		if runErr = workers(p, pr, base); runErr != nil {
-			return
+		if err := workers(p, pr, base); err != nil {
+			return err
 		}
 		joinErr := pr.Join(p)
 		closeErr := pr.Close(p)
 		done = p.Now().Duration()
 		if joinErr != nil {
-			runErr = fmt.Errorf("join: %w", joinErr)
-		} else if closeErr != nil {
-			runErr = fmt.Errorf("close: %w", closeErr)
+			return fmt.Errorf("join: %w", joinErr)
 		}
+		if closeErr != nil {
+			return fmt.Errorf("close: %w", closeErr)
+		}
+		return nil
 	})
-	if err := e.Run(); err != nil {
-		return 0, err
-	}
-	return done, runErr
+	return done, err
 }

@@ -79,25 +79,22 @@ func bootFabric(nodeCore []int, cfg msg.Config, reg *stats.Registry) (sim.Engine
 	return e, fabric, nil
 }
 
-// runProcess drives o to quiescence from one driver proc, which starts a
-// process (on kernel 0 of a fresh popcorn boot), runs body, waits for the
-// process's threads and closes it. It returns the virtual instant the close
-// finished, and the error of the start, the run or the close.
+// runProcess is workload.Drive's body for one process: it starts a process
+// (on kernel 0 of a fresh popcorn boot), runs body, waits for the process's
+// threads and closes it. It returns the virtual instant the close finished,
+// and the driver's error.
 func runProcess(o osi.OS, body func(p *sim.Proc, pr osi.Process)) (closed time.Duration, err error) {
-	o.Engine().Spawn("driver", func(p *sim.Proc) {
-		pr, startErr := o.StartProcess(p)
-		if startErr != nil {
-			err = startErr
-			return
+	err = workload.Drive(o, "driver", func(p *sim.Proc) error {
+		pr, err := o.StartProcess(p)
+		if err != nil {
+			return err
 		}
 		body(p, pr)
 		pr.Wait(p)
 		err = pr.Close(p)
 		closed = p.Now().Duration()
+		return err
 	})
-	if runErr := o.Engine().Run(); runErr != nil {
-		return 0, runErr
-	}
 	return closed, err
 }
 

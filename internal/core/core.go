@@ -272,9 +272,23 @@ func (o *OS) restartHookFor(kn *kernel.Kernel) threadgroup.RestartHook {
 	}
 }
 
-// LiveThreads returns how many threads are currently executing. Zero after
-// the simulation quiesces means every thread reached a terminal state.
-func (o *OS) LiveThreads() int { return len(o.live) }
+// Conserved reports what a finished run kept: frames in use on a kernel the
+// fabric does not report crashed (a crashed kernel's frames die with it, and
+// a reboot empties its zone), and threads still live.
+//
+//popcornvet:allow kernlocal whole-machine diagnostic taken after the engine stops, outside any event path
+func (o *OS) Conserved() error {
+	err := kernel.FramesBack("popcorn", "k", o.Kernels(), func(k int) *kernel.LockedFrames {
+		if o.cluster.Fabric.Crashed(msg.NodeID(k)) {
+			return nil
+		}
+		return o.cluster.Kernels[k].Frames
+	})
+	if err == nil && len(o.live) != 0 {
+		err = fmt.Errorf("popcorn: %d threads live after the run", len(o.live))
+	}
+	return err
+}
 
 // Close shuts the simulation down, unwinding all service processes.
 func (o *OS) Close() { o.e.Close() }

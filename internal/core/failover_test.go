@@ -111,14 +111,9 @@ func TestFailoverExitPropagation(t *testing.T) {
 	if got := m.Counter("tg.exit.orphaned").Value(); got != 0 {
 		t.Errorf("tg.exit.orphaned = %d, want 0 — post-failover exits must reach the promoted origin", got)
 	}
-	if got := os.LiveThreads(); got != 0 {
-		t.Errorf("LiveThreads = %d after quiescence", got)
-	}
 	// Survivor kernels come out frame-clean; the dead kernel is exempt.
-	for _, k := range []int{1, 2, 3} {
-		if got := os.Kernel(k).Frames.Allocator().InUse(); got != 0 {
-			t.Errorf("kernel %d leaked %d frames", k, got)
-		}
+	if err := os.Conserved(); err != nil {
+		t.Error(err)
 	}
 }
 

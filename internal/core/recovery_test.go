@@ -108,15 +108,10 @@ func TestCheckpointedRestartEndToEnd(t *testing.T) {
 	if got := m.Counter("tg.member.lost").Value(); got != 0 {
 		t.Errorf("tg.member.lost = %d, want 0 (the restart replaces the lost-reap)", got)
 	}
-	if got := os.LiveThreads(); got != 0 {
-		t.Errorf("LiveThreads = %d after quiescence", got)
-	}
 	// The surviving kernels must come out frame-clean; the dead kernel's
 	// frames died with it and are exempt.
-	for _, k := range []int{0, 2, 3} {
-		if got := os.Kernel(k).Frames.Allocator().InUse(); got != 0 {
-			t.Errorf("kernel %d leaked %d frames", k, got)
-		}
+	if err := os.Conserved(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -262,8 +257,8 @@ func TestOverlappingKernelCrashes(t *testing.T) {
 	if got := m.Counter("msg.fault.declared").Value(); got != 4 {
 		t.Errorf("msg.fault.declared = %d, want 4", got)
 	}
-	if got := os.LiveThreads(); got != 0 {
-		t.Errorf("LiveThreads = %d after quiescence", got)
+	if err := os.Conserved(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -446,9 +441,7 @@ func TestRejoinedKernelHostsNewWork(t *testing.T) {
 		t.Errorf("msg.fault.rejoined = %d, want 3", got)
 	}
 	// Every kernel — including the rebooted one — must come out frame-clean.
-	for k := 0; k < os.Kernels(); k++ {
-		if got := os.Kernel(k).Frames.Allocator().InUse(); got != 0 {
-			t.Errorf("kernel %d leaked %d frames", k, got)
-		}
+	if err := os.Conserved(); err != nil {
+		t.Error(err)
 	}
 }

@@ -165,10 +165,8 @@ func TestFullSystemSoak(t *testing.T) {
 					t.Errorf("proc %d total = %d", pi, st.total)
 				}
 			}
-			for k := 0; k < os.Kernels(); k++ {
-				if got := os.Kernel(k).Frames.Allocator().InUse(); got != 0 {
-					t.Errorf("kernel %d leaked %d frames", k, got)
-				}
+			if err := os.Conserved(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -149,6 +149,23 @@ func (f *LockedFrames) Allocator() *mem.FrameAllocator { return f.alloc }
 // LockStats returns the zone lock's contention counters.
 func (f *LockedFrames) LockStats() sim.LockStats { return f.stats }
 
+// FramesBack checks that n zones have every frame back: zone(i) is the
+// i-th, or nil for one the check exempts. Its error names os and each zone
+// still holding frames, by unit and index, with the count ("smp: frames in
+// use after the run: zone0:1").
+func FramesBack(os, unit string, n int, zone func(i int) *LockedFrames) error {
+	var held []byte
+	for i := 0; i < n; i++ {
+		if z := zone(i); z != nil && z.alloc.InUse() != 0 {
+			held = fmt.Appendf(held, " %s%d:%d", unit, i, z.alloc.InUse())
+		}
+	}
+	if held == nil {
+		return nil
+	}
+	return fmt.Errorf("%s: frames in use after the run:%s", os, held)
+}
+
 // ClusterConfig describes a replicated-kernel boot.
 type ClusterConfig struct {
 	// Kernels is the number of kernel instances; the machine's cores are

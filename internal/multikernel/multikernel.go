@@ -37,13 +37,13 @@ type OS struct {
 	e       sim.Engine
 	machine *hw.Machine
 	metrics *stats.Registry
-	fabric  *msg.Fabric
 	nodes   []*node
 	nextDom int64
 }
 
 type node struct {
 	id     msg.NodeID
+	ep     *msg.Endpoint
 	sched  *sched.Scheduler
 	frames *kernel.LockedFrames
 	// domains hosted on this kernel, keyed by domain ID.
@@ -90,7 +90,7 @@ func Boot(cfg Config) (_ *OS, err error) {
 	if err != nil {
 		return nil, err
 	}
-	os := &OS{e: e, machine: machine, metrics: metrics, fabric: fabric}
+	os := &OS{e: e, machine: machine, metrics: metrics}
 	for k := 0; k < kernels; k++ {
 		cores := make([]int, perKernel)
 		for i := range cores {
@@ -106,13 +106,14 @@ func Boot(cfg Config) (_ *OS, err error) {
 		}
 		n := &node{
 			id:      msg.NodeID(k),
+			ep:      fabric.Endpoint(msg.NodeID(k)),
 			sched:   sch,
 			frames:  kernel.NewLockedFrames(e, machine, alloc, false, perKernel),
 			domains: make(map[int64]*Domain),
 		}
 		os.nodes = append(os.nodes, n)
 		k := k
-		channel.Handle(fabric.Endpoint(msg.NodeID(k)), func(_ *sim.Proc, _ msg.NodeID, pkt *packet) struct{} {
+		channel.Handle(n.ep, func(_ *sim.Proc, _ msg.NodeID, pkt *packet) struct{} {
 			d, ok := os.nodes[k].domains[pkt.Dst]
 			if !ok {
 				os.metrics.Counter("mk.drop").Inc()
@@ -137,6 +138,12 @@ func (o *OS) Kernels() int { return len(o.nodes) }
 
 // Metrics returns the metrics registry.
 func (o *OS) Metrics() *stats.Registry { return o.metrics }
+
+// Conserved reports frames in use on any kernel: a finished domain gives
+// back every frame its page table maps.
+func (o *OS) Conserved() error {
+	return kernel.FramesBack("multikernel", "node", len(o.nodes), func(i int) *kernel.LockedFrames { return o.nodes[i].frames })
+}
 
 // Close shuts the simulation down.
 func (o *OS) Close() { o.e.Close() }
@@ -291,11 +298,7 @@ func (d *Domain) Send(dst *Domain, size int, payload any) {
 		dst.hasMail.Signal()
 		return
 	}
-	// d.node.id is the sending domain's own kernel: a local-endpoint
-	// resolve, not a grab at a peer's queue.
-	//popcornvet:allow kernlocal resolves the sender's own kernel endpoint, not a peer's
-	ep := d.os.fabric.Endpoint(d.node.id)
-	channel.Send(d.p, ep, dst.node.id, &packet{Dst: dst.id, Size: size, Payload: payload})
+	channel.Send(d.p, d.node.ep, dst.node.id, &packet{Dst: dst.id, Size: size, Payload: payload})
 }
 
 // Recv blocks until a message arrives and returns its payload and size.

@@ -211,8 +211,8 @@ func TestDomainExitFreesFrames(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := os.nodes[0].frames.Allocator().InUse(); got != 0 {
-		t.Fatalf("domain exit leaked %d frames", got)
+	if err := os.Conserved(); err != nil {
+		t.Fatal(err)
 	}
 }
 

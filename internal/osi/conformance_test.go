@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smp"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // bootAll returns one freshly booted OS per flavour implementing osi.OS, on
@@ -77,12 +78,10 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 	results := make(map[string]outcome)
 	for name, o := range bootAll(t) {
 		var out outcome
-		e := o.Engine()
-		e.Spawn("program", func(p *sim.Proc) {
+		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
-				t.Errorf("%s: StartProcess: %v", name, err)
-				return
+				return err
 			}
 			var base mem.Addr
 			ready := sim.NewWaitGroup()
@@ -122,8 +121,7 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 				_, err = th.Load(base + 3*hw.PageSize)
 				out.afterUnmap = errors.Is(err, vm.ErrSegv)
 			}); err != nil {
-				t.Errorf("%s: Spawn: %v", name, err)
-				return
+				return err
 			}
 			// Four incrementers spread over whatever kernels exist.
 			for i := 0; i < 4; i++ {
@@ -140,17 +138,14 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 					}
 					done.Done()
 				}); err != nil {
-					t.Errorf("%s: Spawn worker: %v", name, err)
-					return
+					return err
 				}
 			}
 			pr.Wait(p)
-			if err := pr.Close(p); err != nil {
-				t.Errorf("%s: Close: %v", name, err)
-			}
+			return pr.Close(p)
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		results[name] = out
 	}
@@ -188,12 +183,10 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 	results := make(map[string]outcome)
 	for name, o := range bootAll(t) {
 		var out outcome
-		e := o.Engine()
-		e.Spawn("program", func(p *sim.Proc) {
+		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
-				t.Errorf("%s: StartProcess: %v", name, err)
-				return
+				return err
 			}
 			var base mem.Addr
 			var victim int64
@@ -280,10 +273,10 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 				}
 			})
 			pr.Wait(p)
-			_ = pr.Close(p)
+			return pr.Close(p)
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		results[name] = out
 	}
@@ -321,12 +314,10 @@ func TestConformanceStoreRacingMprotect(t *testing.T) {
 	cost.LineTransferLocal, cost.LineTransferRemote = time.Millisecond, time.Millisecond
 	for name, o := range bootAllCost(t, cost) {
 		var out outcome
-		e := o.Engine()
-		e.Spawn("program", func(p *sim.Proc) {
+		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
-				t.Errorf("%s: StartProcess: %v", name, err)
-				return
+				return err
 			}
 			var addr mem.Addr
 			written, protected, stored := sim.NewWaitGroup(), sim.NewWaitGroup(), sim.NewWaitGroup()
@@ -377,10 +368,10 @@ func TestConformanceStoreRacingMprotect(t *testing.T) {
 				protected.Done()
 			})
 			pr.Wait(p)
-			_ = pr.Close(p)
+			return pr.Close(p)
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		t.Logf("%s: store %v, load after mprotect %d, word at the end %d", name, out.storeErr, out.loaded, out.word)
 		switch {
@@ -406,12 +397,10 @@ func TestConformanceSbrk(t *testing.T) {
 	results := make(map[string]outcome)
 	for name, o := range bootAll(t) {
 		var out outcome
-		e := o.Engine()
-		e.Spawn("program", func(p *sim.Proc) {
+		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
-				t.Errorf("%s: StartProcess: %v", name, err)
-				return
+				return err
 			}
 			if err := pr.Spawn(p, 0, func(th osi.Thread) {
 				old1, err := th.Sbrk(3 * hw.PageSize)
@@ -443,14 +432,13 @@ func TestConformanceSbrk(t *testing.T) {
 				}
 				out.old3 = old3
 			}); err != nil {
-				t.Errorf("%s: Spawn: %v", name, err)
-				return
+				return err
 			}
 			pr.Wait(p)
-			_ = pr.Close(p)
+			return pr.Close(p)
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		results[name] = out
 	}
@@ -499,12 +487,10 @@ func TestConformanceBadRanges(t *testing.T) {
 	}
 	results := make(map[string][]verdict)
 	for name, o := range bootAll(t) {
-		e := o.Engine()
-		e.Spawn("program", func(p *sim.Proc) {
+		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
-				t.Errorf("%s: StartProcess: %v", name, err)
-				return
+				return err
 			}
 			if err := pr.Spawn(p, 0, func(th osi.Thread) {
 				base, err := th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
@@ -531,14 +517,13 @@ func TestConformanceBadRanges(t *testing.T) {
 					t.Errorf("%s: thread ended on kernel %d, want the replica 1", name, k.KernelID())
 				}
 			}); err != nil {
-				t.Errorf("%s: Spawn: %v", name, err)
-				return
+				return err
 			}
 			pr.Wait(p)
-			_ = pr.Close(p)
+			return pr.Close(p)
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	pop, smp := results["popcorn"], results["smp"]

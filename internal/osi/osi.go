@@ -37,6 +37,9 @@ type OS interface {
 	Kernels() int
 	// Metrics returns the OS-wide metrics registry.
 	Metrics() *stats.Registry
+	// Conserved reports what a finished run failed to give back: frames in
+	// use on a live kernel, and on popcorn threads still live.
+	Conserved() error
 	// StartProcess creates a new process (thread group) with an empty
 	// address space. The calling simulation process is charged the
 	// creation cost.

@@ -181,6 +181,11 @@ func (o *OS) Kernels() int { return 1 }
 // Metrics implements osi.OS.
 func (o *OS) Metrics() *stats.Registry { return o.metrics }
 
+// Conserved implements osi.OS: every zone has its frames back.
+func (o *OS) Conserved() error {
+	return kernel.FramesBack("smp", "zone", len(o.zones), func(i int) *kernel.LockedFrames { return o.zones[i] })
+}
+
 // Close shuts the simulation down.
 func (o *OS) Close() { o.e.Close() }
 

@@ -26,6 +26,15 @@ func boot(t *testing.T) *OS {
 	return os
 }
 
+// drive runs body in a driver proc through workload.Drive, which also
+// requires every zone's frames back when the engine drains.
+func drive(t *testing.T, os *OS, body func(p *sim.Proc)) {
+	t.Helper()
+	if err := workload.Drive(os, "driver", func(p *sim.Proc) error { body(p); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBoot(t *testing.T) {
 	os := boot(t)
 	if os.Name() != "smp" || os.Kernels() != 1 {
@@ -35,8 +44,7 @@ func TestBoot(t *testing.T) {
 
 func TestMapStoreLoad(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, err := os.StartProcess(p)
 		if err != nil {
 			t.Errorf("StartProcess: %v", err)
@@ -61,15 +69,11 @@ func TestMapStoreLoad(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestThreadsShareMemoryCoherently(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		var addr mem.Addr
 		ready := sim.NewWaitGroup()
@@ -99,15 +103,11 @@ func TestThreadsShareMemoryCoherently(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestMunmapThenAccessSegfaults(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		_ = pr.Spawn(p, 0, func(th osi.Thread) {
 			addr, _ := th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
@@ -126,15 +126,11 @@ func TestMunmapThenAccessSegfaults(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestMprotectEnforced(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		_ = pr.Spawn(p, 0, func(th osi.Thread) {
 			addr, _ := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
@@ -155,16 +151,12 @@ func TestMprotectEnforced(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestFutexWaitWake(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
 	var wokenAt, wakeAt sim.Time
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		var addr mem.Addr
 		ready := sim.NewWaitGroup()
@@ -189,9 +181,6 @@ func TestFutexWaitWake(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	if wokenAt < wakeAt {
 		t.Fatalf("woken at %v before wake at %v", wokenAt, wakeAt)
 	}
@@ -199,8 +188,7 @@ func TestFutexWaitWake(t *testing.T) {
 
 func TestFutexEagain(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		_ = pr.Spawn(p, 0, func(th osi.Thread) {
 			addr, _ := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
@@ -212,18 +200,14 @@ func TestFutexEagain(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestFutexIsolatedBetweenProcesses(t *testing.T) {
 	// Two processes use the same virtual address: a wake in one must not
 	// wake the other's waiter even though they hash to the same bucket.
 	os := boot(t)
-	e := os.Engine()
 	crossWake := false
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		prA, _ := os.StartProcess(p)
 		prB, _ := os.StartProcess(p)
 		var addrA, addrB mem.Addr
@@ -259,9 +243,6 @@ func TestFutexIsolatedBetweenProcesses(t *testing.T) {
 		_ = prA.Close(p)
 		_ = prB.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	if crossWake {
 		// A woke: fine only if it was A's own wake; the error cases above
 		// would have flagged B's cross-wake already.
@@ -298,11 +279,10 @@ type futexOpSpec struct {
 func (fs futexScript) run(t *testing.T) []string {
 	t.Helper()
 	os := boot(t)
-	e := os.Engine()
 	var woke []string
 	op := -1
 	var base mem.Addr // where every process maps its words
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		procs := map[string]osi.Process{}
 		for _, name := range []string{"A", "B"} {
 			pr, err := os.StartProcess(p)
@@ -358,9 +338,6 @@ func (fs futexScript) run(t *testing.T) []string {
 			_ = pr.Close(p)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	return woke
 }
 
@@ -430,8 +407,7 @@ func TestFutexRequeueOntoItself(t *testing.T) {
 // each other unless the buckets are locked in index order.
 func TestFutexRequeueCrossedBucketsDoNotDeadlock(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		var a, gate mem.Addr
 		mapped := sim.NewWaitGroup()
@@ -471,15 +447,11 @@ func TestFutexRequeueCrossedBucketsDoNotDeadlock(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestMigrateUnsupported(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		_ = pr.Spawn(p, 0, func(th osi.Thread) {
 			if err := th.Migrate(1); !errors.Is(err, osi.ErrUnsupported) {
@@ -492,15 +464,11 @@ func TestMigrateUnsupported(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
 func TestSpawnRejectsNonZeroKernel(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		if err := pr.Spawn(p, 3, func(th osi.Thread) {}); err == nil {
 			t.Error("Spawn on kernel 3 accepted by single-kernel OS")
@@ -508,15 +476,13 @@ func TestSpawnRejectsNonZeroKernel(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }
 
+// TestCloseFreesFrames touches eight pages and closes the process: drive
+// fails the test unless every zone has its frames back.
 func TestCloseFreesFrames(t *testing.T) {
 	os := boot(t)
-	e := os.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, os, func(p *sim.Proc) {
 		pr, _ := os.StartProcess(p)
 		_ = pr.Spawn(p, 0, func(th osi.Thread) {
 			addr, _ := th.Mmap(8*hw.PageSize, mem.ProtRead|mem.ProtWrite)
@@ -527,14 +493,6 @@ func TestCloseFreesFrames(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for n, z := range os.zones {
-		if z.Allocator().InUse() != 0 {
-			t.Errorf("zone %d leaked %d frames", n, z.Allocator().InUse())
-		}
-	}
 }
 
 func TestContentionGrowsLockWait(t *testing.T) {
@@ -542,9 +500,8 @@ func TestContentionGrowsLockWait(t *testing.T) {
 	// contention — the mechanism behind F1.
 	cloneStorm := func(threads int) time.Duration {
 		os := boot(t)
-		e := os.Engine()
 		var wait time.Duration
-		e.Spawn("driver", func(p *sim.Proc) {
+		drive(t, os, func(p *sim.Proc) {
 			pr, _ := os.StartProcess(p)
 			done := sim.NewWaitGroup()
 			done.Add(threads)
@@ -564,9 +521,6 @@ func TestContentionGrowsLockWait(t *testing.T) {
 			_ = pr.Close(p)
 			wait = os.tasklistWait
 		})
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
 		return wait
 	}
 	low, high := cloneStorm(1), cloneStorm(6)
@@ -578,7 +532,8 @@ func TestContentionGrowsLockWait(t *testing.T) {
 // TestRacedFirstTouchReturnsFrame runs F7's CG kernel at full scale, where
 // threads first-touch the same shared pages at once: a fault that finds the
 // entry installed after its frame allocation must give the frame back and
-// use the entry, so Close leaves every zone empty.
+// use the entry, so Close leaves every zone empty (ComputeKernel's driver
+// checks).
 func TestRacedFirstTouchReturnsFrame(t *testing.T) {
 	o, err := Boot(Config{Topology: hw.Topology{Cores: 64, NUMANodes: 2}, FramesPerNode: 1 << 18})
 	if err != nil {
@@ -588,11 +543,6 @@ func TestRacedFirstTouchReturnsFrame(t *testing.T) {
 	spec := workload.ComputeKernelSpec{Kernel: workload.KernelCG, Threads: 32, Iters: 4, Work: 5 * time.Millisecond}
 	if _, err := workload.ComputeKernel(o, spec); err != nil {
 		t.Fatalf("ComputeKernel: %v", err)
-	}
-	for i, z := range o.zones {
-		if n := z.Allocator().InUse(); n != 0 {
-			t.Errorf("zone %d: %d frames in use after Close, want 0", i, n)
-		}
 	}
 }
 
@@ -608,8 +558,7 @@ func TestAccessRacingUnmapInstallsNothing(t *testing.T) {
 		t.Fatalf("Boot: %v", err)
 	}
 	t.Cleanup(o.Close)
-	e := o.Engine()
-	e.Spawn("driver", func(p *sim.Proc) {
+	drive(t, o, func(p *sim.Proc) {
 		pr, _ := o.StartProcess(p)
 		mm := pr.(*Process).mm
 		var addr mem.Addr
@@ -655,7 +604,4 @@ func TestAccessRacingUnmapInstallsNothing(t *testing.T) {
 		pr.Wait(p)
 		_ = pr.Close(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 }

@@ -47,7 +47,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 	if spec.Shards <= 0 || spec.Clients <= 0 || spec.KeysPerShard <= 0 {
 		return Result{}, fmt.Errorf("workload: kvstore needs shards, clients and keys, got %+v", spec)
 	}
-	return driveWindow(o, "kvstore", spec.Clients, func(p *sim.Proc, w *window) (uint64, error) {
+	return measure(o, "kvstore", spec.Clients, func(p *sim.Proc, res *Result) (uint64, error) {
 		pr, err := o.StartProcess(p)
 		if err != nil {
 			return 0, err
@@ -156,7 +156,7 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 			}
 		}
 		pr.Wait(p)
-		w.Measure(clientsStart, p.Now())
+		res.Elapsed = p.Now().Sub(clientsStart)
 
 		// Verify: per-shard put totals must match exactly.
 		verify := sim.NewWaitGroup()

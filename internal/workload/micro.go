@@ -23,7 +23,7 @@ type ThreadBombSpec struct {
 // ThreadBomb runs the F1 workload on o.
 func ThreadBomb(o osi.OS, spec ThreadBombSpec) (Result, error) {
 	name := "threadbomb"
-	return drive(o, name, spec.Spawners, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, spec.Spawners, func(p *sim.Proc, _ *Result) (uint64, error) {
 		// One process per spawner: server-style independent processes.
 		var procs []osi.Process
 		for i := 0; i < spec.Spawners; i++ {
@@ -72,7 +72,7 @@ func MmapStorm(o osi.OS, spec MmapStormSpec) (Result, error) {
 	if spec.Shared {
 		name = "mmapstorm-shared"
 	}
-	return drive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		kernels := o.Kernels()
 		body := func(th osi.Thread) {
 			for i := 0; i < spec.Iters; i++ {
@@ -132,7 +132,7 @@ type FaultSweepSpec struct {
 
 // FaultSweep runs the F6 workload on o.
 func FaultSweep(o osi.OS, spec FaultSweepSpec) (Result, error) {
-	return drive(o, "faultsweep", spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, "faultsweep", spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		kernels := o.Kernels()
 		var procs []osi.Process
 		for i := 0; i < spec.Threads; i++ {
@@ -182,7 +182,7 @@ func FutexChain(o osi.OS, spec FutexChainSpec) (Result, error) {
 	if spec.Shared {
 		name = "futexchain-shared"
 	}
-	return drive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		kernels := o.Kernels()
 		groups := kernels
 		if spec.Shared {

@@ -18,7 +18,7 @@ import (
 // MKThreadBomb is the F1 port: spawner domains create child domains on
 // their own kernel (domain creation is purely kernel-local).
 func MKThreadBomb(o *multikernel.OS, spec ThreadBombSpec) (Result, error) {
-	return drive(o, "threadbomb", spec.Spawners, func(p *sim.Proc) (uint64, error) {
+	return measure(o, "threadbomb", spec.Spawners, func(p *sim.Proc, _ *Result) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Spawners; i++ {
 			k := i % o.Kernels()
@@ -42,7 +42,7 @@ func MKThreadBomb(o *multikernel.OS, spec ThreadBombSpec) (Result, error) {
 // MKMemStorm is the F4 port: domains allocate, touch and free private
 // memory — no shared VMA tree exists to contend on.
 func MKMemStorm(o *multikernel.OS, spec MmapStormSpec) (Result, error) {
-	return drive(o, "mmapstorm", spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, "mmapstorm", spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Threads; i++ {
 			k := i % o.Kernels()
@@ -74,7 +74,7 @@ func MKMemStorm(o *multikernel.OS, spec MmapStormSpec) (Result, error) {
 // regions. Allocation is eager on a multikernel (capabilities), so the
 // "fault" cost is folded into Alloc.
 func MKFaultSweep(o *multikernel.OS, spec FaultSweepSpec) (Result, error) {
-	return drive(o, "faultsweep", spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, "faultsweep", spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		wg := sim.NewWaitGroup()
 		for i := 0; i < spec.Threads; i++ {
 			k := i % o.Kernels()
@@ -110,7 +110,7 @@ func MKComputeKernel(o *multikernel.OS, spec ComputeKernelSpec) (Result, error) 
 		return Result{}, fmt.Errorf("workload: unknown compute kernel %q", spec.Kernel)
 	}
 	name := "npb-" + spec.Kernel
-	return drive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		T := spec.Threads
 		wg := sim.NewWaitGroup()
 		workers := make([]*multikernel.Domain, T)

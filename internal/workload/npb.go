@@ -53,7 +53,7 @@ func ComputeKernel(o osi.OS, spec ComputeKernelSpec) (Result, error) {
 		return Result{}, fmt.Errorf("workload: unknown compute kernel %q", spec.Kernel)
 	}
 	name := "npb-" + spec.Kernel
-	return drive(o, name, spec.Threads, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, spec.Threads, func(p *sim.Proc, _ *Result) (uint64, error) {
 		pr, err := o.StartProcess(p)
 		if err != nil {
 			return 0, err
@@ -211,7 +211,7 @@ func MigrationBenefit(o osi.OS, spec MigrationBenefitSpec) (Result, error) {
 	} else if spec.Prefetch {
 		name = "migrate-prefetch"
 	}
-	return drive(o, name, 1, func(p *sim.Proc) (uint64, error) {
+	return measure(o, name, 1, func(p *sim.Proc, _ *Result) (uint64, error) {
 		pr, err := o.StartProcess(p)
 		if err != nil {
 			return 0, err

@@ -49,15 +49,6 @@ func (r Result) String() string {
 		r.OS, r.Name, r.Threads, r.Ops, r.Elapsed, r.Throughput())
 }
 
-// drive runs body inside a fresh driver process on o's engine, drains the
-// simulation and returns body's measurement. The engine must be freshly
-// booted (virtual time is not reset).
-func drive(o driven, name string, threads int, body func(p *sim.Proc) (uint64, error)) (Result, error) {
-	return driveWindow(o, name, threads, func(p *sim.Proc, w *window) (uint64, error) {
-		return body(p)
-	})
-}
-
 // closeAll waits for the threads of every process in procs, then closes
 // the processes in order.
 func closeAll(p *sim.Proc, procs []osi.Process) error {
@@ -72,50 +63,47 @@ func closeAll(p *sim.Proc, procs []osi.Process) error {
 	return nil
 }
 
-// window lets a workload narrow the measured interval (excluding setup and
-// verification phases from the reported elapsed time).
-type window struct {
-	start, end sim.Time
-	set        bool
-}
-
-// Measure marks the measured interval explicitly.
-func (w *window) Measure(start, end sim.Time) {
-	w.start, w.end, w.set = start, end, true
-}
-
 // driven is what the driver needs of an OS: both osi.OS flavours and the
 // multikernel have it.
 type driven interface {
 	Engine() sim.Engine
 	Name() string
+	Conserved() error
 }
 
-// driveWindow is drive with an explicit measurement window: when the body
-// calls w.Measure, only that interval is reported.
-func driveWindow(o driven, name string, threads int, body func(p *sim.Proc, w *window) (uint64, error)) (Result, error) {
-	e := o.Engine()
-	var res Result
-	var runErr error
-	e.Spawn("workload-"+name, func(p *sim.Proc) {
-		var w window
-		start := p.Now()
-		ops, err := body(p, &w)
-		if err != nil {
-			runErr = err
-			return
-		}
-		elapsed := p.Now().Sub(start)
-		if w.set {
-			elapsed = w.end.Sub(w.start)
-		}
-		res = Result{OS: o.Name(), Name: name, Threads: threads, Ops: ops, Elapsed: elapsed}
-	})
-	if err := e.Run(); err != nil {
-		return Result{}, fmt.Errorf("workload %s: %w", name, err)
+// Drive is the one way a run is driven: body runs in a proc named name on
+// o's engine, and the engine runs to quiescence. It returns the engine's
+// error, else body's, else o.Conserved(): a run that finished is judged on
+// what it gave back.
+func Drive(o driven, name string, body func(p *sim.Proc) error) error {
+	var bodyErr error
+	o.Engine().Spawn(name, func(p *sim.Proc) { bodyErr = body(p) })
+	if err := o.Engine().Run(); err != nil {
+		return err
 	}
-	if runErr != nil {
-		return Result{}, fmt.Errorf("workload %s: %w", name, runErr)
+	if bodyErr != nil {
+		return bodyErr
+	}
+	return o.Conserved()
+}
+
+// measure drives a workload's body and returns its measurement: the
+// operation count body returns, over the virtual time body ran unless body
+// sets res.Elapsed to a narrower interval (leaving out setup and
+// verification).
+func measure(o driven, name string, threads int, body func(p *sim.Proc, res *Result) (uint64, error)) (Result, error) {
+	res := Result{OS: o.Name(), Name: name, Threads: threads}
+	err := Drive(o, "workload-"+name, func(p *sim.Proc) error {
+		start := p.Now()
+		ops, err := body(p, &res)
+		if res.Elapsed == 0 {
+			res.Elapsed = p.Now().Sub(start)
+		}
+		res.Ops = ops
+		return err
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("workload %s: %w", name, err)
 	}
 	return res, nil
 }
