@@ -66,11 +66,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(EXP).cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/$(EXP).mem.pprof
 
-# The page-table lookup benchmark at 4, 64 and 4 096 resident pages, one
-# iteration each: it keeps the benchmark building and running. For timings
-# run it with a real -benchtime.
+# The lookup benchmarks of both radix instances, the page table
+# (internal/mem) and the origin directory (internal/vm), at 4, 64 and 4 096
+# resident pages, one iteration each: it keeps them building and running.
+# For timings run them with a real -benchtime.
 membench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mem
+	$(GO) test -run '^$$' -bench Lookup -benchtime 1x ./internal/mem ./internal/vm
 
 # Schedule exploration with the coherence sanitizer attached: every sweep row
 # of cmd/popcornmc's table (contention, migration, futex), bare and under the

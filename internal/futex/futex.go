@@ -347,10 +347,13 @@ func (s *Service) doWake(p *sim.Proc, gid vm.GID, addr mem.Addr, count int) fute
 	return futexOpReply{Woken: len(released)}
 }
 
+// bucketLabel names every futex bucket's mutex in deadlock reports.
+var bucketLabel = "futex.bucket"
+
 func (s *Service) bucket(k key) *bucket {
 	b, ok := s.buckets[k]
 	if !ok {
-		b = &bucket{mu: sim.NewMutex(s.e).SetLabel("futex.bucket")}
+		b = &bucket{mu: sim.NewMutex(s.e).SetLabel(&bucketLabel)}
 		s.buckets[k] = b
 	}
 	return b

@@ -3,6 +3,7 @@ package futex
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,7 +64,7 @@ func newEnv(t *testing.T, kernels int) *env {
 	}
 	ev := &env{e: e}
 	for k := 0; k < kernels; k++ {
-		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), mem.FrameID(k*1<<20), 256)
+		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), int64(k)<<20, 256)
 		ev.vms = append(ev.vms, vm.NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, 2, stats.NewRegistry()))
 	}
 	for k := 0; k < kernels; k++ {
@@ -362,5 +363,36 @@ func TestRequeueSameWordPair(t *testing.T) {
 	})
 	if err := ev.e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestDeadlockReportNamesBucket: a waiter stuck on a futex's home bucket is
+// reported against futex.bucket, the label every bucket points at.
+func TestDeadlockReportNamesBucket(t *testing.T) {
+	ev := newEnv(t, 1)
+	var addr mem.Addr
+	ev.e.Spawn("setup", func(p *sim.Proc) {
+		addr, _ = ev.spaces[0].Map(p, hw.PageSize, mem.ProtRead|mem.ProtWrite)
+	})
+	if err := ev.e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	b := ev.futexs[0].bucket(key{gid: 1, addr: addr})
+	ev.e.Spawn("holder", func(p *sim.Proc) {
+		b.mu.Lock(p)
+		p.Suspend()
+	})
+	ev.e.Spawn("stuck", func(p *sim.Proc) {
+		p.Sleep(time.Microsecond)
+		_ = ev.futexs[0].Wait(p, 1, addr, 0)
+	})
+	var dl *sim.DeadlockError
+	if err := ev.e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	if !slices.ContainsFunc(dl.Waits, func(w sim.ProcWait) bool {
+		return w.Name == "stuck" && w.Resource == "futex.bucket" && w.HolderName == "holder"
+	}) {
+		t.Errorf("report does not name futex.bucket held by holder: %+v", dl.Waits)
 	}
 }

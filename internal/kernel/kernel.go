@@ -52,6 +52,9 @@ type LockedFrames struct {
 	acquiredAt sim.Time
 }
 
+// framesLabel names every zone lock in deadlock reports.
+var framesLabel = "kernel.frames"
+
 // NewLockedFrames wraps an allocator with a charged zone lock. crossNode
 // states whether the lock's contenders span NUMA nodes (true for the SMP
 // baseline's shared zone, false for a per-kernel zone); maxSharers is the
@@ -60,7 +63,7 @@ func NewLockedFrames(e sim.Engine, machine *hw.Machine, alloc *mem.FrameAllocato
 	if maxSharers < 1 {
 		maxSharers = 1
 	}
-	return &LockedFrames{e: e, machine: machine, alloc: alloc, mu: sim.NewMutex(e).SetLabel("kernel.frames"), crossNode: crossNode, maxSharers: maxSharers}
+	return &LockedFrames{e: e, machine: machine, alloc: alloc, mu: sim.NewMutex(e).SetLabel(&framesLabel), crossNode: crossNode, maxSharers: maxSharers}
 }
 
 // Reset returns the frame zone to its boot state for a kernel reboot: the
@@ -69,7 +72,7 @@ func NewLockedFrames(e sim.Engine, machine *hw.Machine, alloc *mem.FrameAllocato
 // unlocks.
 func (f *LockedFrames) Reset() {
 	f.alloc.Reset()
-	f.mu = sim.NewMutex(f.e).SetLabel("kernel.frames")
+	f.mu = sim.NewMutex(f.e).SetLabel(&framesLabel)
 	f.stats, f.held = sim.LockStats{}, false
 }
 
@@ -228,7 +231,7 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 		for i := range cores {
 			cores[i] = k*perKernel + i
 		}
-		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[0]), mem.FrameID(k)<<24, cfg.FramesPerKernel)
+		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[0]), int64(k)<<24, cfg.FramesPerKernel)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -246,5 +248,59 @@ func TestLockedFramesExhaustionError(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestDeadlockReportNamesZoneLock: a process stuck on a frame zone's lock is
+// reported against kernel.frames, before and after a reboot replaces the
+// lock.
+func TestDeadlockReportNamesZoneLock(t *testing.T) {
+	for _, reboot := range []bool{false, true} {
+		e := sim.NewEngine()
+		alloc, _ := mem.NewFrameAllocator(0, 0, 8)
+		lf := NewLockedFrames(e, testMachine(t), alloc, false, 4)
+		if reboot {
+			lf.Reset()
+		}
+		e.Spawn("holder", func(p *sim.Proc) {
+			lf.mu.Lock(p)
+			p.Suspend()
+		})
+		e.Spawn("stuck", func(p *sim.Proc) {
+			p.Sleep(time.Microsecond)
+			_, _, _ = lf.AllocFrame(p)
+		})
+		var dl *sim.DeadlockError
+		if err := e.Run(); !errors.As(err, &dl) {
+			t.Fatalf("reboot %v: Run = %v, want a deadlock", reboot, err)
+		}
+		if !slices.ContainsFunc(dl.Waits, func(w sim.ProcWait) bool {
+			return w.Name == "stuck" && w.Resource == "kernel.frames" && w.HolderName == "holder"
+		}) {
+			t.Errorf("reboot %v: report does not name kernel.frames held by holder: %+v", reboot, dl.Waits)
+		}
+		e.Close()
+	}
+}
+
+// TestBootRejectsMachineBeyondPTE: a PTE holds a 32-bit frame number and an
+// 8-bit NUMA node, so boot refuses a frame partition past the frame space and
+// a kernel homed on a node past 255, before the kernel runs.
+func TestBootRejectsMachineBeyondPTE(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	cfg := DefaultClusterConfig(testMachine(t))
+	cfg.FramesPerKernel = 1<<31 - 1
+	if _, err := Boot(e, testMachine(t), cfg, nil); err == nil || !strings.Contains(err.Error(), "do not fit a 32-bit frame number") {
+		t.Errorf("Boot with %d frames per kernel = %v, want a frame-space refusal", cfg.FramesPerKernel, err)
+	}
+	wide, err := hw.NewMachine(hw.Topology{Cores: 512, NUMANodes: 512}, hw.DefaultCostModel())
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	cfg = DefaultClusterConfig(wide)
+	cfg.Kernels = 2
+	if _, err := Boot(e, wide, cfg, nil); err == nil || !strings.Contains(err.Error(), "NUMA node 256 does not fit") {
+		t.Errorf("Boot with kernel 1 on NUMA node 256 = %v, want a node refusal", err)
 	}
 }

@@ -12,8 +12,14 @@ import (
 	"repro/internal/hw"
 )
 
-// FrameID is a global physical frame number. NoFrame marks an empty PTE.
-type FrameID int64
+// FrameID is a global physical frame number, 32 bits wide so a PTE stays
+// 16 bytes: a machine whose frame space does not fit is refused at boot (see
+// NewFrameAllocator). NoFrame marks an empty PTE.
+type FrameID int32
+
+// MaxNodes bounds the NUMA nodes a frame may be homed on: a PTE holds its
+// frame's node in one byte.
+const MaxNodes = 1 << 8
 
 // NoFrame is the sentinel for "no physical frame".
 const NoFrame FrameID = -1
@@ -83,15 +89,23 @@ type FrameAllocator struct {
 }
 
 // NewFrameAllocator creates an allocator over frames [start, start+count)
-// homed on the given NUMA node.
-func NewFrameAllocator(node int, start FrameID, count int) (*FrameAllocator, error) {
+// homed on the given NUMA node. Boot builds every partition through it, so it
+// is where a machine that a PTE cannot describe is refused: a range past the
+// 32-bit frame space or a node outside [0, MaxNodes).
+func NewFrameAllocator(node int, start int64, count int) (*FrameAllocator, error) {
 	if count <= 0 || count > math.MaxInt32 {
 		return nil, fmt.Errorf("mem: frame partition must hold 1 to %d frames, got %d", math.MaxInt32, count)
 	}
 	if start < 0 {
 		return nil, fmt.Errorf("mem: negative partition start %d", start)
 	}
-	return &FrameAllocator{node: node, start: start, count: count}, nil
+	if start+int64(count) > math.MaxInt32 {
+		return nil, fmt.Errorf("mem: frames [%d,%d) do not fit a 32-bit frame number", start, start+int64(count))
+	}
+	if node < 0 || node >= MaxNodes {
+		return nil, fmt.Errorf("mem: NUMA node %d does not fit a page-table entry (%d nodes at most)", node, MaxNodes)
+	}
+	return &FrameAllocator{node: node, start: FrameID(start), count: count}, nil
 }
 
 // Node returns the NUMA node this partition is homed on.
@@ -149,19 +163,19 @@ func (a *FrameAllocator) InUse() int { return a.next - a.nfree }
 func (a *FrameAllocator) Available() int { return a.nfree + a.count - a.next }
 
 // PTE is one page-table entry: where the page lives, how it may be accessed
-// and what it holds. A kernel's copy of a page is its entry: the page's
-// word travels with the frame, so installing, revoking and tearing down a
-// copy each touch one record.
+// and what it holds, in 16 bytes. A kernel's copy of a page is its entry:
+// the page's word travels with the frame, so installing, revoking and
+// tearing down a copy each touch one record.
 type PTE struct {
-	Frame FrameID
 	// Word is the contents of the page's memory word in this copy.
-	Word int64
-	Prot Prot
+	Word  int64
+	Frame FrameID
+	Prot  Prot
+	// HomeNode is the NUMA node of the frame, cached for access costing.
+	HomeNode uint8
 	// writer is one more than the core that last wrote the word through
 	// this entry, 0 while none has (see LastWriter).
 	writer uint16
-	// HomeNode is the NUMA node of the frame, cached for access costing.
-	HomeNode int32
 }
 
 // LastWriter returns the core that last wrote the word through this entry,
@@ -177,44 +191,53 @@ func (e *PTE) SetWriter(core int) {
 	e.writer = uint16(core + 1)
 }
 
-// leafBits is log2 of the pages one page-table leaf maps.
+// leafBits is log2 of the pages one radix leaf maps.
 const leafBits = 4
 
-// leafPages is the number of pages one leaf maps: sixteen 24-byte entries
-// and a presence word are 392 B, one allocation in Go's 416 B size class.
+// leafPages is the number of pages one leaf maps. With a presence word, a
+// leaf of sixteen 16-byte PTEs is 264 B (Go's 288 B size class), of sixteen
+// pointers 136 B (144 B).
 const leafPages = 1 << leafBits
 
-// leaf is a PageTable's bottom level: the entries of leafPages consecutive
-// pages, entry i present while bit i of present is set.
-type leaf struct {
+// leaf is a Radix's bottom level: the entries of leafPages consecutive
+// pages, entry i present while bit i of present is set. An absent entry
+// holds E's zero value, so a leaf keeps nothing a cleared entry pointed at.
+type leaf[E comparable] struct {
 	present uint16
-	pte     [leafPages]PTE
+	e       [leafPages]E
 }
 
 // slot is one top-level entry: the leaf for pages [key<<leafBits,
 // (key+1)<<leafBits).
-type slot struct {
+type slot[E comparable] struct {
 	key VPN
-	l   *leaf
+	l   *leaf[E]
+}
+
+// Radix maps virtual pages to entries of type E: the one structure for
+// per-page state, holding a kernel's page-table replica (PageTable) and an
+// origin's directory. The zero value is an empty table, and an empty table
+// allocates nothing.
+//
+// It is a two-level radix: leaves of leafPages entries under a top level
+// sorted by key, searched by binary search behind a one-slot hint, and
+// walked in page order (All, Drain). Only an unmap (ClearRange) frees a
+// leaf, as Linux frees page tables only in free_pgtables; the table keeps
+// one emptied leaf as the spare its next new leaf reuses, so a map/unmap
+// loop at rising addresses allocates no leaves once warm.
+type Radix[E comparable] struct {
+	top []slot[E]
+	// hint is the slot the last search found; a leaf the table frees
+	// leaves it.
+	hint  slot[E]
+	spare *leaf[E]
 }
 
 // PageTable maps virtual pages to frames for one address-space replica on
 // one kernel. Page tables are per-kernel in the replicated design: each
-// kernel installs only the mappings its local threads have faulted in. The
-// zero value is an empty table, and an empty table allocates nothing.
-//
-// The table is a two-level radix: leaves of leafPages entries under a top
-// level sorted by key, searched by binary search behind a one-slot hint.
-// Only an unmap (ClearRange) frees a leaf, as Linux frees page tables only
-// in free_pgtables; the table keeps one emptied leaf as the spare its next
-// new leaf reuses, so a map/unmap loop at rising addresses allocates no
-// leaves once warm.
+// kernel installs only the mappings its local threads have faulted in.
 type PageTable struct {
-	top []slot
-	// hint is the slot the last search found; a leaf the table frees
-	// leaves it.
-	hint  slot
-	spare *leaf
+	Radix[PTE]
 }
 
 // search returns the index of the first slot of top whose key is not below
@@ -222,7 +245,7 @@ type PageTable struct {
 // branching, so a scattered lookup costs no mispredictions. Keys are page
 // numbers shifted right by leafBits, below 1<<60, so their difference never
 // overflows and its sign bit says which is lower.
-func search(top []slot, key VPN) int {
+func search[E comparable](top []slot[E], key VPN) int {
 	base, n := 0, len(top)
 	if n == 0 {
 		return 0
@@ -241,19 +264,19 @@ func search(top []slot, key VPN) int {
 
 // leafOf returns the leaf with key, or nil. The hint's leaf costs no
 // search.
-func (pt *PageTable) leafOf(key VPN) *leaf {
-	if pt.hint.key == key && pt.hint.l != nil {
-		return pt.hint.l
+func (r *Radix[E]) leafOf(key VPN) *leaf[E] {
+	if r.hint.key == key && r.hint.l != nil {
+		return r.hint.l
 	}
-	return pt.searchLeaf(key)
+	return r.searchLeaf(key)
 }
 
 // searchLeaf is leafOf past the hint: a binary search, which moves the
 // hint to what it finds.
-func (pt *PageTable) searchLeaf(key VPN) *leaf {
-	if i := search(pt.top, key); i < len(pt.top) && pt.top[i].key == key {
-		pt.hint = pt.top[i]
-		return pt.hint.l
+func (r *Radix[E]) searchLeaf(key VPN) *leaf[E] {
+	if i := search(r.top, key); i < len(r.top) && r.top[i].key == key {
+		r.hint = r.top[i]
+		return r.hint.l
 	}
 	return nil
 }
@@ -273,48 +296,56 @@ func rangeBits(k, lo, hi VPN) uint16 {
 }
 
 // Lookup returns the entry for the page, if present.
-func (pt *PageTable) Lookup(v VPN) (PTE, bool) {
-	if e := pt.entry(v); e != nil {
+func (r *Radix[E]) Lookup(v VPN) (E, bool) {
+	if e := r.entry(v); e != nil {
 		return *e, true
 	}
-	return PTE{}, false
+	var zero E
+	return zero, false
 }
 
-// entry returns the page's entry in its leaf, nil if absent. Lookup copies
-// out of it in its caller's frame.
-func (pt *PageTable) entry(v VPN) *PTE {
-	l, b := pt.leafOf(v>>leafBits), v&(leafPages-1)
+// entry returns the page's entry in its leaf, nil if absent. It tests the
+// hint itself rather than through leafOf: an instance's methods are too
+// large for the compiler to inline into one another, so a hit costs this
+// one call.
+func (r *Radix[E]) entry(v VPN) *E {
+	l, b := r.hint.l, v&(leafPages-1)
+	if r.hint.key != v>>leafBits || l == nil {
+		l = r.searchLeaf(v >> leafBits)
+	}
 	if l == nil || l.present&(1<<b) == 0 {
 		return nil
 	}
-	return &l.pte[b]
+	return &l.e[b]
 }
 
 // Set installs or replaces the entry for the page.
-func (pt *PageTable) Set(v VPN, e PTE) {
-	l := pt.leafOf(v >> leafBits)
+func (r *Radix[E]) Set(v VPN, e E) {
+	l := r.leafOf(v >> leafBits)
 	if l == nil {
-		if l = pt.spare; l == nil {
-			l = new(leaf)
+		if l = r.spare; l == nil {
+			l = new(leaf[E])
 		}
-		pt.spare = nil
-		pt.hint = slot{key: v >> leafBits, l: l}
-		pt.top = slices.Insert(pt.top, search(pt.top, pt.hint.key), pt.hint)
+		r.spare = nil
+		r.hint = slot[E]{key: v >> leafBits, l: l}
+		r.top = slices.Insert(r.top, search(r.top, r.hint.key), r.hint)
 	}
 	b := v & (leafPages - 1)
 	l.present |= 1 << b
-	l.pte[b] = e
+	l.e[b] = e
 }
 
 // Clear removes the entry for the page, reporting whether one existed. It
 // is an invalidation, not an unmap: the page's leaf stays for its next
 // install.
-func (pt *PageTable) Clear(v VPN) bool {
-	l, bit := pt.leafOf(v>>leafBits), uint16(1)<<(v&(leafPages-1))
-	if l == nil || l.present&bit == 0 {
+func (r *Radix[E]) Clear(v VPN) bool {
+	l, b := r.leafOf(v>>leafBits), v&(leafPages-1)
+	if l == nil || l.present&(1<<b) == 0 {
 		return false
 	}
-	l.present &^= bit
+	l.present &^= 1 << b
+	var zero E
+	l.e[b] = zero
 	return true
 }
 
@@ -322,37 +353,119 @@ func (pt *PageTable) Clear(v VPN) bool {
 // cleared entries to dst in page order, returning the extended slice (the
 // caller frees frames / initiates shootdowns). A dst with room allocates
 // nothing. A leaf left empty is freed, or kept as the spare.
-func (pt *PageTable) ClearRange(dst []PTE, lo, hi VPN) []PTE {
+func (r *Radix[E]) ClearRange(dst []E, lo, hi VPN) []E {
+	return r.clearRange(dst, true, lo, hi)
+}
+
+// DeleteRange is ClearRange for a caller that wants nothing back: it
+// removes the entries of [lo, hi) and allocates nothing.
+func (r *Radix[E]) DeleteRange(lo, hi VPN) { r.clearRange(nil, false, lo, hi) }
+
+// clearRange removes the entries of [lo, hi), appending them to dst if keep.
+func (r *Radix[E]) clearRange(dst []E, keep bool, lo, hi VPN) []E {
 	if lo >= hi {
 		return dst
 	}
-	first := search(pt.top, lo>>leafBits)
+	var zero E
+	first := search(r.top, lo>>leafBits)
 	last := (hi - 1) >> leafBits
 	i, kept := first, first
-	for ; i < len(pt.top) && pt.top[i].key <= last; i++ {
-		s := pt.top[i]
+	for ; i < len(r.top) && r.top[i].key <= last; i++ {
+		s := r.top[i]
 		m := s.l.present & rangeBits(s.key, lo, hi)
 		for b := m; b != 0; b &= b - 1 {
-			dst = append(dst, s.l.pte[bits.TrailingZeros16(b)])
+			j := bits.TrailingZeros16(b)
+			if keep {
+				dst = append(dst, s.l.e[j])
+			}
+			s.l.e[j] = zero
 		}
 		if s.l.present &^= m; s.l.present == 0 {
-			if pt.hint.l == s.l {
-				pt.hint = slot{}
+			if r.hint.l == s.l {
+				r.hint = slot[E]{}
 			}
-			if pt.spare == nil {
-				pt.spare = s.l
+			if r.spare == nil {
+				r.spare = s.l
 			}
 			continue
 		}
-		pt.top[kept] = s
+		r.top[kept] = s
 		kept++
 	}
 	if kept < i {
-		n := copy(pt.top[kept:], pt.top[i:])
-		clear(pt.top[kept+n:])
-		pt.top = pt.top[:kept+n]
+		n := copy(r.top[kept:], r.top[i:])
+		clear(r.top[kept+n:])
+		r.top = r.top[:kept+n]
 	}
 	return dst
+}
+
+// All yields the table's entries in page order (`for v, e := range
+// r.All`), allocating nothing. The loop body must not change the table: a
+// walk that blocks or writes while it goes copies what it needs first.
+func (r *Radix[E]) All(yield func(VPN, E) bool) {
+	for _, s := range r.top {
+		for b := s.l.present; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros16(b)
+			if !yield(s.key<<leafBits|VPN(i), s.l.e[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Drain empties the table and yields its entries in page order, for
+// teardown walks (`for v, e := range r.Drain`): the order frames go back
+// decides which frame numbers later allocations get. It detaches the
+// leaves before the walk and allocates nothing. The loop body may block or
+// Set into the table: the walk yields exactly the entries the table held
+// when it began, and no detached leaf is ever reused. A loop that stops
+// early drops the rest.
+func (r *Radix[E]) Drain(yield func(VPN, E) bool) {
+	top := r.top
+	r.top, r.hint = nil, slot[E]{}
+	for _, s := range top {
+		for b := s.l.present; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros16(b)
+			if !yield(s.key<<leafBits|VPN(i), s.l.e[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Check reports the first broken invariant of the radix's shape, or nil:
+// the top level strictly ascending, the hint one of its
+// slots or empty, and the spare, if any, empty, zeroed and not in it.
+func (r *Radix[E]) Check() error {
+	if r.hint.l != nil && !slices.Contains(r.top, r.hint) {
+		return fmt.Errorf("mem: hint %+v names no slot of the top level", r.hint)
+	}
+	for i, s := range r.top {
+		if i > 0 && r.top[i-1].key >= s.key {
+			return fmt.Errorf("mem: top level out of order at %d: %d after %d", i, s.key, r.top[i-1].key)
+		}
+		if s.l == r.spare {
+			return fmt.Errorf("mem: the spare leaf is also slot %d", i)
+		}
+	}
+	if r.spare != nil && *r.spare != (leaf[E]{}) {
+		return fmt.Errorf("mem: spare leaf is not empty and zeroed (present %016b)", r.spare.present)
+	}
+	return nil
+}
+
+// Lookup returns the entry for the page, if present. It is Radix.Lookup
+// spelled out on PTE, which the compiler inlines, so the entry is copied
+// straight out of its leaf. Through the instance's own Lookup a PTE comes
+// back in five registers, and the caller's narrow stores and wide reload
+// of it stall store forwarding: BenchmarkPageTableLookup's hint hit read
+// 15 ns that way against 5 ns inlined (2-core x86-64).
+func (pt *PageTable) Lookup(v VPN) (PTE, bool) {
+	if e := pt.entry(v); e != nil {
+		return *e, true
+	}
+	return PTE{}, false
 }
 
 // Protect strips every bit outside prot from the present entries in
@@ -368,33 +481,13 @@ func (pt *PageTable) Protect(lo, hi VPN, prot Prot) int {
 	for last := (hi - 1) >> leafBits; i < len(pt.top) && pt.top[i].key <= last; i++ {
 		s := pt.top[i]
 		for b := s.l.present & rangeBits(s.key, lo, hi); b != 0; b &= b - 1 {
-			if e := &s.l.pte[bits.TrailingZeros16(b)]; e.Prot&prot != e.Prot {
+			if e := &s.l.e[bits.TrailingZeros16(b)]; e.Prot&prot != e.Prot {
 				e.Prot &= prot
 				n++
 			}
 		}
 	}
 	return n
-}
-
-// Drain empties the table and yields its entries in page order, for
-// teardown walks (`for v, e := range pt.Drain`): the order frames go back
-// decides which frame numbers later allocations get. It detaches the
-// leaves before the walk and allocates nothing. The loop body may block or
-// Set into the table: the walk yields exactly the entries the table held
-// when it began, and no detached leaf is ever reused. A loop that stops
-// early drops the rest.
-func (pt *PageTable) Drain(yield func(VPN, PTE) bool) {
-	top := pt.top
-	pt.top, pt.hint = nil, slot{}
-	for _, s := range top {
-		for b := s.l.present; b != 0; b &= b - 1 {
-			i := bits.TrailingZeros16(b)
-			if !yield(s.key<<leafBits|VPN(i), s.l.pte[i]) {
-				return
-			}
-		}
-	}
 }
 
 // OpKind names the kind of a word access.

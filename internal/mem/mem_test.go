@@ -237,6 +237,19 @@ func TestFrameAllocatorValidation(t *testing.T) {
 	if _, err := NewFrameAllocator(0, 0, math.MaxInt32+1); err == nil {
 		t.Error("partition past the free stack's int32 links accepted")
 	}
+	// A PTE holds a 32-bit frame and an 8-bit node: a partition past either
+	// is refused, the last one that fits is not.
+	if _, err := NewFrameAllocator(0, 64<<24, math.MaxInt32-64<<24+1); err == nil {
+		t.Error("partition past the 32-bit frame space accepted")
+	}
+	if _, err := NewFrameAllocator(MaxNodes-1, 64<<24, math.MaxInt32-64<<24); err != nil {
+		t.Errorf("the last partition that fits refused: %v", err)
+	}
+	for _, node := range []int{-1, MaxNodes} {
+		if _, err := NewFrameAllocator(node, 0, 4); err == nil {
+			t.Errorf("node %d accepted", node)
+		}
+	}
 }
 
 func TestFrameAllocatorNoDoubleAllocationProperty(t *testing.T) {
@@ -499,27 +512,6 @@ func TestRisingMapLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
-// checkShape verifies the radix's invariants: the top level strictly
-// ascending, the hint one of its slots or empty, and the spare, if any,
-// empty and not in it.
-func checkShape(t *testing.T, pt *PageTable, where string) {
-	t.Helper()
-	if pt.hint.l != nil && !slices.Contains(pt.top, pt.hint) {
-		t.Fatalf("%s: hint %+v names no slot of the top level", where, pt.hint)
-	}
-	for i, s := range pt.top {
-		if i > 0 && pt.top[i-1].key >= s.key {
-			t.Fatalf("%s: top level out of order at %d: %d after %d", where, i, s.key, pt.top[i-1].key)
-		}
-		if s.l == pt.spare {
-			t.Fatalf("%s: the spare leaf is also slot %d", where, i)
-		}
-	}
-	if pt.spare != nil && pt.spare.present != 0 {
-		t.Fatalf("%s: spare leaf holds entries %016b", where, pt.spare.present)
-	}
-}
-
 // TestPageTableModel checks random sequences of Set, Clear, ClearRange,
 // Protect and Drain against a plain map, the table's specification. Pages
 // fall in two distant regions, a heap near page 1<<28 and an mmap area
@@ -553,7 +545,7 @@ func TestPageTableModel(t *testing.T) {
 			}
 			switch op := rng.Intn(20); {
 			case op < 8:
-				e := PTE{Frame: FrameID(rng.Intn(1000)), Word: rng.Int63n(100) - 50, Prot: Prot(rng.Intn(8)), HomeNode: int32(rng.Intn(4))}
+				e := PTE{Frame: FrameID(rng.Intn(1000)), Word: rng.Int63n(100) - 50, Prot: Prot(rng.Intn(8)), HomeNode: uint8(rng.Intn(4))}
 				e.SetWriter(rng.Intn(64))
 				pt.Set(v, e)
 				model[v] = e
@@ -604,7 +596,9 @@ func TestPageTableModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Drain = %v, want %v", seed, step, got, want)
 				}
 			}
-			checkShape(t, &pt, fmt.Sprintf("seed %d step %d", seed, step))
+			if err := pt.Check(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			for _, base := range regions {
 				for u := base - leafPages; u < base+span+leafPages; u++ {
 					got, ok := pt.Lookup(u)
@@ -629,12 +623,12 @@ func BenchmarkPageTableLookup(b *testing.B) {
 			for i := 0; i < n; i++ {
 				pt.Set(base+VPN(i), PTE{Frame: FrameID(i), Prot: ProtRead})
 			}
-			var sum FrameID
+			var sum int64
 			i := 0
 			b.ResetTimer()
 			for range b.N {
 				e, _ := pt.Lookup(base + VPN(i))
-				sum += e.Frame
+				sum += int64(e.Frame)
 				i = (5*i + 1) & (n - 1)
 			}
 			if sum < 0 {
@@ -667,11 +661,15 @@ func TestPTEWriter(t *testing.T) {
 	}
 }
 
-// TestPTESize pins the entry at 24 bytes: the word and the writer fit beside
-// the frame without growing the table.
+// TestPTESize pins the entry at 16 bytes: a 32-bit frame, an 8-bit home
+// node, the protection and the writer share the word's second half, so a
+// leaf of sixteen is one allocation in Go's 288 B size class.
 func TestPTESize(t *testing.T) {
-	if got := unsafe.Sizeof(PTE{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(PTE{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(PTE{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(PTE{}) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(leaf[PTE]{}); got > 288 {
+		t.Fatalf("unsafe.Sizeof(leaf[PTE]{}) = %d, want <= 288", got)
 	}
 }
 

@@ -21,8 +21,9 @@ func TestCyclicRPCDeadlockReport(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	f := testFabric(t, e)
-	mu0 := sim.NewMutex(e).SetLabel("k0-resource")
-	mu1 := sim.NewMutex(e).SetLabel("k1-resource")
+	label0, label1 := "k0-resource", "k1-resource"
+	mu0 := sim.NewMutex(e).SetLabel(&label0)
+	mu1 := sim.NewMutex(e).SetLabel(&label1)
 	f.Endpoint(0).Handle(TypeUser, func(p *sim.Proc, m *Message) *Message {
 		mu0.Lock(p)
 		defer mu0.Unlock(p)

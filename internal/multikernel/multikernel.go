@@ -100,7 +100,7 @@ func Boot(cfg Config) (_ *OS, err error) {
 		if err != nil {
 			return nil, err
 		}
-		alloc, err := mem.NewFrameAllocator(topo.NodeOf(cores[0]), mem.FrameID(k)<<24, framesPerKernel)
+		alloc, err := mem.NewFrameAllocator(topo.NodeOf(cores[0]), int64(k)<<24, framesPerKernel)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +232,9 @@ func (d *Domain) Compute(t time.Duration) {
 }
 
 // Alloc maps `pages` fresh private pages and returns the base address.
-// Purely local: the kernel's own allocator, no cross-kernel traffic.
+// Purely local: the kernel's own allocator, no cross-kernel traffic. An
+// Alloc that runs out of frames maps nothing: it unmaps the pages it had
+// mapped and frees their frames, in page order, before it fails.
 func (d *Domain) Alloc(pages int) (mem.Addr, error) {
 	if pages <= 0 {
 		return 0, fmt.Errorf("multikernel: Alloc of %d pages", pages)
@@ -242,10 +244,14 @@ func (d *Domain) Alloc(pages int) (mem.Addr, error) {
 	for i := 0; i < pages; i++ {
 		frame, home, err := d.node.frames.AllocFrame(d.p)
 		if err != nil {
+			var buf [16]mem.PTE
+			for _, pte := range d.pt.ClearRange(buf[:0], mem.PageOf(base), mem.PageOf(base)+mem.VPN(i)) {
+				d.node.frames.FreeFrame(d.p, pte.Frame)
+			}
 			return 0, err
 		}
 		d.p.Sleep(d.os.machine.Cost.PTESet)
-		d.pt.Set(mem.PageOf(base+mem.Addr(i*hw.PageSize)), mem.PTE{Frame: frame, Prot: mem.ProtRead | mem.ProtWrite, HomeNode: int32(home)})
+		d.pt.Set(mem.PageOf(base+mem.Addr(i*hw.PageSize)), mem.PTE{Frame: frame, Prot: mem.ProtRead | mem.ProtWrite, HomeNode: uint8(home)})
 	}
 	d.nextMap += mem.Addr(pages * hw.PageSize)
 	return base, nil

@@ -2,6 +2,7 @@ package multikernel
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +214,68 @@ func TestDomainExitFreesFrames(t *testing.T) {
 	}
 	if err := os.Conserved(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedAllocMapsNothing: an Alloc that runs out of frames part way
+// gives back the frames of the pages it had mapped and leaves the bump
+// pointer where it was, so the next Alloc finds those frames free and maps
+// no page twice.
+func TestFailedAllocMapsNothing(t *testing.T) {
+	os, err := Boot(Config{Topology: hw.Topology{Cores: 8, NUMANodes: 2}, Kernels: 2, FramesPerKernel: 3})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	t.Cleanup(os.Close)
+	e := os.Engine()
+	e.Spawn("driver", func(p *sim.Proc) {
+		_, _ = os.SpawnDomain(p, 1, nil, func(d *Domain) {
+			first, err := d.Alloc(1)
+			if err != nil {
+				t.Errorf("Alloc(1): %v", err)
+				return
+			}
+			if _, err := d.Alloc(3); err == nil {
+				t.Error("Alloc of 3 pages succeeded with 2 frames free")
+				return
+			}
+			if inUse := os.nodes[1].frames.Allocator().InUse(); inUse != 1 {
+				t.Errorf("%d frames in use after the failed Alloc, want 1", inUse)
+			}
+			second, err := d.Alloc(2)
+			if err != nil {
+				t.Errorf("Alloc(2) after the failed Alloc: %v", err)
+				return
+			}
+			if second != first+hw.PageSize {
+				t.Errorf("Alloc(2) mapped at %#x, want %#x right after the first page", uint64(second), uint64(first+hw.PageSize))
+			}
+			if err := d.Free(first, 3); err != nil {
+				t.Errorf("Free of all three pages: %v", err)
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := os.Conserved(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBootRejectsMachineBeyondPTE: a PTE holds a 32-bit frame number and an
+// 8-bit NUMA node; boot refuses a machine past either.
+func TestBootRejectsMachineBeyondPTE(t *testing.T) {
+	for _, cfg := range []Config{
+		{Topology: hw.Topology{Cores: 8, NUMANodes: 2}, Kernels: 2, FramesPerKernel: 1<<31 - 1},
+		{Topology: hw.Topology{Cores: 512, NUMANodes: 512}, Kernels: 2},
+	} {
+		if os, err := Boot(cfg); err == nil || !strings.Contains(err.Error(), "fit") {
+			t.Errorf("Boot(%+v) = %v, want a refusal", cfg, err)
+			if err == nil {
+				os.Close()
+			}
+		}
 	}
 }
 

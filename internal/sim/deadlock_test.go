@@ -12,8 +12,8 @@ import (
 func TestDeadlockReportABBA(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	muA := NewMutex(e).SetLabel("res-A")
-	muB := NewMutex(e).SetLabel("res-B")
+	muA := NewMutex(e).SetLabel(labelOf("res-A"))
+	muB := NewMutex(e).SetLabel(labelOf("res-B"))
 	e.Spawn("p-ab", func(p *Proc) {
 		muA.Lock(p)
 		p.Sleep(time.Millisecond)
@@ -69,7 +69,7 @@ func TestDeadlockReportABBA(t *testing.T) {
 func TestDeadlockReportListsEveryLiveProc(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	mu := NewMutex(e).SetLabel("held-forever")
+	mu := NewMutex(e).SetLabel(labelOf("held-forever"))
 	e.Spawn("idle", func(p *Proc) {
 		p.Suspend() // waiting for work that never comes
 	})

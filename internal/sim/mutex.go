@@ -101,11 +101,13 @@ func (q *waitq) grant() *Proc {
 }
 
 // Mutex is a simulated mutual-exclusion lock with FIFO handoff: its label,
-// its owner and its queue, 48 bytes. Waiting for it allocates nothing (see
+// its owner and its queue, 40 bytes. Waiting for it allocates nothing (see
 // waitq). The zero value is an unlocked mutex: it works on whichever engine
 // runs the process that locks it, so a record can hold one by value.
 type Mutex struct {
-	label string
+	// label points at the mutex's name: records made per page share one
+	// string rather than each carrying a copy of its header.
+	label *string
 	owner *Proc
 	q     waitq
 }
@@ -115,9 +117,19 @@ type Mutex struct {
 func NewMutex(Engine) *Mutex { return &Mutex{} }
 
 // SetLabel names the mutex for deadlock reports and returns it (chainable).
-func (m *Mutex) SetLabel(s string) *Mutex {
-	m.label = s
+// The mutex keeps the pointer, not a copy, and allocates nothing: a lock
+// class declares its name once and every mutex of the class points at it.
+func (m *Mutex) SetLabel(label *string) *Mutex {
+	m.label = label
 	return m
+}
+
+// name returns the mutex's label, empty if it has none.
+func (m *Mutex) name() string {
+	if m.label == nil {
+		return ""
+	}
+	return *m.label
 }
 
 func (m *Mutex) holder() *Proc { return m.owner }
@@ -130,7 +142,7 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic("sim: recursive Mutex.Lock by owner " + p.name)
 	}
-	p.e.wait(&m.q, p, "mutex", m.label, m)
+	p.e.wait(&m.q, p, "mutex", m.name(), m)
 	p.park()
 	p.e.granted(p, m)
 }

@@ -6,11 +6,26 @@ import (
 	"unsafe"
 )
 
+// labelOf returns a fresh label for SetLabel, which keeps the pointer.
+func labelOf(s string) *string { return &s }
+
 // TestMutexSize pins a Mutex at its label, owner and queue: records made per
-// page hold one by value, so it carries no counters.
+// page hold one by value, so it carries no counters and points at its label
+// instead of holding a string header.
 func TestMutexSize(t *testing.T) {
-	if got := unsafe.Sizeof(Mutex{}); got > 48 {
-		t.Fatalf("unsafe.Sizeof(Mutex{}) = %d, want <= 48", got)
+	if got := unsafe.Sizeof(Mutex{}); got > 40 {
+		t.Fatalf("unsafe.Sizeof(Mutex{}) = %d, want <= 40", got)
+	}
+}
+
+// TestSetLabelAllocatesNothing: a label is held by reference, so naming a
+// mutex (once per first-touched page's directory entry, per futex bucket)
+// copies nothing.
+func TestSetLabelAllocatesNothing(t *testing.T) {
+	label := "per-page"
+	var mu Mutex
+	if allocs := testing.AllocsPerRun(100, func() { mu.SetLabel(&label) }); allocs != 0 {
+		t.Fatalf("SetLabel allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -55,7 +70,7 @@ func TestMutexExcludesAndHandsOffFIFO(t *testing.T) {
 func TestMutexZeroValueIsUsable(t *testing.T) {
 	e := NewEngine()
 	var rec struct{ mu Mutex }
-	rec.mu.SetLabel("by-value")
+	rec.mu.SetLabel(labelOf("by-value"))
 	const hold = 5 * time.Microsecond
 	for i := 0; i < 3; i++ {
 		e.Spawn("worker", func(p *Proc) {

@@ -178,7 +178,7 @@ func runFor(t *testing.T, e Engine, d time.Duration) {
 func TestMutexWaiterKilledWhileQueued(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	mu := NewMutex(e).SetLabel("lost")
+	mu := NewMutex(e).SetLabel(labelOf("lost"))
 	e.Spawn("holder", func(p *Proc) {
 		mu.Lock(p)
 		p.Sleep(10 * time.Microsecond)

@@ -77,6 +77,9 @@ type futexKey struct {
 
 var _ osi.OS = (*OS)(nil)
 
+// futexBucketLabel names every futex bucket lock in deadlock reports.
+var futexBucketLabel = "smp.futex.bucket"
+
 // Boot brings up the SMP system.
 func Boot(cfg Config) (_ *OS, err error) {
 	topo := cfg.Topology
@@ -124,14 +127,14 @@ func Boot(cfg Config) (_ *OS, err error) {
 		futexQueues: make(map[futexKey]*futex.Queue[*Thread]),
 	}
 	for n := 0; n < topo.NUMANodes; n++ {
-		alloc, err := mem.NewFrameAllocator(n, mem.FrameID(n)<<24, framesPerNode)
+		alloc, err := mem.NewFrameAllocator(n, int64(n)<<24, framesPerNode)
 		if err != nil {
 			return nil, err
 		}
 		os.zones = append(os.zones, kernel.NewLockedFrames(e, machine, alloc, false, topo.CoresPerNode()))
 	}
 	for i := range os.futexes {
-		os.futexes[i].SetLabel("smp.futex.bucket")
+		os.futexes[i].SetLabel(&futexBucketLabel)
 	}
 	return os, nil
 }

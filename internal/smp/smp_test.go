@@ -42,6 +42,22 @@ func TestBoot(t *testing.T) {
 	}
 }
 
+// TestBootRejectsMachineBeyondPTE: a PTE holds a 32-bit frame number and an
+// 8-bit NUMA node; boot refuses a machine whose zones go past either.
+func TestBootRejectsMachineBeyondPTE(t *testing.T) {
+	for _, cfg := range []Config{
+		{Topology: hw.Topology{Cores: 8, NUMANodes: 2}, FramesPerNode: 1<<31 - 1},
+		{Topology: hw.Topology{Cores: 256, NUMANodes: 256}},
+	} {
+		if o, err := Boot(cfg); err == nil || !strings.Contains(err.Error(), "do not fit") {
+			t.Errorf("Boot(%+v) = %v, want a refusal", cfg, err)
+			if err == nil {
+				o.Close()
+			}
+		}
+	}
+}
+
 func TestMapStoreLoad(t *testing.T) {
 	os := boot(t)
 	drive(t, os, func(p *sim.Proc) {

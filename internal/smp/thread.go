@@ -213,7 +213,7 @@ func (t *Thread) fault(vpn mem.VPN, write, present bool) error {
 		o.zones[home].DropFrame(frame)
 		return nil
 	}
-	mm.pt.Set(vpn, mem.PTE{Frame: frame, Prot: area.Prot, HomeNode: int32(home)})
+	mm.pt.Set(vpn, mem.PTE{Frame: frame, Prot: area.Prot, HomeNode: uint8(home)})
 	return nil
 }
 

@@ -137,7 +137,7 @@ func (s *Service) WaitMembers(p *sim.Proc, gid vm.GID, n int) error {
 // PID/GID counters keep counting so IDs stay unique across incarnations.
 func (s *Service) Reboot() {
 	s.groups = make(map[vm.GID]*group)
-	s.tasklist = sim.NewMutex(s.e).SetLabel(fmt.Sprintf("tg.tasklist.k%d", s.node))
+	s.tasklist = sim.NewMutex(s.e).SetLabel(&s.tasklistLabel)
 	s.dummies = s.cfg.DummyPool
 	s.setupPending = make(map[vm.GID]*sim.Cond)
 	s.orphanSignals = make(map[task.ID][]int)

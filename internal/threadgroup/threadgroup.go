@@ -123,8 +123,11 @@ type Service struct {
 	// tasklist serialises task creation/teardown on this kernel — the
 	// per-kernel analogue of SMP Linux's global tasklist_lock.
 	tasklist *sim.Mutex
-	nextPID  int64
-	nextGID  int64
+	// tasklistLabel is the tasklist mutex's name, which it holds by
+	// reference; a reboot's new mutex points at the same string.
+	tasklistLabel string
+	nextPID       int64
+	nextGID       int64
 	// dummies is the current dummy-thread pool depth.
 	dummies int
 	// refillName names every dummy-refill process, formatted at the first
@@ -165,13 +168,14 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 		metrics:       metrics,
 		cfg:           cfg,
 		groups:        make(map[vm.GID]*group),
-		tasklist:      sim.NewMutex(e).SetLabel(fmt.Sprintf("tg.tasklist.k%d", node)),
+		tasklistLabel: fmt.Sprintf("tg.tasklist.k%d", node),
 		dummies:       cfg.DummyPool,
 		setupPending:  make(map[vm.GID]*sim.Cond),
 		orphanSignals: make(map[task.ID][]int),
 		sigWaiters:    make(map[task.ID]*sim.Proc),
 		gmirrors:      make(map[vm.GID]*groupRepl),
 	}
+	s.tasklist = sim.NewMutex(e).SetLabel(&s.tasklistLabel)
 	threadCreate.Handle(s.ep, s.handleThreadCreate)
 	groupReplicate.Handle(s.ep, s.handleGroupReplicate)
 	originHandover.Handle(s.ep, s.handleOriginHandover)

@@ -50,7 +50,7 @@ func newEnv(t *testing.T, kernels int, cfg Config) *env {
 	}
 	ev := &env{e: e, fabric: fabric}
 	for k := 0; k < kernels; k++ {
-		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), mem.FrameID(k*1<<20), 256)
+		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), int64(k)<<20, 256)
 		ev.allocs = append(ev.allocs, alloc)
 		ev.vms = append(ev.vms, vm.NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, 2, stats.NewRegistry()))
 	}

@@ -33,11 +33,11 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 		*g = pageGrant{Err: err}
 		return nil
 	}
-	de, ok := sp.dir[vpn]
+	de, ok := sp.dir.Lookup(vpn)
 	if !ok {
 		de = &dirEntry{}
-		de.mu.SetLabel("vm.dir-entry")
-		sp.dir[vpn] = de
+		de.mu.SetLabel(&dirEntryLabel)
+		sp.dir.Set(vpn, de)
 	}
 	de.mu.Lock(p)
 	defer de.mu.Unlock(p)
@@ -52,8 +52,7 @@ func (sp *Space) dirTransaction(p *sim.Proc, req msg.NodeID, vpn mem.VPN, write,
 			sp.svc.metrics.Counter("vm.dir.desync_repaired").Inc()
 		}
 	}
-	de.version++
-	ver := de.version
+	ver := de.nextVersion()
 	// Every locked directory transaction is one protocol-relative commit for
 	// the fault plane's origin-crash triggers (a nil check when no plan).
 	sp.svc.fabric.RecordDirCommit(sp.svc.node)
@@ -120,7 +119,7 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		}
 		if write {
 			de.state = pageModified
-			de.owner = req
+			de.setOwner(req)
 			*g = pageGrant{Value: de.value, Src: src, Prot: exclusiveProt, Version: ver}
 			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
@@ -145,7 +144,7 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		// exclusive.
 		sp.revokeCopies(p, de.sharers, req, vpn, false, ver)
 		de.state = pageModified
-		de.owner = req
+		de.setOwner(req)
 		de.sharers = 0
 		src := int(sp.origin)
 		if isSharer {
@@ -155,7 +154,7 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 		return grantRec{exclusive: true, fresh: !isSharer, value: de.value}, nil
 
 	case pageModified:
-		if de.owner == req {
+		if de.owner() == req {
 			if noCopy {
 				// The recorded owner disclaims its exclusive copy. A promoted
 				// directory can be ahead of the owner's page table this way:
@@ -171,7 +170,7 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 				de.state = pageShared
 				de.sharers = 0
 				de.sharers.add(req)
-				de.owner = 0
+				de.setOwner(0)
 				*g = pageGrant{Value: de.value, Src: int(sp.origin), Prot: sharedProt, Version: ver}
 				return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 			}
@@ -180,13 +179,13 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			*g = pageGrant{Src: srcHaveCopy, Prot: exclusiveProt, Version: ver}
 			return grantRec{exclusive: true}, nil
 		}
-		old := de.owner
+		old := de.owner()
 		ack := sp.revokeOwner(p, old, vpn, !write, ver)
 		if ack.HadCopy {
 			de.value = ack.Value
 		}
 		if write {
-			de.owner = req
+			de.setOwner(req)
 			*g = pageGrant{Value: de.value, Src: int(old), Prot: exclusiveProt, Version: ver}
 			return grantRec{exclusive: true, fresh: true, value: de.value}, nil
 		}
@@ -197,7 +196,7 @@ func (sp *Space) dirApply(p *sim.Proc, req msg.NodeID, vpn mem.VPN, de *dirEntry
 			// The old owner kept a downgraded read copy.
 			de.sharers.add(old)
 		}
-		de.owner = 0
+		de.setOwner(0)
 		*g = pageGrant{Value: de.value, Src: int(old), Prot: sharedProt, Version: ver}
 		return grantRec{exclusive: false, fresh: true, value: de.value}, nil
 	}

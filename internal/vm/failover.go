@@ -15,8 +15,6 @@ package vm
 // the failed-over groups).
 
 import (
-	"slices"
-
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -74,7 +72,7 @@ type dirRepl struct {
 // directory and layout state to rebuild an authoritative Space if the
 // origin dies.
 type dirMirror struct {
-	entries map[mem.VPN]dirState
+	entries mem.Radix[dirState]
 	layout  Layout
 }
 
@@ -123,7 +121,7 @@ func (sp *Space) shipLayout(p *sim.Proc, u vmaUpdate) {
 // mirrored value backwards.
 func (s *Service) shipSurrender(p *sim.Proc, gid GID, vpn mem.VPN, val int64, ver uint64) {
 	succ := s.fabric.Successor(s.fabric.OriginHolder(OriginKernelOf(gid)))
-	rep := dirRepl{Kind: replValue, GID: gid, VPN: vpn, Entry: dirState{value: val, version: ver}}
+	rep := dirRepl{Kind: replValue, GID: gid, VPN: vpn, Entry: dirState{value: val, version: uint32(ver)}}
 	s.metrics.Counter("dir.failover.preserved").Inc()
 	if succ == s.node {
 		// The revokee is the mirror host itself; patch in place.
@@ -147,15 +145,15 @@ func (s *Service) handleDirReplicate(_ *sim.Proc, _ msg.NodeID, rep *dirRepl) st
 func (s *Service) applyRepl(rep *dirRepl) {
 	mir, ok := s.mirrors[rep.GID]
 	if !ok {
-		mir = &dirMirror{entries: make(map[mem.VPN]dirState), layout: NewLayout()}
+		mir = &dirMirror{layout: NewLayout()}
 		s.mirrors[rep.GID] = mir
 	}
 	switch rep.Kind {
 	case replEntry:
-		if old, dup := mir.entries[rep.VPN]; dup && rep.Entry.version <= old.version {
+		if old, dup := mir.entries.Lookup(rep.VPN); dup && rep.Entry.version <= old.version {
 			break // fault-plan duplicate of an already-applied record
 		}
-		mir.entries[rep.VPN] = rep.Entry
+		mir.entries.Set(rep.VPN, rep.Entry)
 	case replLayout:
 		u := rep.Layout
 		if u.Version <= mir.layout.version {
@@ -163,25 +161,23 @@ func (s *Service) applyRepl(rep *dirRepl) {
 		}
 		mir.layout.vmas.apply(u)
 		if u.Op == OpUnmap {
-			for v := u.Lo; v < u.Hi; v++ {
-				delete(mir.entries, v)
-			}
+			mir.entries.DeleteRange(u.Lo, u.Hi)
 		}
 		mir.layout.version, mir.layout.nextMap, mir.layout.brk = u.Version, rep.NextMap, rep.Brk
 	case replValue:
 		// Patch the value, leaving state/owner/version alone: the origin's
 		// own replEntry for the same transaction (same version) must still
 		// apply over this if the origin survives to ship it.
-		st, ok := mir.entries[rep.VPN]
+		st, ok := mir.entries.Lookup(rep.VPN)
 		switch {
 		case !ok:
 			// No entry was ever shipped (possible only if the grant that made
 			// the revokee owner raced a successor change): keep the value as
 			// a reclaimed-style entry so promotion transfers it.
-			mir.entries[rep.VPN] = dirState{state: pageUnmapped, reclaimed: true, value: rep.Entry.value}
+			mir.entries.Set(rep.VPN, dirState{state: pageUnmapped, reclaimed: true, value: rep.Entry.value})
 		case rep.Entry.version > st.version:
 			st.value = rep.Entry.value
-			mir.entries[rep.VPN] = st
+			mir.entries.Set(rep.VPN, st)
 		}
 	}
 	s.metrics.Counter("dir.failover.applied").Inc()
@@ -215,15 +211,10 @@ func (s *Service) Promote(gid GID, dead msg.NodeID) {
 	// above: nothing else can reach them.
 	sp.layout = mir.layout
 	sp.layout.version = version
-	vpns := make([]mem.VPN, 0, len(mir.entries))
-	for vpn := range mir.entries {
-		vpns = append(vpns, vpn)
-	}
-	slices.Sort(vpns)
-	for _, vpn := range vpns {
-		de := &dirEntry{dirState: mir.entries[vpn]}
-		de.mu.SetLabel("vm.dir-entry")
-		de.version++
+	for vpn, st := range mir.entries.All {
+		de := &dirEntry{dirState: st}
+		de.mu.SetLabel(&dirEntryLabel)
+		de.nextVersion()
 		// Purge the dead kernel from the entry here, keeping the directory's
 		// last written-back value: the promoted grant path re-faults it from
 		// the home node, which is exactly the data loss the replication log
@@ -233,7 +224,7 @@ func (s *Service) Promote(gid GID, dead msg.NodeID) {
 		if de.loseCopies(dead) {
 			s.metrics.Counter("dir.failover.ownerlost").Inc()
 		}
-		sp.dir[vpn] = de
+		sp.dir.Set(vpn, de)
 	}
 }
 

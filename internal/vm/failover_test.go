@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -92,9 +91,9 @@ func TestPromotedOriginServesMirroredState(t *testing.T) {
 func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	ev := newEnv(t, 2, 64)
 	s := ev.svcs[1]
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, owner: 2, value: 16, version: 5}})
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, own: 2, value: 16, version: 5}})
 	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, VPN: 100, Entry: dirState{value: 17, version: 6}})
-	me := s.mirrors[7].entries[100]
+	me, _ := s.mirrors[7].entries.Lookup(100)
 	if me.value != 17 {
 		t.Errorf("patched value = %d, want 17", me.value)
 	}
@@ -103,13 +102,13 @@ func TestMirrorValuePatchVersionGuard(t *testing.T) {
 	}
 	// The origin survived to ship the transaction's own entry snapshot: it
 	// must still apply over the patch.
-	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, owner: 3, value: 17, version: 6}})
-	if me = s.mirrors[7].entries[100]; me.owner != 3 || me.version != 6 {
-		t.Errorf("same-version replEntry skipped after patch: owner %d version %d", me.owner, me.version)
+	s.applyRepl(&dirRepl{Kind: replEntry, GID: 7, VPN: 100, Entry: dirState{state: pageModified, own: 3, value: 17, version: 6}})
+	if me, _ = s.mirrors[7].entries.Lookup(100); me.owner() != 3 || me.version != 6 {
+		t.Errorf("same-version replEntry skipped after patch: owner %d version %d", me.owner(), me.version)
 	}
 	// A duplicated patch (version no longer newer) is a no-op.
 	s.applyRepl(&dirRepl{Kind: replValue, GID: 7, VPN: 100, Entry: dirState{value: 16, version: 6}})
-	if me = s.mirrors[7].entries[100]; me.value != 17 {
+	if me, _ = s.mirrors[7].entries.Lookup(100); me.value != 17 {
 		t.Errorf("stale duplicate patch rolled value back to %d", me.value)
 	}
 }
@@ -133,16 +132,17 @@ func TestSurrenderedValueDurableBeforeAck(t *testing.T) {
 			t.Fatalf("Store at k2: %v", err)
 		}
 		vpn := mem.PageOf(addr)
-		mver := ev.svcs[1].mirrors[1].entries[vpn].version
+		mst, _ := ev.svcs[1].mirrors[1].entries.Lookup(vpn)
+		mver := uint64(mst.version)
 		// The origin's revocation arrives at the owner, but the origin dies
 		// with the ack in flight: its replEntry for this transaction never
 		// ships. Deliver the invalidation directly to the owner's handler.
 		ev.svcs[2].handlePageInvalidate(p, 0, &pageInval{GID: 1, VPN: vpn, Version: mver + 1})
-		me := ev.svcs[1].mirrors[1].entries[vpn]
+		me, _ := ev.svcs[1].mirrors[1].entries.Lookup(vpn)
 		if me.value != 17 {
 			t.Fatalf("mirror value after surrender = %d, want 17 (preserved before the ack)", me.value)
 		}
-		if me.version != mver {
+		if uint64(me.version) != mver {
 			t.Errorf("surrender patch advanced mirror version %d -> %d", mver, me.version)
 		}
 		ev.promote(t, 1, 0)
@@ -209,7 +209,7 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 				if err := layoutDiff(&mir.layout, &origin.layout); err != nil {
 					t.Fatalf("after k%d %s, mirror: %v", k, st.name, err)
 				}
-				if err := dirDiff(origin, mir.entries, func(de *dirEntry) {}); err != nil {
+				if err := dirDiff(origin, mirrorStates(&mir.entries), func(de *dirEntry) {}); err != nil {
 					t.Fatalf("after k%d %s, mirror: %v", k, st.name, err)
 				}
 			}
@@ -219,12 +219,12 @@ func TestMirrorMatchesOrigin(t *testing.T) {
 		if err := layoutDiff(&promoted.layout, &origin.layout); err != nil {
 			t.Errorf("promoted: %v", err)
 		}
-		promotedDir := make(map[mem.VPN]dirState, len(promoted.dir))
-		for vpn, de := range promoted.dir {
+		promotedDir := make(map[mem.VPN]dirState)
+		for vpn, de := range promoted.dir.All {
 			promotedDir[vpn] = de.dirState
 		}
 		// Promotion takes a new entry version and purges the dead kernel.
-		if err := dirDiff(origin, promotedDir, func(de *dirEntry) { de.version++; de.loseCopies(0) }); err != nil {
+		if err := dirDiff(origin, promotedDir, func(de *dirEntry) { de.nextVersion(); de.loseCopies(0) }); err != nil {
 			t.Errorf("promoted: %v", err)
 		}
 	})
@@ -246,15 +246,26 @@ func layoutDiff(got, origin *Layout) error {
 // dirDiff reports how a copy's directory differs from the origin's, each
 // origin entry first passed through want.
 func dirDiff(origin *Space, entries map[mem.VPN]dirState, want func(de *dirEntry)) error {
-	if len(entries) != len(origin.dir) {
-		return fmt.Errorf("%d directory entries, origin %d", len(entries), len(origin.dir))
-	}
-	for _, vpn := range slices.Sorted(maps.Keys(origin.dir)) {
-		exp := &dirEntry{dirState: origin.dir[vpn].dirState}
+	n := 0
+	for vpn, de := range origin.dir.All {
+		n++
+		exp := &dirEntry{dirState: de.dirState}
 		want(exp)
 		if got, ok := entries[vpn]; !ok || !reflect.DeepEqual(got, exp.dirState) {
 			return fmt.Errorf("page %#x: %+v, want %+v", uint64(vpn.Base()), got, exp.dirState)
 		}
 	}
+	if len(entries) != n {
+		return fmt.Errorf("%d directory entries, origin %d", len(entries), n)
+	}
 	return nil
+}
+
+// mirrorStates copies a failover mirror's entries into a map.
+func mirrorStates(r *mem.Radix[dirState]) map[mem.VPN]dirState {
+	m := make(map[mem.VPN]dirState)
+	for vpn, st := range r.All {
+		m[vpn] = st
+	}
+	return m
 }

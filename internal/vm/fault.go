@@ -284,7 +284,7 @@ func (sp *Space) install(p *sim.Proc, vpn mem.VPN, g *pageGrant, pend *pendingFa
 	} else {
 		sp.svc.metrics.CounterIn(&sp.svc.hot.transfer, "vm.page.transfer").Inc()
 	}
-	pte := mem.PTE{Frame: frame, Word: g.Value, Prot: g.Prot, HomeNode: int32(home)}
+	pte := mem.PTE{Frame: frame, Word: g.Value, Prot: g.Prot, HomeNode: uint8(home)}
 	sp.pt.Set(vpn, pte)
 	res := sp.performAccess(p, vpn, pte, op)
 	p.Sleep(sp.svc.machine.Cost.PageCopyLocal + sp.svc.machine.Cost.PTESet)
@@ -440,7 +440,7 @@ func (sp *Space) Prefetch(p *sim.Proc, core int, addr mem.Addr, pages int) (int,
 			sp.svc.frames.FreeFrame(p, frame)
 			continue
 		}
-		sp.pt.Set(s.vpn, mem.PTE{Frame: frame, Word: be.Value, Prot: be.Prot, HomeNode: int32(home)})
+		sp.pt.Set(s.vpn, mem.PTE{Frame: frame, Word: be.Value, Prot: be.Prot, HomeNode: uint8(home)})
 		installed++
 	}
 	// Charge the fills once, overlapping the copies as hardware would.

@@ -9,7 +9,7 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/hw"
@@ -60,38 +60,61 @@ const (
 )
 
 // dirEntry is the origin's directory record for one page: its protocol state
-// (40 B) and its mutex (48 B) in one 96 B allocation. Every first-touched
+// (24 B) and its mutex (40 B) in one 64 B allocation. Every first-touched
 // page pays for one, so nothing else lives here: a transaction's scratch
 // comes off the Service. An entry is never recycled — the sanitizer keys
 // lock clocks by mutex identity, so a reused mutex would hand a new page the
 // old page's clock, a happens-before edge that is not there; vm tells the
-// sanitizer when it drops an entry, and the clock goes with it.
+// sanitizer when it drops an entry, and the clock goes with it. A sweep that
+// snapshotted an entry before the page was unmapped (PeerDied) locks the
+// dropped entry, which nothing else reaches any more.
 type dirEntry struct {
 	dirState
 	// mu serialises directory transactions for this page.
 	mu sim.Mutex
 }
 
+// dirEntryLabel names every directory entry's mutex in deadlock reports.
+var dirEntryLabel = "vm.dir-entry"
+
 // dirState is a directory entry's protocol state: what a transaction commits,
 // what the failover plane ships to the successor's mirror, and what a
 // promotion rebuilds the directory from.
 type dirState struct {
+	// value is the origin's record of the page contents as of the last
+	// write-back or shared grant; authoritative while state != pageModified.
+	value int64
+	// sharers holds the kernels with read copies (pageShared only).
+	sharers nodeMask
+	// version counts directory transactions on this page; grants and
+	// revocations carry it so replicas can order a late grant against the
+	// invalidation that overtook it (see pageGrant.Version). 32 bits are
+	// four billion transactions on one page; nextVersion panics past them.
+	version uint32
+	// own is the kernel holding the modified copy (pageModified only), in a
+	// byte: MaxKernels fits. See owner.
+	own   uint8
 	state pageState
 	// reclaimed marks an entry whose last copies were lost when the kernel
 	// holding them crashed; the next grant faults the directory's value back
 	// from the home node instead of zero-filling.
 	reclaimed bool
-	// owner is the kernel holding the modified copy (pageModified only).
-	owner msg.NodeID
-	// sharers holds the kernels with read copies (pageShared only).
-	sharers nodeMask
-	// value is the origin's record of the page contents as of the last
-	// write-back or shared grant; authoritative while state != pageModified.
-	value int64
-	// version counts directory transactions on this page; grants and
-	// revocations carry it so replicas can order a late grant against the
-	// invalidation that overtook it (see pageGrant.Version).
-	version uint64
+}
+
+// owner returns the kernel holding the modified copy (pageModified only).
+func (d *dirState) owner() msg.NodeID { return msg.NodeID(d.own) }
+
+// setOwner records n as the kernel holding the modified copy.
+func (d *dirState) setOwner(n msg.NodeID) { d.own = uint8(n) }
+
+// nextVersion counts one more transaction on the page and returns its
+// version.
+func (d *dirState) nextVersion() uint64 {
+	if d.version == math.MaxUint32 {
+		panic("vm: directory entry version overflows 32 bits")
+	}
+	d.version++
+	return uint64(d.version)
 }
 
 // pendingFault tracks an in-flight fault on a replica so concurrent faults
@@ -133,7 +156,9 @@ type Space struct {
 
 	// Origin-only state.
 	asLock *sim.RWMutex
-	dir    map[mem.VPN]*dirEntry
+	// dir is the page directory: one entry per page any kernel faulted in,
+	// walked in page order.
+	dir mem.Radix[*dirEntry]
 	// replicas is the set of kernels that attached a replica (origin
 	// excluded); layout updates are pushed to these.
 	replicas nodeMask
@@ -179,6 +204,12 @@ type Service struct {
 	// successor, keyed by group; Promote rebuilds an authoritative space
 	// from one when the origin dies.
 	mirrors map[GID]*dirMirror
+
+	// originGIDs and dropped are scratch: checkDirectory's sorted list of
+	// the groups this kernel is origin of, and the entries dropEntries
+	// clears for the sanitizer. Neither is kept past the call that fills it.
+	originGIDs []GID
+	dropped    []*dirEntry
 
 	// revokeFree holds the buffers a shared page's write fault fills with
 	// the kernels to revoke: one is taken per revocation and given back when
@@ -227,27 +258,27 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 // directories: every entry's sharer/owner bookkeeping must match its MSI
 // state. The engine runs it at quiescence (and periodically when enabled),
 // catching protocol bugs at the virtual instant they corrupt the model. It
-// allocates nothing while the directories are consistent.
-//
-//popcornvet:allow detorder keeps the failing entry with the smallest (group, page), which is the same entry in any visiting order; a sorted copy would allocate at every quiescence
+// reports the failing entry with the smallest (group, page): groups in
+// ascending order off the Service's scratch list, each directory in page
+// order. Once the list has grown it allocates nothing while the directories
+// are consistent.
 func (s *Service) checkDirectory() error {
-	var first error
-	var firstGID GID
-	var firstVPN mem.VPN
+	gids := s.originGIDs[:0]
 	for gid, sp := range s.spaces {
-		if !sp.isOrigin {
-			continue
+		if sp.isOrigin {
+			gids = append(gids, gid)
 		}
-		for vpn, de := range sp.dir {
-			if first != nil && (gid > firstGID || gid == firstGID && vpn > firstVPN) {
-				continue
-			}
+	}
+	slices.Sort(gids)
+	s.originGIDs = gids
+	for _, gid := range gids {
+		for vpn, de := range s.spaces[gid].dir.All {
 			if err := s.checkEntry(gid, vpn, de); err != nil {
-				first, firstGID, firstVPN = err, gid, vpn
+				return err
 			}
 		}
 	}
-	return first
+	return nil
 }
 
 // checkEntry reports how one directory entry's bookkeeping contradicts its
@@ -264,10 +295,10 @@ func (s *Service) checkEntry(gid GID, vpn mem.VPN, de *dirEntry) error {
 		}
 	case pageModified:
 		if de.sharers != 0 {
-			return fmt.Errorf("vm: group %d page %#x modified (owner k%d) but has %d read sharers", gid, uint64(vpn.Base()), de.owner, de.sharers.len())
+			return fmt.Errorf("vm: group %d page %#x modified (owner k%d) but has %d read sharers", gid, uint64(vpn.Base()), de.owner(), de.sharers.len())
 		}
-		if int(de.owner) < 0 || int(de.owner) >= s.fabric.Nodes() {
-			return fmt.Errorf("vm: group %d page %#x owned by unknown kernel %d", gid, uint64(vpn.Base()), de.owner)
+		if int(de.owner()) >= s.fabric.Nodes() {
+			return fmt.Errorf("vm: group %d page %#x owned by unknown kernel %d", gid, uint64(vpn.Base()), de.owner())
 		}
 	default:
 		return fmt.Errorf("vm: group %d page %#x in impossible state %d", gid, uint64(vpn.Base()), de.state)
@@ -344,7 +375,7 @@ func (s *Service) makeOrigin(gid GID) *Space {
 	}
 	sp.origin, sp.isOrigin = s.node, true
 	sp.asLock = sim.NewRWMutex(s.e).SetLabel(fmt.Sprintf("vm.asLock.g%d", gid))
-	sp.dir = make(map[mem.VPN]*dirEntry)
+	sp.dir = mem.Radix[*dirEntry]{}
 	sp.replicas = 0
 	return sp
 }
@@ -393,8 +424,8 @@ func (s *Service) Drop(p *sim.Proc, gid GID) {
 		}
 	}
 	if s.checker != nil && sp.isOrigin {
-		for _, vpn := range slices.Sorted(maps.Keys(sp.dir)) {
-			s.checker.LockRetired(&sp.dir[vpn].mu)
+		for _, de := range sp.dir.All {
+			s.checker.LockRetired(&de.mu)
 		}
 		s.checker.LockRetired(sp.asLock)
 	}
@@ -404,15 +435,16 @@ func (s *Service) Drop(p *sim.Proc, gid GID) {
 // dropEntries deletes the directory entries of [lo, hi), the origin's pages
 // an unmap removed; the sanitizer forgets their lock clocks with them.
 func (sp *Space) dropEntries(lo, hi mem.VPN) {
-	c := sp.svc.checker
-	for v := lo; v < hi; v++ {
-		if c != nil {
-			if de, ok := sp.dir[v]; ok {
-				c.LockRetired(&de.mu)
-			}
-		}
-		delete(sp.dir, v)
+	s := sp.svc
+	if s.checker == nil {
+		sp.dir.DeleteRange(lo, hi)
+		return
 	}
+	s.dropped = sp.dir.ClearRange(s.dropped[:0], lo, hi)
+	for _, de := range s.dropped {
+		s.checker.LockRetired(&de.mu)
+	}
+	clear(s.dropped)
 }
 
 // Reboot discards every space this kernel hosts, for a kernel reboot after
@@ -442,15 +474,14 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 			continue
 		}
 		sp.replicas.remove(dead)
-		// Snapshot the entries: transactions racing with this sweep can add
+		// Snapshot the entries, in page order, before locking any: the sweep
+		// blocks on each entry's lock, transactions racing with it can add
 		// fresh pages, but a fresh entry cannot involve the dead kernel.
-		vpns := make([]mem.VPN, 0, len(sp.dir))
-		for vpn := range sp.dir {
-			vpns = append(vpns, vpn)
+		var snap []*dirEntry
+		for _, de := range sp.dir.All {
+			snap = append(snap, de)
 		}
-		slices.Sort(vpns)
-		for _, vpn := range vpns {
-			de := sp.dir[vpn]
+		for _, de := range snap {
 			de.mu.Lock(p)
 			if de.loseCopies(dead) {
 				s.metrics.Counter("vm.pages.reclaimed").Inc()
@@ -466,8 +497,8 @@ func (s *Service) PeerDied(p *sim.Proc, dead msg.NodeID) {
 // An entry left with no copy is marked reclaimed.
 func (de *dirEntry) loseCopies(dead msg.NodeID) bool {
 	switch {
-	case de.state == pageModified && de.owner == dead:
-		de.state, de.owner, de.reclaimed = pageUnmapped, 0, true
+	case de.state == pageModified && de.owner() == dead:
+		de.state, de.own, de.reclaimed = pageUnmapped, 0, true
 		return true
 	case de.state == pageShared:
 		if de.sharers.has(dead) {

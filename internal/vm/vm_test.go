@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,16 +14,33 @@ import (
 	"repro/internal/stats"
 )
 
-// TestDirEntrySize pins a directory entry in Go's 96-byte size class: every
-// first-touched page allocates one, so its state packs to 40 bytes beside a
-// 48-byte mutex, and nothing else lives in it.
+// TestDirEntrySize pins a directory entry in Go's 64-byte size class: every
+// first-touched page allocates one, so its state packs to 24 bytes (a 32-bit
+// version, a one-byte owner) beside a 40-byte mutex, and nothing else lives
+// in it.
 func TestDirEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(dirState{}); got > 40 {
-		t.Errorf("unsafe.Sizeof(dirState{}) = %d, want <= 40", got)
+	if got := unsafe.Sizeof(dirState{}); got > 24 {
+		t.Errorf("unsafe.Sizeof(dirState{}) = %d, want <= 24", got)
 	}
-	if got := unsafe.Sizeof(dirEntry{}); got > 96 {
-		t.Errorf("unsafe.Sizeof(dirEntry{}) = %d, want <= 96", got)
+	if got := unsafe.Sizeof(dirEntry{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(dirEntry{}) = %d, want <= 64", got)
 	}
+}
+
+// TestDirVersionOverflowPanics: a directory version is 32 bits, and a page
+// that exhausts them stops rather than wrapping, which would let a stale
+// grant pass the replicas' version order.
+func TestDirVersionOverflowPanics(t *testing.T) {
+	st := dirState{version: math.MaxUint32 - 1}
+	if v := st.nextVersion(); v != math.MaxUint32 {
+		t.Fatalf("nextVersion = %d, want %d", v, uint64(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nextVersion past 32 bits did not panic")
+		}
+	}()
+	st.nextVersion()
 }
 
 // simpleFrames adapts a raw allocator to FrameSource without lock costs.
@@ -62,7 +80,7 @@ func newEnv(t *testing.T, kernels int, framesPerKernel int, opts ...sim.Option) 
 	}
 	ev := &env{e: e, fabric: fabric}
 	for k := 0; k < kernels; k++ {
-		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), mem.FrameID(k*1<<20), framesPerKernel)
+		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), int64(k)<<20, framesPerKernel)
 		if err != nil {
 			t.Fatalf("NewFrameAllocator: %v", err)
 		}

@@ -96,41 +96,23 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 
 		// Clients: puts take the shard lock; gets are lock-free single-word
 		// reads, kept coherent by the memory system itself (on the
-		// replicated kernel, read replicas of hot shard pages).
+		// replicated kernel, read replicas of hot shard pages). Each client
+		// draws its ops as it goes from its own generator; a first pass over
+		// the same draws counts the puts each shard must end up with.
 		expectPuts := make([]int64, spec.Shards)
 		for c := 0; c < spec.Clients; c++ {
-			c := c
-			k := c % kernels
-			// Precompute the client's op sequence deterministically so the
-			// expected per-shard put counts are known up front.
-			type op struct {
-				shard, key int
-				put        bool
-			}
-			rng := newXorshift(uint64(spec.Seed) + uint64(c)*2654435761 + 1)
-			var homeShards []int
-			for s := 0; s < spec.Shards; s++ {
-				if kernels <= 1 || s%kernels == k {
-					homeShards = append(homeShards, s)
+			ops := newKVOps(spec, c, kernels)
+			for i := 0; i < spec.OpsPerClient; i++ {
+				if o := ops.next(); o.put {
+					expectPuts[o.shard]++
 				}
 			}
-			ops := make([]op, spec.OpsPerClient)
-			for i := range ops {
-				shard := int(rng.next() % uint64(spec.Shards))
-				if len(homeShards) > 0 && int(rng.next()%100) < spec.LocalityPct {
-					shard = homeShards[int(rng.next()%uint64(len(homeShards)))]
-				}
-				ops[i] = op{
-					shard: shard,
-					key:   int(rng.next() % uint64(spec.KeysPerShard)),
-					put:   int(rng.next()%100) < spec.PutRatioPct,
-				}
-				if ops[i].put {
-					expectPuts[ops[i].shard]++
-				}
-			}
-			if err := pr.Spawn(p, k, func(th osi.Thread) {
-				for _, o := range ops {
+		}
+		for c := 0; c < spec.Clients; c++ {
+			if err := pr.Spawn(p, c%kernels, func(th osi.Thread) {
+				ops := newKVOps(spec, c, kernels)
+				for i := 0; i < spec.OpsPerClient; i++ {
+					o := ops.next()
 					if spec.Think > 0 {
 						th.Compute(spec.Think)
 					}
@@ -185,6 +167,49 @@ func KVStore(o osi.OS, spec KVStoreSpec) (Result, error) {
 		}
 		return uint64(spec.Clients * spec.OpsPerClient), nil
 	})
+}
+
+// kvOp is one client operation: a get or a put of one key of one shard.
+type kvOp struct {
+	shard, key int
+	put        bool
+}
+
+// kvOps generates one client's op sequence, one op per next call, from the
+// client's own xorshift: the same spec and client always give the same
+// sequence, so the clients' run and the count of expected puts replay it
+// alike without keeping it.
+type kvOps struct {
+	rng  xorshift
+	spec KVStoreSpec
+	// The client's home shards are first, first+stride, ... (nHome of
+	// them): those placed on its kernel, or every shard on one kernel.
+	first, stride, nHome int
+}
+
+// newKVOps starts client c's sequence on a machine of the given kernels.
+func newKVOps(spec KVStoreSpec, c, kernels int) kvOps {
+	g := kvOps{rng: *newXorshift(uint64(spec.Seed) + uint64(c)*2654435761 + 1), spec: spec, stride: 1}
+	if kernels > 1 {
+		g.first, g.stride = c%kernels, kernels
+	}
+	if g.first < spec.Shards {
+		g.nHome = (spec.Shards - g.first + g.stride - 1) / g.stride
+	}
+	return g
+}
+
+// next draws the client's next op.
+func (g *kvOps) next() kvOp {
+	shard := int(g.rng.next() % uint64(g.spec.Shards))
+	if g.nHome > 0 && int(g.rng.next()%100) < g.spec.LocalityPct {
+		shard = g.first + g.stride*int(g.rng.next()%uint64(g.nHome))
+	}
+	return kvOp{
+		shard: shard,
+		key:   int(g.rng.next() % uint64(g.spec.KeysPerShard)),
+		put:   int(g.rng.next()%100) < g.spec.PutRatioPct,
+	}
 }
 
 // xorshift is a tiny deterministic PRNG so op sequences are reproducible
