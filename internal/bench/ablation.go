@@ -23,7 +23,7 @@ func ablationDummyThread(s Scale) (*stats.Table, error) {
 		iters = 4
 	}
 	for _, pool := range []int{0, 2} {
-		o, err := bootPopcorn(testbed(), popcornKernels, func(cc *kernel.ClusterConfig) { cc.TG.DummyPool = pool })
+		o, err := bootPopcorn(kernel.Testbed(), popcornKernels, func(cc *kernel.ClusterConfig) { cc.TG.DummyPool = pool })
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func ablationVMAPush(s Scale) (*stats.Table, error) {
 		iters = 3
 	}
 	for _, eager := range []bool{false, true} {
-		o, err := bootPopcorn(testbed(), popcornKernels)
+		o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +139,7 @@ func ablationKernelCount(s Scale) (*stats.Series, error) {
 	}
 	series := stats.NewSeries("D3: kernel count vs mmap-storm throughput", "kernels", "cycles/ms", xs...)
 	err := addLines(series, len(kernelCounts), []string{"popcorn"}, func(_, x int) (float64, error) {
-		o, err := bootPopcorn(testbed(), kernelCounts[x])
+		o, err := bootPopcorn(kernel.Testbed(), kernelCounts[x])
 		if err != nil {
 			return 0, err
 		}
@@ -206,7 +206,7 @@ func ablationPageOwnership(s Scale) (*stats.Table, error) {
 	for _, pat := range patterns {
 		var cells [2]string
 		for mode := 0; mode < 2; mode++ {
-			o, err := bootPopcorn(testbed(), popcornKernels)
+			o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 			if err != nil {
 				return nil, err
 			}

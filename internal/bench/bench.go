@@ -31,10 +31,6 @@ const (
 	Full
 )
 
-// testbed is the machine class the paper evaluates on: a 64-core
-// dual-socket x86 server.
-func testbed() hw.Topology { return hw.Topology{Cores: 64, NUMANodes: 2} }
-
 // popcornKernels is the default kernel count for the replicated-kernel OS
 // on the testbed (8 kernels x 8 cores).
 const popcornKernels = 8
@@ -59,18 +55,17 @@ func bootSMP(topo hw.Topology) (*smp.OS, error) {
 }
 
 func bootMK(topo hw.Topology, kernels int) (*multikernel.OS, error) {
-	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels, FramesPerKernel: 1 << 16})
+	return multikernel.Boot(multikernel.Config{Topology: topo, Kernels: kernels})
 }
 
 // bootFabric boots a bare message fabric on the testbed, no kernels above
 // it: node i's endpoint runs on core nodeCore[i]. The caller closes the
 // engine.
 func bootFabric(nodeCore []int, cfg msg.Config, reg *stats.Registry) (sim.Engine, *msg.Fabric, error) {
-	machine, err := hw.NewMachine(testbed(), hw.DefaultCostModel())
+	machine, e, _, err := kernel.Setup(kernel.Testbed(), nil, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := sim.NewEngine(sim.WithSeed(1))
 	fabric, err := msg.NewFabric(e, machine, len(nodeCore), nodeCore, cfg, reg)
 	if err != nil {
 		e.Close()
@@ -166,7 +161,7 @@ type flavour[A any] struct {
 func flavours[A any](run func(o osi.OS, arg A) (workload.Result, error),
 	mkRun func(o *multikernel.OS, arg A) (workload.Result, error),
 ) []flavour[A] {
-	topo := testbed()
+	topo := kernel.Testbed()
 	var fs []flavour[A]
 	for _, ob := range standardOSes(topo, popcornKernels) {
 		fs = append(fs, flavour[A]{ob.name, func(arg A) (workload.Result, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/kernel"
 	"repro/internal/multikernel"
 	"repro/internal/osi"
 	"repro/internal/stats"
@@ -139,7 +140,7 @@ func f8MigrationBenefit(s Scale) (*stats.Series, error) {
 	strategies := []workload.MigrationBenefitSpec{{Rounds: 1}, {Rounds: 1, Migrate: true}, {Rounds: 1, Prefetch: true}}
 	lineNames := []string{"stay (demand pull)", "migrate to data", "stay + prefetch batch"}
 	err := addLines(series, len(pageCounts), lineNames, func(l, x int) (float64, error) {
-		o, err := bootPopcorn(testbed(), popcornKernels)
+		o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 		if err != nil {
 			return 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/msg"
 	"repro/internal/osi"
@@ -108,7 +109,7 @@ func ringHops(o osi.OS, iters int) func(*sim.Proc, osi.Process) {
 // table reports.
 func t2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	tab := stats.NewTable("T2: thread migration latency breakdown", "phase", "mean-us", "share")
-	o, err := bootPopcorn(testbed(), popcornKernels)
+	o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,7 +152,7 @@ func t2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 // remote clone (cold replica), and subsequent remote clones (warm).
 func t3ThreadCreate(s Scale) (*stats.Table, error) {
 	tab := stats.NewTable("T3: thread creation latency", "variant", "latency-us")
-	o, err := bootPopcorn(testbed(), popcornKernels)
+	o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +213,7 @@ func t4SyscallOverhead(s Scale) (*stats.Table, error) {
 		}},
 	}
 	results := make(map[string][2]time.Duration)
-	for osIdx, ob := range standardOSes(testbed(), popcornKernels) {
+	for osIdx, ob := range standardOSes(kernel.Testbed(), popcornKernels) {
 		o, closeOS, err := ob.boot()
 		if err != nil {
 			return nil, err
@@ -251,7 +252,7 @@ func t4SyscallOverhead(s Scale) (*stats.Table, error) {
 // attributes.
 func f2Run(s Scale, traced bool) (*stats.Table, *trace.Collector, error) {
 	tab := stats.NewTable("F2: page-fault service latency", "fault type", "latency-us")
-	o, err := bootPopcorn(testbed(), popcornKernels)
+	o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -319,7 +320,7 @@ func f3VMAPropagation(s Scale) (*stats.Series, error) {
 	protYs := make([]float64, len(replicaCounts))
 	unmapYs := make([]float64, len(replicaCounts))
 	for i, replicas := range replicaCounts {
-		o, err := bootPopcorn(testbed(), popcornKernels)
+		o, err := bootPopcorn(kernel.Testbed(), popcornKernels)
 		if err != nil {
 			return nil, err
 		}

@@ -74,32 +74,18 @@ var _ osi.OS = (*OS)(nil)
 
 // Boot creates the simulation engine, the machine and the kernel cluster.
 func Boot(cfg Config) (*OS, error) {
-	topo := cfg.Topology
-	if topo.Cores == 0 {
-		topo = hw.Topology{Cores: 64, NUMANodes: 2}
-	}
-	cost := hw.DefaultCostModel()
-	if cfg.Cost != nil {
-		cost = *cfg.Cost
-	}
-	machine, err := hw.NewMachine(topo, cost)
-	if err != nil {
-		return nil, err
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	opts := []sim.Option{sim.WithSeed(seed)}
+	var opts []sim.Option
 	if cfg.TieShuffle {
 		opts = append(opts, sim.WithTieShuffle())
 	}
-	e := sim.NewEngine(opts...)
+	machine, e, metrics, err := kernel.Setup(cfg.Topology, cfg.Cost, cfg.Seed, opts...)
+	if err != nil {
+		return nil, err
+	}
 	clusterCfg := kernel.DefaultClusterConfig(machine)
 	if cfg.Cluster != nil {
 		clusterCfg = *cfg.Cluster
 	}
-	metrics := stats.NewRegistry()
 	cluster, err := kernel.Boot(e, machine, clusterCfg, metrics)
 	if err != nil {
 		e.Close()

@@ -171,14 +171,17 @@ func (m *Machine) MemAccess(core, homeNode int) time.Duration {
 }
 
 // LineBounce returns the cost of acquiring exclusive ownership of a cache
-// line that `sharers` other cores are actively touching. With no sharers the
-// line is already local and only the atomic op is charged; each additional
-// sharer adds a transfer, reflecting how a contended lock word or shared
-// counter ping-pongs between caches. crossNode selects the remote transfer
-// cost, which is what makes shared kernel data so expensive on multi-socket
-// machines.
-func (m *Machine) LineBounce(sharers int, crossNode bool) time.Duration {
+// line that `waiters` other contenders want, on a set of `cores` cores that
+// can touch it. With no sharers the line is already local and only the
+// atomic op is charged; each sharer adds a transfer, reflecting how a
+// contended lock word or shared counter ping-pongs between caches. A line
+// cannot ping-pong between more caches than there are cores, and waiters
+// beyond them are parked, not spinning, so at most cores-1 sharers count.
+// crossNode selects the remote transfer cost, which is what makes shared
+// kernel data so expensive on multi-socket machines.
+func (m *Machine) LineBounce(waiters, cores int, crossNode bool) time.Duration {
 	cost := m.Cost.AtomicOp
+	sharers := min(waiters, cores-1)
 	if sharers <= 0 {
 		return cost
 	}
@@ -190,16 +193,18 @@ func (m *Machine) LineBounce(sharers int, crossNode bool) time.Duration {
 }
 
 // TLBShootdown returns the cost, at the initiating core, of invalidating a
-// mapping on `remoteCores` other cores: one IPI round plus per-core
-// invalidation acknowledgement serialisation. crossNode selects remote IPI
-// cost.
-func (m *Machine) TLBShootdown(remoteCores int, crossNode bool) time.Duration {
-	if remoteCores <= 0 {
+// mapping that `active` threads may cache on a set of `cores` cores: one IPI
+// round to the other min(active, cores)-1 cores plus per-core invalidation
+// acknowledgement serialisation, or a local flush when there are none.
+// crossNode selects remote IPI cost.
+func (m *Machine) TLBShootdown(active, cores int, crossNode bool) time.Duration {
+	remote := min(active, cores) - 1
+	if remote <= 0 {
 		return m.Cost.TLBInvalidate // local flush only
 	}
 	ipi := m.Cost.IPILocal
 	if crossNode {
 		ipi = m.Cost.IPIRemote
 	}
-	return ipi + time.Duration(remoteCores)*m.Cost.TLBInvalidate
+	return ipi + time.Duration(remote)*m.Cost.TLBInvalidate
 }

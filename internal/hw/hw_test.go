@@ -121,37 +121,76 @@ func TestLineBounceGrowsWithSharers(t *testing.T) {
 	m := newTestMachine(t)
 	prev := time.Duration(0)
 	for sharers := 0; sharers <= 8; sharers++ {
-		c := m.LineBounce(sharers, false)
+		c := m.LineBounce(sharers, 64, false)
 		if c <= prev && sharers > 0 {
 			t.Fatalf("LineBounce(%d) = %v, not greater than %v", sharers, c, prev)
 		}
 		prev = c
 	}
-	if m.LineBounce(4, true) <= m.LineBounce(4, false) {
+	if m.LineBounce(4, 8, true) <= m.LineBounce(4, 8, false) {
 		t.Fatal("cross-node line bounce not more expensive than local")
+	}
+	// A line bounces between at most cores-1 other caches, however many
+	// wait for it.
+	c := m.Cost
+	for _, tc := range []struct {
+		waiters, cores int
+		cross          bool
+		want           time.Duration
+	}{
+		{4, 8, false, c.AtomicOp + 4*c.LineTransferLocal},
+		{7, 8, true, c.AtomicOp + 7*c.LineTransferRemote},
+		{8, 8, false, c.AtomicOp + 7*c.LineTransferLocal},
+		{100, 8, true, c.AtomicOp + 7*c.LineTransferRemote},
+		{3, 1, true, c.AtomicOp},
+		{3, 0, false, c.AtomicOp},
+	} {
+		if got := m.LineBounce(tc.waiters, tc.cores, tc.cross); got != tc.want {
+			t.Errorf("LineBounce(%d, %d, %v) = %v, want %v", tc.waiters, tc.cores, tc.cross, got, tc.want)
+		}
 	}
 }
 
 func TestLineBounceUncontendedIsAtomicOnly(t *testing.T) {
 	m := newTestMachine(t)
-	if got := m.LineBounce(0, true); got != m.Cost.AtomicOp {
+	if got := m.LineBounce(0, 8, true); got != m.Cost.AtomicOp {
 		t.Fatalf("LineBounce(0) = %v, want bare atomic %v", got, m.Cost.AtomicOp)
 	}
 }
 
 func TestTLBShootdownScalesWithCores(t *testing.T) {
 	m := newTestMachine(t)
-	local := m.TLBShootdown(0, false)
+	local := m.TLBShootdown(1, 64, false)
 	if local != m.Cost.TLBInvalidate {
 		t.Fatalf("local-only shootdown = %v, want %v", local, m.Cost.TLBInvalidate)
 	}
-	four := m.TLBShootdown(4, false)
-	eight := m.TLBShootdown(8, false)
+	four := m.TLBShootdown(5, 64, false)
+	eight := m.TLBShootdown(9, 64, false)
 	if eight <= four {
 		t.Fatalf("shootdown(8)=%v not > shootdown(4)=%v", eight, four)
 	}
-	if m.TLBShootdown(4, true) <= m.TLBShootdown(4, false) {
+	if m.TLBShootdown(5, 64, true) <= m.TLBShootdown(5, 64, false) {
 		t.Fatal("cross-node shootdown not more expensive than local")
+	}
+	// The initiator interrupts the other cores its active threads can run
+	// on: none for one thread, at most cores-1 for any number.
+	c := m.Cost
+	for _, tc := range []struct {
+		active, cores int
+		cross         bool
+		want          time.Duration
+	}{
+		{0, 8, true, c.TLBInvalidate},
+		{1, 8, true, c.TLBInvalidate},
+		{5, 8, false, c.IPILocal + 4*c.TLBInvalidate},
+		{8, 8, true, c.IPIRemote + 7*c.TLBInvalidate},
+		{9, 8, false, c.IPILocal + 7*c.TLBInvalidate},
+		{64, 8, true, c.IPIRemote + 7*c.TLBInvalidate},
+		{4, 1, false, c.TLBInvalidate},
+	} {
+		if got := m.TLBShootdown(tc.active, tc.cores, tc.cross); got != tc.want {
+			t.Errorf("TLBShootdown(%d, %d, %v) = %v, want %v", tc.active, tc.cores, tc.cross, got, tc.want)
+		}
 	}
 }
 

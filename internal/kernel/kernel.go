@@ -30,19 +30,19 @@ type Kernel struct {
 	Futex   *futex.Service
 }
 
-// LockedFrames is a kernel's physical allocator behind its local zone lock,
+// LockedFrames is a part's physical allocator behind its zone lock,
 // charging the lock-word cache-line bounce that contended allocation costs.
-// In the replicated design only this kernel's cores (all on one NUMA node
-// partition) contend here — the scalability argument in miniature.
+// Only the part's cores, all on one NUMA node, contend here: in the
+// replicated design a kernel's, in SMP a node's — the scalability argument
+// in miniature.
 type LockedFrames struct {
-	e         sim.Engine
-	machine   *hw.Machine
-	alloc     *mem.FrameAllocator
-	mu        *sim.Mutex
-	crossNode bool
-	// maxSharers caps the cache-line bounce term: a lock word cannot
-	// ping-pong between more caches than there are contending cores.
-	maxSharers int
+	e       sim.Engine
+	machine *hw.Machine
+	alloc   *mem.FrameAllocator
+	mu      *sim.Mutex
+	// cores is the number of cores that can contend for the lock, which
+	// caps its lock word's bounce.
+	cores int
 	// stats counts the zone lock's contention, booked by lock and unlock:
 	// the run report reads it, and a sim.Mutex keeps no counters. held
 	// says whether the lock has an owner (or one it was handed to) and
@@ -55,15 +55,10 @@ type LockedFrames struct {
 // framesLabel names every zone lock in deadlock reports.
 var framesLabel = "kernel.frames"
 
-// NewLockedFrames wraps an allocator with a charged zone lock. crossNode
-// states whether the lock's contenders span NUMA nodes (true for the SMP
-// baseline's shared zone, false for a per-kernel zone); maxSharers is the
-// number of cores that can actually contend (the partition's core count).
-func NewLockedFrames(e sim.Engine, machine *hw.Machine, alloc *mem.FrameAllocator, crossNode bool, maxSharers int) *LockedFrames {
-	if maxSharers < 1 {
-		maxSharers = 1
-	}
-	return &LockedFrames{e: e, machine: machine, alloc: alloc, mu: sim.NewMutex(e).SetLabel(&framesLabel), crossNode: crossNode, maxSharers: maxSharers}
+// newLockedFrames wraps an allocator with a charged zone lock that cores
+// cores can contend for.
+func newLockedFrames(e sim.Engine, machine *hw.Machine, alloc *mem.FrameAllocator, cores int) *LockedFrames {
+	return &LockedFrames{e: e, machine: machine, alloc: alloc, mu: sim.NewMutex(e).SetLabel(&framesLabel), cores: cores}
 }
 
 // Reset returns the frame zone to its boot state for a kernel reboot: the
@@ -103,11 +98,7 @@ func (f *LockedFrames) unlock(p *sim.Proc) {
 }
 
 func (f *LockedFrames) bounce(p *sim.Proc) {
-	sharers := f.mu.Waiters()
-	if sharers > f.maxSharers-1 {
-		sharers = f.maxSharers - 1
-	}
-	p.Sleep(f.machine.LineBounce(sharers, f.crossNode) + f.machine.Cost.FrameAlloc)
+	p.Sleep(f.machine.LineBounce(f.mu.Waiters(), f.cores, false) + f.machine.Cost.FrameAlloc)
 }
 
 // AllocFrame implements vm.FrameSource.
@@ -169,6 +160,78 @@ func FramesBack(os, unit string, n int, zone func(i int) *LockedFrames) error {
 	return fmt.Errorf("%s: frames in use after the run:%s", os, held)
 }
 
+// Testbed is the paper's machine class, 64 cores on two NUMA nodes: what a
+// boot whose config leaves the topology zero runs on.
+func Testbed() hw.Topology { return hw.Topology{Cores: 64, NUMANodes: 2} }
+
+// DefaultFrames sizes a part's frame zone when a config leaves it zero.
+const DefaultFrames = 1 << 16
+
+// Setup makes what every OS boots on from its config's zero values: the
+// machine (topology zero: the Testbed; cost nil: hw.DefaultCostModel), an
+// engine seeded by seed (zero: 1) with opts, and an empty metrics registry.
+func Setup(topo hw.Topology, cost *hw.CostModel, seed int64, opts ...sim.Option) (*hw.Machine, sim.Engine, *stats.Registry, error) {
+	if topo.Cores == 0 {
+		topo = Testbed()
+	}
+	c := hw.DefaultCostModel()
+	if cost != nil {
+		c = *cost
+	}
+	machine, err := hw.NewMachine(topo, c)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return machine, sim.NewEngine(append([]sim.Option{sim.WithSeed(seed)}, opts...)...), stats.NewRegistry(), nil
+}
+
+// frameStride is the distance between parts' first frame numbers: part k's
+// zone starts at frame k*frameStride, so a frame's number says which part
+// it is from.
+const frameStride = 1 << 24
+
+// Part is one of the parts Carve splits a machine into: a contiguous run of
+// cores and the frame zone they contend for, homed on the NUMA node of the
+// first core.
+type Part struct {
+	Cores  []int
+	Frames *LockedFrames
+}
+
+// Carve splits the machine into n parts of equal, contiguous cores, each
+// with a zone of frames frames starting at frame k*frameStride. It is the one
+// carve-up under all three OSes: a popcorn kernel, a multikernel node and an
+// SMP NUMA zone are each a part. It refuses cores that do not split evenly,
+// and a zone of no frames or one that would run into the next part's.
+func Carve(e sim.Engine, machine *hw.Machine, n, frames int) ([]Part, error) {
+	cores := machine.Topology.Cores
+	if n <= 0 || cores%n != 0 {
+		return nil, fmt.Errorf("kernel: %d cores do not split evenly into %d parts", cores, n)
+	}
+	if frames <= 0 || frames > frameStride {
+		return nil, fmt.Errorf("kernel: a part holds 1 to %d frames, the stride between parts, got %d", frameStride, frames)
+	}
+	per := cores / n
+	all := make([]int, cores)
+	for i := range all {
+		all[i] = i
+	}
+	parts := make([]Part, n)
+	for k := range parts {
+		p := &parts[k]
+		p.Cores = all[k*per : (k+1)*per : (k+1)*per]
+		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(p.Cores[0]), int64(k)*frameStride, frames)
+		if err != nil {
+			return nil, err
+		}
+		p.Frames = newLockedFrames(e, machine, alloc, per)
+	}
+	return parts, nil
+}
+
 // ClusterConfig describes a replicated-kernel boot.
 type ClusterConfig struct {
 	// Kernels is the number of kernel instances; the machine's cores are
@@ -187,7 +250,7 @@ type ClusterConfig struct {
 func DefaultClusterConfig(machine *hw.Machine) ClusterConfig {
 	return ClusterConfig{
 		Kernels:         machine.Topology.NUMANodes,
-		FramesPerKernel: 1 << 16,
+		FramesPerKernel: DefaultFrames,
 		Msg:             msg.DefaultConfig(),
 		TG:              threadgroup.Config{DummyPool: 2},
 	}
@@ -199,55 +262,41 @@ type Cluster struct {
 	Fabric  *msg.Fabric
 }
 
-// Boot brings up cfg.Kernels kernel instances on the machine.
+// Boot brings up cfg.Kernels kernel instances on the machine, one per part
+// of its carve-up.
 func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.Registry) (*Cluster, error) {
-	if cfg.Kernels <= 0 {
-		return nil, fmt.Errorf("kernel: cluster needs at least one kernel, got %d", cfg.Kernels)
-	}
 	if cfg.Kernels > vm.MaxKernels {
 		return nil, fmt.Errorf("kernel: cluster of %d kernels exceeds the %d a kernel set holds", cfg.Kernels, vm.MaxKernels)
 	}
-	if machine.Topology.Cores%cfg.Kernels != 0 {
-		return nil, fmt.Errorf("kernel: %d cores do not split evenly across %d kernels", machine.Topology.Cores, cfg.Kernels)
-	}
-	if cfg.FramesPerKernel <= 0 {
-		return nil, fmt.Errorf("kernel: FramesPerKernel must be positive, got %d", cfg.FramesPerKernel)
+	parts, err := Carve(e, machine, cfg.Kernels, cfg.FramesPerKernel)
+	if err != nil {
+		return nil, err
 	}
 	if metrics == nil {
 		metrics = stats.NewRegistry()
 	}
-	perKernel := machine.Topology.Cores / cfg.Kernels
-	nodeCore := make([]int, cfg.Kernels)
-	for k := range nodeCore {
-		nodeCore[k] = k * perKernel
+	nodeCore := make([]int, len(parts))
+	for k, part := range parts {
+		nodeCore[k] = part.Cores[0]
 	}
-	fabric, err := msg.NewFabric(e, machine, cfg.Kernels, nodeCore, cfg.Msg, metrics)
+	fabric, err := msg.NewFabric(e, machine, len(parts), nodeCore, cfg.Msg, metrics)
 	if err != nil {
 		return nil, err
 	}
 	cl := &Cluster{Fabric: fabric}
-	for k := 0; k < cfg.Kernels; k++ {
-		cores := make([]int, perKernel)
-		for i := range cores {
-			cores[i] = k*perKernel + i
-		}
-		alloc, err := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[0]), int64(k)<<24, cfg.FramesPerKernel)
+	for k, part := range parts {
+		sch, err := sched.New(e, machine, part.Cores, metrics)
 		if err != nil {
 			return nil, err
 		}
-		sch, err := sched.New(e, machine, cores, metrics)
-		if err != nil {
-			return nil, err
-		}
-		frames := NewLockedFrames(e, machine, alloc, false, perKernel)
-		vms := vm.NewService(e, machine, fabric, msg.NodeID(k), frames, perKernel, metrics)
+		vms := vm.NewService(e, machine, fabric, msg.NodeID(k), part.Frames, len(part.Cores), metrics)
 		tgs := threadgroup.NewService(e, machine, fabric, msg.NodeID(k), vms, cfg.TG, metrics)
-		fx := futex.NewService(e, fabric, msg.NodeID(k), cores[0], tgs, metrics)
+		fx := futex.NewService(e, fabric, msg.NodeID(k), part.Cores[0], tgs, metrics)
 		cl.Kernels = append(cl.Kernels, &Kernel{
 			Node:    msg.NodeID(k),
 			Machine: machine,
 			Sched:   sch,
-			Frames:  frames,
+			Frames:  part.Frames,
 			VM:      vms,
 			TG:      tgs,
 			Futex:   fx,

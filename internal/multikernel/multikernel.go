@@ -52,55 +52,37 @@ type node struct {
 
 // Boot brings up the multikernel.
 func Boot(cfg Config) (_ *OS, err error) {
-	topo := cfg.Topology
-	if topo.Cores == 0 {
-		topo = hw.Topology{Cores: 64, NUMANodes: 2}
-	}
-	machine, err := hw.NewMachine(topo, hw.DefaultCostModel())
+	machine, e, metrics, err := kernel.Setup(cfg.Topology, nil, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	kernels, framesPerKernel := cfg.Kernels, cfg.FramesPerKernel
-	if kernels <= 0 {
-		kernels = topo.NUMANodes
-	}
-	if framesPerKernel <= 0 {
-		framesPerKernel = 1 << 16
-	}
-	if topo.Cores%kernels != 0 {
-		return nil, fmt.Errorf("multikernel: %d cores do not split across %d kernels", topo.Cores, kernels)
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	e := sim.NewEngine(sim.WithSeed(seed))
 	defer func() {
 		if err != nil {
 			e.Close()
 		}
 	}()
-	metrics := stats.NewRegistry()
-	perKernel := topo.Cores / kernels
+	kernels, framesPerKernel := cfg.Kernels, cfg.FramesPerKernel
+	if kernels <= 0 {
+		kernels = machine.Topology.NUMANodes
+	}
+	if framesPerKernel <= 0 {
+		framesPerKernel = kernel.DefaultFrames
+	}
+	parts, err := kernel.Carve(e, machine, kernels, framesPerKernel)
+	if err != nil {
+		return nil, err
+	}
 	nodeCore := make([]int, kernels)
-	for k := range nodeCore {
-		nodeCore[k] = k * perKernel
+	for k, part := range parts {
+		nodeCore[k] = part.Cores[0]
 	}
 	fabric, err := msg.NewFabric(e, machine, kernels, nodeCore, msg.DefaultConfig(), metrics)
 	if err != nil {
 		return nil, err
 	}
 	os := &OS{e: e, machine: machine, metrics: metrics}
-	for k := 0; k < kernels; k++ {
-		cores := make([]int, perKernel)
-		for i := range cores {
-			cores[i] = k*perKernel + i
-		}
-		sch, err := sched.New(e, machine, cores, metrics)
-		if err != nil {
-			return nil, err
-		}
-		alloc, err := mem.NewFrameAllocator(topo.NodeOf(cores[0]), int64(k)<<24, framesPerKernel)
+	for k, part := range parts {
+		sch, err := sched.New(e, machine, part.Cores, metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -108,11 +90,10 @@ func Boot(cfg Config) (_ *OS, err error) {
 			id:      msg.NodeID(k),
 			ep:      fabric.Endpoint(msg.NodeID(k)),
 			sched:   sch,
-			frames:  kernel.NewLockedFrames(e, machine, alloc, false, perKernel),
+			frames:  part.Frames,
 			domains: make(map[int64]*Domain),
 		}
 		os.nodes = append(os.nodes, n)
-		k := k
 		channel.Handle(n.ep, func(_ *sim.Proc, _ msg.NodeID, pkt *packet) struct{} {
 			d, ok := os.nodes[k].domains[pkt.Dst]
 			if !ok {
@@ -278,7 +259,7 @@ func (d *Domain) Free(addr mem.Addr, pages int) error {
 	if err != nil {
 		return err
 	}
-	d.p.Sleep(d.os.machine.TLBShootdown(d.node.sched.Cores()-1, false))
+	d.p.Sleep(d.os.machine.TLBShootdown(d.node.sched.Cores(), d.node.sched.Cores(), false))
 	return nil
 }
 

@@ -106,12 +106,13 @@ func TestPrivateMapLoopSteadyStateAllocs(t *testing.T) {
 // per bucket, kernel or peer.
 func TestBootAllocs(t *testing.T) {
 	budgets := map[string]float64{
-		// measured 409 (415-420 under the race detector); 625 while msg
-		// formatted a process name per kernel and type and per kernel pair
-		// and each scheduler's free list grew by appends
+		// measured 394 (403 under the race detector); 409 while each
+		// kernel built its own core list, 625 while msg formatted a
+		// process name per kernel and type and per kernel pair and each
+		// scheduler's free list grew by appends
 		"popcorn": 430,
-		// measured 26; 799 while each of the 256 futex buckets was a
-		// struct, a mutex and a map
+		// measured 24; 26 before the OSes shared one carve-up, 799 while
+		// each of the 256 futex buckets was a struct, a mutex and a map
 		"smp": 26,
 	}
 	for name, boot := range boots {

@@ -60,7 +60,9 @@ type OS struct {
 	tasklist     *sim.RWMutex
 	tasklistWait time.Duration
 	pidLock      *sim.Mutex
-	zones        []*kernel.LockedFrames
+	// zones are the machine carved one part per NUMA node: the node's
+	// cores and the page-allocator zone they contend for.
+	zones []kernel.Part
 	// futexes are the hash table's bucket locks; a futex address hashes to
 	// one (futexLock). A queue is keyed by process and word, as Linux keys a
 	// private futex by its mm, and lives under its word's bucket lock.
@@ -82,34 +84,24 @@ var futexBucketLabel = "smp.futex.bucket"
 
 // Boot brings up the SMP system.
 func Boot(cfg Config) (_ *OS, err error) {
-	topo := cfg.Topology
-	if topo.Cores == 0 {
-		topo = hw.Topology{Cores: 64, NUMANodes: 2}
-	}
-	cost := hw.DefaultCostModel()
-	if cfg.Cost != nil {
-		cost = *cfg.Cost
-	}
-	machine, err := hw.NewMachine(topo, cost)
+	machine, e, metrics, err := kernel.Setup(cfg.Topology, cfg.Cost, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	framesPerNode := cfg.FramesPerNode
-	if framesPerNode <= 0 {
-		framesPerNode = 1 << 16
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	e := sim.NewEngine(sim.WithSeed(seed))
 	defer func() {
 		if err != nil {
 			e.Close()
 		}
 	}()
-	metrics := stats.NewRegistry()
-	allCores := make([]int, topo.Cores)
+	framesPerNode := cfg.FramesPerNode
+	if framesPerNode <= 0 {
+		framesPerNode = kernel.DefaultFrames
+	}
+	zones, err := kernel.Carve(e, machine, machine.Topology.NUMANodes, framesPerNode)
+	if err != nil {
+		return nil, err
+	}
+	allCores := make([]int, machine.Topology.Cores)
 	for i := range allCores {
 		allCores[i] = i
 	}
@@ -124,14 +116,8 @@ func Boot(cfg Config) (_ *OS, err error) {
 		sched:       sch,
 		tasklist:    sim.NewRWMutex(e),
 		pidLock:     sim.NewMutex(e),
+		zones:       zones,
 		futexQueues: make(map[futexKey]*futex.Queue[*Thread]),
-	}
-	for n := 0; n < topo.NUMANodes; n++ {
-		alloc, err := mem.NewFrameAllocator(n, int64(n)<<24, framesPerNode)
-		if err != nil {
-			return nil, err
-		}
-		os.zones = append(os.zones, kernel.NewLockedFrames(e, machine, alloc, false, topo.CoresPerNode()))
 	}
 	for i := range os.futexes {
 		os.futexes[i].SetLabel(&futexBucketLabel)
@@ -186,7 +172,7 @@ func (o *OS) Metrics() *stats.Registry { return o.metrics }
 
 // Conserved implements osi.OS: every zone has its frames back.
 func (o *OS) Conserved() error {
-	return kernel.FramesBack("smp", "zone", len(o.zones), func(i int) *kernel.LockedFrames { return o.zones[i] })
+	return kernel.FramesBack("smp", "zone", len(o.zones), func(i int) *kernel.LockedFrames { return o.zones[i].Frames })
 }
 
 // Close shuts the simulation down.
@@ -196,19 +182,16 @@ func (o *OS) Close() { o.e.Close() }
 // this machine (true whenever there is more than one NUMA node).
 func (o *OS) crossNode() bool { return o.machine.Topology.NUMANodes > 1 }
 
-// capSharers bounds a lock's cache-line bounce term by the machine's core
-// count: queued software waiters beyond that are parked, not spinning.
-func (o *OS) capSharers(waiters int) int {
-	if max := o.machine.Topology.Cores - 1; waiters > max {
-		return max
-	}
-	return waiters
+// bounce returns the cache-line bounce of a global lock word that waiters
+// wait for: every core of the machine can contend for it.
+func (o *OS) bounce(waiters int) time.Duration {
+	return o.machine.LineBounce(waiters, o.machine.Topology.Cores, o.crossNode())
 }
 
 // allocPID takes the global PID lock and returns a fresh PID.
 func (o *OS) allocPID(p *sim.Proc) int64 {
 	o.pidLock.Lock(p)
-	p.Sleep(o.machine.LineBounce(o.capSharers(o.pidLock.Waiters()), o.crossNode()))
+	p.Sleep(o.bounce(o.pidLock.Waiters()))
 	o.nextPID++
 	pid := o.nextPID
 	o.pidLock.Unlock(p)
@@ -229,22 +212,6 @@ type mmStruct struct {
 	activeThreads int
 }
 
-// shootdownRemote returns how many remote cores a layout change must IPI
-// and whether they span NUMA nodes.
-func (mm *mmStruct) shootdownRemote() (int, bool) {
-	cores := mm.os.machine.Topology.Cores
-	active := mm.activeThreads
-	if active > cores {
-		active = cores
-	}
-	remote := active - 1
-	if remote < 0 {
-		remote = 0
-	}
-	cross := mm.os.crossNode() && active > mm.os.machine.Topology.CoresPerNode()
-	return remote, cross
-}
-
 // Process is an SMP process.
 type Process struct {
 	os *OS
@@ -263,7 +230,7 @@ func (o *OS) StartProcess(p *sim.Proc) (osi.Process, error) {
 	p.Sleep(o.machine.Cost.SyscallTrap)
 	o.allocPID(p)
 	o.lockTasklist(p)
-	p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()) + o.machine.Cost.ThreadSetup)
+	p.Sleep(o.bounce(o.tasklist.Waiters()) + o.machine.Cost.ThreadSetup)
 	o.tasklist.Unlock(p)
 	return &Process{
 		os: o,
@@ -294,7 +261,7 @@ func (pr *Process) Spawn(p *sim.Proc, kernelHint int, fn osi.ThreadFunc) error {
 	p.Sleep(o.machine.Cost.SyscallTrap)
 	tid := o.allocPID(p)
 	o.lockTasklist(p)
-	p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()) + o.machine.Cost.ThreadSetup)
+	p.Sleep(o.bounce(o.tasklist.Waiters()) + o.machine.Cost.ThreadSetup)
 	o.tasklist.Unlock(p)
 	o.metrics.Counter("smp.clone").Inc()
 	pr.mm.activeThreads++
@@ -316,7 +283,7 @@ func (pr *Process) Wait(p *sim.Proc) { pr.wg.Wait(p) }
 func (pr *Process) Close(p *sim.Proc) error {
 	for _, e := range pr.mm.pt.Drain {
 		if e.Frame != mem.NoFrame {
-			pr.os.zones[e.HomeNode].FreeFrame(p, e.Frame)
+			pr.os.zones[e.HomeNode].Frames.FreeFrame(p, e.Frame)
 		}
 	}
 	return nil

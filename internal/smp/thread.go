@@ -93,7 +93,7 @@ func (t *Thread) layout(op vm.LayoutOp, addr mem.Addr, length uint64, prot mem.P
 	mm := t.pr.mm
 	mm.mmapSem.Lock(t.p)
 	defer mm.mmapSem.Unlock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mm.mmapSem.Waiters()), o.crossNode()) + o.machine.Cost.VMAOp)
+	t.p.Sleep(o.bounce(mm.mmapSem.Waiters()) + o.machine.Cost.VMAOp)
 	at, u, removed, err := mm.layout.Resolve(op, addr, length, prot)
 	if err != nil {
 		return 0, err
@@ -103,7 +103,7 @@ func (t *Thread) layout(op vm.LayoutOp, addr mem.Addr, length uint64, prot mem.P
 	for _, r := range removed {
 		for _, pte := range mm.pt.ClearRange(buf[:0], r.Lo, r.Hi) {
 			if pte.Frame != mem.NoFrame {
-				o.zones[pte.HomeNode].FreeFrame(t.p, pte.Frame)
+				o.zones[pte.HomeNode].Frames.FreeFrame(t.p, pte.Frame)
 				touched++
 			}
 		}
@@ -112,8 +112,10 @@ func (t *Thread) layout(op vm.LayoutOp, addr mem.Addr, length uint64, prot mem.P
 		touched += mm.pt.Protect(u.Lo, u.Hi, u.Prot)
 	}
 	if touched > 0 {
-		remote, cross := mm.shootdownRemote()
-		t.p.Sleep(o.machine.TLBShootdown(remote, cross))
+		// The process's threads span NUMA nodes once there are more of
+		// them than one node has cores.
+		topo := o.machine.Topology
+		t.p.Sleep(o.machine.TLBShootdown(mm.activeThreads, topo.Cores, o.crossNode() && mm.activeThreads > topo.CoresPerNode()))
 	}
 	return at, nil
 }
@@ -140,7 +142,7 @@ func (t *Thread) access(addr mem.Addr, op mem.Op) (int64, error) {
 	// Hardware coherence: pulling a line another core dirtied costs a
 	// transfer; the directory is the cache hierarchy, not software.
 	if last, wrote := pte.LastWriter(); wrote && last != t.core {
-		t.p.Sleep(o.machine.LineBounce(1, !o.machine.Topology.SameNode(last, t.core)))
+		t.p.Sleep(o.machine.LineBounce(1, o.machine.Topology.Cores, !o.machine.Topology.SameNode(last, t.core)))
 		// Other cores ran during the transfer: the word may have moved on,
 		// or an unmap taken the entry, in which case the access reads a
 		// zero word and leaves nothing behind. An mprotect that took the
@@ -199,7 +201,7 @@ func (t *Thread) fault(vpn mem.VPN, write, present bool) error {
 		t.p.Sleep(o.machine.Cost.PTESet)
 		return nil
 	}
-	frame, home, err := o.zones[o.machine.Topology.NodeOf(t.core)].AllocFrame(t.p)
+	frame, home, err := o.zones[o.machine.Topology.NodeOf(t.core)].Frames.AllocFrame(t.p)
 	if err != nil {
 		return fmt.Errorf("%w: %v", vm.ErrNoSpace, err)
 	}
@@ -210,7 +212,7 @@ func (t *Thread) fault(vpn mem.VPN, write, present bool) error {
 		// zeroed: keep its entry, and with it any word written since, and
 		// drop the frame, as Linux's do_anonymous_page does when its
 		// pte_none recheck fails.
-		o.zones[home].DropFrame(frame)
+		o.zones[home].Frames.DropFrame(frame)
 		return nil
 	}
 	mm.pt.Set(vpn, mem.PTE{Frame: frame, Prot: area.Prot, HomeNode: uint8(home)})
@@ -246,7 +248,7 @@ func (t *Thread) FutexWait(addr mem.Addr, expect int64) error {
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
 	mu := o.futexLock(addr)
 	mu.Lock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mu.Waiters()), o.crossNode()))
+	t.p.Sleep(o.bounce(mu.Waiters()))
 	val, err := t.access(addr, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
 		mu.Unlock(t.p)
@@ -280,7 +282,7 @@ func (t *Thread) FutexWake(addr mem.Addr, count int) (int, error) {
 	}
 	mu := o.futexLock(addr)
 	mu.Lock(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(mu.Waiters()), o.crossNode()))
+	t.p.Sleep(o.bounce(mu.Waiters()))
 	var few [4]*Thread
 	woken := o.futexQueue(t.pr.mm, addr).Wake(few[:0], count)
 	resume(woken)
@@ -310,7 +312,7 @@ func (t *Thread) FutexRequeue(from, to mem.Addr, expect int64, wake, requeue int
 		}
 		first.Unlock(t.p)
 	}()
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(first.Waiters()+second.Waiters()), o.crossNode()))
+	t.p.Sleep(o.bounce(first.Waiters() + second.Waiters()))
 	val, err := t.access(from, mem.Op{Kind: mem.OpLoad})
 	if err != nil {
 		return 0, 0, err
@@ -345,7 +347,7 @@ func (t *Thread) Kill(tid int64, sig int) error {
 	o := t.pr.os
 	t.p.Sleep(o.machine.Cost.SyscallTrap)
 	o.lockTasklist(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()))
+	t.p.Sleep(o.bounce(o.tasklist.Waiters()))
 	t.pr.signals[tid] = append(t.pr.signals[tid], sig)
 	w := t.pr.sigWaiters[tid]
 	delete(t.pr.sigWaiters, tid)
@@ -379,7 +381,7 @@ func (t *Thread) exit() {
 	o := t.pr.os
 	t.pr.mm.activeThreads--
 	o.lockTasklist(t.p)
-	t.p.Sleep(o.machine.LineBounce(o.capSharers(o.tasklist.Waiters()), o.crossNode()))
+	t.p.Sleep(o.bounce(o.tasklist.Waiters()))
 	o.tasklist.Unlock(t.p)
 	o.metrics.Counter("smp.exit").Inc()
 	o.sched.Release(t.p)

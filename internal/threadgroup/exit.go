@@ -39,7 +39,7 @@ func (s *Service) Exit(p *sim.Proc, gid vm.GID, id task.ID) error {
 		return fmt.Errorf("threadgroup: exit of task %d which is not live on kernel %d", id, s.node)
 	}
 	s.tasklist.Lock(p)
-	p.Sleep(s.machine.LineBounce(s.capSharers(s.tasklist.Waiters()), false))
+	p.Sleep(s.machine.LineBounce(s.tasklist.Waiters(), s.vmsvc.LocalCores(), false))
 	delete(g.local, id)
 	t.State = task.StateExited
 	s.tasklist.Unlock(p)

@@ -148,7 +148,7 @@ func (s *Service) handleMigrate(p *sim.Proc, _ msg.NodeID, req *migrateReq) migr
 		// then either a dummy-pool hit or a full thread setup.
 		setupScope := s.ep.Collector().Begin(p, "tg.setup", int(s.node))
 		s.tasklist.Lock(p)
-		p.Sleep(s.machine.LineBounce(s.capSharers(s.tasklist.Waiters()), false))
+		p.Sleep(s.machine.LineBounce(s.tasklist.Waiters(), s.vmsvc.LocalCores(), false))
 		if s.dummies > 0 {
 			// A pre-created dummy thread absorbs the task-setup cost.
 			s.dummies--

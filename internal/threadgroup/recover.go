@@ -64,7 +64,7 @@ func (s *Service) restartMember(p *sim.Proc, g *group, id task.ID) bool {
 	restartScope := s.ep.Collector().Begin(p, "tg.restart", int(s.node))
 	defer restartScope.End()
 	s.tasklist.Lock(p)
-	p.Sleep(s.machine.LineBounce(s.capSharers(s.tasklist.Waiters()), false))
+	p.Sleep(s.machine.LineBounce(s.tasklist.Waiters(), s.vmsvc.LocalCores(), false))
 	p.Sleep(s.machine.Cost.ThreadSetup)
 	t := task.New(id, task.ID(g.gid), int(s.node))
 	t.State = task.StateRecovered

@@ -206,18 +206,6 @@ func (s *Service) GroupSpace(gid vm.GID) (*vm.Space, bool) {
 	return s.vmsvc.Space(gid)
 }
 
-// capSharers bounds a lock's bounce term by this kernel's core count.
-func (s *Service) capSharers(waiters int) int {
-	max := s.vmsvc.LocalCores() - 1
-	if max < 0 {
-		max = 0
-	}
-	if waiters > max {
-		return max
-	}
-	return waiters
-}
-
 // allocPID returns a machine-unique task ID from this kernel's partition of
 // the ID space, the one group IDs come from (vm.NewGID).
 func (s *Service) allocPID() task.ID {
@@ -254,7 +242,7 @@ func (s *Service) CreateGroup(p *sim.Proc) (vm.GID, *task.Task, error) {
 // spawnLocal creates a member task on this kernel under the tasklist lock.
 func (s *Service) spawnLocal(p *sim.Proc, g *group) (*task.Task, error) {
 	s.tasklist.Lock(p)
-	p.Sleep(s.machine.LineBounce(s.capSharers(s.tasklist.Waiters()), false))
+	p.Sleep(s.machine.LineBounce(s.tasklist.Waiters(), s.vmsvc.LocalCores(), false))
 	p.Sleep(s.machine.Cost.ThreadSetup)
 	t := task.New(s.allocPID(), task.ID(g.gid), int(s.node))
 	t.State = task.StateRunnable

@@ -197,7 +197,7 @@ type Service struct {
 	}
 	spaces map[GID]*Space
 	// localCores is how many cores this kernel drives; TLB shootdowns on a
-	// layout change hit all of them.
+	// layout change hit at most all of them.
 	localCores int
 
 	// mirrors holds the standby copies this kernel keeps as a replication
@@ -526,17 +526,4 @@ func (sp *Space) ThreadLeft() {
 	if sp.localThreads > 0 {
 		sp.localThreads--
 	}
-}
-
-// shootdownCores returns how many remote cores a local mapping change must
-// interrupt.
-func (sp *Space) shootdownCores() int {
-	n := sp.localThreads
-	if n > sp.svc.localCores {
-		n = sp.svc.localCores
-	}
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
 }
