@@ -289,7 +289,7 @@ func Boot(e sim.Engine, machine *hw.Machine, cfg ClusterConfig, metrics *stats.R
 		if err != nil {
 			return nil, err
 		}
-		vms := vm.NewService(e, machine, fabric, msg.NodeID(k), part.Frames, len(part.Cores), metrics)
+		vms := vm.NewService(e, machine, fabric, msg.NodeID(k), part.Frames, part.Cores, metrics)
 		tgs := threadgroup.NewService(e, machine, fabric, msg.NodeID(k), vms, cfg.TG, metrics)
 		fx := futex.NewService(e, fabric, msg.NodeID(k), part.Cores[0], tgs, metrics)
 		cl.Kernels = append(cl.Kernels, &Kernel{

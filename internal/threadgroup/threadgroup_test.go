@@ -52,7 +52,7 @@ func newEnv(t *testing.T, kernels int, cfg Config) *env {
 	for k := 0; k < kernels; k++ {
 		alloc, _ := mem.NewFrameAllocator(machine.Topology.NodeOf(cores[k]), int64(k)<<20, 256)
 		ev.allocs = append(ev.allocs, alloc)
-		ev.vms = append(ev.vms, vm.NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, 2, stats.NewRegistry()))
+		ev.vms = append(ev.vms, vm.NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, []int{cores[k], cores[k] + 1}, stats.NewRegistry()))
 	}
 	for k := 0; k < kernels; k++ {
 		ev.tgs = append(ev.tgs, NewService(e, machine, fabric, msg.NodeID(k), ev.vms[k], cfg, stats.NewRegistry()))

@@ -323,7 +323,7 @@ func (sp *Space) applyInval(p *sim.Proc, vpn mem.VPN, downgrade bool, ver uint64
 			sp.svc.frames.FreeFrame(p, pte.Frame)
 		}
 	}
-	p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, sp.svc.localCores, false))
+	p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, len(sp.svc.cores), false))
 	sp.svc.metrics.CounterIn(&sp.svc.hot.invalApplied, "vm.inval.applied").Inc()
 	return ack
 }

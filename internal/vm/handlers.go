@@ -72,7 +72,7 @@ func (s *Service) handlePageFetch(p *sim.Proc, from msg.NodeID, req *pageFetchRe
 	}
 	if req.Op.Kind != mem.OpLoad {
 		// A forwarded write: apply it here, as a local thread would.
-		val, err := sp.access(p, s.homeCoreHint(), req.Addr, req.Op)
+		val, err := sp.access(p, s.cores[0], req.Addr, req.Op)
 		//popcornvet:allow dirver a forwarded-op reply installs no page copy (srcApplied); there is nothing for the replica to order
 		grant := pageGrant{Value: val, Src: srcApplied}
 		if err != nil {

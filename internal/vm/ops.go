@@ -173,7 +173,7 @@ func (sp *Space) scrubLocal(p *sim.Proc, lo, hi mem.VPN) {
 		}
 	}
 	if len(cleared) > 0 {
-		p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, sp.svc.localCores, false))
+		p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, len(sp.svc.cores), false))
 	}
 }
 
@@ -194,7 +194,7 @@ func (sp *Space) applyProtectLocal(p *sim.Proc, lo, hi mem.VPN, prot mem.Prot) {
 		}
 	}
 	if touched > 0 {
-		p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, sp.svc.localCores, false))
+		p.Sleep(sp.svc.machine.TLBShootdown(sp.localThreads, len(sp.svc.cores), false))
 	}
 }
 

@@ -196,9 +196,10 @@ type Service struct {
 		latLocal, latRemote, latMap, latUnmap, latProtect               *stats.Histogram
 	}
 	spaces map[GID]*Space
-	// localCores is how many cores this kernel drives; TLB shootdowns on a
-	// layout change hit at most all of them.
-	localCores int
+	// cores are the cores this kernel drives (its kernel.Carve part): TLB
+	// shootdowns on a layout change hit at most all of them, and a handler
+	// applying a forwarded write is costed on the first.
+	cores []int
 
 	// mirrors holds the standby copies this kernel keeps as a replication
 	// successor, keyed by group; Promote rebuilds an authoritative space
@@ -226,23 +227,23 @@ type Service struct {
 	skipRevokeTarget msg.NodeID
 }
 
-// NewService creates the kernel's VM service and registers its message
-// handlers on the kernel's endpoint.
-func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.NodeID, frames FrameSource, localCores int, metrics *stats.Registry) *Service {
+// NewService creates the kernel's VM service over the cores it drives and
+// registers its message handlers on the kernel's endpoint.
+func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.NodeID, frames FrameSource, cores []int, metrics *stats.Registry) *Service {
 	if metrics == nil {
 		metrics = stats.NewRegistry()
 	}
 	s := &Service{
-		e:          e,
-		machine:    machine,
-		fabric:     fabric,
-		node:       node,
-		ep:         fabric.Endpoint(node),
-		frames:     frames,
-		metrics:    metrics,
-		spaces:     make(map[GID]*Space),
-		mirrors:    make(map[GID]*dirMirror),
-		localCores: localCores,
+		e:       e,
+		machine: machine,
+		fabric:  fabric,
+		node:    node,
+		ep:      fabric.Endpoint(node),
+		frames:  frames,
+		metrics: metrics,
+		spaces:  make(map[GID]*Space),
+		mirrors: make(map[GID]*dirMirror),
+		cores:   cores,
 	}
 	vmaOp.Handle(s.ep, s.handleVMAOp)
 	dirReplicate.Handle(s.ep, s.handleDirReplicate)
@@ -306,17 +307,11 @@ func (s *Service) checkEntry(gid GID, vpn mem.VPN, de *dirEntry) error {
 	return nil
 }
 
-// homeCoreHint returns a representative local core for costing handler-side
-// accesses.
-func (s *Service) homeCoreHint() int {
-	return int(s.node) * s.localCores
-}
-
 // Metrics returns the registry this service records into.
 func (s *Service) Metrics() *stats.Registry { return s.metrics }
 
 // LocalCores returns how many cores this kernel drives.
-func (s *Service) LocalCores() int { return s.localCores }
+func (s *Service) LocalCores() int { return len(s.cores) }
 
 // SetEagerMapPush toggles synchronous propagation of new mappings (the D1
 // ablation). Call before running workloads.

@@ -85,7 +85,7 @@ func newEnv(t *testing.T, kernels int, framesPerKernel int, opts ...sim.Option) 
 			t.Fatalf("NewFrameAllocator: %v", err)
 		}
 		ev.allocs = append(ev.allocs, alloc)
-		ev.svcs = append(ev.svcs, NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, 2, stats.NewRegistry()))
+		ev.svcs = append(ev.svcs, NewService(e, machine, fabric, msg.NodeID(k), &simpleFrames{a: alloc}, []int{cores[k], cores[k] + 1}, stats.NewRegistry()))
 	}
 	return ev
 }
