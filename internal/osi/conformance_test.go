@@ -63,83 +63,33 @@ var boots = map[string]func(topo hw.Topology, kernels int, cost hw.CostModel) (b
 	},
 }
 
-// TestConformanceIdenticalSemantics runs the same program on both OSes and
-// requires identical observable results — the paper's claim that the
-// replicated-kernel interface is indistinguishable from SMP Linux.
-func TestConformanceIdenticalSemantics(t *testing.T) {
-	type outcome struct {
-		finalSum   int64
-		segv       bool
-		access     bool
-		casSecond  bool
-		fetchAddV  int64
-		afterUnmap bool
-	}
-	results := make(map[string]outcome)
-	for name, o := range bootAll(t) {
-		var out outcome
+// program is a conformance program: it spawns the threads of the process pr
+// on o, run by the driver proc p, and they record what they observe in out.
+type program[T any] func(o osi.OS, p *sim.Proc, pr osi.Process, out *T) error
+
+// outcome is what one OS's run of a program left: the program's result and
+// the OS's digest.
+type outcome[T any] struct {
+	res    T
+	digest uint64
+}
+
+// runEach runs prog as one process on each flavour, booted by bootAllCost
+// with cost: the driver starts the process, prog spawns its threads, and the
+// driver waits for them and closes the process. It fails t on any OS's
+// error and returns each OS's outcome.
+func runEach[T any](t *testing.T, cost hw.CostModel, prog program[T]) map[string]outcome[T] {
+	t.Helper()
+	outs := make(map[string]outcome[T])
+	for name, o := range bootAllCost(t, cost) {
+		var out T
 		err := workload.Drive(o, "program", func(p *sim.Proc) error {
 			pr, err := o.StartProcess(p)
 			if err != nil {
 				return err
 			}
-			var base mem.Addr
-			ready := sim.NewWaitGroup()
-			ready.Add(1)
-			done := sim.NewWaitGroup()
-			done.Add(4)
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				a, err := th.Mmap(4*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-				if err != nil {
-					panic(err)
-				}
-				base = a
-				ready.Done()
-				done.Wait(th.Proc())
-				// Collect observable state.
-				v, err := th.Load(base)
-				if err != nil {
-					panic(err)
-				}
-				out.finalSum = v
-				_, err = th.Load(0xbad0000)
-				out.segv = errors.Is(err, vm.ErrSegv)
-				if err := th.Mprotect(base+hw.PageSize, hw.PageSize, mem.ProtRead); err != nil {
-					panic(err)
-				}
-				err = th.Store(base+hw.PageSize, 1)
-				out.access = errors.Is(err, vm.ErrAccess)
-				ok1, err := th.CompareAndSwap(base+2*hw.PageSize, 0, 5)
-				if err != nil || !ok1 {
-					panic(fmt.Sprintf("first CAS = %v, %v", ok1, err))
-				}
-				out.casSecond, _ = th.CompareAndSwap(base+2*hw.PageSize, 0, 6)
-				out.fetchAddV, _ = th.FetchAdd(base+2*hw.PageSize, 10)
-				if err := th.Munmap(base+3*hw.PageSize, hw.PageSize); err != nil {
-					panic(err)
-				}
-				_, err = th.Load(base + 3*hw.PageSize)
-				out.afterUnmap = errors.Is(err, vm.ErrSegv)
-			}); err != nil {
+			if err := prog(o, p, pr, &out); err != nil {
 				return err
-			}
-			// Four incrementers spread over whatever kernels exist.
-			for i := 0; i < 4; i++ {
-				k := 0
-				if o.Kernels() > 1 {
-					k = i % o.Kernels()
-				}
-				if err := pr.Spawn(p, k, func(th osi.Thread) {
-					ready.Wait(th.Proc())
-					for j := 0; j < 10; j++ {
-						if _, err := th.FetchAdd(base, 1); err != nil {
-							panic(err)
-						}
-					}
-					done.Done()
-				}); err != nil {
-					return err
-				}
 			}
 			pr.Wait(p)
 			return pr.Close(p)
@@ -147,20 +97,108 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		results[name] = out
+		outs[name] = outcome[T]{res: out, digest: o.Digest()}
 	}
-	pop, smp := results["popcorn"], results["smp"]
-	if pop != smp {
-		t.Fatalf("observable semantics differ:\npopcorn: %+v\nsmp:     %+v", pop, smp)
+	return outs
+}
+
+// agree reports how popcorn's outcome differs from smp's, or nil.
+func agree[T comparable](outs map[string]outcome[T]) error {
+	pop, smp := outs["popcorn"], outs["smp"]
+	if pop.res != smp.res {
+		return fmt.Errorf("results differ:\npopcorn: %+v\nsmp:     %+v", pop.res, smp.res)
 	}
-	if pop.finalSum != 40 {
-		t.Fatalf("finalSum = %d, want 40", pop.finalSum)
+	if pop.digest != smp.digest {
+		return fmt.Errorf("digests differ: popcorn %#x, smp %#x", pop.digest, smp.digest)
 	}
-	if !pop.segv || !pop.access || !pop.afterUnmap {
-		t.Fatalf("error semantics wrong: %+v", pop)
+	return nil
+}
+
+// conform is the cross-OS oracle: it runs prog on both flavours at default
+// costs and requires the same result and the same digest — the paper's
+// claim that the replicated kernel is indistinguishable from SMP Linux, for
+// what the threads saw and for the memory and layout they left. It returns
+// the result.
+func conform[T comparable](t *testing.T, prog program[T]) T {
+	t.Helper()
+	outs := runEach(t, hw.DefaultCostModel(), prog)
+	if err := agree(outs); err != nil {
+		t.Fatal(err)
 	}
-	if pop.casSecond || pop.fetchAddV != 5 {
-		t.Fatalf("atomic semantics wrong: %+v", pop)
+	return outs["popcorn"].res
+}
+
+// TestConformanceIdenticalSemantics: loads, stores, atomics and the error
+// semantics of unmapped, protected and unmapped-again pages, with four
+// incrementers spread over the kernels.
+func TestConformanceIdenticalSemantics(t *testing.T) {
+	type result struct {
+		finalSum   int64
+		segv       bool
+		access     bool
+		casSecond  bool
+		fetchAddV  int64
+		afterUnmap bool
+	}
+	got := conform(t, func(o osi.OS, p *sim.Proc, pr osi.Process, out *result) error {
+		var base mem.Addr
+		ready := sim.NewWaitGroup()
+		ready.Add(1)
+		done := sim.NewWaitGroup()
+		done.Add(4)
+		if err := pr.Spawn(p, 0, func(th osi.Thread) {
+			a, err := th.Mmap(4*hw.PageSize, mem.ProtRead|mem.ProtWrite)
+			if err != nil {
+				panic(err)
+			}
+			base = a
+			ready.Done()
+			done.Wait(th.Proc())
+			if out.finalSum, err = th.Load(base); err != nil {
+				panic(err)
+			}
+			_, err = th.Load(0xbad0000)
+			out.segv = errors.Is(err, vm.ErrSegv)
+			if err := th.Mprotect(base+hw.PageSize, hw.PageSize, mem.ProtRead); err != nil {
+				panic(err)
+			}
+			out.access = errors.Is(th.Store(base+hw.PageSize, 1), vm.ErrAccess)
+			if ok, err := th.CompareAndSwap(base+2*hw.PageSize, 0, 5); err != nil || !ok {
+				panic(fmt.Sprintf("first CAS = %v, %v", ok, err))
+			}
+			out.casSecond, _ = th.CompareAndSwap(base+2*hw.PageSize, 0, 6)
+			out.fetchAddV, _ = th.FetchAdd(base+2*hw.PageSize, 10)
+			if err := th.Munmap(base+3*hw.PageSize, hw.PageSize); err != nil {
+				panic(err)
+			}
+			_, err = th.Load(base + 3*hw.PageSize)
+			out.afterUnmap = errors.Is(err, vm.ErrSegv)
+		}); err != nil {
+			return err
+		}
+		for i := 0; i < 4; i++ {
+			if err := pr.Spawn(p, i%o.Kernels(), func(th osi.Thread) {
+				ready.Wait(th.Proc())
+				for j := 0; j < 10; j++ {
+					if _, err := th.FetchAdd(base, 1); err != nil {
+						panic(err)
+					}
+				}
+				done.Done()
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if got.finalSum != 40 {
+		t.Fatalf("finalSum = %d, want 40", got.finalSum)
+	}
+	if !got.segv || !got.access || !got.afterUnmap {
+		t.Fatalf("error semantics wrong: %+v", got)
+	}
+	if got.casSecond || got.fetchAddV != 5 {
+		t.Fatalf("atomic semantics wrong: %+v", got)
 	}
 }
 
@@ -168,7 +206,7 @@ func TestConformanceIdenticalSemantics(t *testing.T) {
 // cross-thread signals and FUTEX_CMP_REQUEUE, onto another word and onto the
 // word the waiters wait on — behaves identically on both OS flavours.
 func TestConformanceSignalsAndRequeue(t *testing.T) {
-	type outcome struct {
+	type result struct {
 		sigs      int
 		sigVal    int
 		woken     int
@@ -180,121 +218,99 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 		selfWoken, selfRequeued int
 		selfOrder               string
 	}
-	results := make(map[string]outcome)
-	for name, o := range bootAll(t) {
-		var out outcome
-		err := workload.Drive(o, "program", func(p *sim.Proc) error {
-			pr, err := o.StartProcess(p)
+	got := conform(t, func(o osi.OS, p *sim.Proc, pr osi.Process, out *result) error {
+		var base mem.Addr
+		var victim int64
+		ready := sim.NewWaitGroup()
+		ready.Add(1)
+		victimUp := sim.NewWaitGroup()
+		victimUp.Add(1)
+		_ = pr.Spawn(p, 0, func(th osi.Thread) {
+			base, _ = th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
+			ready.Done()
+		})
+		ready.Wait(p)
+		// The victim waits for a signal on another kernel when there is one.
+		_ = pr.Spawn(p, min(1, o.Kernels()-1), func(th osi.Thread) {
+			victim = th.ID()
+			victimUp.Done()
+			sigs, err := th.SigWait()
 			if err != nil {
-				return err
+				panic(err)
 			}
-			var base mem.Addr
-			var victim int64
-			ready := sim.NewWaitGroup()
-			ready.Add(1)
-			victimUp := sim.NewWaitGroup()
-			victimUp.Add(1)
+			out.sigs = len(sigs)
+			if len(sigs) > 0 {
+				out.sigVal = sigs[0]
+			}
+		})
+		// Three waiters sleep on word 0; a requeuer moves them to word 1.
+		parked := sim.NewWaitGroup()
+		for i := 0; i < 3; i++ {
+			parked.Add(1)
 			_ = pr.Spawn(p, 0, func(th osi.Thread) {
-				base, _ = th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-				ready.Done()
-			})
-			ready.Wait(p)
-			// Victim waits for a signal on another kernel when possible.
-			k := 0
-			if o.Kernels() > 1 {
-				k = 1
-			}
-			_ = pr.Spawn(p, k, func(th osi.Thread) {
-				victim = th.ID()
-				victimUp.Done()
-				sigs, err := th.SigWait()
-				if err != nil {
+				parked.Done()
+				if err := th.FutexWait(base, 0); err != nil {
 					panic(err)
 				}
-				out.sigs = len(sigs)
-				if len(sigs) > 0 {
-					out.sigVal = sigs[0]
-				}
 			})
-			// Three waiters sleep on word 0; a requeuer moves them to word 1.
-			parked := sim.NewWaitGroup()
+		}
+		return pr.Spawn(p, 0, func(th osi.Thread) {
+			victimUp.Wait(th.Proc())
+			parked.Wait(th.Proc())
+			th.Compute(50 * time.Microsecond) // let the waiters queue
+			if err := th.Kill(victim, 10); err != nil {
+				panic(err)
+			}
+			// Requeue with a wrong expectation first.
+			if _, _, err := th.FutexRequeue(base, base+hw.PageSize, 99, 1, 10); err != nil {
+				out.badExpect = true
+			}
+			w, r, err := th.FutexRequeue(base, base+hw.PageSize, 0, 1, 10)
+			if err != nil {
+				panic(err)
+			}
+			out.woken, out.requeued = w, r
+			// Release the requeued waiters so the run can finish.
+			if _, err := th.FutexWake(base+hw.PageSize, 10); err != nil {
+				panic(err)
+			}
+			// Three more waiters on word 0, requeued onto word 0: one
+			// wakes, and the other two move to its tail once each.
+			again := sim.NewWaitGroup()
 			for i := 0; i < 3; i++ {
-				parked.Add(1)
-				_ = pr.Spawn(p, 0, func(th osi.Thread) {
-					parked.Done()
-					if err := th.FutexWait(base, 0); err != nil {
+				again.Add(1)
+				_ = th.Spawn(0, func(wt osi.Thread) {
+					again.Done()
+					if err := wt.FutexWait(base, 0); err != nil {
 						panic(err)
 					}
+					out.selfOrder += fmt.Sprint(i)
 				})
 			}
-			_ = pr.Spawn(p, 0, func(th osi.Thread) {
-				victimUp.Wait(th.Proc())
-				parked.Wait(th.Proc())
-				th.Compute(50 * time.Microsecond) // let the waiters queue
-				if err := th.Kill(victim, 10); err != nil {
-					panic(err)
-				}
-				// Requeue with a wrong expectation first.
-				if _, _, err := th.FutexRequeue(base, base+hw.PageSize, 99, 1, 10); err != nil {
-					out.badExpect = true
-				}
-				w, r, err := th.FutexRequeue(base, base+hw.PageSize, 0, 1, 10)
-				if err != nil {
-					panic(err)
-				}
-				out.woken, out.requeued = w, r
-				// Release the requeued waiters so the run can finish.
-				if _, err := th.FutexWake(base+hw.PageSize, 10); err != nil {
-					panic(err)
-				}
-				// Three more waiters on word 0, requeued onto word 0: one
-				// wakes, and the other two move to its tail once each.
-				again := sim.NewWaitGroup()
-				for i := 0; i < 3; i++ {
-					again.Add(1)
-					_ = th.Spawn(0, func(wt osi.Thread) {
-						again.Done()
-						if err := wt.FutexWait(base, 0); err != nil {
-							panic(err)
-						}
-						out.selfOrder += fmt.Sprint(i)
-					})
-				}
-				again.Wait(th.Proc())
+			again.Wait(th.Proc())
+			th.Compute(50 * time.Microsecond)
+			if out.selfWoken, out.selfRequeued, err = th.FutexRequeue(base, base, 0, 1, 10); err != nil {
+				panic(err)
+			}
+			for i := 0; i < 2; i++ {
 				th.Compute(50 * time.Microsecond)
-				if out.selfWoken, out.selfRequeued, err = th.FutexRequeue(base, base, 0, 1, 10); err != nil {
+				if _, err := th.FutexWake(base, 1); err != nil {
 					panic(err)
 				}
-				for i := 0; i < 2; i++ {
-					th.Compute(50 * time.Microsecond)
-					if _, err := th.FutexWake(base, 1); err != nil {
-						panic(err)
-					}
-				}
-			})
-			pr.Wait(p)
-			return pr.Close(p)
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		results[name] = out
+	})
+	if got.sigs != 1 || got.sigVal != 10 {
+		t.Fatalf("signal outcome wrong: %+v", got)
 	}
-	pop, smp := results["popcorn"], results["smp"]
-	if pop != smp {
-		t.Fatalf("signal/requeue semantics differ:\npopcorn: %+v\nsmp:     %+v", pop, smp)
+	if !got.badExpect {
+		t.Fatalf("requeue with wrong expect did not error: %+v", got)
 	}
-	if pop.sigs != 1 || pop.sigVal != 10 {
-		t.Fatalf("signal outcome wrong: %+v", pop)
+	if got.woken != 1 || got.requeued != 2 {
+		t.Fatalf("requeue outcome = woken %d, requeued %d; want 1, 2", got.woken, got.requeued)
 	}
-	if !pop.badExpect {
-		t.Fatalf("requeue with wrong expect did not error: %+v", pop)
-	}
-	if pop.woken != 1 || pop.requeued != 2 {
-		t.Fatalf("requeue outcome = woken %d, requeued %d; want 1, 2", pop.woken, pop.requeued)
-	}
-	if pop.selfWoken != 1 || pop.selfRequeued != 2 || pop.selfOrder != "012" {
-		t.Fatalf("requeue onto itself = woken %d, requeued %d, wake order %q; want 1, 2, \"012\"", pop.selfWoken, pop.selfRequeued, pop.selfOrder)
+	if got.selfWoken != 1 || got.selfRequeued != 2 || got.selfOrder != "012" {
+		t.Fatalf("requeue onto itself = woken %d, requeued %d, wake order %q; want 1, 2, \"012\"", got.selfWoken, got.selfRequeued, got.selfOrder)
 	}
 }
 
@@ -304,75 +320,63 @@ func TestConformanceSignalsAndRequeue(t *testing.T) {
 // mprotect reads the word; the store must then either fail with ErrAccess or
 // be ordered before that load. A store that returns nil after the load read
 // the old word has written through a right the mprotect had already taken,
-// and no sequential order explains the history.
+// and no sequential order explains the history. The race is the point, so
+// each OS may order it either way: the checks are per OS, and no digest is
+// compared.
 func TestConformanceStoreRacingMprotect(t *testing.T) {
-	type outcome struct {
+	type result struct {
 		storeErr     error
 		loaded, word int64
 	}
 	cost := hw.DefaultCostModel()
 	cost.LineTransferLocal, cost.LineTransferRemote = time.Millisecond, time.Millisecond
-	for name, o := range bootAllCost(t, cost) {
-		var out outcome
-		err := workload.Drive(o, "program", func(p *sim.Proc) error {
-			pr, err := o.StartProcess(p)
+	outs := runEach(t, cost, func(o osi.OS, p *sim.Proc, pr osi.Process, out *result) error {
+		var addr mem.Addr
+		written, protected, stored := sim.NewWaitGroup(), sim.NewWaitGroup(), sim.NewWaitGroup()
+		written.Add(1)
+		protected.Add(1)
+		stored.Add(1)
+		// The writer stores 5 and keeps its core while it waits, so the
+		// store of 9 runs on another core and must pull the line; then it
+		// loads the word once the mprotect has returned.
+		if err := pr.Spawn(p, 0, func(th osi.Thread) {
+			a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
-				return err
+				panic(err)
 			}
-			var addr mem.Addr
-			written, protected, stored := sim.NewWaitGroup(), sim.NewWaitGroup(), sim.NewWaitGroup()
-			written.Add(1)
-			protected.Add(1)
-			stored.Add(1)
-			other := 0
-			if o.Kernels() > 1 {
-				other = 1
+			addr = a
+			if err := th.Store(addr, 5); err != nil {
+				panic(err)
 			}
-			// The writer stores 5 and keeps its core while it waits, so the
-			// store of 9 runs on another core and must pull the line; then it
-			// loads the word once the mprotect has returned.
-			spawn := func(k int, fn osi.ThreadFunc) {
-				if err := pr.Spawn(p, k, fn); err != nil {
-					t.Errorf("%s: Spawn: %v", name, err)
-				}
+			written.Done()
+			protected.Wait(th.Proc())
+			if out.loaded, err = th.Load(addr); err != nil {
+				panic(err)
 			}
-			spawn(0, func(th osi.Thread) {
-				a, err := th.Mmap(hw.PageSize, mem.ProtRead|mem.ProtWrite)
-				if err != nil {
-					panic(err)
-				}
-				addr = a
-				if err := th.Store(addr, 5); err != nil {
-					panic(err)
-				}
-				written.Done()
-				protected.Wait(th.Proc())
-				if out.loaded, err = th.Load(addr); err != nil {
-					panic(err)
-				}
-				stored.Wait(th.Proc())
-				if out.word, err = th.Load(addr); err != nil {
-					panic(err)
-				}
-			})
-			written.Wait(p)
-			spawn(other, func(th osi.Thread) {
-				out.storeErr = th.Store(addr, 9)
-				stored.Done()
-			})
-			spawn(0, func(th osi.Thread) {
-				th.Compute(time.Microsecond)
-				if err := th.Mprotect(addr, hw.PageSize, mem.ProtRead); err != nil {
-					panic(err)
-				}
-				protected.Done()
-			})
-			pr.Wait(p)
-			return pr.Close(p)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			stored.Wait(th.Proc())
+			if out.word, err = th.Load(addr); err != nil {
+				panic(err)
+			}
+		}); err != nil {
+			return err
 		}
+		written.Wait(p)
+		if err := pr.Spawn(p, min(1, o.Kernels()-1), func(th osi.Thread) {
+			out.storeErr = th.Store(addr, 9)
+			stored.Done()
+		}); err != nil {
+			return err
+		}
+		return pr.Spawn(p, 0, func(th osi.Thread) {
+			th.Compute(time.Microsecond)
+			if err := th.Mprotect(addr, hw.PageSize, mem.ProtRead); err != nil {
+				panic(err)
+			}
+			protected.Done()
+		})
+	})
+	for name, o := range outs {
+		out := o.res
 		t.Logf("%s: store %v, load after mprotect %d, word at the end %d", name, out.storeErr, out.loaded, out.word)
 		switch {
 		case out.storeErr == nil && out.loaded != 9:
@@ -386,71 +390,44 @@ func TestConformanceStoreRacingMprotect(t *testing.T) {
 	}
 }
 
-// TestConformanceSbrk checks brk semantics match across flavours: grow,
-// touch, shrink, then access below and above the break.
+// TestConformanceSbrk checks brk semantics: grow, touch, shrink, then access
+// below and above the break.
 func TestConformanceSbrk(t *testing.T) {
-	type outcome struct {
+	type result struct {
 		old1, old2, old3 mem.Addr
 		val              int64
 		aboveSegv        bool
 	}
-	results := make(map[string]outcome)
-	for name, o := range bootAll(t) {
-		var out outcome
-		err := workload.Drive(o, "program", func(p *sim.Proc) error {
-			pr, err := o.StartProcess(p)
-			if err != nil {
-				return err
+	got := conform(t, func(_ osi.OS, p *sim.Proc, pr osi.Process, out *result) error {
+		return pr.Spawn(p, 0, func(th osi.Thread) {
+			var err error
+			if out.old1, err = th.Sbrk(3 * hw.PageSize); err != nil {
+				panic(err)
 			}
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				old1, err := th.Sbrk(3 * hw.PageSize)
-				if err != nil {
-					panic(err)
-				}
-				out.old1 = old1
-				if err := th.Store(old1, 77); err != nil {
-					panic(err)
-				}
-				if err := th.Store(old1+2*hw.PageSize, 88); err != nil {
-					panic(err)
-				}
-				old2, err := th.Sbrk(-hw.PageSize) // shrink: drop page 2
-				if err != nil {
-					panic(err)
-				}
-				out.old2 = old2
-				v, err := th.Load(old1)
-				if err != nil {
-					panic(err)
-				}
-				out.val = v
-				_, err = th.Load(old1 + 2*hw.PageSize)
-				out.aboveSegv = err != nil
-				old3, err := th.Sbrk(0)
-				if err != nil {
-					panic(err)
-				}
-				out.old3 = old3
-			}); err != nil {
-				return err
+			if err := th.Store(out.old1, 77); err != nil {
+				panic(err)
 			}
-			pr.Wait(p)
-			return pr.Close(p)
+			if err := th.Store(out.old1+2*hw.PageSize, 88); err != nil {
+				panic(err)
+			}
+			if out.old2, err = th.Sbrk(-hw.PageSize); err != nil { // shrink: drop page 2
+				panic(err)
+			}
+			if out.val, err = th.Load(out.old1); err != nil {
+				panic(err)
+			}
+			_, err = th.Load(out.old1 + 2*hw.PageSize)
+			out.aboveSegv = err != nil
+			if out.old3, err = th.Sbrk(0); err != nil {
+				panic(err)
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		results[name] = out
+	})
+	if got.val != 77 || !got.aboveSegv {
+		t.Fatalf("sbrk outcome wrong: %+v", got)
 	}
-	pop, smp := results["popcorn"], results["smp"]
-	if pop != smp {
-		t.Fatalf("sbrk semantics differ:\npopcorn: %+v\nsmp:     %+v", pop, smp)
-	}
-	if pop.val != 77 || !pop.aboveSegv {
-		t.Fatalf("sbrk outcome wrong: %+v", pop)
-	}
-	if pop.old3 != pop.old1+2*hw.PageSize {
-		t.Fatalf("final break = %#x, want %#x", uint64(pop.old3), uint64(pop.old1+2*hw.PageSize))
+	if got.old3 != got.old1+2*hw.PageSize {
+		t.Fatalf("final break = %#x, want %#x", uint64(got.old3), uint64(got.old1+2*hw.PageSize))
 	}
 }
 
@@ -466,7 +443,7 @@ func TestConformanceBadRanges(t *testing.T) {
 		badRange bool
 		next     mem.Addr
 	}
-	cases := []struct {
+	cases := [...]struct {
 		name     string
 		call     func(th osi.Thread, base mem.Addr) error
 		badRange bool
@@ -485,58 +462,39 @@ func TestConformanceBadRanges(t *testing.T) {
 			return err
 		}, true},
 	}
-	results := make(map[string][]verdict)
-	for name, o := range bootAll(t) {
-		err := workload.Drive(o, "program", func(p *sim.Proc) error {
-			pr, err := o.StartProcess(p)
+	// One verdict per case on kernel 0, then on kernel 1.
+	type verdicts [2][len(cases)]verdict
+	got := conform(t, func(o osi.OS, p *sim.Proc, pr osi.Process, out *verdicts) error {
+		return pr.Spawn(p, 0, func(th osi.Thread) {
+			base, err := th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
 			if err != nil {
-				return err
+				panic(err)
 			}
-			if err := pr.Spawn(p, 0, func(th osi.Thread) {
-				base, err := th.Mmap(2*hw.PageSize, mem.ProtRead|mem.ProtWrite)
-				if err != nil {
+			for k := range out {
+				if err := th.Migrate(k); err != nil && !errors.Is(err, osi.ErrUnsupported) {
 					panic(err)
 				}
-				for _, k := range []int{0, 1} {
-					if err := th.Migrate(k); err != nil && !errors.Is(err, osi.ErrUnsupported) {
+				for i, c := range cases {
+					err := c.call(th, base)
+					if err != nil && !errors.Is(err, vm.ErrBadRange) {
+						t.Errorf("%s: kernel %d: %s: %v, want ErrBadRange or nil", o.Name(), k, c.name, err)
+					}
+					out[k][i].badRange = err != nil
+					if out[k][i].next, err = th.Mmap(hw.PageSize, mem.ProtRead); err != nil {
 						panic(err)
 					}
-					for _, c := range cases {
-						err := c.call(th, base)
-						if err != nil && !errors.Is(err, vm.ErrBadRange) {
-							t.Errorf("%s: kernel %d: %s: %v, want ErrBadRange or nil", name, k, c.name, err)
-						}
-						v := verdict{badRange: err != nil}
-						if v.next, err = th.Mmap(hw.PageSize, mem.ProtRead); err != nil {
-							panic(err)
-						}
-						results[name] = append(results[name], v)
-					}
 				}
-				if k, ok := th.(interface{ KernelID() int }); ok && name == "popcorn" && k.KernelID() != 1 {
-					t.Errorf("%s: thread ended on kernel %d, want the replica 1", name, k.KernelID())
-				}
-			}); err != nil {
-				return err
 			}
-			pr.Wait(p)
-			return pr.Close(p)
+			if o.Name() == "popcorn" && th.KernelID() != 1 {
+				t.Errorf("popcorn: thread ended on kernel %d, want the replica 1", th.KernelID())
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	pop, smp := results["popcorn"], results["smp"]
-	if len(pop) != 2*len(cases) || len(smp) != 2*len(cases) {
-		t.Fatalf("ran %d and %d cases, want %d", len(pop), len(smp), 2*len(cases))
-	}
-	for i := range pop {
-		k, c := i/len(cases), cases[i%len(cases)]
-		if pop[i] != smp[i] {
-			t.Errorf("kernel %d: %s: popcorn %+v, smp %+v", k, c.name, pop[i], smp[i])
-		}
-		if pop[i].badRange != c.badRange {
-			t.Errorf("kernel %d: %s: ErrBadRange = %v, want %v", k, c.name, pop[i].badRange, c.badRange)
+	})
+	for k := range got {
+		for i, c := range cases {
+			if got[k][i].badRange != c.badRange {
+				t.Errorf("kernel %d: %s: ErrBadRange = %v, want %v", k, c.name, got[k][i].badRange, c.badRange)
+			}
 		}
 	}
 }

@@ -40,6 +40,11 @@ type OS interface {
 	// Conserved reports what a finished run failed to give back: frames in
 	// use on a live kernel, and on popcorn threads still live.
 	Conserved() error
+	// Digest returns the wrapping sum of the semantic digests (vm.Digest)
+	// of every process closed so far, each folded at its Close: its layout
+	// and its non-zero words. The sum depends on neither close order nor
+	// process IDs, so a program gives the same digest on either OS.
+	Digest() uint64
 	// StartProcess creates a new process (thread group) with an empty
 	// address space. The calling simulation process is charged the
 	// creation cost.

@@ -56,26 +56,6 @@ func bootMK(t *testing.T, cores, nodes, kernels int) *multikernel.OS {
 	return os
 }
 
-func TestThreadBombRunsOnBothOSes(t *testing.T) {
-	spec := ThreadBombSpec{Spawners: 4, Children: 8}
-	for _, boot := range []func() osi.OS{
-		func() osi.OS { return bootPopcorn(t, 8, 2, 2) },
-		func() osi.OS { return bootSMP(t, 8, 2) },
-	} {
-		o := boot()
-		res, err := ThreadBomb(o, spec)
-		if err != nil {
-			t.Fatalf("%s ThreadBomb: %v", o.Name(), err)
-		}
-		if res.Ops != 32 {
-			t.Fatalf("%s ops = %d, want 32", o.Name(), res.Ops)
-		}
-		if res.Elapsed <= 0 {
-			t.Fatalf("%s elapsed = %v", o.Name(), res.Elapsed)
-		}
-	}
-}
-
 func TestThreadBombPopcornBeatsSMPAtScale(t *testing.T) {
 	// The paper's F1 shape: with many concurrent cloners on a big
 	// machine, SMP's global locks collapse and the replicated kernel
@@ -185,28 +165,6 @@ func TestFutexChainBothVariants(t *testing.T) {
 	pop2 := bootPopcorn(t, 16, 2, 4)
 	if _, err := FutexChain(pop2, FutexChainSpec{Threads: 8, Iters: 5, CS: time.Microsecond, Shared: true}); err != nil {
 		t.Fatalf("popcorn shared: %v", err)
-	}
-	sm := bootSMP(t, 16, 2)
-	if _, err := FutexChain(sm, FutexChainSpec{Threads: 8, Iters: 5, CS: time.Microsecond}); err != nil {
-		t.Fatalf("smp: %v", err)
-	}
-}
-
-func TestComputeKernelsAllShapesBothOSes(t *testing.T) {
-	for _, k := range []string{KernelIS, KernelCG, KernelFT, KernelEP, KernelMG} {
-		spec := ComputeKernelSpec{Kernel: k, Threads: 4, Iters: 2, Work: 20 * time.Microsecond}
-		pop := bootPopcorn(t, 8, 2, 2)
-		popRes, err := ComputeKernel(pop, spec)
-		if err != nil {
-			t.Fatalf("popcorn %s: %v", k, err)
-		}
-		if popRes.Ops != 8 {
-			t.Fatalf("%s ops = %d", k, popRes.Ops)
-		}
-		sm := bootSMP(t, 8, 2)
-		if _, err := ComputeKernel(sm, spec); err != nil {
-			t.Fatalf("smp %s: %v", k, err)
-		}
 	}
 }
 
