@@ -199,10 +199,12 @@ func newKVOps(spec KVStoreSpec, c, kernels int) kvOps {
 	return g
 }
 
-// next draws the client's next op.
+// next draws the client's next op. The locality roll is drawn whether or
+// not the client has home shards, so without locality the kernel count
+// moves no draw: the same spec is the same program on every machine.
 func (g *kvOps) next() kvOp {
 	shard := int(g.rng.next() % uint64(g.spec.Shards))
-	if g.nHome > 0 && int(g.rng.next()%100) < g.spec.LocalityPct {
+	if roll := int(g.rng.next() % 100); g.nHome > 0 && roll < g.spec.LocalityPct {
 		shard = g.first + g.stride*int(g.rng.next()%uint64(g.nHome))
 	}
 	return kvOp{
