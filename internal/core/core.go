@@ -362,36 +362,20 @@ func (pr *Process) SpawnRecoverable(p *sim.Proc, kernelHint int, fn osi.ThreadFu
 	return pr.spawnThread(p, kernelHint, fn, true)
 }
 
-// spawnThread issues the clone from the origin kernel's services; remote
-// placement runs the distributed creation protocol over msg from there. The
-// direct Kernels[...] dereferences resolve the origin (the caller's own
-// kernel) and mirror the recoverable flag onto the hosting kernel's task
-// struct — a teleport, made by an untagged workload thread proc in the
-// same event as the creation protocol's last step.
-//
-//popcornvet:allow kernlocal origin-side syscall trap; the flag mirror is a teleport written in the same event as the creation protocol's last step
+// spawnThread issues the clone from the origin's services; remote placement
+// runs the distributed creation protocol over msg from there, and the
+// recoverable flag rides that protocol's clone request.
 func (pr *Process) spawnThread(p *sim.Proc, kernelHint int, fn osi.ThreadFunc, recoverable bool) error {
 	k, err := pr.os.pickKernel(kernelHint)
 	if err != nil {
 		return err
 	}
 	p.Sleep(pr.os.machine.Cost.SyscallTrap)
-	// The clone is issued from the origin kernel's services (the caller's
-	// context); remote placement runs the distributed creation protocol.
-	tk, err := pr.os.cluster.Kernels[pr.origin].TG.Spawn(p, pr.gid, msg.NodeID(k))
+	tk, err := pr.originKernel().TG.Spawn(p, pr.gid, msg.NodeID(k), recoverable)
 	if err != nil {
 		return err
 	}
 	if recoverable {
-		tk.Recoverable = true
-		// For a remote clone the hosting kernel holds its own task struct;
-		// mark it too so the flag rides the thread's future migrations.
-		if ht, ok := pr.os.cluster.Kernels[tk.Kernel].TG.Task(pr.gid, tk.ID); ok {
-			ht.Recoverable = true
-		}
-		if err := pr.os.cluster.Kernels[pr.origin].TG.SetRecoverable(p, pr.gid, tk.ID); err != nil {
-			return err
-		}
 		pr.os.restartable[tk.ID] = restartEntry{pr: pr, fn: fn}
 	}
 	pr.runThread(tk, fn)
@@ -432,19 +416,20 @@ func (pr *Process) Wait(p *sim.Proc) { pr.wg.Wait(p) }
 // simulation procs and so returns as soon as a crashed thread's proc
 // unwinds, Join tracks the origin's member table and waits out pending
 // restarts of lost threads.
-//
-//popcornvet:allow kernlocal joins on the process's own origin kernel, where the caller's group state lives
 func (pr *Process) Join(p *sim.Proc) error {
-	return pr.os.cluster.Kernels[pr.originKernel()].TG.WaitMembers(p, pr.gid, 1)
+	return pr.originKernel().TG.WaitMembers(p, pr.gid, 1)
 }
 
-// originKernel resolves the kernel currently serving this process's origin
-// role: the boot-time origin until a failover promotes its successor. A
-// Join or Close issued after a promotion lands at the promoted holder; one
-// already blocked inside the dead kernel's service when the crash fired is
-// a documented limitation of the failover model (DESIGN.md §14).
-func (pr *Process) originKernel() msg.NodeID {
-	return pr.os.cluster.Fabric.OriginHolder(pr.origin)
+// originKernel is the one way a process syscall reaches its origin: it
+// returns the kernel now holding the process's origin role, the boot-time
+// origin until a failover promotes its successor. A syscall issued after a
+// promotion lands at the promoted holder; one already blocked inside the
+// dead kernel's service when the crash fired is a documented limitation of
+// the failover model (DESIGN.md §14).
+//
+//popcornvet:allow kernlocal a process syscall traps into the kernel holding its origin role, where the process's group state lives; remote work goes over msg from there
+func (pr *Process) originKernel() *kernel.Kernel {
+	return pr.os.cluster.Kernels[pr.os.cluster.Fabric.OriginHolder(pr.origin)]
 }
 
 // Close implements osi.Process: the main thread exits, tearing down the
@@ -452,8 +437,6 @@ func (pr *Process) originKernel() msg.NodeID {
 // digest from the origin's directory and the copies it names. The exit
 // enters the origin kernel's threadgroup service; the cross-kernel teardown
 // itself travels over msg.
-//
-//popcornvet:allow kernlocal exits through the process's own origin kernel; remote teardown goes over msg
 func (pr *Process) Close(p *sim.Proc) error {
 	if pr.closed {
 		return nil
@@ -465,7 +448,7 @@ func (pr *Process) Close(p *sim.Proc) error {
 		}
 		return nil
 	}
-	origin := pr.os.cluster.Kernels[pr.originKernel()]
+	origin := pr.originKernel()
 	pr.os.digest += origin.VM.Digest(pr.gid, vmOf)
 	return origin.TG.Exit(p, pr.gid, pr.main.ID)
 }
@@ -659,7 +642,7 @@ func (t *Thread) Spawn(kernelHint int, fn osi.ThreadFunc) error {
 		return err
 	}
 	t.p.Sleep(t.k.Machine.Cost.SyscallTrap)
-	tk, err := t.k.TG.Spawn(t.p, t.pr.gid, msg.NodeID(k))
+	tk, err := t.k.TG.Spawn(t.p, t.pr.gid, msg.NodeID(k), false)
 	if err != nil {
 		return err
 	}

@@ -117,6 +117,62 @@ func TestFailoverExitPropagation(t *testing.T) {
 	}
 }
 
+// TestSpawnAfterPromotion pins the one origin resolver: every process
+// syscall reaches the kernel holding the origin role, so after the boot-time
+// origin dies and its successor promotes itself, a Spawn lands at the
+// promoted holder rather than at the dead kernel. The new thread runs, and
+// Join and Close complete there. A worker on a survivor keeps the group
+// alive across the promotion (the sweep reaps the main thread with kernel 0).
+func TestSpawnAfterPromotion(t *testing.T) {
+	os := boot(t, 4)
+	e := os.Engine()
+	os.EnableFailover()
+	os.EnableFaults(&faultinj.Plan{
+		Seed:    1,
+		Crashes: []faultinj.NodeCrash{{Node: 0, At: 500 * time.Microsecond}},
+	}, msg.FaultConfig{})
+	ran := false
+	var spawnErr, joinErr, closeErr error
+	e.Spawn("driver", func(p *sim.Proc) {
+		pr, err := os.StartProcessOn(p, 0)
+		if err != nil {
+			t.Errorf("StartProcessOn: %v", err)
+			return
+		}
+		if err := pr.Spawn(p, 3, func(th osi.Thread) { th.Compute(20 * time.Millisecond) }); err != nil {
+			t.Errorf("Spawn survivor: %v", err)
+			return
+		}
+		for os.Fabric().OriginHolder(0) == 0 {
+			p.Sleep(250 * time.Microsecond)
+		}
+		spawnErr = pr.Spawn(p, 2, func(th osi.Thread) {
+			th.Compute(100 * time.Microsecond)
+			ran = true
+		})
+		joinErr = pr.Join(p)
+		closeErr = pr.Close(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if spawnErr != nil {
+		t.Fatalf("Spawn after promotion: %v", spawnErr)
+	}
+	if !ran {
+		t.Error("the thread spawned after the promotion never ran")
+	}
+	if joinErr != nil {
+		t.Errorf("Join through promoted origin: %v", joinErr)
+	}
+	if closeErr != nil {
+		t.Errorf("Close through promoted origin: %v", closeErr)
+	}
+	if err := os.Conserved(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestFailoverDisabledKeepsLegacyDegradation pins the opt-in contract: with
 // the plane off, the same crash follows the pre-failover paths — pages the
 // dead origin was authoritative for are reclaimed, and no promotion happens.

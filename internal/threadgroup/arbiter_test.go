@@ -1,12 +1,14 @@
 package threadgroup
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/vm"
 )
 
 // ask builds one request to the arbiter from kernel from about member id.
@@ -81,9 +83,9 @@ func askArbiter(t *testing.T, from msg.NodeID, asks []ask) ([]groupSetupReply, m
 			t.Error(err)
 			return
 		}
-		w1, err := ev.tgs[0].Spawn(p, gid, 1)
+		w1, err := ev.tgs[0].Spawn(p, gid, 1, false)
 		if err == nil {
-			_, err = ev.tgs[0].Spawn(p, gid, 2)
+			_, err = ev.tgs[0].Spawn(p, gid, 2, false)
 		}
 		if err != nil {
 			t.Error(err)
@@ -107,4 +109,72 @@ func askArbiter(t *testing.T, from msg.NodeID, asks []ask) ([]groupSetupReply, m
 		rec.node = requester
 	}
 	return replies, rec
+}
+
+// TestMigrateAfterRestartIsSuperseded drives the arbiter's denial through a
+// whole migration: the origin's degradation sweep restarts a recoverable
+// member from its checkpoint while the kernel hosting it is still running
+// it. That kernel's next Migrate imports the context at the destination,
+// but the origin denies the move registration. Migrate returns
+// ErrSuperseded, the stale copy is lost and its import dropped, and only the
+// restarted incarnation exits.
+func TestMigrateAfterRestartIsSuperseded(t *testing.T) {
+	ev := newEnv(t, 3, Config{})
+	var migErr error
+	restarts := 0
+	var stale *task.Task
+	var gid vm.GID
+	ev.run(t, func(p *sim.Proc) {
+		var err error
+		gid, _, err = ev.tgs[0].CreateGroup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := ev.tgs[0].Spawn(p, gid, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale = ev.tgs[1].groups[gid].local[w.ID]
+		ev.tgs[0].SetRestartHook(func(_ *sim.Proc, tk *task.Task) bool {
+			restarts++
+			ev.e.Spawn("restarted", func(rp *sim.Proc) {
+				if err := ev.tgs[0].Exit(rp, gid, tk.ID); err != nil {
+					t.Errorf("restarted incarnation's Exit: %v", err)
+				}
+			})
+			return true
+		})
+		// The origin declares kernel 1 dead while kernel 1 runs on.
+		ev.tgs[0].PeerDied(p, 1)
+		_, migErr = ev.tgs[1].Migrate(p, gid, w.ID, 2)
+	})
+	if !errors.Is(migErr, ErrSuperseded) {
+		t.Fatalf("Migrate after the restart = %v, want ErrSuperseded", migErr)
+	}
+	if restarts != 1 {
+		t.Fatalf("restart hook ran %d times, want 1", restarts)
+	}
+	if got := ev.tgs[1].metrics.Counter("tg.migrate.superseded").Value(); got != 1 {
+		t.Errorf("tg.migrate.superseded = %d, want 1", got)
+	}
+	if stale.State != task.StateLost {
+		t.Errorf("the superseded copy ended %v, want lost", stale.State)
+	}
+	if got := ev.tgs[2].metrics.Counter("tg.migrate.ghostdrop").Value(); got != 1 {
+		t.Errorf("tg.migrate.ghostdrop = %d on the destination, want 1", got)
+	}
+	exits := 0
+	for k, s := range ev.tgs {
+		exits += int(s.metrics.Counter("tg.exit").Value())
+		want := 0
+		if k == 0 {
+			want = 1 // the main thread
+		}
+		if s.LocalTasks(gid) != want || s.Shadows(gid) != 0 {
+			t.Errorf("kernel %d keeps %d live and %d shadow tasks of the group, want %d and 0", k, s.LocalTasks(gid), s.Shadows(gid), want)
+		}
+	}
+	if exits != 1 {
+		t.Errorf("%d incarnations exited, want exactly 1", exits)
+	}
 }

@@ -1,6 +1,7 @@
 package threadgroup
 
 import (
+	"errors"
 	"maps"
 	"reflect"
 	"testing"
@@ -30,6 +31,51 @@ func mirroredTables(rep *groupRepl) originTables {
 	return originTables{rep.Members, rep.Replicas}
 }
 
+// TestRecoverableCloneShipsOnce pins where recoverability is decided: in the
+// clone. With the failover plane on, a recoverable clone, remote or local,
+// sets the flag on the hosting kernel's task and on the origin's member
+// record, and the origin ships the group once for it, so the successor's
+// mirror never holds the member as non-recoverable. A replica may not clone
+// a recoverable member.
+func TestRecoverableCloneShipsOnce(t *testing.T) {
+	ev := newEnv(t, 3, Config{})
+	ev.fabric.EnableFailover()
+	ev.run(t, func(p *sim.Proc) {
+		gid, _, err := ev.tgs[0].CreateGroup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first clone onto kernel 1 registers the replica, which ships
+		// on its own.
+		if _, err := ev.tgs[0].Spawn(p, gid, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		shipped := ev.tgs[0].metrics.Counter("tg.failover.replicated")
+		for _, dst := range []msg.NodeID{1, 0} {
+			before := shipped.Value()
+			tk, err := ev.tgs[0].Spawn(p, gid, dst, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shipped.Value() - before; got != 1 {
+				t.Errorf("a recoverable clone onto kernel %d shipped the group %d times, want 1", dst, got)
+			}
+			if host := ev.tgs[dst].groups[gid].local[tk.ID]; host == nil || !host.Recoverable || !tk.Recoverable {
+				t.Errorf("the task kernel %d hosts for clone %d is not recoverable", dst, tk.ID)
+			}
+			if !ev.tgs[0].groups[gid].members[tk.ID].recoverable {
+				t.Errorf("the origin's record of clone %d is not recoverable", tk.ID)
+			}
+			if !ev.tgs[1].gmirrors[gid].Members[tk.ID].recoverable {
+				t.Errorf("the successor's mirror of clone %d is not recoverable", tk.ID)
+			}
+		}
+		if _, err := ev.tgs[1].Spawn(p, gid, 2, true); !errors.Is(err, errNotOrigin) {
+			t.Errorf("a recoverable clone from a replica = %v, want errNotOrigin", err)
+		}
+	})
+}
+
 // TestMirrorsEqualOriginAtQuiescence is the replication invariant as a test:
 // with the failover plane on and nothing crashing, once the machine is quiet
 // every live group's two origin tables equal the mirror its ring successor
@@ -53,11 +99,10 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 		// Group at origin 0, mirrored on kernel 1.
 		gid, main, err := ev.tgs[0].CreateGroup(p)
 		must(err)
-		w1, err := ev.tgs[0].Spawn(p, gid, 1)
+		w1, err := ev.tgs[0].Spawn(p, gid, 1, true)
 		must(err)
-		w2, err := ev.tgs[0].Spawn(p, gid, 2)
+		w2, err := ev.tgs[0].Spawn(p, gid, 2, false)
 		must(err)
-		must(ev.tgs[0].SetRecoverable(p, gid, w1.ID))
 		w1, err = ev.tgs[1].Migrate(p, gid, w1.ID, 3) // a recoverable move refreshes its checkpoint
 		must(err)
 		_, err = ev.tgs[0].Migrate(p, gid, main.ID, 2)
@@ -67,7 +112,7 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 		// Group at origin 3, mirrored on kernel 0.
 		gid3, main3, err := ev.tgs[3].CreateGroup(p)
 		must(err)
-		_, err = ev.tgs[3].Spawn(p, gid3, 0)
+		_, err = ev.tgs[3].Spawn(p, gid3, 0, false)
 		must(err)
 		moved, err := ev.tgs[3].Migrate(p, gid3, main3.ID, 1)
 		must(err)
@@ -78,7 +123,7 @@ func TestMirrorsEqualOriginAtQuiescence(t *testing.T) {
 		var mainG *task.Task
 		gone, mainG, err = ev.tgs[1].CreateGroup(p)
 		must(err)
-		wg, err := ev.tgs[1].Spawn(p, gone, 2)
+		wg, err := ev.tgs[1].Spawn(p, gone, 2, false)
 		must(err)
 		must(ev.tgs[2].Exit(p, gone, wg.ID))
 		must(ev.tgs[1].Exit(p, gone, mainG.ID))

@@ -339,7 +339,7 @@ func (s *Service) handleThreadCreate(p *sim.Proc, from msg.NodeID, req *threadCr
 	if err != nil {
 		return threadCreateReply{Err: err}
 	}
-	t, err := s.spawnLocal(p, g)
+	t, err := s.spawnLocal(p, g, req.Recoverable)
 	if err != nil {
 		return threadCreateReply{Err: err}
 	}

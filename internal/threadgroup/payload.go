@@ -31,6 +31,9 @@ func setupSize(r *groupSetupReq) int {
 type threadCreateReq struct {
 	GID    vm.GID
 	Origin msg.NodeID
+	// Recoverable marks the new member for checkpointed restart; the hosting
+	// kernel's task carries it on every later migration.
+	Recoverable bool
 }
 
 // threadCreateReply returns the new task's ID.

@@ -124,7 +124,7 @@ func TestMigrationUnderVMAChurn(t *testing.T) {
 				spc, ok := ev.vms[c].Space(gid)
 				if !ok {
 					// Kernel c hosts no replica yet; attach through a spawn.
-					tk, err := ev.tgs[0].Spawn(cp, gid, msgNode(c))
+					tk, err := ev.tgs[0].Spawn(cp, gid, msgNode(c), false)
 					if err != nil {
 						t.Errorf("churn spawn: %v", err)
 						return

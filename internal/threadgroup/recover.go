@@ -1,8 +1,6 @@
 package threadgroup
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/vm"
@@ -32,26 +30,6 @@ type RestartHook func(p *sim.Proc, t *task.Task) bool
 // SetRestartHook installs the OS callback that re-executes recovered
 // threads on this kernel. Only origin kernels invoke it.
 func (s *Service) SetRestartHook(fn RestartHook) { s.restart = fn }
-
-// SetRecoverable marks member id of gid (at the origin) as restartable
-// after a hosting-kernel crash: recovery re-runs it from the start.
-func (s *Service) SetRecoverable(p *sim.Proc, gid vm.GID, id task.ID) error {
-	g, ok := s.groups[gid]
-	if !ok {
-		return errNoGroup
-	}
-	if !g.isOrigin {
-		return errNotOrigin
-	}
-	m, ok := g.members[id]
-	if !ok {
-		return fmt.Errorf("threadgroup: task %d is not a member of group %d", id, gid)
-	}
-	m.recoverable = true
-	g.members[id] = m
-	s.shipGroup(p, g)
-	return nil
-}
 
 // restartMember rebuilds lost member id from its checkpoint on this (the
 // origin) kernel and hands it to the OS restart hook. The member never
@@ -130,11 +108,12 @@ func (s *Service) WaitMembers(p *sim.Proc, gid vm.GID, n int) error {
 	return nil
 }
 
-// Reboot resets the service to boot state for a kernel reboot: every group,
-// pending replica setup, orphaned signal, and signal waiter died with the
-// crash. The tasklist mutex is replaced — the crash can have killed a
-// thread while it held the lock, and a killed holder never unlocks. The
-// PID/GID counters keep counting so IDs stay unique across incarnations.
+// Reboot resets the service to boot state, the one NewService ends with: on
+// a kernel reboot every group, pending replica setup, orphaned signal, and
+// signal waiter died with the crash. The tasklist mutex is replaced — the
+// crash can have killed a thread while it held the lock, and a killed holder
+// never unlocks. The PID/GID counters keep counting so IDs stay unique across
+// incarnations.
 func (s *Service) Reboot() {
 	s.groups = make(map[vm.GID]*group)
 	s.tasklist = sim.NewMutex(s.e).SetLabel(&s.tasklistLabel)

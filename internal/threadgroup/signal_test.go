@@ -30,12 +30,12 @@ func TestSignalRoutedToRemoteThread(t *testing.T) {
 	ev := newEnv(t, 3, Config{})
 	ev.run(t, func(p *sim.Proc) {
 		gid, _, _ := ev.tgs[0].CreateGroup(p)
-		worker, err := ev.tgs[0].Spawn(p, gid, 2)
+		worker, err := ev.tgs[0].Spawn(p, gid, 2, false)
 		if err != nil {
 			t.Fatalf("Spawn: %v", err)
 		}
 		// Signal from a third kernel, routed via the origin.
-		w2, err := ev.tgs[0].Spawn(p, gid, 1)
+		w2, err := ev.tgs[0].Spawn(p, gid, 1, false)
 		if err != nil {
 			t.Fatalf("Spawn: %v", err)
 		}

@@ -167,15 +167,8 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 		vmsvc:         vmsvc,
 		metrics:       metrics,
 		cfg:           cfg,
-		groups:        make(map[vm.GID]*group),
 		tasklistLabel: fmt.Sprintf("tg.tasklist.k%d", node),
-		dummies:       cfg.DummyPool,
-		setupPending:  make(map[vm.GID]*sim.Cond),
-		orphanSignals: make(map[task.ID][]int),
-		sigWaiters:    make(map[task.ID]*sim.Proc),
-		gmirrors:      make(map[vm.GID]*groupRepl),
 	}
-	s.tasklist = sim.NewMutex(e).SetLabel(&s.tasklistLabel)
 	threadCreate.Handle(s.ep, s.handleThreadCreate)
 	groupReplicate.Handle(s.ep, s.handleGroupReplicate)
 	originHandover.Handle(s.ep, s.handleOriginHandover)
@@ -184,6 +177,7 @@ func NewService(e sim.Engine, machine *hw.Machine, fabric *msg.Fabric, node msg.
 	exitNotify.Handle(s.ep, s.handleExitNotify)
 	groupExit.Handle(s.ep, s.handleGroupExit)
 	signal.Handle(s.ep, s.handleSignal)
+	s.Reboot()
 	return s
 }
 
@@ -232,7 +226,7 @@ func (s *Service) CreateGroup(p *sim.Proc) (vm.GID, *task.Task, error) {
 		emptyWaiters: sim.NewCond(),
 	}
 	s.groups[gid] = g
-	main, err := s.spawnLocal(p, g)
+	main, err := s.spawnLocal(p, g, false)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -240,12 +234,13 @@ func (s *Service) CreateGroup(p *sim.Proc) (vm.GID, *task.Task, error) {
 }
 
 // spawnLocal creates a member task on this kernel under the tasklist lock.
-func (s *Service) spawnLocal(p *sim.Proc, g *group) (*task.Task, error) {
+func (s *Service) spawnLocal(p *sim.Proc, g *group, recoverable bool) (*task.Task, error) {
 	s.tasklist.Lock(p)
 	p.Sleep(s.machine.LineBounce(s.tasklist.Waiters(), s.vmsvc.LocalCores(), false))
 	p.Sleep(s.machine.Cost.ThreadSetup)
 	t := task.New(s.allocPID(), task.ID(g.gid), int(s.node))
 	t.State = task.StateRunnable
+	t.Recoverable = recoverable
 	g.local[t.ID] = t
 	s.tasklist.Unlock(p)
 	if sp, ok := s.vmsvc.Space(g.gid); ok {
@@ -253,7 +248,7 @@ func (s *Service) spawnLocal(p *sim.Proc, g *group) (*task.Task, error) {
 	}
 	s.metrics.Counter("tg.spawn.local").Inc()
 	if g.isOrigin {
-		g.members[t.ID] = member{node: s.node}
+		g.members[t.ID] = member{node: s.node, recoverable: recoverable}
 		s.shipGroup(p, g)
 	} else {
 		// Remote member: the origin learns via the create/migrate path
@@ -266,14 +261,20 @@ func (s *Service) spawnLocal(p *sim.Proc, g *group) (*task.Task, error) {
 // Spawn clones a new member thread of gid onto the dst kernel. Local
 // spawns touch only this kernel's structures; remote spawns run the
 // distributed-thread-group creation protocol (replica setup on first use,
-// then remote task creation).
-func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, error) {
+// then remote task creation). A recoverable member (checkpointed restart,
+// recover.go) is decided here, once: the flag rides the clone request to the
+// hosting kernel's task and enters the origin's member table with the
+// member, so only the origin may clone one.
+func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID, recoverable bool) (*task.Task, error) {
 	g, ok := s.groups[gid]
 	if !ok {
 		return nil, fmt.Errorf("%w: group %d on kernel %d", errNoGroup, gid, s.node)
 	}
+	if recoverable && !g.isOrigin {
+		return nil, errNotOrigin
+	}
 	if dst == s.node {
-		t, err := s.spawnLocal(p, g)
+		t, err := s.spawnLocal(p, g, recoverable)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +287,7 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 		return t, nil
 	}
 	start := p.Now()
-	r, err := threadCreate.Call(p, s.ep, dst, msg.NoRole, &threadCreateReq{GID: gid, Origin: g.origin})
+	r, err := threadCreate.Call(p, s.ep, dst, msg.NoRole, &threadCreateReq{GID: gid, Origin: g.origin, Recoverable: recoverable})
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +298,9 @@ func (s *Service) Spawn(p *sim.Proc, gid vm.GID, dst msg.NodeID) (*task.Task, er
 	s.metrics.Histogram("tg.spawn.remote.latency").Observe(p.Now().Sub(start))
 	t := task.New(r.TaskID, task.ID(gid), int(dst))
 	t.State = task.StateRunnable
+	t.Recoverable = recoverable
 	if g.isOrigin {
-		g.members[t.ID] = member{node: dst}
+		g.members[t.ID] = member{node: dst, recoverable: recoverable}
 		g.replicas[dst] = struct{}{}
 		s.shipGroup(p, g)
 	}
@@ -315,19 +317,6 @@ func (s *Service) notifyOriginSpawn(p *sim.Proc, g *group, id task.ID) error {
 		return fmt.Errorf("threadgroup: origin registration: %w", r.Err)
 	}
 	return nil
-}
-
-// Task returns this kernel's task with the given ID, if present.
-func (s *Service) Task(gid vm.GID, id task.ID) (*task.Task, bool) {
-	g, ok := s.groups[gid]
-	if !ok {
-		return nil, false
-	}
-	if t, ok := g.local[id]; ok {
-		return t, true
-	}
-	t, ok := g.shadows[id]
-	return t, ok
 }
 
 // PeerDied is the degradation hook: the failure detector on this kernel

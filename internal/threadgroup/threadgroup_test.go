@@ -101,7 +101,7 @@ func TestPIDsAreGloballyUnique(t *testing.T) {
 		seen := map[task.ID]bool{main.ID: true}
 		for k := 0; k < 4; k++ {
 			for i := 0; i < 10; i++ {
-				tk, err := ev.tgs[0].Spawn(p, gid, msg.NodeID(k))
+				tk, err := ev.tgs[0].Spawn(p, gid, msg.NodeID(k), false)
 				if err != nil {
 					t.Fatalf("Spawn on %d: %v", k, err)
 				}
@@ -118,7 +118,7 @@ func TestRemoteSpawnSetsUpReplica(t *testing.T) {
 	ev := newEnv(t, 2, Config{})
 	ev.run(t, func(p *sim.Proc) {
 		gid, _, _ := ev.tgs[0].CreateGroup(p)
-		tk, err := ev.tgs[0].Spawn(p, gid, 1)
+		tk, err := ev.tgs[0].Spawn(p, gid, 1, false)
 		if err != nil {
 			t.Fatalf("remote Spawn: %v", err)
 		}
@@ -150,7 +150,7 @@ func TestRemoteSpawnSetsUpReplica(t *testing.T) {
 func TestSpawnOnUnknownGroupFails(t *testing.T) {
 	ev := newEnv(t, 2, Config{})
 	ev.run(t, func(p *sim.Proc) {
-		if _, err := ev.tgs[0].Spawn(p, 999, 1); err == nil {
+		if _, err := ev.tgs[0].Spawn(p, 999, 1, false); err == nil {
 			t.Fatal("Spawn on unknown group succeeded")
 		}
 	})
@@ -260,7 +260,7 @@ func TestExitReapsShadowsAndTearsDownGroup(t *testing.T) {
 	ev.run(t, func(p *sim.Proc) {
 		gid, main, _ := ev.tgs[0].CreateGroup(p)
 		// Build state everywhere: a remote thread and a migrated main.
-		worker, err := ev.tgs[0].Spawn(p, gid, 1)
+		worker, err := ev.tgs[0].Spawn(p, gid, 1, false)
 		if err != nil {
 			t.Fatalf("Spawn: %v", err)
 		}
@@ -303,7 +303,7 @@ func TestWaitEmptyBlocksUntilLastExit(t *testing.T) {
 	var emptyAt, exitAt sim.Time
 	ev.run(t, func(p *sim.Proc) {
 		gid, main, _ := ev.tgs[0].CreateGroup(p)
-		worker, _ := ev.tgs[0].Spawn(p, gid, 1)
+		worker, _ := ev.tgs[0].Spawn(p, gid, 1, false)
 		ev.e.Spawn("waiter", func(wp *sim.Proc) {
 			if err := ev.tgs[0].WaitMembers(wp, gid, 0); err != nil {
 				t.Errorf("WaitMembers: %v", err)
@@ -347,12 +347,12 @@ func TestRemoteSpawnFirstVsWarmReplica(t *testing.T) {
 	ev.run(t, func(p *sim.Proc) {
 		gid, _, _ := ev.tgs[0].CreateGroup(p)
 		start := p.Now()
-		if _, err := ev.tgs[0].Spawn(p, gid, 1); err != nil {
+		if _, err := ev.tgs[0].Spawn(p, gid, 1, false); err != nil {
 			t.Fatalf("Spawn 1: %v", err)
 		}
 		first = p.Now().Sub(start)
 		start = p.Now()
-		if _, err := ev.tgs[0].Spawn(p, gid, 1); err != nil {
+		if _, err := ev.tgs[0].Spawn(p, gid, 1, false); err != nil {
 			t.Fatalf("Spawn 2: %v", err)
 		}
 		second = p.Now().Sub(start)
@@ -368,12 +368,12 @@ func TestThirdPartySpawn(t *testing.T) {
 	ev := newEnv(t, 3, Config{})
 	ev.run(t, func(p *sim.Proc) {
 		gid, _, _ := ev.tgs[0].CreateGroup(p)
-		w1, err := ev.tgs[0].Spawn(p, gid, 1)
+		w1, err := ev.tgs[0].Spawn(p, gid, 1, false)
 		if err != nil {
 			t.Fatalf("Spawn: %v", err)
 		}
 		_ = w1
-		w2, err := ev.tgs[1].Spawn(p, gid, 2)
+		w2, err := ev.tgs[1].Spawn(p, gid, 2, false)
 		if err != nil {
 			t.Fatalf("third-party Spawn: %v", err)
 		}
@@ -388,11 +388,11 @@ func TestLocalSpawnOnReplicaRegistersWithOrigin(t *testing.T) {
 	ev := newEnv(t, 2, Config{})
 	ev.run(t, func(p *sim.Proc) {
 		gid, _, _ := ev.tgs[0].CreateGroup(p)
-		if _, err := ev.tgs[0].Spawn(p, gid, 1); err != nil {
+		if _, err := ev.tgs[0].Spawn(p, gid, 1, false); err != nil {
 			t.Fatalf("Spawn: %v", err)
 		}
 		// Kernel 1 now hosts the group; it clones locally.
-		w, err := ev.tgs[1].Spawn(p, gid, 1)
+		w, err := ev.tgs[1].Spawn(p, gid, 1, false)
 		if err != nil {
 			t.Fatalf("local Spawn on replica: %v", err)
 		}
@@ -418,7 +418,7 @@ func TestConcurrentSpawnsAndMigrations(t *testing.T) {
 			ev.e.Spawn(fmt.Sprintf("spawner%d", k), func(sp *sim.Proc) {
 				defer done.Done()
 				for i := 0; i < 5; i++ {
-					tk, err := ev.tgs[0].Spawn(sp, gid, msg.NodeID(k))
+					tk, err := ev.tgs[0].Spawn(sp, gid, msg.NodeID(k), false)
 					if err != nil {
 						t.Errorf("spawn: %v", err)
 						return
